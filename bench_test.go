@@ -618,10 +618,10 @@ func BenchmarkNaiveBackendVsPipelined(b *testing.B) {
 
 // BenchmarkExecBatchedVsExact measures the tentpole of the batched
 // communication schedules: the inspector/executor engine (exec.Run,
-// vectored per-pair exchanges, default ChanCap) against the per-element
-// oracle (exec.RunExact, one message per remote operand, ChanCap raised
-// to m*m so it cannot deadlock) on Gauss elimination at the paper's
-// m=64, N=16 scale. Both report the same simulated naive cost; ns/op is
+// collective redistribution and vectored reductions on the event
+// runtime) against the per-element oracle (exec.RunExact, one message
+// per remote operand, ChanCap raised to m*m so it cannot deadlock) on
+// Gauss elimination at the paper's m=64, N=16 scale. Both report the same simulated naive cost; ns/op is
 // the real-time gap, and the custom metrics show the transport
 // difference (messages on the wire, largest vectored message).
 func BenchmarkExecBatchedVsExact(b *testing.B) {
@@ -641,48 +641,10 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 		input.Store("B", []int{i}, rhs[i-1])
 	}
 	bind := map[string]int{"m": m}
-	// "batched" is pinned to the goroutine runtime so its ns/op stays
-	// comparable with the historical arm; "events" is the same schedule
-	// under the discrete-event runtime (deterministic metrics match
-	// bit-for-bit, ns/op shows the engine gap). Both default to the
-	// collective redistribution lowering; "p2p" pins the per-pair
-	// exchange so the word-count gap between the two lowerings stays
-	// visible in the series.
 	b.Run("batched", func(b *testing.B) {
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
-			res, err := exec.RunOpts(prog, ss, bind, nil, 1, machine.DefaultConfig(), input,
-				exec.Options{Engine: exec.EngineGoroutines})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(last.Stats.ParallelTime, "simtime")
-		b.ReportMetric(float64(last.Transport.Messages), "transportmsgs")
-		b.ReportMetric(float64(last.Transport.Words), "transportwords")
-		b.ReportMetric(float64(last.Transport.MaxMsgWords), "maxmsgwords")
-	})
-	b.Run("events", func(b *testing.B) {
-		var last exec.Result
-		for i := 0; i < b.N; i++ {
-			res, err := exec.RunOpts(prog, ss, bind, nil, 1, machine.DefaultConfig(), input,
-				exec.Options{Engine: exec.EngineEvents})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(last.Stats.ParallelTime, "simtime")
-		b.ReportMetric(float64(last.Transport.Messages), "transportmsgs")
-		b.ReportMetric(float64(last.Transport.Words), "transportwords")
-		b.ReportMetric(float64(last.Transport.MaxMsgWords), "maxmsgwords")
-	})
-	b.Run("p2p", func(b *testing.B) {
-		var last exec.Result
-		for i := 0; i < b.N; i++ {
-			res, err := exec.RunOpts(prog, ss, bind, nil, 1, machine.DefaultConfig(), input,
-				exec.Options{Engine: exec.EngineGoroutines, Redist: exec.RedistP2P})
+			res, err := exec.Run(prog, ss, bind, nil, 1, machine.DefaultConfig(), input)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -730,22 +692,7 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 	b.Run("sor-batched", func(b *testing.B) {
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
-			res, err := exec.RunOpts(sor, sss, bind, omega, sorIters, machine.DefaultConfig(), sorInput,
-				exec.Options{Engine: exec.EngineGoroutines})
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res
-		}
-		b.ReportMetric(last.Stats.ParallelTime, "simtime")
-		b.ReportMetric(float64(last.Transport.Messages), "transportmsgs")
-		b.ReportMetric(float64(last.Transport.MaxMsgWords), "maxmsgwords")
-	})
-	b.Run("sor-events", func(b *testing.B) {
-		var last exec.Result
-		for i := 0; i < b.N; i++ {
-			res, err := exec.RunOpts(sor, sss, bind, omega, sorIters, machine.DefaultConfig(), sorInput,
-				exec.Options{Engine: exec.EngineEvents})
+			res, err := exec.Run(sor, sss, bind, omega, sorIters, machine.DefaultConfig(), sorInput)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -776,24 +723,19 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 // BenchmarkCompileScaling measures the compile pipeline itself — the
 // cost engine behind Algorithm 1 — on synthetic nest sequences of
 // growing length s and on the paper's Gauss/Jacobi/SOR programs. Each
-// program is compiled under up to three engines: "fast" is the
-// production configuration (closed-form nest counting with a compiled
-// walker fallback, analytic ChangeCost, memoized cost tables, worker
-// pool); "pr1" is the previous engine (exact iteration-space nest
-// enumeration, everything else as in fast); "prechange" reproduces the
-// original engine (element-enumeration ChangeCost, exact nest counts,
-// no caches, serial). The prechange variant skips s=16, which is
-// impractical without the analytic paths.
+// program is compiled under both engines: "fast" is the production
+// configuration (closed-form nest counting with the reference
+// enumeration behind it, analytic ChangeCost, memoized cost tables,
+// worker pool); "prechange" is the oracle (element-enumeration
+// ChangeCost, exact nest counts, no caches, serial). The prechange
+// variant skips s=16, which is impractical without the analytic paths.
 func BenchmarkCompileScaling(b *testing.B) {
 	const m, n = 64, 16
 	compile := func(b *testing.B, p func() *ir.Program, engine string) {
 		var res *core.CompileResult
 		for i := 0; i < b.N; i++ {
 			c := core.NewCompiler(p(), cost.Unit(), map[string]int{"m": m}, n)
-			switch engine {
-			case "pr1":
-				c.ExactNestCount = true
-			case "prechange":
+			if engine == "prechange" {
 				c.ExactNestCount = true
 				c.ExactChangeCost = true
 				c.NoCache = true
@@ -813,9 +755,6 @@ func BenchmarkCompileScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("synth/s=%d/fast", s), func(b *testing.B) {
 			compile(b, func() *ir.Program { return ir.Synthetic(s) }, "fast")
 		})
-		b.Run(fmt.Sprintf("synth/s=%d/pr1", s), func(b *testing.B) {
-			compile(b, func() *ir.Program { return ir.Synthetic(s) }, "pr1")
-		})
 		if s <= 8 {
 			b.Run(fmt.Sprintf("synth/s=%d/prechange", s), func(b *testing.B) {
 				compile(b, func() *ir.Program { return ir.Synthetic(s) }, "prechange")
@@ -832,7 +771,6 @@ func BenchmarkCompileScaling(b *testing.B) {
 	} {
 		pc := pc
 		b.Run(pc.name+"/fast", func(b *testing.B) { compile(b, pc.prog, "fast") })
-		b.Run(pc.name+"/pr1", func(b *testing.B) { compile(b, pc.prog, "pr1") })
 		b.Run(pc.name+"/prechange", func(b *testing.B) { compile(b, pc.prog, "prechange") })
 	}
 }

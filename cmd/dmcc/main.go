@@ -47,7 +47,7 @@ func main() {
 	greedy := flag.Bool("greedy", false, "use the greedy alignment heuristic instead of exact branch-and-bound")
 	doExec := flag.Bool("exec", false, "execute the compiled program on the simulated machine and verify")
 	jobs := flag.Int("j", 0, "cost-engine worker count (0 = all CPUs, 1 = serial)")
-	engine := flag.String("engine", "fast", "cost engine: fast (closed-form counting with compiled-walker fallback), pr1 (exact nest enumeration), prechange (exact everything, no caches)")
+	engine := flag.String("engine", "fast", "cost engine: fast (closed-form counting, reference enumeration for declined nests) or prechange (the oracle: exact everything, no caches)")
 	useCache := flag.Bool("cache", false, "serve the compile report from the artifact cache")
 	cacheDir := flag.String("cache-dir", ".dmcc-cache", "artifact cache directory")
 	flag.Parse()
@@ -150,19 +150,16 @@ func newCompiler(p *ir.Program, m, n int, greedy bool, jobs int, engine string) 
 }
 
 // applyEngine configures the compiler's cost engine: the production
-// closed-form path, the PR 1 exact-nest-enumeration path, or the
-// original exact-everything path (ablation and A/B testing).
+// closed-form path or the exact-everything oracle it is tested against.
 func applyEngine(c *core.Compiler, engine string) error {
 	switch engine {
 	case "fast":
-	case "pr1":
-		c.ExactNestCount = true
 	case "prechange":
 		c.ExactNestCount = true
 		c.ExactChangeCost = true
 		c.NoCache = true
 	default:
-		return fmt.Errorf("unknown engine %q (want fast, pr1 or prechange)", engine)
+		return fmt.Errorf("unknown engine %q (want fast or prechange)", engine)
 	}
 	return nil
 }
@@ -261,8 +258,8 @@ func run(w io.Writer, p *ir.Program, m, n int, greedy bool, jobs int, engine str
 	// Telemetry goes to stderr so the report payload stays a pure
 	// function of the configuration (the -cache path stores it verbatim).
 	eng := c.Engines.Snapshot()
-	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d fastwalk_fallbacks=%d exact_fallbacks=%d\n",
-		eng["analytic_hits"], eng["fastwalk_fallbacks"], eng["exact_fallbacks"])
+	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d exact_fallbacks=%d\n",
+		eng["analytic_hits"], eng["exact_fallbacks"])
 	fmt.Fprintln(w, "-- Algorithm 1: minimum-cost order of distribution schemes --")
 	for _, seg := range res.DP.Segments {
 		fmt.Fprintf(w, "  loops L%d..L%d: %s, segment cost %.0f, entry redistribution %.0f\n",

@@ -13,15 +13,8 @@
 //	                                                  compiler-chosen schemes)
 //	flags: -overlap (comm/comp overlap), -async (asynchronous collectives),
 //	       -trace (per-processor time breakdown + Gantt chart),
-//	       -chancap (exec: per-link channel capacity in messages),
-//	       -engine=auto|events|goroutines (exec: transport runtime; auto
-//	                        picks the discrete-event engine unless -trace
-//	                        needs the live goroutine interleaving),
-//	       -pipeline=false (exec: per-element finalizes instead of the
-//	                        vectored two-phase / ring reduction exchange),
-//	       -redist=p2p|collective|auto (exec: scheme-change lowering; auto
-//	                        picks the composed collective schedules, p2p
-//	                        reverts to per-pair exchanges),
+//	       -chancap (per-link channel capacity in messages; the exec
+//	                 backend's event runtime never blocks on a send),
 //	       -cpuprofile / -memprofile (write pprof profiles)
 package main
 
@@ -52,14 +45,11 @@ func main() {
 	naive := flag.Bool("naive", false, "SOR: reduction-per-step instead of pipeline")
 	broadcast := flag.Bool("broadcast", false, "gauss: multicast instead of pipeline")
 	execBackend := flag.Bool("exec", false, "run the IR program through the exec backend (jacobi, sor, gauss)")
-	engineName := flag.String("engine", "auto", "exec backend transport runtime: auto, events, goroutines")
-	chanCap := flag.Int("chancap", 0, "exec backend: per-link channel capacity in messages (0 = default)")
+	chanCap := flag.Int("chancap", 0, "per-link channel capacity in messages (0 = default; ignored by -exec, whose event runtime never blocks on a send)")
 	overlap := flag.Bool("overlap", false, "overlap communication with computation")
 	async := flag.Bool("async", false, "asynchronous collectives instead of the paper's synchronous model")
 	doTrace := flag.Bool("trace", false, "print per-processor time breakdown and Gantt chart")
 	seed := flag.Int64("seed", 1, "system generator seed")
-	pipeline := flag.Bool("pipeline", true, "exec backend: vectored two-phase / ring reduction exchange (false = per-element finalizes)")
-	redistName := flag.String("redist", "auto", "exec backend scheme-change lowering: auto, collective, p2p")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -70,14 +60,6 @@ func main() {
 	case "jacobi", "sor", "gauss", "cannon":
 	default:
 		cli.Usage("dmrun", fmt.Errorf("unknown kernel %q (want jacobi, sor, gauss or cannon)", *kernel))
-	}
-	engine, err := parseEngine(*engineName)
-	if err != nil {
-		cli.Usage("dmrun", err)
-	}
-	redist, err := parseRedist(*redistName)
-	if err != nil {
-		cli.Usage("dmrun", err)
 	}
 
 	stopProf, err := startProfiles(*cpuprofile, *memprofile)
@@ -102,7 +84,7 @@ func main() {
 	}
 
 	if *execBackend {
-		err = runExec(*kernel, cfg, *m, *n, *iters, *seed, !*pipeline, engine, redist)
+		err = runExec(*kernel, cfg, *m, *n, *iters, *seed)
 	} else {
 		err = run(*kernel, cfg, *m, *n, *n2, *iters, *naive, *broadcast, *seed)
 	}
@@ -194,33 +176,7 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 // Algorithm 1's segment cost), executes it on the batched exec backend,
 // verifies against the sequential reference, and reports both the naive
 // cost model's statistics and what the vectored transport actually moved.
-// parseEngine maps the -engine flag value onto an exec.Engine.
-func parseEngine(name string) (exec.Engine, error) {
-	switch name {
-	case "auto":
-		return exec.EngineAuto, nil
-	case "events":
-		return exec.EngineEvents, nil
-	case "goroutines":
-		return exec.EngineGoroutines, nil
-	}
-	return exec.EngineAuto, fmt.Errorf("unknown -engine %q (want auto, events or goroutines)", name)
-}
-
-// parseRedist maps the -redist flag value onto an exec.Redist.
-func parseRedist(name string) (exec.Redist, error) {
-	switch name {
-	case "auto":
-		return exec.RedistAuto, nil
-	case "collective":
-		return exec.RedistCollective, nil
-	case "p2p":
-		return exec.RedistP2P, nil
-	}
-	return exec.RedistAuto, fmt.Errorf("unknown -redist %q (want auto, collective or p2p)", name)
-}
-
-func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noPipe bool, engine exec.Engine, redist exec.Redist) error {
+func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) error {
 	a, b, _ := matrix.DiagonallyDominant(m, seed)
 	var p *ir.Program
 	var scalars map[string]float64
@@ -257,8 +213,7 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noP
 			input.Store("X", []int{i}, x0[i-1])
 		}
 	}
-	res, err := exec.RunOpts(p, ss, map[string]int{"m": m}, scalars, iters, cfg, input,
-		exec.Options{NoPipeline: noPipe, Engine: engine, Redist: redist})
+	res, err := exec.Run(p, ss, map[string]int{"m": m}, scalars, iters, cfg, input)
 	if err != nil {
 		return err
 	}
@@ -266,8 +221,8 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64, noP
 	for i := 1; i <= m; i++ {
 		x[i-1] = res.Values.Load(ir.R("X", ir.Const(i)), []int{i})
 	}
-	report(fmt.Sprintf("%s (exec backend, %s redistribution) on %d processors, %d iters",
-		kernel, redist, n, iters), res.Stats, matrix.MaxAbsDiff(x, ref))
+	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, iters),
+		res.Stats, matrix.MaxAbsDiff(x, ref))
 	fmt.Printf("  transport (batched): %d messages, %d words, largest message %d words\n",
 		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n",

@@ -23,22 +23,12 @@
 //	                                            symbolically — no
 //	                                            recompile per point)
 //	dmsweep -sweep exec -m 32,64 -n 16         (batched exec backend vs the
-//	                                            per-element RunExact oracle;
-//	                                            -pipeline=false reverts the
-//	                                            batched arm to per-element
-//	                                            finalizes; -redist=p2p
-//	                                            reverts scheme changes to
-//	                                            per-pair exchanges instead
-//	                                            of composed collectives)
-//	dmsweep -sweep scale -m 64 -n 256,1024,4096 (large-N engine scaling:
-//	                                            the batched backend under
-//	                                            the discrete-event runtime
-//	                                            at every N, and under the
-//	                                            goroutine runtime up to
-//	                                            N=256; wall_ns/sim_ns
-//	                                            columns show the scaling
-//	                                            gap, deterministic metrics
-//	                                            are identical)
+//	                                            per-element RunExact oracle)
+//	dmsweep -sweep scale -m 64 -n 256,1024,4096 (large-N scaling of the
+//	                                            batched backend on the
+//	                                            discrete-event runtime;
+//	                                            wall_ns/sim_ns columns show
+//	                                            where the time goes)
 //
 // Profiling: -cpuprofile prof.cpu / -memprofile prof.mem write pprof
 // profiles of the sweep itself.
@@ -91,7 +81,6 @@ import (
 
 	"dmcc/internal/artifact"
 	"dmcc/internal/cli"
-	"dmcc/internal/exec"
 	"dmcc/internal/sweep"
 )
 
@@ -108,8 +97,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit deterministic JSON instead of CSV")
 	baseline := flag.String("baseline", "", "baseline JSON file to diff against; regressions exit nonzero")
 	baselineTol := flag.Float64("baseline-tol", 0, "relative tolerance for -baseline (0.05 = 5%)")
-	pipeline := flag.Bool("pipeline", true, "exec sweep: vectored two-phase / ring reduction exchange (false = per-element finalizes)")
-	redistName := flag.String("redist", "auto", "exec/scale sweeps: scheme-change lowering (auto, collective, p2p)")
 	shard := flag.String("shard", "", "run one shard of the sweep, as k/n (e.g. 0/2, 1/2)")
 	storeRemote := flag.String("store-remote", "", "peer daemon URL to tier the cache over (implies -cache)")
 	remoteTimeout := flag.Duration("remote-timeout", 5*time.Second, "per-call bound on peer store requests")
@@ -130,8 +117,8 @@ func main() {
 		return
 	}
 
-	// Malformed grids, an unknown sweep family or an unknown lowering are
-	// usage errors (exit 2); failures while sweeping exit 1.
+	// Malformed grids or an unknown sweep family are usage errors
+	// (exit 2); failures while sweeping exit 1.
 	switch *kind {
 	case "sor", "gauss", "jacobi", "stencil", "chunks", "compile", "symbolic", "exec", "scale":
 	default:
@@ -149,10 +136,6 @@ func main() {
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
-	redist, err := parseRedist(*redistName)
-	if err != nil {
-		cli.Usage("dmsweep", err)
-	}
 	shardK, shardN, err := parseShard(*shard)
 	if err != nil {
 		cli.Usage("dmsweep", err)
@@ -167,8 +150,6 @@ func main() {
 	opt := sweep.Options{
 		Jobs:       *jobs,
 		Workers:    *workers,
-		NoPipeline: !*pipeline,
-		Redist:     redist,
 		Shard:      shardK,
 		ShardCount: shardN,
 		Warnf: func(format string, args ...any) {
@@ -273,19 +254,6 @@ func parseShard(s string) (k, n int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q (want 0 <= k < n)", s)
 	}
 	return k, n, nil
-}
-
-// parseRedist maps the -redist flag value onto an exec.Redist.
-func parseRedist(name string) (exec.Redist, error) {
-	switch name {
-	case "auto":
-		return exec.RedistAuto, nil
-	case "collective":
-		return exec.RedistCollective, nil
-	case "p2p":
-		return exec.RedistP2P, nil
-	}
-	return exec.RedistAuto, fmt.Errorf("unknown -redist %q (want auto, collective or p2p)", name)
 }
 
 // startProfiles starts CPU profiling (when cpu != "") and returns the

@@ -55,10 +55,10 @@ type Compiler struct {
 	// ExactChangeCost prices redistribution with the element-enumeration
 	// oracle instead of the analytic calculator (ablation/reference).
 	ExactChangeCost bool
-	// ExactNestCount prices nest execution with the reference
+	// ExactNestCount prices every nest with the reference
 	// iteration-space walker (cost.CountNestOptsExact) instead of the
-	// analytic/compiled-walker dispatcher — the PR 1 engine, kept for
-	// ablation and byte-identical-result testing.
+	// closed forms — the oracle tier, kept for byte-identical-result
+	// testing.
 	ExactNestCount bool
 	// NoCache disables cost memoization (ablation).
 	NoCache bool
@@ -82,7 +82,7 @@ type Compiler struct {
 
 	// Engines counts which counting engine answered each nest-pricing
 	// call, so fast-path regressions (an eligible nest silently falling
-	// back to the walker) are observable. Safe for concurrent use; the
+	// back to enumeration) are observable. Safe for concurrent use; the
 	// pointer is shared when an evaluator clones the compiler.
 	Engines *EngineStats
 
@@ -99,11 +99,9 @@ type Compiler struct {
 type EngineStats struct {
 	// AnalyticHits counts nests priced in closed form.
 	AnalyticHits atomic.Int64
-	// FastwalkFallbacks counts nests that fell back to the compiled
-	// walker.
-	FastwalkFallbacks atomic.Int64
-	// ExactFallbacks counts nests priced by the reference enumerator
-	// (only under the ExactNestCount ablation).
+	// ExactFallbacks counts nests priced by the reference enumerator:
+	// every nest under ExactNestCount, otherwise the ones the closed
+	// forms declined.
 	ExactFallbacks atomic.Int64
 }
 
@@ -111,12 +109,11 @@ type EngineStats struct {
 // dmcc report and the daemon /metrics endpoint expose them.
 func (s *EngineStats) Snapshot() map[string]int64 {
 	if s == nil {
-		return map[string]int64{"analytic_hits": 0, "fastwalk_fallbacks": 0, "exact_fallbacks": 0}
+		return map[string]int64{"analytic_hits": 0, "exact_fallbacks": 0}
 	}
 	return map[string]int64{
-		"analytic_hits":      s.AnalyticHits.Load(),
-		"fastwalk_fallbacks": s.FastwalkFallbacks.Load(),
-		"exact_fallbacks":    s.ExactFallbacks.Load(),
+		"analytic_hits":   s.AnalyticHits.Load(),
+		"exact_fallbacks": s.ExactFallbacks.Load(),
 	}
 }
 
@@ -177,8 +174,8 @@ func (c *Compiler) fanOut(n int, fn func(k int)) {
 }
 
 // countNest dispatches nest counting to the engine the configuration
-// selects: the analytic/compiled-walker dispatcher by default, the
-// reference walker under ExactNestCount.
+// selects: closed forms with the reference walker behind them by
+// default, the reference walker alone under ExactNestCount.
 func (c *Compiler) countNest(nest *ir.Nest, ss *SchemeSet, opts cost.CountOptions) (cost.Counts, error) {
 	opts.PipelinedReduction = c.PipelinedReductions
 	if c.ExactNestCount {
@@ -189,11 +186,10 @@ func (c *Compiler) countNest(nest *ir.Nest, ss *SchemeSet, opts cost.CountOption
 	}
 	ct, eng, err := cost.CountNestOptsEngine(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
 	if c.Engines != nil && err == nil {
-		switch eng {
-		case cost.EngineAnalytic:
+		if eng == cost.EngineAnalytic {
 			c.Engines.AnalyticHits.Add(1)
-		default:
-			c.Engines.FastwalkFallbacks.Add(1)
+		} else {
+			c.Engines.ExactFallbacks.Add(1)
 		}
 	}
 	return ct, err

@@ -64,7 +64,7 @@ func TestParallelCompileDeterministic(t *testing.T) {
 }
 
 // TestAnalyticEngineMatchesExact: the production engine (analytic
-// ChangeCost + analytic/compiled nest counting + caches) must price
+// ChangeCost + closed-form nest counting + caches) must price
 // every program identically — byte for byte — to the element- and
 // iteration-enumeration reference engine end to end.
 func TestAnalyticEngineMatchesExact(t *testing.T) {
@@ -88,6 +88,57 @@ func TestAnalyticEngineMatchesExact(t *testing.T) {
 				t.Errorf("analytic engine differs from exact reference:\n--- exact ---\n%s--- analytic ---\n%s", ref, fast)
 			}
 		})
+	}
+}
+
+// strideProgram reads A at a non-unit stride, a subscript shape the
+// closed forms decline.
+func strideProgram() *ir.Program {
+	m, i := ir.V("m"), ir.V("i")
+	rhs := ir.Add(ir.Rd(ir.R("A", ir.NewAffine(0, ir.Term{Var: "i", Coeff: 2}))), ir.Num(1))
+	return &ir.Program{
+		Name: "stride", Params: []string{"m"},
+		Arrays: map[string]*ir.Array{
+			"A": {Name: "A", Extents: []ir.Affine{m}},
+			"B": {Name: "B", Extents: []ir.Affine{m}},
+		},
+		Nests: []*ir.Nest{{
+			Label: "L1",
+			Loops: []ir.Loop{{Index: "i", Lo: ir.Const(1), Hi: ir.Const(4), Step: 1}},
+			Stmts: []*ir.Stmt{{
+				Line: 1, Depth: 1, LHS: ir.R("B", i), Reads: ir.ExprReads(rhs), RHS: rhs,
+				Flops: ir.ExprFlops(rhs), Text: "B(i) = A(2*i) + 1",
+			}},
+		}},
+	}
+}
+
+// TestDeclinedNestCountsAsExactFallback: a nest the closed forms decline
+// is priced by the reference enumeration — the same DP as the all-exact
+// compile — and shows up in the engine telemetry as an exact fallback,
+// the only tier behind the analytic one.
+func TestDeclinedNestCountsAsExactFallback(t *testing.T) {
+	compile := func(exact bool) (string, map[string]int64) {
+		c := NewCompiler(strideProgram(), cost.Unit(), map[string]int{"m": 16}, 4)
+		c.Jobs = 1
+		c.ExactNestCount = exact
+		c.Engines = &EngineStats{}
+		res, err := c.Compile()
+		if err != nil {
+			t.Fatalf("exact=%v: %v", exact, err)
+		}
+		return renderResult(res), c.Engines.Snapshot()
+	}
+	fast, snap := compile(false)
+	ref, _ := compile(true)
+	if fast != ref {
+		t.Errorf("declined nest priced differently from the oracle:\n--- exact ---\n%s--- fast ---\n%s", ref, fast)
+	}
+	if snap["exact_fallbacks"] == 0 || snap["analytic_hits"] != 0 {
+		t.Errorf("engine counters %v: want every pricing call an exact fallback", snap)
+	}
+	if len(snap) != 2 {
+		t.Errorf("engine counters %v: want exactly analytic_hits and exact_fallbacks", snap)
 	}
 }
 

@@ -31,7 +31,7 @@
 // while the cost is independent of the loop extents. Nests or schemes
 // outside the eligible class (bounds depending on more than one outer
 // variable, rotation, non-unit subscript coefficients, out-of-range
-// subscripts) report ok=false and fall back to the optimized walker.
+// subscripts) report ok=false and fall back to the reference enumeration.
 package cost
 
 import (
@@ -918,6 +918,19 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 	root := e.depRoot
 	coupled := map[int]bool{}
 	uCuts := map[int][]uCut{}
+	depInU := 0
+	for s := 0; s < as.depth; s++ {
+		if e.deps[s] != nil && inU[s] {
+			depInU++
+		}
+	}
+	if depInU >= 2 && !inU[root] {
+		// Two reduced variables windowed by a root the accumulator omits
+		// (k=2..9; i=k+1..9; j=2..k into A(j,i)): the written (i, j) set
+		// is the union over k of the window products, not the product of
+		// the two hulls the per-variable cells below would enumerate.
+		return false
+	}
 	for s := 0; s < as.depth; s++ {
 		d := e.deps[s]
 		if d == nil {

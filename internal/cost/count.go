@@ -5,12 +5,11 @@
 // operand, with a combining tree afterwards), and counts every word that
 // must cross processors. The production entry point (CountNestOpts)
 // computes the same Counts in closed form when the nest and schemes are
-// eligible (see analytic.go) and otherwise falls back to an optimized
-// enumeration (fastwalk.go); both are tested word-for-word against the
-// reference. The dynamic programming algorithm of Section 4 prices
-// candidate distribution schemes with these counts; they are also
-// cross-checked against the words actually sent by the executable kernels
-// on the simulated machine.
+// eligible (see analytic.go), tested word-for-word against the reference,
+// and otherwise runs the reference itself. The dynamic programming
+// algorithm of Section 4 prices candidate distribution schemes with these
+// counts; they are also cross-checked against the words actually sent by
+// the executable kernels on the simulated machine.
 package cost
 
 import (
@@ -115,18 +114,15 @@ type Engine int
 const (
 	// EngineAnalytic is the closed-form engine (analytic.go).
 	EngineAnalytic Engine = iota
-	// EngineFastwalk is the optimized iteration-space walker the
-	// analytic engine falls back to (fastwalk.go).
-	EngineFastwalk
-	// EngineExact is the reference enumerator (CountNestOptsExact),
-	// selected only by explicit ablation.
+	// EngineExact is the reference enumerator (CountNestOptsExact): what
+	// a nest the closed forms decline falls back to.
 	EngineExact
 )
 
 // CountNestOpts is the general counting entry point. It produces exactly
 // the Counts of CountNestOptsExact: in closed form, independent of the
-// loop extents, when the nest and schemes are analytic-eligible, and via
-// an optimized iteration-space enumeration otherwise.
+// loop extents, when the nest and schemes are analytic-eligible, and by
+// running the reference enumeration otherwise.
 func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
 	ct, _, err := CountNestOptsEngine(p, nest, schemes, g, bind, opts)
 	return ct, err
@@ -134,18 +130,18 @@ func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme,
 
 // CountNestOptsEngine is CountNestOpts, additionally reporting which
 // engine produced the counts — the hook behind the compiler's
-// analytic_hits / fastwalk_fallbacks telemetry.
+// analytic_hits / exact_fallbacks telemetry.
 func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
-		return Counts{}, EngineFastwalk, err
+		return Counts{}, EngineExact, err
 	}
 	if ct, ok, err := countNestAnalytic(p, nest, schemes, g, bind, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
 	} else if ok {
 		return ct, EngineAnalytic, nil
 	}
-	ct, err := countNestFast(p, nest, schemes, g, bind, opts)
-	return ct, EngineFastwalk, err
+	ct, err := countNestExact(p, nest, schemes, g, bind, opts)
+	return ct, EngineExact, err
 }
 
 // validateNest checks the program, and that every referenced array has a
@@ -196,14 +192,19 @@ func (c *ownerCache) owners(e elemKey) []int {
 }
 
 // CountNestOptsExact is the reference counting engine: a direct walk of
-// the iteration space. It is the oracle the analytic engine and the
-// optimized walker are verified against, and the ablation engine behind
-// core.Compiler.ExactNestCount.
+// the iteration space. It is the oracle the analytic engine is verified
+// against, its fallback for the nests it declines, and the ablation
+// engine behind core.Compiler.ExactNestCount.
 func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	includeRead := opts.IncludeRead
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
 		return Counts{}, err
 	}
+	return countNestExact(p, nest, schemes, g, bind, opts)
+}
+
+// countNestExact is CountNestOptsExact on an already validated nest.
+func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
+	includeRead := opts.IncludeRead
 
 	flops := map[int]int64{}
 	needed := map[needKey]bool{}

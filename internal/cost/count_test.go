@@ -207,10 +207,9 @@ func TestCountsTime(t *testing.T) {
 // same column-distributed Jacobi reduction costs at most one extra word
 // per element (the closing hop) but spreads the receives along the
 // chain, so the root's inbound load — the term that dominated the tree
-// pricing — drops from log2(n) to 1 per element. The compiled walker
-// must agree with the reference walker bit for bit; the analytic engine
-// declines pipelined pricing, so CountNestOpts exercises the fastwalk
-// fallback here.
+// pricing — drops from log2(n) to 1 per element. The closed forms price
+// the ring themselves and must agree with the reference walker bit for
+// bit.
 func TestPipelinedReductionPricing(t *testing.T) {
 	m, n := 16, 4
 	p := ir.Jacobi()
@@ -232,7 +231,7 @@ func TestPipelinedReductionPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if pipe != exact {
-		t.Errorf("fastwalk pipelined counts differ from reference:\n got %+v\nwant %+v", pipe, exact)
+		t.Errorf("pipelined counts differ from reference:\n got %+v\nwant %+v", pipe, exact)
 	}
 	if pipe.MaxProcIn >= tree.MaxProcIn {
 		t.Errorf("pipelined MaxProcIn = %d, want < tree's %d", pipe.MaxProcIn, tree.MaxProcIn)

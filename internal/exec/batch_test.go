@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
@@ -43,11 +45,111 @@ func requireIdentical(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// TestBatchedMatchesExactKernels: on every kernel program the batched
-// engine's Result.Values are byte-identical to RunExact and the
-// simulated Stats (clocks, flops, messages, words, per-proc) are
-// exactly equal, while the transport itself moves far fewer messages.
+// stencilProgram is a 5-point Jacobi-style stencil over a 2-D array —
+// the IR counterpart of the kernels stencil, exercising four-neighbour
+// ghost exchange in both grid dimensions.
+func stencilProgram() *ir.Program {
+	m := ir.V("m")
+	p := &ir.Program{
+		Name: "stencil5", Iterative: true, Params: []string{"m"},
+		Arrays: map[string]*ir.Array{
+			"A": {Name: "A", Extents: []ir.Affine{m, m}},
+			"B": {Name: "B", Extents: []ir.Affine{m, m}},
+		},
+	}
+	i, j := ir.V("i"), ir.V("j")
+	ref := func(arr string, si, sj ir.Affine) ir.Ref {
+		return ir.Ref{Array: arr, Subs: []ir.Affine{si, sj}}
+	}
+	loops := func() []ir.Loop {
+		return []ir.Loop{
+			{Index: "i", Lo: ir.Const(2), Hi: m.PlusConst(-1), Step: 1},
+			{Index: "j", Lo: ir.Const(2), Hi: m.PlusConst(-1), Step: 1},
+		}
+	}
+	avg := ir.MulE(ir.Num(0.25), ir.Add(
+		ir.Add(ir.Rd(ref("A", i.PlusConst(-1), j)), ir.Rd(ref("A", i.PlusConst(1), j))),
+		ir.Add(ir.Rd(ref("A", i, j.PlusConst(-1))), ir.Rd(ref("A", i, j.PlusConst(1))))))
+	copyBack := ir.Rd(ref("B", i, j))
+	p.Nests = []*ir.Nest{
+		{Label: "L1", Loops: loops(), Stmts: []*ir.Stmt{{
+			Line: 1, Depth: 2, LHS: ref("B", i, j), Reads: ir.ExprReads(avg),
+			RHS: avg, Flops: ir.ExprFlops(avg), Text: "B(i,j) = 0.25*(A(i-1,j)+A(i+1,j)+A(i,j-1)+A(i,j+1))",
+		}}},
+		{Label: "L2", Loops: loops(), Stmts: []*ir.Stmt{{
+			Line: 2, Depth: 2, LHS: ref("A", i, j), Reads: ir.ExprReads(copyBack),
+			RHS: copyBack, Flops: 0, Text: "A(i,j) = B(i,j)",
+		}}},
+	}
+	return p
+}
+
+// matmulProgram is a triple-loop matrix multiply with a travelling
+// accumulator — the IR counterpart of the Cannon kernel's data motion:
+// C(i,j) accumulates A(i,k)*B(k,j) under reduce semantics.
+func matmulProgram() *ir.Program {
+	m := ir.V("m")
+	p := &ir.Program{
+		Name: "matmul", Params: []string{"m"},
+		Arrays: map[string]*ir.Array{
+			"A": {Name: "A", Extents: []ir.Affine{m, m}},
+			"B": {Name: "B", Extents: []ir.Affine{m, m}},
+			"C": {Name: "C", Extents: []ir.Affine{m, m}},
+		},
+	}
+	i, j, k := ir.V("i"), ir.V("j"), ir.V("k")
+	lhs := ir.Ref{Array: "C", Subs: []ir.Affine{i, j}}
+	rhs := ir.Add(ir.Rd(lhs), ir.MulE(
+		ir.Rd(ir.Ref{Array: "A", Subs: []ir.Affine{i, k}}),
+		ir.Rd(ir.Ref{Array: "B", Subs: []ir.Affine{k, j}})))
+	p.Nests = []*ir.Nest{{
+		Label: "L1",
+		Loops: []ir.Loop{
+			{Index: "i", Lo: ir.Const(1), Hi: m, Step: 1},
+			{Index: "j", Lo: ir.Const(1), Hi: m, Step: 1},
+			{Index: "k", Lo: ir.Const(1), Hi: m, Step: 1},
+		},
+		Stmts: []*ir.Stmt{{
+			Line: 1, Depth: 3, LHS: lhs, Reads: ir.ExprReads(rhs), RHS: rhs,
+			Flops: ir.ExprFlops(rhs), Reduce: true, Text: "C(i,j) = C(i,j) + A(i,k)*B(k,j) [reduce]",
+		}},
+	}}
+	return p
+}
+
+// randomInput fills every array of p with pseudo-random values in
+// [-1, 1), arrays in sorted name order so a seed replays the same input.
+func randomInput(p *ir.Program, m int, rng *rand.Rand) ir.Storage {
+	input := ir.NewStorage(p)
+	names := make([]string, 0, len(p.Arrays))
+	for name := range p.Arrays {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if p.Arrays[name].Rank() == 1 {
+			for i := 1; i <= m; i++ {
+				input.Store(name, []int{i}, rng.Float64()*2-1)
+			}
+		} else {
+			for i := 1; i <= m; i++ {
+				for j := 1; j <= m; j++ {
+					input.Store(name, []int{i, j}, rng.Float64()*2-1)
+				}
+			}
+		}
+	}
+	return input
+}
+
+// TestBatchedMatchesExactKernels: on every kernel program — the
+// linear-system three plus the stencil and matmul IR counterparts of the
+// stencil/Cannon kernels — the batched engine's Result.Values are
+// byte-identical to RunExact and the simulated Stats (clocks, flops,
+// messages, words, per-proc) are exactly equal, while the transport
+// itself moves far fewer messages.
 func TestBatchedMatchesExactKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260808))
 	type kase struct {
 		name    string
 		p       *ir.Program
@@ -55,24 +157,40 @@ func TestBatchedMatchesExactKernels(t *testing.T) {
 		iters   int
 		ns      []int
 		scalars map[string]float64
+		linear  bool // diagonally dominant system + compiler schemes vs random input + derived schemes
 		x0      bool
 	}
 	cases := []kase{
-		{name: "jacobi", p: ir.Jacobi(), m: 16, iters: 5, ns: []int{1, 2, 4}, x0: true},
+		{name: "jacobi", p: ir.Jacobi(), m: 16, iters: 5, ns: []int{1, 2, 4}, linear: true, x0: true},
 		{name: "sor", p: ir.SOR(), m: 12, iters: 4, ns: []int{1, 2, 4},
-			scalars: map[string]float64{"OMEGA": 1.2}, x0: true},
-		{name: "gauss", p: ir.Gauss(), m: 12, iters: 1, ns: []int{1, 2, 3}},
+			scalars: map[string]float64{"OMEGA": 1.2}, linear: true, x0: true},
+		{name: "gauss", p: ir.Gauss(), m: 12, iters: 1, ns: []int{1, 2, 3}, linear: true},
+		{name: "stencil", p: stencilProgram(), m: 12, iters: 2, ns: []int{1, 2, 4}},
+		{name: "matmul", p: matmulProgram(), m: 6, iters: 1, ns: []int{1, 2, 3}},
 	}
 	for _, c := range cases {
-		a, b, _ := matrix.DiagonallyDominant(c.m, 401)
-		var x0 []float64
-		if c.x0 {
-			x0 = make([]float64, c.m)
+		if err := c.p.Validate(); err != nil {
+			t.Fatalf("%s: invalid program: %v", c.name, err)
 		}
-		input := loadLinearSystem(c.p, a, b, x0)
+		var input ir.Storage
+		if c.linear {
+			a, b, _ := matrix.DiagonallyDominant(c.m, 401)
+			var x0 []float64
+			if c.x0 {
+				x0 = make([]float64, c.m)
+			}
+			input = loadLinearSystem(c.p, a, b, x0)
+		} else {
+			input = randomInput(c.p, c.m, rng)
+		}
 		for _, n := range c.ns {
 			label := fmt.Sprintf("%s m=%d n=%d", c.name, c.m, n)
-			ss := wholeProgramSchemes(t, c.p, c.m, n)
+			var ss *core.SchemeSet
+			if c.linear {
+				ss = wholeProgramSchemes(t, c.p, c.m, n)
+			} else if ss = fuzzSchemes(t, c.p, c.m, n); ss == nil {
+				t.Fatalf("%s: no derived schemes", label)
+			}
 			bind := map[string]int{"m": c.m}
 			got, err := Run(c.p, ss, bind, c.scalars, c.iters, machine.DefaultConfig(), input)
 			if err != nil {
@@ -83,10 +201,10 @@ func TestBatchedMatchesExactKernels(t *testing.T) {
 				t.Fatalf("%s: exact: %v", label, err)
 			}
 			requireIdentical(t, label, got, want)
-			// Every kernel batches now: Gauss vectors its operand ships,
-			// and since the two-phase/ring reduction exchange Jacobi and
-			// SOR coalesce their finalize traffic too.
-			if n > 1 && got.Transport.Messages >= want.Stats.Messages {
+			// Every linear-system kernel batches: Gauss vectors its
+			// operand ships, and since the two-phase/ring reduction
+			// exchange Jacobi and SOR coalesce their finalize traffic too.
+			if c.linear && n > 1 && got.Transport.Messages >= want.Stats.Messages {
 				t.Errorf("%s: expected vectored transport to batch messages (%d vs %d)",
 					label, got.Transport.Messages, want.Stats.Messages)
 			}
@@ -209,11 +327,12 @@ func randomReduceProgram(rng *rand.Rand) *ir.Program {
 	return p
 }
 
-// TestBatchedMatchesExactFuzz: the randomized property behind the whole
-// refactor — on synthetic programs (with reductions), random schemes
-// and random inputs, the batched engine at ChanCap=1 produces values
-// and stats exactly equal to the per-element oracle on generously
-// sized channels.
+// TestBatchedMatchesExactFuzz: the randomized property behind the
+// batched engine — on synthetic programs (with reductions, nest-end and
+// mid-epoch finalizes), random schemes and random inputs, Run at
+// ChanCap=1 produces values and stats exactly equal to the per-element
+// oracle on generously sized channels, and its transport only sheds
+// traffic.
 func TestBatchedMatchesExactFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	const m = 8
@@ -224,20 +343,7 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("trial %d: generated invalid program: %v", trial, err)
 		}
-		input := ir.NewStorage(p)
-		for name, arr := range p.Arrays {
-			if arr.Rank() == 1 {
-				for i := 1; i <= m; i++ {
-					input.Store(name, []int{i}, rng.Float64()*2-1)
-				}
-			} else {
-				for i := 1; i <= m; i++ {
-					for j := 1; j <= m; j++ {
-						input.Store(name, []int{i, j}, rng.Float64()*2-1)
-					}
-				}
-			}
-		}
+		input := randomInput(p, m, rng)
 		iters := 1 + rng.Intn(2)
 		for _, n := range []int{1, 2, 4} {
 			ss := fuzzSchemes(t, p, m, n)
@@ -254,20 +360,6 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 				t.Fatalf("trial %d n=%d: exact: %v", trial, n, err)
 			}
 			requireIdentical(t, fmt.Sprintf("trial %d n=%d", trial, n), got, want)
-			// The per-element-finalize fallback must satisfy the same
-			// oracle with the pipelined exchange disabled.
-			noPipe, err := RunOpts(p, ss, bind, nil, iters, tight, input, Options{NoPipeline: true})
-			if err != nil {
-				t.Fatalf("trial %d n=%d: no-pipeline: %v", trial, n, err)
-			}
-			requireIdentical(t, fmt.Sprintf("trial %d n=%d (no pipeline)", trial, n), noPipe, want)
-			// And the point-to-point redistribution (the default Run above
-			// already exercises the collective lowering).
-			p2p, err := RunOpts(p, ss, bind, nil, iters, tight, input, Options{Redist: RedistP2P})
-			if err != nil {
-				t.Fatalf("trial %d n=%d: p2p: %v", trial, n, err)
-			}
-			requireIdentical(t, fmt.Sprintf("trial %d n=%d (p2p)", trial, n), p2p, want)
 		}
 	}
 }

@@ -15,11 +15,10 @@
 // an inspector pass (schedule.go) walks each nest once per (nest,
 // env-binding), precomputes per processor pair the ordered element list
 // crossing the wire, and the executor (executor.go) moves each pair's
-// epoch traffic as one vectored Send. That makes Run deadlock-free at
-// ChanCap=1 by construction — the old minExecChanCap floor that pinned
-// every channel at 4096 words is gone, and Config.ChanCap is a genuine
-// backpressure knob again — while Result.Values and Result.Stats stay
-// byte-identical to RunExact.
+// epoch traffic as one vectored Send — every exchange sends before it
+// receives and puts at most one message on each ordered pair per round,
+// so the schedule cannot deadlock — while Result.Values and
+// Result.Stats stay byte-identical to RunExact.
 //
 // Reductions are handled the way a dataflow-correct naive backend must:
 // partial sums accumulate at the owners of the anchoring operand and are
@@ -51,95 +50,22 @@ type Result struct {
 	// non-reader owner would have received — MaxMsgWords up to a full
 	// epoch block); for RunExact it equals Stats.
 	Transport machine.Stats
-	// SimWall is the wall-clock time of the engine-dependent phase —
-	// constructing the transport machine and running the schedules on it
-	// — excluding schedule building, stats replay and result assembly,
-	// which are identical across engines. The scale sweep reports it as
-	// the engines' like-for-like wall-clock comparison.
+	// SimWall is the wall-clock time of the machine phase — constructing
+	// the transport machine and running the schedules on it — excluding
+	// schedule building, stats replay and result assembly. The scale
+	// sweep reports it next to the end-to-end wall time.
 	SimWall time.Duration
 }
 
-// Engine selects the runtime that moves the batched transport.
-type Engine int
-
-const (
-	// EngineAuto picks the discrete-event runtime unless a
-	// TransportTracer is attached (trace consumers keep the goroutine
-	// runtime, whose live interleaving is what the traces depict).
-	EngineAuto Engine = iota
-	// EngineEvents is the discrete-event runtime (machine.EventMachine):
-	// sparse per-pair queues, one runnable processor at a time, feasible
-	// at N in the thousands. Stats and values are bit-identical to the
-	// goroutine runtime.
-	EngineEvents
-	// EngineGoroutines is the live goroutine runtime (machine.Machine),
-	// kept as the semantics oracle exactly like RunExact.
-	EngineGoroutines
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineEvents:
-		return "events"
-	case EngineGoroutines:
-		return "goroutines"
-	}
-	return "auto"
-}
-
-// Redist selects the transport lowering for batched operand ships —
-// the third schedule kind next to the vectored pair exchange and the
-// two-phase / ring reduction exchange.
-type Redist int
-
-const (
-	// RedistAuto (the zero value) resolves to RedistCollective.
-	RedistAuto Redist = iota
-	// RedistCollective lowers each epoch's operand traffic to a composed
-	// collective plan: per-pair duplicate ships collapse to one copy
-	// (value-safe — within an epoch no batched-shipped element is
-	// written), elements bound for the same destination set travel a
-	// binomial multicast tree instead of a star, and the remaining
-	// single-destination traffic stays a vectored pair exchange. Values
-	// and the naive Stats are identical to RedistP2P; only
-	// Result.Transport changes (fewer words and messages).
-	RedistCollective
-	// RedistP2P keeps the original per-pair vectored exchange: every
-	// ship travels point-to-point, duplicates included.
-	RedistP2P
-)
-
-func (r Redist) String() string {
-	switch r {
-	case RedistCollective:
-		return "collective"
-	case RedistP2P:
-		return "p2p"
-	}
-	return "auto"
-}
-
 // Options tune the batched engine's transport. The zero value is the
-// default configuration: pipelined finalizes on, no transport tracer,
-// automatic engine choice.
+// default configuration: no transport tracer.
 type Options struct {
-	// NoPipeline disables the vectored two-phase / ring reduction
-	// exchange, reverting every finalize to a per-element star (the
-	// pre-pipelining transport). Values and the naive Stats are
-	// identical either way; only Result.Transport changes.
-	NoPipeline bool
 	// TransportTracer, when non-nil, receives the batched transport's
 	// own trace events — vectored sends, waits, and the
 	// gather/fan-out/ring phase markers (machine.EvGather, EvFanout,
 	// EvRing). This is distinct from cfg.Tracer, which traces the naive
 	// per-element model that Stats describes.
 	TransportTracer machine.Tracer
-	// Engine picks the transport runtime; EngineAuto (the zero value)
-	// selects events unless TransportTracer is set.
-	Engine Engine
-	// Redist picks the operand-ship lowering; RedistAuto (the zero
-	// value) selects the collective redistribution schedule.
-	Redist Redist
 }
 
 // validate performs the shared pre-flight checks of both engines.
@@ -167,11 +93,12 @@ func validate(p *ir.Program, ss *core.SchemeSet) error {
 // the initial array contents; scalars binds free scalar names.
 //
 // Communication is batched per (processor pair, epoch) via the
-// inspector/executor schedule of schedule.go; Run works at any
-// ChanCap >= 1. The reported Stats (and trace events, if cfg.Tracer is
-// set) are the naive per-element model's, bit-identical to RunExact;
-// the batched transport's own statistics are returned as
-// Result.Transport.
+// inspector/executor schedule of schedule.go and moved by the
+// discrete-event runtime (machine.EventMachine), whose sends never
+// block, so cfg.ChanCap does not constrain Run. The reported Stats (and
+// trace events, if cfg.Tracer is set) are the naive per-element
+// model's, bit-identical to RunExact; the batched transport's own
+// statistics are returned as Result.Transport.
 func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 	return RunOpts(p, ss, bind, scalars, iters, cfg, input, Options{})
@@ -188,7 +115,7 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 		iters = 1
 	}
 
-	sched := buildSchedule(p, ss, bind, !opt.NoPipeline, opt.Redist != RedistP2P)
+	sched := buildSchedule(p, ss, bind)
 	nprocs := sched.nprocs
 
 	// Value pass: the batched transport computes every array element.
@@ -200,7 +127,12 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	stores := make([][][]float64, nprocs)
 	marks := make([][][]bool, nprocs)
 	loads := buildLoads(sched, input)
-	body := func(proc machine.Port) {
+	simStart := time.Now()
+	mach, err := machine.NewEvent(ss.Grid, vcfg)
+	if err != nil {
+		return Result{}, err
+	}
+	transport, err := mach.Run(func(proc *machine.EventProc) {
 		x := newValExec(sched, proc, scalars)
 		x.installInput(loads)
 		for it := 0; it < iters; it++ {
@@ -210,33 +142,9 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 		}
 		stores[x.me] = x.store
 		marks[x.me] = x.has
-	}
-	engine := opt.Engine
-	if engine == EngineAuto {
-		if opt.TransportTracer != nil {
-			engine = EngineGoroutines
-		} else {
-			engine = EngineEvents
-		}
-	}
-	var transport machine.Stats
-	simStart := time.Now()
-	if engine == EngineGoroutines {
-		mach, err := machine.New(ss.Grid, vcfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if transport, err = mach.Run(func(proc *machine.Proc) { body(proc) }); err != nil {
-			return Result{}, err
-		}
-	} else {
-		mach, err := machine.NewEvent(ss.Grid, vcfg)
-		if err != nil {
-			return Result{}, err
-		}
-		if transport, err = mach.Run(func(proc *machine.EventProc) { body(proc) }); err != nil {
-			return Result{}, err
-		}
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	simWall := time.Since(simStart)
 

@@ -17,14 +17,12 @@ import (
 	"dmcc/internal/machine"
 )
 
-// valExec is one processor's value-pass state. proc is a machine.Port,
-// so the same executor body runs on the goroutine runtime and the
-// discrete-event runtime. All per-peer state is sparse (maps keyed by
-// live peers) and the dense per-array stores materialize on first
-// touch: at N=4096 a processor typically owns a handful of elements
-// and talks to a handful of neighbours, and pre-sizing any of this by
-// nprocs would make the executor itself the memory bottleneck the
-// event runtime exists to remove.
+// valExec is one processor's value-pass state. All per-peer state is
+// sparse (maps keyed by live peers) and the dense per-array stores
+// materialize on first touch: at N=4096 a processor typically owns a
+// handful of elements and talks to a handful of neighbours, and
+// pre-sizing any of this by nprocs would make the executor itself the
+// memory bottleneck the event runtime exists to remove.
 type valExec struct {
 	s       *progSchedule
 	proc    machine.Port
@@ -38,14 +36,12 @@ type valExec struct {
 	has   [][]bool
 	// partials holds running partial sums of reduce statements.
 	partials map[elemID]float64
-	// bufs holds the current epoch's vectored buffer per live source,
-	// with a consumption cursor.
-	bufs map[int]*vbuf
 	// cbuf holds collectively-redistributed operand values keyed by the
 	// origin (first-owner) rank and element: filled by opRedist rounds,
-	// forwarded by tree relays, and read by eval's non-direct slots in
-	// collective mode. Entries are overwritten in place — every epoch
-	// re-ships what its slots read, so a stale value is never visible.
+	// forwarded by tree relays, and read by eval's non-direct slots.
+	// Entries are overwritten in place — a buffered copy stays valid
+	// until its element is written, and the inspector re-ships after
+	// every write, so a stale value is never visible.
 	cbuf map[int32]map[elemID]machine.Word
 	// env is the reusable loop binding for RHS evaluation.
 	env    map[string]int
@@ -80,7 +76,6 @@ func newValExec(s *progSchedule, proc machine.Port, scalars map[string]float64) 
 		store:    make([][]float64, len(s.arrays)),
 		has:      make([][]bool, len(s.arrays)),
 		partials: make(map[elemID]float64),
-		bufs:     make(map[int]*vbuf),
 		cbuf:     make(map[int32]map[elemID]machine.Word),
 		env:      bindEnv(s.bind),
 		curVals:  make([]float64, 0, 8),
@@ -98,16 +93,6 @@ func (x *valExec) ensure(a int) {
 		x.store[a] = make([]float64, x.s.arrays[a].size)
 		x.has[a] = make([]bool, x.s.arrays[a].size)
 	}
-}
-
-// buf returns the (created-on-demand) epoch buffer for source src.
-func (x *valExec) buf(src int) *vbuf {
-	b := x.bufs[src]
-	if b == nil {
-		b = &vbuf{}
-		x.bufs[src] = b
-	}
-	return b
 }
 
 // rbuf returns the (created-on-demand) reduction receive buffer for src.
@@ -185,8 +170,7 @@ func buildLoads(s *progSchedule, input ir.Storage) *inputLoads {
 }
 
 // installInput installs this processor's slice of the pre-bucketed
-// initial state, free of charge (input distribution cost is measured
-// separately by package data).
+// initial state, free of charge.
 func (x *valExec) installInput(loads *inputLoads) {
 	g := x.s.ss.Grid
 	for a := range loads.arrays {
@@ -246,32 +230,10 @@ func (x *valExec) runNest(ns *nestSchedule) {
 	for i := range stream {
 		in := &stream[i]
 		switch in.op {
-		case opFlush:
-			f := in.flush
-			for _, snd := range f.sends {
-				x.gather = x.gather[:0]
-				for _, e := range snd.elems {
-					x.gather = append(x.gather, x.loadElem(e))
-				}
-				x.proc.Send(int(snd.dst), x.gather)
-			}
-			for _, rcv := range f.recvs {
-				b := x.buf(int(rcv.src))
-				if b.pos != len(b.data) {
-					panic(fmt.Sprintf("exec: vectored buffer from %d not drained (%d of %d words)", rcv.src, b.pos, len(b.data)))
-				}
-				data := x.proc.Recv(int(rcv.src))
-				if len(data) != rcv.n {
-					panic(fmt.Sprintf("exec: vectored exchange from %d expected %d words, got %d", rcv.src, rcv.n, len(data)))
-				}
-				b.data, b.pos = data, 0
-			}
 		case opRedist:
 			x.runRedist(in.redist)
 		case opSendDirect:
 			x.proc.SendValue(int(in.dst), x.loadElem(in.elem))
-		case opFin:
-			x.finalize(in.fin)
 		case opRed:
 			x.reduceBatch(in.red)
 		case opEval:
@@ -283,10 +245,9 @@ func (x *valExec) runNest(ns *nestSchedule) {
 // runRedist executes one epoch's collective redistribution. Each round
 // sends its merged messages in ascending destination order, then
 // receives in ascending source order — one message per ordered pair
-// per round, the same shape that keeps the point-to-point flush
-// deadlock-free at ChanCap=1. A segment whose origin is this processor
-// gathers from the local store; a relayed segment forwards the words
-// buffered (under the origin's rank) in an earlier round.
+// per round. A segment whose origin is this processor gathers from the
+// local store; a relayed segment forwards the words buffered (under the
+// origin's rank) in an earlier round.
 func (x *valExec) runRedist(op *redistOp) {
 	for r := range op.rounds {
 		rd := &op.rounds[r]
@@ -336,30 +297,22 @@ func (x *valExec) runRedist(op *redistOp) {
 	}
 }
 
-// eval receives the instance's remote operands (buffer pops and direct
-// one-word messages, in the shared global order) and, unless this
+// eval receives the instance's remote operands (buffered copies and
+// direct one-word messages, in the shared global order) and, unless this
 // processor is a receive-only replica of a reduction, evaluates the
 // statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 	x.curVals = x.curVals[:0]
 	for _, sl := range in.slots {
 		var v float64
-		switch {
-		case sl.direct:
+		if sl.direct {
 			v = x.proc.RecvValue(int(sl.src))
-		case x.s.collective:
+		} else {
 			w, ok := x.cbuf[sl.src][sl.elem]
 			if !ok {
 				panic(fmt.Sprintf("exec: collective buffer at %d missing element %d of origin %d", x.me, sl.elem, sl.src))
 			}
 			v = w
-		default:
-			b := x.buf(int(sl.src))
-			if b.pos >= len(b.data) {
-				panic(fmt.Sprintf("exec: vectored buffer from %d underflow", sl.src))
-			}
-			v = b.data[b.pos]
-			b.pos++
 		}
 		x.curVals = append(x.curVals, v)
 	}
@@ -383,39 +336,6 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		x.storeElem(in.elem, v)
 	}
 	x.proc.Compute(stmt.Flops)
-}
-
-// finalize mirrors engine.finalize on the batched transport: the
-// contributors' partials fold into the root owner's stored value in
-// contributor order, and the total fans out to the remaining owners.
-func (x *valExec) finalize(f *finOp) {
-	if x.me == f.root {
-		total := x.loadElem(f.elem)
-		for _, c := range f.contribs {
-			var part float64
-			if c == f.root {
-				part = x.partials[f.elem]
-			} else {
-				part = x.proc.RecvValue(c)
-			}
-			total += part
-			x.proc.Compute(1)
-		}
-		x.storeElem(f.elem, total)
-		for _, o := range f.owners {
-			if o != f.root {
-				x.proc.SendValue(o, total)
-			}
-		}
-	} else {
-		if contains(f.contribs, x.me) {
-			x.proc.SendValue(f.root, x.partials[f.elem])
-		}
-		if contains(f.owners, x.me) {
-			x.storeElem(f.elem, x.proc.RecvValue(f.root))
-		}
-	}
-	delete(x.partials, f.elem)
 }
 
 // flushSends transmits every non-empty per-destination build buffer in
@@ -472,8 +392,8 @@ func (x *valExec) popRecv(src int) machine.Word {
 // reduceBatch runs one vectored reduction exchange (opRed): the
 // two-phase gather + fan-out lowering, or the Section 5 ring when the
 // inspector marked the batch ring-eligible. Both fold each element
-// exactly like finalize — stored value first, then contributors in
-// ascending order — so values stay bit-identical to the oracle.
+// exactly like the oracle's finalize — stored value first, then
+// contributors in ascending order — so values stay bit-identical.
 func (x *valExec) reduceBatch(r *redOp) {
 	if r.ring {
 		x.reduceRing(r)

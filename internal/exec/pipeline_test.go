@@ -15,15 +15,15 @@ import (
 // and returns the reduction-phase events (gather/fanout/ring) as
 // deterministic "p<proc> <kind> w=<words>" lines in collector order —
 // per-processor, in each processor's own program order.
-func phaseLines(t *testing.T, p *ir.Program, scalars map[string]float64, m, n, iters int, opt Options) ([]string, Result) {
+func phaseLines(t *testing.T, p *ir.Program, scalars map[string]float64, m, n, iters int) ([]string, Result) {
 	t.Helper()
 	a, b, _ := matrix.DiagonallyDominant(m, 401)
 	x0 := make([]float64, m)
 	input := loadLinearSystem(p, a, b, x0)
 	ss := wholeProgramSchemes(t, p, m, n)
 	col := trace.New()
-	opt.TransportTracer = col
-	res, err := RunOpts(p, ss, map[string]int{"m": m}, scalars, iters, machine.DefaultConfig(), input, opt)
+	res, err := RunOpts(p, ss, map[string]int{"m": m}, scalars, iters, machine.DefaultConfig(), input,
+		Options{TransportTracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func phaseLines(t *testing.T, p *ir.Program, scalars map[string]float64, m, n, i
 // trace is fully deterministic, so any change to the lowering shows up
 // as a diff against this golden sequence.
 func TestSORGoldenRingTrace(t *testing.T) {
-	lines, res := phaseLines(t, ir.SOR(), map[string]float64{"OMEGA": 1.2}, 8, 4, 1, Options{})
+	lines, res := phaseLines(t, ir.SOR(), map[string]float64{"OMEGA": 1.2}, 8, 4, 1)
 	var want []string
 	for proc := 0; proc < 4; proc++ {
 		for elem := 0; elem < 8; elem++ {
@@ -67,20 +67,6 @@ func TestSORGoldenRingTrace(t *testing.T) {
 		t.Errorf("ring transport must beat the naive star: %d >= %d",
 			res.Transport.Messages, res.Stats.Messages)
 	}
-
-	// With pipelining off, no phase events exist and the transport
-	// reverts to one message per finalize hop.
-	off, resOff := phaseLines(t, ir.SOR(), map[string]float64{"OMEGA": 1.2}, 8, 4, 1, Options{NoPipeline: true})
-	if len(off) != 0 {
-		t.Errorf("NoPipeline run still emitted %d phase events", len(off))
-	}
-	if !reflect.DeepEqual(resOff.Values, res.Values) {
-		t.Errorf("pipelined and per-element values differ")
-	}
-	if resOff.Transport.Messages <= res.Transport.Messages {
-		t.Errorf("per-element transport (%d msgs) should exceed ring transport (%d)",
-			resOff.Transport.Messages, res.Transport.Messages)
-	}
 }
 
 // TestJacobiGoldenTwoPhaseTrace pins the gather/fan-out lowering on
@@ -90,7 +76,7 @@ func TestSORGoldenRingTrace(t *testing.T) {
 // and the root fans the 6 off-root totals out as one message per live
 // reader. 30 transported words replace the oracle's per-element stars.
 func TestJacobiGoldenTwoPhaseTrace(t *testing.T) {
-	lines, res := phaseLines(t, ir.Jacobi(), nil, 8, 4, 1, Options{})
+	lines, res := phaseLines(t, ir.Jacobi(), nil, 8, 4, 1)
 	want := []string{
 		"p0 gather w=0", "p0 fanout w=6",
 		"p1 gather w=8", "p1 fanout w=0",

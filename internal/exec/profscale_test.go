@@ -10,9 +10,8 @@ import (
 	"dmcc/internal/matrix"
 )
 
-// BenchmarkEventsN256 is the profiling anchor for the event runtime at
-// the largest grid the goroutine runtime is also swept at: jacobi,
-// m=64, N=256, compile excluded. Pair with -cpuprofile to find what
+// BenchmarkEventsN256 is the profiling anchor for the event runtime:
+// jacobi, m=64, N=256, compile excluded. Pair with -cpuprofile to find what
 // limits the engine-phase gap (loadInput's per-processor ownership
 // scan was found and removed this way).
 func BenchmarkEventsN256(b *testing.B) {
@@ -34,7 +33,7 @@ func BenchmarkEventsN256(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunOpts(p, ss, map[string]int{"m": m}, nil, 2, machine.DefaultConfig(), input, Options{Engine: EngineEvents}); err != nil {
+		if _, err := Run(p, ss, map[string]int{"m": m}, nil, 2, machine.DefaultConfig(), input); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,13 +10,13 @@
 // Li & Chen's communication-set generation; message vectorization in
 // the Gupta & Banerjee lineage). Two artifacts come out of the walk:
 //
-//   - per-processor instruction streams (flush / direct-send /
-//     finalize / eval) that the value executor (executor.go) runs with
-//     batched communication, deadlock-free at ChanCap=1: every epoch
-//     exchanges at most one vectored message per ordered pair, every
-//     processor sends its vectors before receiving any, and all
-//     per-element residual traffic follows one global order shared by
-//     all processors;
+//   - per-processor instruction streams (redistribute / direct-send /
+//     reduce / eval) that the value executor (executor.go) runs with
+//     batched communication, deadlock-free by construction: every round
+//     of an exchange moves at most one vectored message per ordered
+//     pair, every processor sends its vectors before receiving any, and
+//     all per-element residual traffic follows one global order shared
+//     by all processors;
 //
 //   - a timeline of the per-element engine's communication and
 //     computation events, in its exact global lockstep order. The
@@ -72,19 +72,8 @@ type progSchedule struct {
 	// engine recomputed it for every (instance, read, executor) visit.
 	ocache map[elemID][]int
 	nests  []*nestSchedule
-	// pipeline enables the vectored two-phase / ring finalize lowering;
-	// when false every finalize stays a per-element star (the PR 3
-	// transport), which is what the -pipeline=false knob compares
-	// against.
-	pipeline bool
-	// collective enables the composed collective lowering of operand
-	// ships (RedistCollective): per-pair duplicates dedup at insertion,
-	// shared-destination-set traffic travels binomial multicast trees,
-	// and eval slots resolve against origin-keyed buffers instead of
-	// positional pair cursors.
-	collective bool
-	// Liveness state for fan-out pruning (pipeline mode): redArrs marks
-	// arrays that appear as a reduction LHS; acc records, per element of
+	// Liveness state for fan-out pruning: redArrs marks arrays that
+	// appear as a reduction LHS; acc records, per element of
 	// those arrays, the program-order sequence of local-read and write
 	// events; sites lists every finalize with its position in that
 	// sequence. computeFanouts scans forward (cyclically, because the
@@ -190,36 +179,28 @@ const (
 
 // pinstr is one value-pass instruction of one processor.
 type pinstr struct {
-	op    uint8
-	role  uint8
-	stmt  int32
-	dst   int32 // opSendDirect: receiver rank
-	elem  elemID
+	op     uint8
+	role   uint8
+	stmt   int32
+	dst    int32 // opSendDirect: receiver rank
+	elem   elemID
 	env    []int32
 	slots  []slot
-	flush  *flushOp
-	fin    *finOp
 	red    *redOp
 	redist *redistOp
 }
 
 const (
-	// opFlush exchanges the epoch's vectored messages (sends first,
-	// then receives).
-	opFlush uint8 = iota
 	// opSendDirect ships one element that was finalized earlier in the
 	// same epoch, so its value postdates the epoch-boundary gather.
-	opSendDirect
-	// opFin combines a pending reduction (finalize).
-	opFin
+	opSendDirect uint8 = iota
 	// opEval receives this processor's remote operands and, unless the
 	// role is roleRecvOnly, evaluates the statement instance.
 	opEval
 	// opRed runs a vectored reduction exchange (two-phase or ring) for a
-	// batch of finalizes; pipeline mode's replacement for opFin.
+	// batch of finalizes.
 	opRed
-	// opRedist runs one epoch's collective redistribution rounds;
-	// collective mode's replacement for opFlush.
+	// opRedist runs one epoch's collective redistribution rounds.
 	opRedist
 )
 
@@ -229,38 +210,24 @@ const (
 	roleRecvOnly
 )
 
-// slot is one remote operand of an eval: either the next word of the
-// vectored buffer from src, or (direct) a dedicated one-word message.
+// slot is one remote operand of an eval: either the copy of elem that
+// the epoch's redistribution buffered under its origin rank src, or
+// (direct) a dedicated one-word message from src.
 type slot struct {
 	src    int32
 	elem   elemID
 	direct bool
 }
 
-type flushOp struct {
-	sends []flushSend
-	recvs []flushRecv
-}
-
-type flushSend struct {
-	dst   int32
-	elems []elemID
-}
-
-type flushRecv struct {
-	src int32
-	n   int
-}
-
 // redistOp is one processor's materialized schedule for an epoch's
 // collective redistribution. Each round exchanges at most one merged
 // vectored message per ordered processor pair, and every processor
-// sends its round messages before receiving any — the same shape that
-// makes the point-to-point flush deadlock-free at ChanCap=1. Binomial
+// sends its round messages before receiving any, which keeps the
+// exchange deadlock-free even on single-message channels. Binomial
 // multicast-tree rounds come first (round r moves tree edges of stride
 // 2^r, so a relay always receives a step's payload in an earlier round
 // than it forwards it), and the residual single-destination traffic is
-// the final round, one vectored message per pair like the flush.
+// the final round, one vectored message per pair.
 type redistOp struct {
 	rounds []redistRound
 }
@@ -294,11 +261,9 @@ type finOp struct {
 	contribs []int
 	owners   []int
 	root     int
-	// fanout is the liveness-pruned total-delivery set (pipeline mode):
-	// owners other than the root that locally read the total before the
-	// element's next write, ascending. Filled by computeFanouts after
-	// the walk; the legacy per-element star (pipeline off) ignores it
-	// and delivers to all owners.
+	// fanout is the liveness-pruned total-delivery set: owners other
+	// than the root that locally read the total before the element's
+	// next write, ascending. Filled by computeFanouts after the walk.
 	fanout []int
 }
 
@@ -348,21 +313,17 @@ func ringEligible(items []*finOp) bool {
 	return true
 }
 
-// buildSchedule runs the inspector over the whole program. pipeline
-// selects the vectored two-phase / ring finalize lowering; off, every
-// finalize stays a per-element star. collective selects the composed
-// collective lowering of the epoch operand exchanges; off, each epoch
-// is one point-to-point vectored message per pair, duplicates and all.
-func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, pipeline, collective bool) *progSchedule {
+// buildSchedule runs the inspector over the whole program: finalizes
+// lower to vectored two-phase / ring exchanges, and each epoch's operand
+// ships to one composed collective redistribution.
+func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int) *progSchedule {
 	s := &progSchedule{
 		p: p, ss: ss, bind: bind,
-		nprocs:     ss.Grid.Size(),
-		aid:        make(map[string]int, len(p.Arrays)),
-		ocache:     make(map[elemID][]int),
-		pipeline:   pipeline,
-		collective: collective,
-		redArrs:    make(map[int]bool),
-		acc:        make(map[elemID][]accEvent),
+		nprocs:  ss.Grid.Size(),
+		aid:     make(map[string]int, len(p.Arrays)),
+		ocache:  make(map[elemID][]int),
+		redArrs: make(map[int]bool),
+		acc:     make(map[elemID][]accEvent),
 	}
 	names := make([]string, 0, len(p.Arrays))
 	for name := range p.Arrays {
@@ -391,9 +352,7 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, pipel
 	for i, nest := range p.Nests {
 		s.nests[i] = s.buildNest(nest)
 	}
-	if pipeline {
-		s.computeFanouts()
-	}
+	s.computeFanouts()
 	return s
 }
 
@@ -469,8 +428,8 @@ type nestBuilder struct {
 	// pairs the epoch's per-pair vectored element lists.
 	cur   [][]pinstr
 	pairs map[int64][]elemID
-	// seen dedups batched ships in collective mode: seen[e][pair] marks
-	// that the pair's destination holds a live buffered copy of e, so a
+	// seen dedups batched ships: seen[e][pair] marks that the pair's
+	// destination holds a live buffered copy of e, so a
 	// repeat ship would carry the same value and one copy suffices. A
 	// write of e invalidates its entry (the buffered copies go stale),
 	// which makes the dedup window every ship since the element's last
@@ -633,8 +592,7 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// (other than its own accumulator), then a non-reduce write to a
 	// pending element. They are mid-epoch — ordered before this
 	// instance's reads — so the batch covers exactly this instance's
-	// set (pipeline mode folds them into one vectored exchange; the
-	// classification of ISSUE 5's inspector).
+	// set, folded into one vectored exchange.
 	b.forced = b.forced[:0]
 	for ri := range stmt.Reads {
 		e := readElem[ri]
@@ -653,34 +611,32 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// Liveness events for fan-out pruning: local reads of
 	// reduction-accumulator elements (reads satisfied by ships are the
 	// root's job, not the reader's copy), and overwrites.
-	if b.s.pipeline {
-		for ri, rd := range stmt.Reads {
-			e := readElem[ri]
-			if !b.s.redArrs[e.arr()] || (stmt.Reduce && e == lhsElem) {
-				continue
+	for ri, rd := range stmt.Reads {
+		e := readElem[ri]
+		if !b.s.redArrs[e.arr()] || (stmt.Reduce && e == lhsElem) {
+			continue
+		}
+		owners := b.s.ownersOf(e, rd.Array, b.readIdx[ri])
+		b.readers = b.readers[:0]
+		if stmt.Reduce {
+			// Only the contributor evaluates; replicas just drain
+			// their shipped slots.
+			if contains(owners, executors[0]) {
+				b.readers = append(b.readers, executors[0])
 			}
-			owners := b.s.ownersOf(e, rd.Array, b.readIdx[ri])
-			b.readers = b.readers[:0]
-			if stmt.Reduce {
-				// Only the contributor evaluates; replicas just drain
-				// their shipped slots.
-				if contains(owners, executors[0]) {
-					b.readers = append(b.readers, executors[0])
-				}
-			} else {
-				for _, ex := range executors {
-					if contains(owners, ex) {
-						b.readers = append(b.readers, ex)
-					}
+		} else {
+			for _, ex := range executors {
+				if contains(owners, ex) {
+					b.readers = append(b.readers, ex)
 				}
 			}
-			if len(b.readers) > 0 {
-				b.s.noteRead(e, b.readers)
-			}
 		}
-		if !stmt.Reduce && b.s.redArrs[lhsElem.arr()] {
-			b.s.noteWrite(lhsElem)
+		if len(b.readers) > 0 {
+			b.s.noteRead(e, b.readers)
 		}
+	}
+	if !stmt.Reduce && b.s.redArrs[lhsElem.arr()] {
+		b.s.noteWrite(lhsElem)
 	}
 
 	// Emit the ships: timeline events in the global lockstep order, and
@@ -700,17 +656,13 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e, direct: true})
 		} else {
 			k := pairKey(sh.src, sh.ex)
-			if b.s.collective {
-				m := b.seen[sh.e]
-				if m == nil {
-					m = make(map[int64]bool)
-					b.seen[sh.e] = m
-				}
-				if !m[k] {
-					m[k] = true
-					b.pairs[k] = append(b.pairs[k], sh.e)
-				}
-			} else {
+			m := b.seen[sh.e]
+			if m == nil {
+				m = make(map[int64]bool)
+				b.seen[sh.e] = m
+			}
+			if !m[k] {
+				m[k] = true
 				b.pairs[k] = append(b.pairs[k], sh.e)
 			}
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
@@ -788,49 +740,21 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	}
 
 	f := &finOp{elem: e, contribs: contribs, owners: owners, root: root}
-	if b.s.pipeline {
-		b.s.noteFinalize(e, f)
-	}
+	b.s.noteFinalize(e, f)
 	b.written[e] = true
 	delete(b.seen, e)
 	return f
 }
 
-// emitFinalize lowers one finalize as the legacy per-element star
-// (pipeline off): partials converge on the root one message each, the
-// total fans out to every other owner.
-func (b *nestBuilder) emitFinalize(e elemID) {
-	f := b.recordFinalize(e)
-	in := pinstr{op: opFin, fin: f}
-	b.cur[f.root] = append(b.cur[f.root], in)
-	for _, c := range f.contribs {
-		if c != f.root {
-			b.cur[c] = append(b.cur[c], in)
-		}
-	}
-	for _, o := range f.owners {
-		if o != f.root && !contains(f.contribs, o) {
-			b.cur[o] = append(b.cur[o], in)
-		}
-	}
-}
-
-// emitBatch lowers a batch of finalizes. Pipeline off, each is a
-// per-element star. Pipeline on, the batch becomes one vectored
-// exchange: ring-lowered when mid-epoch and the items share one
-// root-anchored contributor chain (the Section 5 accumulate-then-sweep
-// shape — SOR), two-phase gather + fan-out otherwise. The opRed
-// instruction goes to every processor that could participate (roots,
-// contributors, owners); runtime roles are derived from the items, so
-// non-participants fall through without touching the wire.
+// emitBatch lowers a batch of finalizes to one vectored exchange:
+// ring-lowered when mid-epoch and the items share one root-anchored
+// contributor chain (the Section 5 accumulate-then-sweep shape — SOR),
+// two-phase gather + fan-out otherwise. The opRed instruction goes to
+// every processor that could participate (roots, contributors, owners);
+// runtime roles are derived from the items, so non-participants fall
+// through without touching the wire.
 func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	if len(elems) == 0 {
-		return
-	}
-	if !b.s.pipeline {
-		for _, e := range elems {
-			b.emitFinalize(e)
-		}
 		return
 	}
 	items := make([]*finOp, len(elems))
@@ -867,16 +791,11 @@ func containsElem(xs []elemID, v elemID) bool {
 }
 
 // closeEpoch freezes the current epoch: the accumulated pair traffic
-// is lowered to its transport (the point-to-point vectored flush, or
-// the composed collective redistribution) and prepended to the epoch
-// instructions, and the written set resets.
+// is lowered to the composed collective redistribution and prepended to
+// the epoch instructions, and the written set resets.
 func (b *nestBuilder) closeEpoch() {
 	if len(b.pairs) > 0 {
-		if b.s.collective {
-			b.lowerCollective()
-		} else {
-			b.lowerPairFlush()
-		}
+		b.lowerCollective()
 		b.pairs = make(map[int64][]elemID)
 	}
 	for p := range b.cur {
@@ -885,50 +804,6 @@ func (b *nestBuilder) closeEpoch() {
 	}
 	for e := range b.written {
 		delete(b.written, e)
-	}
-}
-
-// lowerPairFlush is the point-to-point lowering: every processor's
-// vectored exchange (sends in ascending destination order, then
-// receives in ascending source order). At most one message crosses
-// each ordered pair per epoch and every processor sends before it
-// receives, which is what makes the value pass deadlock-free at
-// ChanCap=1.
-func (b *nestBuilder) lowerPairFlush() {
-	keys := make([]int64, 0, len(b.pairs))
-	for k := range b.pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	flushes := make(map[int32]*flushOp)
-	get := func(p int32) *flushOp {
-		f := flushes[p]
-		if f == nil {
-			f = &flushOp{}
-			flushes[p] = f
-		}
-		return f
-	}
-	// keys sorted by (src, dst): per-src send lists come out in
-	// ascending destination order.
-	for _, k := range keys {
-		src, dst := int32(k>>32), int32(k&0xffffffff)
-		get(src).sends = append(get(src).sends, flushSend{dst: dst, elems: b.pairs[k]})
-	}
-	// Receive lists in ascending source order.
-	sort.Slice(keys, func(i, j int) bool {
-		di, dj := keys[i]&0xffffffff, keys[j]&0xffffffff
-		if di != dj {
-			return di < dj
-		}
-		return keys[i]>>32 < keys[j]>>32
-	})
-	for _, k := range keys {
-		src, dst := int32(k>>32), int32(k&0xffffffff)
-		get(dst).recvs = append(get(dst).recvs, flushRecv{src: src, n: len(b.pairs[k])})
-	}
-	for p, f := range flushes {
-		b.cur[p] = append([]pinstr{{op: opFlush, flush: f}}, b.cur[p]...)
 	}
 }
 
@@ -943,8 +818,8 @@ func (b *nestBuilder) lowerPairFlush() {
 // vectored pair exchange, appended as the final round. Tree edges of
 // all steps with the same stride execute in the same round, merged
 // into one message per ordered pair, so every round keeps the
-// one-message-per-pair sends-before-receives shape that the
-// point-to-point flush relies on for ChanCap=1 deadlock freedom.
+// one-message-per-pair sends-before-receives shape that rules out
+// deadlock even on single-message channels.
 func (b *nestBuilder) lowerCollective() {
 	keys := make([]int64, 0, len(b.pairs))
 	for k := range b.pairs {

@@ -132,9 +132,9 @@ type ServerSnapshot struct {
 	PrewarmedPlans int64 `json:"prewarmed_plans"`
 	// Engines counts which nest-counting engine priced each compile-time
 	// query across every compile this daemon ran: analytic_hits is the
-	// closed-form path, fastwalk_fallbacks the per-block walker,
-	// exact_fallbacks the element enumerator. A nonzero fallback count
-	// on the builtin programs is a counting-engine regression.
+	// closed-form path, exact_fallbacks the reference enumerator behind
+	// it. A nonzero fallback count on the builtin programs is a
+	// counting-engine regression.
 	Engines map[string]int64 `json:"engines"`
 }
 

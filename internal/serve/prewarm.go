@@ -81,8 +81,6 @@ func parsePlanKey(key string) (req CompileRequest, ok bool) {
 	switch {
 	case exactnest && exactchange && nocache:
 		req.Engine = "prechange"
-	case exactnest && !exactchange && !nocache:
-		req.Engine = "pr1"
 	case !exactnest && !exactchange && !nocache:
 		req.Engine = "fast"
 	default:

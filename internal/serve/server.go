@@ -182,7 +182,8 @@ type CompileRequest struct {
 	Source string `json:"source,omitempty"`
 	M      int    `json:"m"`
 	N      int    `json:"n"`
-	// Engine picks the cost engine: fast (default), pr1, prechange.
+	// Engine picks the cost engine: fast (default) or prechange (the
+	// exact-everything oracle).
 	Engine string `json:"engine,omitempty"`
 	Greedy bool   `json:"greedy,omitempty"`
 }
@@ -250,14 +251,12 @@ func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, e
 	c.Engines = &s.engines
 	switch req.Engine {
 	case "", "fast":
-	case "pr1":
-		c.ExactNestCount = true
 	case "prechange":
 		c.ExactNestCount = true
 		c.ExactChangeCost = true
 		c.NoCache = true
 	default:
-		return nil, fmt.Errorf("unknown engine %q (want fast, pr1 or prechange)", req.Engine)
+		return nil, fmt.Errorf("unknown engine %q (want fast or prechange)", req.Engine)
 	}
 	return c, nil
 }

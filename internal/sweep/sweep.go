@@ -62,18 +62,6 @@ type Options struct {
 	Workers int
 	// Warnf receives non-fatal diagnostics; nil silences them.
 	Warnf func(format string, args ...any)
-	// NoPipeline disables the vectored two-phase / ring reduction
-	// exchange in the exec sweep's batched engine (exec.Options), for
-	// A/B comparisons against the pre-pipelining transport. Part of the
-	// cache key, so both variants coexist in the store.
-	NoPipeline bool
-	// Redist picks the batched engine's operand-ship lowering for the
-	// exec and scale families (exec.Options.Redist): the collective
-	// redistribution (the default) or the point-to-point exchange, for
-	// A/B comparisons. The collective lowering is keyed explicitly in
-	// the artifact store; the p2p key matches the pre-collective one,
-	// whose cached transport numbers it reproduces.
-	Redist exec.Redist
 	// Shard/ShardCount split a sweep across processes: with ShardCount >
 	// 1, only points whose index in the canonical (variant, m, n, s)
 	// order satisfies i % ShardCount == Shard are run. Shards are
@@ -352,18 +340,17 @@ func isqrt(n int) int {
 // ------------------------------------------------------------ compile --
 
 // CompileEngines are the cost-engine configurations of the compile
-// sweep, in emission order.
-var CompileEngines = []string{"analytic", "pr1", "exact"}
+// sweep, in emission order: the production engine and the all-exact
+// oracle (reference nest walker, element-enumeration ChangeCost, no
+// caches).
+var CompileEngines = []string{"analytic", "exact"}
 
 // newCompileCompiler builds the compiler for one compile-sweep point.
 func newCompileCompiler(engine string, s, m, n, jobs int) *core.Compiler {
 	p := ir.Synthetic(s)
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 	c.Jobs = jobs
-	switch engine {
-	case "pr1":
-		c.ExactNestCount = true
-	case "exact":
+	if engine == "exact" {
 		c.ExactNestCount = true
 		c.ExactChangeCost = true
 		c.NoCache = true
@@ -555,15 +542,17 @@ func PlanFor(c *core.Compiler, baseM int, opt Options) (pe *core.PlanEvaluator, 
 
 // --------------------------------------------------------------- exec --
 
-// execProgs are the exec-sweep workloads: the three paper programs with
-// their scalar bindings and iteration counts.
-var execProgs = []struct {
+// execProg is one exec-sweep workload: a paper program with its scalar
+// bindings and iteration count.
+type execProg struct {
 	name    string
 	mk      func() *ir.Program
 	scalars map[string]float64
 	iters   int
 	x0      bool
-}{
+}
+
+var execProgs = []execProg{
 	{"jacobi", ir.Jacobi, nil, 2, true},
 	{"sor", ir.SOR, map[string]float64{"OMEGA": 1.2}, 2, true},
 	{"gauss", ir.Gauss, nil, 1, false},
@@ -578,36 +567,25 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 			for _, n := range nList {
 				pr, m, n := pr, m, n
 				for _, engine := range []string{"batched", "exact"} {
-					engine := engine
+					exact := engine == "exact"
 					cfg := machine.DefaultConfig()
-					if engine == "exact" {
+					if exact {
 						// The per-element oracle needs its channel capacity
 						// raised to the largest per-pair burst — the deadlock
 						// crutch the batched engine removes.
 						cfg.ChanCap = m * m
 					}
-					keyParts := []string{"kind=exec", "prog=" + core.ProgramHash(pr.mk()),
-						"engine=" + engine, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
-						fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
-						"machine=" + cfg.Fingerprint()}
-					if engine == "batched" && opt.NoPipeline {
-						// The p2p/pipelined key stays byte-stable so
-						// pre-existing cache entries remain valid.
-						keyParts = append(keyParts, "pipeline=off")
-					}
-					if engine == "batched" && opt.Redist != exec.RedistP2P {
-						// The collective lowering changes the transport
-						// metrics, so it gets its own key; the p2p arm keeps
-						// the pre-collective key whose numbers it reproduces.
+					keyParts := execKeyParts("exec", engine, pr, m, n, cfg)
+					if !exact {
 						keyParts = append(keyParts, "redist=collective")
 					}
-					noPipe, redist := opt.NoPipeline, opt.Redist
 					pts = append(pts, point{
 						variant: pr.name + "/" + engine, m: m, n: n,
 						key:     artifact.KeyOf(keyParts...),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
-							return execPoint(pr.mk(), pr.scalars, pr.iters, pr.x0, engine, m, n, cfg, noPipe, redist)
+							res, err := execPoint(pr, exact, m, n, cfg)
+							return execMetrics(res), err
 						},
 					})
 				}
@@ -623,22 +601,13 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 
 // -------------------------------------------------------------- scale --
 
-// ScaleGoroutineCapN is the largest processor count at which the scale
-// sweep still runs the goroutine-runtime arm. Beyond it the P x P
-// channel matrix alone (P^2 buffered channels) makes the live runtime
-// pointless to measure — at N=1024 that is 1M channels before the first
-// message moves — so only the event engine's arm is produced.
-const ScaleGoroutineCapN = 256
-
-// Scale runs the large-N engine-scaling family: the three exec programs
-// on the batched backend, executed by the discrete-event runtime at
-// every N and by the goroutine runtime up to ScaleGoroutineCapN. The
-// two arms' deterministic metrics are identical (the engines are
-// bit-equivalent); the point of the family is the ephemeral wall-clock
-// columns — wall_ns for the whole point and sim_ns for the
-// engine-dependent phase alone — which show the event engine's scaling
-// advantage. The engine name is part of the artifact cache key, so both
-// arms coexist in the store.
+// Scale runs the large-N scaling family: the three exec programs on the
+// batched backend at every N. The deterministic metrics gate against
+// BENCH_scale.json; the ephemeral wall-clock columns — wall_ns for the
+// whole point and sim_ns for the machine phase alone — show where the
+// time goes as the grid grows. The "/events" variant and the
+// "engine=events" key fragment name the machine runtime; they are part
+// of every stored key and of BENCH_scale.json's row identity.
 func Scale(mList, nList []int, opt Options) (*Result, error) {
 	cfg := machine.DefaultConfig()
 	var pts []point
@@ -646,36 +615,23 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 		for _, m := range mList {
 			for _, n := range nList {
 				pr, m, n := pr, m, n
-				for _, engine := range []exec.Engine{exec.EngineEvents, exec.EngineGoroutines} {
-					engine := engine
-					if engine == exec.EngineGoroutines && n > ScaleGoroutineCapN {
-						opt.warnf("scale: skipping %s/goroutines at n=%d (> cap %d)", pr.name, n, ScaleGoroutineCapN)
-						continue
-					}
-					keyParts := []string{"kind=scale", "prog=" + core.ProgramHash(pr.mk()),
-						"engine=" + engine.String(), fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
-						fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
-						"machine=" + cfg.Fingerprint()}
-					if opt.Redist != exec.RedistP2P {
-						keyParts = append(keyParts, "redist=collective")
-					}
-					redist := opt.Redist
-					var simNS float64
-					pts = append(pts, point{
-						variant: pr.name + "/" + engine.String(), m: m, n: n,
-						key:     artifact.KeyOf(keyParts...),
-						wallCol: "wall_ns",
-						compute: func() (map[string]float64, error) {
-							return scalePoint(pr.mk(), pr.scalars, pr.iters, pr.x0, engine, m, n, cfg, redist, &simNS)
-						},
-						moreWall: func() map[string]float64 {
-							if simNS == 0 {
-								return nil
-							}
-							return map[string]float64{"sim_ns": simNS}
-						},
-					})
-				}
+				var simNS float64
+				pts = append(pts, point{
+					variant: pr.name + "/events", m: m, n: n,
+					key:     artifact.KeyOf(append(execKeyParts("scale", "events", pr, m, n, cfg), "redist=collective")...),
+					wallCol: "wall_ns",
+					compute: func() (map[string]float64, error) {
+						res, err := execPoint(pr, false, m, n, cfg)
+						simNS = float64(res.SimWall.Nanoseconds())
+						return execMetrics(res), err
+					},
+					moreWall: func() map[string]float64 {
+						if simNS == 0 {
+							return nil
+						}
+						return map[string]float64{"sim_ns": simNS}
+					},
+				})
 			}
 		}
 	}
@@ -686,46 +642,24 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 	return &Result{Kind: "scale", Rows: rows}, nil
 }
 
-func scalePoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, engine exec.Engine, m, n int, cfg machine.Config, redist exec.Redist, simNS *float64) (map[string]float64, error) {
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
-	if err != nil {
-		return nil, err
-	}
-	a, b, _ := matrix.DiagonallyDominant(m, 1)
-	input := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			input.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		input.Store("B", []int{i}, b[i-1])
-		if x0 {
-			input.Store("X", []int{i}, 0)
-		}
-	}
-	res, err := exec.RunOpts(p, ss, map[string]int{"m": m}, scalars, iters, cfg, input,
-		exec.Options{Engine: engine, Redist: redist})
-	if err != nil {
-		return nil, err
-	}
-	*simNS = float64(res.SimWall.Nanoseconds())
-	return map[string]float64{
-		"simtime":            res.Stats.ParallelTime,
-		"messages":           float64(res.Stats.Messages),
-		"words":              float64(res.Stats.Words),
-		"transport_messages": float64(res.Transport.Messages),
-		"transport_words":    float64(res.Transport.Words),
-		"max_msg_words":      float64(res.Transport.MaxMsgWords),
-		"max_pair_messages":  float64(res.Transport.MaxPairMessages),
-		"max_pair_words":     float64(res.Transport.MaxPairWords),
-	}, nil
+// execKeyParts is the cache-key text shared by the exec and scale
+// families.
+func execKeyParts(kind, engine string, pr execProg, m, n int, cfg machine.Config) []string {
+	return []string{"kind=" + kind, "prog=" + core.ProgramHash(pr.mk()),
+		"engine=" + engine, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
+		fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
+		"machine=" + cfg.Fingerprint()}
 }
 
-func execPoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, engine string, m, n int, cfg machine.Config, noPipe bool, redist exec.Redist) (map[string]float64, error) {
+// execPoint compiles one exec program to its whole-program schemes and
+// runs it on a diagonally dominant system: through the batched backend,
+// or through the per-element oracle when exact is set.
+func execPoint(pr execProg, exact bool, m, n int, cfg machine.Config) (exec.Result, error) {
+	p := pr.mk()
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 	_, ss, err := c.SegmentCost(1, len(p.Nests))
 	if err != nil {
-		return nil, err
+		return exec.Result{}, err
 	}
 	a, b, _ := matrix.DiagonallyDominant(m, 1)
 	input := ir.NewStorage(p)
@@ -734,21 +668,19 @@ func execPoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, en
 			input.Store("A", []int{i, j}, a.At(i-1, j-1))
 		}
 		input.Store("B", []int{i}, b[i-1])
-		if x0 {
+		if pr.x0 {
 			input.Store("X", []int{i}, 0)
 		}
 	}
 	bind := map[string]int{"m": m}
-	var res exec.Result
-	if engine == "exact" {
-		res, err = exec.RunExact(p, ss, bind, scalars, iters, cfg, input)
-	} else {
-		res, err = exec.RunOpts(p, ss, bind, scalars, iters, cfg, input,
-			exec.Options{NoPipeline: noPipe, Redist: redist})
+	if exact {
+		return exec.RunExact(p, ss, bind, pr.scalars, pr.iters, cfg, input)
 	}
-	if err != nil {
-		return nil, err
-	}
+	return exec.Run(p, ss, bind, pr.scalars, pr.iters, cfg, input)
+}
+
+// execMetrics are the deterministic columns of an exec or scale row.
+func execMetrics(res exec.Result) map[string]float64 {
 	return map[string]float64{
 		"simtime":            res.Stats.ParallelTime,
 		"messages":           float64(res.Stats.Messages),
@@ -758,5 +690,5 @@ func execPoint(p *ir.Program, scalars map[string]float64, iters int, x0 bool, en
 		"max_msg_words":      float64(res.Transport.MaxMsgWords),
 		"max_pair_messages":  float64(res.Transport.MaxPairMessages),
 		"max_pair_words":     float64(res.Transport.MaxPairWords),
-	}, nil
+	}
 }
