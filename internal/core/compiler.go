@@ -5,14 +5,15 @@
 // The cost engine behind Algorithm 1 is built for speed:
 //
 //   - ChangeCost is computed analytically (dist.RedistLoads) from
-//     per-dimension interval intersections instead of enumerating array
+//     per-dimension owned-set intersections instead of enumerating array
 //     elements; the element-wise oracle remains available behind
 //     ExactChangeCost for ablation and property testing.
 //   - Nest execution counts go through cost.CountNestOpts, which answers
-//     in closed form (owner-interval/residue intersections per dimension,
-//     factorized across dimensions) for affine nests and falls back to a
-//     compiled iteration walker otherwise; the reference enumerator stays
-//     behind ExactNestCount for ablation and equivalence testing.
+//     in closed form (intersections of the same owned sets,
+//     dist.IndexSet, per dimension, factorized across dimensions) for
+//     affine nests and falls straight to the reference enumeration
+//     otherwise; ExactNestCount routes everything through that
+//     enumeration for ablation and equivalence testing.
 //   - SegmentCost, ChangeCost and LoopCarriedCost results are memoized
 //     (segment costs by (i,j), redistribution costs by canonical
 //     SchemeSet signature pairs), collapsing the DP's O(s³) cost-engine
@@ -394,7 +395,7 @@ func (c *Compiler) changeLoadsScaled(from, to *SchemeSet) (dist.ScaledLoads, err
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	acc := dist.ScaledLoads{In: map[int]int64{}, Out: map[int]int64{}, Den: 1}
+	acc := dist.NewScaledLoads()
 	for _, name := range names {
 		sFrom, ok1 := from.Schemes[name]
 		sTo, ok2 := to.Schemes[name]

@@ -216,7 +216,7 @@ func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 	period := 1
 	for _, fs := range pe.segs {
-		period = lcm(period, lcm(fs.shape[0], fs.shape[1]))
+		period = dist.LCM(period, dist.LCM(fs.shape[0], fs.shape[1]))
 	}
 	segOf := make([]int, len(pe.c.Program.Nests))
 	for i, fs := range pe.segs {
@@ -327,12 +327,4 @@ func (pe *PlanEvaluator) Formulas() []string {
 		out[t] = fmt.Sprintf("%s: %s", label, sym)
 	}
 	return out
-}
-
-func lcm(a, b int) int {
-	g, x := a, b
-	for x != 0 {
-		g, x = x, g%x
-	}
-	return a / g * b
 }

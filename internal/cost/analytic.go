@@ -6,13 +6,13 @@
 //
 //   - the instances a processor executes are, per loop variable, the loop
 //     range intersected with the affine preimage of the owner-coordinate's
-//     owned pattern (an iset), so instance counts factorize across loop
-//     variables — and when an inner bound depends on an outer variable
-//     (gauss's i = k+1..m) the product becomes a windowed sum over the
-//     outer variable, a sum of arithmetic-progression counts evaluated in
-//     closed form (sumWindowed);
+//     owned pattern (a dist.IndexSet), so instance counts factorize across
+//     loop variables — and when an inner bound depends on an outer
+//     variable (gauss's i = k+1..m) the product becomes a windowed sum
+//     over the outer variable, a sum of arithmetic-progression counts
+//     evaluated in closed form (sumWindowed);
 //   - the elements a processor reads are images of those per-variable
-//     sets under the read subscripts — products of isets, diagonals when
+//     sets under the read subscripts — products of sets, diagonals when
 //     one variable drives two subscripts, and half-plane bands when a
 //     dependent variable and its bound variable drive the two subscripts
 //     of one array (L(i,k) below the diagonal) — and the globally deduped
@@ -35,6 +35,8 @@
 package cost
 
 import (
+	"slices"
+
 	"dmcc/internal/dist"
 	"dmcc/internal/grid"
 	"dmcc/internal/ir"
@@ -73,9 +75,9 @@ type anDep struct {
 // anDim is the ownership structure of one array dimension.
 type anDim struct {
 	replicated bool
-	gd         int    // mapped grid dimension
-	n          int    // its extent
-	pats       []iset // owned index pattern per grid coordinate (nil when replicated)
+	gd         int             // mapped grid dimension
+	n          int             // its extent
+	pats       []dist.IndexSet // owned index pattern per grid coordinate (nil when replicated)
 }
 
 type anArray struct {
@@ -95,17 +97,17 @@ func (a *anArray) ownedRect(q []int) (rect, bool) {
 			return rect{}, false
 		}
 	}
-	var sets [2]iset
+	var sets [2]dist.IndexSet
 	for k := 0; k < a.rank; k++ {
 		d := a.dims[k]
 		if d.replicated {
-			sets[k] = fullSet(1, a.sizes[k])
+			sets[k] = dist.Interval(1, a.sizes[k])
 		} else {
 			sets[k] = d.pats[q[d.gd]]
 		}
 	}
 	if a.rank == 1 {
-		sets[1] = singletonSet(1)
+		sets[1] = dist.Interval(1, 1)
 	}
 	return prodRect(sets[0], sets[1]), true
 }
@@ -123,7 +125,7 @@ type anGate struct{ gd, coord int }
 type anConstraint struct {
 	slot int
 	gd   int
-	sets []iset
+	sets []dist.IndexSet
 }
 
 type anStmt struct {
@@ -144,9 +146,9 @@ type anEngine struct {
 	q          int
 	strides    []int
 	rankCoords [][]int
-	ranges     []iset   // per loop slot (the constant hull for dependent slots)
-	deps       []*anDep // per loop slot, nil for constant bounds
-	depRoot    int      // the single root every dependent slot references, or -1
+	ranges     []dist.IndexSet // per loop slot (the constant hull for dependent slots)
+	deps       []*anDep        // per loop slot, nil for constant bounds
+	depRoot    int             // the single root every dependent slot references, or -1
 	arrays     []*anArray
 	stmts      []*anStmt
 	opts       CountOptions
@@ -190,7 +192,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	for s, l := range nest.Loops {
 		slotOf[l.Index] = s
 	}
-	e.ranges = make([]iset, len(nest.Loops))
+	e.ranges = make([]dist.IndexSet, len(nest.Loops))
 	e.deps = make([]*anDep, len(nest.Loops))
 	e.depRoot = -1
 	isConst := make([]bool, len(nest.Loops))
@@ -207,7 +209,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		lo, okLo := constAff(loA, bind)
 		hi, okHi := constAff(hiA, bind)
 		if okLo && okHi {
-			e.ranges[s] = fullSet(lo, hi)
+			e.ranges[s] = dist.Interval(lo, hi)
 			isConst[s] = true
 			continue
 		}
@@ -243,9 +245,9 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		e.deps[pd.s] = &dp
 		rr := e.ranges[dp.root]
 		if dp.low {
-			e.ranges[pd.s] = fullSet(rr.lo+dp.c, hi)
+			e.ranges[pd.s] = dist.Interval(rr.Lo+dp.c, hi)
 		} else {
-			e.ranges[pd.s] = fullSet(lo, rr.hi+dp.c)
+			e.ranges[pd.s] = dist.Interval(lo, rr.Hi+dp.c)
 		}
 	}
 
@@ -272,10 +274,10 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 				continue
 			}
 			n := g.Extent(d.GridDim)
-			pats := make([]iset, n)
+			pats := make([]dist.IndexSet, n)
 			for c := 0; c < n; c++ {
-				pats[c] = setFromPattern(dist.OwnedPatternOf(d, n, c, shape[k]))
-				periodLCM = lcmInt(periodLCM, pats[c].p)
+				pats[c] = dist.OwnedPatternOf(d, n, c, shape[k])
+				periodLCM = dist.LCM(periodLCM, pats[c].Period)
 				if periodLCM > maxAnalyticPeriod {
 					return nil, false
 				}
@@ -309,7 +311,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	for _, st := range nest.Stmts {
 		executes := true
 		for s := 0; s < st.Depth; s++ {
-			if e.ranges[s].empty() {
+			if e.ranges[s].Empty() {
 				executes = false
 			}
 		}
@@ -363,9 +365,9 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 				as.gates = append(as.gates, anGate{gd: d.gd, coord: oa.s.DimCoordOf(g, k, sp.c)})
 				continue
 			}
-			sets := make([]iset, d.n)
+			sets := make([]dist.IndexSet, d.n)
 			for a := 0; a < d.n; a++ {
-				sets[a] = intersectSets(e.ranges[sp.slot], d.pats[a].affinePreimage(sp.sign, sp.c))
+				sets[a] = e.ranges[sp.slot].Intersect(d.pats[a].AffinePreimage(sp.sign, sp.c))
 			}
 			as.constraints = append(as.constraints, anConstraint{slot: sp.slot, gd: d.gd, sets: sets})
 		}
@@ -393,7 +395,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	}
 
 	// Per-rank pass: instance counts (flops) and read footprints.
-	allowed := make([]iset, len(nest.Loops))
+	allowed := make([]dist.IndexSet, len(nest.Loops))
 	constrained := make([]bool, len(nest.Loops))
 	for pr := 0; pr < e.nprocs; pr++ {
 		q := e.rankCoords[pr]
@@ -509,7 +511,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 // of rank q for stmt as, reporting false when a gate already excludes the
 // rank. For dependent slots the set is the hull-range restriction; the
 // per-root-value window is applied by stmtSpace.
-func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []iset, constrained []bool) bool {
+func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []dist.IndexSet, constrained []bool) bool {
 	for _, gt := range as.gates {
 		if q[gt.gd] != gt.coord {
 			return false
@@ -522,7 +524,7 @@ func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []iset, constrained
 	for _, c := range as.constraints {
 		set := c.sets[q[c.gd]]
 		if constrained[c.slot] {
-			allowed[c.slot] = intersectSets(allowed[c.slot], set)
+			allowed[c.slot] = allowed[c.slot].Intersect(set)
 		} else {
 			allowed[c.slot] = set
 			constrained[c.slot] = true
@@ -537,7 +539,7 @@ func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []iset, constrained
 // reads from. hasDep reports whether any dependent slot lies below the
 // statement's depth; when it does, the instance count is the windowed
 // product sum over the root instead of a plain product.
-func (e *anEngine) stmtSpace(as *anStmt, allowed []iset) (int64, iset, bool) {
+func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.IndexSet, bool) {
 	hasDep := false
 	for s := 0; s < as.depth; s++ {
 		if e.deps[s] != nil {
@@ -548,9 +550,9 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []iset) (int64, iset, bool) {
 	if !hasDep {
 		iter := int64(1)
 		for s := 0; s < as.depth; s++ {
-			iter *= allowed[s].count()
+			iter *= allowed[s].Count()
 		}
-		return iter, iset{}, false
+		return iter, dist.IndexSet{}, false
 	}
 	root := e.depRoot
 	cons := int64(1)
@@ -562,23 +564,23 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []iset) (int64, iset, bool) {
 		}
 		d := e.deps[s]
 		if d == nil {
-			cons *= allowed[s].count()
+			cons *= allowed[s].Count()
 			continue
 		}
 		t := winTerm{set: allowed[s]}
 		if d.low {
 			t.los = append(t.los, affBound{c: d.c, k: 1})
-			if mx, ok := allowed[s].maxElem(); ok {
-				reff = reff.clip(bandMin, mx-d.c)
+			if mx, ok := allowed[s].Max(); ok {
+				reff = reff.Clip(bandMin, mx-d.c)
 			} else {
-				reff = reff.clip(1, 0)
+				reff = reff.Clip(1, 0)
 			}
 		} else {
 			t.his = append(t.his, affBound{c: d.c, k: 1})
-			if mn, ok := allowed[s].minElem(); ok {
-				reff = reff.clip(mn-d.c, bandMax)
+			if mn, ok := allowed[s].Min(); ok {
+				reff = reff.Clip(mn-d.c, bandMax)
 			} else {
-				reff = reff.clip(1, 0)
+				reff = reff.Clip(1, 0)
 			}
 		}
 		terms = append(terms, t)
@@ -598,12 +600,12 @@ const (
 )
 
 // window returns the dependent slot's instance set at root value v.
-func (e *anEngine) window(allowed []iset, slot, v int) iset {
+func (e *anEngine) window(allowed []dist.IndexSet, slot, v int) dist.IndexSet {
 	d := e.deps[slot]
 	if d.low {
-		return allowed[slot].clip(v+d.c, bandMax)
+		return allowed[slot].Clip(v+d.c, bandMax)
 	}
-	return allowed[slot].clip(bandMin, v+d.c)
+	return allowed[slot].Clip(bandMin, v+d.c)
 }
 
 // readRect builds the element rect a read touches over the instance
@@ -623,7 +625,7 @@ func (e *anEngine) window(allowed []iset, slot, v int) iset {
 //     reached at the extreme root value of reff (windows are nested in
 //     the root), provided every dependent side of the reference opens in
 //     the same direction.
-func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (rect, bool, bool) {
+func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSet, hasDep bool) (rect, bool, bool) {
 	a := rd.arr
 	kind := func(sp anSub) int {
 		if sp.slot < 0 {
@@ -642,27 +644,27 @@ func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (r
 	}
 	vStar := func(low bool) (int, bool) {
 		if low {
-			return reff.minElem()
+			return reff.Min()
 		}
-		return reff.maxElem()
+		return reff.Max()
 	}
-	side := func(sp anSub, k int) (iset, bool, bool) {
+	side := func(sp anSub, k int) (dist.IndexSet, bool, bool) {
 		switch k {
 		case kConst:
-			return singletonSet(sp.c), true, false
+			return dist.Interval(sp.c, sp.c), true, false
 		case kPlain:
-			img := allowed[sp.slot].affineImage(sp.sign, sp.c)
-			return img, !img.empty(), false
+			img := allowed[sp.slot].AffineImage(sp.sign, sp.c)
+			return img, !img.Empty(), false
 		case kRoot:
-			img := reff.affineImage(sp.sign, sp.c)
-			return img, !img.empty(), false
+			img := reff.AffineImage(sp.sign, sp.c)
+			return img, !img.Empty(), false
 		default: // kDep
 			v, ok := vStar(e.deps[sp.slot].low)
 			if !ok {
-				return iset{}, false, false
+				return dist.IndexSet{}, false, false
 			}
-			img := e.window(allowed, sp.slot, v).affineImage(sp.sign, sp.c)
-			return img, !img.empty(), false
+			img := e.window(allowed, sp.slot, v).AffineImage(sp.sign, sp.c)
+			return img, !img.Empty(), false
 		}
 	}
 	if a.rank == 1 {
@@ -670,13 +672,13 @@ func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (r
 		if !ok {
 			return rect{}, false, false
 		}
-		return prodRect(s0, singletonSet(1)), true, false
+		return prodRect(s0, dist.Interval(1, 1)), true, false
 	}
 	sp0, sp1 := rd.subs[0], rd.subs[1]
 	k0, k1 := kind(sp0), kind(sp1)
 	if sp0.slot >= 0 && sp0.slot == sp1.slot {
 		// One variable drives both subscripts: a diagonal of its set.
-		var base iset
+		var base dist.IndexSet
 		switch k0 {
 		case kRoot:
 			base = reff
@@ -689,7 +691,7 @@ func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (r
 		default:
 			base = allowed[sp0.slot]
 		}
-		if base.empty() {
+		if base.Empty() {
 			return rect{}, false, false
 		}
 		return diagRect(base, sp0.sign, sp0.c, sp1.sign, sp1.c), true, false
@@ -702,8 +704,8 @@ func (e *anEngine) readRect(rd anRef, allowed []iset, reff iset, hasDep bool) (r
 			dsp, rsp, ddim = sp1, sp0, 1
 		}
 		d := e.deps[dsp.slot]
-		dImg := allowed[dsp.slot].affineImage(dsp.sign, dsp.c)
-		rImg := reff.affineImage(rsp.sign, rsp.c)
+		dImg := allowed[dsp.slot].AffineImage(dsp.sign, dsp.c)
+		rImg := reff.AffineImage(rsp.sign, rsp.c)
 		var r rect
 		if ddim == 0 {
 			r = prodRect(dImg, rImg)
@@ -757,13 +759,13 @@ func (e *anEngine) forEachOwnerCell(a *anArray, visit func(cell rect, firstRank 
 			base += c * e.strides[gd]
 		}
 	}
-	dimChoices := func(k int) ([]iset, []int) {
+	dimChoices := func(k int) ([]dist.IndexSet, []int) {
 		if k >= a.rank {
-			return []iset{singletonSet(1)}, []int{0}
+			return []dist.IndexSet{dist.Interval(1, 1)}, []int{0}
 		}
 		d := a.dims[k]
 		if d.replicated {
-			return []iset{fullSet(1, a.sizes[k])}, []int{0}
+			return []dist.IndexSet{dist.Interval(1, a.sizes[k])}, []int{0}
 		}
 		adds := make([]int, d.n)
 		for c := 0; c < d.n; c++ {
@@ -774,11 +776,11 @@ func (e *anEngine) forEachOwnerCell(a *anArray, visit func(cell rect, firstRank 
 	sets0, adds0 := dimChoices(0)
 	sets1, adds1 := dimChoices(1)
 	for c0, s0 := range sets0 {
-		if s0.empty() {
+		if s0.Empty() {
 			continue
 		}
 		for c1, s1 := range sets1 {
-			if s1.empty() {
+			if s1.Empty() {
 				continue
 			}
 			visit(prodRect(s0, s1), base+adds0[c0]+adds1[c1])
@@ -821,7 +823,7 @@ type redC struct {
 	gd     int
 	stride int
 	anchor bool
-	sets   []iset
+	sets   []dist.IndexSet
 }
 
 // pairCond couples two grid coordinates through one free variable that
@@ -832,7 +834,7 @@ type pairCond struct {
 	ok       []bool
 }
 
-func (as *anStmt) constraintSets(slot, gd int) []iset {
+func (as *anStmt) constraintSets(slot, gd int) []dist.IndexSet {
 	for _, c := range as.constraints {
 		if c.slot == slot && c.gd == gd {
 			return c.sets
@@ -950,14 +952,14 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			for a2, S := range sets {
 				if d.low {
 					// u >= v + c: holds iff min(S) + c <= u.
-					if mn, ok := S.minElem(); ok {
+					if mn, ok := S.Min(); ok {
 						thr[a2] = mn + d.c
 					} else {
 						thr[a2] = bandMax
 					}
 				} else {
 					// u <= v + c: holds iff u <= max(S) + c.
-					if mx, ok := S.maxElem(); ok {
+					if mx, ok := S.Max(); ok {
 						thr[a2] = mx + d.c
 					} else {
 						thr[a2] = bandMin
@@ -977,13 +979,13 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			thr := make([]int, len(sets))
 			for a2, S := range sets {
 				if d.low {
-					if mx, ok := S.maxElem(); ok {
+					if mx, ok := S.Max(); ok {
 						thr[a2] = mx - d.c
 					} else {
 						thr[a2] = bandMin
 					}
 				} else {
-					if mn, ok := S.minElem(); ok {
+					if mn, ok := S.Min(); ok {
 						thr[a2] = mn - d.c
 					} else {
 						thr[a2] = bandMax
@@ -1018,7 +1020,7 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			sets := as.constraintSets(slot, d.gd)
 			all := make([]bool, d.n)
 			for a := range sets {
-				all[a] = !sets[a].empty()
+				all[a] = !sets[a].Empty()
 			}
 			coordAllowed[d.gd] = all
 			continue
@@ -1029,7 +1031,7 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 		ok := make([]bool, d0.n*d1.n)
 		for a0 := range s0 {
 			for a1 := range s1 {
-				if !intersectSets(s0[a0], s1[a1]).empty() {
+				if !s0[a0].Intersect(s1[a1]).Empty() {
 					ok[a0*d1.n+a1] = true
 				}
 			}
@@ -1064,17 +1066,17 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			if d.replicated || sp.slot != slot {
 				continue
 			}
-			sets := make([]iset, d.n)
+			sets := make([]dist.IndexSet, d.n)
 			for a := 0; a < d.n; a++ {
-				sets[a] = intersectSets(e.ranges[slot], d.pats[a].affinePreimage(sp.sign, sp.c))
+				sets[a] = e.ranges[slot].Intersect(d.pats[a].AffinePreimage(sp.sign, sp.c))
 			}
 			cs = append(cs, redC{gd: d.gd, stride: e.strides[d.gd], sets: sets})
 		}
 		cuts := uCuts[slot]
 		var combos []varCombo
-		leaf := func(acc iset, pins []anGate, rootAdd int) {
+		leaf := func(acc dist.IndexSet, pins []anGate, rootAdd int) {
 			if len(cuts) == 0 {
-				if c := acc.count(); c > 0 {
+				if c := acc.Count(); c > 0 {
 					combos = append(combos, varCombo{cnt: c, pins: append([]anGate(nil), pins...), rootAdd: rootAdd})
 				}
 				return
@@ -1088,21 +1090,21 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 					if ct.upper {
 						b = t + 1
 					}
-					if b > acc.lo && b <= acc.hi {
+					if b > acc.Lo && b <= acc.Hi {
 						bs = append(bs, b)
 					}
 				}
 			}
-			sortInts(bs)
-			bs = dedupInts(bs)
-			l := acc.lo
+			slices.Sort(bs)
+			bs = slices.Compact(bs)
+			l := acc.Lo
 			for i := 0; i <= len(bs); i++ {
-				h := acc.hi
+				h := acc.Hi
 				if i < len(bs) {
 					h = bs[i] - 1
 				}
 				if h >= l {
-					if c := acc.countIn(l, h); c > 0 {
+					if c := acc.CountIn(l, h); c > 0 {
 						masks := make([]uMask, len(cuts))
 						for ci, ct := range cuts {
 							okc := make([]bool, len(ct.thr))
@@ -1123,16 +1125,16 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 				}
 			}
 		}
-		var rec func(ci int, acc iset, pins []anGate, rootAdd int)
-		rec = func(ci int, acc iset, pins []anGate, rootAdd int) {
+		var rec func(ci int, acc dist.IndexSet, pins []anGate, rootAdd int)
+		rec = func(ci int, acc dist.IndexSet, pins []anGate, rootAdd int) {
 			if ci == len(cs) {
 				leaf(acc, pins, rootAdd)
 				return
 			}
 			c := cs[ci]
 			for a, set := range c.sets {
-				x := intersectSets(acc, set)
-				if x.empty() {
+				x := acc.Intersect(set)
+				if x.Empty() {
 					continue
 				}
 				if c.anchor {
@@ -1323,14 +1325,14 @@ func compileSub(a ir.Affine, bind map[string]int, slotOf map[string]int) (anSub,
 
 // subInRange checks that the subscript stays inside [1, size] over its
 // variable's full loop range (the walker would panic outside the array).
-func subInRange(sp anSub, ranges []iset, size int) bool {
+func subInRange(sp anSub, ranges []dist.IndexSet, size int) bool {
 	if sp.slot < 0 {
 		return sp.c >= 1 && sp.c <= size
 	}
 	r := ranges[sp.slot]
-	if r.hi < r.lo {
+	if r.Hi < r.Lo {
 		return true // never evaluated
 	}
-	img := r.affineImage(sp.sign, sp.c)
-	return img.lo >= 1 && img.hi <= size
+	img := r.AffineImage(sp.sign, sp.c)
+	return img.Lo >= 1 && img.Hi <= size
 }

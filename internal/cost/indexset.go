@@ -1,10 +1,9 @@
-// Periodic index sets and 2-D element rectangles: the set algebra behind
-// the analytic nest counter. An iset is a union of residue classes
-// clipped to an interval — exactly the shape of the index sets owned by
-// one grid coordinate under the Section 2.1 distribution functions
-// (dist.OwnedPattern) and closed under intersection and unit-slope affine
-// maps. A rect lifts isets to 2-D element sets: a box product of two
-// isets further cut by difference and sum bands
+// 2-D element rectangles: the cost-only layer over dist.IndexSet, the
+// one periodic 1-D set type (an interval cut by a residue mask — exactly
+// the shape of the index sets owned by one grid coordinate under the
+// Section 2.1 distribution functions, closed under intersection and
+// unit-slope affine maps). A rect lifts two such sets to a 2-D element
+// set: their box product further cut by difference and sum bands
 //
 //	dlo <= e1 - e0 <= dhi   and   slo <= e1 + e0 <= shi
 //
@@ -14,168 +13,15 @@
 // loop-variable-dependent bounds (i = k+1..m reads A(i,k) below the
 // diagonal). Counting is exact integer arithmetic throughout; band
 // counts reduce to sums of arithmetic-progression counts evaluated in
-// closed form, so the cost stays independent of the interval widths.
+// closed form (sumWindowed), so the cost stays independent of the
+// interval widths.
 package cost
 
-import "dmcc/internal/dist"
+import (
+	"slices"
 
-// iset is {x in [lo, hi] : res[x mod p]} with p >= 1 and len(res) == p.
-type iset struct {
-	lo, hi int
-	p      int
-	res    []bool
-}
-
-func fullSet(lo, hi int) iset { return iset{lo: lo, hi: hi, p: 1, res: []bool{true}} }
-
-func singletonSet(v int) iset { return fullSet(v, v) }
-
-func setFromPattern(pt dist.OwnedPattern) iset {
-	return iset{lo: pt.Lo, hi: pt.Hi, p: pt.Period, res: pt.Residues}
-}
-
-func mod(x, p int) int { return ((x % p) + p) % p }
-
-// countResidue counts x in [lo, hi] with x mod p == r.
-func countResidue(lo, hi, p, r int) int64 {
-	if hi < lo {
-		return 0
-	}
-	// Shift so the range starts at a multiple of p.
-	span := hi - lo + 1
-	off := mod(r-lo, p)
-	if off >= span {
-		return 0
-	}
-	return int64((span-off-1)/p) + 1
-}
-
-func (s iset) count() int64 {
-	if s.hi < s.lo {
-		return 0
-	}
-	var c int64
-	for r, ok := range s.res {
-		if ok {
-			c += countResidue(s.lo, s.hi, s.p, r)
-		}
-	}
-	return c
-}
-
-// countIn counts members of s inside [l, h].
-func (s iset) countIn(l, h int) int64 {
-	if l < s.lo {
-		l = s.lo
-	}
-	if h > s.hi {
-		h = s.hi
-	}
-	if h < l {
-		return 0
-	}
-	var c int64
-	for r, ok := range s.res {
-		if ok {
-			c += countResidue(l, h, s.p, r)
-		}
-	}
-	return c
-}
-
-func (s iset) empty() bool { return s.count() == 0 }
-
-func (s iset) contains(v int) bool {
-	return v >= s.lo && v <= s.hi && s.res[mod(v, s.p)]
-}
-
-// minElem returns the smallest member. Any nonempty set has a member in
-// the first p positions of its interval, so the scan is O(p).
-func (s iset) minElem() (int, bool) {
-	end := s.lo + s.p - 1
-	if end > s.hi {
-		end = s.hi
-	}
-	for v := s.lo; v <= end; v++ {
-		if s.res[mod(v, s.p)] {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (s iset) maxElem() (int, bool) {
-	end := s.hi - s.p + 1
-	if end < s.lo {
-		end = s.lo
-	}
-	for v := s.hi; v >= end; v-- {
-		if s.res[mod(v, s.p)] {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-// clip restricts the interval to [l, h].
-func (s iset) clip(l, h int) iset {
-	out := s
-	if l > out.lo {
-		out.lo = l
-	}
-	if h < out.hi {
-		out.hi = h
-	}
-	return out
-}
-
-func gcdInt(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcmInt(a, b int) int { return a / gcdInt(a, b) * b }
-
-func intersectSets(a, b iset) iset {
-	p := lcmInt(a.p, b.p)
-	res := make([]bool, p)
-	for r := 0; r < p; r++ {
-		res[r] = a.res[r%a.p] && b.res[r%b.p]
-	}
-	lo, hi := a.lo, a.hi
-	if b.lo > lo {
-		lo = b.lo
-	}
-	if b.hi < hi {
-		hi = b.hi
-	}
-	return iset{lo: lo, hi: hi, p: p, res: res}
-}
-
-// affineImage returns {s*x + c : x in set}, s in {-1, +1}.
-func (st iset) affineImage(s, c int) iset {
-	var lo, hi int
-	if s == 1 {
-		lo, hi = st.lo+c, st.hi+c
-	} else {
-		lo, hi = c-st.hi, c-st.lo
-	}
-	res := make([]bool, st.p)
-	for r, ok := range st.res {
-		if ok {
-			res[mod(s*r+c, st.p)] = true
-		}
-	}
-	return iset{lo: lo, hi: hi, p: st.p, res: res}
-}
-
-// affinePreimage returns {x : s*x + c in set}; since s*s == 1 this is the
-// image under the inverse map x = s*y - s*c.
-func (st iset) affinePreimage(s, c int) iset {
-	return st.affineImage(s, -s*c)
-}
+	"dmcc/internal/dist"
+)
 
 // Band sentinels: far enough from any index to never clamp, near enough
 // that band arithmetic (sums and differences of two bounds) cannot
@@ -189,15 +35,14 @@ const (
 // difference band dlo <= e1-e0 <= dhi and a sum band slo <= e1+e0 <= shi.
 // Products leave both bands open; a diagonal pins one band to width
 // zero; triangular reads close one side only. 1-D arrays use product
-// form with b pinned to the singleton {0}, matching the walker's
-// elemKey.
+// form with b pinned to the singleton {1}.
 type rect struct {
-	a, b     iset
+	a, b     dist.IndexSet
 	dlo, dhi int
 	slo, shi int
 }
 
-func prodRect(a, b iset) rect {
+func prodRect(a, b dist.IndexSet) rect {
 	return rect{a: a, b: b, dlo: bandMin, dhi: bandMax, slo: bandMin, shi: bandMax}
 }
 
@@ -205,8 +50,8 @@ func prodRect(a, b iset) rect {
 // with the line itself expressed as a zero-width band. The unit slopes
 // make v recoverable from either coordinate, so the band form is the
 // same point set, not an approximation.
-func diagRect(s iset, s0, c0, s1, c1 int) rect {
-	r := prodRect(s.affineImage(s0, c0), s.affineImage(s1, c1))
+func diagRect(s dist.IndexSet, s0, c0, s1, c1 int) rect {
+	r := prodRect(s.AffineImage(s0, c0), s.AffineImage(s1, c1))
 	if s0 == s1 {
 		r.dlo, r.dhi = c1-c0, c1-c0
 	} else {
@@ -247,20 +92,20 @@ func (r rect) halfPlane(sgn0, sgn1, g int, ge bool) rect {
 
 func (r rect) count() int64 {
 	a, b := r.a, r.b
-	if a.hi < a.lo || b.hi < b.lo {
+	if a.Hi < a.Lo || b.Hi < b.Lo {
 		return 0
 	}
-	dOpen := r.dlo <= b.lo-a.hi && r.dhi >= b.hi-a.lo
-	sOpen := r.slo <= a.lo+b.lo && r.shi >= a.hi+b.hi
+	dOpen := r.dlo <= b.Lo-a.Hi && r.dhi >= b.Hi-a.Lo
+	sOpen := r.slo <= a.Lo+b.Lo && r.shi >= a.Hi+b.Hi
 	switch {
 	case dOpen && sOpen:
-		return a.count() * b.count()
+		return a.Count() * b.Count()
 	case r.dlo == r.dhi && sOpen:
 		// One line e1 = e0 + d: members of a whose partner lies in b.
-		return intersectSets(a, b.affinePreimage(1, r.dlo)).count()
+		return a.Intersect(b.AffinePreimage(1, r.dlo)).Count()
 	case r.slo == r.shi && dOpen:
 		// One line e1 = s - e0.
-		return intersectSets(a, b.affinePreimage(-1, r.slo)).count()
+		return a.Intersect(b.AffinePreimage(-1, r.slo)).Count()
 	case r.dlo == r.dhi && r.slo == r.shi:
 		// Two crossing lines: at most one point.
 		if (r.slo-r.dlo)%2 != 0 {
@@ -268,7 +113,7 @@ func (r rect) count() int64 {
 		}
 		e0 := (r.slo - r.dlo) / 2
 		e1 := e0 + r.dlo
-		if e0+e1 >= r.slo && e0+e1 <= r.shi && a.contains(e0) && b.contains(e1) {
+		if e0+e1 >= r.slo && e0+e1 <= r.shi && a.Contains(e0) && b.Contains(e1) {
 			return 1
 		}
 		return 0
@@ -300,45 +145,19 @@ func rectEq(x, y rect) bool {
 	if x.dlo != y.dlo || x.dhi != y.dhi || x.slo != y.slo || x.shi != y.shi {
 		return false
 	}
-	return isetEq(x.a, y.a) && isetEq(x.b, y.b)
-}
-
-func isetEq(x, y iset) bool {
-	if x.p != y.p || x.lo != y.lo || x.hi != y.hi || len(x.res) != len(y.res) {
-		return false
-	}
-	for i := range x.res {
-		if x.res[i] != y.res[i] {
-			return false
-		}
-	}
-	return true
+	return x.a.Equal(y.a) && x.b.Equal(y.b)
 }
 
 // intersectRect intersects two rects. ok == false means provably empty;
 // a true result may still count to zero.
 func intersectRect(x, y rect) (rect, bool) {
-	r := rect{a: intersectSets(x.a, y.a), b: intersectSets(x.b, y.b)}
-	r.dlo, r.dhi = maxInt(x.dlo, y.dlo), minInt(x.dhi, y.dhi)
-	r.slo, r.shi = maxInt(x.slo, y.slo), minInt(x.shi, y.shi)
-	if r.a.hi < r.a.lo || r.b.hi < r.b.lo || r.dlo > r.dhi || r.slo > r.shi {
+	r := rect{a: x.a.Intersect(y.a), b: x.b.Intersect(y.b)}
+	r.dlo, r.dhi = max(x.dlo, y.dlo), min(x.dhi, y.dhi)
+	r.slo, r.shi = max(x.slo, y.slo), min(x.shi, y.shi)
+	if r.a.Hi < r.a.Lo || r.b.Hi < r.b.Lo || r.dlo > r.dhi || r.slo > r.shi {
 		return rect{}, false
 	}
 	return r, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // unionCount returns |union of rects| by inclusion-exclusion. The rect
@@ -382,12 +201,12 @@ type affBound struct{ c, k int }
 // winTerm is one factor of a windowed product: the count of set members
 // inside [max of los, min of his] (either side open when empty).
 type winTerm struct {
-	set      iset
+	set      dist.IndexSet
 	los, his []affBound
 }
 
 func (t winTerm) eval(v int) int64 {
-	lo, hi := t.set.lo, t.set.hi
+	lo, hi := t.set.Lo, t.set.Hi
 	for _, b := range t.los {
 		if x := b.c + b.k*v; x > lo {
 			lo = x
@@ -398,7 +217,7 @@ func (t winTerm) eval(v int) int64 {
 			hi = x
 		}
 	}
-	return t.set.countIn(lo, hi)
+	return t.set.CountIn(lo, hi)
 }
 
 // sumWindowedDirectCap: spans at most this wide are summed by direct
@@ -416,12 +235,12 @@ const sumWindowedDirectCap = 64
 // from len(terms)+1 samples per (interval, class) by Newton forward
 // differences and hockey-stick binomial sums — exactly the
 // "sums of arithmetic-progression counts" closed form.
-func sumWindowed(xs iset, terms []winTerm) int64 {
-	if xs.hi < xs.lo {
+func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
+	if xs.Hi < xs.Lo {
 		return 0
 	}
 	prodAt := func(v int) int64 {
-		if !xs.res[mod(v, xs.p)] {
+		if !xs.Residues[dist.Mod(v, xs.Period)] {
 			return 0
 		}
 		acc := int64(1)
@@ -433,24 +252,24 @@ func sumWindowed(xs iset, terms []winTerm) int64 {
 		}
 		return acc
 	}
-	if xs.hi-xs.lo < sumWindowedDirectCap {
+	if xs.Hi-xs.Lo < sumWindowedDirectCap {
 		var sum int64
-		for v := xs.lo; v <= xs.hi; v++ {
+		for v := xs.Lo; v <= xs.Hi; v++ {
 			sum += prodAt(v)
 		}
 		return sum
 	}
 
-	period := xs.p
+	period := xs.Period
 	for _, t := range terms {
-		period = lcmInt(period, t.set.p)
+		period = dist.LCM(period, t.set.Period)
 	}
 
 	// Interval starts: v values where some endpoint ordering can change.
-	starts := []int{xs.lo}
+	starts := []int{xs.Lo}
 	addCross := func(v int) {
 		for _, d := range [3]int{-1, 0, 1} {
-			if x := v + d; x > xs.lo && x <= xs.hi {
+			if x := v + d; x > xs.Lo && x <= xs.Hi {
 				starts = append(starts, x)
 			}
 		}
@@ -460,8 +279,8 @@ func sumWindowed(xs iset, terms []winTerm) int64 {
 		for i, b1 := range bounds {
 			if b1.k != 0 {
 				// Crossing the set hull (clamp side changes).
-				addCross(b1.k * (t.set.lo - b1.c))
-				addCross(b1.k * (t.set.hi - b1.c))
+				addCross(b1.k * (t.set.Lo - b1.c))
+				addCross(b1.k * (t.set.Hi - b1.c))
 			}
 			for _, b2 := range bounds[i+1:] {
 				if b1.k == b2.k {
@@ -473,22 +292,22 @@ func sumWindowed(xs iset, terms []winTerm) int64 {
 			}
 		}
 	}
-	sortInts(starts)
-	starts = dedupInts(starts)
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
 
 	deg := len(terms)
 	var sum int64
 	samples := make([]int64, deg+1)
 	for i, l := range starts {
-		h := xs.hi
+		h := xs.Hi
 		if i+1 < len(starts) {
 			h = starts[i+1] - 1
 		}
 		for rho := 0; rho < period; rho++ {
-			if !xs.res[rho%xs.p] {
+			if !xs.Residues[rho%xs.Period] {
 				continue
 			}
-			v0 := l + mod(rho-l, period)
+			v0 := l + dist.Mod(rho-l, period)
 			if v0 > h {
 				continue
 			}
@@ -537,22 +356,4 @@ func binom(n, k int64) int64 {
 		b = b * (n - i + 1) / i
 	}
 	return b
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }

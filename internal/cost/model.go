@@ -5,7 +5,10 @@
 // algorithm of Section 4 to price candidate distribution schemes.
 package cost
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Model carries the machine parameters: tf is the average time of a
 // floating point operation, tc the average time of transferring one word
@@ -24,11 +27,7 @@ func Log2Ceil(n int) int {
 	if n <= 1 {
 		return 0
 	}
-	k := 0
-	for p := 1; p < n; p <<= 1 {
-		k++
-	}
-	return k
+	return bits.Len(uint(n - 1))
 }
 
 // The communication primitives of Table 1, returning simulated time for a

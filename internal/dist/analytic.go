@@ -5,15 +5,18 @@
 // The key observation (cf. Rink et al., "Memory-efficient array
 // redistribution through portable collective communication") is that the
 // index sets owned by one grid coordinate under the Section 2.1
-// distribution functions are intervals (contiguous blocks) or periodic
-// unions of intervals ((block-)cyclic), so the number of indices mapped
-// to a coordinate pair (a under the old scheme, b under the new scheme)
-// is an interval-intersection count computable in O(1) arithmetic per
-// pair — O(N_from * N_to) per array dimension in total, independent of
-// the array extent. Joint counts factorize across array dimensions
-// (rotation is a deterministic remap of the per-dimension coordinates),
-// so the full per-processor in/out traffic follows from a product over
-// the sparse per-dimension count tables.
+// distribution functions are the interval / residue-class sets of
+// pattern.go (IndexSet), so the number of indices mapped to a coordinate
+// pair (a under the old scheme, b under the new scheme) is the size of an
+// intersection of two such sets, computable in O(1) arithmetic per pair
+// whenever one side is a plain interval — O(N_from * N_to) per array
+// dimension in total, independent of the array extent (dimJointCounts).
+// Joint counts factorize across array dimensions (rotation is a
+// deterministic remap of the per-dimension coordinates), so every bill
+// this package computes is a walk over the non-empty cells of the
+// product of the sparse per-dimension tables: walkJointCells owns that
+// walk, and RedistLoads, RedistLoadsScaled and ClassifyChange are three
+// visitors of it.
 //
 // Sender-side load: when an element is replicated under the source
 // scheme, every copy is an equally valid sender, so each source owner is
@@ -83,6 +86,75 @@ type coordPair struct {
 	cnt    int64
 }
 
+// jointCell is one non-empty cell of the joint (source, destination)
+// coordinate space of a scheme change: cnt elements that all share the
+// same source owners and the same destination owners.
+type jointCell struct {
+	cnt     int64
+	dst     []int // destination owner ranks, ascending
+	gFrom   *grid.Grid
+	coordsF []int // source owner coordinate per grid dimension, All where replicated
+}
+
+// srcOwns reports whether rank r holds the cell's elements under the
+// source scheme (rank r denotes the same processor on both grids).
+func (c jointCell) srcOwns(r int) bool {
+	for gd, cf := range c.coordsF {
+		if cf != All && c.gFrom.Coord(r, gd) != cf {
+			return false
+		}
+	}
+	return true
+}
+
+// src returns the source owner ranks, ascending.
+func (c jointCell) src() []int { return ranksFor(c.gFrom, c.coordsF) }
+
+// walkJointCells validates a scheme change — from on gFrom to to on gTo,
+// two grids of the same total processor count, over an array of the given
+// shape — builds the per-dimension joint count tables and visits every
+// non-empty joint cell once, dimension 0 outermost, each table in
+// (source, destination) coordinate order.
+func walkJointCells(gFrom, gTo *grid.Grid, shape []int, from, to Scheme, visit func(jointCell)) error {
+	if gFrom.Size() != gTo.Size() {
+		return fmt.Errorf("dist: redistribution between %s and %s: processor counts differ", gFrom, gTo)
+	}
+	if err := from.Validate(gFrom, shape); err != nil {
+		return fmt.Errorf("dist: source scheme: %v", err)
+	}
+	if err := to.Validate(gTo, shape); err != nil {
+		return fmt.Errorf("dist: destination scheme: %v", err)
+	}
+	perDim := make([][]coordPair, len(shape))
+	for k := range shape {
+		dF, dT := from.Dims[k], to.Dims[k]
+		perDim[k] = dimJointCounts(dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
+	}
+	rawF := make([]int, len(shape))
+	rawT := make([]int, len(shape))
+	emit := func(cnt int64) {
+		visit(jointCell{
+			cnt:     cnt,
+			dst:     ranksFor(gTo, coordsFromRaw(to, gTo, rawT)),
+			gFrom:   gFrom,
+			coordsF: coordsFromRaw(from, gFrom, rawF),
+		})
+	}
+	// Validate admits 1-D and 2-D arrays only.
+	for _, c0 := range perDim[0] {
+		rawF[0], rawT[0] = c0.aF, c0.aT
+		if len(shape) == 1 {
+			emit(c0.cnt)
+			continue
+		}
+		for _, c1 := range perDim[1] {
+			rawF[1], rawT[1] = c1.aF, c1.aT
+			emit(c0.cnt * c1.cnt)
+		}
+	}
+	return nil
+}
+
 // RedistLoads computes the per-processor redistribution loads from
 // scheme `from` on grid gFrom to scheme `to` on grid gTo analytically.
 // The grids may have different shapes but must have the same total
@@ -92,69 +164,27 @@ type coordPair struct {
 // The result is exactly RedistLoadsExact's, computed without element
 // enumeration.
 func RedistLoads(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Loads, error) {
-	if gFrom.Size() != gTo.Size() {
-		return Loads{}, fmt.Errorf("dist: redistribution between %s and %s: processor counts differ", gFrom, gTo)
-	}
-	if err := from.Validate(gFrom, shape); err != nil {
-		return Loads{}, fmt.Errorf("dist: source scheme: %v", err)
-	}
-	if err := to.Validate(gTo, shape); err != nil {
-		return Loads{}, fmt.Errorf("dist: destination scheme: %v", err)
-	}
-	perDim := make([][]coordPair, len(shape))
-	for k := range shape {
-		dF, dT := from.Dims[k], to.Dims[k]
-		perDim[k] = dimJointCounts(dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
-	}
-
 	l := NewLoads()
-	rawF := make([]int, len(shape))
-	rawT := make([]int, len(shape))
-	emit := func(cnt int64) {
-		coordsF := coordsFromRaw(from, gFrom, rawF)
-		coordsT := coordsFromRaw(to, gTo, rawT)
-		dstRanks := ranksFor(gTo, coordsT)
+	err := walkJointCells(gFrom, gTo, shape, from, to, func(c jointCell) {
 		needy := 0
-		for _, d := range dstRanks {
-			owned := true
-			for gd, cf := range coordsF {
-				if cf != All && gFrom.Coord(d, gd) != cf {
-					owned = false
-					break
-				}
+		for _, d := range c.dst {
+			if !c.srcOwns(d) {
+				needy++
+				l.In[d] += float64(c.cnt)
 			}
-			if owned {
-				continue
-			}
-			needy++
-			l.In[d] += float64(cnt)
 		}
 		if needy == 0 {
 			return
 		}
-		srcRanks := ranksFor(gFrom, coordsF)
-		share := float64(cnt) * float64(needy) / float64(len(srcRanks))
-		for _, r := range srcRanks {
+		src := c.src()
+		share := float64(c.cnt) * float64(needy) / float64(len(src))
+		for _, r := range src {
 			l.Out[r] += share
 		}
-		l.Words += float64(cnt) * float64(needy)
-	}
-	switch len(shape) {
-	case 1:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			emit(c0.cnt)
-		}
-	case 2:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			for _, c1 := range perDim[1] {
-				rawF[1], rawT[1] = c1.aF, c1.aT
-				emit(c0.cnt * c1.cnt)
-			}
-		}
-	default:
-		return Loads{}, fmt.Errorf("dist: analytic redistribution supports 1-D and 2-D arrays, got %d-D", len(shape))
+		l.Words += float64(c.cnt) * float64(needy)
+	})
+	if err != nil {
+		return Loads{}, err
 	}
 	return l, nil
 }
@@ -174,22 +204,42 @@ type ScaledLoads struct {
 	Words int64
 }
 
+// NewScaledLoads returns an empty ScaledLoads value ready for
+// accumulation.
+func NewScaledLoads() ScaledLoads {
+	return ScaledLoads{In: map[int]int64{}, Out: map[int]int64{}, Den: 1}
+}
+
+// rescale brings l to the least common denominator of l.Den and den. A
+// zero Den (the zero value, an empty accumulator) counts as 1.
+func (l *ScaledLoads) rescale(den int64) {
+	if l.Den == 0 {
+		l.Den = 1
+	}
+	if l.In == nil {
+		l.In = map[int]int64{}
+	}
+	if l.Out == nil {
+		l.Out = map[int]int64{}
+	}
+	d := int64(LCM(int(l.Den), int(den)))
+	if f := d / l.Den; f > 1 {
+		for r := range l.In {
+			l.In[r] *= f
+		}
+		for r := range l.Out {
+			l.Out[r] *= f
+		}
+		l.Den = d
+	}
+}
+
 // Add accumulates other into l (multi-array redistribution), rescaling
 // both sides to the least common denominator.
 func (l *ScaledLoads) Add(other ScaledLoads) {
-	if other.Den != l.Den {
-		d := lcm64(l.Den, other.Den)
-		if f := d / l.Den; f > 1 {
-			for r := range l.In {
-				l.In[r] *= f
-			}
-			for r := range l.Out {
-				l.Out[r] *= f
-			}
-			l.Den = d
-		}
-	}
-	f := l.Den / other.Den
+	den := max(other.Den, 1)
+	l.rescale(den)
+	f := l.Den / den
 	for r, v := range other.In {
 		l.In[r] += v * f
 	}
@@ -224,83 +274,30 @@ func (l ScaledLoads) MaxNum() int64 {
 // dyadic); callers that need bit-equality with RedistLoads on other
 // grids must validate it.
 func RedistLoadsScaled(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (ScaledLoads, error) {
-	if gFrom.Size() != gTo.Size() {
-		return ScaledLoads{}, fmt.Errorf("dist: redistribution between %s and %s: processor counts differ", gFrom, gTo)
-	}
-	if err := from.Validate(gFrom, shape); err != nil {
-		return ScaledLoads{}, fmt.Errorf("dist: source scheme: %v", err)
-	}
-	if err := to.Validate(gTo, shape); err != nil {
-		return ScaledLoads{}, fmt.Errorf("dist: destination scheme: %v", err)
-	}
-	perDim := make([][]coordPair, len(shape))
-	for k := range shape {
-		dF, dT := from.Dims[k], to.Dims[k]
-		perDim[k] = dimJointCounts(dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
-	}
-
-	sl := ScaledLoads{In: map[int]int64{}, Out: map[int]int64{}, Den: 1}
-	rawF := make([]int, len(shape))
-	rawT := make([]int, len(shape))
-	emit := func(cnt int64) {
-		coordsF := coordsFromRaw(from, gFrom, rawF)
-		coordsT := coordsFromRaw(to, gTo, rawT)
-		dstRanks := ranksFor(gTo, coordsT)
-		needy := 0
-		for _, d := range dstRanks {
-			owned := true
-			for gd, cf := range coordsF {
-				if cf != All && gFrom.Coord(d, gd) != cf {
-					owned = false
-					break
-				}
+	sl := NewScaledLoads()
+	err := walkJointCells(gFrom, gTo, shape, from, to, func(c jointCell) {
+		var needy int64
+		for _, d := range c.dst {
+			if !c.srcOwns(d) {
+				needy++
+				sl.In[d] += c.cnt * sl.Den
 			}
-			if owned {
-				continue
-			}
-			needy++
-			sl.In[d] += cnt * sl.Den
 		}
 		if needy == 0 {
 			return
 		}
-		srcRanks := ranksFor(gFrom, coordsF)
-		if w := int64(len(srcRanks)); w != sl.Den {
-			// The replica structure of one scheme is uniform over its
-			// elements, so this rescale fires at most once.
-			l := lcm64(sl.Den, w)
-			if f := l / sl.Den; f > 1 {
-				for r := range sl.In {
-					sl.In[r] *= f
-				}
-				for r := range sl.Out {
-					sl.Out[r] *= f
-				}
-				sl.Den = l
-			}
-		}
-		share := cnt * int64(needy) * (sl.Den / int64(len(srcRanks)))
-		for _, r := range srcRanks {
+		src := c.src()
+		// The replica structure of one scheme is uniform over its
+		// elements, so this rescale changes Den at most once.
+		sl.rescale(int64(len(src)))
+		share := c.cnt * needy * (sl.Den / int64(len(src)))
+		for _, r := range src {
 			sl.Out[r] += share
 		}
-		sl.Words += cnt * int64(needy)
-	}
-	switch len(shape) {
-	case 1:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			emit(c0.cnt)
-		}
-	case 2:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			for _, c1 := range perDim[1] {
-				rawF[1], rawT[1] = c1.aF, c1.aT
-				emit(c0.cnt * c1.cnt)
-			}
-		}
-	default:
-		return ScaledLoads{}, fmt.Errorf("dist: analytic redistribution supports 1-D and 2-D arrays, got %d-D", len(shape))
+		sl.Words += c.cnt * needy
+	})
+	if err != nil {
+		return ScaledLoads{}, err
 	}
 	return sl, nil
 }
@@ -364,9 +361,9 @@ func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
 		n2 := g.Extent(s.Dims[1].GridDim)
 		switch s.Rot {
 		case RotateDim2ByDim1:
-			z1 = (((s.D1*z0 + s.D2*z1) % n2) + n2) % n2
+			z1 = Mod(s.D1*z0+s.D2*z1, n2)
 		case RotateDim1ByDim2:
-			z0 = (((s.D1*z0 + s.D2*z1) % n1) + n1) % n1
+			z0 = Mod(s.D1*z0+s.D2*z1, n1)
 		}
 	}
 	coords[s.Dims[0].GridDim] = z0
@@ -381,162 +378,86 @@ func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
 // under dT on nT processors) the number of indices i in 1..size with
 // dF(i) = a and dT(i) = b, in (a, b) order. Entries with zero count are
 // omitted. Replicated dims contribute the single coordinate All.
+//
+// A pair's count is the size of the intersection of the two coordinates'
+// owned sets. Unless both sides are cyclic, one of the two is a plain
+// interval and the count is O(1): the overlap of two intervals, or
+// cyclicCountIn against a cyclic partner.
 func dimJointCounts(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
-	switch {
-	case dF.Replicated && dT.Replicated:
-		return []coordPair{{All, All, int64(size)}}
-	case dF.Replicated:
-		var out []coordPair
-		for b := 0; b < nT; b++ {
-			if c := ownCount(dT, nT, b, size); c > 0 {
-				out = append(out, coordPair{All, b, c})
-			}
-		}
-		return out
-	case dT.Replicated:
-		var out []coordPair
-		for a := 0; a < nF; a++ {
-			if c := ownCount(dF, nF, a, size); c > 0 {
-				out = append(out, coordPair{a, All, c})
-			}
-		}
-		return out
-	}
-	switch {
-	case !dF.Cyclic && !dT.Cyclic:
-		return jointBlockBlock(dF, nF, dT, nT, size)
-	case !dF.Cyclic && dT.Cyclic:
-		return jointBlockCyclic(dF, nF, dT, nT, size, false)
-	case dF.Cyclic && !dT.Cyclic:
-		return jointBlockCyclic(dT, nT, dF, nF, size, true)
-	default:
+	cycF, cycT := dF.Cyclic && !dF.Replicated, dT.Cyclic && !dT.Replicated
+	if cycF && cycT {
 		return jointCyclicCyclic(dF, nF, dT, nT, size)
 	}
-}
-
-// indexInterval returns the (possibly empty) 1-based index interval
-// owned by coordinate a of a contiguous dim, clamped to [1, size]:
-// the solutions of floor((Sign*i+Disp)/Block) = a.
-func indexInterval(d Dim, a, size int) (lo, hi int) {
-	zlo, zhi := a*d.Block, (a+1)*d.Block-1
-	if d.Sign == 1 {
-		lo, hi = zlo-d.Disp, zhi-d.Disp
-	} else {
-		lo, hi = d.Disp-zhi, d.Disp-zlo
-	}
-	if lo < 1 {
-		lo = 1
-	}
-	if hi > size {
-		hi = size
-	}
-	return lo, hi
-}
-
-// zRange maps the index interval [lo, hi] through z = Sign*i + Disp,
-// returning the z interval (always with zl <= zh).
-func zRange(d Dim, lo, hi int) (zl, zh int) {
-	if d.Sign == 1 {
-		return lo + d.Disp, hi + d.Disp
-	}
-	return d.Disp - hi, d.Disp - lo
-}
-
-// countMod counts the integers z in [zl, zh] (zl >= 0) whose residue
-// mod p lies in [rlo, rhi].
-func countMod(zl, zh, p, rlo, rhi int) int64 {
-	if zh < zl {
-		return 0
-	}
-	upTo := func(y int) int64 { // count over [0, y]
-		if y < 0 {
-			return 0
-		}
-		q, r := (y+1)/p, (y+1)%p
-		c := int64(q) * int64(rhi-rlo+1)
-		if r > 0 {
-			top := r - 1
-			if top > rhi {
-				top = rhi
-			}
-			if top >= rlo {
-				c += int64(top - rlo + 1)
-			}
-		}
-		return c
-	}
-	return upTo(zh) - upTo(zl-1)
-}
-
-// ownCount returns the number of indices in 1..size owned by coordinate
-// a of a partitioned dim on n processors.
-func ownCount(d Dim, n, a, size int) int64 {
-	if !d.Cyclic {
-		lo, hi := indexInterval(d, a, size)
-		if hi < lo {
-			return 0
-		}
-		return int64(hi - lo + 1)
-	}
-	zl, zh := zRange(d, 1, size)
-	return countMod(zl, zh, n*d.Block, a*d.Block, (a+1)*d.Block-1)
-}
-
-// jointBlockBlock counts contiguous x contiguous pairs by interval
-// intersection.
-func jointBlockBlock(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
+	coordsF, setsF := ownedIntervals(dF, nF, size)
+	coordsT, setsT := ownedIntervals(dT, nT, size)
 	var out []coordPair
-	for a := 0; a < nF; a++ {
-		fLo, fHi := indexInterval(dF, a, size)
-		if fHi < fLo {
-			continue
-		}
-		for b := 0; b < nT; b++ {
-			tLo, tHi := indexInterval(dT, b, size)
-			lo, hi := fLo, fHi
-			if tLo > lo {
-				lo = tLo
+	for i, a := range coordsF {
+		for j, b := range coordsT {
+			var c int64
+			switch {
+			case cycF:
+				c = cyclicCountIn(dF, nF, a, setsT[j].Lo, setsT[j].Hi)
+			case cycT:
+				c = cyclicCountIn(dT, nT, b, setsF[i].Lo, setsF[i].Hi)
+			default:
+				c = int64(min(setsF[i].Hi, setsT[j].Hi) - max(setsF[i].Lo, setsT[j].Lo) + 1)
 			}
-			if tHi < hi {
-				hi = tHi
-			}
-			if hi >= lo {
-				out = append(out, coordPair{a, b, int64(hi - lo + 1)})
-			}
-		}
-	}
-	return out
-}
-
-// jointBlockCyclic counts contiguous (dB) x cyclic (dC) pairs: for each
-// contiguous block's index interval, the cyclic side's count is a
-// residue-interval count. swapped reports that dB is really the
-// destination side, so emitted pairs are (cyclic, block).
-func jointBlockCyclic(dB Dim, nB int, dC Dim, nC int, size int, swapped bool) []coordPair {
-	var out []coordPair
-	pC := nC * dC.Block
-	for a := 0; a < nB; a++ {
-		lo, hi := indexInterval(dB, a, size)
-		if hi < lo {
-			continue
-		}
-		zl, zh := zRange(dC, lo, hi)
-		for b := 0; b < nC; b++ {
-			c := countMod(zl, zh, pC, b*dC.Block, (b+1)*dC.Block-1)
-			if c == 0 {
-				continue
-			}
-			if swapped {
-				out = append(out, coordPair{b, a, c})
-			} else {
+			if c > 0 {
 				out = append(out, coordPair{a, b, c})
 			}
 		}
 	}
-	if swapped {
-		sortPairs(out)
-	}
 	return out
+}
+
+// ownedIntervals lists, ascending, the coordinates of dim d on n
+// processors that own at least one index of 1..size — All alone for a
+// replicated dim — and the interval each owns. A cyclic dim lists every
+// coordinate and no sets: its owned sets have period n*Block each, and
+// cyclicCountIn counts inside them without building the masks.
+func ownedIntervals(d Dim, n, size int) (coords []int, sets []IndexSet) {
+	if d.Replicated {
+		return []int{All}, []IndexSet{Interval(1, size)}
+	}
+	coords = make([]int, 0, n)
+	if !d.Cyclic {
+		sets = make([]IndexSet, 0, n)
+	}
+	for a := 0; a < n; a++ {
+		if d.Cyclic {
+			coords = append(coords, a)
+		} else if s := OwnedPatternOf(d, n, a, size); s.Lo <= s.Hi {
+			coords, sets = append(coords, a), append(sets, s)
+		}
+	}
+	return coords, sets
+}
+
+// cyclicCountIn returns |OwnedPatternOf(d, n, a, ·) ∩ [lo, hi]| for a
+// cyclic dim d and a non-empty index interval, in O(1): z = Sign*i + Disp
+// maps the interval onto a z interval, coordinate a owns the z blocks
+// whose index is a mod n — one residue class of block indices — and at
+// most the two end blocks are cut short.
+func cyclicCountIn(d Dim, n, a, lo, hi int) int64 {
+	zl, zh := d.Sign*lo+d.Disp, d.Sign*hi+d.Disp
+	if d.Sign == -1 {
+		zl, zh = zh, zl
+	}
+	wl, wh := zl/d.Block, zh/d.Block
+	if wl == wh {
+		if wl%n != a {
+			return 0
+		}
+		return int64(zh - zl + 1)
+	}
+	c := int64(d.Block) * countResidue(wl+1, wh-1, n, a)
+	if wl%n == a {
+		c += int64((wl+1)*d.Block - zl)
+	}
+	if wh%n == a {
+		c += int64(zh - wh*d.Block + 1)
+	}
+	return c
 }
 
 // jointCyclicCyclic counts cyclic x cyclic pairs. The coordinate pair of
@@ -547,7 +468,7 @@ func jointBlockCyclic(dB Dim, nB int, dC Dim, nC int, size int, swapped bool) []
 // dimensions of the array).
 func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	pF, pT := nF*dF.Block, nT*dT.Block
-	period := lcm(pF, pT)
+	period := LCM(pF, pT)
 	if period <= 0 || period > size {
 		period = size
 	}
@@ -577,29 +498,3 @@ func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	}
 	return out
 }
-
-// sortPairs orders a joint count table by (aF, aT).
-func sortPairs(ps []coordPair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && (ps[j].aF < ps[j-1].aF || (ps[j].aF == ps[j-1].aF && ps[j].aT < ps[j-1].aT)); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func lcm64(a, b int64) int64 {
-	g, x := a, b
-	for x != 0 {
-		g, x = x, g%x
-	}
-	return a / g * b
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }

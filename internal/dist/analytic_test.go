@@ -288,3 +288,84 @@ func TestRedistLoadsScaledMatchesFloat(t *testing.T) {
 }
 
 func isPow2(v int64) bool { return v > 0 && v&(v-1) == 0 }
+
+// TestScaledLoadsZeroValueAdd: the zero value is an empty accumulator
+// (Den counts as 1), so Add neither divides by zero nor writes a nil map,
+// and NewScaledLoads is the same thing spelled out.
+func TestScaledLoadsZeroValueAdd(t *testing.T) {
+	x := ScaledLoads{In: map[int]int64{0: 3}, Out: map[int]int64{1: 1, 2: 2}, Den: 2, Words: 3}
+	fresh := NewScaledLoads()
+	for name, acc := range map[string]*ScaledLoads{"zero value": {}, "NewScaledLoads": &fresh} {
+		acc.Add(x)
+		acc.Add(ScaledLoads{}) // adding the zero value changes nothing
+		if acc.Den != 2 || acc.Words != 3 || acc.In[0] != 3 || acc.Out[1] != 1 || acc.Out[2] != 2 {
+			t.Errorf("%s: after Add: %+v, want %+v", name, *acc, x)
+		}
+		// A second denominator rescales both sides to the lcm.
+		acc.Add(ScaledLoads{In: map[int]int64{0: 1}, Out: map[int]int64{1: 1}, Den: 3, Words: 1})
+		if acc.Den != 6 || acc.In[0] != 11 || acc.Out[1] != 5 || acc.Out[2] != 6 || acc.Words != 4 {
+			t.Errorf("%s: after the second Add: %+v", name, *acc)
+		}
+	}
+}
+
+// TestSharedWalkErrors: RedistLoads, RedistLoadsScaled and ClassifyChange
+// validate through the one joint-cell walk, so an unsupported array rank
+// and a processor-count mismatch read the same from all three.
+func TestSharedWalkErrors(t *testing.T) {
+	block := func(size, n, gd int) Dim { return BlockContiguous(size, n, gd) }
+	three := Scheme{Dims: []Dim{block(4, 2, 0), block(4, 2, 1), block(4, 2, 2)}, Fixed: map[int]int{}}
+	one := Scheme1D(block(12, 4, 0), nil)
+	oneOn2D := Scheme1D(block(12, 2, 0), map[int]int{1: 0})
+	cases := []struct {
+		name     string
+		gF, gT   *grid.Grid
+		shape    []int
+		from, to Scheme
+	}{
+		{"3-D shape", grid.New(2, 2, 2), grid.New(2, 2, 2), []int{4, 4, 4}, three, three},
+		{"processor-count mismatch", grid.New(4), grid.New(2, 3), []int{12}, one, oneOn2D},
+	}
+	for _, tc := range cases {
+		_, errLoads := RedistLoads(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
+		_, errScaled := RedistLoadsScaled(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
+		_, errClassify := ClassifyChange(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
+		if errLoads == nil || errScaled == nil || errClassify == nil {
+			t.Fatalf("%s: errors %v / %v / %v, want all non-nil", tc.name, errLoads, errScaled, errClassify)
+		}
+		if errScaled.Error() != errLoads.Error() || errClassify.Error() != errLoads.Error() {
+			t.Errorf("%s: RedistLoads %q, RedistLoadsScaled %q, ClassifyChange %q: want one message",
+				tc.name, errLoads, errScaled, errClassify)
+		}
+	}
+}
+
+// TestRedistLoadsLargeGrid prices two scheme changes on a 4096-processor
+// 1-D grid against the enumeration oracle. The array is small (64
+// elements), so the oracle is instant and the run time is the analytic
+// side's: the joint tables must cost O(1) per coordinate pair (or one
+// joint-period scan per dimension), which is what keeps the N = 4096 DP
+// of the scale sweep feasible. Building a period-4096 residue mask per
+// coordinate, or scanning one per pair, turns this test into seconds.
+func TestRedistLoadsLargeGrid(t *testing.T) {
+	const n, size = 4096, 64
+	g := grid.New(n)
+	shape := []int{size}
+	cases := []struct {
+		name     string
+		from, to Scheme
+	}{
+		{"block->cyclic", Scheme1D(BlockContiguous(size, n, 0), nil), Scheme1D(Cyclic(0), nil)},
+		{"cyclic->block-cyclic", Scheme1D(Cyclic(0), nil), Scheme1D(BlockCyclic(4, 0), nil)},
+	}
+	for _, tc := range cases {
+		got, err := RedistLoads(g, g, shape, tc.from, tc.to)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		loadsEqual(t, got, RedistLoadsExact(g, g, shape, tc.from, tc.to))
+		if t.Failed() {
+			t.Fatalf("%s: analytic loads differ from the oracle", tc.name)
+		}
+	}
+}

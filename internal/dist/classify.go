@@ -27,6 +27,7 @@ package dist
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dmcc/internal/grid"
 )
@@ -119,7 +120,7 @@ type RedistPlan struct {
 func (pl RedistPlan) Time(tc float64) float64 {
 	t := pl.Exchange.MaxLoad() * tc
 	if pl.WidenGroup > 1 && pl.MulticastWords > 0 {
-		t += pl.MulticastWords * float64(log2ceilDist(pl.WidenGroup)) * tc
+		t += pl.MulticastWords * float64(log2Ceil(pl.WidenGroup)) * tc
 	}
 	return t
 }
@@ -182,16 +183,6 @@ func sameCoordFn(gFrom, gTo *grid.Grid, from, to Scheme, gd int) bool {
 // when the grids have the same shape (a reshape degenerates to a pure
 // AllToAll plan, priced like the point-to-point transport).
 func ClassifyChange(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (RedistPlan, error) {
-	if gFrom.Size() != gTo.Size() {
-		return RedistPlan{}, fmt.Errorf("dist: classify between %s and %s: processor counts differ", gFrom, gTo)
-	}
-	if err := from.Validate(gFrom, shape); err != nil {
-		return RedistPlan{}, fmt.Errorf("dist: source scheme: %v", err)
-	}
-	if err := to.Validate(gTo, shape); err != nil {
-		return RedistPlan{}, fmt.Errorf("dist: destination scheme: %v", err)
-	}
-
 	sameShape := gFrom.Q() == gTo.Q()
 	if sameShape {
 		for gd := 0; gd < gTo.Q(); gd++ {
@@ -225,35 +216,19 @@ func ClassifyChange(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Redist
 		widened[gd] = true
 	}
 
-	// Walk the sparse joint coordinate cells exactly like RedistLoads,
-	// but split each cell's traffic into the stage-1 exchange and the
-	// stage-2 per-group multicast payload.
-	perDim := make([][]coordPair, len(shape))
-	for k := range shape {
-		dF, dT := from.Dims[k], to.Dims[k]
-		perDim[k] = dimJointCounts(dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
-	}
+	// Visit the joint coordinate cells like RedistLoads, but split each
+	// cell's traffic into the stage-1 exchange and the stage-2 per-group
+	// multicast payload. The walk validates both schemes before its first
+	// visit; the classification above only compares their fields.
 	groupWords := map[int]float64{}
 	var exchangeWords, mcastTreeWords float64
-	rawF := make([]int, len(shape))
-	rawT := make([]int, len(shape))
-	emit := func(cnt int64) {
-		coordsF := coordsFromRaw(from, gFrom, rawF)
-		coordsT := coordsFromRaw(to, gTo, rawT)
-		dstRanks := ranksFor(gTo, coordsT)
-		owns := func(r int) bool {
-			for gd, cf := range coordsF {
-				if cf != All && gFrom.Coord(r, gd) != cf {
-					return false
-				}
-			}
-			return true
-		}
+	err := walkJointCells(gFrom, gTo, shape, from, to, func(c jointCell) {
+		cnt := float64(c.cnt)
 		// Group destinations into widened-dimension cosets; the key is
 		// the rank of the member with widened coordinates zeroed.
 		groups := map[int][]int{}
 		coords := make([]int, gTo.Q())
-		for _, d := range dstRanks {
+		for _, d := range c.dst {
 			for gd := range coords {
 				coords[gd] = gTo.Coord(d, gd)
 				if widened[gd] {
@@ -268,7 +243,7 @@ func ClassifyChange(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Redist
 			root := -1
 			needy := 0
 			for _, m := range members {
-				if owns(m) {
+				if c.srcOwns(m) {
 					if root < 0 {
 						root = m
 					}
@@ -279,50 +254,34 @@ func ClassifyChange(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Redist
 			if needy == 0 {
 				continue
 			}
-			rootOwned := root >= 0
 			if root < 0 {
-				root = members[0]
-			}
-			if !rootOwned {
 				// Stage 1: ship one copy to the group root, the send
 				// split evenly across the source owners as in
 				// RedistLoads.
+				root = members[0]
+				needy--
 				if srcRanks == nil {
-					srcRanks = ranksFor(gFrom, coordsF)
+					srcRanks = c.src()
 				}
-				pl.Exchange.In[root] += float64(cnt)
-				share := float64(cnt) / float64(len(srcRanks))
+				pl.Exchange.In[root] += cnt
+				share := cnt / float64(len(srcRanks))
 				for _, r := range srcRanks {
 					pl.Exchange.Out[r] += share
 				}
-				pl.Exchange.Words += float64(cnt)
-				exchangeWords += float64(cnt)
+				pl.Exchange.Words += cnt
+				exchangeWords += cnt
 			}
 			// Stage 2: the group's tree fans cnt words out to the
 			// remaining members (skipped entirely when the root was the
 			// only needy member).
-			if needy-btoi(!rootOwned) > 0 {
-				groupWords[key] += float64(cnt)
-				mcastTreeWords += float64(cnt) * float64(len(members)-1)
+			if needy > 0 {
+				groupWords[key] += cnt
+				mcastTreeWords += cnt * float64(len(members)-1)
 			}
 		}
-	}
-	switch len(shape) {
-	case 1:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			emit(c0.cnt)
-		}
-	case 2:
-		for _, c0 := range perDim[0] {
-			rawF[0], rawT[0] = c0.aF, c0.aT
-			for _, c1 := range perDim[1] {
-				rawF[1], rawT[1] = c1.aF, c1.aT
-				emit(c0.cnt * c1.cnt)
-			}
-		}
-	default:
-		return RedistPlan{}, fmt.Errorf("dist: classify supports 1-D and 2-D arrays, got %d-D", len(shape))
+	})
+	if err != nil {
+		return RedistPlan{}, err
 	}
 
 	for _, w := range groupWords {
@@ -359,19 +318,11 @@ func ClassifyChange(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Redist
 	return pl, nil
 }
 
-func btoi(b bool) int {
-	if b {
-		return 1
+// log2Ceil returns ceil(log2(n)), 0 for n <= 1: the depth of a binomial
+// tree over n members.
+func log2Ceil(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return 0
-}
-
-// log2ceilDist mirrors machine.log2ceil / cost.Log2Ceil without the
-// import.
-func log2ceilDist(n int) int {
-	k := 0
-	for p := 1; p < n; p <<= 1 {
-		k++
-	}
-	return k
+	return bits.Len(uint(n - 1))
 }

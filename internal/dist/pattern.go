@@ -1,43 +1,179 @@
-// Owned-index patterns: the per-coordinate index sets of the Section 2.1
-// distribution functions, exposed in closed form. A contiguous dimension
-// owns one interval of indices; a (block-)cyclic dimension owns a
-// periodic residue set. Both are captured by OwnedPattern, the building
-// block the analytic nest counter (package cost) intersects with
-// iteration ranges — the same observation RedistLoads exploits for
-// redistribution costing.
+// The 1-D periodic index set: the one set algebra under the cost engine.
+//
+// The indices one grid coordinate owns under a Section 2.1 distribution
+// function are an interval (contiguous dims) or a periodic union of
+// residue classes ((block-)cyclic dims). IndexSet is that shape — an
+// interval cut by a residue mask — and it is closed under everything the
+// compiler does with such sets: clipping, intersection and unit-slope
+// affine maps. OwnedPatternOf produces the owned sets; the analytic nest
+// counter (package cost) lifts them to 2-D element rects and intersects
+// them with iteration ranges, and the redistribution bill (analytic.go)
+// counts their pairwise intersections. Counting is exact integer
+// arithmetic whose cost depends on the period, never on the interval
+// width.
 package dist
 
 import "dmcc/internal/grid"
 
-// OwnedPattern describes the 1-based indices of one array dimension owned
-// by one grid coordinate: {i in [Lo, Hi] : i mod Period in Residues}.
-// Contiguous dimensions have Period 1 (Residues[0] true) and carry all
-// structure in the interval; cyclic dimensions have Period = N*Block and
-// Lo, Hi spanning the whole dimension.
-type OwnedPattern struct {
+// IndexSet is {x in [Lo, Hi] : Residues[x mod Period]} with Period >= 1
+// and len(Residues) == Period. Contiguous dimensions have Period 1 and
+// carry all structure in the interval; cyclic dimensions have
+// Period = N*Block and an interval spanning the whole dimension. Sets
+// are values: no method writes through Residues.
+type IndexSet struct {
 	Lo, Hi   int
 	Period   int
-	Residues []bool // len Period; Residues[i mod Period] => owned
+	Residues []bool
 }
 
-// Count returns the number of owned indices.
-func (p OwnedPattern) Count() int64 {
-	if p.Hi < p.Lo {
+// everyResidue is the mask of all Period-1 sets; sharing it is safe
+// because sets are values.
+var everyResidue = []bool{true}
+
+// Interval returns the set of all integers in [lo, hi].
+func Interval(lo, hi int) IndexSet {
+	return IndexSet{Lo: lo, Hi: hi, Period: 1, Residues: everyResidue}
+}
+
+// Mod returns x mod p in [0, p) for p > 0 and any x.
+func Mod(x, p int) int { return ((x % p) + p) % p }
+
+// LCM returns the least common multiple of two positive integers.
+func LCM(a, b int) int {
+	g, x := a, b
+	for x != 0 {
+		g, x = x, g%x
+	}
+	return a / g * b
+}
+
+// countResidue counts x in [lo, hi] with x mod p == r.
+func countResidue(lo, hi, p, r int) int64 {
+	if hi < lo {
 		return 0
 	}
-	if p.Period == 1 {
-		if len(p.Residues) == 0 || !p.Residues[0] {
-			return 0
-		}
-		return int64(p.Hi - p.Lo + 1)
+	// Shift so the range starts at a multiple of p.
+	span := hi - lo + 1
+	off := Mod(r-lo, p)
+	if off >= span {
+		return 0
+	}
+	return int64((span-off-1)/p) + 1
+}
+
+// Count returns the number of members.
+func (s IndexSet) Count() int64 { return s.CountIn(s.Lo, s.Hi) }
+
+// CountIn counts members of s inside [l, h].
+func (s IndexSet) CountIn(l, h int) int64 {
+	if l < s.Lo {
+		l = s.Lo
+	}
+	if h > s.Hi {
+		h = s.Hi
+	}
+	if h < l {
+		return 0
 	}
 	var c int64
-	for r, ok := range p.Residues {
+	for r, ok := range s.Residues {
 		if ok {
-			c += countMod(p.Lo, p.Hi, p.Period, r, r)
+			c += countResidue(l, h, s.Period, r)
 		}
 	}
 	return c
+}
+
+// Empty reports whether s has no members.
+func (s IndexSet) Empty() bool { return s.Count() == 0 }
+
+// Contains reports whether v is a member.
+func (s IndexSet) Contains(v int) bool {
+	return v >= s.Lo && v <= s.Hi && s.Residues[Mod(v, s.Period)]
+}
+
+// Min returns the smallest member. Any nonempty set has a member in the
+// first Period positions of its interval, so the scan is O(Period).
+func (s IndexSet) Min() (int, bool) {
+	end := s.Lo + s.Period - 1
+	if end > s.Hi {
+		end = s.Hi
+	}
+	for v := s.Lo; v <= end; v++ {
+		if s.Residues[Mod(v, s.Period)] {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// Max returns the largest member.
+func (s IndexSet) Max() (int, bool) {
+	end := s.Hi - s.Period + 1
+	if end < s.Lo {
+		end = s.Lo
+	}
+	for v := s.Hi; v >= end; v-- {
+		if s.Residues[Mod(v, s.Period)] {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// Clip restricts the interval to [l, h].
+func (s IndexSet) Clip(l, h int) IndexSet {
+	if l > s.Lo {
+		s.Lo = l
+	}
+	if h < s.Hi {
+		s.Hi = h
+	}
+	return s
+}
+
+// Intersect returns the members common to s and o.
+func (s IndexSet) Intersect(o IndexSet) IndexSet {
+	p := LCM(s.Period, o.Period)
+	res := make([]bool, p)
+	for r := 0; r < p; r++ {
+		res[r] = s.Residues[r%s.Period] && o.Residues[r%o.Period]
+	}
+	return IndexSet{Lo: max(s.Lo, o.Lo), Hi: min(s.Hi, o.Hi), Period: p, Residues: res}
+}
+
+// AffineImage returns {sign*x + c : x in s}, sign in {-1, +1}.
+func (s IndexSet) AffineImage(sign, c int) IndexSet {
+	lo, hi := s.Lo+c, s.Hi+c
+	if sign == -1 {
+		lo, hi = c-s.Hi, c-s.Lo
+	}
+	res := make([]bool, s.Period)
+	for r, ok := range s.Residues {
+		if ok {
+			res[Mod(sign*r+c, s.Period)] = true
+		}
+	}
+	return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: res}
+}
+
+// AffinePreimage returns {x : sign*x + c in s}; since sign*sign == 1 this
+// is the image under the inverse map x = sign*y - sign*c.
+func (s IndexSet) AffinePreimage(sign, c int) IndexSet {
+	return s.AffineImage(sign, -sign*c)
+}
+
+// Equal reports structural equality: same interval, period and mask.
+func (s IndexSet) Equal(o IndexSet) bool {
+	if s.Period != o.Period || s.Lo != o.Lo || s.Hi != o.Hi || len(s.Residues) != len(o.Residues) {
+		return false
+	}
+	for i := range s.Residues {
+		if s.Residues[i] != o.Residues[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // DimCoordOf returns the raw (pre-rotation) grid coordinate of index i
@@ -49,29 +185,32 @@ func (s Scheme) DimCoordOf(g *grid.Grid, k, i int) int {
 	return s.Dims[k].mapDim(g, i)
 }
 
-// OwnedPatternOf returns the pattern of indices in 1..size owned by grid
-// coordinate a of a partitioned dimension d on n processors. Replicated
-// dimensions (which own everything) are the caller's concern; calling
-// this on one returns the full range.
-func OwnedPatternOf(d Dim, n, a, size int) OwnedPattern {
+// OwnedPatternOf returns the set of indices in 1..size owned by grid
+// coordinate a of dimension d on n processors; a replicated dimension
+// owns the full range at its one coordinate.
+func OwnedPatternOf(d Dim, n, a, size int) IndexSet {
 	if d.Replicated {
-		return OwnedPattern{Lo: 1, Hi: size, Period: 1, Residues: []bool{true}}
+		return Interval(1, size)
 	}
+	// z = Sign*i + Disp must fall in coordinate a's block(s).
+	zlo, zhi := a*d.Block, (a+1)*d.Block-1
 	if !d.Cyclic {
-		lo, hi := indexInterval(d, a, size)
-		return OwnedPattern{Lo: lo, Hi: hi, Period: 1, Residues: []bool{true}}
+		// One block: the preimage of [zlo, zhi], clamped to the dimension.
+		lo, hi := zlo-d.Disp, zhi-d.Disp
+		if d.Sign == -1 {
+			lo, hi = d.Disp-zhi, d.Disp-zlo
+		}
+		return Interval(lo, hi).Clip(1, size)
 	}
-	// Cyclic: i owned iff z = Sign*i + Disp has (z/Block) mod n == a,
-	// i.e. z mod (n*Block) in [a*Block, (a+1)*Block-1]. z mod P depends
-	// only on i mod P, so the owned set is periodic with period n*Block.
+	// Cyclic: i owned iff (z/Block) mod n == a, i.e. z mod (n*Block) in
+	// [zlo, zhi]. z mod P depends only on i mod P, so the owned set is
+	// periodic with period n*Block.
 	p := n * d.Block
 	res := make([]bool, p)
-	zlo, zhi := a*d.Block, (a+1)*d.Block-1
 	for r := 0; r < p; r++ {
-		z := ((d.Sign*r+d.Disp)%p + p) % p
-		if z >= zlo && z <= zhi {
+		if z := Mod(d.Sign*r+d.Disp, p); z >= zlo && z <= zhi {
 			res[r] = true
 		}
 	}
-	return OwnedPattern{Lo: 1, Hi: size, Period: p, Residues: res}
+	return IndexSet{Lo: 1, Hi: size, Period: p, Residues: res}
 }

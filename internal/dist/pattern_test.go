@@ -1,0 +1,230 @@
+package dist
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"dmcc/internal/grid"
+)
+
+// setSeeds is the fixed seed list of the randomized set tests; a failure
+// prints seed, trial and operands, so it replays by running that seed.
+var setSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
+
+// randSet draws a set with a random mask (sometimes empty or full) over
+// a small interval that may straddle zero.
+func randSet(rng *rand.Rand) IndexSet {
+	p := 1 + rng.Intn(7)
+	s := IndexSet{Lo: -12 + rng.Intn(20), Period: p, Residues: make([]bool, p)}
+	s.Hi = s.Lo - 2 + rng.Intn(30)
+	for r := range s.Residues {
+		s.Residues[r] = rng.Intn(3) > 0
+	}
+	return s
+}
+
+// members enumerates s by brute force.
+func members(s IndexSet) []int {
+	var out []int
+	for v := s.Lo; v <= s.Hi; v++ {
+		if s.Residues[((v%s.Period)+s.Period)%s.Period] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func inRange(xs []int, l, h int) []int {
+	var out []int
+	for _, x := range xs {
+		if x >= l && x <= h {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestIndexSetMatchesEnumeration checks every operation of the set
+// algebra against brute-force enumeration of the members.
+func TestIndexSetMatchesEnumeration(t *testing.T) {
+	for _, seed := range setSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 300; trial++ {
+			a, b := randSet(rng), randSet(rng)
+			l, h := -15+rng.Intn(30), -15+rng.Intn(40)
+			sign, c := 1-2*rng.Intn(2), -9+rng.Intn(19)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d trial %d a=%+v b=%+v [l,h]=[%d,%d] sign=%d c=%d: %s",
+					seed, trial, a, b, l, h, sign, c, fmt.Sprintf(format, args...))
+			}
+			ma, mb := members(a), members(b)
+
+			if got := a.Count(); got != int64(len(ma)) {
+				fail("Count = %d, want %d", got, len(ma))
+			}
+			if got := a.Empty(); got != (len(ma) == 0) {
+				fail("Empty = %v with %d members", got, len(ma))
+			}
+			if got, want := a.CountIn(l, h), len(inRange(ma, l, h)); got != int64(want) {
+				fail("CountIn = %d, want %d", got, want)
+			}
+			for v := a.Lo - 3; v <= a.Hi+3; v++ {
+				if got, want := a.Contains(v), slices.Contains(ma, v); got != want {
+					fail("Contains(%d) = %v, want %v", v, got, want)
+				}
+			}
+			mn, okMin := a.Min()
+			mx, okMax := a.Max()
+			if okMin != (len(ma) > 0) || okMax != (len(ma) > 0) {
+				fail("Min ok=%v Max ok=%v with %d members", okMin, okMax, len(ma))
+			}
+			if len(ma) > 0 && (mn != ma[0] || mx != ma[len(ma)-1]) {
+				fail("Min, Max = %d, %d, want %d, %d", mn, mx, ma[0], ma[len(ma)-1])
+			}
+			if got, want := members(a.Clip(l, h)), inRange(ma, l, h); !slices.Equal(got, want) {
+				fail("Clip = %v, want %v", got, want)
+			}
+
+			var both []int
+			for _, v := range ma {
+				if slices.Contains(mb, v) {
+					both = append(both, v)
+				}
+			}
+			if got := members(a.Intersect(b)); !slices.Equal(got, both) {
+				fail("Intersect = %v, want %v", got, both)
+			}
+
+			var img []int
+			for _, v := range ma {
+				img = append(img, sign*v+c)
+			}
+			slices.Sort(img)
+			if got := members(a.AffineImage(sign, c)); !slices.Equal(got, img) {
+				fail("AffineImage = %v, want %v", got, img)
+			}
+			var pre []int
+			for v := -60; v <= 60; v++ {
+				if slices.Contains(ma, sign*v+c) {
+					pre = append(pre, v)
+				}
+			}
+			if got := members(a.AffinePreimage(sign, c)); !slices.Equal(got, pre) {
+				fail("AffinePreimage = %v, want %v", got, pre)
+			}
+
+			if !a.Equal(a.Clip(a.Lo, a.Hi)) || a.Equal(a.Clip(a.Lo+1, a.Hi)) {
+				fail("Equal is not structural equality")
+			}
+		}
+	}
+}
+
+// distDims are the partitioned dimension shapes of Section 2.1 the owned
+// set must reproduce: contiguous, cyclic and block-cyclic, both index
+// directions, with a displacement that is not the default -1.
+func distDims(size, n int) map[string]Dim {
+	dims := map[string]Dim{}
+	for _, sign := range []int{1, -1} {
+		for _, extra := range []int{0, 3} {
+			disp := -1 + extra // z = i + disp >= 0 on 1..size
+			if sign == -1 {
+				disp = size + extra // z = disp - i >= 0 on 1..size
+			}
+			zmax := max(sign*1+disp, sign*size+disp)
+			tag := fmt.Sprintf("sign%+d-disp%d", sign, disp)
+			dims["contiguous-"+tag] = Dim{Sign: sign, Disp: disp, Block: ceilDiv(zmax+1, n)}
+			dims["cyclic-"+tag] = Dim{Sign: sign, Disp: disp, Block: 1, Cyclic: true}
+			dims["blockcyclic-"+tag] = Dim{Sign: sign, Disp: disp, Block: 3, Cyclic: true}
+		}
+	}
+	return dims
+}
+
+// TestOwnedPatternMatchesOwnedIndices checks OwnedPatternOf against the
+// mapDim-scanning Scheme.OwnedIndices.
+func TestOwnedPatternMatchesOwnedIndices(t *testing.T) {
+	for _, n := range []int{1, 3, 4} {
+		for _, size := range []int{1, 7, 16, 29} {
+			g := grid.New(n)
+			for name, d := range distDims(size, n) {
+				s := Scheme1D(d, nil)
+				if err := s.Validate(g, []int{size}); err != nil {
+					t.Fatalf("%s n=%d size=%d: %v", name, n, size, err)
+				}
+				for a := 0; a < n; a++ {
+					set := OwnedPatternOf(d, n, a, size)
+					want := s.OwnedIndices(g, 0, size, a)
+					if got := members(set); !slices.Equal(got, want) {
+						t.Errorf("%s n=%d size=%d coord %d: set %+v has members %v, OwnedIndices %v",
+							name, n, size, a, set, got, want)
+					}
+				}
+			}
+			if got := OwnedPatternOf(Replicated(0), n, 0, size); got.Count() != int64(size) || got.Lo != 1 {
+				t.Errorf("replicated n=%d size=%d: %+v, want all of 1..%d", n, size, got, size)
+			}
+		}
+	}
+}
+
+// TestDimJointCountsMatchesBuckets checks the per-dimension joint count
+// table against a per-index bucket of mapDim pairs for all nine
+// replicated / contiguous / cyclic combinations: the table must list
+// exactly the non-empty pairs, in (aF, aT) order, with their counts.
+func TestDimJointCountsMatchesBuckets(t *testing.T) {
+	kinds := []string{"replicated", "contiguous", "cyclic"}
+	kindOf := func(d Dim) string {
+		switch {
+		case d.Replicated:
+			return "replicated"
+		case d.Cyclic:
+			return "cyclic"
+		}
+		return "contiguous"
+	}
+	draw := func(rng *rand.Rand, kind string, size, n int) Dim {
+		for {
+			if d := randomDim(rng, size, n, 0); kindOf(d) == kind {
+				return d
+			}
+		}
+	}
+	for _, kF := range kinds {
+		for _, kT := range kinds {
+			for _, seed := range setSeeds {
+				rng := rand.New(rand.NewSource(seed))
+				for trial := 0; trial < 25; trial++ {
+					size := 1 + rng.Intn(40)
+					nF, nT := 1+rng.Intn(6), 1+rng.Intn(6)
+					dF, dT := draw(rng, kF, size, nF), draw(rng, kT, size, nT)
+					gF, gT := grid.New(nF), grid.New(nT)
+
+					bucket := map[[2]int]int64{}
+					for i := 1; i <= size; i++ {
+						bucket[[2]int{dF.mapDim(gF, i), dT.mapDim(gT, i)}]++
+					}
+					var want []coordPair
+					for k, c := range bucket {
+						want = append(want, coordPair{k[0], k[1], c})
+					}
+					slices.SortFunc(want, func(x, y coordPair) int {
+						if x.aF != y.aF {
+							return x.aF - y.aF
+						}
+						return x.aT - y.aT
+					})
+
+					got := dimJointCounts(dF, nF, dT, nT, size)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s x %s seed %d trial %d size=%d dF=%+v nF=%d dT=%+v nT=%d:\n got %v\nwant %v",
+							kF, kT, seed, trial, size, dF, nF, dT, nT, got, want)
+					}
+				}
+			}
+		}
+	}
+}

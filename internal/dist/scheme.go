@@ -203,9 +203,9 @@ func (s Scheme) GridCoords(g *grid.Grid, idx ...int) []int {
 		n2 := g.Extent(s.Dims[1].GridDim)
 		switch s.Rot {
 		case RotateDim2ByDim1:
-			z[1] = (((s.D1*z[0] + s.D2*z[1]) % n2) + n2) % n2
+			z[1] = Mod(s.D1*z[0]+s.D2*z[1], n2)
 		case RotateDim1ByDim2:
-			z[0] = (((s.D1*z[0] + s.D2*z[1]) % n1) + n1) % n1
+			z[0] = Mod(s.D1*z[0]+s.D2*z[1], n1)
 		}
 	}
 	for k, d := range s.Dims {
