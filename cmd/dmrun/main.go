@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"dmcc/internal/cli"
 	"dmcc/internal/core"
@@ -227,6 +228,9 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) err
 		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n",
 		res.Transport.MaxPairMessages, res.Transport.MaxPairWords)
+	fmt.Printf("  wall: inspect %v, machine %v, replay %v, assemble %v\n",
+		res.InspectWall.Round(time.Microsecond), res.SimWall.Round(time.Microsecond),
+		res.ReplayWall.Round(time.Microsecond), res.AssembleWall.Round(time.Microsecond))
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"dmcc/internal/core"
@@ -121,12 +120,7 @@ func matmulProgram() *ir.Program {
 // [-1, 1), arrays in sorted name order so a seed replays the same input.
 func randomInput(p *ir.Program, m int, rng *rand.Rand) ir.Storage {
 	input := ir.NewStorage(p)
-	names := make([]string, 0, len(p.Arrays))
-	for name := range p.Arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range arrayNames(p) {
 		if p.Arrays[name].Rank() == 1 {
 			for i := 1; i <= m; i++ {
 				input.Store(name, []int{i}, rng.Float64()*2-1)
@@ -276,7 +270,8 @@ func randomReduceProgram(rng *rand.Rand) *ir.Program {
 	// Find a rank-1 array for the accumulator and a rank-2 array for
 	// the anchor; fall back to plain programs when the draw lacks them.
 	var acc, anchor string
-	for name, arr := range p.Arrays {
+	for _, name := range arrayNames(p) {
+		arr := p.Arrays[name]
 		if arr.Rank() == 1 && acc == "" {
 			acc = name
 		}
@@ -334,32 +329,34 @@ func randomReduceProgram(rng *rand.Rand) *ir.Program {
 // oracle on generously sized channels, and its transport only sheds
 // traffic.
 func TestBatchedMatchesExactFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260805))
 	const m = 8
 	tight := machine.DefaultConfig()
 	tight.ChanCap = 1
-	for trial := 0; trial < 30; trial++ {
-		p := randomReduceProgram(rng)
-		if err := p.Validate(); err != nil {
-			t.Fatalf("trial %d: generated invalid program: %v", trial, err)
-		}
-		input := randomInput(p, m, rng)
-		iters := 1 + rng.Intn(2)
-		for _, n := range []int{1, 2, 4} {
-			ss := fuzzSchemes(t, p, m, n)
-			if ss == nil {
-				continue
+	for _, seed := range fuzzSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 30; trial++ {
+			p := randomReduceProgram(rng)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("generated invalid program: %v\n%s", err, fuzzCase(seed, trial, 0, p))
 			}
-			bind := map[string]int{"m": m}
-			got, err := Run(p, ss, bind, nil, iters, tight, input)
-			if err != nil {
-				t.Fatalf("trial %d n=%d: batched: %v", trial, n, err)
+			input := randomInput(p, m, rng)
+			iters := 1 + rng.Intn(2)
+			for _, n := range []int{1, 2, 4} {
+				ss := fuzzSchemes(t, p, m, n)
+				if ss == nil {
+					continue
+				}
+				bind := map[string]int{"m": m}
+				got, err := Run(p, ss, bind, nil, iters, tight, input)
+				if err != nil {
+					t.Fatalf("batched: %v\n%s", err, fuzzCase(seed, trial, n, p))
+				}
+				want, err := RunExact(p, ss, bind, nil, iters, exactCfg(machine.DefaultConfig(), m), input)
+				if err != nil {
+					t.Fatalf("exact: %v\n%s", err, fuzzCase(seed, trial, n, p))
+				}
+				requireIdentical(t, fuzzCase(seed, trial, n, p), got, want)
 			}
-			want, err := RunExact(p, ss, bind, nil, iters, exactCfg(machine.DefaultConfig(), m), input)
-			if err != nil {
-				t.Fatalf("trial %d n=%d: exact: %v", trial, n, err)
-			}
-			requireIdentical(t, fmt.Sprintf("trial %d n=%d", trial, n), got, want)
 		}
 	}
 }

@@ -55,6 +55,11 @@ type Result struct {
 	// schedule building, stats replay and result assembly. The scale
 	// sweep reports it next to the end-to-end wall time.
 	SimWall time.Duration
+	// InspectWall, ReplayWall and AssembleWall time Run's other stages:
+	// everything before the machine phase (validation, lowering, the
+	// inspector walk, input bucketing), the naive-model stats replay, and
+	// the assembly of Values.
+	InspectWall, ReplayWall, AssembleWall time.Duration
 }
 
 // Options tune the batched engine's transport. The zero value is the
@@ -78,6 +83,13 @@ func validate(p *ir.Program, ss *core.SchemeSet) error {
 			if st.RHS == nil && st.Flops > 0 {
 				return fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
 			}
+			// Only Reads are shipped to the executors; an operand missing
+			// from them would be loaded, unshipped, from the local store.
+			for _, r := range ir.ExprReads(st.RHS) {
+				if !refIn(st.Reads, r) {
+					return fmt.Errorf("exec: statement at line %d reads %s, which is not in its Reads %v", st.Line, r, st.Reads)
+				}
+			}
 		}
 	}
 	for name := range p.Arrays {
@@ -86,6 +98,17 @@ func validate(p *ir.Program, ss *core.SchemeSet) error {
 		}
 	}
 	return nil
+}
+
+// refIn reports whether reads holds a reference identical to r; String
+// is canonical (variables sorted, zero terms dropped).
+func refIn(reads []ir.Ref, r ir.Ref) bool {
+	for _, rd := range reads {
+		if rd.String() == r.String() {
+			return true
+		}
+	}
+	return false
 }
 
 // Run executes the program under the scheme set for the given number of
@@ -108,6 +131,7 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage, opt Options) (Result, error) {
 
+	start := time.Now()
 	if err := validate(p, ss); err != nil {
 		return Result{}, err
 	}
@@ -115,7 +139,10 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 		iters = 1
 	}
 
-	sched := buildSchedule(p, ss, bind)
+	sched, err := buildSchedule(p, ss, bind, scalars)
+	if err != nil {
+		return Result{}, err
+	}
 	nprocs := sched.nprocs
 
 	// Value pass: the batched transport computes every array element.
@@ -126,14 +153,17 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	vcfg.Tracer = opt.TransportTracer
 	stores := make([][][]float64, nprocs)
 	marks := make([][][]bool, nprocs)
-	loads := buildLoads(sched, input)
+	loads, err := buildLoads(sched, input)
+	if err != nil {
+		return Result{}, err
+	}
 	simStart := time.Now()
 	mach, err := machine.NewEvent(ss.Grid, vcfg)
 	if err != nil {
 		return Result{}, err
 	}
 	transport, err := mach.Run(func(proc *machine.EventProc) {
-		x := newValExec(sched, proc, scalars)
+		x := newValExec(sched, proc)
 		x.installInput(loads)
 		for it := 0; it < iters; it++ {
 			for _, ns := range sched.nests {
@@ -146,12 +176,13 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	if err != nil {
 		return Result{}, err
 	}
-	simWall := time.Since(simStart)
+	replayStart := time.Now()
 
 	// Timing pass: replay the per-element engine's event timeline
 	// single-threadedly. The naive cost model is value-independent, so
 	// this reproduces RunExact's Stats exactly.
 	stats := sched.replayStats(iters, cfg)
+	assembleStart := time.Now()
 
 	// Assemble the global state: each element from its first owner.
 	// Ranks are scanned outermost in ascending order and an element is
@@ -179,5 +210,7 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 			}
 		}
 	}
-	return Result{Values: out, Stats: stats, Transport: transport, SimWall: simWall}, nil
+	return Result{Values: out, Stats: stats, Transport: transport,
+		InspectWall: simStart.Sub(start), SimWall: replayStart.Sub(simStart),
+		ReplayWall: assembleStart.Sub(replayStart), AssembleWall: time.Since(assembleStart)}, nil
 }

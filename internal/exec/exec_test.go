@@ -13,7 +13,7 @@ import (
 
 // wholeProgramSchemes compiles the program and returns the single-scheme
 // set for the full nest sequence.
-func wholeProgramSchemes(t *testing.T, p *ir.Program, m, n int) *core.SchemeSet {
+func wholeProgramSchemes(t testing.TB, p *ir.Program, m, n int) *core.SchemeSet {
 	t.Helper()
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 	_, ss, err := c.SegmentCost(1, len(p.Nests))

@@ -24,10 +24,9 @@ import (
 // pre-sizing any of this by nprocs would make the executor itself the
 // memory bottleneck the event runtime exists to remove.
 type valExec struct {
-	s       *progSchedule
-	proc    machine.Port
-	me      int
-	scalars map[string]float64
+	s    *progSchedule
+	proc machine.Port
+	me   int
 	// store/has are the per-array local stores, nil until the processor
 	// first writes or receives an element of that array; has marks
 	// elements this processor actually wrote or received, for the
@@ -43,10 +42,9 @@ type valExec struct {
 	// until its element is written, and the inspector re-ships after
 	// every write, so a stale value is never visible.
 	cbuf map[int32]map[elemID]machine.Word
-	// env is the reusable loop binding for RHS evaluation.
-	env    map[string]int
-	loadFn func(ir.Ref, []int) float64
-	// current eval context for loadFn.
+	// iv is the reusable loop vector for RHS evaluation.
+	iv []int
+	// current eval context for load.
 	curSlots  []slot
 	curVals   []float64
 	curReduce bool
@@ -70,21 +68,18 @@ type vbuf struct {
 	pos  int
 }
 
-func newValExec(s *progSchedule, proc machine.Port, scalars map[string]float64) *valExec {
-	x := &valExec{
-		s: s, proc: proc, me: proc.Rank(), scalars: scalars,
+func newValExec(s *progSchedule, proc machine.Port) *valExec {
+	return &valExec{
+		s: s, proc: proc, me: proc.Rank(),
 		store:    make([][]float64, len(s.arrays)),
 		has:      make([][]bool, len(s.arrays)),
 		partials: make(map[elemID]float64),
 		cbuf:     make(map[int32]map[elemID]machine.Word),
-		env:      bindEnv(s.bind),
 		curVals:  make([]float64, 0, 8),
 		rsend:    make(map[int][]machine.Word),
 		rrecv:    make(map[int]*vbuf),
 		rneed:    make(map[int]int),
 	}
-	x.loadFn = x.load
-	return x
 }
 
 // ensure materializes array a's dense store on first touch.
@@ -134,17 +129,16 @@ type elemVal struct {
 	val  float64
 }
 
-// buildLoads decodes and buckets the initial array contents. Arrays
-// without a scheme are skipped, like the old loadInput.
-func buildLoads(s *progSchedule, input ir.Storage) *inputLoads {
+// buildLoads decodes and buckets the initial array contents.
+func buildLoads(s *progSchedule, input ir.Storage) (*inputLoads, error) {
 	g := s.ss.Grid
 	loads := &inputLoads{arrays: make([]arrayLoads, len(s.arrays))}
 	for a, am := range s.arrays {
 		elems := input[am.name]
-		sch, ok := s.ss.Schemes[am.name]
-		if !ok || len(elems) == 0 {
+		if len(elems) == 0 {
 			continue
 		}
+		sch := am.sch
 		al := arrayLoads{bucket: make(map[int][]elemVal)}
 		for key, v := range elems {
 			idx := parseKey(key)
@@ -162,11 +156,15 @@ func buildLoads(s *progSchedule, input ir.Storage) *inputLoads {
 				}
 				k = k*g.Extent(d) + c
 			}
-			al.bucket[k] = append(al.bucket[k], elemVal{s.elemOf(am.name, idx), v})
+			e, ok := s.elemOf(a, idx)
+			if !ok {
+				return nil, fmt.Errorf("exec: input element %s(%s) outside extents %v", am.name, key, am.ext)
+			}
+			al.bucket[k] = append(al.bucket[k], elemVal{e, v})
 		}
 		loads.arrays[a] = al
 	}
-	return loads
+	return loads, nil
 }
 
 // installInput installs this processor's slice of the pre-bucketed
@@ -211,8 +209,13 @@ func (x *valExec) storeElem(e elemID, v float64) {
 // then received remote slots (matched by element, like the old values
 // map), then the local dense store (zero for never-written elements,
 // matching the old map's default).
-func (x *valExec) load(r ir.Ref, idx []int) float64 {
-	e := x.s.elemOf(r.Array, idx)
+func (x *valExec) load(r *lref) float64 {
+	e, err := x.s.elemAt(r, x.iv)
+	if err != nil {
+		// Every RHS reference is one of the statement's Reads, which the
+		// inspector resolved for this very instance.
+		panic(err)
+	}
 	if x.curReduce && e == x.curAcc {
 		return x.partials[e]
 	}
@@ -231,11 +234,11 @@ func (x *valExec) runNest(ns *nestSchedule) {
 		in := &stream[i]
 		switch in.op {
 		case opRedist:
-			x.runRedist(in.redist)
+			x.runRedist(ns.redists[in.arg])
 		case opSendDirect:
-			x.proc.SendValue(int(in.dst), x.loadElem(in.elem))
+			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
-			x.reduceBatch(in.red)
+			x.reduceBatch(ns.reds[in.arg])
 		case opEval:
 			x.eval(ns, in)
 		}
@@ -302,8 +305,9 @@ func (x *valExec) runRedist(op *redistOp) {
 // processor is a receive-only replica of a reduction, evaluates the
 // statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
+	slots := ns.slots[in.slotOff : in.slotOff+in.slotN]
 	x.curVals = x.curVals[:0]
-	for _, sl := range in.slots {
+	for _, sl := range slots {
 		var v float64
 		if sl.direct {
 			v = x.proc.RecvValue(int(sl.src))
@@ -319,14 +323,15 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 	if in.role == roleRecvOnly {
 		return
 	}
-	stmt := ns.nest.Stmts[in.stmt]
-	for k := 0; k < len(in.env); k++ {
-		x.env[ns.loopIdx[k]] = int(in.env[k])
+	stmt := &ns.stmts[in.stmt]
+	x.iv = x.iv[:0]
+	for _, v := range ns.envs[in.envOff : int(in.envOff)+stmt.Depth] {
+		x.iv = append(x.iv, int(v))
 	}
-	x.curSlots = in.slots
+	x.curSlots = slots
 	x.curReduce = in.role == roleReduce
 	x.curAcc = in.elem
-	v := stmt.RHS.Eval(x.env, x.loadFn, x.scalars)
+	v := x.evalExpr(stmt.rhs)
 	if in.role == roleReduce {
 		x.partials[in.elem] = v
 	} else {
@@ -336,6 +341,28 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		x.storeElem(in.elem, v)
 	}
 	x.proc.Compute(stmt.Flops)
+}
+
+// evalExpr evaluates a lowered right-hand side at the loop vector x.iv.
+func (x *valExec) evalExpr(e *lexpr) float64 {
+	switch e.op {
+	case lNum:
+		return e.val
+	case lRef:
+		return x.load(&e.ref)
+	case lNeg:
+		return -x.evalExpr(e.l)
+	}
+	l, r := x.evalExpr(e.l), x.evalExpr(e.r)
+	switch e.op {
+	case '+':
+		return l + r
+	case '-':
+		return l - r
+	case '*':
+		return l * r
+	}
+	return l / r // lowerExpr admits no fifth operator
 }
 
 // flushSends transmits every non-empty per-destination build buffer in

@@ -26,10 +26,12 @@
 //     words, flops, trace events) bit for bit without moving a single
 //     per-element message.
 //
-// The hot path works on elemID integers (array id + row-major offset);
-// the "arr!i,j" strings survive only at the ir.Storage boundary and in
-// the nest-end finalize ordering, which sorts by the legacy string key
-// to stay byte-identical with RunExact.
+// The hot path works on integers only: each nest is lowered once
+// (lower.go) to slot-indexed affine forms and array ids, and elements are
+// elemID integers (array id + row-major offset). Names and "arr!i,j"
+// strings survive only at the ir.Storage boundary and in the nest-end
+// finalize ordering, which sorts by the legacy string key to stay
+// byte-identical with RunExact.
 
 package exec
 
@@ -38,6 +40,7 @@ import (
 	"sort"
 
 	"dmcc/internal/core"
+	"dmcc/internal/dist"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -56,21 +59,34 @@ func (e elemID) off() int      { return int(int64(e) & (1<<elemOffBits - 1)) }
 // binding, row-major, subscripts 1-based.
 type arrayMeta struct {
 	name string
+	sch  dist.Scheme
 	ext  []int
 	size int
 }
 
+// dense is a per-array element table, each array's row materialized on
+// first touch.
+type dense[T any] [][]T
+
+func (d dense[T]) at(s *progSchedule, e elemID) *T {
+	a := e.arr()
+	if d[a] == nil {
+		d[a] = make([]T, s.arrays[a].size)
+	}
+	return &d[a][e.off()]
+}
+
 // progSchedule is the complete precomputed schedule of one Run call.
 type progSchedule struct {
-	p      *ir.Program
-	ss     *core.SchemeSet
-	bind   map[string]int
-	nprocs int
-	arrays []arrayMeta
-	aid    map[string]int
-	// ocache memoizes dist.Scheme.Owners per element: the per-element
+	ss      *core.SchemeSet
+	bind    map[string]int
+	scalars map[string]float64
+	nprocs  int
+	arrays  []arrayMeta
+	aid     map[string]int
+	// owners memoizes dist.Scheme.Owners per element: the per-element
 	// engine recomputed it for every (instance, read, executor) visit.
-	ocache map[elemID][]int
+	owners dense[[]int]
 	nests  []*nestSchedule
 	// Liveness state for fan-out pruning: redArrs marks arrays that
 	// appear as a reduction LHS; acc records, per element of
@@ -80,7 +96,7 @@ type progSchedule struct {
 	// program body repeats each outer iteration) from each site to the
 	// element's next write and keeps only the owners that actually read
 	// the total in between.
-	redArrs map[int]bool
+	redArrs []bool
 	seq     int
 	acc     map[elemID][]accEvent
 	sites   []finSite
@@ -157,12 +173,20 @@ func (s *progSchedule) computeFanouts() {
 // every outer iteration (the binding, and hence the walk, is identical
 // across iterations).
 type nestSchedule struct {
-	nest    *ir.Nest
-	loopIdx []string
+	// loops and stmts are the nest lowered once against the binding.
+	loops []lloop
+	stmts []lstmt
 	// timeline is the per-element engine's global event order.
 	timeline []top
-	// procs[r] is processor r's value-pass instruction stream.
-	procs [][]pinstr
+	// procs[r] is processor r's value-pass instruction stream: flat,
+	// pointer-free records indexing the nest's arenas — envs holds each
+	// instance's loop vector once (shared by its executors), slots every
+	// eval's remote operands, reds and redists the exchanges by index.
+	procs   [][]pinstr
+	envs    []int32
+	slots   []slot
+	reds    []*redOp
+	redists []*redistOp
 }
 
 // top is one timeline event of the naive model: a one-word transfer or
@@ -179,21 +203,26 @@ const (
 
 // pinstr is one value-pass instruction of one processor.
 type pinstr struct {
-	op     uint8
-	role   uint8
-	stmt   int32
-	dst    int32 // opSendDirect: receiver rank
-	elem   elemID
-	env    []int32
-	slots  []slot
-	red    *redOp
-	redist *redistOp
+	op   uint8
+	role uint8
+	stmt int32
+	// arg is opSendDirect's receiver rank, opRed's index into reds,
+	// opRedist's index into redists.
+	arg int32
+	// opEval: the loop vector envs[envOff:envOff+depth] and the remote
+	// operands slots[slotOff:slotOff+slotN].
+	envOff         int32
+	elem           elemID
+	slotOff, slotN int32
 }
 
 const (
+	// opNop is the zero instruction: the slot each epoch reserves for its
+	// opRedist, left as is where the redistribution skips the processor.
+	opNop uint8 = iota
 	// opSendDirect ships one element that was finalized earlier in the
 	// same epoch, so its value postdates the epoch-boundary gather.
-	opSendDirect uint8 = iota
+	opSendDirect
 	// opEval receives this processor's remote operands and, unless the
 	// role is roleRecvOnly, evaluates the statement instance.
 	opEval
@@ -315,14 +344,15 @@ func ringEligible(items []*finOp) bool {
 
 // buildSchedule runs the inspector over the whole program: finalizes
 // lower to vectored two-phase / ring exchanges, and each epoch's operand
-// ships to one composed collective redistribution.
-func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int) *progSchedule {
+// ships to one composed collective redistribution. An unbound variable,
+// an undeclared array or a subscript outside its array is an error.
+func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64) (*progSchedule, error) {
 	s := &progSchedule{
-		p: p, ss: ss, bind: bind,
+		ss: ss, bind: bind, scalars: scalars,
 		nprocs:  ss.Grid.Size(),
 		aid:     make(map[string]int, len(p.Arrays)),
-		ocache:  make(map[elemID][]int),
-		redArrs: make(map[int]bool),
+		owners:  make(dense[[]int], len(p.Arrays)),
+		redArrs: make([]bool, len(p.Arrays)),
 		acc:     make(map[elemID][]accEvent),
 	}
 	names := make([]string, 0, len(p.Arrays))
@@ -330,13 +360,16 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int) *prog
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	env := bindEnv(bind)
 	for _, name := range names {
 		arr := p.Arrays[name]
-		am := arrayMeta{name: name, ext: make([]int, arr.Rank()), size: 1}
+		am := arrayMeta{name: name, sch: ss.Schemes[name], ext: make([]int, arr.Rank()), size: 1}
 		for d, e := range arr.Extents {
-			am.ext[d] = e.Eval(env)
-			am.size *= am.ext[d]
+			ext, err := s.lowerAffine(e, nil)
+			if err != nil {
+				return nil, fmt.Errorf("exec: extent %d of array %s: %w", d+1, name, err)
+			}
+			am.ext[d] = ext.c
+			am.size *= ext.c
 		}
 		s.aid[name] = len(s.arrays)
 		s.arrays = append(s.arrays, am)
@@ -350,42 +383,33 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int) *prog
 	}
 	s.nests = make([]*nestSchedule, len(p.Nests))
 	for i, nest := range p.Nests {
-		s.nests[i] = s.buildNest(nest)
+		ns, err := s.buildNest(nest)
+		if err != nil {
+			return nil, err
+		}
+		s.nests[i] = ns
 	}
 	s.computeFanouts()
-	return s
+	return s, nil
 }
 
-func bindEnv(bind map[string]int) map[string]int {
-	env := make(map[string]int, len(bind)+4)
-	for k, v := range bind {
-		env[k] = v
-	}
-	return env
-}
-
-// elemOf maps a subscripted reference to its element id, with the
-// 1-based subscripts checked against the declared extents (the dense
-// stores cannot absorb out-of-range elements the way the old string
-// maps silently did).
-func (s *progSchedule) elemOf(name string, idx []int) elemID {
-	a, ok := s.aid[name]
-	if !ok {
-		panic(fmt.Sprintf("exec: reference to undeclared array %s", name))
-	}
+// elemOf maps array a's 1-based subscripts to the element id, checked
+// against the declared extents (the dense stores cannot absorb
+// out-of-range elements the way the old string maps silently did).
+func (s *progSchedule) elemOf(a int, idx []int) (elemID, bool) {
 	am := &s.arrays[a]
 	off := 0
 	for d, v := range idx {
 		if v < 1 || v > am.ext[d] {
-			panic(fmt.Sprintf("exec: %s subscript %v outside extents %v", name, idx, am.ext))
+			return 0, false
 		}
 		off = off*am.ext[d] + (v - 1)
 	}
-	return mkElem(a, off)
+	return mkElem(a, off), true
 }
 
-// decode is elemOf's inverse, used only at the ir.Storage boundary and
-// for the nest-end finalize ordering.
+// decode is elemOf's inverse, used only at the ir.Storage boundary, for
+// the nest-end finalize ordering and on an owner-memo miss.
 func (s *progSchedule) decode(e elemID) (string, []int) {
 	am := &s.arrays[e.arr()]
 	idx := make([]int, len(am.ext))
@@ -398,38 +422,40 @@ func (s *progSchedule) decode(e elemID) (string, []int) {
 }
 
 // ownersOf memoizes the owner set of an element.
-func (s *progSchedule) ownersOf(e elemID, name string, idx []int) []int {
-	if o, ok := s.ocache[e]; ok {
-		return o
+func (s *progSchedule) ownersOf(e elemID) []int {
+	o := s.owners.at(s, e)
+	if *o == nil {
+		_, idx := s.decode(e)
+		*o = s.arrays[e.arr()].sch.Owners(s.ss.Grid, idx...)
 	}
-	o := s.ss.Schemes[name].Owners(s.ss.Grid, idx...)
-	s.ocache[e] = o
-	return o
+	return *o
 }
 
 // nestBuilder is the inspector's per-nest state.
 type nestBuilder struct {
 	s  *progSchedule
 	ns *nestSchedule
-	// env is the inspector's loop binding, maintained exactly like the
-	// per-element engine's.
-	env map[string]int
+	// iv is the loop vector: slot k holds loop k's current value.
+	iv []int
 	// pending maps a reduction accumulator to its sorted contributor
 	// ranks, mirroring engine.pending (globally, not per processor).
 	pending map[elemID][]int
-	pendIdx map[elemID][]int
-	// written marks elements written earlier in the current epoch; a
-	// batched ship of such an element would gather a stale value at the
-	// epoch boundary, so it either cuts the epoch (write from an
-	// earlier instance) or degrades to a direct send (write by this
-	// instance's own finalizes, which no cut can hoist past).
-	written map[elemID]bool
-	// cur accumulates the current epoch's per-processor instructions;
+	// written stamps elements written earlier in the current epoch with
+	// its number; a batched ship of such an element would gather a
+	// stale value at the epoch boundary, so it either cuts the epoch
+	// (write from an earlier instance) or degrades to a direct send
+	// (write by this instance's own finalizes, which no cut can hoist
+	// past).
+	written dense[uint32]
+	epoch   uint32
+	// first[p] is one past the slot ns.procs[p] reserves for the current
+	// epoch's opRedist, 0 until p's first instruction of the epoch;
 	// pairs the epoch's per-pair vectored element lists.
-	cur   [][]pinstr
+	first []int32
 	pairs map[int64][]elemID
-	// seen dedups batched ships: seen[e][pair] marks that the pair's
-	// destination holds a live buffered copy of e, so a
+	// seen dedups batched ships: bit dst of seen[e] marks that dst holds
+	// a live buffered copy of e (its source is always e's first owner, so
+	// the destination alone names the pair) and a
 	// repeat ship would carry the same value and one copy suffices. A
 	// write of e invalidates its entry (the buffered copies go stale),
 	// which makes the dedup window every ship since the element's last
@@ -439,18 +465,16 @@ type nestBuilder struct {
 	// ship — the naive model prices them all — and eval slots still
 	// reference every operand; they resolve by (origin, element)
 	// against the buffered copy.
-	seen map[elemID]map[int64]bool
+	seen dense[[]uint64]
 	// scratch
-	lhsIdx  []int
-	readIdx [][]int
-	ships   []shipT
-	exSlots [][]slot
-	forced  []elemID
-	readers []int
+	readElem []elemID
+	ships    []shipT
+	exSlots  [][]slot
+	forced   []elemID
+	readers  []int
 }
 
 type shipT struct {
-	ri  int
 	src int32
 	ex  int32
 	e   elemID
@@ -458,52 +482,24 @@ type shipT struct {
 
 func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 
-func (s *progSchedule) buildNest(nest *ir.Nest) *nestSchedule {
-	ns := &nestSchedule{
-		nest:    nest,
-		loopIdx: nest.LoopIndices(),
-		procs:   make([][]pinstr, s.nprocs),
+func (s *progSchedule) buildNest(nest *ir.Nest) (*nestSchedule, error) {
+	ns := &nestSchedule{procs: make([][]pinstr, s.nprocs)}
+	if err := s.lowerNest(nest, ns); err != nil {
+		return nil, err
 	}
 	b := &nestBuilder{
 		s: s, ns: ns,
-		env:     bindEnv(s.bind),
+		iv:      make([]int, len(nest.Loops)),
 		pending: make(map[elemID][]int),
-		pendIdx: make(map[elemID][]int),
-		written: make(map[elemID]bool),
-		cur:     make([][]pinstr, s.nprocs),
+		written: make(dense[uint32], len(s.arrays)),
+		epoch:   1,
+		first:   make([]int32, s.nprocs),
 		pairs:   make(map[int64][]elemID),
-		seen:    make(map[elemID]map[int64]bool),
+		seen:    make(dense[[]uint64], len(s.arrays)),
 	}
-	var walk func(level int)
-	walk = func(level int) {
-		for si, stmt := range nest.Stmts {
-			if stmt.Depth == level && !nest.IsPost(stmt) {
-				b.instance(si, stmt)
-			}
-		}
-		if level < len(nest.Loops) {
-			l := nest.Loops[level]
-			lo, hi := l.Lo.Eval(b.env), l.Hi.Eval(b.env)
-			if l.Step >= 0 {
-				for v := lo; v <= hi; v++ {
-					b.env[l.Index] = v
-					walk(level + 1)
-				}
-			} else {
-				for v := lo; v >= hi; v-- {
-					b.env[l.Index] = v
-					walk(level + 1)
-				}
-			}
-			delete(b.env, l.Index)
-		}
-		for si, stmt := range nest.Stmts {
-			if stmt.Depth == level && nest.IsPost(stmt) {
-				b.instance(si, stmt)
-			}
-		}
+	if err := b.walk(0); err != nil {
+		return nil, err
 	}
-	walk(0)
 	// Combine reductions still pending at nest end, in the legacy
 	// string-key order the per-element engine uses (sort.Strings over
 	// pkeys), so the event sequence stays byte-identical.
@@ -525,56 +521,91 @@ func (s *progSchedule) buildNest(nest *ir.Nest) *nestSchedule {
 	}
 	b.emitBatch(elems, false)
 	b.closeEpoch()
-	return ns
+	return ns, nil
+}
+
+// walk visits the iteration space below loop level in program order:
+// the level's statements before the inner loop, the loop, then the
+// statements after it.
+func (b *nestBuilder) walk(level int) error {
+	for _, post := range [2]bool{false, true} {
+		if post && level < len(b.ns.loops) {
+			l := &b.ns.loops[level]
+			step := 1
+			if l.down {
+				step = -1
+			}
+			for v, hi := l.lo.eval(b.iv), l.hi.eval(b.iv); (hi-v)*step >= 0; v += step {
+				b.iv[level] = v
+				if err := b.walk(level + 1); err != nil {
+					return err
+				}
+			}
+		}
+		for si := range b.ns.stmts {
+			if st := &b.ns.stmts[si]; st.Depth == level && st.post == post {
+				if err := b.instance(si, st); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// emit appends in to processor p's stream, reserving in front of p's
+// first instruction of an epoch the slot closeEpoch fills with the
+// epoch's opRedist — the exchange runs first and no stream is copied.
+func (b *nestBuilder) emit(p int, in pinstr) {
+	if b.first[p] == 0 {
+		b.ns.procs[p] = append(b.ns.procs[p], pinstr{})
+		b.first[p] = int32(len(b.ns.procs[p]))
+	}
+	b.ns.procs[p] = append(b.ns.procs[p], in)
 }
 
 // instance inspects one dynamic statement instance, appending its
 // events to the timeline and its work to the per-processor streams.
 // The decomposition (forced finalizes, executor set, ship list,
 // pending bookkeeping, evaluation) replicates engine.instance exactly.
-func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
+func (b *nestBuilder) instance(si int, st *lstmt) error {
 	s := b.s
 
 	// Resolve the written element and the read elements.
-	b.lhsIdx = evalSubs(b.lhsIdx[:0], stmt.LHS.Subs, b.env)
-	lhsElem := s.elemOf(stmt.LHS.Array, b.lhsIdx)
-	for len(b.readIdx) < len(stmt.Reads) {
-		b.readIdx = append(b.readIdx, nil)
+	lhsElem, err := s.elemAt(&st.lhs, b.iv)
+	if err != nil {
+		return err
 	}
-	readElem := make([]elemID, len(stmt.Reads))
-	for ri, rd := range stmt.Reads {
-		b.readIdx[ri] = evalSubs(b.readIdx[ri][:0], rd.Subs, b.env)
-		readElem[ri] = s.elemOf(rd.Array, b.readIdx[ri])
+	b.readElem = b.readElem[:0]
+	for ri := range st.reads {
+		e, err := s.elemAt(&st.reads[ri], b.iv)
+		if err != nil {
+			return err
+		}
+		b.readElem = append(b.readElem, e)
 	}
 
 	// Executor set: anchor owners for reductions, LHS owners otherwise.
-	var executors []int
-	if stmt.Reduce {
-		if anchor := anchorOf(stmt); anchor >= 0 {
-			executors = s.ownersOf(readElem[anchor], stmt.Reads[anchor].Array, b.readIdx[anchor])
-		} else {
-			executors = s.ownersOf(lhsElem, stmt.LHS.Array, b.lhsIdx)
-		}
-	} else {
-		executors = s.ownersOf(lhsElem, stmt.LHS.Array, b.lhsIdx)
+	executors := s.ownersOf(lhsElem)
+	if st.Reduce && st.anchor >= 0 {
+		executors = s.ownersOf(b.readElem[st.anchor])
 	}
 
 	// Ship list: one word from the element's first owner to every
 	// executor that lacks it. (The reduce accumulator is never shipped;
 	// executors that own the element read their local copy.)
 	b.ships = b.ships[:0]
-	for ri, rd := range stmt.Reads {
-		e := readElem[ri]
-		if stmt.Reduce && e == lhsElem {
+	for _, e := range b.readElem {
+		if st.Reduce && e == lhsElem {
 			continue
 		}
-		owners := s.ownersOf(e, rd.Array, b.readIdx[ri])
+		owners := s.ownersOf(e)
 		src := owners[0]
 		for _, ex := range executors {
 			if contains(owners, ex) {
 				continue
 			}
-			b.ships = append(b.ships, shipT{ri: ri, src: int32(src), ex: int32(ex), e: e})
+			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), e: e})
 		}
 	}
 
@@ -582,7 +613,7 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// this epoch would be gathered stale at the epoch boundary, so the
 	// boundary moves here, before this whole instance.
 	for _, sh := range b.ships {
-		if b.written[sh.e] {
+		if *b.written.at(s, sh.e) == b.epoch {
 			b.closeEpoch()
 			break
 		}
@@ -594,16 +625,15 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// instance's reads — so the batch covers exactly this instance's
 	// set, folded into one vectored exchange.
 	b.forced = b.forced[:0]
-	for ri := range stmt.Reads {
-		e := readElem[ri]
-		if stmt.Reduce && e == lhsElem {
+	for _, e := range b.readElem {
+		if st.Reduce && e == lhsElem {
 			continue
 		}
 		if _, pend := b.pending[e]; pend && !containsElem(b.forced, e) {
 			b.forced = append(b.forced, e)
 		}
 	}
-	if _, pend := b.pending[lhsElem]; pend && !stmt.Reduce && !containsElem(b.forced, lhsElem) {
+	if _, pend := b.pending[lhsElem]; pend && !st.Reduce && !containsElem(b.forced, lhsElem) {
 		b.forced = append(b.forced, lhsElem)
 	}
 	b.emitBatch(b.forced, true)
@@ -611,14 +641,13 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	// Liveness events for fan-out pruning: local reads of
 	// reduction-accumulator elements (reads satisfied by ships are the
 	// root's job, not the reader's copy), and overwrites.
-	for ri, rd := range stmt.Reads {
-		e := readElem[ri]
-		if !b.s.redArrs[e.arr()] || (stmt.Reduce && e == lhsElem) {
+	for _, e := range b.readElem {
+		if !s.redArrs[e.arr()] || (st.Reduce && e == lhsElem) {
 			continue
 		}
-		owners := b.s.ownersOf(e, rd.Array, b.readIdx[ri])
+		owners := s.ownersOf(e)
 		b.readers = b.readers[:0]
-		if stmt.Reduce {
+		if st.Reduce {
 			// Only the contributor evaluates; replicas just drain
 			// their shipped slots.
 			if contains(owners, executors[0]) {
@@ -632,11 +661,11 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 			}
 		}
 		if len(b.readers) > 0 {
-			b.s.noteRead(e, b.readers)
+			s.noteRead(e, b.readers)
 		}
 	}
-	if !stmt.Reduce && b.s.redArrs[lhsElem.arr()] {
-		b.s.noteWrite(lhsElem)
+	if !st.Reduce && s.redArrs[lhsElem.arr()] {
+		s.noteWrite(lhsElem)
 	}
 
 	// Emit the ships: timeline events in the global lockstep order, and
@@ -651,30 +680,29 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 	for _, sh := range b.ships {
 		b.ns.timeline = append(b.ns.timeline, top{kind: tXfer, a: sh.src, b: sh.ex})
 		xi := indexOf(executors, int(sh.ex))
-		if b.written[sh.e] {
-			b.cur[sh.src] = append(b.cur[sh.src], pinstr{op: opSendDirect, dst: sh.ex, elem: sh.e})
+		if *b.written.at(s, sh.e) == b.epoch {
+			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e, direct: true})
 		} else {
-			k := pairKey(sh.src, sh.ex)
-			m := b.seen[sh.e]
-			if m == nil {
-				m = make(map[int64]bool)
-				b.seen[sh.e] = m
+			bits := b.seen.at(s, sh.e)
+			if *bits == nil {
+				*bits = make([]uint64, (s.nprocs+63)/64)
 			}
-			if !m[k] {
-				m[k] = true
+			if w, m := &(*bits)[sh.ex>>6], uint64(1)<<(sh.ex&63); *w&m == 0 {
+				*w |= m
+				k := pairKey(sh.src, sh.ex)
 				b.pairs[k] = append(b.pairs[k], sh.e)
 			}
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
 		}
 	}
 
-	env := make([]int32, stmt.Depth)
-	for k := 0; k < stmt.Depth; k++ {
-		env[k] = int32(b.env[b.ns.loopIdx[k]])
+	in := pinstr{op: opEval, stmt: int32(si), elem: lhsElem, envOff: int32(len(b.ns.envs))}
+	for _, v := range b.iv[:st.Depth] {
+		b.ns.envs = append(b.ns.envs, int32(v))
 	}
 
-	if stmt.Reduce {
+	if st.Reduce {
 		// Record the contributor; only it evaluates (into its partial
 		// store), but every executor still receives its shipped
 		// operands, exactly like the per-element engine.
@@ -682,33 +710,40 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 		list := b.pending[lhsElem]
 		if len(list) == 0 || !contains(list, contrib) {
 			b.pending[lhsElem] = insertSorted(list, contrib)
-			b.pendIdx[lhsElem] = append([]int(nil), b.lhsIdx...)
 		}
 		for xi, ex := range executors {
 			if ex == contrib {
-				b.cur[ex] = append(b.cur[ex], pinstr{
-					op: opEval, role: roleReduce, stmt: int32(si), elem: lhsElem,
-					env: env, slots: copySlots(b.exSlots[xi]),
-				})
+				in.role = roleReduce
+				b.emitEval(ex, in, b.exSlots[xi])
 			} else if len(b.exSlots[xi]) > 0 {
-				b.cur[ex] = append(b.cur[ex], pinstr{
-					op: opEval, role: roleRecvOnly, slots: copySlots(b.exSlots[xi]),
-				})
+				b.emitEval(ex, pinstr{op: opEval, role: roleRecvOnly}, b.exSlots[xi])
 			}
 		}
-		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(contrib), b: int32(stmt.Flops)})
-		return
+		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(contrib), b: int32(st.Flops)})
+		return nil
 	}
 
 	for xi, ex := range executors {
-		b.cur[ex] = append(b.cur[ex], pinstr{
-			op: opEval, role: roleWrite, stmt: int32(si), elem: lhsElem,
-			env: env, slots: copySlots(b.exSlots[xi]),
-		})
-		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(ex), b: int32(stmt.Flops)})
+		b.emitEval(ex, in, b.exSlots[xi])
+		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(ex), b: int32(st.Flops)})
 	}
-	b.written[lhsElem] = true
-	delete(b.seen, lhsElem)
+	b.markWritten(lhsElem)
+	return nil
+}
+
+// emitEval appends an opEval to processor p's stream with its remote
+// operands copied into the nest's slot arena.
+func (b *nestBuilder) emitEval(p int, in pinstr, slots []slot) {
+	in.slotOff, in.slotN = int32(len(b.ns.slots)), int32(len(slots))
+	b.ns.slots = append(b.ns.slots, slots...)
+	b.emit(p, in)
+}
+
+// markWritten records a write of e in the current epoch and drops its
+// ship-dedup window: the buffered copies are stale from here on.
+func (b *nestBuilder) markWritten(e elemID) {
+	*b.written.at(b.s, e) = b.epoch
+	clear(*b.seen.at(b.s, e))
 }
 
 // recordFinalize pops a pending reduction and records everything the
@@ -720,11 +755,8 @@ func (b *nestBuilder) instance(si int, stmt *ir.Stmt) {
 // RunExact no matter how the value pass actually moves the partials.
 func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	contribs := b.pending[e]
-	idx := b.pendIdx[e]
 	delete(b.pending, e)
-	delete(b.pendIdx, e)
-	name, _ := b.s.decode(e)
-	owners := b.s.ownersOf(e, name, idx)
+	owners := b.s.ownersOf(e)
 	root := owners[0]
 
 	for _, c := range contribs {
@@ -741,8 +773,7 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 
 	f := &finOp{elem: e, contribs: contribs, owners: owners, root: root}
 	b.s.noteFinalize(e, f)
-	b.written[e] = true
-	delete(b.seen, e)
+	b.markWritten(e)
 	return f
 }
 
@@ -775,9 +806,10 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 			}
 		}
 	}
-	in := pinstr{op: opRed, red: r}
+	in := pinstr{op: opRed, arg: int32(len(b.ns.reds))}
+	b.ns.reds = append(b.ns.reds, r)
 	for _, p := range parts {
-		b.cur[p] = append(b.cur[p], in)
+		b.emit(p, in)
 	}
 }
 
@@ -791,20 +823,16 @@ func containsElem(xs []elemID, v elemID) bool {
 }
 
 // closeEpoch freezes the current epoch: the accumulated pair traffic
-// is lowered to the composed collective redistribution and prepended to
-// the epoch instructions, and the written set resets.
+// is lowered to the composed collective redistribution, which lands in
+// each participant's reserved slot, and the written set resets (its
+// stamps fall behind the epoch number).
 func (b *nestBuilder) closeEpoch() {
 	if len(b.pairs) > 0 {
 		b.lowerCollective()
 		b.pairs = make(map[int64][]elemID)
 	}
-	for p := range b.cur {
-		b.ns.procs[p] = append(b.ns.procs[p], b.cur[p]...)
-		b.cur[p] = nil
-	}
-	for e := range b.written {
-		delete(b.written, e)
-	}
+	clear(b.first)
+	b.epoch++
 }
 
 // lowerCollective composes the epoch's traffic into a collective
@@ -963,7 +991,13 @@ func (b *nestBuilder) lowerCollective() {
 		}
 	}
 	for p, op := range ops {
-		b.cur[p] = append([]pinstr{{op: opRedist, redist: op}}, b.cur[p]...)
+		in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
+		b.ns.redists = append(b.ns.redists, op)
+		if at := b.first[p]; at > 0 {
+			b.ns.procs[p][at-1] = in
+		} else {
+			b.ns.procs[p] = append(b.ns.procs[p], in)
+		}
 	}
 }
 
@@ -1027,20 +1061,6 @@ func (s *progSchedule) replayStats(iters int, cfg machine.Config) machine.Stats 
 		st.AddProc(st.PerProc[r])
 	}
 	return st
-}
-
-func evalSubs(dst []int, subs []ir.Affine, env map[string]int) []int {
-	for _, su := range subs {
-		dst = append(dst, su.Eval(env))
-	}
-	return dst
-}
-
-func copySlots(s []slot) []slot {
-	if len(s) == 0 {
-		return nil
-	}
-	return append([]slot(nil), s...)
 }
 
 func indexOf(xs []int, v int) int {
