@@ -728,7 +728,7 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 // enumeration behind it, analytic ChangeCost, memoized cost tables,
 // worker pool); "prechange" is the oracle (element-enumeration
 // ChangeCost, exact nest counts, no caches, serial). The prechange
-// variant skips s=16, which is impractical without the analytic paths.
+// variant stops at s=8; past it the oracle is impractical.
 func BenchmarkCompileScaling(b *testing.B) {
 	const m, n = 64, 16
 	compile := func(b *testing.B, p func() *ir.Program, engine string) {
@@ -750,7 +750,7 @@ func BenchmarkCompileScaling(b *testing.B) {
 		b.ReportMetric(res.DP.MinimumCost, "dpcost")
 		b.ReportMetric(float64(len(res.DP.Segments)), "segments")
 	}
-	for _, s := range []int{4, 8, 16} {
+	for _, s := range []int{4, 8, 16, 32} {
 		s := s
 		b.Run(fmt.Sprintf("synth/s=%d/fast", s), func(b *testing.B) {
 			compile(b, func() *ir.Program { return ir.Synthetic(s) }, "fast")

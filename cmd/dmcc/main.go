@@ -258,8 +258,8 @@ func run(w io.Writer, p *ir.Program, m, n int, greedy bool, jobs int, engine str
 	// Telemetry goes to stderr so the report payload stays a pure
 	// function of the configuration (the -cache path stores it verbatim).
 	eng := c.Engines.Snapshot()
-	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d exact_fallbacks=%d\n",
-		eng["analytic_hits"], eng["exact_fallbacks"])
+	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d exact_fallbacks=%d nest_pricings=%d\n",
+		eng["analytic_hits"], eng["exact_fallbacks"], eng["nest_pricings"])
 	fmt.Fprintln(w, "-- Algorithm 1: minimum-cost order of distribution schemes --")
 	for _, seg := range res.DP.Segments {
 		fmt.Fprintf(w, "  loops L%d..L%d: %s, segment cost %.0f, entry redistribution %.0f\n",

@@ -3,6 +3,7 @@ package align
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmcc/internal/ir"
@@ -453,5 +454,56 @@ func TestCannon3DGridAlignment(t *testing.T) {
 	// three dims, the rest replicated/fixed per Section 2.1).
 	for s := 0; s < 3; s++ {
 		_ = pt.Subset(g, s)
+	}
+}
+
+// TestAffinityReplayEqualsBuildGraph: the graph of every segment (i, j)
+// replayed from per-nest increments equals the graph BuildGraph walks
+// out of that segment's statements — nodes, edge order, weights bit for
+// bit (same additions in the same order) and contributing lines.
+func TestAffinityReplayEqualsBuildGraph(t *testing.T) {
+	for _, p := range []*ir.Program{ir.Synthetic(10), ir.Gauss(), ir.Jacobi(), ir.SOR()} {
+		aff := NewAffinity(p, p.Nests, wp())
+		for lo := 0; lo < len(p.Nests); lo++ {
+			for hi := lo + 1; hi <= len(p.Nests); hi++ {
+				got, err := aff.Graph(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := mustGraph(t, p, p.Nests[lo:hi])
+				if !slices.Equal(got.Nodes, want.Nodes) || len(got.Edges) != len(want.Edges) {
+					t.Fatalf("%s nests [%d,%d): replayed\n%s\nbuilt\n%s", p.Name, lo, hi, got, want)
+				}
+				for k, e := range want.Edges {
+					r := got.Edges[k]
+					if r.From != e.From || r.To != e.To || r.Weight != e.Weight || !slices.Equal(r.Lines, e.Lines) {
+						t.Fatalf("%s nests [%d,%d) edge %d: replayed %+v, built %+v", p.Name, lo, hi, k, r, e)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGraphEdgeOrder pins the edge order to the endpoint names as
+// strings — "A10" sorts before "A2" — which is what partitioning has
+// always summed weights in, not node position.
+func TestGraphEdgeOrder(t *testing.T) {
+	m, i := ir.V("m"), ir.V("i")
+	p := &ir.Program{Params: []string{"m"}, Arrays: map[string]*ir.Array{
+		"A":  {Name: "A", Extents: []ir.Affine{m, m}},
+		"A1": {Name: "A1", Extents: []ir.Affine{m}},
+		"B":  {Name: "B", Extents: []ir.Affine{m}},
+	}}
+	p.Nests = []*ir.Nest{{
+		Loops: []ir.Loop{{Index: "i", Lo: ir.Const(1), Hi: m, Step: 1}},
+		Stmts: []*ir.Stmt{{Line: 1, Depth: 1, LHS: ir.R("B", i), Reads: []ir.Ref{ir.R("A", i, i), ir.R("A1", i)}}},
+	}}
+	var order []string
+	for _, e := range mustGraph(t, p, p.Nests).Edges {
+		order = append(order, e.From.String())
+	}
+	if want := []string{"A1", "A11", "A2"}; !slices.Equal(order, want) {
+		t.Errorf("edge sources in order %v, want %v", order, want)
 	}
 }

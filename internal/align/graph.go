@@ -82,120 +82,181 @@ func DefaultWeightParams() WeightParams {
 // c2 = ManyToManyMulticast(m/N, N1) + OneToManyMulticast(m, N2)
 // ~ m(1 + log N) for moving X, and c1 > c4 as the paper notes.
 func BuildGraph(p *ir.Program, nests []*ir.Nest, wp WeightParams) (*Graph, error) {
-	g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
+	return NewAffinity(p, nests, wp).Graph(0, len(nests))
+}
+
+// increment is one statement's contribution to one affinity edge, with
+// the endpoints as node positions.
+type increment struct {
+	from, to int
+	weight   float64
+	line     int
+}
+
+// Affinity holds the affinity-edge increments of a nest sequence, nest
+// by nest, so the graph of any subsequence — Algorithm 1 aligns every
+// (i, j) segment on its own — is a replay of stored increments rather
+// than a fresh walk over the statements.
+type Affinity struct {
+	// base carries the nodes and node tables every graph shares,
+	// read-only; it has no edges.
+	base Graph
+	// order lists node positions in DimID.String() order, the order
+	// Graph emits edges in.
+	order []int
+	nests [][]increment
+	errs  []error // per nest: why its weights could not be estimated
+}
+
+// NewAffinity computes the increments of every nest (the per-statement
+// edge rules are documented on BuildGraph). A nest whose weights cannot
+// be estimated fails only the graphs that include it.
+func NewAffinity(p *ir.Program, nests []*ir.Nest, wp WeightParams) *Affinity {
+	a := &Affinity{
+		base:  Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}},
+		nests: make([][]increment, len(nests)), errs: make([]error, len(nests)),
+	}
+	g := &a.base
+	var names []string
 	for _, d := range p.AllDims() {
 		g.index[d] = len(g.Nodes)
 		g.ArrayDims[d.Array] = append(g.ArrayDims[d.Array], len(g.Nodes))
+		a.order = append(a.order, len(g.Nodes))
 		g.Nodes = append(g.Nodes, d)
+		names = append(names, d.String())
 	}
-	type key struct{ from, to ir.DimID }
-	acc := map[key]*Edge{}
-	for _, nest := range nests {
-		for _, st := range nest.Stmts {
-			lhsVars := map[string]bool{}
-			for _, s := range st.LHS.Subs {
+	sort.SliceStable(a.order, func(x, y int) bool { return names[a.order[x]] < names[a.order[y]] })
+	for t, nest := range nests {
+		a.nests[t], a.errs[t] = a.nestIncrements(nest, wp)
+	}
+	return a
+}
+
+// nestIncrements lists one nest's edge increments in statement order.
+func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, error) {
+	var incs []increment
+	for _, st := range nest.Stmts {
+		lhsVars := map[string]bool{}
+		for _, s := range st.LHS.Subs {
+			for _, v := range s.Vars() {
+				lhsVars[v] = true
+			}
+		}
+		floating := func(r ir.Ref) bool {
+			for _, s := range r.Subs {
 				for _, v := range s.Vars() {
-					lhsVars[v] = true
-				}
-			}
-			floating := func(r ir.Ref) bool {
-				for _, s := range r.Subs {
-					for _, v := range s.Vars() {
-						if lhsVars[v] {
-							return false
-						}
+					if lhsVars[v] {
+						return false
 					}
 				}
-				return true
 			}
-			refs := dedupRefs(append([]ir.Ref{st.LHS}, st.Reads...))
-			for a := 0; a < len(refs); a++ {
-				for b := a + 1; b < len(refs); b++ {
-					ra, rb := refs[a], refs[b]
-					if ra.Array == rb.Array {
-						// Dimensions of one array may never share a
-						// subset; an intra-array edge would always be
-						// cut, so the paper's graphs omit them.
-						continue
-					}
-					// The mover is never the LHS (owner computes). Among
-					// two reads, an affinity edge only helps when one ref
-					// is fully floating (no subscript variable shared
-					// with the LHS): aligning the floating ref with the
-					// anchored one makes it local, which is exactly the
-					// paper's c2 edge between A2 and X in line 5. A pair
-					// of partially-anchored reads (like L(i,k) and A(k,j)
-					// in Gauss line 7) must both travel to the LHS owner
-					// no matter how they align, so no edge is added.
-					var mover ir.Ref
-					switch {
-					case a == 0:
-						mover = rb
-					case floating(ra) && floating(rb):
-						va, err := moveCost(nest, st, ra, wp)
-						if err != nil {
-							return nil, err
-						}
-						vb, err := moveCost(nest, st, rb, wp)
-						if err != nil {
-							return nil, err
-						}
-						if va <= vb {
-							mover = ra
-						} else {
-							mover = rb
-						}
-					case floating(ra):
-						mover = ra
-					case floating(rb):
-						mover = rb
-					default:
-						continue
-					}
-					w, err := moveCost(nest, st, mover, wp)
+			return true
+		}
+		refs := dedupRefs(append([]ir.Ref{st.LHS}, st.Reads...))
+		for x := 0; x < len(refs); x++ {
+			for y := x + 1; y < len(refs); y++ {
+				ra, rb := refs[x], refs[y]
+				if ra.Array == rb.Array {
+					// Dimensions of one array may never share a
+					// subset; an intra-array edge would always be
+					// cut, so the paper's graphs omit them.
+					continue
+				}
+				// The mover is never the LHS (owner computes). Among
+				// two reads, an affinity edge only helps when one ref
+				// is fully floating (no subscript variable shared
+				// with the LHS): aligning the floating ref with the
+				// anchored one makes it local, which is exactly the
+				// paper's c2 edge between A2 and X in line 5. A pair
+				// of partially-anchored reads (like L(i,k) and A(k,j)
+				// in Gauss line 7) must both travel to the LHS owner
+				// no matter how they align, so no edge is added.
+				var mover ir.Ref
+				switch {
+				case x == 0:
+					mover = rb
+				case floating(ra) && floating(rb):
+					va, err := moveCost(nest, st, ra, wp)
 					if err != nil {
 						return nil, err
 					}
-					stay := ra
-					if mover.Array == ra.Array {
-						stay = rb
+					vb, err := moveCost(nest, st, rb, wp)
+					if err != nil {
+						return nil, err
 					}
-					for k2, msub := range mover.Subs {
-						for k1, ssub := range stay.Subs {
-							if _, ok := ssub.ConstDiff(msub); !ok {
-								continue
-							}
-							if ssub.IsConst() {
-								continue // constants carry no alignment signal
-							}
-							from := ir.DimID{Array: mover.Array, Dim: k2}
-							to := ir.DimID{Array: stay.Array, Dim: k1}
-							k := key{from, to}
-							if acc[k] == nil {
-								acc[k] = &Edge{From: from, To: to}
-							}
-							acc[k].Weight += w
-							acc[k].Lines = append(acc[k].Lines, st.Line)
+					if va <= vb {
+						mover = ra
+					} else {
+						mover = rb
+					}
+				case floating(ra):
+					mover = ra
+				case floating(rb):
+					mover = rb
+				default:
+					continue
+				}
+				w, err := moveCost(nest, st, mover, wp)
+				if err != nil {
+					return nil, err
+				}
+				stay := ra
+				if mover.Array == ra.Array {
+					stay = rb
+				}
+				for k2, msub := range mover.Subs {
+					for k1, ssub := range stay.Subs {
+						if _, ok := ssub.ConstDiff(msub); !ok {
+							continue
 						}
+						if ssub.IsConst() {
+							continue // constants carry no alignment signal
+						}
+						incs = append(incs, increment{
+							from:   a.base.index[ir.DimID{Array: mover.Array, Dim: k2}],
+							to:     a.base.index[ir.DimID{Array: stay.Array, Dim: k1}],
+							weight: w, line: st.Line,
+						})
 					}
 				}
 			}
 		}
 	}
-	var keys []key
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].from != keys[b].from {
-			return keys[a].from.String() < keys[b].from.String()
+	return incs, nil
+}
+
+// Graph is the affinity graph of nests lo..hi-1 (0-based, hi exclusive):
+// their increments summed per edge in nest and statement order, edges
+// sorted by endpoint names. The node tables are shared, read-only, by
+// every graph of the Affinity.
+func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
+	g := a.base
+	n := len(g.Nodes)
+	slot := make([]int, n*n) // 1 + the edge's position in edges; 0 = none yet
+	var edges []Edge
+	for t := lo; t < hi; t++ {
+		if a.errs[t] != nil {
+			return nil, a.errs[t]
 		}
-		return keys[a].to.String() < keys[b].to.String()
-	})
-	for _, k := range keys {
-		g.Edges = append(g.Edges, *acc[k])
+		for _, inc := range a.nests[t] {
+			s := &slot[inc.from*n+inc.to]
+			if *s == 0 {
+				edges = append(edges, Edge{From: g.Nodes[inc.from], To: g.Nodes[inc.to]})
+				*s = len(edges)
+			}
+			e := &edges[*s-1]
+			e.Weight += inc.weight
+			e.Lines = append(e.Lines, inc.line)
+		}
 	}
-	return g, nil
+	for _, from := range a.order {
+		for _, to := range a.order {
+			if s := slot[from*n+to]; s != 0 {
+				g.Edges = append(g.Edges, edges[s-1])
+			}
+		}
+	}
+	return &g, nil
 }
 
 func dedupRefs(refs []ir.Ref) []ir.Ref {

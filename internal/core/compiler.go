@@ -14,10 +14,20 @@
 //     affine nests and falls straight to the reference enumeration
 //     otherwise; ExactNestCount routes everything through that
 //     enumeration for ablation and equivalence testing.
-//   - SegmentCost, ChangeCost and LoopCarriedCost results are memoized
-//     (segment costs by (i,j), redistribution costs by canonical
-//     SchemeSet signature pairs), collapsing the DP's O(s³) cost-engine
-//     invocations to O(distinct inputs).
+//   - Costs are memoized at three levels, each keyed by exactly what its
+//     value depends on within one compiler. Segment costs by (i, j).
+//     Under them, nest counts by (nest, pass, grid, schemes of the arrays
+//     the nest references): M[i][j] is a sum over the segment's nests,
+//     and a nest's counts cannot see any other array, so the
+//     s(s+1)(s+2)/6 × shapes nest pricings of the DP collapse to one
+//     engine invocation per distinct restricted scheme set (2448 → 48 on
+//     Synthetic(16), N = 16). Redistribution and loop-carried costs by
+//     SchemeSet signature (pairs). All keys are concatenations of
+//     per-array strings a SchemeSet formats once.
+//   - What depends on the program alone is established once per
+//     compiler: its validation, each nest's referenced arrays and
+//     loop-carried reads (prepared), and each nest's affinity-edge
+//     increments, which alignment replays per segment (align.Affinity).
 //   - Candidate grid shapes inside a segment and the DP's M[i][j] table
 //     are evaluated on a NumCPU-bounded worker pool. Parallel runs only
 //     warm the memoization caches; the DP itself then runs serially over
@@ -25,8 +35,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -87,48 +99,116 @@ type Compiler struct {
 	// pointer is shared when an evaluator clones the compiler.
 	Engines *EngineStats
 
-	mu       sync.Mutex
-	poolOnce sync.Once
-	sem      chan struct{}
-	segCache map[[2]int]*segEntry
-	chgCache map[string]*costEntry
-	lcCache  map[string]*costEntry
+	mu        sync.Mutex
+	poolOnce  sync.Once
+	sem       chan struct{}
+	segCache  map[[2]int]*memo[segValue]
+	nestCache map[nestKey]*memo[nestValue]
+	chgCache  map[[2]string]*memo[float64]
+	lcCache   map[string]*memo[float64]
+
+	prepOnce sync.Once
+	prep     *prepared
+	affOnce  sync.Once
+	aff      *align.Affinity
 }
 
 // EngineStats are cumulative counting-engine telemetry counters. All
 // fields are updated atomically.
 type EngineStats struct {
-	// AnalyticHits counts nests priced in closed form.
+	// AnalyticHits counts nest-pricing queries answered in closed form —
+	// by the engine or by a memo entry the engine filled.
 	AnalyticHits atomic.Int64
-	// ExactFallbacks counts nests priced by the reference enumerator:
-	// every nest under ExactNestCount, otherwise the ones the closed
-	// forms declined.
+	// ExactFallbacks counts queries answered by the reference
+	// enumerator: every nest under ExactNestCount, otherwise the ones the
+	// closed forms declined.
 	ExactFallbacks atomic.Int64
+	// NestPricings counts engine invocations: the distinct nest-memo keys
+	// of a compile, every query under NoCache or ExactNestCount.
+	NestPricings atomic.Int64
 }
 
 // Snapshot returns the current counter values as a map keyed the way the
 // dmcc report and the daemon /metrics endpoint expose them.
 func (s *EngineStats) Snapshot() map[string]int64 {
 	if s == nil {
-		return map[string]int64{"analytic_hits": 0, "exact_fallbacks": 0}
+		s = &EngineStats{}
 	}
 	return map[string]int64{
 		"analytic_hits":   s.AnalyticHits.Load(),
 		"exact_fallbacks": s.ExactFallbacks.Load(),
+		"nest_pricings":   s.NestPricings.Load(),
 	}
 }
 
-type segEntry struct {
-	once sync.Once
+// nestKey identifies everything one nest's counts depend on within a
+// compiler (whose program, binding and reduction pricing are fixed): the
+// nest, the pass — which fixes the read filter and the skip options —
+// and the grid and placement of the arrays the nest references.
+type nestKey struct {
+	nest    int
+	carried bool
+	schemes string // SchemeSet.restrictedKey over the nest's arrays
+}
+
+type segValue struct {
 	cost float64
 	ss   *SchemeSet
+}
+
+type nestValue struct {
+	ct  cost.Counts
+	eng cost.Engine
+}
+
+// memo is one cache entry, filled under its sync.Once so concurrent
+// queries of a key compute once and every reader sees the same value.
+type memo[V any] struct {
+	once sync.Once
+	v    V
 	err  error
 }
 
-type costEntry struct {
-	once sync.Once
-	cost float64
-	err  error
+// cached answers fn() from (*cache)[key], computing it on the key's
+// first query; NoCache computes afresh every time. A panic in fn becomes
+// the entry's error (Guard), never a zero-valued success.
+func cached[K comparable, V any](c *Compiler, cache *map[K]*memo[V], key K, fn func() (V, error)) (V, error) {
+	e := &memo[V]{}
+	if !c.NoCache {
+		c.mu.Lock()
+		if *cache == nil {
+			*cache = map[K]*memo[V]{}
+		}
+		if hit, ok := (*cache)[key]; ok {
+			e = hit
+		} else {
+			(*cache)[key] = e
+		}
+		c.mu.Unlock()
+	}
+	e.once.Do(func() {
+		e.err = Guard(func() (err error) {
+			e.v, err = fn()
+			return err
+		})
+	})
+	return e.v, e.err
+}
+
+// ErrPanic marks an error recovered from a panic by Guard.
+var ErrPanic = errors.New("core: panic")
+
+// Guard runs fn, turning a panic into an error that wraps ErrPanic: a
+// pricing bug fails its compile instead of the process (worker
+// goroutines are beyond any caller's recover), and a cache entry never
+// records a panicked fill as a zero-cost success.
+func Guard(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrPanic, r)
+		}
+	}()
+	return fn()
 }
 
 // NewCompiler returns a compiler with the standard configuration.
@@ -145,83 +225,156 @@ func (c *Compiler) jobs() int {
 	return runtime.NumCPU()
 }
 
+// prepared is what a compiler establishes about its program once, before
+// the first cost query.
+type prepared struct {
+	err error // Program.Validate
+	// refs[t] names the arrays nest t's statements reference, sorted —
+	// the arrays whose schemes its counts can depend on.
+	refs [][]string
+	// lastWrite[a] is the (0-based) index of the last nest writing a;
+	// empty unless the program is iterative.
+	lastWrite map[string]int
+}
+
+// prepared validates the program and derives the per-nest tables; the
+// throwaway compilers of a PlanEvaluator inherit their parent's.
+func (c *Compiler) prepared() (*prepared, error) {
+	c.prepOnce.Do(func() {
+		if c.prep != nil {
+			return
+		}
+		pr := &prepared{err: c.Program.Validate(), lastWrite: map[string]int{}}
+		for t, nest := range c.Program.Nests {
+			var names []string
+			for _, st := range nest.Stmts {
+				if c.Program.Iterative {
+					pr.lastWrite[st.LHS.Array] = t
+				}
+				names = append(names, st.LHS.Array)
+				for _, r := range st.Reads {
+					names = append(names, r.Array)
+				}
+			}
+			slices.Sort(names)
+			pr.refs = append(pr.refs, slices.Compact(names))
+		}
+		c.prep = pr
+	})
+	return c.prep, c.prep.err
+}
+
+// loopCarried reports whether a read of array a in nest t (0-based) takes
+// its value from a later write of the same iteration-body pass — a write
+// by nest t or after — i.e. crosses the iterative loop's back edge.
+func (pr *prepared) loopCarried(t int, a string) bool {
+	last, written := pr.lastWrite[a]
+	return written && last >= t
+}
+
 // fanOut runs fn(k) for k in [0, n) using at most jobs() concurrent
 // workers drawn from a shared pool; calls run inline when the pool is
 // saturated (so nested fan-outs never deadlock). fn must be safe to run
-// concurrently with other indices.
-func (c *Compiler) fanOut(n int, fn func(k int)) {
+// concurrently with other indices. A panicking call is recovered into
+// its error (Guard); the lowest-index error is returned.
+func (c *Compiler) fanOut(n int, fn func(k int) error) error {
+	errs := make([]error, n)
+	run := func(k int) { errs[k] = Guard(func() error { return fn(k) }) }
 	if n <= 1 || c.jobs() == 1 {
 		for k := 0; k < n; k++ {
-			fn(k)
+			run(k)
 		}
-		return
+	} else {
+		c.poolOnce.Do(func() { c.sem = make(chan struct{}, c.jobs()) })
+		var wg sync.WaitGroup
+		for k := 0; k < n; k++ {
+			select {
+			case c.sem <- struct{}{}:
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					defer func() { <-c.sem }()
+					run(k)
+				}(k)
+			default:
+				run(k)
+			}
+		}
+		wg.Wait()
 	}
-	c.poolOnce.Do(func() { c.sem = make(chan struct{}, c.jobs()) })
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		select {
-		case c.sem <- struct{}{}:
-			wg.Add(1)
-			go func(k int) {
-				defer wg.Done()
-				defer func() { <-c.sem }()
-				fn(k)
-			}(k)
-		default:
-			fn(k)
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	wg.Wait()
+	return nil
 }
 
-// countNest dispatches nest counting to the engine the configuration
-// selects: closed forms with the reference walker behind them by
-// default, the reference walker alone under ExactNestCount.
-func (c *Compiler) countNest(nest *ir.Nest, ss *SchemeSet, opts cost.CountOptions) (cost.Counts, error) {
-	opts.PipelinedReduction = c.PipelinedReductions
-	if c.ExactNestCount {
-		if c.Engines != nil {
-			c.Engines.ExactFallbacks.Add(1)
-		}
-		return cost.CountNestOptsExact(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
+// countNest prices nest t (0-based) under ss for one of the two passes:
+// the segment pass (carried = false: every read that is not loop-carried,
+// flops and reductions) or the loop-carried pass (carried = true: only
+// the loop-carried reads' words). Answers are memoized per nestKey, so
+// the DP's s³/6 queries cost one engine invocation per distinct (nest,
+// pass, grid, referenced schemes); NoCache and ExactNestCount — and with
+// them a PlanEvaluator's per-size compilers, which price every nest once
+// — go to the engine directly.
+func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, error) {
+	pr, err := c.prepared()
+	if err != nil {
+		return cost.Counts{}, err
 	}
-	ct, eng, err := cost.CountNestOptsEngine(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
+	price := func() (nestValue, error) { return c.priceNest(pr, t, carried, ss) }
+	var v nestValue
+	if c.NoCache || c.ExactNestCount {
+		v, err = price()
+	} else {
+		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.restrictedKey(pr.refs[t])}, price)
+	}
 	if c.Engines != nil && err == nil {
-		if eng == cost.EngineAnalytic {
+		if v.eng == cost.EngineAnalytic {
 			c.Engines.AnalyticHits.Add(1)
 		} else {
 			c.Engines.ExactFallbacks.Add(1)
 		}
 	}
-	return ct, err
+	return v.ct, err
 }
 
-// writtenAtOrAfter reports the arrays written by nests with (0-based)
-// index >= t — the loop-carried candidates for reads in nest t of an
-// iterative program.
-func (c *Compiler) writtenAtOrAfter(t int) map[string]bool {
-	out := map[string]bool{}
-	for _, nest := range c.Program.Nests[t:] {
-		for _, st := range nest.Stmts {
-			out[st.LHS.Array] = true
-		}
+// priceNest is one invocation of the counting engine the configuration
+// selects: closed forms with the reference walker behind them by
+// default, the reference walker alone under ExactNestCount.
+func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (v nestValue, err error) {
+	if c.Engines != nil {
+		c.Engines.NestPricings.Add(1)
 	}
-	return out
-}
-
-// isLoopCarriedRead reports whether a read of array a in nest t (0-based)
-// takes its value from a later write of the same iteration-body pass,
-// i.e. crosses the iterative loop's back edge.
-func (c *Compiler) isLoopCarriedRead(t int, a string) bool {
-	if !c.Program.Iterative {
-		return false
+	nest := c.Program.Nests[t]
+	opts := cost.CountOptions{
+		IncludeRead:        func(a string) bool { return pr.loopCarried(t, a) == carried },
+		SkipReduction:      carried, // priced in the segment pass
+		SkipFlops:          carried,
+		PipelinedReduction: c.PipelinedReductions,
 	}
-	return c.writtenAtOrAfter(t)[a]
+	if c.ExactNestCount {
+		v.eng = cost.EngineExact
+		v.ct, err = cost.CountNestOptsExact(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
+		return v, err
+	}
+	v.ct, v.eng, err = cost.CountValidatedNest(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
+	return v, err
 }
 
-// align partitions the affinity graph of the given nests.
-func (c *Compiler) alignNests(nests []*ir.Nest) (align.Partition, error) {
-	g, err := align.BuildGraph(c.Program, nests, c.Weights)
+// alignNests partitions the affinity graph of nests lo..hi-1 (0-based):
+// a replay of the per-nest edge increments computed once per compiler,
+// or a fresh align.BuildGraph under NoCache.
+func (c *Compiler) alignNests(lo, hi int) (align.Partition, error) {
+	var g *align.Graph
+	var err error
+	if c.NoCache {
+		g, err = align.BuildGraph(c.Program, c.Program.Nests[lo:hi], c.Weights)
+	} else {
+		c.affOnce.Do(func() { c.aff = align.NewAffinity(c.Program, c.Program.Nests, c.Weights) })
+		g, err = c.aff.Graph(lo, hi)
+	}
 	if err != nil {
 		return align.Partition{}, err
 	}
@@ -237,35 +390,23 @@ func (c *Compiler) alignNests(nests []*ir.Nest) (align.Partition, error) {
 // grid shapes of Section 3. Loop-carried reads are excluded here and
 // priced by LoopCarriedCost. Results are memoized by (i,j).
 func (c *Compiler) SegmentCost(i, j int) (float64, *SchemeSet, error) {
-	if c.NoCache {
-		return c.segmentCost(i, j)
+	v, err := cached(c, &c.segCache, [2]int{i, j}, func() (segValue, error) { return c.segmentCost(i, j) })
+	if errors.Is(err, ErrPanic) {
+		err = fmt.Errorf("core: segment (%d,%d): %w", i, j, err)
 	}
-	key := [2]int{i, j}
-	c.mu.Lock()
-	if c.segCache == nil {
-		c.segCache = map[[2]int]*segEntry{}
-	}
-	e, ok := c.segCache[key]
-	if !ok {
-		e = &segEntry{}
-		c.segCache[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.cost, e.ss, e.err = c.segmentCost(i, j) })
-	return e.cost, e.ss, e.err
+	return v.cost, v.ss, err
 }
 
-func (c *Compiler) segmentCost(i, j int) (float64, *SchemeSet, error) {
+func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
-		return 0, nil, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
+		return segValue{}, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
 	}
-	nests := c.Program.Nests[i-1 : i-1+j]
-	pt, err := c.alignNests(nests)
+	pt, err := c.alignNests(i-1, i-1+j)
 	if err != nil {
-		return 0, nil, err
+		return segValue{}, err
 	}
 	cyclic := false
-	for _, n := range nests {
+	for _, n := range c.Program.Nests[i-1 : i-1+j] {
 		if Triangular(n) {
 			cyclic = true
 		}
@@ -273,40 +414,35 @@ func (c *Compiler) segmentCost(i, j int) (float64, *SchemeSet, error) {
 	shapes := GridShapes(c.NProcs)
 	sets := make([]*SchemeSet, len(shapes))
 	costs := make([]float64, len(shapes))
-	errs := make([]error, len(shapes))
-	c.fanOut(len(shapes), func(k int) {
+	err = c.fanOut(len(shapes), func(k int) error {
 		ss, err := DeriveSchemes(c.Program, pt, shapes[k], c.Bind, cyclic)
 		if err != nil {
-			errs[k] = err
-			return
+			return err
 		}
 		total := 0.0
-		for t, nest := range nests {
-			globalT := i - 1 + t
-			ct, err := c.countNest(nest, ss, cost.CountOptions{
-				IncludeRead: func(a string) bool { return !c.isLoopCarriedRead(globalT, a) },
-			})
+		for t := i - 1; t < i-1+j; t++ {
+			ct, err := c.countNest(t, false, ss)
 			if err != nil {
-				errs[k] = err
-				return
+				return err
 			}
 			total += ct.Time(c.Model).Total()
 		}
 		sets[k], costs[k] = ss, total
+		return nil
 	})
+	if err != nil {
+		return segValue{}, err
+	}
 	// Serial reduce in shape order with a strict < keeps the winning
 	// shape identical to the historical serial loop on ties.
 	var best *SchemeSet
 	bestCost := 0.0
 	for k := range shapes {
-		if errs[k] != nil {
-			return 0, nil, errs[k]
-		}
 		if best == nil || costs[k] < bestCost {
 			best, bestCost = sets[k], costs[k]
 		}
 	}
-	return bestCost, best, nil
+	return segValue{bestCost, best}, nil
 }
 
 // ChangeCost prices redistributing every array from one scheme set to
@@ -321,22 +457,8 @@ func (c *Compiler) ChangeCost(from, to *SchemeSet) (float64, error) {
 	if from == nil || to == nil {
 		return 0, fmt.Errorf("core: ChangeCost on nil scheme set")
 	}
-	if c.NoCache {
-		return c.changeCost(from, to)
-	}
-	key := from.Signature() + "=>" + to.Signature()
-	c.mu.Lock()
-	if c.chgCache == nil {
-		c.chgCache = map[string]*costEntry{}
-	}
-	e, ok := c.chgCache[key]
-	if !ok {
-		e = &costEntry{}
-		c.chgCache[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.cost, e.err = c.changeCost(from, to) })
-	return e.cost, e.err
+	return cached(c, &c.chgCache, [2]string{from.Signature(), to.Signature()},
+		func() (float64, error) { return c.changeCost(from, to) })
 }
 
 func (c *Compiler) changeCost(from, to *SchemeSet) (float64, error) {
@@ -423,32 +545,14 @@ func (c *Compiler) LoopCarriedCost(final *SchemeSet) (float64, error) {
 	if !c.Program.Iterative {
 		return 0, nil
 	}
-	if c.NoCache {
-		return c.loopCarriedCost(final)
-	}
-	key := final.Signature()
-	c.mu.Lock()
-	if c.lcCache == nil {
-		c.lcCache = map[string]*costEntry{}
-	}
-	e, ok := c.lcCache[key]
-	if !ok {
-		e = &costEntry{}
-		c.lcCache[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.cost, e.err = c.loopCarriedCost(final) })
-	return e.cost, e.err
+	return cached(c, &c.lcCache, final.Signature(),
+		func() (float64, error) { return c.loopCarriedCost(final) })
 }
 
 func (c *Compiler) loopCarriedCost(final *SchemeSet) (float64, error) {
 	total := 0.0
-	for t, nest := range c.Program.Nests {
-		ct, err := c.countNest(nest, final, cost.CountOptions{
-			IncludeRead:   func(a string) bool { return c.isLoopCarriedRead(t, a) },
-			SkipReduction: true,
-			SkipFlops:     true,
-		})
+	for t := range c.Program.Nests {
+		ct, err := c.countNest(t, true, final)
 		if err != nil {
 			return 0, err
 		}
@@ -474,8 +578,11 @@ func (c *Compiler) precompute(s int) {
 			keys = append(keys, ij{i, j})
 		}
 	}
-	c.fanOut(len(keys), func(k int) {
-		c.SegmentCost(keys[k].i, keys[k].j) //nolint:errcheck — errors resurface from the cache in RunDP
+	// Warm-up only: a failed query's error is cached and resurfaces when
+	// RunDP asks again, so the fan-outs' own errors are dropped.
+	_ = c.fanOut(len(keys), func(k int) error {
+		_, _, err := c.SegmentCost(keys[k].i, keys[k].j)
+		return err
 	})
 	// Distinct scheme sets, in a deterministic order.
 	bySig := map[string]*SchemeSet{}
@@ -501,12 +608,14 @@ func (c *Compiler) precompute(s int) {
 			}
 		}
 	}
-	c.fanOut(len(pairs), func(k int) {
-		c.ChangeCost(pairs[k].from, pairs[k].to) //nolint:errcheck — cache warm-up only
+	_ = c.fanOut(len(pairs), func(k int) error {
+		_, err := c.ChangeCost(pairs[k].from, pairs[k].to)
+		return err
 	})
 	if c.Program.Iterative {
-		c.fanOut(len(sigs), func(k int) {
-			c.LoopCarriedCost(bySig[sigs[k]]) //nolint:errcheck — cache warm-up only
+		_ = c.fanOut(len(sigs), func(k int) error {
+			_, err := c.LoopCarriedCost(bySig[sigs[k]])
+			return err
 		})
 	}
 }
@@ -527,7 +636,7 @@ type CompileResult struct {
 // parallel first; the DP itself always runs serially over the caches, so
 // the result does not depend on Jobs.
 func (c *Compiler) Compile() (*CompileResult, error) {
-	if err := c.Program.Validate(); err != nil {
+	if _, err := c.prepared(); err != nil {
 		return nil, err
 	}
 	s := len(c.Program.Nests)

@@ -46,7 +46,7 @@ func TestTriangular(t *testing.T) {
 
 func TestDeriveSchemesJacobiRow(t *testing.T) {
 	c := jacobiCompiler(16, 4)
-	pt, err := c.alignNests(c.Program.Nests[1:]) // L2: everything with A1
+	pt, err := c.alignNests(1, len(c.Program.Nests)) // L2: everything with A1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestChangeCostRowToColumn(t *testing.T) {
 	// blocks of A: m^2 (1 - 1/N) words spread over N processors.
 	m, n := 16, 4
 	c := jacobiCompiler(m, n)
-	pt1, err := c.alignNests(c.Program.Nests[:1])
+	pt1, err := c.alignNests(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestDeriveSchemesValidatesAll(t *testing.T) {
 	// All schemes in a derived set must be valid for their arrays.
 	m, n := 10, 4
 	c := NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, n)
-	pt, err := c.alignNests(c.Program.Nests)
+	pt, err := c.alignNests(0, len(c.Program.Nests))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +536,7 @@ func TestCollectiveChangeCostNeverWorse(t *testing.T) {
 	for _, prog := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss()} {
 		m, n := 16, 16
 		c := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-		pt, err := c.alignNests(c.Program.Nests)
+		pt, err := c.alignNests(0, len(c.Program.Nests))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,16 +105,23 @@ func (pe *PlanEvaluator) setsAt(m int) ([]*SchemeSet, error) {
 }
 
 // evalCompiler is a throwaway compiler bound at m, sharing the frozen
-// plan's program and model; used for the redistribution and loop-carried
-// terms, which the analytic calculators already answer in closed form.
-func (pe *PlanEvaluator) evalCompiler(m int) *Compiler {
+// plan's program, its validation and per-nest tables, and its model;
+// used for the redistribution and loop-carried terms, which the analytic
+// calculators already answer in closed form. It prices every nest and
+// scheme change once, so it runs uncached and pays no memo keys.
+func (pe *PlanEvaluator) evalCompiler(m int) (*Compiler, error) {
+	prep, err := pe.c.prepared()
+	if err != nil {
+		return nil, err
+	}
 	return &Compiler{
 		Program: pe.c.Program, Model: pe.c.Model, Bind: pe.bindAt(m),
-		NProcs: pe.c.NProcs, Weights: pe.c.Weights, Jobs: 1,
+		NProcs: pe.c.NProcs, Weights: pe.c.Weights, Jobs: 1, NoCache: true,
 		ExactNestCount:      pe.c.ExactNestCount,
 		PipelinedReductions: pe.c.PipelinedReductions,
 		Engines:             pe.c.Engines,
-	}
+		prep:                prep,
+	}, nil
 }
 
 // nestCountsAt prices nest t (0-based) of segment seg at size m: from
@@ -124,10 +131,7 @@ func (pe *PlanEvaluator) nestCountsAt(t, m int, ss *SchemeSet, ec *Compiler) (co
 	if pe.execSym != nil && m >= pe.fitMinM {
 		return pe.execSym[t].EvalAt(m)
 	}
-	nest := pe.c.Program.Nests[t]
-	return ec.countNest(nest, ss, cost.CountOptions{
-		IncludeRead: func(a string) bool { return !ec.isLoopCarriedRead(t, a) },
-	})
+	return ec.countNest(t, false, ss)
 }
 
 // lcCountsAt prices the loop-carried words of nest t at size m.
@@ -135,12 +139,7 @@ func (pe *PlanEvaluator) lcCountsAt(t, m int, final *SchemeSet, ec *Compiler) (c
 	if pe.lcSym != nil && m >= pe.fitMinM {
 		return pe.lcSym[t].EvalAt(m)
 	}
-	nest := pe.c.Program.Nests[t]
-	return ec.countNest(nest, final, cost.CountOptions{
-		IncludeRead:   func(a string) bool { return ec.isLoopCarriedRead(t, a) },
-		SkipReduction: true,
-		SkipFlops:     true,
-	})
+	return ec.countNest(t, true, final)
 }
 
 // EvalAt prices the frozen plan at size m. Execution and loop-carried
@@ -159,7 +158,9 @@ func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 		if err != nil {
 			return PlanCost{}, err
 		}
-		ec = pe.evalCompiler(m)
+		if ec, err = pe.evalCompiler(m); err != nil {
+			return PlanCost{}, err
+		}
 	}
 	var pc PlanCost
 	for i, fs := range pe.segs {
@@ -239,7 +240,11 @@ func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 		if err != nil {
 			return nil, err
 		}
-		sc := &sampleCtx{sets: sets, ec: pe.evalCompiler(m)}
+		ec, err := pe.evalCompiler(m)
+		if err != nil {
+			return nil, err
+		}
+		sc := &sampleCtx{sets: sets, ec: ec}
 		cache[m] = sc
 		return sc, nil
 	}

@@ -137,8 +137,8 @@ func TestDeclinedNestCountsAsExactFallback(t *testing.T) {
 	if snap["exact_fallbacks"] == 0 || snap["analytic_hits"] != 0 {
 		t.Errorf("engine counters %v: want every pricing call an exact fallback", snap)
 	}
-	if len(snap) != 2 {
-		t.Errorf("engine counters %v: want exactly analytic_hits and exact_fallbacks", snap)
+	if len(snap) != 3 {
+		t.Errorf("engine counters %v: want exactly analytic_hits, exact_fallbacks and nest_pricings", snap)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestSchemeSetSignature(t *testing.T) {
 	p := ir.Jacobi()
 	c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, 4)
 	derive := func(shape [2]int) *SchemeSet {
-		pt, err := c.alignNests(p.Nests)
+		pt, err := c.alignNests(0, len(p.Nests))
 		if err != nil {
 			t.Fatal(err)
 		}

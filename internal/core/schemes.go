@@ -13,7 +13,9 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"dmcc/internal/align"
 	"dmcc/internal/dist"
@@ -32,6 +34,11 @@ type SchemeSet struct {
 	// (triangular iteration spaces, Section 6).
 	Cyclic bool
 	Label  string
+
+	keyOnce  sync.Once
+	gridKey  string            // "gx<extent>x<extent>", "" without a grid
+	arrayKey map[string]string // per array: ";<name>:" and its placement
+	sig      string            // gridKey + every arrayKey in sorted name order
 }
 
 // String summarizes the scheme set.
@@ -50,47 +57,89 @@ func (ss *SchemeSet) String() string {
 // every element of every array identically, so signatures (and
 // signature pairs) are safe memoization keys for redistribution and
 // loop-carried costs. Labels and partitions are deliberately excluded.
+// The string is built once per set; Grid and Schemes must not change
+// after the first call.
 func (ss *SchemeSet) Signature() string {
 	if ss == nil {
 		return "<nil>"
 	}
-	var b strings.Builder
+	ss.keyOnce.Do(ss.buildKeys)
+	return ss.sig
+}
+
+// buildKeys formats the set's memoization keys, once: the signature and
+// the pieces it concatenates, so a key over a subset of the arrays
+// (restrictedKey) costs a concatenation and no formatting.
+func (ss *SchemeSet) buildKeys() {
+	var b []byte
 	if ss.Grid != nil {
-		b.WriteByte('g')
+		b = append(b, 'g')
 		for d := 0; d < ss.Grid.Q(); d++ {
-			fmt.Fprintf(&b, "x%d", ss.Grid.Extent(d))
+			b = strconv.AppendInt(append(b, 'x'), int64(ss.Grid.Extent(d)), 10)
 		}
 	}
+	ss.gridKey = string(b)
 	names := make([]string, 0, len(ss.Schemes))
 	for n := range ss.Schemes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	ss.arrayKey = make(map[string]string, len(names))
 	for _, n := range names {
-		s := ss.Schemes[n]
-		fmt.Fprintf(&b, ";%s:", n)
-		for _, d := range s.Dims {
-			if d.Replicated {
-				fmt.Fprintf(&b, "[R g%d]", d.GridDim)
-				continue
-			}
-			fmt.Fprintf(&b, "[%+d %d %d c%t g%d]", d.Sign, d.Disp, d.Block, d.Cyclic, d.GridDim)
-		}
-		if s.Rot != dist.NoRotation {
-			fmt.Fprintf(&b, "rot%d(%d,%d)", s.Rot, s.D1, s.D2)
-		}
-		if len(s.Fixed) > 0 {
-			gds := make([]int, 0, len(s.Fixed))
-			for gd := range s.Fixed {
-				gds = append(gds, gd)
-			}
-			sort.Ints(gds)
-			for _, gd := range gds {
-				fmt.Fprintf(&b, "f%d=%d", gd, s.Fixed[gd])
-			}
-		}
+		ss.arrayKey[n] = schemeKey(n, ss.Schemes[n])
+		b = append(b, ss.arrayKey[n]...)
+	}
+	ss.sig = string(b)
+}
+
+// restrictedKey is the signature restricted to the named arrays (given
+// in sorted order): equal keys place every element of those arrays
+// identically on equal grids, whatever the sets say about other arrays.
+func (ss *SchemeSet) restrictedKey(arrays []string) string {
+	ss.keyOnce.Do(ss.buildKeys)
+	var b strings.Builder
+	b.WriteString(ss.gridKey)
+	for _, a := range arrays {
+		b.WriteString(ss.arrayKey[a])
 	}
 	return b.String()
+}
+
+// schemeKey encodes one array's placement as Signature documents it.
+func schemeKey(name string, s dist.Scheme) string {
+	b := append(append([]byte{';'}, name...), ':')
+	for _, d := range s.Dims {
+		if d.Replicated {
+			b = append(strconv.AppendInt(append(b, "[R g"...), int64(d.GridDim), 10), ']')
+			continue
+		}
+		b = append(b, '[')
+		if d.Sign >= 0 {
+			b = append(b, '+')
+		}
+		b = strconv.AppendInt(b, int64(d.Sign), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(d.Disp), 10)
+		b = strconv.AppendInt(append(b, ' '), int64(d.Block), 10)
+		b = strconv.AppendBool(append(b, " c"...), d.Cyclic)
+		b = append(strconv.AppendInt(append(b, " g"...), int64(d.GridDim), 10), ']')
+	}
+	if s.Rot != dist.NoRotation {
+		b = strconv.AppendInt(append(b, "rot"...), int64(s.Rot), 10)
+		b = strconv.AppendInt(append(b, '('), int64(s.D1), 10)
+		b = append(strconv.AppendInt(append(b, ','), int64(s.D2), 10), ')')
+	}
+	if len(s.Fixed) > 0 {
+		gds := make([]int, 0, len(s.Fixed))
+		for gd := range s.Fixed {
+			gds = append(gds, gd)
+		}
+		sort.Ints(gds)
+		for _, gd := range gds {
+			b = strconv.AppendInt(append(b, 'f'), int64(gd), 10)
+			b = strconv.AppendInt(append(b, '='), int64(s.Fixed[gd]), 10)
+		}
+	}
+	return string(b)
 }
 
 // Triangular reports whether any loop bound of the nest depends on an

@@ -793,3 +793,48 @@ func TestDeclinedNestsReachTheOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestCountsIgnoreUnreferencedSchemes is the counting half of the nest
+// memo's soundness in core (its key covers the grid and the schemes of
+// the arrays a nest references, nothing else): for random affine nests,
+// two scheme sets that agree on the referenced arrays and differ on
+// every other array — redrawn, or missing altogether — must price the
+// nest identically, through the dispatcher and through the oracle.
+func TestCountsIgnoreUnreferencedSchemes(t *testing.T) {
+	grids := []*grid.Grid{grid.New(4, 1), grid.New(2, 2), grid.New(2, 3)}
+	for _, seed := range oracleSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 60; trial++ {
+			g := grids[trial%len(grids)]
+			m := 8 + rng.Intn(4)
+			bind := map[string]int{"m": m}
+			p := randNestProgram(rng, m)
+			nest := p.Nests[0]
+			schemes := randSchemes(t, rng, p, g, m)
+			redrawn := randSchemes(t, rng, p, g, m)
+			dropped := map[string]dist.Scheme{}
+			for _, st := range nest.Stmts {
+				for _, r := range append([]ir.Ref{st.LHS}, st.Reads...) {
+					redrawn[r.Array] = schemes[r.Array]
+					dropped[r.Array] = schemes[r.Array]
+				}
+			}
+			opts := CountOptions{SkipReduction: trial%2 == 1, PipelinedReduction: trial%3 == 1}
+			for name, count := range map[string]func(*ir.Program, *ir.Nest, map[string]dist.Scheme, *grid.Grid, map[string]int, CountOptions) (Counts, error){
+				"CountNestOpts": CountNestOpts, "CountNestOptsExact": CountNestOptsExact,
+			} {
+				want, err := count(p, nest, schemes, g, bind, opts)
+				if err != nil {
+					t.Fatalf("seed %d trial %d: %s: %v", seed, trial, name, err)
+				}
+				for variant, other := range map[string]map[string]dist.Scheme{"redrawn": redrawn, "dropped": dropped} {
+					got, err := count(p, nest, other, g, bind, opts)
+					if err != nil || got != want {
+						t.Fatalf("seed %d trial %d: %s with unreferenced arrays %s: %+v (%v), want %+v\ngrid=%s bind=%v\n%s",
+							seed, trial, name, variant, got, err, want, g, bind, describeNest(nest, other))
+					}
+				}
+			}
+		}
+	}
+}

@@ -75,16 +75,6 @@ func CountNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *
 	return CountNestOpts(p, nest, schemes, g, bind, CountOptions{})
 }
 
-// CountNestFiltered is CountNest restricted to the read references for
-// which includeRead returns true (nil means all reads). The dynamic
-// programming driver uses it to split a nest's communication into the
-// within-segment part (M of Algorithm 1) and the loop-carried part (the
-// CTime2 term of Fig 3): reads of arrays written later in the iteration
-// body are priced separately.
-func CountNestFiltered(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, includeRead func(array string) bool) (Counts, error) {
-	return CountNestOpts(p, nest, schemes, g, bind, CountOptions{IncludeRead: includeRead})
-}
-
 // CountOptions tailor a counting pass.
 type CountOptions struct {
 	// IncludeRead filters read references by array (nil = all).
@@ -132,6 +122,16 @@ func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme,
 // engine produced the counts — the hook behind the compiler's
 // analytic_hits / exact_fallbacks telemetry.
 func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
+	if err := p.Validate(); err != nil {
+		return Counts{}, EngineExact, err
+	}
+	return CountValidatedNest(p, nest, schemes, g, bind, opts)
+}
+
+// CountValidatedNest is CountNestOptsEngine for a caller that has already
+// run p.Validate — core validates a program once per compiler, not once
+// per pricing. The per-nest scheme and shape checks still run here.
+func CountValidatedNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
 		return Counts{}, EngineExact, err
 	}
@@ -144,12 +144,9 @@ func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.S
 	return ct, EngineExact, err
 }
 
-// validateNest checks the program, and that every referenced array has a
-// scheme valid for its shape on g.
+// validateNest checks that every array the nest references has a scheme
+// valid for its shape on g.
 func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	for _, st := range nest.Stmts {
 		for _, r := range append([]ir.Ref{st.LHS}, st.Reads...) {
 			s, ok := schemes[r.Array]
@@ -196,6 +193,9 @@ func (c *ownerCache) owners(e elemKey) []int {
 // against, its fallback for the nests it declines, and the ablation
 // engine behind core.Compiler.ExactNestCount.
 func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
+	if err := p.Validate(); err != nil {
+		return Counts{}, err
+	}
 	if err := validateNest(p, nest, schemes, g, bind); err != nil {
 		return Counts{}, err
 	}

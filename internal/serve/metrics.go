@@ -124,16 +124,20 @@ type ServerSnapshot struct {
 	// re-pricings — the sub-microsecond path that never runs the DP.
 	Compiles    int64 `json:"compiles"`
 	CompileHits int64 `json:"compile_hits"`
-	PlanThaws   int64 `json:"plan_thaws"`
-	CostEvals   int64 `json:"cost_evals"`
-	PlansLive   int   `json:"plans_live"`
+	// CompilePanics counts POST /compile requests answered 500 because
+	// the compile panicked (recovered; the daemon keeps serving).
+	CompilePanics int64 `json:"compile_panics"`
+	PlanThaws     int64 `json:"plan_thaws"`
+	CostEvals     int64 `json:"cost_evals"`
+	PlansLive     int   `json:"plans_live"`
 	// PrewarmedPlans counts evaluators registered from a peer's frozen
 	// plans at startup — live before the first request ever arrives.
 	PrewarmedPlans int64 `json:"prewarmed_plans"`
 	// Engines counts which nest-counting engine priced each compile-time
 	// query across every compile this daemon ran: analytic_hits is the
 	// closed-form path, exact_fallbacks the reference enumerator behind
-	// it. A nonzero fallback count on the builtin programs is a
+	// it, nest_pricings the engine invocations behind both (the rest were
+	// memo hits). A nonzero fallback count on the builtin programs is a
 	// counting-engine regression.
 	Engines map[string]int64 `json:"engines"`
 }

@@ -83,7 +83,7 @@ type planEntry struct {
 type Server struct {
 	cfg Config
 
-	compiles, compileHits, planThaws, costEvals, prewarmedPlans atomic.Int64
+	compiles, compileHits, compilePanics, planThaws, costEvals, prewarmedPlans atomic.Int64
 
 	engines core.EngineStats // shared by every compiler this server builds
 
@@ -308,10 +308,16 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	done := make(chan built, 1)
 	go func() {
-		pe, fitErr, cached, err := sweep.PlanFor(c, req.M, sweep.Options{
-			Cache: s.cfg.Store, Jobs: s.cfg.Jobs, Warnf: s.cfg.Warnf,
+		var b built
+		// net/http's per-request recover cannot see this goroutine: an
+		// unrecovered panic here would take the daemon down.
+		b.err = core.Guard(func() (err error) {
+			b.pe, b.fitErr, b.cached, err = sweep.PlanFor(c, req.M, sweep.Options{
+				Cache: s.cfg.Store, Jobs: s.cfg.Jobs, Warnf: s.cfg.Warnf,
+			})
+			return err
 		})
-		done <- built{pe, fitErr, cached, err}
+		done <- b
 	}()
 	ctx := r.Context()
 	if s.cfg.CompileTimeout > 0 {
@@ -326,6 +332,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// The compile keeps running in its single-flight; a retry of the
 		// same request will find the finished artifact.
 		httpError(w, http.StatusServiceUnavailable, "compile still running after %v; retry", s.cfg.CompileTimeout)
+		return
+	}
+	if errors.Is(b.err, core.ErrPanic) {
+		s.compilePanics.Add(1)
+		httpError(w, http.StatusInternalServerError, "compile: %v", b.err)
 		return
 	}
 	if b.err != nil {
@@ -539,6 +550,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Server: ServerSnapshot{
 			Compiles:       s.compiles.Load(),
 			CompileHits:    s.compileHits.Load(),
+			CompilePanics:  s.compilePanics.Load(),
 			PlanThaws:      s.planThaws.Load(),
 			CostEvals:      s.costEvals.Load(),
 			PlansLive:      live,

@@ -461,3 +461,35 @@ func TestMetricsEngineCounters(t *testing.T) {
 		t.Fatalf("served engines %v != snapshot %v", ms.Server.Engines, eng)
 	}
 }
+
+// outOfExtentSource reads B five elements past its extent; pricing it
+// panics inside the owner computation (the ROADMAP's repro).
+const outOfExtentSource = `PROGRAM oob
+PARAM m
+REAL A(m), B(m)
+DO 2 i = 1, m
+1   A(i) = B(i+5)
+2 CONTINUE
+END
+`
+
+// TestCompilePanicDoesNotKillTheDaemon: a compile that panics — on a
+// fan-out worker or the flight goroutine, both beyond net/http's
+// per-request recover — is answered 500 with the panic value, counted,
+// and the next request is served.
+func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	for attempt := 1; attempt <= 2; attempt++ {
+		resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: outOfExtentSource, M: 8, N: 4})
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "block index") {
+			t.Fatalf("attempt %d: POST /compile of a panicking program: %s: %s", attempt, resp.Status, raw)
+		}
+		if got := s.Metrics().Server.CompilePanics; got != int64(attempt) {
+			t.Fatalf("attempt %d: compile_panics = %d", attempt, got)
+		}
+	}
+	compileProg(t, ts, "jacobi", 16, 4)
+	if g, ok := s.cfg.Store.(interface{ InFlight() int }); ok && g.InFlight() != 0 {
+		t.Errorf("%d flights left open by the failed compiles", g.InFlight())
+	}
+}
