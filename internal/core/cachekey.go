@@ -14,13 +14,22 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"dmcc/internal/ir"
 )
 
+// programHashes counts ProgramHash calls. Each prints and hashes the whole
+// program, so tests pin how many a request makes.
+var programHashes atomic.Int64
+
+// ProgramHashCalls returns the number of ProgramHash calls so far.
+func ProgramHashCalls() int64 { return programHashes.Load() }
+
 // ProgramHash returns the sha-256 (hex) of the program's canonical
 // printed form — a stable content address for the IR.
 func ProgramHash(p *ir.Program) string {
+	programHashes.Add(1)
 	h := sha256.Sum256([]byte(ir.Print(p)))
 	return hex.EncodeToString(h[:])
 }

@@ -113,7 +113,9 @@ func (pe *PlanEvaluator) Freeze() *FrozenPlan {
 }
 
 // Validate checks the plan against a program: segments must tile the
-// nest sequence exactly and fits (when present) must cover every nest.
+// nest sequence exactly, fits (when present) must cover every nest, and
+// every fit must be structurally sound — a payload is outside input, and
+// an evaluator thawed from a malformed fit would panic when priced.
 func (fp *FrozenPlan) Validate(p *ir.Program) error {
 	if fp.Schema != FrozenPlanSchema {
 		return fmt.Errorf("core: frozen plan schema %d, this build reads schema %d", fp.Schema, FrozenPlanSchema)
@@ -136,6 +138,21 @@ func (fp *FrozenPlan) Validate(p *ir.Program) error {
 	}
 	if fp.ChgFits != nil && len(fp.ChgFits) != len(fp.Segments) {
 		return fmt.Errorf("core: frozen plan has %d change fits for %d segments", len(fp.ChgFits), len(fp.Segments))
+	}
+	for _, fits := range [][]*cost.SymbolicCounts{fp.ExecFits, fp.LCFits} {
+		for t, sc := range fits {
+			if err := sc.Validate(); err != nil {
+				return fmt.Errorf("core: frozen plan fit of nest %d: %w", t+1, err)
+			}
+		}
+	}
+	for i, sl := range fp.ChgFits {
+		if i == 0 {
+			continue // no boundary enters the first segment
+		}
+		if err := sl.Validate(); err != nil {
+			return fmt.Errorf("core: frozen plan change fit into segment %d: %w", i+1, err)
+		}
 	}
 	return nil
 }

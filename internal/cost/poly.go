@@ -10,7 +10,9 @@ package cost
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
@@ -49,8 +51,95 @@ func (p Poly) Eval(m int) int64 {
 }
 
 // String renders the polynomial in the monomial basis over m with exact
-// rational coefficients, e.g. "(m^2 + 6*m - 16)/4".
+// rational coefficients, e.g. "(m^2 + 6*m - 16)/4". The expansion runs in
+// overflow-checked int64; a polynomial too large for that goes through
+// the big.Rat expansion, which yields the same text.
 func (p Poly) String() string {
+	if s, ok := p.stringInt(); ok {
+		return s
+	}
+	return p.stringRat()
+}
+
+// checked is int64 arithmetic with a sticky overflow flag.
+type checked struct{ overflow bool }
+
+func (ck *checked) mul(a, b int64) int64 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	c := a * b
+	if c/b != a || (b == -1 && a == math.MinInt64) {
+		ck.overflow = true
+	}
+	return c
+}
+
+func (ck *checked) add(a, b int64) int64 {
+	c := a + b
+	if (c > a) != (b > 0) {
+		ck.overflow = true
+	}
+	return c
+}
+
+// stringInt expands sum_k Diffs[k]*C((m-M0)/Step, k) as an integer
+// numerator polynomial over the one denominator Step^n * n! (n the
+// degree), then divides both by the gcd of the denominator and every
+// coefficient. With t-j = (m - x_j)/Step, x_j = M0 + j*Step, the sum is
+// the Newton form sum_k a_k * prod_{j<k} (m - x_j) with a_k = Diffs[k] *
+// Step^(n-k) * n!/k!, expanded by Horner from the inside out. The reduced
+// denominator is the lcm of the reduced coefficients' denominators that
+// stringRat computes (lcm_i D/gcd(N_i,D) = D/gcd(D,N_0..N_n)), so the
+// text is the same. It reports false when an intermediate overflows.
+func (p Poly) stringInt() (string, bool) {
+	if p.Step < 1 || len(p.Diffs) == 0 {
+		return "", false
+	}
+	n := p.Degree()
+	num := make([]int64, 1, n+1) // num[i] multiplies m^i
+	num[0] = p.Diffs[n]
+	var ck checked
+	den, step := int64(1), int64(p.Step)
+	for k := n - 1; k >= 0; k-- {
+		// den = Step^(n-k) * n!/k!; num = num*(m - x_k) + Diffs[k]*den.
+		den = ck.mul(den, ck.mul(step, int64(k+1)))
+		a := ck.mul(p.Diffs[k], den)
+		negX := ck.mul(-1, ck.add(int64(p.M0), ck.mul(int64(k), step)))
+		num = append(num, num[len(num)-1])
+		for i := len(num) - 2; i >= 0; i-- {
+			below := a
+			if i > 0 {
+				below = num[i-1]
+			}
+			num[i] = ck.add(below, ck.mul(negX, num[i]))
+		}
+		if ck.overflow {
+			return "", false
+		}
+	}
+	g := den
+	for _, c := range num {
+		if c == math.MinInt64 {
+			return "", false // |c| is not an int64
+		}
+		for c != 0 {
+			g, c = c, g%c
+		}
+		if g < 0 {
+			g = -g
+		}
+	}
+	coef := make([]string, len(num))
+	for i, c := range num {
+		coef[i] = strconv.FormatInt(c/g, 10)
+	}
+	return renderPoly(coef, strconv.FormatInt(den/g, 10)), true
+}
+
+// stringRat is the arbitrary-precision expansion: String's overflow
+// fallback and the oracle stringInt is tested against.
+func (p Poly) stringRat() string {
 	// Expand sum_k Diffs[k] * C((m-M0)/Step, k) in powers of m.
 	coeffs := []*big.Rat{big.NewRat(0, 1)} // coeffs[i] multiplies m^i
 	// tPoly = (m - M0)/Step as a degree-1 polynomial in m.
@@ -90,10 +179,20 @@ func (p Poly) String() string {
 	for _, c := range coeffs {
 		den.Mul(den, new(big.Int).Div(c.Denom(), new(big.Int).GCD(nil, nil, den, c.Denom())))
 	}
+	coef := make([]string, len(coeffs))
+	for i, c := range coeffs {
+		coef[i] = new(big.Int).Mul(c.Num(), new(big.Int).Div(den, c.Denom())).String()
+	}
+	return renderPoly(coef, den.String())
+}
+
+// renderPoly writes the polynomial sum_i coef[i]*m^i over den, both given
+// in decimal.
+func renderPoly(coef []string, den string) string {
 	var terms []string
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		n := new(big.Int).Mul(coeffs[i].Num(), new(big.Int).Div(den, coeffs[i].Denom()))
-		if n.Sign() == 0 {
+	for i := len(coef) - 1; i >= 0; i-- {
+		s := coef[i]
+		if s == "0" {
 			continue
 		}
 		mono := ""
@@ -102,9 +201,8 @@ func (p Poly) String() string {
 		case 1:
 			mono = "m"
 		default:
-			mono = fmt.Sprintf("m^%d", i)
+			mono = "m^" + strconv.Itoa(i)
 		}
-		s := n.String()
 		if mono != "" {
 			switch s {
 			case "1":
@@ -126,13 +224,10 @@ func (p Poly) String() string {
 		return "0"
 	}
 	body := strings.Join(terms, " ")
-	if den.Cmp(big.NewInt(1)) == 0 {
-		if len(terms) == 1 {
-			return body
-		}
+	if den == "1" {
 		return body
 	}
-	return "(" + body + ")/" + den.String()
+	return "(" + body + ")/" + den
 }
 
 // PiecewisePoly is a family of polynomials indexed by residue class of
@@ -166,22 +261,25 @@ func (pp *PiecewisePoly) Degree() int {
 // String renders the piecewise polynomial; uniform pieces collapse to a
 // single formula, otherwise each residue class is listed.
 func (pp *PiecewisePoly) String() string {
-	first := pp.Pieces[0].String()
+	texts := make([]string, len(pp.Pieces))
 	uniform := true
-	for _, p := range pp.Pieces[1:] {
-		if p.String() != first {
-			uniform = false
-			break
-		}
+	for r, p := range pp.Pieces {
+		texts[r] = p.String()
+		uniform = uniform && texts[r] == texts[0]
 	}
 	if uniform {
-		return first
+		return texts[0]
 	}
-	var parts []string
-	for r, p := range pp.Pieces {
-		parts = append(parts, fmt.Sprintf("m≡%d (mod %d): %s", r, pp.Period, p.String()))
+	var b strings.Builder
+	b.WriteByte('{')
+	for r, text := range texts {
+		if r > 0 {
+			b.WriteString("; ")
+		}
+		fmt.Fprintf(&b, "m≡%d (mod %d): %s", r, pp.Period, text)
 	}
-	return "{" + strings.Join(parts, "; ") + "}"
+	b.WriteByte('}')
+	return b.String()
 }
 
 // FitPiecewise samples f along each residue class of m mod period

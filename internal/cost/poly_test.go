@@ -1,6 +1,8 @@
 package cost
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"dmcc/internal/grid"
@@ -96,6 +98,73 @@ func TestFitCountsJacobi(t *testing.T) {
 			if got != want {
 				t.Fatalf("nest %d m=%d: symbolic %+v, counted %+v", nestIdx, m, got, want)
 			}
+		}
+	}
+}
+
+// randPoly draws a polynomial of degree 0-4 with Step in [1, 4096] and
+// differences whose magnitude is uniform in bit length up to 2^40, so a
+// share of the draws overflows the int64 expansion.
+func randPoly(rng *rand.Rand) Poly {
+	p := Poly{M0: rng.Intn(1 << uint(rng.Intn(21))), Step: 1 + rng.Intn(1<<uint(rng.Intn(13)))}
+	if rng.Intn(8) == 0 {
+		p.M0 = -p.M0
+	}
+	for k := rng.Intn(5); k >= 0; k-- {
+		d := rng.Int63n(1 << uint(1+rng.Intn(40)))
+		if rng.Intn(2) == 0 {
+			d = -d
+		}
+		p.Diffs = append(p.Diffs, d)
+	}
+	return p
+}
+
+// TestPolyStringMatchesRat: the int64 rendering is the big.Rat rendering,
+// on every polynomial the int64 expansion accepts; the draws it declines
+// (overflow) reach String through the fallback.
+func TestPolyStringMatchesRat(t *testing.T) {
+	fast, declined := 0, 0
+	for _, seed := range []int64{1, 2, 3, 5, 8, 13, 21, 34} {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			p := randPoly(rng)
+			want := p.stringRat()
+			got, ok := p.stringInt()
+			if !ok {
+				declined++
+				got = p.String()
+			} else {
+				fast++
+			}
+			if got != want {
+				t.Fatalf("seed %d draw %d: %+v\n int64: %s\n   rat: %s", seed, i, p, got, want)
+			}
+		}
+	}
+	if fast == 0 || declined == 0 {
+		t.Fatalf("int64 path rendered %d draws and declined %d; the test must exercise both", fast, declined)
+	}
+	t.Logf("int64 path rendered %d draws, declined %d", fast, declined)
+}
+
+// TestPolyStringEdges pins the renderings random draws rarely produce.
+func TestPolyStringEdges(t *testing.T) {
+	for _, tc := range []struct {
+		p    Poly
+		want string
+	}{
+		{Poly{M0: 4, Step: 4}, "0"},
+		{Poly{M0: 4, Step: 4, Diffs: []int64{0, 0, 0}}, "0"},
+		{Poly{M0: 0, Step: 1, Diffs: []int64{0, 1}}, "m"},
+		{Poly{M0: 0, Step: 1, Diffs: []int64{0, -1}}, "-m"},
+		{Poly{M0: 0, Step: 4, Diffs: []int64{0, 1}}, "(m)/4"},
+		{Poly{M0: 1, Step: 2, Diffs: []int64{-1, -1, 1, 0}}, "(m^2 - 8*m - 1)/8"},
+		{Poly{M0: 0, Step: 1, Diffs: []int64{math.MinInt64}}, "-9223372036854775808"},
+		{Poly{M0: 0, Step: 1, Diffs: []int64{math.MaxInt64, math.MaxInt64, 2}}, "m^2 + 9223372036854775806*m + 9223372036854775807"},
+	} {
+		if got := tc.p.String(); got != tc.want || got != tc.p.stringRat() {
+			t.Errorf("%+v: String() = %q, stringRat() = %q, want %q", tc.p, got, tc.p.stringRat(), tc.want)
 		}
 	}
 }

@@ -136,7 +136,7 @@ func (s *Server) PrewarmPlans(keys []string) int {
 			s.warnf("serve: prewarm: %s: stale plan: %v", PlanID(key)[:12], err)
 			continue
 		}
-		s.register(key, pe)
+		s.register(PlanID(key), newPlanEntry(key, fp.FitErr, pe))
 		s.prewarmedPlans.Add(1)
 		warmed++
 	}

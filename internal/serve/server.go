@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -64,18 +65,24 @@ type Config struct {
 	Warnf func(format string, args ...any)
 }
 
-// planEntry is one live plan: its store key, a thawed evaluator, and
-// the memo of sizes already priced. Fitted plans evaluate in
-// microseconds, but a plan whose fit was declined re-prices through
-// the analytic engine — superlinear in m — so every (plan, m) result
-// is computed once and served from the memo thereafter. Serialized per
-// plan so concurrent GET /cost callers never share a re-pricing in
-// flight.
+// planEntry is one live plan: its store key, a thawed evaluator with
+// the fit diagnostic its payload carried, and the memo of sizes already
+// priced. Fitted plans evaluate in microseconds, but a plan whose fit
+// was declined re-prices through the analytic engine — superlinear in m
+// — so every (plan, m) result is computed once and served from the memo
+// thereafter. mu serializes that per plan, so concurrent GET /cost
+// callers never share a re-pricing in flight; the other fields are fixed
+// once the entry is built.
 type planEntry struct {
-	key  string
-	mu   sync.Mutex
-	pe   *core.PlanEvaluator
-	memo map[int]CostReport
+	key    string
+	fitErr string
+	pe     *core.PlanEvaluator
+	mu     sync.Mutex
+	memo   map[int]CostReport
+}
+
+func newPlanEntry(key, fitErr string, pe *core.PlanEvaluator) *planEntry {
+	return &planEntry{key: key, fitErr: fitErr, pe: pe, memo: map[int]CostReport{}}
 }
 
 // Server implements the routes. Create with New; it is safe for
@@ -166,9 +173,7 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // ---------------------------------------------------------- /compile --
@@ -269,6 +274,10 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON value")
+		return false
+	}
 	return true
 }
 
@@ -299,6 +308,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	key := sweep.PlanKey(c, req.M) // derived once: store address, plan id and reply
 
 	type built struct {
 		pe     *core.PlanEvaluator
@@ -312,7 +322,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// net/http's per-request recover cannot see this goroutine: an
 		// unrecovered panic here would take the daemon down.
 		b.err = core.Guard(func() (err error) {
-			b.pe, b.fitErr, b.cached, err = sweep.PlanFor(c, req.M, sweep.Options{
+			b.pe, b.fitErr, b.cached, err = sweep.PlanForKey(c, key, req.M, sweep.Options{
 				Cache: s.cfg.Store, Jobs: s.cfg.Jobs, Warnf: s.cfg.Warnf,
 			})
 			return err
@@ -349,37 +359,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.compiles.Add(1)
 	}
 
-	key := sweep.PlanKey(c, req.M)
-	entry := s.register(key, b.pe)
 	resp := CompileResponse{
 		ID: PlanID(key), Key: key, Cached: b.cached,
 		Prog: p.Name, BaseM: req.M, N: req.N,
 		FitErr: b.fitErr, Formulas: b.pe.Formulas(),
 	}
+	entry := newPlanEntry(key, b.fitErr, b.pe)
 	resp.Cost, err = s.evalEntry(entry, req.M)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "pricing plan: %v", err)
 		return
 	}
+	s.register(resp.ID, entry)
 	writeJSON(w, resp)
 }
 
-// register installs (or refreshes) the live evaluator for a key and
-// returns its entry.
-func (s *Server) register(key string, pe *core.PlanEvaluator) *planEntry {
-	id := PlanID(key)
+// register makes e the live plan under id, replacing any earlier entry;
+// requests still holding the old entry finish on its evaluator. Callers
+// price e first, so a plan that cannot be priced is never installed.
+func (s *Server) register(id string, e *planEntry) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.plans[id]
-	if !ok {
-		e = &planEntry{key: key}
-		s.plans[id] = e
-	}
-	e.mu.Lock()
-	e.pe = pe
-	e.memo = map[int]CostReport{}
-	e.mu.Unlock()
-	return e
+	s.plans[id] = e
+	s.mu.Unlock()
 }
 
 func (s *Server) lookup(id string) *planEntry {
@@ -425,12 +426,16 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		w.Write(payload)
 		return
 	}
-	// Evicted from disk but still live in memory: re-freeze. A thawed
-	// evaluator freezes back to the same plan (decisions + fits).
-	e.mu.Lock()
-	fp := e.pe.Freeze()
-	e.mu.Unlock()
-	writeJSON(w, fp)
+	// Evicted from disk but still live in memory: re-freeze into the bytes
+	// the store held. A thawed evaluator freezes back to the same plan
+	// (decisions + fits), the entry supplies the fit diagnostic.
+	payload, err := sweep.PlanPayload(e.pe, e.fitErr)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "re-freezing plan: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(payload)
 }
 
 // InstallRequest is the POST /plan body: a program configuration plus a
@@ -478,17 +483,18 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	s.planThaws.Add(1)
 	key := sweep.PlanKey(c, req.M)
-	entry := s.register(key, pe)
 	resp := CompileResponse{
 		ID: PlanID(key), Key: key, Cached: true,
 		Prog: p.Name, BaseM: req.M, N: req.N,
 		FitErr: fp.FitErr, Formulas: pe.Formulas(),
 	}
+	entry := newPlanEntry(key, fp.FitErr, pe)
 	resp.Cost, err = s.evalEntry(entry, req.M)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "pricing installed plan: %v", err)
 		return
 	}
+	s.register(resp.ID, entry)
 	writeJSON(w, resp)
 }
 

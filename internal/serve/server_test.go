@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -491,5 +492,190 @@ func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
 	compileProg(t, ts, "jacobi", 16, 4)
 	if g, ok := s.cfg.Store.(interface{ InFlight() int }); ok && g.InFlight() != 0 {
 		t.Errorf("%d flights left open by the failed compiles", g.InFlight())
+	}
+}
+
+// mutatePlan rewrites the first occurrence of old in a served plan.
+func mutatePlan(t *testing.T, planRaw []byte, old, new string) string {
+	t.Helper()
+	if !bytes.Contains(planRaw, []byte(old)) {
+		t.Fatalf("served plan has no %s to mutate", old)
+	}
+	return strings.Replace(string(planRaw), old, new, 1)
+}
+
+// reorderPlan re-marshals a plan through a map: same values, fields in
+// alphabetical order, so the fits take the reflective decode.
+func reorderPlan(t *testing.T, plan string) string {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal([]byte(plan), &m); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestPoisonedFitsRejected: a fetched plan whose fits were edited into
+// something Eval would divide by zero or index out of range on is a 422 —
+// through the canonical decoder and through the reflective one — and the
+// plan installed before keeps answering /cost. (Step 0 and Period 400
+// panicked the handler before fits were validated, the second one after
+// replacing the good evaluator.)
+func TestPoisonedFitsRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	const m, n = 32, 16
+	cr := compileProg(t, ts, "gauss", m, n) // two segments, period 4: carries a change fit
+	_, planRaw := getBody(t, ts.URL+"/plan/"+cr.ID)
+	costURL := fmt.Sprintf("%s/cost?key=%s&m=48", ts.URL, cr.ID)
+	_, wantCost := getBody(t, costURL)
+
+	firstFit := regexp.MustCompile(`"TotalFlops":\{.*?\]\}\]\}`).Find(planRaw)
+	firstDiffs := regexp.MustCompile(`"Diffs":\[[^\]]+\]`).Find(planRaw)
+	den := regexp.MustCompile(`"den":[0-9]+`).Find(planRaw)
+	if firstFit == nil || firstDiffs == nil || den == nil {
+		t.Fatalf("served plan lacks the fields to mutate: %s", planRaw)
+	}
+	for _, tc := range []struct{ name, plan string }{
+		{"step 0", mutatePlan(t, planRaw, `"Step":4`, `"Step":0`)},
+		{"period 400", mutatePlan(t, planRaw, `"Period":4`, `"Period":400`)},
+		{"period 0", mutatePlan(t, planRaw, `"Period":4`, `"Period":0`)},
+		{"anchor off its residue", mutatePlan(t, planRaw, `"M0":32`, `"M0":33`)},
+		{"anchor a period late", mutatePlan(t, planRaw, `"M0":32`, `"M0":36`)},
+		{"negative minM", mutatePlan(t, planRaw, `"MinM":32`, `"MinM":-32`)},
+		{"no differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":[]`)},
+		{"null differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":null`)},
+		{"missing polynomial", mutatePlan(t, planRaw, string(firstFit), `"TotalFlops":null`)},
+		{"missing nest fit", mutatePlan(t, planRaw, `"execFits":[{`, `"execFits":[null,{`)},
+		{"den 0", mutatePlan(t, planRaw, string(den), `"den":0`)},
+		{"change fit without words", mutatePlan(t, planRaw, `"words":{`, `"words":null,"was":{`)},
+	} {
+		for _, plan := range []string{tc.plan, reorderPlan(t, tc.plan)} {
+			body := fmt.Sprintf(`{"prog":"gauss","m":%d,"n":%d,"plan":%s}`, m, n, plan)
+			resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v (daemon down?)", tc.name, err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity {
+				t.Errorf("%s: status %d, want 422 (%s)", tc.name, resp.StatusCode, raw)
+			}
+			if resp, got := getBody(t, costURL); resp.StatusCode != http.StatusOK || !sameCost(t, got, wantCost) {
+				t.Fatalf("%s: /cost after the rejected install: %s: %s, want %s", tc.name, resp.Status, got, wantCost)
+			}
+		}
+	}
+	// The untouched plan still installs, reordered or not.
+	for _, plan := range []string{string(planRaw), reorderPlan(t, string(planRaw))} {
+		body := fmt.Sprintf(`{"prog":"gauss","m":%d,"n":%d,"plan":%s}`, m, n, plan)
+		resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("valid install: %s", resp.Status)
+		}
+	}
+}
+
+// sameCost compares two /cost replies ignoring the evaluation wall time.
+func sameCost(t *testing.T, a, b []byte) bool {
+	t.Helper()
+	var ra, rb CostReport
+	if json.Unmarshal(a, &ra) != nil || json.Unmarshal(b, &rb) != nil {
+		return false
+	}
+	ra.EvalNs, rb.EvalNs = 0, 0
+	return ra == rb
+}
+
+// TestEvictedPlanServesTheSameBytes: GET /plan/{id} answers with the
+// stored payload's bytes whether or not the store still holds it — the
+// fit diagnostic included, which the re-freeze used to drop (and the
+// reply was indented where the payload is compact).
+func TestEvictedPlanServesTheSameBytes(t *testing.T) {
+	_, ts, store := newTestServer(t)
+	cr := compileProg(t, ts, "sor", 6, 8) // too small to fit: the plan carries a fitErr
+	if cr.FitErr == "" {
+		t.Fatal("sor m=6 N=8 was fitted; the test needs a plan with a fit diagnostic")
+	}
+	_, before := getBody(t, ts.URL+"/plan/"+cr.ID)
+	if _, err := store.GC(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := store.Get(cr.Key); ok {
+		t.Fatal("GC(0) left the payload in the store")
+	}
+	resp, after := getBody(t, ts.URL+"/plan/"+cr.ID)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(before, after) {
+		t.Fatalf("GET /plan after eviction: %s\n before: %s\n  after: %s", resp.Status, before, after)
+	}
+}
+
+// Bytes after the request's JSON value are a malformed request, not
+// something to ignore.
+func TestTrailingBytesRejected(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	for _, body := range []string{
+		`{"prog":"jacobi","m":8,"n":4} junk`,
+		`{"prog":"jacobi","m":8,"n":4}}`,
+		`{"prog":"jacobi","m":8,"n":4}{"prog":"sor","m":8,"n":4}`,
+	} {
+		for _, route := range []string{"/compile", "/plan"} {
+			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s %q: status %d, want 400", route, body, resp.StatusCode)
+			}
+		}
+	}
+	resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(`{"prog":"jacobi","m":8,"n":4}`+" \n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestPlanKeyDerivedOnce: a warm POST /compile prints and hashes its
+// program once — the key is derived in the handler and handed to the
+// store lookup, the plan id and the reply.
+func TestPlanKeyDerivedOnce(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	compileProg(t, ts, "jacobi", 16, 4)
+	before := core.ProgramHashCalls()
+	if cr := compileProg(t, ts, "jacobi", 16, 4); !cr.Cached {
+		t.Fatal("second compile was not a warm hit")
+	}
+	if got := core.ProgramHashCalls() - before; got != 1 {
+		t.Fatalf("warm POST /compile hashed the program %d times, want 1", got)
+	}
+}
+
+// warmCompileAllocBudget is ~2x the 1 392 allocations of a warm jacobi
+// N=16 POST /compile through the handler (24 927 when the formulas were
+// expanded in big.Rat and the plan decoded by reflection). A trip is a
+// per-piece allocation back in the render or decode path, not noise.
+const warmCompileAllocBudget = 2800
+
+func TestWriteRouteAllocBudget(t *testing.T) {
+	h, bodies := warmHandler(t, "jacobi")
+	got := testing.AllocsPerRun(5, func() {
+		if rec := serveDirect(h, "POST", "/compile", bodies["/compile"]); rec.Code != http.StatusOK {
+			t.Fatalf("warm POST /compile: %d: %s", rec.Code, rec.Body)
+		}
+	})
+	if got > warmCompileAllocBudget {
+		t.Fatalf("warm POST /compile (jacobi m=%d N=%d) made %.0f allocations, budget %d", benchM, benchN, got, warmCompileAllocBudget)
 	}
 }

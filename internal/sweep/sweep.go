@@ -478,6 +478,14 @@ func PlanKey(c *core.Compiler, baseM int) string {
 	return artifact.KeyOf("kind=planfit", c.CacheKey(), fmt.Sprintf("fit=minM%d,deg3,val2", baseM))
 }
 
+// PlanPayload is the stored form of a plan under its PlanKey: the frozen
+// plan with the fit diagnostic, as compact JSON.
+func PlanPayload(pe *core.PlanEvaluator, fitErr string) ([]byte, error) {
+	fp := pe.Freeze()
+	fp.FitErr = fitErr
+	return json.Marshal(fp)
+}
+
 // PlanFor returns a ready PlanEvaluator for the compiler — thawed from
 // the artifact store when possible, otherwise compiled, fitted and
 // frozen into the store under PlanKey. cached reports whether the plan
@@ -485,6 +493,17 @@ func PlanKey(c *core.Compiler, baseM int) string {
 // symbolic fitting was declined (the evaluator then prices points
 // through the analytic engine — still never the DP).
 func PlanFor(c *core.Compiler, baseM int, opt Options) (pe *core.PlanEvaluator, fitErr string, cached bool, err error) {
+	key := ""
+	if opt.Cache != nil {
+		key = PlanKey(c, baseM)
+	}
+	return PlanForKey(c, key, baseM, opt)
+}
+
+// PlanForKey is PlanFor for a caller that has already derived
+// PlanKey(c, baseM) — the key costs a print and a hash of the program, and
+// the daemon needs it again for the plan id.
+func PlanForKey(c *core.Compiler, key string, baseM int, opt Options) (pe *core.PlanEvaluator, fitErr string, cached bool, err error) {
 	build := func() (*core.PlanEvaluator, string, error) {
 		pe, err := core.NewPlanEvaluator(c)
 		if err != nil {
@@ -509,15 +528,13 @@ func PlanFor(c *core.Compiler, baseM int, opt Options) (pe *core.PlanEvaluator, 
 		pe, fitErr, err = build()
 		return pe, fitErr, false, err
 	}
-	payload, cached, err := opt.Cache.GetOrCompute(PlanKey(c, baseM), func() ([]byte, error) {
+	payload, cached, err := opt.Cache.GetOrCompute(key, func() ([]byte, error) {
 		var err error
 		pe, fitErr, err = build()
 		if err != nil {
 			return nil, err
 		}
-		fp := pe.Freeze()
-		fp.FitErr = fitErr
-		return json.Marshal(fp)
+		return PlanPayload(pe, fitErr)
 	})
 	if err != nil {
 		return nil, "", false, err
