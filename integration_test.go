@@ -163,22 +163,29 @@ func TestSORBoundHolds(t *testing.T) {
 	}
 }
 
-// TestRedistributionPlanMatchesChangeCost: the dist-level redistribution
-// plan and the compiler's ChangeCost agree on what a row->column switch
-// moves for the A matrix.
+// TestRedistributionPlanMatchesChangeCost: the enumeration oracle and
+// the closed form the compiler's ChangeCost prices with agree on what a
+// row->column switch moves for the A matrix.
 func TestRedistributionPlanMatchesChangeCost(t *testing.T) {
 	m, n := 16, 4
 	g := grid.New(n, 1)
 	rows := dist.Scheme2D(dist.BlockContiguous(m, n, 0), dist.Dim{Sign: 1, Disp: -1, Block: m, GridDim: 1}, nil)
 	cols := dist.Scheme2D(dist.Dim{Sign: 1, Disp: -1, Block: m, GridDim: 1}, dist.BlockContiguous(m, n, 0), nil)
-	plan := dist.NewPlan(g, []int{m, m}, rows, cols)
-	// Off-diagonal blocks move: m^2 (1 - 1/N).
-	want := m*m - m*(m/n)
-	if plan.TotalWords != want {
-		t.Errorf("plan moves %d words, want %d", plan.TotalWords, want)
+	fast, err := dist.RedistLoads(g, g, []int{m, m}, rows, cols)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Perfectly balanced: per-proc in = out = total/N.
-	if plan.MaxInWords != want/n || plan.MaxOutWords != want/n {
-		t.Errorf("plan balance: in %d out %d, want %d", plan.MaxInWords, plan.MaxOutWords, want/n)
+	// Off-diagonal blocks move: m^2 (1 - 1/N), perfectly balanced — every
+	// processor receives and sends total/N.
+	want := float64(m*m - m*(m/n))
+	for name, l := range map[string]dist.Loads{"oracle": dist.RedistLoadsExact(g, g, []int{m, m}, rows, cols), "closed form": fast} {
+		if l.Words != want {
+			t.Errorf("%s moves %v words, want %v", name, l.Words, want)
+		}
+		for r := 0; r < n; r++ {
+			if l.In[r] != want/float64(n) || l.Out[r] != want/float64(n) {
+				t.Errorf("%s balance at rank %d: in %v out %v, want %v", name, r, l.In[r], l.Out[r], want/float64(n))
+			}
+		}
 	}
 }

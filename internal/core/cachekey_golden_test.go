@@ -1,0 +1,57 @@
+package core_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"dmcc/internal/core"
+	"dmcc/internal/cost"
+	"dmcc/internal/ir"
+	"dmcc/internal/sweep"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/cachekeys.golden from this tree")
+
+// TestCacheKeyStable pins Compiler.CacheKey and sweep.PlanKey — the text
+// and the address every stored artifact and plan lives under — for the
+// four builtin programs under both engines and both alignment heuristics,
+// against a golden generated at the commit before the collective
+// change-pricing option was retired: the key still spells that option's
+// fragment, so a store populated by any earlier build keeps serving.
+func TestCacheKeyStable(t *testing.T) {
+	const m, n = 64, 16
+	progs := []struct {
+		name string
+		mk   func() *ir.Program
+	}{{"jacobi", ir.Jacobi}, {"sor", ir.SOR}, {"gauss", ir.Gauss}, {"matmul", ir.Cannon}}
+	var b strings.Builder
+	for _, pr := range progs {
+		for _, engine := range []string{"fast", "prechange"} {
+			for _, align := range []string{"exact", "greedy"} {
+				c := core.NewCompiler(pr.mk(), cost.Unit(), map[string]int{"m": m}, n)
+				c.UseGreedyAlign = align == "greedy"
+				if engine == "prechange" {
+					c.ExactNestCount, c.ExactChangeCost, c.NoCache = true, true, true
+				}
+				fmt.Fprintf(&b, "%s %s %s\n  %s\n  %s\n", pr.name, engine, align, c.CacheKey(), sweep.PlanKey(c, m))
+			}
+		}
+	}
+	got := b.String()
+	const path = "testdata/cachekeys.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Fatalf("cache keys differ from %s (a change here orphans every stored artifact; regenerate with -update only with an artifact.SchemaVersion bump)\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}

@@ -83,15 +83,6 @@ type Compiler struct {
 	// receives more than O(1) reduction messages per element, which
 	// lets the DP keep layouts the tree pricing rejected.
 	PipelinedReductions bool
-	// CollectiveRedist prices inter-segment scheme changes as the
-	// composed collective lowering (dist.ClassifyChange: an AllToAll
-	// personalized exchange plus per-group multicast trees) instead of
-	// the point-to-point bottleneck load. Replication widenings then
-	// cost O(m log W) rather than the O(m (W-1)) star, which can let
-	// Algorithm 1 buy a cheap redistribution into a better layout that
-	// the p2p pricing rejects — the ChangeCost analogue of what
-	// PipelinedReductions does for SegmentCost.
-	CollectiveRedist bool
 
 	// Engines counts which counting engine answered each nest-pricing
 	// call, so fast-path regressions (an eligible nest silently falling
@@ -462,79 +453,68 @@ func (c *Compiler) ChangeCost(from, to *SchemeSet) (float64, error) {
 }
 
 func (c *Compiler) changeCost(from, to *SchemeSet) (float64, error) {
-	names := make([]string, 0, len(c.Program.Arrays))
-	for n := range c.Program.Arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	loads := dist.NewLoads()
-	var plans []dist.RedistPlan
-	for _, name := range names {
-		sFrom, ok1 := from.Schemes[name]
-		sTo, ok2 := to.Schemes[name]
-		if !ok1 || !ok2 {
-			return 0, fmt.Errorf("core: array %s missing from a scheme set", name)
-		}
-		shape, err := shapeOf(c.Program, name, c.Bind)
-		if err != nil {
-			return 0, err
-		}
-		if c.CollectiveRedist && !c.ExactChangeCost {
-			pl, err := dist.ClassifyChange(from.Grid, to.Grid, shape, sFrom, sTo)
-			if err != nil {
-				return 0, err
-			}
-			plans = append(plans, pl)
-			continue
-		}
+	err := c.eachArrayChange(from, to, func(shape []int, sFrom, sTo dist.Scheme) error {
 		if c.ExactChangeCost {
 			loads.Add(dist.RedistLoadsExact(from.Grid, to.Grid, shape, sFrom, sTo))
-			continue
+			return nil
 		}
 		l, err := dist.RedistLoads(from.Grid, to.Grid, shape, sFrom, sTo)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		loads.Add(l)
-	}
-	if plans != nil {
-		return c.Model.CollectiveChangeTime(plans), nil
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	return loads.MaxLoad() * c.Model.Tc, nil
 }
 
 // changeLoadsScaled is changeCost's load accumulation in exact integer
 // arithmetic: every array's dist.RedistLoadsScaled bill merged over a
-// common replica denominator. Only the plain point-to-point pricing has
-// a scaled form; collective and exact-transport configurations report
-// an error so callers fall back to the numeric path.
+// common replica denominator.
 func (c *Compiler) changeLoadsScaled(from, to *SchemeSet) (dist.ScaledLoads, error) {
-	if c.CollectiveRedist || c.ExactChangeCost {
-		return dist.ScaledLoads{}, fmt.Errorf("core: scaled change loads cover only the point-to-point pricing")
+	acc := dist.NewScaledLoads()
+	err := c.eachArrayChange(from, to, func(shape []int, sFrom, sTo dist.Scheme) error {
+		sl, err := dist.RedistLoadsScaled(from.Grid, to.Grid, shape, sFrom, sTo)
+		if err != nil {
+			return err
+		}
+		acc.Add(sl)
+		return nil
+	})
+	if err != nil {
+		return dist.ScaledLoads{}, err
 	}
+	return acc, nil
+}
+
+// eachArrayChange visits every array of the program, in name order, with
+// its shape under the compiler's binding and its scheme on either side of
+// the change.
+func (c *Compiler) eachArrayChange(from, to *SchemeSet, visit func(shape []int, sFrom, sTo dist.Scheme) error) error {
 	names := make([]string, 0, len(c.Program.Arrays))
 	for n := range c.Program.Arrays {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	acc := dist.NewScaledLoads()
 	for _, name := range names {
 		sFrom, ok1 := from.Schemes[name]
 		sTo, ok2 := to.Schemes[name]
 		if !ok1 || !ok2 {
-			return dist.ScaledLoads{}, fmt.Errorf("core: array %s missing from a scheme set", name)
+			return fmt.Errorf("core: array %s missing from a scheme set", name)
 		}
 		shape, err := shapeOf(c.Program, name, c.Bind)
 		if err != nil {
-			return dist.ScaledLoads{}, err
+			return err
 		}
-		sl, err := dist.RedistLoadsScaled(from.Grid, to.Grid, shape, sFrom, sTo)
-		if err != nil {
-			return dist.ScaledLoads{}, err
+		if err := visit(shape, sFrom, sTo); err != nil {
+			return err
 		}
-		acc.Add(sl)
 	}
-	return acc, nil
+	return nil
 }
 
 // LoopCarriedCost prices the loop-carried reads (the CTime2 term of

@@ -6,7 +6,6 @@ import (
 
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
-	"dmcc/internal/grid"
 	"dmcc/internal/ir"
 )
 
@@ -428,111 +427,12 @@ func TestDeriveSchemesValidatesAll(t *testing.T) {
 	_ = dist.All
 }
 
-// redistCoster drives Algorithm 1 with fixed segment costs while the
-// change term comes from the real Compiler.ChangeCost, so the DP's
-// merge-or-redistribute decision hinges purely on how the scheme change
-// is priced.
-type redistCoster struct {
-	c     *Compiler
-	a, b  *SchemeSet
-	merge float64
-}
-
-func (r *redistCoster) SegmentCost(i, j int) (float64, *SchemeSet, error) {
-	switch {
-	case j == 2:
-		return r.merge, r.a, nil
-	case i == 1:
-		return 10, r.a, nil
-	default:
-		return 10, r.b, nil
-	}
-}
-
-func (r *redistCoster) ChangeCost(from, to *SchemeSet) (float64, error) {
-	return r.c.ChangeCost(from, to)
-}
-
-func (r *redistCoster) LoopCarriedCost(*SchemeSet) (float64, error) { return 0, nil }
-
-// TestDPSelectsCollectiveRedistribution: the Algorithm 1 consequence of
-// the CollectiveRedist pricing, the ChangeCost analogue of the SOR ring
-// flip. Nest 1 wants X pinned to one grid column, nest 2 wants X
-// replicated across columns — a replication widening. Point-to-point
-// pricing charges the widening as a star on the sending column
-// (payload x (W-1) = 48 at m=64 on 4x4), making the redistribution dearer
-// than a compromise single-layout segment, so the DP stays in the worse
-// layout. The collective pricing lowers the same change to per-group
-// multicast trees (payload x log2 W = 32), and the DP flips to two
-// segments, buying the redistribution it previously rejected.
-func TestDPSelectsCollectiveRedistribution(t *testing.T) {
-	m, n := 64, 16
-	prog := &ir.Program{
-		Name: "redistflip", Params: []string{"m"},
-		Arrays: map[string]*ir.Array{"X": {Name: "X", Extents: []ir.Affine{ir.V("m")}}},
-	}
-	g := grid.New(4, 4)
-	colLayout := &SchemeSet{Grid: g, Label: "col2", Schemes: map[string]dist.Scheme{
-		"X": {Dims: []dist.Dim{dist.Cyclic(0)}, Fixed: map[int]int{1: 2}},
-	}}
-	replLayout := &SchemeSet{Grid: g, Label: "repl", Schemes: map[string]dist.Scheme{
-		"X": {Dims: []dist.Dim{dist.Cyclic(0)}, Fixed: map[int]int{1: dist.All}},
-	}}
-
-	p2p := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-	p2p.NoCache = true
-	coll := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-	coll.NoCache = true
-	coll.CollectiveRedist = true
-
-	chgP2P, err := p2p.ChangeCost(colLayout, replLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chgColl, err := coll.ChangeCost(colLayout, replLayout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chgP2P != 48 || chgColl != 32 {
-		t.Fatalf("change costs p2p=%v collective=%v, want 48 and 32", chgP2P, chgColl)
-	}
-
-	// The compromise single-layout cost sits between the two split
-	// totals (10+10+32 = 52 and 10+10+48 = 68).
-	const merge = 60
-	rp2p, err := RunDP(2, &redistCoster{c: p2p, a: colLayout, b: replLayout, merge: merge}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcoll, err := RunDP(2, &redistCoster{c: coll, a: colLayout, b: replLayout, merge: merge}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rp2p.Segments) != 1 || rp2p.MinimumCost != merge {
-		t.Fatalf("p2p DP = %d segments cost %v, want the single merged segment at %v",
-			len(rp2p.Segments), rp2p.MinimumCost, float64(merge))
-	}
-	if len(rcoll.Segments) != 2 {
-		t.Fatalf("collective DP kept %d segment(s); want it to buy the redistribution", len(rcoll.Segments))
-	}
-	if rcoll.Segments[1].ChangeIn != chgColl {
-		t.Fatalf("collective DP paid ChangeIn %v, want %v", rcoll.Segments[1].ChangeIn, chgColl)
-	}
-	if rcoll.MinimumCost >= rp2p.MinimumCost {
-		t.Fatalf("collective minimum %v not below p2p minimum %v", rcoll.MinimumCost, rp2p.MinimumCost)
-	}
-
-	// The pricing option is part of the compile cache identity.
-	if p2p.CacheKey() == coll.CacheKey() {
-		t.Fatal("CollectiveRedist does not change the cache key")
-	}
-}
-
-// TestCollectiveChangeCostNeverWorse: on compiler-derived candidate
-// scheme sets the collective pricing never exceeds the point-to-point
-// pricing — the composed lowering falls back to the flat exchange
-// whenever the trees offer no advantage.
-func TestCollectiveChangeCostNeverWorse(t *testing.T) {
+// TestChangeCostMatchesOracle: on every ordered pair of the compiler's
+// own candidate scheme sets — each grid shape of N, block and cyclic —
+// the closed-form ChangeCost equals the element-enumeration oracle bit
+// for bit, and the integer form the fits are built from reproduces both
+// under the one-division evaluation PlanEvaluator.Fit demands.
+func TestChangeCostMatchesOracle(t *testing.T) {
 	for _, prog := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss()} {
 		m, n := 16, 16
 		c := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
@@ -550,21 +450,26 @@ func TestCollectiveChangeCostNeverWorse(t *testing.T) {
 				sets = append(sets, ss)
 			}
 		}
-		coll := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-		coll.CollectiveRedist = true
+		oracle := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
+		oracle.ExactChangeCost = true
 		for _, from := range sets {
 			for _, to := range sets {
-				a, err := c.ChangeCost(from, to)
+				fast, err := c.ChangeCost(from, to)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := coll.ChangeCost(from, to)
+				exact, err := oracle.ChangeCost(from, to)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if b > a+1e-9 {
-					t.Fatalf("%s: collective change %v exceeds p2p %v (%s -> %s)",
-						prog.Name, b, a, from.Label, to.Label)
+				sl, err := c.changeLoadsScaled(from, to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scaled := float64(sl.MaxNum()) / float64(sl.Den) * c.Model.Tc
+				if fast != exact || scaled != exact {
+					t.Fatalf("%s: %s -> %s: closed form %v, scaled %v (denominator %d), oracle %v",
+						prog.Name, from.Label, to.Label, fast, scaled, sl.Den, exact)
 				}
 			}
 		}

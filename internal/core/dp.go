@@ -68,7 +68,7 @@ func RunDP(s int, coster SegmentCoster, iterative bool) (*DPResult, error) {
 		changed float64
 		schemes *SchemeSet
 	}
-	// M and P are memoized via coster; T indexed [i][j].
+	// Each M[i][j] is asked of the coster exactly once; T indexed [i][j].
 	table := make([][]cell, s+1)
 	for i := range table {
 		table[i] = make([]cell, s+2)
@@ -76,27 +76,8 @@ func RunDP(s int, coster SegmentCoster, iterative bool) (*DPResult, error) {
 			table[i][j].t = math.Inf(1)
 		}
 	}
-	mCache := map[[2]int]struct {
-		m  float64
-		ss *SchemeSet
-	}{}
-	getM := func(i, j int) (float64, *SchemeSet, error) {
-		if v, ok := mCache[[2]int{i, j}]; ok {
-			return v.m, v.ss, nil
-		}
-		m, ss, err := coster.SegmentCost(i, j)
-		if err != nil {
-			return 0, nil, err
-		}
-		mCache[[2]int{i, j}] = struct {
-			m  float64
-			ss *SchemeSet
-		}{m, ss}
-		return m, ss, nil
-	}
-
 	for j := 1; j <= s; j++ {
-		m, ss, err := getM(1, j)
+		m, ss, err := coster.SegmentCost(1, j)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +85,7 @@ func RunDP(s int, coster SegmentCoster, iterative bool) (*DPResult, error) {
 	}
 	for i := 2; i <= s; i++ {
 		for j := 1; j <= s-i+1; j++ {
-			m, ss, err := getM(i, j)
+			m, ss, err := coster.SegmentCost(i, j)
 			if err != nil {
 				return nil, err
 			}

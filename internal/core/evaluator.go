@@ -40,12 +40,13 @@ type PlanEvaluator struct {
 	fitMinM int                    // smallest size the fits cover; below it EvalAt prices numerically
 }
 
-// fittedAt reports whether size m is priced entirely from polynomials,
+// FittedAt reports whether size m is priced entirely from polynomials,
 // so pricing needs no scheme derivation and no counting or
-// redistribution calculator at all. Sizes below the fitted floor (a
+// redistribution calculator at all — O(degree) arithmetic, where the
+// numeric path is superlinear in m. Sizes below the fitted floor (a
 // plan whose counts only become polynomial past a transient) fall back
 // to the numeric path.
-func (pe *PlanEvaluator) fittedAt(m int) bool {
+func (pe *PlanEvaluator) FittedAt(m int) bool {
 	if pe.execSym == nil || pe.chgSym == nil || m < pe.fitMinM {
 		return false
 	}
@@ -152,7 +153,7 @@ func (pe *PlanEvaluator) lcCountsAt(t, m int, final *SchemeSet, ec *Compiler) (c
 func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 	var sets []*SchemeSet
 	var ec *Compiler
-	if !pe.fittedAt(m) {
+	if !pe.FittedAt(m) {
 		var err error
 		sets, err = pe.setsAt(m)
 		if err != nil {

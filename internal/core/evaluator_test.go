@@ -79,10 +79,10 @@ func TestPlanEvaluatorFit(t *testing.T) {
 			if err := fitted.Fit(tc.minM, tc.deg, 2); err != nil {
 				t.Fatal(err)
 			}
-			if !fitted.fittedAt(tc.minM) {
+			if !fitted.FittedAt(tc.minM) {
 				t.Fatal("Fit succeeded but the evaluator still needs numeric pricing")
 			}
-			if fitted.fittedAt(tc.minM - 1) {
+			if fitted.FittedAt(tc.minM - 1) {
 				t.Fatal("evaluator claims polynomial pricing below the fitted floor")
 			}
 			for _, m := range tc.evalMs {

@@ -17,7 +17,7 @@ import (
 // byte what NoCache = true renders — which prices every nest of every
 // segment afresh and rebuilds every graph from its statements — across
 // the synthetic sequences, the paper's kernels, a nest the closed forms
-// decline, three processor counts, both pricing options, serial and
+// decline, three processor counts, both reduction pricings, serial and
 // parallel.
 func TestNestMemoInvisible(t *testing.T) {
 	programs := []*ir.Program{ir.Gauss(), ir.Jacobi(), ir.SOR(), strideProgram()}
@@ -29,23 +29,22 @@ func TestNestMemoInvisible(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, n := range []int{4, 8, 16} {
-				for flags := 0; flags < 4; flags++ {
+				for _, pipelined := range []bool{false, true} {
 					render := func(noCache bool, jobs int) string {
 						c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, n)
-						c.PipelinedReductions = flags&1 != 0
-						c.CollectiveRedist = flags&2 != 0
+						c.PipelinedReductions = pipelined
 						c.NoCache, c.Jobs = noCache, jobs
 						res, err := c.Compile()
 						if err != nil {
-							t.Fatalf("n=%d flags=%d nocache=%v jobs=%d: %v", n, flags, noCache, jobs, err)
+							t.Fatalf("n=%d pipelined=%v nocache=%v jobs=%d: %v", n, pipelined, noCache, jobs, err)
 						}
 						return renderResult(res)
 					}
 					want := render(true, 1)
 					for _, jobs := range []int{1, 8} {
 						if got := render(false, jobs); got != want {
-							t.Errorf("n=%d pipelined=%v collective=%v jobs=%d: memoized compile differs from NoCache:\n--- nocache ---\n%s--- memo ---\n%s",
-								n, flags&1 != 0, flags&2 != 0, jobs, want, got)
+							t.Errorf("n=%d pipelined=%v jobs=%d: memoized compile differs from NoCache:\n--- nocache ---\n%s--- memo ---\n%s",
+								n, pipelined, jobs, want, got)
 						}
 					}
 				}

@@ -15,15 +15,14 @@
 // deterministic remap of the per-dimension coordinates), so every bill
 // this package computes is a walk over the non-empty cells of the
 // product of the sparse per-dimension tables: walkJointCells owns that
-// walk, and RedistLoads, RedistLoadsScaled and ClassifyChange are three
-// visitors of it.
+// walk, and RedistLoads and its integer form RedistLoadsScaled are its
+// two visitors.
 //
 // Sender-side load: when an element is replicated under the source
 // scheme, every copy is an equally valid sender, so each source owner is
 // charged an equal 1/|owners| share of the outgoing words — the cheapest
-// static split of the send load (the element-wise planner NewPlan keeps
-// the canonical lowest-rank sender, which is what an actual data-movement
-// plan needs, but it overloads one replica when costing).
+// static split of the send load (billing one canonical replica would
+// overload it).
 package dist
 
 import (

@@ -309,9 +309,9 @@ func TestScaledLoadsZeroValueAdd(t *testing.T) {
 	}
 }
 
-// TestSharedWalkErrors: RedistLoads, RedistLoadsScaled and ClassifyChange
-// validate through the one joint-cell walk, so an unsupported array rank
-// and a processor-count mismatch read the same from all three.
+// TestSharedWalkErrors: RedistLoads and RedistLoadsScaled validate
+// through the one joint-cell walk, so an unsupported array rank and a
+// processor-count mismatch read the same from both.
 func TestSharedWalkErrors(t *testing.T) {
 	block := func(size, n, gd int) Dim { return BlockContiguous(size, n, gd) }
 	three := Scheme{Dims: []Dim{block(4, 2, 0), block(4, 2, 1), block(4, 2, 2)}, Fixed: map[int]int{}}
@@ -329,13 +329,11 @@ func TestSharedWalkErrors(t *testing.T) {
 	for _, tc := range cases {
 		_, errLoads := RedistLoads(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
 		_, errScaled := RedistLoadsScaled(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
-		_, errClassify := ClassifyChange(tc.gF, tc.gT, tc.shape, tc.from, tc.to)
-		if errLoads == nil || errScaled == nil || errClassify == nil {
-			t.Fatalf("%s: errors %v / %v / %v, want all non-nil", tc.name, errLoads, errScaled, errClassify)
+		if errLoads == nil || errScaled == nil {
+			t.Fatalf("%s: errors %v / %v, want both non-nil", tc.name, errLoads, errScaled)
 		}
-		if errScaled.Error() != errLoads.Error() || errClassify.Error() != errLoads.Error() {
-			t.Errorf("%s: RedistLoads %q, RedistLoadsScaled %q, ClassifyChange %q: want one message",
-				tc.name, errLoads, errScaled, errClassify)
+		if errScaled.Error() != errLoads.Error() {
+			t.Errorf("%s: RedistLoads %q, RedistLoadsScaled %q: want one message", tc.name, errLoads, errScaled)
 		}
 	}
 }

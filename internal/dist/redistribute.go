@@ -1,106 +1,12 @@
-// Redistribution between schemes: when the dynamic programming algorithm
-// of Section 4 switches the distribution scheme of an array between two
-// Do-loops, data must move. This file computes the exact per-processor
-// communication volume of such a change, which feeds the cost(P, P')
-// term of Algorithm 1.
+// Element enumeration for the redistribution oracle. The cost(P, P')
+// term of Algorithm 1 — what switching an array's distribution scheme
+// between two Do-loops moves — is priced in analytic.go: RedistLoads in
+// closed form, RedistLoadsExact by visiting every element with
+// ForEachIndex.
 package dist
 
-import (
-	"dmcc/internal/grid"
-)
-
-// Move describes data an element transfer between two processors.
-type Move struct {
-	Src, Dst int
-	Words    int
-}
-
-// Plan is a redistribution plan: the multiset of point-to-point moves
-// needed to convert the layout of an array from one scheme to another.
-type Plan struct {
-	// Moves aggregates words per (src,dst) pair, src != dst.
-	Moves []Move
-	// TotalWords is the sum over Moves.
-	TotalWords int
-	// MaxInWords / MaxOutWords are the largest per-processor receive and
-	// send volumes — the bottleneck of the redistribution step.
-	MaxInWords  int
-	MaxOutWords int
-}
-
-// NewPlan computes the redistribution plan from scheme src to scheme dst
-// for an array of the given shape on grid g. For every element that a
-// destination processor needs but does not already hold, one word moves
-// from a canonical source owner (the lowest-ranked current owner). Both
-// schemes must be valid for (g, shape); enumeration is exact.
-func NewPlan(g *grid.Grid, shape []int, src, dst Scheme) Plan {
-	vol := map[[2]int]int{}
-	ForEachIndex(shape, func(idx []int) {
-		srcOwners := src.Owners(g, idx...)
-		dstOwners := dst.Owners(g, idx...)
-		has := make(map[int]bool, len(srcOwners))
-		for _, r := range srcOwners {
-			has[r] = true
-		}
-		from := srcOwners[0]
-		for _, d := range dstOwners {
-			if !has[d] {
-				vol[[2]int{from, d}]++
-			}
-		}
-	})
-	var p Plan
-	in := map[int]int{}
-	out := map[int]int{}
-	for k, w := range vol {
-		p.Moves = append(p.Moves, Move{Src: k[0], Dst: k[1], Words: w})
-		p.TotalWords += w
-		out[k[0]] += w
-		in[k[1]] += w
-	}
-	for _, w := range in {
-		if w > p.MaxInWords {
-			p.MaxInWords = w
-		}
-	}
-	for _, w := range out {
-		if w > p.MaxOutWords {
-			p.MaxOutWords = w
-		}
-	}
-	return p
-}
-
-// Identical reports whether two schemes place every element of an array
-// with the given shape on exactly the same processor set. (Schemes with
-// different parameters can still be layout-identical, e.g. contiguous
-// blocks on a 1-processor grid dimension.)
-func Identical(g *grid.Grid, shape []int, a, b Scheme) bool {
-	same := true
-	ForEachIndex(shape, func(idx []int) {
-		if !same {
-			return
-		}
-		ao := a.Owners(g, idx...)
-		bo := b.Owners(g, idx...)
-		if len(ao) != len(bo) {
-			same = false
-			return
-		}
-		for i := range ao {
-			if ao[i] != bo[i] {
-				same = false
-				return
-			}
-		}
-	})
-	return same
-}
-
 // ForEachIndex enumerates all 1-based multi-indices of the shape in
-// row-major order. It is the canonical element iterator shared by the
-// exact enumeration paths (redistribution plans, layout checks, cost
-// oracles); the same idx slice is reused across calls.
+// row-major order; the same idx slice is reused across calls.
 func ForEachIndex(shape []int, f func(idx []int)) {
 	idx := make([]int, len(shape))
 	for i := range idx {

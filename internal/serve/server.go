@@ -66,13 +66,15 @@ type Config struct {
 }
 
 // planEntry is one live plan: its store key, a thawed evaluator with
-// the fit diagnostic its payload carried, and the memo of sizes already
-// priced. Fitted plans evaluate in microseconds, but a plan whose fit
-// was declined re-prices through the analytic engine — superlinear in m
-// — so every (plan, m) result is computed once and served from the memo
-// thereafter. mu serializes that per plan, so concurrent GET /cost
-// callers never share a re-pricing in flight; the other fields are fixed
-// once the entry is built.
+// the fit diagnostic its payload carried, and the memo of sizes priced
+// numerically. A plan whose fit was declined, or a size below the fit's
+// floor, re-prices through the analytic engine, which is superlinear in
+// m, so each such (plan, m) result is computed once and served from the
+// memo thereafter. A fitted size evaluates in under a microsecond and is
+// never stored: the memo grows with what is expensive, not with how many
+// sizes were asked. mu serializes pricing per plan, so concurrent GET
+// /cost callers never share a re-pricing in flight; the other fields are
+// fixed once the entry is built.
 type planEntry struct {
 	key    string
 	fitErr string
@@ -389,15 +391,19 @@ func (s *Server) lookup(id string) *planEntry {
 	return s.plans[id]
 }
 
-// evalEntry re-prices the entry's plan at size m under the entry lock,
-// serving repeats from the per-plan memo. EvalNs records the original
-// evaluation's cost; memo hits return it unchanged.
+// evalEntry re-prices the entry's plan at size m under the entry lock.
+// Sizes the evaluator prices numerically are served from the per-plan
+// memo on repeats — EvalNs records the original evaluation's cost, memo
+// hits return it unchanged; fitted sizes evaluate every time.
 func (s *Server) evalEntry(e *planEntry, m int) (CostReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s.costEvals.Add(1)
-	if rep, ok := e.memo[m]; ok {
-		return rep, nil
+	numeric := !e.pe.FittedAt(m)
+	if numeric {
+		if rep, ok := e.memo[m]; ok {
+			return rep, nil
+		}
 	}
 	start := time.Now()
 	pc, err := e.pe.EvalAt(m)
@@ -408,7 +414,9 @@ func (s *Server) evalEntry(e *planEntry, m int) (CostReport, error) {
 		M: m, Exec: pc.Exec, Redist: pc.Redist, LoopCarried: pc.LoopCarried,
 		Total: pc.Total(), EvalNs: time.Since(start).Nanoseconds(),
 	}
-	e.memo[m] = rep
+	if numeric {
+		e.memo[m] = rep
+	}
 	return rep, nil
 }
 

@@ -416,6 +416,63 @@ func TestGaussCostColdMicroseconds(t *testing.T) {
 	}
 }
 
+// TestCostMemoHoldsOnlyNumericSizes: the per-plan memo is bounded by
+// what is expensive to price, not by how many sizes were asked. Ten
+// thousand never-repeated sizes against a fitted plan leave its memo
+// empty; the same plan with its fits stripped prices numerically, and a
+// repeat is answered from the memo with the original EvalNs.
+func TestCostMemoHoldsOnlyNumericSizes(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	const baseM, n = 64, 8
+	cr := compileProg(t, ts, "jacobi", baseM, n)
+	if cr.FitErr != "" {
+		t.Fatalf("jacobi fit declined: %s", cr.FitErr)
+	}
+	h := s.Handler()
+	costAt := func(m int) CostReport {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/cost?key=%s&m=%d", cr.ID, m), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /cost m=%d: %d: %s", m, rec.Code, rec.Body)
+		}
+		var rep CostReport
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for m := baseM; m < baseM+10000; m++ {
+		costAt(m)
+	}
+	if held := len(s.lookup(cr.ID).memo); held != 0 {
+		t.Fatalf("fitted plan holds %d memo entries after 10000 distinct sizes, want 0", held)
+	}
+
+	_, planRaw := getBody(t, ts.URL+"/plan/"+cr.ID)
+	var fp core.FrozenPlan
+	if err := json.Unmarshal(planRaw, &fp); err != nil {
+		t.Fatal(err)
+	}
+	fp.ExecFits, fp.LCFits, fp.ChgFits, fp.FitMinM = nil, nil, nil, 0
+	unfitted, err := json.Marshal(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postJSON(t, ts.URL+"/plan", InstallRequest{CompileRequest{Prog: "jacobi", M: baseM, N: n}, unfitted})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /plan without fits: %s: %s", resp.Status, raw)
+	}
+	first, again := costAt(100), costAt(100)
+	if first != again || first.EvalNs <= 0 {
+		t.Fatalf("repeat of a numeric size not served from the memo: first %+v, again %+v", first, again)
+	}
+	// The install priced baseM; the two requests added one size.
+	if held := len(s.lookup(cr.ID).memo); held != 2 {
+		t.Fatalf("unfitted plan holds %d memo entries, want 2", held)
+	}
+}
+
 // strideSource reads A at a non-unit stride, a subscript shape the
 // closed forms decline.
 const strideSource = `PROGRAM stride

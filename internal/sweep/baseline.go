@@ -206,32 +206,31 @@ func parseBenchExec(results []map[string]any, m, n int) ([]baseRow, error) {
 }
 
 // parseBenchScale maps BENCH_scale.json results onto scale-sweep rows:
-// each result carries its own prog, engine and n (the family spans
-// many processor counts); m comes from the config. Wall-clock fields
+// each result carries its own prog and n (the family spans many
+// processor counts); m comes from the config. Wall-clock fields
 // (wall_ns, sim_ns, speedup) are in the file for documentation but are
 // filtered by comparable() like every other ephemeral column.
 func parseBenchScale(results []map[string]any, m int) ([]baseRow, error) {
 	var out []baseRow
 	for _, r := range results {
 		prog, _ := r["prog"].(string)
-		engine, _ := r["engine"].(string)
 		nv, ok := num(r["n"])
-		if prog == "" || engine == "" || !ok {
+		if prog == "" || !ok {
 			continue
 		}
 		metrics := map[string]float64{}
 		for k, v := range r {
-			if k == "prog" || k == "engine" || k == "n" || !comparable(k) {
+			if k == "prog" || k == "n" || !comparable(k) {
 				continue
 			}
 			if f, ok := num(v); ok {
 				metrics[k] = f
 			}
 		}
-		out = append(out, baseRow{variant: prog + "/" + engine, m: m, n: int(nv), metrics: metrics})
+		out = append(out, baseRow{variant: prog, m: m, n: int(nv), metrics: metrics})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("no prog/engine/n entries in scale bench baseline")
+		return nil, fmt.Errorf("no prog/n entries in scale bench baseline")
 	}
 	return out, nil
 }

@@ -622,9 +622,7 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 // batched backend at every N. The deterministic metrics gate against
 // BENCH_scale.json; the ephemeral wall-clock columns — wall_ns for the
 // whole point and sim_ns for the machine phase alone — show where the
-// time goes as the grid grows. The "/events" variant and the
-// "engine=events" key fragment name the machine runtime; they are part
-// of every stored key and of BENCH_scale.json's row identity.
+// time goes as the grid grows.
 func Scale(mList, nList []int, opt Options) (*Result, error) {
 	cfg := machine.DefaultConfig()
 	var pts []point
@@ -634,8 +632,8 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 				pr, m, n := pr, m, n
 				var simNS float64
 				pts = append(pts, point{
-					variant: pr.name + "/events", m: m, n: n,
-					key:     artifact.KeyOf(append(execKeyParts("scale", "events", pr, m, n, cfg), "redist=collective")...),
+					variant: pr.name, m: m, n: n,
+					key:     artifact.KeyOf(append(execKeyParts("scale", "", pr, m, n, cfg), "redist=collective")...),
 					wallCol: "wall_ns",
 					compute: func() (map[string]float64, error) {
 						res, err := execPoint(pr, false, m, n, cfg)
@@ -660,12 +658,16 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 }
 
 // execKeyParts is the cache-key text shared by the exec and scale
-// families.
+// families. engine names the exec sweep's arm; the scale family has one
+// and passes "".
 func execKeyParts(kind, engine string, pr execProg, m, n int, cfg machine.Config) []string {
-	return []string{"kind=" + kind, "prog=" + core.ProgramHash(pr.mk()),
-		"engine=" + engine, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
+	parts := []string{"kind=" + kind, "prog=" + core.ProgramHash(pr.mk())}
+	if engine != "" {
+		parts = append(parts, "engine="+engine)
+	}
+	return append(parts, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
 		fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
-		"machine=" + cfg.Fingerprint()}
+		"machine="+cfg.Fingerprint())
 }
 
 // execPoint compiles one exec program to its whole-program schemes and

@@ -240,6 +240,37 @@ func TestCompareBenchExecBaseline(t *testing.T) {
 	}
 }
 
+// Compare understands the committed BENCH_scale.json shape: each entry
+// carries its own prog and n, the variant is the program name, and the
+// sim_ns wall-clock field is ignored.
+func TestCompareBenchScaleBaseline(t *testing.T) {
+	base := `{
+	  "bench": "dmsweep -sweep scale -m 64 -n 16,64",
+	  "config": {"m": 64},
+	  "results": [
+	    {"prog": "jacobi", "n": 16, "sim_ns": 7148345, "simtime": 1634, "transport_words": 1248},
+	    {"prog": "jacobi", "n": 64, "sim_ns": 9759490, "simtime": 874, "transport_words": 2800}
+	  ]
+	}`
+	path := writeBaseline(t, base)
+	res := &Result{Kind: "scale", Rows: []Row{
+		{Variant: "jacobi", M: 64, N: 16, Metrics: map[string]float64{"simtime": 1634, "transport_words": 1248}},
+		{Variant: "jacobi", M: 64, N: 64, Metrics: map[string]float64{"simtime": 874, "transport_words": 2800}},
+	}}
+	regs, _, err := Compare(path, res, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("matching run flagged: %v", regs)
+	}
+	res.Rows[1].Metrics["transport_words"] = 2801
+	regs, _, _ = Compare(path, res, 0)
+	if len(regs) != 1 || regs[0].Metric != "transport_words" || !strings.Contains(regs[0].Row, "jacobi m=64 n=64") {
+		t.Fatalf("expected a transport_words regression at n=64, got %v", regs)
+	}
+}
+
 // A baseline whose grid shares nothing with the sweep is an error, not
 // a silent pass.
 func TestCompareRejectsDisjointBaseline(t *testing.T) {
