@@ -87,29 +87,77 @@ type anArray struct {
 	s     dist.Scheme
 	sizes [2]int
 	dims  [2]anDim
+	fixed []anGate // the scheme's pinned grid coordinates (Fixed entries other than All)
+	cells []ownerCell
+	reads int // read references to the array across the nest's statements
 }
 
-// ownedRect returns the element set rank coordinates q own, and whether
-// the scheme's Fixed entries admit this rank at all.
-func (a *anArray) ownedRect(q []int) (rect, bool) {
+// ownerCell is one cell of an array's partition by first-owner rank: the
+// elements whose mapped dims land on grid coordinates coords (-1 for a
+// replicated or absent dim), and the rank that sends them.
+type ownerCell struct {
+	r      rect
+	coords [2]int
+	first  int
+}
+
+// buildCells lists array a's non-empty owner cells: one per combination
+// of owner coordinates of the mapped dims, with replicated dims, Fixed=All
+// dims, and All coordinates contributing the canonical coordinate 0 to the
+// sending rank, exactly as Scheme.Owners' first entry does.
+func (e *anEngine) buildCells(a *anArray) {
+	base := 0
 	for gd, c := range a.s.Fixed {
-		if c != dist.All && c != q[gd] {
-			return rect{}, false
+		if c != dist.All {
+			a.fixed = append(a.fixed, anGate{gd: gd, coord: c})
+			base += c * e.strides[gd]
 		}
 	}
-	var sets [2]dist.IndexSet
+	choices := func(k int) []dist.IndexSet {
+		switch {
+		case k >= a.rank:
+			return []dist.IndexSet{dist.Interval(1, 1)}
+		case a.dims[k].replicated:
+			return []dist.IndexSet{dist.Interval(1, a.sizes[k])}
+		}
+		return a.dims[k].pats
+	}
+	sets0, sets1 := choices(0), choices(1)
+	a.cells = make([]ownerCell, 0, len(sets0)*len(sets1))
+	for c0, s0 := range sets0 {
+		if s0.Empty() {
+			continue
+		}
+		for c1, s1 := range sets1 {
+			if s1.Empty() {
+				continue
+			}
+			cell := ownerCell{r: prodRect(s0, s1), coords: [2]int{-1, -1}, first: base}
+			for k, c := range [2]int{c0, c1} {
+				if k < a.rank && !a.dims[k].replicated {
+					cell.coords[k] = c
+					cell.first += c * e.strides[a.dims[k].gd]
+				}
+			}
+			a.cells = append(a.cells, cell)
+		}
+	}
+}
+
+// holds reports whether the rank at grid coordinates q owns the cell's
+// elements.
+func (a *anArray) holds(c *ownerCell, q []int) bool {
+	for _, f := range a.fixed {
+		if q[f.gd] != f.coord {
+			return false
+		}
+	}
 	for k := 0; k < a.rank; k++ {
-		d := a.dims[k]
-		if d.replicated {
-			sets[k] = dist.Interval(1, a.sizes[k])
-		} else {
-			sets[k] = d.pats[q[d.gd]]
+		if c.coords[k] >= 0 && c.coords[k] != q[a.dims[k].gd] {
+			return false
 		}
 	}
-	if a.rank == 1 {
-		sets[1] = dist.Interval(1, 1)
-	}
-	return prodRect(sets[0], sets[1]), true
+	return true
 }
 
 type anRef struct {
@@ -175,8 +223,9 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		stride *= g.Extent(gd)
 	}
 	e.rankCoords = make([][]int, e.nprocs)
+	coords := make([]int, e.nprocs*e.q)
 	for r := 0; r < e.nprocs; r++ {
-		e.rankCoords[r] = make([]int, e.q)
+		e.rankCoords[r] = coords[r*e.q : (r+1)*e.q]
 		for gd := 0; gd < e.q; gd++ {
 			e.rankCoords[r][gd] = g.Coord(r, gd)
 		}
@@ -345,6 +394,7 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 				return Counts{}, false, nil
 			}
 			as.reads = append(as.reads, ref)
+			ref.arr.reads++
 		}
 		// Compile the executor condition: per grid dim of the owner
 		// scheme, either a pinned coordinate (gate) or a per-coordinate
@@ -389,9 +439,15 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	e.flops = make([]int64, e.nprocs)
 	e.in = make([]int64, e.nprocs)
 	e.out = make([]int64, e.nprocs)
+	// Footprint storage is one slab per array, cut so that every rank's
+	// list has room for each read of the array: no list outgrows its slot.
 	e.footprints = make([][][]rect, len(e.arrays))
-	for i := range e.footprints {
+	for i, a := range e.arrays {
 		e.footprints[i] = make([][]rect, e.nprocs)
+		slab := make([]rect, a.reads*e.nprocs)
+		for pr := range e.footprints[i] {
+			e.footprints[i][pr], slab = slab[:0:a.reads], slab[a.reads:]
+		}
 	}
 
 	// Per-rank pass: instance counts (flops) and read footprints.
@@ -438,38 +494,34 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		}
 	}
 
-	// Needed words: per (array, rank), the union of read footprints minus
-	// the owned part; sends bill to the element's first owner, found by
-	// partitioning into owner-coordinate cells.
+	// Needed words: per (array, rank), the part of the read footprint the
+	// rank does not own, billed to each element's first owner. The owner
+	// cells partition the array and a rank's owned set is exactly one of
+	// them, so the footprint is counted inside every other cell and
+	// nowhere else: the own cell's bill is zero by construction, and no
+	// owned part has to be subtracted from the rest.
+	var sc rectScratch
 	for _, a := range e.arrays {
+		if a.reads == 0 {
+			continue
+		}
+		e.buildCells(a)
 		for pr := 0; pr < e.nprocs; pr++ {
 			fp := e.footprints[a.idx][pr]
 			if len(fp) == 0 {
 				continue
 			}
-			total := unionCount(fp)
-			owned, okOwned := a.ownedRect(e.rankCoords[pr])
-			var ownedPart int64
-			var fpOwned []rect
-			if okOwned {
-				fpOwned = intersectAll(fp, owned)
-				ownedPart = unionCount(fpOwned)
-			}
-			need := total - ownedPart
-			if need == 0 {
-				continue
-			}
-			e.remote += need
-			e.in[pr] += need
-			e.forEachOwnerCell(a, func(cell rect, firstRank int) {
-				c := unionCount(intersectAll(fp, cell))
-				if okOwned {
-					c -= unionCount(intersectAll(fpOwned, cell))
+			for i := range a.cells {
+				cell := &a.cells[i]
+				if a.holds(cell, e.rankCoords[pr]) {
+					continue
 				}
-				if c != 0 {
-					e.out[firstRank] += c
+				if c := sc.unionCount(fp, &cell.r); c != 0 {
+					e.remote += c
+					e.in[pr] += c
+					e.out[cell.first] += c
 				}
-			})
+			}
 		}
 	}
 
@@ -485,6 +537,9 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		}
 	}
 
+	if opts.tally != nil {
+		*opts.tally = rankTally{flops: e.flops, in: e.in, out: e.out}
+	}
 	var ct Counts
 	ct.RemoteWords = e.remote
 	ct.ReduceWords = e.reduceW
@@ -556,7 +611,8 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.I
 	}
 	root := e.depRoot
 	cons := int64(1)
-	var terms []winTerm
+	var termBuf [4]winTerm
+	terms := termBuf[:0]
 	reff := allowed[root]
 	for s := 0; s < as.depth; s++ {
 		if s == root {
@@ -569,14 +625,14 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.I
 		}
 		t := winTerm{set: allowed[s]}
 		if d.low {
-			t.los = append(t.los, affBound{c: d.c, k: 1})
+			t.los.add(d.c, 1)
 			if mx, ok := allowed[s].Max(); ok {
 				reff = reff.Clip(bandMin, mx-d.c)
 			} else {
 				reff = reff.Clip(1, 0)
 			}
 		} else {
-			t.his = append(t.his, affBound{c: d.c, k: 1})
+			t.his.add(d.c, 1)
 			if mn, ok := allowed[s].Min(); ok {
 				reff = reff.Clip(mn-d.c, bandMax)
 			} else {
@@ -734,58 +790,6 @@ func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSe
 		return rect{}, false, false
 	}
 	return prodRect(s0, s1), true, false
-}
-
-// intersectAll intersects every rect with r, dropping provably empty
-// results.
-func intersectAll(rs []rect, r rect) []rect {
-	out := make([]rect, 0, len(rs))
-	for _, x := range rs {
-		if y, ok := intersectRect(x, r); ok {
-			out = append(out, y)
-		}
-	}
-	return out
-}
-
-// forEachOwnerCell partitions array a's element space by first-owner rank:
-// one cell per combination of owner coordinates of the mapped dims, with
-// replicated dims, Fixed=All dims, and All coordinates contributing the
-// canonical coordinate 0, exactly as Scheme.Owners' first entry does.
-func (e *anEngine) forEachOwnerCell(a *anArray, visit func(cell rect, firstRank int)) {
-	base := 0
-	for gd, c := range a.s.Fixed {
-		if c != dist.All {
-			base += c * e.strides[gd]
-		}
-	}
-	dimChoices := func(k int) ([]dist.IndexSet, []int) {
-		if k >= a.rank {
-			return []dist.IndexSet{dist.Interval(1, 1)}, []int{0}
-		}
-		d := a.dims[k]
-		if d.replicated {
-			return []dist.IndexSet{dist.Interval(1, a.sizes[k])}, []int{0}
-		}
-		adds := make([]int, d.n)
-		for c := 0; c < d.n; c++ {
-			adds[c] = c * e.strides[d.gd]
-		}
-		return d.pats, adds
-	}
-	sets0, adds0 := dimChoices(0)
-	sets1, adds1 := dimChoices(1)
-	for c0, s0 := range sets0 {
-		if s0.Empty() {
-			continue
-		}
-		for c1, s1 := range sets1 {
-			if s1.Empty() {
-				continue
-			}
-			visit(prodRect(s0, s1), base+adds0[c0]+adds1[c1])
-		}
-	}
 }
 
 // uMask gates one grid dimension's coordinates for the elements of one

@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -243,12 +244,16 @@ func describeNest(nest *ir.Nest, schemes map[string]dist.Scheme) string {
 
 // checkAgainstOracle prices one nest through the production dispatcher
 // and, when the closed forms answered, requires the reference enumeration
-// to agree word for word. It returns whether they answered; a declined
-// nest was priced by the oracle itself (TestDeclinedNestsReachTheOracle),
-// so there is nothing to compare.
+// to agree word for word — on the Counts and, rank by rank, on the
+// per-processor flops and words in and out behind them, so a word billed
+// to the wrong sender fails even when no maximum moves. It returns whether
+// the closed forms answered; a declined nest was priced by the oracle
+// itself (TestDeclinedNestsReachTheOracle), so there is nothing to compare.
 func checkAgainstOracle(t *testing.T, label string, p *ir.Program, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) bool {
 	t.Helper()
 	nest := p.Nests[0]
+	var gotRanks, wantRanks rankTally
+	opts.tally = &gotRanks
 	got, eng, err := CountNestOptsEngine(p, nest, schemes, g, bind, opts)
 	if err != nil {
 		t.Fatalf("%s: dispatcher: %v", label, err)
@@ -256,13 +261,15 @@ func checkAgainstOracle(t *testing.T, label string, p *ir.Program, schemes map[s
 	if eng != EngineAnalytic {
 		return false
 	}
+	opts.tally = &wantRanks
 	want, err := CountNestOptsExact(p, nest, schemes, g, bind, opts)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
 	}
-	if got != want {
-		t.Fatalf("%s: analytic %+v, oracle %+v\ngrid=%s bind=%v opts=%+v\n%s",
-			label, got, want, g, bind, opts, describeNest(nest, schemes))
+	if got != want || !slices.Equal(gotRanks.flops, wantRanks.flops) ||
+		!slices.Equal(gotRanks.in, wantRanks.in) || !slices.Equal(gotRanks.out, wantRanks.out) {
+		t.Fatalf("%s: analytic %+v per rank %+v, oracle %+v per rank %+v\ngrid=%s bind=%v opts=%+v\n%s",
+			label, got, gotRanks, want, wantRanks, g, bind, opts, describeNest(nest, schemes))
 	}
 	return true
 }
@@ -514,6 +521,7 @@ var largeMSeeds = []int64{7, 8, 9, 10, 11, 12, 13, 14}
 func TestCountNestTriangularLargeM(t *testing.T) {
 	grids := []*grid.Grid{grid.New(4, 1), grid.New(2, 2), grid.New(6, 1)}
 	const trials = 8
+	pinnedHits := 0
 	for _, seed := range largeMSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		analyticHits := 0
@@ -531,7 +539,43 @@ func TestCountNestTriangularLargeM(t *testing.T) {
 		if analyticHits < trials/3 {
 			t.Fatalf("seed %d: analytic path engaged on only %d/%d trials", seed, analyticHits, trials)
 		}
+		// The stream above reaches a Fixed-coordinate scheme on a 2-D grid
+		// once in its 64 trials (counted when the own-cell skip went in;
+		// the two small-m tests reach one in every tenth trial and a
+		// partially replicated array in every third). Two more trials per
+		// seed force both shapes, from a stream of their own so the cases
+		// above replay as before.
+		rng = rand.New(rand.NewSource(seed + 1000))
+		for trial, g := range []*grid.Grid{grid.New(2, 2), grid.New(2, 3)} {
+			m := 64 + rng.Intn(64)
+			p := randTriangularProgram(rng, m, 2)
+			schemes := pinAndReplicate(randSchemes(t, rng, p, g, m), g, trial)
+			if checkAgainstOracle(t, fmt.Sprintf("seed %d pinned trial %d", seed, trial), p, schemes, g, map[string]int{"m": m}, CountOptions{}) {
+				pinnedHits++
+			}
+		}
 	}
+	if pinnedHits < len(largeMSeeds) {
+		t.Fatalf("analytic path engaged on only %d/%d pinned trials", pinnedHits, 2*len(largeMSeeds))
+	}
+}
+
+// pinAndReplicate rewrites drawn schemes into the shapes where the rank
+// that holds an element is not the rank billed for sending it: a 2-D array
+// keeps one mapped dim and replicates the other, a 1-D array is pinned to
+// coordinate pin of the grid dim it does not use.
+func pinAndReplicate(schemes map[string]dist.Scheme, g *grid.Grid, pin int) map[string]dist.Scheme {
+	for name, s := range schemes {
+		if len(s.Dims) == 2 && !s.Dims[0].Replicated {
+			s.Rot = dist.NoRotation
+			s.Dims[1] = dist.Dim{Replicated: true, GridDim: s.Dims[1].GridDim}
+		}
+		for gd := range s.Fixed {
+			s.Fixed[gd] = pin % g.Extent(gd)
+		}
+		schemes[name] = s
+	}
+	return schemes
 }
 
 // gaussSchemes is the Section 6 layout family: cyclic rows for the

@@ -96,6 +96,25 @@ type CountOptions struct {
 	// prices — letting the DP keep layouts whose reductions the exec
 	// backend now runs as pipelined exchanges.
 	PipelinedReduction bool
+
+	// tally, which only this package's tests set, receives the
+	// per-processor vectors the Counts maxima are taken over: a word
+	// billed to the wrong sender is invisible in Counts unless it moves
+	// MaxProcOut.
+	tally *rankTally
+}
+
+// rankTally is the per-processor flops, words received and words sent of
+// one nest count, indexed by rank.
+type rankTally struct{ flops, in, out []int64 }
+
+// denseRanks spreads the oracle's per-rank map over n ranks.
+func denseRanks(byRank map[int]int64, n int) []int64 {
+	v := make([]int64, n)
+	for r, x := range byRank {
+		v[r] = x
+	}
+	return v
 }
 
 // Engine identifies which counting engine priced a nest.
@@ -330,6 +349,9 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 		if w > ct.MaxProcOut {
 			ct.MaxProcOut = w
 		}
+	}
+	if n := g.Size(); opts.tally != nil {
+		*opts.tally = rankTally{denseRanks(flops, n), denseRanks(in, n), denseRanks(out, n)}
 	}
 	return ct, nil
 }

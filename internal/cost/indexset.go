@@ -90,7 +90,7 @@ func (r rect) halfPlane(sgn0, sgn1, g int, ge bool) rect {
 	return r
 }
 
-func (r rect) count() int64 {
+func (r *rect) count() int64 {
 	a, b := r.a, r.b
 	if a.Hi < a.Lo || b.Hi < b.Lo {
 		return 0
@@ -124,16 +124,16 @@ func (r rect) count() int64 {
 	// General band: sum the windowed count of b over the members of a.
 	t := winTerm{set: b}
 	if r.dlo > bandMin {
-		t.los = append(t.los, affBound{c: r.dlo, k: 1})
+		t.los.add(r.dlo, 1)
 	}
 	if r.slo > bandMin {
-		t.los = append(t.los, affBound{c: r.slo, k: -1})
+		t.los.add(r.slo, -1)
 	}
 	if r.dhi < bandMax {
-		t.his = append(t.his, affBound{c: r.dhi, k: 1})
+		t.his.add(r.dhi, 1)
 	}
 	if r.shi < bandMax {
-		t.his = append(t.his, affBound{c: r.shi, k: -1})
+		t.his.add(r.shi, -1)
 	}
 	return sumWindowed(a, []winTerm{t})
 }
@@ -148,48 +148,73 @@ func rectEq(x, y rect) bool {
 	return x.a.Equal(y.a) && x.b.Equal(y.b)
 }
 
-// intersectRect intersects two rects. ok == false means provably empty;
-// a true result may still count to zero.
-func intersectRect(x, y rect) (rect, bool) {
-	r := rect{a: x.a.Intersect(y.a), b: x.b.Intersect(y.b)}
-	r.dlo, r.dhi = max(x.dlo, y.dlo), min(x.dhi, y.dhi)
-	r.slo, r.shi = max(x.slo, y.slo), min(x.shi, y.shi)
-	if r.a.Hi < r.a.Lo || r.b.Hi < r.b.Lo || r.dlo > r.dhi || r.slo > r.shi {
-		return rect{}, false
+// intersectRect stores x ∩ y in dst. false means provably empty, and is
+// decided as early as the evidence allows: on the interval hulls and the
+// bands (contradictory, or excluding the whole clipped box) before any
+// residue mask is read, then on masks that share no residue. A true
+// result may still count to zero.
+func intersectRect(dst, x, y *rect) bool {
+	aLo, aHi := max(x.a.Lo, y.a.Lo), min(x.a.Hi, y.a.Hi)
+	bLo, bHi := max(x.b.Lo, y.b.Lo), min(x.b.Hi, y.b.Hi)
+	dlo, dhi := max(x.dlo, y.dlo), min(x.dhi, y.dhi)
+	slo, shi := max(x.slo, y.slo), min(x.shi, y.shi)
+	if aHi < aLo || bHi < bLo || dlo > dhi || slo > shi ||
+		dlo > bHi-aLo || dhi < bLo-aHi || slo > aHi+bHi || shi < aLo+bLo {
+		return false
 	}
-	return r, true
+	a := x.a.Intersect(y.a)
+	if a.Hi < a.Lo {
+		return false
+	}
+	b := x.b.Intersect(y.b)
+	if b.Hi < b.Lo {
+		return false
+	}
+	*dst = rect{a: a, b: b, dlo: dlo, dhi: dhi, slo: slo, shi: shi}
+	return true
 }
 
-// unionCount returns |union of rects| by inclusion-exclusion. The rect
-// count per (array, processor) is bounded by the nest's read references,
-// so the 2^k term stays tiny; callers cap k (see maxFootprintRects).
-func unionCount(rs []rect) int64 {
-	var rec func(i int, acc *rect, depth int) int64
-	rec = func(i int, acc *rect, depth int) int64 {
-		var sum int64
-		for j := i; j < len(rs); j++ {
-			cur := rs[j]
-			if acc != nil {
-				var ok bool
-				cur, ok = intersectRect(*acc, rs[j])
-				if !ok {
-					continue
-				}
-			}
-			c := cur.count()
-			if c == 0 {
-				continue
-			}
-			if depth%2 == 0 {
-				sum += c
-			} else {
-				sum -= c
-			}
-			sum += rec(j+1, &cur, depth+1)
+// rectScratch is the working storage of one inclusion-exclusion walk:
+// the running intersection and the cursor into the rect list at each
+// depth. An engine invocation owns one, so counting a union allocates
+// nothing.
+type rectScratch struct {
+	acc  [maxFootprintRects + 1]rect
+	next [maxFootprintRects + 1]int
+}
+
+// unionCount returns |within ∩ union of rs| by inclusion-exclusion, depth
+// first over the subsets of rs with an empty running intersection cutting
+// its whole subtree. The rect count per (array, processor) is bounded by
+// the nest's read references (at most maxFootprintRects), so the 2^k term
+// stays tiny.
+func (sc *rectScratch) unionCount(rs []rect, within *rect) int64 {
+	sc.acc[0], sc.next[0] = *within, 0
+	var sum int64
+	for d := 0; d >= 0; {
+		j := sc.next[d]
+		if j == len(rs) {
+			d--
+			continue
 		}
-		return sum
+		sc.next[d] = j + 1
+		cur := &sc.acc[d+1]
+		if !intersectRect(cur, &sc.acc[d], &rs[j]) {
+			continue
+		}
+		c := cur.count()
+		if c == 0 {
+			continue
+		}
+		if d%2 == 0 {
+			sum += c
+		} else {
+			sum -= c
+		}
+		d++
+		sc.next[d] = j + 1
 	}
-	return rec(0, nil, 0)
+	return sum
 }
 
 // ------------------------------------------------- windowed AP sums --
@@ -198,21 +223,36 @@ func unionCount(rs []rect) int64 {
 // value(v) = c + k*v with k in {-1, 0, +1}.
 type affBound struct{ c, k int }
 
+// bounds holds the endpoints on one side of a window. A band has at most
+// two (its difference and its sum bound) and a dependent loop bound one,
+// so the storage is fixed and a winTerm is a plain value.
+type bounds struct {
+	b [2]affBound
+	n int
+}
+
+func (bs *bounds) add(c, k int) {
+	bs.b[bs.n] = affBound{c: c, k: k}
+	bs.n++
+}
+
+func (bs *bounds) list() []affBound { return bs.b[:bs.n] }
+
 // winTerm is one factor of a windowed product: the count of set members
 // inside [max of los, min of his] (either side open when empty).
 type winTerm struct {
 	set      dist.IndexSet
-	los, his []affBound
+	los, his bounds
 }
 
-func (t winTerm) eval(v int) int64 {
+func (t *winTerm) eval(v int) int64 {
 	lo, hi := t.set.Lo, t.set.Hi
-	for _, b := range t.los {
+	for _, b := range t.los.list() {
 		if x := b.c + b.k*v; x > lo {
 			lo = x
 		}
 	}
-	for _, b := range t.his {
+	for _, b := range t.his.list() {
 		if x := b.c + b.k*v; x < hi {
 			hi = x
 		}
@@ -244,8 +284,8 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 			return 0
 		}
 		acc := int64(1)
-		for _, t := range terms {
-			acc *= t.eval(v)
+		for i := range terms {
+			acc *= terms[i].eval(v)
 			if acc == 0 {
 				return 0
 			}
@@ -266,7 +306,11 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 	}
 
 	// Interval starts: v values where some endpoint ordering can change.
-	starts := []int{xs.Lo}
+	// One term adds at most 42 (four bounds: two hull crossings each and
+	// six pairwise crossings, three starts apiece), so two terms fit the
+	// stack buffer.
+	var startBuf [96]int
+	starts := append(startBuf[:0], xs.Lo)
 	addCross := func(v int) {
 		for _, d := range [3]int{-1, 0, 1} {
 			if x := v + d; x > xs.Lo && x <= xs.Hi {
@@ -274,8 +318,10 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 			}
 		}
 	}
-	for _, t := range terms {
-		bounds := append(append([]affBound{}, t.los...), t.his...)
+	for ti := range terms {
+		t := &terms[ti]
+		var all [4]affBound
+		bounds := append(append(all[:0], t.los.list()...), t.his.list()...)
 		for i, b1 := range bounds {
 			if b1.k != 0 {
 				// Crossing the set hull (clamp side changes).
@@ -297,7 +343,11 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 
 	deg := len(terms)
 	var sum int64
-	samples := make([]int64, deg+1)
+	var sampleBuf [4]int64
+	samples := sampleBuf[:]
+	if deg >= len(samples) {
+		samples = make([]int64, deg+1)
+	}
 	for i, l := range starts {
 		h := xs.Hi
 		if i+1 < len(starts) {

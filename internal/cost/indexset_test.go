@@ -59,13 +59,18 @@ func randRect(rng *rand.Rand, maxSpan int) rect {
 	return r
 }
 
+// rectHas is the definition of rect membership.
+func rectHas(r rect, e0, e1 int) bool {
+	return r.a.Contains(e0) && r.b.Contains(e1) &&
+		e1-e0 >= r.dlo && e1-e0 <= r.dhi && e1+e0 >= r.slo && e1+e0 <= r.shi
+}
+
 // rectPoints enumerates the (e0, e1) pairs of r by brute force.
 func rectPoints(r rect) [][2]int {
 	var out [][2]int
 	for e0 := r.a.Lo; e0 <= r.a.Hi; e0++ {
 		for e1 := r.b.Lo; e1 <= r.b.Hi; e1++ {
-			if r.a.Contains(e0) && r.b.Contains(e1) &&
-				e1-e0 >= r.dlo && e1-e0 <= r.dhi && e1+e0 >= r.slo && e1+e0 <= r.shi {
+			if rectHas(r, e0, e1) {
 				out = append(out, [2]int{e0, e1})
 			}
 		}
@@ -81,34 +86,68 @@ func TestRectCountMatchesEnumeration(t *testing.T) {
 			if got, want := r.count(), int64(len(rectPoints(r))); got != want {
 				t.Fatalf("seed %d trial %d rect %+v: count = %d, enumeration %d", seed, trial, r, got, want)
 			}
+			// intersectRect against a second rect: a rejection (on hulls,
+			// bands or masks) must mean no common point, an answer must
+			// count the common points.
+			o := randRect(rng, spanOnEitherSideOfCap(trial+1))
+			var common, got int64
+			for _, pt := range rectPoints(r) {
+				if rectHas(o, pt[0], pt[1]) {
+					common++
+				}
+			}
+			var x rect
+			if intersectRect(&x, &r, &o) {
+				got = x.count()
+			}
+			if got != common {
+				t.Fatalf("seed %d trial %d: %+v ∩ %+v counts %d, enumeration %d", seed, trial, r, o, got, common)
+			}
 		}
 	}
 }
 
+// TestUnionCountMatchesEnumeration drives the scratch-based
+// inclusion-exclusion with 1..4 rects on every trial and, every third
+// trial, with 6..maxFootprintRects rects drawn over one small window so
+// they overlap many deep — each cut by random bands — and counts the
+// union inside a random region rect as the engine does per owner cell.
+// One scratch serves the whole seed: a walk must not depend on what the
+// previous one left behind.
 func TestUnionCountMatchesEnumeration(t *testing.T) {
 	for _, seed := range rectSeeds {
 		rng := rand.New(rand.NewSource(seed))
+		var sc rectScratch
 		for trial := 0; trial < 60; trial++ {
-			rs := make([]rect, 1+rng.Intn(4))
+			n, span := 1+rng.Intn(4), spanOnEitherSideOfCap(trial)/3
+			if trial%3 == 0 {
+				n, span = 6+rng.Intn(maxFootprintRects-5), 12
+			}
+			within := randRect(rng, 3*span)
+			if trial%2 == 0 {
+				within = prodRect(dist.Interval(-100, 300), dist.Interval(-100, 300))
+			}
+			rs := make([]rect, n)
 			union := map[[2]int]bool{}
 			for i := range rs {
-				rs[i] = randRect(rng, spanOnEitherSideOfCap(trial)/3)
+				rs[i] = randRect(rng, span)
 				for _, pt := range rectPoints(rs[i]) {
-					union[pt] = true
+					if rectHas(within, pt[0], pt[1]) {
+						union[pt] = true
+					}
 				}
 			}
-			if got, want := unionCount(rs), int64(len(union)); got != want {
-				t.Fatalf("seed %d trial %d rects %+v: unionCount = %d, enumeration %d", seed, trial, rs, got, want)
+			if got, want := sc.unionCount(rs, &within), int64(len(union)); got != want {
+				t.Fatalf("seed %d trial %d rects %+v within %+v: unionCount = %d, enumeration %d", seed, trial, rs, within, got, want)
 			}
 		}
 	}
 }
 
 func TestSumWindowedMatchesEnumeration(t *testing.T) {
-	randBounds := func(rng *rand.Rand) []affBound {
-		bs := make([]affBound, rng.Intn(3))
-		for i := range bs {
-			bs[i] = affBound{c: -20 + rng.Intn(60), k: -1 + rng.Intn(3)}
+	randBounds := func(rng *rand.Rand) (bs bounds) {
+		for n := rng.Intn(3); n > 0; n-- {
+			bs.add(-20+rng.Intn(60), -1+rng.Intn(3))
 		}
 		return bs
 	}
@@ -130,10 +169,10 @@ func TestSumWindowedMatchesEnumeration(t *testing.T) {
 					var in int64
 					for x := tm.set.Lo; x <= tm.set.Hi; x++ {
 						ok := tm.set.Contains(x)
-						for _, b := range tm.los {
+						for _, b := range tm.los.list() {
 							ok = ok && x >= b.c+b.k*v
 						}
-						for _, b := range tm.his {
+						for _, b := range tm.his.list() {
 							ok = ok && x <= b.c+b.k*v
 						}
 						if ok {

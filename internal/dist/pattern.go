@@ -19,7 +19,9 @@ import "dmcc/internal/grid"
 // and len(Residues) == Period. Contiguous dimensions have Period 1 and
 // carry all structure in the interval; cyclic dimensions have
 // Period = N*Block and an interval spanning the whole dimension. Sets
-// are values: no method writes through Residues.
+// are values: no method, and no caller, writes through Residues — the
+// invariant that lets Intersect, Clip and AffineImage hand back an
+// operand's mask instead of a copy.
 type IndexSet struct {
 	Lo, Hi   int
 	Period   int
@@ -132,21 +134,61 @@ func (s IndexSet) Clip(l, h int) IndexSet {
 	return s
 }
 
-// Intersect returns the members common to s and o.
+// Intersect returns the members common to s and o. The result shares an
+// operand's mask whenever that mask already is the answer — the other
+// operand is a full Period-1 interval, or its mask contains this one —
+// and comes back as an empty interval, without a mask of its own, when
+// the intervals or the masks are disjoint; only a genuinely new mask is
+// allocated.
 func (s IndexSet) Intersect(o IndexSet) IndexSet {
+	lo, hi := max(s.Lo, o.Lo), min(s.Hi, o.Hi)
+	switch {
+	case hi < lo:
+		return Interval(lo, hi)
+	case o.Period == 1 && o.Residues[0]:
+		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: s.Residues}
+	case s.Period == 1 && s.Residues[0]:
+		return IndexSet{Lo: lo, Hi: hi, Period: o.Period, Residues: o.Residues}
+	}
 	p := LCM(s.Period, o.Period)
+	meet, isS, isO := false, p == s.Period, p == o.Period
+	for r, i, j := 0, 0, 0; r < p; r++ {
+		a, b := s.Residues[i], o.Residues[j]
+		meet = meet || a && b
+		isS = isS && (b || !a)
+		isO = isO && (a || !b)
+		if i++; i == s.Period {
+			i = 0
+		}
+		if j++; j == o.Period {
+			j = 0
+		}
+	}
+	switch {
+	case !meet:
+		return Interval(lo, lo-1)
+	case isS:
+		return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: s.Residues}
+	case isO:
+		return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: o.Residues}
+	}
 	res := make([]bool, p)
-	for r := 0; r < p; r++ {
+	for r := range res {
 		res[r] = s.Residues[r%s.Period] && o.Residues[r%o.Period]
 	}
-	return IndexSet{Lo: max(s.Lo, o.Lo), Hi: min(s.Hi, o.Hi), Period: p, Residues: res}
+	return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: res}
 }
 
-// AffineImage returns {sign*x + c : x in s}, sign in {-1, +1}.
+// AffineImage returns {sign*x + c : x in s}, sign in {-1, +1}. A map that
+// leaves every residue class in place (Period 1, or a shift by a multiple
+// of the period) shares s's mask.
 func (s IndexSet) AffineImage(sign, c int) IndexSet {
 	lo, hi := s.Lo+c, s.Hi+c
 	if sign == -1 {
 		lo, hi = c-s.Hi, c-s.Lo
+	}
+	if s.Period == 1 || sign == 1 && c%s.Period == 0 {
+		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: s.Residues}
 	}
 	res := make([]bool, s.Period)
 	for r, ok := range s.Residues {

@@ -123,6 +123,92 @@ func TestIndexSetMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestIndexSetOpsDoNotWriteThrough pins the invariant the allocation-free
+// paths rest on: Intersect, Clip and AffineImage may hand back an
+// operand's mask, so nothing may ever write through Residues. A random
+// chain of operations feeds its own results back in as operands (that is
+// how shared masks meet each other); every result must equal the
+// enumeration computed from the operands' member lists, and at the end
+// every set the chain ever held must still have the mask and the members
+// it had when it was made.
+func TestIndexSetOpsDoNotWriteThrough(t *testing.T) {
+	type held struct {
+		set  IndexSet
+		mask []bool
+		want []int
+	}
+	for _, seed := range setSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		var pool []held
+		hold := func(s IndexSet, want []int, how string) {
+			t.Helper()
+			if got := members(s); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: %s = %v (%+v), enumeration %v", seed, len(pool), how, got, s, want)
+			}
+			pool = append(pool, held{s, slices.Clone(s.Residues), want})
+		}
+		for i := 0; i < 6; i++ {
+			s := randSet(rng)
+			hold(s, members(s), "randSet")
+		}
+		full := Interval(-12, 20)
+		hold(full, members(full), "Interval")
+		for step := 0; step < 400; step++ {
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			l, h := -15+rng.Intn(30), -15+rng.Intn(40)
+			// Half the shifts are whole periods: the mask-sharing image.
+			sign, c := 1-2*rng.Intn(2), (-2+rng.Intn(5))*a.set.Period+rng.Intn(2)*rng.Intn(a.set.Period)
+			switch rng.Intn(5) {
+			case 0:
+				var both []int
+				for _, v := range a.want {
+					if slices.Contains(b.want, v) {
+						both = append(both, v)
+					}
+				}
+				hold(a.set.Intersect(b.set), both, fmt.Sprintf("%+v.Intersect(%+v)", a.set, b.set))
+			case 1:
+				hold(a.set.Clip(l, h), inRange(a.want, l, h), fmt.Sprintf("%+v.Clip(%d, %d)", a.set, l, h))
+			case 2:
+				var img []int
+				for _, v := range a.want {
+					img = append(img, sign*v+c)
+				}
+				slices.Sort(img)
+				hold(a.set.AffineImage(sign, c), img, fmt.Sprintf("%+v.AffineImage(%d, %d)", a.set, sign, c))
+			case 3:
+				var pre []int
+				for _, y := range a.want {
+					pre = append(pre, sign*(y-c))
+				}
+				slices.Sort(pre)
+				hold(a.set.AffinePreimage(sign, c), pre, fmt.Sprintf("%+v.AffinePreimage(%d, %d)", a.set, sign, c))
+			default:
+				mn, okMin := a.set.Min()
+				mx, okMax := a.set.Max()
+				n := len(a.want)
+				if a.set.Count() != int64(n) || a.set.Empty() != (n == 0) || okMin != (n > 0) || okMax != (n > 0) ||
+					n > 0 && (mn != a.want[0] || mx != a.want[n-1]) ||
+					a.set.CountIn(l, h) != int64(len(inRange(a.want, l, h))) || a.set.Contains(l) != slices.Contains(a.want, l) {
+					t.Fatalf("seed %d step %d: counts of %+v disagree with its members %v", seed, step, a.set, a.want)
+				}
+			}
+		}
+		for i, e := range pool {
+			if !slices.Equal(e.set.Residues, e.mask) || !slices.Equal(members(e.set), e.want) {
+				t.Fatalf("seed %d: set %d %+v was written through: made with mask %v and members %v", seed, i, e.set, e.mask, e.want)
+			}
+		}
+		masks := map[*bool]bool{}
+		for _, e := range pool {
+			masks[&e.set.Residues[0]] = true
+		}
+		if len(masks) > len(pool)/2 {
+			t.Fatalf("seed %d: %d sets over %d distinct masks — the sharing paths did not engage", seed, len(pool), len(masks))
+		}
+	}
+}
+
 // distDims are the partitioned dimension shapes of Section 2.1 the owned
 // set must reproduce: contiguous, cyclic and block-cyclic, both index
 // directions, with a displacement that is not the default -1.
