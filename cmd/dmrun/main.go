@@ -224,8 +224,8 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) err
 	}
 	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, iters),
 		res.Stats, matrix.MaxAbsDiff(x, ref))
-	fmt.Printf("  transport (batched): %d messages, %d words, largest message %d words\n",
-		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords)
+	fmt.Printf("  transport (batched): %d messages, %d words, largest message %d words; stores hold %d words, at most %d on one processor\n",
+		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n",
 		res.Transport.MaxPairMessages, res.Transport.MaxPairWords)
 	fmt.Printf("  wall: inspect %v, machine %v, replay %v, assemble %v\n",

@@ -221,31 +221,33 @@ func (s Scheme) Owners(g *grid.Grid, idx ...int) []int {
 }
 
 // ranksFor expands a per-grid-dimension coordinate vector (entries may be
-// All) into the ascending list of matching ranks.
+// All) into the ascending list of matching ranks: the result is allocated
+// once at its final size and filled in mixed-radix order, each All
+// dimension running through its extent with the later dimensions fastest.
 func ranksFor(g *grid.Grid, coords []int) []int {
-	// Expand dimension by dimension.
-	acc := [][]int{make([]int, 0, g.Q())}
-	for gd := 0; gd < g.Q(); gd++ {
-		var choices []int
-		if coords[gd] == All {
-			for c := 0; c < g.Extent(gd); c++ {
-				choices = append(choices, c)
-			}
-		} else {
-			choices = []int{coords[gd]}
+	n := 1
+	for gd, c := range coords {
+		if c == All {
+			n *= g.Extent(gd)
 		}
-		var next [][]int
-		for _, pre := range acc {
-			for _, c := range choices {
-				t := append(append([]int(nil), pre...), c)
-				next = append(next, t)
-			}
-		}
-		acc = next
 	}
-	ranks := make([]int, 0, len(acc))
-	for _, t := range acc {
-		ranks = append(ranks, g.Rank(t...))
+	ranks := make([]int, 1, n)
+	for gd, c := range coords {
+		ext := 1
+		if c == All {
+			c, ext = 0, g.Extent(gd)
+		} else if c < 0 || c >= g.Extent(gd) {
+			panic(fmt.Sprintf("dist: coordinate %d out of range [0,%d) in grid dim %d", c, g.Extent(gd), gd))
+		}
+		// Every rank so far stands for a coordinate prefix; give each its
+		// ext continuations, back to front so the expansion is in place.
+		stride, m := g.Extent(gd), len(ranks)
+		ranks = ranks[:m*ext]
+		for i := m - 1; i >= 0; i-- {
+			for k := ext - 1; k >= 0; k-- {
+				ranks[i*ext+k] = ranks[i]*stride + c + k
+			}
+		}
 	}
 	return ranks
 }

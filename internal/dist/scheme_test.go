@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -350,5 +351,61 @@ func TestGlobalIndexReplicated(t *testing.T) {
 	s := Scheme1D(Replicated(0), nil)
 	if s.GlobalIndex(g, 0, 1, 4) != 5 {
 		t.Fatal("replicated GlobalIndex wrong")
+	}
+}
+
+// ranksForExpand is the tuple-building expansion ranksFor replaced, kept
+// as the reference: every coordinate tuple, dimension by dimension, then
+// ranked.
+func ranksForExpand(g *grid.Grid, coords []int) []int {
+	acc := [][]int{nil}
+	for gd := 0; gd < g.Q(); gd++ {
+		choices := []int{coords[gd]}
+		if coords[gd] == All {
+			choices = choices[:0]
+			for c := 0; c < g.Extent(gd); c++ {
+				choices = append(choices, c)
+			}
+		}
+		var next [][]int
+		for _, pre := range acc {
+			for _, c := range choices {
+				next = append(next, append(append([]int(nil), pre...), c))
+			}
+		}
+		acc = next
+	}
+	ranks := make([]int, 0, len(acc))
+	for _, t := range acc {
+		ranks = append(ranks, g.Rank(t...))
+	}
+	return ranks
+}
+
+// TestRanksForMatchesExpansion: over random 1-D to 4-D grids and random
+// All masks, the in-place mixed-radix fill lists exactly the ranks the
+// tuple expansion lists, ascending, in one allocation.
+func TestRanksForMatchesExpansion(t *testing.T) {
+	for _, seed := range []int64{1, 2, 20261001} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 300; trial++ {
+			dims := make([]int, 1+rng.Intn(4))
+			coords := make([]int, len(dims))
+			for d := range dims {
+				dims[d] = 1 + rng.Intn(5)
+				coords[d] = rng.Intn(dims[d])
+				if rng.Intn(2) == 0 {
+					coords[d] = All
+				}
+			}
+			g := grid.New(dims...)
+			got, want := ranksFor(g, coords), ranksForExpand(g, coords)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d trial %d: grid %v coords %v: ranksFor = %v, expansion %v", seed, trial, dims, coords, got, want)
+			}
+			if allocs := testing.AllocsPerRun(1, func() { ranksFor(g, coords) }); allocs != 1 {
+				t.Fatalf("seed %d trial %d: grid %v coords %v: %v allocations, want 1", seed, trial, dims, coords, allocs)
+			}
+		}
 	}
 }

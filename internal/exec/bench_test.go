@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"dmcc/internal/core"
@@ -64,15 +65,41 @@ func BenchmarkRunJacobi1024(b *testing.B) {
 // scan was found and removed this way).
 func BenchmarkEventsN256(b *testing.B) { benchRun(b, newBenchCase(b, ir.Jacobi(), 64, 256, 2, true)) }
 
-// gaussAllocBudget is ~10 % above the 65 944 allocations Run makes on the
-// Gauss case (155 286 before the nests were lowered). The count repeats
-// exactly run to run, so a trip of this gate is a per-instance allocation
-// creeping back into the inspector or the executor, not noise.
-const gaussAllocBudget = 72500
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes: the
+// mean mallocs and bytes of runs calls of f after one warm-up call, on one
+// P so no other goroutine's allocations are counted.
+func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
 
+// TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 52 975
+// allocations (155 286 before the nests were lowered, 65 944 before
+// ranksFor filled its result in place), a count that repeats exactly run
+// to run; its budget stays where PR 15 set it. Jacobi on 1024 processors
+// (exec-scale) makes ~67 450 allocations of 6.26 MB — 103 200 and 17.5 MB
+// while every processor held a dense copy of every array it touched — and
+// map growth moves the count by a few either way. A trip of this gate is a
+// per-instance or per-processor allocation creeping back, not noise.
 func TestRunAllocBudget(t *testing.T) {
-	c := newBenchCase(t, ir.Gauss(), 32, 16, 1, false)
-	if got := testing.AllocsPerRun(3, func() { c.run(t) }); got > gaussAllocBudget {
-		t.Fatalf("Run(gauss m=32 N=16) made %.0f allocations, budget %d", got, gaussAllocBudget)
+	for _, c := range []struct {
+		name          string
+		run           benchCase
+		allocs, bytes float64
+	}{
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 72500, 10.1e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 74200, 6.9e6},
+	} {
+		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
+		}
 	}
 }

@@ -60,6 +60,12 @@ type Result struct {
 	// inspector walk, input bucketing), the naive-model stats replay, and
 	// the assembly of Values.
 	InspectWall, ReplayWall, AssembleWall time.Duration
+	// StoreWords and MaxProcStoreWords say how much array data Run's
+	// simulated processors held: the sum and the maximum over ranks of the
+	// local-store lengths, which is the sum over arrays of size times
+	// replicas — deterministic, a property of the schemes. Zero for
+	// RunExact.
+	StoreWords, MaxProcStoreWords int
 }
 
 // Options tune the batched engine's transport. The zero value is the
@@ -184,33 +190,31 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	stats := sched.replayStats(iters, cfg)
 	assembleStart := time.Now()
 
-	// Assemble the global state: each element from its first owner.
-	// Ranks are scanned outermost in ascending order and an element is
-	// filled only once, which is the same first-owner rule as the old
-	// per-element rank scan but skips the (many, at large N) processors
-	// whose lazily-allocated marks for an array were never touched.
+	// Assemble the global state: each element from its first owner, in
+	// ascending rank order, whose mark is set — an owner pruned from a
+	// reduction fan-out holds a stale or unmarked copy, so the first owner
+	// alone is not enough. Elements no owner wrote or loaded stay absent.
 	out := ir.NewStorage(p)
-	filled := make([][]bool, len(sched.arrays))
-	for a, am := range sched.arrays {
-		filled[a] = make([]bool, am.size)
-	}
-	for r := 0; r < nprocs; r++ {
-		for a, am := range sched.arrays {
-			mk := marks[r][a]
-			if mk == nil {
-				continue
-			}
-			elems := out[am.name]
-			for off, ok := range mk {
-				if ok && !filled[a][off] {
-					filled[a][off] = true
+	for a := range sched.arrays {
+		am := &sched.arrays[a]
+		elems := out[am.name]
+		for off, i := range am.loc {
+			for _, o := range am.cellOwners[am.cell[off]] {
+				if marks[o][a][i] {
 					_, idx := sched.decode(mkElem(a, off))
-					elems[subKey(idx)] = stores[r][a][off]
+					elems[subKey(idx)] = stores[o][a][i]
+					break
 				}
 			}
 		}
 	}
-	return Result{Values: out, Stats: stats, Transport: transport,
+	res := Result{Values: out, Stats: stats, Transport: transport,
 		InspectWall: simStart.Sub(start), SimWall: replayStart.Sub(simStart),
-		ReplayWall: assembleStart.Sub(replayStart), AssembleWall: time.Since(assembleStart)}, nil
+		ReplayWall: assembleStart.Sub(replayStart), AssembleWall: time.Since(assembleStart)}
+	for r := 0; r < nprocs; r++ {
+		w := sched.storeWords(r)
+		res.StoreWords += w
+		res.MaxProcStoreWords = max(res.MaxProcStoreWords, w)
+	}
+	return res, nil
 }

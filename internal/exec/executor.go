@@ -1,9 +1,8 @@
 // The executor half of the batched engine: each processor runs its
-// precomputed instruction stream (schedule.go) against dense per-array
-// stores, exchanging each epoch's traffic as one vectored machine.Send
-// per processor pair. All per-instance map and slice state of the old
-// engine is pooled here: the stream is allocated once by the inspector
-// and the executor reuses its scratch buffers across instances.
+// precomputed instruction stream (schedule.go) against stores of the
+// elements it owns, exchanging each epoch's traffic as one vectored
+// machine.Send per processor pair. The stream is allocated once by the
+// inspector and the executor reuses its scratch buffers across instances.
 
 package exec
 
@@ -12,25 +11,26 @@ import (
 	"math"
 	"sort"
 
-	"dmcc/internal/dist"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
 
-// valExec is one processor's value-pass state. All per-peer state is
-// sparse (maps keyed by live peers) and the dense per-array stores
-// materialize on first touch: at N=4096 a processor typically owns a
-// handful of elements and talks to a handful of neighbours, and
-// pre-sizing any of this by nprocs would make the executor itself the
-// memory bottleneck the event runtime exists to remove.
+// valExec is one processor's value-pass state, all of it proportional to
+// what the processor owns and exchanges: the stores hold its owner cell of
+// each array and nothing else (schedule.go's shared tables turn a global
+// element into a local offset), and the per-peer state is sparse maps made
+// on first use — a processor that never reduces or relays makes none. At
+// N=4096 a processor typically owns a handful of elements and talks to a
+// handful of neighbours; sizing any of this by the array or by nprocs
+// would make the executor itself the memory bottleneck the event runtime
+// exists to remove.
 type valExec struct {
 	s    *progSchedule
 	proc machine.Port
 	me   int
-	// store/has are the per-array local stores, nil until the processor
-	// first writes or receives an element of that array; has marks
-	// elements this processor actually wrote or received, for the
-	// first-owner result assembly.
+	// store[a] and has[a] are this processor's cell of array a, addressed
+	// through arrayMeta.loc; has marks the elements the processor actually
+	// wrote or received, for the first-marked-owner result assembly.
 	store [][]float64
 	has   [][]bool
 	// partials holds running partial sums of reduce statements.
@@ -68,60 +68,51 @@ type vbuf struct {
 	pos  int
 }
 
+// newValExec allocates the processor's stores: one slab of values and one
+// of marks, cut into the cells the processor holds.
 func newValExec(s *progSchedule, proc machine.Port) *valExec {
-	return &valExec{
+	x := &valExec{
 		s: s, proc: proc, me: proc.Rank(),
-		store:    make([][]float64, len(s.arrays)),
-		has:      make([][]bool, len(s.arrays)),
-		partials: make(map[elemID]float64),
-		cbuf:     make(map[int32]map[elemID]machine.Word),
-		curVals:  make([]float64, 0, 8),
-		rsend:    make(map[int][]machine.Word),
-		rrecv:    make(map[int]*vbuf),
-		rneed:    make(map[int]int),
+		store: make([][]float64, len(s.arrays)),
+		has:   make([][]bool, len(s.arrays)),
 	}
-}
-
-// ensure materializes array a's dense store on first touch.
-func (x *valExec) ensure(a int) {
-	if x.store[a] == nil {
-		x.store[a] = make([]float64, x.s.arrays[a].size)
-		x.has[a] = make([]bool, x.s.arrays[a].size)
+	words := s.storeWords(x.me)
+	vals, marks := make([]float64, words), make([]bool, words)
+	for a := range s.arrays {
+		n := s.arrays[a].storeLen(x.me)
+		x.store[a], vals = vals[:n:n], vals[n:]
+		x.has[a], marks = marks[:n:n], marks[n:]
 	}
+	return x
 }
 
 // rbuf returns the (created-on-demand) reduction receive buffer for src.
 func (x *valExec) rbuf(src int) *vbuf {
 	b := x.rrecv[src]
 	if b == nil {
+		if x.rrecv == nil {
+			x.rrecv = make(map[int]*vbuf)
+		}
 		b = &vbuf{}
 		x.rrecv[src] = b
 	}
 	return b
 }
 
-// inputLoads is the pre-decoded initial state, bucketed by owner
-// coordinates: one shared structure per run, read by every processor.
-// The old per-processor loadInput re-parsed every input key and asked
-// IsOwner per (processor, element) — an O(nprocs * elements) scan with
-// string parsing inside, which at N=256 already dominated whole-run
-// profiles and at N=4096 dwarfs the simulation itself. Here the input
-// is decoded once: each element's owner coordinates fold (over the grid
-// dimensions the scheme does not replicate along) into an integer
-// bucket key, and a processor installs exactly the buckets matching its
-// own coordinates.
-type inputLoads struct {
-	arrays []arrayLoads
+// queue appends one word to the vectored message building for dst.
+func (x *valExec) queue(dst int, w machine.Word) {
+	if x.rsend == nil {
+		x.rsend = make(map[int][]machine.Word)
+	}
+	x.rsend[dst] = append(x.rsend[dst], w)
 }
 
-// arrayLoads buckets one array's initial elements. allDim[d] marks grid
-// dimensions the scheme replicates along (owner coordinate All): those
-// are skipped by the fold, so every processor along them reads the same
-// bucket. The mask is per-scheme constant — All entries come from
-// Replicated dims and Fixed[d]=All, never from the subscripts.
-type arrayLoads struct {
-	allDim []bool
-	bucket map[int][]elemVal
+// expect counts one more word due from src in the next drainRecvs.
+func (x *valExec) expect(src int) {
+	if x.rneed == nil {
+		x.rneed = make(map[int]int)
+	}
+	x.rneed[src]++
 }
 
 type elemVal struct {
@@ -129,86 +120,72 @@ type elemVal struct {
 	val  float64
 }
 
-// buildLoads decodes and buckets the initial array contents.
-func buildLoads(s *progSchedule, input ir.Storage) (*inputLoads, error) {
-	g := s.ss.Grid
-	loads := &inputLoads{arrays: make([]arrayLoads, len(s.arrays))}
-	for a, am := range s.arrays {
+// buildLoads decodes the initial array contents once and buckets them, per
+// array, by owner cell: one shared structure per run, of which every
+// processor installs the bucket of the cell it holds. (A per-processor
+// scan asking IsOwner per element is O(nprocs * elements) with string
+// parsing inside; at N=256 it dominated whole-run profiles.)
+func buildLoads(s *progSchedule, input ir.Storage) ([]map[int32][]elemVal, error) {
+	loads := make([]map[int32][]elemVal, len(s.arrays))
+	for a := range s.arrays {
+		am := &s.arrays[a]
 		elems := input[am.name]
 		if len(elems) == 0 {
 			continue
 		}
-		sch := am.sch
-		al := arrayLoads{bucket: make(map[int][]elemVal)}
+		loads[a] = make(map[int32][]elemVal)
 		for key, v := range elems {
-			idx := parseKey(key)
-			coords := sch.GridCoords(g, idx...)
-			if al.allDim == nil {
-				al.allDim = make([]bool, g.Q())
-				for d, c := range coords {
-					al.allDim[d] = c == dist.All
-				}
-			}
-			k := 0
-			for d, c := range coords {
-				if al.allDim[d] {
-					continue
-				}
-				k = k*g.Extent(d) + c
-			}
-			e, ok := s.elemOf(a, idx)
+			e, ok := s.elemOf(a, parseKey(key))
 			if !ok {
 				return nil, fmt.Errorf("exec: input element %s(%s) outside extents %v", am.name, key, am.ext)
 			}
-			al.bucket[k] = append(al.bucket[k], elemVal{e, v})
+			c := am.cell[e.off()]
+			loads[a][c] = append(loads[a][c], elemVal{e, v})
 		}
-		loads.arrays[a] = al
 	}
 	return loads, nil
 }
 
 // installInput installs this processor's slice of the pre-bucketed
 // initial state, free of charge.
-func (x *valExec) installInput(loads *inputLoads) {
-	g := x.s.ss.Grid
-	for a := range loads.arrays {
-		al := &loads.arrays[a]
-		if al.bucket == nil {
-			continue
-		}
-		k := 0
-		for d := 0; d < g.Q(); d++ {
-			if al.allDim[d] {
-				continue
-			}
-			k = k*g.Extent(d) + g.Coord(x.me, d)
-		}
-		for _, ev := range al.bucket[k] {
+func (x *valExec) installInput(loads []map[int32][]elemVal) {
+	for a, bucket := range loads {
+		for _, ev := range bucket[x.s.arrays[a].rankCell[x.me]] {
 			x.storeElem(ev.elem, ev.val)
 		}
 	}
 }
 
-// loadElem reads an element of the local store; never-touched arrays
-// read as zero, matching the dense store's (and the old engine map's)
-// default.
-func (x *valExec) loadElem(e elemID) float64 {
-	if s := x.store[e.arr()]; s != nil {
-		return s[e.off()]
+// local is e's place in this processor's stores. Only an owner holds an
+// element: every other access the inspector schedules goes through a
+// shipped slot or a buffered copy, so an element of another cell here is
+// an inspector bug, and behind the shared offset table it would alias an
+// element the processor does own — a panic, which the machine reports as
+// Run's error, not a wrong number.
+func (x *valExec) local(e elemID) (a, i int) {
+	a = e.arr()
+	am, off := &x.s.arrays[a], e.off()
+	if am.cell[off] != am.rankCell[x.me] {
+		_, idx := x.s.decode(e)
+		panic(fmt.Sprintf("exec: processor %d accesses %s%v, which it does not own", x.me, am.name, idx))
 	}
-	return 0
+	return a, int(am.loc[off])
+}
+
+// loadElem reads an owned element; one never written reads as zero.
+func (x *valExec) loadElem(e elemID) float64 {
+	a, i := x.local(e)
+	return x.store[a][i]
 }
 
 func (x *valExec) storeElem(e elemID, v float64) {
-	x.ensure(e.arr())
-	x.store[e.arr()][e.off()] = v
-	x.has[e.arr()][e.off()] = true
+	a, i := x.local(e)
+	x.store[a][i] = v
+	x.has[a][i] = true
 }
 
 // load resolves one RHS operand: the redirected reduce accumulator,
-// then received remote slots (matched by element, like the old values
-// map), then the local dense store (zero for never-written elements,
-// matching the old map's default).
+// then received remote slots (matched by element), then the local store.
 func (x *valExec) load(r *lref) float64 {
 	e, err := x.s.elemAt(r, x.iv)
 	if err != nil {
@@ -238,7 +215,8 @@ func (x *valExec) runNest(ns *nestSchedule) {
 		case opSendDirect:
 			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
-			x.reduceBatch(ns.reds[in.arg])
+			r := ns.reds[in.arg]
+			x.reduceBatch(r, &r.roles[in.envOff])
 		case opEval:
 			x.eval(ns, in)
 		}
@@ -282,6 +260,9 @@ func (x *valExec) runRedist(op *redistOp) {
 			for _, seg := range msg.segs {
 				cb := x.cbuf[seg.origin]
 				if cb == nil {
+					if x.cbuf == nil {
+						x.cbuf = make(map[int32]map[elemID]machine.Word)
+					}
 					cb = make(map[elemID]machine.Word)
 					x.cbuf[seg.origin] = cb
 				}
@@ -333,6 +314,9 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 	x.curAcc = in.elem
 	v := x.evalExpr(stmt.rhs)
 	if in.role == roleReduce {
+		if x.partials == nil {
+			x.partials = make(map[elemID]float64)
+		}
 		x.partials[in.elem] = v
 	} else {
 		if math.IsNaN(v) {
@@ -420,48 +404,47 @@ func (x *valExec) popRecv(src int) machine.Word {
 // two-phase gather + fan-out lowering, or the Section 5 ring when the
 // inspector marked the batch ring-eligible. Both fold each element
 // exactly like the oracle's finalize — stored value first, then
-// contributors in ascending order — so values stay bit-identical.
-func (x *valExec) reduceBatch(r *redOp) {
+// contributors in ascending order — so values stay bit-identical. The
+// processor walks only the items of its own role lists.
+func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	if r.ring {
-		x.reduceRing(r)
+		x.reduceRing(r, role)
 		return
 	}
 
 	// Gather phase: one vectored partials message per (contributor,
 	// root) pair, items in batch order on both ends so cursors align.
 	start := x.proc.Clock()
-	for _, f := range r.items {
-		if x.me != f.root && contains(f.contribs, x.me) {
-			x.rsend[f.root] = append(x.rsend[f.root], x.partials[f.elem])
+	for _, i := range role.contrib {
+		if f := r.items[i]; f.root != x.me {
+			x.queue(f.root, x.partials[f.elem])
+			delete(x.partials, f.elem)
 		}
 	}
 	sent := x.flushSends()
-	for _, f := range r.items {
-		if x.me == f.root {
-			for _, c := range f.contribs {
-				if c != x.me {
-					x.rneed[c]++
-				}
+	for _, i := range role.root {
+		for _, c := range r.items[i].contribs {
+			if c != x.me {
+				x.expect(c)
 			}
 		}
 	}
 	x.drainRecvs("gather")
-	for _, f := range r.items {
-		if x.me == f.root {
-			total := x.loadElem(f.elem)
-			for _, c := range f.contribs {
-				var part machine.Word
-				if c == f.root {
-					part = x.partials[f.elem]
-				} else {
-					part = x.popRecv(c)
-				}
-				total += part
-				x.proc.Compute(1)
+	for _, i := range role.root {
+		f := r.items[i]
+		total := x.loadElem(f.elem)
+		for _, c := range f.contribs {
+			var part machine.Word
+			if c == x.me {
+				part = x.partials[f.elem]
+				delete(x.partials, f.elem)
+			} else {
+				part = x.popRecv(c)
 			}
-			x.storeElem(f.elem, total)
+			total += part
+			x.proc.Compute(1)
 		}
-		delete(x.partials, f.elem)
+		x.storeElem(f.elem, total)
 	}
 	x.proc.Note(machine.EvGather, start, x.proc.Clock(), -1, sent)
 
@@ -469,24 +452,20 @@ func (x *valExec) reduceBatch(r *redOp) {
 	// reader) pair. Owners outside the fan-out were proven by the
 	// liveness scan not to read the total before its next write.
 	start = x.proc.Clock()
-	for _, f := range r.items {
-		if x.me == f.root {
-			for _, o := range f.fanout {
-				x.rsend[o] = append(x.rsend[o], x.loadElem(f.elem))
-			}
+	for _, i := range role.root {
+		f := r.items[i]
+		for _, o := range f.fanout {
+			x.queue(o, x.loadElem(f.elem))
 		}
 	}
 	sent = x.flushSends()
-	for _, f := range r.items {
-		if x.me != f.root && contains(f.fanout, x.me) {
-			x.rneed[f.root]++
-		}
+	for _, i := range role.reads {
+		x.expect(r.items[i].root)
 	}
 	x.drainRecvs("fanout")
-	for _, f := range r.items {
-		if x.me != f.root && contains(f.fanout, x.me) {
-			x.storeElem(f.elem, x.popRecv(f.root))
-		}
+	for _, i := range role.reads {
+		f := r.items[i]
+		x.storeElem(f.elem, x.popRecv(f.root))
 	}
 	x.proc.Note(machine.EvFanout, start, x.proc.Clock(), -1, sent)
 }
@@ -498,13 +477,14 @@ func (x *valExec) reduceBatch(r *redOp) {
 // readers. The root receives one message instead of len(contribs)-1,
 // de-serializing the reduction hot-spot the paper's pipelined SOR
 // removes.
-func (x *valExec) reduceRing(r *redOp) {
+func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	start := x.proc.Clock()
 	sent := 0
 	order := r.items[0].contribs
 	k := len(order)
 	last := order[k-1]
-	switch pos := indexOf(order, x.me); {
+	pos := indexOf(order, x.me)
+	switch {
 	case pos == 0: // root: fold stored values + own partials, start the ring
 		x.rvec = x.rvec[:0]
 		for _, f := range r.items {
@@ -529,17 +509,16 @@ func (x *valExec) reduceRing(r *redOp) {
 		}
 		x.proc.Send(order[pos+1], x.rvec)
 		sent += len(x.rvec)
-		x.ringStoreTotals(r, last)
+		x.ringStoreTotals(r, role, last)
 	case pos == k-1: // last hop: fold, then deliver the totals
 		data := x.proc.Recv(order[k-2])
 		x.rvec = x.rvec[:0]
 		for i, f := range r.items {
-			total := data[i] + x.partials[f.elem]
+			x.rvec = append(x.rvec, data[i]+x.partials[f.elem])
 			x.proc.Compute(1)
-			x.rvec = append(x.rvec, total)
-			if contains(f.owners, x.me) {
-				x.storeElem(f.elem, total)
-			}
+		}
+		for _, i := range role.reads {
+			x.storeElem(r.items[i].elem, x.rvec[i])
 		}
 		// The root always gets the full vector; live readers get their
 		// items. Root = min(owners) < every fan-out rank, so sending it
@@ -549,35 +528,33 @@ func (x *valExec) reduceRing(r *redOp) {
 		for i, f := range r.items {
 			for _, o := range f.fanout {
 				if o != x.me {
-					x.rsend[o] = append(x.rsend[o], x.rvec[i])
+					x.queue(o, x.rvec[i])
 				}
 			}
 		}
 		sent += x.flushSends()
 	default: // pure reader
-		x.ringStoreTotals(r, last)
+		x.ringStoreTotals(r, role, last)
 	}
-	for _, f := range r.items {
-		delete(x.partials, f.elem)
+	if pos >= 0 { // every hop of the chain held a partial of every item
+		for _, f := range r.items {
+			delete(x.partials, f.elem)
+		}
 	}
 	x.proc.Note(machine.EvRing, start, x.proc.Clock(), -1, sent)
 }
 
 // ringStoreTotals receives the delivery vector from the ring's last
 // contributor and stores the items this processor is a live reader of.
-func (x *valExec) ringStoreTotals(r *redOp, last int) {
-	for _, f := range r.items {
-		if x.me != last && contains(f.fanout, x.me) {
-			x.rneed[last]++
-		}
-	}
-	if x.rneed[last] == 0 {
+func (x *valExec) ringStoreTotals(r *redOp, role *redRole, last int) {
+	if len(role.reads) == 0 {
 		return
 	}
+	for range role.reads {
+		x.expect(last)
+	}
 	x.drainRecvs("ring")
-	for _, f := range r.items {
-		if x.me != last && contains(f.fanout, x.me) {
-			x.storeElem(f.elem, x.popRecv(last))
-		}
+	for _, i := range role.reads {
+		x.storeElem(r.items[i].elem, x.popRecv(last))
 	}
 }

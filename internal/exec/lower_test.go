@@ -220,8 +220,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 				t.Fatalf("%v\n%s", err, label)
 			}
 			// One value per element, in [1, 2) so no division blows up, held
-			// both in the executor's dense store and in an ir.Storage.
-			x := &valExec{s: s, store: make([][]float64, len(s.arrays)), has: make([][]bool, len(s.arrays))}
+			// both in the executor's store and in an ir.Storage.
+			x := newValExec(s, rankZero{})
 			vals := ir.NewStorage(p)
 			for a, am := range s.arrays {
 				for off := 0; off < am.size; off++ {
@@ -285,6 +285,12 @@ func TestLoweringMatchesIR(t *testing.T) {
 		}
 	}
 }
+
+// rankZero is the Port of a one-processor executor that never
+// communicates or computes: only Rank is implemented.
+type rankZero struct{ machine.Port }
+
+func (rankZero) Rank() int { return 0 }
 
 // irWalk visits the nest's statement instances the way ir.EvalProgram
 // does: a map environment, pre statements, the inner loop, post

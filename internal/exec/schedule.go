@@ -37,10 +37,12 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dmcc/internal/core"
 	"dmcc/internal/dist"
+	"dmcc/internal/grid"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -55,13 +57,71 @@ func mkElem(a, off int) elemID { return elemID(int64(a)<<elemOffBits | int64(off
 func (e elemID) arr() int      { return int(int64(e) >> elemOffBits) }
 func (e elemID) off() int      { return int(int64(e) & (1<<elemOffBits - 1)) }
 
-// arrayMeta is one array's dense layout: extents evaluated under the
-// binding, row-major, subscripts 1-based.
+// arrayMeta is one array's global layout — extents evaluated under the
+// binding, row-major, subscripts 1-based — and its local one. Owner cells
+// (the sets of elements sharing an owner list) partition the array and a
+// rank holds at most one of them, so one table shared by every processor
+// turns a global offset into an offset inside the element's cell, and a
+// processor's store of the array is exactly as long as its cell. A cell is
+// named by its first (lowest) owner rank.
 type arrayMeta struct {
 	name string
 	sch  dist.Scheme
 	ext  []int
 	size int
+	// Per element: its cell and its offset inside the cell.
+	cell, loc []int32
+	// Per rank: the cell the rank holds (-1 for none). Per cell: its
+	// length and its owners, ascending.
+	rankCell, cellLen []int32
+	cellOwners        [][]int
+}
+
+// buildLayout resolves the array's ownership once, before the walk, and
+// asserts what the local stores rest on: every element of a cell has the
+// same owner list and no rank appears in two cells.
+func (am *arrayMeta) buildLayout(g *grid.Grid) error {
+	n := g.Size()
+	am.cell, am.loc = make([]int32, am.size), make([]int32, am.size)
+	am.rankCell, am.cellLen = make([]int32, n), make([]int32, n)
+	am.cellOwners = make([][]int, n)
+	for r := range am.rankCell {
+		am.rankCell[r] = -1
+	}
+	if am.size == 0 {
+		return nil
+	}
+	var err error
+	off := 0
+	dist.ForEachIndex(am.ext, func(idx []int) {
+		owners := am.sch.Owners(g, idx...)
+		c := int32(owners[0])
+		if am.cellOwners[c] == nil {
+			for _, o := range owners {
+				if am.rankCell[o] >= 0 && err == nil {
+					err = fmt.Errorf("exec: rank %d owns %s%v under first owner %d and other elements under first owner %d",
+						o, am.name, idx, c, am.rankCell[o])
+				}
+				am.rankCell[o] = c
+			}
+			am.cellOwners[c] = owners
+		} else if !slices.Equal(owners, am.cellOwners[c]) && err == nil {
+			err = fmt.Errorf("exec: %s%v is owned by %v, other elements of first owner %d by %v",
+				am.name, idx, owners, c, am.cellOwners[c])
+		}
+		am.cell[off], am.loc[off] = c, am.cellLen[c]
+		am.cellLen[c]++
+		off++
+	})
+	return err
+}
+
+// storeLen is the length of rank r's local store of the array.
+func (am *arrayMeta) storeLen(r int) int {
+	if c := am.rankCell[r]; c >= 0 {
+		return int(am.cellLen[c])
+	}
+	return 0
 }
 
 // dense is a per-array element table, each array's row materialized on
@@ -84,10 +144,7 @@ type progSchedule struct {
 	nprocs  int
 	arrays  []arrayMeta
 	aid     map[string]int
-	// owners memoizes dist.Scheme.Owners per element: the per-element
-	// engine recomputed it for every (instance, read, executor) visit.
-	owners dense[[]int]
-	nests  []*nestSchedule
+	nests   []*nestSchedule
 	// Liveness state for fan-out pruning: redArrs marks arrays that
 	// appear as a reduction LHS; acc records, per element of
 	// those arrays, the program-order sequence of local-read and write
@@ -210,7 +267,8 @@ type pinstr struct {
 	// opRedist's index into redists.
 	arg int32
 	// opEval: the loop vector envs[envOff:envOff+depth] and the remote
-	// operands slots[slotOff:slotOff+slotN].
+	// operands slots[slotOff:slotOff+slotN]. opRed: envOff is the
+	// processor's index into the exchange's roles.
 	envOff         int32
 	elem           elemID
 	slotOff, slotN int32
@@ -318,6 +376,42 @@ type finOp struct {
 type redOp struct {
 	items []*finOp
 	ring  bool
+	// parts lists the exchange's participants (contributors and owners,
+	// ascending) and roles[k] what parts[k] does in it; a participant's
+	// opRed carries its k.
+	parts []int
+	roles []redRole
+}
+
+// redRole is one participant's part in a reduction exchange, as indices
+// into the items in batch order: the items it holds a partial of (as their
+// root or not), folds and stores as their root, and receives the total of
+// as a live reader. The executor walks these, never the whole batch.
+type redRole struct {
+	contrib, root, reads []int32
+}
+
+// buildRoles fills every exchange's role lists; it runs after
+// computeFanouts, which decides the readers.
+func (s *progSchedule) buildRoles() {
+	at := make([]int32, s.nprocs) // rank -> index into the exchange's parts
+	for _, ns := range s.nests {
+		for _, r := range ns.reds {
+			for k, p := range r.parts {
+				at[p] = int32(k)
+			}
+			r.roles = make([]redRole, len(r.parts))
+			for i, f := range r.items {
+				for _, c := range f.contribs {
+					r.roles[at[c]].contrib = append(r.roles[at[c]].contrib, int32(i))
+				}
+				r.roles[at[f.root]].root = append(r.roles[at[f.root]].root, int32(i))
+				for _, o := range f.fanout {
+					r.roles[at[o]].reads = append(r.roles[at[o]].reads, int32(i))
+				}
+			}
+		}
+	}
 }
 
 // ringEligible reports whether a mid-epoch batch can be ring-lowered:
@@ -351,7 +445,6 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 		ss: ss, bind: bind, scalars: scalars,
 		nprocs:  ss.Grid.Size(),
 		aid:     make(map[string]int, len(p.Arrays)),
-		owners:  make(dense[[]int], len(p.Arrays)),
 		redArrs: make([]bool, len(p.Arrays)),
 		acc:     make(map[elemID][]accEvent),
 	}
@@ -368,8 +461,14 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 			if err != nil {
 				return nil, fmt.Errorf("exec: extent %d of array %s: %w", d+1, name, err)
 			}
+			if ext.c < 0 {
+				return nil, fmt.Errorf("exec: extent %d of array %s is %d", d+1, name, ext.c)
+			}
 			am.ext[d] = ext.c
 			am.size *= ext.c
+		}
+		if err := am.buildLayout(ss.Grid); err != nil {
+			return nil, err
 		}
 		s.aid[name] = len(s.arrays)
 		s.arrays = append(s.arrays, am)
@@ -390,6 +489,7 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 		s.nests[i] = ns
 	}
 	s.computeFanouts()
+	s.buildRoles()
 	return s, nil
 }
 
@@ -409,7 +509,7 @@ func (s *progSchedule) elemOf(a int, idx []int) (elemID, bool) {
 }
 
 // decode is elemOf's inverse, used only at the ir.Storage boundary, for
-// the nest-end finalize ordering and on an owner-memo miss.
+// the nest-end finalize ordering and in diagnostics.
 func (s *progSchedule) decode(e elemID) (string, []int) {
 	am := &s.arrays[e.arr()]
 	idx := make([]int, len(am.ext))
@@ -421,14 +521,19 @@ func (s *progSchedule) decode(e elemID) (string, []int) {
 	return am.name, idx
 }
 
-// ownersOf memoizes the owner set of an element.
-func (s *progSchedule) ownersOf(e elemID) []int {
-	o := s.owners.at(s, e)
-	if *o == nil {
-		_, idx := s.decode(e)
-		*o = s.arrays[e.arr()].sch.Owners(s.ss.Grid, idx...)
+// storeWords is the total length of rank r's local stores.
+func (s *progSchedule) storeWords(r int) int {
+	n := 0
+	for a := range s.arrays {
+		n += s.arrays[a].storeLen(r)
 	}
-	return *o
+	return n
+}
+
+// ownersOf is the owner list of an element: its cell's.
+func (s *progSchedule) ownersOf(e elemID) []int {
+	am := &s.arrays[e.arr()]
+	return am.cellOwners[am.cell[e.off()]]
 }
 
 // nestBuilder is the inspector's per-nest state.
@@ -782,8 +887,8 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 // contributor chain (the Section 5 accumulate-then-sweep shape — SOR),
 // two-phase gather + fan-out otherwise. The opRed instruction goes to
 // every processor that could participate (roots, contributors, owners);
-// runtime roles are derived from the items, so non-participants fall
-// through without touching the wire.
+// buildRoles lists what each does, and an owner pruned from every fan-out
+// falls through without touching the wire.
 func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	if len(elems) == 0 {
 		return
@@ -793,22 +898,22 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 		items[i] = b.recordFinalize(e)
 	}
 	r := &redOp{items: items, ring: mid && ringEligible(items)}
-	var parts []int
 	for _, f := range items {
 		for _, p := range f.contribs {
-			if !contains(parts, p) {
-				parts = insertSorted(parts, p)
+			if !contains(r.parts, p) {
+				r.parts = insertSorted(r.parts, p)
 			}
 		}
 		for _, p := range f.owners {
-			if !contains(parts, p) {
-				parts = insertSorted(parts, p)
+			if !contains(r.parts, p) {
+				r.parts = insertSorted(r.parts, p)
 			}
 		}
 	}
 	in := pinstr{op: opRed, arg: int32(len(b.ns.reds))}
 	b.ns.reds = append(b.ns.reds, r)
-	for _, p := range parts {
+	for k, p := range r.parts {
+		in.envOff = int32(k)
 		b.emit(p, in)
 	}
 }

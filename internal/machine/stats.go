@@ -20,38 +20,33 @@ type PairStat struct {
 // processor that talks to k peers holds k entries, not one per rank.
 // At N=4096 the dense per-peer slices this replaces cost
 // O(N^2) = 16.7M int64s per run even for nearest-neighbour kernels.
+// The entries are one slice kept sorted by destination: k is small, and a
+// slice costs an allocation per doubling where a map costs one per peer.
 // The zero value is ready to use.
 type PairTally struct {
-	pairs map[int]*PairStat
+	pairs []PairStat
 }
 
 // Note records one counted message of the given size to dst.
 func (t *PairTally) Note(dst, words int) {
-	if t.pairs == nil {
-		t.pairs = make(map[int]*PairStat, 8)
+	i := sort.Search(len(t.pairs), func(k int) bool { return t.pairs[k].Peer >= dst })
+	if i == len(t.pairs) || t.pairs[i].Peer != dst {
+		t.pairs = append(t.pairs, PairStat{})
+		copy(t.pairs[i+1:], t.pairs[i:])
+		t.pairs[i] = PairStat{Peer: dst}
 	}
-	ps := t.pairs[dst]
-	if ps == nil {
-		ps = &PairStat{Peer: dst}
-		t.pairs[dst] = ps
-	}
-	ps.Messages++
-	ps.Words += int64(words)
+	t.pairs[i].Messages++
+	t.pairs[i].Words += int64(words)
 }
 
-// Snapshot returns the live pairs sorted by destination rank, or nil if
-// nothing was counted. The deterministic order makes ProcStats values
-// directly comparable with reflect.DeepEqual across engines.
+// Snapshot returns a copy of the live pairs sorted by destination rank,
+// or nil if nothing was counted. The deterministic order makes ProcStats
+// values directly comparable with reflect.DeepEqual across engines.
 func (t *PairTally) Snapshot() []PairStat {
 	if len(t.pairs) == 0 {
 		return nil
 	}
-	out := make([]PairStat, 0, len(t.pairs))
-	for _, ps := range t.pairs {
-		out = append(out, *ps)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
+	return append([]PairStat(nil), t.pairs...)
 }
 
 // Stats aggregates the outcome of a Run.
