@@ -618,9 +618,8 @@ func BenchmarkNaiveBackendVsPipelined(b *testing.B) {
 
 // BenchmarkExecBatchedVsExact measures the tentpole of the batched
 // communication schedules: the inspector/executor engine (exec.Run,
-// collective redistribution and vectored reductions on the event
-// runtime) against the per-element oracle (exec.RunExact, one message
-// per remote operand, ChanCap raised to m*m so it cannot deadlock) on
+// collective redistribution and vectored reductions) against the
+// per-element oracle (exec.RunExact, one message per remote operand) on
 // Gauss elimination at the paper's m=64, N=16 scale. Both report the same simulated naive cost; ns/op is
 // the real-time gap, and the custom metrics show the transport
 // difference (messages on the wire, largest vectored message).
@@ -657,7 +656,6 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		cfg := machine.DefaultConfig()
-		cfg.ChanCap = m * m
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
 			res, err := exec.RunExact(prog, ss, bind, nil, 1, cfg, input)
@@ -704,7 +702,6 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 	})
 	b.Run("sor-exact", func(b *testing.B) {
 		cfg := machine.DefaultConfig()
-		cfg.ChanCap = m * m
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
 			res, err := exec.RunExact(sor, sss, bind, omega, sorIters, cfg, sorInput)

@@ -13,8 +13,6 @@
 //	                                                  compiler-chosen schemes)
 //	flags: -overlap (comm/comp overlap), -async (asynchronous collectives),
 //	       -trace (per-processor time breakdown + Gantt chart),
-//	       -chancap (per-link channel capacity in messages; the exec
-//	                 backend's event runtime never blocks on a send),
 //	       -cpuprofile / -memprofile (write pprof profiles)
 package main
 
@@ -46,7 +44,6 @@ func main() {
 	naive := flag.Bool("naive", false, "SOR: reduction-per-step instead of pipeline")
 	broadcast := flag.Bool("broadcast", false, "gauss: multicast instead of pipeline")
 	execBackend := flag.Bool("exec", false, "run the IR program through the exec backend (jacobi, sor, gauss)")
-	chanCap := flag.Int("chancap", 0, "per-link channel capacity in messages (0 = default; ignored by -exec, whose event runtime never blocks on a send)")
 	overlap := flag.Bool("overlap", false, "overlap communication with computation")
 	async := flag.Bool("async", false, "asynchronous collectives instead of the paper's synchronous model")
 	doTrace := flag.Bool("trace", false, "print per-processor time breakdown and Gantt chart")
@@ -78,10 +75,6 @@ func main() {
 	if *doTrace {
 		col = trace.New()
 		cfg.Tracer = col
-	}
-
-	if *chanCap > 0 {
-		cfg.ChanCap = *chanCap
 	}
 
 	if *execBackend {

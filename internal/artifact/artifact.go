@@ -39,7 +39,7 @@ import (
 // engines, or the golden SchemeSet.Signature() strings change (see
 // TestSignatureGolden in internal/core). Entries written under any
 // other version read as misses.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // header is the first line of every record file, before the raw
 // payload bytes.

@@ -66,9 +66,7 @@ func (c *Compiler) CacheKey() string {
 		}
 		fmt.Fprintf(&b, "%s=%d", k, c.Weights.Bind[k])
 	}
-	// The last fragment names a retired option; it goes at the next
-	// artifact.SchemaVersion bump.
-	fmt.Fprintf(&b, ";greedy=%t;exactnest=%t;exactchange=%t;nocache=%t;pipered=%t;collredist=false",
+	fmt.Fprintf(&b, ";greedy=%t;exactnest=%t;exactchange=%t;nocache=%t;pipered=%t",
 		c.UseGreedyAlign, c.ExactNestCount, c.ExactChangeCost, c.NoCache, c.PipelinedReductions)
 	return b.String()
 }

@@ -17,10 +17,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/cachekeys.golden
 
 // TestCacheKeyStable pins Compiler.CacheKey and sweep.PlanKey — the text
 // and the address every stored artifact and plan lives under — for the
-// four builtin programs under both engines and both alignment heuristics,
-// against a golden generated at the commit before the collective
-// change-pricing option was retired: the key still spells that option's
-// fragment, so a store populated by any earlier build keeps serving.
+// four builtin programs under both engines and both alignment heuristics.
+// The golden was regenerated once, with the artifact.SchemaVersion 2 -> 3
+// bump that retired the trailing ";collredist=false" fragment (the only
+// difference from the golden before it); stores populated by earlier
+// builds read as misses under the new schema either way.
 func TestCacheKeyStable(t *testing.T) {
 	const m, n = 64, 16
 	progs := []struct {

@@ -24,10 +24,11 @@ import (
 // hit.
 func TestSignatureGolden(t *testing.T) {
 	// Guard the pairing described above: the goldens below were
-	// committed for schema version 2 (the FrozenPlan payload gained
-	// symbolic scheme-change fits; the signatures themselves did not
-	// change). Whoever bumps one must revisit the other.
-	if artifact.SchemaVersion != 2 {
+	// last re-verified for schema version 3 (CacheKey lost its retired
+	// ";collredist=false" fragment and the machine fingerprint its
+	// "chancap="; the signatures themselves did not change). Whoever
+	// bumps one must revisit the other.
+	if artifact.SchemaVersion != 3 {
 		t.Fatalf("artifact.SchemaVersion = %d: re-verify the golden signatures below were updated with it", artifact.SchemaVersion)
 	}
 

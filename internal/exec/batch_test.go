@@ -12,15 +12,6 @@ import (
 	"dmcc/internal/matrix"
 )
 
-// exactCfg returns cfg sized for the per-element oracle: RunExact has
-// no batching, so its channels must absorb the largest per-pair burst
-// (bounded by m*m one-word messages) or the machine deadlocks — the
-// very crutch the batched engine removes.
-func exactCfg(cfg machine.Config, m int) machine.Config {
-	cfg.ChanCap = m * m
-	return cfg
-}
-
 // requireIdentical asserts the batched engine reproduced the oracle's
 // values and simulated statistics bit for bit.
 func requireIdentical(t *testing.T, label string, got, want Result) {
@@ -190,7 +181,7 @@ func TestBatchedMatchesExactKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: batched: %v", label, err)
 			}
-			want, err := RunExact(c.p, ss, bind, c.scalars, c.iters, exactCfg(machine.DefaultConfig(), c.m), input)
+			want, err := RunExact(c.p, ss, bind, c.scalars, c.iters, machine.DefaultConfig(), input)
 			if err != nil {
 				t.Fatalf("%s: exact: %v", label, err)
 			}
@@ -202,60 +193,6 @@ func TestBatchedMatchesExactKernels(t *testing.T) {
 				t.Errorf("%s: expected vectored transport to batch messages (%d vs %d)",
 					label, got.Transport.Messages, want.Stats.Messages)
 			}
-		}
-	}
-}
-
-// TestExecChanCap1 is the regression the old engine could not pass
-// without its minExecChanCap crutch: jacobi, SOR and Gauss complete at
-// ChanCap=1 — every channel holding a single message — and still
-// produce the right answers. Batched exchanges are deadlock-free at
-// minimum capacity by construction.
-func TestExecChanCap1(t *testing.T) {
-	cfg := machine.DefaultConfig()
-	cfg.ChanCap = 1
-
-	m := 12
-	a, b, _ := matrix.DiagonallyDominant(m, 409)
-	x0 := make([]float64, m)
-
-	pj := ir.Jacobi()
-	want := matrix.JacobiSeq(a, b, x0, 4)
-	for _, n := range []int{2, 4} {
-		ss := wholeProgramSchemes(t, pj, m, n)
-		res, err := Run(pj, ss, map[string]int{"m": m}, nil, 4, cfg, loadLinearSystem(pj, a, b, x0))
-		if err != nil {
-			t.Fatalf("jacobi n=%d: %v", n, err)
-		}
-		if d := matrix.MaxAbsDiff(extractX(res.Values, m), want); d > 1e-9 {
-			t.Errorf("jacobi n=%d: max diff %v", n, d)
-		}
-	}
-
-	ps := ir.SOR()
-	want = matrix.SORSeq(a, b, x0, 1.2, 3)
-	for _, n := range []int{2, 4} {
-		ss := wholeProgramSchemes(t, ps, m, n)
-		res, err := Run(ps, ss, map[string]int{"m": m}, map[string]float64{"OMEGA": 1.2}, 3, cfg,
-			loadLinearSystem(ps, a, b, x0))
-		if err != nil {
-			t.Fatalf("sor n=%d: %v", n, err)
-		}
-		if d := matrix.MaxAbsDiff(extractX(res.Values, m), want); d > 1e-9 {
-			t.Errorf("sor n=%d: max diff %v", n, d)
-		}
-	}
-
-	pg := ir.Gauss()
-	want = matrix.GaussSeq(a, b)
-	for _, n := range []int{2, 3} {
-		ss := wholeProgramSchemes(t, pg, m, n)
-		res, err := Run(pg, ss, map[string]int{"m": m}, nil, 1, cfg, loadLinearSystem(pg, a, b, nil))
-		if err != nil {
-			t.Fatalf("gauss n=%d: %v", n, err)
-		}
-		if d := matrix.MaxAbsDiff(extractX(res.Values, m), want); d > 1e-9 {
-			t.Errorf("gauss n=%d: max diff %v", n, d)
 		}
 	}
 }
@@ -324,14 +261,12 @@ func randomReduceProgram(rng *rand.Rand) *ir.Program {
 
 // TestBatchedMatchesExactFuzz: the randomized property behind the
 // batched engine — on synthetic programs (with reductions, nest-end and
-// mid-epoch finalizes), random schemes and random inputs, Run at
-// ChanCap=1 produces values and stats exactly equal to the per-element
-// oracle on generously sized channels, and its transport only sheds
-// traffic.
+// mid-epoch finalizes), random schemes and random inputs, Run produces
+// values and stats exactly equal to the per-element oracle, and its
+// transport only sheds traffic.
 func TestBatchedMatchesExactFuzz(t *testing.T) {
 	const m = 8
-	tight := machine.DefaultConfig()
-	tight.ChanCap = 1
+	cfg := machine.DefaultConfig()
 	for _, seed := range fuzzSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 30; trial++ {
@@ -347,11 +282,11 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 					continue
 				}
 				bind := map[string]int{"m": m}
-				got, err := Run(p, ss, bind, nil, iters, tight, input)
+				got, err := Run(p, ss, bind, nil, iters, cfg, input)
 				if err != nil {
 					t.Fatalf("batched: %v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
-				want, err := RunExact(p, ss, bind, nil, iters, exactCfg(machine.DefaultConfig(), m), input)
+				want, err := RunExact(p, ss, bind, nil, iters, cfg, input)
 				if err != nil {
 					t.Fatalf("exact: %v\n%s", err, fuzzCase(seed, trial, n, p))
 				}

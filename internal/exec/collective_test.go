@@ -31,7 +31,7 @@ func TestCollectiveGaussWordDrop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collective: %v", err)
 	}
-	want, err := RunExact(p, ss, bind, nil, 1, exactCfg(cfg, m), input)
+	want, err := RunExact(p, ss, bind, nil, 1, cfg, input)
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}

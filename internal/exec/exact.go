@@ -19,13 +19,10 @@ import (
 
 // RunExact executes the program with the per-element reference engine.
 //
-// Unlike Run it performs no message batching, so a processor may emit a
-// full boundary row (m words, plus reduction traffic) before its peer
-// drains any of it; with the old minExecChanCap floor gone, callers are
-// responsible for sizing cfg.ChanCap above the largest per-pair burst
-// (m*m words is always safe) or the simulated machine deadlocks. That
-// is precisely the crutch the batched engine removes — use RunExact
-// only as a differential oracle.
+// Unlike Run it performs no message batching: a processor may emit a
+// full boundary row (m one-word messages, plus reduction traffic) before
+// its peer drains any of it, and every one of them is a scheduler event.
+// Use RunExact only as a differential oracle.
 func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 

@@ -122,12 +122,10 @@ func refIn(reads []ir.Ref, r ir.Ref) bool {
 // the initial array contents; scalars binds free scalar names.
 //
 // Communication is batched per (processor pair, epoch) via the
-// inspector/executor schedule of schedule.go and moved by the
-// discrete-event runtime (machine.EventMachine), whose sends never
-// block, so cfg.ChanCap does not constrain Run. The reported Stats (and
-// trace events, if cfg.Tracer is set) are the naive per-element
-// model's, bit-identical to RunExact; the batched transport's own
-// statistics are returned as Result.Transport.
+// inspector/executor schedule of schedule.go and moved by the simulated
+// machine. The reported Stats (and trace events, if cfg.Tracer is set)
+// are the naive per-element model's, bit-identical to RunExact; the
+// batched transport's own statistics are returned as Result.Transport.
 func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 	return RunOpts(p, ss, bind, scalars, iters, cfg, input, Options{})
@@ -164,11 +162,11 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 		return Result{}, err
 	}
 	simStart := time.Now()
-	mach, err := machine.NewEvent(ss.Grid, vcfg)
+	mach, err := machine.New(ss.Grid, vcfg)
 	if err != nil {
 		return Result{}, err
 	}
-	transport, err := mach.Run(func(proc *machine.EventProc) {
+	transport, err := mach.Run(func(proc *machine.Proc) {
 		x := newValExec(sched, proc)
 		x.installInput(loads)
 		for it := 0; it < iters; it++ {

@@ -22,8 +22,8 @@ import (
 // on first use — a processor that never reduces or relays makes none. At
 // N=4096 a processor typically owns a handful of elements and talks to a
 // handful of neighbours; sizing any of this by the array or by nprocs
-// would make the executor itself the memory bottleneck the event runtime
-// exists to remove.
+// would make the executor itself the memory bottleneck the machine's
+// sparse queues exist to remove.
 type valExec struct {
 	s    *progSchedule
 	proc machine.Port

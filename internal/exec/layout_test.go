@@ -192,7 +192,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunExact(p, ss, bind, nil, 1, exactCfg(machine.DefaultConfig(), m), input)
+	want, err := RunExact(p, ss, bind, nil, 1, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		mach, err := machine.NewEvent(g, machine.DefaultConfig())
+		mach, err := machine.New(g, machine.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = mach.Run(func(proc *machine.EventProc) { c.body(newValExec(s, proc)) })
+		_, err = mach.Run(func(proc *machine.Proc) { c.body(newValExec(s, proc)) })
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error with %q", c.label, err, c.want)
 		}

@@ -57,7 +57,7 @@ func TestRunRejectsUnlistedRead(t *testing.T) {
 		}
 	}
 	_, err = Run(bad, ss, bind, nil, 1, machine.DefaultConfig(), input)
-	_, errExact := RunExact(bad, ss, bind, nil, 1, exactCfg(machine.DefaultConfig(), m), input)
+	_, errExact := RunExact(bad, ss, bind, nil, 1, machine.DefaultConfig(), input)
 	for engine, err := range map[string]error{"Run": err, "RunExact": errExact} {
 		if err == nil || !strings.Contains(err.Error(), "B(-i+m+1)") || !strings.Contains(err.Error(), "line 3") {
 			t.Errorf("%s: got %v, want an error naming the unlisted read B(-i+m+1) and line 3", engine, err)

@@ -1118,8 +1118,8 @@ func (s *progSchedule) replayStats(iters int, cfg machine.Config) machine.Stats 
 	msgs := make([]int64, n)
 	words := make([]int64, n)
 	maxw := make([]int64, n)
-	// Per-pair counters use the same sparse machine.PairTally as both
-	// runtimes, so the ProcStats snapshots DeepEqual the oracle's.
+	// Per-pair counters use the same sparse machine.PairTally as the
+	// machine, so the ProcStats snapshots DeepEqual the oracle's.
 	pairs := make([]machine.PairTally, n)
 	tr := cfg.Tracer
 	for it := 0; it < iters; it++ {

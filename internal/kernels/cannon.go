@@ -31,11 +31,7 @@ func Cannon(cfg machine.Config, bMat, cMat *matrix.Dense, q int) (*matrix.Dense,
 	}
 	blk := m / q
 	g := grid.New(q, q)
-	cfgAdj := cfg
-	if cfgAdj.ChanCap < 4 {
-		cfgAdj.ChanCap = 4
-	}
-	mach, err := machine.New(g, cfgAdj)
+	mach, err := machine.New(g, cfg)
 	if err != nil {
 		return nil, machine.Stats{}, err
 	}

@@ -48,9 +48,6 @@ func gaussPipelineRun(cfg machine.Config, a *matrix.Dense, b []float64, n int, o
 	if err := checkRing(m, n); err != nil {
 		return Result{}, err
 	}
-	if cfg.ChanCap < 2*m+2 {
-		cfg.ChanCap = 2*m + 2
-	}
 	gr := grid.New(n)
 	mach, err := machine.New(gr, cfg)
 	if err != nil {
@@ -139,9 +136,6 @@ func GaussPartialPivot(cfg machine.Config, a *matrix.Dense, b []float64, n int) 
 	m := a.Rows
 	if err := checkRing(m, n); err != nil {
 		return Result{}, err
-	}
-	if cfg.ChanCap < 2*m+4 {
-		cfg.ChanCap = 2*m + 4
 	}
 	gr := grid.New(n)
 	mach, err := machine.New(gr, cfg)

@@ -50,8 +50,9 @@ func checkRing(m, n int) error {
 }
 
 // disjointWriter collects per-processor results into one slice. Writers
-// must use disjoint index ranges; the machine's Run barrier (goroutine
-// join) orders all writes before the read of the final slice.
+// must use disjoint index ranges; Run returns only after every processor
+// has finished, which orders all writes before the read of the final
+// slice.
 type disjointWriter struct {
 	out []float64
 }

@@ -109,11 +109,6 @@ func SORPipelined(cfg machine.Config, a *matrix.Dense, b, x0 []float64, omega fl
 	if err := checkDivisible(m, n, "sor"); err != nil {
 		return Result{}, err
 	}
-	// The circulating V values require ring buffering; ensure channel
-	// capacity covers a processor's full block of in-flight sends.
-	if cfg.ChanCap < m {
-		cfg.ChanCap = m
-	}
 	g := grid.New(n)
 	mach, err := machine.New(g, cfg)
 	if err != nil {
@@ -196,9 +191,6 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 	}
 	if chunk < 1 || (m/n)%chunk != 0 {
 		return Result{}, fmt.Errorf("kernels: sor: chunk %d must divide the block size %d", chunk, m/n)
-	}
-	if cfg.ChanCap < m {
-		cfg.ChanCap = m
 	}
 	g := grid.New(n)
 	mach, err := machine.New(g, cfg)

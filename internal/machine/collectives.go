@@ -91,7 +91,9 @@ func log2ceil(n int) int {
 // syncStart synchronizes the peer group on entry: every peer's clock is
 // raised to the maximum entry clock, which is returned. Implemented as a
 // zero-cost max-reduce plus broadcast over the links (uncounted: a real
-// collective synchronizes through its own payload messages).
+// collective synchronizes through its own payload messages). The
+// exchange shares the pairs' FIFO queues with ordinary traffic, so every
+// message sent to a peer before the call must have been received.
 func (p *Proc) syncStart(peers []int) float64 {
 	n := len(peers)
 	if n == 1 {
@@ -131,6 +133,16 @@ func (p *Proc) syncStart(peers []int) float64 {
 	}
 	p.clock = clk
 	return clk
+}
+
+// Barrier synchronizes all processors of the machine and equalizes their
+// simulated clocks to the maximum (everyone waits for the slowest).
+func (p *Proc) Barrier() {
+	all := make([]int, p.NumProcs())
+	for r := range all {
+		all[r] = r
+	}
+	p.syncStart(all)
 }
 
 // finishCollective advances the whole peer group's clock by the Table 1
@@ -181,7 +193,7 @@ func (p *Proc) Shift(dim, dist int, data []Word) []Word {
 	peers := p.PeersOver(dim)
 	dst := peers[(c+d)%n]
 	src := peers[(c-d+n)%n]
-	// Buffered channels make send-then-receive deadlock-free on a ring.
+	// Sends never block, so send-then-receive is deadlock-free on a ring.
 	p.Send(dst, data)
 	return p.Recv(src)
 }
@@ -464,8 +476,7 @@ func (p *Proc) ManyToManyMulticast(dims []int, data []Word) [][]Word {
 // result (also indexed by peer position) holds what each peer sent to the
 // caller. Chunks may be ragged or empty. The exchange runs as num-1
 // balanced permutation steps (step s pairs position pos with pos+s and
-// pos-s), so it is deadlock-free at any ChanCap like Shift. O(m num)
-// with m the largest chunk, like Scatter/Gather.
+// pos-s). O(m num) with m the largest chunk, like Scatter/Gather.
 func (p *Proc) AllToAll(dims []int, chunks [][]Word) [][]Word {
 	peers := p.PeersOver(dims...)
 	n := len(peers)

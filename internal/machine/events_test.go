@@ -19,26 +19,26 @@ func mustNewEvent(t testing.TB, g *grid.Grid, cfg Config) *EventMachine {
 	return m
 }
 
-// runBothRuntimes executes the same Port body on the goroutine machine
-// and the event machine and requires bit-identical Stats. The goroutine
-// run gets a generous ChanCap so bodies that front-load sends cannot
-// deadlock there (the event runtime's queues are unbounded by design).
+// refCap is the reference runtime's channel capacity: generous, so
+// bodies that front-load sends cannot block there (the scheduler's
+// queues are unbounded by design).
+const refCap = 4096
+
+// runBothRuntimes executes the same Port body on the event scheduler
+// and on the goroutine-per-processor channel reference and requires
+// bit-identical Stats.
 func runBothRuntimes(t *testing.T, g *grid.Grid, cfg Config, body func(p Port)) Stats {
 	t.Helper()
-	gcfg := cfg
-	if gcfg.ChanCap == 0 {
-		gcfg.ChanCap = 4096
-	}
-	want, err := mustNew(t, g, gcfg).Run(func(p *Proc) { body(p) })
+	want, err := runReference(g, cfg, refCap, func(p *Proc) { body(p) })
 	if err != nil {
-		t.Fatalf("goroutine run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
 	got, err := mustNewEvent(t, g, cfg).Run(func(p *EventProc) { body(p) })
 	if err != nil {
 		t.Fatalf("event run: %v", err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("event stats differ from goroutine stats:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("event stats differ from reference stats:\n got %+v\nwant %+v", got, want)
 	}
 	return got
 }
@@ -143,12 +143,10 @@ func TestEventSelfSendIsFree(t *testing.T) {
 
 // TestEventUnboundedSend: the event runtime never blocks a sender — a
 // processor can front-load an arbitrarily deep queue before its peer
-// drains any of it, regardless of ChanCap.
+// drains any of it.
 func TestEventUnboundedSend(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ChanCap = 1
 	g := grid.New(2)
-	st, err := mustNewEvent(t, g, cfg).Run(func(p *EventProc) {
+	st, err := mustNewEvent(t, g, DefaultConfig()).Run(func(p *EventProc) {
 		const burst = 500
 		if p.Rank() == 0 {
 			for i := 0; i < burst; i++ {
@@ -170,8 +168,8 @@ func TestEventUnboundedSend(t *testing.T) {
 	}
 }
 
-// TestEventDeadlockDetected: where the goroutine runtime would hang,
-// the event scheduler sees every live processor parked with no message
+// TestEventDeadlockDetected: where live goroutines would hang, the
+// event scheduler sees every live processor parked with no message
 // in flight and reports a deadlock error.
 func TestEventDeadlockDetected(t *testing.T) {
 	g := grid.New(2)
@@ -240,7 +238,7 @@ func TestEventTracer(t *testing.T) {
 		return err
 	})
 	want := collect(func(cfg Config) error {
-		_, err := mustNew(t, g, cfg).Run(func(p *Proc) { body(p) })
+		_, err := runReference(g, cfg, refCap, func(p *Proc) { body(p) })
 		return err
 	})
 	// Event order across processors may differ between runtimes; compare
@@ -257,7 +255,7 @@ func TestEventTracer(t *testing.T) {
 	}
 }
 
-// lockedTracer collects events under a mutex: the goroutine runtime
+// lockedTracer collects events under a mutex: the reference runtime
 // invokes the tracer from concurrently-running processors.
 type lockedTracer struct {
 	mu     sync.Mutex
@@ -268,33 +266,6 @@ func (r *lockedTracer) Record(e Event) {
 	r.mu.Lock()
 	r.events = append(r.events, e)
 	r.mu.Unlock()
-}
-
-// TestConfigValidate: the ChanCap satellite — negative capacities are a
-// configuration error from both constructors, zero means the default,
-// and positive values are taken as-is.
-func TestConfigValidate(t *testing.T) {
-	g := grid.New(2)
-	bad := DefaultConfig()
-	bad.ChanCap = -1
-	if _, err := New(g, bad); err == nil || !strings.Contains(err.Error(), "ChanCap") {
-		t.Fatalf("New with negative ChanCap: err = %v", err)
-	}
-	if _, err := NewEvent(g, bad); err == nil || !strings.Contains(err.Error(), "ChanCap") {
-		t.Fatalf("NewEvent with negative ChanCap: err = %v", err)
-	}
-	zero := DefaultConfig()
-	zero.ChanCap = 0
-	m, err := New(g, zero)
-	if err != nil {
-		t.Fatalf("New with zero ChanCap: %v", err)
-	}
-	if got := m.Config().ChanCap; got != DefaultChanCap {
-		t.Fatalf("zero ChanCap resolved to %d, want default %d", got, DefaultChanCap)
-	}
-	if err := zero.Validate(); err != nil {
-		t.Fatalf("Validate(0) = %v", err)
-	}
 }
 
 // TestPairTally: sparse per-pair accounting — snapshots are sorted,

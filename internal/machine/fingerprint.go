@@ -7,6 +7,6 @@ import "fmt"
 // key. The Tracer is excluded: it observes the run without changing
 // clocks or counters.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("tf=%g;tc=%g;alpha=%g;overlap=%t;chancap=%d;synccoll=%t",
-		c.Tf, c.Tc, c.Alpha, c.Overlap, c.ChanCap, c.SyncCollectives)
+	return fmt.Sprintf("tf=%g;tc=%g;alpha=%g;overlap=%t;synccoll=%t",
+		c.Tf, c.Tc, c.Alpha, c.Overlap, c.SyncCollectives)
 }

@@ -40,7 +40,7 @@ func (l *listTracer) ofKind(k EventKind) []Event {
 func TestOverlapSendTraceWindow(t *testing.T) {
 	g := grid.New(2)
 	tr := &listTracer{}
-	cfg := Config{Tf: 1, Tc: 10, Alpha: 0, Overlap: true, ChanCap: 4, Tracer: tr}
+	cfg := Config{Tf: 1, Tc: 10, Alpha: 0, Overlap: true, Tracer: tr}
 	run(t, g, cfg, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, []Word{1, 2, 3})
@@ -67,7 +67,7 @@ func TestOverlapSendTraceWindow(t *testing.T) {
 func TestBlockingSendTraceWindow(t *testing.T) {
 	g := grid.New(2)
 	tr := &listTracer{}
-	cfg := Config{Tf: 1, Tc: 3, Alpha: 2, Overlap: false, ChanCap: 4, Tracer: tr}
+	cfg := Config{Tf: 1, Tc: 3, Alpha: 2, Overlap: false, Tracer: tr}
 	run(t, g, cfg, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(4)
@@ -111,7 +111,7 @@ func TestAbortSurfacesRootCause(t *testing.T) {
 func TestAbortWithoutCauseStaysGeneric(t *testing.T) {
 	g := grid.New(2)
 	m := mustNew(t, g, DefaultConfig())
-	m.bar.abort()
+	m.abortFlag = true
 	_, err := m.Run(func(p *Proc) {})
 	if err == nil || !strings.Contains(err.Error(), "machine: run aborted") {
 		t.Errorf("got %v, want generic run-aborted error", err)

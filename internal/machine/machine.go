@@ -3,17 +3,23 @@
 //
 // The abstract target (Section 2 of Lee & Tsai) is a q-D grid of
 // N1 x ... x Nq processors executing an SPMD program and exchanging
-// messages. Here every processor is a goroutine; every ordered processor
-// pair has a FIFO message channel, which gives the same blocking
-// point-to-point semantics as the send/receive primitives in the paper's
-// generated code (Figs 6 and 8).
+// messages. There is one runtime: every processor is a coroutine of the
+// discrete-event scheduler in events.go, and every ordered processor
+// pair that exchanges traffic has an unbounded FIFO queue, which gives
+// the blocking-receive point-to-point semantics of the send/receive
+// primitives in the paper's generated code (Figs 6 and 8). A Send never
+// blocks, so no schedule can deadlock on buffer capacity; a schedule in
+// which every processor waits for a message nobody will send is reported
+// as a deadlock error instead of hanging.
 //
 // On top of point-to-point Send/Recv, the package implements the eight
 // collective communication primitives of Section 2.2 (Transfer, Shift,
 // OneToManyMulticast, Reduction, AffineTransform, Scatter, Gather,
 // ManyToManyMulticast) with the hypercube algorithms whose costs appear
 // in Table 1 (binomial trees for multicast/reduction, direct sends for
-// scatter/gather, a ring pass for many-to-many).
+// scatter/gather, a ring pass for many-to-many). Each is written once
+// (collectives.go), over Send/Recv and their uncounted, unpriced twins
+// rawSend/rawRecv.
 //
 // Every processor carries a simulated clock. Computation advances the
 // local clock by flops*Tf; a message sent at local time t arrives at
@@ -22,11 +28,17 @@
 // Overlap is true, models hardware that overlaps communication with
 // computation (the sender only pays the startup cost and keeps computing
 // while the message is in flight, cf. the end of Section 5).
+//
+// A processor's values, clock and counters depend only on its own
+// program order and on per-pair FIFO message order, so how a queued
+// message waits for its receiver is the one thing a runtime decides.
+// That is the links interface; the package's tests plug a
+// goroutine-per-processor channel matrix into it as an independent
+// reference and require identical Stats and traces from both.
 package machine
 
 import (
 	"fmt"
-	"sync"
 
 	"dmcc/internal/grid"
 )
@@ -49,17 +61,10 @@ type Config struct {
 	// message is in flight (it pays only Alpha locally). When false the
 	// sender is busy for the whole transfer, as in a blocking send.
 	Overlap bool
-	// ChanCap is the buffer capacity of each point-to-point channel.
-	// 0 means "use the default" (64); negative values are a
-	// configuration error reported by Validate/New, not silently
-	// clamped, so a sweep config typo cannot masquerade as the default.
-	// Capacities of at least 1 keep the ring pipelines of Sections 5-6
-	// (all processors send right before receiving from the left) from
-	// deadlocking.
-	ChanCap int
 	// Tracer, when non-nil, receives an Event for every computation,
-	// message, wait and collective with simulated start/end times. It
-	// must be safe for concurrent use; package trace provides one.
+	// message, wait and collective with simulated start/end times.
+	// Events arrive one at a time but from different goroutines (one per
+	// simulated processor); package trace provides a collector.
 	Tracer Tracer
 	// SyncCollectives selects the paper's execution model for the
 	// collective primitives of Section 2.2: every participant is engaged
@@ -76,7 +81,7 @@ type Config struct {
 // unit flop time, unit word-transfer time, no startup, no overlap,
 // synchronous collectives (the paper's Table 1 model).
 func DefaultConfig() Config {
-	return Config{Tf: 1, Tc: 1, Alpha: 0, Overlap: false, ChanCap: 64, SyncCollectives: true}
+	return Config{Tf: 1, Tc: 1, Alpha: 0, Overlap: false, SyncCollectives: true}
 }
 
 // AsyncConfig is DefaultConfig with asynchronous collectives, used by the
@@ -149,7 +154,7 @@ type Event struct {
 	Words int
 }
 
-// Tracer receives events as they happen, from multiple goroutines.
+// Tracer receives events as they happen.
 type Tracer interface {
 	Record(Event)
 }
@@ -159,48 +164,50 @@ type message struct {
 	arrival float64 // simulated arrival time at the receiver
 }
 
+// links is how a message queued on an ordered processor pair waits for
+// its receiver: put queues msg on the pair (src, dst), take returns the
+// pair's next message in FIFO order, blocking the receiver until there
+// is one, and either may panic with deadErr once a peer has failed.
+// Everything else a processor does —
+// pricing, counting, tracing, the collectives — is written against these
+// two calls. The scheduler of events.go is the implementation; the
+// channel matrix in this package's tests is the reference it is checked
+// against.
+type links interface {
+	put(src *Proc, dst int, msg message)
+	take(dst *Proc, src int) message
+}
+
 // Machine is a simulated q-D grid of processors.
 type Machine struct {
 	grid *grid.Grid
 	cfg  Config
-	// links[src*P+dst] is the FIFO channel from src to dst.
-	links []chan message
-	bar   *barrier
-	// dead is closed when any processor panics, so peers blocked on
-	// channel operations fail fast instead of deadlocking.
-	dead      chan struct{}
-	abortOnce sync.Once
+	net  links
+	scheduler
 }
 
-// DefaultChanCap is the point-to-point channel capacity used when
-// Config.ChanCap is 0.
-const DefaultChanCap = 64
-
-// Validate reports configuration errors. ChanCap must be non-negative
-// (0 selects DefaultChanCap).
-func (c *Config) Validate() error {
-	if c.ChanCap < 0 {
-		return fmt.Errorf("machine: Config.ChanCap must be >= 0 (0 means default %d), got %d", DefaultChanCap, c.ChanCap)
-	}
-	return nil
-}
-
-// New creates a machine over the given processor grid. It returns an
-// error for invalid configurations (see Config.Validate).
+// New creates a machine over the given processor grid. The error is
+// always nil; the signature predates the removal of the last
+// configuration check and is kept for its callers.
 func New(g *grid.Grid, cfg Config) (*Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.ChanCap == 0 {
-		cfg.ChanCap = DefaultChanCap
-	}
-	p := g.Size()
-	m := &Machine{grid: g, cfg: cfg, links: make([]chan message, p*p), bar: newBarrier(p), dead: make(chan struct{})}
-	for i := range m.links {
-		m.links[i] = make(chan message, cfg.ChanCap)
-	}
+	m := &Machine{grid: g, cfg: cfg, scheduler: newScheduler(g.Size())}
+	m.net = &m.scheduler
 	return m, nil
 }
+
+// EventMachine, EventProc and NewEvent are the names the discrete-event
+// runtime had while a goroutine-per-processor runtime existed beside it.
+// bench/ (frozen by BENCHMARK.json) still spells them; they go when its
+// machine.goroutine_ring_us_per_hop probe does (ROADMAP).
+//
+// Deprecated: use Machine.
+type EventMachine = Machine
+
+// Deprecated: use Proc.
+type EventProc = Proc
+
+// Deprecated: use New.
+func NewEvent(g *grid.Grid, cfg Config) (*Machine, error) { return New(g, cfg) }
 
 // Grid returns the processor grid of the machine.
 func (m *Machine) Grid() *grid.Grid { return m.grid }
@@ -209,11 +216,17 @@ func (m *Machine) Grid() *grid.Grid { return m.grid }
 func (m *Machine) Config() Config { return m.cfg }
 
 // Proc is the per-processor execution context handed to the SPMD body.
-// A Proc must only be used from the goroutine running that processor.
+// It implements Port. A Proc must only be used from the body function it
+// was handed to.
 type Proc struct {
 	rank  int
 	m     *Machine
 	clock float64
+	// key is the scheduler's heap priority while the processor is
+	// runnable (the simulated time at which it resumes); resume is the
+	// coroutine handoff the scheduler signals to let it run.
+	key    float64
+	resume chan struct{}
 	// counters
 	flops       int64
 	messages    int64
@@ -267,8 +280,9 @@ func (p *Proc) Compute(flops int) {
 }
 
 // Send transmits a copy of data to the processor with the given rank.
-// Sending to oneself is allowed (the copy goes through the local channel
-// with zero cost), which simplifies collective algorithms.
+// It never blocks. Sending to oneself is allowed (the copy goes through
+// the local queue with zero cost), which simplifies collective
+// algorithms.
 func (p *Proc) Send(dst int, data []Word) {
 	if dst < 0 || dst >= p.m.grid.Size() {
 		panic(fmt.Sprintf("machine: Send to invalid rank %d", dst))
@@ -292,11 +306,7 @@ func (p *Proc) Send(dst int, data []Word) {
 			tr.Record(Event{Proc: p.rank, Kind: EvSend, Start: before, End: arrival, Peer: dst, Words: len(data)})
 		}
 	}
-	select {
-	case p.m.links[p.rank*p.m.grid.Size()+dst] <- message{data: buf, arrival: arrival}:
-	case <-p.m.dead:
-		panic(deadErr)
-	}
+	p.m.net.put(p, dst, message{data: buf, arrival: arrival})
 }
 
 // Recv receives the next message from the processor with rank src,
@@ -306,18 +316,14 @@ func (p *Proc) Recv(src int) []Word {
 	if src < 0 || src >= p.m.grid.Size() {
 		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
 	}
-	select {
-	case msg := <-p.m.links[src*p.m.grid.Size()+p.rank]:
-		if msg.arrival > p.clock {
-			if tr := p.m.cfg.Tracer; tr != nil {
-				tr.Record(Event{Proc: p.rank, Kind: EvWait, Start: p.clock, End: msg.arrival, Peer: src})
-			}
-			p.clock = msg.arrival
+	msg := p.m.net.take(p, src)
+	if msg.arrival > p.clock {
+		if tr := p.m.cfg.Tracer; tr != nil {
+			tr.Record(Event{Proc: p.rank, Kind: EvWait, Start: p.clock, End: msg.arrival, Peer: src})
 		}
-		return msg.data
-	case <-p.m.dead:
-		panic(deadErr)
+		p.clock = msg.arrival
 	}
+	return msg.data
 }
 
 // rawSend transmits without advancing the simulated clock. Synchronous
@@ -331,44 +337,15 @@ func (p *Proc) rawSend(dst int, data []Word, count bool) {
 	if dst != p.rank && count {
 		p.noteSend(dst, len(data))
 	}
-	select {
-	case p.m.links[p.rank*p.m.grid.Size()+dst] <- message{data: buf}:
-	case <-p.m.dead:
-		panic(deadErr)
-	}
+	p.m.net.put(p, dst, message{data: buf})
 }
 
 // rawRecv receives without advancing the simulated clock.
-func (p *Proc) rawRecv(src int) []Word {
-	select {
-	case msg := <-p.m.links[src*p.m.grid.Size()+p.rank]:
-		return msg.data
-	case <-p.m.dead:
-		panic(deadErr)
-	}
-}
+func (p *Proc) rawRecv(src int) []Word { return p.m.net.take(p, src).data }
 
 // deadErr is the panic value used to unwind processors after a peer
-// failure; Run filters it so only the root cause is reported.
+// failure; runBody filters it so only the root cause is reported.
 const deadErr = "machine: aborted after peer failure"
-
-// barrierAbortErr and barrierDeadErr are the panic values the barrier
-// uses to unwind processors that were blocked in (or reached) a barrier
-// after an abort. Like deadErr they are secondary casualties, not root
-// causes, and Run must not let them mask the error of the processor
-// that actually failed.
-const (
-	barrierAbortErr = "machine: barrier aborted while waiting"
-	barrierDeadErr  = "machine: barrier used after abort"
-)
-
-// secondaryPanic reports whether a recovered panic value is one of the
-// sentinel strings raised to unwind innocent processors after a peer
-// failure, rather than a root-cause error.
-func secondaryPanic(rec any) bool {
-	str, ok := rec.(string)
-	return ok && (str == deadErr || str == barrierAbortErr || str == barrierDeadErr)
-}
 
 // SendValue sends a single word.
 func (p *Proc) SendValue(dst int, v Word) { p.Send(dst, []Word{v}) }
@@ -393,53 +370,29 @@ func (p *Proc) Note(kind EventKind, start, end float64, peer, words int) {
 	}
 }
 
-// Barrier synchronizes all processors of the machine and equalizes their
-// simulated clocks to the maximum (everyone waits for the slowest).
-func (p *Proc) Barrier() {
-	before := p.clock
-	p.clock = p.m.bar.wait(p.clock)
-	if tr := p.m.cfg.Tracer; tr != nil && p.clock > before {
-		tr.Record(Event{Proc: p.rank, Kind: EvWait, Start: before, End: p.clock, Peer: -1})
-	}
+// runBody runs the SPMD body on p; a panic calls abort (which must
+// unblock the peers) and becomes the processor's error. The error stays
+// nil for a processor that was only unwound by a peer's failure
+// (deadErr) — a casualty, not a cause: recording it would let a low-rank
+// innocent processor mask the real error in outcome's first-error scan.
+func runBody(p *Proc, body func(p *Proc), abort func()) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if rec != any(deadErr) {
+				err = fmt.Errorf("machine: processor %d panicked: %v", p.rank, rec)
+			}
+			abort()
+		}
+	}()
+	body(p)
+	return nil
 }
 
-// Run executes the SPMD body on all processors concurrently and returns
-// aggregate statistics. If any processor panics, Run returns the
-// lowest-ranked root-cause error after all goroutines have stopped
-// (processors unwound by a peer's failure are filtered, so they cannot
-// mask it); the generic "run aborted" error appears only when an abort
-// happened with no recorded cause. The machine must not be reused after
-// an error (channels may hold residue).
-func (m *Machine) Run(body func(p *Proc)) (Stats, error) {
-	n := m.grid.Size()
-	procs := make([]*Proc, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for r := 0; r < n; r++ {
-		procs[r] = &Proc{rank: r, m: m}
-		go func(p *Proc) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					// A processor unwound by a peer's failure (deadErr, or a
-					// barrier abort) is a casualty, not a cause: recording it
-					// would let a low-rank innocent processor's error mask
-					// the real one in Run's first-error scan below.
-					if !secondaryPanic(rec) {
-						errs[p.rank] = fmt.Errorf("machine: processor %d panicked: %v", p.rank, rec)
-					}
-					// Unblock peers waiting at the barrier or on channels.
-					m.bar.abort()
-					m.abort()
-				}
-			}()
-			body(p)
-		}(procs[r])
-	}
-	wg.Wait()
+// outcome folds the processors' final counters into Stats and returns
+// the lowest-ranked root-cause error, if any.
+func outcome(procs []*Proc, errs []error) (Stats, error) {
 	var st Stats
-	st.PerProc = make([]ProcStats, n)
+	st.PerProc = make([]ProcStats, len(procs))
 	for r, p := range procs {
 		st.PerProc[r] = ProcStats{Clock: p.clock, Flops: p.flops, Messages: p.messages, Words: p.words, MaxMsgWords: p.maxMsgWords,
 			Peers: p.pairs.Snapshot()}
@@ -450,77 +403,5 @@ func (m *Machine) Run(body func(p *Proc)) (Stats, error) {
 			return st, err
 		}
 	}
-	if m.bar.aborted() {
-		return st, fmt.Errorf("machine: run aborted")
-	}
 	return st, nil
-}
-
-// abort closes the dead channel exactly once.
-func (m *Machine) abort() {
-	m.abortOnce.Do(func() { close(m.dead) })
-}
-
-// barrier is a reusable clock-synchronizing barrier. Per-generation clock
-// maxima live in a small map: a processor returning from generation g has
-// necessarily read max[g], and no processor can reach generation g+2
-// before every processor has returned from g, so entries two generations
-// back are dead and are trimmed on return.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   int
-	max   map[int]float64
-	dead  bool
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n, max: make(map[int]float64)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// wait blocks until all n processors have called it, then releases them
-// all with the maximum clock seen in this generation.
-func (b *barrier) wait(clock float64) float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.dead {
-		panic(barrierDeadErr)
-	}
-	gen := b.gen
-	if clock > b.max[gen] {
-		b.max[gen] = clock
-	}
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for b.gen == gen && !b.dead {
-			b.cond.Wait()
-		}
-		if b.dead {
-			panic(barrierAbortErr)
-		}
-	}
-	v := b.max[gen]
-	delete(b.max, gen-2)
-	return v
-}
-
-func (b *barrier) abort() {
-	b.mu.Lock()
-	b.dead = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *barrier) aborted() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dead
 }

@@ -45,7 +45,7 @@ func TestSendRecvDeliversCopy(t *testing.T) {
 
 func TestSendRecvClockModel(t *testing.T) {
 	g := grid.New(2)
-	cfg := Config{Tf: 2, Tc: 3, Alpha: 5, Overlap: false, ChanCap: 4}
+	cfg := Config{Tf: 2, Tc: 3, Alpha: 5, Overlap: false}
 	st := run(t, g, cfg, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(10) // clock = 20
@@ -75,7 +75,7 @@ func TestSendRecvClockModel(t *testing.T) {
 
 func TestOverlapClockModel(t *testing.T) {
 	g := grid.New(2)
-	cfg := Config{Tf: 1, Tc: 10, Alpha: 1, Overlap: true, ChanCap: 4}
+	cfg := Config{Tf: 1, Tc: 10, Alpha: 1, Overlap: true}
 	run(t, g, cfg, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Send(1, []Word{1, 2, 3}) // pays alpha only: clock = 1

@@ -1,19 +1,16 @@
-// Port is the processor-context surface the exec backend runs on, so
-// one executor body drives both runtimes.
+// Port is the processor-context surface the exec backend runs on.
 package machine
 
 import "dmcc/internal/grid"
 
 // Port is the per-processor interface a batched SPMD body needs:
 // identity, the simulated clock, priced computation, and counted
-// point-to-point exchange. Both *Proc (goroutine runtime) and
-// *EventProc (discrete-event runtime) implement it.
+// point-to-point exchange. *Proc implements it; the exec backend's tests
+// also stub it to drive an executor without a machine.
 //
-// The collective primitives and Barrier are deliberately absent: the
-// exec backend lowers every exchange to point-to-point epochs
-// (schedule.go), and keeping Port minimal is what lets the event
-// runtime skip implementing eight Table 1 collectives it would never
-// see.
+// The collective primitives and Barrier are absent because the exec
+// backend lowers every exchange to point-to-point epochs (schedule.go)
+// and never calls them, not because any runtime lacks them.
 type Port interface {
 	// Rank returns the linear rank of the processor.
 	Rank() int
@@ -38,7 +35,4 @@ type Port interface {
 	Note(kind EventKind, start, end float64, peer, words int)
 }
 
-var (
-	_ Port = (*Proc)(nil)
-	_ Port = (*EventProc)(nil)
-)
+var _ Port = (*Proc)(nil)

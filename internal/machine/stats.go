@@ -1,8 +1,7 @@
-// Run statistics shared by both runtimes. The goroutine Machine, the
-// discrete-event EventMachine, and the exec backend's naive-cost replay
-// all tally per-pair traffic through PairTally and fold per-processor
+// Run statistics. The machine and the exec backend's naive-cost replay
+// both tally per-pair traffic through PairTally and fold per-processor
 // snapshots into Stats through AddProc, so "bit-identical Stats" across
-// engines is a structural property rather than three copies of the same
+// engines is a structural property rather than copies of the same
 // aggregation loop kept in sync by hand.
 package machine
 

@@ -1,11 +1,10 @@
-// The one pricing function of the point-to-point clock model. Both
-// runtimes — the goroutine Machine (Proc.Send) and the discrete-event
-// EventMachine (EventProc.Send) — and the exec backend's single-threaded
-// naive-cost replay all advance clocks through SendTiming, so a message
-// costs exactly the same no matter which engine moves it. The Table 1
+// The one pricing function of the point-to-point clock model. The
+// machine (Proc.Send) and the exec backend's single-threaded naive-cost
+// replay both advance clocks through SendTiming, so a message costs
+// exactly the same whether it is moved or only replayed. The Table 1
 // collective formulas build on the same Tc (collectives.go); keeping the
 // per-message half here means a timing change cannot silently split the
-// engines apart.
+// two apart.
 
 package machine
 

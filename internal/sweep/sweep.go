@@ -586,12 +586,6 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 				for _, engine := range []string{"batched", "exact"} {
 					exact := engine == "exact"
 					cfg := machine.DefaultConfig()
-					if exact {
-						// The per-element oracle needs its channel capacity
-						// raised to the largest per-pair burst — the deadlock
-						// crutch the batched engine removes.
-						cfg.ChanCap = m * m
-					}
 					keyParts := execKeyParts("exec", engine, pr, m, n, cfg)
 					if !exact {
 						keyParts = append(keyParts, "redist=collective")
