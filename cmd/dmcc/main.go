@@ -5,28 +5,22 @@
 //
 // Usage:
 //
-//	dmcc -prog jacobi|sor|gauss|matmul [-m 64] [-n 8] [-greedy] [-j 4]
+//	dmcc -prog jacobi|sor|gauss|matmul [-m 64] [-n 8] [-j 4]
 //	dmcc -file testdata/jacobi.f [-m 64] [-n 8]
 //	dmcc -prog jacobi -exec      also execute the compiled program on the
 //	                             simulated machine (random system, checked
 //	                             against the sequential interpreter)
-//	dmcc -prog gauss -cache      serve the compile report from the artifact
-//	                             cache when the program, binding and engine
-//	                             flags match a prior run (-exec always runs)
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
 	"dmcc/internal/parse"
 
 	"dmcc/internal/align"
-	"dmcc/internal/artifact"
 	"dmcc/internal/cli"
 	"dmcc/internal/codegen"
 	"dmcc/internal/core"
@@ -44,12 +38,9 @@ func main() {
 	file := flag.String("file", "", "compile a Do-loop source file instead of a built-in program")
 	m := flag.Int("m", 64, "problem size")
 	n := flag.Int("n", 8, "total processors")
-	greedy := flag.Bool("greedy", false, "use the greedy alignment heuristic instead of exact branch-and-bound")
 	doExec := flag.Bool("exec", false, "execute the compiled program on the simulated machine and verify")
 	jobs := flag.Int("j", 0, "cost-engine worker count (0 = all CPUs, 1 = serial)")
 	engine := flag.String("engine", "fast", "cost engine: fast (closed-form counting, reference enumeration for declined nests) or prechange (the oracle: exact everything, no caches)")
-	useCache := flag.Bool("cache", false, "serve the compile report from the artifact cache")
-	cacheDir := flag.String("cache-dir", ".dmcc-cache", "artifact cache directory")
 	flag.Parse()
 
 	// Validate flag values upfront so a typo is a usage error (exit 2),
@@ -81,7 +72,7 @@ func main() {
 			cli.Usage("dmcc", fmt.Errorf("unknown program %q", *prog))
 		}
 	}
-	if err := compileReport(p, *m, *n, *greedy, *jobs, *engine, *useCache, *cacheDir); err != nil {
+	if err := run(p, *m, *n, *jobs, *engine); err != nil {
 		fatal(err)
 	}
 	if *doExec {
@@ -93,60 +84,6 @@ func main() {
 
 func fatal(err error) {
 	cli.Fail("dmcc", err)
-}
-
-// compileReport renders the compile report, optionally through the
-// artifact cache. The report is a pure function of the program, the
-// binding and the engine flags — exactly what Compiler.CacheKey encodes
-// — so the cached text is served verbatim on a hit.
-func compileReport(p *ir.Program, m, n int, greedy bool, jobs int, engine string, useCache bool, cacheDir string) error {
-	if !useCache {
-		return run(os.Stdout, p, m, n, greedy, jobs, engine)
-	}
-	c, err := newCompiler(p, m, n, greedy, jobs, engine)
-	if err != nil {
-		return err
-	}
-	store, err := artifact.Open(cacheDir)
-	if err != nil {
-		return err
-	}
-	store.Warnf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "dmcc: "+format+"\n", args...)
-	}
-	key := artifact.KeyOf("kind=dmcc-report", c.CacheKey())
-	payload, cached, err := store.GetOrCompute(key, func() ([]byte, error) {
-		var buf bytes.Buffer
-		if err := run(&buf, p, m, n, greedy, jobs, engine); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := os.Stdout.Write(payload); err != nil {
-		return err
-	}
-	state := "computed"
-	if cached {
-		state = "hit"
-	}
-	fmt.Fprintf(os.Stderr, "dmcc: cache %s: %s (dir %s)\n", state, store.Stats(), store.Dir())
-	return nil
-}
-
-// newCompiler builds the compiler for a (program, binding, flags)
-// configuration — shared by the report path and the cache-key
-// derivation so the two can never disagree.
-func newCompiler(p *ir.Program, m, n int, greedy bool, jobs int, engine string) (*core.Compiler, error) {
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	c.UseGreedyAlign = greedy
-	c.Jobs = jobs
-	if err := applyEngine(c, engine); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // applyEngine configures the compiler's cost engine: the production
@@ -236,18 +173,19 @@ func execute(p *ir.Program, m, n, jobs int) error {
 	return nil
 }
 
-func run(w io.Writer, p *ir.Program, m, n int, greedy bool, jobs int, engine string) error {
-	fmt.Fprintf(w, "=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, n, m)
+func run(p *ir.Program, m, n, jobs int, engine string) error {
+	fmt.Printf("=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, n, m)
 
 	wp := align.WeightParams{Bind: map[string]int{"m": m}, N: n, Tc: 1}
 	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, wp)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, s)
+	fmt.Println(s)
 
-	c, err := newCompiler(p, m, n, greedy, jobs, engine)
-	if err != nil {
+	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
+	c.Jobs = jobs
+	if err := applyEngine(c, engine); err != nil {
 		return err
 	}
 	c.Engines = &core.EngineStats{}
@@ -255,33 +193,38 @@ func run(w io.Writer, p *ir.Program, m, n int, greedy bool, jobs int, engine str
 	if err != nil {
 		return err
 	}
-	// Telemetry goes to stderr so the report payload stays a pure
-	// function of the configuration (the -cache path stores it verbatim).
+	// Telemetry goes to stderr so stdout stays a pure function of the
+	// configuration.
 	eng := c.Engines.Snapshot()
-	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d exact_fallbacks=%d nest_pricings=%d\n",
-		eng["analytic_hits"], eng["exact_fallbacks"], eng["nest_pricings"])
-	fmt.Fprintln(w, "-- Algorithm 1: minimum-cost order of distribution schemes --")
+	fmt.Fprintf(os.Stderr, "dmcc: engines: analytic_hits=%d exact_fallbacks=%d nest_pricings=%d greedy_alignments=%d\n",
+		eng["analytic_hits"], eng["exact_fallbacks"], eng["nest_pricings"], eng["greedy_alignments"])
+	fmt.Println("-- Algorithm 1: minimum-cost order of distribution schemes --")
 	for _, seg := range res.DP.Segments {
-		fmt.Fprintf(w, "  loops L%d..L%d: %s, segment cost %.0f, entry redistribution %.0f\n",
+		fmt.Printf("  loops L%d..L%d: %s, segment cost %.0f, entry redistribution %.0f",
 			seg.Start, seg.Start+seg.Len-1, seg.Schemes, seg.M, seg.ChangeIn)
+		if method := seg.Schemes.Partition.Method; method != "exact" {
+			// The affinity graph was past align.ExactMaxNodes.
+			fmt.Printf(", alignment %s", method)
+		}
+		fmt.Println()
 		names := make([]string, 0, len(seg.Schemes.Schemes))
 		for name := range seg.Schemes.Schemes {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(w, "    %-4s %s\n", name, seg.Schemes.Schemes[name])
+			fmt.Printf("    %-4s %s\n", name, seg.Schemes.Schemes[name])
 		}
 	}
-	fmt.Fprintf(w, "  loop-carried cost %.0f; total %.0f (whole-program baseline %.0f)\n\n",
+	fmt.Printf("  loop-carried cost %.0f; total %.0f (whole-program baseline %.0f)\n\n",
 		res.DP.LoopCarried, res.DP.MinimumCost, res.WholeProgramCost)
 
-	fmt.Fprintln(w, "-- dependence analysis and pipelining decisions --")
+	fmt.Println("-- dependence analysis and pipelining decisions --")
 	var plans []codegen.NestPlan
 	byNest := map[string]dep.PipelineDecision{}
 	for _, d := range res.Pipelining {
 		byNest[d.Mapping.Nest] = d
-		fmt.Fprintf(w, "  nest %s: mapping %s, pipelinable=%v, travelling %v\n",
+		fmt.Printf("  nest %s: mapping %s, pipelinable=%v, travelling %v\n",
 			d.Mapping.Nest, d.Mapping, d.CanPipeline, d.TravellingTokens)
 	}
 	cyclic := false
@@ -299,16 +242,16 @@ func run(w io.Writer, p *ir.Program, m, n int, greedy bool, jobs int, engine str
 		}
 		plans = append(plans, codegen.NestPlan{Nest: nest, Decision: d, Cyclic: cyclic})
 	}
-	fmt.Fprintln(w)
+	fmt.Println()
 
 	if allPipelinable && len(plans) == len(p.Nests) {
 		code, err := codegen.Program(p, plans)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "-- generated SPMD program --\n%s", code)
+		fmt.Printf("-- generated SPMD program --\n%s", code)
 	} else {
-		fmt.Fprintln(w, "-- codegen skipped: not every nest is pipelinable under the chosen mapping --")
+		fmt.Println("-- codegen skipped: not every nest is pipelinable under the chosen mapping --")
 	}
 	return nil
 }

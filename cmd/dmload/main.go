@@ -14,9 +14,9 @@
 //
 // Each -dist runs after one warm-up pass over -progs; the summary goes
 // to stderr, the sweep-shaped rows (kind "serve") to stdout. The
-// deterministic columns (requests, errors, misses_after_warm) are
-// baseline-gated; latency/throughput columns carry *_ns / *_wall names
-// so the gate's machine-dependence filter skips them. Exit codes:
+// deterministic columns (requests, errors, misses_after_warm) are the
+// -json document and what -baseline gates; latency and throughput are
+// wall-clock columns, in the CSV and the summary only. Exit codes:
 // 2 = bad usage, 1 = runtime failure or a failed gate.
 //
 // The remote-warm distribution (requires -self) measures the shared
@@ -147,22 +147,11 @@ func main() {
 		}
 	}
 	if *baseline != "" {
-		regs, notes, err := sweep.Compare(*baseline, res, *baselineTol)
+		ok, err := sweep.Gate(os.Stderr, "dmload", *baseline, res, *baselineTol)
 		if err != nil {
 			cli.Fail("dmload", err)
 		}
-		for _, note := range notes {
-			fmt.Fprintf(os.Stderr, "dmload: %s\n", note)
-		}
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "dmload: %d regression(s) vs %s (tol %g):\n", len(regs), *baseline, *baselineTol)
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "dmload:   %s\n", r)
-			}
-			failed = true
-		} else {
-			fmt.Fprintf(os.Stderr, "dmload: baseline %s: no regressions (tol %g)\n", *baseline, *baselineTol)
-		}
+		failed = failed || !ok
 	}
 	if failed {
 		os.Exit(cli.ExitFailure)

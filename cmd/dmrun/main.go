@@ -19,9 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"dmcc/internal/cli"
@@ -60,7 +57,7 @@ func main() {
 		cli.Usage("dmrun", fmt.Errorf("unknown kernel %q (want jacobi, sor, gauss or cannon)", *kernel))
 	}
 
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		cli.Fail("dmrun", err)
 	}
@@ -225,39 +222,6 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) err
 		res.InspectWall.Round(time.Microsecond), res.SimWall.Round(time.Microsecond),
 		res.ReplayWall.Round(time.Microsecond), res.AssembleWall.Round(time.Microsecond))
 	return nil
-}
-
-// startProfiles starts CPU profiling (when cpu != "") and returns the
-// function that stops it and writes the heap profile (when mem != "").
-func startProfiles(cpu, mem string) (func(), error) {
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpu != "" {
-			pprof.StopCPUProfile()
-		}
-		if mem == "" {
-			return
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-		}
-	}, nil
 }
 
 func report(title string, st machine.Stats, diff float64) {

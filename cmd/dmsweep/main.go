@@ -73,8 +73,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -141,7 +139,7 @@ func main() {
 		cli.Usage("dmsweep", err)
 	}
 
-	stopProf, err := startProfiles(*cpuprofile, *memprofile)
+	stopProf, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fail(err)
 	}
@@ -218,21 +216,13 @@ func gate(res *sweep.Result, baseline string, tol float64) {
 	if baseline == "" {
 		return
 	}
-	regs, notes, err := sweep.Compare(baseline, res, tol)
+	ok, err := sweep.Gate(os.Stderr, "dmsweep", baseline, res, tol)
 	if err != nil {
 		fail(err)
 	}
-	for _, note := range notes {
-		fmt.Fprintf(os.Stderr, "dmsweep: %s\n", note)
+	if !ok {
+		os.Exit(cli.ExitFailure)
 	}
-	if len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "dmsweep: %d regression(s) vs %s (tol %g):\n", len(regs), baseline, tol)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "dmsweep:   %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "dmsweep: baseline %s: no regressions (tol %g)\n", baseline, tol)
 }
 
 func fail(err error) {
@@ -254,39 +244,6 @@ func parseShard(s string) (k, n int, err error) {
 		return 0, 0, fmt.Errorf("bad -shard %q (want 0 <= k < n)", s)
 	}
 	return k, n, nil
-}
-
-// startProfiles starts CPU profiling (when cpu != "") and returns the
-// function that stops it and writes the heap profile (when mem != "").
-func startProfiles(cpu, mem string) (func(), error) {
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return func() {
-		if cpu != "" {
-			pprof.StopCPUProfile()
-		}
-		if mem == "" {
-			return
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dmsweep: memprofile: %v\n", err)
-			return
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dmsweep: memprofile: %v\n", err)
-		}
-	}, nil
 }
 
 func parseInts(s string) ([]int, error) {

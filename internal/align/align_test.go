@@ -1,8 +1,10 @@
 package align
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -505,5 +507,125 @@ func TestGraphEdgeOrder(t *testing.T) {
 	}
 	if want := []string{"A1", "A11", "A2"}; !slices.Equal(order, want) {
 		t.Errorf("edge sources in order %v, want %v", order, want)
+	}
+}
+
+// denseGraph is a random dense affinity graph over k two-dimensional
+// arrays (2k nodes): every pair of dimensions of different arrays is an
+// edge with probability 0.7, weights 1..100 — the shape ExactMaxNodes was
+// measured on.
+func denseGraph(rng *rand.Rand, k int) *Graph {
+	g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
+	for a := 0; a < k; a++ {
+		name := fmt.Sprintf("A%02d", a)
+		for d := 0; d < 2; d++ {
+			id := ir.DimID{Array: name, Dim: d}
+			g.index[id] = len(g.Nodes)
+			g.ArrayDims[name] = append(g.ArrayDims[name], len(g.Nodes))
+			g.Nodes = append(g.Nodes, id)
+		}
+	}
+	for i := range g.Nodes {
+		for j := i + 1; j < len(g.Nodes); j++ {
+			if g.Nodes[i].Array != g.Nodes[j].Array && rng.Float64() < 0.7 {
+				g.Edges = append(g.Edges, Edge{From: g.Nodes[i], To: g.Nodes[j], Weight: float64(rng.Intn(100) + 1)})
+			}
+		}
+	}
+	return g
+}
+
+// TestAlignChoosesByNodeCount: Align searches exactly up to ExactMaxNodes
+// nodes and takes the heuristic one node later, and either way returns
+// what the algorithm it names returns.
+func TestAlignChoosesByNodeCount(t *testing.T) {
+	for _, c := range []struct {
+		nodes int
+		want  string
+	}{{ExactMaxNodes - 1, "exact"}, {ExactMaxNodes, "exact"}, {ExactMaxNodes + 1, "greedy"}} {
+		// A chain of one-dimensional arrays: every node fits one subset, so
+		// the exact search is over at its first leaf.
+		g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
+		for a := 0; a < c.nodes; a++ {
+			id := ir.DimID{Array: fmt.Sprintf("V%02d", a)}
+			g.index[id] = a
+			g.ArrayDims[id.Array] = []int{a}
+			g.Nodes = append(g.Nodes, id)
+			if a > 0 {
+				g.Edges = append(g.Edges, Edge{From: g.Nodes[a-1], To: id, Weight: 1})
+			}
+		}
+		got, err := Align(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := map[string]func(*Graph, int) (Partition, error){"exact": ExactAlign, "greedy": GreedyAlign}[c.want](g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Method != c.want || !reflect.DeepEqual(got, want) {
+			t.Errorf("%d nodes: Align ran %q (cut %v), want %s's answer (cut %v)", c.nodes, got.Method, got.Cut, c.want, want.Cut)
+		}
+	}
+}
+
+// TestInTreeProgramsAlignExactly: every program the tree builds — the
+// paper's four, the stencil and Synthetic(s) through s = 32 — is under
+// ExactMaxNodes, so Align is ExactAlign for all of them, whole program and
+// nest by nest, and no partition moved when the choice left the user.
+func TestInTreeProgramsAlignExactly(t *testing.T) {
+	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon(), ir.Stencil()}
+	for s := 4; s <= 32; s++ {
+		progs = append(progs, ir.Synthetic(s))
+	}
+	for _, p := range progs {
+		if n := len(p.AllDims()); n > ExactMaxNodes {
+			t.Errorf("%s has %d affinity nodes, past ExactMaxNodes = %d", p.Name, n, ExactMaxNodes)
+			continue
+		}
+		aff := NewAffinity(p, p.Nests, wp())
+		for lo := 0; lo <= len(p.Nests); lo++ {
+			for _, hi := range []int{lo + 1, len(p.Nests)} {
+				if hi > len(p.Nests) || hi <= lo {
+					continue
+				}
+				g, err := aff.Graph(lo, hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Align(g, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _ := ExactAlign(g, 2)
+				if got.Method != "exact" || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s nests %d..%d: Align ran %q, cut %v; ExactAlign cut %v", p.Name, lo, hi, got.Method, got.Cut, want.Cut)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAlignDense times both aligners on dense graphs of k
+// two-dimensional arrays — the measurement behind ExactMaxNodes and the
+// table in EXPERIMENTS.md ("Alignment: exact against greedy").
+func BenchmarkAlignDense(b *testing.B) {
+	for _, k := range []int{8, 10, 12, 14, 16, 18, 20, 30} {
+		g := denseGraph(rand.New(rand.NewSource(int64(k))), k)
+		for _, a := range []struct {
+			name string
+			fn   func(*Graph, int) (Partition, error)
+		}{{"exact", ExactAlign}, {"greedy", GreedyAlign}} {
+			if a.name == "exact" && k > 20 {
+				continue // doubles per array: over 100 ms at k = 20
+			}
+			b.Run(fmt.Sprintf("%s/k=%d", a.name, k), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := a.fn(g, 2); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,10 +2,10 @@
 // graph's nodes into q disjoint subsets, one per grid dimension, so the
 // total weight of cut edges is minimal, subject to "no two dimensions of
 // one array in the same subset". The problem is NP-hard in general
-// (Li & Chen); the graphs the compiler builds are small (one node per
-// array dimension), so an exact branch-and-bound is the default, with the
-// greedy edge-contraction heuristic available for larger graphs and as an
-// ablation.
+// (Li & Chen). The graphs of the paper's programs are small (one node per
+// array dimension: gauss 7, ir.Synthetic 10), so Align searches them
+// exactly by branch and bound; past ExactMaxNodes it takes the greedy
+// edge-contraction heuristic instead.
 package align
 
 import (
@@ -64,6 +64,23 @@ func (g *Graph) Feasible(assign []int) bool {
 		}
 	}
 	return true
+}
+
+// ExactMaxNodes is the largest graph Align searches exactly. On dense
+// graphs of k two-dimensional arrays ExactAlign takes under a millisecond
+// at 24 nodes and doubles with every further array (EXPERIMENTS.md,
+// "Alignment: exact against greedy"); a source file can declare as many
+// arrays as it likes.
+const ExactMaxNodes = 24
+
+// Align partitions g into q subsets with the algorithm its size calls
+// for: ExactAlign up to ExactMaxNodes nodes, GreedyAlign above. The
+// partition's Method says which ran.
+func Align(g *Graph, q int) (Partition, error) {
+	if len(g.Nodes) > ExactMaxNodes {
+		return GreedyAlign(g, q)
+	}
+	return ExactAlign(g, q)
 }
 
 // ExactAlign finds a minimum-cut feasible partition into q subsets by
@@ -182,7 +199,7 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 // descending weight order, merging the two endpoint groups unless that
 // would put two dimensions of one array together or exceed feasibility;
 // finally groups are packed into q subsets largest-first. Runs in
-// O(E log E) and is the ablation baseline against ExactAlign.
+// O(E log E); TestGreedyVsExactRandom bounds what it gives up.
 func GreedyAlign(g *Graph, q int) (Partition, error) {
 	for a, dims := range g.ArrayDims {
 		if len(dims) > q {

@@ -329,6 +329,7 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (payloa
 		return p, true, nil
 	}
 	f := s.flights.join(key)
+	defer s.flights.leave(key, f)
 	f.once.Do(func() {
 		// Re-check under the flight: a concurrent worker may have
 		// finished its Put between our Get and joining. The miss above
@@ -344,7 +345,6 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (payloa
 			}
 		}
 	})
-	s.flights.leave(key, f)
 	return f.payload, f.cached, f.err
 }
 

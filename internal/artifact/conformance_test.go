@@ -124,6 +124,23 @@ func TestBackendConformance(t *testing.T) {
 				}
 			})
 
+			t.Run("panicking-compute-leaves-no-flight", func(t *testing.T) {
+				b, _ := h.open(t)
+				key := KeyOf("kind=conf", "panics")
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("the compute's panic did not reach the caller")
+						}
+					}()
+					b.GetOrCompute(key, func() ([]byte, error) { panic("compute bug") })
+				}()
+				payload, cached, err := b.GetOrCompute(key, func() ([]byte, error) { return []byte("fresh"), nil })
+				if err != nil || cached || string(payload) != "fresh" {
+					t.Fatalf("after a panicked flight: %q, cached=%v, %v; want a fresh compute", payload, cached, err)
+				}
+			})
+
 			t.Run("corruption-is-a-miss", func(t *testing.T) {
 				for _, tc := range []struct {
 					name    string

@@ -203,6 +203,7 @@ func (r *Remote) Put(key string, payload []byte) error {
 // flight already computed and drained, running the computation twice.
 func (r *Remote) GetOrCompute(key string, compute func() ([]byte, error)) (payload []byte, cached bool, err error) {
 	f := r.flights.join(key)
+	defer r.flights.leave(key, f)
 	f.once.Do(func() {
 		if p, ok := r.Get(key); ok {
 			f.payload, f.cached = p, true
@@ -215,7 +216,6 @@ func (r *Remote) GetOrCompute(key string, compute func() ([]byte, error)) (paylo
 			}
 		}
 	})
-	r.flights.leave(key, f)
 	return f.payload, f.cached, f.err
 }
 

@@ -43,7 +43,9 @@ func (g *flightGroup) join(key string) *flight {
 }
 
 // leave drops the caller's reference; the last waiter out removes the
-// flight so a later miss starts a fresh computation.
+// flight so a later miss starts a fresh computation. Callers defer it: a
+// compute that panics must not leave its flight behind, answering every
+// later caller with the panicked attempt's nothing.
 func (g *flightGroup) leave(key string, f *flight) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

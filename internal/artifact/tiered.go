@@ -103,6 +103,7 @@ func (t *Tiered) GetOrCompute(key string, compute func() ([]byte, error)) (paylo
 		return p, true, nil
 	}
 	f := t.flights.join(key)
+	defer t.flights.leave(key, f)
 	f.once.Do(func() {
 		// Re-check both tiers under the flight: a concurrent worker or a
 		// peer daemon may have finished while we joined. The miss above
@@ -118,7 +119,6 @@ func (t *Tiered) GetOrCompute(key string, compute func() ([]byte, error)) (paylo
 			}
 		}
 	})
-	t.flights.leave(key, f)
 	return f.payload, f.cached, f.err
 }
 

@@ -10,6 +10,8 @@ package cli
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 )
 
 // Exit codes of the cmd/ binaries.
@@ -28,4 +30,37 @@ func Usage(cmd string, err error) {
 func Fail(cmd string, err error) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
 	os.Exit(ExitFailure)
+}
+
+// StartProfiles starts CPU profiling (when cpu != "") and returns the
+// function that stops it and writes the heap profile (when mem != "").
+func StartProfiles(cpu, mem string) (func(), error) {
+	if cpu != "" {
+		f, err := os.Create(cpu)
+		if err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != "" {
+			pprof.StopCPUProfile()
+		}
+		if mem == "" {
+			return
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+		}
+	}, nil
 }

@@ -3,7 +3,8 @@
 // result is folded in — the program (hashed through its printed source,
 // which ir.Print renders deterministically), the parameter binding, the
 // processor count, the cost model, the alignment weights, and every
-// engine flag. Jobs is deliberately excluded: parallel runs are
+// engine flag (the alignment algorithm is a function of the program, so
+// it needs no fragment). Jobs is deliberately excluded: parallel runs are
 // bit-identical to serial ones (TestParallelCompileDeterministic), so
 // worker count must not split the cache.
 package core
@@ -66,7 +67,9 @@ func (c *Compiler) CacheKey() string {
 		}
 		fmt.Fprintf(&b, "%s=%d", k, c.Weights.Bind[k])
 	}
-	fmt.Fprintf(&b, ";greedy=%t;exactnest=%t;exactchange=%t;nocache=%t;pipered=%t",
-		c.UseGreedyAlign, c.ExactNestCount, c.ExactChangeCost, c.NoCache, c.PipelinedReductions)
+	// ";greedy=false" names a retired option; it goes at the next
+	// artifact.SchemaVersion bump.
+	fmt.Fprintf(&b, ";greedy=false;exactnest=%t;exactchange=%t;nocache=%t;pipered=%t",
+		c.ExactNestCount, c.ExactChangeCost, c.NoCache, c.PipelinedReductions)
 	return b.String()
 }

@@ -60,8 +60,6 @@ type Compiler struct {
 	NProcs int
 	// Weights parameterizes affinity-graph edge weights.
 	Weights align.WeightParams
-	// UseGreedyAlign switches the alignment heuristic (ablation).
-	UseGreedyAlign bool
 	// Jobs bounds the cost-engine worker pool; 0 means runtime.NumCPU(),
 	// 1 forces the serial path.
 	Jobs int
@@ -104,8 +102,8 @@ type Compiler struct {
 	aff      *align.Affinity
 }
 
-// EngineStats are cumulative counting-engine telemetry counters. All
-// fields are updated atomically.
+// EngineStats are cumulative telemetry counters of the counting engines
+// and the aligner. All fields are updated atomically.
 type EngineStats struct {
 	// AnalyticHits counts nest-pricing queries answered in closed form —
 	// by the engine or by a memo entry the engine filled.
@@ -117,6 +115,9 @@ type EngineStats struct {
 	// NestPricings counts engine invocations: the distinct nest-memo keys
 	// of a compile, every query under NoCache or ExactNestCount.
 	NestPricings atomic.Int64
+	// GreedyAlignments counts segment alignments answered by the greedy
+	// heuristic because the affinity graph was past align.ExactMaxNodes.
+	GreedyAlignments atomic.Int64
 }
 
 // Snapshot returns the current counter values as a map keyed the way the
@@ -126,9 +127,10 @@ func (s *EngineStats) Snapshot() map[string]int64 {
 		s = &EngineStats{}
 	}
 	return map[string]int64{
-		"analytic_hits":   s.AnalyticHits.Load(),
-		"exact_fallbacks": s.ExactFallbacks.Load(),
-		"nest_pricings":   s.NestPricings.Load(),
+		"analytic_hits":     s.AnalyticHits.Load(),
+		"exact_fallbacks":   s.ExactFallbacks.Load(),
+		"nest_pricings":     s.NestPricings.Load(),
+		"greedy_alignments": s.GreedyAlignments.Load(),
 	}
 }
 
@@ -219,7 +221,7 @@ func (c *Compiler) jobs() int {
 // prepared is what a compiler establishes about its program once, before
 // the first cost query.
 type prepared struct {
-	err error // Program.Validate
+	err error // Program.Validate, then Program.CheckRanges under the binding
 	// refs[t] names the arrays nest t's statements reference, sorted —
 	// the arrays whose schemes its counts can depend on.
 	refs [][]string
@@ -236,6 +238,9 @@ func (c *Compiler) prepared() (*prepared, error) {
 			return
 		}
 		pr := &prepared{err: c.Program.Validate(), lastWrite: map[string]int{}}
+		if pr.err == nil {
+			pr.err = c.Program.CheckRanges(c.Bind)
+		}
 		for t, nest := range c.Program.Nests {
 			var names []string
 			for _, st := range nest.Stmts {
@@ -356,7 +361,8 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 
 // alignNests partitions the affinity graph of nests lo..hi-1 (0-based):
 // a replay of the per-nest edge increments computed once per compiler,
-// or a fresh align.BuildGraph under NoCache.
+// or a fresh align.BuildGraph under NoCache. align.Align picks the
+// algorithm from the graph's size; a heuristic answer is counted.
 func (c *Compiler) alignNests(lo, hi int) (align.Partition, error) {
 	var g *align.Graph
 	var err error
@@ -369,10 +375,11 @@ func (c *Compiler) alignNests(lo, hi int) (align.Partition, error) {
 	if err != nil {
 		return align.Partition{}, err
 	}
-	if c.UseGreedyAlign {
-		return align.GreedyAlign(g, 2)
+	pt, err := align.Align(g, 2)
+	if err == nil && pt.Method != "exact" && c.Engines != nil {
+		c.Engines.GreedyAlignments.Add(1)
 	}
-	return align.ExactAlign(g, 2)
+	return pt, err
 }
 
 // SegmentCost implements SegmentCoster: M[i][j] is the cheapest execution

@@ -2,11 +2,15 @@ package core
 
 import (
 	"math"
+	"os"
 	"testing"
+	"time"
 
+	"dmcc/internal/align"
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
 	"dmcc/internal/ir"
+	"dmcc/internal/parse"
 )
 
 func jacobiCompiler(m, n int) *Compiler {
@@ -270,20 +274,40 @@ func TestCompileSORPipelinedPicksNewLayout(t *testing.T) {
 	}
 }
 
-func TestCompileWithGreedyAlign(t *testing.T) {
-	c := jacobiCompiler(16, 4)
-	c.UseGreedyAlign = true
+// TestManyArrayProgramAlignsGreedily: thirty two-dimensional arrays are 60
+// affinity nodes, past align.ExactMaxNodes, where one exact search of a
+// segment takes minutes. The compile takes the heuristic for every
+// segment, says so, counts it, and is done in well under two seconds.
+func TestManyArrayProgramAlignsGreedily(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/manyarrays.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := parse.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.AllDims()); n != 60 || n <= align.ExactMaxNodes {
+		t.Fatalf("%d affinity nodes, want 60 (> ExactMaxNodes = %d)", n, align.ExactMaxNodes)
+	}
+	c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, 4)
+	c.Engines = &EngineStats{}
+	start := time.Now()
 	res, err := c.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cExact := jacobiCompiler(16, 4)
-	resExact, err := cExact.Compile()
-	if err != nil {
-		t.Fatal(err)
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("compile took %v", d)
 	}
-	if res.DP.MinimumCost < resExact.DP.MinimumCost-1e-9 {
-		t.Errorf("greedy alignment cost %v beats exact %v", res.DP.MinimumCost, resExact.DP.MinimumCost)
+	for _, seg := range res.DP.Segments {
+		if m := seg.Schemes.Partition.Method; m != "greedy" {
+			t.Errorf("segment L%d..L%d aligned by %q, want greedy", seg.Start, seg.Start+seg.Len-1, m)
+		}
+	}
+	// One alignment per DP cell of the three nests.
+	if got := c.Engines.Snapshot()["greedy_alignments"]; got != 6 {
+		t.Errorf("greedy_alignments = %d, want 6", got)
 	}
 }
 

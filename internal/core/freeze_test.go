@@ -126,7 +126,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"bind":        func(c *Compiler) { c.Bind = map[string]int{"m": 32} },
 		"nprocs":      func(c *Compiler) { c.NProcs = 8 },
 		"model":       func(c *Compiler) { c.Model = cost.Model{Tf: 2, Tc: 1} },
-		"greedy":      func(c *Compiler) { c.UseGreedyAlign = true },
 		"exactnest":   func(c *Compiler) { c.ExactNestCount = true },
 		"exactchange": func(c *Compiler) { c.ExactChangeCost = true },
 		"nocache":     func(c *Compiler) { c.NoCache = true },

@@ -141,7 +141,8 @@ func TestSynthNestPricingBudget(t *testing.T) {
 }
 
 // outOfExtentProgram reads B five elements past its extent — the
-// ROADMAP's repro, which panics inside the owner computation.
+// ROADMAP's repro. Compiler.prepared refuses it; priced anyway, it panics
+// inside the owner computation.
 func outOfExtentProgram() *ir.Program {
 	m, i := ir.V("m"), ir.V("i")
 	rhs := ir.Rd(ir.R("B", ir.NewAffine(5, ir.Term{Var: "i", Coeff: 1})))
@@ -172,6 +173,13 @@ func TestPanickingPricingIsAnError(t *testing.T) {
 			c := NewCompiler(outOfExtentProgram(), cost.Unit(), map[string]int{"m": 8}, 4)
 			c.Jobs, c.NoCache = jobs, noCache
 			label := fmt.Sprintf("jobs=%d nocache=%v", jobs, noCache)
+			var outOfRange *ir.RangeError
+			if _, err := c.prepared(); !errors.As(err, &outOfRange) {
+				t.Fatalf("%s: prepared() = %v, want the range error", label, err)
+			}
+			// Past the front door, as only a bug could be: dist's assertion
+			// fires inside a cost query.
+			c.prep = &prepared{refs: [][]string{{"A", "B"}}, lastWrite: map[string]int{}}
 			_, err := c.Compile()
 			if !errors.Is(err, ErrPanic) {
 				t.Fatalf("%s: Compile error %v, want one wrapping ErrPanic", label, err)

@@ -137,8 +137,8 @@ func TestDeclinedNestCountsAsExactFallback(t *testing.T) {
 	if snap["exact_fallbacks"] == 0 || snap["analytic_hits"] != 0 {
 		t.Errorf("engine counters %v: want every pricing call an exact fallback", snap)
 	}
-	if len(snap) != 3 {
-		t.Errorf("engine counters %v: want exactly analytic_hits, exact_fallbacks and nest_pricings", snap)
+	if len(snap) != 4 || snap["greedy_alignments"] != 0 {
+		t.Errorf("engine counters %v: want exactly analytic_hits, exact_fallbacks, nest_pricings and a zero greedy_alignments", snap)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -67,6 +68,16 @@ func randomScheme(rng *rand.Rand, g *grid.Grid, shape []int) Scheme {
 	return s
 }
 
+// redistSeeds are the replayable case streams of the randomized
+// redistribution tests (42 and 99 are the streams they ran before the
+// list); a failure names its seed and trial and prints both schemes on
+// their grids (redistCase), so it replays exactly.
+var redistSeeds = []int64{42, 99, 1, 2}
+
+func redistCase(seed int64, trial int, gf, gt *grid.Grid, from, to Scheme) string {
+	return fmt.Sprintf("seed %d trial %d: %s on %s -> %s on %s", seed, trial, from, gf, to, gt)
+}
+
 func loadsEqual(t *testing.T, got, want Loads) {
 	t.Helper()
 	const eps = 1e-9
@@ -113,28 +124,27 @@ func TestRedistLoadsMatchesOracle(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(42))
-			for trial := 0; trial < 60; trial++ {
-				gp := tc.grids[trial%len(tc.grids)]
-				from := randomScheme(rng, gp.f, tc.shape)
-				to := randomScheme(rng, gp.t, tc.shape)
-				if err := from.Validate(gp.f, tc.shape); err != nil {
-					t.Fatalf("trial %d: invalid source scheme %s: %v", trial, from, err)
-				}
-				if err := to.Validate(gp.t, tc.shape); err != nil {
-					t.Fatalf("trial %d: invalid destination scheme %s: %v", trial, to, err)
-				}
-				got, err := RedistLoads(gp.f, gp.t, tc.shape, from, to)
-				if err != nil {
-					t.Fatalf("trial %d: RedistLoads(%s -> %s): %v", trial, from, to, err)
-				}
-				want := RedistLoadsExact(gp.f, gp.t, tc.shape, from, to)
-				if t.Failed() {
-					return
-				}
-				loadsEqual(t, got, want)
-				if t.Failed() {
-					t.Fatalf("trial %d: %s on %s -> %s on %s", trial, from, gp.f, to, gp.t)
+			for _, seed := range redistSeeds {
+				rng := rand.New(rand.NewSource(seed))
+				for trial := 0; trial < 60; trial++ {
+					gp := tc.grids[trial%len(tc.grids)]
+					from := randomScheme(rng, gp.f, tc.shape)
+					to := randomScheme(rng, gp.t, tc.shape)
+					where := redistCase(seed, trial, gp.f, gp.t, from, to)
+					if err := from.Validate(gp.f, tc.shape); err != nil {
+						t.Fatalf("%s: invalid source scheme: %v", where, err)
+					}
+					if err := to.Validate(gp.t, tc.shape); err != nil {
+						t.Fatalf("%s: invalid destination scheme: %v", where, err)
+					}
+					got, err := RedistLoads(gp.f, gp.t, tc.shape, from, to)
+					if err != nil {
+						t.Fatalf("%s: RedistLoads: %v", where, err)
+					}
+					loadsEqual(t, got, RedistLoadsExact(gp.f, gp.t, tc.shape, from, to))
+					if t.Failed() {
+						t.Fatal(where)
+					}
 				}
 			}
 		})
@@ -238,49 +248,52 @@ func TestRedistLoadsScaledMatchesFloat(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(99))
-			for trial := 0; trial < 60; trial++ {
-				gp := tc.grids[trial%len(tc.grids)]
-				from := randomScheme(rng, gp.f, tc.shape)
-				to := randomScheme(rng, gp.t, tc.shape)
-				want, err := RedistLoads(gp.f, gp.t, tc.shape, from, to)
-				if err != nil {
-					t.Fatalf("trial %d: RedistLoads: %v", trial, err)
-				}
-				got, err := RedistLoadsScaled(gp.f, gp.t, tc.shape, from, to)
-				if err != nil {
-					t.Fatalf("trial %d: RedistLoadsScaled: %v", trial, err)
-				}
-				if got.Den < 1 {
-					t.Fatalf("trial %d: Den = %d", trial, got.Den)
-				}
-				if float64(got.Words) != want.Words {
-					t.Fatalf("trial %d: Words = %d, want %g", trial, got.Words, want.Words)
-				}
-				check := func(side string, nums map[int]int64, floats map[int]float64) {
-					for r := int64(0); r < int64(gp.f.Size()); r++ {
-						g := float64(nums[int(r)]) / float64(got.Den)
-						w := floats[int(r)]
-						if tc.pow2 && isPow2(got.Den) {
-							if g != w {
-								t.Fatalf("trial %d: %s[%d] = %v, want %v exactly (den %d)", trial, side, r, g, w, got.Den)
+			for _, seed := range redistSeeds {
+				rng := rand.New(rand.NewSource(seed))
+				for trial := 0; trial < 60; trial++ {
+					gp := tc.grids[trial%len(tc.grids)]
+					from := randomScheme(rng, gp.f, tc.shape)
+					to := randomScheme(rng, gp.t, tc.shape)
+					where := redistCase(seed, trial, gp.f, gp.t, from, to)
+					want, err := RedistLoads(gp.f, gp.t, tc.shape, from, to)
+					if err != nil {
+						t.Fatalf("%s: RedistLoads: %v", where, err)
+					}
+					got, err := RedistLoadsScaled(gp.f, gp.t, tc.shape, from, to)
+					if err != nil {
+						t.Fatalf("%s: RedistLoadsScaled: %v", where, err)
+					}
+					if got.Den < 1 {
+						t.Fatalf("%s: Den = %d", where, got.Den)
+					}
+					if float64(got.Words) != want.Words {
+						t.Fatalf("%s: Words = %d, want %g", where, got.Words, want.Words)
+					}
+					check := func(side string, nums map[int]int64, floats map[int]float64) {
+						for r := int64(0); r < int64(gp.f.Size()); r++ {
+							g := float64(nums[int(r)]) / float64(got.Den)
+							w := floats[int(r)]
+							if tc.pow2 && isPow2(got.Den) {
+								if g != w {
+									t.Fatalf("%s: %s[%d] = %v, want %v exactly (den %d)", where, side, r, g, w, got.Den)
+								}
+							} else if diff := g - w; diff > 1e-9 || diff < -1e-9 {
+								t.Fatalf("%s: %s[%d] = %v, want %v (den %d)", where, side, r, g, w, got.Den)
 							}
-						} else if diff := g - w; diff > 1e-9 || diff < -1e-9 {
-							t.Fatalf("trial %d: %s[%d] = %v, want %v (den %d)", trial, side, r, g, w, got.Den)
 						}
 					}
-				}
-				check("in", got.In, want.In)
-				check("out", got.Out, want.Out)
-				// Receives are always whole words.
-				for r, v := range got.In {
-					if v%got.Den != 0 {
-						t.Fatalf("trial %d: in[%d] = %d/%d is fractional", trial, r, v, got.Den)
+					check("in", got.In, want.In)
+					check("out", got.Out, want.Out)
+					// Receives are always whole words.
+					for r, v := range got.In {
+						if v%got.Den != 0 {
+							t.Fatalf("%s: in[%d] = %d/%d is fractional", where, r, v, got.Den)
+						}
 					}
-				}
-				// The bottleneck agrees with the float calculator's.
-				if g, w := float64(got.MaxNum())/float64(got.Den), want.MaxLoad(); g-w > 1e-9 || w-g > 1e-9 {
-					t.Fatalf("trial %d: MaxNum/Den = %v, MaxLoad = %v", trial, g, w)
+					// The bottleneck agrees with the float calculator's.
+					if g, w := float64(got.MaxNum())/float64(got.Den), want.MaxLoad(); g-w > 1e-9 || w-g > 1e-9 {
+						t.Fatalf("%s: MaxNum/Den = %v, MaxLoad = %v", where, g, w)
+					}
 				}
 			}
 		})

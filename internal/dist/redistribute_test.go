@@ -2,7 +2,6 @@ package dist
 
 import (
 	"testing"
-	"testing/quick"
 
 	"dmcc/internal/grid"
 )
@@ -106,9 +105,7 @@ func TestPlanSymmetryQuick(t *testing.T) {
 		ba := redistLoads(t, g, []int{size}, b, a)
 		return !t.Failed() && ab.Words == ba.Words && ab.Words <= float64(size)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+	quickSeeded(t, f, 100)
 }
 
 func TestForEachIndexCoversShape(t *testing.T) {

@@ -80,8 +80,11 @@ type Options struct {
 }
 
 // validate performs the shared pre-flight checks of both engines.
-func validate(p *ir.Program, ss *core.SchemeSet) error {
+func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int) error {
 	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := p.CheckRanges(bind); err != nil {
 		return err
 	}
 	for _, nest := range p.Nests {
@@ -136,7 +139,7 @@ func RunOpts(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map
 	iters int, cfg machine.Config, input ir.Storage, opt Options) (Result, error) {
 
 	start := time.Now()
-	if err := validate(p, ss); err != nil {
+	if err := validate(p, ss, bind); err != nil {
 		return Result{}, err
 	}
 	if !p.Iterative {

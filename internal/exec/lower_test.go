@@ -88,7 +88,7 @@ func TestRunErrorsNotPanics(t *testing.T) {
 		want []string
 	}{
 		{"subscript outside extents", vecProgram(one, mm, shifted, shiftedReads), map[string]int{"m": m},
-			[]string{"B(i+1)", "[9]", "outside extents [8]", "line 3"}},
+			[]string{"B(i+1)", "ranges over [2, 9]", "outside the declared [1, 8]", "line 3"}},
 		{"unbound variable in a subscript", vecProgram(one, mm, unbound, unboundReads), map[string]int{"m": m},
 			[]string{`unbound variable "q"`, "B(i+q)", "line 3"}},
 		{"unbound variable in a loop bound", vecProgram(one, ir.V("q"), good, goodReads), map[string]int{"m": m},
@@ -212,7 +212,7 @@ func TestLoweringMatchesIR(t *testing.T) {
 			p := randomLoweringProgram(rng)
 			label := fuzzCase(seed, trial, 1, p)
 			ss := fuzzSchemes(t, p, m, 1)
-			if err := validate(p, ss); err != nil {
+			if err := validate(p, ss, bind); err != nil {
 				t.Fatalf("generated invalid program: %v\n%s", err, label)
 			}
 			s, err := buildSchedule(p, ss, bind, scalars)

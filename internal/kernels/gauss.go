@@ -22,32 +22,16 @@ import (
 	"dmcc/internal/matrix"
 )
 
-// gaussLocal is the per-processor state of the cyclic row distribution.
+// gaussLocal is the per-processor state of a row distribution.
 type gaussLocal struct {
-	m, n, me int
-	rows     []int       // my global row indices (i % n == me), ascending
-	rowPos   map[int]int // global row -> local position
-	a        [][]float64 // my rows of A (full width m)
-	l        [][]float64 // my rows of L (multipliers)
-	b        []float64
-	v        []float64
-	x        []float64
-}
-
-func newGaussLocal(p *machine.Proc, a *matrix.Dense, b []float64, n int) *gaussLocal {
-	m := a.Rows
-	me := p.Rank()
-	g := &gaussLocal{m: m, n: n, me: me, rowPos: map[int]int{}}
-	for i := me; i < m; i += n {
-		g.rowPos[i] = len(g.rows)
-		g.rows = append(g.rows, i)
-		g.a = append(g.a, append([]float64(nil), a.Row(i)...))
-		g.l = append(g.l, make([]float64, m))
-		g.b = append(g.b, b[i])
-		g.v = append(g.v, 0)
-		g.x = append(g.x, 0)
-	}
-	return g
+	m, me  int
+	rows   []int       // my global row indices, ascending
+	rowPos map[int]int // global row -> local position
+	a      [][]float64 // my rows of A (full width m)
+	l      [][]float64 // my rows of L (multipliers)
+	b      []float64
+	v      []float64
+	x      []float64
 }
 
 // eliminate applies pivot row k (pivA = A(k, k..m-1), pivB = B(k)) to all
@@ -103,15 +87,8 @@ func GaussBroadcast(cfg machine.Config, a *matrix.Dense, b []float64, n int) (Re
 	if err := checkRing(m, n); err != nil {
 		return Result{}, err
 	}
-	gr := grid.New(n)
-	mach, err := machine.New(gr, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
-		l := newGaussLocal(p, a, b, n)
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
+		l := newGaussLocalOwner(p, a, b, func(i int) int { return i % n })
 		// Triangularization with pivot-row multicast.
 		for k := 0; k < m; k++ {
 			owner := k % n
@@ -137,13 +114,9 @@ func GaussBroadcast(cfg machine.Config, a *matrix.Dense, b []float64, n int) (Re
 			l.backUpdate(p, j, xj[0])
 		}
 		for pos, i := range l.rows {
-			w.put(i, l.x[pos])
+			out[i] = l.x[pos]
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }
 
 // GaussPipelined solves A x = b with the Fig 8 shift-pipelined

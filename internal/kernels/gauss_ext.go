@@ -21,7 +21,8 @@ import (
 	"dmcc/internal/matrix"
 )
 
-// newGaussLocalOwner is newGaussLocal with an arbitrary row->owner map.
+// newGaussLocalOwner takes the rows ownerOf assigns to p; the Section 6
+// cyclic distribution is ownerOf(i) = i mod N.
 func newGaussLocalOwner(p *machine.Proc, a *matrix.Dense, b []float64, ownerOf func(int) int) *gaussLocal {
 	m := a.Rows
 	me := p.Rank()
@@ -41,6 +42,51 @@ func newGaussLocalOwner(p *machine.Proc, a *matrix.Dense, b []float64, ownerOf f
 	return g
 }
 
+// pivotStep is one elimination step of Fig 8: pivot row k travels
+// rightward from its owner, each processor forwarding it before its own
+// update so the wave advances, and stops at the owner's left neighbour.
+func (g *gaussLocal) pivotStep(p *machine.Proc, k, owner int) {
+	right := p.Grid().NeighbourPlus(p.Rank(), 0)
+	var payload []machine.Word
+	if p.Rank() == owner {
+		payload = g.pivotPayload(k)
+		if p.Grid().Size() > 1 {
+			p.Send(right, payload)
+		}
+	} else {
+		payload = p.Recv(p.Grid().NeighbourMinus(p.Rank(), 0))
+		if right != owner {
+			p.Send(right, payload)
+		}
+	}
+	g.eliminate(p, k, payload[:len(payload)-1], payload[len(payload)-1])
+}
+
+// backSubstitute is Fig 8's second half: each X(j) travels leftward from
+// its owner the same way, folded into the V accumulators as it passes.
+func (g *gaussLocal) backSubstitute(p *machine.Proc, ownerOf func(int) int) {
+	left := p.Grid().NeighbourMinus(p.Rank(), 0)
+	for j := g.m - 1; j >= 0; j-- {
+		owner := ownerOf(j)
+		var xj float64
+		if p.Rank() == owner {
+			pos := g.rowPos[j]
+			xj = (g.b[pos] - g.v[pos]) / g.a[pos][j]
+			p.Compute(2)
+			g.x[pos] = xj
+			if p.Grid().Size() > 1 {
+				p.SendValue(left, xj)
+			}
+		} else {
+			xj = p.RecvValue(p.Grid().NeighbourPlus(p.Rank(), 0))
+			if left != owner {
+				p.SendValue(left, xj)
+			}
+		}
+		g.backUpdate(p, j, xj)
+	}
+}
+
 // gaussPipelineRun is the Fig 8 pipeline parameterized by the row->owner
 // map; GaussPipelined is the ownerOf(i) = i mod N instance.
 func gaussPipelineRun(cfg machine.Config, a *matrix.Dense, b []float64, n int, ownerOf func(int) int) (Result, error) {
@@ -48,65 +94,16 @@ func gaussPipelineRun(cfg machine.Config, a *matrix.Dense, b []float64, n int, o
 	if err := checkRing(m, n); err != nil {
 		return Result{}, err
 	}
-	gr := grid.New(n)
-	mach, err := machine.New(gr, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
 		l := newGaussLocalOwner(p, a, b, ownerOf)
-		right := p.Grid().NeighbourPlus(p.Rank(), 0)
-		left := p.Grid().NeighbourMinus(p.Rank(), 0)
-
 		for k := 0; k < m; k++ {
-			owner := ownerOf(k)
-			var pivA []machine.Word
-			var pivB machine.Word
-			if p.Rank() == owner {
-				payload := l.pivotPayload(k)
-				if n > 1 {
-					p.Send(right, payload)
-				}
-				pivA, pivB = payload[:len(payload)-1], payload[len(payload)-1]
-			} else {
-				payload := p.Recv(left)
-				if right != owner {
-					p.Send(right, payload)
-				}
-				pivA, pivB = payload[:len(payload)-1], payload[len(payload)-1]
-			}
-			l.eliminate(p, k, pivA, pivB)
+			l.pivotStep(p, k, ownerOf(k))
 		}
-
-		for j := m - 1; j >= 0; j-- {
-			owner := ownerOf(j)
-			var xj float64
-			if p.Rank() == owner {
-				pos := l.rowPos[j]
-				xj = (l.b[pos] - l.v[pos]) / l.a[pos][j]
-				p.Compute(2)
-				l.x[pos] = xj
-				if n > 1 {
-					p.SendValue(left, xj)
-				}
-			} else {
-				xj = p.RecvValue(right)
-				if left != owner {
-					p.SendValue(left, xj)
-				}
-			}
-			l.backUpdate(p, j, xj)
-		}
+		l.backSubstitute(p, ownerOf)
 		for pos, i := range l.rows {
-			w.put(i, l.x[pos])
+			out[i] = l.x[pos]
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }
 
 // GaussPipelinedBlockCyclic solves A x = b with the Fig 8 pipeline on a
@@ -137,19 +134,9 @@ func GaussPartialPivot(cfg machine.Config, a *matrix.Dense, b []float64, n int) 
 	if err := checkRing(m, n); err != nil {
 		return Result{}, err
 	}
-	gr := grid.New(n)
-	mach, err := machine.New(gr, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
 	ownerOf := func(i int) int { return i % n }
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
 		l := newGaussLocalOwner(p, a, b, ownerOf)
-		right := p.Grid().NeighbourPlus(p.Rank(), 0)
-		left := p.Grid().NeighbourMinus(p.Rank(), 0)
-
 		for k := 0; k < m; k++ {
 			// 1. Distributed pivot search over rows >= k.
 			best := []machine.Word{-1, machine.Word(m)}
@@ -192,51 +179,11 @@ func GaussPartialPivot(cfg machine.Config, a *matrix.Dense, b []float64, n int) 
 			}
 
 			// 3. Pipeline the pivot row and eliminate (Fig 8).
-			owner := ownerOf(k)
-			var pivA []machine.Word
-			var pivB machine.Word
-			if p.Rank() == owner {
-				payload := l.pivotPayload(k)
-				if n > 1 {
-					p.Send(right, payload)
-				}
-				pivA, pivB = payload[:len(payload)-1], payload[len(payload)-1]
-			} else {
-				payload := p.Recv(left)
-				if right != owner {
-					p.Send(right, payload)
-				}
-				pivA, pivB = payload[:len(payload)-1], payload[len(payload)-1]
-			}
-			l.eliminate(p, k, pivA, pivB)
+			l.pivotStep(p, k, ownerOf(k))
 		}
-
-		// Back substitution, unchanged.
-		for j := m - 1; j >= 0; j-- {
-			owner := ownerOf(j)
-			var xj float64
-			if p.Rank() == owner {
-				pos := l.rowPos[j]
-				xj = (l.b[pos] - l.v[pos]) / l.a[pos][j]
-				p.Compute(2)
-				l.x[pos] = xj
-				if n > 1 {
-					p.SendValue(left, xj)
-				}
-			} else {
-				xj = p.RecvValue(right)
-				if left != owner {
-					p.SendValue(left, xj)
-				}
-			}
-			l.backUpdate(p, j, xj)
-		}
+		l.backSubstitute(p, ownerOf)
 		for pos, i := range l.rows {
-			w.put(i, l.x[pos])
+			out[i] = l.x[pos]
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }

@@ -42,16 +42,9 @@ func JacobiGrid(cfg machine.Config, a *matrix.Dense, b, x0 []float64, iters, n1,
 	if err := checkDivisible(m, n2, "jacobi cols"); err != nil {
 		return Result{}, err
 	}
-	g := grid.New(n1, n2)
-	mach, err := machine.New(g, cfg)
-	if err != nil {
-		return Result{}, err
-	}
 	rowsPer := m / n1
 	colsPer := m / n2
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n1, n2), cfg, m, func(p *machine.Proc, out []float64) {
 		p1, p2 := p.Coord(0), p.Coord(1)
 		rLo := p1 * rowsPer // my global row range [rLo, rHi)
 		rHi := rLo + rowsPer
@@ -121,13 +114,9 @@ func JacobiGrid(cfg machine.Config, a *matrix.Dense, b, x0 []float64, iters, n1,
 		lo := max(rLo, cLo)
 		hi := min(rHi, cHi)
 		for i := lo; i < hi; i++ {
-			w.put(i, x[i-cLo])
+			out[i] = x[i-cLo]
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }
 
 func min(a, b int) int {

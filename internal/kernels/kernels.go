@@ -14,6 +14,7 @@ package kernels
 import (
 	"fmt"
 
+	"dmcc/internal/grid"
 	"dmcc/internal/machine"
 )
 
@@ -49,16 +50,19 @@ func checkRing(m, n int) error {
 	return nil
 }
 
-// disjointWriter collects per-processor results into one slice. Writers
-// must use disjoint index ranges; Run returns only after every processor
-// has finished, which orders all writes before the read of the final
-// slice.
-type disjointWriter struct {
-	out []float64
+// solve runs body on every processor of g and returns the m-vector the
+// processors wrote with the run's statistics. Processors write disjoint
+// entries of out; Run returns only after every processor has finished,
+// which orders all writes before the read of the final slice.
+func solve(g *grid.Grid, cfg machine.Config, m int, body func(p *machine.Proc, out []float64)) (Result, error) {
+	mach, err := machine.New(g, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	out := make([]float64, m)
+	st, err := mach.Run(func(p *machine.Proc) { body(p, out) })
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{X: out, Stats: st}, nil
 }
-
-func newDisjointWriter(n int) *disjointWriter {
-	return &disjointWriter{out: make([]float64, n)}
-}
-
-func (w *disjointWriter) put(i int, v float64) { w.out[i] = v }

@@ -377,26 +377,6 @@ func TestSORChunkedMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSORChunkedChunk1MatchesUnchunkedTime(t *testing.T) {
-	m, n := 32, 4
-	a, b, _ := matrix.DiagonallyDominant(m, 73)
-	x0 := make([]float64, m)
-	r1, err := SORPipelined(cfg(), a, b, x0, 1.2, 2, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc, err := SORPipelinedChunked(cfg(), a, b, x0, 1.2, 2, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats.ParallelTime != rc.Stats.ParallelTime {
-		t.Errorf("chunk=1 time %v != unchunked %v", rc.Stats.ParallelTime, r1.Stats.ParallelTime)
-	}
-	if r1.Stats.Messages != rc.Stats.Messages {
-		t.Errorf("chunk=1 messages %d != unchunked %d", rc.Stats.Messages, r1.Stats.Messages)
-	}
-}
-
 // TestSORChunkTradeoff: with zero startup cost, fine-grain pipelining
 // (chunk 1) is fastest; with a large per-message startup, coarser chunks
 // win — the granularity trade-off of blocked pipelining.

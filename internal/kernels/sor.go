@@ -9,7 +9,8 @@
 //     the partials at the owner of X(i), which updates it. Every step
 //     costs a reduction; processors idle while it runs.
 //
-//   - SORPipelined is the Fig 5 / Fig 6 wavefront: the partial sum V(i)
+//   - SORPipelinedChunked (SORPipelined at one value per message) is
+//     the Fig 5 / Fig 6 wavefront: the partial sum V(i)
 //     is seeded by the owner of row i's columns and circulates once
 //     around the ring, accumulating each processor's contribution, so the
 //     inner products of different rows overlap. Phase structure per
@@ -72,14 +73,7 @@ func SORNaive(cfg machine.Config, a *matrix.Dense, b, x0 []float64, omega float6
 	if err := checkDivisible(m, n, "sor"); err != nil {
 		return Result{}, err
 	}
-	g := grid.New(n)
-	mach, err := machine.New(g, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
 		l := newSORLocal(p, a, b, x0, n)
 		for it := 0; it < iters; it++ {
 			for i := 0; i < m; i++ {
@@ -94,96 +88,23 @@ func SORNaive(cfg machine.Config, a *matrix.Dense, b, x0 []float64, omega float6
 			}
 		}
 		for li, xv := range l.x {
-			w.put(l.lo+li, xv)
+			out[l.lo+li] = xv
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }
 
-// SORPipelined runs iters sweeps of the Fig 6 ring-pipelined SOR.
+// SORPipelined runs iters sweeps of the Fig 6 ring-pipelined SOR: one
+// partial sum per message, the chunk = 1 grain of SORPipelinedChunked.
 func SORPipelined(cfg machine.Config, a *matrix.Dense, b, x0 []float64, omega float64, iters, n int) (Result, error) {
-	m := a.Rows
-	if err := checkDivisible(m, n, "sor"); err != nil {
-		return Result{}, err
-	}
-	g := grid.New(n)
-	mach, err := machine.New(g, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
-		l := newSORLocal(p, a, b, x0, n)
-		right := p.Grid().NeighbourPlus(p.Rank(), 0)
-		left := p.Grid().NeighbourMinus(p.Rank(), 0)
-		before := l.lo
-		for it := 0; it < iters; it++ {
-			// Phase 1: rows of processors to my left (their X entries are
-			// larger-indexed than mine... no: their rows come before mine;
-			// my columns are to the right of those rows' diagonal, so my
-			// contribution uses OLD X — correct, since my block is not yet
-			// updated this sweep).
-			for i := 0; i < before; i++ {
-				temp := l.partial(p, i)
-				v := p.RecvValue(left) + temp
-				p.Compute(1)
-				p.SendValue(right, v)
-			}
-			// Phase 2: seed my rows with the upper-triangle part (old X).
-			for li := 0; li < l.blk; li++ {
-				i := before + li
-				s := 0.0
-				for j := li; j < l.blk; j++ {
-					s += l.a[i][j] * l.x[j]
-				}
-				p.Compute(2 * (l.blk - li))
-				p.SendValue(right, s)
-			}
-			// Phase 3: complete my rows (new X for the lower triangle)
-			// and update X.
-			for li := 0; li < l.blk; li++ {
-				i := before + li
-				temp := 0.0
-				for j := 0; j < li; j++ {
-					temp += l.a[i][j] * l.x[j]
-				}
-				if li > 0 {
-					p.Compute(2 * li)
-				}
-				v := p.RecvValue(left) + temp
-				l.x[li] += omega * (l.b[li] - v) / l.a[i][li]
-				p.Compute(5)
-			}
-			// Phase 4: rows of processors to my right (their diagonal is
-			// right of my columns, so my contribution uses NEW X).
-			for i := l.hi; i < m; i++ {
-				temp := l.partial(p, i)
-				v := p.RecvValue(left) + temp
-				p.Compute(1)
-				p.SendValue(right, v)
-			}
-		}
-		for li, xv := range l.x {
-			w.put(l.lo+li, xv)
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
+	return SORPipelinedChunked(cfg, a, b, x0, omega, iters, n, 1)
 }
 
-// SORPipelinedChunked is SORPipelined with a coarser pipelining grain:
-// the circulating partial sums travel in chunks of the given size instead
-// of one value per message. Fewer, larger messages amortize the
-// per-message startup cost Alpha at the price of a longer wavefront
-// fill — the classic pipelining granularity trade-off, benchmarked by
-// BenchmarkAblationChunkSize. chunk must divide the block size m/n;
-// chunk = 1 is exactly SORPipelined's communication pattern.
+// SORPipelinedChunked is the Fig 6 pipeline with a chosen pipelining
+// grain: the circulating partial sums travel chunk values per message.
+// Fewer, larger messages amortize the per-message startup cost Alpha at
+// the price of a longer wavefront fill — the classic pipelining
+// granularity trade-off, benchmarked by BenchmarkAblationChunkSize.
+// chunk must divide the block size m/n.
 func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, omega float64, iters, n, chunk int) (Result, error) {
 	m := a.Rows
 	if err := checkDivisible(m, n, "sor"); err != nil {
@@ -192,22 +113,16 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 	if chunk < 1 || (m/n)%chunk != 0 {
 		return Result{}, fmt.Errorf("kernels: sor: chunk %d must divide the block size %d", chunk, m/n)
 	}
-	g := grid.New(n)
-	mach, err := machine.New(g, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
 		l := newSORLocal(p, a, b, x0, n)
 		right := p.Grid().NeighbourPlus(p.Rank(), 0)
 		left := p.Grid().NeighbourMinus(p.Rank(), 0)
 		before := l.lo
 		for it := 0; it < iters; it++ {
-			// Phase 1: rows of left processors, chunked. Temps are
+			// Phase 1: rows of left processors (they precede my block's
+			// update this sweep, so my contribution uses old X). Temps are
 			// computed before receiving so the wave's transit overlaps
-			// with computation, as in the unchunked pipeline.
+			// with computation.
 			temps := make([]machine.Word, chunk)
 			for base := 0; base < before; base += chunk {
 				for o := 0; o < chunk; o++ {
@@ -220,7 +135,7 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 				}
 				p.Send(right, vs)
 			}
-			// Phase 2: seed my rows, chunked.
+			// Phase 2: seed my rows with the upper-triangle part (old X).
 			for base := 0; base < l.blk; base += chunk {
 				vs := make([]machine.Word, chunk)
 				for o := 0; o < chunk; o++ {
@@ -235,8 +150,8 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 				}
 				p.Send(right, vs)
 			}
-			// Phase 3: complete my rows, chunked; X updates stay in row
-			// order inside the chunk so the SOR semantics are unchanged.
+			// Phase 3: complete my rows (new X for the lower triangle) and
+			// update X, in row order inside the chunk as SOR requires.
 			// The first row's lower-triangle part depends only on earlier
 			// chunks, so it is computed before the receive; later rows in
 			// the chunk read X values updated inside the chunk.
@@ -265,8 +180,9 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 					p.Compute(5)
 				}
 			}
-			// Phase 4: rows of right processors, chunked (compute before
-			// receive, as in phase 1).
+			// Phase 4: rows of right processors (their diagonal is right
+			// of my columns, so my contribution uses new X); compute before
+			// receive, as in phase 1.
 			for base := l.hi; base < m; base += chunk {
 				for o := 0; o < chunk; o++ {
 					temps[o] = l.partial(p, base+o)
@@ -280,11 +196,7 @@ func SORPipelinedChunked(cfg machine.Config, a *matrix.Dense, b, x0 []float64, o
 			}
 		}
 		for li, xv := range l.x {
-			w.put(l.lo+li, xv)
+			out[l.lo+li] = xv
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }

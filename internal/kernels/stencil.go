@@ -43,23 +43,16 @@ func Stencil(cfg machine.Config, x0 []float64, iters, n int) (Result, error) {
 	if err := checkDivisible(m, n, "stencil"); err != nil {
 		return Result{}, err
 	}
-	g := grid.New(n)
-	mach, err := machine.New(g, cfg)
-	if err != nil {
-		return Result{}, err
-	}
 	blk := m / n
-	w := newDisjointWriter(m)
-
-	st, err := mach.Run(func(p *machine.Proc) {
+	return solve(grid.New(n), cfg, m, func(p *machine.Proc, out []float64) {
 		me := p.Rank()
 		lo := me * blk
 		// Local block with two ghost cells.
 		x := make([]float64, blk+2)
 		copy(x[1:], x0[lo:lo+blk])
 		y := make([]float64, blk+2)
-		right := g.NeighbourPlus(me, 0)
-		left := g.NeighbourMinus(me, 0)
+		right := p.Grid().NeighbourPlus(me, 0)
+		left := p.Grid().NeighbourMinus(me, 0)
 
 		for k := 0; k < iters; k++ {
 			// Ghost exchange: my first element goes left, my last goes
@@ -85,11 +78,7 @@ func Stencil(cfg machine.Config, x0 []float64, iters, n int) (Result, error) {
 			copy(x, y)
 		}
 		for li := 1; li <= blk; li++ {
-			w.put(lo+li-1, x[li])
+			out[lo+li-1] = x[li]
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{X: w.out, Stats: st}, nil
 }

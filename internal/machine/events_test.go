@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -80,49 +81,54 @@ func TestEventMatchesGoroutineNeighbourExchange(t *testing.T) {
 // deadlock-free; the per-round structure is what the exec scheduler
 // emits. Stats must match exactly across runtimes.
 func TestEventMatchesGoroutineRandomTraffic(t *testing.T) {
-	const n, rounds = 7, 5
-	// Predraw the traffic matrix so both runtimes see identical work.
-	rng := rand.New(rand.NewSource(99))
-	sends := make([][][]int, rounds) // sends[r][src] = dst list
-	sizes := make([][][]int, rounds)
-	for r := 0; r < rounds; r++ {
-		sends[r] = make([][]int, n)
-		sizes[r] = make([][]int, n)
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if dst != src && rng.Intn(3) == 0 {
-					sends[r][src] = append(sends[r][src], dst)
-					sizes[r][src] = append(sizes[r][src], 1+rng.Intn(9))
-				}
-			}
-		}
-	}
-	g := grid.New(n)
-	st := runBothRuntimes(t, g, DefaultConfig(), func(p Port) {
-		me := p.Rank()
-		for r := 0; r < rounds; r++ {
-			p.Compute(me * r)
-			for i, dst := range sends[r][me] {
-				buf := make([]Word, sizes[r][me][i])
-				for k := range buf {
-					buf[k] = float64(me*100 + k)
-				}
-				p.Send(dst, buf)
-			}
-			for src := 0; src < n; src++ {
-				for i, dst := range sends[r][src] {
-					if dst == me {
-						got := p.Recv(src)
-						if len(got) != sizes[r][src][i] {
-							panic("wrong message size")
+	for _, seed := range []int64{99, 1, 2} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			const n, rounds = 7, 5
+			// Predraw the traffic matrix so both runtimes see identical work;
+			// the subtest names the seed that drew it.
+			rng := rand.New(rand.NewSource(seed))
+			sends := make([][][]int, rounds) // sends[r][src] = dst list
+			sizes := make([][][]int, rounds)
+			for r := 0; r < rounds; r++ {
+				sends[r] = make([][]int, n)
+				sizes[r] = make([][]int, n)
+				for src := 0; src < n; src++ {
+					for dst := 0; dst < n; dst++ {
+						if dst != src && rng.Intn(3) == 0 {
+							sends[r][src] = append(sends[r][src], dst)
+							sizes[r][src] = append(sizes[r][src], 1+rng.Intn(9))
 						}
 					}
 				}
 			}
-		}
-	})
-	if st.Messages == 0 {
-		t.Fatal("traffic pattern sent nothing")
+			g := grid.New(n)
+			st := runBothRuntimes(t, g, DefaultConfig(), func(p Port) {
+				me := p.Rank()
+				for r := 0; r < rounds; r++ {
+					p.Compute(me * r)
+					for i, dst := range sends[r][me] {
+						buf := make([]Word, sizes[r][me][i])
+						for k := range buf {
+							buf[k] = float64(me*100 + k)
+						}
+						p.Send(dst, buf)
+					}
+					for src := 0; src < n; src++ {
+						for i, dst := range sends[r][src] {
+							if dst == me {
+								got := p.Recv(src)
+								if len(got) != sizes[r][src][i] {
+									panic("wrong message size")
+								}
+							}
+						}
+					}
+				}
+			})
+			if st.Messages == 0 {
+				t.Fatal("traffic pattern sent nothing")
+			}
+		})
 	}
 }
 

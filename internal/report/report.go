@@ -114,13 +114,17 @@ func AffinityGraph(title string, p *ir.Program, nests []*ir.Nest, wp align.Weigh
 	if err != nil {
 		return "", err
 	}
-	pt, err := align.ExactAlign(g, 2)
+	pt, err := align.Align(g, 2)
 	if err != nil {
 		return "", err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%s", title, g)
-	fmt.Fprintf(&b, "alignment (cut %.0f): dim1 = {", pt.Cut)
+	method := ""
+	if pt.Method != "exact" {
+		method = pt.Method + ", "
+	}
+	fmt.Fprintf(&b, "alignment (%scut %.0f): dim1 = {", method, pt.Cut)
 	b.WriteString(dimList(pt.Subset(g, 0)))
 	b.WriteString("}, dim2 = {")
 	b.WriteString(dimList(pt.Subset(g, 1)))

@@ -18,8 +18,8 @@
 //     never repeats a size).
 //
 // Deterministic row metrics (requests, errors, misses_after_warm) are
-// baseline-gated; latency and throughput columns are named *_ns /
-// *_wall so the gate's machine-dependence filter skips them.
+// baseline-gated; latency and throughput are the row's wall-clock
+// columns (sweep.Row.Wall: CSV only, never in a -json document).
 package serve
 
 import (
@@ -277,10 +277,9 @@ func Harness(cfg LoadConfig, dists []string) (*sweep.Result, []*LoadSummary, err
 	return res, sums, nil
 }
 
-// Row renders one summary as a sweep row. requests, errors and
-// misses_after_warm are deterministic and baseline-gated; the latency
-// and throughput columns carry _ns / _wall names so the gate's
-// machine-dependence filter (see sweep.Compare) skips them.
+// Row renders one summary as a sweep row: requests, errors and
+// misses_after_warm are the deterministic, baseline-gated metrics;
+// latency and throughput are wall-clock columns.
 func Row(sum *LoadSummary, cfg LoadConfig) sweep.Row {
 	row := sweep.Row{
 		Variant: sum.Dist, M: cfg.M, N: cfg.N, S: sum.Keys,
@@ -288,10 +287,12 @@ func Row(sum *LoadSummary, cfg LoadConfig) sweep.Row {
 			"requests":          float64(sum.Requests),
 			"errors":            float64(sum.Errors),
 			"misses_after_warm": float64(sum.MissesAfterWarm),
-			"p50_ns":            float64(sum.P50.Nanoseconds()),
-			"p99_ns":            float64(sum.P99.Nanoseconds()),
-			"max_ns":            float64(sum.Max.Nanoseconds()),
-			"rps_wall":          sum.RPS,
+		},
+		Wall: map[string]float64{
+			"p50_ns": float64(sum.P50.Nanoseconds()),
+			"p99_ns": float64(sum.P99.Nanoseconds()),
+			"max_ns": float64(sum.Max.Nanoseconds()),
+			"rps":    sum.RPS,
 		},
 	}
 	for k, v := range sum.Extra {

@@ -9,9 +9,9 @@
 // The parser is deliberately strict: a candidate configuration is
 // accepted only if re-deriving its key reproduces the inventory key
 // byte-for-byte (the same guard the disk record header uses for hash
-// collisions). Keys from foreign cost models, source-text programs, or
-// future engine flags simply don't round-trip and are skipped —
-// prewarming is best-effort by design.
+// collisions). Keys from foreign cost models, source-text programs, the
+// oracle engine or future engine flags simply don't round-trip and are
+// skipped — prewarming is best-effort by design.
 package serve
 
 import (
@@ -74,18 +74,6 @@ func parsePlanKey(key string) (req CompileRequest, ok bool) {
 		return req, false
 	}
 	req.N = n
-	req.Greedy = fields["greedy"] == "true"
-	exactnest := fields["exactnest"] == "true"
-	exactchange := fields["exactchange"] == "true"
-	nocache := fields["nocache"] == "true"
-	switch {
-	case exactnest && exactchange && nocache:
-		req.Engine = "prechange"
-	case !exactnest && !exactchange && !nocache:
-		req.Engine = "fast"
-	default:
-		return req, false // no engine name produces this flag combination
-	}
 	// The fit spec pins the base size the plan was fitted at; a daemon
 	// key always fits at the bound M.
 	if fields["fit"] != fmt.Sprintf("minM%d,deg3,val2", m) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"dmcc/internal/artifact"
@@ -157,7 +158,7 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 	if !ok {
 		t.Fatalf("daemon-minted key does not parse: %s", key)
 	}
-	if got.Prog != "jacobi" || got.M != 16 || got.N != 4 || got.Engine != "fast" {
+	if got.Prog != "jacobi" || got.M != 16 || got.N != 4 {
 		t.Fatalf("parsed %+v from %s", got, key)
 	}
 	// The parse must re-derive the byte-identical key.
@@ -179,17 +180,25 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 			t.Fatalf("parsePlanKey accepted %q", bad)
 		}
 	}
-	// Keys with unknown trailing fields parse lexically but fail the
-	// byte-for-byte round trip — the guard PrewarmPlans relies on.
-	mutated := key + ";extra=1"
-	if got, ok := parsePlanKey(mutated); ok {
-		p3, _ := program(&got)
-		c3, err := s.compiler(&got, p3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sweep.PlanKey(c3, got.M) == mutated {
-			t.Fatal("mutated key survives the round-trip guard")
+	// Keys with unknown trailing fields, and the keys an earlier daemon
+	// minted for the oracle engine or the greedy aligner, parse lexically
+	// but fail the byte-for-byte round trip — the guard PrewarmPlans
+	// relies on.
+	oracle := strings.Replace(key, ";exactnest=false;exactchange=false;nocache=false", ";exactnest=true;exactchange=true;nocache=true", 1)
+	greedy := strings.Replace(key, ";greedy=false", ";greedy=true", 1)
+	if oracle == key || greedy == key {
+		t.Fatalf("key lost an engine fragment: %s", key)
+	}
+	for _, mutated := range []string{key + ";extra=1", oracle, greedy} {
+		if got, ok := parsePlanKey(mutated); ok {
+			p3, _ := program(&got)
+			c3, err := s.compiler(&got, p3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sweep.PlanKey(c3, got.M) == mutated {
+				t.Fatalf("mutated key survives the round-trip guard: %s", mutated)
+			}
 		}
 	}
 }

@@ -189,10 +189,6 @@ type CompileRequest struct {
 	Source string `json:"source,omitempty"`
 	M      int    `json:"m"`
 	N      int    `json:"n"`
-	// Engine picks the cost engine: fast (default) or prechange (the
-	// exact-everything oracle).
-	Engine string `json:"engine,omitempty"`
-	Greedy bool   `json:"greedy,omitempty"`
 }
 
 // CostReport is the re-priced plan at one size.
@@ -245,7 +241,9 @@ func program(req *CompileRequest) (*ir.Program, error) {
 
 // compiler builds the compiler for a validated request — the same
 // configuration the cache key is derived from, so request and key can
-// never disagree.
+// never disagree. The daemon serves the production cost engine only: the
+// exact-everything oracle is minutes per request at sizes MaxM admits and
+// has no caller that is not a test (dmcc -engine prechange runs it).
 func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, error) {
 	if len(p.Params) != 1 {
 		// The evaluator sweeps exactly one size parameter; reject here so
@@ -253,18 +251,8 @@ func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, e
 		return nil, fmt.Errorf("program %s binds %d size parameters, the daemon serves exactly 1", p.Name, len(p.Params))
 	}
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{p.Params[0]: req.M}, req.N)
-	c.UseGreedyAlign = req.Greedy
 	c.Jobs = s.cfg.Jobs
 	c.Engines = &s.engines
-	switch req.Engine {
-	case "", "fast":
-	case "prechange":
-		c.ExactNestCount = true
-		c.ExactChangeCost = true
-		c.NoCache = true
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want fast or prechange)", req.Engine)
-	}
 	return c, nil
 }
 
@@ -349,6 +337,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if errors.Is(b.err, core.ErrPanic) {
 		s.compilePanics.Add(1)
 		httpError(w, http.StatusInternalServerError, "compile: %v", b.err)
+		return
+	}
+	var outOfRange *ir.RangeError
+	if errors.As(b.err, &outOfRange) {
+		httpError(w, http.StatusBadRequest, "%v", b.err)
 		return
 	}
 	if b.err != nil {

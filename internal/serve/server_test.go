@@ -358,8 +358,11 @@ func TestLoadHarness(t *testing.T) {
 		if row.Metrics["errors"] != 0 || row.Metrics["misses_after_warm"] != 0 {
 			t.Fatalf("row %s gateable metrics = %v", row.Variant, row.Metrics)
 		}
-		if row.Metrics["p99_ns"] <= 0 || row.Metrics["rps_wall"] <= 0 {
-			t.Fatalf("row %s wall metrics = %v", row.Variant, row.Metrics)
+		if row.Wall["p99_ns"] <= 0 || row.Wall["rps"] <= 0 {
+			t.Fatalf("row %s wall columns = %v", row.Variant, row.Wall)
+		}
+		if len(row.Metrics) != 3 {
+			t.Fatalf("row %s carries more than the deterministic metrics: %v", row.Variant, row.Metrics)
 		}
 	}
 	// The emitted JSON parses as its own baseline with zero regressions.
@@ -520,8 +523,9 @@ func TestMetricsEngineCounters(t *testing.T) {
 	}
 }
 
-// outOfExtentSource reads B five elements past its extent; pricing it
-// panics inside the owner computation (the ROADMAP's repro).
+// outOfExtentSource reads B five elements past its extent (the ROADMAP's
+// repro; before the range check its pricing panicked inside the owner
+// computation).
 const outOfExtentSource = `PROGRAM oob
 PARAM m
 REAL A(m), B(m)
@@ -531,24 +535,115 @@ DO 2 i = 1, m
 END
 `
 
-// TestCompilePanicDoesNotKillTheDaemon: a compile that panics — on a
-// fan-out worker or the flight goroutine, both beyond net/http's
-// per-request recover — is answered 500 with the panic value, counted,
-// and the next request is served.
+// panickyStore panics inside the flight's compute while armed — on the
+// flight goroutine, beyond net/http's per-request recover.
+type panickyStore struct {
+	*artifact.Store
+	armed bool
+}
+
+func (p *panickyStore) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, bool, error) {
+	return p.Store.GetOrCompute(key, func() ([]byte, error) {
+		if p.armed {
+			panic("pricing bug")
+		}
+		return compute()
+	})
+}
+
+// TestCompilePanicDoesNotKillTheDaemon: a compile that panics is answered
+// 500 with the panic value, counted, and the next request is served.
 func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
-	s, ts, _ := newTestServer(t)
+	inner, err := artifact.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &panickyStore{Store: inner, armed: true}
+	s, err := New(Config{Store: store, Jobs: 1, Warnf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	for attempt := 1; attempt <= 2; attempt++ {
-		resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: outOfExtentSource, M: 8, N: 4})
-		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "block index") {
-			t.Fatalf("attempt %d: POST /compile of a panicking program: %s: %s", attempt, resp.Status, raw)
+		resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Prog: "jacobi", M: 16, N: 4})
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "pricing bug") {
+			t.Fatalf("attempt %d: POST /compile of a panicking compile: %s: %s", attempt, resp.Status, raw)
 		}
 		if got := s.Metrics().Server.CompilePanics; got != int64(attempt) {
 			t.Fatalf("attempt %d: compile_panics = %d", attempt, got)
 		}
 	}
+	store.armed = false
 	compileProg(t, ts, "jacobi", 16, 4)
-	if g, ok := s.cfg.Store.(interface{ InFlight() int }); ok && g.InFlight() != 0 {
-		t.Errorf("%d flights left open by the failed compiles", g.InFlight())
+	if inner.InFlight() != 0 {
+		t.Errorf("%d flights left open by the failed compiles", inner.InFlight())
+	}
+}
+
+// TestBadInputIs400: what a request gets wrong is answered 400 with the
+// reason, counts as no panic and no server error, and the daemon serves
+// the next request. A subscript that leaves its extent names array,
+// subscript, line and range; "engine" and "greedy" are no longer fields
+// of the request (the daemon serves the production engine, and alignment
+// picks its algorithm from the graph).
+func TestBadInputIs400(t *testing.T) {
+	s, ts, _ := newTestServer(t)
+	oob, err := json.Marshal(CompileRequest{Source: outOfExtentSource, M: 8, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		body string
+		want []string
+	}{
+		{string(oob), []string{"B(i+5)", "subscript i+5", "line 1", "[6, 13]", "[1, 8]"}},
+		{`{"prog":"jacobi","m":16,"n":4,"engine":"prechange"}`, []string{`unknown field \"engine\"`}},
+		{`{"prog":"jacobi","m":16,"n":4,"greedy":true}`, []string{`unknown field \"greedy\"`}},
+	} {
+		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST /compile %s: %s: %s", c.body, resp.Status, raw)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(string(raw), w) {
+				t.Errorf("POST /compile %s: reply %s does not mention %s", c.body, raw, w)
+			}
+		}
+	}
+	compileProg(t, ts, "jacobi", 16, 4)
+	ms := s.Metrics()
+	if ms.Server.CompilePanics != 0 || ms.Endpoints["compile"].ServerErrors != 0 {
+		t.Errorf("compile_panics = %d, server_errors = %d after input errors", ms.Server.CompilePanics, ms.Endpoints["compile"].ServerErrors)
+	}
+}
+
+// TestManyArraySourceCompiles: a source past align.ExactMaxNodes (thirty
+// two-dimensional arrays, 60 nodes — the exact search of one segment of
+// it takes minutes) compiles in under two seconds, every segment aligned
+// by the heuristic and counted.
+func TestManyArraySourceCompiles(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/manyarrays.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts, _ := newTestServer(t)
+	start := time.Now()
+	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: string(src), M: 16, N: 4})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /compile manyarrays: %s: %s", resp.Status, raw)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("POST /compile manyarrays took %v", d)
+	}
+	ms := s.Metrics()
+	if ms.Server.Engines["greedy_alignments"] == 0 || ms.Server.CompilePanics != 0 {
+		t.Errorf("greedy_alignments = %d, compile_panics = %d", ms.Server.Engines["greedy_alignments"], ms.Server.CompilePanics)
 	}
 }
 

@@ -101,6 +101,14 @@ func (r *Result) WriteCSV(w io.Writer) error {
 				int64(row.Metrics["transport_messages"]), int64(row.Metrics["transport_words"]),
 				int64(row.Metrics["max_pair_messages"]), int64(row.Metrics["max_pair_words"]))
 		}
+	case "serve":
+		fmt.Fprintln(w, "dist,m,n,keys,requests,errors,misses_after_warm,p50_ns,p99_ns,max_ns,rps")
+		for _, row := range r.Rows {
+			fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
+				row.Variant, row.M, row.N, row.S,
+				int64(row.Metrics["requests"]), int64(row.Metrics["errors"]), int64(row.Metrics["misses_after_warm"]),
+				int64(row.Wall["p50_ns"]), int64(row.Wall["p99_ns"]), int64(row.Wall["max_ns"]), row.Wall["rps"])
+		}
 	default: // kernel sweeps
 		fmt.Fprintln(w, "variant,m,n,simtime,words,maxflops")
 		for _, row := range r.Rows {

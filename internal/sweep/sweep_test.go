@@ -2,9 +2,12 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -128,16 +131,18 @@ func writeBaseline(t *testing.T, content string) string {
 }
 
 // Compare against a baseline in dmsweep -json shape: identical metrics
-// pass, inflated current metrics regress, and wall-clock columns are
-// ignored even if present in the baseline.
+// pass, inflated current metrics regress, a baseline metric the sweep
+// does not produce is skipped, and every metric the two share is compared
+// whatever its name — "hit_ratio" was silently dropped by the name filter
+// this gate used to apply.
 func TestCompareSweepJSONBaseline(t *testing.T) {
 	res := &Result{Kind: "compile", Rows: []Row{
 		{Variant: "analytic", M: 16, N: 4, S: 4,
-			Metrics: map[string]float64{"mincost": 28, "segments": 4}},
+			Metrics: map[string]float64{"mincost": 28, "segments": 4, "hit_ratio": 2}},
 	}}
 	base := `{"sweep":"compile","rows":[
 	  {"variant":"analytic","m":16,"n":4,"s":4,
-	   "metrics":{"mincost":28,"segments":4,"compile_ns":12345}},
+	   "metrics":{"mincost":28,"segments":4,"hit_ratio":2,"not_emitted":1}},
 	  {"variant":"analytic","m":999,"n":4,"s":4,"metrics":{"mincost":1}}
 	]}`
 	path := writeBaseline(t, base)
@@ -166,109 +171,111 @@ func TestCompareSweepJSONBaseline(t *testing.T) {
 	if len(regs) != 0 {
 		t.Fatalf("7%% increase flagged at 10%% tolerance: %v", regs)
 	}
+
+	res.Rows[0].Metrics["mincost"] = 28
+	res.Rows[0].Metrics["hit_ratio"] = 3
+	regs, _, _ = Compare(path, res, 0)
+	if len(regs) != 1 || regs[0].Metric != "hit_ratio" {
+		t.Fatalf("expected a hit_ratio regression, got %v", regs)
+	}
 }
 
-// Compare understands the committed BENCH_compile.json shape: synth/s=K
-// entries gate the analytic engine's rows at the config's (m, n) on
-// dpcost and segments; wall-clock fields and non-synth entries are
-// ignored.
-func TestCompareBenchCompileBaseline(t *testing.T) {
-	base := `{
-	  "bench": "BenchmarkCompileScaling",
-	  "config": {"m": 64, "n": 16},
-	  "results": [
-	    {"name": "synth/s=4", "fast_ns": 100, "pr1_ns": 200, "prechange_ns": null,
-	     "dpcost": 28, "segments": 4},
-	    {"name": "gauss", "fast_ns": 999, "dpcost": 14024, "segments": 1}
-	  ]
-	}`
-	path := writeBaseline(t, base)
-	res := &Result{Kind: "compile", Rows: []Row{
-		{Variant: "analytic", M: 64, N: 16, S: 4,
-			Metrics: map[string]float64{"mincost": 28, "segments": 4}},
-		{Variant: "exact", M: 64, N: 16, S: 4,
-			Metrics: map[string]float64{"mincost": 9999, "segments": 9}},
-	}}
+// committedBaseline loads a BENCH_*.json from the repository root as the
+// sweep it records. The committed baselines are plain dmsweep -json
+// documents: nothing but the tool's own fields decodes, no key is a
+// wall-clock or provenance field, and the document is byte for byte what
+// Result.JSON emits for its rows (CI compares a fresh sweep to it with
+// cmp as well as with -baseline).
+func committedBaseline(t *testing.T, name, kind string) (string, *Result) {
+	t.Helper()
+	path := filepath.Join("..", "..", name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc JSONOutput
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("%s is not a plain -json document: %v", name, err)
+	}
+	if doc.Sweep != kind || len(doc.Rows) == 0 {
+		t.Fatalf("%s: sweep %q with %d rows, want %q", name, doc.Sweep, len(doc.Rows), kind)
+	}
+	res := &Result{Kind: doc.Sweep}
+	ephemeral := regexp.MustCompile(`_ns|wall|speedup|date|cpu`)
+	for _, r := range doc.Rows {
+		for k := range r.Metrics {
+			if ephemeral.MatchString(k) {
+				t.Errorf("%s: row %s carries the non-deterministic key %q", name, rowID(r.Variant, r.M, r.N, r.S), k)
+			}
+		}
+		res.Rows = append(res.Rows, Row{Variant: r.Variant, M: r.M, N: r.N, S: r.S, Metrics: r.Metrics})
+	}
+	again, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, raw) {
+		t.Errorf("%s is not canonical: re-emitting its rows changes its bytes", name)
+	}
+	return path, res
+}
+
+// gatesCommitted checks Compare on a committed baseline: the sweep it
+// records passes at tolerance 0 with every row matched, and one unit more
+// on the named metric of the named row is exactly one regression.
+func gatesCommitted(t *testing.T, name, kind, variant string, n int, metric string) {
+	t.Helper()
+	path, res := committedBaseline(t, name, kind)
 	regs, notes, err := Compare(path, res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("matching run flagged: %v", regs)
+	if len(regs) != 0 || len(notes) != 0 {
+		t.Fatalf("%s against itself: regressions %v, notes %v", name, regs, notes)
 	}
-	if len(notes) != 0 {
-		t.Fatalf("unexpected notes: %v", notes)
+	for i, row := range res.Rows {
+		if row.Variant != variant || row.N != n {
+			continue
+		}
+		bumped := map[string]float64{}
+		for k, v := range row.Metrics {
+			bumped[k] = v
+		}
+		if _, ok := bumped[metric]; !ok {
+			t.Fatalf("%s: row %s has no %s", name, variant, metric)
+		}
+		bumped[metric]++
+		res.Rows[i].Metrics = bumped
+		regs, _, _ = Compare(path, res, 0)
+		if len(regs) != 1 || regs[0].Metric != metric || !strings.Contains(regs[0].Row, fmt.Sprintf("%s m=64 n=%d", variant, n)) {
+			t.Fatalf("expected one %s regression on %s n=%d, got %v", metric, variant, n, regs)
+		}
+		return
 	}
-	res.Rows[0].Metrics["segments"] = 5
-	regs, _, _ = Compare(path, res, 0)
-	if len(regs) != 1 || regs[0].Metric != "segments" {
-		t.Fatalf("expected a segments regression, got %v", regs)
-	}
+	t.Fatalf("%s has no row %s n=%d", name, variant, n)
 }
 
-// Compare understands the committed BENCH_exec.json shape: prog entries
-// gate the batched arm, with naive_messages renamed to messages.
+// The committed BENCH_compile.json gates both engines of the compile
+// sweep at m=64, N=16 on mincost and segments.
+func TestCompareBenchCompileBaseline(t *testing.T) {
+	gatesCommitted(t, "BENCH_compile.json", "compile", "analytic", 16, "segments")
+	gatesCommitted(t, "BENCH_compile.json", "compile", "exact", 16, "mincost")
+}
+
+// The committed BENCH_exec.json gates the batched arm and the per-element
+// oracle of the exec sweep at m=64, N=16.
 func TestCompareBenchExecBaseline(t *testing.T) {
-	base := `{
-	  "bench": "dmsweep -sweep exec (batched engine)",
-	  "config": {"m": 64, "n": 16},
-	  "results": [
-	    {"prog": "jacobi", "wall_ns": 123, "simtime": 1634,
-	     "naive_messages": 1536, "transport_messages": 810,
-	     "words": 1536, "max_msg_words": 32}
-	  ]
-	}`
-	path := writeBaseline(t, base)
-	res := &Result{Kind: "exec", Rows: []Row{
-		{Variant: "jacobi/batched", M: 64, N: 16,
-			Metrics: map[string]float64{"simtime": 1634, "messages": 1536,
-				"transport_messages": 810, "words": 1536, "max_msg_words": 32}},
-		{Variant: "jacobi/exact", M: 64, N: 16,
-			Metrics: map[string]float64{"simtime": 99999}},
-	}}
-	regs, _, err := Compare(path, res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("matching run flagged: %v", regs)
-	}
-	res.Rows[0].Metrics["simtime"] = 2000
-	regs, _, _ = Compare(path, res, 0.01)
-	if len(regs) != 1 || regs[0].Metric != "simtime" {
-		t.Fatalf("expected a simtime regression, got %v", regs)
-	}
+	gatesCommitted(t, "BENCH_exec.json", "exec", "jacobi/batched", 16, "simtime")
+	gatesCommitted(t, "BENCH_exec.json", "exec", "gauss/exact", 16, "messages")
 }
 
-// Compare understands the committed BENCH_scale.json shape: each entry
-// carries its own prog and n, the variant is the program name, and the
-// sim_ns wall-clock field is ignored.
+// The committed BENCH_scale.json gates the scale sweep per program and N,
+// through N=4096.
 func TestCompareBenchScaleBaseline(t *testing.T) {
-	base := `{
-	  "bench": "dmsweep -sweep scale -m 64 -n 16,64",
-	  "config": {"m": 64},
-	  "results": [
-	    {"prog": "jacobi", "n": 16, "sim_ns": 7148345, "simtime": 1634, "transport_words": 1248},
-	    {"prog": "jacobi", "n": 64, "sim_ns": 9759490, "simtime": 874, "transport_words": 2800}
-	  ]
-	}`
-	path := writeBaseline(t, base)
-	res := &Result{Kind: "scale", Rows: []Row{
-		{Variant: "jacobi", M: 64, N: 16, Metrics: map[string]float64{"simtime": 1634, "transport_words": 1248}},
-		{Variant: "jacobi", M: 64, N: 64, Metrics: map[string]float64{"simtime": 874, "transport_words": 2800}},
-	}}
-	regs, _, err := Compare(path, res, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 0 {
-		t.Fatalf("matching run flagged: %v", regs)
-	}
-	res.Rows[1].Metrics["transport_words"] = 2801
-	regs, _, _ = Compare(path, res, 0)
-	if len(regs) != 1 || regs[0].Metric != "transport_words" || !strings.Contains(regs[0].Row, "jacobi m=64 n=64") {
-		t.Fatalf("expected a transport_words regression at n=64, got %v", regs)
-	}
+	gatesCommitted(t, "BENCH_scale.json", "scale", "jacobi", 64, "transport_words")
+	gatesCommitted(t, "BENCH_scale.json", "scale", "gauss", 4096, "max_pair_words")
 }
 
 // A baseline whose grid shares nothing with the sweep is an error, not
@@ -284,11 +291,17 @@ func TestCompareRejectsDisjointBaseline(t *testing.T) {
 	}
 }
 
+// A document without "rows" is an error — the hand-shaped
+// {"bench", "results"} files this gate once parsed included.
 func TestCompareRejectsUnknownShape(t *testing.T) {
-	path := writeBaseline(t, `{"something":"else"}`)
 	res := &Result{Kind: "compile", Rows: []Row{{Variant: "x", M: 1, N: 1}}}
-	if _, _, err := Compare(path, res, 0); err == nil {
-		t.Fatal("unknown baseline shape should be an error")
+	for _, doc := range []string{
+		`{"something":"else"}`,
+		`{"bench":"BenchmarkCompileScaling","config":{"m":1,"n":1},"results":[{"name":"synth/s=4","dpcost":28}]}`,
+	} {
+		if _, _, err := Compare(writeBaseline(t, doc), res, 0); err == nil {
+			t.Fatalf("baseline %s should be an error", doc)
+		}
 	}
 }
 
