@@ -9,7 +9,7 @@
 //	dmrun -kernel gauss       -m 64 -n 8 [-broadcast]
 //	dmrun -kernel cannon      -m 64 -n 4            (n = grid side q)
 //	dmrun -kernel jacobi -exec -m 64 -n 8 -iters 10  (IR program through the
-//	                                                  naive exec backend with
+//	                                                  exec backend with
 //	                                                  compiler-chosen schemes)
 //	flags: -overlap (comm/comp overlap), -async (asynchronous collectives),
 //	       -trace (per-processor time breakdown + Gantt chart),
@@ -165,8 +165,8 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 
 // runExec compiles the kernel's IR program (whole-program schemes via
 // Algorithm 1's segment cost), executes it on the batched exec backend,
-// verifies against the sequential reference, and reports both the naive
-// cost model's statistics and what the vectored transport actually moved.
+// verifies against the sequential reference, and reports what the
+// vectored transport moved on the simulated machine.
 func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) error {
 	a, b, _ := matrix.DiagonallyDominant(m, seed)
 	var p *ir.Program
@@ -214,13 +214,13 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) err
 	}
 	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, iters),
 		res.Stats, matrix.MaxAbsDiff(x, ref))
-	fmt.Printf("  transport (batched): %d messages, %d words, largest message %d words; stores hold %d words, at most %d on one processor\n",
-		res.Transport.Messages, res.Transport.Words, res.Transport.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
+	fmt.Printf("  largest message %d words; stores hold %d words, at most %d on one processor\n",
+		res.Stats.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n",
-		res.Transport.MaxPairMessages, res.Transport.MaxPairWords)
-	fmt.Printf("  wall: inspect %v, machine %v, replay %v, assemble %v\n",
+		res.Stats.MaxPairMessages, res.Stats.MaxPairWords)
+	fmt.Printf("  wall: inspect %v, machine %v, assemble %v\n",
 		res.InspectWall.Round(time.Microsecond), res.SimWall.Round(time.Microsecond),
-		res.ReplayWall.Round(time.Microsecond), res.AssembleWall.Round(time.Microsecond))
+		res.AssembleWall.Round(time.Microsecond))
 	return nil
 }
 

@@ -64,12 +64,13 @@ func main() {
 	}
 	scalars := map[string]float64{"OMEGA": omega}
 
-	// Execute the compiled program with the naive backend.
+	// Execute the compiled program with the naive backend: the per-element
+	// engine, one message per remote operand.
 	_, ss, err := compiler.SegmentCost(1, len(prog.Nests))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := exec.Run(prog, ss, map[string]int{"m": m}, scalars, iters, machine.DefaultConfig(), input)
+	res, err := exec.RunExact(prog, ss, map[string]int{"m": m}, scalars, iters, machine.DefaultConfig(), input)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -330,22 +330,21 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (payloa
 	}
 	f := s.flights.join(key)
 	defer s.flights.leave(key, f)
-	f.once.Do(func() {
+	return f.do(func() ([]byte, bool, error) {
 		// Re-check under the flight: a concurrent worker may have
 		// finished its Put between our Get and joining. The miss above
 		// already counted; don't count this probe as a second one.
 		if p, ok := s.get(key, false); ok {
-			f.payload, f.cached = p, true
-			return
+			return p, true, nil
 		}
-		f.payload, f.err = compute()
-		if f.err == nil {
-			if perr := s.Put(key, f.payload); perr != nil {
+		p, err := compute()
+		if err == nil {
+			if perr := s.Put(key, p); perr != nil {
 				s.warnf("artifact: %v", perr)
 			}
 		}
+		return p, false, err
 	})
-	return f.payload, f.cached, f.err
 }
 
 // Keys enumerates the key texts of every valid-looking record on disk,

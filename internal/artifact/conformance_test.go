@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // backendHarness builds one backend flavor for the battery. dirs are
@@ -73,6 +74,41 @@ func harnesses() []backendHarness {
 				return tr, []string{local.Dir(), upstream.Dir()}
 			},
 		},
+	}
+}
+
+// flightsOf is the single-flight group behind a conformance backend.
+func flightsOf(t *testing.T, b Backend) *flightGroup {
+	t.Helper()
+	switch b := b.(type) {
+	case *Store:
+		return &b.flights
+	case *Remote:
+		return &b.flights
+	case *Tiered:
+		return &b.flights
+	}
+	t.Fatalf("no flight group in %T", b)
+	return nil
+}
+
+// flightRefs is the number of callers joined to key's flight.
+func flightRefs(g *flightGroup, key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if f := g.m[key]; f != nil {
+		return f.refs
+	}
+	return 0
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timed out waiting")
+		}
 	}
 }
 
@@ -138,6 +174,43 @@ func TestBackendConformance(t *testing.T) {
 				payload, cached, err := b.GetOrCompute(key, func() ([]byte, error) { return []byte("fresh"), nil })
 				if err != nil || cached || string(payload) != "fresh" {
 					t.Fatalf("after a panicked flight: %q, cached=%v, %v; want a fresh compute", payload, cached, err)
+				}
+			})
+
+			t.Run("panicked-flight-fails-its-waiters", func(t *testing.T) {
+				b, _ := h.open(t)
+				key := KeyOf("kind=conf", "panics-with-a-waiter")
+				g := flightsOf(t, b)
+				started, release := make(chan struct{}), make(chan struct{})
+				leader := make(chan any)
+				go func() {
+					defer func() { leader <- recover() }()
+					b.GetOrCompute(key, func() ([]byte, error) {
+						close(started)
+						<-release
+						panic("compute bug")
+					})
+				}()
+				<-started
+				type outcome struct {
+					payload []byte
+					cached  bool
+					err     error
+				}
+				waiter := make(chan outcome)
+				go func() {
+					p, cached, err := b.GetOrCompute(key, func() ([]byte, error) {
+						return []byte("the waiter's own compute"), nil
+					})
+					waiter <- outcome{p, cached, err}
+				}()
+				waitFor(t, func() bool { return flightRefs(g, key) == 2 })
+				close(release)
+				if r := <-leader; r == nil {
+					t.Fatal("the compute's panic did not reach the caller that ran it")
+				}
+				if got := <-waiter; got.err == nil {
+					t.Fatalf("a waiter parked on the panicked flight got %q, cached=%v and no error", got.payload, got.cached)
 				}
 			})
 

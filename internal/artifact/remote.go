@@ -204,19 +204,18 @@ func (r *Remote) Put(key string, payload []byte) error {
 func (r *Remote) GetOrCompute(key string, compute func() ([]byte, error)) (payload []byte, cached bool, err error) {
 	f := r.flights.join(key)
 	defer r.flights.leave(key, f)
-	f.once.Do(func() {
+	return f.do(func() ([]byte, bool, error) {
 		if p, ok := r.Get(key); ok {
-			f.payload, f.cached = p, true
-			return
+			return p, true, nil
 		}
-		f.payload, f.err = compute()
-		if f.err == nil {
-			if perr := r.Put(key, f.payload); perr != nil {
+		p, err := compute()
+		if err == nil {
+			if perr := r.Put(key, p); perr != nil {
 				r.warn("%v", perr)
 			}
 		}
+		return p, false, err
 	})
-	return f.payload, f.cached, f.err
 }
 
 // GC is a no-op: the peer owns its own eviction.

@@ -7,16 +7,36 @@
 // tiered backend can fuse one flight across both of its tiers.
 package artifact
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
+
+// errFlightPanicked is what the waiters of a flight whose computation
+// panicked receive; the panic itself reaches only the caller that ran it.
+var errFlightPanicked = errors.New("artifact: the computation this call waited on panicked")
 
 // flight is one in-progress computation. Waiters share the result via
-// the embedded sync.Once.
+// do.
 type flight struct {
 	once    sync.Once
 	payload []byte
 	cached  bool
 	err     error
 	refs    int
+}
+
+// do runs body once per flight and hands every caller its result.
+// sync.Once counts a panicking body as done, so the panic error is
+// recorded before the body runs and replaced only when it returns: a
+// waiter parked on a panicked flight gets an error, never a nil payload
+// with a nil error.
+func (f *flight) do(body func() ([]byte, bool, error)) ([]byte, bool, error) {
+	f.once.Do(func() {
+		f.err = errFlightPanicked
+		f.payload, f.cached, f.err = body()
+	})
+	return f.payload, f.cached, f.err
 }
 
 // flightGroup tracks the active flights of one backend.

@@ -104,22 +104,21 @@ func (t *Tiered) GetOrCompute(key string, compute func() ([]byte, error)) (paylo
 	}
 	f := t.flights.join(key)
 	defer t.flights.leave(key, f)
-	f.once.Do(func() {
+	return f.do(func() ([]byte, bool, error) {
 		// Re-check both tiers under the flight: a concurrent worker or a
 		// peer daemon may have finished while we joined. The miss above
 		// already counted; don't count this probe as a second one.
 		if p, ok := t.get(key, false); ok {
-			f.payload, f.cached = p, true
-			return
+			return p, true, nil
 		}
-		f.payload, f.err = compute()
-		if f.err == nil {
-			if perr := t.Put(key, f.payload); perr != nil {
+		p, err := compute()
+		if err == nil {
+			if perr := t.Put(key, p); perr != nil {
 				t.warnf("artifact: %v", perr)
 			}
 		}
+		return p, false, err
 	})
-	return f.payload, f.cached, f.err
 }
 
 // GC evicts from the local tier only; the peer owns its own eviction.

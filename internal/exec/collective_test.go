@@ -15,8 +15,8 @@ import (
 // collective transport must move at least 5x fewer words than the
 // point-to-point vectored exchange it replaced (144150 words and 18820
 // messages when that lowering was deleted; the bar is 28830 words),
-// while staying bit-identical to RunExact on values and naive stats and
-// never exceeding the naive transport (only-drop).
+// while staying bit-identical to RunExact on values and flops and never
+// exceeding the per-element transport (only-drop).
 func TestCollectiveGaussWordDrop(t *testing.T) {
 	const m, n = 64, 16
 	const p2pWords, p2pMessages = 144150, 18820

@@ -1,9 +1,10 @@
 // The per-element reference engine: the original naive backend kept as
 // the oracle behind RunExact, mirroring the CountNestOptsExact
 // discipline. Every remote operand crosses the network as its own
-// one-word message, exactly as a 1993 naive compiler would emit it; the
-// batched engine in schedule.go/executor.go must reproduce its Values
-// and Stats bit for bit (TestBatchedMatchesExact).
+// one-word message, exactly as a 1993 naive compiler would emit it, so
+// its Stats are the Section 6 naive figure. The batched engine in
+// schedule.go/executor.go must reproduce its Values and flops bit for
+// bit and never move more messages or words (TestBatchedMatchesExact).
 
 package exec
 
@@ -22,7 +23,8 @@ import (
 // Unlike Run it performs no message batching: a processor may emit a
 // full boundary row (m one-word messages, plus reduction traffic) before
 // its peer drains any of it, and every one of them is a scheduler event.
-// Use RunExact only as a differential oracle.
+// Use RunExact as the differential oracle and for the naive figure, not
+// to execute programs.
 func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
@@ -81,7 +83,6 @@ func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars ma
 			}
 		}
 	}
-	// The per-element engine is its own transport: one word per message.
 	return Result{Values: out, Stats: st, Transport: st}, nil
 }
 

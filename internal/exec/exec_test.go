@@ -111,14 +111,15 @@ func TestExecGauss(t *testing.T) {
 }
 
 // TestExecNaiveCostExceedsPipelinedKernel: the point of Sections 5-6,
-// measured end to end — the naive backend's simulated makespan is far
-// above the hand-pipelined kernel computing the same values.
+// measured end to end — the naive backend's (RunExact's) simulated
+// makespan is far above the hand-pipelined kernel computing the same
+// values.
 func TestExecNaiveCostExceedsPipelinedKernel(t *testing.T) {
 	m, n := 32, 4
 	a, b, _ := matrix.DiagonallyDominant(m, 313)
 	p := ir.Gauss()
 	ss := wholeProgramSchemes(t, p, m, n)
-	res, err := Run(p, ss, map[string]int{"m": m}, nil, 1, machine.DefaultConfig(),
+	res, err := RunExact(p, ss, map[string]int{"m": m}, nil, 1, machine.DefaultConfig(),
 		loadLinearSystem(p, a, b, nil))
 	if err != nil {
 		t.Fatal(err)

@@ -166,7 +166,7 @@ func (x *valExec) local(e elemID) (a, i int) {
 	a = e.arr()
 	am, off := &x.s.arrays[a], e.off()
 	if am.cell[off] != am.rankCell[x.me] {
-		_, idx := x.s.decode(e)
+		idx := x.s.decode(e)
 		panic(fmt.Sprintf("exec: processor %d accesses %s%v, which it does not own", x.me, am.name, idx))
 	}
 	return a, int(am.loc[off])

@@ -40,7 +40,7 @@ func checkLayout(t *testing.T, c layoutCase) (words []int) {
 	for r := 0; r < c.g.Size(); r++ {
 		seen := make([]bool, am.storeLen(r))
 		for off := 0; off < am.size; off++ {
-			_, idx := s.decode(mkElem(0, off))
+			idx := s.decode(mkElem(0, off))
 			held := am.cell[off] == am.rankCell[r]
 			if owns := c.sch.IsOwner(c.g, r, idx...); held != owns {
 				t.Fatalf("%s: rank %d, element %v: in the rank's cell %v, IsOwner %v", c.label, r, idx, held, owns)

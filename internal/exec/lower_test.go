@@ -227,7 +227,7 @@ func TestLoweringMatchesIR(t *testing.T) {
 				for off := 0; off < am.size; off++ {
 					v := 1 + rng.Float64()
 					x.storeElem(mkElem(a, off), v)
-					_, idx := s.decode(mkElem(a, off))
+					idx := s.decode(mkElem(a, off))
 					vals.Store(am.name, idx, v)
 				}
 			}

@@ -8,30 +8,18 @@
 // epoch's pair traffic can be hoisted to the epoch boundary and sent as
 // one vectored machine.Send per pair (the inspector/executor move of
 // Li & Chen's communication-set generation; message vectorization in
-// the Gupta & Banerjee lineage). Two artifacts come out of the walk:
-//
-//   - per-processor instruction streams (redistribute / direct-send /
-//     reduce / eval) that the value executor (executor.go) runs with
-//     batched communication, deadlock-free by construction: every round
-//     of an exchange moves at most one vectored message per ordered
-//     pair, every processor sends its vectors before receiving any, and
-//     all per-element residual traffic follows one global order shared
-//     by all processors;
-//
-//   - a timeline of the per-element engine's communication and
-//     computation events, in its exact global lockstep order. The
-//     naive cost model is value-independent — simulated clocks depend
-//     only on the event schedule, never on the data — so replayStats
-//     re-derives the per-element engine's Stats (clocks, messages,
-//     words, flops, trace events) bit for bit without moving a single
-//     per-element message.
+// the Gupta & Banerjee lineage). What comes out of the walk is one
+// instruction stream per processor (redistribute / direct-send / reduce
+// / eval) that the value executor (executor.go) runs with batched
+// communication, deadlock-free by construction: every round of an
+// exchange moves at most one vectored message per ordered pair, every
+// processor sends its vectors before receiving any, and all per-element
+// residual traffic follows one global order shared by all processors.
 //
 // The hot path works on integers only: each nest is lowered once
 // (lower.go) to slot-indexed affine forms and array ids, and elements are
 // elemID integers (array id + row-major offset). Names and "arr!i,j"
-// strings survive only at the ir.Storage boundary and in the nest-end
-// finalize ordering, which sorts by the legacy string key to stay
-// byte-identical with RunExact.
+// strings survive only at the ir.Storage boundary.
 
 package exec
 
@@ -44,7 +32,6 @@ import (
 	"dmcc/internal/dist"
 	"dmcc/internal/grid"
 	"dmcc/internal/ir"
-	"dmcc/internal/machine"
 )
 
 // elemID packs (array id, 0-based row-major element offset) into one
@@ -233,8 +220,6 @@ type nestSchedule struct {
 	// loops and stmts are the nest lowered once against the binding.
 	loops []lloop
 	stmts []lstmt
-	// timeline is the per-element engine's global event order.
-	timeline []top
 	// procs[r] is processor r's value-pass instruction stream: flat,
 	// pointer-free records indexing the nest's arenas — envs holds each
 	// instance's loop vector once (shared by its executors), slots every
@@ -245,18 +230,6 @@ type nestSchedule struct {
 	reds    []*redOp
 	redists []*redistOp
 }
-
-// top is one timeline event of the naive model: a one-word transfer or
-// a local computation.
-type top struct {
-	kind uint8
-	a, b int32 // xfer: src, dst; compute: proc, flops
-}
-
-const (
-	tXfer uint8 = iota
-	tCompute
-)
 
 // pinstr is one value-pass instruction of one processor.
 type pinstr struct {
@@ -508,9 +481,9 @@ func (s *progSchedule) elemOf(a int, idx []int) (elemID, bool) {
 	return mkElem(a, off), true
 }
 
-// decode is elemOf's inverse, used only at the ir.Storage boundary, for
-// the nest-end finalize ordering and in diagnostics.
-func (s *progSchedule) decode(e elemID) (string, []int) {
+// decode is elemOf's inverse: the element's 1-based subscripts, used only
+// at the ir.Storage boundary and in diagnostics.
+func (s *progSchedule) decode(e elemID) []int {
 	am := &s.arrays[e.arr()]
 	idx := make([]int, len(am.ext))
 	off := e.off()
@@ -518,7 +491,7 @@ func (s *progSchedule) decode(e elemID) (string, []int) {
 		idx[d] = off%am.ext[d] + 1
 		off /= am.ext[d]
 	}
-	return am.name, idx
+	return idx
 }
 
 // storeWords is the total length of rank r's local stores.
@@ -566,10 +539,9 @@ type nestBuilder struct {
 	// which makes the dedup window every ship since the element's last
 	// write — spanning epoch cuts, not reset by them: the surviving
 	// ship's value is gathered at its own epoch boundary, before any
-	// write that could invalidate it. The timeline still records every
-	// ship — the naive model prices them all — and eval slots still
-	// reference every operand; they resolve by (origin, element)
-	// against the buffered copy.
+	// write that could invalidate it. Eval slots still reference every
+	// operand; they resolve by (origin, element) against the buffered
+	// copy.
 	seen dense[[]uint64]
 	// scratch
 	readElem []elemID
@@ -605,25 +577,14 @@ func (s *progSchedule) buildNest(nest *ir.Nest) (*nestSchedule, error) {
 	if err := b.walk(0); err != nil {
 		return nil, err
 	}
-	// Combine reductions still pending at nest end, in the legacy
-	// string-key order the per-element engine uses (sort.Strings over
-	// pkeys), so the event sequence stays byte-identical.
-	type pend struct {
-		key string
-		e   elemID
-	}
-	var keys []pend
+	// Combine reductions still pending at nest end. Nest-end finalizes are
+	// hoistable: no later statement of the nest reads them, so the whole
+	// set coalesces into one vectored exchange, in element order.
+	elems := make([]elemID, 0, len(b.pending))
 	for e := range b.pending {
-		name, idx := s.decode(e)
-		keys = append(keys, pend{pkey(name, idx), e})
+		elems = append(elems, e)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].key < keys[j].key })
-	// Nest-end finalizes are hoistable: no later statement of the nest
-	// reads them, so the whole set coalesces into one vectored exchange.
-	elems := make([]elemID, len(keys))
-	for i, k := range keys {
-		elems[i] = k.e
-	}
+	slices.Sort(elems)
 	b.emitBatch(elems, false)
 	b.closeEpoch()
 	return ns, nil
@@ -669,8 +630,8 @@ func (b *nestBuilder) emit(p int, in pinstr) {
 	b.ns.procs[p] = append(b.ns.procs[p], in)
 }
 
-// instance inspects one dynamic statement instance, appending its
-// events to the timeline and its work to the per-processor streams.
+// instance inspects one dynamic statement instance, appending its work
+// to the per-processor streams.
 // The decomposition (forced finalizes, executor set, ship list,
 // pending bookkeeping, evaluation) replicates engine.instance exactly.
 func (b *nestBuilder) instance(si int, st *lstmt) error {
@@ -773,9 +734,9 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		s.noteWrite(lhsElem)
 	}
 
-	// Emit the ships: timeline events in the global lockstep order, and
-	// either an epoch-batched pair entry or — for elements this
-	// instance's own finalizes just wrote — a residual direct send.
+	// Emit the ships, in the global lockstep order: each is either an
+	// epoch-batched pair entry or — for elements this instance's own
+	// finalizes just wrote — a residual direct send.
 	for len(b.exSlots) < len(executors) {
 		b.exSlots = append(b.exSlots, nil)
 	}
@@ -783,7 +744,6 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		b.exSlots[xi] = b.exSlots[xi][:0]
 	}
 	for _, sh := range b.ships {
-		b.ns.timeline = append(b.ns.timeline, top{kind: tXfer, a: sh.src, b: sh.ex})
 		xi := indexOf(executors, int(sh.ex))
 		if *b.written.at(s, sh.e) == b.epoch {
 			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
@@ -824,13 +784,11 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 				b.emitEval(ex, pinstr{op: opEval, role: roleRecvOnly}, b.exSlots[xi])
 			}
 		}
-		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(contrib), b: int32(st.Flops)})
 		return nil
 	}
 
 	for xi, ex := range executors {
 		b.emitEval(ex, in, b.exSlots[xi])
-		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(ex), b: int32(st.Flops)})
 	}
 	b.markWritten(lhsElem)
 	return nil
@@ -851,32 +809,16 @@ func (b *nestBuilder) markWritten(e elemID) {
 	clear(*b.seen.at(b.s, e))
 }
 
-// recordFinalize pops a pending reduction and records everything the
-// combine means for the NAIVE model — the per-element star's timeline
-// events (contributors send partials to the accumulator's first owner,
-// which folds them in contributor order and redistributes the total to
-// the other owners), the liveness site, and the written mark — without
-// choosing a transport lowering. replayStats stays bit-identical to
-// RunExact no matter how the value pass actually moves the partials.
+// recordFinalize pops a pending reduction and records what every
+// lowering of its combine needs — the contributors, the owners and the
+// root (the accumulator's first owner, which folds the partials in
+// contributor order), the liveness site, and the written mark — without
+// choosing the lowering; emitBatch does that for the whole batch.
 func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	contribs := b.pending[e]
 	delete(b.pending, e)
 	owners := b.s.ownersOf(e)
-	root := owners[0]
-
-	for _, c := range contribs {
-		if c != root {
-			b.ns.timeline = append(b.ns.timeline, top{kind: tXfer, a: int32(c), b: int32(root)})
-		}
-		b.ns.timeline = append(b.ns.timeline, top{kind: tCompute, a: int32(root), b: 1})
-	}
-	for _, o := range owners {
-		if o != root {
-			b.ns.timeline = append(b.ns.timeline, top{kind: tXfer, a: int32(root), b: int32(o)})
-		}
-	}
-
-	f := &finOp{elem: e, contribs: contribs, owners: owners, root: root}
+	f := &finOp{elem: e, contribs: contribs, owners: owners, root: owners[0]}
 	b.s.noteFinalize(e, f)
 	b.markWritten(e)
 	return f
@@ -1104,68 +1046,6 @@ func (b *nestBuilder) lowerCollective() {
 			b.ns.procs[p] = append(b.ns.procs[p], in)
 		}
 	}
-}
-
-// replayStats re-derives the per-element engine's Stats by replaying
-// the timeline single-threadedly. Every clock update mirrors
-// machine.Compute / machine.Send / machine.Recv expression for
-// expression (one-word messages), so the result — including trace
-// events — is bit-identical to what RunExact's machine produces.
-func (s *progSchedule) replayStats(iters int, cfg machine.Config) machine.Stats {
-	n := s.nprocs
-	clock := make([]float64, n)
-	flops := make([]int64, n)
-	msgs := make([]int64, n)
-	words := make([]int64, n)
-	maxw := make([]int64, n)
-	// Per-pair counters use the same sparse machine.PairTally as the
-	// machine, so the ProcStats snapshots DeepEqual the oracle's.
-	pairs := make([]machine.PairTally, n)
-	tr := cfg.Tracer
-	for it := 0; it < iters; it++ {
-		for _, ns := range s.nests {
-			for _, op := range ns.timeline {
-				switch op.kind {
-				case tCompute:
-					p, f := op.a, op.b
-					flops[p] += int64(f)
-					before := clock[p]
-					clock[p] += float64(f) * cfg.Tf
-					if tr != nil && clock[p] > before {
-						tr.Record(machine.Event{Proc: int(p), Kind: machine.EvCompute, Start: before, End: clock[p], Peer: -1})
-					}
-				case tXfer:
-					src, dst := op.a, op.b
-					before := clock[src]
-					var arrival float64
-					clock[src], arrival = cfg.SendTiming(clock[src], 1)
-					msgs[src]++
-					words[src]++
-					if maxw[src] < 1 {
-						maxw[src] = 1
-					}
-					pairs[src].Note(int(dst), 1)
-					if tr != nil && arrival > before {
-						tr.Record(machine.Event{Proc: int(src), Kind: machine.EvSend, Start: before, End: arrival, Peer: int(dst), Words: 1})
-					}
-					if arrival > clock[dst] {
-						if tr != nil {
-							tr.Record(machine.Event{Proc: int(dst), Kind: machine.EvWait, Start: clock[dst], End: arrival, Peer: int(src)})
-						}
-						clock[dst] = arrival
-					}
-				}
-			}
-		}
-	}
-	var st machine.Stats
-	st.PerProc = make([]machine.ProcStats, n)
-	for r := 0; r < n; r++ {
-		st.PerProc[r] = machine.ProcStats{Clock: clock[r], Flops: flops[r], Messages: msgs[r], Words: words[r], MaxMsgWords: maxw[r],
-			Peers: pairs[r].Snapshot()}
-		st.AddProc(st.PerProc[r])
-	}
-	return st
 }
 
 func indexOf(xs []int, v int) int {

@@ -1,8 +1,5 @@
-// Run statistics. The machine and the exec backend's naive-cost replay
-// both tally per-pair traffic through PairTally and fold per-processor
-// snapshots into Stats through AddProc, so "bit-identical Stats" across
-// engines is a structural property rather than copies of the same
-// aggregation loop kept in sync by hand.
+// Run statistics. The machine tallies per-pair traffic through PairTally
+// and folds per-processor snapshots into Stats through AddProc.
 package machine
 
 import "sort"

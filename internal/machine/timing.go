@@ -1,10 +1,9 @@
 // The one pricing function of the point-to-point clock model. The
-// machine (Proc.Send) and the exec backend's single-threaded naive-cost
-// replay both advance clocks through SendTiming, so a message costs
-// exactly the same whether it is moved or only replayed. The Table 1
-// collective formulas build on the same Tc (collectives.go); keeping the
-// per-message half here means a timing change cannot silently split the
-// two apart.
+// machine (Proc.Send) advances clocks through SendTiming, and so does the
+// sequential model the runtime differential test holds the scheduler to.
+// The Table 1 collective formulas build on the same Tc (collectives.go);
+// keeping the per-message half here means a timing change cannot
+// silently split the two apart.
 
 package machine
 

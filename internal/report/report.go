@@ -458,8 +458,9 @@ func Idleness(m, n int) (string, error) {
 	return b.String(), nil
 }
 
-// NaiveBackend compares the exec interpreter (the Section 6 "naive
-// compiler" made executable) against the pipelined kernel for SOR.
+// NaiveBackend compares the per-element exec engine (RunExact, the
+// Section 6 "naive compiler" made executable) against the pipelined
+// kernel for SOR.
 func NaiveBackend(m, n int) (string, error) {
 	p := ir.SOR()
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
@@ -477,7 +478,7 @@ func NaiveBackend(m, n int) (string, error) {
 		input.Store("B", []int{i}, bb[i-1])
 		input.Store("X", []int{i}, 0)
 	}
-	res, err := exec.Run(p, ss, map[string]int{"m": m}, map[string]float64{"OMEGA": 1.2},
+	res, err := exec.RunExact(p, ss, map[string]int{"m": m}, map[string]float64{"OMEGA": 1.2},
 		2, machine.DefaultConfig(), input)
 	if err != nil {
 		return "", err

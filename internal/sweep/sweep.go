@@ -586,13 +586,9 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 				for _, engine := range []string{"batched", "exact"} {
 					exact := engine == "exact"
 					cfg := machine.DefaultConfig()
-					keyParts := execKeyParts("exec", engine, pr, m, n, cfg)
-					if !exact {
-						keyParts = append(keyParts, "redist=collective")
-					}
 					pts = append(pts, point{
 						variant: pr.name + "/" + engine, m: m, n: n,
-						key:     artifact.KeyOf(keyParts...),
+						key:     execKey("exec", engine, pr, m, n, cfg),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
 							res, err := execPoint(pr, exact, m, n, cfg)
@@ -627,7 +623,7 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 				var simNS float64
 				pts = append(pts, point{
 					variant: pr.name, m: m, n: n,
-					key:     artifact.KeyOf(append(execKeyParts("scale", "", pr, m, n, cfg), "redist=collective")...),
+					key:     execKey("scale", "", pr, m, n, cfg),
 					wallCol: "wall_ns",
 					compute: func() (map[string]float64, error) {
 						res, err := execPoint(pr, false, m, n, cfg)
@@ -651,17 +647,16 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 	return &Result{Kind: "scale", Rows: rows}, nil
 }
 
-// execKeyParts is the cache-key text shared by the exec and scale
-// families. engine names the exec sweep's arm; the scale family has one
-// and passes "".
-func execKeyParts(kind, engine string, pr execProg, m, n int, cfg machine.Config) []string {
+// execKey is the cache key shared by the exec and scale families. engine
+// names the exec sweep's arm; the scale family has one and passes "".
+func execKey(kind, engine string, pr execProg, m, n int, cfg machine.Config) string {
 	parts := []string{"kind=" + kind, "prog=" + core.ProgramHash(pr.mk())}
 	if engine != "" {
 		parts = append(parts, "engine="+engine)
 	}
-	return append(parts, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
+	return artifact.KeyOf(append(parts, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
 		fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
-		"machine="+cfg.Fingerprint())
+		"machine="+cfg.Fingerprint())...)
 }
 
 // execPoint compiles one exec program to its whole-program schemes and

@@ -1,10 +1,10 @@
-// Package trace collects and renders execution timelines of the
-// simulated machine. It quantifies the claim of Section 1 that "the
+// Package trace collects and renders the event traces of the simulated
+// machine. It quantifies the claim of Section 1 that "the
 // reduction step normally uses a lot of communication time and results
 // in the idleness of processors": the per-processor breakdown separates
 // computation, sends, synchronous collectives and idle waiting, and the
 // ASCII Gantt chart makes the SOR wavefront of Fig 5 visible on the real
-// simulated timeline.
+// simulated clock.
 package trace
 
 import (
@@ -133,7 +133,7 @@ func (s Summary) String() string {
 	return b.String()
 }
 
-// Gantt renders an ASCII timeline: one row per processor, width columns,
+// Gantt renders an ASCII chart: one row per processor, width columns,
 // with '#' compute, '>' send, '=' collective, '.' wait and ' ' idle.
 // Later events overwrite earlier ones within a cell; with the machine's
 // sequential per-processor execution that only matters at boundaries,
