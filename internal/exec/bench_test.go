@@ -81,27 +81,57 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 52 601
-// allocations of 7.02 MB (155 286 before the nests were lowered, 65 944
-// before ranksFor filled its result in place, 52 736 and 9.12 MB while the
-// inspector also recorded every per-element event for a stats replay), a
-// count that repeats exactly run to run. Jacobi on 1024 processors
-// (exec-scale) makes ~65 060 allocations of 5.50 MB — 103 200 and 17.5 MB
-// while every processor held a dense copy of every array it touched,
-// 67 480 and 6.24 MB with that record — and map growth moves the count by
-// a few either way. A trip of this gate is a per-instance or per-processor
-// allocation creeping back, not noise.
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 20 456
+// allocations of 5.94 MB, a count that repeats exactly run to run: 52 601
+// and 7.02 MB while each of its 498 epochs was lowered through a dozen
+// fresh maps and input keys were split into fresh slices (155 286 before
+// the nests were lowered, 65 944 before ranksFor filled its result in
+// place, 52 736 and 9.12 MB while the inspector also recorded every
+// per-element event for a stats replay). Jacobi on 1024 processors
+// (exec-scale) makes ~53 910 allocations of 5.25 MB — 65 060 and 5.50 MB
+// before the epoch lowering was slab-allocated, 103 200 and 17.5 MB while
+// every processor held a dense copy of every array it touched, 67 480 and
+// 6.24 MB with the replay record — and map growth moves the count by a few
+// either way (a few hundred under -race). A trip of this gate is a
+// per-instance, per-epoch or per-processor allocation creeping back, not
+// noise.
 func TestRunAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 57900, 7.8e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 71600, 6.1e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 22500, 6.6e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 59300, 5.8e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+
+	// Per epoch: with its scratch grown, lowering an epoch allocates the
+	// plan's six slabs and nothing else, whatever its pair count. The
+	// epochs ship one element on each of the first pairs of 64 ranks and
+	// one element per source on all of its pairs, so the residual round
+	// and the trees both run.
+	epoch := func(pairs int) []epochShip {
+		var traffic []epochShip
+		for i := range pairs {
+			src, dst := int32(i/63), int32(i%63)
+			if dst >= src {
+				dst++
+			}
+			k := pairKey(src, dst)
+			traffic = append(traffic, epochShip{k, mkElem(0, i)}, epochShip{k, mkElem(1, int(src))})
+		}
+		return traffic
+	}
+	low := &lowering{}
+	low.lower(epoch(4000))
+	for _, pairs := range []int{1, 5, 64, 500, 4000} {
+		traffic := epoch(pairs)
+		if allocs := testing.AllocsPerRun(20, func() { low.lower(traffic) }); allocs > 6 {
+			t.Errorf("lowering an epoch of %d pairs made %.0f allocations, want at most 6", pairs, allocs)
 		}
 	}
 }

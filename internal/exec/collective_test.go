@@ -1,11 +1,17 @@
-// The headline transport property of the collective redistribution
-// lowering: the gauss word drop (ISSUE 7's acceptance bar).
+// The collective redistribution lowering: the gauss word drop it was
+// built for, the lowering against its retired map-based reference and
+// the determinism of the schedules it feeds.
 
 package exec
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
@@ -44,5 +50,172 @@ func TestCollectiveGaussWordDrop(t *testing.T) {
 	if coll.Transport.Messages > p2pMessages {
 		t.Errorf("collective transport sent %d messages, the point-to-point exchange only %d",
 			coll.Transport.Messages, p2pMessages)
+	}
+}
+
+// TestScheduleDeterministic: two inspections of one program are the same
+// schedule, down to the numbering of every nest's redistOps (which once
+// followed map order).
+func TestScheduleDeterministic(t *testing.T) {
+	for _, c := range []struct {
+		p    *ir.Program
+		m, n int
+	}{{ir.Gauss(), 32, 16}, {ir.Jacobi(), 16, 64}} {
+		ss := wholeProgramSchemes(t, c.p, c.m, c.n)
+		bind := map[string]int{"m": c.m}
+		first, err := buildSchedule(c.p, ss, bind, nil, &lowering{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := buildSchedule(c.p, ss, bind, nil, &lowering{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s m=%d n=%d: two builds of the schedule differ", c.p.Name, c.m, c.n)
+		}
+	}
+}
+
+// checkLowering compares one epoch's plan with the reference lowering of
+// the same per-pair element lists, rank by rank: rounds, peers, segment
+// origins and element runs.
+func checkLowering(t *testing.T, label string, traffic []epochShip, ranks []int32, ops []redistOp) {
+	t.Helper()
+	pairs := map[int64][]elemID{}
+	for _, sh := range traffic {
+		pairs[sh.k] = append(pairs[sh.k], sh.e)
+	}
+	want := referenceLowering(pairs)
+	if len(ranks) != len(want) {
+		t.Fatalf("%s: %d ranks take part, the reference has %d", label, len(ranks), len(want))
+	}
+	for i, p := range ranks {
+		if i > 0 && ranks[i-1] >= p {
+			t.Fatalf("%s: ranks %v not ascending", label, ranks)
+		}
+		if w := want[p]; w == nil || !reflect.DeepEqual(ops[i], *w) {
+			t.Fatalf("%s: rank %d lowers to\n %+v\nthe reference to\n %+v", label, p, ops[i], w)
+		}
+	}
+}
+
+// randomEpoch draws one epoch's traffic over 2-64 ranks: each element
+// goes from a random source to one destination, to 2..all other ranks, or
+// to the destination set of an earlier element of the same source (so
+// steps share sets), and the ships arrive shuffled.
+func randomEpoch(rng *rand.Rand) []epochShip {
+	n := 2 + rng.Intn(63)
+	type draw struct {
+		src   int32
+		dests []int32
+	}
+	var draws []draw
+	var traffic []epochShip
+	for e := range 1 + rng.Intn(48) {
+		var d draw
+		switch k := rng.Intn(3); {
+		case k == 0 && len(draws) > 0:
+			d = draws[rng.Intn(len(draws))]
+		default:
+			d.src = int32(rng.Intn(n))
+			want := 1
+			if k == 2 {
+				want = 1 + rng.Intn(n-1)
+			}
+			for _, r := range rng.Perm(n) {
+				if int32(r) != d.src && len(d.dests) < want {
+					d.dests = append(d.dests, int32(r))
+				}
+			}
+		}
+		draws = append(draws, d)
+		for _, dst := range d.dests {
+			traffic = append(traffic, epochShip{pairKey(d.src, dst), mkElem(rng.Intn(3), e)})
+		}
+	}
+	rng.Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
+	return traffic
+}
+
+// epochCensus counts the epochs a schedule build closes and their pairs
+// and ships.
+type epochCensus struct{ epochs, pairs, ships int }
+
+func (c epochCensus) String() string {
+	return fmt.Sprintf("%d epochs, %.1f pairs and %.1f elements per epoch",
+		c.epochs, float64(c.pairs)/float64(c.epochs), float64(c.ships)/float64(c.epochs))
+}
+
+// TestLowerEpochMatchesReference: lowering.lower, scratch reused across
+// epochs, builds the reference's plan for seeded random epochs and for
+// every epoch the inspector closes on the kernels and on the programs of
+// TestExecDifferentialFuzz and TestBatchedMatchesExactFuzz. With -v it
+// prints the kernels' epoch census.
+func TestLowerEpochMatchesReference(t *testing.T) {
+	low := &lowering{}
+	for _, seed := range fuzzSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := range 200 {
+			// lower sorts its traffic in place: the reference gets the ships
+			// in the order they were made.
+			traffic := randomEpoch(rng)
+			shipped := slices.Clone(traffic)
+			ranks, ops := low.lower(traffic)
+			checkLowering(t, fmt.Sprintf("random epoch, seed %d trial %d", seed, trial), shipped, ranks, ops)
+		}
+	}
+
+	inspect := func(label string, p *ir.Program, ss *core.SchemeSet, m int) epochCensus {
+		t.Helper()
+		var c epochCensus
+		low.tap = func(traffic []epochShip, ranks []int32, ops []redistOp) {
+			checkLowering(t, fmt.Sprintf("%s, epoch %d", label, c.epochs), traffic, ranks, ops)
+			c.epochs++
+			c.ships += len(traffic)
+			for i := range traffic {
+				if i == 0 || traffic[i].k != traffic[i-1].k {
+					c.pairs++
+				}
+			}
+		}
+		defer func() { low.tap = nil }()
+		if _, err := buildSchedule(p, ss, map[string]int{"m": m}, map[string]float64{"OMEGA": 1.2}, low); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return c
+	}
+	for _, k := range []struct {
+		p    *ir.Program
+		m, n int
+	}{
+		{ir.Gauss(), 32, 16}, {ir.Gauss(), 64, 16}, {ir.Jacobi(), 32, 1024},
+		{ir.SOR(), 32, 16}, {ir.Jacobi(), 16, 64}, {ir.Cannon(), 8, 4},
+	} {
+		label := fmt.Sprintf("%s m=%d n=%d", k.p.Name, k.m, k.n)
+		t.Logf("%s: %v", label, inspect(label, k.p, wholeProgramSchemes(t, k.p, k.m, k.n), k.m))
+	}
+	for _, k := range []struct {
+		p    *ir.Program
+		m, n int
+	}{{stencilProgram(), 12, 4}, {matmulProgram(), 6, 3}} {
+		inspect(fmt.Sprintf("%s m=%d n=%d", k.p.Name, k.m, k.n), k.p, fuzzSchemes(t, k.p, k.m, k.n), k.m)
+	}
+
+	// The fuzz tests' programs, drawn with their generators, seeds and
+	// draw order.
+	const m = 8
+	for _, seed := range fuzzSeeds {
+		for gi, gen := range []func(*rand.Rand) *ir.Program{randomProgram, randomReduceProgram} {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := range []int{25, 30}[gi] {
+				p := gen(rng)
+				randomInput(p, m, rng)
+				rng.Intn(2)
+				for _, n := range []int{1, 2, 4} {
+					inspect(fuzzCase(seed, trial, n, p), p, fuzzSchemes(t, p, m, n), m)
+				}
+			}
+		}
 	}
 }

@@ -28,7 +28,7 @@ import (
 func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
-	if err := validate(p, ss, bind); err != nil {
+	if err := validate(p, ss, bind, input); err != nil {
 		return Result{}, err
 	}
 	if !p.Iterative {

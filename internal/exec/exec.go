@@ -68,13 +68,38 @@ type Result struct {
 	StoreWords, MaxProcStoreWords int
 }
 
-// validate performs the shared pre-flight checks of both engines.
-func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int) error {
+// validate performs the shared pre-flight checks of both engines. Every
+// input element must be a canonical key of a declared array, of its rank
+// and inside its extents: a key either engine cannot place would alias
+// another element or panic inside the run.
+func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.Storage) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	if err := p.CheckRanges(bind); err != nil {
 		return err
+	}
+	for name, elems := range input {
+		arr := p.Arrays[name]
+		if arr == nil && len(elems) > 0 {
+			return fmt.Errorf("exec: input for undeclared array %s", name)
+		}
+		var extBuf, idxBuf [4]int // stack buffers: the error path copies ext
+		ext := extBuf[:0]
+		for d := 0; arr != nil && d < arr.Rank(); d++ {
+			ext = append(ext, arr.Extents[d].Eval(bind))
+		}
+		for key := range elems {
+			idx, ok := appendSubs(idxBuf[:0], key)
+			ok = ok && len(idx) == len(ext)
+			for d := 0; ok && d < len(idx); d++ {
+				ok = idx[d] >= 1 && idx[d] <= ext[d]
+			}
+			if !ok {
+				return fmt.Errorf("exec: input key %q of array %s is not %d canonical subscripts inside its extents %v",
+					key, name, len(ext), append([]int(nil), ext...))
+			}
+		}
 	}
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
@@ -122,14 +147,14 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
 	start := time.Now()
-	if err := validate(p, ss, bind); err != nil {
+	if err := validate(p, ss, bind, input); err != nil {
 		return Result{}, err
 	}
 	if !p.Iterative {
 		iters = 1
 	}
 
-	sched, err := buildSchedule(p, ss, bind, scalars)
+	sched, err := buildSchedule(p, ss, bind, scalars, &lowering{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -137,10 +162,7 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 
 	stores := make([][][]float64, nprocs)
 	marks := make([][][]bool, nprocs)
-	loads, err := buildLoads(sched, input)
-	if err != nil {
-		return Result{}, err
-	}
+	loads := buildLoads(sched, input)
 	simStart := time.Now()
 	mach, err := machine.New(ss.Grid, cfg)
 	if err != nil {

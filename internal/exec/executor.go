@@ -9,6 +9,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dmcc/internal/ir"
@@ -124,9 +125,11 @@ type elemVal struct {
 // array, by owner cell: one shared structure per run, of which every
 // processor installs the bucket of the cell it holds. (A per-processor
 // scan asking IsOwner per element is O(nprocs * elements) with string
-// parsing inside; at N=256 it dominated whole-run profiles.)
-func buildLoads(s *progSchedule, input ir.Storage) ([]map[int32][]elemVal, error) {
+// parsing inside; at N=256 it dominated whole-run profiles.) validate has
+// checked every key, so each parses, into a stack buffer, to an element.
+func buildLoads(s *progSchedule, input ir.Storage) []map[int32][]elemVal {
 	loads := make([]map[int32][]elemVal, len(s.arrays))
+	var buf [4]int
 	for a := range s.arrays {
 		am := &s.arrays[a]
 		elems := input[am.name]
@@ -135,15 +138,13 @@ func buildLoads(s *progSchedule, input ir.Storage) ([]map[int32][]elemVal, error
 		}
 		loads[a] = make(map[int32][]elemVal)
 		for key, v := range elems {
-			e, ok := s.elemOf(a, parseKey(key))
-			if !ok {
-				return nil, fmt.Errorf("exec: input element %s(%s) outside extents %v", am.name, key, am.ext)
-			}
+			idx, _ := appendSubs(buf[:0], key)
+			e, _ := s.elemOf(a, idx)
 			c := am.cell[e.off()]
 			loads[a][c] = append(loads[a][c], elemVal{e, v})
 		}
 	}
-	return loads, nil
+	return loads
 }
 
 // installInput installs this processor's slice of the pre-bucketed
@@ -483,7 +484,7 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	order := r.items[0].contribs
 	k := len(order)
 	last := order[k-1]
-	pos := indexOf(order, x.me)
+	pos := slices.Index(order, x.me)
 	switch {
 	case pos == 0: // root: fold stored values + own partials, start the ring
 		x.rvec = x.rvec[:0]

@@ -41,25 +41,25 @@ func subKey(idx []int) string {
 // components, non-canonical digits) panics naming the key instead of
 // silently folding garbage into the subscripts.
 func parseKey(key string) []int {
-	idx, ok := tryParseKey(key)
+	idx, ok := appendSubs(nil, key)
 	if !ok {
 		panic("exec: malformed element key " + strconv.Quote(key))
 	}
 	return idx
 }
 
-func tryParseKey(key string) ([]int, bool) {
-	if key == "" {
-		return nil, true
-	}
-	parts := strings.Split(key, ",")
-	idx := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || strconv.Itoa(v) != p {
-			return nil, false
+// appendSubs is parseKey's allocation-free core: it appends the key's
+// subscripts to idx (a caller's stack buffer, typically) and reports
+// whether every component is canonical.
+func appendSubs(idx []int, key string) ([]int, bool) {
+	for key != "" {
+		part, rest, more := strings.Cut(key, ",")
+		digits := strings.TrimPrefix(part, "-")
+		v, err := strconv.Atoi(part)
+		if err != nil || part[0] == '+' || part == "-0" || (len(digits) > 1 && digits[0] == '0') || (more && rest == "") {
+			return idx, false
 		}
-		idx[i] = v
+		idx, key = append(idx, v), rest
 	}
 	return idx, true
 }

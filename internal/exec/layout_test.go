@@ -177,7 +177,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	bind := map[string]int{"m": m}
 	input := randomInput(p, m, rand.New(rand.NewSource(7)))
 
-	s, err := buildSchedule(p, ss, bind, nil)
+	s, err := buildSchedule(p, ss, bind, nil, &lowering{})
 	if err != nil {
 		t.Fatal(err)
 	}

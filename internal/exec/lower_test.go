@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
+	"dmcc/internal/matrix"
 )
 
 // vecProgram is DO i = lo, hi: A(i) = <rhs> over 1-D arrays A and B of
@@ -107,6 +109,46 @@ func TestRunErrorsNotPanics(t *testing.T) {
 			for _, w := range c.want {
 				if !strings.Contains(err.Error(), w) {
 					t.Errorf("error %q does not mention %q", err, w)
+				}
+			}
+		})
+	}
+
+	// Input keys the stores cannot place, on jacobi's 2-D A: "5" used to
+	// land on A(1,5) (which value won was map order), "1,2,3" to panic
+	// with an index out of range, "1,x" and "01,2" to panic naming the key.
+	jac := ir.Jacobi()
+	jss := wholeProgramSchemes(t, jac, m, n)
+	a, b, _ := matrix.DiagonallyDominant(m, 1)
+	for _, c := range []struct {
+		name, arr, key string
+		want           []string
+	}{
+		{"input key of too few subscripts", "A", "5", []string{"array A", `"5"`, "2 canonical subscripts"}},
+		{"input key of too many subscripts", "A", "1,2,3", []string{"array A", `"1,2,3"`}},
+		{"input key not a number", "A", "1,x", []string{"array A", `"1,x"`}},
+		{"input key not canonical", "A", "01,2", []string{"array A", `"01,2"`}},
+		{"input key outside the extents", "A", "9,1", []string{"array A", `"9,1"`, "[8 8]"}},
+		{"input of an undeclared array", "Z", "1", []string{"undeclared array Z"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			input := loadLinearSystem(jac, a, b, make([]float64, m))
+			if input[c.arr] == nil {
+				input[c.arr] = map[string]float64{}
+			}
+			input[c.arr][c.key] = 2
+			for _, engine := range []struct {
+				name string
+				run  func(*ir.Program, *core.SchemeSet, map[string]int, map[string]float64, int, machine.Config, ir.Storage) (Result, error)
+			}{{"Run", Run}, {"RunExact", RunExact}} {
+				_, err := engine.run(jac, jss, map[string]int{"m": m}, nil, 1, machine.DefaultConfig(), input)
+				if err == nil {
+					t.Fatalf("%s accepted the input", engine.name)
+				}
+				for _, w := range c.want {
+					if !strings.Contains(err.Error(), w) {
+						t.Errorf("%s: error %q does not mention %q", engine.name, err, w)
+					}
 				}
 			}
 		})
@@ -212,10 +254,10 @@ func TestLoweringMatchesIR(t *testing.T) {
 			p := randomLoweringProgram(rng)
 			label := fuzzCase(seed, trial, 1, p)
 			ss := fuzzSchemes(t, p, m, 1)
-			if err := validate(p, ss, bind); err != nil {
+			if err := validate(p, ss, bind, nil); err != nil {
 				t.Fatalf("generated invalid program: %v\n%s", err, label)
 			}
-			s, err := buildSchedule(p, ss, bind, scalars)
+			s, err := buildSchedule(p, ss, bind, scalars, &lowering{})
 			if err != nil {
 				t.Fatalf("%v\n%s", err, label)
 			}

@@ -1,0 +1,167 @@
+// The retired map-based lowering of an epoch's redistribution, kept
+// verbatim as the oracle of lowering.lower: the same algorithm with its
+// state in per-epoch maps, a pure function of the epoch's per-pair element
+// lists. Only its signature changed (it took the nestBuilder and placed
+// the ops itself) — it returns the ops by rank instead.
+
+package exec
+
+import "sort"
+
+// lowerCollective composes the epoch's traffic into a collective
+// redistribution plan. Per source, each (already deduped) element's
+// destination set is classified: multi-destination elements group by
+// identical destination set and each group becomes a binomial
+// multicast-tree step rooted at the source (the tree moves the group
+// in log2(W+1) rounds and every edge carries the group once — the
+// same total words as the deduped star, with the source's send load
+// spread over the relays); single-destination elements remain a
+// vectored pair exchange, appended as the final round. Tree edges of
+// all steps with the same stride execute in the same round, merged
+// into one message per ordered pair, so every round keeps the
+// one-message-per-pair sends-before-receives shape that rules out
+// deadlock even on single-message channels.
+func referenceLowering(pairs map[int64][]elemID) map[int32]*redistOp {
+	keys := make([]int64, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	// Per source (ascending): each element's destination set, destinations
+	// ascending, elements in first-ship order.
+	type stepT struct {
+		origin  int32
+		members []int32 // origin + destinations, ascending
+		rootPos int     // origin's index in members
+		elems   []elemID
+	}
+	var steps []stepT
+	residual := make(map[int64][]elemID)
+	destsOf := make(map[elemID][]int32)
+	var order []elemID
+	var sig []byte
+	for i := 0; i < len(keys); {
+		src := int32(keys[i] >> 32)
+		for e := range destsOf {
+			delete(destsOf, e)
+		}
+		order = order[:0]
+		for ; i < len(keys) && int32(keys[i]>>32) == src; i++ {
+			dst := int32(keys[i] & 0xffffffff)
+			for _, e := range pairs[keys[i]] {
+				if destsOf[e] == nil {
+					order = append(order, e)
+				}
+				destsOf[e] = append(destsOf[e], dst)
+			}
+		}
+		groupIdx := make(map[string]int)
+		for _, e := range order {
+			dests := destsOf[e]
+			if len(dests) == 1 {
+				k := pairKey(src, dests[0])
+				residual[k] = append(residual[k], e)
+				continue
+			}
+			sig = sig[:0]
+			for _, d := range dests {
+				sig = append(sig, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
+			}
+			gi, ok := groupIdx[string(sig)]
+			if !ok {
+				members := make([]int32, len(dests), len(dests)+1)
+				copy(members, dests)
+				pos := len(members)
+				for j, m := range members {
+					if src < m {
+						pos = j
+						break
+					}
+				}
+				members = append(members, 0)
+				copy(members[pos+1:], members[pos:])
+				members[pos] = src
+				gi = len(steps)
+				groupIdx[string(sig)] = gi
+				steps = append(steps, stepT{origin: src, members: members, rootPos: pos})
+			}
+			steps[gi].elems = append(steps[gi].elems, e)
+		}
+	}
+
+	// Round r moves every step's tree edges of stride 2^r, merged into
+	// one message per ordered pair (segments in step order, identically
+	// derived on both endpoints); the residual traffic is the last round.
+	maxRounds := 0
+	for _, st := range steps {
+		d := 0
+		for 1<<d < len(st.members) {
+			d++
+		}
+		if d > maxRounds {
+			maxRounds = d
+		}
+	}
+	rounds := make([]map[int64][]redistSeg, 0, maxRounds+1)
+	for r := 0; r < maxRounds; r++ {
+		stride := 1 << r
+		m := make(map[int64][]redistSeg)
+		for si := range steps {
+			st := &steps[si]
+			n := len(st.members)
+			for rel := 0; rel < stride && rel+stride < n; rel++ {
+				snd := st.members[(st.rootPos+rel)%n]
+				rcv := st.members[(st.rootPos+rel+stride)%n]
+				k := pairKey(snd, rcv)
+				m[k] = append(m[k], redistSeg{origin: st.origin, elems: st.elems})
+			}
+		}
+		rounds = append(rounds, m)
+	}
+	if len(residual) > 0 {
+		m := make(map[int64][]redistSeg)
+		for k, elems := range residual {
+			m[k] = []redistSeg{{origin: int32(k >> 32), elems: elems}}
+		}
+		rounds = append(rounds, m)
+	}
+
+	// Materialize per-processor round schedules: sends in ascending
+	// destination order, then receives in ascending source order.
+	ops := make(map[int32]*redistOp)
+	get := func(p int32) *redistOp {
+		op := ops[p]
+		if op == nil {
+			op = &redistOp{rounds: make([]redistRound, len(rounds))}
+			ops[p] = op
+		}
+		return op
+	}
+	ks := make([]int64, 0, 16)
+	for r, m := range rounds {
+		ks = ks[:0]
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+		for _, k := range ks {
+			snd, rcv := int32(k>>32), int32(k&0xffffffff)
+			op := get(snd)
+			op.rounds[r].sends = append(op.rounds[r].sends, redistMsg{peer: rcv, segs: m[k]})
+		}
+		sort.Slice(ks, func(i, j int) bool {
+			di, dj := ks[i]&0xffffffff, ks[j]&0xffffffff
+			if di != dj {
+				return di < dj
+			}
+			return ks[i]>>32 < ks[j]>>32
+		})
+		for _, k := range ks {
+			snd, rcv := int32(k>>32), int32(k&0xffffffff)
+			op := get(rcv)
+			op.rounds[r].recvs = append(op.rounds[r].recvs, redistMsg{peer: snd, segs: m[k]})
+		}
+	}
+	return ops
+}

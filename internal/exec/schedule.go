@@ -19,12 +19,16 @@
 // The hot path works on integers only: each nest is lowered once
 // (lower.go) to slot-indexed affine forms and array ids, and elements are
 // elemID integers (array id + row-major offset). Names and "arr!i,j"
-// strings survive only at the ir.Storage boundary.
+// strings survive only at the ir.Storage boundary. An epoch's ships are
+// one append-only list, lowered in scratch every epoch reuses: lowering
+// an epoch takes time in what it moves and six allocations.
 
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -411,9 +415,10 @@ func ringEligible(items []*finOp) bool {
 
 // buildSchedule runs the inspector over the whole program: finalizes
 // lower to vectored two-phase / ring exchanges, and each epoch's operand
-// ships to one composed collective redistribution. An unbound variable,
-// an undeclared array or a subscript outside its array is an error.
-func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64) (*progSchedule, error) {
+// ships to one composed collective redistribution, lowered with low's
+// scratch. An unbound variable, an undeclared array or a subscript
+// outside its array is an error.
+func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64, low *lowering) (*progSchedule, error) {
 	s := &progSchedule{
 		ss: ss, bind: bind, scalars: scalars,
 		nprocs:  ss.Grid.Size(),
@@ -455,7 +460,7 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 	}
 	s.nests = make([]*nestSchedule, len(p.Nests))
 	for i, nest := range p.Nests {
-		ns, err := s.buildNest(nest)
+		ns, err := s.buildNest(nest, low)
 		if err != nil {
 			return nil, err
 		}
@@ -528,9 +533,11 @@ type nestBuilder struct {
 	epoch   uint32
 	// first[p] is one past the slot ns.procs[p] reserves for the current
 	// epoch's opRedist, 0 until p's first instruction of the epoch;
-	// pairs the epoch's per-pair vectored element lists.
-	first []int32
-	pairs map[int64][]elemID
+	// traffic lists the epoch's batched ships in ship order, and low is
+	// the scratch closeEpoch lowers them with.
+	first   []int32
+	traffic []epochShip
+	low     *lowering
 	// seen dedups batched ships: bit dst of seen[e] marks that dst holds
 	// a live buffered copy of e (its source is always e's first owner, so
 	// the destination alone names the pair) and a
@@ -559,7 +566,7 @@ type shipT struct {
 
 func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 
-func (s *progSchedule) buildNest(nest *ir.Nest) (*nestSchedule, error) {
+func (s *progSchedule) buildNest(nest *ir.Nest, low *lowering) (*nestSchedule, error) {
 	ns := &nestSchedule{procs: make([][]pinstr, s.nprocs)}
 	if err := s.lowerNest(nest, ns); err != nil {
 		return nil, err
@@ -571,7 +578,7 @@ func (s *progSchedule) buildNest(nest *ir.Nest) (*nestSchedule, error) {
 		written: make(dense[uint32], len(s.arrays)),
 		epoch:   1,
 		first:   make([]int32, s.nprocs),
-		pairs:   make(map[int64][]elemID),
+		low:     low,
 		seen:    make(dense[[]uint64], len(s.arrays)),
 	}
 	if err := b.walk(0); err != nil {
@@ -668,7 +675,7 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		owners := s.ownersOf(e)
 		src := owners[0]
 		for _, ex := range executors {
-			if contains(owners, ex) {
+			if slices.Contains(owners, ex) {
 				continue
 			}
 			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), e: e})
@@ -695,11 +702,11 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		if st.Reduce && e == lhsElem {
 			continue
 		}
-		if _, pend := b.pending[e]; pend && !containsElem(b.forced, e) {
+		if _, pend := b.pending[e]; pend && !slices.Contains(b.forced, e) {
 			b.forced = append(b.forced, e)
 		}
 	}
-	if _, pend := b.pending[lhsElem]; pend && !st.Reduce && !containsElem(b.forced, lhsElem) {
+	if _, pend := b.pending[lhsElem]; pend && !st.Reduce && !slices.Contains(b.forced, lhsElem) {
 		b.forced = append(b.forced, lhsElem)
 	}
 	b.emitBatch(b.forced, true)
@@ -716,12 +723,12 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		if st.Reduce {
 			// Only the contributor evaluates; replicas just drain
 			// their shipped slots.
-			if contains(owners, executors[0]) {
+			if slices.Contains(owners, executors[0]) {
 				b.readers = append(b.readers, executors[0])
 			}
 		} else {
 			for _, ex := range executors {
-				if contains(owners, ex) {
+				if slices.Contains(owners, ex) {
 					b.readers = append(b.readers, ex)
 				}
 			}
@@ -744,7 +751,7 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		b.exSlots[xi] = b.exSlots[xi][:0]
 	}
 	for _, sh := range b.ships {
-		xi := indexOf(executors, int(sh.ex))
+		xi := slices.Index(executors, int(sh.ex))
 		if *b.written.at(s, sh.e) == b.epoch {
 			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e, direct: true})
@@ -755,8 +762,7 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 			}
 			if w, m := &(*bits)[sh.ex>>6], uint64(1)<<(sh.ex&63); *w&m == 0 {
 				*w |= m
-				k := pairKey(sh.src, sh.ex)
-				b.pairs[k] = append(b.pairs[k], sh.e)
+				b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
 			}
 			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
 		}
@@ -773,7 +779,7 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		// operands, exactly like the per-element engine.
 		contrib := executors[0]
 		list := b.pending[lhsElem]
-		if len(list) == 0 || !contains(list, contrib) {
+		if len(list) == 0 || !slices.Contains(list, contrib) {
 			b.pending[lhsElem] = insertSorted(list, contrib)
 		}
 		for xi, ex := range executors {
@@ -842,12 +848,12 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	r := &redOp{items: items, ring: mid && ringEligible(items)}
 	for _, f := range items {
 		for _, p := range f.contribs {
-			if !contains(r.parts, p) {
+			if !slices.Contains(r.parts, p) {
 				r.parts = insertSorted(r.parts, p)
 			}
 		}
 		for _, p := range f.owners {
-			if !contains(r.parts, p) {
+			if !slices.Contains(r.parts, p) {
 				r.parts = insertSorted(r.parts, p)
 			}
 		}
@@ -860,199 +866,250 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	}
 }
 
-func containsElem(xs []elemID, v elemID) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// closeEpoch freezes the current epoch: the accumulated pair traffic
-// is lowered to the composed collective redistribution, which lands in
-// each participant's reserved slot, and the written set resets (its
-// stamps fall behind the epoch number).
+// closeEpoch freezes the current epoch: its batched traffic is lowered to
+// the composed collective redistribution, whose opRedist lands in each
+// participant's reserved slot (or ends the stream of one that emitted
+// nothing else this epoch), and the written set resets (its stamps fall
+// behind the epoch number).
 func (b *nestBuilder) closeEpoch() {
-	if len(b.pairs) > 0 {
-		b.lowerCollective()
-		b.pairs = make(map[int64][]elemID)
+	if len(b.traffic) > 0 {
+		ranks, ops := b.low.lower(b.traffic)
+		for i, p := range ranks {
+			in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
+			b.ns.redists = append(b.ns.redists, &ops[i])
+			if at := b.first[p]; at > 0 {
+				b.ns.procs[p][at-1] = in
+			} else {
+				b.ns.procs[p] = append(b.ns.procs[p], in)
+			}
+		}
+		b.traffic = b.traffic[:0]
 	}
 	clear(b.first)
 	b.epoch++
 }
 
-// lowerCollective composes the epoch's traffic into a collective
-// redistribution plan. Per source, each (already deduped) element's
-// destination set is classified: multi-destination elements group by
-// identical destination set and each group becomes a binomial
-// multicast-tree step rooted at the source (the tree moves the group
-// in log2(W+1) rounds and every edge carries the group once — the
-// same total words as the deduped star, with the source's send load
-// spread over the relays); single-destination elements remain a
-// vectored pair exchange, appended as the final round. Tree edges of
-// all steps with the same stride execute in the same round, merged
-// into one message per ordered pair, so every round keeps the
-// one-message-per-pair sends-before-receives shape that rules out
-// deadlock even on single-message channels.
-func (b *nestBuilder) lowerCollective() {
-	keys := make([]int64, 0, len(b.pairs))
-	for k := range b.pairs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	// Per source (ascending): each element's destination set, destinations
-	// ascending, elements in first-ship order.
-	type stepT struct {
-		origin  int32
-		members []int32 // origin + destinations, ascending
-		rootPos int     // origin's index in members
-		elems   []elemID
-	}
-	var steps []stepT
-	residual := make(map[int64][]elemID)
-	destsOf := make(map[elemID][]int32)
-	var order []elemID
-	var sig []byte
-	for i := 0; i < len(keys); {
-		src := int32(keys[i] >> 32)
-		for e := range destsOf {
-			delete(destsOf, e)
-		}
-		order = order[:0]
-		for ; i < len(keys) && int32(keys[i]>>32) == src; i++ {
-			dst := int32(keys[i] & 0xffffffff)
-			for _, e := range b.pairs[keys[i]] {
-				if destsOf[e] == nil {
-					order = append(order, e)
-				}
-				destsOf[e] = append(destsOf[e], dst)
-			}
-		}
-		groupIdx := make(map[string]int)
-		for _, e := range order {
-			dests := destsOf[e]
-			if len(dests) == 1 {
-				k := pairKey(src, dests[0])
-				residual[k] = append(residual[k], e)
-				continue
-			}
-			sig = sig[:0]
-			for _, d := range dests {
-				sig = append(sig, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-			}
-			gi, ok := groupIdx[string(sig)]
-			if !ok {
-				members := make([]int32, len(dests), len(dests)+1)
-				copy(members, dests)
-				pos := len(members)
-				for j, m := range members {
-					if src < m {
-						pos = j
-						break
-					}
-				}
-				members = append(members, 0)
-				copy(members[pos+1:], members[pos:])
-				members[pos] = src
-				gi = len(steps)
-				groupIdx[string(sig)] = gi
-				steps = append(steps, stepT{origin: src, members: members, rootPos: pos})
-			}
-			steps[gi].elems = append(steps[gi].elems, e)
-		}
-	}
-
-	// Round r moves every step's tree edges of stride 2^r, merged into
-	// one message per ordered pair (segments in step order, identically
-	// derived on both endpoints); the residual traffic is the last round.
-	maxRounds := 0
-	for _, st := range steps {
-		d := 0
-		for 1<<d < len(st.members) {
-			d++
-		}
-		if d > maxRounds {
-			maxRounds = d
-		}
-	}
-	rounds := make([]map[int64][]redistSeg, 0, maxRounds+1)
-	for r := 0; r < maxRounds; r++ {
-		stride := 1 << r
-		m := make(map[int64][]redistSeg)
-		for si := range steps {
-			st := &steps[si]
-			n := len(st.members)
-			for rel := 0; rel < stride && rel+stride < n; rel++ {
-				snd := st.members[(st.rootPos+rel)%n]
-				rcv := st.members[(st.rootPos+rel+stride)%n]
-				k := pairKey(snd, rcv)
-				m[k] = append(m[k], redistSeg{origin: st.origin, elems: st.elems})
-			}
-		}
-		rounds = append(rounds, m)
-	}
-	if len(residual) > 0 {
-		m := make(map[int64][]redistSeg)
-		for k, elems := range residual {
-			m[k] = []redistSeg{{origin: int32(k >> 32), elems: elems}}
-		}
-		rounds = append(rounds, m)
-	}
-
-	// Materialize per-processor round schedules: sends in ascending
-	// destination order, then receives in ascending source order.
-	ops := make(map[int32]*redistOp)
-	get := func(p int32) *redistOp {
-		op := ops[p]
-		if op == nil {
-			op = &redistOp{rounds: make([]redistRound, len(rounds))}
-			ops[p] = op
-		}
-		return op
-	}
-	ks := make([]int64, 0, 16)
-	for r, m := range rounds {
-		ks = ks[:0]
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		for _, k := range ks {
-			snd, rcv := int32(k>>32), int32(k&0xffffffff)
-			op := get(snd)
-			op.rounds[r].sends = append(op.rounds[r].sends, redistMsg{peer: rcv, segs: m[k]})
-		}
-		sort.Slice(ks, func(i, j int) bool {
-			di, dj := ks[i]&0xffffffff, ks[j]&0xffffffff
-			if di != dj {
-				return di < dj
-			}
-			return ks[i]>>32 < ks[j]>>32
-		})
-		for _, k := range ks {
-			snd, rcv := int32(k>>32), int32(k&0xffffffff)
-			op := get(rcv)
-			op.rounds[r].recvs = append(op.rounds[r].recvs, redistMsg{peer: snd, segs: m[k]})
-		}
-	}
-	for p, op := range ops {
-		in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
-		b.ns.redists = append(b.ns.redists, op)
-		if at := b.first[p]; at > 0 {
-			b.ns.procs[p][at-1] = in
-		} else {
-			b.ns.procs[p] = append(b.ns.procs[p], in)
-		}
-	}
+// epochShip is one batched ship: e from its first owner to an executor, k =
+// pairKey(owner, executor), at most once per (e, executor) and epoch.
+type epochShip struct {
+	k int64
+	e elemID
 }
 
-func indexOf(xs []int, v int) int {
-	for i, x := range xs {
-		if x == v {
-			return i
+// lowering is lower's scratch, owned by one buildSchedule call and reused
+// by every epoch it closes. Per source: pos[e] is e's index in order (the
+// source's elements in first-ship order), xs the index of each of the
+// source's ships, and order[x]'s destinations, ascending, are
+// dests[start[x]:start[x+1]]. The arenas members and elems hold every
+// tree step's members and every step's and residual pair's element run.
+type lowering struct {
+	pos                    map[elemID]int32
+	order, elems           []elemID
+	xs, start, fill, dests []int32
+	multi, members, ranks  []int32
+	steps                  []treeStep
+	resid, edges           []edge
+	msgs                   []roundMsg
+	// tap (tests only) sees each epoch's sorted traffic and its plan.
+	tap func(traffic []epochShip, ranks []int32, ops []redistOp)
+}
+
+// treeStep is one multicast tree: the elements of one origin sharing one
+// destination set, ordered among the origin's steps by the first-ship
+// index of their first element; members (origin + destinations,
+// ascending, the origin at rootPos) and elems are arena ranges.
+type treeStep struct {
+	origin, first, rootPos int32
+	members, elems         [2]int32
+}
+
+// edge is one round's segment: origin's element run crossing pair k.
+type edge struct {
+	round, origin int32
+	k             int64
+	elems         [2]int32
+}
+
+// roundMsg is one merged message: one round's segments on one pair.
+type roundMsg struct {
+	round, snd, rcv int32
+	segs            []redistSeg
+}
+
+// lower composes one epoch's traffic into a collective redistribution
+// plan and returns the participating ranks, ascending (l's scratch, valid
+// until the next call), with each one's redistOp. Per source (ascending),
+// each element's destination set is classified: multi-destination
+// elements group by identical destination set and each group becomes a
+// binomial multicast-tree step rooted at the source (the tree moves the
+// group in log2(W+1) rounds and every edge carries the group once — the
+// same total words as the deduped star, with the source's send load
+// spread over the relays); single-destination elements remain a vectored
+// pair exchange, appended as the final round. Tree edges of all steps
+// with the same stride execute in the same round, merged into one message
+// per ordered pair, so every round keeps the one-message-per-pair
+// sends-before-receives shape that rules out deadlock even on
+// single-message channels.
+//
+// A stable sort by pair key gives each pair's elements in ship order; the
+// work is in the epoch's ships, steps and edges, in l's reused scratch,
+// and the plan (element runs, segments shared by a message's two ends,
+// sends, receives, rounds, ops) is carved from six slabs.
+func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
+	slices.SortStableFunc(traffic, func(a, b epochShip) int { return cmp.Compare(a.k, b.k) })
+	if l.pos == nil {
+		l.pos = make(map[elemID]int32)
+	}
+	l.members, l.elems, l.steps, l.resid, l.edges = l.members[:0], l.elems[:0], l.steps[:0], l.resid[:0], l.edges[:0]
+	for i := 0; i < len(traffic); {
+		j := i + 1
+		for j < len(traffic) && traffic[j].k>>32 == traffic[i].k>>32 {
+			j++
+		}
+		l.source(int32(traffic[i].k>>32), traffic[i:j])
+		i = j
+	}
+
+	// Round r moves every step's tree edges of stride 2^r (segments in step
+	// order); the residual traffic is the last round.
+	rounds := 0
+	for _, st := range l.steps {
+		rounds = max(rounds, bits.Len(uint(st.members[1]-st.members[0]-1)))
+	}
+	for r := range rounds {
+		for _, st := range l.steps {
+			mem, stride := l.members[st.members[0]:st.members[1]], 1<<r
+			n, root := len(mem), int(st.rootPos)
+			for rel := 0; rel < stride && rel+stride < n; rel++ {
+				k := pairKey(mem[(root+rel)%n], mem[(root+rel+stride)%n])
+				l.edges = append(l.edges, edge{round: int32(r), origin: st.origin, k: k, elems: st.elems})
+			}
 		}
 	}
-	return -1
+	for _, e := range l.resid {
+		e.round = int32(rounds)
+		l.edges = append(l.edges, e)
+	}
+	if len(l.resid) > 0 {
+		rounds++
+	}
+
+	// Into send order, (sender, round, receiver), one message per run.
+	slices.SortStableFunc(l.edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.k>>32, b.k>>32), cmp.Compare(a.round, b.round), cmp.Compare(a.k, b.k))
+	})
+	elems := slices.Clone(l.elems)
+	segs := make([]redistSeg, len(l.edges))
+	l.msgs, l.ranks = l.msgs[:0], l.ranks[:0]
+	for i, e := range l.edges {
+		segs[i] = redistSeg{origin: e.origin, elems: elems[e.elems[0]:e.elems[1]:e.elems[1]]}
+		if n := len(l.msgs); n > 0 && e.round == l.edges[i-1].round && e.k == l.edges[i-1].k {
+			l.msgs[n-1].segs = segs[i-len(l.msgs[n-1].segs) : i+1 : i+1]
+		} else {
+			l.msgs = append(l.msgs, roundMsg{round: e.round, snd: int32(e.k >> 32), rcv: int32(e.k), segs: segs[i : i+1 : i+1]})
+			l.ranks = append(l.ranks, int32(e.k>>32), int32(e.k))
+		}
+	}
+	slices.Sort(l.ranks)
+	l.ranks = slices.Compact(l.ranks)
+	ops := make([]redistOp, len(l.ranks))
+	rs := make([]redistRound, len(ops)*rounds)
+	for i := range ops {
+		ops[i].rounds = rs[i*rounds : (i+1)*rounds : (i+1)*rounds]
+	}
+
+	// Per processor and round: sends in ascending destination order, then
+	// receives in ascending source order, each a run of one slab.
+	sends, recvs := make([]redistMsg, len(l.msgs)), make([]redistMsg, len(l.msgs))
+	for i, m := range l.msgs {
+		p, _ := slices.BinarySearch(l.ranks, m.snd)
+		rd := &ops[p].rounds[m.round]
+		sends[i] = redistMsg{peer: m.rcv, segs: m.segs}
+		rd.sends = sends[i-len(rd.sends) : i+1 : i+1]
+	}
+	slices.SortStableFunc(l.msgs, func(a, b roundMsg) int {
+		return cmp.Or(cmp.Compare(a.rcv, b.rcv), cmp.Compare(a.round, b.round))
+	})
+	for i, m := range l.msgs {
+		p, _ := slices.BinarySearch(l.ranks, m.rcv)
+		rd := &ops[p].rounds[m.round]
+		recvs[i] = redistMsg{peer: m.snd, segs: m.segs}
+		rd.recvs = recvs[i-len(rd.recvs) : i+1 : i+1]
+	}
+	if l.tap != nil {
+		l.tap(traffic, l.ranks, ops)
+	}
+	return l.ranks, ops
+}
+
+// source classifies one source's traffic, sorted by destination: an
+// element shipped to one destination joins that pair's residual run, the
+// others group by destination set into tree steps, ordered by their first
+// element.
+func (l *lowering) source(src int32, run []epochShip) {
+	l.order, l.start, l.xs = l.order[:0], l.start[:0], l.xs[:0]
+	for _, t := range run {
+		x, ok := l.pos[t.e]
+		if !ok {
+			x = int32(len(l.order))
+			l.pos[t.e] = x
+			l.order = append(l.order, t.e)
+			l.start = append(l.start, 0)
+		}
+		l.xs = append(l.xs, x)
+		l.start[x]++
+	}
+	// Counts to offsets, then each element's destinations in run order.
+	l.start = append(l.start, 0)
+	for x, sum := 0, int32(0); x < len(l.start); x++ {
+		l.start[x], sum = sum, sum+l.start[x]
+	}
+	l.fill = append(l.fill[:0], l.start...)
+	l.dests = slices.Grow(l.dests[:0], len(run))[:len(run)]
+	for i, x := range l.xs {
+		l.dests[l.fill[x]] = int32(run[i].k)
+		l.fill[x]++
+	}
+	dests := func(x int32) []int32 { return l.dests[l.start[x]:l.start[x+1]] }
+
+	for i, t := range run {
+		if len(dests(l.xs[i])) > 1 {
+			continue
+		}
+		if n := len(l.resid); n > 0 && l.resid[n-1].k == t.k {
+			l.resid[n-1].elems[1]++
+		} else {
+			e0 := int32(len(l.elems))
+			l.resid = append(l.resid, edge{origin: src, k: t.k, elems: [2]int32{e0, e0 + 1}})
+		}
+		l.elems = append(l.elems, t.e)
+	}
+
+	l.multi = l.multi[:0]
+	for x := range l.order {
+		if len(dests(int32(x))) > 1 {
+			l.multi = append(l.multi, int32(x))
+		}
+	}
+	slices.SortStableFunc(l.multi, func(a, b int32) int { return slices.Compare(dests(a), dests(b)) })
+	s0 := len(l.steps)
+	for a := 0; a < len(l.multi); {
+		d, b := dests(l.multi[a]), a+1
+		for b < len(l.multi) && slices.Equal(dests(l.multi[b]), d) {
+			b++
+		}
+		root, _ := slices.BinarySearch(d, src)
+		m0, e0 := int32(len(l.members)), int32(len(l.elems))
+		l.members = append(append(append(l.members, d[:root]...), src), d[root:]...)
+		for _, x := range l.multi[a:b] {
+			l.elems = append(l.elems, l.order[x])
+		}
+		l.steps = append(l.steps, treeStep{origin: src, first: l.multi[a], rootPos: int32(root),
+			members: [2]int32{m0, int32(len(l.members))}, elems: [2]int32{e0, int32(len(l.elems))}})
+		a = b
+	}
+	slices.SortFunc(l.steps[s0:], func(a, b treeStep) int { return cmp.Compare(a.first, b.first) })
+	for _, e := range l.order {
+		delete(l.pos, e)
+	}
 }
