@@ -16,15 +16,15 @@
 //	dmccd -compile-timeout 10s                bound one /compile request;
 //	                                          the compile finishes in its
 //	                                          flight and a retry hits warm
-//	dmccd -store-remote http://peerhost:8077  tier the local cache over a
-//	                                          peer daemon's /artifact
-//	                                          store: reads fall through to
-//	                                          the peer, computed plans are
-//	                                          written through, and startup
-//	                                          prewarms the local tier and
-//	                                          the plan registry from the
-//	                                          peer's inventory (-prewarm=false
-//	                                          skips the startup pull)
+//	dmccd -store-remote http://peerhost:8077  give the local cache a peer:
+//	                                          another daemon's /artifact
+//	                                          store. Local misses read
+//	                                          through to the peer, computed
+//	                                          plans are written through,
+//	                                          and startup prewarms the
+//	                                          local disk and the plan
+//	                                          registry from the peer's
+//	                                          inventory
 //
 // Every daemon also *serves* its store (GET/PUT /artifact/{id},
 // GET /keys), so fleets need no separate storage service: point any
@@ -57,9 +57,7 @@ func main() {
 	gcEvery := flag.Duration("gc-every", time.Minute, "online GC interval")
 	jobs := flag.Int("j", 0, "cost-engine worker count per compile (0 = all CPUs)")
 	compileTimeout := flag.Duration("compile-timeout", 30*time.Second, "per-request /compile bound (0 = none); timed-out compiles finish in the background and stay cached")
-	storeRemote := flag.String("store-remote", "", "peer daemon URL to tier the cache over (e.g. http://host:8077); empty = local only")
-	remoteTimeout := flag.Duration("remote-timeout", 5*time.Second, "per-call bound on peer store requests")
-	prewarm := flag.Bool("prewarm", true, "with -store-remote: pull the peer's inventory and register its plans at startup")
+	storeRemote := flag.String("store-remote", "", "peer daemon URL behind the cache (e.g. http://host:8077); empty = local only")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		cli.Usage("dmccd", fmt.Errorf("unexpected arguments: %v", flag.Args()))
@@ -68,7 +66,7 @@ func main() {
 		cli.Usage("dmccd", fmt.Errorf("-gc-every must be positive, got %v", *gcEvery))
 	}
 
-	store, err := artifact.Open(*cacheDir)
+	store, err := artifact.OpenWithPeer(*cacheDir, *storeRemote)
 	if err != nil {
 		cli.Fail("dmccd", err)
 	}
@@ -76,25 +74,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmccd: "+format+"\n", args...)
 	}
 	store.Warnf = warnf
-	var backend artifact.Backend = store
-	var tiered *artifact.Tiered
-	if *storeRemote != "" {
-		tiered = artifact.NewTiered(store, artifact.OpenRemote(*storeRemote, artifact.RemoteOptions{
-			Timeout: *remoteTimeout, Warnf: warnf,
-		}))
-		backend = tiered
-	}
 	srv, err := serve.New(serve.Config{
-		Store: backend, Jobs: *jobs,
+		Store: store, Jobs: *jobs,
 		CompileTimeout: *compileTimeout, Warnf: warnf,
 	})
 	if err != nil {
 		cli.Fail("dmccd", err)
 	}
-	if tiered != nil && *prewarm {
+	if *storeRemote != "" {
 		// Best-effort: an unreachable peer means a cold start, never a
 		// failed one.
-		if keys, pulled, err := tiered.Prewarm(); err != nil {
+		if keys, pulled, err := store.Prewarm(); err != nil {
 			warnf("prewarm: %v (starting cold)", err)
 		} else {
 			plans := srv.PrewarmPlans(keys)
@@ -131,5 +121,5 @@ func main() {
 	}
 	ms := srv.Metrics()
 	fmt.Fprintf(os.Stderr, "dmccd: drained; compiles=%d hits=%d cost_evals=%d cache{%s}\n",
-		ms.Server.Compiles, ms.Server.CompileHits, ms.Server.CostEvals, backend.Stats())
+		ms.Server.Compiles, ms.Server.CompileHits, ms.Server.CostEvals, store.Stats())
 }

@@ -22,9 +22,9 @@
 // The remote-warm distribution (requires -self) measures the shared
 // fleet store end to end: an upstream daemon cold-compiles the key set
 // (the only DP runs in the whole arm), then a fresh front daemon —
-// tiered over the upstream's /artifact store — prewarms its cache and
-// plan registry from the peer inventory and serves the entire load
-// without compiling anything. Its row gates compiles=0,
+// whose store has the upstream's /artifact store as its peer — prewarms
+// its cache and plan registry from the peer inventory and serves the
+// entire load without compiling anything. Its row gates compiles=0,
 // remote_errors=0 and prewarmed_keys alongside misses_after_warm=0.
 package main
 
@@ -195,23 +195,22 @@ func runRemoteWarm(cfg serve.LoadConfig) (*serve.LoadSummary, error) {
 		}
 	}
 
-	// The front daemon starts empty, tiered over the upstream's
-	// /artifact store, and comes up warm from the peer inventory.
+	// The front daemon starts empty, with the upstream's /artifact store
+	// as its peer, and comes up warm from the peer inventory.
 	frontDir, err := os.MkdirTemp("", "dmload-front-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(frontDir)
-	frontStore, err := artifact.Open(frontDir)
+	frontStore, err := artifact.OpenWithPeer(frontDir, upTS.URL)
 	if err != nil {
 		return nil, err
 	}
-	tiered := artifact.NewTiered(frontStore, artifact.OpenRemote(upTS.URL, artifact.RemoteOptions{}))
-	frontSrv, err := serve.New(serve.Config{Store: tiered})
+	frontSrv, err := serve.New(serve.Config{Store: frontStore})
 	if err != nil {
 		return nil, err
 	}
-	keys, pulled, err := tiered.Prewarm()
+	keys, pulled, err := frontStore.Prewarm()
 	if err != nil {
 		return nil, fmt.Errorf("prewarm: %w", err)
 	}

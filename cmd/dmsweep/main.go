@@ -22,6 +22,10 @@
 //	                                            evaluate every m
 //	                                            symbolically — no
 //	                                            recompile per point)
+//	dmsweep -sweep compile -workers 4          (compute four points, or
+//	                                            four symbolic (program, N)
+//	                                            plans, at a time; output
+//	                                            identical to -workers 1)
 //	dmsweep -sweep exec -m 32,64 -n 16         (batched exec backend vs the
 //	                                            per-element RunExact oracle)
 //	dmsweep -sweep scale -m 64 -n 256,1024,4096 (large-N scaling of the
@@ -47,26 +51,13 @@
 //	                                           diff this sweep against a
 //	                                           committed baseline and exit
 //	                                           nonzero on regressions
-//
-// Sharding and peer stores:
-//
-//	dmsweep -sweep compile -shard 0/2 -json    run half the points (the
-//	                                           canonical order is split
-//	                                           round-robin; shards are
-//	                                           disjoint and exhaustive)
-//	dmsweep -merge s0.json,s1.json             reassemble sharded -json
-//	                                           outputs into the canonical
-//	                                           document (byte-identical to
-//	                                           the unsharded run; -baseline
-//	                                           applies to the merge)
 //	dmsweep -sweep compile -store-remote http://host:8077
-//	                                           tier the cache over a peer
+//	                                           give the cache a peer: a
 //	                                           daemon's /artifact store
-//	                                           (implies -cache): warm
+//	                                           (implies -cache). Warm
 //	                                           points are pulled from the
 //	                                           peer, computed points are
-//	                                           written through — sharded
-//	                                           workers share one store
+//	                                           written through
 package main
 
 import (
@@ -75,7 +66,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"dmcc/internal/artifact"
 	"dmcc/internal/cli"
@@ -95,25 +85,10 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit deterministic JSON instead of CSV")
 	baseline := flag.String("baseline", "", "baseline JSON file to diff against; regressions exit nonzero")
 	baselineTol := flag.Float64("baseline-tol", 0, "relative tolerance for -baseline (0.05 = 5%)")
-	shard := flag.String("shard", "", "run one shard of the sweep, as k/n (e.g. 0/2, 1/2)")
-	storeRemote := flag.String("store-remote", "", "peer daemon URL to tier the cache over (implies -cache)")
-	remoteTimeout := flag.Duration("remote-timeout", 5*time.Second, "per-call bound on peer store requests")
-	merge := flag.String("merge", "", "comma-separated sharded -json outputs to reassemble (skips sweeping; emits JSON)")
+	storeRemote := flag.String("store-remote", "", "peer daemon URL behind the cache (implies -cache)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-
-	if *merge != "" {
-		res, err := sweep.MergeFiles(strings.Split(*merge, ","))
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fail(err)
-		}
-		gate(res, *baseline, *baselineTol)
-		return
-	}
 
 	// Malformed grids or an unknown sweep family are usage errors
 	// (exit 2); failures while sweeping exit 1.
@@ -134,10 +109,6 @@ func main() {
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
-	shardK, shardN, err := parseShard(*shard)
-	if err != nil {
-		cli.Usage("dmsweep", err)
-	}
 
 	stopProf, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -146,27 +117,20 @@ func main() {
 	defer stopProf()
 
 	opt := sweep.Options{
-		Jobs:       *jobs,
-		Workers:    *workers,
-		Shard:      shardK,
-		ShardCount: shardN,
+		Jobs:    *jobs,
+		Workers: *workers,
 		Warnf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dmsweep: "+format+"\n", args...)
 		},
 	}
 	var store *artifact.Store
 	if *useCache || *storeRemote != "" {
-		store, err = artifact.Open(*cacheDir)
+		store, err = artifact.OpenWithPeer(*cacheDir, *storeRemote)
 		if err != nil {
 			fail(err)
 		}
 		store.Warnf = opt.Warnf
 		opt.Cache = store
-		if *storeRemote != "" {
-			opt.Cache = artifact.NewTiered(store, artifact.OpenRemote(*storeRemote, artifact.RemoteOptions{
-				Timeout: *remoteTimeout, Warnf: opt.Warnf,
-			}))
-		}
 	}
 
 	var res *sweep.Result
@@ -227,23 +191,6 @@ func gate(res *sweep.Result, baseline string, tol float64) {
 
 func fail(err error) {
 	cli.Fail("dmsweep", err)
-}
-
-// parseShard parses the -shard k/n spec; "" means unsharded.
-func parseShard(s string) (k, n int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	kStr, nStr, found := strings.Cut(s, "/")
-	if !found {
-		return 0, 0, fmt.Errorf("bad -shard %q (want k/n, e.g. 0/2)", s)
-	}
-	k, errK := strconv.Atoi(kStr)
-	n, errN := strconv.Atoi(nStr)
-	if errK != nil || errN != nil || n < 1 || k < 0 || k >= n {
-		return 0, 0, fmt.Errorf("bad -shard %q (want 0 <= k < n)", s)
-	}
-	return k, n, nil
 }
 
 func parseInts(s string) ([]int, error) {

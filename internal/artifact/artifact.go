@@ -12,6 +12,14 @@
 // computing the same key into one computation, and GC(maxBytes) keeps
 // the on-disk footprint bounded by evicting the least recently used
 // records.
+//
+// A store may have a peer: another daemon's store, reached over HTTP
+// (peer.go; the server half is http.go). A local miss then reads
+// through to the peer and back-fills the disk, every Put writes through
+// to the peer, and Prewarm pulls the peer's inventory. The single
+// flight spans both tiers, so one cold key costs one local probe, one
+// peer probe and one compute however many local callers race. A dead
+// peer degrades the store to its disk plus a counted warning per call.
 package artifact
 
 import (
@@ -55,11 +63,12 @@ type header struct {
 // condition under which GC ordering falls back to the in-process
 // recency index alone; Evictions counts records GC removed.
 //
-// The tier counters are zero for the plain disk store: LocalHits and
-// RemoteHits split the Tiered backend's Hits by the tier that served
-// them, RemoteErrors counts remote calls that exhausted their retries
-// (the degraded-to-local signal), and Prewarmed counts keys pulled from
-// a peer's inventory at startup.
+// The tier counters are zero for a store without a peer: LocalHits and
+// RemoteHits split Hits by the tier that served them, RemoteErrors
+// counts peer calls that failed (the degraded-to-local signal), and
+// Prewarmed counts keys pulled from the peer's inventory at startup.
+// With a peer, BytesRead and BytesWritten also count the payload bytes
+// fetched from and written through to it.
 type Stats struct {
 	Hits, Misses, Puts int64
 	BytesRead          int64
@@ -86,15 +95,21 @@ func (s Stats) String() string {
 	return base
 }
 
-// Store is one cache directory. Safe for concurrent use.
+// Store is one cache directory, with an optional peer. Safe for
+// concurrent use.
 type Store struct {
 	dir string
 	// Warnf, when non-nil, receives a warning for every entry dropped as
-	// corrupt or stale. Defaults to silence; dmsweep points it at stderr.
+	// corrupt or stale and every degraded peer call. Defaults to silence;
+	// dmsweep and dmccd point it at stderr.
 	Warnf func(format string, args ...any)
 
+	peer *peer // nil: the disk is the whole store
+
+	// hits counts disk hits, remoteHits the misses the peer served.
 	hits, misses, puts, bytesRead, bytesWritten atomic.Int64
 	touchFails, evictions                       atomic.Int64
+	remoteHits, remoteErrors, prewarmed         atomic.Int64
 
 	// touch updates a record's mtime after a hit; a test seam, defaults
 	// to os.Chtimes. Failures are counted, never fatal: the in-process
@@ -113,22 +128,30 @@ type Store struct {
 	clock   int64
 }
 
-// Store implements Backend.
-var _ Backend = (*Store)(nil)
+// Open creates the cache directory if needed and returns a store
+// without a peer.
+func Open(dir string) (*Store, error) { return OpenWithPeer(dir, "") }
 
-// Open creates the cache directory if needed and returns a store.
-func Open(dir string) (*Store, error) {
+// OpenWithPeer is Open with the store at peerBase (e.g.
+// "http://127.0.0.1:8077") as the peer; "" means none. It performs no
+// peer I/O: an unreachable peer surfaces as counted degradations, not as
+// an error here.
+func OpenWithPeer(dir, peerBase string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("artifact: open %s: %w", dir, err)
 	}
-	return &Store{
+	s := &Store{
 		dir: dir,
 		touch: func(path string) error {
 			now := time.Now()
 			return os.Chtimes(path, now, now)
 		},
 		recency: map[string]int64{},
-	}, nil
+	}
+	if peerBase != "" {
+		s.peer = newPeer(peerBase)
+	}
+	return s, nil
 }
 
 // noteUse bumps the record's in-process recency tick.
@@ -142,10 +165,6 @@ func (s *Store) noteUse(path string) {
 // InFlight reports the number of active single-flight computations — a
 // gauge, not a cumulative counter, so it lives outside Stats.
 func (s *Store) InFlight() int { return s.flights.active() }
-
-// HasFlight reports whether key has an in-progress single-flight
-// computation (see FlightChecker).
-func (s *Store) HasFlight(key string) bool { return s.flights.has(key) }
 
 // Contains reports whether a record exists on disk for key, without
 // validating it or counting a hit/miss — the cheap existence probe
@@ -161,8 +180,9 @@ func (s *Store) Dir() string { return s.dir }
 
 // Stats returns a snapshot of the activity counters.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Hits:         s.hits.Load(),
+	local, remote := s.hits.Load(), s.remoteHits.Load()
+	st := Stats{
+		Hits:         local + remote,
 		Misses:       s.misses.Load(),
 		Puts:         s.puts.Load(),
 		BytesRead:    s.bytesRead.Load(),
@@ -170,6 +190,12 @@ func (s *Store) Stats() Stats {
 		TouchFails:   s.touchFails.Load(),
 		Evictions:    s.evictions.Load(),
 	}
+	if s.peer != nil {
+		st.LocalHits, st.RemoteHits = local, remote
+		st.RemoteErrors = s.remoteErrors.Load()
+		st.Prewarmed = s.prewarmed.Load()
+	}
+	return st
 }
 
 func (s *Store) warnf(format string, args ...any) {
@@ -191,17 +217,26 @@ func KeyOf(parts ...string) string {
 	return b.String()
 }
 
+// KeyID is the public handle of a key: the sha-256 (hex) of its
+// canonical text — the digest record paths are sharded by, the daemon
+// names plans with, and the HTTP transport addresses artifacts by.
+func KeyID(key string) string {
+	h := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(h[:])
+}
+
 // path maps a key text to its record path: two-level sharding by the
 // sha-256 of the key, so directories stay small.
 func (s *Store) path(key string) string {
-	h := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(h[:])
+	name := KeyID(key)
 	return filepath.Join(s.dir, name[:2], name[2:])
 }
 
 // Get returns the payload stored under key, or ok=false on any miss:
 // absent, truncated, checksum mismatch, schema-stale, or a key-hash
-// collision. Damaged entries are reported via Warnf and removed.
+// collision. Damaged entries are reported via Warnf and removed. With a
+// peer, a local miss reads through to it and a peer hit is written to
+// disk (best-effort), so the next read is local.
 func (s *Store) Get(key string) ([]byte, bool) {
 	return s.get(key, true)
 }
@@ -210,22 +245,51 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // single-flight already counted its caller's miss, and counting the
 // same logical miss twice would make a cold sweep report misses=2×puts.
 func (s *Store) get(key string, countMiss bool) ([]byte, bool) {
-	p := s.path(key)
-	miss := func() ([]byte, bool) {
-		if countMiss {
-			s.misses.Add(1)
+	if p, ok := s.getLocal(key); ok {
+		return p, true
+	}
+	if s.peer != nil {
+		if p, ok := s.fetch(key); ok {
+			s.remoteHits.Add(1)
+			if err := s.putLocal(key, p); err != nil {
+				s.warnf("artifact: tiered: filling local tier: %v", err)
+			}
+			return p, true
 		}
+	}
+	if countMiss {
+		s.misses.Add(1)
+	}
+	return nil, false
+}
+
+// fetch reads key from the peer. A failed call is a miss that counts
+// RemoteErrors and warns: the peer being down must degrade, never error.
+func (s *Store) fetch(key string) ([]byte, bool) {
+	p, ok, err := s.peer.get(key)
+	if err != nil {
+		s.remoteErrors.Add(1)
+		s.warnf("%v (degrading to miss)", err)
 		return nil, false
 	}
+	if ok {
+		s.bytesRead.Add(int64(len(p)))
+	}
+	return p, ok
+}
+
+// getLocal reads key from disk alone, counting a hit but never a miss.
+func (s *Store) getLocal(key string) ([]byte, bool) {
+	p := s.path(key)
 	raw, err := os.ReadFile(p)
 	if err != nil {
-		return miss()
+		return nil, false
 	}
 	payload, err := decode(raw, key)
 	if err != nil {
 		s.warnf("artifact: dropping %s: %v", p, err)
 		os.Remove(p)
-		return miss()
+		return nil, false
 	}
 	// The in-process recency index is the authoritative LRU ordering;
 	// the mtime touch only helps a future process order records this one
@@ -273,9 +337,27 @@ func mustParseSum(s string) uint32 {
 	return v
 }
 
-// Put stores payload under key, atomically (write to a temp file in the
-// same directory, then rename).
+// Put stores payload under key. The disk write must succeed (it is the
+// tier reads come from); the write-through to a peer is best-effort, a
+// failure counted and warned.
 func (s *Store) Put(key string, payload []byte) error {
+	if err := s.putLocal(key, payload); err != nil {
+		return err
+	}
+	if s.peer != nil {
+		if err := s.peer.put(key, payload); err != nil {
+			s.remoteErrors.Add(1)
+			s.warnf("artifact: tiered: write-through: %v", err)
+		} else {
+			s.bytesWritten.Add(int64(len(payload)))
+		}
+	}
+	return nil
+}
+
+// putLocal writes the record to disk atomically (write to a temp file
+// in the same directory, then rename).
+func (s *Store) putLocal(key string, payload []byte) error {
 	p := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("artifact: put: %w", err)
@@ -322,8 +404,10 @@ func (s *Store) Put(key string, payload []byte) error {
 // stores its result, and returns it. Concurrent calls for the same key
 // collapse to a single compute invocation (single flight); all callers
 // receive the same payload or the same error. cached reports whether
-// the payload came from disk (for this caller). A failed Put degrades
-// to a warning — the computed payload is still returned.
+// the payload came from either tier (for this caller). A failed Put
+// degrades to a warning — the computed payload is still returned. The
+// computed payload is on disk and written through to the peer before
+// the flight closes, so the next daemon asking the peer gets a hit.
 func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (payload []byte, cached bool, err error) {
 	if p, ok := s.Get(key); ok {
 		return p, true, nil
@@ -347,11 +431,70 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) (payloa
 	})
 }
 
-// Keys enumerates the key texts of every valid-looking record on disk,
-// sorted — the store's inventory, served as GET /keys and consumed by
-// peer prewarming. Only record headers are read, never payloads;
-// undecodable files are skipped (the next Get drops them).
+// Keys enumerates the key texts of every valid-looking record, sorted —
+// the store's inventory, served as GET /keys and consumed by peer
+// prewarming. With a peer it is the union of both tiers' inventories;
+// an unreachable peer degrades to the local inventory with a warning.
 func (s *Store) Keys() ([]string, error) {
+	keys, err := s.localKeys()
+	if err != nil || s.peer == nil {
+		return keys, err
+	}
+	rkeys, err := s.peer.keys()
+	if err != nil {
+		s.remoteErrors.Add(1)
+		s.warnf("artifact: tiered: %v (serving local inventory only)", err)
+	}
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		seen[k] = true
+	}
+	for _, k := range rkeys {
+		if !seen[k] {
+			keys = append(keys, k)
+			seen[k] = true
+		}
+	}
+	sort.Strings(keys)
+	return keys, nil
+}
+
+// Prewarm pulls every key in the peer's inventory that is absent on
+// disk, and returns the peer's full inventory (for plan registration
+// downstream) plus the number of keys pulled. An unreachable peer
+// returns the error — the caller logs and runs cold; nothing else
+// degrades. A store without a peer has nothing to pull.
+func (s *Store) Prewarm() (keys []string, pulled int, err error) {
+	if s.peer == nil {
+		return nil, 0, nil
+	}
+	keys, err = s.peer.keys()
+	if err != nil {
+		s.remoteErrors.Add(1)
+		return nil, 0, err
+	}
+	for _, key := range keys {
+		if s.Contains(key) {
+			continue
+		}
+		p, ok := s.fetch(key)
+		if !ok {
+			continue // evicted or unreadable between inventory and fetch
+		}
+		if perr := s.putLocal(key, p); perr != nil {
+			s.warnf("artifact: prewarm: %v", perr)
+			continue
+		}
+		pulled++
+	}
+	s.prewarmed.Add(int64(pulled))
+	return keys, pulled, nil
+}
+
+// localKeys lists the records on disk. Only record headers are read,
+// never payloads; undecodable files are skipped (the next Get drops
+// them).
+func (s *Store) localKeys() ([]string, error) {
 	var keys []string
 	err := filepath.Walk(s.dir, func(path string, info os.FileInfo, err error) error {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -396,7 +539,8 @@ func readHeaderKey(path string) (string, bool) {
 }
 
 // GC removes least-recently-used records until the store's record bytes
-// fit in maxBytes. It returns the number of records removed.
+// fit in maxBytes. It returns the number of records removed. It evicts
+// from disk only; a peer owns its own eviction.
 //
 // Ordering: records this process has used (hit or put) are ranked by
 // the in-process recency index; records it has never touched (cold

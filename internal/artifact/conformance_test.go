@@ -1,12 +1,14 @@
-// Backend conformance: one shared battery run against every backend —
-// disk, remote (httptest-backed), and tiered — so the Backend contract
-// (best-effort misses, single-flight dedup, GC safety under -race) is
-// pinned by construction, not per-implementation folklore.
+// Store conformance: one shared battery run against every shape a store
+// takes — disk alone, disk with a live peer, and disk with a peer
+// behind a lossy wire — so the contract (best-effort misses,
+// single-flight dedup, GC safety under -race) holds whichever tier
+// answers.
 package artifact
 
 import (
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -16,80 +18,88 @@ import (
 	"time"
 )
 
-// backendHarness builds one backend flavor for the battery. dirs are
-// the on-disk record directories behind the backend (server-side for
-// remote; both tiers for tiered) — the corruption cases damage records
-// there directly.
-type backendHarness struct {
+// storeHarness builds one store shape for the battery. dirs are the
+// on-disk record directories behind the store (both tiers when it has a
+// peer) — the corruption cases damage records there directly.
+type storeHarness struct {
 	name string
-	open func(t *testing.T) (Backend, []string)
+	open func(t *testing.T) (*Store, []string)
 }
 
-func quietWarn(s *Store) *Store {
+// openQuiet opens a store over a fresh directory with warnings silenced.
+func openQuiet(t *testing.T, peerBase string) *Store {
+	t.Helper()
+	s, err := OpenWithPeer(t.TempDir(), peerBase)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.Warnf = func(string, ...any) {}
 	return s
 }
 
-func harnesses() []backendHarness {
-	return []backendHarness{
+// storeHandler mounts the artifact routes over s, as the daemon does.
+func storeHandler(s *Store) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { ServeGet(s, w, r) })
+	mux.HandleFunc("PUT /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { ServePut(s, w, r) })
+	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) { ServeKeys(s, w, r) })
+	return mux
+}
+
+// serveStore serves s over httptest for the test's lifetime; wrap, when
+// non-nil, sits between the wire and the routes.
+func serveStore(t *testing.T, s *Store, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
+	h := storeHandler(s)
+	if wrap != nil {
+		h = wrap(h)
+	}
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// openPeered opens a store whose peer is another fresh store, served
+// through wrap. Retries do not sleep.
+func openPeered(t *testing.T, wrap func(http.Handler) http.Handler) (*Store, []string) {
+	upstream := openQuiet(t, "")
+	s := openQuiet(t, serveStore(t, upstream, wrap).URL)
+	s.peer.sleep = func(time.Duration) {}
+	return s, []string{s.Dir(), upstream.Dir()}
+}
+
+// everyOtherFails answers every other request with a 503, so peer reads
+// only succeed through the client's retries and half the write-throughs
+// fail.
+func everyOtherFails(h http.Handler) http.Handler {
+	var n atomic.Int64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.Add(1)%2 == 1 {
+			http.Error(w, "flaky", http.StatusServiceUnavailable)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+func harnesses() []storeHarness {
+	return []storeHarness{
 		{
 			name: "disk",
-			open: func(t *testing.T) (Backend, []string) {
-				s, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return quietWarn(s), []string{s.Dir()}
-			},
-		},
-		{
-			name: "remote",
-			open: func(t *testing.T) (Backend, []string) {
-				upstream, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				quietWarn(upstream)
-				ts := httptest.NewServer(Handler(upstream))
-				t.Cleanup(ts.Close)
-				return OpenRemote(ts.URL, RemoteOptions{}), []string{upstream.Dir()}
+			open: func(t *testing.T) (*Store, []string) {
+				s := openQuiet(t, "")
+				return s, []string{s.Dir()}
 			},
 		},
 		{
 			name: "tiered",
-			open: func(t *testing.T) (Backend, []string) {
-				upstream, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				quietWarn(upstream)
-				ts := httptest.NewServer(Handler(upstream))
-				t.Cleanup(ts.Close)
-				local, err := Open(t.TempDir())
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr := NewTiered(quietWarn(local), OpenRemote(ts.URL, RemoteOptions{}))
-				tr.Warnf = func(string, ...any) {}
-				return tr, []string{local.Dir(), upstream.Dir()}
-			},
+			open: func(t *testing.T) (*Store, []string) { return openPeered(t, nil) },
+		},
+		{
+			name: "remote",
+			open: func(t *testing.T) (*Store, []string) { return openPeered(t, everyOtherFails) },
 		},
 	}
-}
-
-// flightsOf is the single-flight group behind a conformance backend.
-func flightsOf(t *testing.T, b Backend) *flightGroup {
-	t.Helper()
-	switch b := b.(type) {
-	case *Store:
-		return &b.flights
-	case *Remote:
-		return &b.flights
-	case *Tiered:
-		return &b.flights
-	}
-	t.Fatalf("no flight group in %T", b)
-	return nil
 }
 
 // flightRefs is the number of callers joined to key's flight.
@@ -136,6 +146,8 @@ func corruptRecords(t *testing.T, dirs []string, mutate func([]byte) []byte) int
 	return n
 }
 
+// TestBackendConformance runs the battery over every store shape (see
+// harnesses): each is one backend a daemon can be configured with.
 func TestBackendConformance(t *testing.T) {
 	for _, h := range harnesses() {
 		h := h
@@ -180,7 +192,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("panicked-flight-fails-its-waiters", func(t *testing.T) {
 				b, _ := h.open(t)
 				key := KeyOf("kind=conf", "panics-with-a-waiter")
-				g := flightsOf(t, b)
+				g := &b.flights
 				started, release := make(chan struct{}), make(chan struct{})
 				leader := make(chan any)
 				go func() {
@@ -373,23 +385,19 @@ func TestBackendConformance(t *testing.T) {
 	}
 }
 
-// The inventory round-trips through every Lister backend.
+// The inventory round-trips through every store shape.
 func TestKeysInventory(t *testing.T) {
 	for _, h := range harnesses() {
 		h := h
 		t.Run(h.name, func(t *testing.T) {
 			b, _ := h.open(t)
-			l, ok := b.(Lister)
-			if !ok {
-				t.Fatalf("%s backend does not implement Lister", h.name)
-			}
 			want := []string{"inv-a", "inv-b;m=64", "inv-c"}
 			for _, k := range want {
 				if err := b.Put(k, []byte("p:"+k)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			keys, err := l.Keys()
+			keys, err := b.Keys()
 			if err != nil {
 				t.Fatal(err)
 			}

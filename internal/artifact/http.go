@@ -1,8 +1,8 @@
-// The HTTP transport's server half: plain handlers over any Backend,
-// so any process holding a store — the dmccd daemon first of all — can
-// be another process's backing store.
+// The HTTP transport's server half: plain handlers over a Store, so any
+// process holding a store — the dmccd daemon first of all — can be
+// another store's peer.
 //
-// Wire protocol (mirrored by the Remote client backend):
+// Wire protocol (mirrored by the peer client in peer.go):
 //
 //	GET  /artifact/{id}?key=K   raw payload bytes, 404 on miss
 //	PUT  /artifact/{id}?key=K   store the request body under K
@@ -60,29 +60,29 @@ func httpErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 // ServeGet handles GET /artifact/{id}: the payload bytes on a hit, 404
-// on a miss. When the backend reports an active flight for the key the
-// miss is deferred up to flightWait — request coalescing across
-// daemons: the peer's one DP run serves this caller too.
-func ServeGet(b Backend, w http.ResponseWriter, r *http.Request) {
+// on a miss. When the store has an active flight for the key the miss
+// is deferred up to flightWait — request coalescing across daemons: this
+// process's one DP run serves the caller too.
+func ServeGet(s *Store, w http.ResponseWriter, r *http.Request) {
 	key, ok := httpKey(w, r)
 	if !ok {
 		return
 	}
-	if payload, ok := b.Get(key); ok {
+	if payload, ok := s.Get(key); ok {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(payload)
 		return
 	}
-	if fc, ok := b.(FlightChecker); ok && fc.HasFlight(key) {
+	if s.flights.has(key) {
 		deadline := time.Now().Add(flightWait)
-		for fc.HasFlight(key) && time.Now().Before(deadline) {
+		for s.flights.has(key) && time.Now().Before(deadline) {
 			select {
 			case <-r.Context().Done():
 				return
 			case <-time.After(flightPoll):
 			}
 		}
-		if payload, ok := b.Get(key); ok {
+		if payload, ok := s.Get(key); ok {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(payload)
 			return
@@ -92,7 +92,7 @@ func ServeGet(b Backend, w http.ResponseWriter, r *http.Request) {
 }
 
 // ServePut handles PUT /artifact/{id}: store the body under the key.
-func ServePut(b Backend, w http.ResponseWriter, r *http.Request) {
+func ServePut(s *Store, w http.ResponseWriter, r *http.Request) {
 	key, ok := httpKey(w, r)
 	if !ok {
 		return
@@ -102,7 +102,7 @@ func ServePut(b Backend, w http.ResponseWriter, r *http.Request) {
 		httpErr(w, http.StatusRequestEntityTooLarge, "reading payload: %v", err)
 		return
 	}
-	if err := b.Put(key, payload); err != nil {
+	if err := s.Put(key, payload); err != nil {
 		httpErr(w, http.StatusInternalServerError, "put: %v", err)
 		return
 	}
@@ -114,35 +114,18 @@ type keysDoc struct {
 	Keys []string `json:"keys"`
 }
 
-// ServeKeys handles GET /keys: the backend's key inventory. A backend
-// with no Lister serves an empty inventory rather than an error —
-// prewarming against it is simply a no-op.
-func ServeKeys(b Backend, w http.ResponseWriter, r *http.Request) {
-	doc := keysDoc{Keys: []string{}}
-	if l, ok := b.(Lister); ok {
-		keys, err := l.Keys()
-		if err != nil {
-			httpErr(w, http.StatusInternalServerError, "keys: %v", err)
-			return
-		}
-		if keys != nil {
-			doc.Keys = keys
-		}
+// ServeKeys handles GET /keys: the store's key inventory.
+func ServeKeys(s *Store, w http.ResponseWriter, r *http.Request) {
+	keys, err := s.Keys()
+	if err != nil {
+		httpErr(w, http.StatusInternalServerError, "keys: %v", err)
+		return
+	}
+	if keys == nil {
+		keys = []string{}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(doc)
-}
-
-// Handler assembles the three routes into a standalone handler — what
-// the conformance tests and any non-dmccd host mount. The dmccd daemon
-// mounts the Serve* functions individually so each sits behind its
-// endpoint metrics.
-func Handler(b Backend) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { ServeGet(b, w, r) })
-	mux.HandleFunc("PUT /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { ServePut(b, w, r) })
-	mux.HandleFunc("GET /keys", func(w http.ResponseWriter, r *http.Request) { ServeKeys(b, w, r) })
-	return mux
+	json.NewEncoder(w).Encode(keysDoc{Keys: keys})
 }
 
 // artifactURL builds the /artifact/{id} URL for a key against a base.

@@ -1,10 +1,10 @@
 // In-process single flight: concurrent GetOrCompute calls for one key
 // share one computation. Unlike x/sync/singleflight this is fused with
-// each backend's Get/Put (the winning flight re-checks the backend
-// before computing), so a process racing against itself or a concurrent
-// process never computes a key more than once per miss window. The
-// group is shared by every backend — disk, remote and tiered — so the
-// tiered backend can fuse one flight across both of its tiers.
+// the store's Get/Put (the winning flight re-checks both tiers before
+// computing), so a process racing against itself or a concurrent
+// process never computes a key more than once per miss window. A store
+// has one group, covering its disk and its peer alike, so GC and the
+// HTTP flight hold see every computation in progress.
 package artifact
 
 import (
@@ -39,7 +39,7 @@ func (f *flight) do(body func() ([]byte, bool, error)) ([]byte, bool, error) {
 	return f.payload, f.cached, f.err
 }
 
-// flightGroup tracks the active flights of one backend.
+// flightGroup tracks the active flights of one store.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flight

@@ -100,8 +100,8 @@ func (e *endpoint) snapshot() EndpointSnapshot {
 
 // StoreSnapshot is the artifact store's slice of the /metrics document:
 // its cumulative Stats plus the in-flight single-flight gauge. The
-// per-tier fields are zero for a plain disk store and split the traffic
-// of a tiered backend: LocalHits+RemoteHits == Hits, RemoteErrors
+// per-tier fields are zero for a store without a peer and split the
+// traffic of one with a peer: LocalHits+RemoteHits == Hits, RemoteErrors
 // counts degraded peer calls, PrewarmedKeys counts startup pulls.
 type StoreSnapshot struct {
 	Hits          int64 `json:"hits"`

@@ -1,7 +1,7 @@
 // Startup prewarming: turning a peer's key inventory into live plan
-// evaluators before the first request arrives. The artifact tier pull
-// (Tiered.Prewarm) moves the frozen-plan bytes; this file closes the
-// loop by reconstructing, for every planfit key the daemon can parse,
+// evaluators before the first request arrives. The store's pull
+// (artifact.Store.Prewarm) moves the frozen-plan bytes; this file closes
+// the loop by reconstructing, for every planfit key the daemon can parse,
 // the exact compiler configuration that produced it, and thawing the
 // stored plan into the in-memory registry — so a freshly started
 // daemon B answers GET /cost for plans only daemon A ever compiled.

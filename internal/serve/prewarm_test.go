@@ -12,23 +12,27 @@ import (
 	"dmcc/internal/sweep"
 )
 
-// Every daemon serves its artifact store: a Remote client pointed at
-// the daemon's own HTTP surface round-trips payloads and lists keys.
+// Every daemon serves its artifact store: a store whose peer is the
+// daemon's own HTTP surface writes payloads through, and a second one
+// reads them back and lists them.
 func TestArtifactEndpointsOverHandler(t *testing.T) {
 	s, ts, store := newTestServer(t)
-	rem := artifact.OpenRemote(ts.URL, artifact.RemoteOptions{Warnf: t.Logf})
+	writer, reader := mustOpenPeered(t, ts.URL), mustOpenPeered(t, ts.URL)
 
 	key := artifact.KeyOf("kind=test", "payload=endpoint")
-	if err := rem.Put(key, []byte("over-the-wire")); err != nil {
+	if err := writer.Put(key, []byte("over-the-wire")); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := store.Get(key); !ok || string(got) != "over-the-wire" {
 		t.Fatalf("PUT /artifact did not land in the backing store: %q, %v", got, ok)
 	}
-	if got, ok := rem.Get(key); !ok || string(got) != "over-the-wire" {
+	if got, ok := reader.Get(key); !ok || string(got) != "over-the-wire" {
 		t.Fatalf("GET /artifact = %q, %v", got, ok)
 	}
-	keys, err := rem.Keys()
+	if st := reader.Stats(); st.RemoteHits != 1 || st.RemoteErrors != 0 {
+		t.Fatalf("reader stats = %+v, want one hit over the wire", st)
+	}
+	keys, _, err := mustOpenPeered(t, ts.URL).Prewarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,25 +46,20 @@ func TestArtifactEndpointsOverHandler(t *testing.T) {
 }
 
 // The fleet property end to end: daemon A cold-compiles, daemon B —
-// tiered over A's /artifact store — prewarms at startup and serves
-// GET /cost for A's plan id without ever compiling. The fleet's total
-// compile count stays 1.
+// whose store has A's /artifact store as its peer — prewarms at startup
+// and serves GET /cost for A's plan id without ever compiling. The
+// fleet's total compile count stays 1.
 func TestPrewarmRoundtripAcrossDaemons(t *testing.T) {
 	_, tsA, _ := newTestServer(t)
 	cr := compileProg(t, tsA, "jacobi", 16, 4)
 	crSor := compileProg(t, tsA, "sor", 16, 4)
 
-	localB, err := artifact.Open(t.TempDir())
+	storeB := mustOpenPeered(t, tsA.URL)
+	srvB, err := New(Config{Store: storeB, Jobs: 1, Warnf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := artifact.NewTiered(localB, artifact.OpenRemote(tsA.URL, artifact.RemoteOptions{}))
-	tiered.Warnf = t.Logf
-	srvB, err := New(Config{Store: tiered, Jobs: 1, Warnf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, pulled, err := tiered.Prewarm()
+	keys, pulled, err := storeB.Prewarm()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +202,16 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 	}
 }
 
-func mustOpen(t *testing.T) *artifact.Store {
+func mustOpen(t *testing.T) *artifact.Store { return mustOpenPeered(t, "") }
+
+// mustOpenPeered opens a store over a fresh directory with peer as its
+// peer ("" for none), warning into the test log.
+func mustOpenPeered(t *testing.T, peer string) *artifact.Store {
 	t.Helper()
-	st, err := artifact.Open(t.TempDir())
+	st, err := artifact.OpenWithPeer(t.TempDir(), peer)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.Warnf = t.Logf
 	return st
 }

@@ -52,9 +52,9 @@ const (
 
 // Config configures a Server.
 type Config struct {
-	// Store is the artifact backend the daemon serves from — a plain
-	// disk store, or a tiered store over a peer daemon. Required.
-	Store artifact.Backend
+	// Store is the artifact store the daemon serves from, with or without
+	// a peer daemon behind it. Required.
+	Store *artifact.Store
 	// Jobs is the within-compile worker count (Compiler.Jobs).
 	Jobs int
 	// CompileTimeout bounds one POST /compile request. The underlying
@@ -64,6 +64,9 @@ type Config struct {
 	// Warnf receives non-fatal diagnostics; nil silences them.
 	Warnf func(format string, args ...any)
 }
+
+// planForKey builds or fetches a plan for POST /compile; a test seam.
+var planForKey = sweep.PlanForKey
 
 // planEntry is one live plan: its store key, a thawed evaluator with
 // the fit diagnostic its payload carried, and the memo of sizes priced
@@ -122,8 +125,8 @@ func (s *Server) warnf(format string, args ...any) {
 func PlanID(key string) string { return artifact.KeyID(key) }
 
 // Handler returns the daemon's routing table. The /artifact and /keys
-// routes expose the backend itself, so any daemon can be another
-// daemon's remote store.
+// routes expose the store itself, so any daemon can be another daemon's
+// peer.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /compile", s.instrument(&s.epCompile, s.handleCompile))
@@ -312,7 +315,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// net/http's per-request recover cannot see this goroutine: an
 		// unrecovered panic here would take the daemon down.
 		b.err = core.Guard(func() (err error) {
-			b.pe, b.fitErr, b.cached, err = sweep.PlanForKey(c, key, req.M, sweep.Options{
+			b.pe, b.fitErr, b.cached, err = planForKey(c, key, req.M, sweep.Options{
 				Cache: s.cfg.Store, Jobs: s.cfg.Jobs, Warnf: s.cfg.Warnf,
 			})
 			return err
@@ -537,10 +540,6 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 // Metrics returns the current snapshot (also served as GET /metrics).
 func (s *Server) Metrics() MetricsSnapshot {
 	st := s.cfg.Store.Stats()
-	inFlight := 0
-	if g, ok := s.cfg.Store.(interface{ InFlight() int }); ok {
-		inFlight = g.InFlight()
-	}
 	s.mu.Lock()
 	live := len(s.plans)
 	s.mu.Unlock()
@@ -548,7 +547,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Store: StoreSnapshot{
 			Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
 			TouchFails: st.TouchFails, Evictions: st.Evictions,
-			InFlight:      inFlight,
+			InFlight:      s.cfg.Store.InFlight(),
 			LocalHits:     st.LocalHits,
 			RemoteHits:    st.RemoteHits,
 			RemoteErrors:  st.RemoteErrors,

@@ -535,36 +535,20 @@ DO 2 i = 1, m
 END
 `
 
-// panickyStore panics inside the flight's compute while armed — on the
-// flight goroutine, beyond net/http's per-request recover.
-type panickyStore struct {
-	*artifact.Store
-	armed bool
-}
-
-func (p *panickyStore) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte, bool, error) {
-	return p.Store.GetOrCompute(key, func() ([]byte, error) {
-		if p.armed {
-			panic("pricing bug")
-		}
-		return compute()
-	})
-}
-
 // TestCompilePanicDoesNotKillTheDaemon: a compile that panics is answered
-// 500 with the panic value, counted, and the next request is served.
+// 500 with the panic value, counted, and the next request is served. The
+// panic is raised inside the store's flight — on the flight goroutine,
+// beyond net/http's per-request recover.
 func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
-	inner, err := artifact.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	s, ts, store := newTestServer(t)
+	armed := true
+	t.Cleanup(func() { planForKey = sweep.PlanForKey })
+	planForKey = func(c *core.Compiler, key string, baseM int, opt sweep.Options) (*core.PlanEvaluator, string, bool, error) {
+		if armed {
+			opt.Cache.GetOrCompute(key, func() ([]byte, error) { panic("pricing bug") })
+		}
+		return sweep.PlanForKey(c, key, baseM, opt)
 	}
-	store := &panickyStore{Store: inner, armed: true}
-	s, err := New(Config{Store: store, Jobs: 1, Warnf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
 	for attempt := 1; attempt <= 2; attempt++ {
 		resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Prog: "jacobi", M: 16, N: 4})
 		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(raw), "pricing bug") {
@@ -574,10 +558,10 @@ func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
 			t.Fatalf("attempt %d: compile_panics = %d", attempt, got)
 		}
 	}
-	store.armed = false
+	armed = false
 	compileProg(t, ts, "jacobi", 16, 4)
-	if inner.InFlight() != 0 {
-		t.Errorf("%d flights left open by the failed compiles", inner.InFlight())
+	if store.InFlight() != 0 {
+		t.Errorf("%d flights left open by the failed compiles", store.InFlight())
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"dmcc/internal/artifact"
@@ -53,21 +54,15 @@ type Result struct {
 
 // Options configures a sweep run.
 type Options struct {
-	// Cache, when non-nil, memoizes every point's metrics — on disk, or
-	// through a tiered backend that also consults a peer daemon's store.
-	Cache artifact.Backend
+	// Cache, when non-nil, memoizes every point's metrics — on disk, and
+	// through the store's peer daemon when it has one.
+	Cache *artifact.Store
 	// Jobs is the within-compile worker count (Compiler.Jobs).
 	Jobs int
 	// Workers is the point-level parallelism (1 = serial).
 	Workers int
 	// Warnf receives non-fatal diagnostics; nil silences them.
 	Warnf func(format string, args ...any)
-	// Shard/ShardCount split a sweep across processes: with ShardCount >
-	// 1, only points whose index in the canonical (variant, m, n, s)
-	// order satisfies i % ShardCount == Shard are run. Shards are
-	// disjoint and cover the sweep, so merging their outputs (see
-	// MergeFiles) reproduces the unsharded result byte-for-byte.
-	Shard, ShardCount int
 }
 
 func (o Options) warnf(format string, args ...any) {
@@ -94,71 +89,44 @@ type point struct {
 // consulting the cache when attached, and returns rows sorted by
 // (variant, m, n, s).
 func runPoints(pts []point, opt Options) ([]Row, error) {
-	pts = shardPoints(pts, opt)
 	rows := make([]Row, len(pts))
-	errs := make([]error, len(pts))
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range idx {
-				rows[i], errs[i] = runPoint(pts[i], opt)
-			}
-		}()
-	}
-	for i := range pts {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := forEach(len(pts), opt.Workers, func(i int) (err error) {
+		rows[i], err = runPoint(pts[i], opt)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	SortRows(rows)
 	return rows, nil
 }
 
-// shardPoints returns this process's share of the points. Assignment is
-// by index in the canonical (variant, m, n, s) order — not generation
-// order — so every shard of a sweep agrees on the split no matter how
-// the point list was built.
-func shardPoints(pts []point, opt Options) []point {
-	if opt.ShardCount <= 1 {
-		return pts
+// forEach runs f(0), ..., f(n-1) on up to workers goroutines (at least
+// one) and returns the error of the lowest index that failed.
+func forEach(n, workers int, f func(i int) error) error {
+	errs := make([]error, n)
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < max(1, min(workers, n)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				errs[i] = f(i)
+			}
+		}()
 	}
-	sorted := append([]point(nil), pts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		a, b := sorted[i], sorted[j]
-		if a.variant != b.variant {
-			return a.variant < b.variant
-		}
-		if a.m != b.m {
-			return a.m < b.m
-		}
-		if a.n != b.n {
-			return a.n < b.n
-		}
-		return a.s < b.s
-	})
-	var mine []point
-	for i, pt := range sorted {
-		if i%opt.ShardCount == opt.Shard {
-			mine = append(mine, pt)
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return mine
+	return nil
 }
 
 func runPoint(pt point, opt Options) (Row, error) {
@@ -414,57 +382,63 @@ func symbolicBaseM(n int) int {
 // fits) is the cached artifact; per-point evaluation is O(degree) and
 // never cached.
 func Symbolic(mList, nList []int, opt Options) (*Result, error) {
-	res := &Result{Kind: "symbolic"}
-	// The unit of symbolic work is one (program, N) compile+fit, so
-	// sharding splits that list: per-m evaluations are microseconds and
-	// ride with their plan.
+	// The unit of symbolic work is one (program, N) compile+fit, so the
+	// workers share that list: per-m evaluations are microseconds and
+	// ride with their plan. Each unit keeps its own rows and comments, so
+	// the output does not depend on which worker finished first.
 	type unit struct {
-		mk func() *ir.Program
-		n  int
+		mk       func() *ir.Program
+		n        int
+		rows     []Row
+		comments []string
 	}
 	var units []unit
 	for _, mk := range []func() *ir.Program{ir.Jacobi, ir.SOR, ir.Gauss} {
 		for _, n := range nList {
-			units = append(units, unit{mk, n})
+			units = append(units, unit{mk: mk, n: n})
 		}
 	}
-	for i, u := range units {
-		if opt.ShardCount > 1 && i%opt.ShardCount != opt.Shard {
-			continue
+	err := forEach(len(units), opt.Workers, func(i int) error {
+		u := &units[i]
+		p := u.mk()
+		baseM := symbolicBaseM(u.n)
+		c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, u.n)
+		c.Jobs = opt.Jobs
+		pe, fitErr, _, err := PlanFor(c, baseM, opt)
+		if err != nil {
+			return err
 		}
-		{
-			n := u.n
-			p := u.mk()
-			baseM := symbolicBaseM(n)
-			c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, n)
-			c.Jobs = opt.Jobs
-			pe, fitErr, _, err := PlanFor(c, baseM, opt)
+		if fitErr != "" {
+			u.comments = append(u.comments,
+				fmt.Sprintf("# %s n=%d: %s; evaluating per point instead", p.Name, u.n, fitErr))
+		}
+		for _, f := range pe.Formulas() {
+			u.comments = append(u.comments, fmt.Sprintf("# %s n=%d %s", p.Name, u.n, f))
+		}
+		for _, m := range mList {
+			start := time.Now()
+			pc, err := pe.EvalAt(m)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if fitErr != "" {
-				res.Comments = append(res.Comments,
-					fmt.Sprintf("# %s n=%d: %s; evaluating per point instead", p.Name, n, fitErr))
-			}
-			for _, f := range pe.Formulas() {
-				res.Comments = append(res.Comments, fmt.Sprintf("# %s n=%d %s", p.Name, n, f))
-			}
-			for _, m := range mList {
-				start := time.Now()
-				pc, err := pe.EvalAt(m)
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = append(res.Rows, Row{
-					Variant: p.Name, M: m, N: n,
-					Metrics: map[string]float64{
-						"total": pc.Total(), "exec": pc.Exec,
-						"redist": pc.Redist, "loopcarried": pc.LoopCarried,
-					},
-					Wall: map[string]float64{"eval_ns": float64(time.Since(start).Nanoseconds())},
-				})
-			}
+			u.rows = append(u.rows, Row{
+				Variant: p.Name, M: m, N: u.n,
+				Metrics: map[string]float64{
+					"total": pc.Total(), "exec": pc.Exec,
+					"redist": pc.Redist, "loopcarried": pc.LoopCarried,
+				},
+				Wall: map[string]float64{"eval_ns": float64(time.Since(start).Nanoseconds())},
+			})
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Kind: "symbolic"}
+	for _, u := range units {
+		res.Rows = append(res.Rows, u.rows...)
+		res.Comments = append(res.Comments, u.comments...)
 	}
 	SortRows(res.Rows)
 	return res, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -369,139 +370,42 @@ func TestCompareRejectsUnknownShape(t *testing.T) {
 	}
 }
 
-// Sharded sweeps partition the canonical point order; merging the
-// shards' JSON outputs reproduces the unsharded document byte for byte.
-func TestShardedCompileSweepMergesIdentical(t *testing.T) {
-	mList, nList, sList := []int{16, 32}, []int{4}, []int{4}
-	full, err := Compile(mList, nList, sList, Options{})
+// The symbolic sweep's (program, N) units share the worker pool; rows
+// and the formula comments come out in the same order at any width.
+func TestSymbolicSweepWorkersIdentical(t *testing.T) {
+	mList, nList := []int{16, 32}, []int{4, 8}
+	serial, err := Symbolic(mList, nList, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	var paths []string
-	total := 0
-	for k := 0; k < 2; k++ {
-		part, err := Compile(mList, nList, sList, Options{Shard: k, ShardCount: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(part.Rows) == 0 || len(part.Rows) >= len(full.Rows) {
-			t.Fatalf("shard %d has %d of %d rows — not a proper split", k, len(part.Rows), len(full.Rows))
-		}
-		total += len(part.Rows)
-		pj, err := part.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "shard"+string(rune('0'+k))+".json")
-		if err := os.WriteFile(path, pj, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-	if total != len(full.Rows) {
-		t.Fatalf("shards cover %d rows, full sweep has %d", total, len(full.Rows))
-	}
-	merged, err := MergeFiles(paths)
+	wide, err := Symbolic(mList, nList, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fj, _ := full.JSON()
-	mj, _ := merged.JSON()
-	if !bytes.Equal(fj, mj) {
-		t.Errorf("merged shards differ from unsharded sweep:\n%s\n---\n%s", fj, mj)
+	sj, _ := serial.JSON()
+	wj, _ := wide.JSON()
+	if !bytes.Equal(sj, wj) {
+		t.Errorf("-workers 4 JSON differs from -workers 1:\n%s\n---\n%s", wj, sj)
+	}
+	if !reflect.DeepEqual(serial.Comments, wide.Comments) {
+		t.Errorf("-workers 4 comments differ from -workers 1:\n%q\n---\n%q", wide.Comments, serial.Comments)
 	}
 }
 
-// Symbolic sweeps shard over (program, N) units and merge identically.
-func TestShardedSymbolicSweepMergesIdentical(t *testing.T) {
-	mList, nList := []int{16, 32}, []int{4}
-	full, err := Symbolic(mList, nList, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var paths []string
-	for k := 0; k < 2; k++ {
-		part, err := Symbolic(mList, nList, Options{Shard: k, ShardCount: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(part.Rows) == 0 {
-			t.Fatalf("shard %d is empty", k)
-		}
-		pj, err := part.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "sym"+string(rune('0'+k))+".json")
-		if err := os.WriteFile(path, pj, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
-	}
-	merged, err := MergeFiles(paths)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fj, _ := full.JSON()
-	mj, _ := merged.JSON()
-	if !bytes.Equal(fj, mj) {
-		t.Errorf("merged symbolic shards differ from unsharded sweep:\n%s\n---\n%s", fj, mj)
-	}
-}
-
-// Overlapping inputs are not shards of one sweep: the merge refuses
-// them instead of silently overwriting rows.
-func TestMergeRejectsDuplicateRows(t *testing.T) {
-	res, err := Compile([]int{16}, []int{4}, []int{4}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rj, _ := res.JSON()
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	for _, p := range []string{a, b} {
-		if err := os.WriteFile(p, rj, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := MergeFiles([]string{a, b}); err == nil {
-		t.Fatal("duplicate rows should fail the merge")
-	}
-}
-
-// MergeFiles refuses mixed sweep kinds and empty input lists.
-func TestMergeRejectsMixedKinds(t *testing.T) {
-	if _, err := MergeFiles(nil); err == nil {
-		t.Fatal("empty merge should fail")
-	}
-	dir := t.TempDir()
-	a := filepath.Join(dir, "a.json")
-	b := filepath.Join(dir, "b.json")
-	if err := os.WriteFile(a, []byte(`{"sweep":"compile","rows":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(b, []byte(`{"sweep":"exec","rows":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeFiles([]string{a, b}); err == nil {
-		t.Fatal("mixed-kind merge should fail")
-	}
-}
-
-// A sweep through a tiered cache over a peer daemon's store behaves
-// like a local cache: the second shard worker hits what the first
-// computed, through the peer.
+// A sweep through a cache whose store has a peer daemon behaves like a
+// local cache: a second worker hits what the first computed, through
+// the peer.
 func TestSweepThroughTieredCache(t *testing.T) {
 	upstream := openStore(t)
-	ts := httptest.NewServer(artifact.Handler(upstream))
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { artifact.ServeGet(upstream, w, r) })
+	mux.HandleFunc("PUT /artifact/{id}", func(w http.ResponseWriter, r *http.Request) { artifact.ServePut(upstream, w, r) })
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	mList, nList, sList := []int{16}, []int{4}, []int{4}
 	// Worker A: cold, writes through to the peer.
-	a := NewTieredCache(t, ts.URL)
+	a := openPeeredStore(t, ts.URL)
 	cold, err := Compile(mList, nList, sList, Options{Cache: a})
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +414,7 @@ func TestSweepThroughTieredCache(t *testing.T) {
 		t.Fatal("worker A never wrote through to the peer store")
 	}
 	// Worker B: separate local dir, warm entirely from the peer.
-	b := NewTieredCache(t, ts.URL)
+	b := openPeeredStore(t, ts.URL)
 	warm, err := Compile(mList, nList, sList, Options{Cache: b})
 	if err != nil {
 		t.Fatal(err)
@@ -526,12 +430,14 @@ func TestSweepThroughTieredCache(t *testing.T) {
 	}
 }
 
-// NewTieredCache builds a tiered backend over a fresh local dir and the
-// given peer URL (test helper).
-func NewTieredCache(t *testing.T, peer string) *artifact.Tiered {
+// openPeeredStore opens a store over a fresh local dir with the given
+// peer URL.
+func openPeeredStore(t *testing.T, peer string) *artifact.Store {
 	t.Helper()
-	local := openStore(t)
-	tr := artifact.NewTiered(local, artifact.OpenRemote(peer, artifact.RemoteOptions{}))
-	tr.Warnf = t.Logf
-	return tr
+	st, err := artifact.OpenWithPeer(filepath.Join(t.TempDir(), "cache"), peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Warnf = t.Logf
+	return st
 }
