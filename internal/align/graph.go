@@ -33,12 +33,29 @@ type Graph struct {
 	// ArrayDims groups node positions by array, for the alignment
 	// constraint.
 	ArrayDims map[string][]int
+	// pos[k] holds the node positions of Edges[k]'s endpoints, when the
+	// graph was built by an Affinity.
+	pos [][2]int
 }
 
 // NodeIndex returns the position of a node.
 func (g *Graph) NodeIndex(d ir.DimID) (int, bool) {
 	i, ok := g.index[d]
 	return i, ok
+}
+
+// ends returns every edge's endpoints as node positions: the ones the
+// graph was built with, or looked up by name when its edges were listed
+// by hand.
+func (g *Graph) ends() [][2]int {
+	if len(g.pos) == len(g.Edges) {
+		return g.pos
+	}
+	pos := make([][2]int, len(g.Edges))
+	for k, e := range g.Edges {
+		pos[k] = [2]int{g.index[e.From], g.index[e.To]}
+	}
+	return pos
 }
 
 // WeightParams control the numeric edge-weight estimation. Following the
@@ -232,8 +249,10 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, 
 func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
 	g := a.base
 	n := len(g.Nodes)
-	slot := make([]int, n*n) // 1 + the edge's position in edges; 0 = none yet
-	var edges []Edge
+	// slot[from*n+to] counts the edge's increments, then holds 1 + its
+	// position in g.Edges.
+	slot := make([]int, n*n)
+	edges, incs := 0, 0
 	for t := lo; t < hi; t++ {
 		if a.errs[t] != nil {
 			return nil, a.errs[t]
@@ -241,19 +260,33 @@ func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
 		for _, inc := range a.nests[t] {
 			s := &slot[inc.from*n+inc.to]
 			if *s == 0 {
-				edges = append(edges, Edge{From: g.Nodes[inc.from], To: g.Nodes[inc.to]})
-				*s = len(edges)
+				edges++
 			}
-			e := &edges[*s-1]
-			e.Weight += inc.weight
-			e.Lines = append(e.Lines, inc.line)
+			*s++
 		}
+		incs += len(a.nests[t])
 	}
+	// Emit the edges in endpoint-name order, each Lines a window of one
+	// backing array sized by its increment count.
+	lines := make([]int, incs)
+	g.Edges, g.pos = make([]Edge, 0, edges), make([][2]int, 0, edges)
 	for _, from := range a.order {
 		for _, to := range a.order {
-			if s := slot[from*n+to]; s != 0 {
-				g.Edges = append(g.Edges, edges[s-1])
+			s := &slot[from*n+to]
+			if *s == 0 {
+				continue
 			}
+			g.Edges = append(g.Edges, Edge{From: g.Nodes[from], To: g.Nodes[to], Lines: lines[:0:*s]})
+			g.pos = append(g.pos, [2]int{from, to})
+			lines = lines[*s:]
+			*s = len(g.Edges)
+		}
+	}
+	for t := lo; t < hi; t++ {
+		for _, inc := range a.nests[t] {
+			e := &g.Edges[slot[inc.from*n+inc.to]-1]
+			e.Weight += inc.weight
+			e.Lines = append(e.Lines, inc.line)
 		}
 	}
 	return &g, nil

@@ -41,11 +41,9 @@ func (pt Partition) Subset(g *Graph, s int) []ir.DimID {
 // assignment vector (indexed like g.Nodes).
 func (g *Graph) CutWeight(assign []int) float64 {
 	var cut float64
-	for _, e := range g.Edges {
-		fi := g.index[e.From]
-		ti := g.index[e.To]
-		if assign[fi] != assign[ti] {
-			cut += e.Weight
+	for k, ft := range g.ends() {
+		if assign[ft[0]] != assign[ft[1]] {
+			cut += g.Edges[k].Weight
 		}
 	}
 	return cut
@@ -88,42 +86,57 @@ func Align(g *Graph, q int) (Partition, error) {
 // symmetry deterministically, the first dimension of the first
 // multi-dimensional array (e.g. A1) is pinned to subset 0 — the paper's
 // convention of mapping {A1, V} to grid dimension 1. It returns an error
-// if any array has more dimensions than q.
+// if any array has more dimensions than q, or if q is past 64 (the
+// search keeps the subsets a node's array already holds in a bitmask).
 func ExactAlign(g *Graph, q int) (Partition, error) {
 	for a, dims := range g.ArrayDims {
 		if len(dims) > q {
 			return Partition{}, fmt.Errorf("align: array %s has %d dimensions but the grid has %d", a, len(dims), q)
 		}
 	}
+	if q > 64 {
+		return Partition{}, fmt.Errorf("align: exact search of %d subsets, at most 64", q)
+	}
 	n := len(g.Nodes)
 	assign := make([]int, n)
-	for i := range assign {
-		assign[i] = -1
-	}
+	// sib[i] lists the positions of node i's array's dimensions.
+	sib := make([][]int, n)
 	pinned := -1
-	for _, node := range g.Nodes {
-		if len(g.ArrayDims[node.Array]) > 1 {
-			pinned = g.index[node]
-			break
+	for i, node := range g.Nodes {
+		assign[i] = -1
+		sib[i] = g.ArrayDims[node.Array]
+		if pinned == -1 && len(sib[i]) > 1 {
+			pinned = i
 		}
 	}
 	if pinned == -1 && n > 0 {
 		pinned = 0
 	}
 
-	// Adjacency for incremental cut computation.
+	// Adjacency for incremental cut computation, in one backing array.
 	type adj struct {
 		other  int
 		weight float64
 	}
+	ends := g.ends()
+	deg := make([]int, n)
+	for _, ft := range ends {
+		deg[ft[0]]++
+		deg[ft[1]]++
+	}
 	nbr := make([][]adj, n)
-	for _, e := range g.Edges {
-		fi, ti := g.index[e.From], g.index[e.To]
+	backing := make([]adj, 2*len(ends))
+	for i, off := 0, 0; i < n; i++ {
+		nbr[i] = backing[off : off : off+deg[i]]
+		off += deg[i]
+	}
+	for k, ft := range ends {
+		fi, ti, w := ft[0], ft[1], g.Edges[k].Weight
 		if fi == ti {
 			continue
 		}
-		nbr[fi] = append(nbr[fi], adj{ti, e.Weight})
-		nbr[ti] = append(nbr[ti], adj{fi, e.Weight})
+		nbr[fi] = append(nbr[fi], adj{ti, w})
+		nbr[ti] = append(nbr[ti], adj{fi, w})
 	}
 
 	// Order: pinned node first, then nodes of multi-dim arrays, then rest,
@@ -135,7 +148,7 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 		used[pinned] = true
 	}
 	for i := 0; i < n; i++ {
-		if !used[i] && len(g.ArrayDims[g.Nodes[i].Array]) > 1 {
+		if !used[i] && len(sib[i]) > 1 {
 			order = append(order, i)
 			used[i] = true
 		}
@@ -159,10 +172,10 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 			return
 		}
 		ni := order[pos]
-		taken := map[int]bool{}
-		for _, other := range g.ArrayDims[g.Nodes[ni].Array] {
+		var taken uint64
+		for _, other := range sib[ni] {
 			if other != ni && assign[other] >= 0 {
-				taken[assign[other]] = true
+				taken |= 1 << assign[other]
 			}
 		}
 		lo, hi := 0, q-1
@@ -170,7 +183,7 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 			lo, hi = 0, 0
 		}
 		for s := lo; s <= hi; s++ {
-			if taken[s] {
+			if taken&(1<<s) != 0 {
 				continue
 			}
 			add := 0.0

@@ -15,20 +15,28 @@
 //     affine nests and falls straight to the reference enumeration
 //     otherwise; ExactNestCount routes everything through that
 //     enumeration for ablation and equivalence testing.
-//   - Costs are memoized at three levels, each keyed by exactly what its
+//   - Costs are memoized at four levels, each keyed by exactly what its
 //     value depends on within one compiler. Segment costs by (i, j).
-//     Under them, nest counts by (nest, pass, grid, schemes of the arrays
-//     the nest references): M[i][j] is a sum over the segment's nests,
-//     and a nest's counts cannot see any other array, so the
-//     s(s+1)(s+2)/6 × shapes nest pricings of the DP collapse to one
-//     engine invocation per distinct restricted scheme set (2448 → 48 on
-//     Synthetic(16), N = 16). Redistribution and loop-carried costs by
-//     SchemeSet signature (pairs). All keys are concatenations of
-//     per-array strings a SchemeSet formats once.
+//     Under them, scheme sets by (partition assignment, grid shape,
+//     cyclic flag): the segments of a DP share a handful of layouts
+//     (245 derivations → 7 sets on the compile-synth suite), each derived,
+//     validated and keyed once and shared by pointer. Under those, nest
+//     counts by (nest, pass, grid, schemes of the arrays the nest
+//     references): M[i][j] is a sum over the segment's nests, and a
+//     nest's counts cannot see any other array, so the s(s+1)(s+2)/6 ×
+//     shapes nest pricings of the DP collapse to one engine invocation
+//     per distinct restricted scheme set (2448 → 48 on Synthetic(16),
+//     N = 16). Redistribution and loop-carried costs by SchemeSet
+//     signature (pairs). All keys are concatenations of per-array strings
+//     a SchemeSet formats once, and a memoized set keeps each nest's key.
 //   - What depends on the program alone is established once per
 //     compiler: its validation, each nest's referenced arrays and
 //     loop-carried reads (prepared), and each nest's affinity-edge
 //     increments, which alignment replays per segment (align.Affinity).
+//     What depends on the binding too — every array's shape — is
+//     evaluated once per compiler as well (extents), but not in
+//     prepared: a PlanEvaluator's per-size compilers share their
+//     parent's prepared under a different Bind.
 //   - Candidate grid shapes inside a segment and the DP's M[i][j] table
 //     are evaluated on a NumCPU-bounded worker pool. Parallel runs only
 //     warm the memoization caches; the DP itself then runs serially over
@@ -93,12 +101,15 @@ type Compiler struct {
 	poolOnce  sync.Once
 	sem       chan struct{}
 	segCache  map[[2]int]*memo[segValue]
+	setCache  map[setKey]*memo[*SchemeSet]
 	nestCache map[nestKey]*memo[nestValue]
 	chgCache  map[[2]string]*memo[float64]
 	lcCache   map[string]*memo[float64]
 
 	prepOnce sync.Once
 	prep     *prepared
+	exOnce   sync.Once
+	ex       *extents
 	affOnce  sync.Once
 	aff      *align.Affinity
 }
@@ -143,6 +154,17 @@ type nestKey struct {
 	nest    int
 	carried bool
 	schemes string // SchemeSet.restrictedKey over the nest's arrays
+}
+
+// setKey identifies a derived scheme set within a compiler: the
+// partition's subset per (array, dimension) in ir.Program.AllDims order,
+// one byte each, the grid shape and the cyclic flag. The partition's
+// Method is the same for every segment of a program (align.Align picks it
+// by the node count, which is the program's), so it needs no place here.
+type setKey struct {
+	assign string
+	shape  [2]int
+	cyclic bool
 }
 
 type segValue struct {
@@ -261,6 +283,50 @@ func (c *Compiler) prepared() (*prepared, error) {
 	return c.prep, c.prep.err
 }
 
+// extents evaluates the program's array shapes under the compiler's own
+// binding, once; a PlanEvaluator's per-size compilers each have theirs.
+func (c *Compiler) extents() *extents {
+	c.exOnce.Do(func() { c.ex = newExtents(c.Program, c.Bind) })
+	return c.ex
+}
+
+// schemeSet is the scheme set DeriveSchemes makes of partition pt on one
+// grid shape, derived and validated once per compiler per setKey and
+// shared by pointer between every segment and worker that asks for it
+// (NoCache derives afresh). A shared set must not depend on the segment
+// that happened to build it, so it keeps the partition's assignment and
+// method but not its segment-specific cut weight. It also carries, for
+// this compiler's program, each nest's key in the nest memo.
+func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
+	ex := c.extents()
+	key := make([]byte, 0, 32) // on the stack up to 32 array dimensions
+	for a, name := range ex.names {
+		for k := range ex.shapes[a] {
+			sub, ok := pt.Assign[ir.DimID{Array: name, Dim: k}]
+			if !ok {
+				sub = 0xff // deriveSchemes reports the missing dimension
+			}
+			key = append(key, byte(sub))
+		}
+	}
+	return cached(c, &c.setCache, setKey{string(key), shape, cyclic}, func() (*SchemeSet, error) {
+		ss, err := deriveSchemes(ex, align.Partition{Assign: pt.Assign, Method: pt.Method}, shape, cyclic)
+		if err != nil || c.NoCache {
+			return ss, err
+		}
+		pr, err := c.prepared()
+		if err != nil {
+			return nil, err
+		}
+		ss.nestKeys = make([]string, len(pr.refs))
+		for t, refs := range pr.refs {
+			ss.nestKeys[t] = ss.restrictedKey(refs)
+		}
+		ss.keysOf = pr
+		return ss, nil
+	})
+}
+
 // loopCarried reports whether a read of array a in nest t (0-based) takes
 // its value from a later write of the same iteration-body pass — a write
 // by nest t or after — i.e. crosses the iterative loop's back edge.
@@ -325,7 +391,7 @@ func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, e
 	if c.NoCache || c.ExactNestCount {
 		v, err = price()
 	} else {
-		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.restrictedKey(pr.refs[t])}, price)
+		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.nestKey(pr, t)}, price)
 	}
 	if c.Engines != nil && err == nil {
 		if v.eng == cost.EngineAnalytic {
@@ -414,7 +480,7 @@ func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 	sets := make([]*SchemeSet, len(shapes))
 	costs := make([]float64, len(shapes))
 	err = c.fanOut(len(shapes), func(k int) error {
-		ss, err := DeriveSchemes(c.Program, pt, shapes[k], c.Bind, cyclic)
+		ss, err := c.schemeSet(pt, shapes[k], cyclic)
 		if err != nil {
 			return err
 		}
@@ -498,22 +564,17 @@ func (c *Compiler) changeLoads(from, to *SchemeSet) (dist.ScaledLoads, error) {
 // its shape under the compiler's binding and its scheme on either side of
 // the change.
 func (c *Compiler) eachArrayChange(from, to *SchemeSet, visit func(shape []int, sFrom, sTo dist.Scheme) error) error {
-	names := make([]string, 0, len(c.Program.Arrays))
-	for n := range c.Program.Arrays {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	ex := c.extents()
+	for a, name := range ex.names {
 		sFrom, ok1 := from.Schemes[name]
 		sTo, ok2 := to.Schemes[name]
 		if !ok1 || !ok2 {
 			return fmt.Errorf("core: array %s missing from a scheme set", name)
 		}
-		shape, err := shapeOf(c.Program, name, c.Bind)
-		if err != nil {
-			return err
+		if ex.err != nil {
+			return ex.err
 		}
-		if err := visit(shape, sFrom, sTo); err != nil {
+		if err := visit(ex.shapes[a], sFrom, sTo); err != nil {
 			return err
 		}
 	}

@@ -99,8 +99,9 @@ type sizePrice struct {
 // segment's schemes under the frozen alignment and grid shape and prices
 // every nest's two passes and every boundary's scheme change on a
 // throwaway compiler bound at m. That compiler shares the program's
-// per-nest tables, the model and the engine counters, and runs uncached:
-// it prices each query once, so memo keys would be pure cost.
+// per-nest tables, the model and the engine counters, evaluates the array
+// shapes itself (at m), and runs uncached: it prices each query once, so
+// memo keys would be pure cost.
 func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	p := pe.c.Program
 	bind := map[string]int{p.Params[0]: m}
@@ -122,7 +123,7 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(pe.segs))}
 	sets := make([]*SchemeSet, len(pe.segs))
 	for i, fs := range pe.segs {
-		if sets[i], err = DeriveSchemes(p, fs.set.Partition, fs.shape, bind, fs.set.Cyclic); err != nil {
+		if sets[i], err = ec.schemeSet(fs.set.Partition, fs.shape, fs.set.Cyclic); err != nil {
 			return nil, err
 		}
 		for t := fs.start - 1; t < fs.start-1+fs.n; t++ {

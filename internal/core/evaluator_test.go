@@ -112,6 +112,73 @@ func TestPlanEvaluatorFit(t *testing.T) {
 	}
 }
 
+// TestEvalAtOffBaseMatchesFreshCompiler: below the fitted floor an
+// evaluator prices numerically on a compiler bound at the size asked for,
+// which shares the base compiler's program tables but not its binding.
+// Its price must equal a fresh compiler's at that size, pricing the same
+// frozen decisions from scratch — so array shapes are evaluated under the
+// size being priced and never cached where both compilers see them.
+func TestEvalAtOffBaseMatchesFreshCompiler(t *testing.T) {
+	for _, tc := range []struct {
+		mk             func() *ir.Program
+		n, baseM, minM int
+		deg            int
+		evalMs         []int
+	}{
+		{mk: ir.Jacobi, n: 4, baseM: 16, minM: 12, deg: 2, evalMs: []int{8, 9, 11}},
+		{mk: ir.SOR, n: 4, baseM: 16, minM: 12, deg: 2, evalMs: []int{8, 9, 11}},
+		{mk: ir.Gauss, n: 16, baseM: 64, minM: 64, deg: 3, evalMs: []int{33, 40, 63}},
+	} {
+		pe, err := NewPlanEvaluator(NewCompiler(tc.mk(), cost.Unit(), map[string]int{"m": tc.baseM}, tc.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pe.Fit(tc.minM, tc.deg, 2); err != nil {
+			t.Fatal(err)
+		}
+		name := pe.c.Program.Name
+		for _, m := range tc.evalMs {
+			if pe.FittedAt(m) {
+				t.Fatalf("%s: m=%d is below the floor %d but priced from the fits", name, m, tc.minM)
+			}
+			got, err := pe.EvalAt(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := NewCompiler(tc.mk(), cost.Unit(), map[string]int{"m": m}, tc.n)
+			var want PlanCost
+			var prev *SchemeSet
+			for i, fs := range pe.segs {
+				ss, err := f.schemeSet(fs.set.Partition, fs.shape, fs.set.Cyclic)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for nest := fs.start - 1; nest < fs.start-1+fs.n; nest++ {
+					ct, err := f.countNest(nest, false, ss)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Exec += ct.Time(f.Model).Total()
+				}
+				if i > 0 {
+					chg, err := f.ChangeCost(prev, ss)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Redist += chg
+				}
+				prev = ss
+			}
+			if want.LoopCarried, err = f.LoopCarriedCost(prev); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s base %d: EvalAt(%d) = %+v, a compiler bound at %d prices %+v", name, tc.baseM, m, got, m, want)
+			}
+		}
+	}
+}
+
 // TestFittedEvalAtAllocatesNothing: pricing a fitted size is polynomial
 // arithmetic on the evaluator's own fits — no allocation, the property
 // the daemon's read path is built on.

@@ -140,6 +140,45 @@ func TestSynthNestPricingBudget(t *testing.T) {
 	}
 }
 
+// TestSynthSchemeSetBudget is the deterministic gate on the scheme-set
+// memo: Synthetic(16) on 16 processors asks for 408 scheme sets (136
+// segments × 3 grid shapes), and each distinct (partition, shape, cyclic)
+// layout may be derived and validated once — 3 when this was written, at
+// Jobs 1 and 8 alike. More means the memo key split on something the set
+// does not depend on (the segment, say), or the memo is off.
+func TestSynthSchemeSetBudget(t *testing.T) {
+	const s, budget = 16, 3
+	for _, jobs := range []int{1, 8} {
+		c := NewCompiler(ir.Synthetic(s), cost.Unit(), map[string]int{"m": 64}, 16)
+		c.Jobs = jobs
+		if _, err := c.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.setCache); got < 1 || got > budget {
+			t.Errorf("jobs=%d: %d scheme sets derived, budget %d", jobs, got, budget)
+		}
+	}
+}
+
+// TestCompileAllocBudget gates the allocations of one whole Compile of
+// Synthetic(10) on 8 processors, serially: 5387 when the scheme-set memo
+// and the single-pass affinity graphs landed, 18975 before. A figure past
+// the budget means some per-segment or per-query work allocates again.
+func TestCompileAllocBudget(t *testing.T) {
+	const budget = 5700
+	p := ir.Synthetic(10)
+	got := testing.AllocsPerRun(5, func() {
+		c := NewCompiler(p, cost.Unit(), map[string]int{"m": 64}, 8)
+		c.Jobs = 1
+		if _, err := c.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("Compile of %s (N=8, Jobs=1) made %.0f allocations, budget %d", p.Name, got, budget)
+	}
+}
+
 // outOfExtentProgram reads B five elements past its extent — the
 // ROADMAP's repro. Compiler.prepared refuses it; priced anyway, it panics
 // inside the owner computation.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"dmcc/internal/align"
 	"dmcc/internal/cost"
 	"dmcc/internal/ir"
 )
@@ -60,6 +62,42 @@ func TestParallelCompileDeterministic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSharedSchemeSetsCarryNoSegment: a scheme set is shared by every
+// segment whose partition, shape and cyclic flag it was derived from, so
+// it must not carry what belongs to the one segment that built it first —
+// at Jobs = 8, whichever worker won. The chosen segments' partitions are
+// their assignment and method alone, and equal at Jobs 1 and 8.
+func TestSharedSchemeSetsCarryNoSegment(t *testing.T) {
+	programs := []*ir.Program{ir.Gauss(), ir.Jacobi(), ir.SOR()}
+	for s := 4; s <= 12; s++ {
+		programs = append(programs, ir.Synthetic(s))
+	}
+	for _, p := range programs {
+		for _, n := range []int{4, 16} {
+			partitions := func(jobs int) []align.Partition {
+				c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, n)
+				c.Jobs = jobs
+				res, err := c.Compile()
+				if err != nil {
+					t.Fatalf("%s n=%d jobs=%d: %v", p.Name, n, jobs, err)
+				}
+				var out []align.Partition
+				for _, seg := range res.DP.Segments {
+					pt := seg.Schemes.Partition
+					if want := (align.Partition{Assign: pt.Assign, Method: pt.Method}); !reflect.DeepEqual(pt, want) {
+						t.Errorf("%s n=%d jobs=%d segment %d+%d: partition %+v carries more than its assignment and method", p.Name, n, jobs, seg.Start, seg.Len, pt)
+					}
+					out = append(out, pt)
+				}
+				return out
+			}
+			if serial, parallel := partitions(1), partitions(8); !reflect.DeepEqual(serial, parallel) {
+				t.Errorf("%s n=%d: chosen partitions differ between Jobs 1 and 8:\n%+v\n%+v", p.Name, n, serial, parallel)
+			}
+		}
 	}
 }
 

@@ -39,6 +39,12 @@ type SchemeSet struct {
 	gridKey  string            // "gx<extent>x<extent>", "" without a grid
 	arrayKey map[string]string // per array: ";<name>:" and its placement
 	sig      string            // gridKey + every arrayKey in sorted name order
+
+	// nestKeys[t] is restrictedKey over the arrays nest t of the program
+	// behind keysOf references, formatted once when a compiler's memo
+	// derived the set.
+	nestKeys []string
+	keysOf   *prepared
 }
 
 // String summarizes the scheme set.
@@ -103,6 +109,16 @@ func (ss *SchemeSet) restrictedKey(arrays []string) string {
 		b.WriteString(ss.arrayKey[a])
 	}
 	return b.String()
+}
+
+// nestKey is restrictedKey over the arrays nest t references, formatted
+// when the compiler that derived the set first shared it, and afresh for
+// any other set.
+func (ss *SchemeSet) nestKey(pr *prepared, t int) string {
+	if ss.keysOf == pr {
+		return ss.nestKeys[t]
+	}
+	return ss.restrictedKey(pr.refs[t])
 }
 
 // schemeKey encodes one array's placement as Signature documents it.
@@ -184,35 +200,45 @@ func GridShapes(n int) [][2]int {
 // ones); remaining grid dimensions of lower-rank arrays are replicated,
 // following the end of Section 2.1.
 func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[string]int, cyclic bool) (*SchemeSet, error) {
+	return deriveSchemes(newExtents(p, bind), pt, shape, cyclic)
+}
+
+// deriveSchemes is DeriveSchemes over array shapes evaluated beforehand,
+// which a compiler does once for its binding.
+func deriveSchemes(ex *extents, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
+	if ex.err != nil {
+		return nil, ex.err
+	}
 	g := grid.New(shape[0], shape[1])
+	kind := "block"
+	if cyclic {
+		kind = "cyclic"
+	}
 	ss := &SchemeSet{
 		Grid:      g,
-		Schemes:   map[string]dist.Scheme{},
+		Schemes:   make(map[string]dist.Scheme, len(ex.names)),
 		Partition: pt,
 		Cyclic:    cyclic,
-		Label:     fmt.Sprintf("%dx%d/%s", shape[0], shape[1], map[bool]string{true: "cyclic", false: "block"}[cyclic]),
+		Label:     fmt.Sprintf("%dx%d/%s", shape[0], shape[1], kind),
 	}
-	for name, arr := range p.Arrays {
-		dims := make([]dist.Dim, arr.Rank())
-		used := map[int]bool{}
+	for a, name := range ex.names {
+		size := ex.shapes[a]
+		dims := make([]dist.Dim, len(size))
+		var used [2]bool
 		for k := range dims {
 			sub, ok := pt.Assign[ir.DimID{Array: name, Dim: k}]
 			if !ok {
 				return nil, fmt.Errorf("core: no alignment for %s dim %d", name, k+1)
 			}
-			size, err := extentOf(arr, k, bind)
-			if err != nil {
-				return nil, err
-			}
 			n := g.Extent(sub)
 			switch {
 			case n == 1:
 				// Degenerate grid dimension: one block holds everything.
-				dims[k] = dist.Dim{Sign: 1, Disp: -1, Block: size, GridDim: sub}
+				dims[k] = dist.Dim{Sign: 1, Disp: -1, Block: size[k], GridDim: sub}
 			case cyclic:
 				dims[k] = dist.Cyclic(sub)
 			default:
-				dims[k] = dist.BlockContiguous(size, n, sub)
+				dims[k] = dist.BlockContiguous(size[k], n, sub)
 			}
 			used[sub] = true
 		}
@@ -223,11 +249,7 @@ func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[str
 			}
 		}
 		s := dist.Scheme{Dims: dims, Fixed: fixed}
-		shapeInts, err := shapeOf(p, name, bind)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.Validate(g, shapeInts); err != nil {
+		if err := s.Validate(g, size); err != nil {
 			return nil, fmt.Errorf("core: derived scheme for %s invalid: %v", name, err)
 		}
 		ss.Schemes[name] = s
@@ -235,29 +257,48 @@ func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[str
 	return ss, nil
 }
 
-func extentOf(arr *ir.Array, k int, bind map[string]int) (int, error) {
-	e := arr.Extents[k]
+// extents is a program's arrays evaluated under one binding: every
+// array's shape, in name order — so (names[a], k) for every k of
+// shapes[a] visits the dimensions in ir.Program.AllDims order. A compiler
+// builds it once for its own Bind; it is not part of the program-only
+// prepared tables, which a PlanEvaluator's compilers share across
+// bindings.
+type extents struct {
+	names  []string // sorted
+	shapes [][]int  // shapes[a] is array names[a]'s extents
+	err    error    // the first array, in name order, whose extents do not evaluate
+}
+
+func newExtents(p *ir.Program, bind map[string]int) *extents {
+	ex := &extents{names: make([]string, 0, len(p.Arrays))}
+	for n := range p.Arrays {
+		ex.names = append(ex.names, n)
+	}
+	sort.Strings(ex.names)
+	ex.shapes = make([][]int, len(ex.names))
+	for a, name := range ex.names {
+		arr := p.Arrays[name]
+		ex.shapes[a] = make([]int, arr.Rank())
+		for k, e := range arr.Extents {
+			size, err := extentOf(name, e, bind)
+			if err != nil && ex.err == nil {
+				ex.err = err
+			}
+			ex.shapes[a][k] = size
+		}
+	}
+	return ex
+}
+
+func extentOf(array string, e ir.Affine, bind map[string]int) (int, error) {
 	for _, v := range e.Vars() {
 		if _, ok := bind[v]; !ok {
-			return 0, fmt.Errorf("core: array %s extent %s unbound", arr.Name, e)
+			return 0, fmt.Errorf("core: array %s extent %s unbound", array, e)
 		}
 	}
 	size := e.Eval(bind)
 	if size < 1 {
-		return 0, fmt.Errorf("core: array %s extent %d", arr.Name, size)
+		return 0, fmt.Errorf("core: array %s extent %d", array, size)
 	}
 	return size, nil
-}
-
-func shapeOf(p *ir.Program, name string, bind map[string]int) ([]int, error) {
-	arr := p.Array(name)
-	shape := make([]int, arr.Rank())
-	for k := range shape {
-		s, err := extentOf(arr, k, bind)
-		if err != nil {
-			return nil, err
-		}
-		shape[k] = s
-	}
-	return shape, nil
 }
