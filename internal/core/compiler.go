@@ -327,6 +327,34 @@ func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*Sc
 	})
 }
 
+// checkSchemes validates a scheme set a caller handed in the way
+// deriveSchemes validates the sets it makes — every array a nest references
+// has a scheme dist.Scheme.Validate accepts for the array's shape on the
+// set's grid — so the nest counts behind it may skip the check.
+func (c *Compiler) checkSchemes(ss *SchemeSet) error {
+	pr, err := c.prepared()
+	if err != nil {
+		return err
+	}
+	ex := c.extents()
+	if ex.err != nil {
+		return ex.err
+	}
+	for _, refs := range pr.refs {
+		for _, name := range refs {
+			s, ok := ss.Schemes[name]
+			if !ok {
+				return fmt.Errorf("core: no scheme for array %s", name)
+			}
+			a, _ := slices.BinarySearch(ex.names, name)
+			if err := s.Validate(ss.Grid, ex.shapes[a]); err != nil {
+				return fmt.Errorf("core: scheme for %s: %v", name, err)
+			}
+		}
+	}
+	return nil
+}
+
 // loopCarried reports whether a read of array a in nest t (0-based) takes
 // its value from a later write of the same iteration-body pass — a write
 // by nest t or after — i.e. crosses the iterative loop's back edge.
@@ -422,6 +450,8 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 		v.ct, err = cost.CountNestOptsExact(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
 		return v, err
 	}
+	// ss was validated when it was derived (schemeSet) or handed in
+	// (checkSchemes), against the same shapes on the same grid.
 	v.ct, v.eng, err = cost.CountValidatedNest(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
 	return v, err
 }
@@ -594,6 +624,9 @@ func (c *Compiler) LoopCarriedCost(final *SchemeSet) (float64, error) {
 }
 
 func (c *Compiler) loopCarriedCost(final *SchemeSet) (float64, error) {
+	if err := c.checkSchemes(final); err != nil {
+		return 0, err
+	}
 	total := 0.0
 	for t := range c.Program.Nests {
 		ct, err := c.countNest(t, true, final)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -110,6 +111,37 @@ func TestAlgorithm1JacobiMatchesSection4(t *testing.T) {
 	}
 	if covered != 2 {
 		t.Errorf("covered %d loops", covered)
+	}
+}
+
+// TestLoopCarriedCostRejectsInvalidSchemes: nest counts trust the scheme
+// sets they price, so LoopCarriedCost, which takes its set from the
+// caller, validates it first: a scheme on a grid dimension the grid lacks
+// and a missing scheme are errors naming the array, a derived set prices.
+func TestLoopCarriedCostRejectsInvalidSchemes(t *testing.T) {
+	c := jacobiCompiler(32, 4)
+	_, good, err := c.SegmentCost(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.LoopCarriedCost(good); err != nil {
+		t.Fatalf("derived set: %v", err)
+	}
+	offGrid := &SchemeSet{Grid: good.Grid, Schemes: map[string]dist.Scheme{}}
+	for name, s := range good.Schemes {
+		offGrid.Schemes[name] = s
+	}
+	offGrid.Schemes["X"] = dist.Scheme1D(dist.BlockContiguous(32, 4, 2), nil)
+	missing := &SchemeSet{Grid: good.Grid, Schemes: map[string]dist.Scheme{}}
+	for name, s := range good.Schemes {
+		if name != "X" {
+			missing.Schemes[name] = s
+		}
+	}
+	for label, ss := range map[string]*SchemeSet{"off the grid": offGrid, "missing": missing} {
+		if _, err := c.LoopCarriedCost(ss); err == nil || !strings.Contains(err.Error(), " X") {
+			t.Errorf("X's scheme %s: got %v, want an error naming X", label, err)
+		}
 	}
 }
 

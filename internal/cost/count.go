@@ -144,16 +144,20 @@ func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.S
 	if err := p.Validate(); err != nil {
 		return Counts{}, EngineExact, err
 	}
+	if err := validateNest(p, nest, schemes, g, bind); err != nil {
+		return Counts{}, EngineExact, err
+	}
 	return CountValidatedNest(p, nest, schemes, g, bind, opts)
 }
 
 // CountValidatedNest is CountNestOptsEngine for a caller that has already
-// run p.Validate — core validates a program once per compiler, not once
-// per pricing. The per-nest scheme and shape checks still run here.
+// validated its input: run p.Validate, and given every array the nest
+// references a scheme that dist.Scheme.Validate accepts for the array's
+// shape under bind on g. Core does both once — the program per compiler,
+// each scheme when it derives the scheme set — not once per pricing. The
+// exported entry points validate and then call this, so every caller
+// counts with the same engine.
 func CountValidatedNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
-	if err := validateNest(p, nest, schemes, g, bind); err != nil {
-		return Counts{}, EngineExact, err
-	}
 	if ct, ok, err := countNestAnalytic(p, nest, schemes, g, bind, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
 	} else if ok {

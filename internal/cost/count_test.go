@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"strings"
 	"testing"
 
 	"dmcc/internal/dist"
@@ -244,5 +245,37 @@ func TestPipelinedReductionPricing(t *testing.T) {
 	}
 	if pipe.TotalFlops != tree.TotalFlops || pipe.RemoteWords != tree.RemoteWords {
 		t.Errorf("pipelined pricing changed non-reduction terms: %+v vs %+v", pipe, tree)
+	}
+}
+
+// TestEntryPointsRejectInvalidSchemes: CountValidatedNest trusts its
+// caller's schemes, so every exported entry point in front of it must
+// still refuse a scheme dist.Scheme.Validate refuses — here A's row
+// blocks of 1 cover only 4 of its 8 rows on 4 processors, and A's rows
+// mapped to a grid dimension the 4x1 grid lacks — and a missing one,
+// naming the array.
+func TestEntryPointsRejectInvalidSchemes(t *testing.T) {
+	p := ir.Jacobi()
+	g := grid.New(4, 1)
+	bind := map[string]int{"m": 8}
+	short, offGrid, missing := jacobiRowSchemes(8, 4), jacobiRowSchemes(8, 4), jacobiRowSchemes(8, 4)
+	short["A"] = dist.Scheme2D(dist.BlockContiguous(4, 4, 0), dist.Dim{Sign: 1, Disp: -1, Block: 8, GridDim: 1}, nil)
+	offGrid["A"] = dist.Scheme2D(dist.BlockContiguous(8, 4, 2), dist.Dim{Sign: 1, Disp: -1, Block: 8, GridDim: 1}, nil)
+	delete(missing, "A")
+	engine := func(p *ir.Program, nest *ir.Nest, s map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
+		ct, _, err := CountNestOptsEngine(p, nest, s, g, bind, opts)
+		return ct, err
+	}
+	for name, count := range map[string]func(*ir.Program, *ir.Nest, map[string]dist.Scheme, *grid.Grid, map[string]int, CountOptions) (Counts, error){
+		"CountNestOpts": CountNestOpts, "CountNestOptsEngine": engine, "CountNestOptsExact": CountNestOptsExact,
+	} {
+		if _, err := count(p, p.Nests[0], jacobiRowSchemes(8, 4), g, bind, CountOptions{}); err != nil {
+			t.Fatalf("%s: valid schemes: %v", name, err)
+		}
+		for variant, s := range map[string]map[string]dist.Scheme{"short blocks": short, "off the grid": offGrid, "missing": missing} {
+			if _, err := count(p, p.Nests[0], s, g, bind, CountOptions{}); err == nil || !strings.Contains(err.Error(), " A") {
+				t.Errorf("%s with A's scheme %s: got %v, want an error naming A", name, variant, err)
+			}
+		}
 	}
 }

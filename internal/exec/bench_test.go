@@ -81,36 +81,42 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 20 456
-// allocations of 5.94 MB, a count that repeats exactly run to run: 52 601
-// and 7.02 MB while each of its 498 epochs was lowered through a dozen
-// fresh maps and input keys were split into fresh slices (155 286 before
-// the nests were lowered, 65 944 before ranksFor filled its result in
-// place, 52 736 and 9.12 MB while the inspector also recorded every
-// per-element event for a stats replay). Jacobi on 1024 processors
-// (exec-scale) makes ~53 910 allocations of 5.25 MB — 65 060 and 5.50 MB
-// before the epoch lowering was slab-allocated, 103 200 and 17.5 MB while
-// every processor held a dense copy of every array it touched, 67 480 and
-// 6.24 MB with the replay record — and map growth moves the count by a few
-// either way (a few hundred under -race). A trip of this gate is a
-// per-instance, per-epoch or per-processor allocation creeping back, not
-// noise.
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 15 475
+// allocations of 3.13 MB, a count that repeats exactly run to run: 20 456
+// and 5.94 MB while the executor re-evaluated every operand's subscripts
+// against a per-instance loop-vector arena and read buffered copies out of
+// per-origin maps, and the arenas grew by append's quarters (52 601 and
+// 7.02 MB while each of its 498 epochs was lowered through a dozen fresh
+// maps and input keys were split into fresh slices, 155 286 before the
+// nests were lowered, 65 944 before ranksFor filled its result in place,
+// 52 736 and 9.12 MB while the inspector also recorded every per-element
+// event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
+// ~47 310 allocations of 4.69 MB — ~53 910 and 5.25 MB before operands
+// were resolved once, 65 060 and 5.50 MB before the epoch lowering was
+// slab-allocated, 103 200 and 17.5 MB while every processor held a dense
+// copy of every array it touched, 67 480 and 6.24 MB with the replay
+// record — and map growth moves the count by a few either way (a few
+// hundred, and a few per cent of the bytes, under -race). A trip of this
+// gate is a per-instance, per-epoch or per-processor allocation creeping
+// back, not noise.
 func TestRunAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 22500, 6.6e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 59300, 5.8e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 17000, 3.45e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 52000, 5.2e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
 		}
 	}
 
-	// Per epoch: with its scratch grown, lowering an epoch allocates the
-	// plan's six slabs and nothing else, whatever its pair count. The
+	// Per epoch: with its scratch grown, lowering an epoch allocates
+	// nothing but the chunks its plan is carved from — none for most small
+	// epochs, six when all five slabs (the message slab twice) run out —
+	// whatever its pair count. The
 	// epochs ship one element on each of the first pairs of 64 ranks and
 	// one element per source on all of its pairs, so the residual round
 	// and the trees both run.

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"dmcc/internal/core"
+	"dmcc/internal/dist"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -150,15 +151,20 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 	if err := validate(p, ss, bind, input); err != nil {
 		return Result{}, err
 	}
-	if !p.Iterative {
-		iters = 1
-	}
-
 	sched, err := buildSchedule(p, ss, bind, scalars, &lowering{})
 	if err != nil {
 		return Result{}, err
 	}
-	nprocs := sched.nprocs
+	return sched.run(p, iters, cfg, input, start)
+}
+
+// run executes a built schedule on the machine and assembles the result;
+// start is when Run began, for InspectWall.
+func (sched *progSchedule) run(p *ir.Program, iters int, cfg machine.Config, input ir.Storage, start time.Time) (Result, error) {
+	if !p.Iterative {
+		iters = 1
+	}
+	ss, nprocs := sched.ss, sched.nprocs
 
 	stores := make([][][]float64, nprocs)
 	marks := make([][][]bool, nprocs)
@@ -191,16 +197,20 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 	out := ir.NewStorage(p)
 	for a := range sched.arrays {
 		am := &sched.arrays[a]
-		elems := out[am.name]
-		for off, i := range am.loc {
+		if am.size == 0 {
+			continue
+		}
+		elems, off := out[am.name], 0
+		dist.ForEachIndex(am.ext, func(idx []int) { // row-major: idx is element off
+			i := am.loc[off]
 			for _, o := range am.cellOwners[am.cell[off]] {
 				if marks[o][a][i] {
-					idx := sched.decode(mkElem(a, off))
 					elems[subKey(idx)] = stores[o][a][i]
 					break
 				}
 			}
-		}
+			off++
+		})
 	}
 	res := Result{Values: out, Stats: stats, Transport: stats,
 		InspectWall: simStart.Sub(start), SimWall: assembleStart.Sub(simStart),

@@ -2,7 +2,8 @@
 // precomputed instruction stream (schedule.go) against stores of the
 // elements it owns, exchanging each epoch's traffic as one vectored
 // machine.Send per processor pair. The stream is allocated once by the
-// inspector and the executor reuses its scratch buffers across instances.
+// inspector, which also resolved every operand to a local address, and the
+// executor reuses its scratch buffers across instances.
 
 package exec
 
@@ -19,37 +20,44 @@ import (
 // valExec is one processor's value-pass state, all of it proportional to
 // what the processor owns and exchanges: the stores hold its owner cell of
 // each array and nothing else (schedule.go's shared tables turn a global
-// element into a local offset), and the per-peer state is sparse maps made
-// on first use — a processor that never reduces or relays makes none. At
-// N=4096 a processor typically owns a handful of elements and talks to a
-// handful of neighbours; sizing any of this by the array or by nprocs
-// would make the executor itself the memory bottleneck the machine's
-// sparse queues exist to remove.
+// element into a local offset), the copy buffer and the partial sums hold
+// one position per element the inspector numbered for this processor, and
+// the per-peer state is sparse maps made on first use — a processor that
+// never reduces makes none. At N=4096 a processor typically owns a handful
+// of elements and talks to a handful of neighbours; sizing any of this by
+// the array or by nprocs would make the executor itself the memory
+// bottleneck the machine's sparse queues exist to remove.
+//
+// An opEval's operands arrive as local addresses (schedule.go's operand):
+// an offset into slab, a position in cbuf, the rank of a direct message or
+// a position in part. The executor evaluates no subscript and looks up no
+// element to read one.
 type valExec struct {
 	s    *progSchedule
 	proc machine.Port
 	me   int
-	// store[a] and has[a] are this processor's cell of array a, addressed
-	// through arrayMeta.loc; has marks the elements the processor actually
-	// wrote or received, for the first-marked-owner result assembly.
+	// slab and marks are this processor's stores, its cells of every array
+	// in array order; store[a] and has[a] are array a's cell, addressed
+	// through arrayMeta.loc. A mark says the processor wrote or received
+	// the element, for the first-marked-owner result assembly.
+	slab  []float64
+	marks []bool
 	store [][]float64
 	has   [][]bool
-	// partials holds running partial sums of reduce statements.
-	partials map[elemID]float64
-	// cbuf holds collectively-redistributed operand values keyed by the
-	// origin (first-owner) rank and element: filled by opRedist rounds,
-	// forwarded by tree relays, and read by eval's non-direct slots.
-	// Entries are overwritten in place — a buffered copy stays valid
-	// until its element is written, and the inspector re-ships after
-	// every write, so a stale value is never visible.
-	cbuf map[int32]map[elemID]machine.Word
-	// iv is the reusable loop vector for RHS evaluation.
-	iv []int
-	// current eval context for load.
-	curSlots  []slot
-	curVals   []float64
-	curReduce bool
-	curAcc    elemID
+	// part holds the running partial sums of reduce statements, zero
+	// between a finalize and the next contribution.
+	part []float64
+	// cbuf holds the copies of other processors' elements that opRedist
+	// rounds delivered, filled marks the positions a receive wrote: a
+	// tree relay forwards from it and eval reads it. A position is
+	// overwritten in place — a copy stays valid until its element is
+	// written, and the inspector re-ships after every write, so a stale
+	// value is never visible — and reading one no receive filled is an
+	// inspector bug, a panic.
+	cbuf   []machine.Word
+	filled []bool
+	// vals holds the current eval's operand values, in Reads order.
+	vals []float64
 	// gather is the vectored-send scratch (machine.Send copies).
 	gather []machine.Word
 	// Vectored-reduction scratch: per-destination build buffers,
@@ -69,8 +77,9 @@ type vbuf struct {
 	pos  int
 }
 
-// newValExec allocates the processor's stores: one slab of values and one
-// of marks, cut into the cells the processor holds.
+// newValExec allocates the processor's stores — one slab of values and one
+// of marks, cut into the cells the processor holds — its copy buffer and
+// its partial sums.
 func newValExec(s *progSchedule, proc machine.Port) *valExec {
 	x := &valExec{
 		s: s, proc: proc, me: proc.Rank(),
@@ -78,7 +87,10 @@ func newValExec(s *progSchedule, proc machine.Port) *valExec {
 		has:   make([][]bool, len(s.arrays)),
 	}
 	words := s.storeWords(x.me)
-	vals, marks := make([]float64, words), make([]bool, words)
+	x.slab, x.marks = make([]float64, words), make([]bool, words)
+	x.cbuf, x.filled = make([]machine.Word, s.bufs.n[x.me]), make([]bool, s.bufs.n[x.me])
+	x.part = make([]float64, s.parts.n[x.me])
+	vals, marks := x.slab, x.marks
 	for a := range s.arrays {
 		n := s.arrays[a].storeLen(x.me)
 		x.store[a], vals = vals[:n:n], vals[n:]
@@ -159,7 +171,7 @@ func (x *valExec) installInput(loads []map[int32][]elemVal) {
 
 // local is e's place in this processor's stores. Only an owner holds an
 // element: every other access the inspector schedules goes through a
-// shipped slot or a buffered copy, so an element of another cell here is
+// direct message or a buffered copy, so an element of another cell here is
 // an inspector bug, and behind the shared offset table it would alias an
 // element the processor does own — a panic, which the machine reports as
 // Run's error, not a wrong number.
@@ -185,24 +197,12 @@ func (x *valExec) storeElem(e elemID, v float64) {
 	x.has[a][i] = true
 }
 
-// load resolves one RHS operand: the redirected reduce accumulator,
-// then received remote slots (matched by element), then the local store.
-func (x *valExec) load(r *lref) float64 {
-	e, err := x.s.elemAt(r, x.iv)
-	if err != nil {
-		// Every RHS reference is one of the statement's Reads, which the
-		// inspector resolved for this very instance.
-		panic(err)
+// buffered reads cbuf position p, which a receive must have filled.
+func (x *valExec) buffered(p int) machine.Word {
+	if !x.filled[p] {
+		panic(fmt.Sprintf("exec: processor %d reads buffer position %d, which no receive filled", x.me, p))
 	}
-	if x.curReduce && e == x.curAcc {
-		return x.partials[e]
-	}
-	for i := range x.curSlots {
-		if x.curSlots[i].elem == e {
-			return x.curVals[i]
-		}
-	}
-	return x.loadElem(e)
+	return x.cbuf[p]
 }
 
 // runNest executes this processor's instruction stream for one nest.
@@ -212,12 +212,12 @@ func (x *valExec) runNest(ns *nestSchedule) {
 		in := &stream[i]
 		switch in.op {
 		case opRedist:
-			x.runRedist(ns.redists[in.arg])
+			x.runRedist(ns, ns.redists[in.arg])
 		case opSendDirect:
 			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
 			r := ns.reds[in.arg]
-			x.reduceBatch(r, &r.roles[in.envOff])
+			x.reduceBatch(r, &r.roles[in.off])
 		case opEval:
 			x.eval(ns, in)
 		}
@@ -228,27 +228,23 @@ func (x *valExec) runNest(ns *nestSchedule) {
 // sends its merged messages in ascending destination order, then
 // receives in ascending source order — one message per ordered pair
 // per round. A segment whose origin is this processor gathers from the
-// local store; a relayed segment forwards the words buffered (under the
-// origin's rank) in an earlier round.
-func (x *valExec) runRedist(op *redistOp) {
+// store slab; a relayed segment forwards the copies received in an
+// earlier round. Both ends read their addresses from the segment.
+func (x *valExec) runRedist(ns *nestSchedule, op *redistOp) {
 	for r := range op.rounds {
 		rd := &op.rounds[r]
 		for i := range rd.sends {
 			msg := &rd.sends[i]
 			x.gather = x.gather[:0]
 			for _, seg := range msg.segs {
+				from := ns.addrs[seg.addr : int(seg.addr)+len(seg.elems)]
 				if int(seg.origin) == x.me {
-					for _, e := range seg.elems {
-						x.gather = append(x.gather, x.loadElem(e))
+					for _, o := range from {
+						x.gather = append(x.gather, x.slab[o])
 					}
 				} else {
-					cb := x.cbuf[seg.origin]
-					for _, e := range seg.elems {
-						w, ok := cb[e]
-						if !ok {
-							panic(fmt.Sprintf("exec: collective relay at %d missing element %d of origin %d", x.me, e, seg.origin))
-						}
-						x.gather = append(x.gather, w)
+					for _, p := range from {
+						x.gather = append(x.gather, x.buffered(int(p)))
 					}
 				}
 			}
@@ -259,21 +255,14 @@ func (x *valExec) runRedist(op *redistOp) {
 			data := x.proc.Recv(int(msg.peer))
 			pos := 0
 			for _, seg := range msg.segs {
-				cb := x.cbuf[seg.origin]
-				if cb == nil {
-					if x.cbuf == nil {
-						x.cbuf = make(map[int32]map[elemID]machine.Word)
-					}
-					cb = make(map[elemID]machine.Word)
-					x.cbuf[seg.origin] = cb
+				n := len(seg.elems)
+				if pos+n > len(data) {
+					panic(fmt.Sprintf("exec: collective round from %d short by %d words", msg.peer, pos+n-len(data)))
 				}
-				for _, e := range seg.elems {
-					if pos >= len(data) {
-						panic(fmt.Sprintf("exec: collective round from %d short by %d words", msg.peer, pos-len(data)+1))
-					}
-					cb[e] = data[pos]
-					pos++
+				for k, p := range ns.addrs[int(seg.addr)+n : int(seg.addr)+2*n] {
+					x.cbuf[p], x.filled[p] = data[pos+k], true
 				}
+				pos += n
 			}
 			if pos != len(data) {
 				panic(fmt.Sprintf("exec: collective round from %d expected %d words, got %d", msg.peer, pos, len(data)))
@@ -282,43 +271,38 @@ func (x *valExec) runRedist(op *redistOp) {
 	}
 }
 
-// eval receives the instance's remote operands (buffered copies and
-// direct one-word messages, in the shared global order) and, unless this
-// processor is a receive-only replica of a reduction, evaluates the
-// statement.
+// eval reads the instance's operands — direct one-word messages in the
+// shared global order — and, unless this processor is a receive-only
+// replica of a reduction, evaluates the statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
-	slots := ns.slots[in.slotOff : in.slotOff+in.slotN]
-	x.curVals = x.curVals[:0]
-	for _, sl := range slots {
-		var v float64
-		if sl.direct {
-			v = x.proc.RecvValue(int(sl.src))
-		} else {
-			w, ok := x.cbuf[sl.src][sl.elem]
-			if !ok {
-				panic(fmt.Sprintf("exec: collective buffer at %d missing element %d of origin %d", x.me, sl.elem, sl.src))
-			}
-			v = w
-		}
-		x.curVals = append(x.curVals, v)
-	}
+	stmt := &ns.stmts[in.stmt]
+	ops := ns.operands[in.off : int(in.off)+len(stmt.reads)]
 	if in.role == roleRecvOnly {
+		for _, o := range ops {
+			if o.kind() == opdDirect {
+				x.proc.RecvValue(o.addr())
+			}
+		}
 		return
 	}
-	stmt := &ns.stmts[in.stmt]
-	x.iv = x.iv[:0]
-	for _, v := range ns.envs[in.envOff : int(in.envOff)+stmt.Depth] {
-		x.iv = append(x.iv, int(v))
+	x.vals = x.vals[:0]
+	for _, o := range ops {
+		var v float64
+		switch o.kind() {
+		case opdOwned:
+			v = x.slab[o.addr()]
+		case opdBuffered:
+			v = x.buffered(o.addr())
+		case opdDirect:
+			v = x.proc.RecvValue(o.addr())
+		default:
+			v = x.part[o.addr()]
+		}
+		x.vals = append(x.vals, v)
 	}
-	x.curSlots = slots
-	x.curReduce = in.role == roleReduce
-	x.curAcc = in.elem
 	v := x.evalExpr(stmt.rhs)
 	if in.role == roleReduce {
-		if x.partials == nil {
-			x.partials = make(map[elemID]float64)
-		}
-		x.partials[in.elem] = v
+		x.part[in.arg] = v
 	} else {
 		if math.IsNaN(v) {
 			panic(fmt.Sprintf("exec: NaN at %s line %d", stmt.LHS, stmt.Line))
@@ -328,13 +312,14 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 	x.proc.Compute(stmt.Flops)
 }
 
-// evalExpr evaluates a lowered right-hand side at the loop vector x.iv.
+// evalExpr evaluates a lowered right-hand side over the operand values
+// x.vals.
 func (x *valExec) evalExpr(e *lexpr) float64 {
 	switch e.op {
 	case lNum:
 		return e.val
 	case lRef:
-		return x.load(&e.ref)
+		return x.vals[e.read]
 	case lNeg:
 		return -x.evalExpr(e.l)
 	}
@@ -394,6 +379,14 @@ func (x *valExec) drainRecvs(what string) {
 	}
 }
 
+// takePart returns the partial sum at position p and clears it for the
+// element's next reduction.
+func (x *valExec) takePart(p int32) float64 {
+	v := x.part[p]
+	x.part[p] = 0
+	return v
+}
+
 func (x *valExec) popRecv(src int) machine.Word {
 	b := x.rrecv[src]
 	v := b.data[b.pos]
@@ -416,10 +409,9 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	// Gather phase: one vectored partials message per (contributor,
 	// root) pair, items in batch order on both ends so cursors align.
 	start := x.proc.Clock()
-	for _, i := range role.contrib {
+	for k, i := range role.contrib {
 		if f := r.items[i]; f.root != x.me {
-			x.queue(f.root, x.partials[f.elem])
-			delete(x.partials, f.elem)
+			x.queue(f.root, x.takePart(role.part[k]))
 		}
 	}
 	sent := x.flushSends()
@@ -434,11 +426,10 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	for _, i := range role.root {
 		f := r.items[i]
 		total := x.loadElem(f.elem)
-		for _, c := range f.contribs {
+		for k, c := range f.contribs {
 			var part machine.Word
 			if c == x.me {
-				part = x.partials[f.elem]
-				delete(x.partials, f.elem)
+				part = x.takePart(f.parts[k])
 			} else {
 				part = x.popRecv(c)
 			}
@@ -489,7 +480,7 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	case pos == 0: // root: fold stored values + own partials, start the ring
 		x.rvec = x.rvec[:0]
 		for _, f := range r.items {
-			x.rvec = append(x.rvec, x.loadElem(f.elem)+x.partials[f.elem])
+			x.rvec = append(x.rvec, x.loadElem(f.elem)+x.part[f.parts[0]])
 			x.proc.Compute(1)
 		}
 		x.proc.Send(order[1], x.rvec)
@@ -505,7 +496,7 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 		data := x.proc.Recv(order[pos-1])
 		x.rvec = x.rvec[:0]
 		for i, f := range r.items {
-			x.rvec = append(x.rvec, data[i]+x.partials[f.elem])
+			x.rvec = append(x.rvec, data[i]+x.part[f.parts[pos]])
 			x.proc.Compute(1)
 		}
 		x.proc.Send(order[pos+1], x.rvec)
@@ -515,7 +506,7 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 		data := x.proc.Recv(order[k-2])
 		x.rvec = x.rvec[:0]
 		for i, f := range r.items {
-			x.rvec = append(x.rvec, data[i]+x.partials[f.elem])
+			x.rvec = append(x.rvec, data[i]+x.part[f.parts[pos]])
 			x.proc.Compute(1)
 		}
 		for _, i := range role.reads {
@@ -539,7 +530,7 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	}
 	if pos >= 0 { // every hop of the chain held a partial of every item
 		for _, f := range r.items {
-			delete(x.partials, f.elem)
+			x.takePart(f.parts[pos])
 		}
 	}
 	x.proc.Note(machine.EvRing, start, x.proc.Clock(), -1, sent)

@@ -211,7 +211,8 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 func TestUnownedAccessIsAnError(t *testing.T) {
 	g := grid.New(2)
 	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{
-		{name: "A", sch: dist.Scheme1D(dist.BlockContiguous(4, 2, 0), nil), ext: []int{4}, size: 4}}}
+		{name: "A", sch: dist.Scheme1D(dist.BlockContiguous(4, 2, 0), nil), ext: []int{4}, size: 4}},
+		bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}}
 	if err := s.arrays[0].buildLayout(g); err != nil {
 		t.Fatal(err)
 	}

@@ -2,17 +2,22 @@
 // reference and right-hand side of a nest is resolved once against the
 // binding and the nest's loop slots, so neither the inspector nor the
 // executor touches a name or an ir.Expr per dynamic statement instance.
+// A reference lowers to a row-major offset form the inspector evaluates
+// once per instance; a right-hand side names its operands by their index
+// in Stmt.Reads, which the inspector resolves to local addresses.
 
 package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"dmcc/internal/ir"
 )
 
 // laff is an ir.Affine lowered against a binding: c carries the constant
-// with every bound parameter folded in, coef[k] multiplies loop slot k.
+// with every bound parameter folded in, coef[k] multiplies loop slot k
+// (trailing zero coefficients are dropped).
 type laff struct {
 	c    int
 	coef []int
@@ -28,21 +33,48 @@ func (a *laff) eval(iv []int) int {
 }
 
 // lref is a reference with its array id resolved and its subscripts
-// lowered; ref and line are kept for diagnostics only.
+// lowered beside the array's extents; ref and line are kept for
+// diagnostics only.
 type lref struct {
 	arr  int
 	subs []laff
+	ext  []int
 	ref  ir.Ref
 	line int
 }
 
+// elemAt returns the element r names at loop vector iv: each subscript is
+// evaluated, checked against its extent and folded row-major into the
+// offset, with no intermediate slice.
+func (r *lref) elemAt(iv []int) (elemID, error) {
+	off := 0
+	for d := range r.subs {
+		v := r.subs[d].eval(iv)
+		if v < 1 || v > r.ext[d] {
+			return 0, r.outside(iv)
+		}
+		off = off*r.ext[d] + v - 1
+	}
+	return mkElem(r.arr, off), nil
+}
+
+// outside is elemAt's error: the subscripts at iv and the extents.
+func (r *lref) outside(iv []int) error {
+	idx := make([]int, len(r.subs))
+	for d := range r.subs {
+		idx[d] = r.subs[d].eval(iv)
+	}
+	return fmt.Errorf("exec: line %d: %s subscript %v outside extents %v", r.line, r.ref, idx, r.ext)
+}
+
 // lexpr is a lowered right-hand side, a tree over the five ir.Expr node
 // types: op is lNum (a literal or a scalar folded to its bound value),
-// lRef, lNeg, or a BinOp's '+', '-', '*', '/'.
+// lRef (operand read of the statement's Reads), lNeg, or a BinOp's '+',
+// '-', '*', '/'.
 type lexpr struct {
 	op   byte
 	val  float64
-	ref  lref
+	read int
 	l, r *lexpr
 }
 
@@ -83,6 +115,9 @@ vars:
 		}
 		out.c += a.Coeff[v] * val
 	}
+	for len(out.coef) > 0 && out.coef[len(out.coef)-1] == 0 {
+		out.coef = out.coef[:len(out.coef)-1]
+	}
 	return out, nil
 }
 
@@ -91,7 +126,7 @@ func (s *progSchedule) lowerRef(r ir.Ref, scope []ir.Loop, line int) (lref, erro
 	if !ok {
 		return lref{}, fmt.Errorf("exec: line %d: reference %s to undeclared array", line, r)
 	}
-	out := lref{arr: a, subs: make([]laff, len(r.Subs)), ref: r, line: line}
+	out := lref{arr: a, subs: make([]laff, len(r.Subs)), ext: s.arrays[a].ext, ref: r, line: line}
 	for d, sub := range r.Subs {
 		var err error
 		if out.subs[d], err = s.lowerAffine(sub, scope); err != nil {
@@ -101,7 +136,9 @@ func (s *progSchedule) lowerRef(r ir.Ref, scope []ir.Loop, line int) (lref, erro
 	return out, nil
 }
 
-func (s *progSchedule) lowerExpr(e ir.Expr, scope []ir.Loop, line int) (*lexpr, error) {
+// lowerExpr lowers a right-hand side whose references are all among
+// reads (validate checks that), each to its index there.
+func (s *progSchedule) lowerExpr(e ir.Expr, reads []ir.Ref, line int) (*lexpr, error) {
 	out, err := &lexpr{}, error(nil)
 	switch v := e.(type) {
 	case ir.Num:
@@ -113,17 +150,19 @@ func (s *progSchedule) lowerExpr(e ir.Expr, scope []ir.Loop, line int) (*lexpr, 
 		}
 		out.op, out.val = lNum, val
 	case ir.RefE:
-		out.op = lRef
-		out.ref, err = s.lowerRef(v.Ref, scope, line)
+		out.op, out.read = lRef, slices.IndexFunc(reads, func(r ir.Ref) bool { return r.String() == v.Ref.String() })
+		if out.read < 0 {
+			err = fmt.Errorf("exec: line %d: reads %s, which is not in its Reads %v", line, v.Ref, reads)
+		}
 	case ir.NegE:
 		out.op = lNeg
-		out.l, err = s.lowerExpr(v.E, scope, line)
+		out.l, err = s.lowerExpr(v.E, reads, line)
 	case ir.BinOp:
 		if out.op = v.Op; v.Op != '+' && v.Op != '-' && v.Op != '*' && v.Op != '/' {
 			return nil, fmt.Errorf("exec: line %d: unknown operator %q", line, v.Op)
 		}
-		if out.l, err = s.lowerExpr(v.L, scope, line); err == nil {
-			out.r, err = s.lowerExpr(v.R, scope, line)
+		if out.l, err = s.lowerExpr(v.L, reads, line); err == nil {
+			out.r, err = s.lowerExpr(v.R, reads, line)
 		}
 	default:
 		err = fmt.Errorf("exec: line %d: unsupported RHS node %T", line, e)
@@ -159,26 +198,9 @@ func (s *progSchedule) lowerNest(nest *ir.Nest, ns *nestSchedule) error {
 				return err
 			}
 		}
-		if ls.rhs, err = s.lowerExpr(st.RHS, scope, st.Line); err != nil {
+		if ls.rhs, err = s.lowerExpr(st.RHS, st.Reads, st.Line); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// elemAt returns the element r names at loop vector iv. The subscripts
-// live in a stack buffer; the error path copies them, because handing
-// idx itself to fmt would move the buffer to the heap on every call.
-func (s *progSchedule) elemAt(r *lref, iv []int) (elemID, error) {
-	var buf [4]int
-	idx := buf[:0]
-	for d := range r.subs {
-		idx = append(idx, r.subs[d].eval(iv))
-	}
-	e, ok := s.elemOf(r.arr, idx)
-	if !ok {
-		return 0, fmt.Errorf("exec: line %d: %s subscript %v outside extents %v",
-			r.line, r.ref, append([]int(nil), idx...), s.arrays[r.arr].ext)
-	}
-	return e, nil
 }

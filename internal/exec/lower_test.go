@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,8 +243,9 @@ func randomLoweringProgram(rng *rand.Rand) *ir.Program {
 
 // TestLoweringMatchesIR: the lowered nest visits the statement instances
 // ir's map-environment walk visits, in its order, and at each of them the
-// lowered subscripts and right-hand side evaluate to exactly what
-// ir.Affine.Eval and ir.Expr.Eval give.
+// lowered subscripts and right-hand side — over the operands the
+// inspector addressed — evaluate to exactly what ir.Affine.Eval and
+// ir.Expr.Eval give.
 func TestLoweringMatchesIR(t *testing.T) {
 	const m = 6
 	bind := map[string]int{"m": m}
@@ -257,7 +259,9 @@ func TestLoweringMatchesIR(t *testing.T) {
 			if err := validate(p, ss, bind, nil); err != nil {
 				t.Fatalf("generated invalid program: %v\n%s", err, label)
 			}
-			s, err := buildSchedule(p, ss, bind, scalars, &lowering{})
+			var ivs [][]int // each opEval's loop vector, in stream order
+			low := &lowering{evalTap: func(_ *nestSchedule, _, _ int, iv []int) { ivs = append(ivs, slices.Clone(iv)) }}
+			s, err := buildSchedule(p, ss, bind, scalars, low)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, label)
 			}
@@ -290,9 +294,11 @@ func TestLoweringMatchesIR(t *testing.T) {
 				}
 				in, ls := evals[next], &ns.stmts[si]
 				next++
-				iv := make([]int, st.Depth)
+				iv := ivs[next-1]
+				if len(iv) != st.Depth {
+					t.Fatalf("instance %d: loop vector %v at depth %d\n%s", next, iv, st.Depth, label)
+				}
 				for k := range iv {
-					iv[k] = int(ns.envs[int(in.envOff)+k])
 					if want := env[nest.Loops[k].Index]; int(in.stmt) != si || iv[k] != want {
 						t.Fatalf("instance %d: lowered walk at stmt %d slot %d = %d, ir at stmt %d, %d\n%s",
 							next, in.stmt, k, iv[k], si, want, label)
@@ -311,11 +317,18 @@ func TestLoweringMatchesIR(t *testing.T) {
 						}
 					}
 					want, _ := s.elemOf(s.aid[r.Array], idx)
-					if got, err := s.elemAt(lr, iv); err != nil || got != want {
+					if got, err := lr.elemAt(iv); err != nil || got != want {
 						t.Fatalf("%s at %v: lowered element %d (%v), ir %d\n%s", r, iv, got, err, want, label)
 					}
 				}
-				x.iv = iv
+				// One processor owns everything: every operand is a slab offset.
+				x.vals = x.vals[:0]
+				for _, o := range ns.operands[in.off : int(in.off)+len(ls.reads)] {
+					if o.kind() != opdOwned {
+						t.Fatalf("%s at %v: operand %#x is not in the store slab\n%s", st.RHS, iv, o, label)
+					}
+					x.vals = append(x.vals, x.slab[o.addr()])
+				}
 				if got, want := x.evalExpr(ls.rhs), st.RHS.Eval(env, vals.Load, scalars); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s at %v: lowered RHS %v, ir %v\n%s", st.RHS, iv, got, want, label)
 				}

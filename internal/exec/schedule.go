@@ -21,7 +21,15 @@
 // elemID integers (array id + row-major offset). Names and "arr!i,j"
 // strings survive only at the ir.Storage boundary. An epoch's ships are
 // one append-only list, lowered in scratch every epoch reuses: lowering
-// an epoch takes time in what it moves and six allocations.
+// an epoch takes time in what it moves and allocates only when a chunk
+// its plan is carved from runs out.
+//
+// The inspector's resolution is the executor's input: every operand of an
+// opEval, and both ends of every redistribution segment, are recorded as
+// local addresses — an offset into the processor's store slab, a position
+// in its buffer of received copies, the rank of a direct message or a
+// position among its partial sums — so the executor evaluates no
+// subscript and looks up no element.
 
 package exec
 
@@ -115,6 +123,13 @@ func (am *arrayMeta) storeLen(r int) int {
 	return 0
 }
 
+// slabOff is element e's offset in rank r's store slab, which holds the
+// rank's cells of every array in array order. r must own e.
+func (s *progSchedule) slabOff(r int, e elemID) int32 {
+	am := &s.arrays[e.arr()]
+	return s.base[r*len(s.arrays)+e.arr()] + am.loc[e.off()]
+}
+
 // dense is a per-array element table, each array's row materialized on
 // first touch.
 type dense[T any] [][]T
@@ -136,6 +151,14 @@ type progSchedule struct {
 	arrays  []arrayMeta
 	aid     map[string]int
 	nests   []*nestSchedule
+	// base[r*len(arrays)+a] is where array a's cell starts in rank r's
+	// store slab.
+	base []int32
+	// bufs numbers each rank's buffered copies of other ranks' elements,
+	// parts each rank's partial sums of reduction accumulators: one
+	// position per (rank, element) for the whole run, which is how long
+	// the executor's cbuf and part are.
+	bufs, parts posTable
 	// Liveness state for fan-out pruning: redArrs marks arrays that
 	// appear as a reduction LHS; acc records, per element of
 	// those arrays, the program-order sequence of local-read and write
@@ -148,6 +171,44 @@ type progSchedule struct {
 	seq     int
 	acc     map[elemID][]accEvent
 	sites   []finSite
+}
+
+// posTable hands out per-rank positions, one per (rank, element) for the
+// life of the table. rows is a dense per-element table of the ranks holding
+// a position, ascending — an element reaches few ranks, so a row stays
+// short where a per-element array over every rank would not — and n[r] is
+// rank r's count.
+type posTable struct {
+	rows dense[[]rankPos]
+	n    []int32
+	// free is the slab new rows are cut from, four entries each.
+	free []rankPos
+}
+
+type rankPos struct{ rank, pos int32 }
+
+// pos returns rank r's position for e, numbering it on first use.
+func (t *posTable) pos(s *progSchedule, e elemID, r int) int32 {
+	row := t.rows.at(s, e)
+	i, n := 0, len(*row)
+	for i < n { // binary search for the first rank >= r
+		if h := int(uint(i+n) >> 1); (*row)[h].rank < int32(r) {
+			i = h + 1
+		} else {
+			n = h
+		}
+	}
+	if i == len(*row) || (*row)[i].rank != int32(r) {
+		if *row == nil {
+			if len(t.free) < 4 {
+				t.free = make([]rankPos, 1024)
+			}
+			*row, t.free = t.free[:0:4], t.free[4:]
+		}
+		*row = slices.Insert(*row, i, rankPos{int32(r), t.n[r]})
+		t.n[r]++
+	}
+	return (*row)[i].pos
 }
 
 // accEvent is one liveness event of a reduction-accumulator element:
@@ -225,14 +286,14 @@ type nestSchedule struct {
 	loops []lloop
 	stmts []lstmt
 	// procs[r] is processor r's value-pass instruction stream: flat,
-	// pointer-free records indexing the nest's arenas — envs holds each
-	// instance's loop vector once (shared by its executors), slots every
-	// eval's remote operands, reds and redists the exchanges by index.
-	procs   [][]pinstr
-	envs    []int32
-	slots   []slot
-	reds    []*redOp
-	redists []*redistOp
+	// pointer-free records indexing the nest's arenas — operands holds
+	// every eval's operand addresses, addrs every redistribution
+	// segment's, reds and redists the exchanges by index.
+	procs    [][]pinstr
+	operands []operand
+	addrs    []int32
+	reds     []*redOp
+	redists  []*redistOp
 }
 
 // pinstr is one value-pass instruction of one processor.
@@ -241,14 +302,14 @@ type pinstr struct {
 	role uint8
 	stmt int32
 	// arg is opSendDirect's receiver rank, opRed's index into reds,
-	// opRedist's index into redists.
+	// opRedist's index into redists, and a roleReduce opEval's position
+	// among the processor's partial sums.
 	arg int32
-	// opEval: the loop vector envs[envOff:envOff+depth] and the remote
-	// operands slots[slotOff:slotOff+slotN]. opRed: envOff is the
-	// processor's index into the exchange's roles.
-	envOff         int32
-	elem           elemID
-	slotOff, slotN int32
+	// off is opEval's first operand, operands[off:off+len(reads)], and
+	// opRed's index into the exchange's roles.
+	off int32
+	// elem is the element opSendDirect ships and opEval writes.
+	elem elemID
 }
 
 const (
@@ -274,14 +335,28 @@ const (
 	roleRecvOnly
 )
 
-// slot is one remote operand of an eval: either the copy of elem that
-// the epoch's redistribution buffered under its origin rank src, or
-// (direct) a dedicated one-word message from src.
-type slot struct {
-	src    int32
-	elem   elemID
-	direct bool
-}
+// operand is one resolved operand of an opEval, in Stmt.Reads order: the
+// kind in the top two bits, the executor-local address below them.
+type operand uint32
+
+const (
+	// opdOwned: an offset into the executor's store slab (slabOff).
+	opdOwned operand = iota << 30
+	// opdBuffered: a position in the executor's buffer of copies the
+	// epoch's redistribution delivered (progSchedule.bufs).
+	opdBuffered
+	// opdDirect: the rank whose one-word message carries the value.
+	opdDirect
+	// opdAcc: the reduce accumulator, a position among the executor's
+	// partial sums (progSchedule.parts).
+	opdAcc
+
+	opdAddr  = 1<<30 - 1
+	maxLocal = 1 << 30
+)
+
+func (o operand) kind() operand { return o &^ opdAddr }
+func (o operand) addr() int     { return int(o & opdAddr) }
 
 // redistOp is one processor's materialized schedule for an epoch's
 // collective redistribution. Each round exchanges at most one merged
@@ -311,20 +386,25 @@ type redistMsg struct {
 }
 
 // redistSeg is one origin's element run inside a merged message. The
-// sender gathers it from its local store when it is the origin, or
-// forwards the words it received (and buffered by origin) in an
-// earlier round; the receiver files the words under the origin's rank
-// for eval's slot lookups.
+// sender gathers it from its store slab when it is the origin, or
+// forwards the copies it received in an earlier round; the receiver files
+// the words in its copy buffer. The segment's addresses, written after
+// the epoch is lowered, are the nest's addrs[addr:addr+2*len(elems)]: the
+// sender's (slab offsets at the origin, buffer positions at a relay),
+// then the receiver's buffer positions.
 type redistSeg struct {
 	origin int32
 	elems  []elemID
+	addr   int32
 }
 
 type finOp struct {
 	elem     elemID
 	contribs []int
-	owners   []int
-	root     int
+	// parts[k] is contribs[k]'s position of the element's partial sum.
+	parts  []int32
+	owners []int
+	root   int
 	// fanout is the liveness-pruned total-delivery set: owners other
 	// than the root that locally read the total before the element's
 	// next write, ascending. Filled by computeFanouts after the walk.
@@ -362,10 +442,11 @@ type redOp struct {
 
 // redRole is one participant's part in a reduction exchange, as indices
 // into the items in batch order: the items it holds a partial of (as their
-// root or not), folds and stores as their root, and receives the total of
-// as a live reader. The executor walks these, never the whole batch.
+// root or not) with that partial's position (part), the items it folds and
+// stores as their root, and those it receives the total of as a live
+// reader. The executor walks these, never the whole batch.
 type redRole struct {
-	contrib, root, reads []int32
+	contrib, part, root, reads []int32
 }
 
 // buildRoles fills every exchange's role lists; it runs after
@@ -379,8 +460,10 @@ func (s *progSchedule) buildRoles() {
 			}
 			r.roles = make([]redRole, len(r.parts))
 			for i, f := range r.items {
-				for _, c := range f.contribs {
-					r.roles[at[c]].contrib = append(r.roles[at[c]].contrib, int32(i))
+				for k, c := range f.contribs {
+					role := &r.roles[at[c]]
+					role.contrib = append(role.contrib, int32(i))
+					role.part = append(role.part, f.parts[k])
 				}
 				r.roles[at[f.root]].root = append(r.roles[at[f.root]].root, int32(i))
 				for _, o := range f.fanout {
@@ -451,6 +534,16 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 		s.aid[name] = len(s.arrays)
 		s.arrays = append(s.arrays, am)
 	}
+	s.base = make([]int32, s.nprocs*len(s.arrays))
+	for r := range s.nprocs {
+		off := 0
+		for a := range s.arrays {
+			s.base[r*len(s.arrays)+a] = int32(off)
+			off += s.arrays[a].storeLen(r)
+		}
+	}
+	s.bufs = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
+	s.parts = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
 			if st.Reduce {
@@ -465,6 +558,11 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 			return nil, err
 		}
 		s.nests[i] = ns
+	}
+	for r := range s.nprocs {
+		if n := max(s.storeWords(r), int(s.bufs.n[r]), int(s.parts.n[r])); n >= maxLocal {
+			return nil, fmt.Errorf("exec: rank %d needs %d local addresses of one kind, more than an operand holds", r, n)
+		}
 	}
 	s.computeFanouts()
 	s.buildRoles()
@@ -546,22 +644,23 @@ type nestBuilder struct {
 	// which makes the dedup window every ship since the element's last
 	// write — spanning epoch cuts, not reset by them: the surviving
 	// ship's value is gathered at its own epoch boundary, before any
-	// write that could invalidate it. Eval slots still reference every
-	// operand; they resolve by (origin, element) against the buffered
-	// copy.
+	// write that could invalidate it. Every read of a copy, deduped or
+	// not, is the destination's one position for e (progSchedule.bufs),
+	// which each ship of e to it refills.
 	seen dense[[]uint64]
-	// scratch
+	// scratch; ops[xi*len(reads)+ri] is executor xi's operand ri
 	readElem []elemID
 	ships    []shipT
-	exSlots  [][]slot
+	ops      []operand
 	forced   []elemID
 	readers  []int
 }
 
+// shipT is one remote operand: e from its first owner src to executor ex,
+// whose operand is ops[at].
 type shipT struct {
-	src int32
-	ex  int32
-	e   elemID
+	src, ex, at int32
+	e           elemID
 }
 
 func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
@@ -630,11 +729,23 @@ func (b *nestBuilder) walk(level int) error {
 // first instruction of an epoch the slot closeEpoch fills with the
 // epoch's opRedist — the exchange runs first and no stream is copied.
 func (b *nestBuilder) emit(p int, in pinstr) {
+	stream := grow(b.ns.procs[p], 2)
 	if b.first[p] == 0 {
-		b.ns.procs[p] = append(b.ns.procs[p], pinstr{})
-		b.first[p] = int32(len(b.ns.procs[p]))
+		stream = append(stream, pinstr{})
+		b.first[p] = int32(len(stream))
 	}
-	b.ns.procs[p] = append(b.ns.procs[p], in)
+	b.ns.procs[p] = append(stream, in)
+}
+
+// grow makes room for n more elements at the end of an arena, at least
+// doubling its capacity: append alone grows a large slice by a quarter at
+// a time, which allocates about five times what the arena ends up
+// holding.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(len(s)+n, 2*cap(s))), s...)
+	}
+	return s
 }
 
 // instance inspects one dynamic statement instance, appending its work
@@ -645,13 +756,13 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 	s := b.s
 
 	// Resolve the written element and the read elements.
-	lhsElem, err := s.elemAt(&st.lhs, b.iv)
+	lhsElem, err := st.lhs.elemAt(b.iv)
 	if err != nil {
 		return err
 	}
 	b.readElem = b.readElem[:0]
 	for ri := range st.reads {
-		e, err := s.elemAt(&st.reads[ri], b.iv)
+		e, err := st.reads[ri].elemAt(b.iv)
 		if err != nil {
 			return err
 		}
@@ -664,21 +775,34 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		executors = s.ownersOf(b.readElem[st.anchor])
 	}
 
-	// Ship list: one word from the element's first owner to every
-	// executor that lacks it. (The reduce accumulator is never shipped;
-	// executors that own the element read their local copy.)
+	// Operands, and the ship list: one word from the element's first
+	// owner to every executor that lacks it. The reduce accumulator is
+	// never shipped (its operand is the contributor's partial sum, set
+	// below), executors that own the element read their store slab, and a
+	// shipped operand is addressed when its ship is emitted.
+	nr := len(b.readElem)
+	b.ops = slices.Grow(b.ops[:0], len(executors)*nr)[:len(executors)*nr]
 	b.ships = b.ships[:0]
-	for _, e := range b.readElem {
+	acc := opdAcc // the contributor's, executors[0]'s; the others never read it
+	if st.Reduce {
+		acc |= operand(s.parts.pos(s, lhsElem, executors[0]))
+	}
+	for ri, e := range b.readElem {
 		if st.Reduce && e == lhsElem {
+			for xi := range executors {
+				b.ops[xi*nr+ri] = opdAcc
+			}
+			b.ops[ri] = acc
 			continue
 		}
 		owners := s.ownersOf(e)
 		src := owners[0]
-		for _, ex := range executors {
+		for xi, ex := range executors {
 			if slices.Contains(owners, ex) {
+				b.ops[xi*nr+ri] = opdOwned | operand(s.slabOff(ex, e))
 				continue
 			}
-			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), e: e})
+			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), at: int32(xi*nr + ri), e: e})
 		}
 	}
 
@@ -722,7 +846,7 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		b.readers = b.readers[:0]
 		if st.Reduce {
 			// Only the contributor evaluates; replicas just drain
-			// their shipped slots.
+			// their direct operands.
 			if slices.Contains(owners, executors[0]) {
 				b.readers = append(b.readers, executors[0])
 			}
@@ -744,68 +868,60 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 	// Emit the ships, in the global lockstep order: each is either an
 	// epoch-batched pair entry or — for elements this instance's own
 	// finalizes just wrote — a residual direct send.
-	for len(b.exSlots) < len(executors) {
-		b.exSlots = append(b.exSlots, nil)
-	}
-	for xi := range executors {
-		b.exSlots[xi] = b.exSlots[xi][:0]
-	}
 	for _, sh := range b.ships {
-		xi := slices.Index(executors, int(sh.ex))
 		if *b.written.at(s, sh.e) == b.epoch {
 			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
-			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e, direct: true})
-		} else {
-			bits := b.seen.at(s, sh.e)
-			if *bits == nil {
-				*bits = make([]uint64, (s.nprocs+63)/64)
-			}
-			if w, m := &(*bits)[sh.ex>>6], uint64(1)<<(sh.ex&63); *w&m == 0 {
-				*w |= m
-				b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
-			}
-			b.exSlots[xi] = append(b.exSlots[xi], slot{src: sh.src, elem: sh.e})
+			b.ops[sh.at] = opdDirect | operand(sh.src)
+			continue
 		}
+		bits := b.seen.at(s, sh.e)
+		if *bits == nil {
+			*bits = make([]uint64, (s.nprocs+63)/64)
+		}
+		if w, m := &(*bits)[sh.ex>>6], uint64(1)<<(sh.ex&63); *w&m == 0 {
+			*w |= m
+			b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
+		}
+		b.ops[sh.at] = opdBuffered | operand(s.bufs.pos(s, sh.e, int(sh.ex)))
 	}
 
-	in := pinstr{op: opEval, stmt: int32(si), elem: lhsElem, envOff: int32(len(b.ns.envs))}
-	for _, v := range b.iv[:st.Depth] {
-		b.ns.envs = append(b.ns.envs, int32(v))
-	}
-
+	in := pinstr{op: opEval, stmt: int32(si), elem: lhsElem}
 	if st.Reduce {
 		// Record the contributor; only it evaluates (into its partial
-		// store), but every executor still receives its shipped
-		// operands, exactly like the per-element engine.
+		// sum, which its accumulator operands read), but every executor
+		// still receives its direct operands, exactly like the
+		// per-element engine.
 		contrib := executors[0]
 		list := b.pending[lhsElem]
 		if len(list) == 0 || !slices.Contains(list, contrib) {
 			b.pending[lhsElem] = insertSorted(list, contrib)
 		}
-		for xi, ex := range executors {
-			if ex == contrib {
-				in.role = roleReduce
-				b.emitEval(ex, in, b.exSlots[xi])
-			} else if len(b.exSlots[xi]) > 0 {
-				b.emitEval(ex, pinstr{op: opEval, role: roleRecvOnly}, b.exSlots[xi])
+		in.role, in.arg = roleReduce, int32(acc.addr())
+		b.emitEval(contrib, in, b.ops[:nr])
+		for xi := 1; xi < len(executors); xi++ {
+			if ops := b.ops[xi*nr : (xi+1)*nr]; slices.ContainsFunc(ops, func(o operand) bool { return o.kind() == opdDirect }) {
+				b.emitEval(executors[xi], pinstr{op: opEval, role: roleRecvOnly, stmt: int32(si), elem: lhsElem}, ops)
 			}
 		}
 		return nil
 	}
 
 	for xi, ex := range executors {
-		b.emitEval(ex, in, b.exSlots[xi])
+		b.emitEval(ex, in, b.ops[xi*nr:(xi+1)*nr])
 	}
 	b.markWritten(lhsElem)
 	return nil
 }
 
-// emitEval appends an opEval to processor p's stream with its remote
-// operands copied into the nest's slot arena.
-func (b *nestBuilder) emitEval(p int, in pinstr, slots []slot) {
-	in.slotOff, in.slotN = int32(len(b.ns.slots)), int32(len(slots))
-	b.ns.slots = append(b.ns.slots, slots...)
+// emitEval appends an opEval to processor p's stream with its operands
+// copied into the nest's operand arena.
+func (b *nestBuilder) emitEval(p int, in pinstr, ops []operand) {
+	in.off = int32(len(b.ns.operands))
+	b.ns.operands = append(grow(b.ns.operands, len(ops)), ops...)
 	b.emit(p, in)
+	if b.low.evalTap != nil {
+		b.low.evalTap(b.ns, p, len(b.ns.procs[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
+	}
 }
 
 // markWritten records a write of e in the current epoch and drops its
@@ -824,7 +940,10 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	contribs := b.pending[e]
 	delete(b.pending, e)
 	owners := b.s.ownersOf(e)
-	f := &finOp{elem: e, contribs: contribs, owners: owners, root: owners[0]}
+	f := &finOp{elem: e, contribs: contribs, parts: make([]int32, len(contribs)), owners: owners, root: owners[0]}
+	for k, c := range contribs {
+		f.parts[k] = b.s.parts.pos(b.s, e, c)
+	}
 	b.s.noteFinalize(e, f)
 	b.markWritten(e)
 	return f
@@ -861,19 +980,20 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	in := pinstr{op: opRed, arg: int32(len(b.ns.reds))}
 	b.ns.reds = append(b.ns.reds, r)
 	for k, p := range r.parts {
-		in.envOff = int32(k)
+		in.off = int32(k)
 		b.emit(p, in)
 	}
 }
 
 // closeEpoch freezes the current epoch: its batched traffic is lowered to
-// the composed collective redistribution, whose opRedist lands in each
-// participant's reserved slot (or ends the stream of one that emitted
-// nothing else this epoch), and the written set resets (its stamps fall
-// behind the epoch number).
+// the composed collective redistribution and addressed, its opRedist lands
+// in each participant's reserved slot (or ends the stream of one that
+// emitted nothing else this epoch), and the written set resets (its stamps
+// fall behind the epoch number).
 func (b *nestBuilder) closeEpoch() {
 	if len(b.traffic) > 0 {
 		ranks, ops := b.low.lower(b.traffic)
+		b.address(ranks, ops)
 		for i, p := range ranks {
 			in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
 			b.ns.redists = append(b.ns.redists, &ops[i])
@@ -887,6 +1007,37 @@ func (b *nestBuilder) closeEpoch() {
 	}
 	clear(b.first)
 	b.epoch++
+}
+
+// address writes every segment's addresses (see redistSeg) into the
+// nest's addrs arena. A segment is shared by its message's two ends and
+// addressed once, from the send. Every receiver, relays included, is a
+// destination of the segment's elements, so their positions were numbered
+// when the ships were listed.
+func (b *nestBuilder) address(ranks []int32, ops []redistOp) {
+	s := b.s
+	for i := range ops {
+		snd := int(ranks[i])
+		for r := range ops[i].rounds {
+			for _, msg := range ops[i].rounds[r].sends {
+				for k := range msg.segs {
+					seg := &msg.segs[k]
+					seg.addr = int32(len(b.ns.addrs))
+					b.ns.addrs = grow(b.ns.addrs, 2*len(seg.elems))
+					for _, e := range seg.elems {
+						if snd == int(seg.origin) {
+							b.ns.addrs = append(b.ns.addrs, s.slabOff(snd, e))
+						} else {
+							b.ns.addrs = append(b.ns.addrs, s.bufs.pos(s, e, snd))
+						}
+					}
+					for _, e := range seg.elems {
+						b.ns.addrs = append(b.ns.addrs, s.bufs.pos(s, e, int(msg.peer)))
+					}
+				}
+			}
+		}
+	}
 }
 
 // epochShip is one batched ship: e from its first owner to an executor, k =
@@ -910,8 +1061,29 @@ type lowering struct {
 	steps                  []treeStep
 	resid, edges           []edge
 	msgs                   []roundMsg
-	// tap (tests only) sees each epoch's sorted traffic and its plan.
-	tap func(traffic []epochShip, ranks []int32, ops []redistOp)
+	// The slabs every epoch's plan is carved from (carve).
+	elemSlab  []elemID
+	segSlab   []redistSeg
+	opSlab    []redistOp
+	roundSlab []redistRound
+	msgSlab   []redistMsg
+	// tap (tests only) sees each epoch's sorted traffic and its plan, before
+	// the plan is addressed; evalTap (tests only) sees each opEval as it is
+	// emitted — ns.procs[p][at] — with the instance's loop vector.
+	tap     func(traffic []epochShip, ranks []int32, ops []redistOp)
+	evalTap func(ns *nestSchedule, p, at int, iv []int)
+}
+
+// carve cuts n zeroed elements off the front of *slab, which it refills
+// with a fresh chunk when too short. Plans outlive the epoch that lowers
+// them, so a chunk is shared by consecutive epochs and never reused.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, 512))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // treeStep is one multicast tree: the elements of one origin sharing one
@@ -954,7 +1126,7 @@ type roundMsg struct {
 // A stable sort by pair key gives each pair's elements in ship order; the
 // work is in the epoch's ships, steps and edges, in l's reused scratch,
 // and the plan (element runs, segments shared by a message's two ends,
-// sends, receives, rounds, ops) is carved from six slabs.
+// sends, receives, rounds, ops) is carved from five chunked slabs.
 func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	slices.SortStableFunc(traffic, func(a, b epochShip) int { return cmp.Compare(a.k, b.k) })
 	if l.pos == nil {
@@ -998,8 +1170,9 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	slices.SortStableFunc(l.edges, func(a, b edge) int {
 		return cmp.Or(cmp.Compare(a.k>>32, b.k>>32), cmp.Compare(a.round, b.round), cmp.Compare(a.k, b.k))
 	})
-	elems := slices.Clone(l.elems)
-	segs := make([]redistSeg, len(l.edges))
+	elems := carve(&l.elemSlab, len(l.elems))
+	copy(elems, l.elems)
+	segs := carve(&l.segSlab, len(l.edges))
 	l.msgs, l.ranks = l.msgs[:0], l.ranks[:0]
 	for i, e := range l.edges {
 		segs[i] = redistSeg{origin: e.origin, elems: elems[e.elems[0]:e.elems[1]:e.elems[1]]}
@@ -1012,15 +1185,15 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	}
 	slices.Sort(l.ranks)
 	l.ranks = slices.Compact(l.ranks)
-	ops := make([]redistOp, len(l.ranks))
-	rs := make([]redistRound, len(ops)*rounds)
+	ops := carve(&l.opSlab, len(l.ranks))
+	rs := carve(&l.roundSlab, len(ops)*rounds)
 	for i := range ops {
 		ops[i].rounds = rs[i*rounds : (i+1)*rounds : (i+1)*rounds]
 	}
 
 	// Per processor and round: sends in ascending destination order, then
 	// receives in ascending source order, each a run of one slab.
-	sends, recvs := make([]redistMsg, len(l.msgs)), make([]redistMsg, len(l.msgs))
+	sends, recvs := carve(&l.msgSlab, len(l.msgs)), carve(&l.msgSlab, len(l.msgs))
 	for i, m := range l.msgs {
 		p, _ := slices.BinarySearch(l.ranks, m.snd)
 		rd := &ops[p].rounds[m.round]
