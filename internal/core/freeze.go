@@ -4,7 +4,8 @@
 // data. Freeze/Thaw are the artifact cache's view of "compile once,
 // reuse everywhere": a thawed evaluator re-prices the plan at any
 // problem size without re-running alignment, the shape search, or the
-// DP.
+// DP. The stored bytes are json.Marshal's rendering of the tags below;
+// planjson.go reads them back in one pass.
 package core
 
 import (
@@ -139,9 +140,14 @@ func (fp *FrozenPlan) Validate(p *ir.Program) error {
 	if fp.ChgFits != nil && len(fp.ChgFits) != len(fp.Segments) {
 		return fmt.Errorf("core: frozen plan has %d change fits for %d segments", len(fp.ChgFits), len(fp.Segments))
 	}
+	// Below FitMinM a thawed evaluator prices numerically, at and above it
+	// from the fits, so every fit must start exactly there.
+	if (fp.ExecFits != nil || fp.LCFits != nil || fp.ChgFits != nil) && fp.FitMinM < 1 {
+		return fmt.Errorf("core: frozen plan has fits but fitMinM %d", fp.FitMinM)
+	}
 	for _, fits := range [][]*cost.SymbolicCounts{fp.ExecFits, fp.LCFits} {
 		for t, sc := range fits {
-			if err := sc.Validate(); err != nil {
+			if err := sc.Validate(fp.FitMinM); err != nil {
 				return fmt.Errorf("core: frozen plan fit of nest %d: %w", t+1, err)
 			}
 		}
@@ -150,7 +156,7 @@ func (fp *FrozenPlan) Validate(p *ir.Program) error {
 		if i == 0 {
 			continue // no boundary enters the first segment
 		}
-		if err := sl.Validate(); err != nil {
+		if err := sl.Validate(fp.FitMinM); err != nil {
 			return fmt.Errorf("core: frozen plan change fit into segment %d: %w", i+1, err)
 		}
 	}

@@ -1,97 +1,15 @@
-// Reading fitted polynomials back: the decoder for the bytes a stored
-// plan carries, and the structural checks that make a decoded fit safe to
-// evaluate. A plan payload is a few hundred PiecewisePoly values, always
-// written by json.Marshal, so UnmarshalJSON reads exactly that byte form
-// in one integer-only pass and hands every other input to the reflective
-// decoder — the accepted language and its errors are encoding/json's.
+// Checking fitted polynomials read back from a stored plan: the
+// structure that makes a decoded fit safe to evaluate. The plan's byte
+// form is read in package core (FrozenPlan.UnmarshalJSON); these types
+// have no decoder of their own.
 package cost
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 )
 
 var errMissing = errors.New("missing")
-
-// UnmarshalJSON decodes a PiecewisePoly.
-func (pp *PiecewisePoly) UnmarshalJSON(data []byte) error {
-	c := canonReader{b: data}
-	if out, ok := c.piecewise(); ok {
-		*pp = out
-		return nil
-	}
-	type reflected PiecewisePoly // same fields, no UnmarshalJSON
-	return json.Unmarshal(data, (*reflected)(pp))
-}
-
-// canonReader reads json.Marshal's rendering of a PiecewisePoly: fields in
-// declaration order under their Go names, no whitespace, integers in
-// canonical decimal. bad is sticky; once set the input is not canonical
-// (or not a PiecewisePoly at all) and the results are discarded.
-type canonReader struct {
-	b   []byte
-	i   int
-	bad bool
-}
-
-// lit consumes the literal s.
-func (c *canonReader) lit(s string) {
-	if c.bad || len(c.b)-c.i < len(s) || string(c.b[c.i:c.i+len(s)]) != s {
-		c.bad = true
-		return
-	}
-	c.i += len(s)
-}
-
-// num consumes -?(0|[1-9][0-9]*) that fits a signed integer of the given
-// width.
-func (c *canonReader) num(bits int) int64 {
-	end := c.i
-	for end < len(c.b) && (c.b[end] == '-' || c.b[end] >= '0' && c.b[end] <= '9') {
-		end++
-	}
-	tok := c.b[c.i:end]
-	digits := bytes.TrimPrefix(tok, []byte("-"))
-	v, err := strconv.ParseInt(string(tok), 10, bits)
-	if c.bad || err != nil || (digits[0] == '0' && len(tok) > 1) {
-		c.bad = true // also "007" and "-0", which encoding/json never writes
-		return 0
-	}
-	c.i = end
-	return v
-}
-
-func (c *canonReader) piecewise() (PiecewisePoly, bool) {
-	var pp PiecewisePoly
-	c.lit(`{"Period":`)
-	pp.Period = int(c.num(strconv.IntSize))
-	c.lit(`,"MinM":`)
-	pp.MinM = int(c.num(strconv.IntSize))
-	c.lit(`,"Pieces":[`)
-	// Fit writes Period pieces; the bound keeps a hostile Period from
-	// sizing the allocation.
-	pp.Pieces = make([]Poly, 0, max(0, min(pp.Period, len(c.b)/len(`{"M0":0,"Step":0,"Diffs":[]}`))))
-	for sep := ""; !c.bad && c.i < len(c.b) && c.b[c.i] != ']'; sep = "," {
-		var p Poly
-		c.lit(sep + `{"M0":`)
-		p.M0 = int(c.num(strconv.IntSize))
-		c.lit(`,"Step":`)
-		p.Step = int(c.num(strconv.IntSize))
-		c.lit(`,"Diffs":[`)
-		p.Diffs = make([]int64, 0, 4) // Fit's maxDeg+1
-		for sep := ""; !c.bad && c.i < len(c.b) && c.b[c.i] != ']'; sep = "," {
-			c.lit(sep)
-			p.Diffs = append(p.Diffs, c.num(64))
-		}
-		c.lit("]}")
-		pp.Pieces = append(pp.Pieces, p)
-	}
-	c.lit("]}")
-	return pp, !c.bad && c.i == len(c.b)
-}
 
 // Validate checks the structure Eval and String rely on: one piece per
 // residue class, each anchored on its own class inside the first period
@@ -120,19 +38,33 @@ func (pp *PiecewisePoly) Validate() error {
 	return nil
 }
 
-// Validate checks all six polynomials.
-func (sc *SymbolicCounts) Validate() error {
+// validFrom is Validate for one polynomial of a set fitted from minM: a
+// polynomial whose floor differs from the set's answers sizes the set
+// claims to cover with an error, or covers sizes it was never fitted at.
+func (pp *PiecewisePoly) validFrom(minM int) error {
+	if err := pp.Validate(); err != nil {
+		return err
+	}
+	if pp.MinM != minM {
+		return fmt.Errorf("fitted from m=%d, the plan's fits from m=%d", pp.MinM, minM)
+	}
+	return nil
+}
+
+// Validate checks all six polynomials, each fitted from minM.
+func (sc *SymbolicCounts) Validate(minM int) error {
 	if sc == nil {
 		return errMissing
 	}
-	return errors.Join(sc.TotalFlops.Validate(), sc.MaxProcFlops.Validate(), sc.RemoteWords.Validate(),
-		sc.ReduceWords.Validate(), sc.MaxProcIn.Validate(), sc.MaxProcOut.Validate())
+	return errors.Join(sc.TotalFlops.validFrom(minM), sc.MaxProcFlops.validFrom(minM), sc.RemoteWords.validFrom(minM),
+		sc.ReduceWords.validFrom(minM), sc.MaxProcIn.validFrom(minM), sc.MaxProcOut.validFrom(minM))
 }
 
-// Validate checks both polynomials and the replica denominator.
-func (sl *SymbolicLoads) Validate() error {
+// Validate checks both polynomials, each fitted from minM, and the
+// replica denominator.
+func (sl *SymbolicLoads) Validate(minM int) error {
 	if sl == nil || sl.Den < 1 {
 		return errors.New("missing, or den < 1")
 	}
-	return errors.Join(sl.MaxNum.Validate(), sl.Words.Validate())
+	return errors.Join(sl.MaxNum.validFrom(minM), sl.Words.validFrom(minM))
 }

@@ -2,52 +2,38 @@ package cost
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// reflectDecode is the plain reflective decode of a PiecewisePoly — what
-// encoding/json did before the type had an UnmarshalJSON.
-func reflectDecode(data []byte) (PiecewisePoly, error) {
-	type plain PiecewisePoly
-	var p plain
-	err := json.Unmarshal(data, &p)
-	return PiecewisePoly(p), err
-}
-
-// errClass names the kind of a decode error; the texts differ between the
-// two decoders only in the struct name json reports.
-func errClass(err error) string {
-	var syn *json.SyntaxError
-	var typ *json.UnmarshalTypeError
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.As(err, &syn):
-		return "syntax"
-	case errors.As(err, &typ):
-		return "type"
-	default:
-		return fmt.Sprintf("%T", err)
-	}
-}
-
-// checkDecodeMatchesReflect decodes data both ways and fails on any
-// difference in value or error class.
-func checkDecodeMatchesReflect(t *testing.T, data []byte) {
+// checkDecoded decodes data as a PiecewisePoly the way a plan's fits are
+// decoded when the canonical reader declines them: a value Validate
+// accepts must evaluate and render without panicking at sizes from its
+// floor, and must come back unchanged through the writer.
+func checkDecoded(t *testing.T, data []byte) {
 	t.Helper()
-	var got PiecewisePoly
-	gotErr := json.Unmarshal(data, &got)
-	want, wantErr := reflectDecode(data)
-	if errClass(gotErr) != errClass(wantErr) {
-		t.Fatalf("%q: decode error %v, reflective decode error %v", data, gotErr, wantErr)
+	var pp PiecewisePoly
+	if json.Unmarshal(data, &pp) != nil || pp.Validate() != nil {
+		return
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q:\n decoded %+v\n reflect %+v", data, got, want)
+	for _, m := range []int{pp.MinM, pp.MinM + 1, pp.MinM + pp.Period, pp.MinM + 1000} {
+		if m < pp.MinM {
+			continue // past MaxInt
+		}
+		if _, err := pp.Eval(m); err != nil {
+			t.Fatalf("%q: valid polynomial refused m=%d: %v", data, m, err)
+		}
+	}
+	_ = pp.String()
+	out, err := json.Marshal(&pp)
+	if err != nil {
+		t.Fatalf("%q: re-encoding: %v", data, err)
+	}
+	var back PiecewisePoly
+	if err := json.Unmarshal(out, &back); err != nil || !reflect.DeepEqual(back, pp) {
+		t.Fatalf("%q: written as %s, read back as %+v (%v), want %+v", data, out, back, err, pp)
 	}
 }
 
@@ -64,9 +50,9 @@ func canonicalPoly(t testing.TB) []byte {
 	return data
 }
 
-// decodeCorpus is every shape of input the decoder must treat exactly as
-// encoding/json does: the canonical bytes, and deviations from them in
-// field order, whitespace, unknown fields, number form and length.
+// decodeCorpus is the canonical bytes of a fitted polynomial and
+// deviations from them in field order, whitespace, unknown fields, number
+// form and length.
 func decodeCorpus(t testing.TB) [][]byte {
 	canon := string(canonicalPoly(t))
 	corpus := []string{
@@ -121,30 +107,20 @@ func decodeCorpus(t testing.TB) [][]byte {
 	return out
 }
 
-// TestPiecewiseDecodeMatchesReflect: every corpus input decodes to the
-// value, or fails with the error class, of the reflective decode.
+// TestPiecewiseDecodeMatchesReflect: a PiecewisePoly decodes by
+// reflection — the canonical byte form of a plan is read in package core,
+// which hands anything else to encoding/json — and every corpus input
+// that decodes to a valid polynomial evaluates and round-trips.
 func TestPiecewiseDecodeMatchesReflect(t *testing.T) {
+	if reflect.PointerTo(reflect.TypeFor[PiecewisePoly]()).Implements(reflect.TypeFor[json.Unmarshaler]()) {
+		t.Fatal("PiecewisePoly has a decoder of its own; the plan reader in core is the only one")
+	}
 	for _, data := range decodeCorpus(t) {
-		checkDecodeMatchesReflect(t, data)
+		checkDecoded(t, data)
 	}
-	// The canonical bytes take the integer pass, not the fallback.
-	c := canonReader{b: canonicalPoly(t)}
-	if _, ok := c.piecewise(); !ok {
-		t.Fatalf("canonical bytes %s declined by the canonical reader", c.b)
-	}
-	// Inside a larger document, and as a value rather than a pointer.
-	var doc struct {
-		A *PiecewisePoly
-		B PiecewisePoly
-		C *PiecewisePoly
-	}
-	canon := string(canonicalPoly(t))
-	if err := json.Unmarshal([]byte(`{"A":`+canon+`,"B": `+canon+` ,"C":null}`), &doc); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := reflectDecode([]byte(canon))
-	if !reflect.DeepEqual(*doc.A, want) || !reflect.DeepEqual(doc.B, want) || doc.C != nil {
-		t.Fatalf("embedded decode = %+v", doc)
+	var pp PiecewisePoly
+	if err := json.Unmarshal(canonicalPoly(t), &pp); err != nil || pp.Validate() != nil {
+		t.Fatalf("fitted polynomial did not decode to a valid one: %v, %v", err, pp.Validate())
 	}
 }
 
@@ -152,13 +128,16 @@ func FuzzPiecewiseDecode(f *testing.F) {
 	for _, data := range decodeCorpus(f) {
 		f.Add(data)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) { checkDecodeMatchesReflect(t, data) })
+	f.Fuzz(checkDecoded)
 }
 
 // TestPiecewiseValidate: what Fit writes is valid; each way a decoded
 // polynomial could make Eval divide by zero or index out of range is not.
 func TestPiecewiseValidate(t *testing.T) {
-	good, _ := reflectDecode(canonicalPoly(t))
+	var good PiecewisePoly
+	if err := json.Unmarshal(canonicalPoly(t), &good); err != nil {
+		t.Fatal(err)
+	}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("fitted polynomial rejected: %v", err)
 	}
@@ -174,7 +153,8 @@ func TestPiecewiseValidate(t *testing.T) {
 		"negative minM":  func(pp *PiecewisePoly) { pp.MinM = -8 },
 		"no differences": func(pp *PiecewisePoly) { pp.Pieces[2].Diffs = nil },
 	} {
-		pp, _ := reflectDecode(canonicalPoly(t))
+		var pp PiecewisePoly
+		json.Unmarshal(canonicalPoly(t), &pp)
 		mutate(&pp)
 		if err := pp.Validate(); err == nil {
 			t.Errorf("%s: accepted %+v", name, pp)
@@ -184,13 +164,16 @@ func TestPiecewiseValidate(t *testing.T) {
 		t.Error("nil polynomial accepted")
 	}
 	sc := &SymbolicCounts{TotalFlops: &good, MaxProcFlops: &good, RemoteWords: &good, ReduceWords: &good, MaxProcIn: &good}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "missing") {
+	if err := sc.Validate(8); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("counts without MaxProcOut: %v", err)
 	}
-	if err := (&SymbolicLoads{MaxNum: &good, Words: &good, Den: 0}).Validate(); err == nil {
+	if err := (&SymbolicLoads{MaxNum: &good, Words: &good, Den: 0}).Validate(8); err == nil {
 		t.Error("loads with den 0 accepted")
 	}
-	if err := (&SymbolicLoads{MaxNum: &good, Words: &good, Den: 4}).Validate(); err != nil {
+	if err := (&SymbolicLoads{MaxNum: &good, Words: &good, Den: 4}).Validate(8); err != nil {
 		t.Errorf("sound loads rejected: %v", err)
+	}
+	if err := (&SymbolicLoads{MaxNum: &good, Words: &good, Den: 4}).Validate(16); err == nil {
+		t.Error("loads fitted from m=8 accepted as fitted from m=16")
 	}
 }

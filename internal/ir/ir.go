@@ -128,34 +128,35 @@ func (a Affine) ConstDiff(b Affine) (int, bool) {
 // String renders the expression, e.g. "i-1" or "m-j+2".
 func (a Affine) String() string {
 	var b strings.Builder
-	vars := a.Vars()
-	for _, v := range vars {
+	a.writeTo(&b)
+	return b.String()
+}
+
+func (a Affine) writeTo(b *strings.Builder) {
+	start := b.Len()
+	for _, v := range a.Vars() {
 		c := a.Coeff[v]
 		switch {
 		case c == 1:
-			if b.Len() > 0 {
+			if b.Len() > start {
 				b.WriteByte('+')
 			}
-			b.WriteString(v)
 		case c == -1:
 			b.WriteByte('-')
-			b.WriteString(v)
-		case c > 0:
-			if b.Len() > 0 {
+		default:
+			if c > 0 && b.Len() > start {
 				b.WriteByte('+')
 			}
-			fmt.Fprintf(&b, "%d%s", c, v)
-		default:
-			fmt.Fprintf(&b, "%d%s", c, v)
+			writeInt(b, c)
 		}
+		b.WriteString(v)
 	}
-	if a.Const != 0 || b.Len() == 0 {
-		if a.Const >= 0 && b.Len() > 0 {
+	if a.Const != 0 || b.Len() == start {
+		if a.Const >= 0 && b.Len() > start {
 			b.WriteByte('+')
 		}
-		fmt.Fprintf(&b, "%d", a.Const)
+		writeInt(b, a.Const)
 	}
-	return b.String()
 }
 
 // Array declares a data array with symbolic per-dimension extents.
@@ -178,11 +179,21 @@ type Ref struct {
 func R(array string, subs ...Affine) Ref { return Ref{Array: array, Subs: subs} }
 
 func (r Ref) String() string {
-	parts := make([]string, len(r.Subs))
+	var b strings.Builder
+	r.writeTo(&b)
+	return b.String()
+}
+
+func (r Ref) writeTo(b *strings.Builder) {
+	b.WriteString(r.Array)
+	b.WriteByte('(')
 	for i, s := range r.Subs {
-		parts[i] = s.String()
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		s.writeTo(b)
 	}
-	return fmt.Sprintf("%s(%s)", r.Array, strings.Join(parts, ","))
+	b.WriteByte(')')
 }
 
 // Stmt is an assignment statement inside a loop nest.

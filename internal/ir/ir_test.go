@@ -2,6 +2,8 @@ package ir
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -245,5 +247,171 @@ func TestPrintPreservesStatementPositions(t *testing.T) {
 	cont := strings.Index(src[i5:], "CONTINUE")
 	if !(i5 >= 0 && i7 > i5 && i5+cont < i7) {
 		t.Fatalf("statement order wrong:\n%s", src)
+	}
+}
+
+// printFmt is Print as it was written with fmt, kept as the reference the
+// builder version must match byte for byte: the printed form is digested
+// into every stored plan's key.
+func printFmt(p *Program) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "PROGRAM %s\n", p.Name)
+	if len(p.Params) > 0 {
+		fmt.Fprintf(&b, "PARAM %s\n", strings.Join(p.Params, ", "))
+	}
+	names := make([]string, 0, len(p.Arrays))
+	for n := range p.Arrays {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var decls []string
+	for _, n := range names {
+		ext := make([]string, 0, p.Arrays[n].Rank())
+		for _, e := range p.Arrays[n].Extents {
+			ext = append(ext, affineFmt(e))
+		}
+		decls = append(decls, fmt.Sprintf("%s(%s)", n, strings.Join(ext, ",")))
+	}
+	fmt.Fprintf(&b, "REAL %s\n", strings.Join(decls, ", "))
+	label := 100
+	if p.Iterative {
+		fmt.Fprintf(&b, "DO %d k0 = 1, MAX_ITERATION\n", label)
+	}
+	for _, nest := range p.Nests {
+		labels := make([]int, len(nest.Loops))
+		for i := range labels {
+			label++
+			labels[i] = label
+		}
+		ind := func(d int) string { return strings.Repeat("  ", d) }
+		stmt := func(st *Stmt, level int) {
+			rhs := "0.0"
+			if st.RHS != nil {
+				rhs = exprFmt(st.RHS)
+			}
+			if st.Line > 0 {
+				fmt.Fprintf(&b, "%d %s%s = %s\n", st.Line, ind(level), refFmt(st.LHS), rhs)
+			} else {
+				fmt.Fprintf(&b, "%s%s = %s\n", ind(level), refFmt(st.LHS), rhs)
+			}
+		}
+		var walk func(level int)
+		walk = func(level int) {
+			for _, st := range nest.Stmts {
+				if st.Depth == level && !nest.IsPost(st) {
+					stmt(st, level)
+				}
+			}
+			if level < len(nest.Loops) {
+				l := nest.Loops[level]
+				if l.Step == -1 {
+					fmt.Fprintf(&b, "%sDO %d %s = %s, %s, -1\n", ind(level), labels[level], l.Index, affineFmt(l.Lo), affineFmt(l.Hi))
+				} else {
+					fmt.Fprintf(&b, "%sDO %d %s = %s, %s\n", ind(level), labels[level], l.Index, affineFmt(l.Lo), affineFmt(l.Hi))
+				}
+				walk(level + 1)
+				fmt.Fprintf(&b, "%s%d CONTINUE\n", ind(level), labels[level])
+			}
+			for _, st := range nest.Stmts {
+				if st.Depth == level && nest.IsPost(st) {
+					stmt(st, level)
+				}
+			}
+		}
+		walk(0)
+	}
+	if p.Iterative {
+		fmt.Fprintf(&b, "100 CONTINUE\n")
+	}
+	b.WriteString("END\n")
+	return b.String()
+}
+
+func affineFmt(a Affine) string {
+	var b strings.Builder
+	for _, v := range a.Vars() {
+		switch c := a.Coeff[v]; {
+		case c == 1:
+			if b.Len() > 0 {
+				b.WriteByte('+')
+			}
+			b.WriteString(v)
+		case c == -1:
+			b.WriteByte('-')
+			b.WriteString(v)
+		case c > 0:
+			if b.Len() > 0 {
+				b.WriteByte('+')
+			}
+			fmt.Fprintf(&b, "%d%s", c, v)
+		default:
+			fmt.Fprintf(&b, "%d%s", c, v)
+		}
+	}
+	if a.Const != 0 || b.Len() == 0 {
+		if a.Const >= 0 && b.Len() > 0 {
+			b.WriteByte('+')
+		}
+		fmt.Fprintf(&b, "%d", a.Const)
+	}
+	return b.String()
+}
+
+func refFmt(r Ref) string {
+	parts := make([]string, len(r.Subs))
+	for i, s := range r.Subs {
+		parts[i] = affineFmt(s)
+	}
+	return fmt.Sprintf("%s(%s)", r.Array, strings.Join(parts, ","))
+}
+
+func exprFmt(e Expr) string {
+	switch v := e.(type) {
+	case Num:
+		return fmt.Sprintf("%g", float64(v))
+	case Scalar:
+		return string(v)
+	case RefE:
+		return refFmt(v.Ref)
+	case NegE:
+		return fmt.Sprintf("(-%s)", exprFmt(v.E))
+	case BinOp:
+		return fmt.Sprintf("(%s %c %s)", exprFmt(v.L), v.Op, exprFmt(v.R))
+	}
+	return "0.0"
+}
+
+// TestPrintMatchesFmt: Print, Affine.String and Ref.String write what
+// their fmt versions wrote, for every builtin program and for the number
+// and subscript forms the programs do not reach.
+func TestPrintMatchesFmt(t *testing.T) {
+	progs := []*Program{Jacobi(), SOR(), Gauss(), Cannon(), Stencil()}
+	for s := 1; s <= 12; s++ {
+		progs = append(progs, Synthetic(s))
+	}
+	for _, p := range progs {
+		if got, want := Print(p), printFmt(p); got != want {
+			t.Errorf("%s:\n got %q\nwant %q", p.Name, got, want)
+		}
+	}
+	var exprs []Expr
+	for _, f := range []float64{0, math.Copysign(0, -1), 0.1, -2.5, 1e20, 1e21, 123456789, 1e-4, 1e-5, 5e-324, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		exprs = append(exprs, Num(f))
+	}
+	sub := NewAffine(-4, Term{"i", -3}, Term{"j", 1}, Term{"k", 7})
+	exprs = append(exprs,
+		NegE{Num(1)}, BinOp{'*', Scalar("OMEGA"), RefE{R("A", sub, V("m"), Const(0))}},
+		BinOp{0xe9, Num(1), Num(2)}, nil)
+	for _, e := range exprs {
+		var b strings.Builder
+		writeExpr(&b, e)
+		if got, want := b.String(), exprFmt(e); got != want {
+			t.Errorf("%#v: got %q, want %q", e, got, want)
+		}
+	}
+	for _, a := range []Affine{Const(0), Const(-2), sub, NewAffine(5, Term{"i", 2}), NewAffine(0, Term{"i", -1}, Term{"m", -2})} {
+		if got, want := a.String(), affineFmt(a); got != want {
+			t.Errorf("%#v: got %q, want %q", a, got, want)
+		}
 	}
 }

@@ -15,7 +15,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -115,7 +114,7 @@ func (s *Server) PrewarmPlans(keys []string) int {
 			continue
 		}
 		var fp core.FrozenPlan
-		if err := json.Unmarshal(payload, &fp); err != nil {
+		if err := fp.UnmarshalJSON(payload); err != nil {
 			s.warnf("serve: prewarm: %s: malformed frozen plan: %v", PlanID(key)[:12], err)
 			continue
 		}

@@ -472,7 +472,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var fp core.FrozenPlan
-	if err := json.Unmarshal(req.Plan, &fp); err != nil {
+	if err := fp.UnmarshalJSON(req.Plan); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "malformed plan: %v", err)
 		return
 	}

@@ -517,7 +517,7 @@ func PlanForKey(c *core.Compiler, key string, baseM int, opt Options) (pe *core.
 		return pe, fitErr, false, nil // we computed it in this flight
 	}
 	var fp core.FrozenPlan
-	if err := json.Unmarshal(payload, &fp); err != nil {
+	if err := fp.UnmarshalJSON(payload); err != nil {
 		opt.warnf("sweep: undecodable frozen plan (%v); recompiling", err)
 		pe, fitErr, err = build()
 		return pe, fitErr, false, err
