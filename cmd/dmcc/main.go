@@ -58,19 +58,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else {
-		switch *prog {
-		case "jacobi":
-			p = ir.Jacobi()
-		case "sor":
-			p = ir.SOR()
-		case "gauss":
-			p = ir.Gauss()
-		case "matmul":
-			p = ir.Cannon()
-		default:
-			cli.Usage("dmcc", fmt.Errorf("unknown program %q", *prog))
-		}
+	} else if p, _ = ir.Builtin(*prog); p == nil {
+		cli.Usage("dmcc", fmt.Errorf("unknown program %q", *prog))
 	}
 	if err := run(p, *m, *n, *jobs, *engine); err != nil {
 		fatal(err)

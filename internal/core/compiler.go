@@ -33,10 +33,11 @@
 //     compiler: its validation, each nest's referenced arrays and
 //     loop-carried reads (prepared), and each nest's affinity-edge
 //     increments, which alignment replays per segment (align.Affinity).
-//     What depends on the binding too — every array's shape — is
-//     evaluated once per compiler as well (extents), but not in
-//     prepared: a PlanEvaluator's per-size compilers share their
-//     parent's prepared under a different Bind.
+//     What depends on the binding too — the program lowered under it
+//     (ir.Program.Lower: array shapes, loop bounds and subscripts) — is
+//     built once per compiler as well, but not in prepared: a
+//     PlanEvaluator's per-size compilers share their parent's prepared
+//     under a different Bind.
 //   - Candidate grid shapes inside a segment and the DP's M[i][j] table
 //     are evaluated on a NumCPU-bounded worker pool. Parallel runs only
 //     warm the memoization caches; the DP itself then runs serially over
@@ -108,8 +109,9 @@ type Compiler struct {
 
 	prepOnce sync.Once
 	prep     *prepared
-	exOnce   sync.Once
-	ex       *extents
+	lowOnce  sync.Once
+	low      *ir.Lowered
+	lowErr   error
 	affOnce  sync.Once
 	aff      *align.Affinity
 }
@@ -244,7 +246,7 @@ func (c *Compiler) jobs() int {
 // prepared is what a compiler establishes about its program once, before
 // the first cost query.
 type prepared struct {
-	err error // Program.Validate, then Program.CheckRanges under the binding
+	err error // Program.Validate, then the lowering and its CheckRanges under the binding
 	// refs[t] names the arrays nest t's statements reference, sorted —
 	// the arrays whose schemes its counts can depend on.
 	refs [][]string
@@ -262,7 +264,10 @@ func (c *Compiler) prepared() (*prepared, error) {
 		}
 		pr := &prepared{err: c.Program.Validate(), lastWrite: map[string]int{}}
 		if pr.err == nil {
-			pr.err = c.Program.CheckRanges(c.Bind)
+			var lw *ir.Lowered
+			if lw, pr.err = c.lowered(); pr.err == nil {
+				pr.err = lw.CheckRanges()
+			}
 		}
 		for t, nest := range c.Program.Nests {
 			var names []string
@@ -283,11 +288,15 @@ func (c *Compiler) prepared() (*prepared, error) {
 	return c.prep, c.prep.err
 }
 
-// extents evaluates the program's array shapes under the compiler's own
-// binding, once; a PlanEvaluator's per-size compilers each have theirs.
-func (c *Compiler) extents() *extents {
-	c.exOnce.Do(func() { c.ex = newExtents(c.Program, c.Bind) })
-	return c.ex
+// lowered is the program under the compiler's own binding, lowered once; a
+// PlanEvaluator's per-size compilers are handed theirs.
+func (c *Compiler) lowered() (*ir.Lowered, error) {
+	c.lowOnce.Do(func() {
+		if c.low == nil {
+			c.low, c.lowErr = c.Program.Lower(c.Bind)
+		}
+	})
+	return c.low, c.lowErr
 }
 
 // schemeSet is the scheme set DeriveSchemes makes of partition pt on one
@@ -298,10 +307,13 @@ func (c *Compiler) extents() *extents {
 // method but not its segment-specific cut weight. It also carries, for
 // this compiler's program, each nest's key in the nest memo.
 func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
-	ex := c.extents()
+	lw, err := c.lowered()
+	if err != nil {
+		return nil, err
+	}
 	key := make([]byte, 0, 32) // on the stack up to 32 array dimensions
-	for a, name := range ex.names {
-		for k := range ex.shapes[a] {
+	for a, name := range lw.Names {
+		for k := range lw.Shapes[a] {
 			sub, ok := pt.Assign[ir.DimID{Array: name, Dim: k}]
 			if !ok {
 				sub = 0xff // deriveSchemes reports the missing dimension
@@ -310,7 +322,7 @@ func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*Sc
 		}
 	}
 	return cached(c, &c.setCache, setKey{string(key), shape, cyclic}, func() (*SchemeSet, error) {
-		ss, err := deriveSchemes(ex, align.Partition{Assign: pt.Assign, Method: pt.Method}, shape, cyclic)
+		ss, err := deriveSchemes(lw, align.Partition{Assign: pt.Assign, Method: pt.Method}, shape, cyclic)
 		if err != nil || c.NoCache {
 			return ss, err
 		}
@@ -336,9 +348,9 @@ func (c *Compiler) checkSchemes(ss *SchemeSet) error {
 	if err != nil {
 		return err
 	}
-	ex := c.extents()
-	if ex.err != nil {
-		return ex.err
+	lw, err := c.lowered()
+	if err != nil {
+		return err
 	}
 	for _, refs := range pr.refs {
 		for _, name := range refs {
@@ -346,8 +358,7 @@ func (c *Compiler) checkSchemes(ss *SchemeSet) error {
 			if !ok {
 				return fmt.Errorf("core: no scheme for array %s", name)
 			}
-			a, _ := slices.BinarySearch(ex.names, name)
-			if err := s.Validate(ss.Grid, ex.shapes[a]); err != nil {
+			if err := s.Validate(ss.Grid, lw.Shapes[lw.Array(name)]); err != nil {
 				return fmt.Errorf("core: scheme for %s: %v", name, err)
 			}
 		}
@@ -450,9 +461,13 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 		v.ct, err = cost.CountNestOptsExact(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
 		return v, err
 	}
+	lw, err := c.lowered()
+	if err != nil {
+		return v, err
+	}
 	// ss was validated when it was derived (schemeSet) or handed in
 	// (checkSchemes), against the same shapes on the same grid.
-	v.ct, v.eng, err = cost.CountValidatedNest(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
+	v.ct, v.eng, err = cost.CountValidatedNest(lw, t, ss.Schemes, ss.Grid, opts)
 	return v, err
 }
 
@@ -594,17 +609,17 @@ func (c *Compiler) changeLoads(from, to *SchemeSet) (dist.ScaledLoads, error) {
 // its shape under the compiler's binding and its scheme on either side of
 // the change.
 func (c *Compiler) eachArrayChange(from, to *SchemeSet, visit func(shape []int, sFrom, sTo dist.Scheme) error) error {
-	ex := c.extents()
-	for a, name := range ex.names {
+	lw, err := c.lowered()
+	if err != nil {
+		return err
+	}
+	for a, name := range lw.Names {
 		sFrom, ok1 := from.Schemes[name]
 		sTo, ok2 := to.Schemes[name]
 		if !ok1 || !ok2 {
 			return fmt.Errorf("core: array %s missing from a scheme set", name)
 		}
-		if ex.err != nil {
-			return ex.err
-		}
-		if err := visit(ex.shapes[a], sFrom, sTo); err != nil {
+		if err := visit(lw.Shapes[a], sFrom, sTo); err != nil {
 			return err
 		}
 	}

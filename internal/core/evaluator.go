@@ -99,13 +99,17 @@ type sizePrice struct {
 // segment's schemes under the frozen alignment and grid shape and prices
 // every nest's two passes and every boundary's scheme change on a
 // throwaway compiler bound at m. That compiler shares the program's
-// per-nest tables, the model and the engine counters, evaluates the array
-// shapes itself (at m), and runs uncached: it prices each query once, so
-// memo keys would be pure cost.
+// per-nest tables, the model and the engine counters, reads the program
+// lowered at m, and runs uncached: it prices each query once, so memo keys
+// would be pure cost.
 func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	p := pe.c.Program
 	bind := map[string]int{p.Params[0]: m}
-	if err := p.CheckRanges(bind); err != nil {
+	lw, err := p.Lower(bind)
+	if err == nil {
+		err = lw.CheckRanges()
+	}
+	if err != nil {
 		return nil, err
 	}
 	prep, err := pe.c.prepared()
@@ -119,6 +123,7 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 		PipelinedReductions: pe.c.PipelinedReductions,
 		Engines:             pe.c.Engines,
 		prep:                prep,
+		low:                 lw,
 	}
 	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(pe.segs))}
 	sets := make([]*SchemeSet, len(pe.segs))

@@ -177,13 +177,16 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 		return nil, err
 	}
 	pe := &PlanEvaluator{c: c, BaseM: fp.BaseM, execSym: fp.ExecFits, lcSym: fp.LCFits, chgSym: fp.ChgFits, fitMinM: fp.FitMinM}
-	bind := map[string]int{c.Program.Params[0]: fp.BaseM}
+	lw, err := c.Program.Lower(map[string]int{c.Program.Params[0]: fp.BaseM})
+	if err != nil {
+		return nil, err
+	}
 	for _, seg := range fp.Segments {
 		pt := align.Partition{Assign: map[ir.DimID]int{}, Method: "thawed"}
 		for _, a := range seg.Assign {
 			pt.Assign[ir.DimID{Array: a.Array, Dim: a.Dim}] = a.Subset
 		}
-		set, err := DeriveSchemes(c.Program, pt, seg.Shape, bind, seg.Cyclic)
+		set, err := deriveSchemes(lw, pt, seg.Shape, seg.Cyclic)
 		if err != nil {
 			return nil, fmt.Errorf("core: thawing segment (%d,%d): %w", seg.Start, seg.Len, err)
 		}

@@ -200,15 +200,16 @@ func GridShapes(n int) [][2]int {
 // ones); remaining grid dimensions of lower-rank arrays are replicated,
 // following the end of Section 2.1.
 func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[string]int, cyclic bool) (*SchemeSet, error) {
-	return deriveSchemes(newExtents(p, bind), pt, shape, cyclic)
+	lw, err := p.Lower(bind)
+	if err != nil {
+		return nil, err
+	}
+	return deriveSchemes(lw, pt, shape, cyclic)
 }
 
-// deriveSchemes is DeriveSchemes over array shapes evaluated beforehand,
-// which a compiler does once for its binding.
-func deriveSchemes(ex *extents, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
-	if ex.err != nil {
-		return nil, ex.err
-	}
+// deriveSchemes is DeriveSchemes over the array shapes of a program
+// lowered beforehand, which a compiler does once for its binding.
+func deriveSchemes(lw *ir.Lowered, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
 	g := grid.New(shape[0], shape[1])
 	kind := "block"
 	if cyclic {
@@ -216,13 +217,13 @@ func deriveSchemes(ex *extents, pt align.Partition, shape [2]int, cyclic bool) (
 	}
 	ss := &SchemeSet{
 		Grid:      g,
-		Schemes:   make(map[string]dist.Scheme, len(ex.names)),
+		Schemes:   make(map[string]dist.Scheme, len(lw.Names)),
 		Partition: pt,
 		Cyclic:    cyclic,
 		Label:     fmt.Sprintf("%dx%d/%s", shape[0], shape[1], kind),
 	}
-	for a, name := range ex.names {
-		size := ex.shapes[a]
+	for a, name := range lw.Names {
+		size := lw.Shapes[a]
 		dims := make([]dist.Dim, len(size))
 		var used [2]bool
 		for k := range dims {
@@ -255,50 +256,4 @@ func deriveSchemes(ex *extents, pt align.Partition, shape [2]int, cyclic bool) (
 		ss.Schemes[name] = s
 	}
 	return ss, nil
-}
-
-// extents is a program's arrays evaluated under one binding: every
-// array's shape, in name order — so (names[a], k) for every k of
-// shapes[a] visits the dimensions in ir.Program.AllDims order. A compiler
-// builds it once for its own Bind; it is not part of the program-only
-// prepared tables, which a PlanEvaluator's compilers share across
-// bindings.
-type extents struct {
-	names  []string // sorted
-	shapes [][]int  // shapes[a] is array names[a]'s extents
-	err    error    // the first array, in name order, whose extents do not evaluate
-}
-
-func newExtents(p *ir.Program, bind map[string]int) *extents {
-	ex := &extents{names: make([]string, 0, len(p.Arrays))}
-	for n := range p.Arrays {
-		ex.names = append(ex.names, n)
-	}
-	sort.Strings(ex.names)
-	ex.shapes = make([][]int, len(ex.names))
-	for a, name := range ex.names {
-		arr := p.Arrays[name]
-		ex.shapes[a] = make([]int, arr.Rank())
-		for k, e := range arr.Extents {
-			size, err := extentOf(name, e, bind)
-			if err != nil && ex.err == nil {
-				ex.err = err
-			}
-			ex.shapes[a][k] = size
-		}
-	}
-	return ex
-}
-
-func extentOf(array string, e ir.Affine, bind map[string]int) (int, error) {
-	for _, v := range e.Vars() {
-		if _, ok := bind[v]; !ok {
-			return 0, fmt.Errorf("core: array %s extent %s unbound", array, e)
-		}
-	}
-	size := e.Eval(bind)
-	if size < 1 {
-		return 0, fmt.Errorf("core: array %s extent %d", array, size)
-	}
-	return size, nil
 }

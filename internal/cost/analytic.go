@@ -55,7 +55,7 @@ const (
 )
 
 // anSub is a compiled subscript: sign*var + c, or the constant c when
-// slot < 0. Bound size parameters are folded into c.
+// slot < 0 (the lowered form's one unit-coefficient term, if any).
 type anSub struct {
 	slot int
 	sign int
@@ -210,11 +210,12 @@ type anEngine struct {
 	reduceW    int64
 }
 
-// countNestAnalytic computes CountNestOptsExact's Counts in closed form.
-// ok=false means the nest or schemes are outside the eligible class and
-// the caller must fall back to enumeration. The caller has already
-// validated the nest.
-func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, bool, error) {
+// countNestAnalytic computes CountNestOptsExact's Counts for nest t in
+// closed form. ok=false means the nest or schemes are outside the eligible
+// class and the caller must fall back to enumeration. The caller has
+// already validated the nest.
+func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, bool, error) {
+	nest, ln := lw.Program.Nests[t], &lw.Nests[t]
 	e := &anEngine{g: g, nprocs: g.Size(), q: g.Q(), opts: opts}
 	e.strides = make([]int, e.q)
 	stride := 1
@@ -237,81 +238,55 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 	// [hi, lo]; either may be empty. A downward loop's raw Lo is the
 	// upper end of the normalized range, so gauss's back-substitution
 	// i = j-1..1 step -1 becomes the upper-dependent window [1, j-1].
-	slotOf := map[string]int{}
-	for s, l := range nest.Loops {
-		slotOf[l.Index] = s
-	}
-	e.ranges = make([]dist.IndexSet, len(nest.Loops))
-	e.deps = make([]*anDep, len(nest.Loops))
+	e.ranges = make([]dist.IndexSet, len(ln.Loops))
+	e.deps = make([]*anDep, len(ln.Loops))
 	e.depRoot = -1
-	isConst := make([]bool, len(nest.Loops))
-	type pendLoop struct {
-		s        int
-		loA, hiA ir.Affine
-	}
-	var pends []pendLoop
-	for s, l := range nest.Loops {
-		loA, hiA := l.Lo, l.Hi
+	isConst := make([]bool, len(ln.Loops))
+	for s, l := range ln.Loops {
+		lo, hi := l.Lo, l.Hi
 		if l.Step < 0 {
-			loA, hiA = hiA, loA
+			lo, hi = hi, lo
 		}
-		lo, okLo := constAff(loA, bind)
-		hi, okHi := constAff(hiA, bind)
-		if okLo && okHi {
-			e.ranges[s] = dist.Interval(lo, hi)
-			isConst[s] = true
-			continue
-		}
-		pends = append(pends, pendLoop{s: s, loA: loA, hiA: hiA})
-	}
-	for _, pd := range pends {
-		lo, okLo := constAff(pd.loA, bind)
-		hi, okHi := constAff(pd.hiA, bind)
+		loSlot, loCoef, nLo := term(lo)
+		hiSlot, hiCoef, nHi := term(hi)
 		var dp anDep
 		switch {
-		case okHi && !okLo:
-			root, c, ok := depAff(pd.loA, bind, slotOf)
-			if !ok {
-				return Counts{}, false, nil
-			}
-			dp = anDep{root: root, c: c, low: true}
-		case okLo && !okHi:
-			root, c, ok := depAff(pd.hiA, bind, slotOf)
-			if !ok {
-				return Counts{}, false, nil
-			}
-			dp = anDep{root: root, c: c, low: false}
+		case nLo == 0 && nHi == 0:
+			e.ranges[s] = dist.Interval(lo.K, hi.K)
+			isConst[s] = true
+			continue
+		case nHi == 0 && nLo == 1 && loCoef == 1:
+			dp = anDep{root: loSlot, c: lo.K, low: true}
+		case nLo == 0 && nHi == 1 && hiCoef == 1:
+			dp = anDep{root: hiSlot, c: hi.K, low: false}
 		default:
-			return Counts{}, false, nil // both bounds dependent
+			return Counts{}, false, nil // both bounds dependent, or not outer_var + c
 		}
-		if dp.root >= pd.s || !isConst[dp.root] {
-			return Counts{}, false, nil // chained or inward dependence
+		if !isConst[dp.root] {
+			return Counts{}, false, nil // chained dependence
 		}
 		if e.depRoot >= 0 && e.depRoot != dp.root {
 			return Counts{}, false, nil // two distinct roots
 		}
 		e.depRoot = dp.root
-		e.deps[pd.s] = &dp
+		e.deps[s] = &dp
 		rr := e.ranges[dp.root]
 		if dp.low {
-			e.ranges[pd.s] = dist.Interval(rr.Lo+dp.c, hi)
+			e.ranges[s] = dist.Interval(rr.Lo+dp.c, hi.K)
 		} else {
-			e.ranges[pd.s] = dist.Interval(lo, rr.Hi+dp.c)
+			e.ranges[s] = dist.Interval(lo.K, rr.Hi+dp.c)
 		}
 	}
 
-	arrIdx := map[string]*anArray{}
+	byID := make([]*anArray, len(lw.Names))
 	periodLCM := 1
-	arrayOf := func(name string) (*anArray, bool) {
-		if a, ok := arrIdx[name]; ok {
+	arrayOf := func(id int) (*anArray, bool) {
+		if a := byID[id]; a != nil {
 			return a, true
 		}
+		name, shape := lw.Names[id], lw.Shapes[id]
 		s := schemes[name]
 		if s.Rot != dist.NoRotation {
-			return nil, false
-		}
-		shape, err := arrayShape(p, name, bind)
-		if err != nil {
 			return nil, false
 		}
 		a := &anArray{name: name, idx: len(e.arrays), rank: len(shape), s: s}
@@ -333,23 +308,29 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 			}
 			a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats}
 		}
-		arrIdx[name] = a
+		byID[id] = a
 		e.arrays = append(e.arrays, a)
 		return a, true
 	}
 
-	compileRef := func(r ir.Ref, needInRange bool) (anRef, bool) {
+	// A subscript compiles to sign*var + c when its lowered form has at
+	// most one loop term, of coefficient ±1, and stays inside the extent.
+	compileRef := func(r *ir.LRef) (anRef, bool) {
 		a, ok := arrayOf(r.Array)
 		if !ok {
 			return anRef{}, false
 		}
 		out := anRef{arr: a}
-		for k, sub := range r.Subs {
-			sp, ok := compileSub(sub, bind, slotOf)
-			if !ok {
+		for k := range r.Subs {
+			slot, coef, n := term(r.Subs[k])
+			sp := anSub{slot: -1, c: r.Subs[k].K}
+			switch {
+			case n == 1 && (coef == 1 || coef == -1):
+				sp.slot, sp.sign = slot, coef
+			case n != 0:
 				return anRef{}, false
 			}
-			if needInRange && !subInRange(sp, e.ranges, a.sizes[k]) {
+			if !subInRange(sp, e.ranges, a.sizes[k]) {
 				return anRef{}, false
 			}
 			out.subs[k] = sp
@@ -357,7 +338,8 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		return out, true
 	}
 
-	for _, st := range nest.Stmts {
+	for si, st := range nest.Stmts {
+		ls := &ln.Stmts[si]
 		executes := true
 		for s := 0; s < st.Depth; s++ {
 			if e.ranges[s].Empty() {
@@ -369,27 +351,27 @@ func countNestAnalytic(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sch
 		}
 		as := &anStmt{depth: st.Depth, flops: int64(st.Flops), reduce: st.Reduce}
 		var ok bool
-		if as.lhs, ok = compileRef(st.LHS, true); !ok {
+		if as.lhs, ok = compileRef(&ls.LHS); !ok {
 			return Counts{}, false, nil
 		}
 		as.owner = as.lhs
 		if st.Reduce {
-			if anchor := anchorRead(st); anchor != nil {
+			if anchor := st.Anchor(); anchor >= 0 {
 				as.hasAnchor = true
-				if as.anchor, ok = compileRef(*anchor, true); !ok {
+				if as.anchor, ok = compileRef(&ls.Reads[anchor]); !ok {
 					return Counts{}, false, nil
 				}
 				as.owner = as.anchor
 			}
 		}
-		for _, rd := range st.Reads {
+		for ri, rd := range st.Reads {
 			if st.Reduce && rd.Array == st.LHS.Array {
 				continue
 			}
 			if opts.IncludeRead != nil && !opts.IncludeRead(rd.Array) {
 				continue
 			}
-			ref, ok := compileRef(rd, true)
+			ref, ok := compileRef(&ls.Reads[ri])
 			if !ok {
 				return Counts{}, false, nil
 			}
@@ -1254,77 +1236,16 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 	return true
 }
 
-// constAff evaluates an affine expression that must be constant under
-// bind.
-func constAff(a ir.Affine, bind map[string]int) (int, bool) {
-	v := a.Const
-	for name, c := range a.Coeff {
-		if c == 0 {
-			continue
-		}
-		bv, ok := bind[name]
-		if !ok {
-			return 0, false
-		}
-		v += c * bv
-	}
-	return v, true
-}
-
-// depAff recognizes a bound of the form outer_var + c: exactly one loop
-// variable, unit coefficient, all other terms constant under bind.
-func depAff(a ir.Affine, bind map[string]int, slotOf map[string]int) (slot, c int, ok bool) {
+// term classifies a lowered form by its loop terms: n counts them, and
+// when n is 1, slot and coef are that term's.
+func term(l ir.Lin) (slot, coef, n int) {
 	slot = -1
-	c = a.Const
-	for v, cf := range a.Coeff {
-		if cf == 0 {
-			continue
+	for k, c := range l.C {
+		if c != 0 {
+			slot, coef, n = k, c, n+1
 		}
-		if s, isVar := slotOf[v]; isVar {
-			if slot >= 0 || cf != 1 {
-				return 0, 0, false
-			}
-			slot = s
-			continue
-		}
-		bv, okB := bind[v]
-		if !okB {
-			return 0, 0, false
-		}
-		c += cf * bv
 	}
-	if slot < 0 {
-		return 0, 0, false
-	}
-	return slot, c, true
-}
-
-// compileSub compiles a subscript into sign*var + c form; ok=false when
-// it has more than one loop variable or a non-unit coefficient.
-func compileSub(a ir.Affine, bind map[string]int, slotOf map[string]int) (anSub, bool) {
-	out := anSub{slot: -1, c: a.Const}
-	for v, c := range a.Coeff {
-		if c == 0 {
-			continue
-		}
-		if slot, ok := slotOf[v]; ok {
-			if out.slot >= 0 {
-				return anSub{}, false
-			}
-			if c != 1 && c != -1 {
-				return anSub{}, false
-			}
-			out.slot = slot
-			out.sign = c
-			continue
-		}
-		bv, ok := bind[v]
-		if !ok {
-			return anSub{}, false
-		}
-		out.c += c * bv
-	}
-	return out, true
+	return slot, coef, n
 }
 
 // subInRange checks that the subscript stays inside [1, size] over its

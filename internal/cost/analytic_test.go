@@ -190,6 +190,16 @@ func randNestProgram(rng *rand.Rand, m int) *ir.Program {
 	return p
 }
 
+// lowered is p under bind, lowered the way a compiler does once.
+func lowered(t *testing.T, p *ir.Program, bind map[string]int) *ir.Lowered {
+	t.Helper()
+	lw, err := p.Lower(bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lw
+}
+
 func countsEqual(t *testing.T, label string, got, want Counts) {
 	t.Helper()
 	if got != want {
@@ -340,12 +350,12 @@ func TestCountNestAnalyticJacobi(t *testing.T) {
 		{"cols", grid.New(1, n), jacobiColSchemes(m, n)},
 	} {
 		g := tc.g
-		for _, nest := range p.Nests {
+		for ti, nest := range p.Nests {
 			want, err := CountNestOptsExact(p, nest, tc.schemes, g, bind, CountOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ok, err := countNestAnalytic(p, nest, tc.schemes, g, bind, CountOptions{})
+			got, ok, err := countNestAnalytic(lowered(t, p, bind), ti, tc.schemes, g, CountOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -621,12 +631,12 @@ func TestCountNestAnalyticGauss(t *testing.T) {
 	} {
 		for _, pipelined := range []bool{false, true} {
 			opts := CountOptions{PipelinedReduction: pipelined}
-			for _, nest := range p.Nests {
+			for ti, nest := range p.Nests {
 				want, err := CountNestOptsExact(p, nest, tc.schemes, tc.g, bind, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, ok, err := countNestAnalytic(p, nest, tc.schemes, tc.g, bind, opts)
+				got, ok, err := countNestAnalytic(lowered(t, p, bind), ti, tc.schemes, tc.g, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -17,6 +17,7 @@ type nestCase struct {
 	nest    int
 	g       *grid.Grid
 	schemes map[string]dist.Scheme
+	lw      *ir.Lowered // p at the case's size, lowered as a compiler does once
 }
 
 // kernelNestCases lists the nests of BenchmarkCountNestKernels at size m:
@@ -47,19 +48,23 @@ func kernelNestCases(m int) []nestCase {
 		"V": dist.Scheme1D(whole(0), all(1)),
 		"X": dist.Scheme1D(cols8, all(0)),
 	}
-	return []nestCase{
-		{"gauss-G1/N8", ir.Gauss(), 0, grid.New(8, 1), gaussSchemes(m, 8)},
-		{"gauss-G1/N16", ir.Gauss(), 0, grid.New(4, 4), gauss16},
-		{"jacobi-L1/N8", ir.Jacobi(), 0, grid.New(8, 1), jacobi(dist.Scheme1D(whole(1), all(0)))},
-		{"jacobi-L2/N8", ir.Jacobi(), 1, grid.New(8, 1), jacobi(dist.Scheme1D(rows8, all(1)))},
-		{"sor-S1/N8", ir.SOR(), 0, grid.New(1, 8), sor},
+	cases := []nestCase{
+		{"gauss-G1/N8", ir.Gauss(), 0, grid.New(8, 1), gaussSchemes(m, 8), nil},
+		{"gauss-G1/N16", ir.Gauss(), 0, grid.New(4, 4), gauss16, nil},
+		{"jacobi-L1/N8", ir.Jacobi(), 0, grid.New(8, 1), jacobi(dist.Scheme1D(whole(1), all(0))), nil},
+		{"jacobi-L2/N8", ir.Jacobi(), 1, grid.New(8, 1), jacobi(dist.Scheme1D(rows8, all(1))), nil},
+		{"sor-S1/N8", ir.SOR(), 0, grid.New(1, 8), sor, nil},
 	}
+	for i := range cases {
+		cases[i].lw, _ = cases[i].p.Lower(map[string]int{"m": m})
+	}
+	return cases
 }
 
 // count prices the case's nest the way core.priceNest does in the segment
 // pass, requiring the closed forms to answer.
-func (c nestCase) count(tb testing.TB, m int) Counts {
-	ct, eng, err := CountValidatedNest(c.p, c.p.Nests[c.nest], c.schemes, c.g, map[string]int{"m": m}, CountOptions{})
+func (c nestCase) count(tb testing.TB) Counts {
+	ct, eng, err := CountValidatedNest(c.lw, c.nest, c.schemes, c.g, CountOptions{})
 	if err != nil || eng != EngineAnalytic {
 		tb.Fatalf("%s: engine %v, err %v; want the analytic engine", c.name, eng, err)
 	}
@@ -77,7 +82,7 @@ func BenchmarkCountNestKernels(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				countSink = c.count(b, m)
+				countSink = c.count(b)
 			}
 		})
 	}
@@ -95,7 +100,7 @@ const gaussCountAllocBudget = 158
 func TestCountNestAllocBudget(t *testing.T) {
 	const m = 128
 	c := kernelNestCases(m)[0]
-	if got := testing.AllocsPerRun(10, func() { countSink = c.count(t, m) }); got > gaussCountAllocBudget {
+	if got := testing.AllocsPerRun(10, func() { countSink = c.count(t) }); got > gaussCountAllocBudget {
 		t.Fatalf("one count of %s at m=%d made %.0f allocations, budget %d", c.name, m, got, gaussCountAllocBudget)
 	}
 }

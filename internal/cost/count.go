@@ -14,6 +14,7 @@ package cost
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dmcc/internal/dist"
@@ -141,51 +142,63 @@ func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme,
 // engine produced the counts — the hook behind the compiler's
 // analytic_hits / exact_fallbacks telemetry.
 func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
-	if err := p.Validate(); err != nil {
+	lw, t, err := validateNest(p, nest, schemes, g, bind)
+	if err != nil {
 		return Counts{}, EngineExact, err
 	}
-	if err := validateNest(p, nest, schemes, g, bind); err != nil {
-		return Counts{}, EngineExact, err
-	}
-	return CountValidatedNest(p, nest, schemes, g, bind, opts)
+	return CountValidatedNest(lw, t, schemes, g, opts)
 }
 
-// CountValidatedNest is CountNestOptsEngine for a caller that has already
-// validated its input: run p.Validate, and given every array the nest
+// CountValidatedNest is CountNestOptsEngine for nest t of a program a
+// caller has validated and lowered, handing every array the nest
 // references a scheme that dist.Scheme.Validate accepts for the array's
-// shape under bind on g. Core does both once — the program per compiler,
-// each scheme when it derives the scheme set — not once per pricing. The
-// exported entry points validate and then call this, so every caller
-// counts with the same engine.
-func CountValidatedNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
-	if ct, ok, err := countNestAnalytic(p, nest, schemes, g, bind, opts); err != nil {
+// shape on g. Core does all of it once — the program and its lowering per
+// compiler, each scheme when it derives the scheme set — not once per
+// pricing. The exported entry points validate and then call this, so every
+// caller counts with the same engine.
+func CountValidatedNest(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, Engine, error) {
+	if ct, ok, err := countNestAnalytic(lw, t, schemes, g, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
 	} else if ok {
 		return ct, EngineAnalytic, nil
 	}
-	ct, err := countNestExact(p, nest, schemes, g, bind, opts)
+	p := lw.Program
+	ct, err := countNestExact(p, p.Nests[t], schemes, g, lw.Bind, opts)
 	return ct, EngineExact, err
 }
 
-// validateNest checks that every array the nest references has a scheme
-// valid for its shape on g.
-func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) error {
-	for _, st := range nest.Stmts {
-		for _, r := range append([]ir.Ref{st.LHS}, st.Reads...) {
-			s, ok := schemes[r.Array]
+// validateNest validates p, finds nest among its nests, lowers p under
+// bind, and checks that every array the nest references has a scheme valid
+// for its shape on g.
+func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) (*ir.Lowered, int, error) {
+	if err := p.Validate(); err != nil {
+		return nil, 0, err
+	}
+	t := slices.Index(p.Nests, nest)
+	if t < 0 {
+		return nil, 0, fmt.Errorf("cost: nest %s is not one of program %s's", nest.Label, p.Name)
+	}
+	lw, err := p.Lower(bind)
+	if err != nil {
+		return nil, 0, err
+	}
+	ln := &lw.Nests[t]
+	for si := range ln.Stmts {
+		for ri := -1; ri < len(ln.Stmts[si].Reads); ri++ {
+			a := ln.Stmts[si].LHS.Array
+			if ri >= 0 {
+				a = ln.Stmts[si].Reads[ri].Array
+			}
+			s, ok := schemes[lw.Names[a]]
 			if !ok {
-				return fmt.Errorf("cost: no scheme for array %s", r.Array)
+				return nil, 0, fmt.Errorf("cost: no scheme for array %s", lw.Names[a])
 			}
-			shape, err := arrayShape(p, r.Array, bind)
-			if err != nil {
-				return err
-			}
-			if err := s.Validate(g, shape); err != nil {
-				return fmt.Errorf("cost: scheme for %s: %v", r.Array, err)
+			if err := s.Validate(g, lw.Shapes[a]); err != nil {
+				return nil, 0, fmt.Errorf("cost: scheme for %s: %v", lw.Names[a], err)
 			}
 		}
 	}
-	return nil
+	return lw, t, nil
 }
 
 // ownerCache memoizes Scheme.Owners per (array, element) so the billing
@@ -216,10 +229,7 @@ func (c *ownerCache) owners(e elemKey) []int {
 // against, its fallback for the nests it declines, and the ablation
 // engine behind core.Compiler.ExactNestCount.
 func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	if err := p.Validate(); err != nil {
-		return Counts{}, err
-	}
-	if err := validateNest(p, nest, schemes, g, bind); err != nil {
+	if _, _, err := validateNest(p, nest, schemes, g, bind); err != nil {
 		return Counts{}, err
 	}
 	return countNestExact(p, nest, schemes, g, bind, opts)
@@ -235,49 +245,10 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 	partials := map[elemKey]map[int]bool{}
 	partialRoot := map[elemKey]int{}
 	owners := newOwnerCache(p, g, schemes)
-
-	var walk func(level int, env map[string]int) error
-	walk = func(level int, env map[string]int) error {
-		if level > len(nest.Loops) {
-			return nil
-		}
-		for _, st := range nest.Stmts {
-			if st.Depth != level {
-				continue
-			}
-			if err := execStmt(p, st, schemes, g, owners, env, flops, needed, partials, partialRoot, includeRead, opts.SkipFlops); err != nil {
-				return err
-			}
-		}
-		if level == len(nest.Loops) {
-			return nil
-		}
-		l := nest.Loops[level]
-		lo := l.Lo.Eval(env)
-		hi := l.Hi.Eval(env)
-		if l.Step >= 0 {
-			for v := lo; v <= hi; v++ {
-				env[l.Index] = v
-				if err := walk(level+1, env); err != nil {
-					return err
-				}
-			}
-		} else {
-			for v := lo; v >= hi; v-- {
-				env[l.Index] = v
-				if err := walk(level+1, env); err != nil {
-					return err
-				}
-			}
-		}
-		delete(env, l.Index)
-		return nil
-	}
-	env := map[string]int{}
-	for k, v := range bind {
-		env[k] = v
-	}
-	if err := walk(0, env); err != nil {
+	err := nest.Walk(bind, func(st *ir.Stmt, env map[string]int) error {
+		return execStmt(p, st, schemes, g, owners, env, flops, needed, partials, partialRoot, includeRead, opts.SkipFlops)
+	})
+	if err != nil {
 		return Counts{}, err
 	}
 
@@ -378,11 +349,11 @@ func execStmt(p *ir.Program, st *ir.Stmt, schemes map[string]dist.Scheme, g *gri
 		// Partial sums are computed where the anchoring operand (the
 		// read touching the most loop indices — A(i,j) in line 5) lives;
 		// the partials are then combined at the LHS owner.
-		anchor := anchorRead(st)
-		if anchor == nil {
+		anchor := st.Anchor()
+		if anchor < 0 {
 			executors = lhsOwners
 		} else {
-			ae, err := evalRef(p, *anchor, env)
+			ae, err := evalRef(p, st.Reads[anchor], env)
 			if err != nil {
 				return err
 			}
@@ -426,30 +397,6 @@ func execStmt(p *ir.Program, st *ir.Stmt, schemes map[string]dist.Scheme, g *gri
 	return nil
 }
 
-// anchorRead picks the reduction anchor: the non-accumulator read with
-// the most distinct subscript variables.
-func anchorRead(st *ir.Stmt) *ir.Ref {
-	var best *ir.Ref
-	bestVars := -1
-	for i := range st.Reads {
-		rd := &st.Reads[i]
-		if rd.Array == st.LHS.Array {
-			continue
-		}
-		vars := map[string]bool{}
-		for _, s := range rd.Subs {
-			for _, v := range s.Vars() {
-				vars[v] = true
-			}
-		}
-		if len(vars) > bestVars {
-			bestVars = len(vars)
-			best = rd
-		}
-	}
-	return best
-}
-
 func evalRef(p *ir.Program, r ir.Ref, env map[string]int) (elemKey, error) {
 	e := elemKey{arr: r.Array}
 	switch len(r.Subs) {
@@ -476,22 +423,4 @@ func isOwnerOf(p *ir.Program, s dist.Scheme, g *grid.Grid, rank int, e elemKey) 
 		return s.IsOwner(g, rank, e.i)
 	}
 	return s.IsOwner(g, rank, e.i, e.j)
-}
-
-// arrayShape evaluates an array's symbolic extents under bind.
-func arrayShape(p *ir.Program, name string, bind map[string]int) ([]int, error) {
-	arr := p.Array(name)
-	shape := make([]int, arr.Rank())
-	for k, e := range arr.Extents {
-		for _, v := range e.Vars() {
-			if _, ok := bind[v]; !ok {
-				return nil, fmt.Errorf("cost: array %s extent %s unbound", name, e)
-			}
-		}
-		shape[k] = e.Eval(bind)
-		if shape[k] < 1 {
-			return nil, fmt.Errorf("cost: array %s has extent %d", name, shape[k])
-		}
-	}
-	return shape, nil
 }

@@ -299,57 +299,6 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 	}
 }
 
-// TestParseKeyMalformed: the satellite fix — parseKey used to fold any
-// stray byte into the subscript digits (e.g. "a!1x2" parsed); it now
-// panics naming the malformed key.
-func TestParseKeyMalformed(t *testing.T) {
-	for _, key := range []string{"1x2", "a!1", " 1", "1,", ",1", "1,,2", "--3", "+5", "007", "1.5"} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("parseKey(%q) accepted a malformed key", key)
-					return
-				}
-				if s, ok := r.(string); !ok || !containsStr(s, key) {
-					t.Errorf("parseKey(%q) panic %v does not name the key", key, r)
-				}
-			}()
-			parseKey(key)
-		}()
-	}
-	// splitKey rejects keys without an array part.
-	for _, key := range []string{"", "!1,2", "noseparator"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("splitKey(%q) accepted a malformed key", key)
-				}
-			}()
-			splitKey(key)
-		}()
-	}
-}
-
-// TestKeyRoundTripProperty: subKey/parseKey and pkey/splitKey round-trip
-// on random subscript vectors.
-func TestKeyRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		idx := make([]int, 1+rng.Intn(3))
-		for i := range idx {
-			idx[i] = rng.Intn(2001) - 1000
-		}
-		if got := parseKey(subKey(idx)); !reflect.DeepEqual(got, idx) {
-			t.Fatalf("parseKey(subKey(%v)) = %v", idx, got)
-		}
-		arr, got := splitKey(pkey("Arr", idx))
-		if arr != "Arr" || !reflect.DeepEqual(got, idx) {
-			t.Fatalf("splitKey(pkey(%v)) = %s, %v", idx, arr, got)
-		}
-	}
-}
-
 func containsStr(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

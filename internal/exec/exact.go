@@ -29,7 +29,7 @@ import (
 func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
-	if err := validate(p, ss, bind, input); err != nil {
+	if _, err := validate(p, ss, bind, input); err != nil {
 		return Result{}, err
 	}
 	if !p.Iterative {
@@ -56,7 +56,7 @@ func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars ma
 		// package data.
 		for name, elems := range input {
 			for key, v := range elems {
-				idx := parseKey(key)
+				idx, _ := ir.ParseKey(nil, key) // validate refused every malformed key
 				if e.owns(name, idx) {
 					e.store[name][key] = v
 				}
@@ -115,40 +115,10 @@ func (e *engine) owners(arr string, idx []int) []int {
 // runNest walks the nest's iteration space in lockstep with every other
 // processor, executing owned statement instances.
 func (e *engine) runNest(nest *ir.Nest) {
-	env := map[string]int{}
-	for k, v := range e.bind {
-		env[k] = v
-	}
-	var walk func(level int)
-	walk = func(level int) {
-		for _, stmt := range nest.Stmts {
-			if stmt.Depth == level && !nest.IsPost(stmt) {
-				e.instance(nest, stmt, env)
-			}
-		}
-		if level < len(nest.Loops) {
-			l := nest.Loops[level]
-			lo, hi := l.Lo.Eval(env), l.Hi.Eval(env)
-			if l.Step >= 0 {
-				for v := lo; v <= hi; v++ {
-					env[l.Index] = v
-					walk(level + 1)
-				}
-			} else {
-				for v := lo; v >= hi; v-- {
-					env[l.Index] = v
-					walk(level + 1)
-				}
-			}
-			delete(env, l.Index)
-		}
-		for _, stmt := range nest.Stmts {
-			if stmt.Depth == level && nest.IsPost(stmt) {
-				e.instance(nest, stmt, env)
-			}
-		}
-	}
-	walk(0)
+	nest.Walk(e.bind, func(stmt *ir.Stmt, env map[string]int) error {
+		e.instance(stmt, env)
+		return nil
+	})
 	// Combine any reductions still pending at nest end.
 	var keys []string
 	for k := range e.pending {
@@ -161,7 +131,7 @@ func (e *engine) runNest(nest *ir.Nest) {
 }
 
 // instance executes one dynamic statement instance.
-func (e *engine) instance(nest *ir.Nest, stmt *ir.Stmt, env map[string]int) {
+func (e *engine) instance(stmt *ir.Stmt, env map[string]int) {
 	lhsIdx := make([]int, len(stmt.LHS.Subs))
 	for k, s := range stmt.LHS.Subs {
 		lhsIdx[k] = s.Eval(env)
@@ -201,8 +171,7 @@ func (e *engine) instance(nest *ir.Nest, stmt *ir.Stmt, env map[string]int) {
 	// Executor set: anchor owners for reductions, LHS owners otherwise.
 	var executors []int
 	if stmt.Reduce {
-		anchor := anchorOf(stmt)
-		if anchor >= 0 {
+		if anchor := stmt.Anchor(); anchor >= 0 {
 			executors = e.owners(reads[anchor].ref.Array, reads[anchor].idx)
 		} else {
 			executors = e.owners(stmt.LHS.Array, lhsIdx)

@@ -70,60 +70,65 @@ type Result struct {
 	StoreWords, MaxProcStoreWords int
 }
 
-// validate performs the shared pre-flight checks of both engines. Every
-// input element must be a canonical key of a declared array, of its rank
-// and inside its extents: a key either engine cannot place would alias
-// another element or panic inside the run.
-func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.Storage) error {
+// validate performs the shared pre-flight checks of both engines and
+// returns the program lowered under bind. Every input element must be a
+// canonical key of a declared array, of its rank and inside its extents: a
+// key either engine cannot place would alias another element or panic
+// inside the run.
+func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.Storage) (*ir.Lowered, error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return nil, err
 	}
-	if err := p.CheckRanges(bind); err != nil {
-		return err
+	lw, err := p.Lower(bind)
+	if err == nil {
+		err = lw.CheckRanges()
+	}
+	if err != nil {
+		return nil, err
 	}
 	for name, elems := range input {
-		arr := p.Arrays[name]
-		if arr == nil && len(elems) > 0 {
-			return fmt.Errorf("exec: input for undeclared array %s", name)
+		a := lw.Array(name)
+		if a < 0 {
+			if len(elems) > 0 {
+				return nil, fmt.Errorf("exec: input for undeclared array %s", name)
+			}
+			continue
 		}
-		var extBuf, idxBuf [4]int // stack buffers: the error path copies ext
-		ext := extBuf[:0]
-		for d := 0; arr != nil && d < arr.Rank(); d++ {
-			ext = append(ext, arr.Extents[d].Eval(bind))
-		}
+		ext := lw.Shapes[a]
 		for key := range elems {
-			idx, ok := appendSubs(idxBuf[:0], key)
+			var idxBuf [4]int
+			idx, ok := ir.ParseKey(idxBuf[:0], key)
 			ok = ok && len(idx) == len(ext)
 			for d := 0; ok && d < len(idx); d++ {
 				ok = idx[d] >= 1 && idx[d] <= ext[d]
 			}
 			if !ok {
-				return fmt.Errorf("exec: input key %q of array %s is not %d canonical subscripts inside its extents %v",
-					key, name, len(ext), append([]int(nil), ext...))
+				return nil, fmt.Errorf("exec: input key %q of array %s is not %d canonical subscripts inside its extents %v",
+					key, name, len(ext), ext)
 			}
 		}
 	}
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
 			if st.RHS == nil && st.Flops > 0 {
-				return fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
+				return nil, fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
 			}
 			// Only Reads are shipped to the executors; an operand missing
 			// from them would be loaded, unshipped, from the local store.
 			// Ref.String is canonical (variables sorted, zero terms dropped).
 			for _, r := range ir.ExprReads(st.RHS) {
 				if !slices.ContainsFunc(st.Reads, func(rd ir.Ref) bool { return rd.String() == r.String() }) {
-					return fmt.Errorf("exec: statement at line %d reads %s, which is not in its Reads %v", st.Line, r, st.Reads)
+					return nil, fmt.Errorf("exec: statement at line %d reads %s, which is not in its Reads %v", st.Line, r, st.Reads)
 				}
 			}
 		}
 	}
 	for name := range p.Arrays {
 		if _, ok := ss.Schemes[name]; !ok {
-			return fmt.Errorf("exec: no scheme for array %s", name)
+			return nil, fmt.Errorf("exec: no scheme for array %s", name)
 		}
 	}
-	return nil
+	return lw, nil
 }
 
 // Run executes the program under the scheme set for the given number of
@@ -139,10 +144,11 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
 	start := time.Now()
-	if err := validate(p, ss, bind, input); err != nil {
+	lw, err := validate(p, ss, bind, input)
+	if err != nil {
 		return Result{}, err
 	}
-	sched, err := buildSchedule(p, ss, bind, scalars, &lowering{})
+	sched, err := buildSchedule(lw, ss, scalars, &lowering{})
 	if err != nil {
 		return Result{}, err
 	}
@@ -194,7 +200,7 @@ func (sched *progSchedule) run(p *ir.Program, iters int, cfg machine.Config, inp
 		dist.ForEachIndex(am.ext, func(idx []int) { // row-major: idx is element off
 			for _, o := range am.lay.owners(off) {
 				if i, _ := sched.slabOff(o, mkElem(a, off)); marks[o][i] {
-					elems[subKey(idx)] = stores[o][i]
+					elems[ir.Key(idx)] = stores[o][i]
 					break
 				}
 			}

@@ -185,7 +185,19 @@ func TestExecValidation(t *testing.T) {
 	}
 }
 
+// TestParseKeyRoundTrip: pkey/splitKey round-trip, and splitKey refuses,
+// naming the key, one without an array part or with malformed subscripts.
 func TestParseKeyRoundTrip(t *testing.T) {
+	for _, key := range []string{"", "!1,2", "noseparator", "a!1x2", "a!1,", "a!007"} {
+		func() {
+			defer func() {
+				if r, ok := recover().(string); !ok || !containsStr(r, key) {
+					t.Errorf("splitKey(%q): panic %v, want one naming the key", key, r)
+				}
+			}()
+			splitKey(key)
+		}()
+	}
 	for _, idx := range [][]int{{1}, {3, 7}, {12, 1}, {0, 5}} {
 		key := pkey("A", idx)
 		arr, got := splitKey(key)

@@ -140,7 +140,7 @@ func buildLoads(s *progSchedule, input ir.Storage) []map[int32][]elemVal {
 		}
 		loads[a] = make(map[int32][]elemVal)
 		for key, v := range elems {
-			idx, _ := appendSubs(buf[:0], key)
+			idx, _ := ir.ParseKey(buf[:0], key)
 			e, _ := s.elemOf(a, idx)
 			c := int32(am.lay.owners(e.off())[0])
 			loads[a][c] = append(loads[a][c], elemVal{e, v})

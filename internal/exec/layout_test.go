@@ -117,7 +117,7 @@ func TestLocalLayoutMatchesOwners(t *testing.T) {
 			p := randomProgram(rng)
 			for _, n := range []int{1, 2, 4} {
 				ss := fuzzSchemes(t, p, m, n)
-				sched, err := buildSchedule(p, ss, map[string]int{"m": m}, nil, &lowering{})
+				sched, err := buildSchedule(mustLower(t, p, map[string]int{"m": m}), ss, nil, &lowering{})
 				if err != nil {
 					t.Fatalf("%v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
@@ -128,7 +128,7 @@ func TestLocalLayoutMatchesOwners(t *testing.T) {
 						ext[d] = m
 					}
 					l, words := checkLayout(t, layoutCase{fuzzCase(seed, trial, n, p) + "array " + name, ss.Grid, ss.Schemes[name], ext})
-					if !reflect.DeepEqual(sched.arrays[sched.aid[name]].lay, l) {
+					if !reflect.DeepEqual(sched.arrays[sched.lw.Array(name)].lay, l) {
 						t.Fatalf("array %s: the schedule's layout differs from newLayout's on its own\n%s", name, fuzzCase(seed, trial, n, p))
 					}
 					for r, w := range words {
@@ -190,7 +190,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	bind := map[string]int{"m": m}
 	input := randomInput(p, m, rand.New(rand.NewSource(7)))
 
-	s, err := buildSchedule(p, ss, bind, nil, &lowering{})
+	s, err := buildSchedule(mustLower(t, p, bind), ss, nil, &lowering{})
 	if err != nil {
 		t.Fatal(err)
 	}

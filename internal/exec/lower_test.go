@@ -245,27 +245,95 @@ func randomLoweringProgram(rng *rand.Rand) *ir.Program {
 	return p
 }
 
-// TestLoweringMatchesIR: the lowered nest visits the statement instances
-// ir's map-environment walk visits, in its order, and at each of them the
-// lowered subscripts and right-hand side — over the operands the
+// mustLower is p lowered under bind, as Run's validate lowers it.
+func mustLower(t *testing.T, p *ir.Program, bind map[string]int) *ir.Lowered {
+	t.Helper()
+	lw, err := p.Lower(bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lw
+}
+
+// checkIRLowering compares ir's lowering of p with what ir.Affine.Eval gives
+// on the reference walk's environment, at every statement instance: every
+// subscript the statement reads or writes, and the bounds of every loop
+// enclosing it and of the loop just inside it.
+func checkIRLowering(t *testing.T, label string, p *ir.Program, bind map[string]int) {
+	t.Helper()
+	lw := mustLower(t, p, bind)
+	for ti, nest := range p.Nests {
+		ln := &lw.Nests[ti]
+		iv := make([]int, len(nest.Loops))
+		err := nest.Walk(bind, func(st *ir.Stmt, env map[string]int) error {
+			for k := 0; k < st.Depth; k++ {
+				iv[k] = env[nest.Loops[k].Index]
+			}
+			for k := 0; k <= st.Depth && k < len(nest.Loops); k++ {
+				l, ll := nest.Loops[k], &ln.Loops[k]
+				if ll.Lo.At(iv) != l.Lo.Eval(env) || ll.Hi.At(iv) != l.Hi.Eval(env) || ll.Step != l.Step {
+					return fmt.Errorf("%s loop %s at %v: lowered %d..%d step %d, ir %s..%s = %d..%d",
+						nest.Label, l.Index, iv[:st.Depth], ll.Lo.At(iv), ll.Hi.At(iv), ll.Step, l.Lo, l.Hi, l.Lo.Eval(env), l.Hi.Eval(env))
+				}
+			}
+			si := slices.Index(nest.Stmts, st)
+			for ri := -1; ri < len(st.Reads); ri++ {
+				r, lr := st.LHS, &ln.Stmts[si].LHS
+				if ri >= 0 {
+					r, lr = st.Reads[ri], &ln.Stmts[si].Reads[ri]
+				}
+				if lw.Names[lr.Array] != r.Array {
+					return fmt.Errorf("line %d: %s lowered to array %s", st.Line, r, lw.Names[lr.Array])
+				}
+				for d, sub := range r.Subs {
+					if got, want := lr.Subs[d].At(iv), sub.Eval(env); got != want {
+						return fmt.Errorf("line %d: %s subscript %d at %v: lowered %d, ir %d", st.Line, r, d+1, iv[:st.Depth], got, want)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v\n%s", err, label)
+		}
+	}
+}
+
+// TestLoweringMatchesIR: ir's lowering agrees with ir.Affine.Eval at every
+// instance of the six builtins and of both fuzzers' programs. Then, on the
+// lowering fuzzer's nests, exec's lowered nest visits the statement
+// instances ir's reference walk visits, in its order, and at each of them
+// the lowered subscripts and right-hand side — over the operands the
 // inspector addressed — evaluate to exactly what ir.Affine.Eval and
 // ir.Expr.Eval give.
 func TestLoweringMatchesIR(t *testing.T) {
 	const m = 6
 	bind := map[string]int{"m": m}
 	scalars := map[string]float64{"OMEGA": 1.25}
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon(), ir.Stencil(), ir.Synthetic(6)} {
+		checkIRLowering(t, p.Name, p, bind)
+	}
+	for _, seed := range fuzzSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 25; trial++ {
+			p := randomProgram(rng)
+			checkIRLowering(t, fuzzCase(seed, trial, 0, p), p, bind)
+		}
+	}
 	for _, seed := range fuzzSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 60; trial++ {
 			p := randomLoweringProgram(rng)
 			label := fuzzCase(seed, trial, 1, p)
+			checkIRLowering(t, label, p, bind)
 			ss := fuzzSchemes(t, p, m, 1)
-			if err := validate(p, ss, bind, nil); err != nil {
+			lw, err := validate(p, ss, bind, nil)
+			if err != nil {
 				t.Fatalf("generated invalid program: %v\n%s", err, label)
 			}
 			var ivs [][]int // each opEval's loop vector, in stream order
 			low := &lowering{evalTap: func(_ *nestSchedule, _, _ int, iv []int) { ivs = append(ivs, slices.Clone(iv)) }}
-			s, err := buildSchedule(p, ss, bind, scalars, low)
+			s, err := buildSchedule(lw, ss, scalars, low)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, label)
 			}
@@ -292,7 +360,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 				}
 			}
 			next := 0
-			visit := func(si int, st *ir.Stmt, env map[string]int) {
+			nest.Walk(bind, func(st *ir.Stmt, env map[string]int) error {
+				si := slices.Index(nest.Stmts, st)
 				if next >= len(evals) {
 					t.Fatalf("lowered walk ends after %d instances, ir's goes on\n%s", next, label)
 				}
@@ -316,11 +385,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 					idx := make([]int, len(r.Subs))
 					for d, sub := range r.Subs {
 						idx[d] = sub.Eval(env)
-						if got := lr.subs[d].eval(iv); got != idx[d] {
-							t.Fatalf("%s subscript %d at %v: lowered %d, ir %d\n%s", r, d+1, iv, got, idx[d], label)
-						}
 					}
-					want, _ := s.elemOf(s.aid[r.Array], idx)
+					want, _ := s.elemOf(lw.Array(r.Array), idx)
 					if got, err := lr.elemAt(iv); err != nil || got != want {
 						t.Fatalf("%s at %v: lowered element %d (%v), ir %d\n%s", r, iv, got, err, want, label)
 					}
@@ -336,8 +402,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 				if got, want := x.evalExpr(ls.rhs), st.RHS.Eval(env, vals.Load, scalars); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s at %v: lowered RHS %v, ir %v\n%s", st.RHS, iv, got, want, label)
 				}
-			}
-			irWalk(nest, bind, visit)
+				return nil
+			})
 			if next != len(evals) {
 				t.Fatalf("ir's walk ends after %d instances, the lowered one has %d\n%s", next, len(evals), label)
 			}
@@ -350,41 +416,3 @@ func TestLoweringMatchesIR(t *testing.T) {
 type rankZero struct{ machine.Port }
 
 func (rankZero) Rank() int { return 0 }
-
-// irWalk visits the nest's statement instances the way ir.EvalProgram
-// does: a map environment, pre statements, the inner loop, post
-// statements.
-func irWalk(nest *ir.Nest, bind map[string]int, visit func(si int, st *ir.Stmt, env map[string]int)) {
-	env := map[string]int{}
-	for k, v := range bind {
-		env[k] = v
-	}
-	var walk func(level int)
-	walk = func(level int) {
-		for si, st := range nest.Stmts {
-			if st.Depth == level && !nest.IsPost(st) {
-				visit(si, st, env)
-			}
-		}
-		if level < len(nest.Loops) {
-			l := nest.Loops[level]
-			lo, hi := l.Lo.Eval(env), l.Hi.Eval(env)
-			for v := lo; (l.Step >= 0 && v <= hi) || (l.Step < 0 && v >= hi); {
-				env[l.Index] = v
-				walk(level + 1)
-				if l.Step >= 0 {
-					v++
-				} else {
-					v--
-				}
-			}
-			delete(env, l.Index)
-		}
-		for si, st := range nest.Stmts {
-			if st.Depth == level && nest.IsPost(st) {
-				visit(si, st, env)
-			}
-		}
-	}
-	walk(0)
-}

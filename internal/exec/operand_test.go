@@ -59,7 +59,7 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 	}
 	ivs := map[evalAt][]int{}
 	low := &lowering{evalTap: func(ns *nestSchedule, p, at int, iv []int) { ivs[evalAt{ns, p, at}] = slices.Clone(iv) }}
-	s, err := buildSchedule(p, ss, map[string]int{"m": m}, map[string]float64{"OMEGA": 1.2}, low)
+	s, err := buildSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, low)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -250,10 +250,11 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		bind := map[string]int{"m": k.m}
 		a, b, _ := matrix.DiagonallyDominant(k.m, 1)
 		input := loadLinearSystem(k.p, a, b, nil)
-		if err := validate(k.p, ss, bind, input); err != nil {
+		lw, err := validate(k.p, ss, bind, input)
+		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		s, err := buildSchedule(k.p, ss, bind, map[string]float64{"OMEGA": 1.2}, low)
+		s, err := buildSchedule(lw, ss, map[string]float64{"OMEGA": 1.2}, low)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

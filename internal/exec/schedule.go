@@ -34,11 +34,10 @@ import (
 // progSchedule is the complete precomputed schedule of one Run call.
 type progSchedule struct {
 	g       *grid.Grid
-	bind    map[string]int
+	lw      *ir.Lowered
 	scalars map[string]float64
 	nprocs  int
-	arrays  []arrayMeta
-	aid     map[string]int
+	arrays  []arrayMeta // indexed like lw.Names
 	nests   []*nestSchedule
 	// base holds one row of len(arrays)+1 entries per rank: where
 	// each array's cell starts in the rank's store slab, then the slab's
@@ -172,7 +171,7 @@ func (s *progSchedule) computeFanouts() {
 // across iterations).
 type nestSchedule struct {
 	// loops and stmts are the nest lowered once against the binding.
-	loops []lloop
+	loops []ir.LLoop
 	stmts []lstmt
 	// procs[r] is processor r's value-pass instruction stream: flat,
 	// pointer-free records indexing the nest's arenas — operands holds
@@ -340,44 +339,29 @@ func ringEligible(items []*finOp) bool {
 	return true
 }
 
-// buildSchedule runs the inspector over the whole program: finalizes
+// buildSchedule runs the inspector over the program lw lowers: finalizes
 // lower to vectored two-phase / ring exchanges, and each epoch's operand
 // ships to one composed collective redistribution, lowered with low's
-// scratch. An unbound variable, an undeclared array or a subscript
-// outside its array is an error.
-func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64, low *lowering) (*progSchedule, error) {
+// scratch. A subscript outside its array is an error.
+func buildSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, low *lowering) (*progSchedule, error) {
+	p := lw.Program
 	s := &progSchedule{
-		g: ss.Grid, bind: bind, scalars: scalars,
+		g: ss.Grid, lw: lw, scalars: scalars,
 		nprocs:  ss.Grid.Size(),
-		aid:     make(map[string]int, len(p.Arrays)),
-		redArrs: make([]bool, len(p.Arrays)),
+		arrays:  make([]arrayMeta, len(lw.Names)),
+		redArrs: make([]bool, len(lw.Names)),
 		acc:     make(map[elemID][]accEvent),
 	}
-	names := make([]string, 0, len(p.Arrays))
-	for name := range p.Arrays {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		arr := p.Arrays[name]
-		am := arrayMeta{name: name, ext: make([]int, arr.Rank()), size: 1}
-		for d, e := range arr.Extents {
-			ext, err := s.lowerAffine(e, nil)
-			if err != nil {
-				return nil, fmt.Errorf("exec: extent %d of array %s: %w", d+1, name, err)
-			}
-			if ext.c < 0 {
-				return nil, fmt.Errorf("exec: extent %d of array %s is %d", d+1, name, ext.c)
-			}
-			am.ext[d] = ext.c
-			am.size *= ext.c
+	for a, name := range lw.Names {
+		am := &s.arrays[a]
+		*am = arrayMeta{name: name, ext: lw.Shapes[a], size: 1}
+		for _, e := range am.ext {
+			am.size *= e
 		}
 		var err error
 		if am.lay, err = newLayout(am.ext, ss.Schemes[name], ss.Grid); err != nil {
 			return nil, fmt.Errorf("exec: array %s: %w", name, err)
 		}
-		s.aid[name] = len(s.arrays)
-		s.arrays = append(s.arrays, am)
 	}
 	s.base = make([]int32, s.nprocs*(len(s.arrays)+1))
 	for r := range s.nprocs {
@@ -391,17 +375,17 @@ func buildSchedule(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scala
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
 			if st.Reduce {
-				s.redArrs[s.aid[st.LHS.Array]] = true
+				s.redArrs[lw.Array(st.LHS.Array)] = true
 			}
 		}
 	}
 	s.nests = make([]*nestSchedule, len(p.Nests))
-	for i, nest := range p.Nests {
-		ns, err := s.buildNest(nest, low)
+	for t := range p.Nests {
+		ns, err := s.buildNest(t, low)
 		if err != nil {
 			return nil, err
 		}
-		s.nests[i] = ns
+		s.nests[t] = ns
 	}
 	for r := range s.nprocs {
 		if n := max(s.storeWords(r), int(s.bufs.n[r]), int(s.parts.n[r])); n >= maxLocal {

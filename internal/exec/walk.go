@@ -9,16 +9,14 @@
 // the Gupta & Banerjee lineage).
 //
 // The hot path works on integers only: each nest is lowered once
-// (lower.go) to slot-indexed affine forms and array ids, and elements are
-// elemID integers (array id + row-major offset). Names and "arr!i,j"
-// strings survive only at the ir.Storage boundary.
+// (ir.Program.Lower, lower.go) to slot-indexed affine forms and array ids,
+// and elements are elemID integers (array id + row-major offset). Names
+// and "arr!i,j" strings survive only at the ir.Storage boundary.
 
 package exec
 
 import (
 	"slices"
-
-	"dmcc/internal/ir"
 )
 
 // nestBuilder is the inspector's per-nest state.
@@ -72,14 +70,14 @@ type shipT struct {
 	e           elemID
 }
 
-func (s *progSchedule) buildNest(nest *ir.Nest, low *lowering) (*nestSchedule, error) {
+func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
 	ns := &nestSchedule{procs: make([][]pinstr, s.nprocs)}
-	if err := s.lowerNest(nest, ns); err != nil {
+	if err := s.lowerNest(t, ns); err != nil {
 		return nil, err
 	}
 	b := &nestBuilder{
 		s: s, ns: ns,
-		iv:      make([]int, len(nest.Loops)),
+		iv:      make([]int, len(ns.loops)),
 		pending: make(map[elemID][]int),
 		written: make(dense[uint32], len(s.arrays)),
 		epoch:   1,
@@ -110,7 +108,7 @@ func (b *nestBuilder) walk(level int) error {
 	for _, post := range [2]bool{false, true} {
 		if post && level < len(b.ns.loops) {
 			l := &b.ns.loops[level]
-			for v, hi := l.lo.eval(b.iv), l.hi.eval(b.iv); (hi-v)*l.step >= 0; v += l.step {
+			for v, hi := l.Lo.At(b.iv), l.Hi.At(b.iv); (hi-v)*l.Step >= 0; v += l.Step {
 				b.iv[level] = v
 				if err := b.walk(level + 1); err != nil {
 					return err

@@ -7,6 +7,8 @@ package ir
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Expr is an evaluable right-hand-side expression.
@@ -148,16 +150,35 @@ func ExprFlops(e Expr) int {
 // by 1-based subscripts.
 type Storage map[string]map[string]float64
 
-// skey encodes a subscript tuple.
-func skey(idx []int) string {
-	s := ""
+// Key renders a subscript tuple as Storage keys an element: "3,-1,12".
+func Key(idx []int) string {
+	var buf [32]byte
+	b := buf[:0]
 	for i, v := range idx {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf("%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return s
+	return string(b)
+}
+
+// ParseKey appends the subscripts of key to idx (a caller's stack buffer,
+// typically). ok is false unless every component is a canonical base-10
+// integer — exactly what Key writes — so ParseKey(nil, Key(idx)) round-trips
+// and a malformed key (stray bytes, empty components, non-canonical digits)
+// is refused rather than folded into the subscripts.
+func ParseKey(idx []int, key string) (_ []int, ok bool) {
+	for key != "" {
+		part, rest, more := strings.Cut(key, ",")
+		digits := strings.TrimPrefix(part, "-")
+		v, err := strconv.Atoi(part)
+		if err != nil || part[0] == '+' || part == "-0" || (len(digits) > 1 && digits[0] == '0') || (more && rest == "") {
+			return idx, false
+		}
+		idx, key = append(idx, v), rest
+	}
+	return idx, true
 }
 
 // NewStorage allocates zeroed storage for every array of the program.
@@ -171,12 +192,12 @@ func NewStorage(p *Program) Storage {
 
 // Load reads an element (zero if never written).
 func (st Storage) Load(r Ref, idx []int) float64 {
-	return st[r.Array][skey(idx)]
+	return st[r.Array][Key(idx)]
 }
 
 // Store writes an element.
 func (st Storage) Store(arr string, idx []int, v float64) {
-	st[arr][skey(idx)] = v
+	st[arr][Key(idx)] = v
 }
 
 // EvalProgram interprets the whole program sequentially: the reference
@@ -202,11 +223,7 @@ func EvalProgram(p *Program, bind map[string]int, st Storage, scalars map[string
 }
 
 func evalNest(nest *Nest, bind map[string]int, st Storage, scalars map[string]float64) error {
-	env := map[string]int{}
-	for k, v := range bind {
-		env[k] = v
-	}
-	exec := func(stmt *Stmt) error {
+	return nest.Walk(bind, func(stmt *Stmt, env map[string]int) error {
 		idx := make([]int, len(stmt.LHS.Subs))
 		for k, s := range stmt.LHS.Subs {
 			idx[k] = s.Eval(env)
@@ -220,47 +237,5 @@ func evalNest(nest *Nest, bind map[string]int, st Storage, scalars map[string]fl
 		}
 		st.Store(stmt.LHS.Array, idx, v)
 		return nil
-	}
-	var walk func(level int) error
-	walk = func(level int) error {
-		// Statements at this depth run before or after the inner loop
-		// depending on their source position (IsPost): SOR's line 7 comes
-		// after the inner j loop.
-		for _, stmt := range nest.Stmts {
-			if stmt.Depth == level && !nest.IsPost(stmt) {
-				if err := exec(stmt); err != nil {
-					return err
-				}
-			}
-		}
-		if level < len(nest.Loops) {
-			l := nest.Loops[level]
-			lo, hi := l.Lo.Eval(env), l.Hi.Eval(env)
-			if l.Step >= 0 {
-				for v := lo; v <= hi; v++ {
-					env[l.Index] = v
-					if err := walk(level + 1); err != nil {
-						return err
-					}
-				}
-			} else {
-				for v := lo; v >= hi; v-- {
-					env[l.Index] = v
-					if err := walk(level + 1); err != nil {
-						return err
-					}
-				}
-			}
-			delete(env, l.Index)
-		}
-		for _, stmt := range nest.Stmts {
-			if stmt.Depth == level && nest.IsPost(stmt) {
-				if err := exec(stmt); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return walk(0)
+	})
 }

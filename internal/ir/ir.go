@@ -220,6 +220,32 @@ type Stmt struct {
 	Text string
 }
 
+// Anchor is the index in Reads of a reduction's anchoring operand, where
+// its partial sums accumulate: the read of another array than the
+// accumulator's with the most distinct subscript variables (A(i,j) in
+// Jacobi's line 5), the first on a tie; -1 when every read is of the
+// accumulator's array.
+func (s *Stmt) Anchor() int {
+	best, bestVars := -1, -1
+	for i, rd := range s.Reads {
+		if rd.Array == s.LHS.Array {
+			continue
+		}
+		vars := map[string]bool{}
+		for _, sub := range rd.Subs {
+			for v, c := range sub.Coeff {
+				if c != 0 {
+					vars[v] = true
+				}
+			}
+		}
+		if len(vars) > bestVars {
+			best, bestVars = i, len(vars)
+		}
+	}
+	return best
+}
+
 // Loop is one Do loop: DO Index = Lo, Hi with Step 1, or Step -1 for
 // downward loops like the back-substitution in Gauss elimination.
 // Validate refuses any other step.
@@ -252,6 +278,49 @@ func (n *Nest) IsPost(stmt *Stmt) bool {
 		}
 	}
 	return false
+}
+
+// Walk visits the nest's statement instances in program order under bind:
+// at each loop level the statements before the inner loop (IsPost), the
+// loop, then the statements after it. env holds bind and the enclosing
+// loops' indices; it is reused between calls, so visit must not keep it.
+// Names are evaluated from env with Affine.Eval — the reference
+// interpreters walk with it, independent of Lower — so the nest must be one
+// Validate accepts with every other variable bound. An error from visit
+// ends the walk and is returned.
+func (n *Nest) Walk(bind map[string]int, visit func(st *Stmt, env map[string]int) error) error {
+	env := make(map[string]int, len(bind)+len(n.Loops))
+	for k, v := range bind {
+		env[k] = v
+	}
+	post := make([]bool, len(n.Stmts))
+	for i, st := range n.Stmts {
+		post[i] = n.IsPost(st)
+	}
+	var walk func(level int) error
+	walk = func(level int) error {
+		for _, after := range [2]bool{false, true} {
+			if after && level < len(n.Loops) {
+				l := n.Loops[level]
+				for v, hi := l.Lo.Eval(env), l.Hi.Eval(env); (hi-v)*l.Step >= 0; v += l.Step {
+					env[l.Index] = v
+					if err := walk(level + 1); err != nil {
+						return err
+					}
+				}
+				delete(env, l.Index)
+			}
+			for i, st := range n.Stmts {
+				if st.Depth == level && post[i] == after {
+					if err := visit(st, env); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
+	return walk(0)
 }
 
 // Loop returns the loop with the given index name.
@@ -288,17 +357,27 @@ func (p *Program) Array(name string) *Array {
 	return a
 }
 
-// Validate checks that every reference matches its array's rank and uses
-// only loop indices visible at its statement's depth (or size parameters).
+// Validate checks that every loop steps by ±1 and has an index of its own —
+// neither a size parameter nor an enclosing loop's index — and that every
+// reference matches its array's rank and uses only loop indices visible at
+// its statement's depth (or size parameters).
 func (p *Program) Validate() error {
 	params := map[string]bool{}
 	for _, s := range p.Params {
 		params[s] = true
 	}
 	for _, nest := range p.Nests {
-		for _, l := range nest.Loops {
+		for d, l := range nest.Loops {
 			if l.Step != 1 && l.Step != -1 {
 				return fmt.Errorf("ir: %s loop %s has step %d; a loop steps by 1 or -1", nest.Label, l.Index, l.Step)
+			}
+			if params[l.Index] {
+				return fmt.Errorf("ir: %s loop %s at depth %d: its index is the size parameter %s", nest.Label, l.Index, d+1, l.Index)
+			}
+			for e, outer := range nest.Loops[:d] {
+				if outer.Index == l.Index {
+					return fmt.Errorf("ir: %s loop %s at depth %d: its index is the index of the enclosing loop at depth %d", nest.Label, l.Index, d+1, e+1)
+				}
 			}
 		}
 		for _, st := range p.StmtsOf(nest) {

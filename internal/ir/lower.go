@@ -1,0 +1,202 @@
+// Name resolution under a binding. Lower is the one place a program's
+// names get their values: every array's shape, and every loop bound and
+// subscript as an integer form over the nest's loop slots with the bound
+// size parameters folded in. CheckRanges, core's scheme derivation, cost's
+// closed forms and exec's inspector read what it builds; none of them
+// resolves a name itself. The reference walkers (Nest.Walk) still evaluate
+// names from their environment, so they stay independent of this lowering.
+
+package ir
+
+import (
+	"fmt"
+	"sort"
+)
+
+// Lin is an affine form under a binding: K + Σ C[k]·(index of loop k),
+// loops outermost first. Every bound variable is folded into K, and
+// trailing zero coefficients are dropped.
+type Lin struct {
+	K int
+	C []int
+}
+
+// At is the form's value at loop vector iv.
+func (l *Lin) At(iv []int) int {
+	v := l.K
+	for k, c := range l.C {
+		v += c * iv[k]
+	}
+	return v
+}
+
+// Lowered is a program under one binding.
+type Lowered struct {
+	Program *Program
+	Bind    map[string]int
+	// Names lists the arrays sorted; Shapes[a] is array Names[a]'s extents,
+	// each at least 1. An LRef names its array by that index.
+	Names  []string
+	Shapes [][]int
+	// Nests[t] is Program.Nests[t] lowered.
+	Nests []LNest
+}
+
+// LNest is a lowered nest: its loops outermost first, its statements in
+// source order.
+type LNest struct {
+	Loops []LLoop
+	Stmts []LStmt
+}
+
+// LLoop is a lowered loop; its bounds are forms over the enclosing loops.
+type LLoop struct {
+	Lo, Hi Lin
+	Step   int
+}
+
+// LStmt is a lowered statement: its written reference and its Reads.
+type LStmt struct {
+	LHS   LRef
+	Reads []LRef
+}
+
+// LRef is a lowered reference: the array's index in Lowered.Names and one
+// form per subscript, over the loops enclosing the statement.
+type LRef struct {
+	Array int
+	Subs  []Lin
+}
+
+// Lower resolves every name of p under bind. A variable that is neither an
+// enclosing loop's index nor bound, an extent below 1, and a reference
+// Validate would refuse are errors naming where they occur; subscripts are
+// not checked against the extents here (CheckRanges does that).
+func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
+	lw := &Lowered{Program: p, Bind: bind, Names: make([]string, 0, len(p.Arrays))}
+	for name := range p.Arrays {
+		lw.Names = append(lw.Names, name)
+	}
+	sort.Strings(lw.Names)
+	var sl slabs
+	lw.Shapes = make([][]int, len(lw.Names))
+	for a, name := range lw.Names {
+		lw.Shapes[a] = carve(&sl.ints, p.Arrays[name].Rank())
+		for d, e := range p.Arrays[name].Extents {
+			l, v := sl.lin(e, nil, bind)
+			if v != "" {
+				return nil, fmt.Errorf("ir: array %s: unbound variable %q in extent %s", name, v, e)
+			}
+			if l.K < 1 {
+				return nil, fmt.Errorf("ir: array %s: extent %s is %d, below 1", name, e, l.K)
+			}
+			lw.Shapes[a][d] = l.K
+		}
+	}
+	lw.Nests = make([]LNest, len(p.Nests))
+	for t, nest := range p.Nests {
+		ln := &lw.Nests[t]
+		ln.Loops = make([]LLoop, len(nest.Loops))
+		for d, l := range nest.Loops {
+			lo, vLo := sl.lin(l.Lo, nest.Loops[:d], bind)
+			hi, vHi := sl.lin(l.Hi, nest.Loops[:d], bind)
+			switch {
+			case vLo != "":
+				return nil, fmt.Errorf("ir: %s loop %s: unbound variable %q in bound %s", nest.Label, l.Index, vLo, l.Lo)
+			case vHi != "":
+				return nil, fmt.Errorf("ir: %s loop %s: unbound variable %q in bound %s", nest.Label, l.Index, vHi, l.Hi)
+			}
+			ln.Loops[d] = LLoop{Lo: lo, Hi: hi, Step: l.Step}
+		}
+		ln.Stmts = make([]LStmt, len(nest.Stmts))
+		for si, st := range nest.Stmts {
+			if st.Depth < 1 || st.Depth > len(nest.Loops) {
+				return nil, fmt.Errorf("ir: %s stmt line %d depth %d outside nest of %d loops", nest.Label, st.Line, st.Depth, len(nest.Loops))
+			}
+			ls := &ln.Stmts[si]
+			ls.Reads = carve(&sl.refs, len(st.Reads))
+			var err error
+			if ls.LHS, err = sl.ref(lw, nest, st, st.LHS); err != nil {
+				return nil, err
+			}
+			for ri, r := range st.Reads {
+				if ls.Reads[ri], err = sl.ref(lw, nest, st, r); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return lw, nil
+}
+
+// Array is the named array's index in Names, or -1.
+func (lw *Lowered) Array(name string) int {
+	if a := sort.SearchStrings(lw.Names, name); a < len(lw.Names) && lw.Names[a] == name {
+		return a
+	}
+	return -1
+}
+
+// slabs hold the backing arrays a lowering carves its slices from, so it
+// costs a few allocations rather than one per form.
+type slabs struct {
+	ints []int
+	lins []Lin
+	refs []LRef
+}
+
+// carve cuts n elements off the front of *slab, starting a new backing
+// array when too few are left.
+func carve[T any](slab *[]T, n int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, 64))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
+	out := LRef{Array: lw.Array(r.Array), Subs: carve(&sl.lins, len(r.Subs))}
+	if out.Array < 0 {
+		return out, fmt.Errorf("ir: %s line %d references undeclared array %q", nest.Label, st.Line, r.Array)
+	}
+	if len(r.Subs) != len(lw.Shapes[out.Array]) {
+		return out, fmt.Errorf("ir: %s line %d: %s has %d subscripts, array is %d-D", nest.Label, st.Line, r, len(r.Subs), len(lw.Shapes[out.Array]))
+	}
+	for d, sub := range r.Subs {
+		var v string
+		if out.Subs[d], v = sl.lin(sub, nest.Loops[:st.Depth], lw.Bind); v != "" {
+			return out, fmt.Errorf("ir: %s line %d: unbound variable %q in %s", nest.Label, st.Line, v, r)
+		}
+	}
+	return out, nil
+}
+
+// lin lowers a over the loops in scope (innermost first, though Validate
+// admits no repeated index) and bind; unbound is the least variable that is
+// neither, if a has one.
+func (sl *slabs) lin(a Affine, scope []Loop, bind map[string]int) (l Lin, unbound string) {
+	l = Lin{K: a.Const, C: carve(&sl.ints, len(scope))}
+vars:
+	for v, c := range a.Coeff {
+		if c == 0 {
+			continue
+		}
+		for k := len(scope) - 1; k >= 0; k-- {
+			if scope[k].Index == v {
+				l.C[k] += c
+				continue vars
+			}
+		}
+		if val, ok := bind[v]; ok {
+			l.K += c * val
+		} else if unbound == "" || v < unbound {
+			unbound = v
+		}
+	}
+	for len(l.C) > 0 && l.C[len(l.C)-1] == 0 {
+		l.C = l.C[:len(l.C)-1]
+	}
+	return l, unbound
+}

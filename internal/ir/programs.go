@@ -4,6 +4,33 @@ package ir
 
 import "fmt"
 
+// builtins are the paper programs the tools compile by name, in the order
+// they list them.
+var builtins = []struct {
+	name  string
+	build func() *Program
+}{{"jacobi", Jacobi}, {"sor", SOR}, {"gauss", Gauss}, {"matmul", Cannon}}
+
+// Builtin builds the paper program a tool names: jacobi, sor, gauss or
+// matmul (Cannon's multiplication). ok is false for any other name.
+func Builtin(name string) (p *Program, ok bool) {
+	for _, b := range builtins {
+		if b.name == name {
+			return b.build(), true
+		}
+	}
+	return nil, false
+}
+
+// BuiltinNames lists the names Builtin knows.
+func BuiltinNames() []string {
+	names := make([]string, len(builtins))
+	for i, b := range builtins {
+		names[i] = b.name
+	}
+	return names
+}
+
 // Jacobi returns Jacobi's iterative algorithm for linear systems
 // A x = b (Section 3):
 //

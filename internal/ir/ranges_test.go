@@ -17,6 +17,16 @@ func vec(loops, stmt string) string {
 	return "PROGRAM t\nPARAM m\nREAL A(m), B(m)\n" + loops + "\n7   " + stmt + "\n9 CONTINUE\nEND\n"
 }
 
+// checkRanges lowers p under bind and checks its ranges, the front door
+// every consumer of a lowering passes.
+func checkRanges(p *ir.Program, bind map[string]int) error {
+	lw, err := p.Lower(bind)
+	if err != nil {
+		return err
+	}
+	return lw.CheckRanges()
+}
+
 func TestCheckRanges(t *testing.T) {
 	const tri = "DO 9 k = 1, m\n  DO 9 i = k + 1, m"
 	for _, c := range []struct {
@@ -44,7 +54,7 @@ func TestCheckRanges(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, c.src)
 		}
-		err = p.CheckRanges(map[string]int{"m": c.m})
+		err = checkRanges(p, map[string]int{"m": c.m})
 		var re *ir.RangeError
 		switch {
 		case c.want == "" && err != nil:
@@ -79,11 +89,11 @@ func TestCheckRangesAcceptsTheTree(t *testing.T) {
 	}
 	for _, p := range progs {
 		for _, m := range []int{1, 2, 3, 8, 64, 1 << 20} {
-			if err := p.CheckRanges(map[string]int{"m": m}); err != nil {
+			if err := checkRanges(p, map[string]int{"m": m}); err != nil {
 				t.Errorf("%s at m=%d: %v", p.Name, m, err)
 			}
 		}
-		if err := p.CheckRanges(nil); err == nil || !strings.Contains(err.Error(), `unbound variable "m"`) {
+		if err := checkRanges(p, nil); err == nil || !strings.Contains(err.Error(), `unbound variable "m"`) {
 			t.Errorf("%s with no binding: %v", p.Name, err)
 		}
 	}

@@ -25,13 +25,12 @@ import (
 )
 
 // builtinByHash maps ProgramHash -> builtin program name, computed once
-// at init: the inverse of the program() switch, for key parsing.
+// at init: the inverse of ir.Builtin, for key parsing.
 var builtinByHash = func() map[string]string {
-	m := make(map[string]string, 4)
-	for name, build := range map[string]func() *ir.Program{
-		"jacobi": ir.Jacobi, "sor": ir.SOR, "gauss": ir.Gauss, "matmul": ir.Cannon,
-	} {
-		m[core.ProgramHash(build())] = name
+	m := map[string]string{}
+	for _, name := range ir.BuiltinNames() {
+		p, _ := ir.Builtin(name)
+		m[core.ProgramHash(p)] = name
 	}
 	return m
 }()

@@ -226,20 +226,13 @@ func program(req *CompileRequest) (*ir.Program, error) {
 		}
 		return p, nil
 	}
-	switch req.Prog {
-	case "jacobi":
-		return ir.Jacobi(), nil
-	case "sor":
-		return ir.SOR(), nil
-	case "gauss":
-		return ir.Gauss(), nil
-	case "matmul":
-		return ir.Cannon(), nil
-	case "":
+	if req.Prog == "" {
 		return nil, errors.New("one of prog or source is required")
-	default:
-		return nil, fmt.Errorf("unknown program %q (want jacobi, sor, gauss or matmul)", req.Prog)
 	}
+	if p, ok := ir.Builtin(req.Prog); ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("unknown program %q (want jacobi, sor, gauss or matmul)", req.Prog)
 }
 
 // compiler builds the compiler for a validated request — the same

@@ -535,6 +535,20 @@ DO 2 i = 1, m
 END
 `
 
+// paramIndexSource indexes its inner loop by the size parameter m: it
+// used to validate, then panic the compile (a 500, compile_panics 1).
+const paramIndexSource = `PROGRAM clash
+PARAM m
+REAL A(m), B(m)
+DO 6 i = 1, 2
+DO 4 m = 1, 2
+3 A(i+m) = B(i)
+4 CONTINUE
+5 B(i+m) = A(i)
+6 CONTINUE
+END
+`
+
 // TestCompilePanicDoesNotKillTheDaemon: a compile that panics is answered
 // 500 with the panic value, counted, and the next request is served. The
 // panic is raised inside the store's flight — on the flight goroutine,
@@ -577,11 +591,16 @@ func TestBadInputIs400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clash, err := json.Marshal(CompileRequest{Source: paramIndexSource, M: 8, N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		body string
 		want []string
 	}{
 		{string(oob), []string{"B(i+5)", "subscript i+5", "line 1", "[6, 13]", "[1, 8]"}},
+		{string(clash), []string{"L1 loop m", "size parameter m"}},
 		{`{"prog":"jacobi","m":16,"n":4,"engine":"prechange"}`, []string{`unknown field \"engine\"`}},
 		{`{"prog":"jacobi","m":16,"n":4,"greedy":true}`, []string{`unknown field \"greedy\"`}},
 	} {
