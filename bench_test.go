@@ -531,7 +531,7 @@ func BenchmarkAblationGELayout(b *testing.B) {
 			var ct cost.Counts
 			for i := 0; i < b.N; i++ {
 				var err error
-				ct, err = cost.CountNest(p, p.Nests[0], schemes, g, bind)
+				ct, err = cost.CountNestOpts(p, p.Nests[0], schemes, g, bind, cost.CountOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

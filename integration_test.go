@@ -36,7 +36,7 @@ func TestCounterMatchesMachineJacobiRowScheme(t *testing.T) {
 	// Counted: X reads of L1 are the only remote words per iteration.
 	var counted int64
 	for _, nest := range p.Nests {
-		ct, err := cost.CountNest(p, nest, schemes, g, bind)
+		ct, err := cost.CountNestOpts(p, nest, schemes, g, bind, cost.CountOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestCounterMatchesMachineFlops(t *testing.T) {
 	}
 	var counted int64
 	for _, nest := range p.Nests {
-		ct, err := cost.CountNest(p, nest, schemes, g, bind)
+		ct, err := cost.CountNestOpts(p, nest, schemes, g, bind, cost.CountOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,16 @@ func mustGraph(t *testing.T, p *ir.Program, nests []*ir.Nest) *Graph {
 	return g
 }
 
+// lowered is p under the default weights' binding.
+func lowered(t *testing.T, p *ir.Program) *ir.Lowered {
+	t.Helper()
+	lw, err := p.Lower(wp().Bind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lw
+}
+
 func assignOf(t *testing.T, pt Partition, arr string, dim int) int {
 	t.Helper()
 	s, ok := pt.Assign[ir.DimID{Array: arr, Dim: dim}]
@@ -325,38 +335,34 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestLoopExtentTriangular(t *testing.T) {
+// TestTripCountsTriangular: NewAffinity's trip counts are the lowered
+// bounds with every enclosing index at the midpoint m/2+1.
+func TestTripCountsTriangular(t *testing.T) {
 	p := ir.Gauss()
-	g1 := p.Nests[0]
-	bind := map[string]int{"m": 100}
-	// i = k+1..m with k ~ m/2: about m/2 trips.
-	e, err := LoopExtent(g1, g1.Loops[1], bind)
+	lw, err := p.Lower(map[string]int{"m": 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e < 20 || e > 80 {
-		t.Fatalf("triangular extent = %d", e)
-	}
-	// Outer loop k = 1..m: exactly m.
-	e0, err := LoopExtent(g1, g1.Loops[0], bind)
-	if err != nil || e0 != 100 {
-		t.Fatalf("outer extent = %d, %v", e0, err)
+	// k = 1..m: exactly m; i = k+1..m with k = 51: 49 trips.
+	if got := tripCounts(&lw.Nests[0], 51); got[0] != 100 || got[1] != 49 {
+		t.Fatalf("elimination trip counts = %v, want [100 49 ...]", got)
 	}
 	// Downward loop j = m..1.
-	g3 := p.Nests[2]
-	e3, err := LoopExtent(g3, g3.Loops[0], bind)
-	if err != nil || e3 != 100 {
-		t.Fatalf("downward extent = %d, %v", e3, err)
+	if got := tripCounts(&lw.Nests[2], 51); got[0] != 100 {
+		t.Fatalf("downward trip count = %d, want 100", got[0])
 	}
 }
 
-func TestLoopExtentUnboundError(t *testing.T) {
+// TestBuildGraphUnboundError: a bound naming a variable the weights do
+// not bind is the lowering's error.
+func TestBuildGraphUnboundError(t *testing.T) {
 	nest := &ir.Nest{
 		Label: "bad",
 		Loops: []ir.Loop{{Index: "i", Lo: ir.Const(1), Hi: ir.V("q"), Step: 1}},
 	}
-	if _, err := LoopExtent(nest, nest.Loops[0], map[string]int{"m": 10}); err == nil {
-		t.Fatal("expected unbound error")
+	_, err := BuildGraph(ir.Jacobi(), []*ir.Nest{nest}, wp())
+	if want := `ir: bad loop i: unbound variable "q" in bound q`; err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %s", err, want)
 	}
 }
 
@@ -465,13 +471,10 @@ func TestCannon3DGridAlignment(t *testing.T) {
 // bit (same additions in the same order) and contributing lines.
 func TestAffinityReplayEqualsBuildGraph(t *testing.T) {
 	for _, p := range []*ir.Program{ir.Synthetic(10), ir.Gauss(), ir.Jacobi(), ir.SOR()} {
-		aff := NewAffinity(p, p.Nests, wp())
+		aff := NewAffinity(lowered(t, p), wp())
 		for lo := 0; lo < len(p.Nests); lo++ {
 			for hi := lo + 1; hi <= len(p.Nests); hi++ {
-				got, err := aff.Graph(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := aff.Graph(lo, hi)
 				want := mustGraph(t, p, p.Nests[lo:hi])
 				if !slices.Equal(got.Nodes, want.Nodes) || len(got.Edges) != len(want.Edges) {
 					t.Fatalf("%s nests [%d,%d): replayed\n%s\nbuilt\n%s", p.Name, lo, hi, got, want)
@@ -583,16 +586,13 @@ func TestInTreeProgramsAlignExactly(t *testing.T) {
 			t.Errorf("%s has %d affinity nodes, past ExactMaxNodes = %d", p.Name, n, ExactMaxNodes)
 			continue
 		}
-		aff := NewAffinity(p, p.Nests, wp())
+		aff := NewAffinity(lowered(t, p), wp())
 		for lo := 0; lo <= len(p.Nests); lo++ {
 			for _, hi := range []int{lo + 1, len(p.Nests)} {
 				if hi > len(p.Nests) || hi <= lo {
 					continue
 				}
-				g, err := aff.Graph(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
+				g := aff.Graph(lo, hi)
 				got, err := Align(g, 2)
 				if err != nil {
 					t.Fatal(err)

@@ -97,9 +97,17 @@ func DefaultWeightParams() WeightParams {
 // which reproduces the magnitude ordering of the paper's hand-derived
 // weights: c1 = ManyToManyMulticast(m^2/N, N) ~ m^2 for moving A versus
 // c2 = ManyToManyMulticast(m/N, N1) + OneToManyMulticast(m, N2)
-// ~ m(1 + log N) for moving X, and c1 > c4 as the paper notes.
+// ~ m(1 + log N) for moving X, and c1 > c4 as the paper notes. The loop
+// extents are trip counts of the nests lowered under wp.Bind (see
+// NewAffinity); a lowering error is returned.
 func BuildGraph(p *ir.Program, nests []*ir.Nest, wp WeightParams) (*Graph, error) {
-	return NewAffinity(p, nests, wp).Graph(0, len(nests))
+	q := *p
+	q.Nests = nests
+	lw, err := q.Lower(wp.Bind)
+	if err != nil {
+		return nil, err
+	}
+	return NewAffinity(lw, wp).Graph(0, len(nests)), nil
 }
 
 // increment is one statement's contribution to one affinity edge, with
@@ -122,16 +130,19 @@ type Affinity struct {
 	// Graph emits edges in.
 	order []int
 	nests [][]increment
-	errs  []error // per nest: why its weights could not be estimated
 }
 
-// NewAffinity computes the increments of every nest (the per-statement
-// edge rules are documented on BuildGraph). A nest whose weights cannot
-// be estimated fails only the graphs that include it.
-func NewAffinity(p *ir.Program, nests []*ir.Nest, wp WeightParams) *Affinity {
+// NewAffinity computes the increments of every nest of lw's program (the
+// per-statement edge rules are documented on BuildGraph). The loop
+// extents are read from lw's loop bounds with every enclosing loop index
+// at the midpoint m/2+1 of the largest bound size parameter m, so
+// triangular nests like Gauss's i = k+1..m average to about m/2 trips; a
+// count below one is one. wp gives N and Tc, and its Bind is not read.
+func NewAffinity(lw *ir.Lowered, wp WeightParams) *Affinity {
+	p := lw.Program
 	a := &Affinity{
 		base:  Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}},
-		nests: make([][]increment, len(nests)), errs: make([]error, len(nests)),
+		nests: make([][]increment, len(p.Nests)),
 	}
 	g := &a.base
 	var names []string
@@ -143,14 +154,37 @@ func NewAffinity(p *ir.Program, nests []*ir.Nest, wp WeightParams) *Affinity {
 		names = append(names, d.String())
 	}
 	sort.SliceStable(a.order, func(x, y int) bool { return names[a.order[x]] < names[a.order[y]] })
-	for t, nest := range nests {
-		a.nests[t], a.errs[t] = a.nestIncrements(nest, wp)
+	m := 0
+	for _, v := range lw.Bind {
+		m = max(m, v)
+	}
+	for t, nest := range p.Nests {
+		a.nests[t] = a.nestIncrements(nest, tripCounts(&lw.Nests[t], m/2+1), wp)
 	}
 	return a
 }
 
+// tripCounts is each loop's trip count with every enclosing loop index at
+// mid, at least one.
+func tripCounts(ln *ir.LNest, mid int) []int {
+	at := make([]int, len(ln.Loops))
+	for d := range at {
+		at[d] = mid
+	}
+	trips := make([]int, len(ln.Loops))
+	for d := range ln.Loops {
+		l := &ln.Loops[d]
+		n := l.Hi.At(at) - l.Lo.At(at)
+		if l.Step == -1 {
+			n = -n
+		}
+		trips[d] = max(n+1, 1)
+	}
+	return trips
+}
+
 // nestIncrements lists one nest's edge increments in statement order.
-func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, error) {
+func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) []increment {
 	var incs []increment
 	for _, st := range nest.Stmts {
 		lhsVars := map[string]bool{}
@@ -193,15 +227,7 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, 
 				case x == 0:
 					mover = rb
 				case floating(ra) && floating(rb):
-					va, err := moveCost(nest, st, ra, wp)
-					if err != nil {
-						return nil, err
-					}
-					vb, err := moveCost(nest, st, rb, wp)
-					if err != nil {
-						return nil, err
-					}
-					if va <= vb {
+					if moveCost(nest, st, ra, trips, wp) <= moveCost(nest, st, rb, trips, wp) {
 						mover = ra
 					} else {
 						mover = rb
@@ -213,10 +239,7 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, 
 				default:
 					continue
 				}
-				w, err := moveCost(nest, st, mover, wp)
-				if err != nil {
-					return nil, err
-				}
+				w := moveCost(nest, st, mover, trips, wp)
 				stay := ra
 				if mover.Array == ra.Array {
 					stay = rb
@@ -239,14 +262,14 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, wp WeightParams) ([]increment, 
 			}
 		}
 	}
-	return incs, nil
+	return incs
 }
 
 // Graph is the affinity graph of nests lo..hi-1 (0-based, hi exclusive):
 // their increments summed per edge in nest and statement order, edges
 // sorted by endpoint names. The node tables are shared, read-only, by
 // every graph of the Affinity.
-func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
+func (a *Affinity) Graph(lo, hi int) *Graph {
 	g := a.base
 	n := len(g.Nodes)
 	// slot[from*n+to] counts the edge's increments, then holds 1 + its
@@ -254,9 +277,6 @@ func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
 	slot := make([]int, n*n)
 	edges, incs := 0, 0
 	for t := lo; t < hi; t++ {
-		if a.errs[t] != nil {
-			return nil, a.errs[t]
-		}
 		for _, inc := range a.nests[t] {
 			s := &slot[inc.from*n+inc.to]
 			if *s == 0 {
@@ -289,7 +309,7 @@ func (a *Affinity) Graph(lo, hi int) (*Graph, error) {
 			e.Lines = append(e.Lines, inc.line)
 		}
 	}
-	return &g, nil
+	return &g
 }
 
 func dedupRefs(refs []ir.Ref) []ir.Ref {
@@ -306,81 +326,31 @@ func dedupRefs(refs []ir.Ref) []ir.Ref {
 }
 
 // moveCost estimates the cost of shipping one reference's data to
-// misaligned consumers (documented on BuildGraph).
-func moveCost(nest *ir.Nest, st *ir.Stmt, rd ir.Ref, wp WeightParams) (float64, error) {
+// misaligned consumers (documented on BuildGraph); trips are the nest's
+// loop trip counts.
+func moveCost(nest *ir.Nest, st *ir.Stmt, rd ir.Ref, trips []int, wp WeightParams) float64 {
 	scope := nest.Loops[:st.Depth]
-	ext := map[string]int{}
-	for _, l := range scope {
-		e, err := LoopExtent(nest, l, wp.Bind)
-		if err != nil {
-			return 0, err
-		}
-		ext[l.Index] = e
-	}
-	refVars := map[string]bool{}
+	in := make([]bool, len(scope))
 	for _, s := range rd.Subs {
 		for _, v := range s.Vars() {
-			if _, ok := ext[v]; ok {
-				refVars[v] = true
+			for k, l := range scope {
+				in[k] = in[k] || l.Index == v
 			}
 		}
 	}
-	vol := 1.0
-	for v := range refVars {
-		vol *= float64(ext[v])
-	}
-	reuse := 1.0
-	for _, l := range scope {
-		if !refVars[l.Index] {
-			reuse *= float64(ext[l.Index])
+	vol, reuse := 1.0, 1.0
+	for k := range scope {
+		if in[k] {
+			vol *= float64(trips[k])
+		} else {
+			reuse *= float64(trips[k])
 		}
 	}
 	w := vol * wp.Tc
 	if reuse > 1 && wp.N > 1 {
 		w *= 1 + math.Log2(float64(wp.N))
 	}
-	return w, nil
-}
-
-// LoopExtent estimates the trip count of a loop, binding any enclosing
-// loop indices appearing in its bounds to the midpoint of a size
-// parameter range (triangular nests like Gauss's i = k+1..m average to
-// about m/2 trips).
-func LoopExtent(nest *ir.Nest, l ir.Loop, bind map[string]int) (int, error) {
-	full := map[string]int{}
-	for k, v := range bind {
-		full[k] = v
-	}
-	// Bind outer indices to midpoints so bounds like k+1 evaluate.
-	m := 0
-	for _, v := range bind {
-		if v > m {
-			m = v
-		}
-	}
-	for _, outer := range nest.Loops {
-		if outer.Index == l.Index {
-			break
-		}
-		full[outer.Index] = m/2 + 1
-	}
-	for _, e := range []ir.Affine{l.Lo, l.Hi} {
-		for _, v := range e.Vars() {
-			if _, ok := full[v]; !ok {
-				return 0, fmt.Errorf("align: loop %s bound %s uses unbound variable %q", l.Index, e, v)
-			}
-		}
-	}
-	lo := l.Lo.Eval(full)
-	hi := l.Hi.Eval(full)
-	trips := hi - lo + 1
-	if l.Step == -1 {
-		trips = lo - hi + 1
-	}
-	if trips < 1 {
-		trips = 1
-	}
-	return trips, nil
+	return w
 }
 
 // String renders the graph for reports (Figs 2, 4, 7).

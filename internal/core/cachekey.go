@@ -67,9 +67,9 @@ func (c *Compiler) CacheKey() string {
 		}
 		fmt.Fprintf(&b, "%s=%d", k, c.Weights.Bind[k])
 	}
-	// ";greedy=false" names a retired option; it goes at the next
-	// artifact.SchemaVersion bump.
-	fmt.Fprintf(&b, ";greedy=false;exactnest=%t;exactchange=%t;nocache=%t;pipered=%t",
-		c.ExactNestCount, c.ExactChangeCost, c.NoCache, c.PipelinedReductions)
+	// ";greedy=false" and ";pipered=false" name retired options; they go
+	// at the next artifact.SchemaVersion bump.
+	fmt.Fprintf(&b, ";greedy=false;exactnest=%t;exactchange=%t;nocache=%t;pipered=false",
+		c.ExactNestCount, c.ExactChangeCost, c.NoCache)
 	return b.String()
 }

@@ -68,7 +68,9 @@ type Compiler struct {
 	Bind map[string]int
 	// NProcs is the total processor count.
 	NProcs int
-	// Weights parameterizes affinity-graph edge weights.
+	// Weights parameterizes affinity-graph edge weights. Their loop trip
+	// counts are read from the program lowered under Bind; Weights.Bind,
+	// which NewCompiler sets to Bind, is recorded in CacheKey only.
 	Weights align.WeightParams
 	// Jobs bounds the cost-engine worker pool; 0 means runtime.NumCPU(),
 	// 1 forces the serial path.
@@ -83,15 +85,6 @@ type Compiler struct {
 	ExactNestCount bool
 	// NoCache disables cost memoization (ablation).
 	NoCache bool
-	// PipelinedReductions prices multi-processor reductions as the §5
-	// ring pipeline the exec backend lowers them to (a neighbour chain
-	// of partial folds) instead of the naive log-depth combining tree.
-	// The chain moves the same number of words but serialises them one
-	// hop per processor, so no processor — the root in particular —
-	// receives more than O(1) reduction messages per element, which
-	// lets the DP keep layouts the tree pricing rejected.
-	PipelinedReductions bool
-
 	// Engines counts which counting engine answered each nest-pricing
 	// call, so fast-path regressions (an eligible nest silently falling
 	// back to enumeration) are observable. Safe for concurrent use; the
@@ -451,10 +444,8 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 	}
 	nest := c.Program.Nests[t]
 	opts := cost.CountOptions{
-		IncludeRead:        func(a string) bool { return pr.loopCarried(t, a) == carried },
-		SkipReduction:      carried, // priced in the segment pass
-		SkipFlops:          carried,
-		PipelinedReduction: c.PipelinedReductions,
+		IncludeRead: func(a string) bool { return pr.loopCarried(t, a) == carried },
+		Carried:     carried,
 	}
 	if c.ExactNestCount {
 		v.eng = cost.EngineExact
@@ -472,21 +463,16 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 }
 
 // alignNests partitions the affinity graph of nests lo..hi-1 (0-based):
-// a replay of the per-nest edge increments computed once per compiler,
-// or a fresh align.BuildGraph under NoCache. align.Align picks the
-// algorithm from the graph's size; a heuristic answer is counted.
+// a replay of the per-nest edge increments computed once per compiler
+// from its lowering. align.Align picks the algorithm from the graph's
+// size; a heuristic answer is counted.
 func (c *Compiler) alignNests(lo, hi int) (align.Partition, error) {
-	var g *align.Graph
-	var err error
-	if c.NoCache {
-		g, err = align.BuildGraph(c.Program, c.Program.Nests[lo:hi], c.Weights)
-	} else {
-		c.affOnce.Do(func() { c.aff = align.NewAffinity(c.Program, c.Program.Nests, c.Weights) })
-		g, err = c.aff.Graph(lo, hi)
-	}
+	lw, err := c.lowered()
 	if err != nil {
 		return align.Partition{}, err
 	}
+	c.affOnce.Do(func() { c.aff = align.NewAffinity(lw, c.Weights) })
+	g := c.aff.Graph(lo, hi)
 	pt, err := align.Align(g, 2)
 	if err == nil && pt.Method != "exact" && c.Engines != nil {
 		c.Engines.GreedyAlignments.Add(1)

@@ -273,39 +273,6 @@ func TestCompileSOR(t *testing.T) {
 	}
 }
 
-// TestCompileSORPipelinedPicksNewLayout: the Algorithm 1 consequence of
-// the Section 5 pricing — at m=64 on 16 processors the tree-priced DP
-// settles on a 4x4 grid, but once reductions are priced as the ring
-// pipeline the inner-product column layout stops being penalised for
-// its combining traffic and the DP selects a 1x16 grid it previously
-// rejected, at a strictly lower minimum cost.
-func TestCompileSORPipelinedPicksNewLayout(t *testing.T) {
-	m, n := 64, 16
-	tree := NewCompiler(ir.SOR(), cost.Unit(), map[string]int{"m": m}, n)
-	rtree, err := tree.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := NewCompiler(ir.SOR(), cost.Unit(), map[string]int{"m": m}, n)
-	pipe.PipelinedReductions = true
-	rpipe, err := pipe.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rpipe.DP.MinimumCost >= rtree.DP.MinimumCost {
-		t.Errorf("pipelined minimum %v, want < tree minimum %v",
-			rpipe.DP.MinimumCost, rtree.DP.MinimumCost)
-	}
-	gp := rpipe.DP.Segments[0].Schemes.Grid
-	gt := rtree.DP.Segments[0].Schemes.Grid
-	if gp.Extent(0) != 1 || gp.Extent(1) != n {
-		t.Errorf("pipelined DP picked grid %v, want 1x%d column layout", gp, n)
-	}
-	if gt.Extent(0) == gp.Extent(0) && gt.Extent(1) == gp.Extent(1) {
-		t.Errorf("tree and pipelined DP picked the same grid %v — layout did not change", gt)
-	}
-}
-
 // TestManyArrayProgramAlignsGreedily: thirty two-dimensional arrays are 60
 // affinity nodes, past align.ExactMaxNodes, where one exact search of a
 // segment takes minutes. The compile takes the heuristic for every

@@ -119,11 +119,10 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	ec := &Compiler{
 		Program: p, Model: pe.c.Model, Bind: bind,
 		NProcs: pe.c.NProcs, Weights: pe.c.Weights, Jobs: 1, NoCache: true,
-		ExactNestCount:      pe.c.ExactNestCount,
-		PipelinedReductions: pe.c.PipelinedReductions,
-		Engines:             pe.c.Engines,
-		prep:                prep,
-		low:                 lw,
+		ExactNestCount: pe.c.ExactNestCount,
+		Engines:        pe.c.Engines,
+		prep:           prep,
+		low:            lw,
 	}
 	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(pe.segs))}
 	sets := make([]*SchemeSet, len(pe.segs))

@@ -12,13 +12,11 @@ import (
 	"dmcc/internal/ir"
 )
 
-// TestNestMemoInvisible: Compile() with the nest memo, the replayed
-// affinity increments and the cached scheme keys must render byte for
-// byte what NoCache = true renders — which prices every nest of every
-// segment afresh and rebuilds every graph from its statements — across
+// TestNestMemoInvisible: Compile() with the nest memo and the cached
+// scheme keys must render byte for byte what NoCache = true renders —
+// which prices every nest of every segment afresh — across
 // the synthetic sequences, the paper's kernels, a nest the closed forms
-// decline, three processor counts, both reduction pricings, serial and
-// parallel.
+// decline, three processor counts, serial and parallel.
 func TestNestMemoInvisible(t *testing.T) {
 	programs := []*ir.Program{ir.Gauss(), ir.Jacobi(), ir.SOR(), strideProgram()}
 	for s := 4; s <= 12; s++ {
@@ -29,23 +27,20 @@ func TestNestMemoInvisible(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, n := range []int{4, 8, 16} {
-				for _, pipelined := range []bool{false, true} {
-					render := func(noCache bool, jobs int) string {
-						c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, n)
-						c.PipelinedReductions = pipelined
-						c.NoCache, c.Jobs = noCache, jobs
-						res, err := c.Compile()
-						if err != nil {
-							t.Fatalf("n=%d pipelined=%v nocache=%v jobs=%d: %v", n, pipelined, noCache, jobs, err)
-						}
-						return renderResult(res)
+				render := func(noCache bool, jobs int) string {
+					c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, n)
+					c.NoCache, c.Jobs = noCache, jobs
+					res, err := c.Compile()
+					if err != nil {
+						t.Fatalf("n=%d nocache=%v jobs=%d: %v", n, noCache, jobs, err)
 					}
-					want := render(true, 1)
-					for _, jobs := range []int{1, 8} {
-						if got := render(false, jobs); got != want {
-							t.Errorf("n=%d pipelined=%v jobs=%d: memoized compile differs from NoCache:\n--- nocache ---\n%s--- memo ---\n%s",
-								n, pipelined, jobs, want, got)
-						}
+					return renderResult(res)
+				}
+				want := render(true, 1)
+				for _, jobs := range []int{1, 8} {
+					if got := render(false, jobs); got != want {
+						t.Errorf("n=%d jobs=%d: memoized compile differs from NoCache:\n--- nocache ---\n%s--- memo ---\n%s",
+							n, jobs, want, got)
 					}
 				}
 			}

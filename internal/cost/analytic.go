@@ -23,8 +23,7 @@
 //     element space into owner-coordinate cells, exactly like
 //     RedistLoads' per-dimension joint count tables; a dependent bound
 //     between a reduced variable and a free variable cuts those cells at
-//     per-coordinate reach thresholds, and the Section 5 ring is priced
-//     by walking each cell's sorted member chain.
+//     per-coordinate reach thresholds.
 //
 // Everything is exact int64 arithmetic, so the Counts returned here are
 // identical — not approximately, but word for word — to the enumeration's,
@@ -199,7 +198,6 @@ type anEngine struct {
 	depRoot    int             // the single root every dependent slot references, or -1
 	arrays     []*anArray
 	stmts      []*anStmt
-	opts       CountOptions
 
 	flops []int64
 	in    []int64
@@ -216,7 +214,7 @@ type anEngine struct {
 // already validated the nest.
 func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, bool, error) {
 	nest, ln := lw.Program.Nests[t], &lw.Nests[t]
-	e := &anEngine{g: g, nprocs: g.Size(), q: g.Q(), opts: opts}
+	e := &anEngine{g: g, nprocs: g.Size(), q: g.Q()}
 	e.strides = make([]int, e.q)
 	stride := 1
 	for gd := e.q - 1; gd >= 0; gd-- {
@@ -445,7 +443,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 			if iter == 0 {
 				continue
 			}
-			if !opts.SkipFlops {
+			if !opts.Carried {
 				e.flops[pr] += as.flops * iter
 			}
 			for _, rd := range as.reads {
@@ -508,7 +506,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 	}
 
 	// Reduction combining trees.
-	if !opts.SkipReduction {
+	if !opts.Carried {
 		for _, as := range e.stmts {
 			if !as.reduce || !as.hasAnchor {
 				continue
@@ -834,8 +832,7 @@ func (as *anStmt) constraintSets(slot, gd int) []dist.IndexSet {
 // element are the anchor owners over every instance writing it; all
 // non-root holders send one word, and the root receives Log2Ceil(n)
 // tree-level words (or a single transfer when the only holder is not the
-// root); under PipelinedReduction the holders instead form the Section 5
-// ring in rank order. Both the holder set and the root are constant on
+// root). Both the holder set and the root are constant on
 // cells of the LHS-variable value space cut by the anchor and LHS owner
 // patterns — plus, when a dependent bound ties the reduced variable to a
 // free variable, at the per-coordinate reach thresholds of that bound.
@@ -1141,7 +1138,6 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 	// Walk the cross product of per-variable cells; each cell holds cnt
 	// reduced elements with identical holder set and root.
 	pins := make([]int, e.q)
-	var members []int
 	var emit func(vi int, cnt int64, rootAdd int, varPins []anGate, varMasks []uMask)
 	emit = func(vi int, cnt int64, rootAdd int, varPins []anGate, varMasks []uMask) {
 		if vi < len(uSlots) {
@@ -1156,9 +1152,7 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 		for _, g := range varPins {
 			pins[g.gd] = g.coord
 		}
-		// members stays in increasing rank order — the chain order the
-		// walker sorts into for the ring.
-		members = members[:0]
+		n, nonRoot := 0, int64(0)
 		for pr := 0; pr < e.nprocs; pr++ {
 			q := e.rankCoords[pr]
 			ok := true
@@ -1189,46 +1183,19 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 				}
 			}
 			if ok {
-				members = append(members, pr)
-			}
-		}
-		n := len(members)
-		switch {
-		case n == 0:
-		case n == 1:
-			if pr := members[0]; pr != root {
-				e.reduceW += cnt
-				e.out[pr] += cnt
-				e.in[root] += cnt
-			}
-		case e.opts.PipelinedReduction:
-			// Section 5 ring: the running total visits the holders in
-			// rank order, one word per hop; the last holder closes the
-			// ring back to the root.
-			for i := 1; i < n; i++ {
-				e.out[members[i-1]] += cnt
-				e.in[members[i]] += cnt
-			}
-			e.reduceW += int64(n-1) * cnt
-			if last := members[n-1]; last != root {
-				e.reduceW += cnt
-				e.out[last] += cnt
-				e.in[root] += cnt
-			}
-		default:
-			rootIn := false
-			for _, pr := range members {
-				if pr == root {
-					rootIn = true
-				} else {
+				n++
+				if pr != root {
+					nonRoot++
 					e.out[pr] += cnt
 				}
 			}
-			nonRoot := int64(n)
-			if rootIn {
-				nonRoot--
-			}
-			e.reduceW += nonRoot * cnt
+		}
+		// Every non-root holder sends its partial. The root receives the
+		// one word of a lone holder, or Log2Ceil(n) tree levels.
+		e.reduceW += nonRoot * cnt
+		if n == 1 {
+			e.in[root] += nonRoot * cnt
+		} else {
 			e.in[root] += int64(Log2Ceil(n)) * cnt
 		}
 	}

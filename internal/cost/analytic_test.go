@@ -264,7 +264,7 @@ func checkAgainstOracle(t *testing.T, label string, p *ir.Program, schemes map[s
 	nest := p.Nests[0]
 	var gotRanks, wantRanks rankTally
 	opts.tally = &gotRanks
-	got, eng, err := CountNestOptsEngine(p, nest, schemes, g, bind, opts)
+	got, eng, err := dispatch(p, schemes, g, bind, opts)
 	if err != nil {
 		t.Fatalf("%s: dispatcher: %v", label, err)
 	}
@@ -284,14 +284,24 @@ func checkAgainstOracle(t *testing.T, label string, p *ir.Program, schemes map[s
 	return true
 }
 
+// dispatch prices nest 0 of p the way CountNestOpts does, through
+// CountValidatedNest, and reports which engine answered.
+func dispatch(p *ir.Program, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
+	lw, t, err := validateNest(p, p.Nests[0], schemes, g, bind)
+	if err != nil {
+		return Counts{}, EngineExact, err
+	}
+	return CountValidatedNest(lw, t, schemes, g, opts)
+}
+
 // oracleSeeds are the replayable case streams of TestCountNestMatchesOracle.
 var oracleSeeds = []int64{42, 43, 44, 45, 46, 47, 48, 49}
 
 // TestCountNestMatchesOracle is the randomized property test of the
 // closed forms: they must reproduce the reference enumeration word for
 // word across random affine nests, schemes, grid shapes, both loop-step
-// signs, reductions, diagonals, filters and skip options — and whatever
-// they decline must reach the oracle through the dispatcher.
+// signs, reductions, diagonals, filters and the loop-carried pass — and
+// whatever they decline must reach the oracle through the dispatcher.
 func TestCountNestMatchesOracle(t *testing.T) {
 	grids := []*grid.Grid{
 		grid.New(4, 1), grid.New(1, 4), grid.New(2, 2), grid.New(2, 3), grid.New(6, 1),
@@ -316,10 +326,7 @@ func TestCountNestMatchesOracle(t *testing.T) {
 				excl := []string{"A", "C", "B", "X"}[rng.Intn(4)]
 				opts.IncludeRead = func(a string) bool { return a != excl }
 			case 2:
-				opts.SkipReduction = true
-				opts.SkipFlops = true
-			case 3:
-				opts.SkipReduction = true
+				opts.Carried = true
 			}
 			if checkAgainstOracle(t, label, p, schemes, g, bind, opts) {
 				analyticHits++
@@ -480,8 +487,7 @@ var triangularSeeds = []int64{1993, 2001, 2003, 2009, 2010, 2012, 2020, 2025, 20
 
 // TestCountNestTriangularMatchesOracle is the randomized property test of
 // the triangular extension: dependent-bound nests under random schemes
-// must price word-for-word like the reference enumeration, with and
-// without the Section 5 ring pricing.
+// must price word-for-word like the reference enumeration.
 func TestCountNestTriangularMatchesOracle(t *testing.T) {
 	grids := []*grid.Grid{
 		grid.New(4, 1), grid.New(1, 4), grid.New(2, 2), grid.New(2, 3), grid.New(6, 1),
@@ -506,10 +512,7 @@ func TestCountNestTriangularMatchesOracle(t *testing.T) {
 				excl := []string{"A", "C", "B", "X"}[rng.Intn(4)]
 				opts.IncludeRead = func(a string) bool { return a != excl }
 			case 2:
-				opts.SkipReduction = true
-				opts.SkipFlops = true
-			case 3:
-				opts.PipelinedReduction = true
+				opts.Carried = true
 			}
 			if checkAgainstOracle(t, label, p, schemes, g, bind, opts) {
 				analyticHits++
@@ -541,8 +544,7 @@ func TestCountNestTriangularLargeM(t *testing.T) {
 			bind := map[string]int{"m": m}
 			p := randTriangularProgram(rng, m, 2)
 			schemes := randSchemes(t, rng, p, g, m)
-			opts := CountOptions{PipelinedReduction: trial%2 == 0}
-			if checkAgainstOracle(t, fmt.Sprintf("seed %d trial %d", seed, trial), p, schemes, g, bind, opts) {
+			if checkAgainstOracle(t, fmt.Sprintf("seed %d trial %d", seed, trial), p, schemes, g, bind, CountOptions{}) {
 				analyticHits++
 			}
 		}
@@ -616,7 +618,7 @@ func gaussSchemes2D(m, n1, n2 int) map[string]dist.Scheme {
 // flagship kernel: every gauss nest — the k+1..m elimination updates with
 // their below-diagonal L(i,k) band and the j-1..1 back-substitution with
 // its anchored reduction — must engage the closed forms (ok=true) and
-// agree with the oracle under both reduction pricings.
+// agree with the oracle.
 func TestCountNestAnalyticGauss(t *testing.T) {
 	p := ir.Gauss()
 	m := 19
@@ -629,22 +631,19 @@ func TestCountNestAnalyticGauss(t *testing.T) {
 		{"cyclic-rows", grid.New(4, 1), gaussSchemes(m, 4)},
 		{"cyclic-2d", grid.New(2, 2), gaussSchemes2D(m, 2, 2)},
 	} {
-		for _, pipelined := range []bool{false, true} {
-			opts := CountOptions{PipelinedReduction: pipelined}
-			for ti, nest := range p.Nests {
-				want, err := CountNestOptsExact(p, nest, tc.schemes, tc.g, bind, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, ok, err := countNestAnalytic(lowered(t, p, bind), ti, tc.schemes, tc.g, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Fatalf("%s/%s pipelined=%v: analytic engine declined a triangular nest", tc.name, nest.Label, pipelined)
-				}
-				countsEqual(t, tc.name+"/"+nest.Label, got, want)
+		for ti, nest := range p.Nests {
+			want, err := CountNestOptsExact(p, nest, tc.schemes, tc.g, bind, CountOptions{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			got, ok, err := countNestAnalytic(lowered(t, p, bind), ti, tc.schemes, tc.g, CountOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Fatalf("%s/%s: analytic engine declined a triangular nest", tc.name, nest.Label)
+			}
+			countsEqual(t, tc.name+"/"+nest.Label, got, want)
 		}
 	}
 }
@@ -668,7 +667,9 @@ func triProgram(loops []ir.Loop, stmts ...*ir.Stmt) *ir.Program {
 // against 84 on the first case). reduceStmt now declines the shape; every
 // case must price like the oracle whichever engine answers. Each case is
 // one mismatch of TestCountNestTriangularMatchesOracle's generator at the
-// named seed, arrays drawn in sorted order.
+// named seed, arrays drawn in sorted order. The two "pipelined" cases were
+// found under a ring reduction price since retired; they run under the
+// tree rule, and their reduce words are the oracle's under it.
 func TestTriangularReduceOverCountRepros(t *testing.T) {
 	k, i, j := ir.V("k"), ir.V("i"), ir.V("j")
 	neg := func(c int, v string) ir.Affine { return ir.NewAffine(c, ir.Term{Var: v, Coeff: -1}) }
@@ -727,7 +728,7 @@ func TestTriangularReduceOverCountRepros(t *testing.T) {
 				"C": s2(blk(-1, 9, 4, 1), repl(0)),
 				"X": s1(map[int]int{1: 0}, cyc(1, 1, 2, 0)),
 			},
-			opts: CountOptions{PipelinedReduction: true}, reduceWords: 26,
+			reduceWords: 25,
 		},
 		{
 			name: "seed2001/downward-include-read", m: 11, g: grid.New(1, 4),
@@ -767,7 +768,7 @@ func TestTriangularReduceOverCountRepros(t *testing.T) {
 				"C": s2(repl(1), cyc(-1, 12, 1, 0)),
 				"X": s1(map[int]int{0: 1}, cyc(1, 2, 3, 1)),
 			},
-			opts: CountOptions{PipelinedReduction: true}, reduceWords: 83,
+			reduceWords: 74,
 		},
 	}
 	for _, tc := range cases {
@@ -834,7 +835,7 @@ func TestDeclinedNestsReachTheOracle(t *testing.T) {
 			if checkAgainstOracle(t, tc.name, tc.p, tc.schemes, g, bind, CountOptions{}) {
 				t.Fatal("the closed forms accepted a nest this test expects them to decline")
 			}
-			ct, eng, err := CountNestOptsEngine(tc.p, tc.p.Nests[0], tc.schemes, g, bind, CountOptions{})
+			ct, eng, err := dispatch(tc.p, tc.schemes, g, bind, CountOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -873,7 +874,7 @@ func TestCountsIgnoreUnreferencedSchemes(t *testing.T) {
 					dropped[r.Array] = schemes[r.Array]
 				}
 			}
-			opts := CountOptions{SkipReduction: trial%2 == 1, PipelinedReduction: trial%3 == 1}
+			opts := CountOptions{Carried: trial%2 == 1}
 			for name, count := range map[string]func(*ir.Program, *ir.Nest, map[string]dist.Scheme, *grid.Grid, map[string]int, CountOptions) (Counts, error){
 				"CountNestOpts": CountNestOpts, "CountNestOptsExact": CountNestOptsExact,
 			} {
@@ -887,6 +888,90 @@ func TestCountsIgnoreUnreferencedSchemes(t *testing.T) {
 						t.Fatalf("seed %d trial %d: %s with unreferenced arrays %s: %+v (%v), want %+v\ngrid=%s bind=%v\n%s",
 							seed, trial, name, variant, got, err, want, g, bind, describeNest(nest, other))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPassesPartitionTheCount pins the one pass rule the compiler prices a
+// nest with (core's countNest): the segment pass admits the reads a
+// predicate admits, the loop-carried pass (Carried) the rest. Together
+// they bill every remote word of the unfiltered count exactly once; the
+// flops and the combining trees are the segment pass's alone; and the
+// closed forms equal the oracle on both passes. The programs are every
+// nest of the builtins and both generators' nests, the predicates random
+// over the arrays.
+func TestPassesPartitionTheCount(t *testing.T) {
+	grids := []*grid.Grid{grid.New(4, 1), grid.New(2, 2), grid.New(2, 3)}
+	type source struct {
+		seed  int64
+		progs func(rng *rand.Rand, m int) []*ir.Program
+	}
+	var sources []source
+	for _, name := range ir.BuiltinNames() {
+		sources = append(sources, source{1, func(*rand.Rand, int) []*ir.Program {
+			p, _ := ir.Builtin(name)
+			var one []*ir.Program
+			for _, nest := range p.Nests {
+				q := *p
+				q.Nests = []*ir.Nest{nest}
+				one = append(one, &q)
+			}
+			return one
+		}})
+	}
+	for _, seed := range oracleSeeds[:3] {
+		sources = append(sources, source{seed, func(rng *rand.Rand, m int) []*ir.Program {
+			return []*ir.Program{randNestProgram(rng, m)}
+		}})
+	}
+	for _, seed := range triangularSeeds[:3] {
+		sources = append(sources, source{seed, func(rng *rand.Rand, m int) []*ir.Program {
+			return []*ir.Program{randTriangularProgram(rng, m, 2+rng.Intn(2))}
+		}})
+	}
+	for _, src := range sources {
+		rng := rand.New(rand.NewSource(src.seed))
+		for trial := 0; trial < 40; trial++ {
+			g := grids[trial%len(grids)]
+			m := 8 + rng.Intn(4)
+			bind := map[string]int{"m": m}
+			for _, p := range src.progs(rng, m) {
+				lw := lowered(t, p, bind)
+				schemes := map[string]dist.Scheme{}
+				admit := map[string]bool{}
+				for a, name := range lw.Names {
+					schemes[name] = randScheme(rng, g, lw.Shapes[a])
+					if err := schemes[name].Validate(g, lw.Shapes[a]); err != nil {
+						t.Fatalf("seed %d: invalid scheme for %s: %v", src.seed, name, err)
+					}
+					admit[name] = rng.Intn(2) == 0
+				}
+				label := fmt.Sprintf("seed %d trial %d grid %s m=%d admitted %v\n%s", src.seed, trial, g, m, admit, ir.Print(p))
+				passes := map[string]CountOptions{
+					"full":    {},
+					"segment": {IncludeRead: func(a string) bool { return admit[a] }},
+					"carried": {IncludeRead: func(a string) bool { return !admit[a] }, Carried: true},
+				}
+				ct := map[string]Counts{}
+				for name, opts := range passes {
+					checkAgainstOracle(t, label+name+" pass", p, schemes, g, bind, opts)
+					c, err := CountNestOpts(p, p.Nests[0], schemes, g, bind, opts)
+					if err != nil {
+						t.Fatalf("%s: %s pass: %v", label, name, err)
+					}
+					ct[name] = c
+				}
+				full, seg, car := ct["full"], ct["segment"], ct["carried"]
+				if seg.RemoteWords+car.RemoteWords != full.RemoteWords {
+					t.Fatalf("%s: remote words %d + %d, unfiltered %d", label, seg.RemoteWords, car.RemoteWords, full.RemoteWords)
+				}
+				if seg.TotalFlops != full.TotalFlops || seg.MaxProcFlops != full.MaxProcFlops || seg.ReduceWords != full.ReduceWords {
+					t.Fatalf("%s: segment pass %+v, unfiltered %+v: flops and reduce words differ", label, seg, full)
+				}
+				if car.TotalFlops != 0 || car.MaxProcFlops != 0 || car.ReduceWords != 0 {
+					t.Fatalf("%s: carried pass %+v bills flops or reduce words", label, car)
 				}
 			}
 		}

@@ -15,7 +15,6 @@ package cost
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"dmcc/internal/dist"
 	"dmcc/internal/grid"
@@ -68,35 +67,15 @@ type needKey struct {
 	proc int
 }
 
-// CountNest exactly counts the computation and communication of one nest
-// under the given per-array schemes on grid g, with size parameters bound
-// by bind. Every array referenced by the nest must have a scheme valid
-// for its shape.
-func CountNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) (Counts, error) {
-	return CountNestOpts(p, nest, schemes, g, bind, CountOptions{})
-}
-
 // CountOptions tailor a counting pass.
 type CountOptions struct {
 	// IncludeRead filters read references by array (nil = all).
 	IncludeRead func(array string) bool
-	// SkipReduction omits reduction combining-tree traffic — used by the
-	// loop-carried pass, whose reduction words were already priced in the
-	// segment pass.
-	SkipReduction bool
-	// SkipFlops omits computation accounting (communication-only passes).
-	SkipFlops bool
-	// PipelinedReduction prices reduction combining with the Section 5
-	// ring pipeline instead of the converge-on-the-root tree: the
-	// running total travels the partial holders in rank order (one word
-	// in and one word out per interior hop) and the last holder returns
-	// the total to the root, so the root receives O(1) words per
-	// reduced element instead of Log2Ceil(n). Word totals are
-	// unchanged apart from the closing hop; what moves is the
-	// per-processor in/out balance — which is exactly what Counts.Time
-	// prices — letting the DP keep layouts whose reductions the exec
-	// backend now runs as pipelined exchanges.
-	PipelinedReduction bool
+	// Carried marks the loop-carried pass of Algorithm 1: only the reads
+	// IncludeRead admits count, with no flops and no reduction combining
+	// (both were priced in the segment pass). The zero value is the full
+	// count: flops, the admitted reads' words and the combining trees.
+	Carried bool
 
 	// tally, which only this package's tests set, receives the
 	// per-processor vectors the Counts maxima are taken over: a word
@@ -134,28 +113,23 @@ const (
 // loop extents, when the nest and schemes are analytic-eligible, and by
 // running the reference enumeration otherwise.
 func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	ct, _, err := CountNestOptsEngine(p, nest, schemes, g, bind, opts)
+	lw, t, err := validateNest(p, nest, schemes, g, bind)
+	if err != nil {
+		return Counts{}, err
+	}
+	ct, _, err := CountValidatedNest(lw, t, schemes, g, opts)
 	return ct, err
 }
 
-// CountNestOptsEngine is CountNestOpts, additionally reporting which
-// engine produced the counts — the hook behind the compiler's
-// analytic_hits / exact_fallbacks telemetry.
-func CountNestOptsEngine(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, Engine, error) {
-	lw, t, err := validateNest(p, nest, schemes, g, bind)
-	if err != nil {
-		return Counts{}, EngineExact, err
-	}
-	return CountValidatedNest(lw, t, schemes, g, opts)
-}
-
-// CountValidatedNest is CountNestOptsEngine for nest t of a program a
-// caller has validated and lowered, handing every array the nest
-// references a scheme that dist.Scheme.Validate accepts for the array's
-// shape on g. Core does all of it once — the program and its lowering per
-// compiler, each scheme when it derives the scheme set — not once per
-// pricing. The exported entry points validate and then call this, so every
-// caller counts with the same engine.
+// CountValidatedNest is CountNestOpts for nest t of a program a caller
+// has validated and lowered, handing every array the nest references a
+// scheme that dist.Scheme.Validate accepts for the array's shape on g. It
+// also reports which engine produced the counts: the compiler's
+// analytic_hits / exact_fallbacks telemetry. Core does all of the
+// checking once — the program and its lowering per compiler, each scheme
+// when it derives the scheme set — not once per pricing. CountNestOpts
+// validates and then calls this, so every caller counts with the same
+// engine.
 func CountValidatedNest(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, Engine, error) {
 	if ct, ok, err := countNestAnalytic(lw, t, schemes, g, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
@@ -246,7 +220,7 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 	partialRoot := map[elemKey]int{}
 	owners := newOwnerCache(p, g, schemes)
 	err := nest.Walk(bind, func(st *ir.Stmt, env map[string]int) error {
-		return execStmt(p, st, schemes, g, owners, env, flops, needed, partials, partialRoot, includeRead, opts.SkipFlops)
+		return execStmt(p, st, schemes, g, owners, env, flops, needed, partials, partialRoot, includeRead, opts.Carried)
 	})
 	if err != nil {
 		return Counts{}, err
@@ -269,7 +243,7 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 		out[owners.owners(nk.elem)[0]]++
 	}
 	// Reduction combining trees.
-	if opts.SkipReduction {
+	if opts.Carried {
 		partials = nil
 	}
 	for e, procs := range partials {
@@ -282,27 +256,6 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 				for pr := range procs {
 					out[pr]++
 				}
-				in[root]++
-			}
-			continue
-		}
-		if opts.PipelinedReduction {
-			// Section 5 ring: the running total visits the partial
-			// holders in rank order, one word per hop, and the last
-			// holder closes the ring back to the root.
-			chain := make([]int, 0, n)
-			for pr := range procs {
-				chain = append(chain, pr)
-			}
-			sort.Ints(chain)
-			for i := 1; i < n; i++ {
-				ct.ReduceWords++
-				out[chain[i-1]]++
-				in[chain[i]]++
-			}
-			if last := chain[n-1]; last != root {
-				ct.ReduceWords++
-				out[last]++
 				in[root]++
 			}
 			continue
@@ -336,7 +289,7 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 func execStmt(p *ir.Program, st *ir.Stmt, schemes map[string]dist.Scheme, g *grid.Grid,
 	owners *ownerCache, env map[string]int, flops map[int]int64, needed map[needKey]bool,
 	partials map[elemKey]map[int]bool, partialRoot map[elemKey]int,
-	includeRead func(array string) bool, skipFlops bool) error {
+	includeRead func(array string) bool, carried bool) error {
 
 	lhsElem, err := evalRef(p, st.LHS, env)
 	if err != nil {
@@ -370,7 +323,7 @@ func execStmt(p *ir.Program, st *ir.Stmt, schemes map[string]dist.Scheme, g *gri
 		executors = lhsOwners
 	}
 
-	if !skipFlops {
+	if !carried {
 		for _, ex := range executors {
 			flops[ex] += int64(st.Flops)
 		}

@@ -36,7 +36,7 @@ func TestCountJacobiL1RowDistribution(t *testing.T) {
 	p := ir.Jacobi()
 	g := grid.New(n, 1)
 	bind := map[string]int{"m": m}
-	ct, err := CountNest(p, p.Nests[0], jacobiRowSchemes(m, n), g, bind)
+	ct, err := CountNestOpts(p, p.Nests[0], jacobiRowSchemes(m, n), g, bind, CountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCountJacobiL2RowDistributionIsLocal(t *testing.T) {
 	m, n := 16, 4
 	p := ir.Jacobi()
 	g := grid.New(n, 1)
-	ct, err := CountNest(p, p.Nests[1], jacobiRowSchemes(m, n), g, map[string]int{"m": m})
+	ct, err := CountNestOpts(p, p.Nests[1], jacobiRowSchemes(m, n), g, map[string]int{"m": m}, CountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCountJacobiL1ColumnDistributionHasReduction(t *testing.T) {
 	m, n := 16, 4
 	p := ir.Jacobi()
 	g := grid.New(1, n)
-	ct, err := CountNest(p, p.Nests[0], jacobiColSchemes(m, n), g, map[string]int{"m": m})
+	ct, err := CountNestOpts(p, p.Nests[0], jacobiColSchemes(m, n), g, map[string]int{"m": m}, CountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCountRelativeOrderMatchesClosedForm(t *testing.T) {
 	gRow := grid.New(n, 1)
 	rowTotal := 0.0
 	for _, nest := range p.Nests {
-		ct, err := CountNest(p, nest, jacobiRowSchemes(m, n), gRow, bind)
+		ct, err := CountNestOpts(p, nest, jacobiRowSchemes(m, n), gRow, bind, CountOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestCountRelativeOrderMatchesClosedForm(t *testing.T) {
 	gCol := grid.New(1, n)
 	colTotal := 0.0
 	for _, nest := range p.Nests {
-		ct, err := CountNest(p, nest, jacobiColSchemes(m, n), gCol, bind)
+		ct, err := CountNestOpts(p, nest, jacobiColSchemes(m, n), gCol, bind, CountOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestCountGaussCyclicVsBlockLoadBalance(t *testing.T) {
 		"X": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
 	}
 	g1 := p.Nests[0]
-	ctCyc, err := CountNest(p, g1, cyclic, g, bind)
+	ctCyc, err := CountNestOpts(p, g1, cyclic, g, bind, CountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctBlk, err := CountNest(p, g1, block, g, bind)
+	ctBlk, err := CountNestOpts(p, g1, block, g, bind, CountOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,15 +176,15 @@ func TestCountErrors(t *testing.T) {
 	// Missing scheme.
 	sch := jacobiRowSchemes(8, 4)
 	delete(sch, "X")
-	if _, err := CountNest(p, p.Nests[0], sch, g, bind); err == nil {
+	if _, err := CountNestOpts(p, p.Nests[0], sch, g, bind, CountOptions{}); err == nil {
 		t.Fatal("missing scheme not caught")
 	}
 	// Invalid scheme (wrong grid).
-	if _, err := CountNest(p, p.Nests[0], jacobiColSchemes(8, 4), g, bind); err == nil {
+	if _, err := CountNestOpts(p, p.Nests[0], jacobiColSchemes(8, 4), g, bind, CountOptions{}); err == nil {
 		t.Fatal("invalid scheme not caught")
 	}
 	// Unbound parameter.
-	if _, err := CountNest(p, p.Nests[0], jacobiRowSchemes(8, 4), g, map[string]int{}); err == nil {
+	if _, err := CountNestOpts(p, p.Nests[0], jacobiRowSchemes(8, 4), g, map[string]int{}, CountOptions{}); err == nil {
 		t.Fatal("unbound parameter not caught")
 	}
 	// A loop step other than 1 or -1, which would otherwise count as a
@@ -210,50 +210,6 @@ func TestCountsTime(t *testing.T) {
 	}
 }
 
-// TestPipelinedReductionPricing: under the Section 5 ring pricing the
-// same column-distributed Jacobi reduction costs at most one extra word
-// per element (the closing hop) but spreads the receives along the
-// chain, so the root's inbound load — the term that dominated the tree
-// pricing — drops from log2(n) to 1 per element. The closed forms price
-// the ring themselves and must agree with the reference walker bit for
-// bit.
-func TestPipelinedReductionPricing(t *testing.T) {
-	m, n := 16, 4
-	p := ir.Jacobi()
-	g := grid.New(1, n)
-	bind := map[string]int{"m": m}
-	schemes := jacobiColSchemes(m, n)
-
-	tree, err := CountNestOpts(p, p.Nests[0], schemes, g, bind, CountOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := CountOptions{PipelinedReduction: true}
-	pipe, err := CountNestOpts(p, p.Nests[0], schemes, g, bind, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := CountNestOptsExact(p, p.Nests[0], schemes, g, bind, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe != exact {
-		t.Errorf("pipelined counts differ from reference:\n got %+v\nwant %+v", pipe, exact)
-	}
-	if pipe.MaxProcIn >= tree.MaxProcIn {
-		t.Errorf("pipelined MaxProcIn = %d, want < tree's %d", pipe.MaxProcIn, tree.MaxProcIn)
-	}
-	// The chain moves each partial exactly once plus at most one closing
-	// hop per element; it can never move fewer words than the tree.
-	if pipe.ReduceWords < tree.ReduceWords || pipe.ReduceWords > tree.ReduceWords+int64(m) {
-		t.Errorf("pipelined ReduceWords = %d, want in [%d, %d]",
-			pipe.ReduceWords, tree.ReduceWords, tree.ReduceWords+int64(m))
-	}
-	if pipe.TotalFlops != tree.TotalFlops || pipe.RemoteWords != tree.RemoteWords {
-		t.Errorf("pipelined pricing changed non-reduction terms: %+v vs %+v", pipe, tree)
-	}
-}
-
 // TestEntryPointsRejectInvalidSchemes: CountValidatedNest trusts its
 // caller's schemes, so every exported entry point in front of it must
 // still refuse a scheme dist.Scheme.Validate refuses — here A's row
@@ -268,12 +224,8 @@ func TestEntryPointsRejectInvalidSchemes(t *testing.T) {
 	short["A"] = dist.Scheme2D(dist.BlockContiguous(4, 4, 0), dist.Dim{Sign: 1, Disp: -1, Block: 8, GridDim: 1}, nil)
 	offGrid["A"] = dist.Scheme2D(dist.BlockContiguous(8, 4, 2), dist.Dim{Sign: 1, Disp: -1, Block: 8, GridDim: 1}, nil)
 	delete(missing, "A")
-	engine := func(p *ir.Program, nest *ir.Nest, s map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-		ct, _, err := CountNestOptsEngine(p, nest, s, g, bind, opts)
-		return ct, err
-	}
 	for name, count := range map[string]func(*ir.Program, *ir.Nest, map[string]dist.Scheme, *grid.Grid, map[string]int, CountOptions) (Counts, error){
-		"CountNestOpts": CountNestOpts, "CountNestOptsEngine": engine, "CountNestOptsExact": CountNestOptsExact,
+		"CountNestOpts": CountNestOpts, "CountNestOptsExact": CountNestOptsExact,
 	} {
 		if _, err := count(p, p.Nests[0], jacobiRowSchemes(8, 4), g, bind, CountOptions{}); err != nil {
 			t.Fatalf("%s: valid schemes: %v", name, err)

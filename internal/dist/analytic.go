@@ -26,7 +26,9 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dmcc/internal/grid"
 )
@@ -447,7 +449,8 @@ func cyclicCountIn(d Dim, n, a, lo, hi int) int64 {
 // scanned and scaled; when the joint period exceeds the extent this
 // degenerates to a plain scan of the dimension — never worse than
 // enumerating the dimension once (and independent of the other
-// dimensions of the array).
+// dimensions of the array). The window's runs of one pair are collected,
+// sorted and merged, so the table is as large as the window, not nF × nT.
 func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	pF, pT := nF*dF.Block, nT*dT.Block
 	period := LCM(pF, pT)
@@ -456,27 +459,34 @@ func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	}
 	full := int64(size / period)
 	rem := size % period
-	counts := make([]int64, nF*nT)
 	coordOf := func(d Dim, n, i int) int {
 		z := d.Sign*i + d.Disp
 		return (z / d.Block) % n
 	}
+	var out []coordPair
 	for i := 1; i <= period; i++ {
-		a := coordOf(dF, nF, i)
-		b := coordOf(dT, nT, i)
+		a, b := coordOf(dF, nF, i), coordOf(dT, nT, i)
 		c := full
 		if i <= rem {
 			c++
 		}
-		counts[a*nT+b] += c
-	}
-	var out []coordPair
-	for a := 0; a < nF; a++ {
-		for b := 0; b < nT; b++ {
-			if c := counts[a*nT+b]; c > 0 {
-				out = append(out, coordPair{a, b, c})
-			}
+		if k := len(out) - 1; k >= 0 && out[k].aF == a && out[k].aT == b {
+			out[k].cnt += c
+			continue
 		}
+		out = append(out, coordPair{a, b, c})
 	}
-	return out
+	slices.SortFunc(out, func(x, y coordPair) int {
+		return cmp.Or(cmp.Compare(x.aF, y.aF), cmp.Compare(x.aT, y.aT))
+	})
+	k := 0
+	for _, cp := range out {
+		if k > 0 && out[k-1].aF == cp.aF && out[k-1].aT == cp.aT {
+			out[k-1].cnt += cp.cnt
+			continue
+		}
+		out[k] = cp
+		k++
+	}
+	return out[:k]
 }

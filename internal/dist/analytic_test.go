@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dmcc/internal/grid"
@@ -302,4 +303,35 @@ func TestRedistLoadsLargeGrid(t *testing.T) {
 			t.Fatalf("%s: analytic loads differ from the oracle", tc.name)
 		}
 	}
+}
+
+// TestJointCyclicCyclicIsSparse: the cyclic x cyclic joint table holds the
+// coordinate pairs one period window meets, not an nF x nT grid. Pricing a
+// cyclic -> block-cyclic(2) change of a 64-element array on 8,192
+// processors allocated 512 MB with the dense table; it must stay below
+// 1 MB and bill what the enumeration bills.
+func TestJointCyclicCyclicIsSparse(t *testing.T) {
+	const n, size = 8192, 64
+	g := grid.New(n)
+	shape := []int{size}
+	from, to := Scheme1D(Cyclic(0), nil), Scheme1D(BlockCyclic(2, 0), nil)
+	price := func() {
+		if _, err := RedistLoadsScaled(g, g, shape, from, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	price()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	price()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 1<<20 {
+		t.Errorf("pricing allocated %d bytes, want below 1 MB", bytes)
+	}
+	got, err := RedistLoads(g, g, shape, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadsEqual(t, got, RedistLoadsExact(g, g, shape, from, to))
 }
