@@ -48,6 +48,9 @@ func main() {
 	if err := applyEngine(&core.Compiler{}, *engine); err != nil {
 		cli.Usage("dmcc", err)
 	}
+	if *m < 1 || *n < 1 {
+		cli.Usage("dmcc", fmt.Errorf("-m %d -n %d: a size or processor count below 1", *m, *n))
+	}
 	var p *ir.Program
 	if *file != "" {
 		src, err := os.ReadFile(*file)

@@ -56,6 +56,9 @@ func main() {
 	default:
 		cli.Usage("dmrun", fmt.Errorf("unknown kernel %q (want jacobi, sor, gauss or cannon)", *kernel))
 	}
+	if *m < 1 || *n < 1 || *n2 < 1 {
+		cli.Usage("dmrun", fmt.Errorf("-m %d -n %d -n2 %d: a size or processor count below 1", *m, *n, *n2))
+	}
 
 	stopProf, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

@@ -97,15 +97,15 @@ func main() {
 	default:
 		cli.Usage("dmsweep", fmt.Errorf("unknown sweep %q", *kind))
 	}
-	mList, err := parseInts(*ms)
+	mList, err := parseInts("-m", *ms)
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
-	nList, err := parseInts(*ns)
+	nList, err := parseInts("-n", *ns)
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
-	sList, err := parseInts(*ss)
+	sList, err := parseInts("-s", *ss)
 	if err != nil {
 		cli.Usage("dmsweep", err)
 	}
@@ -193,12 +193,17 @@ func fail(err error) {
 	cli.Fail("dmsweep", err)
 }
 
-func parseInts(s string) ([]int, error) {
+// parseInts reads a comma-separated list of sizes, processor counts or
+// lengths, each at least 1.
+func parseInts(name, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("bad integer %q", part)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%s %d: a size, processor count or length below 1", name, v)
 		}
 		out = append(out, v)
 	}

@@ -24,6 +24,9 @@ func main() {
 	m := flag.Int("m", 64, "problem size for measured sections")
 	n := flag.Int("n", 8, "processor count for measured sections")
 	flag.Parse()
+	if *m < 1 || *n < 1 {
+		cli.Usage("dmtables", fmt.Errorf("-m %d -n %d: a size or processor count below 1", *m, *n))
+	}
 
 	type artifact struct {
 		id  string

@@ -375,17 +375,6 @@ func TestGraphString(t *testing.T) {
 	}
 }
 
-func TestNodeIndex(t *testing.T) {
-	p := ir.Jacobi()
-	g := mustGraph(t, p, p.Nests)
-	if i, ok := g.NodeIndex(ir.DimID{Array: "A", Dim: 0}); !ok || i != 0 {
-		t.Fatalf("NodeIndex(A1) = %d, %v", i, ok)
-	}
-	if _, ok := g.NodeIndex(ir.DimID{Array: "Z", Dim: 0}); ok {
-		t.Fatal("phantom node found")
-	}
-}
-
 // TestStencilAlignment: the Section 1 "neighboring data" case — every
 // affinity edge of the five-point stencil has a constant offset, so U and
 // W align dimension-wise and the distribution needs no collective

@@ -38,12 +38,6 @@ type Graph struct {
 	pos [][2]int
 }
 
-// NodeIndex returns the position of a node.
-func (g *Graph) NodeIndex(d ir.DimID) (int, bool) {
-	i, ok := g.index[d]
-	return i, ok
-}
-
 // ends returns every edge's endpoints as node positions: the ones the
 // graph was built with, or looked up by name when its edges were listed
 // by hand.

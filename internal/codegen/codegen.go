@@ -26,14 +26,6 @@ import (
 	"dmcc/internal/ir"
 )
 
-// Style selects the surface syntax of the generated code.
-type Style int
-
-const (
-	// Fortran77 matches the paper's listings.
-	Fortran77 Style = iota
-)
-
 // NestPlan is the per-nest compilation outcome codegen consumes.
 type NestPlan struct {
 	Nest     *ir.Nest

@@ -248,14 +248,18 @@ type prepared struct {
 	lastWrite map[string]int
 }
 
-// prepared validates the program and derives the per-nest tables; the
-// throwaway compilers of a PlanEvaluator inherit their parent's.
+// prepared validates the program and the processor count and derives the
+// per-nest tables; the throwaway compilers of a PlanEvaluator inherit
+// their parent's.
 func (c *Compiler) prepared() (*prepared, error) {
 	c.prepOnce.Do(func() {
 		if c.prep != nil {
 			return
 		}
 		pr := &prepared{err: c.Program.Validate(), lastWrite: map[string]int{}}
+		if pr.err == nil && c.NProcs < 1 {
+			pr.err = fmt.Errorf("core: %d processors, below 1", c.NProcs)
+		}
 		if pr.err == nil {
 			var lw *ir.Lowered
 			if lw, pr.err = c.lowered(); pr.err == nil {
@@ -497,9 +501,33 @@ func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
 		return segValue{}, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
 	}
-	pt, err := c.alignNests(i-1, i-1+j)
+	sets, costs, err := c.shapeCosts(i, j)
 	if err != nil {
 		return segValue{}, err
+	}
+	// Serial reduce in shape order with a strict < keeps the winning
+	// shape identical to the historical serial loop on ties.
+	var best *SchemeSet
+	bestCost := 0.0
+	for k := range sets {
+		if best == nil || costs[k] < bestCost {
+			best, bestCost = sets[k], costs[k]
+		}
+	}
+	return segValue{bestCost, best}, nil
+}
+
+// shapeCosts prices the in-range segment (i, j) on every GridShapes
+// shape, in order, under the segment's own alignment: the scheme set for
+// each shape and its Σ nest times, the candidates segmentCost minimizes
+// over.
+func (c *Compiler) shapeCosts(i, j int) ([]*SchemeSet, []float64, error) {
+	if _, err := c.prepared(); err != nil {
+		return nil, nil, err
+	}
+	pt, err := c.alignNests(i-1, i-1+j)
+	if err != nil {
+		return nil, nil, err
 	}
 	cyclic := false
 	for _, n := range c.Program.Nests[i-1 : i-1+j] {
@@ -526,19 +554,7 @@ func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 		sets[k], costs[k] = ss, total
 		return nil
 	})
-	if err != nil {
-		return segValue{}, err
-	}
-	// Serial reduce in shape order with a strict < keeps the winning
-	// shape identical to the historical serial loop on ties.
-	var best *SchemeSet
-	bestCost := 0.0
-	for k := range shapes {
-		if best == nil || costs[k] < bestCost {
-			best, bestCost = sets[k], costs[k]
-		}
-	}
-	return segValue{bestCost, best}, nil
+	return sets, costs, err
 }
 
 // ChangeCost prices redistributing every array from one scheme set to

@@ -227,3 +227,23 @@ func TestPanickingPricingIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestProcessorCountBelowOneIsAnError: a compiler for fewer than one
+// processor is refused up front with a plain error, from Compile and from
+// a direct segment query alike, not with a panic recovered from building
+// its grid.
+func TestProcessorCountBelowOneIsAnError(t *testing.T) {
+	for _, n := range []int{0, -4} {
+		for _, jobs := range []int{1, 8} {
+			c := jacobiCompiler(16, n)
+			c.Jobs = jobs
+			_, err := c.Compile()
+			_, _, segErr := jacobiCompiler(16, n).SegmentCost(1, 1)
+			for _, e := range []error{err, segErr} {
+				if e == nil || errors.Is(e, ErrPanic) || !strings.Contains(e.Error(), "processors, below 1") {
+					t.Errorf("N=%d jobs=%d: error %v, want the processor-count error, not a panic", n, jobs, e)
+				}
+			}
+		}
+	}
+}

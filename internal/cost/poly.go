@@ -6,8 +6,8 @@
 // form (exact int64 arithmetic, no floating point); PiecewisePoly stitches
 // the residue classes; FitSeries fits any number of integer series at
 // once by sampling a vector-valued function and validating the fit on
-// held-out points — FitCounts' six Counts fields, RedistLoadsPoly's two
-// load series and FitPiecewise's one are its callers.
+// held-out points — FitCounts' six Counts fields and RedistLoadsPoly's
+// two load series are its callers.
 package cost
 
 import (
@@ -335,18 +335,6 @@ func FitSeries(n int, f func(m int, v []int64) error, minM, period, maxDeg, vali
 		}
 	}
 	return out, nil
-}
-
-// FitPiecewise is FitSeries for one series.
-func FitPiecewise(f func(m int) (int64, error), minM, period, maxDeg, validate int) (*PiecewisePoly, error) {
-	pps, err := FitSeries(1, func(m int, v []int64) (err error) {
-		v[0], err = f(m)
-		return err
-	}, minM, period, maxDeg, validate)
-	if err != nil {
-		return nil, err
-	}
-	return pps[0], nil
 }
 
 // SymbolicCounts carries all six Counts fields as piecewise polynomials

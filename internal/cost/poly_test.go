@@ -9,12 +9,24 @@ import (
 	"dmcc/internal/ir"
 )
 
+// fitOne fits a single series through FitSeries.
+func fitOne(f func(m int) (int64, error), minM, period, maxDeg, validate int) (*PiecewisePoly, error) {
+	pps, err := FitSeries(1, func(m int, v []int64) (err error) {
+		v[0], err = f(m)
+		return err
+	}, minM, period, maxDeg, validate)
+	if err != nil {
+		return nil, err
+	}
+	return pps[0], nil
+}
+
 func TestFitPiecewiseExactPolynomial(t *testing.T) {
 	f := func(m int) (int64, error) {
 		v := int64(m)
 		return 3*v*v - 7*v + 2, nil
 	}
-	pp, err := FitPiecewise(f, 4, 1, 3, 2)
+	pp, err := fitOne(f, 4, 1, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +56,7 @@ func TestFitPiecewiseDetectsNonPolynomial(t *testing.T) {
 		}
 		return v, nil // 2^m: no polynomial of degree <= 4
 	}
-	if _, err := FitPiecewise(f, 2, 1, 4, 2); err == nil {
+	if _, err := fitOne(f, 2, 1, 4, 2); err == nil {
 		t.Fatal("expected a non-polynomial error for 2^m")
 	}
 }
@@ -53,7 +65,7 @@ func TestFitPiecewiseResidueClasses(t *testing.T) {
 	// floor(m/4)*m is polynomial on each residue class of m mod 4 but not
 	// globally.
 	f := func(m int) (int64, error) { return int64(m/4) * int64(m), nil }
-	pp, err := FitPiecewise(f, 8, 4, 2, 3)
+	pp, err := fitOne(f, 8, 4, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func checkDecoded(t *testing.T, data []byte) {
 
 // canonicalPoly is a fitted polynomial the way Fit writes one.
 func canonicalPoly(t testing.TB) []byte {
-	pp, err := FitPiecewise(func(m int) (int64, error) { return int64(m/4)*int64(m) - 7, nil }, 8, 4, 3, 2)
+	pp, err := fitOne(func(m int) (int64, error) { return int64(m/4)*int64(m) - 7, nil }, 8, 4, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,18 +233,6 @@ func renderUsedInPEs(indices []string, mu []int, c Class) string {
 	return fmt.Sprintf("(%s-1) mod N", a)
 }
 
-func sameRef(a, b ir.Ref) bool {
-	if a.Array != b.Array || len(a.Subs) != len(b.Subs) {
-		return false
-	}
-	for i := range a.Subs {
-		if d, ok := a.Subs[i].ConstDiff(b.Subs[i]); !ok || d != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // PipelineDecision summarizes whether a nest's remote communication can be
 // implemented with Shift pipelining under a mapping (Section 6's
 // transformation of OneToManyMulticast into send/receive).

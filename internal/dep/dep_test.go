@@ -233,21 +233,3 @@ func TestClassString(t *testing.T) {
 		t.Fatal("Class.String wrong")
 	}
 }
-
-func TestSameRef(t *testing.T) {
-	a := ir.R("A", ir.V("i"), ir.V("j"))
-	b := ir.R("A", ir.V("i"), ir.V("j"))
-	c := ir.R("A", ir.V("i"), ir.V("j").PlusConst(1))
-	if !sameRef(a, b) {
-		t.Fatal("identical refs not same")
-	}
-	if sameRef(a, c) {
-		t.Fatal("shifted refs reported same")
-	}
-	if sameRef(a, ir.R("B", ir.V("i"), ir.V("j"))) {
-		t.Fatal("different arrays reported same")
-	}
-	if sameRef(a, ir.R("A", ir.V("i"))) {
-		t.Fatal("different ranks reported same")
-	}
-}

@@ -5,7 +5,6 @@
 package dep
 
 import (
-	"fmt"
 	"strings"
 
 	"dmcc/internal/ir"
@@ -157,19 +156,4 @@ func DependenceVector(nest *ir.Nest, reader *ir.Stmt, prod Producer) string {
 		}
 	}
 	return "(" + strings.Join(comps, ",") + ")"
-}
-
-// DescribeToken is a convenience used by reports: token, producer and
-// dependence vector in one line.
-func DescribeToken(p *ir.Program, nest *ir.Nest, reader *ir.Stmt, token ir.Ref) (string, error) {
-	prod, err := FindProducer(p, nest, reader, token)
-	if err != nil {
-		return "", err
-	}
-	line := 0
-	if prod.Stmt != nil {
-		line = prod.Stmt.Line
-	}
-	return fmt.Sprintf("%s read at line %d: generated at %s (line %d), dependence %s",
-		token, reader.Line, prod.GenIndex, line, DependenceVector(nest, reader, prod)), nil
 }

@@ -1,7 +1,6 @@
 package dep
 
 import (
-	"strings"
 	"testing"
 
 	"dmcc/internal/ir"
@@ -77,21 +76,6 @@ func TestFindProducerInput(t *testing.T) {
 	}
 	if DependenceVector(l1, reader, prod) != "(input)" {
 		t.Fatal("input vector")
-	}
-}
-
-func TestDescribeToken(t *testing.T) {
-	p := ir.Gauss()
-	g1 := p.Nests[0]
-	reader := gaussStmt(t, g1, 5)
-	s, err := DescribeToken(p, g1, reader, ir.R("B", ir.V("k")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"B(k)", "line 5", "(k-1,k)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("describe missing %q: %s", want, s)
-		}
 	}
 }
 

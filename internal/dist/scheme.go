@@ -266,41 +266,6 @@ func (s Scheme) IsOwner(g *grid.Grid, rank int, idx ...int) bool {
 	return true
 }
 
-// LocalIndex returns the 0-based local index of element i within dimension
-// k's local storage on an owning processor: contiguous distributions store
-// z mod block; (block-)cyclic distributions store consecutive owned blocks
-// consecutively. Replicated dimensions store the full index range (i-1).
-func (s Scheme) LocalIndex(g *grid.Grid, k, i int) int {
-	d := s.Dims[k]
-	if d.Replicated {
-		return i - 1
-	}
-	z := d.Sign*i + d.Disp
-	b := z / d.Block
-	off := z % d.Block
-	if !d.Cyclic {
-		return off
-	}
-	n := g.Extent(d.GridDim)
-	return (b/n)*d.Block + off
-}
-
-// LocalCount returns how many indices of dimension k (1..size) the
-// processor at grid coordinate c of the dimension's grid dim owns.
-func (s Scheme) LocalCount(g *grid.Grid, k, size, c int) int {
-	d := s.Dims[k]
-	if d.Replicated {
-		return size
-	}
-	count := 0
-	for i := 1; i <= size; i++ {
-		if d.mapDim(g, i) == c {
-			count++
-		}
-	}
-	return count
-}
-
 // OwnedIndices returns, in increasing order, the 1-based indices of
 // dimension k (1..size) owned by grid coordinate c.
 func (s Scheme) OwnedIndices(g *grid.Grid, k, size, c int) []int {
@@ -348,29 +313,4 @@ func signStr(s int) string {
 		return "-"
 	}
 	return ""
-}
-
-// GlobalIndex is the inverse of LocalIndex for partitioned dimensions: it
-// returns the 1-based global index of local slot li of dimension k on the
-// processor at grid coordinate c (and li itself plus one for replicated
-// dimensions, which store the full range).
-func (s Scheme) GlobalIndex(g *grid.Grid, k, c, li int) int {
-	d := s.Dims[k]
-	if d.Replicated {
-		return li + 1
-	}
-	n := g.Extent(d.GridDim)
-	var z int
-	if !d.Cyclic {
-		// Contiguous: z = c*Block + offset.
-		z = c*d.Block + li
-	} else {
-		// (Block-)cyclic: local slot li sits in owned block li/Block at
-		// offset li%Block; owned block q is global block q*n + c.
-		q := li / d.Block
-		off := li % d.Block
-		z = (q*n+c)*d.Block + off
-	}
-	// Invert z = Sign*i + Disp.
-	return (z - d.Disp) / d.Sign
 }

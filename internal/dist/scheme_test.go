@@ -22,10 +22,6 @@ func TestBlockContiguous1D(t *testing.T) {
 			t.Fatalf("f(%d) = %d, want %d", i, got, want)
 		}
 	}
-	// Local index is the offset within the block.
-	if s.LocalIndex(g, 0, 1) != 0 || s.LocalIndex(g, 0, 6) != 1 || s.LocalIndex(g, 0, 16) != 3 {
-		t.Fatal("local indices wrong")
-	}
 }
 
 func TestCyclic1D(t *testing.T) {
@@ -40,13 +36,6 @@ func TestCyclic1D(t *testing.T) {
 			t.Fatalf("f(%d) = %d", i, got)
 		}
 	}
-	// Local index: owned elements pack consecutively: i=1 -> 0, i=5 -> 1, i=9 -> 2 on proc 0.
-	if s.LocalIndex(g, 0, 1) != 0 || s.LocalIndex(g, 0, 5) != 1 || s.LocalIndex(g, 0, 9) != 2 {
-		t.Fatal("cyclic local indices wrong")
-	}
-	if s.LocalCount(g, 0, 10, 0) != 3 || s.LocalCount(g, 0, 10, 1) != 3 || s.LocalCount(g, 0, 10, 3) != 2 {
-		t.Fatal("cyclic local counts wrong")
-	}
 }
 
 func TestBlockCyclic1D(t *testing.T) {
@@ -57,13 +46,6 @@ func TestBlockCyclic1D(t *testing.T) {
 	for i, w := range wants {
 		if got := s.GridCoords(g, i+1)[0]; got != w {
 			t.Fatalf("f(%d) = %d, want %d", i+1, got, w)
-		}
-	}
-	// Local packing on proc 0: global 1,2,3,7,8,9 -> local 0..5.
-	globals := []int{1, 2, 3, 7, 8, 9}
-	for li, gi := range globals {
-		if got := s.LocalIndex(g, 0, gi); got != li {
-			t.Fatalf("local(%d) = %d, want %d", gi, got, li)
 		}
 	}
 }
@@ -207,45 +189,6 @@ func TestOwnedIndicesPartitionArray(t *testing.T) {
 	}
 }
 
-// Property: for any partitioned 1-D scheme, the local indices of the
-// owned elements of each processor are exactly 0..count-1 (dense packing).
-func TestLocalIndexDensePackingQuick(t *testing.T) {
-	f := func(blockRaw, sizeRaw uint8, cyclic, decreasing bool) bool {
-		n := 4
-		g := grid.New(n)
-		size := int(sizeRaw)%40 + n
-		block := int(blockRaw)%5 + 1
-		if !cyclic {
-			block = ceilDiv(size, n)
-		}
-		d := Dim{Sign: 1, Disp: -1, Block: block, Cyclic: cyclic, GridDim: 0}
-		if decreasing {
-			d.Sign, d.Disp = -1, size
-		}
-		s := Scheme1D(d, nil)
-		if err := s.Validate(g, []int{size}); err != nil {
-			return false
-		}
-		for c := 0; c < n; c++ {
-			owned := s.OwnedIndices(g, 0, size, c)
-			locals := map[int]bool{}
-			for _, i := range owned {
-				locals[s.LocalIndex(g, 0, i)] = true
-			}
-			if len(locals) != len(owned) {
-				return false
-			}
-			for li := 0; li < len(owned); li++ {
-				if !locals[li] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	quickSeeded(t, f, 200)
-}
-
 func TestCannonRotatedSchemes(t *testing.T) {
 	// Fig 1 (b): fA(i,j) = (b1, (-b1 - b2) mod 4) where bk = floor((idx-1)/4).
 	g := grid.New(4, 4)
@@ -278,8 +221,6 @@ func TestCannonRotatedSchemes(t *testing.T) {
 }
 
 func TestSchemeString(t *testing.T) {
-	g := grid.New(4)
-	_ = g
 	s := Scheme2DRotated(BlockContiguous(16, 4, 0), Cyclic(1), RotateDim2ByDim1, -1, 1, nil)
 	str := s.String()
 	for _, want := range []string{"block(4)", "cyclic", "rotated"} {
@@ -308,46 +249,6 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-// Property: GlobalIndex inverts LocalIndex on every owned element for all
-// standard distribution kinds.
-func TestGlobalIndexInvertsLocalIndexQuick(t *testing.T) {
-	f := func(sizeRaw, blockRaw uint8, cyclic, decreasing bool) bool {
-		n := 4
-		g := grid.New(n)
-		size := int(sizeRaw)%40 + n
-		block := int(blockRaw)%5 + 1
-		if !cyclic {
-			block = ceilDiv(size, n)
-		}
-		d := Dim{Sign: 1, Disp: -1, Block: block, Cyclic: cyclic, GridDim: 0}
-		if decreasing {
-			d.Sign, d.Disp = -1, size
-		}
-		s := Scheme1D(d, nil)
-		if s.Validate(g, []int{size}) != nil {
-			return false
-		}
-		for c := 0; c < n; c++ {
-			for _, i := range s.OwnedIndices(g, 0, size, c) {
-				li := s.LocalIndex(g, 0, i)
-				if s.GlobalIndex(g, 0, c, li) != i {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	quickSeeded(t, f, 150)
-}
-
-func TestGlobalIndexReplicated(t *testing.T) {
-	g := grid.New(3)
-	s := Scheme1D(Replicated(0), nil)
-	if s.GlobalIndex(g, 0, 1, 4) != 5 {
-		t.Fatal("replicated GlobalIndex wrong")
-	}
 }
 
 // ranksForExpand is the tuple-building expansion ranksFor replaced, kept

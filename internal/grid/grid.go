@@ -1,8 +1,8 @@
 // Package grid models the abstract target machine of the paper: a q-D
 // grid of N1 x N2 x ... x Nq processors (Section 2). A processor is a
-// tuple (p1, ..., pq) with 0 <= pi < Ni. The grid can be embedded into a
-// hypercube with a binary reflected Gray code, so that processors adjacent
-// on the grid are adjacent (single-bit neighbours) on the hypercube.
+// tuple (p1, ..., pq) with 0 <= pi < Ni. The paper embeds the grid into a
+// hypercube with a binary reflected Gray code; the simulator charges
+// Table 1's hypercube costs by formula and computes no embedding.
 package grid
 
 import (
@@ -104,28 +104,6 @@ func (g *Grid) NeighbourMinus(rank, d int) int {
 	c := g.Coord(rank, d)
 	prev := (c - 1 + g.dims[d]) % g.dims[d]
 	return rank + (prev-c)*g.strides[d]
-}
-
-// DimPeers returns the ranks of all processors that agree with rank on
-// every coordinate except dimension d, ordered by their coordinate in d.
-// This is the processor set over which per-dimension collectives
-// (Reduction, OneToManyMulticast, ...) operate.
-func (g *Grid) DimPeers(rank, d int) []int {
-	base := rank - g.Coord(rank, d)*g.strides[d]
-	peers := make([]int, g.dims[d])
-	for i := 0; i < g.dims[d]; i++ {
-		peers[i] = base + i*g.strides[d]
-	}
-	return peers
-}
-
-// AllRanks returns 0..Size-1.
-func (g *Grid) AllRanks() []int {
-	r := make([]int, g.size)
-	for i := range r {
-		r[i] = i
-	}
-	return r
 }
 
 // String renders the grid shape, e.g. "4x4 grid (16 processors)".

@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewAndBasicProps(t *testing.T) {
 	g := New(4, 4)
@@ -120,147 +117,5 @@ func TestNeighbourInverse(t *testing.T) {
 				t.Fatalf("minus(plus(%d,%d)) != identity", r, d)
 			}
 		}
-	}
-}
-
-func TestDimPeers(t *testing.T) {
-	g := New(3, 4)
-	peers := g.DimPeers(g.Rank(1, 2), 1)
-	want := []int{g.Rank(1, 0), g.Rank(1, 1), g.Rank(1, 2), g.Rank(1, 3)}
-	if len(peers) != len(want) {
-		t.Fatalf("len = %d", len(peers))
-	}
-	for i := range want {
-		if peers[i] != want[i] {
-			t.Fatalf("peers[%d] = %d, want %d", i, peers[i], want[i])
-		}
-	}
-	peers0 := g.DimPeers(g.Rank(1, 2), 0)
-	want0 := []int{g.Rank(0, 2), g.Rank(1, 2), g.Rank(2, 2)}
-	for i := range want0 {
-		if peers0[i] != want0[i] {
-			t.Fatalf("dim0 peers[%d] = %d, want %d", i, peers0[i], want0[i])
-		}
-	}
-}
-
-func TestAllRanks(t *testing.T) {
-	g := New(2, 3)
-	all := g.AllRanks()
-	if len(all) != 6 {
-		t.Fatalf("len = %d", len(all))
-	}
-	for i, r := range all {
-		if r != i {
-			t.Fatalf("AllRanks[%d] = %d", i, r)
-		}
-	}
-}
-
-func TestGrayCodeAdjacency(t *testing.T) {
-	for i := 0; i < 255; i++ {
-		if HammingDistance(Gray(i), Gray(i+1)) != 1 {
-			t.Fatalf("Gray(%d) and Gray(%d) differ in != 1 bit", i, i+1)
-		}
-	}
-}
-
-func TestGrayInverseProperty(t *testing.T) {
-	f := func(x uint16) bool {
-		i := int(x)
-		return GrayInverse(Gray(i)) == i
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrayBijectionSmall(t *testing.T) {
-	seen := make(map[int]bool)
-	for i := 0; i < 1024; i++ {
-		g := Gray(i)
-		if seen[g] {
-			t.Fatalf("Gray not injective at %d", i)
-		}
-		seen[g] = true
-		if g >= 1024 {
-			t.Fatalf("Gray(%d) = %d escapes range", i, g)
-		}
-	}
-}
-
-func TestLog2AndPow2(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 4: 2, 8: 3, 1024: 10}
-	for n, want := range cases {
-		if !IsPowerOfTwo(n) {
-			t.Fatalf("IsPowerOfTwo(%d) = false", n)
-		}
-		if got := Log2(n); got != want {
-			t.Fatalf("Log2(%d) = %d, want %d", n, got, want)
-		}
-	}
-	for _, n := range []int{0, -1, 3, 6, 12} {
-		if IsPowerOfTwo(n) {
-			t.Fatalf("IsPowerOfTwo(%d) = true", n)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Log2(3) did not panic")
-			}
-		}()
-		Log2(3)
-	}()
-}
-
-func TestHypercubeEmbeddingGridNeighbours(t *testing.T) {
-	shapes := [][]int{{8}, {4, 4}, {2, 8}, {2, 2, 4}, {16}}
-	for _, shape := range shapes {
-		g := New(shape...)
-		emb, err := g.HypercubeEmbedding()
-		if err != nil {
-			t.Fatalf("shape %v: %v", shape, err)
-		}
-		// Labels must be a permutation of 0..size-1.
-		seen := make(map[int]bool)
-		for _, l := range emb {
-			if l < 0 || l >= g.Size() || seen[l] {
-				t.Fatalf("shape %v: labels not a permutation", shape)
-			}
-			seen[l] = true
-		}
-		// Non-wraparound grid neighbours are hypercube neighbours.
-		for r := 0; r < g.Size(); r++ {
-			for d := 0; d < g.Q(); d++ {
-				if g.Coord(r, d) == g.Extent(d)-1 {
-					continue // skip wraparound edge
-				}
-				nb := g.NeighbourPlus(r, d)
-				if HammingDistance(emb[r], emb[nb]) != 1 {
-					t.Fatalf("shape %v: grid neighbours %d,%d map to Hamming distance %d",
-						shape, r, nb, HammingDistance(emb[r], emb[nb]))
-				}
-			}
-		}
-	}
-}
-
-func TestHypercubeEmbeddingRejectsNonPow2(t *testing.T) {
-	g := New(3, 4)
-	if _, err := g.HypercubeEmbedding(); err == nil {
-		t.Fatal("expected error for 3x4 grid")
-	}
-	if _, err := New(6).HypercubeDim(); err == nil {
-		t.Fatal("expected error for size 6")
-	}
-	if d, err := New(4, 4).HypercubeDim(); err != nil || d != 4 {
-		t.Fatalf("HypercubeDim(4x4) = %d, %v", d, err)
-	}
-}
-
-func TestHammingDistance(t *testing.T) {
-	if HammingDistance(0, 0) != 0 || HammingDistance(0b1011, 0b0010) != 2 || HammingDistance(255, 0) != 8 {
-		t.Fatal("HammingDistance wrong")
 	}
 }

@@ -471,58 +471,6 @@ func (p *Proc) ManyToManyMulticast(dims []int, data []Word) [][]Word {
 	return out
 }
 
-// AllToAll performs a personalized exchange over the given dimension(s):
-// chunks is indexed by peer position, chunk i travels to peer i, and the
-// result (also indexed by peer position) holds what each peer sent to the
-// caller. Chunks may be ragged or empty. The exchange runs as num-1
-// balanced permutation steps (step s pairs position pos with pos+s and
-// pos-s). O(m num) with m the largest chunk, like Scatter/Gather.
-func (p *Proc) AllToAll(dims []int, chunks [][]Word) [][]Word {
-	peers := p.PeersOver(dims...)
-	n := len(peers)
-	if len(chunks) != n {
-		panic(fmt.Sprintf("machine: AllToAll got %d chunks for %d peers", len(chunks), n))
-	}
-	pos := indexOf(peers, p.rank)
-	out := make([][]Word, n)
-	out[pos] = append([]Word(nil), chunks[pos]...)
-	if n == 1 {
-		return out
-	}
-	sync := p.m.cfg.SyncCollectives
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
-	maxLen := 0
-	for _, c := range chunks {
-		if len(c) > maxLen {
-			maxLen = len(c)
-		}
-	}
-	for s := 1; s < n; s++ {
-		dst := (pos + s) % n
-		src := (pos - s + n) % n
-		if sync {
-			p.rawSend(peers[dst], chunks[dst], true)
-			out[src] = p.rawRecv(peers[src])
-		} else {
-			p.Send(peers[dst], chunks[dst])
-			out[src] = p.Recv(peers[src])
-		}
-		if len(out[src]) > maxLen {
-			maxLen = len(out[src])
-		}
-	}
-	if sync {
-		// All peers advance by the same formula; each uses the largest
-		// chunk it sent or received, which matches across the group when
-		// chunks are equal-sized (the common case for redistribution).
-		p.finishCollective(start, p.m.cfg.Tc*float64(maxLen)*float64(n))
-	}
-	return out
-}
-
 // AffineTransform sends each peer's data to a distinct peer according to
 // the permutation perm over peer positions (perm[i] = destination position
 // of the data held at position i); every peer returns what it receives.

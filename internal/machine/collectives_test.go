@@ -165,106 +165,6 @@ func TestCollectivesDegenerate1xN(t *testing.T) {
 	}
 }
 
-// TestAllToAllNonPow2PeerGroups: the personalized exchange delivers the
-// right chunk to the right peer on ragged non-power-of-two groups carved
-// out of 2-D grids, for both dimensions and both execution models, with
-// ragged (position-dependent) chunk sizes including empty chunks.
-func TestAllToAllNonPow2PeerGroups(t *testing.T) {
-	shapes := [][2]int{{3, 5}, {5, 3}, {7, 2}}
-	for _, shape := range shapes {
-		g := grid.New(shape[0], shape[1])
-		for dim := 0; dim < 2; dim++ {
-			for _, sync := range []bool{true, false} {
-				cfg := DefaultConfig()
-				cfg.SyncCollectives = sync
-				run(t, g, cfg, func(p *Proc) {
-					peers := p.PeersOver(dim)
-					n := len(peers)
-					pos := indexOf(peers, p.Rank())
-
-					// Chunk for destination i encodes (sender, receiver) and
-					// is (i mod 3) words long, so some chunks are empty and
-					// the rest are ragged.
-					chunks := make([][]Word, n)
-					for i := range chunks {
-						for w := 0; w < i%3; w++ {
-							chunks[i] = append(chunks[i], Word(1000*pos+10*i+w))
-						}
-					}
-					got := p.AllToAll([]int{dim}, chunks)
-					if len(got) != n {
-						t.Fatalf("%v dim %d: all-to-all returned %d chunks for %d peers", shape, dim, len(got), n)
-					}
-					for src, c := range got {
-						if len(c) != pos%3 {
-							t.Errorf("%v dim %d: proc %d chunk from pos %d has %d words, want %d",
-								shape, dim, p.Rank(), src, len(c), pos%3)
-							continue
-						}
-						for w, v := range c {
-							if v != Word(1000*src+10*pos+w) {
-								t.Errorf("%v dim %d: proc %d chunk from pos %d = %v", shape, dim, p.Rank(), src, c)
-								break
-							}
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestAllToAllDegenerate1xN: over the singleton dimension of a 1xN/Nx1
-// grid the exchange is a free local identity; over the long dimension it
-// moves exactly the off-diagonal words, like a 1-D grid of N.
-func TestAllToAllDegenerate1xN(t *testing.T) {
-	for _, shape := range [][2]int{{1, 6}, {6, 1}, {1, 5}, {5, 1}} {
-		g := grid.New(shape[0], shape[1])
-		longDim, unitDim := 0, 1
-		if shape[0] == 1 {
-			longDim, unitDim = 1, 0
-		}
-		n := shape[longDim]
-
-		st := run(t, g, DefaultConfig(), func(p *Proc) {
-			data := []Word{Word(p.Rank()), 42}
-			got := p.AllToAll([]int{unitDim}, [][]Word{data})
-			if len(got) != 1 || len(got[0]) != 2 || got[0][0] != data[0] || got[0][1] != data[1] {
-				t.Errorf("%v: singleton all-to-all changed data: %v", shape, got)
-			}
-		})
-		if st.Messages != 0 || st.Words != 0 || st.ParallelTime != 0 {
-			t.Errorf("%v: singleton-dimension all-to-all was not free: %+v", shape, st)
-		}
-
-		body1D := func(p *Proc, dims []int) {
-			peers := p.PeersOver(dims...)
-			pos := indexOf(peers, p.Rank())
-			chunks := make([][]Word, len(peers))
-			for i := range chunks {
-				chunks[i] = []Word{Word(100*pos + i)}
-			}
-			got := p.AllToAll(dims, chunks)
-			for src, c := range got {
-				if len(c) != 1 || c[0] != Word(100*src+pos) {
-					t.Errorf("chunk from pos %d = %v, want [%d]", src, c, 100*src+pos)
-				}
-			}
-		}
-		st2 := run(t, g, DefaultConfig(), func(p *Proc) { body1D(p, []int{longDim}) })
-		stRef := run(t, grid.New(n), DefaultConfig(), func(p *Proc) { body1D(p, []int{0}) })
-		if st2.Messages != stRef.Messages || st2.Words != stRef.Words || st2.ParallelTime != stRef.ParallelTime {
-			t.Errorf("%v long-dim all-to-all (%d msgs, %d words, T=%v) differs from 1-D grid (%d msgs, %d words, T=%v)",
-				shape, st2.Messages, st2.Words, st2.ParallelTime, stRef.Messages, stRef.Words, stRef.ParallelTime)
-		}
-		// n peers each send n-1 one-word off-diagonal chunks.
-		if want := int64(n * (n - 1)); st2.Messages != want || st2.Words != want {
-			t.Errorf("%v long-dim all-to-all: %d msgs / %d words, want %d / %d",
-				shape, st2.Messages, st2.Words, want, want)
-		}
-	}
-}
-
 // TestSyncMulticastRaggedCost: the Table 1 clock cost on a
 // non-power-of-two group uses ceil(log2 n) — n=5 peers advance by
 // 3*m*Tc, not by a fractional log.

@@ -12,8 +12,8 @@ import (
 )
 
 // The differential test of the one runtime: seeded random SPMD programs
-// over Send/Recv, the eight Table 1 collectives, AllReduce, AllToAll and
-// Barrier run on the event scheduler and on the channel reference
+// over Send/Recv, the eight Table 1 collectives, AllReduce and Barrier
+// run on the event scheduler and on the channel reference
 // (reference_test.go) — Stats, sorted traces and per-processor payload
 // checksums must be identical — and both are held to an independent
 // sequential model of what the program should cost (model below), because
@@ -31,7 +31,7 @@ type spmdOp struct {
 	Dist int   // shift: distance
 	Src  int   // transfer: source rank
 	Dst  int   // transfer: destination rank
-	Seed int64 // affine: permutation seed; scatter, alltoall: chunk-length seed
+	Seed int64 // affine: permutation seed; scatter: chunk-length seed
 	// exchange: Sends[src] lists (dst, words) pairs; all sends of a round
 	// precede its receives, which drain sources in ascending order.
 	Sends [][][2]int
@@ -39,7 +39,7 @@ type spmdOp struct {
 }
 
 var spmdKinds = []string{"compute", "exchange", "transfer", "shift", "multicast", "reduce", "allreduce",
-	"scatter", "gather", "allgather", "alltoall", "affine", "barrier"}
+	"scatter", "gather", "allgather", "affine", "barrier"}
 
 func randomSPMD(rng *rand.Rand, g *grid.Grid, nops int) []spmdOp {
 	n := g.Size()
@@ -71,16 +71,13 @@ func randomSPMD(rng *rand.Rand, g *grid.Grid, nops int) []spmdOp {
 	return prog
 }
 
-// chunkLens draws the ragged chunk lengths of a scatter (one row) or an
-// all-to-all (n rows) from the op's seed: the same at every processor.
-func chunkLens(seed int64, rows, n int) [][]int {
+// chunkLens draws the ragged chunk lengths of a scatter over n peers from
+// the op's seed: the same at every processor.
+func chunkLens(seed int64, n int) []int {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([][]int, rows)
-	for r := range out {
-		out[r] = make([]int, n)
-		for i := range out[r] {
-			out[r][i] = rng.Intn(5)
-		}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = rng.Intn(5)
 	}
 	return out
 }
@@ -132,7 +129,6 @@ func runSPMD(p *Proc, prog []spmdOp) Word {
 		default:
 			peers := p.PeersOver(op.Dims...)
 			n := len(peers)
-			pos := indexOf(peers, me)
 			root := peers[op.Root%n]
 			switch op.Kind {
 			case "multicast":
@@ -144,7 +140,7 @@ func runSPMD(p *Proc, prog []spmdOp) Word {
 			case "scatter":
 				var chunks [][]Word
 				if me == root {
-					for _, l := range chunkLens(op.Seed, 1, n)[0] {
+					for _, l := range chunkLens(op.Seed, n) {
 						chunks = append(chunks, payload(me, step, l))
 					}
 				}
@@ -153,12 +149,6 @@ func runSPMD(p *Proc, prog []spmdOp) Word {
 				fold(p.Gather(op.Dims, root, data)...)
 			case "allgather":
 				fold(p.ManyToManyMulticast(op.Dims, data)...)
-			case "alltoall":
-				var chunks [][]Word
-				for _, l := range chunkLens(op.Seed, n, n)[pos] {
-					chunks = append(chunks, payload(me, step, l))
-				}
-				fold(p.AllToAll(op.Dims, chunks)...)
 			case "affine":
 				fold(p.AffineTransform(op.Dims, rand.New(rand.NewSource(op.Seed)).Perm(n), data))
 			}
@@ -305,7 +295,7 @@ func modelSPMD(g *grid.Grid, cfg Config, prog []spmdOp) spmdModel {
 					}
 					engage(peers, flat(float64(rounds)*tree))
 				case "scatter":
-					lens := chunkLens(op.Seed, 1, num)[0]
+					lens := chunkLens(op.Seed, num)
 					longest := 0
 					for pos, l := range lens {
 						if l > longest {
@@ -322,26 +312,6 @@ func modelSPMD(g *grid.Grid, cfg Config, prog []spmdOp) spmdModel {
 				case "allgather":
 					count(num*(num-1), num*(num-1)*op.K)
 					engage(peers, flat(cfg.Tc*float64(op.K)*float64(num)))
-				case "alltoall":
-					lens := chunkLens(op.Seed, num, num)
-					for s := range lens {
-						for d, l := range lens[s] {
-							if s != d {
-								count(1, l)
-							}
-						}
-					}
-					engage(peers, func(pos int) float64 {
-						longest := 0 // over what pos sends (its own slot included) and receives
-						for i := 0; i < num; i++ {
-							for _, l := range []int{lens[pos][i], lens[i][pos]} {
-								if l > longest {
-									longest = l
-								}
-							}
-						}
-						return cfg.Tc * float64(longest) * float64(num)
-					})
 				case "affine":
 					moved := 0
 					for pos, dst := range rand.New(rand.NewSource(op.Seed)).Perm(num) {

@@ -11,11 +11,11 @@ import (
 	"dmcc/internal/grid"
 )
 
-func mustNewEvent(t testing.TB, g *grid.Grid, cfg Config) *EventMachine {
+func mustNewEvent(t testing.TB, g *grid.Grid, cfg Config) *Machine {
 	t.Helper()
-	m, err := NewEvent(g, cfg)
+	m, err := New(g, cfg)
 	if err != nil {
-		t.Fatalf("NewEvent: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	return m
 }

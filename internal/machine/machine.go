@@ -195,14 +195,11 @@ func New(g *grid.Grid, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// EventMachine, EventProc and NewEvent are the names the discrete-event
-// runtime had while a goroutine-per-processor runtime existed beside it.
-// bench/ (frozen by BENCHMARK.json) still spells them; they go when its
-// machine.goroutine_ring_us_per_hop probe does (ROADMAP).
+// EventProc and NewEvent are the names the discrete-event runtime had
+// while a goroutine-per-processor runtime existed beside it. bench/ still
+// spells them; they go when its machine.goroutine_ring_us_per_hop probe
+// does (ROADMAP).
 //
-// Deprecated: use Machine.
-type EventMachine = Machine
-
 // Deprecated: use Proc.
 type EventProc = Proc
 
@@ -211,9 +208,6 @@ func NewEvent(g *grid.Grid, cfg Config) (*Machine, error) { return New(g, cfg) }
 
 // Grid returns the processor grid of the machine.
 func (m *Machine) Grid() *grid.Grid { return m.grid }
-
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
 
 // Proc is the per-processor execution context handed to the SPMD body.
 // It implements Port. A Proc must only be used from the body function it
