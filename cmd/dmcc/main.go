@@ -8,7 +8,7 @@
 //	dmcc -prog jacobi|sor|gauss|matmul [-m 64] [-n 8] [-j 4]
 //	dmcc -file testdata/jacobi.f [-m 64] [-n 8]
 //	dmcc -prog jacobi -exec      also execute the compiled program on the
-//	                             simulated machine (random system, checked
+//	                             simulated machine (seeded system, checked
 //	                             against the sequential interpreter)
 package main
 
@@ -29,7 +29,6 @@ import (
 	"dmcc/internal/exec"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
-	"dmcc/internal/matrix"
 	"dmcc/internal/report"
 )
 
@@ -68,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 	if *doExec {
-		if err := execute(p, *m, *n, *jobs); err != nil {
+		if err := execute(p, *m, *n); err != nil {
 			fatal(err)
 		}
 	}
@@ -93,73 +92,28 @@ func applyEngine(c *core.Compiler, engine string) error {
 	return nil
 }
 
-// execute runs the compiled program on the simulated machine with a
-// random input system and checks the result against the sequential IR
-// interpreter.
-func execute(p *ir.Program, m, n, jobs int) error {
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	c.Jobs = jobs
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
+// execute runs the compiled program on the simulated machine through the
+// exec harness (seeded diagonally dominant system) and checks the result
+// against the sequential IR interpreter.
+func execute(p *ir.Program, m, n int) error {
+	c := exec.Case{Prog: p, M: m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
+	ss, err := c.Schemes()
 	if err != nil {
 		return err
 	}
-	// Random inputs for every array; overwrite nothing the program
-	// initializes itself.
-	input := ir.NewStorage(p)
-	scalars := map[string]float64{"OMEGA": 1.2}
-	seed := int64(7)
-	for name, arr := range p.Arrays {
-		switch arr.Rank() {
-		case 1:
-			v := matrix.RandomVector(m, seed)
-			for i := 1; i <= m; i++ {
-				input.Store(name, []int{i}, v[i-1])
-			}
-		case 2:
-			// Diagonally dominant 2-D inputs keep the solvers stable.
-			md, _, _ := matrix.DiagonallyDominant(m, seed)
-			for i := 1; i <= m; i++ {
-				for j := 1; j <= m; j++ {
-					input.Store(name, []int{i, j}, md.At(i-1, j-1))
-				}
-			}
-		}
-		seed++
-	}
-	iters := 3
-
-	// Sequential reference on a copy.
-	ref := ir.NewStorage(p)
-	for name, elems := range input {
-		for k, v := range elems {
-			ref[name][k] = v
-		}
-	}
-	if err := ir.EvalProgram(p, map[string]int{"m": m}, ref, scalars, iters); err != nil {
-		return err
-	}
-
-	res, err := exec.Run(p, ss, map[string]int{"m": m}, scalars, iters, machine.DefaultConfig(), input)
+	res, err := c.Run(machine.DefaultConfig())
 	if err != nil {
 		return err
 	}
-	maxDiff := 0.0
-	for name, elems := range ref {
-		for k, v := range elems {
-			d := res.Values[name][k] - v
-			if d < 0 {
-				d = -d
-			}
-			if d > maxDiff {
-				maxDiff = d
-			}
-		}
+	maxDiff, err := c.Check(res)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("-- executed on the simulated machine (%s, %d iteration(s)) --\n", ss.Grid, iters)
+	fmt.Printf("-- executed on the simulated machine (%s, %d iteration(s)) --\n", ss.Grid, c.Iterations())
 	fmt.Printf("  simulated makespan %.0f, %d messages, %d words\n",
 		res.Stats.ParallelTime, res.Stats.Messages, res.Stats.Words)
 	fmt.Printf("  max |parallel - sequential interpreter| = %.3g\n", maxDiff)
-	if maxDiff > 1e-9 {
+	if !(maxDiff <= 1e-9) {
 		return fmt.Errorf("execution diverged from the sequential interpreter by %g", maxDiff)
 	}
 	return nil

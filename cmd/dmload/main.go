@@ -58,7 +58,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "request-schedule seed")
 	jsonOut := flag.Bool("json", false, "emit deterministic JSON instead of CSV")
 	baseline := flag.String("baseline", "", "baseline JSON file to diff against; regressions exit nonzero")
-	baselineTol := flag.Float64("baseline-tol", 0, "relative tolerance for -baseline (0.05 = 5%)")
 	minRPS := flag.Float64("min-rps", 0, "fail (exit 1) if any distribution falls below this throughput")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -147,7 +146,7 @@ func main() {
 		}
 	}
 	if *baseline != "" {
-		ok, err := sweep.Gate(os.Stderr, "dmload", *baseline, res, *baselineTol)
+		ok, err := sweep.Gate(os.Stderr, "dmload", *baseline, res)
 		if err != nil {
 			cli.Fail("dmload", err)
 		}

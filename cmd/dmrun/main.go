@@ -22,8 +22,6 @@ import (
 	"time"
 
 	"dmcc/internal/cli"
-	"dmcc/internal/core"
-	"dmcc/internal/cost"
 	"dmcc/internal/exec"
 	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
@@ -108,10 +106,10 @@ func main() {
 }
 
 func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcast bool, seed int64) error {
+	a, b, _ := matrix.DiagonallyDominant(m, seed)
+	x0 := make([]float64, m)
 	switch kernel {
 	case "jacobi":
-		a, b, _ := matrix.DiagonallyDominant(m, seed)
-		x0 := make([]float64, m)
 		res, err := kernels.JacobiGrid(cfg, a, b, x0, iters, n, n2)
 		if err != nil {
 			return err
@@ -119,8 +117,6 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 		ref := matrix.JacobiSeq(a, b, x0, iters)
 		report(fmt.Sprintf("jacobi %dx%d grid, %d iters", n, n2, iters), res.Stats, matrix.MaxAbsDiff(res.X, ref))
 	case "sor":
-		a, b, _ := matrix.DiagonallyDominant(m, seed)
-		x0 := make([]float64, m)
 		var res kernels.Result
 		var err error
 		variant := "pipelined"
@@ -136,7 +132,6 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 		ref := matrix.SORSeq(a, b, x0, 1.2, iters)
 		report(fmt.Sprintf("sor (%s) ring of %d, %d sweeps", variant, n, iters), res.Stats, matrix.MaxAbsDiff(res.X, ref))
 	case "gauss":
-		a, b, _ := matrix.DiagonallyDominant(m, seed)
 		var res kernels.Result
 		var err error
 		variant := "pipelined"
@@ -166,57 +161,27 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 	return nil
 }
 
-// runExec compiles the kernel's IR program (whole-program schemes via
-// Algorithm 1's segment cost), executes it on the batched exec backend,
-// verifies against the sequential reference, and reports what the
-// vectored transport moved on the simulated machine.
+// runExec runs the kernel's IR program through the exec harness: the
+// compiler-chosen schemes on the batched exec backend, a seeded
+// diagonally dominant system, checked against the sequential IR
+// interpreter, and reports what the vectored transport moved on the
+// simulated machine.
 func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) error {
-	a, b, _ := matrix.DiagonallyDominant(m, seed)
-	var p *ir.Program
-	var scalars map[string]float64
-	var x0, ref []float64
-	switch kernel {
-	case "jacobi":
-		p = ir.Jacobi()
-		x0 = make([]float64, m)
-		ref = matrix.JacobiSeq(a, b, x0, iters)
-	case "sor":
-		p = ir.SOR()
-		scalars = map[string]float64{"OMEGA": 1.2}
-		x0 = make([]float64, m)
-		ref = matrix.SORSeq(a, b, x0, 1.2, iters)
-	case "gauss":
-		p = ir.Gauss()
-		iters = 1
-		ref = matrix.GaussSeq(a, b)
-	default:
+	p, ok := ir.Builtin(kernel) // the cannon kernel's program is named matmul
+	if !ok {
 		return fmt.Errorf("-exec supports jacobi, sor and gauss (got %q)", kernel)
 	}
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
+	c := exec.Case{Prog: p, M: m, N: n, Iters: iters, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: seed}
+	res, err := c.Run(cfg)
 	if err != nil {
 		return err
 	}
-	input := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			input.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		input.Store("B", []int{i}, b[i-1])
-		if x0 != nil {
-			input.Store("X", []int{i}, x0[i-1])
-		}
-	}
-	res, err := exec.Run(p, ss, map[string]int{"m": m}, scalars, iters, cfg, input)
+	diff, err := c.Check(res)
 	if err != nil {
 		return err
 	}
-	x := make([]float64, m)
-	for i := 1; i <= m; i++ {
-		x[i-1] = res.Values.Load(ir.R("X", ir.Const(i)), []int{i})
-	}
-	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, iters),
-		res.Stats, matrix.MaxAbsDiff(x, ref))
+	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, c.Iterations()),
+		res.Stats, diff)
 	fmt.Printf("  largest message %d words; stores hold %d words, at most %d on one processor\n",
 		res.Stats.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
 	fmt.Printf("  busiest pair: %d messages, %d words\n",

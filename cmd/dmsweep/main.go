@@ -84,7 +84,6 @@ func main() {
 	cacheMax := flag.Int64("cache-max-bytes", 256<<20, "GC the cache down to this size after the sweep (0 = unbounded)")
 	jsonOut := flag.Bool("json", false, "emit deterministic JSON instead of CSV")
 	baseline := flag.String("baseline", "", "baseline JSON file to diff against; regressions exit nonzero")
-	baselineTol := flag.Float64("baseline-tol", 0, "relative tolerance for -baseline (0.05 = 5%)")
 	storeRemote := flag.String("store-remote", "", "peer daemon URL behind the cache (implies -cache)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -171,16 +170,16 @@ func main() {
 		}
 	}
 
-	gate(res, *baseline, *baselineTol)
+	gate(res, *baseline)
 }
 
 // gate applies the baseline diff, exiting nonzero on regressions. A
 // no-op with no baseline file.
-func gate(res *sweep.Result, baseline string, tol float64) {
+func gate(res *sweep.Result, baseline string) {
 	if baseline == "" {
 		return
 	}
-	ok, err := sweep.Gate(os.Stderr, "dmsweep", baseline, res, tol)
+	ok, err := sweep.Gate(os.Stderr, "dmsweep", baseline, res)
 	if err != nil {
 		fail(err)
 	}

@@ -123,7 +123,7 @@ func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.S
 			}
 		}
 	}
-	for name := range p.Arrays {
+	for _, name := range lw.Names {
 		if _, ok := ss.Schemes[name]; !ok {
 			return nil, fmt.Errorf("exec: no scheme for array %s", name)
 		}

@@ -4,19 +4,17 @@ import (
 	"testing"
 
 	"dmcc/internal/core"
-	"dmcc/internal/cost"
 	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
 )
 
-// wholeProgramSchemes compiles the program and returns the single-scheme
-// set for the full nest sequence.
+// wholeProgramSchemes returns the scheme set the harness runs the
+// program under.
 func wholeProgramSchemes(t testing.TB, p *ir.Program, m, n int) *core.SchemeSet {
 	t.Helper()
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
+	ss, err := Case{Prog: p, M: m, N: n}.Schemes()
 	if err != nil {
 		t.Fatal(err)
 	}

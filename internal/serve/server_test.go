@@ -374,7 +374,7 @@ func TestLoadHarness(t *testing.T) {
 	if err := os.WriteFile(base, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	regs, _, err := sweep.Compare(base, res, 0)
+	regs, _, err := sweep.Compare(base, res)
 	if err != nil {
 		t.Fatal(err)
 	}

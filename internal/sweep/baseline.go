@@ -1,13 +1,12 @@
 // Baseline regression gate: diff a finished sweep against a committed
-// baseline file and report every metric that regressed beyond a
-// tolerance — the step that turns a CI "bench smoke" into a real gate.
+// baseline file and report every metric that got worse — the step that
+// turns a CI "bench smoke" into a real gate.
 //
 // A baseline is the document the tool emits: dmsweep -json / dmload
 // -json output ({"sweep": ..., "rows": [...]}), rows matched on
 // (variant, m, n, s). That document carries only deterministic metrics
 // (wall-clock columns live in Row.Wall and are never serialized), so
-// every metric in a baseline is compared and the default tolerance can
-// be zero.
+// every metric in a baseline is compared, exactly.
 package sweep
 
 import (
@@ -30,9 +29,9 @@ func (r Regression) String() string {
 }
 
 // Compare diffs the result against the baseline file. It returns the
-// regressions (current > baseline*(1+tol)), plus notes for baseline
+// regressions (current above baseline), plus notes for baseline
 // rows the sweep did not produce (grid mismatch — reported, not fatal).
-func Compare(baselinePath string, res *Result, tol float64) (regs []Regression, notes []string, err error) {
+func Compare(baselinePath string, res *Result) (regs []Regression, notes []string, err error) {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return nil, nil, fmt.Errorf("baseline: %w", err)
@@ -62,7 +61,7 @@ func Compare(baselinePath string, res *Result, tol float64) (regs []Regression, 
 			if !ok {
 				continue
 			}
-			if curVal > baseVal*(1+tol)+1e-9 {
+			if curVal > baseVal+1e-9 {
 				regs = append(regs, Regression{Row: id, Metric: metric, Base: baseVal, Cur: curVal})
 			}
 		}
@@ -76,8 +75,8 @@ func Compare(baselinePath string, res *Result, tol float64) (regs []Regression, 
 // Gate is the -baseline flag of dmsweep and dmload: Compare, with the
 // notes and the verdict written to w under the command's name. ok is
 // false when a metric regressed.
-func Gate(w io.Writer, cmd, baselinePath string, res *Result, tol float64) (ok bool, err error) {
-	regs, notes, err := Compare(baselinePath, res, tol)
+func Gate(w io.Writer, cmd, baselinePath string, res *Result) (ok bool, err error) {
+	regs, notes, err := Compare(baselinePath, res)
 	if err != nil {
 		return false, err
 	}
@@ -85,13 +84,13 @@ func Gate(w io.Writer, cmd, baselinePath string, res *Result, tol float64) (ok b
 		fmt.Fprintf(w, "%s: %s\n", cmd, note)
 	}
 	if len(regs) > 0 {
-		fmt.Fprintf(w, "%s: %d regression(s) vs %s (tol %g):\n", cmd, len(regs), baselinePath, tol)
+		fmt.Fprintf(w, "%s: %d regression(s) vs %s:\n", cmd, len(regs), baselinePath)
 		for _, r := range regs {
 			fmt.Fprintf(w, "%s:   %s\n", cmd, r)
 		}
 		return false, nil
 	}
-	fmt.Fprintf(w, "%s: baseline %s: no regressions (tol %g)\n", cmd, baselinePath, tol)
+	fmt.Fprintf(w, "%s: baseline %s: no regressions\n", cmd, baselinePath)
 	return true, nil
 }
 

@@ -540,13 +540,12 @@ type execProg struct {
 	mk      func() *ir.Program
 	scalars map[string]float64
 	iters   int
-	x0      bool
 }
 
 var execProgs = []execProg{
-	{"jacobi", ir.Jacobi, nil, 2, true},
-	{"sor", ir.SOR, map[string]float64{"OMEGA": 1.2}, 2, true},
-	{"gauss", ir.Gauss, nil, 1, false},
+	{"jacobi", ir.Jacobi, nil, 2},
+	{"sor", ir.SOR, map[string]float64{"OMEGA": 1.2}, 2},
+	{"gauss", ir.Gauss, nil, 1},
 }
 
 // Exec compares the batched exec backend against the per-element
@@ -633,32 +632,14 @@ func execKey(kind, engine string, pr execProg, m, n int, cfg machine.Config) str
 		"machine="+cfg.Fingerprint())...)
 }
 
-// execPoint compiles one exec program to its whole-program schemes and
-// runs it on a diagonally dominant system: through the batched backend,
-// or through the per-element oracle when exact is set.
+// execPoint runs one exec program through the exec harness: through the
+// batched backend, or through the per-element oracle when exact is set.
 func execPoint(pr execProg, exact bool, m, n int, cfg machine.Config) (exec.Result, error) {
-	p := pr.mk()
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	_, ss, err := c.SegmentCost(1, len(p.Nests))
-	if err != nil {
-		return exec.Result{}, err
-	}
-	a, b, _ := matrix.DiagonallyDominant(m, 1)
-	input := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			input.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		input.Store("B", []int{i}, b[i-1])
-		if pr.x0 {
-			input.Store("X", []int{i}, 0)
-		}
-	}
-	bind := map[string]int{"m": m}
+	c := exec.Case{Prog: pr.mk(), M: m, N: n, Iters: pr.iters, Scalars: pr.scalars, Seed: 1}
 	if exact {
-		return exec.RunExact(p, ss, bind, pr.scalars, pr.iters, cfg, input)
+		return c.RunExact(cfg)
 	}
-	return exec.Run(p, ss, bind, pr.scalars, pr.iters, cfg, input)
+	return c.Run(cfg)
 }
 
 // execMetrics are the deterministic columns of an exec or scale row.

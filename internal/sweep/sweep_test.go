@@ -212,7 +212,7 @@ func TestCompareSweepJSONBaseline(t *testing.T) {
 	]}`
 	path := writeBaseline(t, base)
 
-	regs, notes, err := Compare(path, res, 0)
+	regs, notes, err := Compare(path, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,23 +223,18 @@ func TestCompareSweepJSONBaseline(t *testing.T) {
 		t.Fatalf("expected one skipped-row note for m=999, got %v", notes)
 	}
 
-	res.Rows[0].Metrics["mincost"] = 30 // worse than 28
-	regs, _, err = Compare(path, res, 0.05)
+	res.Rows[0].Metrics["mincost"] = 29 // worse than 28
+	regs, _, err = Compare(path, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regs) != 1 || regs[0].Metric != "mincost" {
 		t.Fatalf("expected one mincost regression, got %v", regs)
 	}
-	// A generous tolerance absorbs it.
-	regs, _, _ = Compare(path, res, 0.10)
-	if len(regs) != 0 {
-		t.Fatalf("7%% increase flagged at 10%% tolerance: %v", regs)
-	}
 
 	res.Rows[0].Metrics["mincost"] = 28
 	res.Rows[0].Metrics["hit_ratio"] = 3
-	regs, _, _ = Compare(path, res, 0)
+	regs, _, _ = Compare(path, res)
 	if len(regs) != 1 || regs[0].Metric != "hit_ratio" {
 		t.Fatalf("expected a hit_ratio regression, got %v", regs)
 	}
@@ -293,7 +288,7 @@ func committedBaseline(t *testing.T, name, kind string) (string, *Result) {
 func gatesCommitted(t *testing.T, name, kind, variant string, n int, metric string) {
 	t.Helper()
 	path, res := committedBaseline(t, name, kind)
-	regs, notes, err := Compare(path, res, 0)
+	regs, notes, err := Compare(path, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +308,7 @@ func gatesCommitted(t *testing.T, name, kind, variant string, n int, metric stri
 		}
 		bumped[metric]++
 		res.Rows[i].Metrics = bumped
-		regs, _, _ = Compare(path, res, 0)
+		regs, _, _ = Compare(path, res)
 		if len(regs) != 1 || regs[0].Metric != metric || !strings.Contains(regs[0].Row, fmt.Sprintf("%s m=64 n=%d", variant, n)) {
 			t.Fatalf("expected one %s regression on %s n=%d, got %v", metric, variant, n, regs)
 		}
@@ -351,7 +346,7 @@ func TestCompareRejectsDisjointBaseline(t *testing.T) {
 	res := &Result{Kind: "compile", Rows: []Row{
 		{Variant: "analytic", M: 16, N: 4, S: 4, Metrics: map[string]float64{"mincost": 28}},
 	}}
-	if _, _, err := Compare(path, res, 0); err == nil {
+	if _, _, err := Compare(path, res); err == nil {
 		t.Fatal("disjoint baseline should be an error")
 	}
 }
@@ -364,7 +359,7 @@ func TestCompareRejectsUnknownShape(t *testing.T) {
 		`{"something":"else"}`,
 		`{"bench":"BenchmarkCompileScaling","config":{"m":1,"n":1},"results":[{"name":"synth/s=4","dpcost":28}]}`,
 	} {
-		if _, _, err := Compare(writeBaseline(t, doc), res, 0); err == nil {
+		if _, _, err := Compare(writeBaseline(t, doc), res); err == nil {
 			t.Fatalf("baseline %s should be an error", doc)
 		}
 	}
