@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
@@ -272,18 +273,28 @@ func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 	return nil
 }
 
-// Formulas renders the fitted per-nest counts; empty before Fit.
+// Formulas renders the fitted per-nest counts, "label: counts"; empty
+// before Fit. Every formula is written into one buffer, and the strings
+// returned share its one copy.
 func (pe *PlanEvaluator) Formulas() []string {
 	if pe.execSym == nil {
 		return nil
 	}
-	out := make([]string, len(pe.execSym))
+	ends := make([]int, len(pe.execSym))
+	buf := make([]byte, 0, 256*len(pe.execSym))
 	for t, sym := range pe.execSym {
-		label := pe.c.Program.Nests[t].Label
-		if label == "" {
-			label = fmt.Sprintf("L%d", t+1)
+		if label := pe.c.Program.Nests[t].Label; label != "" {
+			buf = append(buf, label...)
+		} else {
+			buf = strconv.AppendInt(append(buf, 'L'), int64(t+1), 10)
 		}
-		out[t] = fmt.Sprintf("%s: %s", label, sym)
+		buf = sym.Append(append(buf, ": "...))
+		ends[t] = len(buf)
+	}
+	text, start := string(buf), 0
+	out := make([]string, len(ends))
+	for t, end := range ends {
+		out[t], start = text[start:end], end
 	}
 	return out
 }

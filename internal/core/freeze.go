@@ -182,6 +182,11 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 		return nil, err
 	}
 	for _, seg := range fp.Segments {
+		// A plan frozen for another processor count would price that
+		// machine's grids under this compiler's key.
+		if r := seg.Shape[0]; r < 1 || seg.Shape[1] < 1 || c.NProcs%r != 0 || seg.Shape[1] != c.NProcs/r {
+			return nil, fmt.Errorf("core: frozen plan segment (%d,%d) has a %dx%d grid, the compiler has %d processors", seg.Start, seg.Len, seg.Shape[0], seg.Shape[1], c.NProcs)
+		}
 		pt := align.Partition{Assign: map[ir.DimID]int{}, Method: "thawed"}
 		for _, a := range seg.Assign {
 			pt.Assign[ir.DimID{Array: a.Array, Dim: a.Dim}] = a.Subset

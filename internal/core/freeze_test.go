@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dmcc/internal/cost"
@@ -104,6 +106,38 @@ func TestThawValidates(t *testing.T) {
 	fp.Segments = fp.Segments[:len(fp.Segments)-1]
 	if _, err := Thaw(c, fp); err == nil {
 		t.Fatal("Thaw accepted a plan that does not cover every nest")
+	}
+}
+
+// TestThawRefusesAnotherProcessorCount: a plan's grids are its processor
+// count's factorizations, so a compiler for any other count refuses it —
+// gauss frozen at N = 16 thawed for 8 processors priced 743,712 where an
+// N = 8 compile prices 1,470,304. A grid that is not a factorization of
+// the compiler's count at all is refused the same way.
+func TestThawRefusesAnotherProcessorCount(t *testing.T) {
+	const m, n = 32, 16
+	c := NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, n)
+	pe, err := NewPlanEvaluator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := pe.Freeze()
+	if _, err := Thaw(NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, n), fp); err != nil {
+		t.Fatalf("Thaw refused the plan for its own processor count: %v", err)
+	}
+	for _, other := range []int{1, 4, 8, 32} {
+		_, err := Thaw(NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, other), fp)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("the compiler has %d processors", other)) {
+			t.Errorf("Thaw of an N = %d plan for %d processors: error %v", n, other, err)
+		}
+	}
+	for _, shape := range [][2]int{{0, 16}, {16, 0}, {-4, -4}, {3, 5}, {32, 1}, {2, 4}, {1 << 32, 1 << 32}} {
+		bad := *fp
+		bad.Segments = append([]FrozenSegment(nil), fp.Segments...)
+		bad.Segments[0].Shape = shape
+		if _, err := Thaw(NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, n), &bad); err == nil {
+			t.Errorf("Thaw accepted a %dx%d grid for %d processors", shape[0], shape[1], n)
+		}
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // A plan that is not the zero value also takes the fallback, which merges
 // into it the way encoding/json does.
 func (fp *FrozenPlan) UnmarshalJSON(data []byte) error {
-	if reflect.ValueOf(fp).Elem().IsZero() && readPlan(data, fp) {
+	if reflect.ValueOf(fp).Elem().IsZero() && ReadPlan(data, fp) {
 		return nil
 	}
 	type plan = FrozenPlan
@@ -34,9 +34,12 @@ func (fp *FrozenPlan) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*FrozenPlan)(fp))
 }
 
-// readPlan reads json.Marshal's rendering of a FrozenPlan into fp and
+// ReadPlan reads json.Marshal's rendering of a FrozenPlan into fp and
 // reports whether data was that rendering; fp is written only if it was.
-func readPlan(data []byte, fp *FrozenPlan) bool {
+// It is UnmarshalJSON's canonical reader without the fallback, for a
+// caller that falls back through encoding/json itself: what it reads is
+// what encoding/json reads from the same bytes.
+func ReadPlan(data []byte, fp *FrozenPlan) bool {
 	// The chunks are sized from the payload: the builtin kernels' plans
 	// spend 11-32 bytes on a difference and 45-130 on a piece, so they are
 	// seldom outgrown.
@@ -81,7 +84,7 @@ func readPlan(data []byte, fp *FrozenPlan) bool {
 	return true
 }
 
-// planReader is the cursor of readPlan: fields in declaration order under
+// planReader is the cursor of ReadPlan: fields in declaration order under
 // their tags (the fits' polynomials under their Go names), omitempty
 // fields absent or present, no whitespace, integers in canonical decimal.
 // bad is sticky; once set the input is not that rendering, and whatever

@@ -18,10 +18,13 @@ import (
 	"dmcc/internal/sweep"
 )
 
-// storedPlan is one payload the way the artifact store holds it.
+// storedPlan is one payload the way the artifact store holds it, with
+// the program and the evaluator it was frozen from.
 type storedPlan struct {
 	name    string
 	payload []byte
+	prog    *ir.Program
+	pe      *core.PlanEvaluator
 }
 
 var (
@@ -56,7 +59,7 @@ func buildStoredPlans() ([]storedPlan, error) {
 		if err != nil {
 			return err
 		}
-		out = append(out, storedPlan{name, payload})
+		out = append(out, storedPlan{name, payload, p, pe})
 		return nil
 	}
 	for _, pr := range []struct {
@@ -106,7 +109,7 @@ func buildStoredPlans() ([]storedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return append(out, storedPlan{"gauss m=16 N=4 (unfitted)", payload}), nil
+	return append(out, storedPlan{"gauss m=16 N=4 (unfitted)", payload, c.Program, pe}), nil
 }
 
 // mutatedPlans is every way an input can deviate from a stored payload:
@@ -290,7 +293,7 @@ func TestPlanReadMatchesReflect(t *testing.T) {
 		checkReadMatchesReflect(t, data)
 	}
 	for _, sp := range storedPlans(t) {
-		if !core.ReadsCanonical(sp.payload) {
+		if !core.ReadPlan(sp.payload, new(core.FrozenPlan)) {
 			t.Errorf("%s: the stored payload took the fallback: %s", sp.name, sp.payload)
 		}
 	}

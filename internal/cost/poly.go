@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/big"
 	"strconv"
-	"strings"
 )
 
 // Poly is a polynomial along the arithmetic progression m = M0 + t*Step,
@@ -53,14 +52,17 @@ func (p Poly) Eval(m int) int64 {
 }
 
 // String renders the polynomial in the monomial basis over m with exact
-// rational coefficients, e.g. "(m^2 + 6*m - 16)/4". The expansion runs in
+// rational coefficients, e.g. "(m^2 + 6*m - 16)/4".
+func (p Poly) String() string { return string(p.appendText(nil)) }
+
+// appendText appends String's text to dst. The expansion runs in
 // overflow-checked int64; a polynomial too large for that goes through
 // the big.Rat expansion, which yields the same text.
-func (p Poly) String() string {
-	if s, ok := p.stringInt(); ok {
-		return s
+func (p Poly) appendText(dst []byte) []byte {
+	if out, ok := p.appendInt(dst); ok {
+		return out
 	}
-	return p.stringRat()
+	return p.appendRat(dst)
 }
 
 // checked is int64 arithmetic with a sticky overflow flag.
@@ -85,22 +87,23 @@ func (ck *checked) add(a, b int64) int64 {
 	return c
 }
 
-// stringInt expands sum_k Diffs[k]*C((m-M0)/Step, k) as an integer
+// appendInt expands sum_k Diffs[k]*C((m-M0)/Step, k) as an integer
 // numerator polynomial over the one denominator Step^n * n! (n the
 // degree), then divides both by the gcd of the denominator and every
 // coefficient. With t-j = (m - x_j)/Step, x_j = M0 + j*Step, the sum is
 // the Newton form sum_k a_k * prod_{j<k} (m - x_j) with a_k = Diffs[k] *
 // Step^(n-k) * n!/k!, expanded by Horner from the inside out. The reduced
 // denominator is the lcm of the reduced coefficients' denominators that
-// stringRat computes (lcm_i D/gcd(N_i,D) = D/gcd(D,N_0..N_n)), so the
-// text is the same. It reports false when an intermediate overflows.
-func (p Poly) stringInt() (string, bool) {
+// appendRat computes (lcm_i D/gcd(N_i,D) = D/gcd(D,N_0..N_n)), so the
+// text is the same. It reports false, and appends nothing, when an
+// intermediate overflows.
+func (p Poly) appendInt(dst []byte) ([]byte, bool) {
 	if p.Step < 1 || len(p.Diffs) == 0 {
-		return "", false
+		return dst, false
 	}
 	n := p.Degree()
-	num := make([]int64, 1, n+1) // num[i] multiplies m^i
-	num[0] = p.Diffs[n]
+	var numBuf [8]int64                   // the fits are of degree 3 at most
+	num := append(numBuf[:0], p.Diffs[n]) // num[i] multiplies m^i
 	var ck checked
 	den, step := int64(1), int64(p.Step)
 	for k := n - 1; k >= 0; k-- {
@@ -117,13 +120,13 @@ func (p Poly) stringInt() (string, bool) {
 			num[i] = ck.add(below, ck.mul(negX, num[i]))
 		}
 		if ck.overflow {
-			return "", false
+			return dst, false
 		}
 	}
 	g := den
 	for _, c := range num {
 		if c == math.MinInt64 {
-			return "", false // |c| is not an int64
+			return dst, false // |c| is not an int64
 		}
 		for c != 0 {
 			g, c = c, g%c
@@ -132,16 +135,17 @@ func (p Poly) stringInt() (string, bool) {
 			g = -g
 		}
 	}
-	coef := make([]string, len(num))
-	for i, c := range num {
-		coef[i] = strconv.FormatInt(c/g, 10)
+	var digits [20]byte
+	w := newPolyWriter(dst, den == g)
+	for i := len(num) - 1; i >= 0; i-- {
+		w.term(strconv.AppendInt(digits[:0], num[i]/g, 10), i)
 	}
-	return renderPoly(coef, strconv.FormatInt(den/g, 10)), true
+	return w.end(strconv.AppendInt(digits[:0], den/g, 10)), true
 }
 
-// stringRat is the arbitrary-precision expansion: String's overflow
-// fallback and the oracle stringInt is tested against.
-func (p Poly) stringRat() string {
+// appendRat is the arbitrary-precision expansion: appendText's overflow
+// fallback and the oracle appendInt is tested against.
+func (p Poly) appendRat(dst []byte) []byte {
 	// Expand sum_k Diffs[k] * C((m-M0)/Step, k) in powers of m.
 	coeffs := []*big.Rat{big.NewRat(0, 1)} // coeffs[i] multiplies m^i
 	// tPoly = (m - M0)/Step as a degree-1 polynomial in m.
@@ -181,55 +185,74 @@ func (p Poly) stringRat() string {
 	for _, c := range coeffs {
 		den.Mul(den, new(big.Int).Div(c.Denom(), new(big.Int).GCD(nil, nil, den, c.Denom())))
 	}
-	coef := make([]string, len(coeffs))
-	for i, c := range coeffs {
-		coef[i] = new(big.Int).Mul(c.Num(), new(big.Int).Div(den, c.Denom())).String()
+	w := newPolyWriter(dst, den.IsInt64() && den.Int64() == 1)
+	for i := len(coeffs) - 1; i >= 0; i-- {
+		c := coeffs[i]
+		w.term(new(big.Int).Mul(c.Num(), new(big.Int).Div(den, c.Denom())).Append(nil, 10), i)
 	}
-	return renderPoly(coef, den.String())
+	return w.end(den.Append(nil, 10))
 }
 
-// renderPoly writes the polynomial sum_i coef[i]*m^i over den, both given
-// in decimal.
-func renderPoly(coef []string, den string) string {
-	var terms []string
-	for i := len(coef) - 1; i >= 0; i-- {
-		s := coef[i]
-		if s == "0" {
-			continue
-		}
-		mono := ""
-		switch i {
-		case 0:
-		case 1:
-			mono = "m"
-		default:
-			mono = "m^" + strconv.Itoa(i)
-		}
-		if mono != "" {
-			switch s {
-			case "1":
-				s = mono
-			case "-1":
-				s = "-" + mono
-			default:
-				s += "*" + mono
-			}
-		}
-		if len(terms) > 0 && !strings.HasPrefix(s, "-") {
-			s = "+ " + s
-		} else if strings.HasPrefix(s, "-") && len(terms) > 0 {
-			s = "- " + s[1:]
-		}
-		terms = append(terms, s)
+// polyWriter appends sum_i c_i*m^i, highest power first, over a
+// denominator: "m^2 + 6*m - 16", or "(m^2 + 6*m - 16)/4" when the
+// denominator is not 1, and "0" when every coefficient is.
+type polyWriter struct {
+	dst          []byte
+	start, terms int
+	over         bool // the denominator is not 1
+}
+
+func newPolyWriter(dst []byte, denIsOne bool) polyWriter {
+	w := polyWriter{dst: dst, start: len(dst), over: !denIsOne}
+	if w.over {
+		w.dst = append(w.dst, '(')
 	}
-	if len(terms) == 0 {
-		return "0"
+	return w
+}
+
+// term appends the coefficient of m^i, c in signed decimal.
+func (w *polyWriter) term(c []byte, i int) {
+	if len(c) == 1 && c[0] == '0' {
+		return
 	}
-	body := strings.Join(terms, " ")
-	if den == "1" {
-		return body
+	neg := c[0] == '-'
+	if neg {
+		c = c[1:]
 	}
-	return "(" + body + ")/" + den
+	switch {
+	case w.terms > 0 && neg:
+		w.dst = append(w.dst, " - "...)
+	case w.terms > 0:
+		w.dst = append(w.dst, " + "...)
+	case neg:
+		w.dst = append(w.dst, '-')
+	}
+	w.terms++
+	if i > 0 && len(c) == 1 && c[0] == '1' {
+		c = nil // the monomial alone
+	}
+	w.dst = append(w.dst, c...)
+	if i > 0 {
+		if c != nil {
+			w.dst = append(w.dst, '*')
+		}
+		w.dst = append(w.dst, 'm')
+		if i > 1 {
+			w.dst = append(w.dst, '^')
+			w.dst = strconv.AppendInt(w.dst, int64(i), 10)
+		}
+	}
+}
+
+// end appends the denominator, den in decimal, and returns the text.
+func (w *polyWriter) end(den []byte) []byte {
+	if w.terms == 0 {
+		return append(w.dst[:w.start], '0')
+	}
+	if w.over {
+		w.dst = append(append(w.dst, ")/"...), den...)
+	}
+	return w.dst
 }
 
 // PiecewisePoly is a family of polynomials indexed by residue class of
@@ -262,26 +285,53 @@ func (pp *PiecewisePoly) Degree() int {
 
 // String renders the piecewise polynomial; uniform pieces collapse to a
 // single formula, otherwise each residue class is listed.
-func (pp *PiecewisePoly) String() string {
-	texts := make([]string, len(pp.Pieces))
+func (pp *PiecewisePoly) String() string { return string(pp.appendText(nil)) }
+
+// appendText appends String's text to dst; a nil polynomial is "<nil>",
+// as fmt prints it.
+func (pp *PiecewisePoly) appendText(dst []byte) []byte {
+	if pp == nil {
+		return append(dst, "<nil>"...)
+	}
+	// Every piece's text goes after dst first; ends[r] closes piece r's.
+	start := len(dst)
+	var endBuf [32]int
+	ends := endBuf[:0]
 	uniform := true
 	for r, p := range pp.Pieces {
-		texts[r] = p.String()
-		uniform = uniform && texts[r] == texts[0]
+		dst = p.appendText(dst)
+		ends = append(ends, len(dst))
+		if r > 0 {
+			uniform = uniform && string(dst[ends[r-1]:ends[r]]) == string(dst[start:ends[0]])
+		}
+	}
+	if len(pp.Pieces) == 0 {
+		return dst // no piece and so no text
 	}
 	if uniform {
-		return texts[0]
+		return dst[:ends[0]]
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for r, text := range texts {
+	// List the residue classes after the texts, then move the list down
+	// over them.
+	texts := len(dst)
+	dst = append(dst, '{')
+	for r := range pp.Pieces {
 		if r > 0 {
-			b.WriteString("; ")
+			dst = append(dst, "; "...)
 		}
-		fmt.Fprintf(&b, "m≡%d (mod %d): %s", r, pp.Period, text)
+		from := start
+		if r > 0 {
+			from = ends[r-1]
+		}
+		dst = append(dst, "m≡"...)
+		dst = strconv.AppendInt(dst, int64(r), 10)
+		dst = append(dst, " (mod "...)
+		dst = strconv.AppendInt(dst, int64(pp.Period), 10)
+		dst = append(dst, "): "...)
+		dst = append(dst, dst[from:ends[r]]...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	dst = append(dst, '}')
+	return dst[:start+copy(dst[start:], dst[texts:])]
 }
 
 // FitSeries fits every series of a vector-valued integer function of m
@@ -374,7 +424,15 @@ func (sc *SymbolicCounts) EvalAt(m int) (Counts, error) {
 
 // String renders the dominant fields the way the paper's Table 2 reads:
 // flops and communication words as closed forms in m.
-func (sc *SymbolicCounts) String() string {
-	return fmt.Sprintf("maxflops=%s, remote=%s, reduce=%s",
-		sc.MaxProcFlops, sc.RemoteWords, sc.ReduceWords)
+func (sc *SymbolicCounts) String() string { return string(sc.Append(nil)) }
+
+// Append appends String's text to dst; a nil fit is "<nil>", as fmt
+// prints it.
+func (sc *SymbolicCounts) Append(dst []byte) []byte {
+	if sc == nil {
+		return append(dst, "<nil>"...)
+	}
+	dst = sc.MaxProcFlops.appendText(append(dst, "maxflops="...))
+	dst = sc.RemoteWords.appendText(append(dst, ", remote="...))
+	return sc.ReduceWords.appendText(append(dst, ", reduce="...))
 }

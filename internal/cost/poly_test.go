@@ -141,8 +141,9 @@ func TestPolyStringMatchesRat(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 2000; i++ {
 			p := randPoly(rng)
-			want := p.stringRat()
-			got, ok := p.stringInt()
+			want := string(p.appendRat(nil))
+			text, ok := p.appendInt(nil)
+			got := string(text)
 			if !ok {
 				declined++
 				got = p.String()
@@ -175,8 +176,8 @@ func TestPolyStringEdges(t *testing.T) {
 		{Poly{M0: 0, Step: 1, Diffs: []int64{math.MinInt64}}, "-9223372036854775808"},
 		{Poly{M0: 0, Step: 1, Diffs: []int64{math.MaxInt64, math.MaxInt64, 2}}, "m^2 + 9223372036854775806*m + 9223372036854775807"},
 	} {
-		if got := tc.p.String(); got != tc.want || got != tc.p.stringRat() {
-			t.Errorf("%+v: String() = %q, stringRat() = %q, want %q", tc.p, got, tc.p.stringRat(), tc.want)
+		if got, rat := tc.p.String(), string(tc.p.appendRat(nil)); got != tc.want || got != rat {
+			t.Errorf("%+v: String() = %q, appendRat = %q, want %q", tc.p, got, rat, tc.want)
 		}
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"dmcc/internal/artifact"
+	"dmcc/internal/core"
+	"dmcc/internal/sweep"
 )
 
 // The write-route benchmarks drive the handler through httptest with no
@@ -29,15 +32,16 @@ func serveDirect(h http.Handler, method, path string, body []byte) *httptest.Res
 }
 
 // warmHandler returns a handler over a fresh store with prog compiled
-// once, and the request body of each write route: the compile request,
-// and the install request built from the served plan.
-func warmHandler(tb testing.TB, prog string) (h http.Handler, bodies map[string][]byte) {
+// once, the server behind it, and the request body of each write route:
+// the compile request, and the install request built from the served
+// plan.
+func warmHandler(tb testing.TB, prog string) (h http.Handler, s *Server, bodies map[string][]byte) {
 	tb.Helper()
 	store, err := artifact.Open(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := New(Config{Store: store, Jobs: 1})
+	s, err = New(Config{Store: store, Jobs: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,13 +61,13 @@ func warmHandler(tb testing.TB, prog string) (h http.Handler, bodies map[string]
 		tb.Fatalf("GET /plan %s: %d: %s", prog, plan.Code, plan.Body)
 	}
 	installBody := []byte(head + `,"plan":` + plan.Body.String() + "}")
-	return h, map[string][]byte{"/compile": compileBody, "/plan": installBody}
+	return h, s, map[string][]byte{"/compile": compileBody, "/plan": installBody}
 }
 
 func benchRoute(b *testing.B, path string) {
 	for _, prog := range benchProgs {
 		b.Run(prog, func(b *testing.B) {
-			h, bodies := warmHandler(b, prog)
+			h, _, bodies := warmHandler(b, prog)
 			body := bodies[path]
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -79,3 +83,109 @@ func benchRoute(b *testing.B, path string) {
 func BenchmarkWarmCompile(b *testing.B) { benchRoute(b, "/compile") }
 
 func BenchmarkPlanInstall(b *testing.B) { benchRoute(b, "/plan") }
+
+// BenchmarkWriteStages times each stage of the write routes apart, on the
+// bodies and the warm store of the route benchmarks: reading the request
+// (an install's plan included), deriving the key, the store hit of a warm
+// compile, reading its stored plan, thawing it, rendering the formulas
+// and encoding the reply. The whole handler is BenchmarkWarmCompile and
+// BenchmarkPlanInstall.
+func BenchmarkWriteStages(b *testing.B) {
+	for _, prog := range benchProgs {
+		b.Run(prog, func(b *testing.B) {
+			_, s, bodies := warmHandler(b, prog)
+			req := CompileRequest{Prog: prog, M: benchM, N: benchN}
+			p, err := program(&req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c, err := s.compiler(&req, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key := sweep.PlanKey(c, benchM)
+			payload, ok := s.cfg.Store.Get(key)
+			if !ok {
+				b.Fatal("the compiled plan is not in the store")
+			}
+			var fp core.FrozenPlan
+			if err := fp.UnmarshalJSON(payload); err != nil {
+				b.Fatal(err)
+			}
+			pe, err := core.Thaw(c, &fp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp := CompileResponse{ID: PlanID(key), Key: key, Cached: true, Prog: p.Name, BaseM: benchM, N: benchN, Formulas: pe.Formulas()}
+			if resp.Cost, err = s.evalEntry(newPlanEntry(key, "", pe), benchM); err != nil {
+				b.Fatal(err)
+			}
+			readStage := func(route string, install bool) func(b *testing.B) {
+				body := bodies[route]
+				return func(b *testing.B) {
+					var br bytes.Reader
+					r := httptest.NewRequest("POST", route, nil)
+					r.ContentLength = int64(len(body))
+					w := httptest.NewRecorder()
+					for i := 0; i < b.N; i++ {
+						br.Reset(body)
+						r.Body = io.NopCloser(&br)
+						var got request
+						if !readRequest(w, r, &got, install) {
+							b.Fatalf("POST %s: %s", route, w.Body)
+						}
+					}
+				}
+			}
+			for _, stage := range []struct {
+				name string
+				run  func(b *testing.B)
+			}{
+				{"request-compile", readStage("/compile", false)},
+				{"request-plan", readStage("/plan", true)},
+				{"key", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						sweep.PlanKey(c, benchM)
+					}
+				}},
+				{"store-hit", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, cached, err := s.cfg.Store.GetOrCompute(key, nil); !cached || err != nil {
+							b.Fatalf("store lookup: cached %t, %v", cached, err)
+						}
+					}
+				}},
+				{"plan-read", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						var fp core.FrozenPlan
+						if err := fp.UnmarshalJSON(payload); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}},
+				{"thaw", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := core.Thaw(c, &fp); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}},
+				{"render", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						pe.Formulas()
+					}
+				}},
+				{"reply-encode", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						writeJSON(httptest.NewRecorder(), resp)
+					}
+				}},
+			} {
+				b.Run(stage.name, func(b *testing.B) {
+					b.ReportAllocs()
+					stage.run(b)
+				})
+			}
+		})
+	}
+}

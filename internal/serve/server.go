@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -252,21 +251,6 @@ func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, e
 	return c, nil
 }
 
-// decodeRequest parses and validates a compile-shaped body.
-func decodeRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyKB<<10))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		httpError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON value")
-		return false
-	}
-	return true
-}
-
 func validateBinding(w http.ResponseWriter, req *CompileRequest) bool {
 	if req.M < 1 || req.M > MaxM {
 		httpError(w, http.StatusBadRequest, "m=%d out of range [1, %d]", req.M, MaxM)
@@ -280,16 +264,20 @@ func validateBinding(w http.ResponseWriter, req *CompileRequest) bool {
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req CompileRequest
-	if !decodeRequest(w, r, &req) || !validateBinding(w, &req) {
+	var body request
+	if !readRequest(w, r, &body, false) {
 		return
 	}
-	p, err := program(&req)
+	req := &body.CompileRequest
+	if !validateBinding(w, req) {
+		return
+	}
+	p, err := program(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c, err := s.compiler(&req, p)
+	c, err := s.compiler(req, p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -446,26 +434,30 @@ type InstallRequest struct {
 // skipping the compile entirely. Malformed and stale plans are client
 // errors (422) — the daemon must survive any payload here.
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	var req InstallRequest
-	if !decodeRequest(w, r, &req) || !validateBinding(w, &req.CompileRequest) {
+	var body request
+	if !readRequest(w, r, &body, true) {
 		return
 	}
-	if len(req.Plan) == 0 {
+	req := &body.CompileRequest
+	if !validateBinding(w, req) {
+		return
+	}
+	if len(body.Plan) == 0 {
 		httpError(w, http.StatusBadRequest, "plan is required")
 		return
 	}
-	p, err := program(&req.CompileRequest)
+	p, err := program(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	c, err := s.compiler(&req.CompileRequest, p)
+	c, err := s.compiler(req, p)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	var fp core.FrozenPlan
-	if err := fp.UnmarshalJSON(req.Plan); err != nil {
+	fp, err := body.frozenPlan()
+	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "malformed plan: %v", err)
 		return
 	}
@@ -473,7 +465,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "plan baseM=%d does not match m=%d", fp.BaseM, req.M)
 		return
 	}
-	pe, err := core.Thaw(c, &fp)
+	pe, err := core.Thaw(c, fp)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "stale plan: %v", err)
 		return

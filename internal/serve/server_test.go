@@ -187,7 +187,7 @@ func TestWarmPathCounters(t *testing.T) {
 
 // stripSchema / setSchema rewrite the schema field of a frozen-plan
 // JSON document, emulating payloads written by older builds.
-func stripSchema(t *testing.T, planRaw []byte) []byte {
+func stripSchema(t testing.TB, planRaw []byte) []byte {
 	t.Helper()
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(planRaw, &m); err != nil {
@@ -201,7 +201,7 @@ func stripSchema(t *testing.T, planRaw []byte) []byte {
 	return out
 }
 
-func setSchema(t *testing.T, planRaw []byte, v int) []byte {
+func setSchema(t testing.TB, planRaw []byte, v int) []byte {
 	t.Helper()
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(planRaw, &m); err != nil {
@@ -224,24 +224,7 @@ func TestMalformedPlanRejected(t *testing.T) {
 	// Fetch the real plan so the mutations below are realistic.
 	_, planRaw := getBody(t, ts.URL+"/plan/"+cr.ID)
 
-	cases := []struct {
-		name   string
-		body   string
-		status int
-	}{
-		{"not json at all", `{"prog":"jacobi","m":16,"n":4,"plan":"not-a-plan"}`, http.StatusUnprocessableEntity},
-		{"wrong baseM", `{"prog":"jacobi","m":32,"n":4,"plan":` + string(planRaw) + `}`, http.StatusUnprocessableEntity},
-		{"segments do not tile", `{"prog":"jacobi","m":16,"n":4,"plan":{"schema":2,"baseM":16,"segments":[{"start":5,"len":1,"shape":[1,4]}]}}`, http.StatusUnprocessableEntity},
-		// A plan frozen before the symbolic-ChangeCost schema bump (no
-		// schema field, or an older number) must be refused outright —
-		// serving it would silently revive the numeric boundary pricing.
-		{"pre-bump plan (no schema)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(stripSchema(t, planRaw)) + `}`, http.StatusUnprocessableEntity},
-		{"pre-bump plan (schema 1)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(setSchema(t, planRaw, 1)) + `}`, http.StatusUnprocessableEntity},
-		{"empty plan", `{"prog":"jacobi","m":16,"n":4}`, http.StatusBadRequest},
-		{"unknown program", `{"prog":"nope","m":16,"n":4,"plan":` + string(planRaw) + `}`, http.StatusBadRequest},
-		{"garbage body", `{{{`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedInstalls(t, planRaw) {
 		resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -254,6 +237,9 @@ func TestMalformedPlanRejected(t *testing.T) {
 		var e map[string]string
 		if err := json.Unmarshal(raw, &e); err != nil || e["error"] == "" {
 			t.Fatalf("%s: error body %q not a clean JSON error", tc.name, raw)
+		}
+		if !strings.Contains(e["error"], tc.says) {
+			t.Fatalf("%s: error %q does not say %q", tc.name, e["error"], tc.says)
 		}
 	}
 
@@ -269,6 +255,37 @@ func TestMalformedPlanRejected(t *testing.T) {
 	}
 	if ir2.ID != cr.ID || ir2.Cost.Total != cr.Cost.Total {
 		t.Fatalf("installed plan id/cost = %s/%g, want %s/%g", ir2.ID, ir2.Cost.Total, cr.ID, cr.Cost.Total)
+	}
+}
+
+// installCase is a POST /plan body, the status it is answered with and a
+// phrase of the error.
+type installCase struct {
+	name   string
+	body   string
+	status int
+	says   string
+}
+
+// malformedInstalls is TestMalformedPlanRejected's table over planRaw,
+// the stored plan of jacobi at m = 16, N = 4.
+func malformedInstalls(tb testing.TB, planRaw []byte) []installCase {
+	return []installCase{
+		{"not json at all", `{"prog":"jacobi","m":16,"n":4,"plan":"not-a-plan"}`, http.StatusUnprocessableEntity, "malformed plan"},
+		{"wrong baseM", `{"prog":"jacobi","m":32,"n":4,"plan":` + string(planRaw) + `}`, http.StatusUnprocessableEntity, "baseM=16 does not match m=32"},
+		// The plan's grids factor 4 processors; it installed under the
+		// other count's id and priced that machine wrongly.
+		{"frozen for more processors", `{"prog":"jacobi","m":16,"n":2,"plan":` + string(planRaw) + `}`, http.StatusUnprocessableEntity, "stale plan"},
+		{"frozen for fewer processors", `{"prog":"jacobi","m":16,"n":8,"plan":` + string(planRaw) + `}`, http.StatusUnprocessableEntity, "stale plan"},
+		{"segments do not tile", `{"prog":"jacobi","m":16,"n":4,"plan":{"schema":2,"baseM":16,"segments":[{"start":5,"len":1,"shape":[1,4]}]}}`, http.StatusUnprocessableEntity, "stale plan"},
+		// A plan frozen before the symbolic-ChangeCost schema bump (no
+		// schema field, or an older number) must be refused outright —
+		// serving it would silently revive the numeric boundary pricing.
+		{"pre-bump plan (no schema)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(stripSchema(tb, planRaw)) + `}`, http.StatusUnprocessableEntity, "schema 0"},
+		{"pre-bump plan (schema 1)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(setSchema(tb, planRaw, 1)) + `}`, http.StatusUnprocessableEntity, "schema 1"},
+		{"empty plan", `{"prog":"jacobi","m":16,"n":4}`, http.StatusBadRequest, "plan is required"},
+		{"unknown program", `{"prog":"nope","m":16,"n":4,"plan":` + string(planRaw) + `}`, http.StatusBadRequest, "unknown program"},
+		{"garbage body", `{{{`, http.StatusBadRequest, "bad request body"},
 	}
 }
 
@@ -587,23 +604,7 @@ func TestCompilePanicDoesNotKillTheDaemon(t *testing.T) {
 // picks its algorithm from the graph).
 func TestBadInputIs400(t *testing.T) {
 	s, ts, _ := newTestServer(t)
-	oob, err := json.Marshal(CompileRequest{Source: outOfExtentSource, M: 8, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clash, err := json.Marshal(CompileRequest{Source: paramIndexSource, M: 8, N: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		body string
-		want []string
-	}{
-		{string(oob), []string{"B(i+5)", "subscript i+5", "line 1", "[6, 13]", "[1, 8]"}},
-		{string(clash), []string{"L1 loop m", "size parameter m"}},
-		{`{"prog":"jacobi","m":16,"n":4,"engine":"prechange"}`, []string{`unknown field \"engine\"`}},
-		{`{"prog":"jacobi","m":16,"n":4,"greedy":true}`, []string{`unknown field \"greedy\"`}},
-	} {
+	for _, c := range badCompiles(t) {
 		resp, err := http.Post(ts.URL+"/compile", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
@@ -623,6 +624,32 @@ func TestBadInputIs400(t *testing.T) {
 	ms := s.Metrics()
 	if ms.Server.CompilePanics != 0 || ms.Endpoints["compile"].ServerErrors != 0 {
 		t.Errorf("compile_panics = %d, server_errors = %d after input errors", ms.Server.CompilePanics, ms.Endpoints["compile"].ServerErrors)
+	}
+}
+
+// badCompiles is TestBadInputIs400's table: POST /compile bodies and
+// phrases their 400 says.
+func badCompiles(tb testing.TB) []struct {
+	body string
+	want []string
+} {
+	tb.Helper()
+	oob, err := json.Marshal(CompileRequest{Source: outOfExtentSource, M: 8, N: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	clash, err := json.Marshal(CompileRequest{Source: paramIndexSource, M: 8, N: 4})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []struct {
+		body string
+		want []string
+	}{
+		{string(oob), []string{"B(i+5)", "subscript i+5", "line 1", "[6, 13]", "[1, 8]"}},
+		{string(clash), []string{"L1 loop m", "size parameter m"}},
+		{`{"prog":"jacobi","m":16,"n":4,"engine":"prechange"}`, []string{`unknown field \"engine\"`}},
+		{`{"prog":"jacobi","m":16,"n":4,"greedy":true}`, []string{`unknown field \"greedy\"`}},
 	}
 }
 
@@ -697,7 +724,7 @@ func TestManyArraySourceCompiles(t *testing.T) {
 }
 
 // mutatePlan rewrites the first occurrence of old in a served plan.
-func mutatePlan(t *testing.T, planRaw []byte, old, new string) string {
+func mutatePlan(t testing.TB, planRaw []byte, old, new string) string {
 	t.Helper()
 	if !bytes.Contains(planRaw, []byte(old)) {
 		t.Fatalf("served plan has no %s to mutate", old)
@@ -707,7 +734,7 @@ func mutatePlan(t *testing.T, planRaw []byte, old, new string) string {
 
 // reorderPlan re-marshals a plan through a map: same values, fields in
 // alphabetical order, so the fits take the reflective decode.
-func reorderPlan(t *testing.T, plan string) string {
+func reorderPlan(t testing.TB, plan string) string {
 	t.Helper()
 	var m map[string]any
 	if err := json.Unmarshal([]byte(plan), &m); err != nil {
@@ -736,30 +763,7 @@ func TestPoisonedFitsRejected(t *testing.T) {
 	costURL := fmt.Sprintf("%s/cost?key=%s&m=48", ts.URL, cr.ID)
 	_, wantCost := getBody(t, costURL)
 
-	firstFit := regexp.MustCompile(`"TotalFlops":\{.*?\]\}\]\}`).Find(planRaw)
-	firstDiffs := regexp.MustCompile(`"Diffs":\[[^\]]+\]`).Find(planRaw)
-	den := regexp.MustCompile(`"den":[0-9]+`).Find(planRaw)
-	if firstFit == nil || firstDiffs == nil || den == nil {
-		t.Fatalf("served plan lacks the fields to mutate: %s", planRaw)
-	}
-	for _, tc := range []struct{ name, plan string }{
-		{"step 0", mutatePlan(t, planRaw, `"Step":4`, `"Step":0`)},
-		{"period 400", mutatePlan(t, planRaw, `"Period":4`, `"Period":400`)},
-		{"period 0", mutatePlan(t, planRaw, `"Period":4`, `"Period":0`)},
-		{"anchor off its residue", mutatePlan(t, planRaw, `"M0":32`, `"M0":33`)},
-		{"anchor a period late", mutatePlan(t, planRaw, `"M0":32`, `"M0":36`)},
-		{"negative minM", mutatePlan(t, planRaw, `"MinM":32`, `"MinM":-32`)},
-		{"no differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":[]`)},
-		{"null differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":null`)},
-		{"missing polynomial", mutatePlan(t, planRaw, string(firstFit), `"TotalFlops":null`)},
-		{"missing nest fit", mutatePlan(t, planRaw, `"execFits":[{`, `"execFits":[null,{`)},
-		{"den 0", mutatePlan(t, planRaw, string(den), `"den":0`)},
-		{"change fit without words", mutatePlan(t, planRaw, `"words":{`, `"words":null,"was":{`)},
-		// These installed (200), then answered /cost below the fits' floor
-		// with a 422.
-		{"fitMinM dropped", mutatePlan(t, planRaw, `,"fitMinM":32`, ``)},
-		{"fitMinM below the fits' floor", mutatePlan(t, planRaw, `,"fitMinM":32`, `,"fitMinM":16`)},
-	} {
+	for _, tc := range poisonedPlans(t, planRaw) {
 		for _, plan := range []string{tc.plan, reorderPlan(t, tc.plan)} {
 			body := fmt.Sprintf(`{"prog":"gauss","m":%d,"n":%d,"plan":%s}`, m, n, plan)
 			resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(body))
@@ -787,6 +791,36 @@ func TestPoisonedFitsRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("valid install: %s", resp.Status)
 		}
+	}
+}
+
+// poisonedPlans is TestPoisonedFitsRejected's table over planRaw, the
+// stored plan of gauss at m = 32, N = 16.
+func poisonedPlans(t testing.TB, planRaw []byte) []struct{ name, plan string } {
+	t.Helper()
+	firstFit := regexp.MustCompile(`"TotalFlops":\{.*?\]\}\]\}`).Find(planRaw)
+	firstDiffs := regexp.MustCompile(`"Diffs":\[[^\]]+\]`).Find(planRaw)
+	den := regexp.MustCompile(`"den":[0-9]+`).Find(planRaw)
+	if firstFit == nil || firstDiffs == nil || den == nil {
+		t.Fatalf("served plan lacks the fields to mutate: %s", planRaw)
+	}
+	return []struct{ name, plan string }{
+		{"step 0", mutatePlan(t, planRaw, `"Step":4`, `"Step":0`)},
+		{"period 400", mutatePlan(t, planRaw, `"Period":4`, `"Period":400`)},
+		{"period 0", mutatePlan(t, planRaw, `"Period":4`, `"Period":0`)},
+		{"anchor off its residue", mutatePlan(t, planRaw, `"M0":32`, `"M0":33`)},
+		{"anchor a period late", mutatePlan(t, planRaw, `"M0":32`, `"M0":36`)},
+		{"negative minM", mutatePlan(t, planRaw, `"MinM":32`, `"MinM":-32`)},
+		{"no differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":[]`)},
+		{"null differences", mutatePlan(t, planRaw, string(firstDiffs), `"Diffs":null`)},
+		{"missing polynomial", mutatePlan(t, planRaw, string(firstFit), `"TotalFlops":null`)},
+		{"missing nest fit", mutatePlan(t, planRaw, `"execFits":[{`, `"execFits":[null,{`)},
+		{"den 0", mutatePlan(t, planRaw, string(den), `"den":0`)},
+		{"change fit without words", mutatePlan(t, planRaw, `"words":{`, `"words":null,"was":{`)},
+		// These installed (200), then answered /cost below the fits' floor
+		// with a 422.
+		{"fitMinM dropped", mutatePlan(t, planRaw, `,"fitMinM":32`, ``)},
+		{"fitMinM below the fits' floor", mutatePlan(t, planRaw, `,"fitMinM":32`, `,"fitMinM":16`)},
 	}
 }
 
@@ -824,15 +858,17 @@ func TestEvictedPlanServesTheSameBytes(t *testing.T) {
 	}
 }
 
+var trailingBodies = []string{
+	`{"prog":"jacobi","m":8,"n":4} junk`,
+	`{"prog":"jacobi","m":8,"n":4}}`,
+	`{"prog":"jacobi","m":8,"n":4}{"prog":"sor","m":8,"n":4}`,
+}
+
 // Bytes after the request's JSON value are a malformed request, not
 // something to ignore.
 func TestTrailingBytesRejected(t *testing.T) {
 	_, ts, _ := newTestServer(t)
-	for _, body := range []string{
-		`{"prog":"jacobi","m":8,"n":4} junk`,
-		`{"prog":"jacobi","m":8,"n":4}}`,
-		`{"prog":"jacobi","m":8,"n":4}{"prog":"sor","m":8,"n":4}`,
-	} {
+	for _, body := range trailingBodies {
 		for _, route := range []string{"/compile", "/plan"} {
 			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
 			if err != nil {
@@ -870,22 +906,24 @@ func TestPlanKeyDerivedOnce(t *testing.T) {
 }
 
 // writeRouteAllocBudgets is ~1.5x the allocations of each write route
-// through the handler at m=256, N=16, measured when the stored plan came
-// to be read in one pass and the program printed without fmt: warm POST
-// /compile 729 (gauss) / 762 (jacobi) / 350 (sor), plan install 716 / 750
-// / 335. The jacobi compile made 1 384 when every polynomial went through
-// encoding/json's scanner and ir.Print through fmt, and 24 927 when the
-// formulas were expanded in big.Rat and the plan decoded by reflection. A
-// trip is a per-piece allocation back in the render or decode path, not
-// noise.
+// through the handler at m=256, N=16, measured when the request envelope
+// came to be read in one pass and the formulas rendered into one buffer:
+// warm POST /compile 438 (gauss) / 301 (jacobi) / 259 (sor), plan install
+// 413 / 276 / 233. They were 729 / 762 / 350 and 716 / 750 / 335 with
+// the request decoded by encoding/json and each formula term a string of
+// its own, 1 384 for the jacobi compile when every polynomial went
+// through encoding/json's scanner and ir.Print through fmt, and 24 927
+// when the formulas were expanded in big.Rat and the plan decoded by
+// reflection. A trip is a per-piece allocation back in the render or
+// decode path, not noise.
 var writeRouteAllocBudgets = map[string]map[string]float64{
-	"/compile": {"gauss": 1100, "jacobi": 1150, "sor": 530},
-	"/plan":    {"gauss": 1080, "jacobi": 1130, "sor": 510},
+	"/compile": {"gauss": 660, "jacobi": 450, "sor": 390},
+	"/plan":    {"gauss": 620, "jacobi": 415, "sor": 350},
 }
 
 func TestWriteRouteAllocBudget(t *testing.T) {
 	for _, prog := range benchProgs {
-		h, bodies := warmHandler(t, prog)
+		h, _, bodies := warmHandler(t, prog)
 		for _, route := range []string{"/compile", "/plan"} {
 			got := testing.AllocsPerRun(5, func() {
 				if rec := serveDirect(h, "POST", route, bodies[route]); rec.Code != http.StatusOK {
@@ -896,6 +934,40 @@ func TestWriteRouteAllocBudget(t *testing.T) {
 			if budget := writeRouteAllocBudgets[route][prog]; got > budget {
 				t.Errorf("POST %s (%s m=%d N=%d) made %.0f allocations, budget %.0f", route, prog, benchM, benchN, got, budget)
 			}
+		}
+	}
+}
+
+// TestInstallRefusesAnotherProcessorCount: a plan fetched from a gauss
+// compile at N = 16 and posted back with another n is a 422 that names
+// the grid, and the plan live under that n keeps its id and its price.
+// It used to install under the other n's id, replacing the live plan: at
+// n = 8 it priced 743,712 where an n = 8 compile prices 1,470,304.
+func TestInstallRefusesAnotherProcessorCount(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	const m = 256
+	cr := compileProg(t, ts, "gauss", m, 16)
+	_, planRaw := getBody(t, ts.URL+"/plan/"+cr.ID)
+	for _, tc := range []struct{ n, total int }{{4, 0}, {8, 1470304}, {32, 0}} {
+		live := compileProg(t, ts, "gauss", m, tc.n)
+		if tc.total != 0 && live.Cost.Total != float64(tc.total) {
+			t.Fatalf("gauss m=%d n=%d compiles to %g, want %d", m, tc.n, live.Cost.Total, tc.total)
+		}
+		body := fmt.Sprintf(`{"prog":"gauss","m":%d,"n":%d,"plan":%s}`, m, tc.n, planRaw)
+		resp, err := http.Post(ts.URL+"/plan", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(raw), "stale plan: core: frozen plan segment (1,") ||
+			!strings.Contains(string(raw), fmt.Sprintf("the compiler has %d processors", tc.n)) {
+			t.Errorf("n=%d: install of the N=16 plan: %s: %s", tc.n, resp.Status, raw)
+		}
+		resp, got := getBody(t, fmt.Sprintf("%s/cost?key=%s&m=%d", ts.URL, live.ID, m))
+		var rep CostReport
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(got, &rep) != nil || rep.Total != live.Cost.Total {
+			t.Errorf("n=%d: live plan after the refused install: %s: %s, want total %g", tc.n, resp.Status, got, live.Cost.Total)
 		}
 	}
 }
