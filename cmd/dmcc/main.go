@@ -18,9 +18,6 @@ import (
 	"os"
 	"sort"
 
-	"dmcc/internal/parse"
-
-	"dmcc/internal/align"
 	"dmcc/internal/cli"
 	"dmcc/internal/codegen"
 	"dmcc/internal/core"
@@ -56,7 +53,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		p, err = parse.Parse(string(src))
+		p, err = ir.Parse(string(src))
 		if err != nil {
 			fatal(err)
 		}
@@ -122,18 +119,21 @@ func execute(p *ir.Program, m, n int) error {
 func run(p *ir.Program, m, n, jobs int, engine string) error {
 	fmt.Printf("=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, n, m)
 
-	wp := align.WeightParams{Bind: map[string]int{"m": m}, N: n, Tc: 1}
-	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, wp)
+	bind, err := p.BindSize(m)
+	if err != nil {
+		return err
+	}
+	c := core.NewCompiler(p, cost.Unit(), bind, n)
+	c.Jobs = jobs
+	if err := applyEngine(c, engine); err != nil {
+		return err
+	}
+	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, c.Weights)
 	if err != nil {
 		return err
 	}
 	fmt.Println(s)
 
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	c.Jobs = jobs
-	if err := applyEngine(c, engine); err != nil {
-		return err
-	}
 	c.Engines = &core.EngineStats{}
 	res, err := c.Compile()
 	if err != nil {

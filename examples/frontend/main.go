@@ -13,10 +13,10 @@ import (
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
 	"dmcc/internal/exec"
+	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
-	"dmcc/internal/parse"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prog, err := parse.Parse(string(src))
+	prog, err := ir.Parse(string(src))
 	if err != nil {
 		log.Fatal(err)
 	}

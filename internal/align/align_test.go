@@ -183,10 +183,12 @@ func TestSORAffinityMatchesJacobi(t *testing.T) {
 	}
 }
 
+func matmul() *ir.Program { p, _ := ir.Builtin("matmul"); return p }
+
 func TestCannonAlignment(t *testing.T) {
 	// A=B*C wants A1~B1 (i) and A2~C2 (j); B2 and C1 (k) go wherever
 	// feasible.
-	p := ir.Cannon()
+	p := matmul()
 	g := mustGraph(t, p, p.Nests)
 	pt, err := ExactAlign(g, 2)
 	if err != nil {
@@ -201,7 +203,7 @@ func TestCannonAlignment(t *testing.T) {
 }
 
 func TestExactRespectsConstraint(t *testing.T) {
-	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon()} {
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), matmul()} {
 		g := mustGraph(t, p, p.Nests)
 		pt, err := ExactAlign(g, 2)
 		if err != nil {
@@ -221,7 +223,7 @@ func TestExactRespectsConstraint(t *testing.T) {
 }
 
 func TestGreedyRespectsConstraintAndIsFeasible(t *testing.T) {
-	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon()} {
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), matmul()} {
 		g := mustGraph(t, p, p.Nests)
 		pt, err := GreedyAlign(g, 2)
 		if err != nil {
@@ -422,7 +424,7 @@ func TestStencilOffsetsAreAffinityEdges(t *testing.T) {
 // algorithm is 2-D." With q=3 the exact alignment spreads the six array
 // dimensions over three grid dimensions so that no affinity edge is cut.
 func TestCannon3DGridAlignment(t *testing.T) {
-	p := ir.Cannon()
+	p := matmul()
 	g := mustGraph(t, p, p.Nests)
 	pt, err := ExactAlign(g, 3)
 	if err != nil {
@@ -566,7 +568,7 @@ func TestAlignChoosesByNodeCount(t *testing.T) {
 // ExactMaxNodes, so Align is ExactAlign for all of them, whole program and
 // nest by nest, and no partition moved when the choice left the user.
 func TestInTreeProgramsAlignExactly(t *testing.T) {
-	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon(), ir.Stencil()}
+	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), matmul(), ir.Stencil()}
 	for s := 4; s <= 32; s++ {
 		progs = append(progs, ir.Synthetic(s))
 	}

@@ -26,18 +26,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/cachekeys.golden
 // byte for byte the ones that were there, "exact" label included.
 func TestCacheKeyStable(t *testing.T) {
 	const m, n = 64, 16
-	progs := []struct {
-		name string
-		mk   func() *ir.Program
-	}{{"jacobi", ir.Jacobi}, {"sor", ir.SOR}, {"gauss", ir.Gauss}, {"matmul", ir.Cannon}}
 	var b strings.Builder
-	for _, pr := range progs {
+	for _, name := range ir.BuiltinNames() {
 		for _, engine := range []string{"fast", "prechange"} {
-			c := core.NewCompiler(pr.mk(), cost.Unit(), map[string]int{"m": m}, n)
+			p, _ := ir.Builtin(name)
+			c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 			if engine == "prechange" {
 				c.ExactNestCount, c.ExactChangeCost, c.NoCache = true, true, true
 			}
-			fmt.Fprintf(&b, "%s %s exact\n  %s\n  %s\n", pr.name, engine, c.CacheKey(), sweep.PlanKey(c, m))
+			fmt.Fprintf(&b, "%s %s exact\n  %s\n  %s\n", name, engine, c.CacheKey(), sweep.PlanKey(c, m))
 		}
 	}
 	got := b.String()

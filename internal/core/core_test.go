@@ -11,7 +11,6 @@ import (
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 )
 
 func jacobiCompiler(m, n int) *Compiler {
@@ -282,7 +281,7 @@ func TestManyArrayProgramAlignsGreedily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := parse.Parse(string(src))
+	p, err := ir.Parse(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}

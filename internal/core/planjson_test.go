@@ -14,7 +14,6 @@ import (
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 	"dmcc/internal/sweep"
 )
 
@@ -62,13 +61,11 @@ func buildStoredPlans() ([]storedPlan, error) {
 		out = append(out, storedPlan{name, payload, p, pe})
 		return nil
 	}
-	for _, pr := range []struct {
-		name string
-		mk   func() *ir.Program
-	}{{"jacobi", ir.Jacobi}, {"sor", ir.SOR}, {"gauss", ir.Gauss}, {"matmul", ir.Cannon}} {
+	for _, name := range ir.BuiltinNames() {
 		for _, n := range []int{4, 8, 16} {
 			for _, m := range []int{16, 64, 256} {
-				if err := add(fmt.Sprintf("%s m=%d N=%d", pr.name, m, n), pr.mk(), m, n); err != nil {
+				p, _ := ir.Builtin(name)
+				if err := add(fmt.Sprintf("%s m=%d N=%d", name, m, n), p, m, n); err != nil {
 					return nil, err
 				}
 			}
@@ -83,7 +80,7 @@ func buildStoredPlans() ([]storedPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, err := parse.Parse(string(src))
+		p, err := ir.Parse(string(src))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f, err)
 		}

@@ -19,7 +19,8 @@ import (
 // through it.
 type Case struct {
 	Prog *ir.Program
-	// M binds the size parameter m; N is the number of processors.
+	// M binds the program's size parameter (Program.BindSize); N is the
+	// number of processors.
 	M, N int
 	// Iters is the trip count of the outer iterative loop; a
 	// non-iterative program runs once (Iterations).
@@ -29,7 +30,7 @@ type Case struct {
 	Seed int64
 }
 
-func (c Case) bind() map[string]int { return map[string]int{"m": c.M} }
+func (c Case) bind() (map[string]int, error) { return c.Prog.BindSize(c.M) }
 
 // Iterations is the number of times the run executes the program's nests.
 func (c Case) Iterations() int {
@@ -42,7 +43,11 @@ func (c Case) Iterations() int {
 // Schemes is the scheme set the machine runs: the compiler's M[1][s],
 // Section 3's whole-program scheme.
 func (c Case) Schemes() (*core.SchemeSet, error) {
-	_, ss, err := core.NewCompiler(c.Prog, cost.Unit(), c.bind(), c.N).SegmentCost(1, len(c.Prog.Nests))
+	bind, err := c.bind()
+	if err != nil {
+		return nil, err
+	}
+	_, ss, err := core.NewCompiler(c.Prog, cost.Unit(), bind, c.N).SegmentCost(1, len(c.Prog.Nests))
 	return ss, err
 }
 
@@ -54,7 +59,11 @@ func (c Case) Schemes() (*core.SchemeSet, error) {
 // one system, which a hand-written kernel run beside the program can be
 // given too.
 func (c Case) Input() (ir.Storage, error) {
-	lw, err := c.Prog.Lower(c.bind())
+	bind, err := c.bind()
+	if err != nil {
+		return nil, err
+	}
+	lw, err := c.Prog.Lower(bind)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +103,8 @@ func (c Case) run(engine func(*ir.Program, *core.SchemeSet, map[string]int, map[
 	if err != nil {
 		return Result{}, err
 	}
-	return engine(c.Prog, ss, c.bind(), c.Scalars, c.Iters, cfg, input)
+	bind, _ := c.bind() // Schemes bound it
+	return engine(c.Prog, ss, bind, c.Scalars, c.Iters, cfg, input)
 }
 
 // Check is the reference check of a run of the case: the largest
@@ -105,7 +115,8 @@ func (c Case) Check(res Result) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := ir.EvalProgram(c.Prog, c.bind(), ref, c.Scalars, c.Iters); err != nil {
+	bind, _ := c.bind() // Input bound it
+	if err := ir.EvalProgram(c.Prog, bind, ref, c.Scalars, c.Iters); err != nil {
 		return 0, err
 	}
 	diff := 0.0

@@ -10,7 +10,6 @@ import (
 
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
-	"dmcc/internal/parse"
 )
 
 // casePrograms is every program a tool can name: the builtins and the
@@ -30,7 +29,7 @@ func casePrograms(t *testing.T) map[string]*ir.Program {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := parse.Parse(string(src))
+		p, err := ir.Parse(string(src))
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
@@ -102,7 +101,7 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 func TestCaseInputFillsLoweredExtents(t *testing.T) {
 	for _, decl := range []string{"A(m)", "A(m+4)"} {
 		src := "PROGRAM small\nPARAM m\nREAL " + decl + ", C(4)\nDO 10 i = 1, 4\n1 C(i) = A(i) + 1.0\n10 CONTINUE\nEND\n"
-		p, err := parse.Parse(src)
+		p, err := ir.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +110,8 @@ func TestCaseInputFillsLoweredExtents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lw, err := p.Lower(c.bind())
+		bind, _ := c.bind()
+		lw, err := p.Lower(bind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,6 +121,37 @@ func TestCaseInputFillsLoweredExtents(t *testing.T) {
 			}
 		}
 		checkCase(t, "REAL "+decl, c)
+	}
+}
+
+// TestCaseBindsTheProgramsParam: M binds a program's one PARAM whatever
+// its name, a program with none binds nothing, and one with two is an
+// error naming both.
+func TestCaseBindsTheProgramsParam(t *testing.T) {
+	for src, elems := range map[string]int{
+		"PROGRAM pn\nPARAM n\nREAL A(n), B(n)\nDO 2 i = 1, n\n1 A(i) = B(i) + 1.0\n2 CONTINUE\nEND\n": 16,
+		"PROGRAM p0\nREAL A(8), B(8)\nDO 2 i = 1, 8\n1 A(i) = B(i) + 1.0\n2 CONTINUE\nEND\n":          8,
+	} {
+		p, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Case{Prog: p, M: 16, N: 4, Iters: 1, Seed: 7}
+		in, err := c.Input()
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if len(in["A"]) != elems {
+			t.Errorf("%s: A holds %d elements, want %d", p.Name, len(in["A"]), elems)
+		}
+		checkCase(t, p.Name, c)
+	}
+	p, err := ir.Parse("PROGRAM pmn\nPARAM m, n\nREAL A(m), B(n)\nDO 2 i = 1, 4\n1 A(i) = B(i) + 1.0\n2 CONTINUE\nEND\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (Case{Prog: p, M: 16, N: 4}).Schemes(); err == nil || !strings.Contains(err.Error(), "size parameters m, n") {
+		t.Fatalf("two size parameters: got %v, want an error naming m and n", err)
 	}
 }
 
@@ -140,7 +171,7 @@ func TestMissingSchemeNamesFirstArray(t *testing.T) {
 	delete(ss.Schemes, "X")
 	delete(ss.Schemes, "B")
 	for i := 0; i < 20; i++ {
-		_, err := Run(c.Prog, ss, c.bind(), nil, 1, machine.DefaultConfig(), input)
+		_, err := Run(c.Prog, ss, map[string]int{"m": 8}, nil, 1, machine.DefaultConfig(), input)
 		if err == nil || !strings.HasSuffix(err.Error(), "no scheme for array B") {
 			t.Fatalf("run %d: got %v, want the error naming B", i, err)
 		}

@@ -190,7 +190,7 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 		m, n int
 	}{
 		{ir.Gauss(), 32, 16}, {ir.Gauss(), 64, 16}, {ir.Jacobi(), 32, 1024},
-		{ir.SOR(), 32, 16}, {ir.Jacobi(), 16, 64}, {ir.Cannon(), 8, 4},
+		{ir.SOR(), 32, 16}, {ir.Jacobi(), 16, 64}, {matmul(), 8, 4},
 	} {
 		label := fmt.Sprintf("%s m=%d n=%d", k.p.Name, k.m, k.n)
 		t.Logf("%s: %v", label, inspect(label, k.p, wholeProgramSchemes(t, k.p, k.m, k.n), k.m))

@@ -138,12 +138,14 @@ func TestExecNaiveCostExceedsPipelinedKernel(t *testing.T) {
 		res.Stats.ParallelTime/pp.Stats.ParallelTime)
 }
 
+func matmul() *ir.Program { p, _ := ir.Builtin("matmul"); return p }
+
 // TestExecCannon: the matmul IR executes correctly on a 2x2 grid.
 func TestExecCannon(t *testing.T) {
 	m := 8
 	bm := matrix.RandomDense(m, m, 317)
 	cm := matrix.RandomDense(m, m, 331)
-	p := ir.Cannon()
+	p := matmul()
 	st := ir.NewStorage(p)
 	for i := 1; i <= m; i++ {
 		for j := 1; j <= m; j++ {

@@ -310,7 +310,7 @@ func TestLoweringMatchesIR(t *testing.T) {
 	const m = 6
 	bind := map[string]int{"m": m}
 	scalars := map[string]float64{"OMEGA": 1.25}
-	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon(), ir.Stencil(), ir.Synthetic(6)} {
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), matmul(), ir.Stencil(), ir.Synthetic(6)} {
 		checkIRLowering(t, p.Name, p, bind)
 	}
 	for _, seed := range fuzzSeeds {

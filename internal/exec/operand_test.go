@@ -182,7 +182,7 @@ func TestOperandAddressesMatchElements(t *testing.T) {
 		m, n int
 	}{
 		{ir.Gauss(), 32, 16}, {ir.Gauss(), 16, 4}, {ir.Jacobi(), 16, 64}, {ir.Jacobi(), 32, 4},
-		{ir.SOR(), 32, 16}, {ir.SOR(), 16, 4}, {ir.Cannon(), 8, 4},
+		{ir.SOR(), 32, 16}, {ir.SOR(), 16, 4}, {matmul(), 8, 4},
 	} {
 		label := fmt.Sprintf("%s m=%d n=%d", k.p.Name, k.m, k.n)
 		t.Logf("%s: %d operands", label, checkAddresses(t, label, k.p, wholeProgramSchemes(t, k.p, k.m, k.n), k.m))

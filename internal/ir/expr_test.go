@@ -91,7 +91,7 @@ func TestEvalCannonMatchesMul(t *testing.T) {
 	m := 8
 	bm := matrix.RandomDense(m, m, 73)
 	cm := matrix.RandomDense(m, m, 79)
-	p := Cannon()
+	p, _ := Builtin("matmul")
 	st := NewStorage(p)
 	for i := 1; i <= m; i++ {
 		for j := 1; j <= m; j++ {
@@ -129,7 +129,7 @@ func TestExprReadsAndFlops(t *testing.T) {
 	}
 	// Every built-in statement's declared Reads/Flops must agree with its
 	// expression tree.
-	for _, prog := range []*Program{Jacobi(), SOR(), Gauss(), Cannon(), Stencil()} {
+	for _, prog := range append(builtinPrograms(), Stencil()) {
 		for _, nest := range prog.Nests {
 			for _, stmt := range nest.Stmts {
 				if stmt.RHS == nil {

@@ -8,6 +8,11 @@
 // and subscripts are affine expressions over loop indices and symbolic
 // size parameters (typically "m"), so both alignment analysis (Section 3)
 // and dependence analysis (Section 6) are exact.
+//
+// The package owns both halves of the text form, the notation of the
+// paper's listings: Parse reads it (parse.go) and Print writes it
+// (print.go). The paper's programs are their listings, parsed
+// (Builtin).
 package ir
 
 import (
@@ -411,6 +416,18 @@ func (p *Program) Validate() error {
 		}
 	}
 	return nil
+}
+
+// BindSize binds the program's one size parameter to v. A program with
+// none binds nothing; one with more is an error naming them.
+func (p *Program) BindSize(v int) (map[string]int, error) {
+	switch len(p.Params) {
+	case 0:
+		return map[string]int{}, nil
+	case 1:
+		return map[string]int{p.Params[0]: v}, nil
+	}
+	return nil, fmt.Errorf("ir: program %s has size parameters %s; a run binds one", p.Name, strings.Join(p.Params, ", "))
 }
 
 // StmtsOf returns a nest's statements (helper so Program methods read

@@ -102,8 +102,18 @@ func TestRefString(t *testing.T) {
 	}
 }
 
+// builtinPrograms is every program Builtin names.
+func builtinPrograms() []*Program {
+	var out []*Program
+	for _, name := range BuiltinNames() {
+		p, _ := Builtin(name)
+		out = append(out, p)
+	}
+	return out
+}
+
 func TestProgramsValidate(t *testing.T) {
-	for _, p := range []*Program{Jacobi(), SOR(), Gauss(), Cannon()} {
+	for _, p := range builtinPrograms() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -226,7 +236,7 @@ func TestArrayLookupPanics(t *testing.T) {
 }
 
 func TestPrintRendersAllPrograms(t *testing.T) {
-	for _, p := range []*Program{Jacobi(), SOR(), Gauss(), Cannon(), Stencil()} {
+	for _, p := range append(builtinPrograms(), Stencil()) {
 		src := Print(p)
 		for _, want := range []string{"PROGRAM " + p.Name, "PARAM m", "REAL", "END"} {
 			if !strings.Contains(src, want) {
@@ -385,7 +395,7 @@ func exprFmt(e Expr) string {
 // their fmt versions wrote, for every builtin program and for the number
 // and subscript forms the programs do not reach.
 func TestPrintMatchesFmt(t *testing.T) {
-	progs := []*Program{Jacobi(), SOR(), Gauss(), Cannon(), Stencil()}
+	progs := append(builtinPrograms(), Stencil())
 	for s := 1; s <= 12; s++ {
 		progs = append(progs, Synthetic(s))
 	}

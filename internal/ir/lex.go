@@ -1,30 +1,5 @@
-// Package parse is the compiler frontend: it parses Fortran-style Do-loop
-// programs — the notation of the paper's listings — into the affine IR of
-// package ir, so the whole pipeline (alignment, Algorithm 1, dependence
-// analysis, codegen) can be driven from program text.
-//
-// The accepted language is the fragment the paper's method applies to:
-//
-//	PROGRAM jacobi
-//	PARAM m
-//	REAL A(m,m), V(m), B(m), X(m)
-//	ITERATE                          { optional outer convergence loop }
-//	DO 6 i = 1, m
-//	  V(i) = 0.0
-//	  DO 6 j = 1, m
-//	5   V(i) = V(i) + A(i,j) * X(j)
-//	6 CONTINUE
-//	DO 9 i = 1, m
-//	8 X(i) = X(i) + (B(i) - V(i)) / A(i,i)
-//	9 CONTINUE
-//	END
-//
-// Loops close at the CONTINUE carrying their label (shared labels close
-// several loops at once, as in the paper), or at an unlabeled ENDDO.
-// Subscripts and loop bounds must be affine in the loop indices and size
-// parameters; right-hand sides are arbitrary scalar expressions over
-// array references, whose reads and flop counts the parser extracts.
-package parse
+// The frontend's lexer: source text -> tokens for Parse.
+package ir
 
 import (
 	"fmt"
@@ -50,35 +25,13 @@ const (
 	tokSlash
 )
 
-func (k tokKind) String() string {
-	switch k {
-	case tokEOF:
-		return "end of input"
-	case tokNewline:
-		return "end of line"
-	case tokIdent:
-		return "identifier"
-	case tokNumber:
-		return "number"
-	case tokLParen:
-		return "'('"
-	case tokRParen:
-		return "')'"
-	case tokComma:
-		return "','"
-	case tokAssign:
-		return "'='"
-	case tokPlus:
-		return "'+'"
-	case tokMinus:
-		return "'-'"
-	case tokStar:
-		return "'*'"
-	case tokSlash:
-		return "'/'"
-	}
-	return fmt.Sprintf("tokKind(%d)", int(k))
+var tokNames = [...]string{
+	tokEOF: "end of input", tokNewline: "end of line", tokIdent: "identifier", tokNumber: "number",
+	tokLParen: "'('", tokRParen: "')'", tokComma: "','", tokAssign: "'='",
+	tokPlus: "'+'", tokMinus: "'-'", tokStar: "'*'", tokSlash: "'/'",
 }
+
+func (k tokKind) String() string { return tokNames[k] }
 
 type token struct {
 	kind tokKind

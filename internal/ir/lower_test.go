@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 )
 
 // TestLowerShapes: Lower evaluates every extent under the binding, in
@@ -39,7 +38,7 @@ func TestLowerShapes(t *testing.T) {
 		{"A(m), B(q)", 4, `ir: array B: unbound variable "q" in extent q`},
 		{"A(m), B(40)", 4, ""},
 	} {
-		p, err := parse.Parse("PROGRAM t\nPARAM m\nREAL " + c.decl + "\nDO 9 i = 1, 1\n7   A(i) = B(i)\n9 CONTINUE\nEND\n")
+		p, err := ir.Parse("PROGRAM t\nPARAM m\nREAL " + c.decl + "\nDO 9 i = 1, 1\n7   A(i) = B(i)\n9 CONTINUE\nEND\n")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +113,14 @@ func TestValidateErrors(t *testing.T) {
 			"PROGRAM t\nPARAM m\nREAL A(m), B(m)\nDO 6 i = 1, m\nDO 4 i = 1, m\n3 A(i) = B(i)\n4 CONTINUE\n6 CONTINUE\nEND\n",
 			"ir: L1 loop i at depth 2: its index is the index of the enclosing loop at depth 1"},
 	} {
-		_, err := parse.Parse(c.src)
+		_, err := ir.Parse(c.src)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error saying %q", c.name, err, c.want)
 		}
 	}
 	// The same loops in separate nests, and an index that is a parameter's
 	// name nowhere, are fine.
-	if _, err := parse.Parse("PROGRAM t\nPARAM m\nREAL A(m)\nDO 4 i = 1, m\n3 A(i) = 1.0\n4 CONTINUE\nDO 6 i = 1, m\n5 A(i) = 2.0\n6 CONTINUE\nEND\n"); err != nil {
+	if _, err := ir.Parse("PROGRAM t\nPARAM m\nREAL A(m)\nDO 4 i = 1, m\n3 A(i) = 1.0\n4 CONTINUE\nDO 6 i = 1, m\n5 A(i) = 2.0\n6 CONTINUE\nEND\n"); err != nil {
 		t.Errorf("two nests over i: %v", err)
 	}
 }

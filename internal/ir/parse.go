@@ -1,16 +1,40 @@
-// The recursive-descent parser: tokens -> ir.Program.
-package parse
+// The frontend: a recursive-descent parser from Fortran-style Do-loop
+// programs — the notation of the paper's listings — to a Program, the
+// inverse of Print, so the whole pipeline (alignment, Algorithm 1,
+// dependence analysis, codegen) can be driven from program text.
+//
+// The accepted language is the fragment the paper's method applies to:
+//
+//	PROGRAM jacobi
+//	PARAM m
+//	REAL A(m,m), V(m), B(m), X(m)
+//	ITERATE                          { optional outer convergence loop }
+//	DO 6 i = 1, m
+//	  V(i) = 0.0
+//	  DO 6 j = 1, m
+//	5   V(i) = V(i) + A(i,j) * X(j)
+//	6 CONTINUE
+//	DO 9 i = 1, m
+//	8 X(i) = X(i) + (B(i) - V(i)) / A(i,i)
+//	9 CONTINUE
+//	END
+//
+// Loops close at the CONTINUE carrying their label (shared labels close
+// several loops at once, as in the paper), or at an unlabeled ENDDO.
+// Subscripts and loop bounds must be affine in the loop indices and size
+// parameters; right-hand sides are arbitrary scalar expressions over
+// array references, whose reads and flop counts the parser extracts.
+package ir
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"dmcc/internal/ir"
 )
 
-// Parse turns source text into a validated IR program.
-func Parse(src string) (*ir.Program, error) {
+// Parse turns source text into a validated program. It reads what Print
+// writes: a printed program parses back to one that runs the same.
+func Parse(src string) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -30,7 +54,7 @@ type parser struct {
 	toks  []token
 	pos   int
 	lines []string
-	prog  *ir.Program
+	prog  *Program
 	// loop indices currently in scope, outermost first.
 	scope []string
 	// chainLabels holds the end labels of the open loop chain, parallel
@@ -60,7 +84,7 @@ func (p *parser) errf(t token, format string, args ...interface{}) error {
 }
 
 // program := "PROGRAM" ident NL decls [iterate] nests "END"
-func (p *parser) program() (*ir.Program, error) {
+func (p *parser) program() (*Program, error) {
 	p.skipNewlines()
 	if !isKeyword(p.cur(), "PROGRAM") {
 		return nil, p.errf(p.cur(), "expected PROGRAM, got %q", p.cur().text)
@@ -70,7 +94,7 @@ func (p *parser) program() (*ir.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.prog = &ir.Program{Name: name.text, Arrays: map[string]*ir.Array{}}
+	p.prog = &Program{Name: name.text, Arrays: map[string]*Array{}}
 	p.skipNewlines()
 
 	// Declarations.
@@ -129,7 +153,7 @@ func (p *parser) arrayDecls() error {
 		if _, err := p.expect(tokLParen); err != nil {
 			return err
 		}
-		var extents []ir.Affine
+		var extents []Affine
 		for {
 			a, err := p.affine()
 			if err != nil {
@@ -147,7 +171,7 @@ func (p *parser) arrayDecls() error {
 		if _, dup := p.prog.Arrays[id.text]; dup {
 			return p.errf(id, "array %s declared twice", id.text)
 		}
-		p.prog.Arrays[id.text] = &ir.Array{Name: id.text, Extents: extents}
+		p.prog.Arrays[id.text] = &Array{Name: id.text, Extents: extents}
 		if p.cur().kind != tokComma {
 			return nil
 		}
@@ -159,9 +183,7 @@ func (p *parser) arrayDecls() error {
 // upper bound is MAX_ITERATION, marks the program iterative and parses
 // the loop's body as the sequence of nests.
 func (p *parser) topLevel() error {
-	label, hasLabel := p.optionalLabel()
-	_ = label
-	_ = hasLabel
+	p.optionalLabel()
 	if !isKeyword(p.cur(), "DO") {
 		return p.errf(p.cur(), "expected DO at top level, got %q", p.cur().text)
 	}
@@ -170,9 +192,8 @@ func (p *parser) topLevel() error {
 	if err != nil {
 		return err
 	}
-	if hi, isIter := maxIteration(loop.Hi); isIter {
+	if vars := loop.Hi.Vars(); len(vars) == 1 && strings.EqualFold(vars[0], "MAX_ITERATION") {
 		p.prog.Iterative = true
-		_ = hi
 		p.skipNewlines()
 		// Parse the wrapper's body as top-level nests until its CONTINUE.
 		for {
@@ -191,7 +212,7 @@ func (p *parser) topLevel() error {
 		}
 	}
 	p.pos = save // reparse as a real nest loop
-	nest := &ir.Nest{Label: fmt.Sprintf("L%d", len(p.prog.Nests)+1)}
+	nest := &Nest{Label: fmt.Sprintf("L%d", len(p.prog.Nests)+1)}
 	if err := p.nestLoop(nest); err != nil {
 		return err
 	}
@@ -199,19 +220,9 @@ func (p *parser) topLevel() error {
 	return nil
 }
 
-// maxIteration reports whether an affine bound is the MAX_ITERATION
-// sentinel.
-func maxIteration(a ir.Affine) (string, bool) {
-	vars := a.Vars()
-	if len(vars) == 1 && strings.EqualFold(vars[0], "MAX_ITERATION") {
-		return vars[0], true
-	}
-	return "", false
-}
-
 // doHeader parses "DO <label> idx = lo, hi [, step]"; the leading label
 // token (if any) has already been consumed by the caller's optionalLabel.
-func (p *parser) doHeader() (endLabel int, loop ir.Loop, err error) {
+func (p *parser) doHeader() (endLabel int, loop Loop, err error) {
 	if !isKeyword(p.cur(), "DO") {
 		return 0, loop, p.errf(p.cur(), "expected DO")
 	}
@@ -257,13 +268,13 @@ func (p *parser) doHeader() (endLabel int, loop ir.Loop, err error) {
 	if _, err := p.expect(tokNewline); err != nil {
 		return 0, loop, err
 	}
-	return endLabel, ir.Loop{Index: idx.text, Lo: lo, Hi: hi, Step: step}, nil
+	return endLabel, Loop{Index: idx.text, Lo: lo, Hi: hi, Step: step}, nil
 }
 
 // nestLoop parses a DO and its body into nest, recursively for inner
 // loops. A labeled CONTINUE closes every open loop that shares its label
 // (the paper's shared-label style); ENDDO closes the innermost loop.
-func (p *parser) nestLoop(nest *ir.Nest) error {
+func (p *parser) nestLoop(nest *Nest) error {
 	p.optionalLabel()
 	endLabel, loop, err := p.doHeader()
 	if err != nil {
@@ -304,8 +315,9 @@ func (p *parser) nestLoop(nest *ir.Nest) error {
 			stmtLabel, _ := p.optionalLabel()
 			if isKeyword(p.cur(), "DO") {
 				p.pos = savePos
-				if len(nest.Stmts) > 0 && p.siblingLoopAfterStmts(nest) {
-					// A second inner loop chain: unsupported shape.
+				if len(nest.Stmts) > 0 && len(nest.Loops) > len(p.scope) {
+					// A previous inner chain closed, so this is a second
+					// one: unsupported shape.
 					return p.errf(t, "multiple sibling inner loops in one nest are not supported; split them into separate top-level loops")
 				}
 				if err := p.nestLoop(nest); err != nil {
@@ -320,31 +332,18 @@ func (p *parser) nestLoop(nest *ir.Nest) error {
 	}
 }
 
-// siblingLoopAfterStmts reports whether the nest already has a loop
-// deeper than the current scope (meaning a previous inner chain closed).
-func (p *parser) siblingLoopAfterStmts(nest *ir.Nest) bool {
-	return len(nest.Loops) > len(p.scope)
-}
-
 // optionalLabel consumes a leading statement label (a number at the
 // start of a line) and returns it.
 func (p *parser) optionalLabel() (int, bool) {
-	if p.cur().kind == tokNumber && !strings.Contains(p.cur().text, ".") {
-		if p.pos+1 < len(p.toks) {
-			n := p.toks[p.pos+1]
-			if n.kind == tokIdent { // "5  V(i) = ..." or "6 CONTINUE" or "8 DO ..."
-				v, err := strconv.Atoi(p.cur().text)
-				if err == nil {
-					p.next()
-					return v, true
-				}
-			}
-		}
+	v, ok := p.peekLabel()
+	if ok {
+		p.next()
 	}
-	return 0, false
+	return v, ok
 }
 
-// peekLabel looks at a leading label without consuming it.
+// peekLabel looks at a leading label — "5  V(i) = ...", "6 CONTINUE",
+// "8 DO ..." — without consuming it.
 func (p *parser) peekLabel() (int, bool) {
 	if p.cur().kind == tokNumber && !strings.Contains(p.cur().text, ".") {
 		v, err := strconv.Atoi(p.cur().text)
@@ -382,7 +381,7 @@ func (p *parser) outerSharesLabel(label int) bool {
 }
 
 // statement parses "ref = expr".
-func (p *parser) statement(nest *ir.Nest, label int) error {
+func (p *parser) statement(nest *Nest, label int) error {
 	startTok := p.cur()
 	lhs, err := p.ref()
 	if err != nil {
@@ -432,7 +431,7 @@ func (p *parser) statement(nest *ir.Nest, label int) error {
 	if line == 0 {
 		line = startTok.line
 	}
-	nest.Stmts = append(nest.Stmts, &ir.Stmt{
+	nest.Stmts = append(nest.Stmts, &Stmt{
 		Line:   line,
 		Depth:  len(p.scope),
 		LHS:    lhs,
@@ -457,7 +456,7 @@ func stripLabel(line string) string {
 	return s
 }
 
-func sameSubs(a, b ir.Ref) bool {
+func sameSubs(a, b Ref) bool {
 	if len(a.Subs) != len(b.Subs) {
 		return false
 	}
@@ -471,19 +470,19 @@ func sameSubs(a, b ir.Ref) bool {
 }
 
 // ref := ident "(" affine {"," affine} ")"
-func (p *parser) ref() (ir.Ref, error) {
+func (p *parser) ref() (Ref, error) {
 	id, err := p.expect(tokIdent)
 	if err != nil {
-		return ir.Ref{}, err
+		return Ref{}, err
 	}
 	if _, err := p.expect(tokLParen); err != nil {
-		return ir.Ref{}, err
+		return Ref{}, err
 	}
-	var subs []ir.Affine
+	var subs []Affine
 	for {
 		a, err := p.affine()
 		if err != nil {
-			return ir.Ref{}, err
+			return Ref{}, err
 		}
 		subs = append(subs, a)
 		if p.cur().kind != tokComma {
@@ -492,29 +491,29 @@ func (p *parser) ref() (ir.Ref, error) {
 		p.next()
 	}
 	if _, err := p.expect(tokRParen); err != nil {
-		return ir.Ref{}, err
+		return Ref{}, err
 	}
-	return ir.Ref{Array: id.text, Subs: subs}, nil
+	return Ref{Array: id.text, Subs: subs}, nil
 }
 
 // expr parses the right-hand side: a standard precedence-climbing parser
 // building an executable expression tree, recording array reads and
 // counting one flop per arithmetic operation. Scalar identifiers (OMEGA,
-// temp, ...) become ir.Scalar leaves; they are replicated per Section 2.
-func (p *parser) expr() (ir.Expr, []ir.Ref, int, error) {
+// temp, ...) become Scalar leaves; they are replicated per Section 2.
+func (p *parser) expr() (Expr, []Ref, int, error) {
 	e := &exprParser{p: p}
 	tree, err := e.additive()
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	return tree, ir.ExprReads(tree), ir.ExprFlops(tree), nil
+	return tree, ExprReads(tree), ExprFlops(tree), nil
 }
 
 type exprParser struct {
 	p *parser
 }
 
-func (e *exprParser) additive() (ir.Expr, error) {
+func (e *exprParser) additive() (Expr, error) {
 	l, err := e.multiplicative()
 	if err != nil {
 		return nil, err
@@ -529,12 +528,12 @@ func (e *exprParser) additive() (ir.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ir.BinOp{Op: op, L: l, R: r}
+		l = BinOp{Op: op, L: l, R: r}
 	}
 	return l, nil
 }
 
-func (e *exprParser) multiplicative() (ir.Expr, error) {
+func (e *exprParser) multiplicative() (Expr, error) {
 	l, err := e.unary()
 	if err != nil {
 		return nil, err
@@ -549,24 +548,24 @@ func (e *exprParser) multiplicative() (ir.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = ir.BinOp{Op: op, L: l, R: r}
+		l = BinOp{Op: op, L: l, R: r}
 	}
 	return l, nil
 }
 
-func (e *exprParser) unary() (ir.Expr, error) {
+func (e *exprParser) unary() (Expr, error) {
 	if e.p.cur().kind == tokMinus {
 		e.p.next()
 		inner, err := e.unary()
 		if err != nil {
 			return nil, err
 		}
-		return ir.NegE{E: inner}, nil
+		return NegE{E: inner}, nil
 	}
 	return e.primary()
 }
 
-func (e *exprParser) primary() (ir.Expr, error) {
+func (e *exprParser) primary() (Expr, error) {
 	t := e.p.cur()
 	switch t.kind {
 	case tokNumber:
@@ -575,7 +574,7 @@ func (e *exprParser) primary() (ir.Expr, error) {
 			return nil, e.p.errf(t, "bad number %q", t.text)
 		}
 		e.p.next()
-		return ir.Num(v), nil
+		return Num(v), nil
 	case tokLParen:
 		e.p.next()
 		inner, err := e.additive()
@@ -594,12 +593,12 @@ func (e *exprParser) primary() (ir.Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return ir.Rd(r), nil
+				return Rd(r), nil
 			}
 			return nil, e.p.errf(t, "call of undeclared array/function %q", t.text)
 		}
 		e.p.next() // scalar
-		return ir.Scalar(t.text), nil
+		return Scalar(t.text), nil
 	default:
 		return nil, e.p.errf(t, "unexpected %q in expression", t.text)
 	}
@@ -607,8 +606,8 @@ func (e *exprParser) primary() (ir.Expr, error) {
 
 // affine parses an affine expression over identifiers: term {(+|-) term},
 // term := [int "*"] ident | int | ident ["*" int].
-func (p *parser) affine() (ir.Affine, error) {
-	acc := ir.Const(0)
+func (p *parser) affine() (Affine, error) {
+	acc := Const(0)
 	sign := 1
 	if p.cur().kind == tokMinus {
 		sign = -1
@@ -635,40 +634,40 @@ func (p *parser) affine() (ir.Affine, error) {
 	}
 }
 
-func (p *parser) affineTerm(sign int) (ir.Affine, error) {
+func (p *parser) affineTerm(sign int) (Affine, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
 		v, err := strconv.Atoi(t.text)
 		if err != nil {
-			return ir.Affine{}, p.errf(t, "subscripts must be integers, got %q", t.text)
+			return Affine{}, p.errf(t, "subscripts must be integers, got %q", t.text)
 		}
 		p.next()
 		if p.cur().kind == tokStar { // int * ident
 			p.next()
 			id, err := p.expect(tokIdent)
 			if err != nil {
-				return ir.Affine{}, err
+				return Affine{}, err
 			}
-			return ir.NewAffine(0, ir.Term{Var: id.text, Coeff: sign * v}), nil
+			return NewAffine(0, Term{Var: id.text, Coeff: sign * v}), nil
 		}
-		return ir.Const(sign * v), nil
+		return Const(sign * v), nil
 	case tokIdent:
 		p.next()
 		if p.cur().kind == tokStar { // ident * int
 			p.next()
 			n, err := p.expect(tokNumber)
 			if err != nil {
-				return ir.Affine{}, err
+				return Affine{}, err
 			}
 			v, err := strconv.Atoi(n.text)
 			if err != nil {
-				return ir.Affine{}, p.errf(n, "bad coefficient %q", n.text)
+				return Affine{}, p.errf(n, "bad coefficient %q", n.text)
 			}
-			return ir.NewAffine(0, ir.Term{Var: t.text, Coeff: sign * v}), nil
+			return NewAffine(0, Term{Var: t.text, Coeff: sign * v}), nil
 		}
-		return ir.NewAffine(0, ir.Term{Var: t.text, Coeff: sign}), nil
+		return NewAffine(0, Term{Var: t.text, Coeff: sign}), nil
 	default:
-		return ir.Affine{}, p.errf(t, "expected affine term, got %q", t.text)
+		return Affine{}, p.errf(t, "expected affine term, got %q", t.text)
 	}
 }

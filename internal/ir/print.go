@@ -1,6 +1,6 @@
 // Pretty-printing: render an IR program back to the frontend source
-// syntax (package parse), so compiled or generated programs can be
-// dumped, diffed, and re-parsed. Print and parse.Parse round-trip. The
+// syntax, so compiled or generated programs can be dumped, diffed, and
+// re-parsed. Print and Parse (parse.go) round-trip. The
 // printed form is also what core.ProgramHash digests on every plan key,
 // so it is written into one builder with strconv, not through fmt.
 package ir
@@ -11,8 +11,7 @@ import (
 	"strings"
 )
 
-// Print renders the program in the frontend syntax accepted by
-// package parse.
+// Print renders the program in the frontend syntax Parse accepts.
 func Print(p *Program) string {
 	var b strings.Builder
 	b.WriteString("PROGRAM ")

@@ -1,25 +1,99 @@
-// The paper's example programs as IR values. Line numbers match the
-// listings in Sections 3, 5 and 6 so reports can cite them.
+// The paper's example programs. The four builtins are their listings in
+// testdata/, parsed: line numbers match Sections 2.1, 3, 5 and 6, so
+// reports can cite them. Synthetic and Stencil are built here.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"sync"
+
+	"dmcc"
+)
 
 // builtins are the paper programs the tools compile by name, in the order
 // they list them.
 var builtins = []struct {
-	name  string
-	build func() *Program
-}{{"jacobi", Jacobi}, {"sor", SOR}, {"gauss", Gauss}, {"matmul", Cannon}}
+	name   string
+	parsed func() *Program
+}{
+	{"jacobi", parseOnce("jacobi", "L")}, {"sor", parseOnce("sor", "S")},
+	{"gauss", parseOnce("gauss", "G")}, {"matmul", parseOnce("matmul", "M")},
+}
 
-// Builtin builds the paper program a tool names: jacobi, sor, gauss or
-// matmul (Cannon's multiplication). ok is false for any other name.
+// parseOnce returns the parse of testdata/<name>.f, made on the first
+// call in the process, with its nests labelled letter1, letter2, ... as the
+// paper labels them.
+func parseOnce(name, letter string) func() *Program {
+	return sync.OnceValue(func() *Program {
+		src, err := dmcc.Listings.ReadFile("testdata/" + name + ".f")
+		if err != nil {
+			panic(err)
+		}
+		p, err := Parse(string(src))
+		if err != nil {
+			panic(fmt.Sprintf("ir: listing %s.f: %v", name, err))
+		}
+		for k, nest := range p.Nests {
+			nest.Label = letter + strconv.Itoa(k+1)
+		}
+		return p
+	})
+}
+
+// Builtin returns the paper program a tool names — jacobi, sor, gauss or
+// matmul, parsed from its listing — as a copy the caller may edit. ok is
+// false for any other name.
 func Builtin(name string) (p *Program, ok bool) {
 	for _, b := range builtins {
 		if b.name == name {
-			return b.build(), true
+			return b.parsed().clone(), true
 		}
 	}
 	return nil, false
+}
+
+// clone copies p down to every slice, map and expression an edit can
+// reach. The copy shares only its Affines' Coeff maps: an Affine is a
+// value, and no code writes its map after building it.
+func (p *Program) clone() *Program {
+	q := *p
+	q.Params = slices.Clone(p.Params)
+	q.Arrays = make(map[string]*Array, len(p.Arrays))
+	for name, a := range p.Arrays {
+		q.Arrays[name] = &Array{Name: a.Name, Extents: slices.Clone(a.Extents)}
+	}
+	q.Nests = make([]*Nest, len(p.Nests))
+	for i, n := range p.Nests {
+		c := &Nest{Label: n.Label, Loops: slices.Clone(n.Loops), Stmts: make([]*Stmt, len(n.Stmts))}
+		for k, st := range n.Stmts {
+			s := *st
+			s.LHS = st.LHS.clone()
+			s.Reads = slices.Clone(st.Reads)
+			for r, rd := range s.Reads {
+				s.Reads[r] = rd.clone()
+			}
+			s.RHS = cloneExpr(st.RHS)
+			c.Stmts[k] = &s
+		}
+		q.Nests[i] = c
+	}
+	return &q
+}
+
+func (r Ref) clone() Ref { return Ref{Array: r.Array, Subs: slices.Clone(r.Subs)} }
+
+func cloneExpr(e Expr) Expr {
+	switch v := e.(type) {
+	case RefE:
+		return RefE{Ref: v.Ref.clone()}
+	case NegE:
+		return NegE{E: cloneExpr(v.E)}
+	case BinOp:
+		return BinOp{Op: v.Op, L: cloneExpr(v.L), R: cloneExpr(v.R)}
+	}
+	return e // Num, Scalar and nil hold nothing to share
 }
 
 // BuiltinNames lists the names Builtin knows.
@@ -31,244 +105,21 @@ func BuiltinNames() []string {
 	return names
 }
 
-// Jacobi returns Jacobi's iterative algorithm for linear systems
-// A x = b (Section 3):
-//
-//	1  DO 10 k = 1, MAX_ITERATION
-//	2    DO 6 i = 1, m                 (nest L1)
-//	3      V(i) = 0.0
-//	4      DO 6 j = 1, m
-//	5        V(i) = V(i) + A(i,j) * X(j)
-//	6    CONTINUE
-//	7    DO 9 i = 1, m                 (nest L2)
-//	8      X(i) = X(i) + (B(i) - V(i)) / A(i,i)
-//	9    CONTINUE
-//	10 CONTINUE
-func Jacobi() *Program {
-	m := V("m")
-	p := &Program{
-		Name:      "jacobi",
-		Iterative: true,
-		Params:    []string{"m"},
-		Arrays: map[string]*Array{
-			"A": {Name: "A", Extents: []Affine{m, m}},
-			"V": {Name: "V", Extents: []Affine{m}},
-			"B": {Name: "B", Extents: []Affine{m}},
-			"X": {Name: "X", Extents: []Affine{m}},
-		},
-	}
-	l1 := &Nest{
-		Label: "L1",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(1), Hi: m, Step: 1},
-			{Index: "j", Lo: Const(1), Hi: m, Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 3, Depth: 1, LHS: R("V", V("i")), Flops: 0,
-				RHS:  Num(0),
-				Text: "V(i) = 0.0"},
-			{Line: 5, Depth: 2, LHS: R("V", V("i")),
-				Reads:  []Ref{R("V", V("i")), R("A", V("i"), V("j")), R("X", V("j"))},
-				RHS:    Add(Rd(R("V", V("i"))), MulE(Rd(R("A", V("i"), V("j"))), Rd(R("X", V("j"))))),
-				Flops:  2,
-				Reduce: true,
-				Text:   "V(i) = V(i) + A(i,j) * X(j)"},
-		},
-	}
-	l2 := &Nest{
-		Label: "L2",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(1), Hi: m, Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 8, Depth: 1, LHS: R("X", V("i")),
-				Reads: []Ref{R("X", V("i")), R("B", V("i")), R("V", V("i")), R("A", V("i"), V("i"))},
-				RHS: Add(Rd(R("X", V("i"))),
-					DivE(Sub(Rd(R("B", V("i"))), Rd(R("V", V("i")))), Rd(R("A", V("i"), V("i"))))),
-				Flops: 3,
-				Text:  "X(i) = X(i) + (B(i) - V(i)) / A(i,i)"},
-		},
-	}
-	p.Nests = []*Nest{l1, l2}
-	return p
-}
+// Jacobi returns Jacobi's iterative algorithm for linear systems A x = b
+// (Section 3, testdata/jacobi.f): nests L1 and L2.
+func Jacobi() *Program { p, _ := Builtin("jacobi"); return p }
 
-// SOR returns the successive over-relaxation algorithm (Section 5):
-//
-//	1  DO 9 k = 1, MAX_ITERATION
-//	2    DO 8 i = 1, m
-//	3      V(i) = 0.0
-//	4      DO 6 j = 1, m
-//	5        V(i) = V(i) + A(i,j) * X(j)
-//	6      CONTINUE
-//	7      X(i) = X(i) + OMEGA * (B(i) - V(i)) / A(i,i)
-//	8    CONTINUE
-//	9  CONTINUE
-//
-// Unlike Jacobi, the update of X(i) sits inside the i loop, so iteration
-// i+1's inner product already sees the new X(1..i) — the data dependence
-// that both forces sequentiality and enables pipelining.
-func SOR() *Program {
-	m := V("m")
-	p := &Program{
-		Name:      "sor",
-		Iterative: true,
-		Params:    []string{"m"},
-		Arrays: map[string]*Array{
-			"A": {Name: "A", Extents: []Affine{m, m}},
-			"V": {Name: "V", Extents: []Affine{m}},
-			"B": {Name: "B", Extents: []Affine{m}},
-			"X": {Name: "X", Extents: []Affine{m}},
-		},
-	}
-	nest := &Nest{
-		Label: "S1",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(1), Hi: m, Step: 1},
-			{Index: "j", Lo: Const(1), Hi: m, Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 3, Depth: 1, LHS: R("V", V("i")), Flops: 0,
-				RHS:  Num(0),
-				Text: "V(i) = 0.0"},
-			{Line: 5, Depth: 2, LHS: R("V", V("i")),
-				Reads:  []Ref{R("V", V("i")), R("A", V("i"), V("j")), R("X", V("j"))},
-				RHS:    Add(Rd(R("V", V("i"))), MulE(Rd(R("A", V("i"), V("j"))), Rd(R("X", V("j"))))),
-				Flops:  2,
-				Reduce: true,
-				Text:   "V(i) = V(i) + A(i,j) * X(j)"},
-			{Line: 7, Depth: 1, LHS: R("X", V("i")),
-				Reads: []Ref{R("X", V("i")), R("B", V("i")), R("V", V("i")), R("A", V("i"), V("i"))},
-				RHS: Add(Rd(R("X", V("i"))),
-					DivE(MulE(Scalar("OMEGA"), Sub(Rd(R("B", V("i"))), Rd(R("V", V("i"))))),
-						Rd(R("A", V("i"), V("i"))))),
-				Flops: 4,
-				Text:  "X(i) = X(i) + OMEGA * (B(i) - V(i)) / A(i,i)"},
-		},
-	}
-	p.Nests = []*Nest{nest}
-	return p
-}
+// SOR returns the successive over-relaxation algorithm (Section 5,
+// testdata/sor.f): nest S1. Unlike Jacobi, the update of X(i) sits inside
+// the i loop, so iteration i+1's inner product already sees the new
+// X(1..i) — the data dependence that both forces sequentiality and
+// enables pipelining.
+func SOR() *Program { p, _ := Builtin("sor"); return p }
 
-// Gauss returns the Gauss elimination algorithm (Section 6):
-//
-//	2   DO 8 k = 1, m                      (nest G1, triangularization)
-//	3     DO 8 i = k+1, m
-//	4       L(i,k) = A(i,k) / A(k,k)
-//	5       B(i)   = B(i) - L(i,k) * B(k)
-//	6       DO 8 j = k+1, m
-//	7         A(i,j) = A(i,j) - L(i,k) * A(k,j)
-//	10  DO 12 i = m, 1, -1                 (nest G2, V init)
-//	11    V(i) = 0.0
-//	13  DO 17 j = m, 1, -1                 (nest G3, back substitution)
-//	14    X(j) = (B(j) - V(j)) / A(j,j)
-//	15    DO 17 i = j-1, 1, -1
-//	16      V(i) = V(i) + A(i,j) * X(j)
-func Gauss() *Program {
-	m := V("m")
-	p := &Program{
-		Name:   "gauss",
-		Params: []string{"m"},
-		Arrays: map[string]*Array{
-			"A": {Name: "A", Extents: []Affine{m, m}},
-			"L": {Name: "L", Extents: []Affine{m, m}},
-			"V": {Name: "V", Extents: []Affine{m}},
-			"B": {Name: "B", Extents: []Affine{m}},
-			"X": {Name: "X", Extents: []Affine{m}},
-		},
-	}
-	g1 := &Nest{
-		Label: "G1",
-		Loops: []Loop{
-			{Index: "k", Lo: Const(1), Hi: m, Step: 1},
-			{Index: "i", Lo: V("k").PlusConst(1), Hi: m, Step: 1},
-			{Index: "j", Lo: V("k").PlusConst(1), Hi: m, Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 4, Depth: 2, LHS: R("L", V("i"), V("k")),
-				Reads: []Ref{R("A", V("i"), V("k")), R("A", V("k"), V("k"))},
-				RHS:   DivE(Rd(R("A", V("i"), V("k"))), Rd(R("A", V("k"), V("k")))),
-				Flops: 1,
-				Text:  "L(i,k) = A(i,k) / A(k,k)"},
-			{Line: 5, Depth: 2, LHS: R("B", V("i")),
-				Reads: []Ref{R("B", V("i")), R("L", V("i"), V("k")), R("B", V("k"))},
-				RHS:   Sub(Rd(R("B", V("i"))), MulE(Rd(R("L", V("i"), V("k"))), Rd(R("B", V("k"))))),
-				Flops: 2,
-				Text:  "B(i) = B(i) - L(i,k) * B(k)"},
-			{Line: 7, Depth: 3, LHS: R("A", V("i"), V("j")),
-				Reads: []Ref{R("A", V("i"), V("j")), R("L", V("i"), V("k")), R("A", V("k"), V("j"))},
-				RHS:   Sub(Rd(R("A", V("i"), V("j"))), MulE(Rd(R("L", V("i"), V("k"))), Rd(R("A", V("k"), V("j"))))),
-				Flops: 2,
-				Text:  "A(i,j) = A(i,j) - L(i,k) * A(k,j)"},
-		},
-	}
-	g2 := &Nest{
-		Label: "G2",
-		Loops: []Loop{
-			{Index: "i", Lo: m, Hi: Const(1), Step: -1},
-		},
-		Stmts: []*Stmt{
-			{Line: 11, Depth: 1, LHS: R("V", V("i")), Flops: 0, RHS: Num(0), Text: "V(i) = 0.0"},
-		},
-	}
-	g3 := &Nest{
-		Label: "G3",
-		Loops: []Loop{
-			{Index: "j", Lo: m, Hi: Const(1), Step: -1},
-			{Index: "i", Lo: V("j").PlusConst(-1), Hi: Const(1), Step: -1},
-		},
-		Stmts: []*Stmt{
-			{Line: 14, Depth: 1, LHS: R("X", V("j")),
-				Reads: []Ref{R("B", V("j")), R("V", V("j")), R("A", V("j"), V("j"))},
-				RHS: DivE(Sub(Rd(R("B", V("j"))), Rd(R("V", V("j")))),
-					Rd(R("A", V("j"), V("j")))),
-				Flops: 2,
-				Text:  "X(j) = (B(j) - V(j)) / A(j,j)"},
-			{Line: 16, Depth: 2, LHS: R("V", V("i")),
-				Reads:  []Ref{R("V", V("i")), R("A", V("i"), V("j")), R("X", V("j"))},
-				RHS:    Add(Rd(R("V", V("i"))), MulE(Rd(R("A", V("i"), V("j"))), Rd(R("X", V("j"))))),
-				Flops:  2,
-				Reduce: true,
-				Text:   "V(i) = V(i) + A(i,j) * X(j)"},
-		},
-	}
-	p.Nests = []*Nest{g1, g2, g3}
-	return p
-}
-
-// Cannon returns the three-nested-loop matrix multiplication A = B * C,
-// the Section 2.1 example whose data layouts under Cannon's algorithm are
-// the rotated distributions of Fig 1 (b) and (c).
-func Cannon() *Program {
-	m := V("m")
-	p := &Program{
-		Name:   "matmul",
-		Params: []string{"m"},
-		Arrays: map[string]*Array{
-			"A": {Name: "A", Extents: []Affine{m, m}},
-			"B": {Name: "B", Extents: []Affine{m, m}},
-			"C": {Name: "C", Extents: []Affine{m, m}},
-		},
-	}
-	nest := &Nest{
-		Label: "M1",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(1), Hi: m, Step: 1},
-			{Index: "j", Lo: Const(1), Hi: m, Step: 1},
-			{Index: "k", Lo: Const(1), Hi: m, Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 3, Depth: 3, LHS: R("A", V("i"), V("j")),
-				Reads:  []Ref{R("A", V("i"), V("j")), R("B", V("i"), V("k")), R("C", V("k"), V("j"))},
-				RHS:    Add(Rd(R("A", V("i"), V("j"))), MulE(Rd(R("B", V("i"), V("k"))), Rd(R("C", V("k"), V("j"))))),
-				Flops:  2,
-				Reduce: true,
-				Text:   "A(i,j) = A(i,j) + B(i,k) * C(k,j)"},
-		},
-	}
-	p.Nests = []*Nest{nest}
-	return p
-}
+// Gauss returns the Gauss elimination algorithm (Section 6,
+// testdata/gauss.f): triangularization G1, V's initialization G2 and back
+// substitution G3.
+func Gauss() *Program { p, _ := Builtin("gauss"); return p }
 
 // Synthetic returns a sequence of s single-loop nests over two vectors
 // and the diagonals of four m x m matrices, cycling through scaled

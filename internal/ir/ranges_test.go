@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 )
 
 // vec wraps loop headers and one statement into a program over 1-D
@@ -50,7 +49,7 @@ func TestCheckRanges(t *testing.T) {
 		{"a loop that never runs", vec("DO 9 i = 5, 4", "A(i+100) = B(i)"), 8, ""},
 		{"an inner loop that never runs at m = 1", vec(tri, "A(i) = B(i)"), 1, ""},
 	} {
-		p, err := parse.Parse(c.src)
+		p, err := ir.Parse(c.src)
 		if err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, c.src)
 		}
@@ -71,7 +70,7 @@ func TestCheckRanges(t *testing.T) {
 // included, and a binding that leaves a parameter out is an error naming
 // where it is needed — not the panic Affine.Eval would raise.
 func TestCheckRangesAcceptsTheTree(t *testing.T) {
-	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Cannon(), ir.Stencil(), ir.Synthetic(4), ir.Synthetic(32)}
+	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Stencil(), ir.Synthetic(4), ir.Synthetic(32)}
 	files, err := filepath.Glob("../../testdata/*.f")
 	if err != nil || len(files) < 3 {
 		t.Fatalf("testdata/*.f: %v, %v", files, err)
@@ -81,7 +80,7 @@ func TestCheckRangesAcceptsTheTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := parse.Parse(string(src))
+		p, err := ir.Parse(string(src))
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

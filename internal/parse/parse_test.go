@@ -1,80 +1,31 @@
 package parse
 
 import (
-	"strings"
 	"testing"
 
+	"dmcc"
 	"dmcc/internal/align"
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
 	"dmcc/internal/ir"
-	"dmcc/internal/matrix"
 )
 
-// jacobiSrc is the Section 3 listing in the frontend syntax.
-const jacobiSrc = `
-PROGRAM jacobi
-PARAM m
-REAL A(m,m), V(m), B(m), X(m)
-{ X(i) has been assigned an initial value before the computation. }
-DO 10 k = 1, MAX_ITERATION
-  DO 6 i = 1, m
-3   V(i) = 0.0
-    DO 6 j = 1, m
-5     V(i) = V(i) + A(i,j) * X(j)
-6 CONTINUE
-  DO 9 i = 1, m
-8   X(i) = X(i) + (B(i) - V(i)) / A(i,i)
-9 CONTINUE
-10 CONTINUE
-END
-`
-
-const sorSrc = `
-PROGRAM sor
-PARAM m
-REAL A(m,m), V(m), B(m), X(m)
-DO 9 k = 1, MAX_ITERATION
-  DO 8 i = 1, m
-3   V(i) = 0.0
-    DO 6 j = 1, m
-5     V(i) = V(i) + A(i,j) * X(j)
-6   CONTINUE
-7   X(i) = X(i) + OMEGA * (B(i) - V(i)) / A(i,i)
-8 CONTINUE
-9 CONTINUE
-END
-`
-
-const gaussSrc = `
-PROGRAM gauss
-PARAM m
-REAL A(m,m), L(m,m), V(m), B(m), X(m)
-{ Matrix triangularization. }
-DO 8 k = 1, m
-  DO 8 i = k + 1, m
-4   L(i,k) = A(i,k) / A(k,k)
-5   B(i) = B(i) - L(i,k) * B(k)
-    DO 8 j = k + 1, m
-7     A(i,j) = A(i,j) - L(i,k) * A(k,j)
-8 CONTINUE
-{ Triangular linear system UX = Y. }
-DO 12 i = m, 1, -1
-11  V(i) = 0.0
-12 CONTINUE
-DO 17 j = m, 1, -1
-14  X(j) = (B(j) - V(j)) / A(j,j)
-  DO 17 i = j - 1, 1, -1
-16    V(i) = V(i) + A(i,j) * X(j)
-17 CONTINUE
-END
-`
-
-func TestParseJacobiMatchesBuiltin(t *testing.T) {
-	got, err := Parse(jacobiSrc)
+// parseJacobi parses the embedded Section 3 listing through this package.
+func parseJacobi(t *testing.T) *ir.Program {
+	t.Helper()
+	src, err := dmcc.Listings.ReadFile("testdata/jacobi.f")
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, err := Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestParseJacobiMatchesBuiltin(t *testing.T) {
+	got := parseJacobi(t)
 	want := ir.Jacobi()
 	if got.Name != "jacobi" || !got.Iterative {
 		t.Fatalf("header: %+v", got)
@@ -113,69 +64,10 @@ func TestParseJacobiMatchesBuiltin(t *testing.T) {
 	}
 }
 
-func TestParseSOR(t *testing.T) {
-	got, err := Parse(sorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Iterative || len(got.Nests) != 1 {
-		t.Fatalf("shape: iterative=%v nests=%d", got.Iterative, len(got.Nests))
-	}
-	nest := got.Nests[0]
-	if len(nest.Loops) != 2 || len(nest.Stmts) != 3 {
-		t.Fatalf("nest: %d loops, %d stmts", len(nest.Loops), len(nest.Stmts))
-	}
-	// Line 7 sits at depth 1 (after the inner loop closed at label 6).
-	s7 := nest.Stmts[2]
-	if s7.Line != 7 || s7.Depth != 1 || s7.Flops != 4 {
-		t.Fatalf("line-7 stmt: %+v", s7)
-	}
-}
-
-func TestParseGauss(t *testing.T) {
-	got, err := Parse(gaussSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Iterative {
-		t.Fatal("gauss must not be iterative")
-	}
-	if len(got.Nests) != 3 {
-		t.Fatalf("nests = %d", len(got.Nests))
-	}
-	g1 := got.Nests[0]
-	if len(g1.Loops) != 3 {
-		t.Fatalf("G1 loops = %d", len(g1.Loops))
-	}
-	// Triangular bound i = k+1.
-	if g1.Loops[1].Lo.CoeffOf("k") != 1 || g1.Loops[1].Lo.Const != 1 {
-		t.Fatalf("G1 i bound: %s", g1.Loops[1].Lo)
-	}
-	if !core.Triangular(g1) {
-		t.Fatal("G1 must be triangular")
-	}
-	// Downward loops.
-	g2 := got.Nests[1]
-	if g2.Loops[0].Step != -1 {
-		t.Fatal("G2 must run downward")
-	}
-	g3 := got.Nests[2]
-	if g3.Loops[1].Lo.CoeffOf("j") != 1 || g3.Loops[1].Lo.Const != -1 {
-		t.Fatalf("G3 i bound: %s", g3.Loops[1].Lo)
-	}
-	// Statement depths: line 14 at depth 1, line 16 at depth 2.
-	if g3.Stmts[0].Depth != 1 || g3.Stmts[1].Depth != 2 {
-		t.Fatalf("G3 depths: %d %d", g3.Stmts[0].Depth, g3.Stmts[1].Depth)
-	}
-}
-
 // TestParsedProgramsCompileLikeBuiltins: the parsed Jacobi must drive the
-// whole pipeline to the same DP outcome as the hand-built IR.
+// whole pipeline to the same DP outcome as the builtin.
 func TestParsedProgramsCompileLikeBuiltins(t *testing.T) {
-	parsed, err := Parse(jacobiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := parseJacobi(t)
 	cParsed := core.NewCompiler(parsed, cost.Unit(), map[string]int{"m": 32}, 4)
 	rParsed, err := cParsed.Compile()
 	if err != nil {
@@ -194,10 +86,7 @@ func TestParsedProgramsCompileLikeBuiltins(t *testing.T) {
 // TestParsedAlignmentMatchesBuiltin: the affinity graph of the parsed
 // source aligns identically.
 func TestParsedAlignmentMatchesBuiltin(t *testing.T) {
-	parsed, err := Parse(jacobiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := parseJacobi(t)
 	g, err := align.BuildGraph(parsed, parsed.Nests, align.DefaultWeightParams())
 	if err != nil {
 		t.Fatal(err)
@@ -211,222 +100,5 @@ func TestParsedAlignmentMatchesBuiltin(t *testing.T) {
 	}
 	if pt.Assign[ir.DimID{Array: "X", Dim: 0}] != pt.Assign[ir.DimID{Array: "A", Dim: 1}] {
 		t.Error("parsed X not aligned with A2")
-	}
-}
-
-func TestParseEnddoStyle(t *testing.T) {
-	src := `
-PROGRAM simple
-PARAM n
-REAL Y(n), Z(n)
-DO 1 i = 1, n
-  Y(i) = Z(i) + 1.0
-ENDDO
-END
-`
-	// ENDDO closes the loop; the label on DO is still required syntax.
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Nests) != 1 || len(p.Nests[0].Stmts) != 1 {
-		t.Fatalf("shape: %+v", p.Nests)
-	}
-	if p.Nests[0].Stmts[0].Flops != 1 {
-		t.Fatalf("flops = %d", p.Nests[0].Stmts[0].Flops)
-	}
-}
-
-func TestParseIterateKeyword(t *testing.T) {
-	src := `
-PROGRAM it
-PARAM n
-REAL Y(n)
-ITERATE
-DO 1 i = 1, n
-  Y(i) = Y(i) * 2.0
-1 CONTINUE
-END
-`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Iterative {
-		t.Fatal("ITERATE not honoured")
-	}
-}
-
-func TestParseAffineForms(t *testing.T) {
-	src := `
-PROGRAM aff
-PARAM n
-REAL Y(n), Z(2*n)
-DO 1 i = 2, n - 1
-  Z(2*i) = Y(i - 1) + Y(i + 1)
-1 CONTINUE
-END
-`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := p.Nests[0].Stmts[0]
-	if st.LHS.Subs[0].CoeffOf("i") != 2 {
-		t.Fatalf("LHS subscript: %s", st.LHS.Subs[0])
-	}
-	if d, ok := st.Reads[0].Subs[0].ConstDiff(st.Reads[1].Subs[0]); !ok || d != -2 {
-		t.Fatalf("read subscripts: %s vs %s", st.Reads[0].Subs[0], st.Reads[1].Subs[0])
-	}
-	// Loop bound n-1.
-	if p.Nests[0].Loops[0].Hi.Const != -1 || p.Nests[0].Loops[0].Hi.CoeffOf("n") != 1 {
-		t.Fatalf("bound: %s", p.Nests[0].Loops[0].Hi)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"no PROGRAM":       "PARAM m\nEND\n",
-		"unterminated":     "PROGRAM x\nPARAM m\nREAL Y(m)\nDO 1 i = 1, m\n  Y(i) = 0.0\nEND\n",
-		"bad char":         "PROGRAM x\nPARAM m\nREAL Y(m)\nDO 1 i = 1, m\n  Y(i) = 0.0 @\n1 CONTINUE\nEND\n",
-		"undeclared array": "PROGRAM x\nPARAM m\nREAL Y(m)\nDO 1 i = 1, m\n  Y(i) = Q(i)\n1 CONTINUE\nEND\n",
-		"bad step":         "PROGRAM x\nPARAM m\nREAL Y(m)\nDO 1 i = 1, m, 2\n  Y(i) = 0.0\n1 CONTINUE\nEND\n",
-		"dup array":        "PROGRAM x\nPARAM m\nREAL Y(m), Y(m)\nEND\n",
-		"missing END":      "PROGRAM x\nPARAM m\nREAL Y(m)\n",
-		"stmt outside DO":  "PROGRAM x\nPARAM m\nREAL Y(m)\nY(1) = 0.0\nEND\n",
-		"unterminated cmt": "PROGRAM x\nPARAM m { oops\nEND\n",
-		"non-affine sub":   "PROGRAM x\nPARAM m\nREAL Y(m), Z(m)\nDO 1 i = 1, m\n  Y(i) = Z(i*i)\n1 CONTINUE\nEND\n",
-	}
-	for name, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestParseSiblingInnerLoopsRejected(t *testing.T) {
-	src := `
-PROGRAM sib
-PARAM n
-REAL Y(n), Z(n,n)
-DO 9 i = 1, n
-  DO 2 j = 1, n
-    Y(i) = Y(i) + Z(i,j)
-2 CONTINUE
-  DO 3 j = 1, n
-    Y(i) = Y(i) + Z(j,i)
-3 CONTINUE
-9 CONTINUE
-END
-`
-	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "sibling") {
-		t.Fatalf("sibling loops not rejected: %v", err)
-	}
-}
-
-func TestParseCommentsAndCase(t *testing.T) {
-	src := `
-program mixed   ! trailing comment
-param n
-real Y(n)
-{ a multi
-  line comment }
-do 1 i = 1, n
-  Y(i) = 1.5
-1 continue
-end
-`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name != "mixed" || len(p.Nests) != 1 {
-		t.Fatalf("parsed: %+v", p)
-	}
-}
-
-func TestStripLabel(t *testing.T) {
-	if stripLabel("5     V(i) = 0.0") != "V(i) = 0.0" {
-		t.Fatal("label not stripped")
-	}
-	if stripLabel("V(i) = 0.0") != "V(i) = 0.0" {
-		t.Fatal("unlabeled changed")
-	}
-}
-
-// TestParsedProgramExecutes: the RHS trees built by the parser make the
-// parsed program executable — interpreting parsed SOR source matches the
-// hand-written sequential solver exactly.
-func TestParsedProgramExecutes(t *testing.T) {
-	p, err := Parse(sorSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, iters, omega := 12, 5, 1.3
-	a, b, _ := matrix.DiagonallyDominant(m, 201)
-	x0 := make([]float64, m)
-	st := ir.NewStorage(p)
-	for i := 1; i <= m; i++ {
-		for j := 1; j <= m; j++ {
-			st.Store("A", []int{i, j}, a.At(i-1, j-1))
-		}
-		st.Store("B", []int{i}, b[i-1])
-		st.Store("X", []int{i}, x0[i-1])
-	}
-	if err := ir.EvalProgram(p, map[string]int{"m": m}, st, map[string]float64{"OMEGA": omega}, iters); err != nil {
-		t.Fatal(err)
-	}
-	want := matrix.SORSeq(a, b, x0, omega, iters)
-	for i := 1; i <= m; i++ {
-		if got := st.Load(ir.R("X", ir.Const(i)), []int{i}); got != want[i-1] {
-			t.Fatalf("X(%d) = %v, want %v", i, got, want[i-1])
-		}
-	}
-}
-
-// TestPrintParseRoundTrip: ir.Print output re-parses into a program that
-// compiles and executes identically.
-func TestPrintParseRoundTrip(t *testing.T) {
-	for _, orig := range []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss()} {
-		src := ir.Print(orig)
-		got, err := Parse(src)
-		if err != nil {
-			t.Fatalf("%s: reparse failed: %v\n%s", orig.Name, err, src)
-		}
-		if len(got.Nests) != len(orig.Nests) {
-			t.Fatalf("%s: %d nests after round trip, want %d", orig.Name, len(got.Nests), len(orig.Nests))
-		}
-		if got.Iterative != orig.Iterative {
-			t.Fatalf("%s: iterative flag lost", orig.Name)
-		}
-		// Execute both on the same inputs and compare exactly.
-		m := 10
-		a, b, _ := matrix.DiagonallyDominant(m, 501)
-		mk := func(p *ir.Program) ir.Storage {
-			st := ir.NewStorage(p)
-			for i := 1; i <= m; i++ {
-				for j := 1; j <= m; j++ {
-					st.Store("A", []int{i, j}, a.At(i-1, j-1))
-				}
-				st.Store("B", []int{i}, b[i-1])
-				st.Store("X", []int{i}, 0)
-			}
-			return st
-		}
-		scalars := map[string]float64{"OMEGA": 1.2}
-		s1, s2 := mk(orig), mk(got)
-		if err := ir.EvalProgram(orig, map[string]int{"m": m}, s1, scalars, 3); err != nil {
-			t.Fatal(err)
-		}
-		if err := ir.EvalProgram(got, map[string]int{"m": m}, s2, scalars, 3); err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= m; i++ {
-			v1 := s1.Load(ir.R("X", ir.Const(i)), []int{i})
-			v2 := s2.Load(ir.R("X", ir.Const(i)), []int{i})
-			if v1 != v2 {
-				t.Fatalf("%s: X(%d) differs after round trip: %v vs %v", orig.Name, i, v1, v2)
-			}
-		}
 	}
 }

@@ -18,22 +18,23 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"dmcc/internal/core"
 	"dmcc/internal/ir"
 	"dmcc/internal/sweep"
 )
 
-// builtinByHash maps ProgramHash -> builtin program name, computed once
-// at init: the inverse of ir.Builtin, for key parsing.
-var builtinByHash = func() map[string]string {
+// builtinByHash maps ProgramHash -> builtin program name, computed on
+// the first key parsed: the inverse of ir.Builtin, for key parsing.
+var builtinByHash = sync.OnceValue(func() map[string]string {
 	m := map[string]string{}
 	for _, name := range ir.BuiltinNames() {
 		p, _ := ir.Builtin(name)
 		m[core.ProgramHash(p)] = name
 	}
 	return m
-}()
+})
 
 // parsePlanKey reconstructs the CompileRequest a planfit key encodes,
 // or ok=false for any key the daemon cannot (or should not) serve.
@@ -51,7 +52,7 @@ func parsePlanKey(key string) (req CompileRequest, ok bool) {
 			}
 		}
 	}
-	prog, ok := builtinByHash[fields["prog"]]
+	prog, ok := builtinByHash()[fields["prog"]]
 	if !ok {
 		return req, false // source-text program: not reconstructible from a hash
 	}

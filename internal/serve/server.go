@@ -36,7 +36,6 @@ import (
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 	"dmcc/internal/sweep"
 )
 
@@ -219,7 +218,7 @@ type CompileResponse struct {
 // program builds the IR program a request names.
 func program(req *CompileRequest) (*ir.Program, error) {
 	if req.Source != "" {
-		p, err := parse.Parse(req.Source)
+		p, err := ir.Parse(req.Source)
 		if err != nil {
 			return nil, fmt.Errorf("parsing source: %w", err)
 		}

@@ -906,10 +906,11 @@ func TestPlanKeyDerivedOnce(t *testing.T) {
 }
 
 // writeRouteAllocBudgets is ~1.5x the allocations of each write route
-// through the handler at m=256, N=16, measured when the request envelope
-// came to be read in one pass and the formulas rendered into one buffer:
-// warm POST /compile 438 (gauss) / 301 (jacobi) / 259 (sor), plan install
-// 413 / 276 / 233. They were 729 / 762 / 350 and 716 / 750 / 335 with
+// through the handler at m=256, N=16, measured when a builtin came to be
+// its listing parsed once and copied per request: warm POST /compile 322
+// (gauss) / 254 (jacobi) / 213 (sor), plan install 296 / 229 / 187. They
+// were 438 / 301 / 259 and 413 / 276 / 233 with each builtin built by
+// hand in Go on every request, 729 / 762 / 350 and 716 / 750 / 335 with
 // the request decoded by encoding/json and each formula term a string of
 // its own, 1 384 for the jacobi compile when every polynomial went
 // through encoding/json's scanner and ir.Print through fmt, and 24 927
@@ -917,8 +918,8 @@ func TestPlanKeyDerivedOnce(t *testing.T) {
 // reflection. A trip is a per-piece allocation back in the render or
 // decode path, not noise.
 var writeRouteAllocBudgets = map[string]map[string]float64{
-	"/compile": {"gauss": 660, "jacobi": 450, "sor": 390},
-	"/plan":    {"gauss": 620, "jacobi": 415, "sor": 350},
+	"/compile": {"gauss": 480, "jacobi": 380, "sor": 320},
+	"/plan":    {"gauss": 445, "jacobi": 340, "sor": 280},
 }
 
 func TestWriteRouteAllocBudget(t *testing.T) {

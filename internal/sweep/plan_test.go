@@ -12,7 +12,6 @@ import (
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
 	"dmcc/internal/ir"
-	"dmcc/internal/parse"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/formulas.golden from this tree")
@@ -94,7 +93,7 @@ func TestPoisonedStoredPlanRecompiles(t *testing.T) {
 func TestPlanForDeclinesSizesOutOfRange(t *testing.T) {
 	const src = "PROGRAM b40\nPARAM m\nREAL A(m), B(40)\nDO 2 i = 1, m\n1   A(i) = B(i) + 1.0\n2 CONTINUE\nEND\n"
 	for _, m := range []int{8, 16} {
-		p, err := parse.Parse(src)
+		p, err := ir.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
