@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dmcc -prog jacobi|sor|gauss|matmul [-m 64] [-n 8] [-j 4]
+//	dmcc -prog jacobi|sor|gauss|matmul [-m 64] [-n 8]
 //	dmcc -file testdata/jacobi.f [-m 64] [-n 8]
 //	dmcc -prog jacobi -exec      also execute the compiled program on the
 //	                             simulated machine (seeded system, checked
@@ -35,15 +35,10 @@ func main() {
 	m := flag.Int("m", 64, "problem size")
 	n := flag.Int("n", 8, "total processors")
 	doExec := flag.Bool("exec", false, "execute the compiled program on the simulated machine and verify")
-	jobs := flag.Int("j", 0, "cost-engine worker count (0 = all CPUs, 1 = serial)")
-	engine := flag.String("engine", "fast", "cost engine: fast (closed-form counting, reference enumeration for declined nests) or prechange (the oracle: exact everything, no caches)")
 	flag.Parse()
 
 	// Validate flag values upfront so a typo is a usage error (exit 2),
 	// not a mid-pipeline runtime failure.
-	if err := applyEngine(&core.Compiler{}, *engine); err != nil {
-		cli.Usage("dmcc", err)
-	}
 	if *m < 1 || *n < 1 {
 		cli.Usage("dmcc", fmt.Errorf("-m %d -n %d: a size or processor count below 1", *m, *n))
 	}
@@ -60,7 +55,7 @@ func main() {
 	} else if p, _ = ir.Builtin(*prog); p == nil {
 		cli.Usage("dmcc", fmt.Errorf("unknown program %q", *prog))
 	}
-	if err := run(p, *m, *n, *jobs, *engine); err != nil {
+	if err := run(p, *m, *n); err != nil {
 		fatal(err)
 	}
 	if *doExec {
@@ -72,21 +67,6 @@ func main() {
 
 func fatal(err error) {
 	cli.Fail("dmcc", err)
-}
-
-// applyEngine configures the compiler's cost engine: the production
-// closed-form path or the exact-everything oracle it is tested against.
-func applyEngine(c *core.Compiler, engine string) error {
-	switch engine {
-	case "fast":
-	case "prechange":
-		c.ExactNestCount = true
-		c.ExactChangeCost = true
-		c.NoCache = true
-	default:
-		return fmt.Errorf("unknown engine %q (want fast or prechange)", engine)
-	}
-	return nil
 }
 
 // execute runs the compiled program on the simulated machine through the
@@ -116,7 +96,7 @@ func execute(p *ir.Program, m, n int) error {
 	return nil
 }
 
-func run(p *ir.Program, m, n, jobs int, engine string) error {
+func run(p *ir.Program, m, n int) error {
 	fmt.Printf("=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, n, m)
 
 	bind, err := p.BindSize(m)
@@ -124,10 +104,6 @@ func run(p *ir.Program, m, n, jobs int, engine string) error {
 		return err
 	}
 	c := core.NewCompiler(p, cost.Unit(), bind, n)
-	c.Jobs = jobs
-	if err := applyEngine(c, engine); err != nil {
-		return err
-	}
 	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, c.Weights)
 	if err != nil {
 		return err

@@ -55,7 +55,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", ".dmcc-cache", "artifact cache directory")
 	cacheMax := flag.Int64("cache-max-bytes", 256<<20, "byte budget for the online cache GC (0 = never collect)")
 	gcEvery := flag.Duration("gc-every", time.Minute, "online GC interval")
-	jobs := flag.Int("j", 0, "cost-engine worker count per compile (0 = all CPUs)")
 	compileTimeout := flag.Duration("compile-timeout", 30*time.Second, "per-request /compile bound (0 = none); timed-out compiles finish in the background and stay cached")
 	storeRemote := flag.String("store-remote", "", "peer daemon URL behind the cache (e.g. http://host:8077); empty = local only")
 	flag.Parse()
@@ -75,8 +74,7 @@ func main() {
 	}
 	store.Warnf = warnf
 	srv, err := serve.New(serve.Config{
-		Store: store, Jobs: *jobs,
-		CompileTimeout: *compileTimeout, Warnf: warnf,
+		Store: store, CompileTimeout: *compileTimeout, Warnf: warnf,
 	})
 	if err != nil {
 		cli.Fail("dmccd", err)

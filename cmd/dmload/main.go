@@ -63,6 +63,12 @@ func main() {
 	if flag.NArg() > 0 {
 		cli.Usage("dmload", fmt.Errorf("unexpected arguments: %v", flag.Args()))
 	}
+	if *m < 1 || *n < 1 || *requests < 1 || *conc < 1 {
+		cli.Usage("dmload", fmt.Errorf("-m %d -n %d -requests %d -conc %d: a count below 1", *m, *n, *requests, *conc))
+	}
+	if !(*hotFrac > 0 && *hotFrac <= 1) {
+		cli.Usage("dmload", fmt.Errorf("-hot-frac %g: outside (0, 1]", *hotFrac))
+	}
 	distList := splitList(*dists)
 	progList := splitList(*progs)
 	if len(distList) == 0 || len(progList) == 0 {

@@ -57,6 +57,9 @@ func main() {
 	if *m < 1 || *n < 1 || *n2 < 1 {
 		cli.Usage("dmrun", fmt.Errorf("-m %d -n %d -n2 %d: a size or processor count below 1", *m, *n, *n2))
 	}
+	if *iters < 1 {
+		cli.Usage("dmrun", fmt.Errorf("-iters %d: an iteration count below 1", *iters))
+	}
 
 	stopProf, err := cli.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

@@ -11,7 +11,7 @@
 //	dmsweep -sweep jacobi  -m 64,128    -n 16
 //	dmsweep -sweep stencil -m 64,256    -n 16
 //	dmsweep -sweep chunks  -m 64        -n 4   (SOR chunk-size x alpha)
-//	dmsweep -sweep compile -m 64 -n 16 -s 4,8,16 -j 4
+//	dmsweep -sweep compile -m 64 -n 16 -s 4,8,16
 //	                                           (compile-time scaling of
 //	                                            Algorithm 1 over synthetic
 //	                                            nest sequences of length s)
@@ -77,7 +77,6 @@ func main() {
 	ms := flag.String("m", "32,64,128", "comma-separated problem sizes")
 	ns := flag.String("n", "4,8", "comma-separated processor counts")
 	ss := flag.String("s", "4,8,16", "comma-separated nest-sequence lengths (compile sweep)")
-	jobs := flag.Int("j", 0, "cost-engine worker count (0 = all CPUs, 1 = serial)")
 	workers := flag.Int("workers", 1, "sweep points computed concurrently")
 	useCache := flag.Bool("cache", false, "memoize point results in the artifact cache")
 	cacheDir := flag.String("cache-dir", ".dmcc-cache", "artifact cache directory")
@@ -116,7 +115,6 @@ func main() {
 	defer stopProf()
 
 	opt := sweep.Options{
-		Jobs:    *jobs,
 		Workers: *workers,
 		Warnf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "dmsweep: "+format+"\n", args...)

@@ -38,10 +38,12 @@
 //     built once per compiler as well, but not in prepared: a
 //     PlanEvaluator's per-size compilers share their parent's prepared
 //     under a different Bind.
-//   - Candidate grid shapes inside a segment and the DP's M[i][j] table
-//     are evaluated on a NumCPU-bounded worker pool. Parallel runs only
-//     warm the memoization caches; the DP itself then runs serially over
-//     cached values, so results are bit-identical to Jobs=1.
+//   - The DP's M[i][j] table, the scheme changes between the sets it
+//     produced and their loop-carried costs are warmed on a worker pool
+//     of GOMAXPROCS workers (precompute); one cell prices its grid shapes
+//     in order. The warm-up only fills the memoization caches; the DP
+//     itself then runs serially over cached values, so results are
+//     bit-identical to Jobs=1.
 package core
 
 import (
@@ -72,8 +74,8 @@ type Compiler struct {
 	// counts are read from the program lowered under Bind; Weights.Bind,
 	// which NewCompiler sets to Bind, is recorded in CacheKey only.
 	Weights align.WeightParams
-	// Jobs bounds the cost-engine worker pool; 0 means runtime.NumCPU(),
-	// 1 forces the serial path.
+	// Jobs bounds the cost-table warm-up's workers; 0 means
+	// runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Jobs int
 	// ExactChangeCost prices redistribution with the element-enumeration
 	// oracle instead of the analytic calculator (ablation/reference).
@@ -92,8 +94,6 @@ type Compiler struct {
 	Engines *EngineStats
 
 	mu        sync.Mutex
-	poolOnce  sync.Once
-	sem       chan struct{}
 	segCache  map[[2]int]*memo[segValue]
 	setCache  map[setKey]*memo[*SchemeSet]
 	nestCache map[nestKey]*memo[nestValue]
@@ -233,7 +233,7 @@ func (c *Compiler) jobs() int {
 	if c.Jobs > 0 {
 		return c.Jobs
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // prepared is what a compiler establishes about its program once, before
@@ -371,36 +371,32 @@ func (pr *prepared) loopCarried(t int, a string) bool {
 	return written && last >= t
 }
 
-// fanOut runs fn(k) for k in [0, n) using at most jobs() concurrent
-// workers drawn from a shared pool; calls run inline when the pool is
-// saturated (so nested fan-outs never deadlock). fn must be safe to run
+// fanOut runs fn(k) for k in [0, n) on at most jobs() workers, each
+// taking the next index until none is left. fn must be safe to run
 // concurrently with other indices. A panicking call is recovered into
 // its error (Guard); the lowest-index error is returned.
 func (c *Compiler) fanOut(n int, fn func(k int) error) error {
 	errs := make([]error, n)
-	run := func(k int) { errs[k] = Guard(func() error { return fn(k) }) }
-	if n <= 1 || c.jobs() == 1 {
-		for k := 0; k < n; k++ {
-			run(k)
-		}
-	} else {
-		c.poolOnce.Do(func() { c.sem = make(chan struct{}, c.jobs()) })
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			select {
-			case c.sem <- struct{}{}:
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					defer func() { <-c.sem }()
-					run(k)
-				}(k)
-			default:
-				run(k)
+	var next atomic.Int64
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= n {
+				return
 			}
+			errs[k] = Guard(func() error { return fn(k) })
 		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(c.jobs(), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -538,23 +534,21 @@ func (c *Compiler) shapeCosts(i, j int) ([]*SchemeSet, []float64, error) {
 	shapes := GridShapes(c.NProcs)
 	sets := make([]*SchemeSet, len(shapes))
 	costs := make([]float64, len(shapes))
-	err = c.fanOut(len(shapes), func(k int) error {
-		ss, err := c.schemeSet(pt, shapes[k], cyclic)
+	for k, shape := range shapes {
+		ss, err := c.schemeSet(pt, shape, cyclic)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		total := 0.0
 		for t := i - 1; t < i-1+j; t++ {
 			ct, err := c.countNest(t, false, ss)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			total += ct.Time(c.Model).Total()
+			costs[k] += ct.Time(c.Model).Total()
 		}
-		sets[k], costs[k] = ss, total
-		return nil
-	})
-	return sets, costs, err
+		sets[k] = ss
+	}
+	return sets, costs, nil
 }
 
 // ChangeCost prices redistributing every array from one scheme set to
@@ -655,7 +649,7 @@ func (c *Compiler) loopCarriedCost(final *SchemeSet) (float64, error) {
 	return total, nil
 }
 
-// precompute fills the cost caches on the worker pool: every segment
+// precompute fills the cost caches on jobs() workers: every segment
 // cost M[i][j], then every redistribution cost between the distinct
 // scheme sets those segments produced (plus the loop-carried cost of
 // each candidate final scheme). The subsequent serial DP is then pure

@@ -119,7 +119,7 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	}
 	ec := &Compiler{
 		Program: p, Model: pe.c.Model, Bind: bind,
-		NProcs: pe.c.NProcs, Weights: pe.c.Weights, Jobs: 1, NoCache: true,
+		NProcs: pe.c.NProcs, Weights: pe.c.Weights, NoCache: true,
 		ExactNestCount: pe.c.ExactNestCount,
 		Engines:        pe.c.Engines,
 		prep:           prep,

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,16 +105,41 @@ func TestSharedSchemeSetsCarryNoSegment(t *testing.T) {
 }
 
 // TestAnalyticEngineMatchesExact: the production engine (analytic
-// ChangeCost + closed-form nest counting + caches) must price
-// every program identically — byte for byte — to the element- and
+// ChangeCost + closed-form nest counting + caches) must price every
+// program a tool can name — each builtin and each testdata source — and
+// Synthetic(5) identically, byte for byte, to the element- and
 // iteration-enumeration reference engine end to end.
 func TestAnalyticEngineMatchesExact(t *testing.T) {
-	programs := []*ir.Program{ir.Jacobi(), ir.Gauss(), ir.SOR(), ir.Synthetic(5)}
+	programs := []*ir.Program{ir.Synthetic(5)}
+	for _, name := range ir.BuiltinNames() {
+		p, _ := ir.Builtin(name)
+		programs = append(programs, p)
+	}
+	files, err := filepath.Glob("../../testdata/*.f")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata sources: %v, %v", files, err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		p.Name = filepath.Base(f)
+		programs = append(programs, p)
+	}
 	for _, p := range programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
+			bind, err := p.BindSize(12)
+			if err != nil {
+				t.Fatal(err)
+			}
 			render := func(exact bool) string {
-				c := NewCompiler(p, cost.Unit(), map[string]int{"m": 12}, 4)
+				c := NewCompiler(p, cost.Unit(), bind, 4)
 				c.Jobs = 1
 				c.ExactChangeCost = exact
 				c.ExactNestCount = exact
@@ -126,6 +154,34 @@ func TestAnalyticEngineMatchesExact(t *testing.T) {
 				t.Errorf("analytic engine differs from exact reference:\n--- exact ---\n%s--- analytic ---\n%s", ref, fast)
 			}
 		})
+	}
+}
+
+// TestJobsFollowsGOMAXPROCS: an unset Jobs is the runtime's processor
+// budget, not the machine's CPU count, and the compile it sizes renders
+// the same result whatever that budget is, and the same as Jobs = 1.
+func TestJobsFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	programs := []*ir.Program{ir.Gauss(), ir.SOR(), ir.Synthetic(8)}
+	render := func(p *ir.Program, jobs int) string {
+		c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, 8)
+		c.Jobs = jobs
+		res, err := c.Compile()
+		if err != nil {
+			t.Fatalf("%s jobs=%d: %v", p.Name, jobs, err)
+		}
+		return renderResult(res)
+	}
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		if got := (&Compiler{}).jobs(); got != procs {
+			t.Errorf("GOMAXPROCS=%d: jobs() = %d", procs, got)
+		}
+		for _, p := range programs {
+			if got, want := render(p, 0), render(p, 1); got != want {
+				t.Errorf("%s GOMAXPROCS=%d: Jobs=0 differs from Jobs=1:\n--- Jobs=1 ---\n%s--- Jobs=0 ---\n%s", p.Name, procs, want, got)
+			}
+		}
 	}
 }
 

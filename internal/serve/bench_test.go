@@ -41,7 +41,7 @@ func warmHandler(tb testing.TB, prog string) (h http.Handler, s *Server, bodies 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err = New(Config{Store: store, Jobs: 1})
+	s, err = New(Config{Store: store})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func TestPrewarmRoundtripAcrossDaemons(t *testing.T) {
 	crSor := compileProg(t, tsA, "sor", 16, 4)
 
 	storeB := mustOpenPeered(t, tsA.URL)
-	srvB, err := New(Config{Store: storeB, Jobs: 1, Warnf: t.Logf})
+	srvB, err := New(Config{Store: storeB, Warnf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: mustOpen(t), Jobs: 1})
+	s, err := New(Config{Store: mustOpen(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,6 @@ type Config struct {
 	// Store is the artifact store the daemon serves from, with or without
 	// a peer daemon behind it. Required.
 	Store *artifact.Store
-	// Jobs is the within-compile worker count (Compiler.Jobs).
-	Jobs int
 	// CompileTimeout bounds one POST /compile request. The underlying
 	// compile keeps running in its flight (the result is still cached);
 	// only the HTTP request gives up. 0 means no timeout.
@@ -236,8 +234,8 @@ func program(req *CompileRequest) (*ir.Program, error) {
 // compiler builds the compiler for a validated request — the same
 // configuration the cache key is derived from, so request and key can
 // never disagree. The daemon serves the production cost engine only: the
-// exact-everything oracle is minutes per request at sizes MaxM admits and
-// has no caller that is not a test (dmcc -engine prechange runs it).
+// exact-everything oracle is minutes per request at sizes MaxM admits, and
+// only the tests and dmsweep -sweep compile's exact rows run it.
 func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, error) {
 	if len(p.Params) != 1 {
 		// The evaluator sweeps exactly one size parameter; reject here so
@@ -245,7 +243,6 @@ func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, e
 		return nil, fmt.Errorf("program %s binds %d size parameters, the daemon serves exactly 1", p.Name, len(p.Params))
 	}
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{p.Params[0]: req.M}, req.N)
-	c.Jobs = s.cfg.Jobs
 	c.Engines = &s.engines
 	return c, nil
 }
@@ -296,7 +293,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		// unrecovered panic here would take the daemon down.
 		b.err = core.Guard(func() (err error) {
 			b.pe, b.fitErr, b.cached, err = planForKey(c, key, req.M, sweep.Options{
-				Cache: s.cfg.Store, Jobs: s.cfg.Jobs, Warnf: s.cfg.Warnf,
+				Cache: s.cfg.Store, Warnf: s.cfg.Warnf,
 			})
 			return err
 		})

@@ -30,7 +30,7 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server, *artifact.Store) {
 		t.Fatal(err)
 	}
 	store.Warnf = t.Logf
-	s, err := New(Config{Store: store, Jobs: 1, Warnf: t.Logf})
+	s, err := New(Config{Store: store, Warnf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

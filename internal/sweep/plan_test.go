@@ -21,7 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/formulas.golden 
 // symbolic sweep prints — against a golden generated before Poly.String
 // moved from big.Rat to int64 arithmetic.
 func TestFormulasGolden(t *testing.T) {
-	res, err := Symbolic(nil, []int{8, 16}, Options{Jobs: 1})
+	res, err := Symbolic(nil, []int{8, 16}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

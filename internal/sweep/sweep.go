@@ -57,8 +57,6 @@ type Options struct {
 	// Cache, when non-nil, memoizes every point's metrics — on disk, and
 	// through the store's peer daemon when it has one.
 	Cache *artifact.Store
-	// Jobs is the within-compile worker count (Compiler.Jobs).
-	Jobs int
 	// Workers is the point-level parallelism (1 = serial).
 	Workers int
 	// Warnf receives non-fatal diagnostics; nil silences them.
@@ -314,10 +312,9 @@ func isqrt(n int) int {
 var CompileEngines = []string{"analytic", "exact"}
 
 // newCompileCompiler builds the compiler for one compile-sweep point.
-func newCompileCompiler(engine string, s, m, n, jobs int) *core.Compiler {
+func newCompileCompiler(engine string, s, m, n int) *core.Compiler {
 	p := ir.Synthetic(s)
 	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
-	c.Jobs = jobs
 	if engine == "exact" {
 		c.ExactNestCount = true
 		c.ExactChangeCost = true
@@ -338,10 +335,10 @@ func Compile(mList, nList, sList []int, opt Options) (*Result, error) {
 					pts = append(pts, point{
 						variant: engine, m: m, n: n, s: s,
 						key: artifact.KeyOf("kind=compile", "engine="+engine,
-							newCompileCompiler(engine, s, m, n, opt.Jobs).CacheKey()),
+							newCompileCompiler(engine, s, m, n).CacheKey()),
 						wallCol: "compile_ns",
 						compute: func() (map[string]float64, error) {
-							res, err := newCompileCompiler(engine, s, m, n, opt.Jobs).Compile()
+							res, err := newCompileCompiler(engine, s, m, n).Compile()
 							if err != nil {
 								return nil, err
 							}
@@ -403,7 +400,6 @@ func Symbolic(mList, nList []int, opt Options) (*Result, error) {
 		p := u.mk()
 		baseM := symbolicBaseM(u.n)
 		c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, u.n)
-		c.Jobs = opt.Jobs
 		pe, fitErr, _, err := PlanFor(c, baseM, opt)
 		if err != nil {
 			return err
