@@ -801,9 +801,11 @@ func poisonedPlans(t testing.TB, planRaw []byte) []struct{ name, plan string } {
 	firstFit := regexp.MustCompile(`"TotalFlops":\{.*?\]\}\]\}`).Find(planRaw)
 	firstDiffs := regexp.MustCompile(`"Diffs":\[[^\]]+\]`).Find(planRaw)
 	den := regexp.MustCompile(`"den":[0-9]+`).Find(planRaw)
-	if firstFit == nil || firstDiffs == nil || den == nil {
+	onePiece := regexp.MustCompile(`\{"Period":1,"MinM":32,"Pieces":\[\{"M0":32,"Step":1,"Diffs":\[[^\]]+\]\}\]\}`).Find(planRaw)
+	if firstFit == nil || firstDiffs == nil || den == nil || onePiece == nil {
 		t.Fatalf("served plan lacks the fields to mutate: %s", planRaw)
 	}
+	piece := string(onePiece[bytes.Index(onePiece, []byte(`{"M0"`)) : len(onePiece)-2])
 	return []struct{ name, plan string }{
 		{"step 0", mutatePlan(t, planRaw, `"Step":4`, `"Step":0`)},
 		{"period 400", mutatePlan(t, planRaw, `"Period":4`, `"Period":400`)},
@@ -821,6 +823,11 @@ func poisonedPlans(t testing.TB, planRaw []byte) []struct{ name, plan string } {
 		// with a 422.
 		{"fitMinM dropped", mutatePlan(t, planRaw, `,"fitMinM":32`, ``)},
 		{"fitMinM below the fits' floor", mutatePlan(t, planRaw, `,"fitMinM":32`, `,"fitMinM":16`)},
+		// A series whose pieces are one polynomial is one piece, Period 1
+		// and Step 1 from MinM; these break that form.
+		{"one piece stepping by 4", mutatePlan(t, planRaw, string(onePiece), strings.Replace(string(onePiece), `"Step":1,`, `"Step":4,`, 1))},
+		{"one piece off MinM", mutatePlan(t, planRaw, string(onePiece), strings.Replace(string(onePiece), `"M0":32,`, `"M0":33,`, 1))},
+		{"period 1 with 2 pieces", mutatePlan(t, planRaw, string(onePiece), `{"Period":1,"MinM":32,"Pieces":[`+piece+`,`+piece+`]}`)},
 	}
 }
 
@@ -855,6 +862,84 @@ func TestEvictedPlanServesTheSameBytes(t *testing.T) {
 	resp, after := getBody(t, ts.URL+"/plan/"+cr.ID)
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(before, after) {
 		t.Fatalf("GET /plan after eviction: %s\n before: %s\n  after: %s", resp.Status, before, after)
+	}
+}
+
+// TestInstalledPlanServesItsBytes: GET /plan/{id} of a plan installed by
+// POST /plan, which never reaches the store, re-freezes the thawed plan
+// into the bytes that were posted. (The re-freeze wrote 0 for the plan's
+// base-size costs, which only a compiled evaluator carried.)
+func TestInstalledPlanServesItsBytes(t *testing.T) {
+	_, from, _ := newTestServer(t)
+	_, to, _ := newTestServer(t)
+	for _, prog := range []string{"gauss", "jacobi"} {
+		cr := compileProg(t, from, prog, 32, 16)
+		_, plan := getBody(t, from.URL+"/plan/"+cr.ID)
+		resp, raw := postJSON(t, to.URL+"/plan", InstallRequest{CompileRequest{Prog: prog, M: 32, N: 16}, plan})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: POST /plan: %s: %s", prog, resp.Status, raw)
+		}
+		resp, served := getBody(t, to.URL+"/plan/"+cr.ID)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(served, plan) {
+			t.Fatalf("%s: GET /plan of the installed plan: %s\n posted: %s\n served: %s", prog, resp.Status, plan, served)
+		}
+	}
+}
+
+// TestFittedPriceOverflowIsRefused: a fitted price whose count is past
+// int64 is a 422, not a wrapped negative total; a count no price reads
+// (total flops) wrapping refuses nothing. The program is matmul with
+// statement 3 reading nine factors: its busiest processor's flops are
+// 9m³/N, past int64 at m = MaxM on one processor, and its total flops 9m³
+// past it on any number. (At N = 1 the reply was a 200 with total
+// -8070450532247929000.)
+func TestFittedPriceOverflowIsRefused(t *testing.T) {
+	matmul, err := os.ReadFile("../../testdata/matmul.f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stmt = "A(i,j) + B(i,k) * C(k,j)"
+	if !bytes.Contains(matmul, []byte(stmt)) {
+		t.Fatalf("testdata/matmul.f has no %s", stmt)
+	}
+	overflowSource := strings.Replace(string(matmul), stmt, "A(i,j) + B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)", 1)
+	_, ts, _ := newTestServer(t)
+	for _, tc := range []struct {
+		n      int
+		status int
+		total  float64
+	}{
+		{1, http.StatusUnprocessableEntity, 0},
+		{4, http.StatusOK, 9 << 58},
+	} {
+		resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: overflowSource, M: 16, N: tc.n})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("N=%d: POST /compile: %s: %s", tc.n, resp.Status, raw)
+		}
+		var cr CompileResponse
+		if err := json.Unmarshal(raw, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.FitErr != "" || len(cr.Formulas) != 1 || !strings.Contains(cr.Formulas[0], "maxflops=") {
+			t.Fatalf("N=%d: the plan is not fitted: %s", tc.n, raw)
+		}
+		resp, raw = getBody(t, fmt.Sprintf("%s/cost?key=%s&m=%d", ts.URL, cr.ID, MaxM))
+		if resp.StatusCode != tc.status {
+			t.Fatalf("N=%d: GET /cost at m=%d: %s: %s, want status %d", tc.n, MaxM, resp.Status, raw, tc.status)
+		}
+		if tc.status != http.StatusOK {
+			if !strings.Contains(string(raw), "overflows int64") {
+				t.Errorf("N=%d: the 422 does not say why: %s", tc.n, raw)
+			}
+			continue
+		}
+		var rep CostReport
+		if err := json.Unmarshal(raw, &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Total < tc.total || rep.Exec < tc.total {
+			t.Errorf("N=%d: total %g, exec %g; want at least the flops %g", tc.n, rep.Total, rep.Exec, tc.total)
+		}
 	}
 }
 
