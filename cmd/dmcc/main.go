@@ -22,7 +22,6 @@ import (
 	"dmcc/internal/codegen"
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
-	"dmcc/internal/dep"
 	"dmcc/internal/exec"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
@@ -142,38 +141,16 @@ func run(p *ir.Program, m, n int) error {
 		res.DP.LoopCarried, res.DP.MinimumCost, res.WholeProgramCost)
 
 	fmt.Println("-- dependence analysis and pipelining decisions --")
-	var plans []codegen.NestPlan
-	byNest := map[string]dep.PipelineDecision{}
 	for _, d := range res.Pipelining {
-		byNest[d.Mapping.Nest] = d
 		fmt.Printf("  nest %s: mapping %s, pipelinable=%v, travelling %v\n",
 			d.Mapping.Nest, d.Mapping, d.CanPipeline, d.TravellingTokens)
 	}
-	cyclic := false
-	for _, seg := range res.DP.Segments {
-		if seg.Schemes.Cyclic {
-			cyclic = true
-		}
-	}
-	allPipelinable := true
-	for _, nest := range p.Nests {
-		d, ok := byNest[nest.Label]
-		if !ok || !d.CanPipeline {
-			allPipelinable = false
-			continue
-		}
-		plans = append(plans, codegen.NestPlan{Nest: nest, Decision: d, Cyclic: cyclic})
-	}
 	fmt.Println()
 
-	if allPipelinable && len(plans) == len(p.Nests) {
-		code, err := codegen.Program(p, plans)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("-- generated SPMD program --\n%s", code)
+	if code, err := codegen.Program(p, res); err != nil {
+		fmt.Printf("-- SPMD program skipped: %v --\n", err)
 	} else {
-		fmt.Println("-- codegen skipped: not every nest is pipelinable under the chosen mapping --")
+		fmt.Printf("-- generated SPMD program --\n%s", code)
 	}
 	return nil
 }

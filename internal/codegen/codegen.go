@@ -26,37 +26,52 @@ import (
 	"dmcc/internal/ir"
 )
 
-// NestPlan is the per-nest compilation outcome codegen consumes.
-type NestPlan struct {
-	Nest     *ir.Nest
-	Decision dep.PipelineDecision
-	// Cyclic is true for cyclic (mod N) distributions, false for blocks.
-	Cyclic bool
+// nestPlan is one nest of the compiled plan, as the generators read it.
+type nestPlan struct {
+	nest   *ir.Nest
+	dec    dep.PipelineDecision
+	cyclic bool // the program-wide layout: cyclic (mod N) or blocks
 }
 
-// Program generates the complete SPMD program for a compiled IR program.
-func Program(p *ir.Program, plans []NestPlan) (string, error) {
+// Program generates the complete SPMD program for a compiled plan. It
+// walks the plan's segments, looks up each nest's pipelining decision,
+// and lays every array out cyclic when any segment is cyclic. A nest
+// with no decision (no distributed array under the plan, as at N = 1)
+// or with multi-hop tokens is an error that names it.
+func Program(p *ir.Program, plan *core.CompileResult) (string, error) {
+	byNest := make(map[string]dep.PipelineDecision, len(plan.Pipelining))
+	for _, d := range plan.Pipelining {
+		byNest[d.Mapping.Nest] = d
+	}
+	cyclic := false
+	for _, seg := range plan.DP.Segments {
+		cyclic = cyclic || seg.Schemes.Cyclic
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "{* SPMD code generated for %s: m = problem size, N = processors, block = m/N. *}\n", p.Name)
-	b.WriteString(declarations(p, plans))
+	b.WriteString(declarations(p, cyclic))
 	b.WriteString("me = who_am_i()   {* Return current processor's ID. *}\n")
-	if anyBlock(plans) {
+	if !cyclic {
 		b.WriteString("before = me * block\n")
 	}
+	indent := ""
 	if p.Iterative {
 		b.WriteString("do k = 1, MAX_ITERATION\n")
+		indent = "  "
 	}
-	for _, pl := range plans {
-		body, err := genNest(p, pl)
-		if err != nil {
-			return "", err
-		}
-		indent := ""
-		if p.Iterative {
-			indent = "  "
-		}
-		for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
-			b.WriteString(indent + line + "\n")
+	for _, seg := range plan.DP.Segments {
+		for _, nest := range p.Nests[seg.Start-1 : seg.Start-1+seg.Len] {
+			dec, ok := byNest[nest.Label]
+			if !ok {
+				return "", fmt.Errorf("codegen: nest %s has no distributed array under the chosen plan", nest.Label)
+			}
+			body, err := genNest(nestPlan{nest, dec, cyclic})
+			if err != nil {
+				return "", err
+			}
+			for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+				b.WriteString(indent + line + "\n")
+			}
 		}
 	}
 	if p.Iterative {
@@ -65,25 +80,10 @@ func Program(p *ir.Program, plans []NestPlan) (string, error) {
 	return b.String(), nil
 }
 
-func anyBlock(plans []NestPlan) bool {
-	for _, pl := range plans {
-		if !pl.Cyclic {
-			return true
-		}
-	}
-	return false
-}
-
 // declarations emits the local array declarations with distributed
 // dimensions shrunk to block (or ceil(m/N) for cyclic layouts), as the
 // headers of Figs 6 and 8 do.
-func declarations(p *ir.Program, plans []NestPlan) string {
-	cyclic := false
-	for _, pl := range plans {
-		if pl.Cyclic {
-			cyclic = true
-		}
-	}
+func declarations(p *ir.Program, cyclic bool) string {
 	local := "block"
 	if cyclic {
 		local = "m/N"
@@ -116,10 +116,10 @@ func declarations(p *ir.Program, plans []NestPlan) string {
 }
 
 // genNest dispatches on the nest's communication structure.
-func genNest(p *ir.Program, pl NestPlan) (string, error) {
-	dec := pl.Decision
+func genNest(pl nestPlan) (string, error) {
+	dec := pl.dec
 	if !dec.CanPipeline {
-		return "", fmt.Errorf("codegen: nest %s has multi-hop tokens; only broadcast code is possible", pl.Nest.Label)
+		return "", fmt.Errorf("codegen: nest %s has multi-hop tokens; only broadcast code is possible", pl.nest.Label)
 	}
 	travelling := map[string]bool{}
 	for _, r := range dec.TravellingTokens {
@@ -129,7 +129,7 @@ func genNest(p *ir.Program, pl NestPlan) (string, error) {
 	// LHS of a Reduce statement whose array is a travelling token.)
 	accTravels := false
 	var reduceStmt *ir.Stmt
-	for _, st := range pl.Nest.Stmts {
+	for _, st := range pl.nest.Stmts {
 		if st.Reduce {
 			reduceStmt = st
 			if travelling[st.LHS.Array] {
@@ -139,24 +139,24 @@ func genNest(p *ir.Program, pl NestPlan) (string, error) {
 	}
 	switch {
 	case accTravels:
-		return genWavefront(p, pl, reduceStmt), nil
-	case core.Triangular(pl.Nest) && len(dec.TravellingTokens) > 0:
-		return genElimination(p, pl), nil
+		return genWavefront(pl, reduceStmt), nil
+	case core.Triangular(pl.nest) && len(dec.TravellingTokens) > 0:
+		return genElimination(pl), nil
 	case len(dec.TravellingTokens) == 0:
-		return genLocal(p, pl), nil
+		return genLocal(pl), nil
 	default:
-		return genShiftLoop(p, pl), nil
+		return genShiftLoop(pl), nil
 	}
 }
 
 // genWavefront emits the Fig 6 four-phase ring pipeline for a nest whose
 // reduction accumulator circulates (SOR).
-func genWavefront(p *ir.Program, pl NestPlan, red *ir.Stmt) string {
+func genWavefront(pl nestPlan, red *ir.Stmt) string {
 	acc := red.LHS.Array // V
 	// The updated array (X) is written by the non-reduce statement.
 	upd := ""
 	var updStmt *ir.Stmt
-	for _, st := range pl.Nest.Stmts {
+	for _, st := range pl.nest.Stmts {
 		if !st.Reduce && len(st.Reads) > 0 {
 			upd = st.LHS.Array
 			updStmt = st
@@ -164,7 +164,7 @@ func genWavefront(p *ir.Program, pl NestPlan, red *ir.Stmt) string {
 	}
 	mat := anchorArray(red)
 	var b strings.Builder
-	fmt.Fprintf(&b, "{* Nest %s: pipelined wavefront (Fig 6 schema); %s circulates the ring. *}\n", pl.Nest.Label, acc)
+	fmt.Fprintf(&b, "{* Nest %s: pipelined wavefront (Fig 6 schema); %s circulates the ring. *}\n", pl.nest.Label, acc)
 	fmt.Fprintf(&b, "do i = 1, before                       {* phase 1: rows of left processors *}\n")
 	fmt.Fprintf(&b, "  temp = 0.0\n")
 	fmt.Fprintf(&b, "  do j = 1, block\n")
@@ -227,25 +227,25 @@ func anchorArray(st *ir.Stmt) string {
 
 // genElimination emits the Fig 8 pipelined elimination for a triangular
 // nest whose pivot tokens travel (Gauss G1).
-func genElimination(p *ir.Program, pl NestPlan) string {
+func genElimination(pl nestPlan) string {
 	// Travelling tokens become the pipeline buffers.
 	var bufs []string
 	seen := map[string]bool{}
-	for _, r := range pl.Decision.TravellingTokens {
+	for _, r := range pl.dec.TravellingTokens {
 		if !seen[r.Array] {
 			seen[r.Array] = true
 			bufs = append(bufs, r.Array+"pipeline")
 		}
 	}
 	buf := strings.Join(bufs, ", ")
-	downward := pl.Nest.Loops[0].Step < 0
+	downward := pl.nest.Loops[0].Step < 0
 	var b strings.Builder
 	if downward {
-		fmt.Fprintf(&b, "{* Nest %s: pipelined back substitution (Fig 8 schema); X flows leftward. *}\n", pl.Nest.Label)
+		fmt.Fprintf(&b, "{* Nest %s: pipelined back substitution (Fig 8 schema); X flows leftward. *}\n", pl.nest.Label)
 		fmt.Fprintf(&b, "do j = m, 1, -1\n")
 		fmt.Fprintf(&b, "  if ( (j - 1) mod N == me ) then\n")
 		fmt.Fprintf(&b, "    pivot = local_index(j)\n")
-		for _, st := range pl.Nest.Stmts {
+		for _, st := range pl.nest.Stmts {
 			if st.Depth == 1 {
 				fmt.Fprintf(&b, "    %s\n", st.Text)
 			}
@@ -256,7 +256,7 @@ func genElimination(p *ir.Program, pl NestPlan) string {
 		fmt.Fprintf(&b, "    if ( left_neighbour /= owner(j) ) send_to_left( %s )\n", buf)
 		fmt.Fprintf(&b, "  endif\n")
 		fmt.Fprintf(&b, "  do i = local rows above j, descending\n")
-		for _, st := range pl.Nest.Stmts {
+		for _, st := range pl.nest.Stmts {
 			if st.Depth == 2 {
 				fmt.Fprintf(&b, "    %s\n", pipelineText(st, seen, "j"))
 			}
@@ -265,7 +265,7 @@ func genElimination(p *ir.Program, pl NestPlan) string {
 		fmt.Fprintf(&b, "continue\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "{* Nest %s: pipelined elimination (Fig 8 schema); the pivot row flows rightward. *}\n", pl.Nest.Label)
+	fmt.Fprintf(&b, "{* Nest %s: pipelined elimination (Fig 8 schema); the pivot row flows rightward. *}\n", pl.nest.Label)
 	fmt.Fprintf(&b, "do k = 1, m\n")
 	fmt.Fprintf(&b, "  if ( (k - 1) mod N == me ) then\n")
 	fmt.Fprintf(&b, "    pivot = local_index(k)\n")
@@ -275,13 +275,13 @@ func genElimination(p *ir.Program, pl NestPlan) string {
 	fmt.Fprintf(&b, "    if ( right_neighbour /= owner(k) ) send_to_right( %s )\n", buf)
 	fmt.Fprintf(&b, "  endif\n")
 	fmt.Fprintf(&b, "  do i = local rows below k\n")
-	for _, st := range pl.Nest.Stmts {
+	for _, st := range pl.nest.Stmts {
 		if st.Depth == 2 {
 			fmt.Fprintf(&b, "    %s\n", pipelineText(st, seen, "k"))
 		}
 	}
 	fmt.Fprintf(&b, "    do j = k + 1, m\n")
-	for _, st := range pl.Nest.Stmts {
+	for _, st := range pl.nest.Stmts {
 		if st.Depth == 3 {
 			fmt.Fprintf(&b, "      %s\n", pipelineText(st, seen, "k"))
 		}
@@ -308,19 +308,19 @@ func pipelineText(st *ir.Stmt, travelling map[string]bool, piv string) string {
 }
 
 // genLocal emits plain data-parallel loops for a fully local nest.
-func genLocal(p *ir.Program, pl NestPlan) string {
+func genLocal(pl nestPlan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "{* Nest %s: fully local under the chosen distribution. *}\n", pl.Nest.Label)
+	fmt.Fprintf(&b, "{* Nest %s: fully local under the chosen distribution. *}\n", pl.nest.Label)
 	b.WriteString(renderBody(pl, func(st *ir.Stmt) string { return st.Text }))
 	return b.String()
 }
 
 // genShiftLoop emits the nest's loops with shift-pipelined remote
 // operands (Jacobi's X exchange).
-func genShiftLoop(p *ir.Program, pl NestPlan) string {
+func genShiftLoop(pl nestPlan) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "{* Nest %s: local loops; travelling operands pipelined with Shift. *}\n", pl.Nest.Label)
-	for _, r := range pl.Decision.TravellingTokens {
+	fmt.Fprintf(&b, "{* Nest %s: local loops; travelling operands pipelined with Shift. *}\n", pl.nest.Label)
+	for _, r := range pl.dec.TravellingTokens {
 		fmt.Fprintf(&b, "{* token %s: mu.d = 1 -> receive_from_left / send_to_right instead of multicast *}\n", r)
 	}
 	b.WriteString(renderBody(pl, func(st *ir.Stmt) string { return st.Text }))
@@ -331,13 +331,13 @@ func genShiftLoop(p *ir.Program, pl NestPlan) string {
 // statements open and close loops as their depths require, and the loop
 // over the distributed index (the one the mapping assigns a nonzero
 // coefficient) iterates over the processor's local index set.
-func renderBody(pl NestPlan, rewrite func(*ir.Stmt) string) string {
+func renderBody(pl nestPlan, rewrite func(*ir.Stmt) string) string {
 	var b strings.Builder
 	ind := func(d int) string { return strings.Repeat("  ", d) }
 	openTo := func(cur, want int) int {
 		for cur < want {
-			l := pl.Nest.Loops[cur]
-			if pl.Decision.Mapping.Coeff[l.Index] != 0 {
+			l := pl.nest.Loops[cur]
+			if pl.dec.Mapping.Coeff[l.Index] != 0 {
 				fmt.Fprintf(&b, "%sdo %s = 1, %s   {* local %s indices *}\n",
 					ind(cur), l.Index, localBound(pl), l.Index)
 			} else if l.Step < 0 {
@@ -357,7 +357,7 @@ func renderBody(pl NestPlan, rewrite func(*ir.Stmt) string) string {
 		return cur
 	}
 	depth := 0
-	for _, st := range pl.Nest.Stmts {
+	for _, st := range pl.nest.Stmts {
 		depth = closeTo(depth, st.Depth)
 		depth = openTo(depth, st.Depth)
 		fmt.Fprintf(&b, "%s%s\n", ind(st.Depth), rewrite(st))
@@ -366,8 +366,8 @@ func renderBody(pl NestPlan, rewrite func(*ir.Stmt) string) string {
 	return b.String()
 }
 
-func localBound(pl NestPlan) string {
-	if pl.Cyclic {
+func localBound(pl nestPlan) string {
+	if pl.cyclic {
 		return "local_count(me)"
 	}
 	return "block"

@@ -4,11 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/dep"
 	"dmcc/internal/ir"
 )
 
-func sorPlan(t *testing.T) (*ir.Program, []NestPlan) {
+// handPlan is a one-segment plan over the whole program whose nests
+// take the given pipelining decisions.
+func handPlan(p *ir.Program, cyclic bool, decs ...dep.PipelineDecision) *core.CompileResult {
+	seg := core.Segment{Start: 1, Len: len(p.Nests), Schemes: &core.SchemeSet{Cyclic: cyclic}}
+	return &core.CompileResult{DP: &core.DPResult{Segments: []core.Segment{seg}}, Pipelining: decs}
+}
+
+// sorPlan is Fig 6's plan: SOR's one nest under the column mapping 1*j.
+func sorPlan(t *testing.T) (*ir.Program, *core.CompileResult) {
 	t.Helper()
 	p := ir.SOR()
 	mu := dep.Mapping{Nest: "S1", Coeff: map[string]int{"j": 1}}
@@ -16,30 +25,41 @@ func sorPlan(t *testing.T) (*ir.Program, []NestPlan) {
 	if !dec.CanPipeline {
 		t.Fatal("SOR not pipelinable")
 	}
-	return p, []NestPlan{{Nest: p.Nests[0], Decision: dec, Cyclic: false}}
+	return p, handPlan(p, false, dec)
 }
 
-func gaussPlans(t *testing.T) (*ir.Program, []NestPlan) {
+// gaussPlan is Fig 8's plan: every Gauss nest under the row mapping, cyclic.
+func gaussPlan(t *testing.T) (*ir.Program, *core.CompileResult) {
 	t.Helper()
 	p := ir.Gauss()
 	dd := map[string]int{"A": 0, "L": 0, "V": 0, "B": 0, "X": 0}
-	var plans []NestPlan
+	var decs []dep.PipelineDecision
 	for _, nest := range p.Nests {
 		mu, err := dep.DeriveMapping(p, nest, dd)
 		if err != nil {
 			t.Fatalf("%s: %v", nest.Label, err)
 		}
-		plans = append(plans, NestPlan{Nest: nest, Decision: dep.DecidePipelining(p, nest, mu), Cyclic: true})
+		decs = append(decs, dep.DecidePipelining(p, nest, mu))
 	}
-	return p, plans
+	return p, handPlan(p, true, decs...)
+}
+
+// jacobiPlan is Jacobi under the row mapping 1*i in both nests, blocks.
+func jacobiPlan() (*ir.Program, *core.CompileResult) {
+	p := ir.Jacobi()
+	var decs []dep.PipelineDecision
+	for _, nest := range p.Nests {
+		decs = append(decs, dep.DecidePipelining(p, nest, dep.Mapping{Nest: nest.Label, Coeff: map[string]int{"i": 1}}))
+	}
+	return p, handPlan(p, false, decs...)
 }
 
 // TestFig6Codegen: the generated SOR program must have the Fig 6
 // structure: four phases, V received from the left and sent to the
 // right, the update of X folded into phase 3.
 func TestFig6Codegen(t *testing.T) {
-	p, plans := sorPlan(t)
-	code, err := Program(p, plans)
+	p, plan := sorPlan(t)
+	code, err := Program(p, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +101,8 @@ func TestFig6Codegen(t *testing.T) {
 // buffers replacing the travelling tokens, X flowing leftward in the
 // back substitution.
 func TestFig8Codegen(t *testing.T) {
-	p, plans := gaussPlans(t)
-	code, err := Program(p, plans)
+	p, plan := gaussPlan(t)
+	code, err := Program(p, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +139,11 @@ func TestFig8Codegen(t *testing.T) {
 }
 
 func TestJacobiLocalNestCodegen(t *testing.T) {
-	p := ir.Jacobi()
-	mu := dep.Mapping{Nest: "L2", Coeff: map[string]int{"i": 1}}
-	dec := dep.DecidePipelining(p, p.Nests[1], mu)
-	code, err := Program(p, []NestPlan{{Nest: p.Nests[1], Decision: dec, Cyclic: false}})
+	code, err := Program(jacobiPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(code, "fully local") {
+	if !strings.Contains(code, "Nest L2: fully local") {
 		t.Errorf("L2 must be fully local under row distribution:\n%s", code)
 	}
 	if !strings.Contains(code, "X(i) = X(i) + (B(i) - V(i)) / A(i,i)") {
@@ -135,32 +152,33 @@ func TestJacobiLocalNestCodegen(t *testing.T) {
 }
 
 func TestJacobiL1ShiftCodegen(t *testing.T) {
-	p := ir.Jacobi()
-	mu := dep.Mapping{Nest: "L1", Coeff: map[string]int{"i": 1}}
-	dec := dep.DecidePipelining(p, p.Nests[0], mu)
-	code, err := Program(p, []NestPlan{{Nest: p.Nests[0], Decision: dec, Cyclic: false}})
+	code, err := Program(jacobiPlan())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// X(j) travels: under the row mapping the accumulator V(i) is local,
 	// so the nest becomes a shift-pipelined loop over X.
-	if !strings.Contains(code, "X(j)") || !strings.Contains(code, "receive_from_left / send_to_right") {
+	if !strings.Contains(code, "Nest L1: local loops; travelling operands pipelined with Shift") ||
+		!strings.Contains(code, "X(j)") || !strings.Contains(code, "receive_from_left / send_to_right") {
 		t.Errorf("X shift pipeline missing:\n%s", code)
 	}
 }
 
+// TestMultiHopRejected: a mapping under which a token travels more than
+// one hop per step is an error naming the nest.
 func TestMultiHopRejected(t *testing.T) {
 	p := ir.SOR()
 	mu := dep.Mapping{Nest: "S1", Coeff: map[string]int{"j": 2}}
 	dec := dep.DecidePipelining(p, p.Nests[0], mu)
-	if _, err := Program(p, []NestPlan{{Nest: p.Nests[0], Decision: dec}}); err == nil {
-		t.Fatal("multi-hop nest must be rejected")
+	_, err := Program(p, handPlan(p, false, dec))
+	if err == nil || !strings.Contains(err.Error(), "nest S1 has multi-hop tokens") {
+		t.Fatalf("multi-hop nest must be rejected by name, got %v", err)
 	}
 }
 
 func TestDeclarations(t *testing.T) {
-	p, plans := sorPlan(t)
-	code, err := Program(p, plans)
+	p, plan := sorPlan(t)
+	code, err := Program(p, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,30 +20,20 @@ import (
 	"dmcc/internal/dist"
 )
 
-// frozenSeg is one segment of the frozen plan: which nests, on which
-// grid shape, under which alignment partition.
-type frozenSeg struct {
-	start, n int // 1-based nest range [start, start+n-1]
-	shape    [2]int
-	set      *SchemeSet // schemes at the base size (partition carrier)
-	m, chg   float64    // segment cost and the change into it at the base size
-}
-
 // PlanEvaluator re-prices one frozen compilation plan across problem
 // sizes. Create with NewPlanEvaluator, optionally call Fit, then EvalAt.
 type PlanEvaluator struct {
-	c       *Compiler
-	Base    *CompileResult // nil when thawed
+	c *Compiler
+	// Base is the plan at the base size: its segments (grid shape,
+	// alignment partition, cyclic flag, costs) and total costs are what
+	// priceAt re-prices, Fit samples and Freeze writes. A thawed
+	// evaluator's Base holds no DP table and no pipelining decisions.
+	Base    *CompileResult
 	BaseM   int
-	segs    []frozenSeg
 	execSym []*cost.SymbolicCounts // per nest (0-based), after Fit
 	lcSym   []*cost.SymbolicCounts // loop-carried words per nest, after Fit
 	chgSym  []*cost.SymbolicLoads  // boundary into segment i (chgSym[0] unused), after Fit
 	fitMinM int                    // smallest size the fits cover; below it EvalAt prices numerically
-
-	// The plan's costs at the base size, as its compile reported them:
-	// what Freeze writes, for a thawed evaluator too.
-	minimumCost, wholeCost, loopCarried float64
 }
 
 // FittedAt reports whether size m is priced entirely from polynomials,
@@ -79,20 +69,12 @@ func NewPlanEvaluator(c *Compiler) (*PlanEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	pe := &PlanEvaluator{
-		c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]],
-		minimumCost: res.DP.MinimumCost, wholeCost: res.WholeProgramCost, loopCarried: res.DP.LoopCarried,
-	}
-	for _, seg := range res.DP.Segments {
-		g := seg.Schemes.Grid
-		pe.segs = append(pe.segs, frozenSeg{
-			start: seg.Start, n: seg.Len,
-			shape: [2]int{g.Extent(0), g.Extent(1)},
-			set:   seg.Schemes,
-			m:     seg.M, chg: seg.ChangeIn,
-		})
-	}
-	return pe, nil
+	return &PlanEvaluator{c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]]}, nil
+}
+
+// gridShape is a segment's grid shape, N1 x N2.
+func gridShape(seg Segment) [2]int {
+	return [2]int{seg.Schemes.Grid.Extent(0), seg.Schemes.Grid.Extent(1)}
 }
 
 // sizePrice is the frozen plan priced numerically at one size: the
@@ -134,13 +116,14 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 		prep:           prep,
 		low:            lw,
 	}
-	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(pe.segs))}
-	sets := make([]*SchemeSet, len(pe.segs))
-	for i, fs := range pe.segs {
-		if sets[i], err = ec.schemeSet(fs.set.Partition, fs.shape, fs.set.Cyclic); err != nil {
+	segs := pe.Base.DP.Segments
+	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(segs))}
+	sets := make([]*SchemeSet, len(segs))
+	for i, seg := range segs {
+		if sets[i], err = ec.schemeSet(seg.Schemes.Partition, gridShape(seg), seg.Schemes.Cyclic); err != nil {
 			return nil, err
 		}
-		for t := fs.start - 1; t < fs.start-1+fs.n; t++ {
+		for t := seg.Start - 1; t < seg.Start-1+seg.Len; t++ {
 			if sp.exec[t], err = ec.countNest(t, false, sets[i]); err != nil {
 				return nil, err
 			}
@@ -204,7 +187,7 @@ func (pe *PlanEvaluator) sum(exec, lc func(t int) (cost.Counts, error), maxLoad 
 			pc.LoopCarried += ct.Time(pe.c.Model).Comm
 		}
 	}
-	for i := 1; i < len(pe.segs); i++ {
+	for i := 1; i < len(pe.Base.DP.Segments); i++ {
 		ml, err := maxLoad(i)
 		if err != nil {
 			return PlanCost{}, err
@@ -227,8 +210,10 @@ func (pe *PlanEvaluator) sum(exec, lc func(t int) (cost.Counts, error), maxLoad 
 // and leave the evaluator unfitted.
 func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 	period := 1
-	for _, fs := range pe.segs {
-		period = dist.LCM(period, dist.LCM(fs.shape[0], fs.shape[1]))
+	segs := pe.Base.DP.Segments
+	for _, seg := range segs {
+		g := seg.Schemes.Grid
+		period = dist.LCM(period, dist.LCM(g.Extent(0), g.Extent(1)))
 	}
 	priced := map[int]*sizePrice{}
 	at := func(m int) (sp *sizePrice, err error) {
@@ -265,8 +250,8 @@ func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 			return err
 		}
 	}
-	chgSym := make([]*cost.SymbolicLoads, len(pe.segs))
-	for i := 1; i < len(pe.segs); i++ {
+	chgSym := make([]*cost.SymbolicLoads, len(segs))
+	for i := 1; i < len(segs); i++ {
 		chgSym[i], err = cost.RedistLoadsPoly(func(m int) (dist.ScaledLoads, error) {
 			sp, err := at(m)
 			if err != nil {

@@ -83,8 +83,8 @@ func TestPlanEvaluatorFit(t *testing.T) {
 			if err := fitted.Fit(tc.minM, tc.deg, 2); err != nil {
 				t.Fatal(err)
 			}
-			if tc.wantDen != 0 && (len(fitted.segs) != 2 || fitted.chgSym[1].Den != tc.wantDen) {
-				t.Fatalf("plan has %d segments, want 2 with a change over denominator %d", len(fitted.segs), tc.wantDen)
+			if tc.wantDen != 0 && (len(fitted.Base.DP.Segments) != 2 || fitted.chgSym[1].Den != tc.wantDen) {
+				t.Fatalf("plan has %d segments, want 2 with a change over denominator %d", len(fitted.Base.DP.Segments), tc.wantDen)
 			}
 			if !fitted.FittedAt(tc.minM) {
 				t.Fatal("Fit succeeded but the evaluator still needs numeric pricing")
@@ -148,12 +148,12 @@ func TestEvalAtOffBaseMatchesFreshCompiler(t *testing.T) {
 			f := NewCompiler(tc.mk(), cost.Unit(), map[string]int{"m": m}, tc.n)
 			var want PlanCost
 			var prev *SchemeSet
-			for i, fs := range pe.segs {
-				ss, err := f.schemeSet(fs.set.Partition, fs.shape, fs.set.Cyclic)
+			for i, seg := range pe.Base.DP.Segments {
+				ss, err := f.schemeSet(seg.Schemes.Partition, gridShape(seg), seg.Schemes.Cyclic)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for nest := fs.start - 1; nest < fs.start-1+fs.n; nest++ {
+				for nest := seg.Start - 1; nest < seg.Start-1+seg.Len; nest++ {
 					ct, err := f.countNest(nest, false, ss)
 					if err != nil {
 						t.Fatal(err)

@@ -73,24 +73,24 @@ func (pe *PlanEvaluator) Freeze() *FrozenPlan {
 	fp := &FrozenPlan{
 		Schema:      FrozenPlanSchema,
 		BaseM:       pe.BaseM,
-		MinimumCost: pe.minimumCost,
-		WholeCost:   pe.wholeCost,
-		LoopCarried: pe.loopCarried,
+		MinimumCost: pe.Base.DP.MinimumCost,
+		WholeCost:   pe.Base.WholeProgramCost,
+		LoopCarried: pe.Base.DP.LoopCarried,
 		ExecFits:    pe.execSym,
 		LCFits:      pe.lcSym,
 		ChgFits:     pe.chgSym,
 		FitMinM:     pe.fitMinM,
 	}
-	for _, fs := range pe.segs {
+	for _, s := range pe.Base.DP.Segments {
 		seg := FrozenSegment{
-			Start:  fs.start,
-			Len:    fs.n,
-			Shape:  fs.shape,
-			Cyclic: fs.set.Cyclic,
-			M:      fs.m,
-			Change: fs.chg,
+			Start:  s.Start,
+			Len:    s.Len,
+			Shape:  gridShape(s),
+			Cyclic: s.Schemes.Cyclic,
+			M:      s.M,
+			Change: s.ChangeIn,
 		}
-		for id, sub := range fs.set.Partition.Assign {
+		for id, sub := range s.Schemes.Partition.Assign {
 			seg.Assign = append(seg.Assign, FrozenAssign{Array: id.Array, Dim: id.Dim, Subset: sub})
 		}
 		sort.Slice(seg.Assign, func(i, j int) bool {
@@ -156,9 +156,10 @@ func (fp *FrozenPlan) Validate(p *ir.Program) error {
 }
 
 // Thaw reconstructs a PlanEvaluator for the compiler's program from a
-// frozen plan, without compiling: alignment partitions and scheme sets
-// are re-derived from the recorded decisions, and any recorded fits are
-// reinstated. The compiler must be configured identically to the one
+// frozen plan, without compiling: its Base is rebuilt from the recorded
+// segments (scheme sets re-derived from the alignment partitions) and
+// costs, with no DP table and no pipelining decisions, and any recorded
+// fits are reinstated. The compiler must be configured identically to the one
 // that produced the plan (same CacheKey) for the evaluator to be
 // meaningful — the artifact store enforces that by keying on it.
 func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
@@ -168,9 +169,14 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 	if err := fp.Validate(c.Program); err != nil {
 		return nil, err
 	}
+	dp := &DPResult{
+		LoopCarried: fp.LoopCarried,
+		MinimumCost: fp.MinimumCost,
+		// RunDP's own subtraction, so a thawed total equals a compiled one.
+		SegmentTotal: fp.MinimumCost - fp.LoopCarried,
+	}
 	pe := &PlanEvaluator{
-		c: c, BaseM: fp.BaseM,
-		minimumCost: fp.MinimumCost, wholeCost: fp.WholeCost, loopCarried: fp.LoopCarried,
+		c: c, Base: &CompileResult{DP: dp, WholeProgramCost: fp.WholeCost}, BaseM: fp.BaseM,
 		execSym: fp.ExecFits, lcSym: fp.LCFits, chgSym: fp.ChgFits, fitMinM: fp.FitMinM,
 	}
 	lw, err := c.Program.Lower(map[string]int{c.Program.Params[0]: fp.BaseM})
@@ -191,7 +197,7 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: thawing segment (%d,%d): %w", seg.Start, seg.Len, err)
 		}
-		pe.segs = append(pe.segs, frozenSeg{start: seg.Start, n: seg.Len, shape: seg.Shape, set: set, m: seg.M, chg: seg.Change})
+		dp.Segments = append(dp.Segments, Segment{Start: seg.Start, Len: seg.Len, Schemes: set, M: seg.M, ChangeIn: seg.Change})
 	}
 	return pe, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
 	"strings"
 	"testing"
 
@@ -174,5 +176,88 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	c2 := NewCompiler(ir.SOR(), cost.Unit(), map[string]int{"m": 16}, 4)
 	if c2.CacheKey() == k0 {
 		t.Error("different programs share a CacheKey")
+	}
+}
+
+// TestThawedBaseMatchesCompiled: the Base a plan thaws to is the Base
+// its compile produced, in everything a frozen plan records — per
+// segment the nest range, grid shape, cyclic flag, alignment partition
+// and costs, and the plan's totals — so the evaluator's re-freeze
+// writes the compiled costs back, not zeros. The plans are gauss, jacobi
+// and sor frozen at m = 256, N = 16 (through the stored JSON) and the
+// plans of testdata/periodplans.golden, stored by an earlier build.
+func TestThawedBaseMatchesCompiled(t *testing.T) {
+	type stored struct {
+		name     string
+		n, baseM int
+		payload  []byte
+	}
+	var plans []stored
+	for _, name := range []string{"gauss", "jacobi", "sor"} {
+		p, _ := ir.Builtin(name)
+		pe, err := NewPlanEvaluator(NewCompiler(p, cost.Unit(), map[string]int{"m": 256}, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(pe.Freeze())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, stored{name, 16, 256, payload})
+	}
+	golden, err := os.ReadFile("testdata/periodplans.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
+	for i := 0; i+1 < len(lines); i += 2 {
+		var s stored
+		if _, err := fmt.Sscanf(lines[i], "%s N=%d baseM=%d", &s.name, &s.n, &s.baseM); err != nil {
+			t.Fatalf("header %q: %v", lines[i], err)
+		}
+		s.payload = []byte(lines[i+1])
+		plans = append(plans, s)
+	}
+	for _, s := range plans {
+		what := fmt.Sprintf("%s N=%d baseM=%d", s.name, s.n, s.baseM)
+		mk := func() *Compiler {
+			p, _ := ir.Builtin(s.name)
+			return NewCompiler(p, cost.Unit(), map[string]int{"m": s.baseM}, s.n)
+		}
+		var fp FrozenPlan
+		if err := fp.UnmarshalJSON(s.payload); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		thawed, err := Thaw(mk(), &fp)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		fresh, err := NewPlanEvaluator(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := thawed.Base, fresh.Base
+		if len(got.DP.Segments) != len(want.DP.Segments) {
+			t.Fatalf("%s: thawed %d segments, compiled %d", what, len(got.DP.Segments), len(want.DP.Segments))
+		}
+		for i, g := range got.DP.Segments {
+			w := want.DP.Segments[i]
+			if g.Start != w.Start || g.Len != w.Len || gridShape(g) != gridShape(w) ||
+				g.Schemes.Cyclic != w.Schemes.Cyclic || !maps.Equal(g.Schemes.Partition.Assign, w.Schemes.Partition.Assign) ||
+				g.M != w.M || g.ChangeIn != w.ChangeIn {
+				t.Errorf("%s segment %d: thawed (%d,%d) %v %s M=%g in=%g, compiled (%d,%d) %v %s M=%g in=%g", what, i+1,
+					g.Start, g.Len, gridShape(g), g.Schemes, g.M, g.ChangeIn,
+					w.Start, w.Len, gridShape(w), w.Schemes, w.M, w.ChangeIn)
+			}
+		}
+		if got.DP.MinimumCost != want.DP.MinimumCost || got.DP.SegmentTotal != want.DP.SegmentTotal ||
+			got.DP.LoopCarried != want.DP.LoopCarried || got.WholeProgramCost != want.WholeProgramCost {
+			t.Errorf("%s: thawed costs min %g seg %g lc %g whole %g, compiled min %g seg %g lc %g whole %g", what,
+				got.DP.MinimumCost, got.DP.SegmentTotal, got.DP.LoopCarried, got.WholeProgramCost,
+				want.DP.MinimumCost, want.DP.SegmentTotal, want.DP.LoopCarried, want.WholeProgramCost)
+		}
+	}
+	if len(plans) != 3+7 {
+		t.Fatalf("checked %d plans, want 10", len(plans))
 	}
 }
