@@ -70,13 +70,12 @@ func fatal(err error) {
 
 // execute runs the compiled program on the simulated machine through the
 // exec harness (seeded diagonally dominant system) and checks the result
-// against the sequential IR interpreter.
+// against the sequential IR interpreter. It prints the plan the run
+// executed: one line per segment, with the words of the scheme change
+// into it, and the change an iterative program crosses at the iteration
+// boundary.
 func execute(p *ir.Program, m, n int) error {
 	c := exec.Case{Prog: p, M: m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
-	ss, err := c.Schemes()
-	if err != nil {
-		return err
-	}
 	res, err := c.Run(machine.DefaultConfig())
 	if err != nil {
 		return err
@@ -85,7 +84,20 @@ func execute(p *ir.Program, m, n int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("-- executed on the simulated machine (%s, %d iteration(s)) --\n", ss.Grid, c.Iterations())
+	segs := res.Segments
+	fmt.Printf("-- executed on the simulated machine (%d segment(s), %d iteration(s)) --\n", len(segs), c.Iterations())
+	for k, seg := range segs {
+		fmt.Printf("  loops L%d..L%d on %s", seg.Start, seg.Start+seg.Len-1, seg.Grid)
+		if k > 0 {
+			fmt.Printf(", entry change %d words", seg.ChangeWords)
+		}
+		fmt.Println()
+	}
+	if p.Iterative && len(segs) > 1 {
+		last := segs[len(segs)-1]
+		fmt.Printf("  iteration boundary L%d -> L1: change of %d words, crossed %d time(s)\n",
+			last.Start+last.Len-1, segs[0].ChangeWords, c.Iterations()-1)
+	}
 	fmt.Printf("  simulated makespan %.0f, %d messages, %d words\n",
 		res.Stats.ParallelTime, res.Stats.Messages, res.Stats.Words)
 	fmt.Printf("  max |parallel - sequential interpreter| = %.3g\n", maxDiff)

@@ -28,6 +28,7 @@ var testOnly = map[string]string{
 	"dep.DependenceVector":              "paper formula: Table 5's dependence vector of a token",
 	"dep.FindProducer":                  "paper formula: Table 5's generated-in index of a token",
 	"dist.Scheme.OwnedIndices":          "reference: the enumeration oracle of OwnedPatternOf",
+	"exec.RunExact":                     "reference: the per-element oracle of Run on a one-segment plan, beside Case.RunExact's plan runs",
 	"grid.Grid.Tuple":                   "reference: Rank's inverse, the round-trip oracle of Rank and Coord",
 	"ir.Stencil":                        "reference: §1's five-point stencil, a program the alignment, range and lowering tests run",
 	"kernels.GaussPipelinedBlockCyclic": "paper formula: §6's load-balance claim, measured on a block-cyclic Fig 8 pipeline",

@@ -266,10 +266,12 @@ func randomReduceProgram(rng *rand.Rand) *ir.Program {
 // batched engine — on synthetic programs (with reductions, nest-end and
 // mid-epoch finalizes), random schemes and random inputs, Run produces
 // values and flops exactly equal to the per-element oracle, and its
-// transport only sheds traffic.
+// transport only sheds traffic; so does a random segmentation of the
+// program, its segments joined by scheme changes (randomPlan).
 func TestBatchedMatchesExactFuzz(t *testing.T) {
 	const m = 8
 	cfg := machine.DefaultConfig()
+	changes := 0
 	for _, seed := range fuzzSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 30; trial++ {
@@ -294,9 +296,16 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 					t.Fatalf("exact: %v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
 				requireIdentical(t, fuzzCase(seed, trial, n, p), got, want)
+				if res, _ := checkPlanFuzz(t, seed, trial, m, n, p, iters, input); crossesChange(res) {
+					changes++
+				}
 			}
 		}
 	}
+	if changes == 0 {
+		t.Error("no random plan crossed a scheme change that moved a word")
+	}
+	t.Logf("%d random plans crossed a scheme change that moved words", changes)
 }
 
 func containsStr(s, sub string) bool {

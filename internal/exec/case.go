@@ -13,10 +13,10 @@ import (
 )
 
 // Case is one run of a compiled program on the simulated machine. It is
-// the one place that decides which schemes the machine runs, what the
-// arrays hold when it starts, and what its result is checked against;
-// the tools, the sweeps, the report and the examples run programs
-// through it.
+// the one place that decides what the machine runs — the compiled plan,
+// its segments joined by their scheme changes — what the arrays hold when
+// it starts, and what its result is checked against; the tools, the
+// sweeps, the report and the examples run programs through it.
 type Case struct {
 	Prog *ir.Program
 	// M binds the program's size parameter (Program.BindSize); N is the
@@ -40,15 +40,14 @@ func (c Case) Iterations() int {
 	return c.Iters
 }
 
-// Schemes is the scheme set the machine runs: the compiler's M[1][s],
-// Section 3's whole-program scheme.
-func (c Case) Schemes() (*core.SchemeSet, error) {
+// Plan is the plan the machine runs: the program compiled under the unit
+// cost model, whose Algorithm 1 segments Run and RunExact execute.
+func (c Case) Plan() (*core.CompileResult, error) {
 	bind, err := c.bind()
 	if err != nil {
 		return nil, err
 	}
-	_, ss, err := core.NewCompiler(c.Prog, cost.Unit(), bind, c.N).SegmentCost(1, len(c.Prog.Nests))
-	return ss, err
+	return core.NewCompiler(c.Prog, cost.Unit(), bind, c.N).Compile()
 }
 
 // Input is the seeded initial state. Every declared array, in name order,
@@ -86,16 +85,16 @@ func (c Case) Input() (ir.Storage, error) {
 	return input, nil
 }
 
-// Run executes the case with the batched engine (the package's Run).
-func (c Case) Run(cfg machine.Config) (Result, error) { return c.run(Run, cfg) }
+// Run executes the case's plan with the batched engine.
+func (c Case) Run(cfg machine.Config) (Result, error) { return c.run(run, cfg) }
 
-// RunExact executes the case with the per-element reference engine.
-func (c Case) RunExact(cfg machine.Config) (Result, error) { return c.run(RunExact, cfg) }
+// RunExact executes the case's plan with the per-element reference engine.
+func (c Case) RunExact(cfg machine.Config) (Result, error) { return c.run(runExact, cfg) }
 
-func (c Case) run(engine func(*ir.Program, *core.SchemeSet, map[string]int, map[string]float64, int, machine.Config, ir.Storage) (Result, error),
+func (c Case) run(engine func(*ir.Program, []core.Segment, map[string]int, map[string]float64, int, machine.Config, ir.Storage) (Result, error),
 	cfg machine.Config) (Result, error) {
 
-	ss, err := c.Schemes()
+	plan, err := c.Plan()
 	if err != nil {
 		return Result{}, err
 	}
@@ -103,8 +102,8 @@ func (c Case) run(engine func(*ir.Program, *core.SchemeSet, map[string]int, map[
 	if err != nil {
 		return Result{}, err
 	}
-	bind, _ := c.bind() // Schemes bound it
-	return engine(c.Prog, ss, bind, c.Scalars, c.Iters, cfg, input)
+	bind, _ := c.bind() // Plan bound it
+	return engine(c.Prog, plan.DP.Segments, bind, c.Scalars, c.Iters, cfg, input)
 }
 
 // Check is the reference check of a run of the case: the largest

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -39,58 +41,109 @@ func casePrograms(t *testing.T) map[string]*ir.Program {
 }
 
 // checkCase runs the case through both engines and requires each to
-// match the sequential interpreter and the two to execute the same flops,
-// which it returns.
-func checkCase(t *testing.T, label string, c Case) int64 {
+// match the sequential interpreter and the two to execute the same flops.
+// It returns Run's result.
+func checkCase(t *testing.T, label string, c Case) Result {
 	t.Helper()
-	var flops [2]int64
+	var res [2]Result
 	for i, run := range []func(machine.Config) (Result, error){c.Run, c.RunExact} {
-		res, err := run(machine.DefaultConfig())
-		if err != nil {
+		var err error
+		if res[i], err = run(machine.DefaultConfig()); err != nil {
 			t.Fatalf("%s engine %d: %v", label, i, err)
 		}
-		diff, err := c.Check(res)
+		diff, err := c.Check(res[i])
 		if err != nil {
 			t.Fatalf("%s engine %d: check: %v", label, i, err)
 		}
 		if !(diff <= 1e-9) {
 			t.Errorf("%s engine %d: max |Values - EvalProgram| = %g", label, i, diff)
 		}
-		flops[i] = res.Stats.Flops
 	}
-	if flops[0] != flops[1] {
-		t.Errorf("%s: Run executed %d flops, RunExact %d", label, flops[0], flops[1])
+	if res[0].Stats.Flops != res[1].Stats.Flops {
+		t.Errorf("%s: Run executed %d flops, RunExact %d", label, res[0].Stats.Flops, res[1].Stats.Flops)
 	}
-	return flops[0]
+	return res[0]
 }
 
-// TestCaseRunsEveryProgram runs every builtin and testdata program through
-// the harness on both engines at two processor counts.
+// TestCaseRunsEveryProgram: both engines execute the compiled plan — its
+// Algorithm 1 segments in order, each on its own grid, joined by scheme
+// changes — and match the sequential interpreter, over every testdata/*.f
+// (the builtins are four of them) at m ∈ {16, 64} and Synthetic(4..16),
+// whose plans have one segment per nest, at m = 16, each on 4, 8, 16 and
+// 64 processors. Input is deterministic, and the run executes Iterations
+// iterations' flops. The per-element engine takes seconds a run at
+// m = 64, so the subtests run in parallel, and under the race detector,
+// which slows it tenfold, only m = 16 runs.
 func TestCaseRunsEveryProgram(t *testing.T) {
-	for name, p := range casePrograms(t) {
-		for _, n := range []int{4, 16} {
-			c := Case{Prog: p, M: 16, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
-			label := fmt.Sprintf("%s m=16 N=%d", name, n)
-			in1, err := c.Input()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+	type kase struct {
+		name string
+		p    *ir.Program
+		m    int
+	}
+	var cases []kase
+	progs := casePrograms(t)
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, builtin := ir.Builtin(name); builtin {
+			continue // its listing is testdata/<name>.f
+		}
+		for _, m := range []int{16, 64} {
+			if m == 16 || !raceEnabled {
+				cases = append(cases, kase{name, progs[name], m})
 			}
-			in2, _ := c.Input()
-			if !reflect.DeepEqual(in1, in2) {
-				t.Fatalf("%s: two calls of Input differ", label)
-			}
-			flops := checkCase(t, label, c)
-			// Iterations is the count the run executed: its flops are that
-			// many single iterations' (a non-iterative program runs once).
-			once := c
-			once.Iters = 1
-			res, err := once.Run(machine.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s one iteration: %v", label, err)
-			}
-			if got := int64(c.Iterations()) * res.Stats.Flops; got != flops {
-				t.Errorf("%s: %d iteration(s) of %d flops is %d, the run executed %d", label, c.Iterations(), res.Stats.Flops, got, flops)
-			}
+		}
+	}
+	for s := 4; s <= 16; s++ {
+		cases = append(cases, kase{fmt.Sprintf("Synthetic(%d)", s), ir.Synthetic(s), 16})
+	}
+	for _, k := range cases {
+		for _, n := range []int{4, 8, 16, 64} {
+			label := fmt.Sprintf("%s m=%d N=%d", k.name, k.m, n)
+			t.Run(label, func(t *testing.T) {
+				t.Parallel()
+				c := Case{Prog: k.p, M: k.m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
+				in1, err := c.Input()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if in2, _ := c.Input(); !reflect.DeepEqual(in1, in2) {
+					t.Fatal("two calls of Input differ")
+				}
+				plan, err := c.Plan()
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := checkCase(t, label, c)
+				var want []Segment
+				for _, seg := range plan.DP.Segments {
+					want = append(want, Segment{Start: seg.Start, Len: seg.Len, Grid: seg.Schemes.Grid})
+				}
+				got := slices.Clone(res.Segments)
+				for i := range got {
+					got[i].ChangeWords = 0
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("ran segments %v, the plan's are %v", got, want)
+				}
+				if strings.HasPrefix(k.name, "Synthetic") && len(want) != len(k.p.Nests) {
+					t.Errorf("the plan has %d segments over %d nests", len(want), len(k.p.Nests))
+				}
+				// Iterations is the count the run executed: its flops are that
+				// many single iterations' (a non-iterative program runs once).
+				once := c
+				once.Iters = 1
+				one, err := once.Run(machine.DefaultConfig())
+				if err != nil {
+					t.Fatalf("one iteration: %v", err)
+				}
+				if got := int64(c.Iterations()) * one.Stats.Flops; got != res.Stats.Flops {
+					t.Errorf("%d iteration(s) of %d flops is %d, the run executed %d", c.Iterations(), one.Stats.Flops, got, res.Stats.Flops)
+				}
+			})
 		}
 	}
 }
@@ -150,7 +203,7 @@ func TestCaseBindsTheProgramsParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Case{Prog: p, M: 16, N: 4}).Schemes(); err == nil || !strings.Contains(err.Error(), "size parameters m, n") {
+	if _, err := (Case{Prog: p, M: 16, N: 4}).Plan(); err == nil || !strings.Contains(err.Error(), "size parameters m, n") {
 		t.Fatalf("two size parameters: got %v, want an error naming m and n", err)
 	}
 }
@@ -159,15 +212,12 @@ func TestCaseBindsTheProgramsParam(t *testing.T) {
 // lacking two arrays to name the first of them by name, every time.
 func TestMissingSchemeNamesFirstArray(t *testing.T) {
 	c := Case{Prog: ir.Jacobi(), M: 8, N: 4, Iters: 1, Seed: 7}
-	ss, err := c.Schemes()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := wholeProgramSchemes(t, c.Prog, c.M, c.N)
 	input, err := c.Input()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The set is the discarded compiler's own; nothing else reads it.
+	// The set is a discarded compiler's own; nothing else reads it.
 	delete(ss.Schemes, "X")
 	delete(ss.Schemes, "B")
 	for i := 0; i < 20; i++ {

@@ -15,11 +15,14 @@ import (
 	"sort"
 
 	"dmcc/internal/core"
+	"dmcc/internal/dist"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
 
-// RunExact executes the program with the per-element reference engine.
+// RunExact executes the program with the per-element reference engine:
+// the one-segment plan, through the same engine a compiled plan runs
+// (Case.RunExact).
 //
 // Unlike Run it performs no message batching: a processor may emit a
 // full boundary row (m one-word messages, plus reduction traffic) before
@@ -28,24 +31,32 @@ import (
 // to execute programs.
 func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
+	return runExact(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
+}
 
-	if _, err := validate(p, ss, bind, input); err != nil {
+// runExact executes a plan's segments in order, as run does, crossing
+// each scheme change with one message per (element, owner that lacks it).
+func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
+
+	lw, err := validate(p, segs, bind, input)
+	if err != nil {
 		return Result{}, err
 	}
 	if !p.Iterative {
 		iters = 1
 	}
 
-	nprocs := ss.Grid.Size()
+	nprocs := segs[0].Schemes.Grid.Size()
 	locals := make([]ir.Storage, nprocs)
-	mach, err := machine.New(ss.Grid, cfg)
+	mach, err := machine.New(segs[0].Schemes.Grid, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 
 	st, err := mach.Run(func(proc *machine.Proc) {
 		e := &engine{
-			p: p, ss: ss, bind: bind, scalars: scalars,
+			p: p, ss: segs[0].Schemes, bind: bind, scalars: scalars,
 			proc:     proc,
 			store:    ir.NewStorage(p),
 			partials: map[string]float64{},
@@ -63,8 +74,13 @@ func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars ma
 			}
 		}
 		for it := 0; it < iters; it++ {
-			for _, nest := range p.Nests {
-				e.runNest(nest)
+			for _, seg := range segs {
+				if seg.Schemes != e.ss {
+					e.change(lw, seg.Schemes)
+				}
+				for _, nest := range p.Nests[seg.Start-1 : seg.Start-1+seg.Len] {
+					e.runNest(nest)
+				}
 			}
 		}
 		locals[proc.Rank()] = e.store
@@ -110,6 +126,37 @@ func (e *engine) owns(arr string, idx []int) bool {
 
 func (e *engine) owners(arr string, idx []int) []int {
 	return e.ss.Schemes[arr].Owners(e.ss.Grid, idx...)
+}
+
+// change crosses a scheme change to the set to, element by element —
+// arrays in lw's order, each row-major — in lockstep with every other
+// processor: the element's first owner under the current set sends it, as
+// its own one-word message, to each owner under to that lacks it; an owner
+// under both keeps its copy, and one under the current set alone drops it.
+func (e *engine) change(lw *ir.Lowered, to *core.SchemeSet) {
+	me := e.proc.Rank()
+	for a, name := range lw.Names {
+		sf, st, store := e.ss.Schemes[name], to.Schemes[name], e.store[name]
+		dist.ForEachIndex(lw.Shapes[a], func(idx []int) {
+			src, dst := sf.Owners(e.ss.Grid, idx...), st.Owners(to.Grid, idx...)
+			key := ir.Key(idx)
+			for _, d := range dst {
+				if slices.Contains(src, d) {
+					continue
+				}
+				switch me {
+				case src[0]:
+					e.proc.SendValue(d, store[key])
+				case d:
+					store[key] = e.proc.RecvValue(src[0])
+				}
+			}
+			if !slices.Contains(dst, me) {
+				delete(store, key)
+			}
+		})
+	}
+	e.ss = to
 }
 
 // runNest walks the nest's iteration space in lockstep with every other

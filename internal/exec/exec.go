@@ -1,7 +1,8 @@
 // Package exec is the straightforward compiler backend: it executes any
-// IR program directly on the simulated machine under a set of
-// distribution schemes, using the owner-computes rule, Transfers for
-// remote operands, and Reductions for travelling accumulators.
+// IR program directly on the simulated machine under a plan — segments
+// of its nests, each under a set of distribution schemes, joined by
+// scheme changes (change.go) — using the owner-computes rule, Transfers
+// for remote operands, and Reductions for travelling accumulators.
 //
 // Two engines run the same owner-computes program. RunExact is the
 // "naive" compilation the paper warns about — "A naive compiler may
@@ -34,6 +35,7 @@ import (
 
 	"dmcc/internal/core"
 	"dmcc/internal/dist"
+	"dmcc/internal/grid"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -65,17 +67,35 @@ type Result struct {
 	// StoreWords and MaxProcStoreWords say how much array data Run's
 	// simulated processors held: the sum and the maximum over ranks of the
 	// local-store lengths, which is the sum over arrays of size times
-	// replicas — deterministic, a property of the schemes. Zero for
-	// RunExact.
+	// replicas — deterministic, a property of the schemes. A plan of
+	// several segments holds one set of stores per segment, and these are
+	// the most any one segment's reach. Zero for RunExact.
 	StoreWords, MaxProcStoreWords int
+	// Segments is the plan the run executed, in order.
+	Segments []Segment
+}
+
+// Segment is one segment of the plan a run executed: its loops, its grid,
+// and what the scheme change into it moved.
+type Segment struct {
+	// Start and Len are the segment's loops, 1-based, as in core.Segment.
+	Start, Len int
+	Grid       *grid.Grid
+	// ChangeWords is the words the change into the segment moves each
+	// time the run crosses it: from the previous segment or, for the
+	// first, from the last at an iterative program's iteration boundary,
+	// crossed before every iteration but the first. Zero where the plan
+	// has no such change.
+	ChangeWords int
 }
 
 // validate performs the shared pre-flight checks of both engines and
-// returns the program lowered under bind. Every input element must be a
-// canonical key of a declared array, of its rank and inside its extents: a
-// key either engine cannot place would alias another element or panic
-// inside the run.
-func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.Storage) (*ir.Lowered, error) {
+// returns the program lowered under bind. Every segment of the plan — its
+// nests in order, on one number of processors — must have a scheme for
+// every array. Every input element must be a canonical key of a declared
+// array, of its rank and inside its extents: a key either engine cannot
+// place would alias another element or panic inside the run.
+func validate(p *ir.Program, segs []core.Segment, bind map[string]int, input ir.Storage) (*ir.Lowered, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,17 +143,25 @@ func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.S
 			}
 		}
 	}
-	for _, name := range lw.Names {
-		if _, ok := ss.Schemes[name]; !ok {
-			return nil, fmt.Errorf("exec: no scheme for array %s", name)
+	for _, seg := range segs {
+		for _, name := range lw.Names {
+			if _, ok := seg.Schemes.Schemes[name]; !ok {
+				return nil, fmt.Errorf("exec: no scheme for array %s", name)
+			}
 		}
 	}
 	return lw, nil
 }
 
+// wholeProgram is the one-segment plan that runs every nest under ss.
+func wholeProgram(p *ir.Program, ss *core.SchemeSet) []core.Segment {
+	return []core.Segment{{Start: 1, Len: len(p.Nests), Schemes: ss}}
+}
+
 // Run executes the program under the scheme set for the given number of
-// outer iterations (ignored for non-iterative programs). input provides
-// the initial array contents; scalars binds free scalar names.
+// outer iterations (ignored for non-iterative programs): the one-segment
+// plan, through the same schedule a compiled plan runs (Case.Run). input
+// provides the initial array contents; scalars binds free scalar names.
 //
 // Communication is batched per (processor pair, epoch) via the
 // inspector/executor schedule of schedule.go and moved by the simulated
@@ -142,44 +170,71 @@ func validate(p *ir.Program, ss *core.SchemeSet, bind map[string]int, input ir.S
 // reduction-phase markers), are that machine's.
 func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
-
-	start := time.Now()
-	lw, err := validate(p, ss, bind, input)
-	if err != nil {
-		return Result{}, err
-	}
-	sched, err := buildSchedule(lw, ss, scalars, &lowering{})
-	if err != nil {
-		return Result{}, err
-	}
-	return sched.run(p, iters, cfg, input, start)
+	return run(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
 }
 
-// run executes a built schedule on the machine and assembles the result;
-// start is when Run began, for InspectWall.
-func (sched *progSchedule) run(p *ir.Program, iters int, cfg machine.Config, input ir.Storage, start time.Time) (Result, error) {
+// run executes a plan's segments in order, each under its own schedule,
+// crossing the scheme change between consecutive segments and, before
+// every iteration but the first of an iterative program, the change from
+// the last segment back to the first.
+func run(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
+
+	start := time.Now()
+	lw, err := validate(p, segs, bind, input)
+	if err != nil {
+		return Result{}, err
+	}
+	plan, err := buildPlan(lw, segs, scalars, &lowering{})
+	if err != nil {
+		return Result{}, err
+	}
+	return plan.run(p, iters, cfg, input, start)
+}
+
+// run executes a built plan schedule on the machine and assembles the
+// result; start is when Run began, for InspectWall.
+func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input ir.Storage, start time.Time) (Result, error) {
 	if !p.Iterative {
 		iters = 1
 	}
-	nprocs := sched.nprocs
+	first := pl.segs[0]
+	nprocs, nsegs := first.nprocs, len(pl.segs)
 
+	// The state ends in the last segment's stores, or in the first's when
+	// no iteration runs.
+	fin := pl.segs[nsegs-1]
+	if iters < 1 {
+		fin = first
+	}
 	stores := make([][]float64, nprocs)
 	marks := make([][]bool, nprocs)
-	loads := buildLoads(sched, input)
+	loads := buildLoads(first, input)
 	simStart := time.Now()
-	mach, err := machine.New(sched.g, cfg)
+	mach, err := machine.New(first.g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		x := newValExec(sched, proc)
-		x.installInput(loads)
+		var one [1]*valExec // a one-segment plan's, without an allocation
+		xs := one[:0]
+		for _, s := range pl.segs {
+			xs = append(xs, newValExec(s, proc))
+		}
+		xs[0].installInput(loads)
+		cur := xs[0]
 		for it := 0; it < iters; it++ {
-			for _, ns := range sched.nests {
-				x.runNest(ns)
+			for k, x := range xs {
+				if x != cur {
+					x.runChange(pl.changes[k], cur)
+					cur = x
+				}
+				for _, ns := range x.s.nests {
+					x.runNest(ns)
+				}
 			}
 		}
-		stores[x.me], marks[x.me] = x.slab, x.marks
+		stores[cur.me], marks[cur.me] = cur.slab, cur.marks
 	})
 	if err != nil {
 		return Result{}, err
@@ -191,15 +246,15 @@ func (sched *progSchedule) run(p *ir.Program, iters int, cfg machine.Config, inp
 	// reduction fan-out holds a stale or unmarked copy, so the first owner
 	// alone is not enough. Elements no owner wrote or loaded stay absent.
 	out := ir.NewStorage(p)
-	for a := range sched.arrays {
-		am := &sched.arrays[a]
+	for a := range fin.arrays {
+		am := &fin.arrays[a]
 		if am.size == 0 {
 			continue
 		}
 		elems, off := out[am.name], 0
 		dist.ForEachIndex(am.ext, func(idx []int) { // row-major: idx is element off
 			for _, o := range am.lay.owners(off) {
-				if i, _ := sched.slabOff(o, mkElem(a, off)); marks[o][i] {
+				if i, _ := fin.slabOff(o, mkElem(a, off)); marks[o][i] {
 					elems[ir.Key(idx)] = stores[o][i]
 					break
 				}
@@ -210,10 +265,19 @@ func (sched *progSchedule) run(p *ir.Program, iters int, cfg machine.Config, inp
 	res := Result{Values: out, Stats: stats, Transport: stats,
 		InspectWall: simStart.Sub(start), SimWall: assembleStart.Sub(simStart),
 		AssembleWall: time.Since(assembleStart)}
-	for r := 0; r < nprocs; r++ {
-		w := sched.storeWords(r)
-		res.StoreWords += w
-		res.MaxProcStoreWords = max(res.MaxProcStoreWords, w)
+	for k, s := range pl.segs {
+		words := 0
+		for r := 0; r < nprocs; r++ {
+			w := s.storeWords(r)
+			words += w
+			res.MaxProcStoreWords = max(res.MaxProcStoreWords, w)
+		}
+		res.StoreWords = max(res.StoreWords, words)
+		seg := Segment{Start: pl.plan[k].Start, Len: pl.plan[k].Len, Grid: s.g}
+		if c := pl.changes[k]; c != nil {
+			seg.ChangeWords = c.words
+		}
+		res.Segments = append(res.Segments, seg)
 	}
 	return res, nil
 }

@@ -4,21 +4,36 @@ import (
 	"testing"
 
 	"dmcc/internal/core"
+	"dmcc/internal/cost"
 	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
 )
 
-// wholeProgramSchemes returns the scheme set the harness runs the
-// program under.
+// wholeProgramSchemes returns the compiler's M[1][s], Section 3's
+// whole-program scheme set: the one-segment plan of the program.
 func wholeProgramSchemes(t testing.TB, p *ir.Program, m, n int) *core.SchemeSet {
 	t.Helper()
-	ss, err := Case{Prog: p, M: m, N: n}.Schemes()
+	bind, err := p.BindSize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ss, err := core.NewCompiler(p, cost.Unit(), bind, n).SegmentCost(1, len(p.Nests))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ss
+}
+
+// wholeSchedule is the schedule of the one-segment plan that runs every
+// nest under ss.
+func wholeSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, low *lowering) (*progSchedule, error) {
+	pl, err := buildPlan(lw, wholeProgram(lw.Program, ss), scalars, low)
+	if err != nil {
+		return nil, err
+	}
+	return pl.segs[0], nil
 }
 
 func loadLinearSystem(p *ir.Program, a *matrix.Dense, b, x0 []float64) ir.Storage {

@@ -185,9 +185,15 @@ func (x *valExec) storeElem(e elemID, v float64) {
 // buffered reads cbuf position p, which a receive must have filled.
 func (x *valExec) buffered(p int) machine.Word {
 	if !x.filled[p] {
-		panic(fmt.Sprintf("exec: processor %d reads buffer position %d, which no receive filled", x.me, p))
+		x.unfilled(p)
 	}
 	return x.cbuf[p]
+}
+
+// unfilled reports a read of a buffer position no receive filled: an
+// inspector bug, a panic.
+func (x *valExec) unfilled(p int) {
+	panic(fmt.Sprintf("exec: processor %d reads buffer position %d, which no receive filled", x.me, p))
 }
 
 // runNest executes this processor's instruction stream for one nest.
@@ -197,7 +203,7 @@ func (x *valExec) runNest(ns *nestSchedule) {
 		in := &stream[i]
 		switch in.op {
 		case opRedist:
-			x.runRedist(ns, ns.redists[in.arg])
+			x.runRedist(ns.addrs, ns.redists[in.arg], x.slab, x.cbuf, x.filled)
 		case opSendDirect:
 			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
@@ -212,24 +218,31 @@ func (x *valExec) runNest(ns *nestSchedule) {
 // runRedist executes one epoch's collective redistribution. Each round
 // sends its merged messages in ascending destination order, then
 // receives in ascending source order — one message per ordered pair
-// per round. A segment whose origin is this processor gathers from the
-// store slab; a relayed segment forwards the copies received in an
-// earlier round. Both ends read their addresses from the segment.
-func (x *valExec) runRedist(ns *nestSchedule, op *redistOp) {
+// per round. A segment whose origin is this processor gathers from
+// origin; a relayed segment forwards the copies received in an earlier
+// round. A receive files the words in buf and marks them filled, and
+// both ends read their addresses from the segment's run of addrs. A nest
+// epoch gathers from the store slab and files in the copy buffer; a
+// scheme change (runChange) gathers from the stores of the segment before
+// it and files in the stores of the segment after it.
+func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf []machine.Word, filled []bool) {
 	for r := range op.rounds {
 		rd := &op.rounds[r]
 		for i := range rd.sends {
 			msg := &rd.sends[i]
 			x.gather = x.gather[:0]
 			for _, seg := range msg.segs {
-				from := ns.addrs[seg.addr : int(seg.addr)+len(seg.elems)]
+				from := addrs[seg.addr : int(seg.addr)+len(seg.elems)]
 				if int(seg.origin) == x.me {
 					for _, o := range from {
-						x.gather = append(x.gather, x.slab[o])
+						x.gather = append(x.gather, origin[o])
 					}
 				} else {
 					for _, p := range from {
-						x.gather = append(x.gather, x.buffered(int(p)))
+						if !filled[p] {
+							x.unfilled(int(p))
+						}
+						x.gather = append(x.gather, buf[p])
 					}
 				}
 			}
@@ -244,8 +257,8 @@ func (x *valExec) runRedist(ns *nestSchedule, op *redistOp) {
 				if pos+n > len(data) {
 					panic(fmt.Sprintf("exec: collective round from %d short by %d words", msg.peer, pos+n-len(data)))
 				}
-				for k, p := range ns.addrs[int(seg.addr)+n : int(seg.addr)+2*n] {
-					x.cbuf[p], x.filled[p] = data[pos+k], true
+				for k, p := range addrs[int(seg.addr)+n : int(seg.addr)+2*n] {
+					buf[p], filled[p] = data[pos+k], true
 				}
 				pos += n
 			}

@@ -3,11 +3,13 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"dmcc/internal/align"
 	"dmcc/internal/core"
+	"dmcc/internal/cost"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -21,6 +23,54 @@ var fuzzSeeds = []int64{20260705, 20260805, 1, 2}
 // fuzzCase labels one randomized case for a failure message.
 func fuzzCase(seed int64, trial, n int, p *ir.Program) string {
 	return fmt.Sprintf("seed %d trial %d n=%d, program:\n%s", seed, trial, n, ir.Print(p))
+}
+
+// randomPlan draws a segmentation of p's nests at random, each segment
+// with the schemes SegmentCost gives it at m on n processors, and labels
+// the case with it. The draw has its own generator, seeded by the trial,
+// so the trial's other draws do not depend on it.
+func randomPlan(t *testing.T, seed int64, trial, m, n int, p *ir.Program) ([]core.Segment, string) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed*1000 + int64(trial)))
+	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
+	var segs []core.Segment
+	label := fuzzCase(seed, trial, n, p) + "segments:"
+	for i := 1; i <= len(p.Nests); {
+		j := 1 + rng.Intn(len(p.Nests)-i+1)
+		_, ss, err := c.SegmentCost(i, j)
+		if err != nil {
+			t.Fatalf("SegmentCost(%d, %d): %v\n%s", i, j, err, label)
+		}
+		segs = append(segs, core.Segment{Start: i, Len: j, Schemes: ss})
+		label += fmt.Sprintf(" L%d..L%d %s;", i, i+j-1, ss)
+		i += j
+	}
+	return segs, label
+}
+
+// checkPlanFuzz runs a random segmentation of the program (randomPlan) on
+// both engines, requires the batched run to be identical to the
+// per-element one (requireIdentical) and returns it.
+func checkPlanFuzz(t *testing.T, seed int64, trial, m, n int, p *ir.Program, iters int, input ir.Storage) (Result, string) {
+	t.Helper()
+	segs, label := randomPlan(t, seed, trial, m, n, p)
+	bind := map[string]int{"m": m}
+	got, err := run(p, segs, bind, nil, iters, machine.DefaultConfig(), input)
+	if err != nil {
+		t.Fatalf("batched: %v\n%s", err, label)
+	}
+	want, err := runExact(p, segs, bind, nil, iters, machine.DefaultConfig(), input)
+	if err != nil {
+		t.Fatalf("exact: %v\n%s", err, label)
+	}
+	requireIdentical(t, label, got, want)
+	return got, label
+}
+
+// crossesChange reports whether a run crossed a scheme change that moved
+// words, which the fuzzers require of some of their random plans.
+func crossesChange(res Result) bool {
+	return slices.ContainsFunc(res.Segments, func(s Segment) bool { return s.ChangeWords > 0 })
 }
 
 // arrayNames returns the program's array names sorted, the order every
@@ -127,9 +177,11 @@ func randomProgram(rng *rand.Rand) *ir.Program {
 
 // TestExecDifferentialFuzz: for random programs, random schemes (via the
 // compiler) and random inputs, the parallel naive backend agrees with the
-// sequential interpreter on every processor count.
+// sequential interpreter on every processor count, under one scheme set
+// and under a random segmentation of the program (randomPlan).
 func TestExecDifferentialFuzz(t *testing.T) {
 	const m = 8
+	changes := 0
 	for _, seed := range fuzzSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 25; trial++ {
@@ -160,14 +212,29 @@ func TestExecDifferentialFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
-				for name, elems := range ref {
-					for k, want := range elems {
-						got := res.Values[name][k]
-						if d := got - want; d > 1e-9 || d < -1e-9 {
-							t.Fatalf("%s[%s] = %v, want %v\n%s", name, k, got, want, fuzzCase(seed, trial, n, p))
-						}
-					}
+				requireValues(t, fuzzCase(seed, trial, n, p), res, ref)
+				res, label := checkPlanFuzz(t, seed, trial, m, n, p, iters, input)
+				requireValues(t, label, res, ref)
+				if crossesChange(res) {
+					changes++
 				}
+			}
+		}
+	}
+	if changes == 0 {
+		t.Error("no random plan crossed a scheme change that moved a word")
+	}
+}
+
+// requireValues requires every element of the reference state in the
+// result, to 1e-9.
+func requireValues(t *testing.T, label string, res Result, ref ir.Storage) {
+	t.Helper()
+	for name, elems := range ref {
+		for k, want := range elems {
+			got := res.Values[name][k]
+			if d := got - want; d > 1e-9 || d < -1e-9 {
+				t.Fatalf("%s[%s] = %v, want %v\n%s", name, k, got, want, label)
 			}
 		}
 	}

@@ -117,7 +117,7 @@ func TestLocalLayoutMatchesOwners(t *testing.T) {
 			p := randomProgram(rng)
 			for _, n := range []int{1, 2, 4} {
 				ss := fuzzSchemes(t, p, m, n)
-				sched, err := buildSchedule(mustLower(t, p, map[string]int{"m": m}), ss, nil, &lowering{})
+				sched, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, nil, &lowering{})
 				if err != nil {
 					t.Fatalf("%v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
@@ -190,7 +190,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	bind := map[string]int{"m": m}
 	input := randomInput(p, m, rand.New(rand.NewSource(7)))
 
-	s, err := buildSchedule(mustLower(t, p, bind), ss, nil, &lowering{})
+	s, err := wholeSchedule(mustLower(t, p, bind), ss, nil, &lowering{})
 	if err != nil {
 		t.Fatal(err)
 	}

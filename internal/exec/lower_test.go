@@ -327,13 +327,13 @@ func TestLoweringMatchesIR(t *testing.T) {
 			label := fuzzCase(seed, trial, 1, p)
 			checkIRLowering(t, label, p, bind)
 			ss := fuzzSchemes(t, p, m, 1)
-			lw, err := validate(p, ss, bind, nil)
+			lw, err := validate(p, wholeProgram(p, ss), bind, nil)
 			if err != nil {
 				t.Fatalf("generated invalid program: %v\n%s", err, label)
 			}
 			var ivs [][]int // each opEval's loop vector, in stream order
 			low := &lowering{evalTap: func(_ *nestSchedule, _, _ int, iv []int) { ivs = append(ivs, slices.Clone(iv)) }}
-			s, err := buildSchedule(lw, ss, scalars, low)
+			s, err := wholeSchedule(lw, ss, scalars, low)
 			if err != nil {
 				t.Fatalf("%v\n%s", err, label)
 			}

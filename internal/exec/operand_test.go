@@ -59,7 +59,7 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 	}
 	ivs := map[evalAt][]int{}
 	low := &lowering{evalTap: func(ns *nestSchedule, p, at int, iv []int) { ivs[evalAt{ns, p, at}] = slices.Clone(iv) }}
-	s, err := buildSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, low)
+	s, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, low)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -250,18 +250,19 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		bind := map[string]int{"m": k.m}
 		a, b, _ := matrix.DiagonallyDominant(k.m, 1)
 		input := loadLinearSystem(k.p, a, b, nil)
-		lw, err := validate(k.p, ss, bind, input)
+		lw, err := validate(k.p, wholeProgram(k.p, ss), bind, input)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		s, err := buildSchedule(lw, ss, map[string]float64{"OMEGA": 1.2}, low)
+		pl, err := buildPlan(lw, wholeProgram(k.p, ss), map[string]float64{"OMEGA": 1.2}, low)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		if receiver < 0 {
 			t.Fatalf("%s: no epoch has a receive", label)
 		}
-		res, err := s.run(k.p, 1, machine.DefaultConfig(), input, time.Now())
+		s := pl.segs[0]
+		res, err := pl.run(k.p, 1, machine.DefaultConfig(), input, time.Now())
 		if res.Values != nil {
 			t.Errorf("%s: Run returned Values beside %v", label, err)
 		}

@@ -1,7 +1,9 @@
 // The inspector half of the batched execution engine.
 //
-// buildSchedule runs the inspector over the whole program (walk.go). What
-// comes out is one instruction stream per processor (redistribute /
+// buildSchedule runs the inspector over one plan segment's nests under its
+// schemes (walk.go), and buildPlan joins the segments' schedules by the
+// scheme changes between them (change.go). What comes out of
+// buildSchedule is one instruction stream per processor (redistribute /
 // direct-send / reduce / eval) that the value executor (executor.go) runs
 // with batched communication, deadlock-free by construction: every round
 // of an exchange moves at most one vectored message per ordered pair,
@@ -31,7 +33,18 @@ import (
 	"dmcc/internal/ir"
 )
 
-// progSchedule is the complete precomputed schedule of one Run call.
+// planSchedule is the complete precomputed schedule of one run of a plan:
+// one progSchedule per segment, in order, and the scheme change into each.
+type planSchedule struct {
+	plan []core.Segment
+	segs []*progSchedule
+	// changes[k] is the change into segment k: from segment k-1, or for
+	// k = 0 from the last segment at an iterative program's iteration
+	// boundary; nil where the run crosses none.
+	changes []*changeEpoch
+}
+
+// progSchedule is the precomputed schedule of one plan segment.
 type progSchedule struct {
 	g       *grid.Grid
 	lw      *ir.Lowered
@@ -55,7 +68,8 @@ type progSchedule struct {
 	// sequence. computeFanouts scans forward (cyclically, because the
 	// program body repeats each outer iteration) from each site to the
 	// element's next write and keeps only the owners that actually read
-	// the total in between.
+	// the total in between. The change out of the segment reads last: an
+	// owner that keeps the element across it reads its copy there.
 	redArrs []bool
 	seq     int
 	acc     map[elemID][]accEvent
@@ -339,12 +353,39 @@ func ringEligible(items []*finOp) bool {
 	return true
 }
 
-// buildSchedule runs the inspector over the program lw lowers: finalizes
-// lower to vectored two-phase / ring exchanges, and each epoch's operand
-// ships to one composed collective redistribution, lowered with low's
-// scratch. A subscript outside its array is an error.
-func buildSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, low *lowering) (*progSchedule, error) {
-	p := lw.Program
+// buildPlan builds the schedule of a plan: each segment's, then the
+// change into each segment, which the changes' keeper reads must precede
+// the fan-out pruning of every segment.
+func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, low *lowering) (*planSchedule, error) {
+	pl := &planSchedule{plan: segs, segs: make([]*progSchedule, len(segs)), changes: make([]*changeEpoch, len(segs))}
+	for k, seg := range segs {
+		s, err := buildSchedule(lw, seg, scalars, low)
+		if err != nil {
+			return nil, err
+		}
+		pl.segs[k] = s
+	}
+	for k := 1; k < len(segs); k++ {
+		pl.changes[k] = redistEpoch(pl.segs[k-1], pl.segs[k], low)
+	}
+	if len(segs) > 1 && lw.Program.Iterative {
+		pl.changes[0] = redistEpoch(pl.segs[len(segs)-1], pl.segs[0], low)
+	}
+	for _, s := range pl.segs {
+		s.computeFanouts()
+		s.buildRoles()
+	}
+	return pl, nil
+}
+
+// buildSchedule runs the inspector over the nests of one plan segment,
+// which lw lowers, under the segment's schemes: finalizes lower to
+// vectored two-phase / ring exchanges, and each epoch's operand ships to
+// one composed collective redistribution, lowered with low's scratch. A
+// subscript outside its array is an error. The fan-outs are buildPlan's
+// to prune.
+func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64, low *lowering) (*progSchedule, error) {
+	ss := seg.Schemes
 	s := &progSchedule{
 		g: ss.Grid, lw: lw, scalars: scalars,
 		nprocs:  ss.Grid.Size(),
@@ -372,16 +413,17 @@ func buildSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float6
 	}
 	s.bufs = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
 	s.parts = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
-	for _, nest := range p.Nests {
+	nests := lw.Program.Nests[seg.Start-1 : seg.Start-1+seg.Len]
+	for _, nest := range nests {
 		for _, st := range nest.Stmts {
 			if st.Reduce {
 				s.redArrs[lw.Array(st.LHS.Array)] = true
 			}
 		}
 	}
-	s.nests = make([]*nestSchedule, len(p.Nests))
-	for t := range p.Nests {
-		ns, err := s.buildNest(t, low)
+	s.nests = make([]*nestSchedule, len(nests))
+	for t := range nests {
+		ns, err := s.buildNest(seg.Start-1+t, low)
 		if err != nil {
 			return nil, err
 		}
@@ -392,8 +434,6 @@ func buildSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float6
 			return nil, fmt.Errorf("exec: rank %d needs %d local addresses of one kind, more than an operand holds", r, n)
 		}
 	}
-	s.computeFanouts()
-	s.buildRoles()
 	return s, nil
 }
 

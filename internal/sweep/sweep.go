@@ -618,6 +618,9 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 
 // execKey is the cache key shared by the exec and scale families. engine
 // names the exec sweep's arm; the scale family has one and passes "".
+// run=dp names what a point executes, the compiled plan's segments
+// (exec.Case), so a stored row of the whole-program scheme set is never
+// served as a plan run's.
 func execKey(kind, engine string, pr execProg, m, n int, cfg machine.Config) string {
 	parts := []string{"kind=" + kind, "prog=" + core.ProgramHash(pr.mk())}
 	if engine != "" {
@@ -625,7 +628,7 @@ func execKey(kind, engine string, pr execProg, m, n int, cfg machine.Config) str
 	}
 	return artifact.KeyOf(append(parts, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
 		fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
-		"machine="+cfg.Fingerprint())...)
+		"machine="+cfg.Fingerprint(), "run=dp")...)
 }
 
 // execPoint runs one exec program through the exec harness: through the

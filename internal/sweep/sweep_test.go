@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dmcc/internal/artifact"
+	"dmcc/internal/machine"
 )
 
 func openStore(t *testing.T) *artifact.Store {
@@ -106,36 +107,34 @@ func TestSymbolicSweepCachedMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestExecSweepKeysMoveWithTheirRows: when exec.Run began reporting the
-// run it executed instead of a replayed per-element model, the batched
-// exec rows and the scale rows changed meaning, so their keys moved (they
-// lost the retired "redist=collective" literal) while the exact arm's did
-// not. A store populated under the old keys — here with a poisoned
-// simtime — must still serve the exact arm and never serve the others.
+// TestExecSweepKeysMoveWithTheirRows: a row may not change under an
+// unchanged key. When exec.Run began reporting the run it executed
+// instead of a replayed per-element model, the batched exec rows and the
+// scale rows lost the retired "redist=collective" literal; when exec.Case
+// began running the compiled plan's segments instead of the whole-program
+// scheme set, every exec and scale key gained "run=dp". A store
+// populated under the older keys — here with a poisoned simtime — must
+// serve no arm, and one point's key is pinned as text.
 func TestExecSweepKeysMoveWithTheirRows(t *testing.T) {
 	const (
 		prog = "prog=9ca8cf06568cb8e28e75ba2e19a9166f1f66945d0e89afcf1e3e3326d5f2b287" // ir.Jacobi
 		size = "m=8;n=2;iters=2;omega=0;machine=tf=1;tc=1;alpha=0;overlap=false;synccoll=true"
 	)
+	if got, want := execKey("exec", "exact", execProgs[0], 8, 2, machine.DefaultConfig()),
+		"kind=exec;"+prog+";engine=exact;"+size+";run=dp"; got != want {
+		t.Fatalf("jacobi/exact m=8 n=2 key\n %s\nwant\n %s", got, want)
+	}
 	st := openStore(t)
 	for _, key := range []string{
 		"kind=exec;" + prog + ";engine=exact;" + size,
+		"kind=exec;" + prog + ";engine=batched;" + size,
+		"kind=scale;" + prog + ";" + size,
 		"kind=exec;" + prog + ";engine=batched;" + size + ";redist=collective",
 		"kind=scale;" + prog + ";" + size + ";redist=collective",
 	} {
 		if err := st.Put(key, []byte(`{"simtime":-1}`)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	simtime := func(res *Result, variant string) float64 {
-		t.Helper()
-		for _, r := range res.Rows {
-			if r.Variant == variant {
-				return r.Metrics["simtime"]
-			}
-		}
-		t.Fatalf("no %s row", variant)
-		return 0
 	}
 	ex, err := Exec([]int{8}, []int{2}, Options{Cache: st})
 	if err != nil {
@@ -145,26 +144,9 @@ func TestExecSweepKeysMoveWithTheirRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := simtime(ex, "jacobi/exact"); got != -1 {
-		t.Errorf("the exact arm's key moved: simtime %v computed, not the stored record's", got)
-	}
-	if got := simtime(ex, "jacobi/batched"); got == -1 {
-		t.Error("a batched exec row was served from its replayed-clock key")
-	}
-	if got := simtime(sc, "jacobi"); got == -1 {
-		t.Error("a scale row was served from its replayed-clock key")
-	}
-
-	// The exact arm's row itself is the one the replayed-clock tree wrote.
-	fresh, err := Exec([]int{8}, []int{2}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{"simtime": 200, "messages": 32, "words": 32, "transport_messages": 32, "transport_words": 32,
-		"max_msg_words": 1, "max_pair_messages": 16, "max_pair_words": 16}
-	for _, r := range fresh.Rows {
-		if r.Variant == "jacobi/exact" && !reflect.DeepEqual(r.Metrics, want) {
-			t.Errorf("jacobi/exact m=8 n=2 = %v, want %v", r.Metrics, want)
+	for _, r := range append(ex.Rows, sc.Rows...) {
+		if r.Metrics["simtime"] == -1 {
+			t.Errorf("%s m=%d n=%d was served from a key of the whole-program run", r.Variant, r.M, r.N)
 		}
 	}
 }
