@@ -8,8 +8,6 @@
 //
 //	dmsweep -sweep sor     -m 32,64,128 -n 4,8
 //	dmsweep -sweep gauss   -m 64,128    -n 4,8,16
-//	dmsweep -sweep jacobi  -m 64,128    -n 16
-//	dmsweep -sweep stencil -m 64,256    -n 16
 //	dmsweep -sweep chunks  -m 64        -n 4   (SOR chunk-size x alpha)
 //	dmsweep -sweep compile -m 64 -n 16 -s 4,8,16
 //	                                           (compile-time scaling of
@@ -33,6 +31,9 @@
 //	                                            discrete-event runtime;
 //	                                            wall_ns/sim_ns columns show
 //	                                            where the time goes)
+//	dmsweep -sweep layouts -m 64 -n 4,6,8,12,16 (each compiled program on
+//	                                            every r x N/r grid and as
+//	                                            its DP plan, model vs machine)
 //
 // Profiling: -cpuprofile prof.cpu / -memprofile prof.mem write pprof
 // profiles of the sweep itself.
@@ -73,7 +74,7 @@ import (
 )
 
 func main() {
-	kind := flag.String("sweep", "sor", "sor, gauss, jacobi, stencil, chunks, compile, symbolic, exec, scale")
+	kind := flag.String("sweep", "sor", "sor, gauss, chunks, compile, symbolic, exec, scale, layouts")
 	ms := flag.String("m", "32,64,128", "comma-separated problem sizes")
 	ns := flag.String("n", "4,8", "comma-separated processor counts")
 	ss := flag.String("s", "4,8,16", "comma-separated nest-sequence lengths (compile sweep)")
@@ -91,7 +92,7 @@ func main() {
 	// Malformed grids or an unknown sweep family are usage errors
 	// (exit 2); failures while sweeping exit 1.
 	switch *kind {
-	case "sor", "gauss", "jacobi", "stencil", "chunks", "compile", "symbolic", "exec", "scale":
+	case "sor", "gauss", "chunks", "compile", "symbolic", "exec", "scale", "layouts":
 	default:
 		cli.Usage("dmsweep", fmt.Errorf("unknown sweep %q", *kind))
 	}
@@ -140,6 +141,8 @@ func main() {
 		res, err = sweep.Exec(mList, nList, opt)
 	case "scale":
 		res, err = sweep.Scale(mList, nList, opt)
+	case "layouts":
+		res, err = sweep.Layouts(mList, nList, opt)
 	default:
 		res, err = sweep.Kernel(*kind, mList, nList, opt)
 	}

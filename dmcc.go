@@ -1,6 +1,7 @@
 // Package dmcc holds the listings of the paper's programs: testdata/
 // jacobi.f (§3), sor.f (§5), gauss.f (§6) and matmul.f (§2.1), the one
-// definition of each. ir.Builtin parses them.
+// definition of each. ir.Builtin parses them. It holds testdata/
+// manyarrays.f too, which the layouts sweep compiles beside them.
 //
 // The embed lives here because go:embed reaches only files at or below
 // the embedding package's directory, so internal/ir cannot embed
@@ -12,7 +13,7 @@ package dmcc
 
 import "embed"
 
-// Listings holds testdata/{jacobi,sor,gauss,matmul}.f.
+// Listings holds testdata/{jacobi,sor,gauss,matmul,manyarrays}.f.
 //
-//go:embed testdata/jacobi.f testdata/sor.f testdata/gauss.f testdata/matmul.f
+//go:embed testdata/jacobi.f testdata/sor.f testdata/gauss.f testdata/matmul.f testdata/manyarrays.f
 var Listings embed.FS

@@ -30,9 +30,7 @@ var testOnly = map[string]string{
 	"dist.Scheme.OwnedIndices":          "reference: the enumeration oracle of OwnedPatternOf",
 	"exec.RunExact":                     "reference: the per-element oracle of Run on a one-segment plan, beside Case.RunExact's plan runs",
 	"grid.Grid.Tuple":                   "reference: Rank's inverse, the round-trip oracle of Rank and Coord",
-	"ir.Stencil":                        "reference: §1's five-point stencil, a program the alignment, range and lowering tests run",
 	"kernels.GaussPipelinedBlockCyclic": "paper formula: §6's load-balance claim, measured on a block-cyclic Fig 8 pipeline",
-	"kernels.Stencil2DSeq":              "reference: the sequential 2-D stencil the kernel is compared with",
 	"kernels.StencilSeq":                "reference: the sequential stencil the kernel is compared with",
 	"machine.AsyncConfig":               "test seam: DefaultConfig with asynchronous collectives",
 	"machine.Machine.DirectHandoffs":    "test seam: counts scheduler steps that took the single-runnable fast path",

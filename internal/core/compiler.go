@@ -494,10 +494,7 @@ func (c *Compiler) SegmentCost(i, j int) (float64, *SchemeSet, error) {
 }
 
 func (c *Compiler) segmentCost(i, j int) (segValue, error) {
-	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
-		return segValue{}, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
-	}
-	sets, costs, err := c.shapeCosts(i, j)
+	sets, costs, err := c.Candidates(i, j, GridShapes(c.NProcs))
 	if err != nil {
 		return segValue{}, err
 	}
@@ -513,11 +510,15 @@ func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 	return segValue{bestCost, best}, nil
 }
 
-// shapeCosts prices the in-range segment (i, j) on every GridShapes
-// shape, in order, under the segment's own alignment: the scheme set for
-// each shape and its Σ nest times, the candidates segmentCost minimizes
-// over.
-func (c *Compiler) shapeCosts(i, j int) ([]*SchemeSet, []float64, error) {
+// Candidates prices the segment (i, j) — nests L_i..L_{i+j-1} — on each
+// of the given grid shapes, in order, under the segment's own alignment:
+// the scheme set for each shape and its Σ nest times, loop-carried reads
+// excluded. SegmentCost minimizes over GridShapes(NProcs); a caller may
+// pass any shapes of NProcs processors.
+func (c *Compiler) Candidates(i, j int, shapes [][2]int) ([]*SchemeSet, []float64, error) {
+	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
+		return nil, nil, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
+	}
 	if _, err := c.prepared(); err != nil {
 		return nil, nil, err
 	}
@@ -531,10 +532,12 @@ func (c *Compiler) shapeCosts(i, j int) ([]*SchemeSet, []float64, error) {
 			cyclic = true
 		}
 	}
-	shapes := GridShapes(c.NProcs)
 	sets := make([]*SchemeSet, len(shapes))
 	costs := make([]float64, len(shapes))
 	for k, shape := range shapes {
+		if shape[0] < 1 || shape[1] < 1 || shape[0]*shape[1] != c.NProcs {
+			return nil, nil, fmt.Errorf("core: grid shape %dx%d is not %d processors", shape[0], shape[1], c.NProcs)
+		}
 		ss, err := c.schemeSet(pt, shape, cyclic)
 		if err != nil {
 			return nil, nil, err

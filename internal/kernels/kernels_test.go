@@ -450,64 +450,6 @@ func TestStencilValidation(t *testing.T) {
 	}
 }
 
-func TestStencil2DMatchesSequential(t *testing.T) {
-	m := 12
-	u0 := matrix.RandomDense(m, m, 101)
-	want := Stencil2DSeq(u0, 6)
-	for _, shape := range [][2]int{{1, 1}, {2, 1}, {1, 3}, {2, 2}, {3, 4}, {2, 6}} {
-		got, _, err := Stencil2D(cfg(), u0, 6, shape[0], shape[1])
-		if err != nil {
-			t.Fatalf("shape %v: %v", shape, err)
-		}
-		if d := matrix.MaxAbsDiff(got.Data, want.Data); d > tol {
-			t.Errorf("shape %v: max diff %v", shape, d)
-		}
-	}
-}
-
-func TestStencil2DHaloVolume(t *testing.T) {
-	// Per sweep: every processor ships one halo row up, one down, one
-	// column left, one right (when neighbours exist on that axis).
-	m, n1, n2, iters := 16, 2, 4, 3
-	u0 := matrix.RandomDense(m, m, 103)
-	_, st, err := Stencil2D(cfg(), u0, iters, n1, n2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perSweep := n1 * n2 * (2*(m/n2) + 2*(m/n1)) // rows of cP words + cols of rP words
-	if st.Words != int64(iters*perSweep) {
-		t.Errorf("words = %d, want %d", st.Words, iters*perSweep)
-	}
-}
-
-func TestStencil2DSurfaceToVolume(t *testing.T) {
-	// The square grid moves fewer halo words than the strip for the same
-	// processor count (surface-to-volume advantage): 2-D decomposition is
-	// what alignment chooses when both array dims carry affinity.
-	m, iters := 32, 2
-	u0 := matrix.RandomDense(m, m, 107)
-	_, strip, err := Stencil2D(cfg(), u0, iters, 1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, square, err := Stencil2D(cfg(), u0, iters, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if square.Words >= strip.Words {
-		t.Errorf("square grid words %d not below strip %d", square.Words, strip.Words)
-	}
-}
-
-func TestStencil2DValidation(t *testing.T) {
-	if _, _, err := Stencil2D(cfg(), matrix.NewDense(8, 9), 1, 2, 2); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	if _, _, err := Stencil2D(cfg(), matrix.NewDense(8, 8), 1, 3, 2); err == nil {
-		t.Fatal("indivisible accepted")
-	}
-}
-
 func TestGaussBlockCyclicSolves(t *testing.T) {
 	m := 24
 	a, b, _ := matrix.DiagonallyDominant(m, 111)

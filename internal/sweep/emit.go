@@ -101,6 +101,15 @@ func (r *Result) WriteCSV(w io.Writer) error {
 				int64(row.Metrics["transport_messages"]), int64(row.Metrics["transport_words"]),
 				int64(row.Metrics["max_pair_messages"]), int64(row.Metrics["max_pair_words"]))
 		}
+	case "layouts":
+		fmt.Fprintln(w, "prog,layout,m,n,wall_ns,modelled,makespan,words,ratio,model_rank,machine_rank")
+		for _, row := range r.Rows {
+			prog, layout := splitVariant(row.Variant)
+			fmt.Fprintf(w, "%s,%s,%d,%d,%d,%.0f,%.0f,%d,%.4f,%d,%d\n",
+				prog, layout, row.M, row.N, int64(row.Wall["wall_ns"]),
+				row.Metrics["modelled"], row.Metrics["makespan"], int64(row.Metrics["words"]),
+				row.Metrics["ratio"], int64(row.Metrics["model_rank"]), int64(row.Metrics["machine_rank"]))
+		}
 	case "serve":
 		fmt.Fprintln(w, "dist,m,n,keys,requests,errors,misses_after_warm,p50_ns,p99_ns,max_ns,rps")
 		for _, row := range r.Rows {

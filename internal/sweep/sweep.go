@@ -1,6 +1,6 @@
-// Package sweep is the engine behind cmd/dmsweep: it runs the four
-// sweep families (kernel simulations, compile-time scaling, symbolic
-// m-sweeps, exec-backend comparisons) as uniform lists of points, each
+// Package sweep is the engine behind cmd/dmsweep: it runs the sweep
+// families (kernel simulations, compile-time scaling, symbolic m-sweeps,
+// exec-backend comparisons, the layouts table) as uniform lists of points, each
 // producing one Row of deterministic metrics plus ephemeral wall-clock
 // columns.
 //
@@ -18,10 +18,12 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"dmcc"
 	"dmcc/internal/artifact"
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
@@ -192,8 +194,8 @@ func SortRows(rows []Row) {
 
 // ------------------------------------------------------------ kernels --
 
-// Kernel runs the simulated-kernel sweeps (sor, gauss, jacobi, stencil,
-// chunks) over the (m, n) grid.
+// Kernel runs the simulated-kernel sweeps (sor, gauss, chunks) over the
+// (m, n) grid.
 func Kernel(kind string, mList, nList []int, opt Options) (*Result, error) {
 	cfg := machine.DefaultConfig()
 	var pts []point
@@ -244,28 +246,6 @@ func Kernel(kind string, mList, nList []int, opt Options) (*Result, error) {
 					r, err := kernels.GaussPartialPivot(cfg, a, b, n)
 					return r.Stats, err
 				})
-			case "jacobi":
-				a, b, _ := matrix.DiagonallyDominant(m, 1)
-				x0 := make([]float64, m)
-				for _, shape := range [][2]int{{1, n}, {n, 1}} {
-					shape := shape
-					add(fmt.Sprintf("jacobi-%dx%d", shape[0], shape[1]), m, n, cfg, func() (machine.Stats, error) {
-						r, err := kernels.JacobiGrid(cfg, a, b, x0, 2, shape[0], shape[1])
-						return r.Stats, err
-					})
-				}
-			case "stencil":
-				u0 := matrix.RandomDense(m, m, 1)
-				if sq := isqrt(n); sq*sq == n {
-					add("stencil2d-square", m, n, cfg, func() (machine.Stats, error) {
-						_, st, err := kernels.Stencil2D(cfg, u0, 4, sq, sq)
-						return st, err
-					})
-				}
-				add("stencil2d-strip", m, n, cfg, func() (machine.Stats, error) {
-					_, st, err := kernels.Stencil2D(cfg, u0, 4, 1, n)
-					return st, err
-				})
 			case "chunks":
 				a, b, _ := matrix.DiagonallyDominant(m, 1)
 				x0 := make([]float64, m)
@@ -293,14 +273,6 @@ func Kernel(kind string, mList, nList []int, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Kind: kind, Rows: rows}, nil
-}
-
-func isqrt(n int) int {
-	r := 0
-	for (r+1)*(r+1) <= n {
-		r++
-	}
-	return r
 }
 
 // ------------------------------------------------------------ compile --
@@ -652,5 +624,157 @@ func execMetrics(res exec.Result) map[string]float64 {
 		"max_msg_words":      float64(res.Transport.MaxMsgWords),
 		"max_pair_messages":  float64(res.Transport.MaxPairMessages),
 		"max_pair_words":     float64(res.Transport.MaxPairWords),
+	}
+}
+
+// ------------------------------------------------------------ layouts --
+
+// layoutProgs are the layouts sweep's programs, every compiled program
+// the tools carry: the exec programs (so their dp rows are the exec
+// sweep's batched runs), matmul, ir.Stencil, Synthetic(4..8) and
+// testdata/manyarrays.f. An iterative program runs two iterations.
+func layoutProgs() []execProg {
+	progs := append(slices.Clone(execProgs),
+		execProg{"matmul", func() *ir.Program { p, _ := ir.Builtin("matmul"); return p }, nil, 1},
+		execProg{"stencil", ir.Stencil, nil, 2})
+	for s := 4; s <= 8; s++ {
+		progs = append(progs, execProg{fmt.Sprintf("synth%d", s), func() *ir.Program { return ir.Synthetic(s) }, nil, 1})
+	}
+	return append(progs, execProg{"manyarrays", manyArrays, nil, 1})
+}
+
+// manyArrays parses testdata/manyarrays.f from the listings the root
+// package embeds, so the sweep does not depend on the working directory.
+func manyArrays() *ir.Program {
+	src, _ := dmcc.Listings.ReadFile("testdata/manyarrays.f") // embedded: the build has it
+	p, err := ir.Parse(string(src))
+	if err != nil {
+		panic(fmt.Sprintf("sweep: listing manyarrays.f: %v", err))
+	}
+	return p
+}
+
+// factorPairs is every r x n/r grid of n processors, r ascending.
+func factorPairs(n int) [][2]int {
+	var shapes [][2]int
+	for r := 1; r <= n; r++ {
+		if n%r == 0 {
+			shapes = append(shapes, [2]int{r, n / r})
+		}
+	}
+	return shapes
+}
+
+// Layouts puts the DP's price of a layout beside what the machine runs:
+// per program, m and N, one "<prog>/<r>x<N/r>" row per factor-pair grid
+// (the whole program on it, priced by Candidates plus LoopCarriedCost,
+// run by exec.Run) and one "<prog>/dp" row (the compiled plan, run by
+// exec.Case), each with modelled, makespan, words, ratio = makespan /
+// (iterations × modelled) and the ranks rankLayouts sets.
+func Layouts(mList, nList []int, opt Options) (*Result, error) {
+	cfg := machine.DefaultConfig()
+	var pts []point
+	for _, pr := range layoutProgs() {
+		hash := core.ProgramHash(pr.mk())
+		for _, m := range mList {
+			for _, n := range nList {
+				add := func(layout string, price func(c exec.Case) (float64, exec.Result, error)) {
+					pts = append(pts, point{
+						variant: pr.name + "/" + layout, m: m, n: n,
+						key:     layoutKey(hash, pr, m, n, layout, cfg),
+						wallCol: "wall_ns",
+						compute: func() (map[string]float64, error) {
+							c := exec.Case{Prog: pr.mk(), M: m, N: n, Iters: pr.iters, Scalars: pr.scalars, Seed: 1}
+							modelled, res, err := price(c)
+							if err != nil {
+								return nil, err
+							}
+							return map[string]float64{
+								"modelled": modelled,
+								"makespan": res.Stats.ParallelTime,
+								"words":    float64(res.Stats.Words),
+								"ratio":    res.Stats.ParallelTime / (float64(c.Iterations()) * modelled),
+							}, nil
+						},
+					})
+				}
+				for _, shape := range factorPairs(n) {
+					add(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(c exec.Case) (float64, exec.Result, error) {
+						return wholeProgramOn(c, shape, cfg)
+					})
+				}
+				add("dp", func(c exec.Case) (float64, exec.Result, error) {
+					plan, err := c.Plan()
+					if err != nil {
+						return 0, exec.Result{}, err
+					}
+					res, err := c.Run(cfg)
+					return plan.DP.MinimumCost, res, err
+				})
+			}
+		}
+	}
+	rows, err := runPoints(pts, opt)
+	if err != nil {
+		return nil, err
+	}
+	rankLayouts(rows)
+	return &Result{Kind: "layouts", Rows: rows}, nil
+}
+
+// layoutKey is the cache key of one layouts row: the program's hash, the
+// size, the layout ("RxC" or "dp"), the case's iterations and OMEGA, and
+// the machine.
+func layoutKey(hash string, pr execProg, m, n int, layout string, cfg machine.Config) string {
+	return artifact.KeyOf("kind=layouts", "prog="+hash, fmt.Sprintf("m=%d", m), fmt.Sprintf("n=%d", n),
+		"layout="+layout, fmt.Sprintf("iters=%d;omega=%g", pr.iters, pr.scalars["OMEGA"]),
+		"machine="+cfg.Fingerprint())
+}
+
+// wholeProgramOn prices the case's whole program on one grid shape, as
+// one segment plus the loop-carried cost of its scheme set, and runs it.
+func wholeProgramOn(c exec.Case, shape [2]int, cfg machine.Config) (float64, exec.Result, error) {
+	bind, err := c.Prog.BindSize(c.M)
+	if err != nil {
+		return 0, exec.Result{}, err
+	}
+	comp := core.NewCompiler(c.Prog, cost.Unit(), bind, c.N)
+	sets, costs, err := comp.Candidates(1, len(c.Prog.Nests), [][2]int{shape})
+	if err != nil {
+		return 0, exec.Result{}, err
+	}
+	lc, err := comp.LoopCarriedCost(sets[0])
+	if err != nil {
+		return 0, exec.Result{}, err
+	}
+	input, err := c.Input()
+	if err != nil {
+		return 0, exec.Result{}, err
+	}
+	res, err := exec.Run(c.Prog, sets[0], bind, c.Scalars, c.Iters, cfg, input)
+	return costs[0] + lc, res, err
+}
+
+// rankLayouts sets each row's model_rank and machine_rank: one plus the
+// number of rows of its (program, m, N) strictly cheaper by modelled and
+// by makespan.
+func rankLayouts(rows []Row) {
+	cells := map[string][]map[string]float64{}
+	for _, r := range rows {
+		prog, _ := splitVariant(r.Variant)
+		cells[rowID(prog, r.M, r.N, 0)] = append(cells[rowID(prog, r.M, r.N, 0)], r.Metrics)
+	}
+	for _, cell := range cells {
+		for _, a := range cell {
+			a["model_rank"], a["machine_rank"] = 1, 1
+			for _, b := range cell {
+				if b["modelled"] < a["modelled"] {
+					a["model_rank"]++
+				}
+				if b["makespan"] < a["makespan"] {
+					a["machine_rank"]++
+				}
+			}
+		}
 	}
 }

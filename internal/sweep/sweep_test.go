@@ -320,6 +320,13 @@ func TestCompareBenchScaleBaseline(t *testing.T) {
 	gatesCommitted(t, "BENCH_scale.json", "scale", "gauss", 4096, "max_pair_words")
 }
 
+// The committed BENCH_layouts.json gates the layouts table per program,
+// layout and N: a whole-program row and a dp row.
+func TestCompareBenchLayoutsBaseline(t *testing.T) {
+	gatesCommitted(t, "BENCH_layouts.json", "layouts", "sor/2x8", 16, "makespan")
+	gatesCommitted(t, "BENCH_layouts.json", "layouts", "gauss/dp", 64, "modelled")
+}
+
 // A baseline whose grid shares nothing with the sweep is an error, not
 // a silent pass.
 func TestCompareRejectsDisjointBaseline(t *testing.T) {
