@@ -72,8 +72,9 @@ func fatal(err error) {
 // exec harness (seeded diagonally dominant system) and checks the result
 // against the sequential IR interpreter. It prints the plan the run
 // executed: one line per segment, with the words of the scheme change
-// into it, and the change an iterative program crosses at the iteration
-// boundary.
+// into it, under it one line per nest with what one execution of the nest
+// did (exec.NestCount), and the change an iterative program crosses at
+// the iteration boundary.
 func execute(p *ir.Program, m, n int) error {
 	c := exec.Case{Prog: p, M: m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
 	res, err := c.Run(machine.DefaultConfig())
@@ -92,6 +93,10 @@ func execute(p *ir.Program, m, n int) error {
 			fmt.Printf(", entry change %d words", seg.ChangeWords)
 		}
 		fmt.Println()
+		for t, nc := range seg.Nests {
+			fmt.Printf("    %s: %d flops (+%d combine); words %d remote, %d partial, %d fan-out, %d on the wire\n",
+				p.Nests[seg.Start-1+t].Label, nc.TotalFlops, nc.CombineFlops, nc.RemoteWords, nc.ReduceWords, nc.FanoutWords, nc.Words)
+		}
 	}
 	if p.Iterative && len(segs) > 1 {
 		last := segs[len(segs)-1]

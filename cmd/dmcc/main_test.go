@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,6 +45,49 @@ func TestExecRunsTheAlgorithm1Plan(t *testing.T) {
 		want, got := segments(planned, compiled), segments(executed, ran)
 		if len(want) != 2 || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: executed %q, the Algorithm 1 section plans %q\n%s", name, got, want, ran)
+		}
+	}
+}
+
+// TestExecWordsDecompose: the words -exec prints per nest and per scheme
+// change account for every word the machine moved — each nest's wire
+// words once per iteration, each entry change once per iteration and the
+// iteration-boundary change as often as it is crossed — for every builtin
+// at m = 64 on 4 and 16 processors.
+func TestExecWordsDecompose(t *testing.T) {
+	header := regexp.MustCompile(`\((\d+) segment\(s\), (\d+) iteration\(s\)\)`)
+	nest := regexp.MustCompile(`(?m)^    \S+: .*, (\d+) on the wire$`)
+	entry := regexp.MustCompile(`(?m)entry change (\d+) words$`)
+	boundary := regexp.MustCompile(`change of (\d+) words, crossed (\d+) time`)
+	machine := regexp.MustCompile(`simulated makespan \S+, \d+ messages, (\d+) words`)
+	atoi := func(s string) int {
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, name := range ir.BuiltinNames() {
+		for _, n := range []int{4, 16} {
+			p, _ := ir.Builtin(name)
+			out := captureStdout(t, func() error { return execute(p, 64, n) })
+			h, ran := header.FindStringSubmatch(out), machine.FindStringSubmatch(out)
+			if h == nil || ran == nil {
+				t.Fatalf("%s N=%d: no header or machine line in\n%s", name, n, out)
+			}
+			iters, sum := atoi(h[2]), 0
+			for _, m := range nest.FindAllStringSubmatch(out, -1) {
+				sum += iters * atoi(m[1])
+			}
+			for _, m := range entry.FindAllStringSubmatch(out, -1) {
+				sum += iters * atoi(m[1])
+			}
+			if m := boundary.FindStringSubmatch(out); m != nil {
+				sum += atoi(m[1]) * atoi(m[2])
+			}
+			if nests := len(nest.FindAllString(out, -1)); nests != len(p.Nests) || sum != atoi(ran[1]) {
+				t.Errorf("%s N=%d: %d nest lines account for %d words, the machine moved %s\n%s", name, n, nests, sum, ran[1], out)
+			}
 		}
 	}
 }

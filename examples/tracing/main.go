@@ -2,13 +2,16 @@
 // normally uses a lot of communication time and results in the idleness
 // of processors". This example traces the naive and pipelined SOR
 // implementations, prints their per-processor time breakdowns and Gantt
-// charts, and shows the stencil's nearest-neighbour pattern for contrast.
+// charts, and shows the compiled five-point stencil's nearest-neighbour
+// pattern for contrast.
 package main
 
 import (
 	"fmt"
 	"log"
 
+	"dmcc/internal/exec"
+	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
@@ -45,8 +48,9 @@ func main() {
 		func(cfg machine.Config) (kernels.Result, error) {
 			return kernels.SORPipelined(cfg, a, b, x0, 1.2, iters, n)
 		})
-	run("three-point stencil (neighbour-only communication)",
+	run("five-point stencil, compiled (neighbour-only communication)",
 		func(cfg machine.Config) (kernels.Result, error) {
-			return kernels.Stencil(cfg, matrix.RandomVector(m, 7), 8, n)
+			res, err := exec.Case{Prog: ir.Stencil(), M: m, N: n, Iters: 2, Seed: 7}.Run(cfg)
+			return kernels.Result{Stats: res.Stats}, err
 		})
 }

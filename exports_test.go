@@ -31,7 +31,6 @@ var testOnly = map[string]string{
 	"exec.RunExact":                     "reference: the per-element oracle of Run on a one-segment plan, beside Case.RunExact's plan runs",
 	"grid.Grid.Tuple":                   "reference: Rank's inverse, the round-trip oracle of Rank and Coord",
 	"kernels.GaussPipelinedBlockCyclic": "paper formula: §6's load-balance claim, measured on a block-cyclic Fig 8 pipeline",
-	"kernels.StencilSeq":                "reference: the sequential stencil the kernel is compared with",
 	"machine.AsyncConfig":               "test seam: DefaultConfig with asynchronous collectives",
 	"machine.Machine.DirectHandoffs":    "test seam: counts scheduler steps that took the single-runnable fast path",
 	"machine.MaxOp":                     "test seam: a second combine operator for the collectives' tests",

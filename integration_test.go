@@ -1,93 +1,22 @@
-// Cross-validation tests: the compiler's analytic machinery (the exact
-// enumeration counter and the closed-form cost model) checked against
-// what the executing kernels actually do on the simulated machine. These
-// are the consistency guarantees behind EXPERIMENTS.md: if the counter
-// and the machine disagreed, the DP would be optimizing a fiction.
+// Cross-validation tests: the compiler's closed-form cost model and
+// redistribution pricing checked against what the hand-written kernels do
+// on the simulated machine. The counter the DP prices with is held to the
+// compiled code the machine runs, nest by nest, by exec's
+// TestConservationPerNest.
 package dmcc_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
 	"dmcc/internal/grid"
-	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
 )
-
-// TestCounterMatchesMachineJacobiRowScheme: the enumeration counter's
-// loop-carried word count for the row scheme must equal the words the
-// kernel actually ships per iteration.
-func TestCounterMatchesMachineJacobiRowScheme(t *testing.T) {
-	m, n, iters := 32, 4, 3
-	p := ir.Jacobi()
-	g := grid.New(n, 1)
-	bind := map[string]int{"m": m}
-	schemes := map[string]dist.Scheme{
-		"A": dist.Scheme2D(dist.BlockContiguous(m, n, 0), dist.Dim{Sign: 1, Disp: -1, Block: m, GridDim: 1}, nil),
-		"V": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-		"B": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-		"X": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-	}
-
-	// Counted: X reads of L1 are the only remote words per iteration.
-	var counted int64
-	for _, nest := range p.Nests {
-		ct, err := cost.CountNestOpts(p, nest, schemes, g, bind, cost.CountOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counted += ct.Words()
-	}
-
-	// Measured: the kernel's total words divided by iterations.
-	a, b, _ := matrix.DiagonallyDominant(m, 9)
-	x0 := make([]float64, m)
-	res, err := kernels.JacobiGrid(machine.DefaultConfig(), a, b, x0, iters, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perIter := res.Stats.Words / int64(iters)
-	if counted != perIter {
-		t.Errorf("counter says %d words/iter, machine moved %d", counted, perIter)
-	}
-}
-
-// TestCounterMatchesMachineFlops: total flops agree between the counter
-// and the executing kernel (both count 2 per multiply-add and 3 for the
-// X update).
-func TestCounterMatchesMachineFlops(t *testing.T) {
-	m, n := 16, 4
-	p := ir.Jacobi()
-	g := grid.New(n, 1)
-	bind := map[string]int{"m": m}
-	schemes := map[string]dist.Scheme{
-		"A": dist.Scheme2D(dist.BlockContiguous(m, n, 0), dist.Dim{Sign: 1, Disp: -1, Block: m, GridDim: 1}, nil),
-		"V": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-		"B": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-		"X": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
-	}
-	var counted int64
-	for _, nest := range p.Nests {
-		ct, err := cost.CountNestOpts(p, nest, schemes, g, bind, cost.CountOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		counted += ct.TotalFlops
-	}
-	a, b, _ := matrix.DiagonallyDominant(m, 9)
-	x0 := make([]float64, m)
-	res, err := kernels.JacobiGrid(machine.DefaultConfig(), a, b, x0, 1, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counted != res.Stats.Flops {
-		t.Errorf("counter %d flops, machine %d", counted, res.Stats.Flops)
-	}
-}
 
 // TestClosedFormTracksMachineJacobi: the Table 2 closed forms and the
 // simulated makespans must order the grid shapes identically and agree
@@ -127,19 +56,7 @@ func TestClosedFormTracksMachineJacobi(t *testing.T) {
 }
 
 func key(s [2]int) string {
-	return fmtInt(s[0]) + "x" + fmtInt(s[1])
-}
-
-func fmtInt(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var digits []byte
-	for v > 0 {
-		digits = append([]byte{byte('0' + v%10)}, digits...)
-		v /= 10
-	}
-	return string(digits)
+	return fmt.Sprintf("%dx%d", s[0], s[1])
 }
 
 // TestSORBoundHolds: the Section 5 closed-form bound dominates the

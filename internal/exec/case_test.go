@@ -124,7 +124,7 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 				}
 				got := slices.Clone(res.Segments)
 				for i := range got {
-					got[i].ChangeWords = 0
+					got[i].ChangeWords, got[i].Nests = 0, nil
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("ran segments %v, the plan's are %v", got, want)

@@ -87,6 +87,32 @@ type Segment struct {
 	// crossed before every iteration but the first. Zero where the plan
 	// has no such change.
 	ChangeWords int
+	// Nests is what one execution of each of the segment's nests does, in
+	// order.
+	Nests []NestCount
+}
+
+// NestCount is what one execution of a nest does under its segment's
+// schemes, as the inspector scheduled it. The first four fields are
+// cost.Counts' quantities, under its names; the counter prices none of
+// the rest. A run's Stats.Flops is the sum over executed nests of
+// TotalFlops + CombineFlops, its Stats.Words the sum of Words and of the
+// ChangeWords of every change crossed.
+type NestCount struct {
+	// The statements' flops, in all and on the busiest rank.
+	TotalFlops, MaxProcFlops int64
+	// The distinct (element, executor) pairs an operand is shipped on, and
+	// (element, contributor) pairs whose partial sum a root other than the
+	// contributor combines. A ship after a write, or a second finalize,
+	// moves words these do not count.
+	RemoteWords, ReduceWords int64
+	// The roots' folds, one flop per contributor per reduced element, and
+	// the reduced totals delivered to live readers.
+	CombineFlops, FanoutWords int64
+	// Words is what the nest puts on the wire under the lowering the
+	// schedule chose: its ships after the dedup window, its direct sends,
+	// and its reductions' partials and fan-out, or a ring's hops.
+	Words int64
 }
 
 // validate performs the shared pre-flight checks of both engines and
@@ -273,7 +299,10 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 			res.MaxProcStoreWords = max(res.MaxProcStoreWords, w)
 		}
 		res.StoreWords = max(res.StoreWords, words)
-		seg := Segment{Start: pl.plan[k].Start, Len: pl.plan[k].Len, Grid: s.g}
+		seg := Segment{Start: pl.plan[k].Start, Len: pl.plan[k].Len, Grid: s.g, Nests: make([]NestCount, len(s.nests))}
+		for t, ns := range s.nests {
+			seg.Nests[t] = ns.count
+		}
 		if c := pl.changes[k]; c != nil {
 			seg.ChangeWords = c.words
 		}

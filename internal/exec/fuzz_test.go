@@ -50,7 +50,8 @@ func randomPlan(t *testing.T, seed int64, trial, m, n int, p *ir.Program) ([]cor
 
 // checkPlanFuzz runs a random segmentation of the program (randomPlan) on
 // both engines, requires the batched run to be identical to the
-// per-element one (requireIdentical) and returns it.
+// per-element one (requireIdentical) and to conserve the counter's and
+// the machine's counts (checkConservation), and returns it.
 func checkPlanFuzz(t *testing.T, seed int64, trial, m, n int, p *ir.Program, iters int, input ir.Storage) (Result, string) {
 	t.Helper()
 	segs, label := randomPlan(t, seed, trial, m, n, p)
@@ -64,6 +65,7 @@ func checkPlanFuzz(t *testing.T, seed int64, trial, m, n int, p *ir.Program, ite
 		t.Fatalf("exact: %v\n%s", err, label)
 	}
 	requireIdentical(t, label, got, want)
+	checkConservation(t, label, p, bind, segs, iters, got)
 	return got, label
 }
 

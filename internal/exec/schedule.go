@@ -196,6 +196,9 @@ type nestSchedule struct {
 	addrs    []int32
 	reds     []*redOp
 	redists  []*redistOp
+	// count is what one execution of the nest does: the walk tallies its
+	// flops and ships, buildRoles its reductions.
+	count NestCount
 }
 
 // pinstr is one value-pass instruction of one processor.
@@ -311,11 +314,14 @@ type redRole struct {
 	contrib, part, root, reads []int32
 }
 
-// buildRoles fills every exchange's role lists; it runs after
-// computeFanouts, which decides the readers.
+// buildRoles fills every exchange's role lists and counts the exchanges
+// in their nest's count; it runs after computeFanouts, which decides the
+// readers. A ring's wire words are the two-phase ones plus the total the
+// last hop returns to the root, less the one it would deliver itself.
 func (s *progSchedule) buildRoles() {
 	at := make([]int32, s.nprocs) // rank -> index into the exchange's parts
 	for _, ns := range s.nests {
+		cnt := &ns.count
 		for _, r := range ns.reds {
 			for k, p := range r.parts {
 				at[p] = int32(k)
@@ -326,10 +332,19 @@ func (s *progSchedule) buildRoles() {
 					role := &r.roles[at[c]]
 					role.contrib = append(role.contrib, int32(i))
 					role.part = append(role.part, f.parts[k])
+					if c != f.root {
+						cnt.Words++
+					}
 				}
 				r.roles[at[f.root]].root = append(r.roles[at[f.root]].root, int32(i))
 				for _, o := range f.fanout {
 					r.roles[at[o]].reads = append(r.roles[at[o]].reads, int32(i))
+				}
+				cnt.CombineFlops += int64(len(f.contribs))
+				cnt.FanoutWords += int64(len(f.fanout))
+				cnt.Words += int64(len(f.fanout))
+				if r.ring && !slices.Contains(f.fanout, f.contribs[len(f.contribs)-1]) {
+					cnt.Words++
 				}
 			}
 		}

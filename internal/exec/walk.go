@@ -43,18 +43,23 @@ type nestBuilder struct {
 	first   []int32
 	traffic []epochShip
 	low     *lowering
-	// seen dedups batched ships: bit dst of seen[e] marks that dst holds
-	// a live buffered copy of e (its source is always e's first owner, so
-	// the destination alone names the pair) and a
+	// seen holds three planes of one bit per rank for each element e
+	// (firstMark). The first, liveCopy, dedups batched ships: bit dst
+	// marks that dst holds a live buffered copy of e (its source is always
+	// e's first owner, so the destination alone names the pair) and a
 	// repeat ship would carry the same value and one copy suffices. A
-	// write of e invalidates its entry (the buffered copies go stale),
+	// write of e clears it (the buffered copies go stale),
 	// which makes the dedup window every ship since the element's last
 	// write — spanning epoch cuts, not reset by them: the surviving
 	// ship's value is gathered at its own epoch boundary, before any
 	// write that could invalidate it. Every read of a copy, deduped or
 	// not, is the destination's one position for e (progSchedule.bufs),
-	// which each ship of e to it refills.
-	seen dense[[]uint64]
+	// which each ship of e to it refills. The other two, which no write
+	// clears, are the nest's distinct pairs NestCount counts.
+	seen  dense[[]uint64]
+	words int // the words of one plane
+	// flops[r] is rank r's statement flops in the nest.
+	flops []int64
 	// scratch; ops[xi*len(reads)+ri] is executor xi's operand ri
 	readElem []elemID
 	ships    []shipT
@@ -84,9 +89,15 @@ func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
 		first:   make([]int32, s.nprocs),
 		low:     low,
 		seen:    make(dense[[]uint64], len(s.arrays)),
+		words:   (s.nprocs + 63) / 64,
+		flops:   make([]int64, s.nprocs),
 	}
 	if err := b.walk(0); err != nil {
 		return nil, err
+	}
+	for _, f := range b.flops {
+		ns.count.TotalFlops += f
+		ns.count.MaxProcFlops = max(ns.count.MaxProcFlops, f)
 	}
 	// Combine reductions still pending at nest end. Nest-end finalizes are
 	// hoistable: no later statement of the nest reads them, so the whole
@@ -266,19 +277,20 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 	// Emit the ships, in the global lockstep order: each is either an
 	// epoch-batched pair entry or — for elements this instance's own
 	// finalizes just wrote — a residual direct send.
+	cnt := &b.ns.count
 	for _, sh := range b.ships {
+		if b.firstMark(sh.e, shippedTo, sh.ex) {
+			cnt.RemoteWords++
+		}
 		if *b.written.at(s, sh.e) == b.epoch {
 			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
 			b.ops[sh.at] = opdDirect | operand(sh.src)
+			cnt.Words++
 			continue
 		}
-		bits := b.seen.at(s, sh.e)
-		if *bits == nil {
-			*bits = make([]uint64, (s.nprocs+63)/64)
-		}
-		if w, m := &(*bits)[sh.ex>>6], uint64(1)<<(sh.ex&63); *w&m == 0 {
-			*w |= m
+		if b.firstMark(sh.e, liveCopy, sh.ex) {
 			b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
+			cnt.Words++
 		}
 		b.ops[sh.at] = opdBuffered | operand(s.bufs.pos(s, sh.e, int(sh.ex)))
 	}
@@ -312,21 +324,48 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 }
 
 // emitEval appends an opEval to processor p's stream with its operands
-// copied into the nest's operand arena.
+// copied into the nest's operand arena, and counts p's flops if it
+// evaluates.
 func (b *nestBuilder) emitEval(p int, in pinstr, ops []operand) {
 	in.off = int32(len(b.ns.operands))
 	b.ns.operands = append(grow(b.ns.operands, len(ops)), ops...)
 	b.emit(p, in)
+	if in.role != roleRecvOnly {
+		b.flops[p] += int64(b.ns.stmts[in.stmt].Flops)
+	}
 	if b.low.evalTap != nil {
 		b.low.evalTap(b.ns, p, len(b.ns.procs[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
 	}
+}
+
+// The planes of nestBuilder.seen: the live copies, the executors e was
+// shipped to, and the contributors whose partial of e was combined at a
+// root other than them.
+const (
+	liveCopy = iota
+	shippedTo
+	combinedFrom
+)
+
+// firstMark sets rank r's bit of e in a plane of seen and reports whether
+// it was clear.
+func (b *nestBuilder) firstMark(e elemID, plane int, r int32) bool {
+	bits := b.seen.at(b.s, e)
+	if *bits == nil {
+		*bits = make([]uint64, 3*b.words)
+	}
+	w, m := &(*bits)[plane*b.words+int(r>>6)], uint64(1)<<(r&63)
+	first := *w&m == 0
+	*w |= m
+	return first
 }
 
 // markWritten records a write of e in the current epoch and drops its
 // ship-dedup window: the buffered copies are stale from here on.
 func (b *nestBuilder) markWritten(e elemID) {
 	*b.written.at(b.s, e) = b.epoch
-	clear(*b.seen.at(b.s, e))
+	bits := *b.seen.at(b.s, e)
+	clear(bits[:min(len(bits), b.words)]) // the liveCopy plane
 }
 
 // recordFinalize pops a pending reduction and records what every
@@ -341,6 +380,9 @@ func (b *nestBuilder) recordFinalize(e elemID) *finOp {
 	f := &finOp{elem: e, contribs: contribs, parts: make([]int32, len(contribs)), owners: owners, root: owners[0]}
 	for k, c := range contribs {
 		f.parts[k] = b.s.parts.pos(b.s, e, c)
+		if c != f.root && b.firstMark(e, combinedFrom, int32(c)) {
+			b.ns.count.ReduceWords++
+		}
 	}
 	b.s.noteFinalize(e, f)
 	b.markWritten(e)

@@ -118,17 +118,3 @@ func JacobiGrid(cfg machine.Config, a *matrix.Dense, b, x0 []float64, iters, n1,
 		}
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
