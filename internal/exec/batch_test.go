@@ -307,12 +307,3 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 	}
 	t.Logf("%d random plans crossed a scheme change that moved words", changes)
 }
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

@@ -1,18 +1,20 @@
-// The per-element reference engine: the original naive backend kept as
-// the oracle behind RunExact, mirroring the CountNestOptsExact
-// discipline. Every remote operand crosses the network as its own
-// one-word message, exactly as a 1993 naive compiler would emit it, so
-// its Stats are the Section 6 naive figure. The batched engine in
-// schedule.go/executor.go must reproduce its Values and flops bit for
+// The per-element reference engine, the oracle behind RunExact: every
+// remote operand crosses the network as its own one-word message, as a
+// 1993 naive compiler would emit it, so its Stats are the Section 6 naive
+// figure. The batched engine must reproduce its Values and flops bit for
 // bit and never move more messages or words (TestBatchedMatchesExact).
+// It reads ir.Lower's subscripts and bounds and names elements by elemID,
+// but walks each nest itself, in ir.Nest.Walk's order, and takes owners
+// from dist.Scheme.Owners; Case.Check holds its values to ir.EvalProgram.
 
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"dmcc/internal/core"
 	"dmcc/internal/dist"
@@ -34,6 +36,30 @@ func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars ma
 	return runExact(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
 }
 
+// xstmt is a statement with what the walk needs of it, computed once per
+// nest: its lowering, its enclosing loops, whether it runs after the
+// deeper inner loop (ir.Nest.IsPost) and its anchor (ir.Stmt.Anchor).
+type xstmt struct {
+	*ir.Stmt
+	low    *ir.LStmt
+	loops  []ir.Loop
+	post   bool
+	anchor int
+}
+
+// shared is what every processor's engine reads and none writes.
+type shared struct {
+	lw      *ir.Lowered
+	scalars map[string]float64
+	stmts   [][]xstmt
+	// tables[ss][a][off] is the ascending ranks owning element off of
+	// array a under ss.
+	tables map[*core.SchemeSet][][][]int
+	// keys[a][off] is element off of array a's ir.Key; nest-end finalizes
+	// run in the order of the elements' "array!i,j" names.
+	keys [][]string
+}
+
 // runExact executes a plan's segments in order, as run does, crossing
 // each scheme change with one message per (element, owner that lacks it).
 func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
@@ -46,57 +72,68 @@ func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars m
 	if !p.Iterative {
 		iters = 1
 	}
+	sh := &shared{lw: lw, scalars: scalars, stmts: make([][]xstmt, len(p.Nests)),
+		tables: map[*core.SchemeSet][][][]int{}, keys: make([][]string, len(lw.Names))}
+	for t, nest := range p.Nests {
+		for si, st := range nest.Stmts {
+			sh.stmts[t] = append(sh.stmts[t], xstmt{st, &lw.Nests[t].Stmts[si], nest.Loops[:st.Depth], nest.IsPost(st), st.Anchor()})
+		}
+	}
+	for _, seg := range segs {
+		sh.tables[seg.Schemes] = make([][][]int, len(lw.Names))
+	}
+	for a, name := range lw.Names {
+		dist.ForEachIndex(lw.Shapes[a], func(idx []int) { // row-major
+			sh.keys[a] = append(sh.keys[a], ir.Key(idx))
+			for ss, own := range sh.tables {
+				own[a] = append(own[a], ss.Schemes[name].Owners(ss.Grid, idx...))
+			}
+		})
+	}
 
-	nprocs := segs[0].Schemes.Grid.Size()
-	locals := make([]ir.Storage, nprocs)
+	stores, fin := make([]map[elemID]float64, segs[0].Schemes.Grid.Size()), [][][]int(nil)
 	mach, err := machine.New(segs[0].Schemes.Grid, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-
 	st, err := mach.Run(func(proc *machine.Proc) {
-		e := &engine{
-			p: p, ss: segs[0].Schemes, bind: bind, scalars: scalars,
-			proc:     proc,
-			store:    ir.NewStorage(p),
-			partials: map[string]float64{},
-			pending:  map[string][]int{},
-		}
+		e := &engine{shared: sh, ss: segs[0].Schemes, own: sh.tables[segs[0].Schemes], proc: proc, me: proc.Rank(),
+			store: map[elemID]float64{}, partials: map[elemID]float64{}, pending: map[elemID][]int{}, env: maps.Clone(bind)}
 		// Load owned (and replicated) elements from the input, free of
-		// charge: input distribution cost is measured separately by
-		// package data.
-		for name, elems := range input {
-			for key, v := range elems {
-				idx, _ := ir.ParseKey(nil, key) // validate refused every malformed key
-				if e.owns(name, idx) {
-					e.store[name][key] = v
+		// charge: the run does not price the initial distribution.
+		for a, name := range lw.Names {
+			for off, owners := range e.own[a] {
+				if v, ok := input[name][sh.keys[a][off]]; ok && slices.Contains(owners, e.me) {
+					e.store[mkElem(a, off)] = v
 				}
 			}
 		}
 		for it := 0; it < iters; it++ {
 			for _, seg := range segs {
 				if seg.Schemes != e.ss {
-					e.change(lw, seg.Schemes)
+					e.change(seg.Schemes)
 				}
-				for _, nest := range p.Nests[seg.Start-1 : seg.Start-1+seg.Len] {
-					e.runNest(nest)
+				for t := seg.Start - 1; t < seg.Start-1+seg.Len; t++ {
+					e.runNest(t)
 				}
 			}
 		}
-		locals[proc.Rank()] = e.store
+		if stores[e.me] = e.store; e.me == 0 {
+			fin = e.own // every rank ends under the same set
+		}
 	})
 	if err != nil {
 		return Result{}, err
 	}
 
-	// Assemble the global state: each element from its first owner.
+	// Assemble the global state: each element from its first owner under
+	// the last set run, the only ranks that hold it.
 	out := ir.NewStorage(p)
-	for r := 0; r < nprocs; r++ {
-		for name, elems := range locals[r] {
-			for key, v := range elems {
-				if _, done := out[name][key]; !done {
-					out[name][key] = v
-				}
+	for a, name := range lw.Names {
+		for off, owners := range fin[a] {
+			el := mkElem(a, off)
+			if i := slices.IndexFunc(owners, func(r int) bool { _, ok := stores[r][el]; return ok }); i >= 0 {
+				out[name][sh.keys[a][off]] = stores[owners[i]][el]
 			}
 		}
 	}
@@ -105,237 +142,225 @@ func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars m
 
 // engine is the per-processor interpreter state.
 type engine struct {
-	p       *ir.Program
-	ss      *core.SchemeSet
-	bind    map[string]int
-	scalars map[string]float64
-	proc    *machine.Proc
-	store   ir.Storage
-	// partials holds this processor's running partial sums for reduce
-	// statements, keyed by array!elem.
-	partials map[string]float64
-	// pending maps array!elem to the sorted contributor ranks whose
-	// partials have not been combined yet. Maintained identically at
-	// every processor (the walk is lockstep and deterministic).
-	pending map[string][]int
+	*shared
+	ss   *core.SchemeSet
+	own  [][][]int // tables[ss]
+	proc *machine.Proc
+	me   int
+	// store holds the owned elements this processor has a value for, and
+	// partials its running partial sums of reductions, by accumulator.
+	store, partials map[elemID]float64
+	// pending maps an accumulator to the sorted ranks whose partials are
+	// not combined yet, the same at every processor (the walk is lockstep).
+	pending map[elemID][]int
+	// iv is the current nest's loop vector, slot k loop k's index; env
+	// holds the binding and an evaluated statement's loop indices.
+	iv  []int
+	env map[string]int
+	// The instance executing: its reads bar a reduction's accumulator, and
+	// the operands it received or, for the accumulator, sums.
+	reads []elemID
+	vals  []elemVal
 }
 
-func (e *engine) owns(arr string, idx []int) bool {
-	return e.ss.Schemes[arr].IsOwner(e.ss.Grid, e.proc.Rank(), idx...)
-}
+func (e *engine) owners(el elemID) []int { return e.own[el.arr()][el.off()] }
 
-func (e *engine) owners(arr string, idx []int) []int {
-	return e.ss.Schemes[arr].Owners(e.ss.Grid, idx...)
+// at is the element r names at the current loop vector.
+func (e *engine) at(r *ir.LRef) elemID {
+	off := 0
+	for d, ext := range e.lw.Shapes[r.Array] {
+		off = off*ext + r.Subs[d].At(e.iv) - 1
+	}
+	return mkElem(r.Array, off)
 }
 
 // change crosses a scheme change to the set to, element by element —
-// arrays in lw's order, each row-major — in lockstep with every other
+// arrays in Lowered order, each row-major — in lockstep with every other
 // processor: the element's first owner under the current set sends it, as
 // its own one-word message, to each owner under to that lacks it; an owner
 // under both keeps its copy, and one under the current set alone drops it.
-func (e *engine) change(lw *ir.Lowered, to *core.SchemeSet) {
-	me := e.proc.Rank()
-	for a, name := range lw.Names {
-		sf, st, store := e.ss.Schemes[name], to.Schemes[name], e.store[name]
-		dist.ForEachIndex(lw.Shapes[a], func(idx []int) {
-			src, dst := sf.Owners(e.ss.Grid, idx...), st.Owners(to.Grid, idx...)
-			key := ir.Key(idx)
+func (e *engine) change(to *core.SchemeSet) {
+	dsts := e.tables[to]
+	for a := range e.own {
+		for off, src := range e.own[a] {
+			el, dst := mkElem(a, off), dsts[a][off]
 			for _, d := range dst {
 				if slices.Contains(src, d) {
 					continue
 				}
-				switch me {
+				switch e.me {
 				case src[0]:
-					e.proc.SendValue(d, store[key])
+					e.proc.SendValue(d, e.store[el])
 				case d:
-					store[key] = e.proc.RecvValue(src[0])
+					e.store[el] = e.proc.RecvValue(src[0])
 				}
 			}
-			if !slices.Contains(dst, me) {
-				delete(store, key)
+			if !slices.Contains(dst, e.me) {
+				delete(e.store, el)
 			}
-		})
+		}
 	}
-	e.ss = to
+	e.ss, e.own = to, dsts
 }
 
-// runNest walks the nest's iteration space in lockstep with every other
-// processor, executing owned statement instances.
-func (e *engine) runNest(nest *ir.Nest) {
-	nest.Walk(e.bind, func(stmt *ir.Stmt, env map[string]int) error {
-		e.instance(stmt, env)
-		return nil
-	})
-	// Combine any reductions still pending at nest end.
-	var keys []string
-	for k := range e.pending {
-		keys = append(keys, k)
+// runNest walks nest t in lockstep with every other processor, executing
+// owned statement instances, then combines the reductions still pending.
+func (e *engine) runNest(t int) {
+	e.iv = make([]int, len(e.lw.Nests[t].Loops))
+	e.walk(t, 0)
+	pend := make([]elemID, 0, len(e.pending))
+	for el := range e.pending {
+		pend = append(pend, el)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e.finalize(k)
+	slices.SortFunc(pend, func(x, y elemID) int {
+		return cmp.Or(x.arr()-y.arr(), cmp.Compare(e.keys[x.arr()][x.off()], e.keys[y.arr()][y.off()]))
+	})
+	for _, el := range pend {
+		e.finalize(el)
+	}
+}
+
+// walk visits nest t's instances at loop level and below in ir.Nest.Walk's
+// order: the level's statements before the inner loop, the loop, then
+// those after it.
+func (e *engine) walk(t, level int) {
+	loops := e.lw.Nests[t].Loops
+	for _, after := range [2]bool{false, true} {
+		if after && level < len(loops) {
+			l := &loops[level]
+			for v, hi := l.Lo.At(e.iv), l.Hi.At(e.iv); (hi-v)*l.Step >= 0; v += l.Step {
+				e.iv[level] = v
+				e.walk(t, level+1)
+			}
+		}
+		for i := range e.stmts[t] {
+			if st := &e.stmts[t][i]; st.Depth == level && st.post == after {
+				e.instance(st)
+			}
+		}
 	}
 }
 
 // instance executes one dynamic statement instance.
-func (e *engine) instance(stmt *ir.Stmt, env map[string]int) {
-	lhsIdx := make([]int, len(stmt.LHS.Subs))
-	for k, s := range stmt.LHS.Subs {
-		lhsIdx[k] = s.Eval(env)
-	}
-	lhsKey := pkey(stmt.LHS.Array, lhsIdx)
-
-	// Resolve read elements.
-	type readElem struct {
-		ref ir.Ref
-		idx []int
-		key string
-	}
-	var reads []readElem
-	for _, rd := range stmt.Reads {
-		idx := make([]int, len(rd.Subs))
-		for k, s := range rd.Subs {
-			idx[k] = s.Eval(env)
+func (e *engine) instance(st *xstmt) {
+	// Executor set: anchor owners for reductions, LHS owners otherwise.
+	lhs := e.at(&st.low.LHS)
+	executors := e.owners(lhs)
+	e.reads = e.reads[:0]
+	for k := range st.low.Reads {
+		rd := e.at(&st.low.Reads[k])
+		if st.Reduce && k == st.anchor {
+			executors = e.owners(rd)
 		}
-		reads = append(reads, readElem{ref: rd, idx: idx, key: pkey(rd.Array, idx)})
+		if !st.Reduce || rd != lhs {
+			e.reads = append(e.reads, rd)
+		}
 	}
 
 	// Any pending reduction read by this instance (other than the
 	// statement's own accumulator) must be combined first; a write to a
 	// pending element also forces combining.
-	for _, rd := range reads {
-		if stmt.Reduce && rd.key == lhsKey {
-			continue
-		}
-		if _, pend := e.pending[rd.key]; pend {
-			e.finalize(rd.key)
+	for _, rd := range e.reads {
+		if _, pend := e.pending[rd]; pend {
+			e.finalize(rd)
 		}
 	}
-	if _, pend := e.pending[lhsKey]; pend && !stmt.Reduce {
-		e.finalize(lhsKey)
-	}
-
-	// Executor set: anchor owners for reductions, LHS owners otherwise.
-	var executors []int
-	if stmt.Reduce {
-		if anchor := stmt.Anchor(); anchor >= 0 {
-			executors = e.owners(reads[anchor].ref.Array, reads[anchor].idx)
-		} else {
-			executors = e.owners(stmt.LHS.Array, lhsIdx)
-		}
-	} else {
-		executors = e.owners(stmt.LHS.Array, lhsIdx)
+	if _, pend := e.pending[lhs]; pend && !st.Reduce {
+		e.finalize(lhs)
 	}
 
 	// Ship remote operands: for each read element and each executor that
 	// lacks it, the element's first owner sends one word. (The reduce
-	// accumulator is never shipped; it lives in the partial store.)
-	values := map[string]float64{}
-	me := e.proc.Rank()
-	amExec := slices.Contains(executors, me)
-	for _, rd := range reads {
-		if stmt.Reduce && rd.key == lhsKey {
-			continue
-		}
-		owners := e.owners(rd.ref.Array, rd.idx)
-		src := owners[0]
+	// accumulator is never shipped; it lives in the partial store.) An
+	// executor holding an operand reads it from its store.
+	e.vals = e.vals[:0]
+	for _, rd := range e.reads {
+		owners := e.owners(rd)
 		for _, ex := range executors {
 			if slices.Contains(owners, ex) {
-				if ex == me {
-					values[rd.key] = e.store[rd.ref.Array][rd.key[len(rd.ref.Array)+1:]]
-				}
 				continue
 			}
-			switch me {
-			case src:
-				e.proc.SendValue(ex, e.store[rd.ref.Array][rd.key[len(rd.ref.Array)+1:]])
+			switch e.me {
+			case owners[0]:
+				e.proc.SendValue(ex, e.store[rd])
 			case ex:
-				values[rd.key] = e.proc.RecvValue(src)
+				e.vals = append(e.vals, elemVal{rd, e.proc.RecvValue(owners[0])})
 			}
 		}
 	}
 
-	if stmt.Reduce {
-		// Record the contributor (identically at every processor).
+	if st.Reduce {
+		// Record the contributor (identically at every processor), the one
+		// executor, which sums into the accumulator's partial.
 		contrib := executors[0]
-		list := e.pending[lhsKey]
-		if i, ok := slices.BinarySearch(list, contrib); !ok {
-			e.pending[lhsKey] = slices.Insert(list, i, contrib)
+		if i, ok := slices.BinarySearch(e.pending[lhs], contrib); !ok {
+			e.pending[lhs] = slices.Insert(e.pending[lhs], i, contrib)
 		}
-		if !amExec || me != contrib {
-			return
-		}
-		// Evaluate with the accumulator redirected to the partial store.
-		v := e.eval(stmt, env, values, lhsKey, true)
-		e.partials[lhsKey] = v
-		e.proc.Compute(stmt.Flops)
+		executors = executors[:1]
+		e.vals = append(e.vals, elemVal{lhs, e.partials[lhs]})
+	}
+	if !slices.Contains(executors, e.me) {
 		return
 	}
-
-	if !amExec {
-		return
+	// Evaluate the RHS under the enclosing loops' indices, each operand
+	// from vals, or else the local store.
+	for k, l := range st.loops {
+		e.env[l.Index] = e.iv[k]
 	}
-	v := e.eval(stmt, env, values, lhsKey, false)
-	if math.IsNaN(v) {
-		panic(fmt.Sprintf("exec: NaN at %s line %d", stmt.LHS, stmt.Line))
+	switch v := st.RHS.Eval(e.env, e.load, e.scalars); {
+	case st.Reduce:
+		e.partials[lhs] = v
+	case math.IsNaN(v):
+		panic(fmt.Sprintf("exec: NaN at %s line %d", st.LHS, st.Line))
+	default:
+		e.store[lhs] = v
 	}
-	e.store[stmt.LHS.Array][lhsKey[len(stmt.LHS.Array)+1:]] = v
-	e.proc.Compute(stmt.Flops)
+	e.proc.Compute(st.Flops)
 }
 
-// eval evaluates a statement's RHS with remote values spliced in and,
-// for reductions, the accumulator read from the partial store.
-func (e *engine) eval(stmt *ir.Stmt, env map[string]int, remote map[string]float64, accKey string, reduce bool) float64 {
-	load := func(r ir.Ref, idx []int) float64 {
-		key := pkey(r.Array, idx)
-		if reduce && key == accKey {
-			return e.partials[accKey]
-		}
-		if v, ok := remote[key]; ok {
-			return v
-		}
-		return e.store[r.Array][key[len(r.Array)+1:]]
+// load is the RHS's: an operand's value at this processor.
+func (e *engine) load(r ir.Ref, idx []int) float64 {
+	a, off := e.lw.Array(r.Array), 0
+	for d, ext := range e.lw.Shapes[a] {
+		off = off*ext + idx[d] - 1
 	}
-	return stmt.RHS.Eval(env, load, e.scalars)
+	el := mkElem(a, off)
+	for _, ev := range e.vals {
+		if ev.elem == el {
+			return ev.val
+		}
+	}
+	return e.store[el]
 }
 
 // finalize combines a pending reduction: contributors send their partials
 // to the accumulator's first owner, which folds them into the stored
 // value and redistributes the total to all owners.
-func (e *engine) finalize(key string) {
-	contribs := e.pending[key]
-	delete(e.pending, key)
-	arr, idx := splitKey(key)
-	owners := e.owners(arr, idx)
+func (e *engine) finalize(el elemID) {
+	contribs, owners := e.pending[el], e.owners(el)
 	root := owners[0]
-	me := e.proc.Rank()
-	ekey := key[len(arr)+1:]
-
-	if me == root {
-		total := e.store[arr][ekey]
+	delete(e.pending, el)
+	if e.me == root {
+		total := e.store[el]
 		for _, c := range contribs {
-			var part float64
-			if c == root {
-				part = e.partials[key]
-			} else {
+			part := e.partials[el]
+			if c != root {
 				part = e.proc.RecvValue(c)
 			}
 			total += part
 			e.proc.Compute(1)
 		}
-		e.store[arr][ekey] = total
-		for _, o := range owners {
-			if o != root {
-				e.proc.SendValue(o, total)
-			}
+		e.store[el] = total
+		for _, o := range owners[1:] {
+			e.proc.SendValue(o, total)
 		}
 	} else {
-		if slices.Contains(contribs, me) {
-			e.proc.SendValue(root, e.partials[key])
+		if slices.Contains(contribs, e.me) {
+			e.proc.SendValue(root, e.partials[el])
 		}
-		if slices.Contains(owners, me) {
-			e.store[arr][ekey] = e.proc.RecvValue(root)
+		if slices.Contains(owners, e.me) {
+			e.store[el] = e.proc.RecvValue(root)
 		}
 	}
-	delete(e.partials, key)
+	delete(e.partials, el)
 }

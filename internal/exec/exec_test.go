@@ -199,30 +199,3 @@ func TestExecValidation(t *testing.T) {
 		t.Fatal("missing RHS accepted")
 	}
 }
-
-// TestParseKeyRoundTrip: pkey/splitKey round-trip, and splitKey refuses,
-// naming the key, one without an array part or with malformed subscripts.
-func TestParseKeyRoundTrip(t *testing.T) {
-	for _, key := range []string{"", "!1,2", "noseparator", "a!1x2", "a!1,", "a!007"} {
-		func() {
-			defer func() {
-				if r, ok := recover().(string); !ok || !containsStr(r, key) {
-					t.Errorf("splitKey(%q): panic %v, want one naming the key", key, r)
-				}
-			}()
-			splitKey(key)
-		}()
-	}
-	for _, idx := range [][]int{{1}, {3, 7}, {12, 1}, {0, 5}} {
-		key := pkey("A", idx)
-		arr, got := splitKey(key)
-		if arr != "A" || len(got) != len(idx) {
-			t.Fatalf("split(%q) = %s, %v", key, arr, got)
-		}
-		for i := range idx {
-			if got[i] != idx[i] {
-				t.Fatalf("split(%q) = %v", key, got)
-			}
-		}
-	}
-}

@@ -16,7 +16,7 @@ import (
 )
 
 // elemID packs (array id, 0-based row-major element offset) into one
-// integer — the hot-path replacement for pkey strings.
+// integer: how both engines name an element.
 type elemID int64
 
 const elemOffBits = 40
