@@ -2,7 +2,7 @@
 // names get their values: every array's shape, and every loop bound and
 // subscript as an integer form over the nest's loop slots with the bound
 // size parameters folded in. CheckRanges, core's scheme derivation, cost's
-// closed forms and exec's inspector read what it builds; none of them
+// closed forms and both of exec's engines read what it builds; none of them
 // resolves a name itself. The reference walkers (Nest.Walk) still evaluate
 // names from their environment, so they stay independent of this lowering.
 
