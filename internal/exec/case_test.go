@@ -43,28 +43,40 @@ func casePrograms(t *testing.T) map[string]*ir.Program {
 	return progs
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/runexact.golden from this tree")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/run.golden and testdata/runexact.golden from this tree")
 
-// exactGolden is testdata/runexact.golden: for every label of
-// TestCaseRunsEveryProgram, the sha256 of RunExact's result rendered by
-// renderResult. The per-element engine is the oracle the batched engine
-// is held to, so its own results are pinned bit for bit.
-type exactGolden struct {
+// resultGolden is one golden file of TestCaseRunsEveryProgram: for every
+// label, the sha256 of one engine's result rendered by render.
+// testdata/runexact.golden pins RunExact, the per-element oracle the
+// batched engine is held to, and testdata/run.golden pins Run, so both are
+// held bit for bit.
+type resultGolden struct {
+	path    string
+	render  func(Result) string
 	mu      sync.Mutex
 	digests map[string]string
 }
 
-const exactGoldenPath = "testdata/runexact.golden"
+// caseGoldens are the two goldens checkCase holds a corpus case to.
+type caseGoldens struct{ run, exact *resultGolden }
 
-// loadExactGolden reads the golden, or under -update starts an empty one
-// that t's cleanup writes once every case has recorded its digest.
-func loadExactGolden(t *testing.T, ncases int) *exactGolden {
+// loadCaseGoldens reads both goldens, or under -update starts empty ones
+// that t's cleanup writes once every case has recorded its digests.
+func loadCaseGoldens(t *testing.T, ncases int) *caseGoldens {
 	t.Helper()
-	g := &exactGolden{digests: map[string]string{}}
+	return &caseGoldens{
+		run:   loadGolden(t, "testdata/run.golden", renderRun, ncases),
+		exact: loadGolden(t, "testdata/runexact.golden", renderResult, ncases),
+	}
+}
+
+func loadGolden(t *testing.T, path string, render func(Result) string, ncases int) *resultGolden {
+	t.Helper()
+	g := &resultGolden{path: path, render: render, digests: map[string]string{}}
 	if *updateGolden {
 		t.Cleanup(func() {
 			if len(g.digests) != ncases {
-				t.Errorf("-update recorded %d of %d cases; run every case to rewrite %s", len(g.digests), ncases, exactGoldenPath)
+				t.Errorf("-update recorded %d of %d cases; run every case to rewrite %s", len(g.digests), ncases, path)
 				return
 			}
 			labels := make([]string, 0, len(g.digests))
@@ -79,13 +91,13 @@ func loadExactGolden(t *testing.T, ncases int) *exactGolden {
 			if err := os.MkdirAll("testdata", 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(exactGoldenPath, []byte(b.String()), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		})
 		return g
 	}
-	data, err := os.ReadFile(exactGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +110,9 @@ func loadExactGolden(t *testing.T, ncases int) *exactGolden {
 
 // check compares res's digest with label's line, or records it under
 // -update.
-func (g *exactGolden) check(t *testing.T, label string, res Result) {
+func (g *resultGolden) check(t *testing.T, label string, res Result) {
 	t.Helper()
-	got := fmt.Sprintf("%x", sha256.Sum256([]byte(renderResult(res))))
+	got := fmt.Sprintf("%x", sha256.Sum256([]byte(g.render(res))))
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if *updateGolden {
@@ -108,9 +120,9 @@ func (g *exactGolden) check(t *testing.T, label string, res Result) {
 		return
 	}
 	if want, ok := g.digests[label]; !ok {
-		t.Errorf("%s: no line in %s", label, exactGoldenPath)
+		t.Errorf("%s: no line in %s", label, g.path)
 	} else if got != want {
-		t.Errorf("%s: RunExact's result hashes to %s, %s has %s", label, got, exactGoldenPath, want)
+		t.Errorf("%s: the result hashes to %s, %s has %s", label, got, g.path, want)
 	}
 }
 
@@ -122,11 +134,18 @@ func renderResult(res Result) string {
 	return fmt.Sprintf("%v\n%+v\n%+v\n", res.Values, res.Stats, res.Transport)
 }
 
+// renderRun is renderResult followed by what only Run reports: the
+// segments it executed, each with its grid, change words and nest counts,
+// and its store words. No wall-clock field is rendered.
+func renderRun(res Result) string {
+	return renderResult(res) + fmt.Sprintf("%+v\n%d %d\n", res.Segments, res.StoreWords, res.MaxProcStoreWords)
+}
+
 // checkCase runs the case through both engines and requires each to
 // match the sequential interpreter and the two to execute the same flops;
-// with a golden, RunExact's result must also hash to label's line. It
-// returns Run's result.
-func checkCase(t *testing.T, label string, c Case, golden *exactGolden) Result {
+// with goldens, Run's and RunExact's results must also hash to label's
+// lines. It returns Run's result.
+func checkCase(t *testing.T, label string, c Case, goldens *caseGoldens) Result {
 	t.Helper()
 	var res [2]Result
 	for i, run := range []func(machine.Config) (Result, error){c.Run, c.RunExact} {
@@ -145,8 +164,9 @@ func checkCase(t *testing.T, label string, c Case, golden *exactGolden) Result {
 	if res[0].Stats.Flops != res[1].Stats.Flops {
 		t.Errorf("%s: Run executed %d flops, RunExact %d", label, res[0].Stats.Flops, res[1].Stats.Flops)
 	}
-	if golden != nil {
-		golden.check(t, label, res[1])
+	if goldens != nil {
+		goldens.run.check(t, label, res[0])
+		goldens.exact.check(t, label, res[1])
 	}
 	return res[0]
 }
@@ -157,8 +177,9 @@ func checkCase(t *testing.T, label string, c Case, golden *exactGolden) Result {
 // (the builtins are four of them) at m ∈ {16, 64} and Synthetic(4..16),
 // whose plans have one segment per nest, at m = 16, each on 4, 8, 16 and
 // 64 processors. Input is deterministic, the run executes Iterations
-// iterations' flops, and RunExact's result is runexact.golden's. The
-// subtests run in parallel; every case runs under the race detector too.
+// iterations' flops, Run's result is run.golden's and RunExact's
+// runexact.golden's. The subtests run in parallel; every case runs under
+// the race detector too.
 func TestCaseRunsEveryProgram(t *testing.T) {
 	type kase struct {
 		name string
@@ -184,7 +205,7 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 		cases = append(cases, kase{fmt.Sprintf("Synthetic(%d)", s), ir.Synthetic(s), 16})
 	}
 	ns := []int{4, 8, 16, 64}
-	golden := loadExactGolden(t, len(cases)*len(ns))
+	goldens := loadCaseGoldens(t, len(cases)*len(ns))
 	for _, k := range cases {
 		for _, n := range ns {
 			label := fmt.Sprintf("%s m=%d N=%d", k.name, k.m, n)
@@ -202,7 +223,7 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := checkCase(t, label, c, golden)
+				res := checkCase(t, label, c, goldens)
 				var want []Segment
 				for _, seg := range plan.DP.Segments {
 					want = append(want, Segment{Start: seg.Start, Len: seg.Len, Grid: seg.Schemes.Grid})
