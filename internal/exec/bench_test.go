@@ -61,8 +61,9 @@ func BenchmarkRunJacobi1024(b *testing.B) {
 
 // BenchmarkEventsN256 is the profiling anchor for the event runtime:
 // jacobi, m=64, N=256, compile excluded. Pair with -cpuprofile to find what
-// limits the engine-phase gap (loadInput's per-processor ownership
-// scan was found and removed this way).
+// limits the engine-phase gap (a per-processor ownership scan of the
+// input, which buildLoads' one bucketing pass replaced, was found this
+// way).
 func BenchmarkEventsN256(b *testing.B) { benchRun(b, newBenchCase(b, ir.Jacobi(), 64, 256, 2, true)) }
 
 // allocsPerRun is testing.AllocsPerRun that also reports the bytes: the
@@ -81,8 +82,10 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 15 475
-// allocations of 3.13 MB, a count that repeats exactly run to run: 20 456
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 13 750
+// allocations of 3.04 MB — 14 561 and 3.13 MB while each processor's
+// instruction stream grew on its own, its executor state was allocated in
+// six pieces inside the machine and its reduction peers were maps; 20 456
 // and 5.94 MB while the executor re-evaluated every operand's subscripts
 // against a per-instance loop-vector arena and read buffered copies out of
 // per-origin maps, and the arenas grew by append's quarters (52 601 and
@@ -91,22 +94,23 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // nests were lowered, 65 944 before ranksFor filled its result in place,
 // 52 736 and 9.12 MB while the inspector also recorded every per-element
 // event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
-// ~47 310 allocations of 4.69 MB — ~53 910 and 5.25 MB before operands
-// were resolved once, 65 060 and 5.50 MB before the epoch lowering was
-// slab-allocated, 103 200 and 17.5 MB while every processor held a dense
-// copy of every array it touched, 67 480 and 6.24 MB with the replay
-// record — and map growth moves the count by a few either way (a few
-// hundred, and a few per cent of the bytes, under -race). A trip of this
-// gate is a per-instance, per-epoch or per-processor allocation creeping
-// back, not noise.
+// 24 862 allocations of 3.96 MB — 44 906 and 4.54 MB before the inspector
+// sized every processor's executor state, ~53 910 and 5.25 MB before
+// operands were resolved once, 65 060 and 5.50 MB before the epoch
+// lowering was slab-allocated, 103 200 and 17.5 MB while every processor
+// held a dense copy of every array it touched, 67 480 and 6.24 MB with the
+// replay record. The machine's map growth moves a count by one or two
+// run to run (~100 more allocations, and a few per cent of the bytes,
+// under -race). A trip of this gate is a per-instance, per-epoch or
+// per-processor allocation creeping back, not noise.
 func TestRunAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 17000, 3.45e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 52000, 5.2e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 15000, 3.35e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 27500, 4.4e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)

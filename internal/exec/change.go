@@ -84,13 +84,17 @@ func (c *changeEpoch) copy(r int, from, to int32) {
 // (nestBuilder.address): the sender's, then the receiver's. An origin
 // gathers from its slab under from; a relay, itself a destination,
 // forwards from its slab under to, where every receiver files the words.
+// The sender's executor under to runs the change, so its exchange vector
+// is sized to the messages.
 func (c *changeEpoch) address(from, to *progSchedule, ranks []int32, ops []redistOp) {
 	for i := range ops {
 		snd := int(ranks[i])
 		for r := range ops[i].rounds {
 			for _, msg := range ops[i].rounds[r].sends {
+				words := int32(0)
 				for k := range msg.segs {
 					seg := &msg.segs[k]
+					words += int32(len(seg.elems))
 					seg.addr = int32(len(c.addrs))
 					at := to
 					if snd == int(seg.origin) {
@@ -105,6 +109,7 @@ func (c *changeEpoch) address(from, to *progSchedule, ranks []int32, ops []redis
 						c.addrs = append(c.addrs, off)
 					}
 				}
+				to.vecLen[snd] = max(to.vecLen[snd], words)
 			}
 		}
 	}

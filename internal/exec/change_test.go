@@ -73,8 +73,10 @@ func crossChange(t *testing.T, from, to *progSchedule, c *changeEpoch, input ir.
 	if err != nil {
 		t.Fatal(err)
 	}
+	froms, tos := from.executors(), to.executors()
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		prev, x := newValExec(from, proc), newValExec(to, proc)
+		prev, x := &froms[proc.Rank()], &tos[proc.Rank()]
+		prev.proc, x.proc = proc, proc
 		prev.installInput(loads)
 		x.runChange(c, prev)
 		slabs[x.me], marks[x.me] = x.slab, x.marks

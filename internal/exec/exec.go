@@ -63,7 +63,8 @@ type Result struct {
 	SimWall time.Duration
 	// InspectWall and AssembleWall time Run's other stages: everything
 	// before the machine phase (validation, lowering, the inspector walk,
-	// input bucketing), and the assembly of Values.
+	// input bucketing, cutting the executors' state), and the assembly of
+	// Values.
 	InspectWall, AssembleWall time.Duration
 	// StoreWords and MaxProcStoreWords say how much array data Run's
 	// simulated processors held: the sum and the maximum over ranks of the
@@ -237,31 +238,34 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 	stores := make([][]float64, nprocs)
 	marks := make([][]bool, nprocs)
 	loads := buildLoads(first, input)
+	execs := make([][]valExec, nsegs)
+	for k, s := range pl.segs {
+		execs[k] = s.executors()
+	}
 	simStart := time.Now()
 	mach, err := machine.New(first.g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
 	stats, err := mach.Run(func(proc *machine.Proc) {
-		var one [1]*valExec // a one-segment plan's, without an allocation
-		xs := one[:0]
-		for _, s := range pl.segs {
-			xs = append(xs, newValExec(s, proc))
+		me := proc.Rank()
+		for k := range execs {
+			execs[k][me].proc = proc
 		}
-		xs[0].installInput(loads)
-		cur := xs[0]
+		cur := &execs[0][me]
+		cur.installInput(loads)
 		for it := 0; it < iters; it++ {
-			for k, x := range xs {
-				if x != cur {
+			for k := range execs {
+				if x := &execs[k][me]; x != cur {
 					x.runChange(pl.changes[k], cur)
 					cur = x
 				}
-				for _, ns := range x.s.nests {
-					x.runNest(ns)
+				for _, ns := range cur.s.nests {
+					cur.runNest(ns)
 				}
 			}
 		}
-		stores[cur.me], marks[cur.me] = cur.slab, cur.marks
+		stores[me], marks[me] = cur.slab, cur.marks
 	})
 	if err != nil {
 		return Result{}, err

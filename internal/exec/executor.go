@@ -2,8 +2,8 @@
 // precomputed instruction stream (schedule.go) against stores of the
 // elements it owns, exchanging each epoch's traffic as one vectored
 // machine.Send per processor pair. The stream is allocated once by the
-// inspector, which also resolved every operand to a local address, and the
-// executor reuses its scratch buffers across instances.
+// inspector, which also resolved every operand to a local address, laid
+// out every reduction's words and sized every buffer the executor uses.
 
 package exec
 
@@ -11,22 +11,24 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
 
 // valExec is one processor's value-pass state, all of it proportional to
-// what the processor owns and exchanges: the stores hold its owner cell of
-// each array and nothing else (layout.go's shared tables turn a global
-// element into a local offset), the copy buffer and the partial sums hold
-// one position per element the inspector numbered for this processor, and
-// the per-peer state is sparse maps made on first use — a processor that
-// never reduces makes none. At N=4096 a processor typically owns a handful
-// of elements and talks to a handful of neighbours; sizing any of this by
-// the array or by nprocs would make the executor itself the memory
-// bottleneck the machine's sparse queues exist to remove.
+// what the processor owns and exchanges, and all of it sized by the
+// inspector before the machine starts (progSchedule.executors): the
+// stores hold its owner cell of each array and nothing else (layout.go's
+// shared tables turn a global element into a local offset), the copy
+// buffer and the partial sums hold one position per element the inspector
+// numbered for this processor, and the exchange vector is as long as its
+// longest message or reduction phase. A reduction's peers are lists the
+// inspector laid out (redRole), so the value pass keeps no per-peer state
+// and allocates none. At N=4096 a processor typically owns a handful of
+// elements and talks to a handful of neighbours; sizing any of this by the
+// array or by nprocs would make the executor itself the memory bottleneck
+// the machine's sparse queues exist to remove.
 //
 // An opEval's operands arrive as local addresses (schedule.go's operand):
 // an offset into slab, a position in cbuf, the rank of a direct message or
@@ -58,64 +60,41 @@ type valExec struct {
 	filled []bool
 	// vals holds the current eval's operand values, in Reads order.
 	vals []float64
-	// gather is the vectored-send scratch (machine.Send copies).
-	gather []machine.Word
-	// Vectored-reduction scratch: per-destination build buffers,
-	// per-source receive buffers with cursors and expected counts, and
-	// the ring hop vector.
-	rsend map[int][]machine.Word
-	rrecv map[int]*vbuf
-	rneed map[int]int
-	rvec  []machine.Word
-	// keys is the sorted-peer iteration scratch of flushSends and
-	// drainRecvs (map order is random; the wire order must not be).
-	keys []int
+	// vec is the exchange vector: a redistribution message is gathered in
+	// it, and a reduction phase lays out its sends in it and, once they
+	// are out (machine.Send copies), its receives (phase).
+	vec []machine.Word
 }
 
-type vbuf struct {
-	data []machine.Word
-	pos  int
-}
-
-// newValExec allocates the processor's stores — one slab of values and one
-// of marks, as long as its cells of every array — its copy buffer and its
-// partial sums.
-func newValExec(s *progSchedule, proc machine.Port) *valExec {
-	x := &valExec{s: s, proc: proc, me: proc.Rank()}
-	words := s.storeWords(x.me)
-	x.slab, x.marks, x.base = make([]float64, words), make([]bool, words), s.row(x.me)
-	x.cbuf, x.filled = make([]machine.Word, s.bufs.n[x.me]), make([]bool, s.bufs.n[x.me])
-	x.part = make([]float64, s.parts.n[x.me])
-	return x
-}
-
-// rbuf returns the (created-on-demand) reduction receive buffer for src.
-func (x *valExec) rbuf(src int) *vbuf {
-	b := x.rrecv[src]
-	if b == nil {
-		if x.rrecv == nil {
-			x.rrecv = make(map[int]*vbuf)
+// executors cuts every rank's value-pass state for the segment out of one
+// backing array per element type: rank r's stores (storeWords), partial
+// sums (parts.n), operand values (the segment's most Reads), copy buffer
+// (bufs.n) and exchange vector (vecLen), and its marks and filled flags.
+// Each is as long as the inspector found r needs, so the whole is the sum
+// of what the ranks own and exchange. The caller hands each its Port.
+func (s *progSchedule) executors() []valExec {
+	reads := 0
+	for _, ns := range s.nests {
+		for i := range ns.stmts {
+			reads = max(reads, len(ns.stmts[i].reads))
 		}
-		b = &vbuf{}
-		x.rrecv[src] = b
 	}
-	return b
-}
-
-// queue appends one word to the vectored message building for dst.
-func (x *valExec) queue(dst int, w machine.Word) {
-	if x.rsend == nil {
-		x.rsend = make(map[int][]machine.Word)
+	words, flags := 0, 0
+	for r := range s.nprocs {
+		store, bufs := s.storeWords(r), int(s.bufs.n[r])
+		words += store + int(s.parts.n[r]) + reads + bufs + int(s.vecLen[r])
+		flags += store + bufs
 	}
-	x.rsend[dst] = append(x.rsend[dst], w)
-}
-
-// expect counts one more word due from src in the next drainRecvs.
-func (x *valExec) expect(src int) {
-	if x.rneed == nil {
-		x.rneed = make(map[int]int)
+	fw, bw := make([]float64, words), make([]bool, flags)
+	xs := make([]valExec, s.nprocs)
+	for r := range xs {
+		store, bufs := s.storeWords(r), int(s.bufs.n[r])
+		xs[r] = valExec{s: s, me: r, base: s.row(r),
+			slab: carve(&fw, store), part: carve(&fw, int(s.parts.n[r])), vals: carve(&fw, reads),
+			cbuf: carve(&fw, bufs), vec: carve(&fw, int(s.vecLen[r])),
+			marks: carve(&bw, store), filled: carve(&bw, bufs)}
 	}
-	x.rneed[src]++
+	return xs
 }
 
 type elemVal struct {
@@ -230,23 +209,25 @@ func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf [
 		rd := &op.rounds[r]
 		for i := range rd.sends {
 			msg := &rd.sends[i]
-			x.gather = x.gather[:0]
+			n := 0
 			for _, seg := range msg.segs {
 				from := addrs[seg.addr : int(seg.addr)+len(seg.elems)]
 				if int(seg.origin) == x.me {
 					for _, o := range from {
-						x.gather = append(x.gather, origin[o])
+						x.vec[n] = origin[o]
+						n++
 					}
 				} else {
 					for _, p := range from {
 						if !filled[p] {
 							x.unfilled(int(p))
 						}
-						x.gather = append(x.gather, buf[p])
+						x.vec[n] = buf[p]
+						n++
 					}
 				}
 			}
-			x.proc.Send(int(msg.peer), x.gather)
+			x.proc.Send(int(msg.peer), x.vec[:n])
 		}
 		for i := range rd.recvs {
 			msg := &rd.recvs[i]
@@ -283,8 +264,7 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		}
 		return
 	}
-	x.vals = x.vals[:0]
-	for _, o := range ops {
+	for i, o := range ops {
 		var v float64
 		switch o.kind() {
 		case opdOwned:
@@ -296,7 +276,7 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		default:
 			v = x.part[o.addr()]
 		}
-		x.vals = append(x.vals, v)
+		x.vals[i] = v
 	}
 	v := x.evalExpr(stmt.rhs)
 	if in.role == roleReduce {
@@ -333,50 +313,6 @@ func (x *valExec) evalExpr(e *lexpr) float64 {
 	return l / r // lowerExpr admits no fifth operator
 }
 
-// flushSends transmits every non-empty per-destination build buffer in
-// ascending destination order and returns the words sent.
-func (x *valExec) flushSends() int {
-	sent := 0
-	x.keys = x.keys[:0]
-	for dst, b := range x.rsend {
-		if len(b) > 0 {
-			x.keys = append(x.keys, dst)
-		}
-	}
-	sort.Ints(x.keys)
-	for _, dst := range x.keys {
-		b := x.rsend[dst]
-		x.proc.Send(dst, b)
-		sent += len(b)
-		x.rsend[dst] = b[:0]
-	}
-	return sent
-}
-
-// drainRecvs receives one vectored message per source with a nonzero
-// expected count, in ascending source order, resetting the counts.
-func (x *valExec) drainRecvs(what string) {
-	x.keys = x.keys[:0]
-	for src, need := range x.rneed {
-		if need > 0 {
-			x.keys = append(x.keys, src)
-		}
-	}
-	sort.Ints(x.keys)
-	for _, src := range x.keys {
-		b := x.rbuf(src)
-		if b.pos != len(b.data) {
-			panic(fmt.Sprintf("exec: %s buffer from %d not drained (%d of %d words)", what, src, b.pos, len(b.data)))
-		}
-		data := x.proc.Recv(src)
-		if len(data) != x.rneed[src] {
-			panic(fmt.Sprintf("exec: %s exchange from %d expected %d words, got %d", what, src, x.rneed[src], len(data)))
-		}
-		b.data, b.pos = data, 0
-		x.rneed[src] = 0
-	}
-}
-
 // takePart returns the partial sum at position p and clears it for the
 // element's next reduction.
 func (x *valExec) takePart(p int32) float64 {
@@ -385,11 +321,29 @@ func (x *valExec) takePart(p int32) float64 {
 	return v
 }
 
-func (x *valExec) popRecv(src int) machine.Word {
-	b := x.rrecv[src]
-	v := b.data[b.pos]
-	b.pos++
-	return v
+// sendVec sends each destination its range of the exchange vector, the
+// ranges in ascending destination order from at on, and returns the words
+// sent.
+func (x *valExec) sendVec(to []peerWords, at int) int {
+	sent := 0
+	for _, d := range to {
+		x.proc.Send(int(d.peer), x.vec[at+sent:at+sent+int(d.n)])
+		sent += int(d.n)
+	}
+	return sent
+}
+
+// recvVec receives one vector from each source, in ascending source
+// order, into the source's range of the exchange vector.
+func (x *valExec) recvVec(from []peerWords, what string) {
+	at := 0
+	for _, src := range from {
+		data := x.proc.Recv(int(src.peer))
+		if len(data) != int(src.n) {
+			panic(fmt.Sprintf("exec: %s exchange from %d expected %d words, got %d", what, src.peer, src.n, len(data)))
+		}
+		at += copy(x.vec[at:], data)
+	}
 }
 
 // reduceBatch runs one vectored reduction exchange (opRed): the
@@ -397,7 +351,8 @@ func (x *valExec) popRecv(src int) machine.Word {
 // inspector marked the batch ring-eligible. Both fold each element
 // exactly like the oracle's finalize — stored value first, then
 // contributors in ascending order — so values stay bit-identical. The
-// processor walks only the items of its own role lists.
+// processor walks only the items of its own role lists, and moves its
+// words through the slots the inspector laid out.
 func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	if r.ring {
 		x.reduceRing(r, role)
@@ -405,22 +360,14 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	}
 
 	// Gather phase: one vectored partials message per (contributor,
-	// root) pair, items in batch order on both ends so cursors align.
+	// root) pair, items in batch order on both ends.
 	start := x.proc.Clock()
-	for k, i := range role.contrib {
-		if f := r.items[i]; f.root != x.me {
-			x.queue(f.root, x.takePart(role.part[k]))
-		}
+	for k, p := range role.part {
+		x.vec[role.gather.put[k]] = x.takePart(p)
 	}
-	sent := x.flushSends()
-	for _, i := range role.root {
-		for _, c := range r.items[i].contribs {
-			if c != x.me {
-				x.expect(c)
-			}
-		}
-	}
-	x.drainRecvs("gather")
+	sent := x.sendVec(role.gather.to, 0)
+	x.recvVec(role.gather.from, "gather")
+	j := 0
 	for _, i := range role.root {
 		f := r.items[i]
 		total := x.loadElem(f.elem)
@@ -429,7 +376,8 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 			if c == x.me {
 				part = x.takePart(f.parts[k])
 			} else {
-				part = x.popRecv(c)
+				part = x.vec[role.gather.get[j]]
+				j++
 			}
 			total += part
 			x.proc.Compute(1)
@@ -442,21 +390,16 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 	// reader) pair. Owners outside the fan-out were proven by the
 	// liveness scan not to read the total before its next write.
 	start = x.proc.Clock()
+	j = 0
 	for _, i := range role.root {
 		f := r.items[i]
-		for _, o := range f.fanout {
-			x.queue(o, x.loadElem(f.elem))
+		for range f.fanout {
+			x.vec[role.fanout.put[j]] = x.loadElem(f.elem)
+			j++
 		}
 	}
-	sent = x.flushSends()
-	for _, i := range role.reads {
-		x.expect(r.items[i].root)
-	}
-	x.drainRecvs("fanout")
-	for _, i := range role.reads {
-		f := r.items[i]
-		x.storeElem(f.elem, x.popRecv(f.root))
-	}
+	sent = x.sendVec(role.fanout.to, 0)
+	x.storeTotals(r, role, "fanout")
 	x.proc.Note(machine.EvFanout, start, x.proc.Clock(), -1, sent)
 }
 
@@ -471,60 +414,51 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	start := x.proc.Clock()
 	sent := 0
 	order := r.items[0].contribs
-	k := len(order)
+	k, n := len(order), len(r.items)
 	last := order[k-1]
 	pos := slices.Index(order, x.me)
 	switch {
 	case pos == 0: // root: fold stored values + own partials, start the ring
-		x.rvec = x.rvec[:0]
-		for _, f := range r.items {
-			x.rvec = append(x.rvec, x.loadElem(f.elem)+x.part[f.parts[0]])
+		vec := x.vec[:n]
+		for i, f := range r.items {
+			vec[i] = x.loadElem(f.elem) + x.part[f.parts[0]]
 			x.proc.Compute(1)
 		}
-		x.proc.Send(order[1], x.rvec)
-		sent += len(x.rvec)
+		x.proc.Send(order[1], vec)
+		sent += n
 		data := x.proc.Recv(last)
-		if len(data) != len(r.items) {
-			panic(fmt.Sprintf("exec: ring totals expected %d words, got %d", len(r.items), len(data)))
+		if len(data) != n {
+			panic(fmt.Sprintf("exec: ring totals expected %d words, got %d", n, len(data)))
 		}
 		for i, f := range r.items {
 			x.storeElem(f.elem, data[i])
 		}
 	case pos > 0 && pos < k-1: // interior hop: fold and forward
-		data := x.proc.Recv(order[pos-1])
-		x.rvec = x.rvec[:0]
-		for i, f := range r.items {
-			x.rvec = append(x.rvec, data[i]+x.part[f.parts[pos]])
-			x.proc.Compute(1)
-		}
-		x.proc.Send(order[pos+1], x.rvec)
-		sent += len(x.rvec)
-		x.ringStoreTotals(r, role, last)
+		x.proc.Send(order[pos+1], x.foldHop(r, order[pos-1], pos))
+		sent += n
+		x.storeTotals(r, role, "ring")
 	case pos == k-1: // last hop: fold, then deliver the totals
-		data := x.proc.Recv(order[k-2])
-		x.rvec = x.rvec[:0]
-		for i, f := range r.items {
-			x.rvec = append(x.rvec, data[i]+x.part[f.parts[pos]])
-			x.proc.Compute(1)
-		}
+		vec := x.foldHop(r, order[k-2], pos)
 		for _, i := range role.reads {
-			x.storeElem(r.items[i].elem, x.rvec[i])
+			x.storeElem(r.items[i].elem, vec[i])
 		}
 		// The root always gets the full vector; live readers get their
-		// items. Root = min(owners) < every fan-out rank, so sending it
-		// first keeps the destinations ascending.
-		x.proc.Send(r.items[0].root, x.rvec)
-		sent += len(x.rvec)
+		// items, laid out after it. Root = min(owners) < every fan-out
+		// rank, so sending it first keeps the destinations ascending.
+		x.proc.Send(r.items[0].root, vec)
+		sent += n
+		j := 0
 		for i, f := range r.items {
 			for _, o := range f.fanout {
 				if o != x.me {
-					x.queue(o, x.rvec[i])
+					x.vec[role.fanout.put[j]] = vec[i]
+					j++
 				}
 			}
 		}
-		sent += x.flushSends()
+		sent += x.sendVec(role.fanout.to, n)
 	default: // pure reader
-		x.ringStoreTotals(r, role, last)
+		x.storeTotals(r, role, "ring")
 	}
 	if pos >= 0 { // every hop of the chain held a partial of every item
 		for _, f := range r.items {
@@ -534,17 +468,24 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) {
 	x.proc.Note(machine.EvRing, start, x.proc.Clock(), -1, sent)
 }
 
-// ringStoreTotals receives the delivery vector from the ring's last
-// contributor and stores the items this processor is a live reader of.
-func (x *valExec) ringStoreTotals(r *redOp, role *redRole, last int) {
-	if len(role.reads) == 0 {
-		return
+// foldHop receives the running totals from the previous hop and folds in
+// this hop's partials, the chain's pos-th, at the front of the exchange
+// vector.
+func (x *valExec) foldHop(r *redOp, prev, pos int) []machine.Word {
+	data := x.proc.Recv(prev)
+	vec := x.vec[:len(r.items)]
+	for i, f := range r.items {
+		vec[i] = data[i] + x.part[f.parts[pos]]
+		x.proc.Compute(1)
 	}
-	for range role.reads {
-		x.expect(last)
-	}
-	x.drainRecvs("ring")
-	for _, i := range role.reads {
-		x.storeElem(r.items[i].elem, x.popRecv(last))
+	return vec
+}
+
+// storeTotals receives the totals this processor is a live reader of —
+// from the roots, or from a ring's last hop — and stores them.
+func (x *valExec) storeTotals(r *redOp, role *redRole, what string) {
+	x.recvVec(role.fanout.from, what)
+	for k, i := range role.reads {
+		x.storeElem(r.items[i].elem, x.vec[role.fanout.get[k]])
 	}
 }

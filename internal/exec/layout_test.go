@@ -228,7 +228,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{{name: "A", ext: []int{4}, size: 4, lay: lay}},
-		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}}
+		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}, vecLen: make([]int32, 2)}
 	// Rank 1 is told to ship A(2), which rank 0 owns, to rank 0.
 	load := &nestSchedule{procs: [][]pinstr{nil, {{op: opSendDirect, arg: 0, elem: mkElem(0, 1)}}}}
 	cases := []struct {
@@ -247,13 +247,18 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = mach.Run(func(proc *machine.Proc) { c.body(newValExec(s, proc)) })
+		xs := s.executors()
+		_, err = mach.Run(func(proc *machine.Proc) {
+			x := &xs[proc.Rank()]
+			x.proc = proc
+			c.body(x)
+		})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error with %q", c.label, err, c.want)
 		}
 	}
 	// What each rank does own still reads and writes through the table.
-	x := newValExec(s, rankZero{})
+	x := &s.executors()[0]
 	x.storeElem(mkElem(0, 1), 2.5)
 	if got := x.loadElem(mkElem(0, 1)); got != 2.5 || !reflect.DeepEqual(x.marks, []bool{false, true}) {
 		t.Fatalf("rank 0 reads back %v with marks %v", got, x.marks)

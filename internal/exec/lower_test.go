@@ -339,7 +339,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 			}
 			// One value per element, in [1, 2) so no division blows up, held
 			// both in the executor's store and in an ir.Storage.
-			x := newValExec(s, rankZero{})
+			x := &s.executors()[0]
+			x.proc = rankZero{}
 			vals := ir.NewStorage(p)
 			for a, am := range s.arrays {
 				for off := 0; off < am.size; off++ {

@@ -82,6 +82,10 @@ type lowering struct {
 	opSlab    []redistOp
 	roundSlab []redistRound
 	msgSlab   []redistMsg
+	// chunks hold the arena emit appends to, reused by every nest: the
+	// instructions of the nest being walked, in emission order, with the
+	// rank each is for (nestBuilder.slot).
+	chunks [][]rankedInstr
 	// tap (tests only) sees each epoch's sorted traffic and its plan, before
 	// the plan is addressed; evalTap (tests only) sees each opEval as it is
 	// emitted — ns.procs[p][at] — with the instance's loop vector.

@@ -24,6 +24,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -61,6 +62,10 @@ type progSchedule struct {
 	// position per (rank, element) for the whole run, which is how long
 	// the executor's cbuf and part are.
 	bufs, parts posTable
+	// vecLen[r] is the length of rank r's exchange vector: the most words
+	// it sends in one redistribution message (address) or lays out in one
+	// phase of a reduction (buildRoles).
+	vecLen []int32
 	// Liveness state for fan-out pruning: redArrs marks arrays that
 	// appear as a reduction LHS; acc records, per element of
 	// those arrays, the program-order sequence of local-read and write
@@ -305,21 +310,61 @@ type redOp struct {
 	roles []redRole
 }
 
-// redRole is one participant's part in a reduction exchange, as indices
-// into the items in batch order: the items it holds a partial of (as their
-// root or not) with that partial's position (part), the items it folds and
-// stores as their root, and those it receives the total of as a live
-// reader. The executor walks these, never the whole batch.
+// redRole is one participant's part in a reduction exchange: the
+// positions of the partials it sends a root other than itself, and the
+// items (indices in batch order) it folds and stores as their root and
+// those it receives the total of as a live reader. gather and fanout lay
+// out its words on the wire; a ring uses fanout alone, for the last hop's
+// deliveries and a reader's receive from it. The executor walks these,
+// each in its order, never the whole batch.
 type redRole struct {
-	contrib, part, root, reads []int32
+	part, root, reads []int32
+	gather, fanout    phase
 }
 
-// buildRoles fills every exchange's role lists and counts the exchanges
-// in their nest's count; it runs after computeFanouts, which decides the
-// readers. A ring's wire words are the two-phase ones plus the total the
-// last hop returns to the root, less the one it would deliver itself.
+// phase is one role's words in one phase of an exchange, in the rank's
+// exchange vector (valExec.vec): the destinations ascending with their
+// word counts, whose ranges lie in that order from 0 (after the folded
+// totals, for a ring's last hop), and the slot of each word the role
+// sends; then the same for the sources, from 0 once the sends are out,
+// and the words the role reads.
+type phase struct {
+	to, from []peerWords
+	put, get []int32
+}
+
+type peerWords struct{ peer, n int32 }
+
+// buildRoles fills every exchange's role lists, lays out each role's
+// words (pack), sizes each rank's exchange vector to its longest phase,
+// and counts the exchanges in their nest's count; it runs after
+// computeFanouts, which decides the readers. A ring's wire words are the
+// two-phase ones plus the total the last hop returns to the root, less
+// the one it would deliver itself.
 func (s *progSchedule) buildRoles() {
 	at := make([]int32, s.nprocs) // rank -> index into the exchange's parts
+	var idx []int32
+	var peers, list []peerWords
+	// pack rewrites a put or get list from peers to slots, base plus the
+	// word's place in the peers' ranges, and returns the peers ascending
+	// with their counts.
+	pack := func(seq []int32, base int32) []peerWords {
+		idx, list = idx[:0], list[:0]
+		for j := range seq {
+			idx = append(idx, int32(j))
+		}
+		slices.SortStableFunc(idx, func(i, j int32) int { return cmp.Compare(seq[i], seq[j]) })
+		for k, j := range idx {
+			if k == 0 || seq[j] != seq[idx[k-1]] {
+				list = append(list, peerWords{seq[j], 0})
+			}
+			list[len(list)-1].n++
+		}
+		for k, j := range idx {
+			seq[j] = base + int32(k)
+		}
+		return append(carve(&peers, len(list))[:0], list...)
+	}
 	for _, ns := range s.nests {
 		cnt := &ns.count
 		for _, r := range ns.reds {
@@ -328,17 +373,35 @@ func (s *progSchedule) buildRoles() {
 			}
 			r.roles = make([]redRole, len(r.parts))
 			for i, f := range r.items {
+				// The put and get lists take the peer of each word, in the
+				// order the executor moves them.
+				root := &r.roles[at[f.root]]
+				sender, src := root, int32(f.root) // of a live reader's total
+				if r.ring {
+					last := f.contribs[len(f.contribs)-1]
+					sender, src = &r.roles[at[last]], int32(last)
+				} else {
+					root.root = append(root.root, int32(i))
+				}
 				for k, c := range f.contribs {
-					role := &r.roles[at[c]]
-					role.contrib = append(role.contrib, int32(i))
-					role.part = append(role.part, f.parts[k])
-					if c != f.root {
-						cnt.Words++
+					if c == f.root {
+						continue
+					}
+					cnt.Words++
+					if !r.ring {
+						role := &r.roles[at[c]]
+						role.part = append(role.part, f.parts[k])
+						role.gather.put = append(role.gather.put, int32(f.root))
+						root.gather.get = append(root.gather.get, int32(c))
 					}
 				}
-				r.roles[at[f.root]].root = append(r.roles[at[f.root]].root, int32(i))
 				for _, o := range f.fanout {
-					r.roles[at[o]].reads = append(r.roles[at[o]].reads, int32(i))
+					reader := &r.roles[at[o]]
+					reader.reads = append(reader.reads, int32(i))
+					if int32(o) != src { // a ring's last hop stores its own
+						sender.fanout.put = append(sender.fanout.put, int32(o))
+						reader.fanout.get = append(reader.fanout.get, src)
+					}
 				}
 				cnt.CombineFlops += int64(len(f.contribs))
 				cnt.FanoutWords += int64(len(f.fanout))
@@ -346,6 +409,20 @@ func (s *progSchedule) buildRoles() {
 				if r.ring && !slices.Contains(f.fanout, f.contribs[len(f.contribs)-1]) {
 					cnt.Words++
 				}
+			}
+			chain := r.items[0].contribs
+			for k, p := range r.parts {
+				role, base, need := &r.roles[k], 0, 0
+				if r.ring && slices.Contains(chain, p) {
+					need = len(r.items) // the folded totals, before a last hop's deliveries
+					if p == chain[len(chain)-1] {
+						base = need
+					}
+				}
+				role.gather.to, role.gather.from = pack(role.gather.put, 0), pack(role.gather.get, 0)
+				role.fanout.to, role.fanout.from = pack(role.fanout.put, int32(base)), pack(role.fanout.get, 0)
+				need = max(need, len(role.gather.put), len(role.gather.get), base+len(role.fanout.put), len(role.fanout.get))
+				s.vecLen[p] = max(s.vecLen[p], int32(need))
 			}
 		}
 	}
@@ -407,6 +484,7 @@ func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64,
 		arrays:  make([]arrayMeta, len(lw.Names)),
 		redArrs: make([]bool, len(lw.Names)),
 		acc:     make(map[elemID][]accEvent),
+		vecLen:  make([]int32, ss.Grid.Size()),
 	}
 	for a, name := range lw.Names {
 		am := &s.arrays[a]

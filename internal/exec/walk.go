@@ -36,7 +36,12 @@ type nestBuilder struct {
 	// past).
 	written dense[uint32]
 	epoch   uint32
-	// first[p] is one past the slot ns.procs[p] reserves for the current
+	// The nest's instructions go to an arena (lowering.chunks), which
+	// holds emitted of them, n[p] for rank p, and which cut splits into
+	// the ranks' streams at nest end.
+	emitted int
+	n       []int32
+	// first[p] is one past the arena slot p reserves for the current
 	// epoch's opRedist, 0 until p's first instruction of the epoch;
 	// traffic lists the epoch's batched ships in ship order, and low is
 	// the scratch closeEpoch lowers them with.
@@ -86,6 +91,7 @@ func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
 		pending: make(map[elemID][]int),
 		written: make(dense[uint32], len(s.arrays)),
 		epoch:   1,
+		n:       make([]int32, s.nprocs),
 		first:   make([]int32, s.nprocs),
 		low:     low,
 		seen:    make(dense[[]uint64], len(s.arrays)),
@@ -109,6 +115,7 @@ func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
 	slices.Sort(elems)
 	b.emitBatch(elems, false)
 	b.closeEpoch()
+	b.cut()
 	return ns, nil
 }
 
@@ -141,12 +148,49 @@ func (b *nestBuilder) walk(level int) error {
 // first instruction of an epoch the slot closeEpoch fills with the
 // epoch's opRedist — the exchange runs first and no stream is copied.
 func (b *nestBuilder) emit(p int, in pinstr) {
-	stream := grow(b.ns.procs[p], 2)
 	if b.first[p] == 0 {
-		stream = append(stream, pinstr{})
-		b.first[p] = int32(len(stream))
+		b.push(p, pinstr{})
+		b.first[p] = int32(b.emitted)
 	}
-	b.ns.procs[p] = append(stream, in)
+	b.push(p, in)
+}
+
+// rankedInstr is one arena entry: an instruction and its rank.
+type rankedInstr struct {
+	in   pinstr
+	rank int32
+}
+
+const chunkBits = 10 // an arena chunk holds 1024 entries
+
+// slot is the nest's i-th arena entry.
+func (b *nestBuilder) slot(i int) *rankedInstr {
+	return &b.low.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
+}
+
+// push appends in to the nest's arena, for p. The arena grows a chunk at a
+// time, so no entry is ever copied before cut.
+func (b *nestBuilder) push(p int, in pinstr) {
+	if b.emitted>>chunkBits == len(b.low.chunks) {
+		b.low.chunks = append(b.low.chunks, make([]rankedInstr, 1<<chunkBits))
+	}
+	*b.slot(b.emitted) = rankedInstr{in, int32(p)}
+	b.emitted++
+	b.n[p]++
+}
+
+// cut splits the nest's arena into the processors' streams, each in its
+// order, out of one allocation.
+func (b *nestBuilder) cut() {
+	all, off := make([]pinstr, b.emitted), 0
+	for p, n := range b.n {
+		b.ns.procs[p] = all[off : off : off+int(n)]
+		off += int(n)
+	}
+	for i := range b.emitted {
+		e := b.slot(i)
+		b.ns.procs[e.rank] = append(b.ns.procs[e.rank], e.in)
+	}
 }
 
 // grow makes room for n more elements at the end of an arena, at least
@@ -334,7 +378,7 @@ func (b *nestBuilder) emitEval(p int, in pinstr, ops []operand) {
 		b.flops[p] += int64(b.ns.stmts[in.stmt].Flops)
 	}
 	if b.low.evalTap != nil {
-		b.low.evalTap(b.ns, p, len(b.ns.procs[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
+		b.low.evalTap(b.ns, p, int(b.n[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
 	}
 }
 
@@ -435,9 +479,9 @@ func (b *nestBuilder) closeEpoch() {
 			in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
 			b.ns.redists = append(b.ns.redists, &ops[i])
 			if at := b.first[p]; at > 0 {
-				b.ns.procs[p][at-1] = in
+				b.slot(int(at) - 1).in = in
 			} else {
-				b.ns.procs[p] = append(b.ns.procs[p], in)
+				b.push(int(p), in)
 			}
 		}
 		b.traffic = b.traffic[:0]
@@ -447,7 +491,8 @@ func (b *nestBuilder) closeEpoch() {
 }
 
 // address writes every segment's addresses (see redistSeg) into the
-// nest's addrs arena. A segment is shared by its message's two ends and
+// nest's addrs arena, and sizes each sender's exchange vector to its
+// messages. A segment is shared by its message's two ends and
 // addressed once, from the send. Every receiver, relays included, is a
 // destination of the segment's elements, so their positions were numbered
 // when the ships were listed.
@@ -457,8 +502,10 @@ func (b *nestBuilder) address(ranks []int32, ops []redistOp) {
 		snd := int(ranks[i])
 		for r := range ops[i].rounds {
 			for _, msg := range ops[i].rounds[r].sends {
+				words := int32(0)
 				for k := range msg.segs {
 					seg := &msg.segs[k]
+					words += int32(len(seg.elems))
 					seg.addr = int32(len(b.ns.addrs))
 					b.ns.addrs = grow(b.ns.addrs, 2*len(seg.elems))
 					for _, e := range seg.elems {
@@ -473,6 +520,7 @@ func (b *nestBuilder) address(ranks []int32, ops []redistOp) {
 						b.ns.addrs = append(b.ns.addrs, s.bufs.pos(s, e, int(msg.peer)))
 					}
 				}
+				s.vecLen[snd] = max(s.vecLen[snd], words)
 			}
 		}
 	}
