@@ -82,8 +82,9 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 13 750
-// allocations of 3.04 MB — 14 561 and 3.13 MB while each processor's
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 13 703
+// allocations of 3.04 MB — 13 750 while each processor was a goroutine,
+// 14 561 and 3.13 MB while each processor's
 // instruction stream grew on its own, its executor state was allocated in
 // six pieces inside the machine and its reduction peers were maps; 20 456
 // and 5.94 MB while the executor re-evaluated every operand's subscripts
@@ -94,7 +95,8 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // nests were lowered, 65 944 before ranksFor filled its result in place,
 // 52 736 and 9.12 MB while the inspector also recorded every per-element
 // event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
-// 24 862 allocations of 3.96 MB — 44 906 and 4.54 MB before the inspector
+// 20 895 allocations of 3.77 MB — 24 862 and 3.96 MB while each processor
+// was a goroutine with a channel, 44 906 and 4.54 MB before the inspector
 // sized every processor's executor state, ~53 910 and 5.25 MB before
 // operands were resolved once, 65 060 and 5.50 MB before the epoch
 // lowering was slab-allocated, 103 200 and 17.5 MB while every processor
@@ -110,7 +112,7 @@ func TestRunAllocBudget(t *testing.T) {
 		allocs, bytes float64
 	}{
 		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 15000, 3.35e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 27500, 4.4e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 23000, 4.15e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
@@ -143,5 +145,33 @@ func TestRunAllocBudget(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { low.lower(traffic) }); allocs > 6 {
 			t.Errorf("lowering an epoch of %d pairs made %.0f allocations, want at most 6", pairs, allocs)
 		}
+	}
+}
+
+// goroutineTracer samples runtime.NumGoroutine at every trace event and
+// keeps the largest count it saw.
+type goroutineTracer struct{ peak int }
+
+func (g *goroutineTracer) Record(machine.Event) { g.peak = max(g.peak, runtime.NumGoroutine()) }
+
+// TestRunStartsNoProcessorGoroutines: Run's executors are steps of the
+// machine, called on Run's goroutine, so no simulated processor gets a
+// goroutine of its own. Jacobi on 1,024 processors samples the count at
+// every trace event; it stayed about 1,024 above the count before Run
+// while each processor was a coroutine.
+func TestRunStartsNoProcessorGoroutines(t *testing.T) {
+	c := newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true)
+	before := runtime.NumGoroutine()
+	tr := &goroutineTracer{}
+	cfg := machine.DefaultConfig()
+	cfg.Tracer = tr
+	if _, err := Run(c.p, c.ss, c.bind, nil, c.iters, cfg, c.input); err != nil {
+		t.Fatal(err)
+	}
+	if tr.peak == 0 {
+		t.Fatal("the tracer saw no event")
+	}
+	if tr.peak > before+4 {
+		t.Fatalf("%d goroutines during Run, %d before it: the processors run as goroutines", tr.peak, before)
 	}
 }

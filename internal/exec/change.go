@@ -116,16 +116,17 @@ func (c *changeEpoch) address(from, to *progSchedule, ranks []int32, ops []redis
 }
 
 // runChange crosses the change into x's segment from prev's, prev being
-// this rank's executor of the segment before: the copies it keeps, then
-// the redistribution's rounds, gathered at an origin from prev's stores
-// and filed in x's, from which a relay forwards them. Every element x's
-// rank owns is one or the other, so x's stores leave the change current.
-func (x *valExec) runChange(c *changeEpoch, prev *valExec) {
-	for _, cp := range c.copies[x.me] {
-		copy(x.slab[cp.to:cp.to+cp.n], prev.slab[cp.from:cp.from+cp.n])
-		copy(x.marks[cp.to:cp.to+cp.n], prev.marks[cp.from:cp.from+cp.n])
+// this rank's executor of the segment before: the copies it keeps (on the
+// first call, stage 0), then the redistribution's rounds, gathered at an
+// origin from prev's stores and filed in x's, from which a relay forwards
+// them. Every element x's rank owns is one or the other.
+func (x *valExec) runChange(c *changeEpoch, prev *valExec) bool {
+	if x.stage == 0 {
+		for _, cp := range c.copies[x.me] {
+			copy(x.slab[cp.to:cp.to+cp.n], prev.slab[cp.from:cp.from+cp.n])
+			copy(x.marks[cp.to:cp.to+cp.n], prev.marks[cp.from:cp.from+cp.n])
+		}
 	}
-	if op := c.ops[x.me]; op != nil {
-		x.runRedist(c.addrs, op, prev.slab, x.slab, x.marks)
-	}
+	op := c.ops[x.me]
+	return op == nil || x.runRedist(c.addrs, op, prev.slab, x.slab, x.marks)
 }

@@ -74,12 +74,17 @@ func crossChange(t *testing.T, from, to *progSchedule, c *changeEpoch, input ir.
 		t.Fatal(err)
 	}
 	froms, tos := from.executors(), to.executors()
-	stats, err := mach.Run(func(proc *machine.Proc) {
+	stats, err := mach.RunSteps(func(proc *machine.Proc) bool {
 		prev, x := &froms[proc.Rank()], &tos[proc.Rank()]
-		prev.proc, x.proc = proc, proc
-		prev.installInput(loads)
-		x.runChange(c, prev)
+		if x.proc == nil {
+			prev.proc, x.proc = proc, proc
+			prev.installInput(loads)
+		}
+		if !x.runChange(c, prev) {
+			return false
+		}
 		slabs[x.me], marks[x.me] = x.slab, x.marks
+		return true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -242,30 +242,44 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 	for k, s := range pl.segs {
 		execs[k] = s.executors()
 	}
+	// Each rank's step goes on from its position; cur holds current stores.
+	type position struct {
+		it, seg, nest int
+		cur           *valExec
+	}
+	pos := make([]position, nprocs)
 	simStart := time.Now()
 	mach, err := machine.New(first.g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	stats, err := mach.Run(func(proc *machine.Proc) {
+	stats, err := mach.RunSteps(func(proc *machine.Proc) bool {
 		me := proc.Rank()
-		for k := range execs {
-			execs[k][me].proc = proc
+		at := &pos[me]
+		if at.cur == nil {
+			at.cur = &execs[0][me]
+			at.cur.installInput(loads)
 		}
-		cur := &execs[0][me]
-		cur.installInput(loads)
-		for it := 0; it < iters; it++ {
-			for k := range execs {
-				if x := &execs[k][me]; x != cur {
-					x.runChange(pl.changes[k], cur)
-					cur = x
+		for ; at.it < iters; at.it++ {
+			for ; at.seg < nsegs; at.seg++ {
+				x := &execs[at.seg][me]
+				if x.proc = proc; x != at.cur {
+					if !x.runChange(pl.changes[at.seg], at.cur) {
+						return false
+					}
+					at.cur = x
 				}
-				for _, ns := range cur.s.nests {
-					cur.runNest(ns)
+				for ; at.nest < len(x.s.nests); at.nest++ {
+					if !x.runNest(x.s.nests[at.nest]) {
+						return false
+					}
 				}
+				at.nest = 0
 			}
+			at.seg = 0
 		}
-		stores[me], marks[me] = cur.slab, cur.marks
+		stores[me], marks[me] = at.cur.slab, at.cur.marks
+		return true
 	})
 	if err != nil {
 		return Result{}, err

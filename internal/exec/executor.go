@@ -33,11 +33,18 @@ import (
 // An opEval's operands arrive as local addresses (schedule.go's operand):
 // an offset into slab, a position in cbuf, the rank of a direct message or
 // a position in part. The executor evaluates no subscript and looks up no
-// element to read one.
+// element to read one. It is a machine step: a method that receives
+// returns false where TryRecv parked it, and goes on from the cursor when
+// called again. pc is the instruction, stage the phase in it (an opRedist
+// round's sends, even, or receives, odd; a reduction's phase; an opEval's
+// operand), recv the phase's receives done, start and sent its start
+// clock and words sent, for its Note.
 type valExec struct {
-	s    *progSchedule
-	proc machine.Port
-	me   int
+	s                     *progSchedule
+	proc                  *machine.Proc
+	me                    int
+	pc, stage, recv, sent int
+	start                 float64
 	// slab and marks are this processor's stores, its cells of every array
 	// in array order, array a's from base[a] (its row of progSchedule.base)
 	// and addressed inside it through the array's layout. A mark says the
@@ -71,7 +78,7 @@ type valExec struct {
 // sums (parts.n), operand values (the segment's most Reads), copy buffer
 // (bufs.n) and exchange vector (vecLen), and its marks and filled flags.
 // Each is as long as the inspector found r needs, so the whole is the sum
-// of what the ranks own and exchange. The caller hands each its Port.
+// of what the ranks own and exchange. The caller hands each its Proc.
 func (s *progSchedule) executors() []valExec {
 	reads := 0
 	for _, ns := range s.nests {
@@ -175,23 +182,30 @@ func (x *valExec) unfilled(p int) {
 	panic(fmt.Sprintf("exec: processor %d reads buffer position %d, which no receive filled", x.me, p))
 }
 
-// runNest executes this processor's instruction stream for one nest.
-func (x *valExec) runNest(ns *nestSchedule) {
+// runNest executes this processor's instruction stream for one nest,
+// from the cursor on.
+func (x *valExec) runNest(ns *nestSchedule) bool {
 	stream := ns.procs[x.me]
-	for i := range stream {
-		in := &stream[i]
+	for ; x.pc < len(stream); x.pc++ {
+		in := &stream[x.pc]
+		ok := true
 		switch in.op {
 		case opRedist:
-			x.runRedist(ns.addrs, ns.redists[in.arg], x.slab, x.cbuf, x.filled)
+			ok = x.runRedist(ns.addrs, ns.redists[in.arg], x.slab, x.cbuf, x.filled)
 		case opSendDirect:
 			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
 			r := ns.reds[in.arg]
-			x.reduceBatch(r, &r.roles[in.off])
+			ok = x.reduceBatch(r, &r.roles[in.off])
 		case opEval:
-			x.eval(ns, in)
+			ok = x.eval(ns, in)
+		}
+		if !ok {
+			return false
 		}
 	}
+	x.pc = 0
+	return true
 }
 
 // runRedist executes one epoch's collective redistribution. Each round
@@ -204,34 +218,40 @@ func (x *valExec) runNest(ns *nestSchedule) {
 // epoch gathers from the store slab and files in the copy buffer; a
 // scheme change (runChange) gathers from the stores of the segment before
 // it and files in the stores of the segment after it.
-func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf []machine.Word, filled []bool) {
-	for r := range op.rounds {
-		rd := &op.rounds[r]
-		for i := range rd.sends {
-			msg := &rd.sends[i]
-			n := 0
-			for _, seg := range msg.segs {
-				from := addrs[seg.addr : int(seg.addr)+len(seg.elems)]
-				if int(seg.origin) == x.me {
-					for _, o := range from {
-						x.vec[n] = origin[o]
-						n++
-					}
-				} else {
-					for _, p := range from {
-						if !filled[p] {
-							x.unfilled(int(p))
+func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf []machine.Word, filled []bool) bool {
+	for ; x.stage < 2*len(op.rounds); x.stage++ {
+		rd := &op.rounds[x.stage/2]
+		if x.stage%2 == 0 {
+			for i := range rd.sends {
+				msg := &rd.sends[i]
+				n := 0
+				for _, seg := range msg.segs {
+					from := addrs[seg.addr : int(seg.addr)+len(seg.elems)]
+					if int(seg.origin) == x.me {
+						for _, o := range from {
+							x.vec[n] = origin[o]
+							n++
 						}
-						x.vec[n] = buf[p]
-						n++
+					} else {
+						for _, p := range from {
+							if !filled[p] {
+								x.unfilled(int(p))
+							}
+							x.vec[n] = buf[p]
+							n++
+						}
 					}
 				}
+				x.proc.Send(int(msg.peer), x.vec[:n])
 			}
-			x.proc.Send(int(msg.peer), x.vec[:n])
+			continue
 		}
-		for i := range rd.recvs {
-			msg := &rd.recvs[i]
-			data := x.proc.Recv(int(msg.peer))
+		for ; x.recv < len(rd.recvs); x.recv++ {
+			msg := &rd.recvs[x.recv]
+			data, ok := x.proc.TryRecv(int(msg.peer))
+			if !ok {
+				return false
+			}
 			pos := 0
 			for _, seg := range msg.segs {
 				n := len(seg.elems)
@@ -247,36 +267,43 @@ func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf [
 				panic(fmt.Sprintf("exec: collective round from %d expected %d words, got %d", msg.peer, pos, len(data)))
 			}
 		}
+		x.recv = 0
 	}
+	x.stage = 0
+	return true
 }
 
-// eval reads the instance's operands — direct one-word messages in the
-// shared global order — and, unless this processor is a receive-only
-// replica of a reduction, evaluates the statement.
-func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
+// eval reads the instance's operands from the cursor's on — direct
+// one-word messages in the shared global order — and, unless this processor
+// is a receive-only replica of a reduction, evaluates the statement.
+func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 	stmt := &ns.stmts[in.stmt]
 	ops := ns.operands[in.off : int(in.off)+len(stmt.reads)]
-	if in.role == roleRecvOnly {
-		for _, o := range ops {
-			if o.kind() == opdDirect {
-				x.proc.RecvValue(o.addr())
-			}
-		}
-		return
-	}
-	for i, o := range ops {
+	for ; x.stage < len(ops); x.stage++ {
 		var v float64
-		switch o.kind() {
-		case opdOwned:
+		switch o := ops[x.stage]; {
+		case o.kind() == opdDirect:
+			data, ok := x.proc.TryRecv(o.addr())
+			if !ok {
+				return false
+			}
+			if len(data) != 1 {
+				panic(fmt.Sprintf("exec: operand from %d has %d words", o.addr(), len(data)))
+			}
+			v = data[0]
+		case in.role == roleRecvOnly: // a receive-only replica reads nothing else
+		case o.kind() == opdOwned:
 			v = x.slab[o.addr()]
-		case opdBuffered:
+		case o.kind() == opdBuffered:
 			v = x.buffered(o.addr())
-		case opdDirect:
-			v = x.proc.RecvValue(o.addr())
 		default:
 			v = x.part[o.addr()]
 		}
-		x.vals[i] = v
+		x.vals[x.stage] = v
+	}
+	x.stage = 0
+	if in.role == roleRecvOnly {
+		return true
 	}
 	v := x.evalExpr(stmt.rhs)
 	if in.role == roleReduce {
@@ -288,6 +315,7 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) {
 		x.storeElem(in.elem, v)
 	}
 	x.proc.Compute(stmt.Flops)
+	return true
 }
 
 // evalExpr evaluates a lowered right-hand side over the operand values
@@ -333,17 +361,26 @@ func (x *valExec) sendVec(to []peerWords, at int) int {
 	return sent
 }
 
-// recvVec receives one vector from each source, in ascending source
-// order, into the source's range of the exchange vector.
-func (x *valExec) recvVec(from []peerWords, what string) {
+// recvVec receives one vector from each source from the cursor's on, in
+// ascending source order, into the source's range of the exchange vector.
+func (x *valExec) recvVec(from []peerWords, what string) bool {
 	at := 0
-	for _, src := range from {
-		data := x.proc.Recv(int(src.peer))
-		if len(data) != int(src.n) {
-			panic(fmt.Sprintf("exec: %s exchange from %d expected %d words, got %d", what, src.peer, src.n, len(data)))
+	for i, src := range from {
+		if i == x.recv {
+			data, ok := x.proc.TryRecv(int(src.peer))
+			if !ok {
+				return false
+			}
+			if len(data) != int(src.n) {
+				panic(fmt.Sprintf("exec: %s exchange from %d expected %d words, got %d", what, src.peer, src.n, len(data)))
+			}
+			copy(x.vec[at:], data)
+			x.recv++
 		}
-		at += copy(x.vec[at:], data)
+		at += int(src.n)
 	}
+	x.recv = 0
+	return true
 }
 
 // reduceBatch runs one vectored reduction exchange (opRed): the
@@ -352,55 +389,65 @@ func (x *valExec) recvVec(from []peerWords, what string) {
 // exactly like the oracle's finalize — stored value first, then
 // contributors in ascending order — so values stay bit-identical. The
 // processor walks only the items of its own role lists, and moves its
-// words through the slots the inspector laid out.
-func (x *valExec) reduceBatch(r *redOp, role *redRole) {
+// words through the slots the inspector laid out. Stage 1 receives the
+// gather phase's words, stage 2 the fan-out's.
+func (x *valExec) reduceBatch(r *redOp, role *redRole) bool {
 	if r.ring {
-		x.reduceRing(r, role)
-		return
+		return x.reduceRing(r, role)
 	}
+	switch x.stage {
+	case 0:
+		// Gather phase: one vectored partials message per (contributor,
+		// root) pair, items in batch order on both ends.
+		x.start = x.proc.Clock()
+		for k, p := range role.part {
+			x.vec[role.gather.put[k]] = x.takePart(p)
+		}
+		x.sent, x.stage = x.sendVec(role.gather.to, 0), 1
+		fallthrough
+	case 1:
+		if !x.recvVec(role.gather.from, "gather") {
+			return false
+		}
+		j := 0
+		for _, i := range role.root {
+			f := r.items[i]
+			total := x.loadElem(f.elem)
+			for k, c := range f.contribs {
+				if c == x.me {
+					total += x.takePart(f.parts[k])
+				} else {
+					total += x.vec[role.gather.get[j]]
+					j++
+				}
+				x.proc.Compute(1)
+			}
+			x.storeElem(f.elem, total)
+		}
+		x.proc.Note(machine.EvGather, x.start, x.proc.Clock(), -1, x.sent)
 
-	// Gather phase: one vectored partials message per (contributor,
-	// root) pair, items in batch order on both ends.
-	start := x.proc.Clock()
-	for k, p := range role.part {
-		x.vec[role.gather.put[k]] = x.takePart(p)
-	}
-	sent := x.sendVec(role.gather.to, 0)
-	x.recvVec(role.gather.from, "gather")
-	j := 0
-	for _, i := range role.root {
-		f := r.items[i]
-		total := x.loadElem(f.elem)
-		for k, c := range f.contribs {
-			var part machine.Word
-			if c == x.me {
-				part = x.takePart(f.parts[k])
-			} else {
-				part = x.vec[role.gather.get[j]]
+		// Fan-out phase: one vectored totals message per (root, live
+		// reader) pair. Owners outside the fan-out were proven by the
+		// liveness scan not to read the total before its next write.
+		x.start = x.proc.Clock()
+		j = 0
+		for _, i := range role.root {
+			f := r.items[i]
+			for range f.fanout {
+				x.vec[role.fanout.put[j]] = x.loadElem(f.elem)
 				j++
 			}
-			total += part
-			x.proc.Compute(1)
 		}
-		x.storeElem(f.elem, total)
-	}
-	x.proc.Note(machine.EvGather, start, x.proc.Clock(), -1, sent)
-
-	// Fan-out phase: one vectored totals message per (root, live
-	// reader) pair. Owners outside the fan-out were proven by the
-	// liveness scan not to read the total before its next write.
-	start = x.proc.Clock()
-	j = 0
-	for _, i := range role.root {
-		f := r.items[i]
-		for range f.fanout {
-			x.vec[role.fanout.put[j]] = x.loadElem(f.elem)
-			j++
+		x.sent, x.stage = x.sendVec(role.fanout.to, 0), 2
+		fallthrough
+	default:
+		if !x.storeTotals(r, role, "fanout") {
+			return false
 		}
+		x.proc.Note(machine.EvFanout, x.start, x.proc.Clock(), -1, x.sent)
 	}
-	sent = x.sendVec(role.fanout.to, 0)
-	x.storeTotals(r, role, "fanout")
-	x.proc.Note(machine.EvFanout, start, x.proc.Clock(), -1, sent)
+	x.stage = 0
+	return true
 }
 
 // reduceRing runs a ring-lowered batch (Section 5): the running totals
@@ -408,71 +455,80 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) {
 // folds its partials into the vector — and the last contributor
 // delivers the totals to the root (which always stores) and the live
 // readers. The root receives one message instead of len(contribs)-1,
-// de-serializing the reduction hot-spot the paper's pipelined SOR
-// removes.
-func (x *valExec) reduceRing(r *redOp, role *redRole) {
-	start := x.proc.Clock()
-	sent := 0
+// de-serializing the reduction hot-spot the paper's pipelined SOR removes.
+// A hop is at stage 1 until the previous hop's totals arrive, 2 after.
+func (x *valExec) reduceRing(r *redOp, role *redRole) bool {
 	order := r.items[0].contribs
 	k, n := len(order), len(r.items)
-	last := order[k-1]
 	pos := slices.Index(order, x.me)
-	switch {
-	case pos == 0: // root: fold stored values + own partials, start the ring
-		vec := x.vec[:n]
-		for i, f := range r.items {
-			vec[i] = x.loadElem(f.elem) + x.part[f.parts[0]]
-			x.proc.Compute(1)
+	if x.stage == 0 {
+		x.start, x.sent, x.stage = x.proc.Clock(), 0, 1
+		if pos == 0 { // root: fold stored values + own partials, start the ring
+			vec := x.vec[:n]
+			for i, f := range r.items {
+				vec[i] = x.loadElem(f.elem) + x.part[f.parts[0]]
+				x.proc.Compute(1)
+			}
+			x.proc.Send(order[1], vec)
+			x.sent = n
 		}
-		x.proc.Send(order[1], vec)
-		sent += n
-		data := x.proc.Recv(last)
+	}
+	if x.stage == 1 && pos >= 0 { // the totals from the previous hop
+		data, ok := x.proc.TryRecv(order[(pos+k-1)%k])
+		if !ok {
+			return false
+		}
 		if len(data) != n {
 			panic(fmt.Sprintf("exec: ring totals expected %d words, got %d", n, len(data)))
 		}
-		for i, f := range r.items {
-			x.storeElem(f.elem, data[i])
-		}
-	case pos > 0 && pos < k-1: // interior hop: fold and forward
-		x.proc.Send(order[pos+1], x.foldHop(r, order[pos-1], pos))
-		sent += n
-		x.storeTotals(r, role, "ring")
-	case pos == k-1: // last hop: fold, then deliver the totals
-		vec := x.foldHop(r, order[k-2], pos)
-		for _, i := range role.reads {
-			x.storeElem(r.items[i].elem, vec[i])
-		}
-		// The root always gets the full vector; live readers get their
-		// items, laid out after it. Root = min(owners) < every fan-out
-		// rank, so sending it first keeps the destinations ascending.
-		x.proc.Send(r.items[0].root, vec)
-		sent += n
-		j := 0
-		for i, f := range r.items {
-			for _, o := range f.fanout {
-				if o != x.me {
-					x.vec[role.fanout.put[j]] = vec[i]
-					j++
+		x.stage = 2
+		switch {
+		case pos == 0: // root: store the totals
+			for i, f := range r.items {
+				x.storeElem(f.elem, data[i])
+			}
+		case pos < k-1: // interior hop: fold and forward
+			x.proc.Send(order[pos+1], x.foldHop(r, data, pos))
+			x.sent += n
+		default: // last hop: fold, then deliver the totals
+			vec := x.foldHop(r, data, pos)
+			for _, i := range role.reads {
+				x.storeElem(r.items[i].elem, vec[i])
+			}
+			// The root always gets the full vector; live readers get their
+			// items, laid out after it. Root = min(owners) < every fan-out
+			// rank, so sending it first keeps the destinations ascending.
+			x.proc.Send(r.items[0].root, vec)
+			x.sent += n
+			j := 0
+			for i, f := range r.items {
+				for _, o := range f.fanout {
+					if o != x.me {
+						x.vec[role.fanout.put[j]] = vec[i]
+						j++
+					}
 				}
 			}
+			x.sent += x.sendVec(role.fanout.to, n)
 		}
-		sent += x.sendVec(role.fanout.to, n)
-	default: // pure reader
-		x.storeTotals(r, role, "ring")
+	}
+	if (pos < 0 || pos > 0 && pos < k-1) && !x.storeTotals(r, role, "ring") {
+		return false
 	}
 	if pos >= 0 { // every hop of the chain held a partial of every item
 		for _, f := range r.items {
 			x.takePart(f.parts[pos])
 		}
 	}
-	x.proc.Note(machine.EvRing, start, x.proc.Clock(), -1, sent)
+	x.proc.Note(machine.EvRing, x.start, x.proc.Clock(), -1, x.sent)
+	x.stage = 0
+	return true
 }
 
-// foldHop receives the running totals from the previous hop and folds in
-// this hop's partials, the chain's pos-th, at the front of the exchange
+// foldHop folds this hop's partials, the chain's pos-th, into the
+// running totals from the previous hop, at the front of the exchange
 // vector.
-func (x *valExec) foldHop(r *redOp, prev, pos int) []machine.Word {
-	data := x.proc.Recv(prev)
+func (x *valExec) foldHop(r *redOp, data []machine.Word, pos int) []machine.Word {
 	vec := x.vec[:len(r.items)]
 	for i, f := range r.items {
 		vec[i] = data[i] + x.part[f.parts[pos]]
@@ -483,9 +539,12 @@ func (x *valExec) foldHop(r *redOp, prev, pos int) []machine.Word {
 
 // storeTotals receives the totals this processor is a live reader of —
 // from the roots, or from a ring's last hop — and stores them.
-func (x *valExec) storeTotals(r *redOp, role *redRole, what string) {
-	x.recvVec(role.fanout.from, what)
+func (x *valExec) storeTotals(r *redOp, role *redRole, what string) bool {
+	if !x.recvVec(role.fanout.from, what) {
+		return false
+	}
 	for k, i := range role.reads {
 		x.storeElem(r.items[i].elem, x.vec[role.fanout.get[k]])
 	}
+	return true
 }

@@ -248,10 +248,11 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 			t.Fatal(err)
 		}
 		xs := s.executors()
-		_, err = mach.Run(func(proc *machine.Proc) {
+		_, err = mach.RunSteps(func(proc *machine.Proc) bool {
 			x := &xs[proc.Rank()]
 			x.proc = proc
 			c.body(x)
+			return true
 		})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error with %q", c.label, err, c.want)

@@ -340,7 +340,6 @@ func TestLoweringMatchesIR(t *testing.T) {
 			// One value per element, in [1, 2) so no division blows up, held
 			// both in the executor's store and in an ir.Storage.
 			x := &s.executors()[0]
-			x.proc = rankZero{}
 			vals := ir.NewStorage(p)
 			for a, am := range s.arrays {
 				for off := 0; off < am.size; off++ {
@@ -411,9 +410,3 @@ func TestLoweringMatchesIR(t *testing.T) {
 		}
 	}
 }
-
-// rankZero is the Port of a one-processor executor that never
-// communicates or computes: only Rank is implemented.
-type rankZero struct{ machine.Port }
-
-func (rankZero) Rank() int { return 0 }

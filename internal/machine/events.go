@@ -1,12 +1,12 @@
 // The discrete-event scheduler: how the machine's processors take turns.
 //
-// The simulated processors are cooperatively-scheduled coroutines (one
-// runnable at a time); a priority queue ordered by (simulated clock,
-// rank) decides who runs next, and per-pair message queues exist only
-// for pairs that actually exchange traffic — nearest-neighbour kernels at
-// N=4096 touch O(N) pairs, not the 16.7M of a dense link matrix. A
-// processor runs until it needs a message that has not been sent yet,
-// parks, and becomes runnable again at the message's arrival time.
+// The simulated processors, coroutines (Run) or steps (RunSteps), run one
+// at a time; a priority queue ordered by (simulated clock, rank) decides
+// who runs next, and per-pair message queues exist only for pairs that
+// actually exchange traffic — nearest-neighbour kernels at N=4096 touch
+// O(N) pairs, not the 16.7M of a dense link matrix. A processor runs until
+// it needs a message that has not been sent yet, parks, and becomes
+// runnable again at the message's arrival time.
 //
 // The priority order affects only wall-clock interleaving, never
 // results: a processor's values, clock and counters depend only on its
@@ -20,7 +20,16 @@ package machine
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 )
+
+// gcYieldEvery is the step resumptions between two runtime.Gosched calls.
+// A RunSteps run never blocks its goroutine, and at GOMAXPROCS=1 a long
+// one starves the GC's background mark worker: in a 400-run gauss loop
+// without the yield, GC cycles' p90 was 10-11 ms, not 3.4-3.6, HeapSys
+// 12.3 MB, not 8.1, and dmbench's exec-gauss rss_p90_mb 19.2-19.6, not
+// 17.6-17.7 (2-core VM).
+const gcYieldEvery = 256
 
 // scheduler is the run-time state of a Machine: the live message queues,
 // the runnable set and the coroutine handoff.
@@ -44,6 +53,11 @@ type scheduler struct {
 	// scheduler here (true when its body is over) when it parks,
 	// finishes, or unwinds.
 	yield chan bool
+	// step is a RunSteps run's body (nil under Run), resumes counts its
+	// calls; errs holds each rank's root-cause error.
+	step    func(p *Proc) bool
+	resumes int
+	errs    []error
 	// abortFlag is set when a processor fails: parked processors are
 	// then resumed only to unwind with deadErr.
 	abortFlag  bool
@@ -59,7 +73,7 @@ func newScheduler(nprocs int) scheduler {
 type pairQueue struct {
 	buf  []message
 	head int
-	// waiter is the processor parked in take on this queue, if any.
+	// waiter is the processor parked on this queue, if any.
 	waiter *Proc
 }
 
@@ -114,9 +128,9 @@ func (s *scheduler) wake(p *Proc, key float64) {
 	heap.Push(&s.ready, p)
 }
 
-// wakeWaiters deregisters and resumes every processor parked in take.
-// Used to unwind after an abort or a detected deadlock: the woken
-// processors observe abortFlag and panic with deadErr.
+// wakeWaiters deregisters and resumes every parked processor, to unwind
+// after an abort or a detected deadlock: a coroutine observes abortFlag
+// and panics with deadErr, a step ends uncalled (resumeOne).
 func (s *scheduler) wakeWaiters() {
 	for _, q := range s.queues {
 		if w := q.waiter; w != nil {
@@ -155,6 +169,9 @@ func (s *scheduler) put(src *Proc, dst int, msg message) {
 // parks — hands control back to the scheduler, which runs someone else —
 // and resumes when a matching message is enqueued or the run aborts.
 func (s *scheduler) take(dst *Proc, src int) message {
+	if s.step != nil {
+		panic("machine: Recv inside a step; a step receives with TryRecv")
+	}
 	q := s.queue(src, dst.rank)
 	for q.empty() {
 		if !s.abortFlag {
@@ -169,19 +186,42 @@ func (s *scheduler) take(dst *Proc, src int) message {
 	return q.pop()
 }
 
-// resumeOne hands the coroutine to p and blocks until it yields,
-// reporting whether it finished.
+// resumeOne lets p run — its coroutine until it yields, or a call of its
+// step unless it parked before an abort — and reports whether it ended.
 func (s *scheduler) resumeOne(p *Proc) (done bool) {
-	p.resume <- struct{}{}
-	done = <-s.yield
+	if s.step == nil {
+		p.resume <- struct{}{}
+		done = <-s.yield
+	} else if done = p.parked != nil && s.abortFlag; !done {
+		done = s.callStep(p)
+	}
 	if done && s.abortFlag {
-		// Unwind parked processors so their goroutines exit; any
+		// Unwind parked processors so their bodies end; any
 		// still-runnable processor keeps running and fails when it
 		// next has to wait for a message.
 		s.wakeWaiters()
 	}
 	return done
 }
+
+// callStep calls p's step, which must return false exactly when TryRecv
+// parked it, with a coroutine's error discipline (runBody).
+func (s *scheduler) callStep(p *Proc) (done bool) {
+	p.parked = nil
+	if s.resumes++; s.resumes%gcYieldEvery == 0 {
+		runtime.Gosched()
+	}
+	done = true
+	s.errs[p.rank] = runBody(p, func(p *Proc) {
+		if done = s.step(p); done == (p.parked != nil) {
+			done = true
+			panic("machine: a step must return false exactly when TryRecv parked it")
+		}
+	}, s.abort)
+	return done
+}
+
+func (s *scheduler) abort() { s.abortFlag = true }
 
 // DirectHandoffs reports how many scheduler steps took the
 // single-runnable fast path instead of the heap. Meaningful after Run;
@@ -197,25 +237,44 @@ func (m *Machine) DirectHandoffs() int64 { return m.directHandoffs }
 // appears only when an abort happened with no recorded cause. A machine
 // must not be reused after Run returns.
 //
-// Processors are goroutines only as a coroutine mechanism — exactly
-// one is runnable at any moment, chosen from the ready heap by
-// smallest (resume time, rank). A processor runs until it parks on an
-// empty queue or finishes; there is no preemption and no concurrent
-// execution, which is what makes the runtime's memory profile flat and
-// its wall-clock free of scheduling contention.
+// The body is a coroutine: each processor gets a goroutine only so that
+// it can block in Recv, and exactly one is runnable at any moment,
+// chosen from the ready heap by smallest (resume time, rank). A
+// processor runs until it parks on an empty queue or finishes; there is
+// no preemption and no concurrent execution, which is what makes the
+// runtime's memory profile flat and its wall-clock free of contention.
 func (m *Machine) Run(body func(p *Proc)) (Stats, error) {
-	n := m.grid.Size()
-	procs := make([]*Proc, n)
-	errs := make([]error, n)
-	abort := func() { m.abortFlag = true }
-	for r := 0; r < n; r++ {
-		p := &Proc{rank: r, m: m, resume: make(chan struct{})}
-		procs[r] = p
+	return m.run(func(p *Proc) {
+		p.resume = make(chan struct{})
 		go func() {
 			<-p.resume
-			errs[p.rank] = runBody(p, body, abort)
+			m.errs[p.rank] = runBody(p, body, m.abort)
 			m.yield <- true
 		}()
+	})
+}
+
+// RunSteps is Run without a goroutine, channel or stack per processor:
+// step(p) is called on the caller's goroutine, returns true when p is
+// done or false once TryRecv parked p, and is called again, to go on from
+// the position it keeps, when the message arrives. A Recv or collective
+// in a step is an error; the schedule, clocks, trace and errors are Run's.
+func (m *Machine) RunSteps(step func(p *Proc) (done bool)) (Stats, error) {
+	m.step = step
+	return m.run(nil)
+}
+
+// run is the scheduler loop; start, if not nil, readies a coroutine.
+func (m *Machine) run(start func(p *Proc)) (Stats, error) {
+	n := m.grid.Size()
+	slab, procs := make([]Proc, n), make([]*Proc, n)
+	m.errs = make([]error, n)
+	for r := range slab {
+		p := &slab[r]
+		p.rank, p.m, procs[r] = r, m, p
+		if start != nil {
+			start(p)
+		}
 		m.wake(p, 0)
 	}
 	live := n
@@ -267,7 +326,7 @@ func (m *Machine) Run(body func(p *Proc)) (Stats, error) {
 			}
 		}
 	}
-	st, err := outcome(procs, errs)
+	st, err := outcome(procs, m.errs)
 	switch {
 	case err != nil:
 	case m.deadlocked:

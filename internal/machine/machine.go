@@ -3,8 +3,9 @@
 //
 // The abstract target (Section 2 of Lee & Tsai) is a q-D grid of
 // N1 x ... x Nq processors executing an SPMD program and exchanging
-// messages. There is one runtime: every processor is a coroutine of the
-// discrete-event scheduler in events.go, and every ordered processor
+// messages. There is one runtime, the discrete-event scheduler in
+// events.go: every processor's body is a coroutine of it (Run) or a
+// resumable step it calls (RunSteps), and every ordered processor
 // pair that exchanges traffic has an unbounded FIFO queue, which gives
 // the blocking-receive point-to-point semantics of the send/receive
 // primitives in the paper's generated code (Figs 6 and 8). A Send never
@@ -63,8 +64,8 @@ type Config struct {
 	Overlap bool
 	// Tracer, when non-nil, receives an Event for every computation,
 	// message, wait and collective with simulated start/end times.
-	// Events arrive one at a time but from different goroutines (one per
-	// simulated processor); package trace provides a collector.
+	// Events arrive one at a time (under Run from each processor's
+	// coroutine); package trace provides a collector.
 	Tracer Tracer
 	// SyncCollectives selects the paper's execution model for the
 	// collective primitives of Section 2.2: every participant is engaged
@@ -217,10 +218,11 @@ type Proc struct {
 	m     *Machine
 	clock float64
 	// key is the scheduler's heap priority while the processor is
-	// runnable (the simulated time at which it resumes); resume is the
-	// coroutine handoff the scheduler signals to let it run.
+	// runnable (the simulated time at which it resumes); resume is a
+	// coroutine's handoff to let it run, parked a step's TryRecv queue.
 	key    float64
 	resume chan struct{}
+	parked *pairQueue
 	// counters
 	flops       int64
 	messages    int64
@@ -310,7 +312,32 @@ func (p *Proc) Recv(src int) []Word {
 	if src < 0 || src >= p.m.grid.Size() {
 		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
 	}
-	msg := p.m.net.take(p, src)
+	return p.arrive(src, p.m.net.take(p, src))
+}
+
+// TryRecv is a step's Recv (Machine.RunSteps): it does what Recv does if
+// the message is there, or parks the processor on the pair and returns
+// false, and the step must then return false.
+func (p *Proc) TryRecv(src int) ([]Word, bool) {
+	if src < 0 || src >= p.m.grid.Size() {
+		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
+	}
+	s := &p.m.scheduler
+	q := s.queue(src, p.rank)
+	switch {
+	case s.step == nil || p.parked != nil:
+		panic("machine: TryRecv outside a step, or after it parked")
+	case !q.empty():
+		return p.arrive(src, q.pop()), true
+	case s.abortFlag:
+		panic(deadErr)
+	}
+	q.waiter, p.parked = p, q
+	return nil, false
+}
+
+// arrive advances the clock to msg's arrival from src, tracing the wait.
+func (p *Proc) arrive(src int, msg message) []Word {
 	if msg.arrival > p.clock {
 		if tr := p.m.cfg.Tracer; tr != nil {
 			tr.Record(Event{Proc: p.rank, Kind: EvWait, Start: p.clock, End: msg.arrival, Peer: src})

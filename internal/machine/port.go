@@ -1,25 +1,17 @@
-// Port is the processor-context surface the exec backend runs on.
+// Port is the point-to-point surface of a coroutine body.
 package machine
 
-import "dmcc/internal/grid"
-
-// Port is the per-processor interface a batched SPMD body needs:
-// identity, the simulated clock, priced computation, and counted
-// point-to-point exchange. *Proc implements it; the exec backend's tests
-// also stub it to drive an executor without a machine.
-//
-// The collective primitives and Barrier are absent because the exec
-// backend lowers every exchange to point-to-point epochs (schedule.go)
-// and never calls them, not because any runtime lacks them.
+// Port is what a coroutine body (Machine.Run) needs for point-to-point
+// exchange: identity, priced computation, and counted Send and blocking
+// Recv. *Proc implements it; the benchmark's ring probe and this
+// package's runtime-agreement tests are written against it. A step body
+// (Machine.RunSteps), exec's executors among them, holds the *Proc and
+// receives with TryRecv instead.
 type Port interface {
 	// Rank returns the linear rank of the processor.
 	Rank() int
 	// NumProcs returns the total number of processors.
 	NumProcs() int
-	// Grid returns the machine's processor grid.
-	Grid() *grid.Grid
-	// Clock returns the processor's current simulated time.
-	Clock() float64
 	// Compute advances the clock by flops*Tf and counts the flops.
 	Compute(flops int)
 	// Send transmits a copy of data to dst (counted, clock-priced).
@@ -31,8 +23,6 @@ type Port interface {
 	SendValue(dst int, v Word)
 	// RecvValue receives a single word.
 	RecvValue(src int) Word
-	// Note records a custom trace event if a tracer is attached.
-	Note(kind EventKind, start, end float64, peer, words int)
 }
 
 var _ Port = (*Proc)(nil)
