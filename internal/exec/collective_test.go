@@ -106,26 +106,38 @@ func checkLowering(t *testing.T, label string, traffic []epochShip, ranks []int3
 // steps share sets), and the ships arrive shuffled.
 func randomEpoch(rng *rand.Rand) []epochShip {
 	n := 2 + rng.Intn(63)
+	ranks := make([]int32, n)
+	for i := range ranks {
+		ranks[i] = int32(i)
+	}
+	return epochOver(rng, ranks, 1+rng.Intn(48))
+}
+
+// epochOver draws randomEpoch's traffic of elems elements over ranks (at
+// least two).
+func epochOver(rng *rand.Rand, ranks []int32, elems int) []epochShip {
+	n := len(ranks)
 	type draw struct {
 		src   int32
 		dests []int32
 	}
 	var draws []draw
 	var traffic []epochShip
-	for e := range 1 + rng.Intn(48) {
+	for e := range elems {
 		var d draw
 		switch k := rng.Intn(3); {
 		case k == 0 && len(draws) > 0:
 			d = draws[rng.Intn(len(draws))]
 		default:
-			d.src = int32(rng.Intn(n))
+			src := rng.Intn(n)
+			d.src = ranks[src]
 			want := 1
 			if k == 2 {
 				want = 1 + rng.Intn(n-1)
 			}
 			for _, r := range rng.Perm(n) {
-				if int32(r) != d.src && len(d.dests) < want {
-					d.dests = append(d.dests, int32(r))
+				if r != src && len(d.dests) < want {
+					d.dests = append(d.dests, ranks[r])
 				}
 			}
 		}
@@ -136,6 +148,15 @@ func randomEpoch(rng *rand.Rand) []epochShip {
 	}
 	rng.Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
 	return traffic
+}
+
+// lowerAndCheck lowers a copy of traffic on low and compares the plan with
+// the reference's.
+func lowerAndCheck(t *testing.T, low *lowering, label string, traffic []epochShip) []redistOp {
+	t.Helper()
+	ranks, ops := low.lower(slices.Clone(traffic))
+	checkLowering(t, label, traffic, ranks, ops)
+	return ops
 }
 
 // epochCensus counts the epochs a schedule build closes and their pairs
@@ -165,6 +186,69 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 			checkLowering(t, fmt.Sprintf("random epoch, seed %d trial %d", seed, trial), shipped, ranks, ops)
 		}
 	}
+
+	// Ranks spread over [0, 4096): the rank index grows past every rank
+	// seen so far, and the ranks' order is not their draw order.
+	t.Run("sparse ranks", func(t *testing.T) {
+		for _, seed := range fuzzSeeds {
+			rng := rand.New(rand.NewSource(seed))
+			for trial := range 40 {
+				ranks := make([]int32, 2+rng.Intn(120))
+				for i, r := range rng.Perm(4096)[:len(ranks)] {
+					ranks[i] = int32(r)
+				}
+				lowerAndCheck(t, low, fmt.Sprintf("sparse epoch, seed %d trial %d", seed, trial), epochOver(rng, ranks, 1+rng.Intn(100)))
+			}
+		}
+	})
+
+	// Epochs of 1 to about 2,000 ships on one lowering, each over ranks no
+	// earlier epoch used: an index entry left from an earlier epoch and
+	// read again would misplace a message.
+	t.Run("disjoint epochs", func(t *testing.T) {
+		for _, seed := range fuzzSeeds {
+			low, rng := &lowering{}, rand.New(rand.NewSource(seed))
+			pool, most := rng.Perm(4096), 0
+			for i, c := range []struct{ ranks, elems int }{{2, 1}, {3, 4}, {40, 30}, {64, 150}, {5, 2}, {300, 12}, {16, 60}, {2, 3}, {1000, 8}} {
+				ranks := make([]int32, c.ranks)
+				for j := range ranks {
+					ranks[j] = int32(pool[j])
+				}
+				pool = pool[c.ranks:]
+				traffic := epochOver(rng, ranks, c.elems)
+				most = max(most, len(traffic))
+				lowerAndCheck(t, low, fmt.Sprintf("disjoint epoch %d of %d ships, seed %d", i, len(traffic), seed), traffic)
+			}
+			if most < 1500 {
+				t.Errorf("seed %d: the largest epoch has %d ships, want about 2,000", seed, most)
+			}
+		}
+	})
+
+	// One relay forwarding for 40 trees in one round: source 0 roots every
+	// tree, {0, 1, 2+i, 50+i%6}, so rank 1 receives each step in round 0
+	// and forwards it to 50+i%6 in round 1 — a run of 40 edges that must
+	// come out as six messages in receiver order, each with its segments
+	// in step order.
+	t.Run("long relay run", func(t *testing.T) {
+		var traffic []epochShip
+		for i := range 40 {
+			for _, dst := range []int32{1, int32(2 + i), int32(50 + i%6)} {
+				for e := range 1 + i%2 {
+					traffic = append(traffic, epochShip{pairKey(0, dst), mkElem(e, i)})
+				}
+			}
+		}
+		rand.New(rand.NewSource(1)).Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
+		ops := lowerAndCheck(t, low, "long relay run", traffic)
+		segs, sends := 0, ops[1].rounds[1].sends
+		for _, m := range sends {
+			segs += len(m.segs)
+		}
+		if len(sends) != 6 || segs != 40 {
+			t.Errorf("rank 1 forwards %d segments in %d messages in round 1, want 40 in 6", segs, len(sends))
+		}
+	})
 
 	inspect := func(label string, p *ir.Program, ss *core.SchemeSet, m int) epochCensus {
 		t.Helper()

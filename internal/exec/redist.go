@@ -1,9 +1,9 @@
 // The lowering of one epoch's batched ships to a collective
 // redistribution: binomial multicast trees for elements with several
-// destinations, one vectored pair exchange for the rest. An epoch's ships
-// are one append-only list, lowered in scratch every epoch reuses:
-// lowering an epoch takes time in what it moves and allocates only when a
-// chunk its plan is carved from runs out.
+// destinations, one vectored pair exchange for the rest, put in send and
+// receive order by counting passes over the epoch's ranks. Lowering an
+// epoch takes time in what it moves, in scratch every epoch reuses, and
+// allocates only when a chunk its plan is carved from runs out.
 
 package exec
 
@@ -68,11 +68,17 @@ func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 // source's ships, and order[x]'s destinations, ascending, are
 // dests[start[x]:start[x+1]]. The arenas members and elems hold every
 // tree step's members and every step's and residual pair's element run.
+// Per epoch: ranks are its ranks, ascending, and at[r] is r's index in
+// ranks (at grows to the largest rank seen; an entry of a rank outside
+// the epoch is stale and never read), seen is index's bitset and ints the
+// counting passes' indices and counters.
 type lowering struct {
 	pos                    map[elemID]int32
 	order, elems           []elemID
 	xs, start, fill, dests []int32
 	multi, members, ranks  []int32
+	at, ints               []int32
+	seen                   []uint64
 	steps                  []treeStep
 	resid, edges           []edge
 	msgs                   []roundMsg
@@ -142,12 +148,16 @@ type roundMsg struct {
 // sends-before-receives shape that rules out deadlock even on
 // single-message channels.
 //
-// A stable sort by pair key gives each pair's elements in ship order; the
-// work is in the epoch's ships, steps and edges, in l's reused scratch,
-// and the plan (element runs, segments shared by a message's two ends,
-// sends, receives, rounds, ops) is carved from five chunked slabs.
+// A stable sort by pair key gives each pair's elements in ship order;
+// nothing else is sorted by comparison. The epoch's ranks are numbered
+// densely (index), and stable counting passes over those numbers put the
+// edges and the receive lists in order. The work is in the epoch's ships,
+// steps, edges and ranks, in l's reused scratch, and the plan (element
+// runs, segments shared by a message's two ends, sends, receives, rounds,
+// ops) is carved from five chunked slabs.
 func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	slices.SortStableFunc(traffic, func(a, b epochShip) int { return cmp.Compare(a.k, b.k) })
+	l.index(traffic)
 	if l.pos == nil {
 		l.pos = make(map[elemID]int32)
 	}
@@ -162,7 +172,9 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	}
 
 	// Round r moves every step's tree edges of stride 2^r (segments in step
-	// order); the residual traffic is the last round.
+	// order); the residual traffic is the last round. A tree of n members
+	// has n-1 edges.
+	l.edges = grow(l.edges, len(l.members)-len(l.steps)+len(l.resid))
 	rounds := 0
 	for _, st := range l.steps {
 		rounds = max(rounds, bits.Len(uint(st.members[1]-st.members[0]-1)))
@@ -185,53 +197,101 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 		rounds++
 	}
 
-	// Into send order, (sender, round, receiver), one message per run.
-	slices.SortStableFunc(l.edges, func(a, b edge) int {
-		return cmp.Or(cmp.Compare(a.k>>32, b.k>>32), cmp.Compare(a.round, b.round), cmp.Compare(a.k, b.k))
-	})
+	// Into send order, (sender, round, receiver), one message per run, by
+	// stable counting passes: by receiver, then by (sender, round).
+	n, m := len(l.edges), len(l.ranks)*rounds
+	slot := func(rank, round int32) int { return int(l.at[rank])*rounds + int(round) } // rs's index
+	l.ints = grow(l.ints[:0], 2*n+m)[:2*n+m]
+	perm, tmp, count := l.ints[:n], l.ints[n:2*n], l.ints[2*n:]
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	order(tmp, perm, count[:len(l.ranks)], func(x int32) int { return int(l.at[int32(l.edges[x].k)]) })
+	order(perm, tmp, count, func(x int32) int { return slot(int32(l.edges[x].k>>32), l.edges[x].round) })
 	elems := carve(&l.elemSlab, len(l.elems))
 	copy(elems, l.elems)
-	segs := carve(&l.segSlab, len(l.edges))
-	l.msgs, l.ranks = l.msgs[:0], l.ranks[:0]
-	for i, e := range l.edges {
+	segs := carve(&l.segSlab, n)
+	l.msgs = grow(l.msgs[:0], n)
+	for i, x := range perm {
+		e := &l.edges[x]
 		segs[i] = redistSeg{origin: e.origin, elems: elems[e.elems[0]:e.elems[1]:e.elems[1]]}
-		if n := len(l.msgs); n > 0 && e.round == l.edges[i-1].round && e.k == l.edges[i-1].k {
+		if n := len(l.msgs); n > 0 && e.round == l.edges[perm[i-1]].round && e.k == l.edges[perm[i-1]].k {
 			l.msgs[n-1].segs = segs[i-len(l.msgs[n-1].segs) : i+1 : i+1]
 		} else {
 			l.msgs = append(l.msgs, roundMsg{round: e.round, snd: int32(e.k >> 32), rcv: int32(e.k), segs: segs[i : i+1 : i+1]})
-			l.ranks = append(l.ranks, int32(e.k>>32), int32(e.k))
 		}
 	}
-	slices.Sort(l.ranks)
-	l.ranks = slices.Compact(l.ranks)
 	ops := carve(&l.opSlab, len(l.ranks))
-	rs := carve(&l.roundSlab, len(ops)*rounds)
+	rs := carve(&l.roundSlab, m)
 	for i := range ops {
 		ops[i].rounds = rs[i*rounds : (i+1)*rounds : (i+1)*rounds]
 	}
 
 	// Per processor and round: sends in ascending destination order, then
-	// receives in ascending source order, each a run of one slab.
+	// receives (a stable pass by (receiver, round) of the sends) in
+	// ascending source order, each a run of one slab.
 	sends, recvs := carve(&l.msgSlab, len(l.msgs)), carve(&l.msgSlab, len(l.msgs))
-	for i, m := range l.msgs {
-		p, _ := slices.BinarySearch(l.ranks, m.snd)
-		rd := &ops[p].rounds[m.round]
-		sends[i] = redistMsg{peer: m.rcv, segs: m.segs}
+	for i, msg := range l.msgs {
+		rd := &rs[slot(msg.snd, msg.round)]
+		sends[i] = redistMsg{peer: msg.rcv, segs: msg.segs}
 		rd.sends = sends[i-len(rd.sends) : i+1 : i+1]
+		tmp[i] = int32(i)
 	}
-	slices.SortStableFunc(l.msgs, func(a, b roundMsg) int {
-		return cmp.Or(cmp.Compare(a.rcv, b.rcv), cmp.Compare(a.round, b.round))
-	})
-	for i, m := range l.msgs {
-		p, _ := slices.BinarySearch(l.ranks, m.rcv)
-		rd := &ops[p].rounds[m.round]
-		recvs[i] = redistMsg{peer: m.snd, segs: m.segs}
+	order(perm[:len(l.msgs)], tmp[:len(l.msgs)], count, func(x int32) int { return slot(l.msgs[x].rcv, l.msgs[x].round) })
+	for i, x := range perm[:len(l.msgs)] {
+		msg := &l.msgs[x]
+		rd := &rs[slot(msg.rcv, msg.round)]
+		recvs[i] = redistMsg{peer: msg.snd, segs: msg.segs}
 		rd.recvs = recvs[i-len(rd.recvs) : i+1 : i+1]
 	}
 	if l.tap != nil {
 		l.tap(traffic, l.ranks, ops)
 	}
 	return l.ranks, ops
+}
+
+// index numbers the epoch's ranks, the ends of its ships: marked in seen,
+// collected in order by a scan that clears it.
+func (l *lowering) index(traffic []epochShip) {
+	top := int32(0)
+	for _, t := range traffic {
+		top = max(top, int32(t.k>>32), int32(t.k))
+	}
+	if n := int(top) + 1; n > len(l.at) {
+		l.at = append(l.at, make([]int32, n-len(l.at))...)
+		l.seen = append(l.seen, make([]uint64, n/64+1-len(l.seen))...)
+	}
+	for _, t := range traffic {
+		for _, r := range [2]int32{int32(t.k >> 32), int32(t.k)} {
+			l.seen[r/64] |= 1 << (r % 64)
+		}
+	}
+	l.ranks = l.ranks[:0]
+	for w := range l.seen[:top/64+1] {
+		for b := l.seen[w]; b != 0; b &= b - 1 {
+			r := int32(w*64 + bits.TrailingZeros64(b))
+			l.at[r] = int32(len(l.ranks))
+			l.ranks = append(l.ranks, r)
+		}
+		l.seen[w] = 0
+	}
+}
+
+// order is a stable counting sort of the indices in into out by key, in
+// [0, len(count)): a count per key, turned into the offset of its run.
+func order(out, in, count []int32, key func(int32) int) {
+	clear(count)
+	for _, x := range in {
+		count[key(x)]++
+	}
+	for k, sum := 0, int32(0); k < len(count); k++ {
+		count[k], sum = sum, sum+count[k]
+	}
+	for _, x := range in {
+		p := &count[key(x)]
+		out[*p] = x
+		*p++
+	}
 }
 
 // source classifies one source's traffic, sorted by destination: an
