@@ -27,13 +27,20 @@
 //
 // Everything is exact int64 arithmetic, so the Counts returned here are
 // identical — not approximately, but word for word — to the enumeration's,
-// while the cost is independent of the loop extents. Nests or schemes
-// outside the eligible class (bounds depending on more than one outer
-// variable, rotation, non-unit subscript coefficients, out-of-range
-// subscripts) report ok=false and fall back to the reference enumeration.
+// while the cost is independent of the loop extents. Nor does it grow with
+// the square of the processor count: each rank's footprint is counted
+// only in the owner cells it can meet, located from its rects' sides and
+// bands (cellLocator), and a replica whose footprint equals the rank
+// before it reuses that rank's counts, so a count costs at most ranks ×
+// overlapped cells, not ranks × cells; each set operation costs Period/64
+// mask words. Nests or schemes outside the eligible class (bounds
+// depending on more than one outer variable, rotation, non-unit subscript
+// coefficients, out-of-range subscripts) report ok=false and fall back to
+// the reference enumeration.
 package cost
 
 import (
+	mathbits "math/bits"
 	"slices"
 
 	"dmcc/internal/dist"
@@ -86,23 +93,26 @@ type anArray struct {
 	s     dist.Scheme
 	sizes [2]int
 	dims  [2]anDim
-	fixed []anGate // the scheme's pinned grid coordinates (Fixed entries other than All)
-	cells []ownerCell
-	reads int // read references to the array across the nest's statements
+	fixed []anGate    // the scheme's pinned grid coordinates (Fixed entries other than All)
+	cells []ownerCell // dense: cell c0*n1 + c1 for owner coordinates (c0, c1)
+	n1    int         // the cell layout's second extent
+	reads int         // read references to the array across the nest's statements
 }
 
 // ownerCell is one cell of an array's partition by first-owner rank: the
-// elements whose mapped dims land on grid coordinates coords (-1 for a
-// replicated or absent dim), and the rank that sends them.
+// elements whose mapped dims land on one pair of grid coordinates, and the
+// rank that sends them. A cell whose coordinates own nothing is not live.
 type ownerCell struct {
-	r      rect
-	coords [2]int
-	first  int
+	r     rect
+	first int
+	live  bool
 }
 
-// buildCells lists array a's non-empty owner cells: one per combination
-// of owner coordinates of the mapped dims, with replicated dims, Fixed=All
-// dims, and All coordinates contributing the canonical coordinate 0 to the
+// buildCells lays out array a's owner cells densely, one per combination
+// of owner coordinates of the mapped dims — index c0*n1 + c1, with a
+// replicated or absent dim contributing its one index 0 — so that a cell
+// is found from its coordinates by arithmetic. Replicated dims, Fixed=All
+// dims and All coordinates contribute the canonical coordinate 0 to the
 // sending rank, exactly as Scheme.Owners' first entry does.
 func (e *anEngine) buildCells(a *anArray) {
 	base := 0
@@ -122,7 +132,8 @@ func (e *anEngine) buildCells(a *anArray) {
 		return a.dims[k].pats
 	}
 	sets0, sets1 := choices(0), choices(1)
-	a.cells = make([]ownerCell, 0, len(sets0)*len(sets1))
+	a.n1 = len(sets1)
+	a.cells = make([]ownerCell, len(sets0)*len(sets1))
 	for c0, s0 := range sets0 {
 		if s0.Empty() {
 			continue
@@ -131,32 +142,145 @@ func (e *anEngine) buildCells(a *anArray) {
 			if s1.Empty() {
 				continue
 			}
-			cell := ownerCell{r: prodRect(s0, s1), coords: [2]int{-1, -1}, first: base}
+			cell := ownerCell{r: prodRect(s0, s1), first: base, live: true}
 			for k, c := range [2]int{c0, c1} {
 				if k < a.rank && !a.dims[k].replicated {
-					cell.coords[k] = c
 					cell.first += c * e.strides[a.dims[k].gd]
 				}
 			}
-			a.cells = append(a.cells, cell)
+			a.cells[c0*a.n1+c1] = cell
 		}
 	}
 }
 
-// holds reports whether the rank at grid coordinates q owns the cell's
-// elements.
-func (a *anArray) holds(c *ownerCell, q []int) bool {
+// ownCell returns the index of the one cell the rank at grid coordinates
+// q holds, or -1 when a pinned coordinate leaves it holding none.
+func (a *anArray) ownCell(q []int) int {
 	for _, f := range a.fixed {
 		if q[f.gd] != f.coord {
-			return false
+			return -1
 		}
 	}
+	i := 0
 	for k := 0; k < a.rank; k++ {
-		if c.coords[k] >= 0 && c.coords[k] != q[a.dims[k].gd] {
-			return false
+		if d := a.dims[k]; !d.replicated {
+			if k == 0 {
+				i += q[d.gd] * a.n1
+			} else {
+				i += q[d.gd]
+			}
 		}
 	}
-	return true
+	return i
+}
+
+// cellLocator is the working storage that finds the owner cells a
+// footprint can meet: per array dimension, a bitset over its grid
+// coordinates and the list the set bits are read into, and a bitset over
+// the cells with the list of those the current footprint has visited.
+// An engine invocation owns one, sized once for the widest array.
+type cellLocator struct {
+	bits    [2][]uint64
+	coord   [2][]int
+	seen    []uint64
+	visited []int
+}
+
+// footprintBill is the last footprint counted for one array and the
+// words it has in each cell it meets — all but own, the cell of the rank
+// that counted it, which is counted only when a rank with the same
+// footprint and another own cell needs it (-1 when counted or not met).
+type footprintBill struct {
+	fp    []rect
+	words []cellWords
+	own   int
+}
+
+// cellWords is n footprint words in cell.
+type cellWords struct {
+	cell int
+	n    int64
+}
+
+// oneCoord is the coordinate list of a dim with a single cell index.
+var oneCoord = []int{0}
+
+// locate lists the coordinates of array a's dim k that can own an element
+// of the image {sign*x + c : x in s}, by dist.IndexSet.MarkOwners under
+// the dim's distribution composed with the map: z = Sign*(sign*x + c) +
+// Disp.
+func (cl *cellLocator) locate(a *anArray, k int, s dist.IndexSet, sign, c int) []int {
+	if k >= a.rank || a.dims[k].replicated {
+		return oneCoord
+	}
+	n, d := a.dims[k].n, a.s.Dims[k]
+	d.Sign, d.Disp = d.Sign*sign, d.Sign*c+d.Disp
+	bits := cl.bits[k][:(n+63)/64]
+	s.MarkOwners(d, n, bits)
+	out := cl.coord[k][:0]
+	for w, x := range bits {
+		for x != 0 {
+			out = append(out, w*64+mathbits.TrailingZeros64(x))
+			x &= x - 1
+		}
+		bits[w] = 0
+	}
+	return out
+}
+
+// cells calls bill once for every live cell of array a that some rect of
+// the footprint fp can meet. A
+// product rect meets at most the cross product of the coordinates its two
+// sides can reach, and so does any rect when one side has a single cell
+// coordinate. Otherwise a banded rect is walked row by row:
+// within the owned rows of one dim-0 coordinate the bands bound the
+// columns, and a line (a diagonal) reaches exactly the owners of the
+// row slab's image. A cell no rect meets would have counted zero.
+func (cl *cellLocator) cells(a *anArray, fp []rect, bill func(i int)) {
+	visited := cl.visited[:0]
+	visit := func(c0 int, cols []int) {
+		for _, c1 := range cols {
+			i := c0*a.n1 + c1
+			if bit := uint64(1) << (i & 63); cl.seen[i>>6]&bit == 0 {
+				cl.seen[i>>6] |= bit
+				visited = append(visited, i)
+				if a.cells[i].live {
+					bill(i)
+				}
+			}
+		}
+	}
+	for j := range fp {
+		r := &fp[j]
+		rows := cl.locate(a, 0, r.a, 1, 0)
+		open := r.dlo == bandMin && r.dhi == bandMax && r.slo == bandMin && r.shi == bandMax
+		if open || a.n1 == 1 || a.dims[0].replicated {
+			cols := cl.locate(a, 1, r.b, 1, 0)
+			for _, c0 := range rows {
+				visit(c0, cols)
+			}
+			continue
+		}
+		for _, c0 := range rows {
+			// The rect's rows owned by c0 whose band partners lie in b.
+			slab := a.dims[0].pats[c0].Clip(r.a.Lo, r.a.Hi).
+				Clip(max(r.b.Lo-r.dhi, r.slo-r.b.Hi), min(r.b.Hi-r.dlo, r.shi-r.b.Lo))
+			switch {
+			case r.dlo == r.dhi:
+				visit(c0, cl.locate(a, 1, slab, 1, r.dlo))
+			case r.slo == r.shi:
+				visit(c0, cl.locate(a, 1, slab, -1, r.slo))
+			default:
+				lo := max(slab.Lo+r.dlo, r.slo-slab.Hi)
+				hi := min(slab.Hi+r.dhi, r.shi-slab.Lo)
+				visit(c0, cl.locate(a, 1, r.b.Clip(lo, hi), 1, 0))
+			}
+		}
+	}
+	for _, i := range visited {
+		cl.seen[i>>6] = 0
+	}
+	cl.visited = visited
 }
 
 type anRef struct {
@@ -199,13 +323,35 @@ type anEngine struct {
 	arrays     []*anArray
 	stmts      []*anStmt
 
-	flops []int64
-	in    []int64
-	out   []int64
-	// footprints[arrayIdx][rank] accumulates read rects.
-	footprints [][][]rect
-	remote     int64
-	reduceW    int64
+	flops   []int64
+	in      []int64
+	out     []int64
+	remote  int64
+	reduceW int64
+	pairs   int64 // (rank, owner cell) pairs the needed-words pass counted
+}
+
+// newCellLocator sizes a cellLocator for the widest mapped dimension and
+// the largest cell layout of the engine's arrays.
+func (e *anEngine) newCellLocator() cellLocator {
+	n, cells := 1, 1
+	for _, a := range e.arrays {
+		c := 1
+		for k := 0; k < a.rank; k++ {
+			n = max(n, a.dims[k].n)
+			c *= max(a.dims[k].n, 1)
+		}
+		cells = max(cells, c)
+	}
+	words := (n + 63) / 64
+	bits := make([]uint64, 2*words+(cells+63)/64)
+	coord := make([]int, 2*n+cells)
+	return cellLocator{
+		bits:    [2][]uint64{bits[:words], bits[words : 2*words]},
+		coord:   [2][]int{coord[:n:n], coord[n : 2*n : 2*n]},
+		seen:    bits[2*words:],
+		visited: coord[2*n:],
+	}
 }
 
 // countNestAnalytic computes CountNestOptsExact's Counts for nest t in
@@ -419,22 +565,48 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 	e.flops = make([]int64, e.nprocs)
 	e.in = make([]int64, e.nprocs)
 	e.out = make([]int64, e.nprocs)
-	// Footprint storage is one slab per array, cut so that every rank's
-	// list has room for each read of the array: no list outgrows its slot.
-	e.footprints = make([][][]rect, len(e.arrays))
+	// Footprint storage is one slab, cut so that each array's list, and
+	// the last footprint counted for it, have room for each of its reads:
+	// no list outgrows its slot. A rank's footprints are billed as soon as
+	// they are built, so two lists per array serve every rank.
+	reads := 0
+	for _, a := range e.arrays {
+		reads += a.reads
+	}
+	slab := make([]rect, 2*reads)
+	fps := make([][]rect, len(e.arrays))
+	bills := make([]footprintBill, len(e.arrays))
 	for i, a := range e.arrays {
-		e.footprints[i] = make([][]rect, e.nprocs)
-		slab := make([]rect, a.reads*e.nprocs)
-		for pr := range e.footprints[i] {
-			e.footprints[i][pr], slab = slab[:0:a.reads], slab[a.reads:]
+		fps[i], slab = slab[:0:a.reads], slab[a.reads:]
+		bills[i].fp, slab = slab[:0:a.reads], slab[a.reads:]
+		if a.reads > 0 {
+			e.buildCells(a)
 		}
 	}
 
-	// Per-rank pass: instance counts (flops) and read footprints.
+	// Per-rank pass: instance counts (flops), read footprints, and the
+	// needed words they bill.
+	//
+	// Needed words: per (array, rank), the part of the read footprint the
+	// rank does not own, billed to each element's first owner. The owner
+	// cells partition the array and a rank's owned set is exactly one of
+	// them, so the footprint is counted inside every other cell and
+	// nowhere else: the own cell's words are local, and no owned part has
+	// to be subtracted from the rest. Only the cells the footprint can
+	// meet are visited, so the pass costs ranks x overlapped cells, not
+	// ranks x cells. Replicas that execute the same instances have the
+	// same footprint and so the same words per cell: each array keeps the
+	// last footprint it counted with its words per cell, and a rank with
+	// an equal footprint bills them again without counting.
 	allowed := make([]dist.IndexSet, len(nest.Loops))
 	constrained := make([]bool, len(nest.Loops))
+	var sc rectScratch
+	cl := e.newCellLocator()
 	for pr := 0; pr < e.nprocs; pr++ {
 		q := e.rankCoords[pr]
+		for i := range fps {
+			fps[i] = fps[i][:0]
+		}
 		for _, as := range e.stmts {
 			if !e.rankExecutes(as, q, allowed, constrained) {
 				continue
@@ -454,7 +626,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 				if !ok {
 					continue
 				}
-				fp := e.footprints[rd.arr.idx][pr]
+				fp := fps[rd.arr.idx]
 				dup := false
 				for _, x := range fp {
 					if rectEq(x, r) {
@@ -469,37 +641,42 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 				if len(fp) > maxFootprintRects {
 					return Counts{}, false, nil
 				}
-				e.footprints[rd.arr.idx][pr] = fp
+				fps[rd.arr.idx] = fp
 			}
 		}
-	}
-
-	// Needed words: per (array, rank), the part of the read footprint the
-	// rank does not own, billed to each element's first owner. The owner
-	// cells partition the array and a rank's owned set is exactly one of
-	// them, so the footprint is counted inside every other cell and
-	// nowhere else: the own cell's bill is zero by construction, and no
-	// owned part has to be subtracted from the rest.
-	var sc rectScratch
-	for _, a := range e.arrays {
-		if a.reads == 0 {
-			continue
-		}
-		e.buildCells(a)
-		for pr := 0; pr < e.nprocs; pr++ {
-			fp := e.footprints[a.idx][pr]
+		for _, a := range e.arrays {
+			fp, bl := fps[a.idx], &bills[a.idx]
 			if len(fp) == 0 {
 				continue
 			}
-			for i := range a.cells {
-				cell := &a.cells[i]
-				if a.holds(cell, e.rankCoords[pr]) {
-					continue
+			own := a.ownCell(q)
+			count := func(i int) {
+				e.pairs++
+				if c := sc.unionCount(fp, &a.cells[i].r); c != 0 {
+					bl.words = append(bl.words, cellWords{i, c})
 				}
-				if c := sc.unionCount(fp, &cell.r); c != 0 {
-					e.remote += c
-					e.in[pr] += c
-					e.out[cell.first] += c
+			}
+			switch {
+			case !slices.EqualFunc(bl.fp, fp, rectEq):
+				// The list is the rank's now; the next rank builds in the old one.
+				fps[a.idx], bl.fp = bl.fp[:0], fp
+				bl.words, bl.own = bl.words[:0], -1
+				cl.cells(a, fp, func(i int) {
+					if i == own {
+						bl.own = i
+					} else {
+						count(i)
+					}
+				})
+			case bl.own >= 0 && bl.own != own:
+				count(bl.own)
+				bl.own = -1
+			}
+			for _, w := range bl.words {
+				if w.cell != own {
+					e.remote += w.n
+					e.in[pr] += w.n
+					e.out[a.cells[w.cell].first] += w.n
 				}
 			}
 		}
@@ -518,7 +695,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 	}
 
 	if opts.tally != nil {
-		*opts.tally = rankTally{flops: e.flops, in: e.in, out: e.out}
+		*opts.tally = rankTally{flops: e.flops, in: e.in, out: e.out, pairs: e.pairs}
 	}
 	var ct Counts
 	ct.RemoteWords = e.remote

@@ -341,6 +341,60 @@ func TestCountNestMatchesOracle(t *testing.T) {
 	}
 }
 
+// locateSeeds are the replayable case streams of
+// TestCountNestLocatesCellsLikeOracle, apart from oracleSeeds so that
+// those streams replay as before.
+var locateSeeds = []int64{142, 143, 144, 145, 146, 147}
+
+// TestCountNestLocatesCellsLikeOracle is the property test of the
+// needed-words pass's cell location, on grids where location matters:
+// wide, tall and N > m grids, so that many ranks own nothing, footprint
+// hulls miss most owner cells, and a bill sent to a cell the footprint
+// cannot meet — or a cell it can meet left out — shows in the per-rank
+// words. Plain and triangular nests alternate (the latter bring the
+// banded rects that are located row by row), under random schemes with
+// reversed, displaced, cyclic and pinned dims, every fifth trial
+// additionally pinned and partially replicated.
+func TestCountNestLocatesCellsLikeOracle(t *testing.T) {
+	grids := []*grid.Grid{
+		grid.New(8, 1), grid.New(1, 16), grid.New(4, 8), grid.New(32, 1), grid.New(3, 5),
+	}
+	const trials = 250
+	for _, seed := range locateSeeds {
+		rng := rand.New(rand.NewSource(seed))
+		analyticHits := 0
+		for trial := 0; trial < trials; trial++ {
+			g := grids[trial%len(grids)]
+			m := 8 + rng.Intn(4)
+			bind := map[string]int{"m": m}
+			var p *ir.Program
+			if trial%2 == 0 {
+				p = randNestProgram(rng, m)
+			} else {
+				p = randTriangularProgram(rng, m, 2+rng.Intn(2))
+			}
+			label := fmt.Sprintf("seed %d trial %d", seed, trial)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("%s: generated invalid program: %v", label, err)
+			}
+			schemes := randSchemes(t, rng, p, g, m)
+			if trial%5 == 4 {
+				schemes = pinAndReplicate(schemes, g, rng.Intn(2))
+			}
+			var opts CountOptions
+			if trial%3 == 1 {
+				opts.Carried = true
+			}
+			if checkAgainstOracle(t, label, p, schemes, g, bind, opts) {
+				analyticHits++
+			}
+		}
+		if analyticHits < trials/4 {
+			t.Fatalf("seed %d: analytic path engaged on only %d/%d trials", seed, analyticHits, trials)
+		}
+	}
+}
+
 // TestCountNestAnalyticJacobi pins the analytic engine to the paper's
 // Jacobi nests under both Table 2 schemes: the closed forms must engage
 // (ok=true) and agree with the oracle.
@@ -975,5 +1029,60 @@ func TestPassesPartitionTheCount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNeededWordsBillOnlyOverlappedCells is the deterministic scaling
+// guard of the needed-words pass: the (rank, owner cell) pairs it counts
+// a footprint in. For jacobi and sor at m = 32 on every grid of N = 1024
+// processors a scan of all cells per rank counts up to N^2 pairs per
+// array, a million; the located pass counts at most 2m·N pairs in all,
+// and no pair that carries no word.
+func TestNeededWordsBillOnlyOverlappedCells(t *testing.T) {
+	const m, n = 32, 1024
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR()} {
+		for _, c := range gridNestCases(p, m, n, func(g *grid.Grid) map[string]dist.Scheme { return blockSchemes(m, g) }) {
+			var tl rankTally
+			ct, eng, err := CountValidatedNest(c.lw, c.nest, c.schemes, c.g, CountOptions{tally: &tl})
+			if err != nil || eng != EngineAnalytic {
+				t.Fatalf("%s: engine %v, err %v; want the analytic engine", c.name, eng, err)
+			}
+			if tl.pairs > 2*m*n || tl.pairs > ct.RemoteWords {
+				t.Errorf("%s: %d (rank, cell) pairs counted for %d remote words; want at most %d and no empty pair",
+					c.name, tl.pairs, ct.RemoteWords, 2*m*n)
+			}
+		}
+	}
+}
+
+// TestCyclicShiftBillsOneCellPerRank reads, on 256 processors, the rows
+// one past each rank's own under cyclic rows at m = 1024: each
+// footprint's hull spans the whole period four times over, but its
+// residues lie in one other rank's rows, so exactly one cell per rank is
+// counted — and the words match the enumeration rank by rank.
+func TestCyclicShiftBillsOneCellPerRank(t *testing.T) {
+	const m, n = 1024, 256
+	i, j := ir.V("i"), ir.V("j")
+	p := triProgram([]ir.Loop{
+		{Index: "i", Lo: ir.Const(1), Hi: ir.V("m").PlusConst(-1), Step: 1},
+		{Index: "j", Lo: ir.Const(1), Hi: ir.Const(4), Step: 1},
+	}, &ir.Stmt{Line: 1, Depth: 2, Flops: 1, LHS: ir.R("A", i, j), Reads: []ir.Ref{ir.R("C", i.PlusConst(1), j)}})
+	g := grid.New(n, 1)
+	rows := dist.Scheme2D(dist.Cyclic(0), dist.BlockContiguous(m, 1, 1), nil)
+	schemes := map[string]dist.Scheme{
+		"A": rows, "C": rows,
+		"B": dist.Scheme1D(dist.Cyclic(0), map[int]int{1: 0}),
+		"X": dist.Scheme1D(dist.Cyclic(0), map[int]int{1: 0}),
+	}
+	bind := map[string]int{"m": m}
+	if !checkAgainstOracle(t, "cyclic shift", p, schemes, g, bind, CountOptions{}) {
+		t.Fatal("the closed forms declined the cyclic shift")
+	}
+	var tl rankTally
+	if _, _, err := dispatch(p, schemes, g, bind, CountOptions{tally: &tl}); err != nil {
+		t.Fatal(err)
+	}
+	if tl.pairs != n {
+		t.Fatalf("%d (rank, cell) pairs billed on %d ranks; want one per rank", tl.pairs, n)
 	}
 }

@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"fmt"
 	"testing"
 
 	"dmcc/internal/dist"
@@ -103,4 +104,81 @@ func TestCountNestAllocBudget(t *testing.T) {
 	if got := testing.AllocsPerRun(10, func() { countSink = c.count(t) }); got > gaussCountAllocBudget {
 		t.Fatalf("one count of %s at m=%d made %.0f allocations, budget %d", c.name, m, got, gaussCountAllocBudget)
 	}
+}
+
+// factorGrids lists every n0 x n1 grid of n processors, n0 ascending.
+func factorGrids(n int) []*grid.Grid {
+	var gs []*grid.Grid
+	for n0 := 1; n0 <= n; n0++ {
+		if n%n0 == 0 {
+			gs = append(gs, grid.New(n0, n/n0))
+		}
+	}
+	return gs
+}
+
+// blockSchemes is the scheme set Algorithm 1 derives for jacobi and sor
+// on an n0 x n1 grid: A in row x column blocks, V aligned with its rows,
+// B and X with its columns, each vector replicated over the other grid
+// dimension.
+func blockSchemes(m int, g *grid.Grid) map[string]dist.Scheme {
+	rows, cols := dist.BlockContiguous(m, g.Extent(0), 0), dist.BlockContiguous(m, g.Extent(1), 1)
+	return map[string]dist.Scheme{
+		"A": dist.Scheme2D(rows, cols, nil),
+		"V": dist.Scheme1D(rows, map[int]int{1: dist.All}),
+		"B": dist.Scheme1D(cols, map[int]int{0: dist.All}),
+		"X": dist.Scheme1D(cols, map[int]int{0: dist.All}),
+	}
+}
+
+// cyclicSchemes is the scheme set Algorithm 1 derives for gauss on a
+// square-ish grid, the matrices cyclic in both dimensions.
+func cyclicSchemes(g *grid.Grid) map[string]dist.Scheme {
+	return map[string]dist.Scheme{
+		"A": dist.Scheme2D(dist.Cyclic(0), dist.Cyclic(1), nil),
+		"L": dist.Scheme2D(dist.Cyclic(0), dist.Cyclic(1), nil),
+		"B": dist.Scheme1D(dist.Cyclic(0), map[int]int{1: dist.All}),
+		"V": dist.Scheme1D(dist.Cyclic(0), map[int]int{1: dist.All}),
+		"X": dist.Scheme1D(dist.Cyclic(1), map[int]int{0: dist.All}),
+	}
+}
+
+// gridNestCases is every nest of p at size m on every factor-pair grid
+// of n processors, under the schemes the given function derives.
+func gridNestCases(p *ir.Program, m, n int, schemes func(*grid.Grid) map[string]dist.Scheme) []nestCase {
+	lw, _ := p.Lower(map[string]int{"m": m})
+	var cases []nestCase
+	for _, g := range factorGrids(n) {
+		for t, nest := range p.Nests {
+			name := fmt.Sprintf("%s-%s/%dx%d", p.Name, nest.Label, g.Extent(0), g.Extent(1))
+			cases = append(cases, nestCase{name, p, t, g, schemes(g), lw})
+		}
+	}
+	return cases
+}
+
+// benchCases times one closed-form count of each case per iteration.
+func benchCases(b *testing.B, cases []nestCase) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			countSink = c.count(b)
+		}
+	}
+}
+
+// BenchmarkCountNestJacobi1024 counts both jacobi nests at m = 32 on all
+// eleven grids of 1024 processors: the counts exec-scale's set-up pays
+// to derive jacobi's schemes, where a scan of every owner cell per rank
+// cost N^2 per array.
+func BenchmarkCountNestJacobi1024(b *testing.B) {
+	const m = 32
+	benchCases(b, gridNestCases(ir.Jacobi(), m, 1024, func(g *grid.Grid) map[string]dist.Scheme { return blockSchemes(m, g) }))
+}
+
+// BenchmarkCountNestGauss256 counts the three gauss nests at m = 32 on
+// all nine grids of 256 processors under cyclic matrices: residue masks
+// of period 256 on every set operation.
+func BenchmarkCountNestGauss256(b *testing.B) {
+	benchCases(b, gridNestCases(ir.Gauss(), 32, 256, cyclicSchemes))
 }

@@ -85,8 +85,14 @@ type CountOptions struct {
 }
 
 // rankTally is the per-processor flops, words received and words sent of
-// one nest count, indexed by rank.
-type rankTally struct{ flops, in, out []int64 }
+// one nest count, indexed by rank, and — from the closed forms only — the
+// number of (rank, owner cell) pairs whose footprint intersection the
+// needed-words pass counted: the work that pass scales with. A rank whose
+// footprint equals the one counted before it adds none.
+type rankTally struct {
+	flops, in, out []int64
+	pairs          int64
+}
 
 // denseRanks spreads the oracle's per-rank map over n ranks.
 func denseRanks(byRank map[int]int64, n int) []int64 {
@@ -279,7 +285,7 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 		}
 	}
 	if n := g.Size(); opts.tally != nil {
-		*opts.tally = rankTally{denseRanks(flops, n), denseRanks(in, n), denseRanks(out, n)}
+		*opts.tally = rankTally{flops: denseRanks(flops, n), in: denseRanks(in, n), out: denseRanks(out, n)}
 	}
 	return ct, nil
 }

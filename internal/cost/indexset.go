@@ -280,7 +280,7 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 		return 0
 	}
 	prodAt := func(v int) int64 {
-		if !xs.Residues[dist.Mod(v, xs.Period)] {
+		if !xs.InClass(v) {
 			return 0
 		}
 		acc := int64(1)
@@ -354,7 +354,7 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 			h = starts[i+1] - 1
 		}
 		for rho := 0; rho < period; rho++ {
-			if !xs.Residues[rho%xs.Period] {
+			if !xs.InClass(rho) {
 				continue
 			}
 			v0 := l + dist.Mod(rho-l, period)

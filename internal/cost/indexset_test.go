@@ -16,12 +16,13 @@ var rectSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
 // near zero and spanning up to maxSpan indices (sometimes none).
 func randIndexSet(rng *rand.Rand, maxSpan int) dist.IndexSet {
 	p := 1 + rng.Intn(5)
-	s := dist.IndexSet{Lo: -6 + rng.Intn(12), Period: p, Residues: make([]bool, p)}
-	s.Hi = s.Lo - 2 + rng.Intn(maxSpan+2)
-	for r := range s.Residues {
-		s.Residues[r] = rng.Intn(3) > 0
+	lo := -6 + rng.Intn(12)
+	hi := lo - 2 + rng.Intn(maxSpan+2)
+	member := make([]bool, p)
+	for r := range member {
+		member[r] = rng.Intn(3) > 0
 	}
-	return s
+	return dist.Periodic(lo, hi, member)
 }
 
 // spanOnEitherSideOfCap alternates between interval widths the windowed

@@ -87,6 +87,11 @@ type coordPair struct {
 	cnt    int64
 }
 
+// byCoords orders coordinate pairs by (aF, aT).
+func byCoords(x, y coordPair) int {
+	return cmp.Or(cmp.Compare(x.aF, y.aF), cmp.Compare(x.aT, y.aT))
+}
+
 // holds reports whether rank r sits at the given per-grid-dimension
 // coordinates, All matching any (rank r denotes the same processor on
 // both grids of a change).
@@ -365,8 +370,10 @@ func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
 //
 // A pair's count is the size of the intersection of the two coordinates'
 // owned sets. Unless both sides are cyclic, one of the two is a plain
-// interval and the count is O(1): the overlap of two intervals, or
-// cyclicCountIn against a cyclic partner.
+// interval and the count is O(1): cyclicCountIn against a cyclic
+// partner, or the overlap of two intervals — and two interval lists,
+// each disjoint and ordered along the index, overlap in at most
+// nF + nT - 1 pairs, which one merge finds.
 func dimJointCounts(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	cycF, cycT := dF.Cyclic && !dF.Replicated, dT.Cyclic && !dT.Replicated
 	if cycF && cycT {
@@ -374,23 +381,55 @@ func dimJointCounts(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	}
 	coordsF, setsF := ownedIntervals(dF, nF, size)
 	coordsT, setsT := ownedIntervals(dT, nT, size)
+	if !cycF && !cycT {
+		return jointIntervals(coordsF, setsF, descending(dF), coordsT, setsT, descending(dT))
+	}
 	var out []coordPair
 	for i, a := range coordsF {
 		for j, b := range coordsT {
 			var c int64
-			switch {
-			case cycF:
+			if cycF {
 				c = cyclicCountIn(dF, nF, a, setsT[j].Lo, setsT[j].Hi)
-			case cycT:
+			} else {
 				c = cyclicCountIn(dT, nT, b, setsF[i].Lo, setsF[i].Hi)
-			default:
-				c = int64(min(setsF[i].Hi, setsT[j].Hi) - max(setsF[i].Lo, setsT[j].Lo) + 1)
 			}
 			if c > 0 {
 				out = append(out, coordPair{a, b, c})
 			}
 		}
 	}
+	return out
+}
+
+// descending reports whether a dim's coordinates own ever lower indices:
+// a partitioned dim with Sign -1.
+func descending(d Dim) bool { return !d.Replicated && d.Sign == -1 }
+
+// jointIntervals merges two lists of owned intervals, given in coordinate
+// order and descending along the index when desc is set, into the table
+// of their non-empty overlaps in (aF, aT) order: one walk of both lists
+// along the index, then a sort of the at most nF + nT - 1 overlaps.
+func jointIntervals(coordsF []int, setsF []IndexSet, descF bool, coordsT []int, setsT []IndexSet, descT bool) []coordPair {
+	at := func(k, n int, desc bool) int {
+		if desc {
+			return n - 1 - k
+		}
+		return k
+	}
+	nF, nT := len(coordsF), len(coordsT)
+	out := make([]coordPair, 0, nF+nT)
+	for i, j := 0, 0; i < nF && j < nT; {
+		f, t := at(i, nF, descF), at(j, nT, descT)
+		if lo, hi := max(setsF[f].Lo, setsT[t].Lo), min(setsF[f].Hi, setsT[t].Hi); lo <= hi {
+			out = append(out, coordPair{coordsF[f], coordsT[t], int64(hi - lo + 1)})
+		}
+		if setsF[f].Hi < setsT[t].Hi {
+			i++
+		} else {
+			j++
+		}
+	}
+	slices.SortFunc(out, byCoords)
 	return out
 }
 
@@ -476,9 +515,7 @@ func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 		}
 		out = append(out, coordPair{a, b, c})
 	}
-	slices.SortFunc(out, func(x, y coordPair) int {
-		return cmp.Or(cmp.Compare(x.aF, y.aF), cmp.Compare(x.aT, y.aT))
-	})
+	slices.SortFunc(out, byCoords)
 	k := 0
 	for _, cp := range out {
 		if k > 0 && out[k-1].aF == cp.aF && out[k-1].aT == cp.aT {

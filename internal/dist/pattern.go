@@ -8,37 +8,66 @@
 // affine maps. OwnedPatternOf produces the owned sets; the analytic nest
 // counter (package cost) lifts them to 2-D element rects and intersects
 // them with iteration ranges, and the redistribution bill (analytic.go)
-// counts their pairwise intersections. Counting is exact integer
-// arithmetic whose cost depends on the period, never on the interval
-// width.
+// counts their pairwise intersections. The mask is a bitset, and every
+// operation works on it a 64-bit word at a time: counting is exact
+// integer arithmetic whose cost is Period/64 words, never the interval
+// width, and an equal-period intersection or a shift is as cheap.
 package dist
 
-import "dmcc/internal/grid"
+import (
+	"math/bits"
+	"slices"
 
-// IndexSet is {x in [Lo, Hi] : Residues[x mod Period]} with Period >= 1
-// and len(Residues) == Period. Contiguous dimensions have Period 1 and
+	"dmcc/internal/grid"
+)
+
+// IndexSet is {x in [Lo, Hi] : residue x mod Period is in the mask} with
+// Period >= 1. The mask holds bit r of residue r in word r/64, with the
+// bits at and above Period clear. Contiguous dimensions have Period 1 and
 // carry all structure in the interval; cyclic dimensions have
 // Period = N*Block and an interval spanning the whole dimension. Sets
-// are values: no method, and no caller, writes through Residues — the
+// are values: no method, and no caller, writes through the mask — the
 // invariant that lets Intersect, Clip and AffineImage hand back an
 // operand's mask instead of a copy.
 type IndexSet struct {
-	Lo, Hi   int
-	Period   int
-	Residues []bool
+	Lo, Hi int
+	Period int
+	mask   []uint64
 }
 
-// everyResidue is the mask of all Period-1 sets; sharing it is safe
+// everyResidue is the mask of all full Period-1 sets; sharing it is safe
 // because sets are values.
-var everyResidue = []bool{true}
+var everyResidue = []uint64{1}
 
 // Interval returns the set of all integers in [lo, hi].
 func Interval(lo, hi int) IndexSet {
-	return IndexSet{Lo: lo, Hi: hi, Period: 1, Residues: everyResidue}
+	return IndexSet{Lo: lo, Hi: hi, Period: 1, mask: everyResidue}
 }
 
+// Periodic returns {x in [lo, hi] : member[x mod len(member)]}, the set of
+// period len(member) >= 1, its mask built from member, which the caller
+// keeps.
+func Periodic(lo, hi int, member []bool) IndexSet {
+	s := IndexSet{Lo: lo, Hi: hi, Period: len(member), mask: newMask(len(member))}
+	for r, in := range member {
+		if in {
+			s.mask[r>>6] |= 1 << (r & 63)
+		}
+	}
+	return s
+}
+
+// newMask returns an all-clear mask for period p.
+func newMask(p int) []uint64 { return make([]uint64, (p+63)>>6) }
+
 // Mod returns x mod p in [0, p) for p > 0 and any x.
-func Mod(x, p int) int { return ((x % p) + p) % p }
+func Mod(x, p int) int {
+	r := x % p
+	if r < 0 {
+		r += p
+	}
+	return r
+}
 
 // LCM returns the least common multiple of two positive integers.
 func LCM(a, b int) int {
@@ -63,10 +92,59 @@ func countResidue(lo, hi, p, r int) int64 {
 	return int64((span-off-1)/p) + 1
 }
 
+// has reports whether residue r, in [0, Period), is in the mask.
+func (s IndexSet) has(r int) bool { return s.mask[r>>6]>>(r&63)&1 != 0 }
+
+// InClass reports whether x's residue class mod Period is in the mask,
+// whatever the interval: membership for any x in [Lo, Hi].
+func (s IndexSet) InClass(x int) bool {
+	if s.Period == 1 {
+		return s.mask[0]&1 != 0
+	}
+	return s.has(Mod(x, s.Period))
+}
+
+// onesIn counts the mask's residues in [lo, hi], a sub-range of
+// [0, Period), a word at a time.
+func (s IndexSet) onesIn(lo, hi int) int64 {
+	if hi < lo {
+		return 0
+	}
+	wl, wh := lo>>6, hi>>6
+	first := ^uint64(0) << (lo & 63)
+	last := ^uint64(0) >> (63 - hi&63)
+	if wl == wh {
+		return int64(bits.OnesCount64(s.mask[wl] & first & last))
+	}
+	c := bits.OnesCount64(s.mask[wl]&first) + bits.OnesCount64(s.mask[wh]&last)
+	for _, w := range s.mask[wl+1 : wh] {
+		c += bits.OnesCount64(w)
+	}
+	return int64(c)
+}
+
+// window reads the n <= 64 mask bits from residue pos on, wrapping from
+// Period-1 to 0, into the low bits of one word.
+func (s IndexSet) window(pos, n int) uint64 {
+	if rest := s.Period - pos; n > rest {
+		return s.window(pos, rest) | s.window(0, n-rest)<<rest
+	}
+	w, b := pos>>6, pos&63
+	x := s.mask[w] >> b
+	if b+n > 64 {
+		x |= s.mask[w+1] << (64 - b)
+	}
+	if n < 64 {
+		x &= 1<<n - 1
+	}
+	return x
+}
+
 // Count returns the number of members.
 func (s IndexSet) Count() int64 { return s.CountIn(s.Lo, s.Hi) }
 
-// CountIn counts members of s inside [l, h].
+// CountIn counts members of s inside [l, h]: the whole periods the window
+// spans times the mask's population, plus the wrapped partial period.
 func (s IndexSet) CountIn(l, h int) int64 {
 	if l < s.Lo {
 		l = s.Lo
@@ -77,10 +155,21 @@ func (s IndexSet) CountIn(l, h int) int64 {
 	if h < l {
 		return 0
 	}
+	span := h - l + 1
+	if s.Period == 1 {
+		return int64(span) * int64(s.mask[0]&1)
+	}
+	full, rem := span/s.Period, span%s.Period
 	var c int64
-	for r, ok := range s.Residues {
-		if ok {
-			c += countResidue(l, h, s.Period, r)
+	if full > 0 {
+		c = int64(full) * s.onesIn(0, s.Period-1)
+	}
+	if rem > 0 {
+		r0 := Mod(l, s.Period)
+		if end := r0 + rem - 1; end < s.Period {
+			c += s.onesIn(r0, end)
+		} else {
+			c += s.onesIn(r0, s.Period-1) + s.onesIn(0, end-s.Period)
 		}
 	}
 	return c
@@ -91,34 +180,76 @@ func (s IndexSet) Empty() bool { return s.Count() == 0 }
 
 // Contains reports whether v is a member.
 func (s IndexSet) Contains(v int) bool {
-	return v >= s.Lo && v <= s.Hi && s.Residues[Mod(v, s.Period)]
+	return v >= s.Lo && v <= s.Hi && s.InClass(v)
 }
 
-// Min returns the smallest member. Any nonempty set has a member in the
-// first Period positions of its interval, so the scan is O(Period).
-func (s IndexSet) Min() (int, bool) {
-	end := s.Lo + s.Period - 1
-	if end > s.Hi {
-		end = s.Hi
-	}
-	for v := s.Lo; v <= end; v++ {
-		if s.Residues[Mod(v, s.Period)] {
-			return v, true
+// nextOne returns the smallest residue >= r in the mask, or -1.
+func (s IndexSet) nextOne(r int) int {
+	w := r >> 6
+	x := s.mask[w] & (^uint64(0) << (r & 63))
+	for {
+		if x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
 		}
+		if w++; w == len(s.mask) {
+			return -1
+		}
+		x = s.mask[w]
+	}
+}
+
+// prevOne returns the largest residue <= r in the mask, or -1.
+func (s IndexSet) prevOne(r int) int {
+	w := r >> 6
+	x := s.mask[w] & (^uint64(0) >> (63 - r&63))
+	for {
+		if x != 0 {
+			return w<<6 + 63 - bits.LeadingZeros64(x)
+		}
+		if w--; w < 0 {
+			return -1
+		}
+		x = s.mask[w]
+	}
+}
+
+// Min returns the smallest member: the first mask residue at or after
+// Lo's, wrapping once, a word at a time.
+func (s IndexSet) Min() (int, bool) {
+	if s.Hi < s.Lo {
+		return 0, false
+	}
+	r0 := Mod(s.Lo, s.Period)
+	d := 0
+	if r := s.nextOne(r0); r >= 0 {
+		d = r - r0
+	} else if r = s.nextOne(0); r >= 0 {
+		d = r + s.Period - r0
+	} else {
+		return 0, false
+	}
+	if v := s.Lo + d; v <= s.Hi {
+		return v, true
 	}
 	return 0, false
 }
 
 // Max returns the largest member.
 func (s IndexSet) Max() (int, bool) {
-	end := s.Hi - s.Period + 1
-	if end < s.Lo {
-		end = s.Lo
+	if s.Hi < s.Lo {
+		return 0, false
 	}
-	for v := s.Hi; v >= end; v-- {
-		if s.Residues[Mod(v, s.Period)] {
-			return v, true
-		}
+	r1 := Mod(s.Hi, s.Period)
+	d := 0
+	if r := s.prevOne(r1); r >= 0 {
+		d = r1 - r
+	} else if r = s.prevOne(s.Period - 1); r >= 0 {
+		d = r1 + s.Period - r
+	} else {
+		return 0, false
+	}
+	if v := s.Hi - d; v >= s.Lo {
+		return v, true
 	}
 	return 0, false
 }
@@ -134,69 +265,118 @@ func (s IndexSet) Clip(l, h int) IndexSet {
 	return s
 }
 
+// full reports whether s is a Period-1 set with its one residue in.
+func (s IndexSet) full() bool { return s.Period == 1 && s.mask[0]&1 != 0 }
+
 // Intersect returns the members common to s and o. The result shares an
 // operand's mask whenever that mask already is the answer — the other
 // operand is a full Period-1 interval, or its mask contains this one —
 // and comes back as an empty interval, without a mask of its own, when
 // the intervals or the masks are disjoint; only a genuinely new mask is
-// allocated.
+// allocated. Both masks are read lifted to the lcm of the periods, so
+// every period meets a word at a time.
 func (s IndexSet) Intersect(o IndexSet) IndexSet {
 	lo, hi := max(s.Lo, o.Lo), min(s.Hi, o.Hi)
 	switch {
 	case hi < lo:
 		return Interval(lo, hi)
-	case o.Period == 1 && o.Residues[0]:
-		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: s.Residues}
-	case s.Period == 1 && s.Residues[0]:
-		return IndexSet{Lo: lo, Hi: hi, Period: o.Period, Residues: o.Residues}
+	case o.full():
+		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, mask: s.mask}
+	case s.full():
+		return IndexSet{Lo: lo, Hi: hi, Period: o.Period, mask: o.mask}
 	}
 	p := LCM(s.Period, o.Period)
+	liftS, liftO := s.lifted(), o.lifted()
+	n := (p + 63) >> 6
+	last := ^uint64(0) >> (63 - (p-1)&63)
+	words := func(w int) (uint64, uint64) {
+		a, b := liftS.word(w), liftO.word(w)
+		if w == n-1 {
+			a, b = a&last, b&last
+		}
+		return a, b
+	}
 	meet, isS, isO := false, p == s.Period, p == o.Period
-	for r, i, j := 0, 0, 0; r < p; r++ {
-		a, b := s.Residues[i], o.Residues[j]
-		meet = meet || a && b
-		isS = isS && (b || !a)
-		isO = isO && (a || !b)
-		if i++; i == s.Period {
-			i = 0
-		}
-		if j++; j == o.Period {
-			j = 0
-		}
+	for w := 0; w < n; w++ {
+		a, b := words(w)
+		meet = meet || a&b != 0
+		isS = isS && a&^b == 0
+		isO = isO && b&^a == 0
 	}
 	switch {
 	case !meet:
 		return Interval(lo, lo-1)
 	case isS:
-		return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: s.Residues}
+		return IndexSet{Lo: lo, Hi: hi, Period: p, mask: s.mask}
 	case isO:
-		return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: o.Residues}
+		return IndexSet{Lo: lo, Hi: hi, Period: p, mask: o.mask}
 	}
-	res := make([]bool, p)
-	for r := range res {
-		res[r] = s.Residues[r%s.Period] && o.Residues[r%o.Period]
+	res := newMask(p)
+	for w := range res {
+		a, b := words(w)
+		res[w] = a & b
 	}
-	return IndexSet{Lo: lo, Hi: hi, Period: p, Residues: res}
+	return IndexSet{Lo: lo, Hi: hi, Period: p, mask: res}
+}
+
+// liftedMask reads a mask as if repeated forever, a word at a time: word
+// w holds residues (64w + k) mod Period for k in [0, 64). A period below
+// 64 is first repeated across one word, rep.
+type liftedMask struct {
+	s   IndexSet
+	rep uint64
+}
+
+func (s IndexSet) lifted() liftedMask {
+	l := liftedMask{s: s}
+	if s.Period < 64 {
+		l.rep = s.mask[0]
+		for f := s.Period; f < 64; f *= 2 {
+			l.rep |= l.rep << f
+		}
+	}
+	return l
+}
+
+func (l liftedMask) word(w int) uint64 {
+	q := l.s.Period
+	switch {
+	case q%64 == 0:
+		return l.s.mask[w%len(l.s.mask)]
+	case q > 64:
+		return l.s.window((w<<6)%q, 64)
+	}
+	// rep holds positions 0..63 of the repetition; a word starting at
+	// start < q takes its tail from one period earlier.
+	start := (w << 6) % q
+	return l.rep>>start | l.rep<<(q-start)
 }
 
 // AffineImage returns {sign*x + c : x in s}, sign in {-1, +1}. A map that
 // leaves every residue class in place (Period 1, or a shift by a multiple
-// of the period) shares s's mask.
+// of the period) shares s's mask; any other builds the image mask a word
+// at a time — a rotation for sign +1, a reflected rotation for sign -1.
 func (s IndexSet) AffineImage(sign, c int) IndexSet {
 	lo, hi := s.Lo+c, s.Hi+c
 	if sign == -1 {
 		lo, hi = c-s.Hi, c-s.Lo
 	}
 	if s.Period == 1 || sign == 1 && c%s.Period == 0 {
-		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: s.Residues}
+		return IndexSet{Lo: lo, Hi: hi, Period: s.Period, mask: s.mask}
 	}
-	res := make([]bool, s.Period)
-	for r, ok := range s.Residues {
-		if ok {
-			res[Mod(sign*r+c, s.Period)] = true
+	p := s.Period
+	res := newMask(p)
+	for w := range res {
+		j := w << 6
+		n := min(64, p-j)
+		// Image residue j+t comes from residue sign*(j+t-c) mod p.
+		if sign == 1 {
+			res[w] = s.window(Mod(j-c, p), n)
+		} else {
+			res[w] = bits.Reverse64(s.window(Mod(c-j-n+1, p), n)) >> (64 - n)
 		}
 	}
-	return IndexSet{Lo: lo, Hi: hi, Period: s.Period, Residues: res}
+	return IndexSet{Lo: lo, Hi: hi, Period: p, mask: res}
 }
 
 // AffinePreimage returns {x : sign*x + c in s}; since sign*sign == 1 this
@@ -207,15 +387,7 @@ func (s IndexSet) AffinePreimage(sign, c int) IndexSet {
 
 // Equal reports structural equality: same interval, period and mask.
 func (s IndexSet) Equal(o IndexSet) bool {
-	if s.Period != o.Period || s.Lo != o.Lo || s.Hi != o.Hi || len(s.Residues) != len(o.Residues) {
-		return false
-	}
-	for i := range s.Residues {
-		if s.Residues[i] != o.Residues[i] {
-			return false
-		}
-	}
-	return true
+	return s.Period == o.Period && s.Lo == o.Lo && s.Hi == o.Hi && slices.Equal(s.mask, o.mask)
 }
 
 // DimCoordOf returns the raw (pre-rotation) grid coordinate of index i
@@ -246,13 +418,81 @@ func OwnedPatternOf(d Dim, n, a, size int) IndexSet {
 	}
 	// Cyclic: i owned iff (z/Block) mod n == a, i.e. z mod (n*Block) in
 	// [zlo, zhi]. z mod P depends only on i mod P, so the owned set is
-	// periodic with period n*Block.
+	// periodic with period n*Block, and its Block residues are the
+	// preimages r = Sign*(z - Disp) mod P of the block's z values.
 	p := n * d.Block
-	res := make([]bool, p)
-	for r := 0; r < p; r++ {
-		if z := Mod(d.Sign*r+d.Disp, p); z >= zlo && z <= zhi {
-			res[r] = true
+	res := newMask(p)
+	for z := zlo; z <= zhi; z++ {
+		r := Mod(d.Sign*(z-d.Disp), p)
+		res[r>>6] |= 1 << (r & 63)
+	}
+	return IndexSet{Lo: 1, Hi: size, Period: p, mask: res}
+}
+
+// MarkOwners sets, in the bitset coords (bit a in word a/64), every
+// coordinate of dimension d on n processors whose owned pattern can share
+// a member with s — a superset, so a coordinate left clear owns no member
+// of s. A replicated dimension has the one coordinate 0. A set no longer
+// than its period has at most one member per residue, and marks the
+// owner of each. Otherwise a contiguous dimension marks the blocks s's
+// hull spans; a cyclic one marks the blocks of a hull shorter than its
+// period n*Block, and else the owners of the residues s's mask holds,
+// when one period divides the other — every coordinate when neither does.
+func (s IndexSet) MarkOwners(d Dim, n int, coords []uint64) {
+	if s.Hi < s.Lo {
+		return
+	}
+	set := func(a int) { coords[a>>6] |= 1 << (a & 63) }
+	if d.Replicated {
+		set(0)
+		return
+	}
+	if s.Period > 1 && s.Hi-s.Lo < s.Period {
+		for x, ok := s.Min(); ok; x, ok = s.Clip(x+1, s.Hi).Min() {
+			if z := d.Sign*x + d.Disp; z >= 0 {
+				if a := z / d.Block; d.Cyclic {
+					set(a % n)
+				} else if a < n {
+					set(a)
+				}
+			}
+		}
+		return
+	}
+	zl, zh := d.Sign*s.Lo+d.Disp, d.Sign*s.Hi+d.Disp
+	if d.Sign == -1 {
+		zl, zh = zh, zl
+	}
+	zl = max(zl, 0) // no index maps below z = 0
+	if zh < zl {
+		return
+	}
+	wl, wh := zl/d.Block, zh/d.Block
+	if !d.Cyclic {
+		for a := wl; a <= min(wh, n-1); a++ {
+			set(a)
+		}
+		return
+	}
+	p := n * d.Block
+	switch {
+	case wh-wl+1 < n:
+		for w := wl; w <= wh; w++ {
+			set(w % n)
+		}
+	case s.Period > 1 && (s.Period%p == 0 || p%s.Period == 0):
+		for rho := s.nextOne(0); rho >= 0; {
+			for r := rho % p; r < p; r += s.Period {
+				set(Mod(d.Sign*r+d.Disp, p) / d.Block)
+			}
+			if rho++; rho == s.Period {
+				break
+			}
+			rho = s.nextOne(rho)
+		}
+	default:
+		for a := 0; a < n; a++ {
+			set(a)
 		}
 	}
-	return IndexSet{Lo: 1, Hi: size, Period: p, Residues: res}
 }
