@@ -36,10 +36,6 @@ var testOnly = map[string]string{
 	"machine.Machine.DirectHandoffs":    "test seam: counts scheduler steps that took the single-runnable fast path",
 	"machine.MaxOp":                     "test seam: a second combine operator for the collectives' tests",
 	"machine.Proc.Barrier":              "reference: the machine-wide synchronization the SPMD differential programs step through",
-	"machine.procHeap.Less":             "standard-library interface method: container/heap calls it",
-	"machine.procHeap.Pop":              "standard-library interface method: container/heap calls it",
-	"machine.procHeap.Push":             "standard-library interface method: container/heap calls it",
-	"machine.procHeap.Swap":             "standard-library interface method: container/heap calls it",
 	"matrix.GaussPivotSeq":              "reference: sequential Gauss with partial pivoting",
 	"matrix.NearSingularLeading":        "reference: a system whose leading pivot needs pivoting",
 	"matrix.Residual":                   "reference: the residual the solvers' answers are checked by",

@@ -185,53 +185,70 @@ func (d Dim) mapDim(g *grid.Grid, i int) int {
 // idx (1-based, one subscript per array dimension). Entries equal to All
 // mean the element is replicated along that grid dimension.
 func (s Scheme) GridCoords(g *grid.Grid, idx ...int) []int {
+	return s.appendCoords(make([]int, 0, g.Q()), g, idx)
+}
+
+// appendCoords appends GridCoords(g, idx...) to dst.
+func (s Scheme) appendCoords(dst []int, g *grid.Grid, idx []int) []int {
 	if len(idx) != len(s.Dims) {
 		panic(fmt.Sprintf("dist: %d subscripts for %d-D scheme", len(idx), len(s.Dims)))
 	}
-	coords := make([]int, g.Q())
-	for gd := range coords {
-		if c, ok := s.Fixed[gd]; ok {
-			coords[gd] = c
+	base := len(dst)
+	for gd := 0; gd < g.Q(); gd++ {
+		dst = append(dst, s.Fixed[gd]) // 0 for a mapped dimension
+	}
+	coords := dst[base:]
+	if s.Rot == NoRotation {
+		for k, d := range s.Dims {
+			coords[d.GridDim] = d.mapDim(g, idx[k])
 		}
+		return dst
 	}
-	z := make([]int, len(s.Dims))
-	for k, d := range s.Dims {
-		z[k] = d.mapDim(g, idx[k])
+	d1, d2 := s.Dims[0], s.Dims[1]
+	z1, z2 := d1.mapDim(g, idx[0]), d2.mapDim(g, idx[1])
+	switch s.Rot {
+	case RotateDim2ByDim1:
+		z2 = Mod(s.D1*z1+s.D2*z2, g.Extent(d2.GridDim))
+	case RotateDim1ByDim2:
+		z1 = Mod(s.D1*z1+s.D2*z2, g.Extent(d1.GridDim))
 	}
-	if s.Rot != NoRotation {
-		n1 := g.Extent(s.Dims[0].GridDim)
-		n2 := g.Extent(s.Dims[1].GridDim)
-		switch s.Rot {
-		case RotateDim2ByDim1:
-			z[1] = Mod(s.D1*z[0]+s.D2*z[1], n2)
-		case RotateDim1ByDim2:
-			z[0] = Mod(s.D1*z[0]+s.D2*z[1], n1)
-		}
-	}
-	for k, d := range s.Dims {
-		coords[d.GridDim] = z[k]
-	}
-	return coords
+	coords[d1.GridDim], coords[d2.GridDim] = z1, z2
+	return dst
 }
 
 // Owners returns the ranks of every processor holding element idx
 // (several when any grid dimension is replicated), in ascending order.
 func (s Scheme) Owners(g *grid.Grid, idx ...int) []int {
-	return ranksFor(g, s.GridCoords(g, idx...))
+	return s.AppendOwners(nil, g, idx...)
+}
+
+// AppendOwners appends Owners(g, idx...) to dst and returns the extended
+// slice. It allocates only when dst is short: the coordinates stay on the
+// stack for grids of up to four dimensions.
+func (s Scheme) AppendOwners(dst []int, g *grid.Grid, idx ...int) []int {
+	var buf [4]int
+	return appendRanks(dst, g, s.appendCoords(buf[:0], g, idx))
 }
 
 // ranksFor expands a per-grid-dimension coordinate vector (entries may be
-// All) into the ascending list of matching ranks: the result is allocated
-// once at its final size and filled in mixed-radix order, each All
-// dimension running through its extent with the later dimensions fastest.
-func ranksFor(g *grid.Grid, coords []int) []int {
+// All) into the ascending list of matching ranks, in one allocation.
+func ranksFor(g *grid.Grid, coords []int) []int { return appendRanks(nil, g, coords) }
+
+// appendRanks appends ranksFor(g, coords) to dst: grown once to its final
+// size and filled in place in mixed-radix order, each All dimension
+// running through its extent with the later dimensions fastest.
+func appendRanks(dst []int, g *grid.Grid, coords []int) []int {
 	n := 1
 	for gd, c := range coords {
 		if c == All {
 			n *= g.Extent(gd)
 		}
 	}
-	ranks := make([]int, 1, n)
+	base := len(dst)
+	if cap(dst)-base < n {
+		dst = append(make([]int, 0, base+n), dst...)
+	}
+	ranks := append(dst, 0)[base:]
 	for gd, c := range coords {
 		ext := 1
 		if c == All {
@@ -249,13 +266,13 @@ func ranksFor(g *grid.Grid, coords []int) []int {
 			}
 		}
 	}
-	return ranks
+	return dst[:base+n]
 }
 
 // IsOwner reports whether the processor with the given rank holds element idx.
 func (s Scheme) IsOwner(g *grid.Grid, rank int, idx ...int) bool {
-	coords := s.GridCoords(g, idx...)
-	for gd, c := range coords {
+	var buf [4]int
+	for gd, c := range s.appendCoords(buf[:0], g, idx) {
 		if c == All {
 			continue
 		}

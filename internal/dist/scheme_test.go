@@ -3,6 +3,7 @@ package dist
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -315,6 +316,89 @@ func quickSeeded(t *testing.T, f any, count int) {
 	for _, seed := range []int64{1, 2, 3} {
 		if err := quick.Check(f, &quick.Config{MaxCount: count, Rand: rand.New(rand.NewSource(seed))}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// gridCoordsRef is GridCoords as it was before it filled a caller's
+// buffer, kept as the reference of AppendOwners.
+func gridCoordsRef(s Scheme, g *grid.Grid, idx ...int) []int {
+	coords := make([]int, g.Q())
+	for gd := range coords {
+		if c, ok := s.Fixed[gd]; ok {
+			coords[gd] = c
+		}
+	}
+	z := make([]int, len(s.Dims))
+	for k, d := range s.Dims {
+		z[k] = d.mapDim(g, idx[k])
+	}
+	if s.Rot != NoRotation {
+		n1 := g.Extent(s.Dims[0].GridDim)
+		n2 := g.Extent(s.Dims[1].GridDim)
+		switch s.Rot {
+		case RotateDim2ByDim1:
+			z[1] = Mod(s.D1*z[0]+s.D2*z[1], n2)
+		case RotateDim1ByDim2:
+			z[0] = Mod(s.D1*z[0]+s.D2*z[1], n1)
+		}
+	}
+	for k, d := range s.Dims {
+		coords[d.GridDim] = z[k]
+	}
+	return coords
+}
+
+// TestAppendOwnersMatchesOwners: over random schemes of 1-D and 2-D
+// arrays on 1-D to 3-D grids — replicated, pinned and rotated dimensions
+// included — AppendOwners appends to a random prefix, which it leaves as
+// it was, exactly the ranks the reference coordinates expand to, which
+// are Owners'; GridCoords and IsOwner agree with the reference, and with
+// room in the buffer AppendOwners allocates nothing.
+func TestAppendOwnersMatchesOwners(t *testing.T) {
+	for _, seed := range []int64{1, 2, 20261018} {
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 200; trial++ {
+			dims := make([]int, 1+rng.Intn(3))
+			for d := range dims {
+				dims[d] = 1 + rng.Intn(4)
+			}
+			g := grid.New(dims...)
+			shape := make([]int, 1+rng.Intn(min(2, len(dims))))
+			for k := range shape {
+				shape[k] = 1 + rng.Intn(12)
+			}
+			s := randomScheme(rng, g, shape)
+			if err := s.Validate(g, shape); err != nil {
+				t.Fatalf("seed %d trial %d: %s: %v", seed, trial, s, err)
+			}
+			prefix := make([]int, rng.Intn(3), 4)
+			for i := range prefix {
+				prefix[i] = -7 - i
+			}
+			buf := make([]int, 0, g.Size())
+			ForEachIndex(shape, func(idx []int) {
+				coords := gridCoordsRef(s, g, idx...)
+				want := ranksForExpand(g, coords)
+				got := s.AppendOwners(slices.Clone(prefix), g, idx...)
+				if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+					t.Fatalf("seed %d trial %d: %s on %v at %v: AppendOwners(%v) = %v, want the prefix and %v", seed, trial, s, dims, idx, prefix, got, want)
+				}
+				if own := s.Owners(g, idx...); !slices.Equal(own, want) {
+					t.Fatalf("seed %d trial %d: %s on %v at %v: Owners = %v, want %v", seed, trial, s, dims, idx, own, want)
+				}
+				if gc := s.GridCoords(g, idx...); !slices.Equal(gc, coords) {
+					t.Fatalf("seed %d trial %d: %s on %v at %v: GridCoords = %v, want %v", seed, trial, s, dims, idx, gc, coords)
+				}
+				for r := 0; r < g.Size(); r++ {
+					if s.IsOwner(g, r, idx...) != slices.Contains(want, r) {
+						t.Fatalf("seed %d trial %d: %s on %v at %v: IsOwner(%d) disagrees with %v", seed, trial, s, dims, idx, r, want)
+					}
+				}
+				if allocs := testing.AllocsPerRun(1, func() { buf = s.AppendOwners(buf[:0], g, idx...) }); allocs != 0 {
+					t.Fatalf("seed %d trial %d: %s at %v: AppendOwners into a roomy buffer made %v allocations", seed, trial, s, idx, allocs)
+				}
+			})
 		}
 	}
 }

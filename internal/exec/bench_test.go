@@ -60,32 +60,64 @@ func BenchmarkRunJacobi1024(b *testing.B) {
 	benchRun(b, newBenchCase(b, ir.Jacobi(), 32, 1024, 2, true))
 }
 
-// BenchmarkLowerJacobi1024 times lowering.lower alone on the one epoch
-// of exec-scale's case (jacobi m=32 on 1024 processors: 1,984 ships,
-// 1,953 tree and residual edges, 1,147 messages in 5 rounds), captured
-// through the tap: each iteration lowers a fresh copy of the epoch's
-// traffic on one reused lowering.
-func BenchmarkLowerJacobi1024(b *testing.B) {
-	c := newBenchCase(b, ir.Jacobi(), 32, 1024, 2, true)
+// jacobi1024Epoch is the traffic of the one epoch of exec-scale's case
+// (jacobi m=32 on 1024 processors: 1,984 ships, 1,953 tree and residual
+// edges, 1,147 messages in 5 rounds), captured through the tap.
+func jacobi1024Epoch(tb testing.TB) []epochShip {
+	tb.Helper()
+	c := newBenchCase(tb, ir.Jacobi(), 32, 1024, 2, true)
 	lw, err := c.p.Lower(c.bind)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var epochs [][]epochShip
 	low := &lowering{tap: func(traffic []epochShip, _ []int32, _ []redistOp) { epochs = append(epochs, slices.Clone(traffic)) }}
 	if _, err := wholeSchedule(lw, c.ss, nil, low); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(epochs) != 1 {
-		b.Fatalf("the schedule closes %d epochs, want 1", len(epochs))
+		tb.Fatalf("the schedule closes %d epochs, want 1", len(epochs))
 	}
-	low, traffic := &lowering{}, make([]epochShip, len(epochs[0]))
+	return epochs[0]
+}
+
+// BenchmarkLowerJacobi1024 times lowering.lower alone on jacobi1024Epoch:
+// each iteration lowers a fresh copy of the epoch's traffic on one reused
+// lowering.
+func BenchmarkLowerJacobi1024(b *testing.B) {
+	epoch := jacobi1024Epoch(b)
+	low, traffic := &lowering{}, make([]epochShip, len(epoch))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
-		copy(traffic, epochs[0])
+		copy(traffic, epoch)
 		_, lowerSink = low.lower(traffic)
 	}
+}
+
+// TestLowerCarvesOnlyLiveRounds: a processor's plan holds only the rounds
+// it sends or receives in, so jacobi1024Epoch's plan carves at most one
+// round list per message and rank — 5,120 while every rank held all five
+// rounds.
+func TestLowerCarvesOnlyLiveRounds(t *testing.T) {
+	ranks, ops := (&lowering{}).lower(jacobi1024Epoch(t))
+	lists, msgs := 0, 0
+	for _, op := range ops {
+		lists += len(op.rounds)
+		for _, rd := range op.rounds {
+			if len(rd.sends) == 0 && len(rd.recvs) == 0 {
+				t.Fatalf("round %d is carved with no message", rd.round)
+			}
+			msgs += len(rd.sends)
+		}
+	}
+	if msgs != 1147 {
+		t.Fatalf("the epoch lowers to %d messages, want 1,147", msgs)
+	}
+	if lists > msgs+len(ranks) {
+		t.Errorf("the plan carves %d round lists for %d messages over %d ranks, want at most %d", lists, msgs, len(ranks), msgs+len(ranks))
+	}
+	t.Logf("%d round lists for %d messages over %d ranks", lists, msgs, len(ranks))
 }
 
 var lowerSink []redistOp
@@ -113,8 +145,12 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 13 703
-// allocations of 3.04 MB — 13 750 while each processor was a goroutine,
+// the measured figure. Gauss (dmbench's exec-gauss case) makes 4 478
+// allocations of 2.87 MB — 13 703 and 3.04 MB while the machine allocated
+// per message (a payload copy per send, a queue, a map entry and a first
+// queue slot per pair, a tally slot per peer, a snapshot per processor)
+// and the layouts allocated three slices per element's owner list,
+// 13 750 while each processor was a goroutine,
 // 14 561 and 3.13 MB while each processor's
 // instruction stream grew on its own, its executor state was allocated in
 // six pieces inside the machine and its reduction peers were maps; 20 456
@@ -126,24 +162,27 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // nests were lowered, 65 944 before ranksFor filled its result in place,
 // 52 736 and 9.12 MB while the inspector also recorded every per-element
 // event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
-// 20 895 allocations of 3.77 MB — 24 862 and 3.96 MB while each processor
+// 6 980 allocations of 3.32 MB — 20 873 and 3.64 MB before the machine's
+// message path and the layouts' owner lists stopped allocating and the
+// epoch's plan carved only the rounds a rank talks in, 24 862 and 3.96 MB
+// while each processor
 // was a goroutine with a channel, 44 906 and 4.54 MB before the inspector
 // sized every processor's executor state, ~53 910 and 5.25 MB before
 // operands were resolved once, 65 060 and 5.50 MB before the epoch
 // lowering was slab-allocated, 103 200 and 17.5 MB while every processor
 // held a dense copy of every array it touched, 67 480 and 6.24 MB with the
-// replay record. The machine's map growth moves a count by one or two
-// run to run (~100 more allocations, and a few per cent of the bytes,
-// under -race). A trip of this gate is a per-instance, per-epoch or
-// per-processor allocation creeping back, not noise.
+// replay record. Both figures are the same run to run (~100 more
+// allocations, and a few per cent of the bytes, under -race). A trip of
+// this gate is a per-message, per-instance, per-epoch or per-processor
+// allocation creeping back, not noise.
 func TestRunAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 15000, 3.35e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 23000, 4.15e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 4950, 3.16e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 7700, 3.65e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)

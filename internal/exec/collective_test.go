@@ -77,6 +77,11 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
+// roundOf is op's list of round r; op must send or receive in it.
+func roundOf(op *redistOp, r int32) *redistRound {
+	return &op.rounds[slices.IndexFunc(op.rounds, func(rd redistRound) bool { return rd.round == r })]
+}
+
 // checkLowering compares one epoch's plan with the reference lowering of
 // the same per-pair element lists, rank by rank: rounds, peers, segment
 // origins and element runs.
@@ -241,7 +246,7 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 		}
 		rand.New(rand.NewSource(1)).Shuffle(len(traffic), func(i, j int) { traffic[i], traffic[j] = traffic[j], traffic[i] })
 		ops := lowerAndCheck(t, low, "long relay run", traffic)
-		segs, sends := 0, ops[1].rounds[1].sends
+		segs, sends := 0, roundOf(&ops[1], 1).sends
 		for _, m := range sends {
 			segs += len(m.segs)
 		}

@@ -71,9 +71,10 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 		return l, nil
 	}
 	var err error
+	var owners []int // every element's owner list, in one reused buffer
 	off := 0
 	dist.ForEachIndex(ext, func(idx []int) {
-		owners := sch.Owners(g, idx...)
+		owners = sch.AppendOwners(owners[:0], g, idx...)
 		c := int32(owners[0])
 		if l.cellOwners[c] == nil {
 			for _, o := range owners {
@@ -83,7 +84,7 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 				}
 				l.rankCell[o] = c
 			}
-			l.cellOwners[c] = owners
+			l.cellOwners[c] = slices.Clone(owners)
 		} else if !slices.Equal(owners, l.cellOwners[c]) && err == nil {
 			err = fmt.Errorf("%v is owned by %v, other elements of first owner %d by %v",
 				idx, owners, c, l.cellOwners[c])

@@ -2,7 +2,9 @@
 // verbatim as the oracle of lowering.lower: the same algorithm with its
 // state in per-epoch maps, a pure function of the epoch's per-pair element
 // lists. Only its signature changed (it took the nestBuilder and placed
-// the ops itself) — it returns the ops by rank instead.
+// the ops itself) — it returns the ops by rank instead — and its output's
+// shape: a processor holds only the rounds it sends or receives in, each
+// with its number, as lowering.lower's plans do.
 
 package exec
 
@@ -130,13 +132,18 @@ func referenceLowering(pairs map[int64][]elemID) map[int32]*redistOp {
 	// Materialize per-processor round schedules: sends in ascending
 	// destination order, then receives in ascending source order.
 	ops := make(map[int32]*redistOp)
-	get := func(p int32) *redistOp {
+	// get returns p's list of round r; a processor holds only the rounds
+	// it sends or receives in, in round order.
+	get := func(p int32, r int) *redistRound {
 		op := ops[p]
 		if op == nil {
-			op = &redistOp{rounds: make([]redistRound, len(rounds))}
+			op = &redistOp{}
 			ops[p] = op
 		}
-		return op
+		if n := len(op.rounds); n == 0 || op.rounds[n-1].round != int32(r) {
+			op.rounds = append(op.rounds, redistRound{round: int32(r)})
+		}
+		return &op.rounds[len(op.rounds)-1]
 	}
 	ks := make([]int64, 0, 16)
 	for r, m := range rounds {
@@ -147,8 +154,8 @@ func referenceLowering(pairs map[int64][]elemID) map[int32]*redistOp {
 		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 		for _, k := range ks {
 			snd, rcv := int32(k>>32), int32(k&0xffffffff)
-			op := get(snd)
-			op.rounds[r].sends = append(op.rounds[r].sends, redistMsg{peer: rcv, segs: m[k]})
+			rd := get(snd, r)
+			rd.sends = append(rd.sends, redistMsg{peer: rcv, segs: m[k]})
 		}
 		sort.Slice(ks, func(i, j int) bool {
 			di, dj := ks[i]&0xffffffff, ks[j]&0xffffffff
@@ -159,8 +166,8 @@ func referenceLowering(pairs map[int64][]elemID) map[int32]*redistOp {
 		})
 		for _, k := range ks {
 			snd, rcv := int32(k>>32), int32(k&0xffffffff)
-			op := get(rcv)
-			op.rounds[r].recvs = append(op.rounds[r].recvs, redistMsg{peer: snd, segs: m[k]})
+			rd := get(rcv, r)
+			rd.recvs = append(rd.recvs, redistMsg{peer: snd, segs: m[k]})
 		}
 	}
 	return ops

@@ -240,7 +240,8 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 					}
 					recv := &ops[i].rounds[r].recvs[0]
 					j, _ := slices.BinarySearch(ranks, recv.peer)
-					send := &ops[j].rounds[r].sends[slices.IndexFunc(ops[j].rounds[r].sends, func(m redistMsg) bool { return m.peer == ranks[i] })]
+					sends := roundOf(&ops[j], ops[i].rounds[r].round).sends
+					send := &sends[slices.IndexFunc(sends, func(m redistMsg) bool { return m.peer == ranks[i] })]
 					receiver, dropped = ranks[i], recv.segs[0]
 					recv.segs, send.segs = recv.segs[1:], send.segs[1:]
 					return

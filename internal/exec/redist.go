@@ -21,12 +21,14 @@ import (
 // multicast-tree rounds come first (round r moves tree edges of stride
 // 2^r, so a relay always receives a step's payload in an earlier round
 // than it forwards it), and the residual single-destination traffic is
-// the final round, one vectored message per pair.
+// the final round, one vectored message per pair. A processor holds only
+// the rounds in which it sends or receives, in round order.
 type redistOp struct {
 	rounds []redistRound
 }
 
 type redistRound struct {
+	round int32       // the round's number in the epoch
 	sends []redistMsg // ascending peer (destination) order
 	recvs []redistMsg // ascending peer (source) order
 }
@@ -153,8 +155,9 @@ type roundMsg struct {
 // densely (index), and stable counting passes over those numbers put the
 // edges and the receive lists in order. The work is in the epoch's ships,
 // steps, edges and ranks, in l's reused scratch, and the plan (element
-// runs, segments shared by a message's two ends, sends, receives, rounds,
-// ops) is carved from five chunked slabs.
+// runs, segments shared by a message's two ends, sends, receives, the
+// (rank, round) lists that carry a message, ops) is carved from five
+// chunked slabs.
 func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	slices.SortStableFunc(traffic, func(a, b epochShip) int { return cmp.Compare(a.k, b.k) })
 	l.index(traffic)
@@ -221,26 +224,49 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 			l.msgs = append(l.msgs, roundMsg{round: e.round, snd: int32(e.k >> 32), rcv: int32(e.k), segs: segs[i : i+1 : i+1]})
 		}
 	}
-	ops := carve(&l.opSlab, len(l.ranks))
-	rs := carve(&l.roundSlab, m)
-	for i := range ops {
-		ops[i].rounds = rs[i*rounds : (i+1)*rounds : (i+1)*rounds]
-	}
-
-	// Per processor and round: sends in ascending destination order, then
-	// receives (a stable pass by (receiver, round) of the sends) in
-	// ascending source order, each a run of one slab.
-	sends, recvs := carve(&l.msgSlab, len(l.msgs)), carve(&l.msgSlab, len(l.msgs))
-	for i, msg := range l.msgs {
-		rd := &rs[slot(msg.snd, msg.round)]
-		sends[i] = redistMsg{peer: msg.rcv, segs: msg.segs}
-		rd.sends = sends[i-len(rd.sends) : i+1 : i+1]
+	// Receive order: a stable pass by (receiver, round) of the sends.
+	for i := range l.msgs {
 		tmp[i] = int32(i)
 	}
 	order(perm[:len(l.msgs)], tmp[:len(l.msgs)], count, func(x int32) int { return slot(l.msgs[x].rcv, l.msgs[x].round) })
+
+	// Only the (rank, round) slots a message leaves or reaches get a
+	// round list: live[s] is slot s's list in rs, and a rank's lists are a
+	// run of rs in round order.
+	live, lists := count, 0
+	clear(live)
+	for _, msg := range l.msgs {
+		for _, s := range [2]int{slot(msg.snd, msg.round), slot(msg.rcv, msg.round)} {
+			if live[s] == 0 {
+				live[s], lists = 1, lists+1
+			}
+		}
+	}
+	ops := carve(&l.opSlab, len(l.ranks))
+	rs := carve(&l.roundSlab, lists)
+	k := int32(0)
+	for i := range ops {
+		k0 := k
+		for r := range int32(rounds) {
+			if s := i*rounds + int(r); live[s] != 0 {
+				live[s], rs[k].round = k, r
+				k++
+			}
+		}
+		ops[i].rounds = rs[k0:k:k]
+	}
+
+	// Per processor and round: sends in ascending destination order, then
+	// receives in ascending source order, each a run of one slab.
+	sends, recvs := carve(&l.msgSlab, len(l.msgs)), carve(&l.msgSlab, len(l.msgs))
+	for i, msg := range l.msgs {
+		rd := &rs[live[slot(msg.snd, msg.round)]]
+		sends[i] = redistMsg{peer: msg.rcv, segs: msg.segs}
+		rd.sends = sends[i-len(rd.sends) : i+1 : i+1]
+	}
 	for i, x := range perm[:len(l.msgs)] {
 		msg := &l.msgs[x]
-		rd := &rs[slot(msg.rcv, msg.round)]
+		rd := &rs[live[slot(msg.rcv, msg.round)]]
 		recvs[i] = redistMsg{peer: msg.snd, segs: msg.segs}
 		rd.recvs = recvs[i-len(rd.recvs) : i+1 : i+1]
 	}

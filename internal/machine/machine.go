@@ -166,7 +166,8 @@ type message struct {
 }
 
 // links is how a message queued on an ordered processor pair waits for
-// its receiver: put queues msg on the pair (src, dst), take returns the
+// its receiver: put queues msg on the pair (src, dst) with a copy of its
+// payload (the sender may reuse msg.data at once), take returns the
 // pair's next message in FIFO order, blocking the receiver until there
 // is one, and either may panic with deadErr once a peer has failed.
 // Everything else a processor does —
@@ -217,10 +218,8 @@ type Proc struct {
 	rank  int
 	m     *Machine
 	clock float64
-	// key is the scheduler's heap priority while the processor is
-	// runnable (the simulated time at which it resumes); resume is a
-	// coroutine's handoff to let it run, parked a step's TryRecv queue.
-	key    float64
+	// resume is a coroutine's handoff to let it run, parked a step's
+	// TryRecv queue.
 	resume chan struct{}
 	parked *pairQueue
 	// counters
@@ -283,7 +282,6 @@ func (p *Proc) Send(dst int, data []Word) {
 	if dst < 0 || dst >= p.m.grid.Size() {
 		panic(fmt.Sprintf("machine: Send to invalid rank %d", dst))
 	}
-	buf := append([]Word(nil), data...)
 	var arrival float64
 	if dst == p.rank {
 		arrival = p.clock
@@ -302,7 +300,7 @@ func (p *Proc) Send(dst int, data []Word) {
 			tr.Record(Event{Proc: p.rank, Kind: EvSend, Start: before, End: arrival, Peer: dst, Words: len(data)})
 		}
 	}
-	p.m.net.put(p, dst, message{data: buf, arrival: arrival})
+	p.m.net.put(p, dst, message{data: data, arrival: arrival})
 }
 
 // Recv receives the next message from the processor with rank src,
@@ -323,12 +321,13 @@ func (p *Proc) TryRecv(src int) ([]Word, bool) {
 		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
 	}
 	s := &p.m.scheduler
+	if s.step == nil || p.parked != nil {
+		panic("machine: TryRecv outside a step, or after it parked")
+	}
 	q := s.queue(src, p.rank)
 	switch {
-	case s.step == nil || p.parked != nil:
-		panic("machine: TryRecv outside a step, or after it parked")
 	case !q.empty():
-		return p.arrive(src, q.pop()), true
+		return p.arrive(src, s.pairs.pop(q)), true
 	case s.abortFlag:
 		panic(deadErr)
 	}
@@ -354,11 +353,10 @@ func (p *Proc) arrive(src int, msg message) []Word {
 // clock-synchronization exchange, which on a real machine is implicit in
 // the collective's own messages).
 func (p *Proc) rawSend(dst int, data []Word, count bool) {
-	buf := append([]Word(nil), data...)
 	if dst != p.rank && count {
 		p.noteSend(dst, len(data))
 	}
-	p.m.net.put(p, dst, message{data: buf})
+	p.m.net.put(p, dst, message{data: data})
 }
 
 // rawRecv receives without advancing the simulated clock.
@@ -411,10 +409,11 @@ func runBody(p *Proc, body func(p *Proc), abort func()) (err error) {
 
 // outcome folds the processors' final counters into Stats and returns
 // the lowest-ranked root-cause error, if any.
-func outcome(procs []*Proc, errs []error) (Stats, error) {
+func outcome(procs []Proc, errs []error) (Stats, error) {
 	var st Stats
 	st.PerProc = make([]ProcStats, len(procs))
-	for r, p := range procs {
+	for r := range procs {
+		p := &procs[r]
 		st.PerProc[r] = ProcStats{Clock: p.clock, Flops: p.flops, Messages: p.messages, Words: p.words, MaxMsgWords: p.maxMsgWords,
 			Peers: p.pairs.Snapshot()}
 		st.AddProc(st.PerProc[r])

@@ -539,13 +539,6 @@ func TestAllReduceQuick(t *testing.T) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TestSyncCollectiveClockSemantics: in the default (paper) model every
 // participant's clock advances to max(entry) + Table-1 cost.
 func TestSyncCollectiveClockSemantics(t *testing.T) {

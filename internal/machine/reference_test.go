@@ -24,7 +24,10 @@ type chanLinks struct {
 	once  sync.Once
 }
 
+// put sends each payload in a copy of its own: the processors run
+// concurrently here, so they cannot share the scheduler's arena.
 func (c *chanLinks) put(src *Proc, dst int, msg message) {
+	msg.data = append([]Word(nil), msg.data...)
 	select {
 	case c.links[src.rank*c.n+dst] <- msg:
 	case <-c.dead:
@@ -51,17 +54,17 @@ func runReference(g *grid.Grid, cfg Config, capacity int, body func(p *Proc)) (S
 		c.links[i] = make(chan message, capacity)
 	}
 	m := &Machine{grid: g, cfg: cfg, net: c}
-	procs := make([]*Proc, n)
+	procs := make([]Proc, n)
 	errs := make([]error, n)
 	abort := func() { c.once.Do(func() { close(c.dead) }) }
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for r := range procs {
-		procs[r] = &Proc{rank: r, m: m}
+		procs[r] = Proc{rank: r, m: m}
 		go func(p *Proc) {
 			defer wg.Done()
 			errs[p.rank] = runBody(p, body, abort)
-		}(procs[r])
+		}(&procs[r])
 	}
 	wg.Wait()
 	return outcome(procs, errs)

@@ -16,33 +16,57 @@ type PairStat struct {
 // processor that talks to k peers holds k entries, not one per rank.
 // At N=4096 the dense per-peer slices this replaces cost
 // O(N^2) = 16.7M int64s per run even for nearest-neighbour kernels.
-// The entries are one slice kept sorted by destination: k is small, and a
-// slice costs an allocation per doubling where a map costs one per peer.
-// The zero value is ready to use.
+// The entries are one slice kept sorted by destination, its storage
+// doubling as peers are added; a machine run carves every processor's
+// storage from one chunk it shares (slab), so a run allocates per chunk,
+// not per peer. The zero value is ready to use and allocates its own.
 type PairTally struct {
 	pairs []PairStat
+	slab  *[]PairStat
 }
 
 // Note records one counted message of the given size to dst.
 func (t *PairTally) Note(dst, words int) {
 	i := sort.Search(len(t.pairs), func(k int) bool { return t.pairs[k].Peer >= dst })
 	if i == len(t.pairs) || t.pairs[i].Peer != dst {
-		t.pairs = append(t.pairs, PairStat{})
-		copy(t.pairs[i+1:], t.pairs[i:])
+		n := len(t.pairs)
+		if n == cap(t.pairs) {
+			grown := t.alloc(max(2, 2*n))
+			copy(grown, t.pairs)
+			t.pairs = grown[:n]
+		}
+		t.pairs = t.pairs[:n+1]
+		copy(t.pairs[i+1:], t.pairs[i:n])
 		t.pairs[i] = PairStat{Peer: dst}
 	}
 	t.pairs[i].Messages++
 	t.pairs[i].Words += int64(words)
 }
 
-// Snapshot returns a copy of the live pairs sorted by destination rank,
-// or nil if nothing was counted. The deterministic order makes ProcStats
-// values directly comparable with reflect.DeepEqual across engines.
+// alloc returns storage for n entries, carved from the slab if there is
+// one.
+func (t *PairTally) alloc(n int) []PairStat {
+	if t.slab == nil {
+		return make([]PairStat, n)
+	}
+	if len(*t.slab) < n {
+		*t.slab = make([]PairStat, max(n, 1024))
+	}
+	s := (*t.slab)[:n:n]
+	*t.slab = (*t.slab)[n:]
+	return s
+}
+
+// Snapshot returns the live pairs sorted by destination rank, or nil if
+// nothing was counted. The slice is the tally's own storage, capped, so a
+// snapshot is taken when counting is over. The deterministic order makes
+// ProcStats values directly comparable with reflect.DeepEqual across
+// engines.
 func (t *PairTally) Snapshot() []PairStat {
 	if len(t.pairs) == 0 {
 		return nil
 	}
-	return append([]PairStat(nil), t.pairs...)
+	return t.pairs[:len(t.pairs):len(t.pairs)]
 }
 
 // Stats aggregates the outcome of a Run.
