@@ -71,7 +71,9 @@ func jacobi1024Epoch(tb testing.TB) []epochShip {
 		tb.Fatal(err)
 	}
 	var epochs [][]epochShip
-	low := &lowering{tap: func(traffic []epochShip, _ []int32, _ []redistOp) { epochs = append(epochs, slices.Clone(traffic)) }}
+	low := &lowering{tap: func(traffic []epochShip, _ []int32, _ *redistPlan, _ int32) {
+		epochs = append(epochs, slices.Clone(traffic))
+	}}
 	if _, err := wholeSchedule(lw, c.ss, nil, low); err != nil {
 		tb.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func jacobi1024Epoch(tb testing.TB) []epochShip {
 
 // BenchmarkLowerJacobi1024 times lowering.lower alone on jacobi1024Epoch:
 // each iteration lowers a fresh copy of the epoch's traffic on one reused
-// lowering.
+// lowering, into one plan emptied first.
 func BenchmarkLowerJacobi1024(b *testing.B) {
 	epoch := jacobi1024Epoch(b)
 	low, traffic := &lowering{}, make([]epochShip, len(epoch))
@@ -91,7 +93,8 @@ func BenchmarkLowerJacobi1024(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		copy(traffic, epoch)
-		_, lowerSink = low.lower(traffic)
+		lowerSink.reset()
+		low.lower(traffic, &lowerSink)
 	}
 }
 
@@ -100,7 +103,7 @@ func BenchmarkLowerJacobi1024(b *testing.B) {
 // round list per message and rank — 5,120 while every rank held all five
 // rounds.
 func TestLowerCarvesOnlyLiveRounds(t *testing.T) {
-	ranks, ops := (&lowering{}).lower(jacobi1024Epoch(t))
+	ranks, ops := lowerNested(&lowering{}, jacobi1024Epoch(t))
 	lists, msgs := 0, 0
 	for _, op := range ops {
 		lists += len(op.rounds)
@@ -120,7 +123,7 @@ func TestLowerCarvesOnlyLiveRounds(t *testing.T) {
 	t.Logf("%d round lists for %d messages over %d ranks", lists, msgs, len(ranks))
 }
 
-var lowerSink []redistOp
+var lowerSink redistPlan
 
 // BenchmarkEventsN256 is the profiling anchor for the event runtime:
 // jacobi, m=64, N=256, compile excluded. Pair with -cpuprofile to find what
@@ -145,8 +148,12 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 }
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
-// the measured figure. Gauss (dmbench's exec-gauss case) makes 4 478
-// allocations of 2.87 MB — 13 703 and 3.04 MB while the machine allocated
+// the measured figure under -race, which adds ~340 allocations to Gauss
+// and ~70 to Jacobi. Gauss (dmbench's exec-gauss case) makes 2 631
+// allocations of 2.73 MB — 4 478 and 2.87 MB while the epoch plans,
+// reduction roles, owner lists, position rows, pending lists and input
+// buckets were nested slices, pointers and maps, 13 703 and 3.04 MB while
+// the machine allocated
 // per message (a payload copy per send, a queue, a map entry and a first
 // queue slot per pair, a tally slot per peer, a snapshot per processor)
 // and the layouts allocated three slices per element's owner list,
@@ -162,7 +169,9 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // nests were lowered, 65 944 before ranksFor filled its result in place,
 // 52 736 and 9.12 MB while the inspector also recorded every per-element
 // event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
-// 6 980 allocations of 3.32 MB — 20 873 and 3.64 MB before the machine's
+// 1 760 allocations of 2.55 MB — 6 980 and 3.32 MB before the plan and
+// the executors' state were flat arrays, 20 873 and 3.64 MB before the
+// machine's
 // message path and the layouts' owner lists stopped allocating and the
 // epoch's plan carved only the rounds a rank talks in, 24 862 and 3.96 MB
 // while each processor
@@ -171,8 +180,7 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // operands were resolved once, 65 060 and 5.50 MB before the epoch
 // lowering was slab-allocated, 103 200 and 17.5 MB while every processor
 // held a dense copy of every array it touched, 67 480 and 6.24 MB with the
-// replay record. Both figures are the same run to run (~100 more
-// allocations, and a few per cent of the bytes, under -race). A trip of
+// replay record. Both figures are the same run to run. A trip of
 // this gate is a per-message, per-instance, per-epoch or per-processor
 // allocation creeping back, not noise.
 func TestRunAllocBudget(t *testing.T) {
@@ -181,18 +189,18 @@ func TestRunAllocBudget(t *testing.T) {
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 4950, 3.16e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 7700, 3.65e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 3300, 3.04e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 2020, 2.83e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)
 		}
 	}
 
-	// Per epoch: with its scratch grown, lowering an epoch allocates
-	// nothing but the chunks its plan is carved from — none for most small
-	// epochs, six when all five slabs (the message slab twice) run out —
-	// whatever its pair count. The
+	// Per epoch: with its scratch grown, lowering an epoch into a plan whose
+	// arrays have room allocates nothing, whatever its pair count (a chunk
+	// of a plan slab ran out every few epochs, six allocations, while the
+	// plan was carved from slabs; a map entry per element before that). The
 	// epochs ship one element on each of the first pairs of 64 ranks and
 	// one element per source on all of its pairs, so the residual round
 	// and the trees both run. The last one spreads its ranks up to 4,095:
@@ -213,20 +221,20 @@ func TestRunAllocBudget(t *testing.T) {
 	for i, sh := range sparse {
 		sparse[i].k = pairKey(int32(sh.k>>32)*65, int32(sh.k)*65)
 	}
-	low := &lowering{}
-	low.lower(epoch(4000))
+	low, plan := &lowering{}, &redistPlan{}
+	low.lower(epoch(4000), plan)
 	for _, c := range []struct {
 		name    string
 		traffic []epochShip
 	}{{"1 pair", epoch(1)}, {"5 pairs", epoch(5)}, {"64 pairs", epoch(64)}, {"500 pairs", epoch(500)},
 		{"4000 pairs", epoch(4000)}, {"4000 pairs over ranks to 4095", sparse}} {
-		if allocs := testing.AllocsPerRun(20, func() { low.lower(c.traffic) }); allocs > 6 {
-			t.Errorf("lowering an epoch of %s made %.0f allocations, want at most 6", c.name, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { plan.reset(); low.lower(c.traffic, plan) }); allocs > 0 {
+			t.Errorf("lowering an epoch of %s made %.0f allocations, want none", c.name, allocs)
 		}
 	}
 	at := &low.at[0]
-	low.lower(epoch(5))
-	low.lower(sparse)
+	low.lower(epoch(5), plan)
+	low.lower(sparse, plan)
 	if &low.at[0] != at {
 		t.Error("the rank index, grown to every rank, was allocated again")
 	}

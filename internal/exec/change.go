@@ -10,35 +10,41 @@
 
 package exec
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // changeEpoch is the schedule of one scheme change.
 type changeEpoch struct {
-	// ops[r] is rank r's part of the lowered redistribution, nil where r
-	// takes none; addrs holds its segments' addresses (address).
-	ops   []*redistOp
-	addrs []int32
-	// copies[r] lists the runs rank r copies from its stores under from
-	// to its stores under to.
-	copies [][]copyRun
+	// ops[r] is one past the index of rank r's part of the lowered
+	// redistribution in the ops of the plan of the segment after the
+	// change, 0 where r takes none.
+	ops []int32
+	// copies[at[r]:at[r+1]] are the runs rank r copies from its stores
+	// under from to its stores under to.
+	copies []copyRun
+	at     []int32
 	// words is what the redistribution moves: one word per (element,
 	// owner under to that lacks it).
 	words int
 }
 
-// copyRun is n consecutive words of a rank's store slab under from, at
+// copyRun is n consecutive words of rank r's store slab under from, at
 // from, kept at to in its slab under to.
-type copyRun struct{ from, to, n int32 }
+type copyRun struct{ r, from, to, n int32 }
 
 // redistEpoch schedules the change from one segment's layouts to the
-// next's. The owners that keep an element read their copy at the change,
-// and from's liveness scan must count that read: a copy pruned from a
-// reduction's fan-out is stale, and the change would carry it into the
-// next segment as current.
+// next's, lowered into to's plan. The owners that keep an element read
+// their copy at the change, and from's liveness scan must count that read:
+// a copy pruned from a reduction's fan-out is stale, and the change would
+// carry it into the next segment as current.
 func redistEpoch(from, to *progSchedule, low *lowering) *changeEpoch {
-	c := &changeEpoch{ops: make([]*redistOp, from.nprocs), copies: make([][]copyRun, from.nprocs)}
+	c := &changeEpoch{ops: make([]int32, from.nprocs), at: make([]int32, from.nprocs+1)}
 	var traffic []epochShip
 	var keep []int
+	last := make([]int32, from.nprocs) // one past the index of rank r's latest run
+
 	for a := range from.arrays {
 		lf, lt := &from.arrays[a].lay, &to.arrays[a].lay
 		for off := range from.arrays[a].size {
@@ -52,67 +58,42 @@ func redistEpoch(from, to *progSchedule, low *lowering) *changeEpoch {
 				keep = append(keep, d)
 				f, _ := from.slabOff(d, e)
 				t, _ := to.slabOff(d, e)
-				c.copy(d, f, t)
+				if i := last[d] - 1; i >= 0 && c.copies[i].from+c.copies[i].n == f && c.copies[i].to+c.copies[i].n == t {
+					c.copies[i].n++
+				} else {
+					c.copies = append(c.copies, copyRun{int32(d), f, t, 1})
+					last[d] = int32(len(c.copies))
+					c.at[d+1]++
+				}
 			}
-			if _, live := from.acc[e]; live && len(keep) > 0 {
+			if from.redArrs[a] && len(keep) > 0 {
 				from.noteRead(e, keep)
 			}
 		}
 	}
+	slices.SortStableFunc(c.copies, func(a, b copyRun) int { return cmp.Compare(a.r, b.r) })
+	for r := range from.nprocs {
+		c.at[r+1] += c.at[r]
+	}
 	c.words = len(traffic)
 	if len(traffic) > 0 {
-		ranks, ops := low.lower(traffic)
-		c.address(from, to, ranks, ops)
+		// An origin gathers from its slab under from; a relay, itself a
+		// destination, forwards from its slab under to, where every receiver
+		// files the words. The sender's executor under to runs the change.
+		ranks, op0 := low.lower(traffic, &to.plan)
+		to.plan.address(ranks, op0, to.vecLen, func(r int32, origin bool, e elemID) int32 {
+			at := to
+			if origin {
+				at = from
+			}
+			off, _ := at.slabOff(int(r), e)
+			return off
+		})
 		for i, r := range ranks {
-			c.ops[r] = &ops[i]
+			c.ops[r] = op0 + int32(i) + 1
 		}
 	}
 	return c
-}
-
-// copy adds one kept element to rank r's copy runs.
-func (c *changeEpoch) copy(r int, from, to int32) {
-	runs := c.copies[r]
-	if n := len(runs); n > 0 && runs[n-1].from+runs[n-1].n == from && runs[n-1].to+runs[n-1].n == to {
-		runs[n-1].n++
-		return
-	}
-	c.copies[r] = append(runs, copyRun{from, to, 1})
-}
-
-// address writes every segment's addresses into addrs, as a nest epoch's
-// (nestBuilder.address): the sender's, then the receiver's. An origin
-// gathers from its slab under from; a relay, itself a destination,
-// forwards from its slab under to, where every receiver files the words.
-// The sender's executor under to runs the change, so its exchange vector
-// is sized to the messages.
-func (c *changeEpoch) address(from, to *progSchedule, ranks []int32, ops []redistOp) {
-	for i := range ops {
-		snd := int(ranks[i])
-		for r := range ops[i].rounds {
-			for _, msg := range ops[i].rounds[r].sends {
-				words := int32(0)
-				for k := range msg.segs {
-					seg := &msg.segs[k]
-					words += int32(len(seg.elems))
-					seg.addr = int32(len(c.addrs))
-					at := to
-					if snd == int(seg.origin) {
-						at = from
-					}
-					for _, e := range seg.elems {
-						off, _ := at.slabOff(snd, e)
-						c.addrs = append(c.addrs, off)
-					}
-					for _, e := range seg.elems {
-						off, _ := to.slabOff(int(msg.peer), e)
-						c.addrs = append(c.addrs, off)
-					}
-				}
-				to.vecLen[snd] = max(to.vecLen[snd], words)
-			}
-		}
-	}
 }
 
 // runChange crosses the change into x's segment from prev's, prev being
@@ -122,11 +103,13 @@ func (c *changeEpoch) address(from, to *progSchedule, ranks []int32, ops []redis
 // them. Every element x's rank owns is one or the other.
 func (x *valExec) runChange(c *changeEpoch, prev *valExec) bool {
 	if x.stage == 0 {
-		for _, cp := range c.copies[x.me] {
-			copy(x.slab[cp.to:cp.to+cp.n], prev.slab[cp.from:cp.from+cp.n])
-			copy(x.marks[cp.to:cp.to+cp.n], prev.marks[cp.from:cp.from+cp.n])
+		slab, marks := x.stores(), x.marked()
+		pslab, pmarks := prev.stores(), prev.marked()
+		for _, cp := range c.copies[c.at[x.me]:c.at[x.me+1]] {
+			copy(slab[cp.to:cp.to+cp.n], pslab[cp.from:cp.from+cp.n])
+			copy(marks[cp.to:cp.to+cp.n], pmarks[cp.from:cp.from+cp.n])
 		}
 	}
-	op := c.ops[x.me]
-	return op == nil || x.runRedist(c.addrs, op, prev.slab, x.slab, x.marks)
+	op := c.ops[x.me] - 1
+	return op < 0 || x.runRedist(op, prev.stores(), x.stores(), x.marked())
 }

@@ -83,7 +83,7 @@ func crossChange(t *testing.T, from, to *progSchedule, c *changeEpoch, input ir.
 		if !x.runChange(c, prev) {
 			return false
 		}
-		slabs[x.me], marks[x.me] = x.slab, x.marks
+		slabs[x.me], marks[x.me] = x.stores(), x.marked()
 		return true
 	})
 	if err != nil {
@@ -239,14 +239,15 @@ func TestPrunedReplicaNeverCrossesAChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, r := range alone.nests[0].reds {
-		for n, f := range r.items {
-			keeper := plan.segs[1].ownersOf(f.elem)[0]
-			if len(f.fanout) != 0 || keeper == f.root || !slices.Contains(f.owners, keeper) {
+	ns, pns := alone.nests[0], plan.segs[0].nests[0]
+	for k, r := range ns.reds {
+		for n, f := range ns.fins[r.items.lo:r.items.hi] {
+			keeper, owners, fanout := plan.segs[1].ownersOf(f.elem)[0], alone.ownersOf(f.elem), ns.list(f.fanout)
+			if len(fanout) != 0 || int32(keeper) == f.root || !slices.Contains(owners, keeper) {
 				t.Fatalf("S%v: owners %v, fan-out %v, owner %d under L2; want a pruned fan-out and a non-root keeper",
-					alone.decode(f.elem), f.owners, f.fanout, keeper)
+					alone.decode(f.elem), owners, fanout, keeper)
 			}
-			if got := plan.segs[0].nests[0].reds[k].items[n].fanout; !slices.Equal(got, []int{keeper}) {
+			if got := pns.list(pns.fins[pns.reds[k].items.lo+int32(n)].fanout); !slices.Equal(got, []int32{int32(keeper)}) {
 				t.Errorf("S%v: the plan's fan-out is %v, want the keeper %d", alone.decode(f.elem), got, keeper)
 			}
 		}

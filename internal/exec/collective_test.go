@@ -54,7 +54,7 @@ func TestCollectiveGaussWordDrop(t *testing.T) {
 }
 
 // TestScheduleDeterministic: two inspections of one program are the same
-// schedule, down to the numbering of every nest's redistOps (which once
+// schedule, down to the numbering of every epoch's plan entries (which once
 // followed map order).
 func TestScheduleDeterministic(t *testing.T) {
 	for _, c := range []struct {
@@ -159,7 +159,7 @@ func epochOver(rng *rand.Rand, ranks []int32, elems int) []epochShip {
 // the reference's.
 func lowerAndCheck(t *testing.T, low *lowering, label string, traffic []epochShip) []redistOp {
 	t.Helper()
-	ranks, ops := low.lower(slices.Clone(traffic))
+	ranks, ops := lowerNested(low, slices.Clone(traffic))
 	checkLowering(t, label, traffic, ranks, ops)
 	return ops
 }
@@ -187,7 +187,7 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 			// in the order they were made.
 			traffic := randomEpoch(rng)
 			shipped := slices.Clone(traffic)
-			ranks, ops := low.lower(traffic)
+			ranks, ops := lowerNested(low, traffic)
 			checkLowering(t, fmt.Sprintf("random epoch, seed %d trial %d", seed, trial), shipped, ranks, ops)
 		}
 	}
@@ -258,8 +258,8 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 	inspect := func(label string, p *ir.Program, ss *core.SchemeSet, m int) epochCensus {
 		t.Helper()
 		var c epochCensus
-		low.tap = func(traffic []epochShip, ranks []int32, ops []redistOp) {
-			checkLowering(t, fmt.Sprintf("%s, epoch %d", label, c.epochs), traffic, ranks, ops)
+		low.tap = func(traffic []epochShip, ranks []int32, p *redistPlan, op0 int32) {
+			checkLowering(t, fmt.Sprintf("%s, epoch %d", label, c.epochs), traffic, ranks, nested(p, op0, len(ranks)))
 			c.epochs++
 			c.ships += len(traffic)
 			for i := range traffic {

@@ -163,6 +163,11 @@ type engine struct {
 	vals  []elemVal
 }
 
+type elemVal struct {
+	elem elemID
+	val  float64
+}
+
 func (e *engine) owners(el elemID) []int { return e.own[el.arr()][el.off()] }
 
 // at is the element r names at the current loop vector.

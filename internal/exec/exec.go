@@ -63,8 +63,8 @@ type Result struct {
 	SimWall time.Duration
 	// InspectWall and AssembleWall time Run's other stages: everything
 	// before the machine phase (validation, lowering, the inspector walk,
-	// input bucketing, cutting the executors' state), and the assembly of
-	// Values.
+	// cutting the executors' state, installing the input in it), and the
+	// assembly of Values.
 	InspectWall, AssembleWall time.Duration
 	// StoreWords and MaxProcStoreWords say how much array data Run's
 	// simulated processors held: the sum and the maximum over ranks of the
@@ -231,22 +231,22 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 
 	// The state ends in the last segment's stores, or in the first's when
 	// no iteration runs.
-	fin := pl.segs[nsegs-1]
+	last := nsegs - 1
 	if iters < 1 {
-		fin = first
+		last = 0
 	}
-	stores := make([][]float64, nprocs)
-	marks := make([][]bool, nprocs)
-	loads := buildLoads(first, input)
+	fin := pl.segs[last]
 	execs := make([][]valExec, nsegs)
 	for k, s := range pl.segs {
 		execs[k] = s.executors()
 	}
-	// Each rank's step goes on from its position; cur holds current stores.
-	type position struct {
-		it, seg, nest int
-		cur           *valExec
+	loads := buildLoads(first, input)
+	for r := range execs[0] {
+		execs[0][r].installInput(loads)
 	}
+	// Each rank's step goes on from its position; cur is the segment whose
+	// executor holds its current stores.
+	type position struct{ it, seg, nest, cur int32 }
 	pos := make([]position, nprocs)
 	simStart := time.Now()
 	mach, err := machine.New(first.g, cfg)
@@ -256,20 +256,16 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 	stats, err := mach.RunSteps(func(proc *machine.Proc) bool {
 		me := proc.Rank()
 		at := &pos[me]
-		if at.cur == nil {
-			at.cur = &execs[0][me]
-			at.cur.installInput(loads)
-		}
-		for ; at.it < iters; at.it++ {
-			for ; at.seg < nsegs; at.seg++ {
+		for ; int(at.it) < iters; at.it++ {
+			for ; int(at.seg) < nsegs; at.seg++ {
 				x := &execs[at.seg][me]
-				if x.proc = proc; x != at.cur {
-					if !x.runChange(pl.changes[at.seg], at.cur) {
+				if x.proc = proc; at.seg != at.cur {
+					if !x.runChange(pl.changes[at.seg], &execs[at.cur][me]) {
 						return false
 					}
-					at.cur = x
+					at.cur = at.seg
 				}
-				for ; at.nest < len(x.s.nests); at.nest++ {
+				for ; int(at.nest) < len(x.s.nests); at.nest++ {
 					if !x.runNest(x.s.nests[at.nest]) {
 						return false
 					}
@@ -278,7 +274,6 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 			}
 			at.seg = 0
 		}
-		stores[me], marks[me] = at.cur.slab, at.cur.marks
 		return true
 	})
 	if err != nil {
@@ -299,8 +294,8 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 		elems, off := out[am.name], 0
 		dist.ForEachIndex(am.ext, func(idx []int) { // row-major: idx is element off
 			for _, o := range am.lay.owners(off) {
-				if i, _ := fin.slabOff(o, mkElem(a, off)); marks[o][i] {
-					elems[ir.Key(idx)] = stores[o][i]
+				if i, _ := fin.slabOff(o, mkElem(a, off)); execs[last][o].marked()[i] {
+					elems[ir.Key(idx)] = execs[last][o].stores()[i]
 					break
 				}
 			}

@@ -28,7 +28,9 @@ import (
 // and allocates none. At N=4096 a processor typically owns a handful of
 // elements and talks to a handful of neighbours; sizing any of this by the
 // array or by nprocs would make the executor itself the memory bottleneck
-// the machine's sparse queues exist to remove.
+// the machine's sparse queues exist to remove. Each piece is a range of
+// its segment's slabs (progSchedule.fw and bw), so the only pointers a
+// processor's state holds are its schedule and its Proc.
 //
 // An opEval's operands arrive as local addresses (schedule.go's operand):
 // an offset into slab, a position in cbuf, the rank of a direct message or
@@ -45,36 +47,30 @@ type valExec struct {
 	me                    int
 	pc, stage, recv, sent int
 	start                 float64
-	// slab and marks are this processor's stores, its cells of every array
-	// in array order, array a's from base[a] (its row of progSchedule.base)
-	// and addressed inside it through the array's layout. A mark says the
-	// processor wrote or received the element, for the first-marked-owner
-	// result assembly.
-	slab  []float64
-	marks []bool
-	base  []int32
-	// part holds the running partial sums of reduce statements, zero
-	// between a finalize and the next contribution.
-	part []float64
-	// cbuf holds the copies of other processors' elements that opRedist
-	// rounds delivered, filled marks the positions a receive wrote: a
-	// tree relay forwards from it and eval reads it. A position is
-	// overwritten in place — a copy stays valid until its element is
-	// written, and the inspector re-ships after every write, so a stale
-	// value is never visible — and reading one no receive filled is an
-	// inspector bug, a panic.
-	cbuf   []machine.Word
-	filled []bool
-	// vals holds the current eval's operand values, in Reads order.
-	vals []float64
-	// vec is the exchange vector: a redistribution message is gathered in
-	// it, and a reduction phase lays out its sends in it and, once they
-	// are out (machine.Send copies), its receives (phase).
-	vec []machine.Word
+	// Ranges of the segment's slab fw. slab holds this processor's stores,
+	// its cells of every array in array order, array a's from base[a] (its
+	// row of progSchedule.base) and addressed inside it through the
+	// array's layout. part holds the running partial sums of reduce
+	// statements, zero between a finalize and the next contribution. cbuf
+	// holds the copies of other processors' elements that opRedist rounds
+	// delivered: a tree relay forwards from it and eval reads it. A
+	// position is overwritten in place — a copy stays valid until its
+	// element is written, and the inspector re-ships after every write, so
+	// a stale value is never visible. vals holds the current eval's
+	// operand values, in Reads order; vec is the exchange vector: a
+	// redistribution message is gathered in it, and a reduction phase lays
+	// out its sends in it and, once they are out (machine.Send copies),
+	// its receives (phase).
+	slab, part, cbuf, vals, vec span
+	// Ranges of the segment's slab bw. A mark says the processor wrote or
+	// received the stored element, for the first-marked-owner result
+	// assembly; filled marks the cbuf positions a receive wrote, and
+	// reading one no receive filled is an inspector bug, a panic.
+	marks, filled span
 }
 
 // executors cuts every rank's value-pass state for the segment out of one
-// backing array per element type: rank r's stores (storeWords), partial
+// slab per element type, fw and bw: rank r's stores (storeWords), partial
 // sums (parts.n), operand values (the segment's most Reads), copy buffer
 // (bufs.n) and exchange vector (vecLen), and its marks and filled flags.
 // Each is as long as the inspector found r needs, so the whole is the sum
@@ -86,61 +82,79 @@ func (s *progSchedule) executors() []valExec {
 			reads = max(reads, len(ns.stmts[i].reads))
 		}
 	}
-	words, flags := 0, 0
-	for r := range s.nprocs {
-		store, bufs := s.storeWords(r), int(s.bufs.n[r])
-		words += store + int(s.parts.n[r]) + reads + bufs + int(s.vecLen[r])
-		flags += store + bufs
-	}
-	fw, bw := make([]float64, words), make([]bool, flags)
+	words, flags := int32(0), int32(0)
+	cut := func(at *int32, n int) span { *at += int32(n); return span{*at - int32(n), *at} }
 	xs := make([]valExec, s.nprocs)
 	for r := range xs {
 		store, bufs := s.storeWords(r), int(s.bufs.n[r])
-		xs[r] = valExec{s: s, me: r, base: s.row(r),
-			slab: carve(&fw, store), part: carve(&fw, int(s.parts.n[r])), vals: carve(&fw, reads),
-			cbuf: carve(&fw, bufs), vec: carve(&fw, int(s.vecLen[r])),
-			marks: carve(&bw, store), filled: carve(&bw, bufs)}
+		xs[r] = valExec{s: s, me: r,
+			slab: cut(&words, store), part: cut(&words, int(s.parts.n[r])), vals: cut(&words, reads),
+			cbuf: cut(&words, bufs), vec: cut(&words, int(s.vecLen[r])),
+			marks: cut(&flags, store), filled: cut(&flags, bufs)}
 	}
+	s.fw, s.bw = make([]float64, words), make([]bool, flags)
 	return xs
 }
 
-type elemVal struct {
-	elem elemID
-	val  float64
+// The executor's views of its ranges.
+func (x *valExec) stores() []float64        { return x.s.fw[x.slab.lo:x.slab.hi] }
+func (x *valExec) marked() []bool           { return x.s.bw[x.marks.lo:x.marks.hi] }
+func (x *valExec) parts() []float64         { return x.s.fw[x.part.lo:x.part.hi] }
+func (x *valExec) buf() []machine.Word      { return x.s.fw[x.cbuf.lo:x.cbuf.hi] }
+func (x *valExec) isFilled() []bool         { return x.s.bw[x.filled.lo:x.filled.hi] }
+func (x *valExec) exchange() []machine.Word { return x.s.fw[x.vec.lo:x.vec.hi] }
+
+// arrayLoad is one array's initial contents, cell-major: each owner
+// cell's values in its local order, cell c's (c named by its first owner)
+// from at[c], and set marks the elements the input holds.
+type arrayLoad struct {
+	at   []int32
+	vals []float64
+	set  []bool
 }
 
-// buildLoads decodes the initial array contents once and buckets them, per
-// array, by owner cell: one shared structure per run, of which every
-// processor installs the bucket of the cell it holds. (A per-processor
-// scan asking IsOwner per element is O(nprocs * elements) with string
-// parsing inside; at N=256 it dominated whole-run profiles.) validate has
-// checked every key, so each parses, into a stack buffer, to an element.
-func buildLoads(s *progSchedule, input ir.Storage) []map[int32][]elemVal {
-	loads := make([]map[int32][]elemVal, len(s.arrays))
+// buildLoads decodes the initial array contents once into one run per
+// array and owner cell, of which every processor copies the run of the
+// cell it holds into its stores. (A per-processor scan asking IsOwner per
+// element is O(nprocs * elements) with string parsing inside; at N=256 it
+// dominated whole-run profiles.) validate has checked every key, so each
+// parses, into a stack buffer, to an element.
+func buildLoads(s *progSchedule, input ir.Storage) []arrayLoad {
+	loads := make([]arrayLoad, len(s.arrays))
 	var buf [4]int
 	for a := range s.arrays {
-		am := &s.arrays[a]
+		am, ld := &s.arrays[a], &loads[a]
 		elems := input[am.name]
 		if len(elems) == 0 {
 			continue
 		}
-		loads[a] = make(map[int32][]elemVal)
+		ld.at, ld.vals, ld.set = make([]int32, s.nprocs), make([]float64, am.size), make([]bool, am.size)
+		for c, n := 0, int32(0); c < s.nprocs; c++ {
+			if am.lay.held(c) == int32(c) { // c names the cell it holds
+				ld.at[c], n = n, n+int32(am.lay.storeLen(c))
+			}
+		}
 		for key, v := range elems {
 			idx, _ := ir.ParseKey(buf[:0], key)
 			e, _ := s.elemOf(a, idx)
-			c := int32(am.lay.owners(e.off())[0])
-			loads[a][c] = append(loads[a][c], elemVal{e, v})
+			c := am.lay.owners(e.off())[0]
+			i, _ := am.lay.local(c, e.off())
+			ld.vals[ld.at[c]+i], ld.set[ld.at[c]+i] = v, true
 		}
 	}
 	return loads
 }
 
-// installInput installs this processor's slice of the pre-bucketed
-// initial state, free of charge.
-func (x *valExec) installInput(loads []map[int32][]elemVal) {
-	for a, bucket := range loads {
-		for _, ev := range bucket[x.s.arrays[a].lay.held(x.me)] {
-			x.storeElem(ev.elem, ev.val)
+// installInput copies this processor's runs of the initial state into its
+// stores, free of charge.
+func (x *valExec) installInput(loads []arrayLoad) {
+	slab, marks, base := x.stores(), x.marked(), x.s.row(x.me)
+	for a := range loads {
+		if c, ld := x.s.arrays[a].lay.held(x.me), &loads[a]; c >= 0 && ld.at != nil {
+			from, to := ld.at[c], base[a]
+			n := base[a+1] - to
+			copy(slab[to:to+n], ld.vals[from:from+n])
+			copy(marks[to:to+n], ld.set[from:from+n])
 		}
 	}
 }
@@ -157,23 +171,23 @@ func (x *valExec) local(e elemID) int {
 	if !held {
 		panic(fmt.Sprintf("exec: processor %d accesses %s%v, which it does not own", x.me, x.s.arrays[a].name, x.s.decode(e)))
 	}
-	return int(x.base[a] + i)
+	return int(x.s.base[x.me*(len(x.s.arrays)+1)+a] + i)
 }
 
 // loadElem reads an owned element; one never written reads as zero.
-func (x *valExec) loadElem(e elemID) float64 { return x.slab[x.local(e)] }
+func (x *valExec) loadElem(e elemID) float64 { return x.stores()[x.local(e)] }
 
 func (x *valExec) storeElem(e elemID, v float64) {
 	i := x.local(e)
-	x.slab[i], x.marks[i] = v, true
+	x.stores()[i], x.marked()[i] = v, true
 }
 
 // buffered reads cbuf position p, which a receive must have filled.
 func (x *valExec) buffered(p int) machine.Word {
-	if !x.filled[p] {
+	if !x.isFilled()[p] {
 		x.unfilled(p)
 	}
-	return x.cbuf[p]
+	return x.buf()[p]
 }
 
 // unfilled reports a read of a buffer position no receive filled: an
@@ -185,18 +199,18 @@ func (x *valExec) unfilled(p int) {
 // runNest executes this processor's instruction stream for one nest,
 // from the cursor on.
 func (x *valExec) runNest(ns *nestSchedule) bool {
-	stream := ns.procs[x.me]
+	stream := ns.stream(x.me)
 	for ; x.pc < len(stream); x.pc++ {
 		in := &stream[x.pc]
 		ok := true
 		switch in.op {
 		case opRedist:
-			ok = x.runRedist(ns.addrs, ns.redists[in.arg], x.slab, x.cbuf, x.filled)
+			ok = x.runRedist(in.arg, x.stores(), x.buf(), x.isFilled())
 		case opSendDirect:
 			x.proc.SendValue(int(in.arg), x.loadElem(in.elem))
 		case opRed:
-			r := ns.reds[in.arg]
-			ok = x.reduceBatch(r, &r.roles[in.off])
+			r := &ns.reds[in.arg]
+			ok = x.reduceBatch(ns, r, &ns.roles[r.roles+in.off])
 		case opEval:
 			ok = x.eval(ns, in)
 		}
@@ -208,58 +222,62 @@ func (x *valExec) runNest(ns *nestSchedule) bool {
 	return true
 }
 
-// runRedist executes one epoch's collective redistribution. Each round
-// sends its merged messages in ascending destination order, then
-// receives in ascending source order — one message per ordered pair
-// per round. A segment whose origin is this processor gathers from
-// origin; a relayed segment forwards the copies received in an earlier
-// round. A receive files the words in buf and marks them filled, and
-// both ends read their addresses from the segment's run of addrs. A nest
-// epoch gathers from the store slab and files in the copy buffer; a
-// scheme change (runChange) gathers from the stores of the segment before
-// it and files in the stores of the segment after it.
-func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf []machine.Word, filled []bool) bool {
-	for ; x.stage < 2*len(op.rounds); x.stage++ {
-		rd := &op.rounds[x.stage/2]
+// runRedist executes this processor's part of one epoch's collective
+// redistribution, op of the segment's plan. Each round sends its merged
+// messages in ascending destination order, then receives in ascending
+// source order — one message per ordered pair per round. A segment whose
+// origin is this processor gathers from origin; a relayed segment
+// forwards the copies received in an earlier round. A receive files the
+// words in buf and marks them filled, and both ends read their addresses
+// from the segment's run of the plan's addrs. A nest epoch gathers from
+// the store slab and files in the copy buffer; a scheme change
+// (runChange) gathers from the stores of the segment before it and files
+// in the stores of the segment after it.
+func (x *valExec) runRedist(op int32, origin []float64, buf []machine.Word, filled []bool) bool {
+	p := &x.s.plan
+	rounds := p.rounds[p.ops[op].lo:p.ops[op].hi]
+	for ; x.stage < 2*len(rounds); x.stage++ {
+		rd := &rounds[x.stage/2]
 		if x.stage%2 == 0 {
-			for i := range rd.sends {
-				msg := &rd.sends[i]
+			vec := x.exchange()
+			for _, msg := range p.msgs[rd.sends.lo:rd.sends.hi] {
 				n := 0
-				for _, seg := range msg.segs {
-					from := addrs[seg.addr : int(seg.addr)+len(seg.elems)]
-					if int(seg.origin) == x.me {
+				for _, seg := range p.segs[msg.segs.lo:msg.segs.hi] {
+					from := p.addrs[seg.addr : seg.addr+int32(seg.elems.n())]
+					if seg.origin == int32(x.me) {
 						for _, o := range from {
-							x.vec[n] = origin[o]
+							vec[n] = origin[o]
 							n++
 						}
 					} else {
-						for _, p := range from {
-							if !filled[p] {
-								x.unfilled(int(p))
+						for _, q := range from {
+							if !filled[q] {
+								x.unfilled(int(q))
 							}
-							x.vec[n] = buf[p]
+							vec[n] = buf[q]
 							n++
 						}
 					}
 				}
-				x.proc.Send(int(msg.peer), x.vec[:n])
+				x.proc.Send(int(msg.peer), vec[:n])
 			}
 			continue
 		}
-		for ; x.recv < len(rd.recvs); x.recv++ {
-			msg := &rd.recvs[x.recv]
+		recvs := p.msgs[rd.recvs.lo:rd.recvs.hi]
+		for ; x.recv < len(recvs); x.recv++ {
+			msg := &recvs[x.recv]
 			data, ok := x.proc.TryRecv(int(msg.peer))
 			if !ok {
 				return false
 			}
 			pos := 0
-			for _, seg := range msg.segs {
-				n := len(seg.elems)
+			for _, seg := range p.segs[msg.segs.lo:msg.segs.hi] {
+				n := seg.elems.n()
 				if pos+n > len(data) {
 					panic(fmt.Sprintf("exec: collective round from %d short by %d words", msg.peer, pos+n-len(data)))
 				}
-				for k, p := range addrs[int(seg.addr)+n : int(seg.addr)+2*n] {
-					buf[p], filled[p] = data[pos+k], true
+				for k, q := range p.addrs[int(seg.addr)+n : int(seg.addr)+2*n] {
+					buf[q], filled[q] = data[pos+k], true
 				}
 				pos += n
 			}
@@ -278,7 +296,7 @@ func (x *valExec) runRedist(addrs []int32, op *redistOp, origin []float64, buf [
 // is a receive-only replica of a reduction, evaluates the statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 	stmt := &ns.stmts[in.stmt]
-	ops := ns.operands[in.off : int(in.off)+len(stmt.reads)]
+	ops, vals := ns.operands[in.off:int(in.off)+len(stmt.reads)], x.s.fw[x.vals.lo:x.vals.hi]
 	for ; x.stage < len(ops); x.stage++ {
 		var v float64
 		switch o := ops[x.stage]; {
@@ -293,21 +311,21 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 			v = data[0]
 		case in.role == roleRecvOnly: // a receive-only replica reads nothing else
 		case o.kind() == opdOwned:
-			v = x.slab[o.addr()]
+			v = x.stores()[o.addr()]
 		case o.kind() == opdBuffered:
 			v = x.buffered(o.addr())
 		default:
-			v = x.part[o.addr()]
+			v = x.parts()[o.addr()]
 		}
-		x.vals[x.stage] = v
+		vals[x.stage] = v
 	}
 	x.stage = 0
 	if in.role == roleRecvOnly {
 		return true
 	}
-	v := x.evalExpr(stmt.rhs)
+	v := evalExpr(stmt.rhs, vals)
 	if in.role == roleReduce {
-		x.part[in.arg] = v
+		x.parts()[in.arg] = v
 	} else {
 		if math.IsNaN(v) {
 			panic(fmt.Sprintf("exec: NaN at %s line %d", stmt.LHS, stmt.Line))
@@ -319,17 +337,17 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 }
 
 // evalExpr evaluates a lowered right-hand side over the operand values
-// x.vals.
-func (x *valExec) evalExpr(e *lexpr) float64 {
+// vals.
+func evalExpr(e *lexpr, vals []float64) float64 {
 	switch e.op {
 	case lNum:
 		return e.val
 	case lRef:
-		return x.vals[e.read]
+		return vals[e.read]
 	case lNeg:
-		return -x.evalExpr(e.l)
+		return -evalExpr(e.l, vals)
 	}
-	l, r := x.evalExpr(e.l), x.evalExpr(e.r)
+	l, r := evalExpr(e.l, vals), evalExpr(e.r, vals)
 	switch e.op {
 	case '+':
 		return l + r
@@ -344,8 +362,9 @@ func (x *valExec) evalExpr(e *lexpr) float64 {
 // takePart returns the partial sum at position p and clears it for the
 // element's next reduction.
 func (x *valExec) takePart(p int32) float64 {
-	v := x.part[p]
-	x.part[p] = 0
+	part := x.parts()
+	v := part[p]
+	part[p] = 0
 	return v
 }
 
@@ -353,9 +372,9 @@ func (x *valExec) takePart(p int32) float64 {
 // ranges in ascending destination order from at on, and returns the words
 // sent.
 func (x *valExec) sendVec(to []peerWords, at int) int {
-	sent := 0
+	vec, sent := x.exchange(), 0
 	for _, d := range to {
-		x.proc.Send(int(d.peer), x.vec[at+sent:at+sent+int(d.n)])
+		x.proc.Send(int(d.peer), vec[at+sent:at+sent+int(d.n)])
 		sent += int(d.n)
 	}
 	return sent
@@ -364,7 +383,7 @@ func (x *valExec) sendVec(to []peerWords, at int) int {
 // recvVec receives one vector from each source from the cursor's on, in
 // ascending source order, into the source's range of the exchange vector.
 func (x *valExec) recvVec(from []peerWords, what string) bool {
-	at := 0
+	vec, at := x.exchange(), 0
 	for i, src := range from {
 		if i == x.recv {
 			data, ok := x.proc.TryRecv(int(src.peer))
@@ -374,7 +393,7 @@ func (x *valExec) recvVec(from []peerWords, what string) bool {
 			if len(data) != int(src.n) {
 				panic(fmt.Sprintf("exec: %s exchange from %d expected %d words, got %d", what, src.peer, src.n, len(data)))
 			}
-			copy(x.vec[at:], data)
+			copy(vec[at:], data)
 			x.recv++
 		}
 		at += int(src.n)
@@ -383,41 +402,44 @@ func (x *valExec) recvVec(from []peerWords, what string) bool {
 	return true
 }
 
-// reduceBatch runs one vectored reduction exchange (opRed): the
-// two-phase gather + fan-out lowering, or the Section 5 ring when the
-// inspector marked the batch ring-eligible. Both fold each element
-// exactly like the oracle's finalize — stored value first, then
-// contributors in ascending order — so values stay bit-identical. The
-// processor walks only the items of its own role lists, and moves its
-// words through the slots the inspector laid out. Stage 1 receives the
-// gather phase's words, stage 2 the fan-out's.
-func (x *valExec) reduceBatch(r *redOp, role *redRole) bool {
+// reduceBatch runs one vectored reduction exchange (opRed), r of ns, in
+// this processor's role: the two-phase gather + fan-out lowering, or the
+// Section 5 ring when the inspector marked the batch ring-eligible. Both
+// fold each element exactly like the oracle's finalize — stored value
+// first, then contributors in ascending order — so values stay
+// bit-identical. The processor walks only the items of its own role
+// lists, and moves its words through the slots the inspector laid out.
+// Stage 1 receives the gather phase's words, stage 2 the fan-out's.
+func (x *valExec) reduceBatch(ns *nestSchedule, r *redOp, role *redRole) bool {
 	if r.ring {
-		return x.reduceRing(r, role)
+		return x.reduceRing(ns, r, role)
 	}
+	items, vec := ns.fins[r.items.lo:r.items.hi], x.exchange()
 	switch x.stage {
 	case 0:
 		// Gather phase: one vectored partials message per (contributor,
 		// root) pair, items in batch order on both ends.
 		x.start = x.proc.Clock()
-		for k, p := range role.part {
-			x.vec[role.gather.put[k]] = x.takePart(p)
+		put := ns.list(role.gather.put)
+		for k, p := range ns.list(role.part) {
+			vec[put[k]] = x.takePart(p)
 		}
-		x.sent, x.stage = x.sendVec(role.gather.to, 0), 1
+		x.sent, x.stage = x.sendVec(ns.peers[role.gather.to.lo:role.gather.to.hi], 0), 1
 		fallthrough
 	case 1:
-		if !x.recvVec(role.gather.from, "gather") {
+		if !x.recvVec(ns.peers[role.gather.from.lo:role.gather.from.hi], "gather") {
 			return false
 		}
-		j := 0
-		for _, i := range role.root {
-			f := r.items[i]
+		get, j := ns.list(role.gather.get), 0
+		for _, i := range ns.list(role.root) {
+			f := &items[i]
 			total := x.loadElem(f.elem)
-			for k, c := range f.contribs {
-				if c == x.me {
-					total += x.takePart(f.parts[k])
+			parts := ns.list(f.parts)
+			for k, c := range ns.list(f.contribs) {
+				if int(c) == x.me {
+					total += x.takePart(parts[k])
 				} else {
-					total += x.vec[role.gather.get[j]]
+					total += vec[get[j]]
 					j++
 				}
 				x.proc.Compute(1)
@@ -430,18 +452,18 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) bool {
 		// reader) pair. Owners outside the fan-out were proven by the
 		// liveness scan not to read the total before its next write.
 		x.start = x.proc.Clock()
-		j = 0
-		for _, i := range role.root {
-			f := r.items[i]
-			for range f.fanout {
-				x.vec[role.fanout.put[j]] = x.loadElem(f.elem)
+		put, j := ns.list(role.fanout.put), 0
+		for _, i := range ns.list(role.root) {
+			f := &items[i]
+			for range f.fanout.n() {
+				vec[put[j]] = x.loadElem(f.elem)
 				j++
 			}
 		}
-		x.sent, x.stage = x.sendVec(role.fanout.to, 0), 2
+		x.sent, x.stage = x.sendVec(ns.peers[role.fanout.to.lo:role.fanout.to.hi], 0), 2
 		fallthrough
 	default:
-		if !x.storeTotals(r, role, "fanout") {
+		if !x.storeTotals(ns, r, role, "fanout") {
 			return false
 		}
 		x.proc.Note(machine.EvFanout, x.start, x.proc.Clock(), -1, x.sent)
@@ -457,24 +479,26 @@ func (x *valExec) reduceBatch(r *redOp, role *redRole) bool {
 // readers. The root receives one message instead of len(contribs)-1,
 // de-serializing the reduction hot-spot the paper's pipelined SOR removes.
 // A hop is at stage 1 until the previous hop's totals arrive, 2 after.
-func (x *valExec) reduceRing(r *redOp, role *redRole) bool {
-	order := r.items[0].contribs
-	k, n := len(order), len(r.items)
-	pos := slices.Index(order, x.me)
+func (x *valExec) reduceRing(ns *nestSchedule, r *redOp, role *redRole) bool {
+	items := ns.fins[r.items.lo:r.items.hi]
+	order := ns.list(items[0].contribs)
+	k, n := len(order), len(items)
+	pos := slices.Index(order, int32(x.me))
 	if x.stage == 0 {
 		x.start, x.sent, x.stage = x.proc.Clock(), 0, 1
 		if pos == 0 { // root: fold stored values + own partials, start the ring
-			vec := x.vec[:n]
-			for i, f := range r.items {
-				vec[i] = x.loadElem(f.elem) + x.part[f.parts[0]]
+			vec, part := x.exchange()[:n], x.parts()
+			for i := range items {
+				f := &items[i]
+				vec[i] = x.loadElem(f.elem) + part[ns.ints[f.parts.lo]]
 				x.proc.Compute(1)
 			}
-			x.proc.Send(order[1], vec)
+			x.proc.Send(int(order[1]), vec)
 			x.sent = n
 		}
 	}
 	if x.stage == 1 && pos >= 0 { // the totals from the previous hop
-		data, ok := x.proc.TryRecv(order[(pos+k-1)%k])
+		data, ok := x.proc.TryRecv(int(order[(pos+k-1)%k]))
 		if !ok {
 			return false
 		}
@@ -484,40 +508,40 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) bool {
 		x.stage = 2
 		switch {
 		case pos == 0: // root: store the totals
-			for i, f := range r.items {
-				x.storeElem(f.elem, data[i])
+			for i := range items {
+				x.storeElem(items[i].elem, data[i])
 			}
 		case pos < k-1: // interior hop: fold and forward
-			x.proc.Send(order[pos+1], x.foldHop(r, data, pos))
+			x.proc.Send(int(order[pos+1]), x.foldHop(ns, items, data, pos))
 			x.sent += n
 		default: // last hop: fold, then deliver the totals
-			vec := x.foldHop(r, data, pos)
-			for _, i := range role.reads {
-				x.storeElem(r.items[i].elem, vec[i])
+			vec := x.foldHop(ns, items, data, pos)
+			for _, i := range ns.list(role.reads) {
+				x.storeElem(items[i].elem, vec[i])
 			}
 			// The root always gets the full vector; live readers get their
 			// items, laid out after it. Root = min(owners) < every fan-out
 			// rank, so sending it first keeps the destinations ascending.
-			x.proc.Send(r.items[0].root, vec)
+			x.proc.Send(int(items[0].root), vec)
 			x.sent += n
-			j := 0
-			for i, f := range r.items {
-				for _, o := range f.fanout {
-					if o != x.me {
-						x.vec[role.fanout.put[j]] = vec[i]
+			put, out, j := ns.list(role.fanout.put), x.exchange(), 0
+			for i := range items {
+				for _, o := range ns.list(items[i].fanout) {
+					if int(o) != x.me {
+						out[put[j]] = vec[i]
 						j++
 					}
 				}
 			}
-			x.sent += x.sendVec(role.fanout.to, n)
+			x.sent += x.sendVec(ns.peers[role.fanout.to.lo:role.fanout.to.hi], n)
 		}
 	}
-	if (pos < 0 || pos > 0 && pos < k-1) && !x.storeTotals(r, role, "ring") {
+	if (pos < 0 || pos > 0 && pos < k-1) && !x.storeTotals(ns, r, role, "ring") {
 		return false
 	}
 	if pos >= 0 { // every hop of the chain held a partial of every item
-		for _, f := range r.items {
-			x.takePart(f.parts[pos])
+		for i := range items {
+			x.takePart(ns.ints[items[i].parts.lo+int32(pos)])
 		}
 	}
 	x.proc.Note(machine.EvRing, x.start, x.proc.Clock(), -1, x.sent)
@@ -528,10 +552,10 @@ func (x *valExec) reduceRing(r *redOp, role *redRole) bool {
 // foldHop folds this hop's partials, the chain's pos-th, into the
 // running totals from the previous hop, at the front of the exchange
 // vector.
-func (x *valExec) foldHop(r *redOp, data []machine.Word, pos int) []machine.Word {
-	vec := x.vec[:len(r.items)]
-	for i, f := range r.items {
-		vec[i] = data[i] + x.part[f.parts[pos]]
+func (x *valExec) foldHop(ns *nestSchedule, items []finOp, data []machine.Word, pos int) []machine.Word {
+	vec, part := x.exchange()[:len(items)], x.parts()
+	for i := range items {
+		vec[i] = data[i] + part[ns.ints[items[i].parts.lo+int32(pos)]]
 		x.proc.Compute(1)
 	}
 	return vec
@@ -539,12 +563,13 @@ func (x *valExec) foldHop(r *redOp, data []machine.Word, pos int) []machine.Word
 
 // storeTotals receives the totals this processor is a live reader of —
 // from the roots, or from a ring's last hop — and stores them.
-func (x *valExec) storeTotals(r *redOp, role *redRole, what string) bool {
-	if !x.recvVec(role.fanout.from, what) {
+func (x *valExec) storeTotals(ns *nestSchedule, r *redOp, role *redRole, what string) bool {
+	if !x.recvVec(ns.peers[role.fanout.from.lo:role.fanout.from.hi], what) {
 		return false
 	}
-	for k, i := range role.reads {
-		x.storeElem(r.items[i].elem, x.vec[role.fanout.get[k]])
+	vec, get := x.exchange(), ns.list(role.fanout.get)
+	for k, i := range ns.list(role.reads) {
+		x.storeElem(ns.fins[r.items.lo+i].elem, vec[get[k]])
 	}
 	return true
 }

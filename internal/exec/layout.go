@@ -45,9 +45,10 @@ type layout struct {
 	// Per element: its cell and its offset inside the cell.
 	cell, loc []int32
 	// Per rank: the cell the rank holds (-1 for none). Per cell: its
-	// length and its owners, ascending.
+	// length and its owners, ascending, a range of owner (empty for none).
 	rankCell, cellLen []int32
-	cellOwners        [][]int
+	cellOwners        []span
+	owner             []int
 }
 
 // newLayout resolves the ownership of an array of extents ext under sch on
@@ -63,7 +64,7 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 	l := layout{sch: sch,
 		cell: make([]int32, size), loc: make([]int32, size),
 		rankCell: make([]int32, n), cellLen: make([]int32, n),
-		cellOwners: make([][]int, n)}
+		cellOwners: make([]span, n)}
 	for r := range l.rankCell {
 		l.rankCell[r] = -1
 	}
@@ -76,7 +77,7 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 	dist.ForEachIndex(ext, func(idx []int) {
 		owners = sch.AppendOwners(owners[:0], g, idx...)
 		c := int32(owners[0])
-		if l.cellOwners[c] == nil {
+		if l.cellOwners[c].n() == 0 {
 			for _, o := range owners {
 				if l.rankCell[o] >= 0 && err == nil {
 					err = fmt.Errorf("rank %d owns %v under first owner %d and other elements under first owner %d",
@@ -84,10 +85,11 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 				}
 				l.rankCell[o] = c
 			}
-			l.cellOwners[c] = slices.Clone(owners)
-		} else if !slices.Equal(owners, l.cellOwners[c]) && err == nil {
+			l.cellOwners[c] = span{int32(len(l.owner)), int32(len(l.owner) + len(owners))}
+			l.owner = append(l.owner, owners...)
+		} else if cell := l.owner[l.cellOwners[c].lo:l.cellOwners[c].hi]; !slices.Equal(owners, cell) && err == nil {
 			err = fmt.Errorf("%v is owned by %v, other elements of first owner %d by %v",
-				idx, owners, c, l.cellOwners[c])
+				idx, owners, c, cell)
 		}
 		l.cell[off], l.loc[off] = c, l.cellLen[c]
 		l.cellLen[c]++
@@ -96,8 +98,12 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 	return l, err
 }
 
-// owners is the owner list of the element at off, ascending: its cell's.
-func (l *layout) owners(off int) []int { return l.cellOwners[l.cell[off]] }
+// owners is the owner list of the element at off, ascending: a view of
+// its cell's.
+func (l *layout) owners(off int) []int {
+	s := l.cellOwners[l.cell[off]]
+	return l.owner[s.lo:s.hi:s.hi]
+}
 
 // local is the element's index in rank r's store, and whether r holds it.
 func (l *layout) local(r, off int) (int32, bool) {

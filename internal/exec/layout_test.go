@@ -194,10 +194,11 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range s.nests[0].reds {
-		for _, f := range r.items {
-			if len(f.owners) != 2 || len(f.fanout) != 0 {
-				t.Fatalf("finalize of element %d: owners %v, fan-out %v; want two owners and a fan-out pruned to the root", f.elem, f.owners, f.fanout)
+	ns := s.nests[0]
+	for _, r := range ns.reds {
+		for _, f := range ns.fins[r.items.lo:r.items.hi] {
+			if owners, fanout := s.ownersOf(f.elem), ns.list(f.fanout); len(owners) != 2 || len(fanout) != 0 {
+				t.Fatalf("finalize of element %d: owners %v, fan-out %v; want two owners and a fan-out pruned to the root", f.elem, owners, fanout)
 			}
 		}
 	}
@@ -230,7 +231,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{{name: "A", ext: []int{4}, size: 4, lay: lay}},
 		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}, vecLen: make([]int32, 2)}
 	// Rank 1 is told to ship A(2), which rank 0 owns, to rank 0.
-	load := &nestSchedule{procs: [][]pinstr{nil, {{op: opSendDirect, arg: 0, elem: mkElem(0, 1)}}}}
+	load := &nestSchedule{instrs: []pinstr{{op: opSendDirect, arg: 0, elem: mkElem(0, 1)}}, at: []int32{0, 0, 1}}
 	cases := []struct {
 		label, want string
 		body        func(x *valExec)
@@ -261,7 +262,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 	// What each rank does own still reads and writes through the table.
 	x := &s.executors()[0]
 	x.storeElem(mkElem(0, 1), 2.5)
-	if got := x.loadElem(mkElem(0, 1)); got != 2.5 || !reflect.DeepEqual(x.marks, []bool{false, true}) {
-		t.Fatalf("rank 0 reads back %v with marks %v", got, x.marks)
+	if got := x.loadElem(mkElem(0, 1)); got != 2.5 || !reflect.DeepEqual(x.marked(), []bool{false, true}) {
+		t.Fatalf("rank 0 reads back %v with marks %v", got, x.marked())
 	}
 }

@@ -354,7 +354,7 @@ func TestLoweringMatchesIR(t *testing.T) {
 			// stream, in walk order.
 			ns, nest := s.nests[0], p.Nests[0]
 			var evals []pinstr
-			for _, in := range ns.procs[0] {
+			for _, in := range ns.stream(0) {
 				if in.op == opEval {
 					evals = append(evals, in)
 				}
@@ -392,14 +392,14 @@ func TestLoweringMatchesIR(t *testing.T) {
 					}
 				}
 				// One processor owns everything: every operand is a slab offset.
-				x.vals = x.vals[:0]
+				var operands []float64
 				for _, o := range ns.operands[in.off : int(in.off)+len(ls.reads)] {
 					if o.kind() != opdOwned {
 						t.Fatalf("%s at %v: operand %#x is not in the store slab\n%s", st.RHS, iv, o, label)
 					}
-					x.vals = append(x.vals, x.slab[o.addr()])
+					operands = append(operands, x.stores()[o.addr()])
 				}
-				if got, want := x.evalExpr(ls.rhs), st.RHS.Eval(env, vals.Load, scalars); math.Float64bits(got) != math.Float64bits(want) {
+				if got, want := evalExpr(ls.rhs, operands), st.RHS.Eval(env, vals.Load, scalars); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s at %v: lowered RHS %v, ir %v\n%s", st.RHS, iv, got, want, label)
 				}
 				return nil

@@ -8,7 +8,71 @@
 
 package exec
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
+
+// redistOp is one processor's part of an epoch in the nested shape the
+// reference lowering builds and the tests compare: its rounds, each
+// round's messages, each message's segments, each segment's elements.
+// nested renders lowering.lower's flat plan in it.
+type redistOp struct {
+	rounds []redistRound
+}
+
+type redistRound struct {
+	round        int32
+	sends, recvs []redistMsg
+}
+
+type redistMsg struct {
+	peer int32
+	segs []redistSeg
+}
+
+type redistSeg struct {
+	origin int32
+	elems  []elemID
+	addr   int32
+}
+
+// nested renders the parts of n ranks at p.ops[op0:] in the nested shape;
+// an empty list is nil, as the reference leaves it.
+func nested(p *redistPlan, op0 int32, n int) []redistOp {
+	msgs := func(s span) []redistMsg {
+		var out []redistMsg
+		for _, m := range p.msgs[s.lo:s.hi] {
+			var segs []redistSeg
+			for _, sg := range p.segs[m.segs.lo:m.segs.hi] {
+				segs = append(segs, redistSeg{origin: sg.origin, elems: slices.Clone(p.elems[sg.elems.lo:sg.elems.hi]), addr: sg.addr})
+			}
+			out = append(out, redistMsg{peer: m.peer, segs: segs})
+		}
+		return out
+	}
+	ops := make([]redistOp, n)
+	for i := range ops {
+		op := p.ops[op0+int32(i)]
+		for _, rd := range p.rounds[op.lo:op.hi] {
+			ops[i].rounds = append(ops[i].rounds, redistRound{round: rd.round, sends: msgs(rd.sends), recvs: msgs(rd.recvs)})
+		}
+	}
+	return ops
+}
+
+// reset empties the plan, keeping its arrays' capacity.
+func (p *redistPlan) reset() {
+	*p = redistPlan{p.ops[:0], p.rounds[:0], p.msgs[:0], p.segs[:0], p.elems[:0], p.addrs[:0]}
+}
+
+// lowerNested lowers traffic on low into a fresh plan and returns the
+// ranks and their parts in the nested shape.
+func lowerNested(low *lowering, traffic []epochShip) ([]int32, []redistOp) {
+	var p redistPlan
+	ranks, op0 := low.lower(traffic, &p)
+	return ranks, nested(&p, op0, len(ranks))
+}
 
 // lowerCollective composes the epoch's traffic into a collective
 // redistribution plan. Per source, each (already deduped) element's

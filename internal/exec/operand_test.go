@@ -28,8 +28,8 @@ func invert(t *testing.T, label string, pt *posTable) map[rankAddr]elemID {
 	t.Helper()
 	inv := map[rankAddr]elemID{}
 	for a, row := range pt.rows {
-		for off, held := range row {
-			for _, rp := range held {
+		for off, ref := range row {
+			for _, rp := range pt.slab[ref.at : ref.at+ref.n] {
 				k := rankAddr{rp.rank, rp.pos}
 				if prev, dup := inv[k]; dup {
 					t.Fatalf("%s: rank %d position %d holds elements %d and %d", label, rp.rank, rp.pos, prev, mkElem(a, off))
@@ -86,20 +86,21 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 		// Direct messages in send order per ordered pair; each receive takes
 		// the pair's next.
 		direct := map[[2]int][]elemID{}
-		for src, stream := range ns.procs {
-			for _, in := range stream {
+		for src := range s.nprocs {
+			for _, in := range ns.stream(src) {
 				if in.op == opSendDirect {
 					k := [2]int{src, int(in.arg)}
 					direct[k] = append(direct[k], in.elem)
 				}
 			}
 		}
-		for r, stream := range ns.procs {
-			for at, in := range stream {
+		for r := range s.nprocs {
+			for at, in := range ns.stream(r) {
 				where := fmt.Sprintf("nest %d rank %d instruction %d", ni, r, at)
 				switch in.op {
 				case opRedist:
-					for _, rd := range ns.redists[in.arg].rounds {
+					addrs := s.plan.addrs
+					for _, rd := range nested(&s.plan, in.arg, 1)[0].rounds {
 						for _, msg := range rd.sends {
 							for _, seg := range msg.segs {
 								n := len(seg.elems)
@@ -108,15 +109,15 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 									if int(seg.origin) != r {
 										from = bufs
 									}
-									decode(where+" send", from, int32(r), ns.addrs[int(seg.addr)+k], e)
-									decode(where+" send's receiver", bufs, msg.peer, ns.addrs[int(seg.addr)+n+k], e)
+									decode(where+" send", from, int32(r), addrs[int(seg.addr)+k], e)
+									decode(where+" send's receiver", bufs, msg.peer, addrs[int(seg.addr)+n+k], e)
 								}
 							}
 						}
 						for _, msg := range rd.recvs {
 							for _, seg := range msg.segs {
 								for k, e := range seg.elems {
-									decode(where+" receive", bufs, int32(r), ns.addrs[int(seg.addr)+len(seg.elems)+k], e)
+									decode(where+" receive", bufs, int32(r), addrs[int(seg.addr)+len(seg.elems)+k], e)
 								}
 							}
 						}
@@ -227,23 +228,29 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		ss := wholeProgramSchemes(t, k.p, k.m, k.n)
 		var dropped redistSeg
 		var receiver int32 = -1
-		low := &lowering{tap: func(_ []epochShip, ranks []int32, ops []redistOp) {
+		low := &lowering{tap: func(_ []epochShip, ranks []int32, p *redistPlan, op0 int32) {
 			if receiver >= 0 {
 				return
 			}
 			// The first receive of the epoch's first receiving rank, and the
-			// matching send: a segment both ends share.
-			for i := range ops {
-				for r := range ops[i].rounds {
-					if len(ops[i].rounds[r].recvs) == 0 {
+			// matching send: a segment both ends share, dropped by moving
+			// the start of both messages' segment ranges past it.
+			for i := range ranks {
+				op := p.ops[op0+int32(i)]
+				for _, rd := range p.rounds[op.lo:op.hi] {
+					if rd.recvs.n() == 0 {
 						continue
 					}
-					recv := &ops[i].rounds[r].recvs[0]
+					recv := &p.msgs[rd.recvs.lo]
 					j, _ := slices.BinarySearch(ranks, recv.peer)
-					sends := roundOf(&ops[j], ops[i].rounds[r].round).sends
-					send := &sends[slices.IndexFunc(sends, func(m redistMsg) bool { return m.peer == ranks[i] })]
-					receiver, dropped = ranks[i], recv.segs[0]
-					recv.segs, send.segs = recv.segs[1:], send.segs[1:]
+					from := p.ops[op0+int32(j)]
+					k := slices.IndexFunc(p.rounds[from.lo:from.hi], func(r planRound) bool { return r.round == rd.round })
+					sends := p.rounds[from.lo+int32(k)].sends
+					send := &p.msgs[sends.lo+int32(slices.IndexFunc(p.msgs[sends.lo:sends.hi], func(m planMsg) bool { return m.peer == ranks[i] }))]
+					seg := p.segs[recv.segs.lo]
+					receiver, dropped = ranks[i], redistSeg{origin: seg.origin, elems: slices.Clone(p.elems[seg.elems.lo:seg.elems.hi])}
+					recv.segs.lo++
+					send.segs.lo++
 					return
 				}
 			}

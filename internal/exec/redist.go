@@ -3,7 +3,7 @@
 // destinations, one vectored pair exchange for the rest, put in send and
 // receive order by counting passes over the epoch's ranks. Lowering an
 // epoch takes time in what it moves, in scratch every epoch reuses, and
-// allocates only when a chunk its plan is carved from runs out.
+// allocates only when an array of the plan it appends to must grow.
 
 package exec
 
@@ -13,46 +13,79 @@ import (
 	"slices"
 )
 
-// redistOp is one processor's materialized schedule for an epoch's
-// collective redistribution. Each round exchanges at most one merged
-// vectored message per ordered processor pair, and every processor
-// sends its round messages before receiving any, which keeps the
-// exchange deadlock-free even on single-message channels. Binomial
-// multicast-tree rounds come first (round r moves tree edges of stride
-// 2^r, so a relay always receives a step's payload in an earlier round
-// than it forwards it), and the residual single-destination traffic is
-// the final round, one vectored message per pair. A processor holds only
-// the rounds in which it sends or receives, in round order.
-type redistOp struct {
-	rounds []redistRound
-}
-
-type redistRound struct {
-	round int32       // the round's number in the epoch
-	sends []redistMsg // ascending peer (destination) order
-	recvs []redistMsg // ascending peer (source) order
-}
-
-// redistMsg is one merged round message: the segments of every tree
-// step (and residual pair list) crossing this ordered pair this round,
-// concatenated in step order. Both endpoints hold the same segment
-// list, so the wire layout needs no header.
-type redistMsg struct {
-	peer int32
-	segs []redistSeg
-}
-
-// redistSeg is one origin's element run inside a merged message. The
-// sender gathers it from its store slab when it is the origin, or
-// forwards the copies it received in an earlier round; the receiver files
-// the words in its copy buffer. The segment's addresses, written after
-// the epoch is lowered, are the nest's addrs[addr:addr+2*len(elems)]: the
-// sender's (slab offsets at the origin, buffer positions at a relay),
-// then the receiver's buffer positions.
-type redistSeg struct {
-	origin int32
+// redistPlan holds the lowered redistributions of one plan segment — its
+// nests' epochs and the scheme change into it — in flat, pointer-free
+// arrays addressed by int32 ranges. ops[i] is one processor's part of one
+// epoch (an opRedist's arg, a changeEpoch's ops entry), a range of rounds.
+// Each round exchanges at most one merged vectored message per ordered
+// processor pair, and every processor sends its round messages before
+// receiving any, which keeps the exchange deadlock-free even on
+// single-message channels. Binomial multicast-tree rounds come first
+// (round r moves tree edges of stride 2^r, so a relay always receives a
+// step's payload in an earlier round than it forwards it), and the
+// residual single-destination traffic is the final round, one vectored
+// message per pair. A processor holds only the rounds in which it sends
+// or receives, in round order.
+type redistPlan struct {
+	ops    []span // into rounds
+	rounds []planRound
+	msgs   []planMsg
+	segs   []planSeg
 	elems  []elemID
+	// addrs holds every segment's addresses (planSeg.addr).
+	addrs []int32
+}
+
+// span is the range [lo, hi) of one of a plan's arrays.
+type span struct{ lo, hi int32 }
+
+func (s span) n() int { return int(s.hi - s.lo) }
+
+// add extends the span to index i: its end, or anywhere if it is empty.
+func (s *span) add(i int32) {
+	if s.lo == s.hi {
+		s.lo = i
+	}
+	s.hi = i + 1
+}
+
+// planRound is one processor's messages in one round: sends in ascending
+// peer (destination) order, receives in ascending peer (source) order,
+// each a range of msgs.
+type planRound struct {
+	round        int32
+	sends, recvs span
+}
+
+// planMsg is one merged round message: the segments of every tree step
+// (and residual pair list) crossing this ordered pair this round,
+// concatenated in step order. Both endpoints' messages hold the same range
+// of segs, so the wire layout needs no header.
+type planMsg struct {
+	peer int32
+	segs span
+}
+
+// planSeg is one origin's element run inside a merged message. The sender
+// gathers it from its store slab when it is the origin, or forwards the
+// copies it received in an earlier round; the receiver files the words in
+// its copy buffer. The segment's addresses, written after the epoch is
+// lowered, are addrs[addr:addr+2*elems.n()]: the sender's (slab offsets at
+// the origin, buffer positions at a relay), then the receiver's buffer
+// positions.
+type planSeg struct {
+	origin int32
+	elems  span
 	addr   int32
+}
+
+// extend lengthens s by n zeroed elements, at least doubling its capacity
+// when it must grow, and returns it with the index of the first new one.
+func extend[T any](s []T, n int) ([]T, int32) {
+	at := len(s)
+	s = grow(s, n)[:at+n]
+	clear(s[at:])
+	return s, int32(at)
 }
 
 // epochShip is one batched ship: e from its first owner to an executor, k =
@@ -64,10 +97,12 @@ type epochShip struct {
 
 func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 
-// lowering is lower's scratch, owned by one buildSchedule call and reused
-// by every epoch it closes. Per source: pos[e] is e's index in order (the
-// source's elements in first-ship order), xs the index of each of the
-// source's ships, and order[x]'s destinations, ascending, are
+// lowering is lower's scratch, owned by one buildPlan call and reused by
+// every epoch it closes. Per source: pos is a dense index, per
+// array, of the source's elements — pos[a][off] is one past the element's
+// index in order (the source's elements in first-ship order), zero for
+// none, cleared through order when the source is done — xs the index of
+// each of the source's ships, and order[x]'s destinations, ascending, are
 // dests[start[x]:start[x+1]]. The arenas members and elems hold every
 // tree step's members and every step's and residual pair's element run.
 // Per epoch: ranks are its ranks, ascending, and at[r] is r's index in
@@ -75,7 +110,7 @@ func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 // the epoch is stale and never read), seen is index's bitset and ints the
 // counting passes' indices and counters.
 type lowering struct {
-	pos                    map[elemID]int32
+	pos                    [][]int32
 	order, elems           []elemID
 	xs, start, fill, dests []int32
 	multi, members, ranks  []int32
@@ -84,33 +119,16 @@ type lowering struct {
 	steps                  []treeStep
 	resid, edges           []edge
 	msgs                   []roundMsg
-	// The slabs every epoch's plan is carved from (carve).
-	elemSlab  []elemID
-	segSlab   []redistSeg
-	opSlab    []redistOp
-	roundSlab []redistRound
-	msgSlab   []redistMsg
 	// chunks hold the arena emit appends to, reused by every nest: the
 	// instructions of the nest being walked, in emission order, with the
 	// rank each is for (nestBuilder.slot).
 	chunks [][]rankedInstr
-	// tap (tests only) sees each epoch's sorted traffic and its plan, before
-	// the plan is addressed; evalTap (tests only) sees each opEval as it is
-	// emitted — ns.procs[p][at] — with the instance's loop vector.
-	tap     func(traffic []epochShip, ranks []int32, ops []redistOp)
+	// tap (tests only) sees each epoch's sorted traffic and its plan,
+	// ranks[i]'s part at p.ops[op0+i], before the plan is addressed;
+	// evalTap (tests only) sees each opEval as it is emitted — rank p's
+	// instruction at of the nest — with the instance's loop vector.
+	tap     func(traffic []epochShip, ranks []int32, p *redistPlan, op0 int32)
 	evalTap func(ns *nestSchedule, p, at int, iv []int)
-}
-
-// carve cuts n zeroed elements off the front of *slab, which it refills
-// with a fresh chunk when too short. Plans outlive the epoch that lowers
-// them, so a chunk is shared by consecutive epochs and never reused.
-func carve[T any](slab *[]T, n int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, 512))
-	}
-	s := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return s
 }
 
 // treeStep is one multicast tree: the elements of one origin sharing one
@@ -132,23 +150,23 @@ type edge struct {
 // roundMsg is one merged message: one round's segments on one pair.
 type roundMsg struct {
 	round, snd, rcv int32
-	segs            []redistSeg
+	segs            span
 }
 
 // lower composes one epoch's traffic into a collective redistribution
-// plan and returns the participating ranks, ascending (l's scratch, valid
-// until the next call), with each one's redistOp. Per source (ascending),
-// each element's destination set is classified: multi-destination
-// elements group by identical destination set and each group becomes a
-// binomial multicast-tree step rooted at the source (the tree moves the
-// group in log2(W+1) rounds and every edge carries the group once — the
-// same total words as the deduped star, with the source's send load
-// spread over the relays); single-destination elements remain a vectored
-// pair exchange, appended as the final round. Tree edges of all steps
-// with the same stride execute in the same round, merged into one message
-// per ordered pair, so every round keeps the one-message-per-pair
-// sends-before-receives shape that rules out deadlock even on
-// single-message channels.
+// plan, appended to p, and returns the participating ranks, ascending (l's
+// scratch, valid until the next call), and op0: ranks[i]'s part is
+// p.ops[op0+i]. Per source (ascending), each element's destination set is
+// classified: multi-destination elements group by identical destination
+// set and each group becomes a binomial multicast-tree step rooted at the
+// source (the tree moves the group in log2(W+1) rounds and every edge
+// carries the group once — the same total words as the deduped star, with
+// the source's send load spread over the relays); single-destination
+// elements remain a vectored pair exchange, appended as the final round.
+// Tree edges of all steps with the same stride execute in the same round,
+// merged into one message per ordered pair, so every round keeps the
+// one-message-per-pair sends-before-receives shape that rules out
+// deadlock even on single-message channels.
 //
 // A stable sort by pair key gives each pair's elements in ship order;
 // nothing else is sorted by comparison. The epoch's ranks are numbered
@@ -156,14 +174,11 @@ type roundMsg struct {
 // edges and the receive lists in order. The work is in the epoch's ships,
 // steps, edges and ranks, in l's reused scratch, and the plan (element
 // runs, segments shared by a message's two ends, sends, receives, the
-// (rank, round) lists that carry a message, ops) is carved from five
-// chunked slabs.
-func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
+// (rank, round) lists that carry a message, ops) is appended to p's
+// arrays.
+func (l *lowering) lower(traffic []epochShip, p *redistPlan) ([]int32, int32) {
 	slices.SortStableFunc(traffic, func(a, b epochShip) int { return cmp.Compare(a.k, b.k) })
 	l.index(traffic)
-	if l.pos == nil {
-		l.pos = make(map[elemID]int32)
-	}
 	l.members, l.elems, l.steps, l.resid, l.edges = l.members[:0], l.elems[:0], l.steps[:0], l.resid[:0], l.edges[:0]
 	for i := 0; i < len(traffic); {
 		j := i + 1
@@ -203,7 +218,7 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	// Into send order, (sender, round, receiver), one message per run, by
 	// stable counting passes: by receiver, then by (sender, round).
 	n, m := len(l.edges), len(l.ranks)*rounds
-	slot := func(rank, round int32) int { return int(l.at[rank])*rounds + int(round) } // rs's index
+	slot := func(rank, round int32) int { return int(l.at[rank])*rounds + int(round) } // rounds' index
 	l.ints = grow(l.ints[:0], 2*n+m)[:2*n+m]
 	perm, tmp, count := l.ints[:n], l.ints[n:2*n], l.ints[2*n:]
 	for i := range perm {
@@ -211,17 +226,18 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	}
 	order(tmp, perm, count[:len(l.ranks)], func(x int32) int { return int(l.at[int32(l.edges[x].k)]) })
 	order(perm, tmp, count, func(x int32) int { return slot(int32(l.edges[x].k>>32), l.edges[x].round) })
-	elems := carve(&l.elemSlab, len(l.elems))
-	copy(elems, l.elems)
-	segs := carve(&l.segSlab, n)
+	var e0, s0 int32
+	p.elems, e0 = extend(p.elems, len(l.elems))
+	copy(p.elems[e0:], l.elems)
+	p.segs, s0 = extend(p.segs, n)
 	l.msgs = grow(l.msgs[:0], n)
 	for i, x := range perm {
-		e := &l.edges[x]
-		segs[i] = redistSeg{origin: e.origin, elems: elems[e.elems[0]:e.elems[1]:e.elems[1]]}
+		e, at := &l.edges[x], s0+int32(i)
+		p.segs[at] = planSeg{origin: e.origin, elems: span{e0 + e.elems[0], e0 + e.elems[1]}}
 		if n := len(l.msgs); n > 0 && e.round == l.edges[perm[i-1]].round && e.k == l.edges[perm[i-1]].k {
-			l.msgs[n-1].segs = segs[i-len(l.msgs[n-1].segs) : i+1 : i+1]
+			l.msgs[n-1].segs.hi++
 		} else {
-			l.msgs = append(l.msgs, roundMsg{round: e.round, snd: int32(e.k >> 32), rcv: int32(e.k), segs: segs[i : i+1 : i+1]})
+			l.msgs = append(l.msgs, roundMsg{round: e.round, snd: int32(e.k >> 32), rcv: int32(e.k), segs: span{at, at + 1}})
 		}
 	}
 	// Receive order: a stable pass by (receiver, round) of the sends.
@@ -231,9 +247,9 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 	order(perm[:len(l.msgs)], tmp[:len(l.msgs)], count, func(x int32) int { return slot(l.msgs[x].rcv, l.msgs[x].round) })
 
 	// Only the (rank, round) slots a message leaves or reaches get a
-	// round list: live[s] is slot s's list in rs, and a rank's lists are a
-	// run of rs in round order.
-	live, lists := count, 0
+	// round list: live[s] is slot s's list in p.rounds, and a rank's lists
+	// are a run of them in round order.
+	live, lists := count, int32(0)
 	clear(live)
 	for _, msg := range l.msgs {
 		for _, s := range [2]int{slot(msg.snd, msg.round), slot(msg.rcv, msg.round)} {
@@ -242,38 +258,70 @@ func (l *lowering) lower(traffic []epochShip) ([]int32, []redistOp) {
 			}
 		}
 	}
-	ops := carve(&l.opSlab, len(l.ranks))
-	rs := carve(&l.roundSlab, lists)
-	k := int32(0)
-	for i := range ops {
+	var op0, r0 int32
+	p.ops, op0 = extend(p.ops, len(l.ranks))
+	p.rounds, r0 = extend(p.rounds, int(lists))
+	k := r0
+	for i := range l.ranks {
 		k0 := k
 		for r := range int32(rounds) {
 			if s := i*rounds + int(r); live[s] != 0 {
-				live[s], rs[k].round = k, r
+				live[s], p.rounds[k].round = k, r
 				k++
 			}
 		}
-		ops[i].rounds = rs[k0:k:k]
+		p.ops[op0+int32(i)] = span{k0, k}
 	}
 
 	// Per processor and round: sends in ascending destination order, then
-	// receives in ascending source order, each a run of one slab.
-	sends, recvs := carve(&l.msgSlab, len(l.msgs)), carve(&l.msgSlab, len(l.msgs))
+	// receives in ascending source order, each a run of msgs.
+	var m0 int32
+	p.msgs, m0 = extend(p.msgs, 2*len(l.msgs))
 	for i, msg := range l.msgs {
-		rd := &rs[live[slot(msg.snd, msg.round)]]
-		sends[i] = redistMsg{peer: msg.rcv, segs: msg.segs}
-		rd.sends = sends[i-len(rd.sends) : i+1 : i+1]
+		at := m0 + int32(i)
+		p.msgs[at] = planMsg{peer: msg.rcv, segs: msg.segs}
+		p.rounds[live[slot(msg.snd, msg.round)]].sends.add(at)
 	}
 	for i, x := range perm[:len(l.msgs)] {
-		msg := &l.msgs[x]
-		rd := &rs[live[slot(msg.rcv, msg.round)]]
-		recvs[i] = redistMsg{peer: msg.snd, segs: msg.segs}
-		rd.recvs = recvs[i-len(rd.recvs) : i+1 : i+1]
+		msg, at := &l.msgs[x], m0+int32(len(l.msgs)+i)
+		p.msgs[at] = planMsg{peer: msg.snd, segs: msg.segs}
+		p.rounds[live[slot(msg.rcv, msg.round)]].recvs.add(at)
 	}
 	if l.tap != nil {
-		l.tap(traffic, l.ranks, ops)
+		l.tap(traffic, l.ranks, p, op0)
 	}
-	return l.ranks, ops
+	return l.ranks, op0
+}
+
+// address writes the addresses of every segment of the epoch whose ranks'
+// parts are p.ops[op0:] into addrs (see planSeg), from the send that
+// carries it — a segment is shared by its message's two ends — and sizes
+// each sender's exchange vector, vecLen, to its messages. addr gives an
+// element's address at rank r, the sender when origin says whether it is
+// the segment's origin, or a receiver.
+func (p *redistPlan) address(ranks []int32, op0 int32, vecLen []int32, addr func(r int32, origin bool, e elemID) int32) {
+	for i, snd := range ranks {
+		op := p.ops[op0+int32(i)]
+		for _, rd := range p.rounds[op.lo:op.hi] {
+			for _, msg := range p.msgs[rd.sends.lo:rd.sends.hi] {
+				words := int32(0)
+				for k := msg.segs.lo; k < msg.segs.hi; k++ {
+					seg := &p.segs[k]
+					elems := p.elems[seg.elems.lo:seg.elems.hi]
+					words += int32(len(elems))
+					seg.addr = int32(len(p.addrs))
+					p.addrs = grow(p.addrs, 2*len(elems))
+					for _, e := range elems {
+						p.addrs = append(p.addrs, addr(snd, snd == seg.origin, e))
+					}
+					for _, e := range elems {
+						p.addrs = append(p.addrs, addr(msg.peer, false, e))
+					}
+				}
+				vecLen[snd] = max(vecLen[snd], words)
+			}
+		}
+	}
 }
 
 // index numbers the epoch's ranks, the ends of its ships: marked in seen,
@@ -327,10 +375,11 @@ func order(out, in, count []int32, key func(int32) int) {
 func (l *lowering) source(src int32, run []epochShip) {
 	l.order, l.start, l.xs = l.order[:0], l.start[:0], l.xs[:0]
 	for _, t := range run {
-		x, ok := l.pos[t.e]
-		if !ok {
+		at := l.posOf(t.e)
+		x := *at - 1
+		if x < 0 {
 			x = int32(len(l.order))
-			l.pos[t.e] = x
+			*at = x + 1
 			l.order = append(l.order, t.e)
 			l.start = append(l.start, 0)
 		}
@@ -388,6 +437,18 @@ func (l *lowering) source(src int32, run []epochShip) {
 	}
 	slices.SortFunc(l.steps[s0:], func(a, b treeStep) int { return cmp.Compare(a.first, b.first) })
 	for _, e := range l.order {
-		delete(l.pos, e)
+		*l.posOf(e) = 0
 	}
+}
+
+// posOf is e's entry of the index pos, which grows to hold it.
+func (l *lowering) posOf(e elemID) *int32 {
+	a, off := e.arr(), e.off()
+	if a >= len(l.pos) {
+		l.pos = append(l.pos, make([][]int32, a+1-len(l.pos))...)
+	}
+	if off >= len(l.pos[a]) {
+		l.pos[a] = append(l.pos[a], make([]int32, off+1-len(l.pos[a]))...)
+	}
+	return &l.pos[a][off]
 }

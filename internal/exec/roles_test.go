@@ -51,29 +51,30 @@ func checkPeerLists(t *testing.T, label string, pl *planSchedule) (exchanges, ri
 		for ni, ns := range s.nests {
 			for ri, r := range ns.reds {
 				exchanges++
-				chain := r.items[0].contribs
+				chain := ns.list(ns.fins[r.items.lo].contribs)
 				sent, got := map[edge]int32{}, map[edge]int32{}
-				for k := range r.roles {
-					role, me := &r.roles[k], int32(r.parts[k])
+				for k, me := range ns.list(r.parts) {
+					role := &ns.roles[r.roles+int32(k)]
 					for pi, ph := range []*phase{&role.gather, &role.fanout} {
 						where := fmt.Sprintf("%s: segment %d nest %d exchange %d (ring %v) rank %d phase %d", label, si, ni, ri, r.ring, me, pi)
-						ascending(where+" destinations", ph.to)
-						ascending(where+" sources", ph.from)
-						for _, d := range ph.to {
+						to, from := ns.peers[ph.to.lo:ph.to.hi], ns.peers[ph.from.lo:ph.from.hi]
+						ascending(where+" destinations", to)
+						ascending(where+" sources", from)
+						for _, d := range to {
 							sent[edge{int32(pi), me, d.peer}] += d.n
 						}
-						for _, src := range ph.from {
+						for _, src := range from {
 							got[edge{int32(pi), src.peer, me}] += src.n
 						}
 						base := int32(0)
-						if r.ring && int(me) == chain[len(chain)-1] {
-							base = int32(len(r.items))
-							if len(ph.to) > 0 {
+						if r.ring && me == chain[len(chain)-1] {
+							base = int32(r.items.n())
+							if len(to) > 0 {
 								rings++
 							}
 						}
-						bijection(where+" sends", ph.put, base, ph.to)
-						bijection(where+" receives", ph.get, 0, ph.from)
+						bijection(where+" sends", ns.list(ph.put), base, to)
+						bijection(where+" receives", ns.list(ph.get), 0, from)
 					}
 				}
 				for e, n := range sent {

@@ -45,7 +45,9 @@ type planSchedule struct {
 	changes []*changeEpoch
 }
 
-// progSchedule is the precomputed schedule of one plan segment.
+// progSchedule is the precomputed schedule of one plan segment. What it
+// holds per rank, epoch, message or element is in flat, pointer-free
+// arrays addressed by int32 ranges, which the collector does not scan.
 type progSchedule struct {
 	g       *grid.Grid
 	lw      *ir.Lowered
@@ -53,6 +55,9 @@ type progSchedule struct {
 	nprocs  int
 	arrays  []arrayMeta // indexed like lw.Names
 	nests   []*nestSchedule
+	// plan holds the lowered redistributions of every nest's epochs and of
+	// the scheme change into the segment.
+	plan redistPlan
 	// base holds one row of len(arrays)+1 entries per rank: where
 	// each array's cell starts in the rank's store slab, then the slab's
 	// length.
@@ -66,88 +71,97 @@ type progSchedule struct {
 	// it sends in one redistribution message (address) or lays out in one
 	// phase of a reduction (buildRoles).
 	vecLen []int32
-	// Liveness state for fan-out pruning: redArrs marks arrays that
-	// appear as a reduction LHS; acc records, per element of
-	// those arrays, the program-order sequence of local-read and write
-	// events; sites lists every finalize with its position in that
-	// sequence. computeFanouts scans forward (cyclically, because the
-	// program body repeats each outer iteration) from each site to the
-	// element's next write and keeps only the owners that actually read
-	// the total in between. The change out of the segment reads last: an
-	// owner that keeps the element across it reads its copy there.
+	// fw and bw back every rank's executor state (executors).
+	fw []float64
+	bw []bool
+	// Liveness state for fan-out pruning, dropped once it is done:
+	// redArrs marks arrays that appear as a reduction LHS; events records,
+	// in program order, the local reads (by a range of readers) and writes
+	// of their elements, and sites every finalize's event. computeFanouts
+	// scans forward (cyclically, because the program body repeats each
+	// outer iteration) from each site to the element's next write and keeps
+	// only the owners that actually read the total in between. The change
+	// out of the segment reads last: an owner that keeps the element
+	// across it reads its copy there.
 	redArrs []bool
-	seq     int
-	acc     map[elemID][]accEvent
+	events  []accEvent
+	readers []int
 	sites   []finSite
 }
 
 // posTable hands out per-rank positions, one per (rank, element) for the
-// life of the table. rows is a dense per-element table of the ranks holding
-// a position, ascending — an element reaches few ranks, so a row stays
-// short where a per-element array over every rank would not — and n[r] is
-// rank r's count.
+// life of the table. An element's row, in slab, lists the ranks holding a
+// position, ascending — an element reaches few ranks, so a row stays short
+// where a per-element array over every rank would not — and n[r] is rank
+// r's count.
 type posTable struct {
-	rows dense[[]rankPos]
+	rows dense[rowRef]
+	slab []rankPos
 	n    []int32
-	// free is the slab new rows are cut from, four entries each.
-	free []rankPos
 }
 
 type rankPos struct{ rank, pos int32 }
 
+// rowRef is a sorted per-element row kept in a flat slab: slab[at:at+n],
+// with room for cap entries.
+type rowRef struct{ at, n, cap int32 }
+
+// insertAt makes room for an entry at index i of row r of *slab and
+// returns it. A full row moves to the slab's end with twice its room; the
+// space it leaves is not reused.
+func insertAt[T any](slab *[]T, r *rowRef, i int) *T {
+	if r.n == r.cap {
+		var at int32
+		c := max(4, 2*r.cap)
+		*slab, at = extend(*slab, int(c))
+		copy((*slab)[at:], (*slab)[r.at:r.at+r.n])
+		r.at, r.cap = at, c
+	}
+	row := (*slab)[r.at : r.at+r.n+1]
+	copy(row[i+1:], row[i:])
+	r.n++
+	return &row[i]
+}
+
 // pos returns rank r's position for e, numbering it on first use.
 func (t *posTable) pos(s *progSchedule, e elemID, r int) int32 {
-	row := t.rows.at(s, e)
-	i, n := 0, len(*row)
-	for i < n { // binary search for the first rank >= r
-		if h := int(uint(i+n) >> 1); (*row)[h].rank < int32(r) {
-			i = h + 1
-		} else {
-			n = h
-		}
+	ref := t.rows.at(s, e)
+	row := t.slab[ref.at : ref.at+ref.n]
+	i, found := slices.BinarySearchFunc(row, int32(r), func(p rankPos, r int32) int { return cmp.Compare(p.rank, r) })
+	if found {
+		return row[i].pos
 	}
-	if i == len(*row) || (*row)[i].rank != int32(r) {
-		if *row == nil {
-			if len(t.free) < 4 {
-				t.free = make([]rankPos, 1024)
-			}
-			*row, t.free = t.free[:0:4], t.free[4:]
-		}
-		*row = slices.Insert(*row, i, rankPos{int32(r), t.n[r]})
-		t.n[r]++
-	}
-	return (*row)[i].pos
+	p := t.n[r]
+	*insertAt(&t.slab, ref, i) = rankPos{int32(r), p}
+	t.n[r]++
+	return p
 }
 
 // accEvent is one liveness event of a reduction-accumulator element:
 // either a write (finalize or plain overwrite) or a local read by the
-// listed ranks.
+// ranks in readers.
 type accEvent struct {
-	seq     int
+	e       elemID
 	write   bool
-	readers []int
+	readers span
 }
 
-// finSite is one finalize's position in the liveness sequence.
-type finSite struct {
-	e   elemID
-	seq int
-	f   *finOp
-}
+// finSite is one finalize's event, and the finalize: fin of nest's fins.
+type finSite struct{ event, nest, fin int32 }
 
 func (s *progSchedule) noteRead(e elemID, readers []int) {
-	s.seq++
-	s.acc[e] = append(s.acc[e], accEvent{seq: s.seq, readers: append([]int(nil), readers...)})
+	lo := int32(len(s.readers))
+	s.readers = append(s.readers, readers...)
+	s.events = append(s.events, accEvent{e: e, readers: span{lo, int32(len(s.readers))}})
 }
 
 func (s *progSchedule) noteWrite(e elemID) {
-	s.seq++
-	s.acc[e] = append(s.acc[e], accEvent{seq: s.seq, write: true})
+	s.events = append(s.events, accEvent{e: e, write: true})
 }
 
-func (s *progSchedule) noteFinalize(e elemID, f *finOp) {
+func (s *progSchedule) noteFinalize(e elemID, nest, fin int32) {
 	s.noteWrite(e)
-	s.sites = append(s.sites, finSite{e: e, seq: s.seq, f: f})
+	s.sites = append(s.sites, finSite{event: int32(len(s.events) - 1), nest: nest, fin: fin})
 }
 
 // computeFanouts prunes every finalize's fan-out to the owners that are
@@ -157,32 +171,43 @@ func (s *progSchedule) noteFinalize(e elemID, f *finOp) {
 // replay after it — and therefore conservative for the final iteration.
 // The root is never in the fan-out: it always folds and stores the
 // total, which keeps the ship source (owners[0]) and the first-owner
-// result assembly correct even when every other owner is pruned.
+// result assembly correct even when every other owner is pruned. The
+// events are put in element order by a stable sort, which keeps each
+// element's in program order; then the liveness state is dropped.
 func (s *progSchedule) computeFanouts() {
-	live := map[int]bool{}
+	order := make([]int32, len(s.events))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(s.events[a].e, s.events[b].e) })
+	live, stamp := make([]int32, s.nprocs), int32(0)
 	for _, site := range s.sites {
-		f := site.f
-		events := s.acc[site.e]
-		start := sort.Search(len(events), func(k int) bool { return events[k].seq > site.seq })
-		for k := range live {
-			delete(live, k)
-		}
-		n := len(events)
+		ns := s.nests[site.nest]
+		f := &ns.fins[site.fin]
+		e := f.elem
+		lo := sort.Search(len(order), func(k int) bool { return s.events[order[k]].e >= e })
+		hi := sort.Search(len(order), func(k int) bool { return s.events[order[k]].e > e })
+		events := order[lo:hi]
+		stamp++
+		n, start := len(events), sort.Search(hi-lo, func(k int) bool { return events[k] > site.event })
 		for k := 0; k < n; k++ {
-			ev := &events[(start+k)%n]
+			ev := &s.events[events[(start+k)%n]]
 			if ev.write {
 				break
 			}
-			for _, r := range ev.readers {
-				live[r] = true
+			for _, r := range s.readers[ev.readers.lo:ev.readers.hi] {
+				live[r] = stamp
 			}
 		}
-		for _, o := range f.owners {
-			if o != f.root && live[o] {
-				f.fanout = append(f.fanout, o)
+		f.fanout.lo = int32(len(ns.ints))
+		for _, o := range s.ownersOf(e) {
+			if int32(o) != f.root && live[o] == stamp {
+				ns.ints = append(ns.ints, int32(o))
 			}
 		}
+		f.fanout.hi = int32(len(ns.ints))
 	}
+	s.events, s.readers, s.sites = nil, nil, nil
 }
 
 // nestSchedule is one nest's schedule, built once and replayed for
@@ -192,19 +217,29 @@ type nestSchedule struct {
 	// loops and stmts are the nest lowered once against the binding.
 	loops []ir.LLoop
 	stmts []lstmt
-	// procs[r] is processor r's value-pass instruction stream: flat,
-	// pointer-free records indexing the nest's arenas — operands holds
-	// every eval's operand addresses, addrs every redistribution
-	// segment's, reds and redists the exchanges by index.
-	procs    [][]pinstr
+	// instrs[at[r]:at[r+1]] is processor r's value-pass instruction
+	// stream: flat records indexing the nest's arenas — operands holds
+	// every eval's operand addresses — and the segment's plan.
+	instrs   []pinstr
+	at       []int32
 	operands []operand
-	addrs    []int32
-	reds     []*redOp
-	redists  []*redistOp
+	// The reduction exchanges, their finalizes and their participants'
+	// roles; every list these name is a range of ints or of peers.
+	reds  []redOp
+	fins  []finOp
+	roles []redRole
+	ints  []int32
+	peers []peerWords
 	// count is what one execution of the nest does: the walk tallies its
 	// flops and ships, buildRoles its reductions.
 	count NestCount
 }
+
+// stream is processor r's instruction stream.
+func (ns *nestSchedule) stream(r int) []pinstr { return ns.instrs[ns.at[r]:ns.at[r+1]] }
+
+// list is a range of the nest's ints.
+func (ns *nestSchedule) list(s span) []int32 { return ns.ints[s.lo:s.hi] }
 
 // pinstr is one value-pass instruction of one processor.
 type pinstr struct {
@@ -212,8 +247,8 @@ type pinstr struct {
 	role uint8
 	stmt int32
 	// arg is opSendDirect's receiver rank, opRed's index into reds,
-	// opRedist's index into redists, and a roleReduce opEval's position
-	// among the processor's partial sums.
+	// opRedist's index into the segment plan's ops, and a roleReduce
+	// opEval's position among the processor's partial sums.
 	arg int32
 	// off is opEval's first operand, operands[off:off+len(reads)], and
 	// opRed's index into the exchange's roles.
@@ -268,17 +303,17 @@ const (
 func (o operand) kind() operand { return o &^ opdAddr }
 func (o operand) addr() int     { return int(o & opdAddr) }
 
+// finOp is one finalize of a reduction accumulator: its contributors,
+// ascending, with parts[k] contribs[k]'s position of the element's partial
+// sum, and the root, the element's first owner. fanout is the
+// liveness-pruned total-delivery set: owners other than the root that
+// locally read the total before the element's next write, ascending,
+// filled by computeFanouts after the walk. The lists are ranges of the
+// nest's ints.
 type finOp struct {
-	elem     elemID
-	contribs []int
-	// parts[k] is contribs[k]'s position of the element's partial sum.
-	parts  []int32
-	owners []int
-	root   int
-	// fanout is the liveness-pruned total-delivery set: owners other
-	// than the root that locally read the total before the element's
-	// next write, ascending. Filled by computeFanouts after the walk.
-	fanout []int
+	elem                    elemID
+	root                    int32
+	contribs, parts, fanout span
 }
 
 // redOp is one vectored reduction exchange covering a batch of
@@ -301,13 +336,14 @@ type finOp struct {
 // order (stored value, then contributors ascending), so values stay
 // bit-identical to RunExact.
 type redOp struct {
-	items []*finOp
+	// items is the batch, a range of the nest's fins.
+	items span
 	ring  bool
 	// parts lists the exchange's participants (contributors and owners,
-	// ascending) and roles[k] what parts[k] does in it; a participant's
-	// opRed carries its k.
-	parts []int
-	roles []redRole
+	// ascending), and roles[roles+k] is what parts[k] does in it; a
+	// participant's opRed carries its k.
+	parts span
+	roles int32
 }
 
 // redRole is one participant's part in a reduction exchange: the
@@ -318,19 +354,19 @@ type redOp struct {
 // deliveries and a reader's receive from it. The executor walks these,
 // each in its order, never the whole batch.
 type redRole struct {
-	part, root, reads []int32
+	part, root, reads span
 	gather, fanout    phase
 }
 
 // phase is one role's words in one phase of an exchange, in the rank's
 // exchange vector (valExec.vec): the destinations ascending with their
-// word counts, whose ranges lie in that order from 0 (after the folded
-// totals, for a ring's last hop), and the slot of each word the role
-// sends; then the same for the sources, from 0 once the sends are out,
-// and the words the role reads.
+// word counts (a range of peers), whose ranges lie in that order from 0
+// (after the folded totals, for a ring's last hop), and the slot of each
+// word the role sends; then the same for the sources, from 0 once the
+// sends are out, and the words the role reads.
 type phase struct {
-	to, from []peerWords
-	put, get []int32
+	to, from span
+	put, get span
 }
 
 type peerWords struct{ peer, n int32 }
@@ -340,105 +376,142 @@ type peerWords struct{ peer, n int32 }
 // and counts the exchanges in their nest's count; it runs after
 // computeFanouts, which decides the readers. A ring's wire words are the
 // two-phase ones plus the total the last hop returns to the root, less
-// the one it would deliver itself.
+// the one it would deliver itself. Each exchange's lists are counted in
+// one pass over its items and filled in a second.
 func (s *progSchedule) buildRoles() {
 	at := make([]int32, s.nprocs) // rank -> index into the exchange's parts
 	var idx []int32
-	var peers, list []peerWords
-	// pack rewrites a put or get list from peers to slots, base plus the
-	// word's place in the peers' ranges, and returns the peers ascending
-	// with their counts.
-	pack := func(seq []int32, base int32) []peerWords {
-		idx, list = idx[:0], list[:0]
-		for j := range seq {
-			idx = append(idx, int32(j))
-		}
-		slices.SortStableFunc(idx, func(i, j int32) int { return cmp.Compare(seq[i], seq[j]) })
-		for k, j := range idx {
-			if k == 0 || seq[j] != seq[idx[k-1]] {
-				list = append(list, peerWords{seq[j], 0})
-			}
-			list[len(list)-1].n++
-		}
-		for k, j := range idx {
-			seq[j] = base + int32(k)
-		}
-		return append(carve(&peers, len(list))[:0], list...)
-	}
+	var list []peerWords
 	for _, ns := range s.nests {
 		cnt := &ns.count
-		for _, r := range ns.reds {
-			for k, p := range r.parts {
+		// pack rewrites a put or get list from peers to slots, base plus the
+		// word's place in the peers' ranges, and returns the peers ascending
+		// with their counts, a range of ns.peers.
+		pack := func(l span, base int32) span {
+			seq := ns.list(l)
+			idx, list = idx[:0], list[:0]
+			for j := range seq {
+				idx = append(idx, int32(j))
+			}
+			slices.SortStableFunc(idx, func(i, j int32) int { return cmp.Compare(seq[i], seq[j]) })
+			for k, j := range idx {
+				if k == 0 || seq[j] != seq[idx[k-1]] {
+					list = append(list, peerWords{seq[j], 0})
+				}
+				list[len(list)-1].n++
+			}
+			for k, j := range idx {
+				seq[j] = base + int32(k)
+			}
+			lo := int32(len(ns.peers))
+			ns.peers = append(ns.peers, list...)
+			return span{lo, int32(len(ns.peers))}
+		}
+		for ri := range ns.reds {
+			r := &ns.reds[ri]
+			parts, items := ns.list(r.parts), ns.fins[r.items.lo:r.items.hi]
+			for k, p := range parts {
 				at[p] = int32(k)
 			}
-			r.roles = make([]redRole, len(r.parts))
-			for i, f := range r.items {
-				// The put and get lists take the peer of each word, in the
-				// order the executor moves them.
-				root := &r.roles[at[f.root]]
-				sender, src := root, int32(f.root) // of a live reader's total
-				if r.ring {
-					last := f.contribs[len(f.contribs)-1]
-					sender, src = &r.roles[at[last]], int32(last)
-				} else {
-					root.root = append(root.root, int32(i))
+			ns.roles, r.roles = extend(ns.roles, len(parts))
+			roles := ns.roles[r.roles:]
+			// Two passes over the items visit every entry of every role's
+			// lists, in the order the executor moves them: the first counts
+			// them (a list's hi is its length) and the exchange's words, the
+			// second, once the lists are laid out in one run of ns.ints, fills
+			// them (hi is the cursor).
+			total, fill := 0, false
+			put := func(l *span, v int32) {
+				if fill {
+					ns.ints[l.hi] = v
 				}
-				for k, c := range f.contribs {
-					if c == f.root {
-						continue
-					}
-					cnt.Words++
-					if !r.ring {
-						role := &r.roles[at[c]]
-						role.part = append(role.part, f.parts[k])
-						role.gather.put = append(role.gather.put, int32(f.root))
-						root.gather.get = append(root.gather.get, int32(c))
-					}
-				}
-				for _, o := range f.fanout {
-					reader := &r.roles[at[o]]
-					reader.reads = append(reader.reads, int32(i))
-					if int32(o) != src { // a ring's last hop stores its own
-						sender.fanout.put = append(sender.fanout.put, int32(o))
-						reader.fanout.get = append(reader.fanout.get, src)
+				l.hi, total = l.hi+1, total+1
+			}
+			for _, fill = range [2]bool{false, true} {
+				if fill {
+					var base int32
+					ns.ints, base = extend(ns.ints, total)
+					for k := range roles {
+						for _, l := range roles[k].lists() {
+							*l, base = span{base, base}, base+l.hi
+						}
 					}
 				}
-				cnt.CombineFlops += int64(len(f.contribs))
-				cnt.FanoutWords += int64(len(f.fanout))
-				cnt.Words += int64(len(f.fanout))
-				if r.ring && !slices.Contains(f.fanout, f.contribs[len(f.contribs)-1]) {
-					cnt.Words++
+				for i := range items {
+					f := &items[i]
+					// The put and get lists take the peer of each word.
+					root, contribs, fanout := &roles[at[f.root]], ns.list(f.contribs), ns.list(f.fanout)
+					sender, src := root, f.root // of a live reader's total
+					if last := contribs[len(contribs)-1]; r.ring {
+						sender, src = &roles[at[last]], last
+					} else {
+						put(&root.root, int32(i))
+					}
+					for k, c := range contribs {
+						if c != f.root && !r.ring {
+							role := &roles[at[c]]
+							put(&role.part, ns.ints[f.parts.lo+int32(k)])
+							put(&role.gather.put, f.root)
+							put(&root.gather.get, c)
+						}
+						if c != f.root && !fill {
+							cnt.Words++
+						}
+					}
+					for _, o := range fanout {
+						reader := &roles[at[o]]
+						put(&reader.reads, int32(i))
+						if o != src { // a ring's last hop stores its own
+							put(&sender.fanout.put, o)
+							put(&reader.fanout.get, src)
+						}
+					}
+					if !fill {
+						cnt.CombineFlops += int64(len(contribs))
+						cnt.FanoutWords += int64(len(fanout))
+						cnt.Words += int64(len(fanout))
+						if r.ring && !slices.Contains(fanout, contribs[len(contribs)-1]) {
+							cnt.Words++
+						}
+					}
 				}
 			}
-			chain := r.items[0].contribs
-			for k, p := range r.parts {
-				role, base, need := &r.roles[k], 0, 0
+			chain := ns.list(items[0].contribs)
+			for k, p := range parts {
+				role, base, need := &roles[k], 0, 0
 				if r.ring && slices.Contains(chain, p) {
-					need = len(r.items) // the folded totals, before a last hop's deliveries
+					need = len(items) // the folded totals, before a last hop's deliveries
 					if p == chain[len(chain)-1] {
 						base = need
 					}
 				}
 				role.gather.to, role.gather.from = pack(role.gather.put, 0), pack(role.gather.get, 0)
 				role.fanout.to, role.fanout.from = pack(role.fanout.put, int32(base)), pack(role.fanout.get, 0)
-				need = max(need, len(role.gather.put), len(role.gather.get), base+len(role.fanout.put), len(role.fanout.get))
+				need = max(need, role.gather.put.n(), role.gather.get.n(), base+role.fanout.put.n(), role.fanout.get.n())
 				s.vecLen[p] = max(s.vecLen[p], int32(need))
 			}
 		}
 	}
 }
 
+// lists are the role's seven lists, which buildRoles lays out in one run.
+func (r *redRole) lists() [7]*span {
+	return [7]*span{&r.part, &r.root, &r.reads, &r.gather.put, &r.gather.get, &r.fanout.put, &r.fanout.get}
+}
+
 // ringEligible reports whether a mid-epoch batch can be ring-lowered:
 // every item must share one contributor chain of length >= 3 that
 // starts at the shared root (so the chain's first hop has the stored
 // value to fold first and the fold order matches the star's).
-func ringEligible(items []*finOp) bool {
-	f0 := items[0]
-	if len(f0.contribs) < 3 || f0.contribs[0] != f0.root {
+func (ns *nestSchedule) ringEligible(items []finOp) bool {
+	f0 := &items[0]
+	chain := ns.list(f0.contribs)
+	if len(chain) < 3 || chain[0] != f0.root {
 		return false
 	}
-	for _, f := range items[1:] {
-		if f.root != f0.root || !slices.Equal(f.contribs, f0.contribs) {
+	for i := range items[1:] {
+		f := &items[1+i]
+		if f.root != f0.root || !slices.Equal(ns.list(f.contribs), chain) {
 			return false
 		}
 	}
@@ -483,7 +556,6 @@ func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64,
 		nprocs:  ss.Grid.Size(),
 		arrays:  make([]arrayMeta, len(lw.Names)),
 		redArrs: make([]bool, len(lw.Names)),
-		acc:     make(map[elemID][]accEvent),
 		vecLen:  make([]int32, ss.Grid.Size()),
 	}
 	for a, name := range lw.Names {
@@ -504,8 +576,8 @@ func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64,
 			row[a+1] = row[a] + int32(s.arrays[a].lay.storeLen(r))
 		}
 	}
-	s.bufs = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
-	s.parts = posTable{rows: make(dense[[]rankPos], len(s.arrays)), n: make([]int32, s.nprocs)}
+	s.bufs = posTable{rows: make(dense[rowRef], len(s.arrays)), n: make([]int32, s.nprocs)}
+	s.parts = posTable{rows: make(dense[rowRef], len(s.arrays)), n: make([]int32, s.nprocs)}
 	nests := lw.Program.Nests[seg.Start-1 : seg.Start-1+seg.Len]
 	for _, nest := range nests {
 		for _, st := range nest.Stmts {
@@ -516,7 +588,7 @@ func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64,
 	}
 	s.nests = make([]*nestSchedule, len(nests))
 	for t := range nests {
-		ns, err := s.buildNest(seg.Start-1+t, low)
+		ns, err := s.buildNest(seg.Start-1+t, t, low)
 		if err != nil {
 			return nil, err
 		}

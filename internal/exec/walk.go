@@ -24,10 +24,15 @@ type nestBuilder struct {
 	s  *progSchedule
 	ns *nestSchedule
 	// iv is the loop vector: slot k holds loop k's current value.
-	iv []int
-	// pending maps a reduction accumulator to its sorted contributor
-	// ranks, mirroring engine.pending (globally, not per processor).
-	pending map[elemID][]int
+	iv  []int
+	idx int32 // the nest's index in its segment
+	// pending holds each reduction accumulator's sorted contributor ranks,
+	// mirroring engine.pending (globally, not per processor), a row of
+	// contribs; pendElems lists every element whose row was empty when a
+	// contributor joined it.
+	pending   dense[rowRef]
+	contribs  []int32
+	pendElems []elemID
 	// written stamps elements written earlier in the current epoch with
 	// its number; a batched ship of such an element would gather a
 	// stale value at the epoch boundary, so it either cuts the epoch
@@ -48,8 +53,9 @@ type nestBuilder struct {
 	first   []int32
 	traffic []epochShip
 	low     *lowering
-	// seen holds three planes of one bit per rank for each element e
-	// (firstMark). The first, liveCopy, dedups batched ships: bit dst
+	// seen holds, for each element e, one past the start in bits of its
+	// three planes of one bit per rank, 0 until one is set (firstMark).
+	// The first, liveCopy, dedups batched ships: bit dst
 	// marks that dst holds a live buffered copy of e (its source is always
 	// e's first owner, so the destination alone names the pair) and a
 	// repeat ship would carry the same value and one copy suffices. A
@@ -61,7 +67,8 @@ type nestBuilder struct {
 	// not, is the destination's one position for e (progSchedule.bufs),
 	// which each ship of e to it refills. The other two, which no write
 	// clears, are the nest's distinct pairs NestCount counts.
-	seen  dense[[]uint64]
+	seen  dense[int32]
+	bits  []uint64
 	words int // the words of one plane
 	// flops[r] is rank r's statement flops in the nest.
 	flops []int64
@@ -71,6 +78,7 @@ type nestBuilder struct {
 	ops      []operand
 	forced   []elemID
 	readers  []int
+	parts    []int32
 }
 
 // shipT is one remote operand: e from its first owner src to executor ex,
@@ -80,21 +88,22 @@ type shipT struct {
 	e           elemID
 }
 
-func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
-	ns := &nestSchedule{procs: make([][]pinstr, s.nprocs)}
+// buildNest builds the schedule of program nest t, the segment's idx-th.
+func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, error) {
+	ns := &nestSchedule{}
 	if err := s.lowerNest(t, ns); err != nil {
 		return nil, err
 	}
 	b := &nestBuilder{
-		s: s, ns: ns,
+		s: s, ns: ns, idx: int32(idx),
 		iv:      make([]int, len(ns.loops)),
-		pending: make(map[elemID][]int),
+		pending: make(dense[rowRef], len(s.arrays)),
 		written: make(dense[uint32], len(s.arrays)),
 		epoch:   1,
 		n:       make([]int32, s.nprocs),
 		first:   make([]int32, s.nprocs),
 		low:     low,
-		seen:    make(dense[[]uint64], len(s.arrays)),
+		seen:    make(dense[int32], len(s.arrays)),
 		words:   (s.nprocs + 63) / 64,
 		flops:   make([]int64, s.nprocs),
 	}
@@ -108,12 +117,9 @@ func (s *progSchedule) buildNest(t int, low *lowering) (*nestSchedule, error) {
 	// Combine reductions still pending at nest end. Nest-end finalizes are
 	// hoistable: no later statement of the nest reads them, so the whole
 	// set coalesces into one vectored exchange, in element order.
-	elems := make([]elemID, 0, len(b.pending))
-	for e := range b.pending {
-		elems = append(elems, e)
-	}
+	elems := slices.DeleteFunc(b.pendElems, func(e elemID) bool { return !b.isPending(e) })
 	slices.Sort(elems)
-	b.emitBatch(elems, false)
+	b.emitBatch(slices.Compact(elems), false)
 	b.closeEpoch()
 	b.cut()
 	return ns, nil
@@ -180,16 +186,18 @@ func (b *nestBuilder) push(p int, in pinstr) {
 }
 
 // cut splits the nest's arena into the processors' streams, each in its
-// order, out of one allocation.
+// order, runs of one array.
 func (b *nestBuilder) cut() {
-	all, off := make([]pinstr, b.emitted), 0
+	ns := b.ns
+	ns.instrs, ns.at = make([]pinstr, b.emitted), make([]int32, len(b.n)+1)
 	for p, n := range b.n {
-		b.ns.procs[p] = all[off : off : off+int(n)]
-		off += int(n)
+		ns.at[p+1] = ns.at[p] + n
+		b.n[p] = ns.at[p] // p's cursor
 	}
 	for i := range b.emitted {
 		e := b.slot(i)
-		b.ns.procs[e.rank] = append(b.ns.procs[e.rank], e.in)
+		ns.instrs[b.n[e.rank]] = e.in
+		b.n[e.rank]++
 	}
 }
 
@@ -281,11 +289,11 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		if st.Reduce && e == lhsElem {
 			continue
 		}
-		if _, pend := b.pending[e]; pend && !slices.Contains(b.forced, e) {
+		if b.isPending(e) && !slices.Contains(b.forced, e) {
 			b.forced = append(b.forced, e)
 		}
 	}
-	if _, pend := b.pending[lhsElem]; pend && !st.Reduce && !slices.Contains(b.forced, lhsElem) {
+	if b.isPending(lhsElem) && !st.Reduce && !slices.Contains(b.forced, lhsElem) {
 		b.forced = append(b.forced, lhsElem)
 	}
 	b.emitBatch(b.forced, true)
@@ -346,9 +354,12 @@ func (b *nestBuilder) instance(si int, st *lstmt) error {
 		// still receives its direct operands, exactly like the
 		// per-element engine.
 		contrib := executors[0]
-		list := b.pending[lhsElem]
-		if i, ok := slices.BinarySearch(list, contrib); !ok {
-			b.pending[lhsElem] = slices.Insert(list, i, contrib)
+		ref := b.pending.at(s, lhsElem)
+		if i, ok := slices.BinarySearch(b.contribs[ref.at:ref.at+ref.n], int32(contrib)); !ok {
+			if ref.n == 0 {
+				b.pendElems = append(b.pendElems, lhsElem)
+			}
+			*insertAt(&b.contribs, ref, i) = int32(contrib)
 		}
 		in.role, in.arg = roleReduce, int32(acc.addr())
 		b.emitEval(contrib, in, b.ops[:nr])
@@ -394,11 +405,13 @@ const (
 // firstMark sets rank r's bit of e in a plane of seen and reports whether
 // it was clear.
 func (b *nestBuilder) firstMark(e elemID, plane int, r int32) bool {
-	bits := b.seen.at(b.s, e)
-	if *bits == nil {
-		*bits = make([]uint64, 3*b.words)
+	at := b.seen.at(b.s, e)
+	if *at == 0 {
+		var p int32
+		b.bits, p = extend(b.bits, 3*b.words)
+		*at = p + 1
 	}
-	w, m := &(*bits)[plane*b.words+int(r>>6)], uint64(1)<<(r&63)
+	w, m := &b.bits[int(*at-1)+plane*b.words+int(r>>6)], uint64(1)<<(r&63)
 	first := *w&m == 0
 	*w |= m
 	return first
@@ -408,29 +421,41 @@ func (b *nestBuilder) firstMark(e elemID, plane int, r int32) bool {
 // ship-dedup window: the buffered copies are stale from here on.
 func (b *nestBuilder) markWritten(e elemID) {
 	*b.written.at(b.s, e) = b.epoch
-	bits := *b.seen.at(b.s, e)
-	clear(bits[:min(len(bits), b.words)]) // the liveCopy plane
+	if at := int(*b.seen.at(b.s, e)); at > 0 {
+		clear(b.bits[at-1 : at-1+b.words]) // the liveCopy plane
+	}
 }
 
-// recordFinalize pops a pending reduction and records what every
-// lowering of its combine needs — the contributors, the owners and the
+// isPending reports whether e is a reduction accumulator with a
+// contributor not yet combined. Only a reduction's arrays get a row.
+func (b *nestBuilder) isPending(e elemID) bool {
+	return b.s.redArrs[e.arr()] && b.pending.at(b.s, e).n > 0
+}
+
+// recordFinalize pops a pending reduction and records, as the nest's next
+// finOp, what every lowering of its combine needs — the contributors, the
 // root (the accumulator's first owner, which folds the partials in
 // contributor order), the liveness site, and the written mark — without
 // choosing the lowering; emitBatch does that for the whole batch.
-func (b *nestBuilder) recordFinalize(e elemID) *finOp {
-	contribs := b.pending[e]
-	delete(b.pending, e)
-	owners := b.s.ownersOf(e)
-	f := &finOp{elem: e, contribs: contribs, parts: make([]int32, len(contribs)), owners: owners, root: owners[0]}
+func (b *nestBuilder) recordFinalize(e elemID) {
+	s, ns := b.s, b.ns
+	ref := b.pending.at(s, e)
+	contribs, n := b.contribs[ref.at:ref.at+ref.n], int32(ref.n)
+	ref.n = 0
+	f := finOp{elem: e, root: int32(s.ownersOf(e)[0])}
+	var at int32
+	ns.ints, at = extend(ns.ints, 2*int(n))
+	f.contribs, f.parts = span{at, at + n}, span{at + n, at + 2*n}
+	copy(ns.ints[at:], contribs)
 	for k, c := range contribs {
-		f.parts[k] = b.s.parts.pos(b.s, e, c)
-		if c != f.root && b.firstMark(e, combinedFrom, int32(c)) {
-			b.ns.count.ReduceWords++
+		ns.ints[at+n+int32(k)] = s.parts.pos(s, e, int(c))
+		if c != f.root && b.firstMark(e, combinedFrom, c) {
+			ns.count.ReduceWords++
 		}
 	}
-	b.s.noteFinalize(e, f)
+	s.noteFinalize(e, b.idx, int32(len(ns.fins)))
+	ns.fins = append(ns.fins, f)
 	b.markWritten(e)
-	return f
 }
 
 // emitBatch lowers a batch of finalizes to one vectored exchange:
@@ -444,40 +469,54 @@ func (b *nestBuilder) emitBatch(elems []elemID, mid bool) {
 	if len(elems) == 0 {
 		return
 	}
-	items := make([]*finOp, len(elems))
-	for i, e := range elems {
-		items[i] = b.recordFinalize(e)
+	ns := b.ns
+	f0 := int32(len(ns.fins))
+	for _, e := range elems {
+		b.recordFinalize(e)
 	}
-	r := &redOp{items: items, ring: mid && ringEligible(items)}
-	for _, f := range items {
-		for _, ps := range [2][]int{f.contribs, f.owners} {
-			for _, p := range ps {
-				if i, ok := slices.BinarySearch(r.parts, p); !ok {
-					r.parts = slices.Insert(r.parts, i, p)
-				}
-			}
+	items := ns.fins[f0:]
+	b.parts = b.parts[:0]
+	for i := range items {
+		b.parts = append(b.parts, ns.list(items[i].contribs)...)
+		for _, p := range b.s.ownersOf(items[i].elem) {
+			b.parts = append(b.parts, int32(p))
 		}
 	}
-	in := pinstr{op: opRed, arg: int32(len(b.ns.reds))}
-	b.ns.reds = append(b.ns.reds, r)
-	for k, p := range r.parts {
+	slices.Sort(b.parts)
+	b.parts = slices.Compact(b.parts)
+	lo := int32(len(ns.ints))
+	ns.ints = append(grow(ns.ints, len(b.parts)), b.parts...)
+	in := pinstr{op: opRed, arg: int32(len(ns.reds))}
+	ns.reds = append(ns.reds, redOp{items: span{f0, int32(len(ns.fins))}, ring: mid && ns.ringEligible(items),
+		parts: span{lo, int32(len(ns.ints))}})
+	for k, p := range b.parts {
 		in.off = int32(k)
-		b.emit(p, in)
+		b.emit(int(p), in)
 	}
 }
 
 // closeEpoch freezes the current epoch: its batched traffic is lowered to
-// the composed collective redistribution and addressed, its opRedist lands
-// in each participant's reserved slot (or ends the stream of one that
-// emitted nothing else this epoch), and the written set resets (its stamps
-// fall behind the epoch number).
+// the composed collective redistribution, in the segment's plan, and
+// addressed, its opRedist lands in each participant's reserved slot (or
+// ends the stream of one that emitted nothing else this epoch), and the
+// written set resets (its stamps fall behind the epoch number).
 func (b *nestBuilder) closeEpoch() {
 	if len(b.traffic) > 0 {
-		ranks, ops := b.low.lower(b.traffic)
-		b.address(ranks, ops)
+		// A sender's address is its slab offset at the origin and its buffer
+		// position at a relay; every receiver, relays included, is a
+		// destination of the segment's elements, so their positions were
+		// numbered when the ships were listed.
+		s := b.s
+		ranks, op0 := b.low.lower(b.traffic, &s.plan)
+		s.plan.address(ranks, op0, s.vecLen, func(r int32, origin bool, e elemID) int32 {
+			if origin {
+				off, _ := s.slabOff(int(r), e)
+				return off
+			}
+			return s.bufs.pos(s, e, int(r))
+		})
 		for i, p := range ranks {
-			in := pinstr{op: opRedist, arg: int32(len(b.ns.redists))}
-			b.ns.redists = append(b.ns.redists, &ops[i])
+			in := pinstr{op: opRedist, arg: op0 + int32(i)}
 			if at := b.first[p]; at > 0 {
 				b.slot(int(at) - 1).in = in
 			} else {
@@ -488,40 +527,4 @@ func (b *nestBuilder) closeEpoch() {
 	}
 	clear(b.first)
 	b.epoch++
-}
-
-// address writes every segment's addresses (see redistSeg) into the
-// nest's addrs arena, and sizes each sender's exchange vector to its
-// messages. A segment is shared by its message's two ends and
-// addressed once, from the send. Every receiver, relays included, is a
-// destination of the segment's elements, so their positions were numbered
-// when the ships were listed.
-func (b *nestBuilder) address(ranks []int32, ops []redistOp) {
-	s := b.s
-	for i := range ops {
-		snd := int(ranks[i])
-		for r := range ops[i].rounds {
-			for _, msg := range ops[i].rounds[r].sends {
-				words := int32(0)
-				for k := range msg.segs {
-					seg := &msg.segs[k]
-					words += int32(len(seg.elems))
-					seg.addr = int32(len(b.ns.addrs))
-					b.ns.addrs = grow(b.ns.addrs, 2*len(seg.elems))
-					for _, e := range seg.elems {
-						if snd == int(seg.origin) {
-							off, _ := s.slabOff(snd, e)
-							b.ns.addrs = append(b.ns.addrs, off)
-						} else {
-							b.ns.addrs = append(b.ns.addrs, s.bufs.pos(s, e, snd))
-						}
-					}
-					for _, e := range seg.elems {
-						b.ns.addrs = append(b.ns.addrs, s.bufs.pos(s, e, int(msg.peer)))
-					}
-				}
-				s.vecLen[snd] = max(s.vecLen[snd], words)
-			}
-		}
-	}
 }
