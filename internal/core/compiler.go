@@ -587,16 +587,11 @@ func (c *Compiler) ChangeCost(from, to *SchemeSet) (float64, error) {
 
 // changeLoads is a scheme change's bill in exact integer arithmetic:
 // every array's dist.RedistLoadsScaled loads merged over a common replica
-// denominator.
+// denominator, accumulated in place (ScaledLoads.AddRedist).
 func (c *Compiler) changeLoads(from, to *SchemeSet) (dist.ScaledLoads, error) {
 	acc := dist.NewScaledLoads()
 	err := c.eachArrayChange(from, to, func(shape []int, sFrom, sTo dist.Scheme) error {
-		sl, err := dist.RedistLoadsScaled(from.Grid, to.Grid, shape, sFrom, sTo)
-		if err != nil {
-			return err
-		}
-		acc.Add(sl)
-		return nil
+		return acc.AddRedist(from.Grid, to.Grid, shape, sFrom, sTo)
 	})
 	if err != nil {
 		return dist.ScaledLoads{}, err

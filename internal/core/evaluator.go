@@ -15,9 +15,12 @@ package core
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
+	"dmcc/internal/align"
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
+	"dmcc/internal/ir"
 )
 
 // PlanEvaluator re-prices one frozen compilation plan across problem
@@ -34,6 +37,11 @@ type PlanEvaluator struct {
 	lcSym   []*cost.SymbolicCounts // loop-carried words per nest, after Fit
 	chgSym  []*cost.SymbolicLoads  // boundary into segment i (chgSym[0] unused), after Fit
 	fitMinM int                    // smallest size the fits cover; below it EvalAt prices numerically
+
+	// idle holds the pricers no priceAt is using; concurrent numeric
+	// EvalAt calls each take their own.
+	mu   sync.Mutex
+	idle []*sizePricer
 }
 
 // FittedAt reports whether size m is priced entirely from polynomials,
@@ -85,16 +93,27 @@ type sizePrice struct {
 	chg  []dist.ScaledLoads // the scheme change into segment i (chg[0] unused)
 }
 
-// priceAt prices the frozen plan numerically at size m. It checks every
-// subscript against the extents at m first — a constant-extent array can
-// be in range at the base size and out of it here — then re-derives each
-// segment's schemes under the frozen alignment and grid shape and prices
-// every nest's two passes and every boundary's scheme change on a
-// throwaway compiler bound at m. That compiler shares the program's
-// per-nest tables, the model and the engine counters, reads the program
-// lowered at m, and runs uncached: it prices each query once, so memo keys
-// would be pure cost.
-func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
+// sizePricer is what priceAt works in: the program lowered once and
+// re-bound to each size (ir.Lowered.Rebind), the binding it owns, a
+// compiler bound through them, and each segment's scheme set, re-derived
+// in place at every size. One pricer serves one priceAt at a time.
+type sizePricer struct {
+	bind map[string]int
+	lw   *ir.Lowered
+	c    *Compiler
+	sets []*SchemeSet
+}
+
+// pricer takes an idle pricer, or builds one lowered at size m.
+func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
+	pe.mu.Lock()
+	if n := len(pe.idle); n > 0 {
+		sp := pe.idle[n-1]
+		pe.idle = pe.idle[:n-1]
+		pe.mu.Unlock()
+		return sp, nil
+	}
+	pe.mu.Unlock()
 	p := pe.c.Program
 	bind := map[string]int{p.Params[0]: m}
 	lw, err := p.Lower(bind)
@@ -108,6 +127,9 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The compiler shares the program's per-nest tables, the model and
+	// the engine counters, and runs uncached: it prices each query once,
+	// so memo keys would be pure cost.
 	ec := &Compiler{
 		Program: p, Model: pe.c.Model, Bind: bind,
 		NProcs: pe.c.NProcs, Weights: pe.c.Weights, NoCache: true,
@@ -116,33 +138,79 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 		prep:           prep,
 		low:            lw,
 	}
-	segs := pe.Base.DP.Segments
-	sp := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(segs))}
-	sets := make([]*SchemeSet, len(segs))
+	return &sizePricer{bind: bind, lw: lw, c: ec, sets: make([]*SchemeSet, len(pe.Base.DP.Segments))}, nil
+}
+
+// at re-binds the pricer's lowering to size m and checks its ranges.
+func (sp *sizePricer) at(m int) error {
+	sp.bind[sp.lw.Program.Params[0]] = m
+	if err := sp.lw.Rebind(sp.bind); err != nil {
+		return err
+	}
+	return sp.lw.CheckRanges()
+}
+
+// set is segment i's scheme set at the pricer's size, under the frozen
+// alignment and grid shape: derived at the first size, re-derived in
+// place after.
+func (sp *sizePricer) set(i int, seg Segment) (*SchemeSet, error) {
+	if ss := sp.sets[i]; ss != nil {
+		return ss, ss.rederive(sp.lw)
+	}
+	pt := align.Partition{Assign: seg.Schemes.Partition.Assign, Method: seg.Schemes.Partition.Method}
+	ss, err := deriveSchemes(sp.lw, pt, gridShape(seg), seg.Schemes.Cyclic)
+	sp.sets[i] = ss
+	return ss, err
+}
+
+// priceAt prices the frozen plan numerically at size m. It checks every
+// subscript against the extents at m first — a constant-extent array can
+// be in range at the base size and out of it here — then re-derives each
+// segment's schemes under the frozen alignment and grid shape and prices
+// every nest's two passes and every boundary's scheme change, in a
+// pricer re-bound to m: nothing is lowered or derived afresh, and the
+// counts themselves run in the counter's reused workspace.
+func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
+	sp, err := pe.pricer(m)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		pe.mu.Lock()
+		pe.idle = append(pe.idle, sp)
+		pe.mu.Unlock()
+	}()
+	if err := sp.at(m); err != nil {
+		return nil, err
+	}
+	p, ec, segs := pe.c.Program, sp.c, pe.Base.DP.Segments
+	out := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(segs))}
+	var prev, ss *SchemeSet
 	for i, seg := range segs {
-		if sets[i], err = ec.schemeSet(seg.Schemes.Partition, gridShape(seg), seg.Schemes.Cyclic); err != nil {
+		prev = ss
+		if ss, err = sp.set(i, seg); err != nil {
 			return nil, err
 		}
 		for t := seg.Start - 1; t < seg.Start-1+seg.Len; t++ {
-			if sp.exec[t], err = ec.countNest(t, false, sets[i]); err != nil {
+			if out.exec[t], err = ec.countNest(t, false, ss); err != nil {
 				return nil, err
 			}
 		}
 		if i > 0 {
-			if sp.chg[i], err = ec.changeLoads(sets[i-1], sets[i]); err != nil {
+			if out.chg[i], err = ec.changeLoads(prev, ss); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if p.Iterative {
-		sp.lc = make([]cost.Counts, len(p.Nests))
-		for t := range sp.lc {
-			if sp.lc[t], err = ec.countNest(t, true, sets[len(sets)-1]); err != nil {
+		out.lc = make([]cost.Counts, len(p.Nests))
+		for t := range out.lc {
+			if out.lc[t], err = ec.countNest(t, true, ss); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return sp, nil
+	return out, nil
 }
 
 // EvalAt prices the frozen plan at size m: from the fitted polynomials

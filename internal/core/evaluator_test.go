@@ -204,3 +204,47 @@ func TestFittedEvalAtAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestFitAllocBudget gates one Fit(128, 3, 2) of each kernel at N = 8 from
+// base 128, compile-kernels' configuration, on an evaluator whose pricer
+// and counter workspaces are warm: 48 sampled sizes, each a re-bound
+// lowering, re-derived scheme sets and every nest's counts in a reused
+// workspace. Gauss makes 405 allocations, jacobi 674 and sor 376 (15,336,
+// 19,157 and 7,337 while every size lowered the program afresh, derived
+// fresh scheme sets on a throwaway compiler and every count built its
+// state from scratch); under -race, whose sync.Pool drops a quarter of
+// the workspaces put back at random, 4,940–6,195, 5,426–6,045 and
+// 1,686–1,997 over seven runs. Each budget is about 125 % of its figure,
+// the race budgets of the highest. A trip is per-size or per-count state
+// allocating again.
+func TestFitAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		mk           func() *ir.Program
+		budget, race float64
+	}{
+		{ir.Gauss, 510, 7750},
+		{ir.Jacobi, 845, 7550},
+		{ir.SOR, 470, 2500},
+	} {
+		const baseM, n = 128, 8
+		comp := NewCompiler(c.mk(), cost.Unit(), map[string]int{"m": baseM}, n)
+		comp.Jobs = 1
+		pe, err := NewPlanEvaluator(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		budget := c.budget
+		if raceEnabled {
+			budget = c.race
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if err := pe.Fit(baseM, 3, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Fit of %s (N=%d, base %d): %.0f allocations, budget %.0f", comp.Program.Name, n, baseM, got, budget)
+		if got > budget {
+			t.Errorf("Fit of %s (N=%d, base %d) made %.0f allocations, budget %.0f", comp.Program.Name, n, baseM, got, budget)
+		}
+	}
+}

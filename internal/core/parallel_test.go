@@ -275,3 +275,59 @@ func TestSchemeSetSignature(t *testing.T) {
 		t.Error("label change altered the signature")
 	}
 }
+
+// TestConcurrentPricingMatchesSerial: numeric EvalAt from four goroutines
+// on one evaluator — each priceAt takes its own pricer, each count its
+// own counter workspace — and Compile with Jobs = 4, whose workers count
+// concurrently, equal the serial results. CI runs it under -race.
+func TestConcurrentPricingMatchesSerial(t *testing.T) {
+	for _, mk := range []func() *ir.Program{ir.Gauss, ir.Jacobi, ir.SOR} {
+		p := mk()
+		compile := func(jobs int) string {
+			c := NewCompiler(p, cost.Unit(), map[string]int{"m": 32}, 8)
+			c.Jobs = jobs
+			res, err := c.Compile()
+			if err != nil {
+				t.Fatalf("%s jobs=%d: %v", p.Name, jobs, err)
+			}
+			return renderResult(res)
+		}
+		if serial, parallel := compile(1), compile(4); parallel != serial {
+			t.Errorf("%s: Compile at Jobs=4 differs from serial:\n--- serial ---\n%s--- jobs=4 ---\n%s", p.Name, serial, parallel)
+		}
+
+		pe, err := NewPlanEvaluator(NewCompiler(p, cost.Unit(), map[string]int{"m": 32}, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := []int{16, 17, 24, 31, 32, 40, 47, 64}
+		want := make([]PlanCost, len(sizes))
+		for i, m := range sizes {
+			if want[i], err = pe.EvalAt(m); err != nil {
+				t.Fatalf("%s: EvalAt(%d): %v", p.Name, m, err)
+			}
+		}
+		errs := make(chan error, 4)
+		for g := 0; g < 4; g++ {
+			go func() {
+				for k := range sizes {
+					i := (k + 3*g) % len(sizes) // each goroutine starts elsewhere
+					got, err := pe.EvalAt(sizes[i])
+					if err == nil && got != want[i] {
+						err = fmt.Errorf("EvalAt(%d) = %+v, serially %+v", sizes[i], got, want[i])
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for g := 0; g < 4; g++ {
+			if err := <-errs; err != nil {
+				t.Errorf("%s: concurrent numeric EvalAt: %v", p.Name, err)
+			}
+		}
+	}
+}

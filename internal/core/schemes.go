@@ -210,50 +210,69 @@ func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[str
 // deriveSchemes is DeriveSchemes over the array shapes of a program
 // lowered beforehand, which a compiler does once for its binding.
 func deriveSchemes(lw *ir.Lowered, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
-	g := grid.New(shape[0], shape[1])
 	kind := "block"
 	if cyclic {
 		kind = "cyclic"
 	}
 	ss := &SchemeSet{
-		Grid:      g,
+		Grid:      grid.New(shape[0], shape[1]),
 		Schemes:   make(map[string]dist.Scheme, len(lw.Names)),
 		Partition: pt,
 		Cyclic:    cyclic,
 		Label:     fmt.Sprintf("%dx%d/%s", shape[0], shape[1], kind),
 	}
+	if err := ss.rederive(lw); err != nil {
+		return nil, err
+	}
+	return ss, nil
+}
+
+// rederive derives every array's scheme of ss from its partition, grid
+// and cyclic flag for the shapes of lw, validating each. An array that
+// already has a scheme keeps its Dims and Fixed storage and gets new
+// values in it, so a set re-derived at another size of the same program
+// allocates nothing; a set whose keys have been built must not be
+// re-derived.
+func (ss *SchemeSet) rederive(lw *ir.Lowered) error {
+	g := ss.Grid
 	for a, name := range lw.Names {
 		size := lw.Shapes[a]
-		dims := make([]dist.Dim, len(size))
+		s, had := ss.Schemes[name]
+		if !had {
+			s.Dims = make([]dist.Dim, len(size))
+		}
 		var used [2]bool
-		for k := range dims {
-			sub, ok := pt.Assign[ir.DimID{Array: name, Dim: k}]
+		for k := range s.Dims {
+			sub, ok := ss.Partition.Assign[ir.DimID{Array: name, Dim: k}]
 			if !ok {
-				return nil, fmt.Errorf("core: no alignment for %s dim %d", name, k+1)
+				return fmt.Errorf("core: no alignment for %s dim %d", name, k+1)
 			}
 			n := g.Extent(sub)
 			switch {
 			case n == 1:
 				// Degenerate grid dimension: one block holds everything.
-				dims[k] = dist.Dim{Sign: 1, Disp: -1, Block: size[k], GridDim: sub}
-			case cyclic:
-				dims[k] = dist.Cyclic(sub)
+				s.Dims[k] = dist.Dim{Sign: 1, Disp: -1, Block: size[k], GridDim: sub}
+			case ss.Cyclic:
+				s.Dims[k] = dist.Cyclic(sub)
 			default:
-				dims[k] = dist.BlockContiguous(size[k], n, sub)
+				s.Dims[k] = dist.BlockContiguous(size[k], n, sub)
 			}
 			used[sub] = true
 		}
-		fixed := map[int]int{}
-		for gd := 0; gd < g.Q(); gd++ {
-			if !used[gd] {
-				fixed[gd] = dist.All // replicate along unused grid dims
+		if !had {
+			s.Fixed = map[int]int{}
+			for gd := 0; gd < g.Q(); gd++ {
+				if !used[gd] {
+					s.Fixed[gd] = dist.All // replicate along unused grid dims
+				}
 			}
 		}
-		s := dist.Scheme{Dims: dims, Fixed: fixed}
 		if err := s.Validate(g, size); err != nil {
-			return nil, fmt.Errorf("core: derived scheme for %s invalid: %v", name, err)
+			return fmt.Errorf("core: derived scheme for %s invalid: %v", name, err)
 		}
-		ss.Schemes[name] = s
+		if !had {
+			ss.Schemes[name] = s
+		}
 	}
-	return ss, nil
+	return nil
 }

@@ -30,18 +30,22 @@
 // while the cost is independent of the loop extents. Nor does it grow with
 // the square of the processor count: each rank's footprint is counted
 // only in the owner cells it can meet, located from its rects' sides and
-// bands (cellLocator), and a replica whose footprint equals the rank
-// before it reuses that rank's counts, so a count costs at most ranks ×
-// overlapped cells, not ranks × cells; each set operation costs Period/64
-// mask words. Nests or schemes outside the eligible class (bounds
-// depending on more than one outer variable, rotation, non-unit subscript
-// coefficients, out-of-range subscripts) report ok=false and fall back to
-// the reference enumeration.
+// bands (cellLocator), a replica whose footprint equals the rank before
+// it reuses that rank's counts, and a cell that meets the same clipped
+// rects again answers from its memo, so a count costs at most ranks ×
+// overlapped cells, not ranks × cells, and one inclusion-exclusion per
+// distinct clipped footprint; each set operation costs Period/64 mask
+// words. A count's state lives in a workspace (anEngine) reset in place
+// from count to count, so a warm count allocates nothing. Nests or
+// schemes outside the eligible class (bounds depending on more than one
+// outer variable, rotation, non-unit subscript coefficients, out-of-range
+// subscripts) report ok=false and fall back to the reference enumeration.
 package cost
 
 import (
 	mathbits "math/bits"
 	"slices"
+	"sync"
 
 	"dmcc/internal/dist"
 	"dmcc/internal/grid"
@@ -71,11 +75,12 @@ type anSub struct {
 // anDep records a loop whose normalized lower or upper bound is
 // root_var + c: the range of slot s at root value v is [v+c, hi] when
 // low, [lo, v+c] otherwise. e.ranges[s] holds the hull over the root's
-// full range.
+// full range. A loop with constant bounds has on unset.
 type anDep struct {
 	root int
 	c    int
 	low  bool
+	on   bool
 }
 
 // anDim is the ownership structure of one array dimension.
@@ -86,9 +91,11 @@ type anDim struct {
 	pats       []dist.IndexSet // owned index pattern per grid coordinate (nil when replicated)
 }
 
+// anArray is one array a nest references, at its index in the engine's
+// arrays: its scheme's ownership structure, its owner cells and the
+// footprint the current rank reads of it.
 type anArray struct {
 	name  string
-	idx   int
 	rank  int
 	s     dist.Scheme
 	sizes [2]int
@@ -97,15 +104,27 @@ type anArray struct {
 	cells []ownerCell // dense: cell c0*n1 + c1 for owner coordinates (c0, c1)
 	n1    int         // the cell layout's second extent
 	reads int         // read references to the array across the nest's statements
+	fp    []rect      // the current rank's footprint, room for every read
 }
 
 // ownerCell is one cell of an array's partition by first-owner rank: the
 // elements whose mapped dims land on one pair of grid coordinates, and the
 // rank that sends them. A cell whose coordinates own nothing is not live.
+// memo indexes the cell's last union count in the engine's memos, -1
+// before the first.
 type ownerCell struct {
 	r     rect
 	first int
 	live  bool
+	memo  int32
+}
+
+// cellMemo is the union count of the footprint rects clipped to one owner
+// cell, last counted: the clipped rects are memoRects[off : off+n], and a
+// slot has room for as many as the array has reads.
+type cellMemo struct {
+	off, n int32
+	count  int64
 }
 
 // buildCells lays out array a's owner cells densely, one per combination
@@ -113,42 +132,50 @@ type ownerCell struct {
 // replicated or absent dim contributing its one index 0 — so that a cell
 // is found from its coordinates by arithmetic. Replicated dims, Fixed=All
 // dims and All coordinates contribute the canonical coordinate 0 to the
-// sending rank, exactly as Scheme.Owners' first entry does.
+// sending rank, exactly as Scheme.Owners' first entry does. The cells
+// and pinned coordinates come from the workspace's arenas.
 func (e *anEngine) buildCells(a *anArray) {
-	base := 0
+	base, pinned := 0, 0
+	for _, c := range a.s.Fixed {
+		if c != dist.All {
+			pinned++
+		}
+	}
+	a.fixed = e.gates.take(pinned)[:0]
 	for gd, c := range a.s.Fixed {
 		if c != dist.All {
 			a.fixed = append(a.fixed, anGate{gd: gd, coord: c})
 			base += c * e.strides[gd]
 		}
 	}
+	var one, whole [2]dist.IndexSet
 	choices := func(k int) []dist.IndexSet {
 		switch {
 		case k >= a.rank:
-			return []dist.IndexSet{dist.Interval(1, 1)}
+			one[k] = dist.Interval(1, 1)
+			return one[k : k+1]
 		case a.dims[k].replicated:
-			return []dist.IndexSet{dist.Interval(1, a.sizes[k])}
+			whole[k] = dist.Interval(1, a.sizes[k])
+			return whole[k : k+1]
 		}
 		return a.dims[k].pats
 	}
 	sets0, sets1 := choices(0), choices(1)
 	a.n1 = len(sets1)
-	a.cells = make([]ownerCell, len(sets0)*len(sets1))
+	a.cells = e.cells.take(len(sets0) * len(sets1))
 	for c0, s0 := range sets0 {
-		if s0.Empty() {
-			continue
-		}
 		for c1, s1 := range sets1 {
-			if s1.Empty() {
+			cell := &a.cells[c0*a.n1+c1]
+			cell.memo = -1
+			if s0.Empty() || s1.Empty() {
 				continue
 			}
-			cell := ownerCell{r: prodRect(s0, s1), first: base, live: true}
+			cell.r, cell.first, cell.live = prodRect(s0, s1), base, true
 			for k, c := range [2]int{c0, c1} {
 				if k < a.rank && !a.dims[k].replicated {
 					cell.first += c * e.strides[a.dims[k].gd]
 				}
 			}
-			a.cells[c0*a.n1+c1] = cell
 		}
 	}
 }
@@ -178,7 +205,7 @@ func (a *anArray) ownCell(q []int) int {
 // footprint can meet: per array dimension, a bitset over its grid
 // coordinates and the list the set bits are read into, and a bitset over
 // the cells with the list of those the current footprint has visited.
-// An engine invocation owns one, sized once for the widest array.
+// The workspace keeps one, grown to the widest array it has counted.
 type cellLocator struct {
 	bits    [2][]uint64
 	coord   [2][]int
@@ -283,8 +310,10 @@ func (cl *cellLocator) cells(a *anArray, fp []rect, bill func(i int)) {
 	cl.visited = visited
 }
 
+// anRef is a compiled reference: the array's index in the engine's
+// arrays and one compiled subscript per dimension.
 type anRef struct {
-	arr  *anArray
+	arr  int32
 	subs [2]anSub
 }
 
@@ -311,17 +340,72 @@ type anStmt struct {
 	constraints []anConstraint
 }
 
+// arena hands out zeroed slices of one backing array that the workspace
+// keeps from count to count: take cuts off the next n elements. A count
+// that needs more than the array holds gets fresh slices for the rest and
+// leaves its demand for reset, which grows the array to it, so a warm
+// workspace allocates nothing.
+type arena[T any] struct {
+	buf  []T
+	used int
+	need int
+}
+
+func (a *arena[T]) reset() {
+	if a.need > len(a.buf) {
+		a.buf = make([]T, a.need+a.need/4)
+	}
+	a.used, a.need = 0, 0
+}
+
+func (a *arena[T]) take(n int) []T {
+	a.need += n
+	if a.used+n > len(a.buf) {
+		return make([]T, n)
+	}
+	s := a.buf[a.used : a.used+n : a.used+n]
+	a.used += n
+	clear(s)
+	return s
+}
+
+// resize returns s with length n, reusing its array when it has room;
+// the contents are the caller's to set.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/4)
+	}
+	return s[:n]
+}
+
+// zeroed is resize with the contents cleared.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
+
+// anEngine is the closed-form counter's workspace: everything one count
+// builds — strides, rank coordinates, loop ranges and dependences, the
+// compiled arrays and statements, footprints and their bills, owner cells
+// and their union-count memos, the cell locator, per-rank tallies and the
+// reduction cells — lives here and is reset in place by the next count.
+// Arrays, statements and dependences are slabs addressed by index;
+// variable-length pieces are cut from the arenas. Each count takes an
+// engine from enginePool, so concurrent counts each hold their own.
 type anEngine struct {
-	g          *grid.Grid
-	nprocs     int
-	q          int
-	strides    []int
-	rankCoords [][]int
-	ranges     []dist.IndexSet // per loop slot (the constant hull for dependent slots)
-	deps       []*anDep        // per loop slot, nil for constant bounds
-	depRoot    int             // the single root every dependent slot references, or -1
-	arrays     []*anArray
-	stmts      []*anStmt
+	g       *grid.Grid
+	nprocs  int
+	q       int
+	strides []int
+	coords  []int           // rank r's grid coordinates are coords[r*q : (r+1)*q]
+	ranges  []dist.IndexSet // per loop slot (the constant hull for dependent slots)
+	deps    []anDep         // per loop slot
+	depRoot int             // the single root every dependent slot references, or -1
+	byID    []int32         // per lowered array: its index in arrays, or -1
+	arrays  []anArray
+	stmts   []anStmt
+	bills   []footprintBill // per array
 
 	flops   []int64
 	in      []int64
@@ -329,13 +413,81 @@ type anEngine struct {
 	remote  int64
 	reduceW int64
 	pairs   int64 // (rank, owner cell) pairs the needed-words pass counted
+	unions  int64 // of those, the ones no cell memo answered
+
+	allowed     []dist.IndexSet
+	constrained []bool
+	cl          cellLocator
+	sc          rectScratch
+	clip        [maxFootprintRects]rect
+	memos       []cellMemo
+	memoRects   []rect
+	red         reduceScratch
+
+	sets   arena[dist.IndexSet]
+	cells  arena[ownerCell]
+	gates  arena[anGate]
+	refs   arena[anRef]
+	cons   arena[anConstraint]
+	rects  arena[rect]
+	ints   arena[int]
+	bools  arena[bool]
+	umasks arena[uMask]
+	masks  arena[uint64]
 }
 
-// newCellLocator sizes a cellLocator for the widest mapped dimension and
+var enginePool = sync.Pool{New: func() any { return new(anEngine) }}
+
+// reset readies the workspace for a count of a nest of loops loops over
+// arrays lowered arrays on grid g.
+func (e *anEngine) reset(g *grid.Grid, loops, arrays int) {
+	e.g, e.nprocs, e.q = g, g.Size(), g.Q()
+	e.strides = resize(e.strides, e.q)
+	stride := 1
+	for gd := e.q - 1; gd >= 0; gd-- {
+		e.strides[gd] = stride
+		stride *= g.Extent(gd)
+	}
+	e.coords = resize(e.coords, e.nprocs*e.q)
+	for r := 0; r < e.nprocs; r++ {
+		for gd := 0; gd < e.q; gd++ {
+			e.coords[r*e.q+gd] = g.Coord(r, gd)
+		}
+	}
+	e.ranges = resize(e.ranges, loops)
+	e.deps = zeroed(e.deps, loops)
+	e.depRoot = -1
+	e.byID = resize(e.byID, arrays)
+	for i := range e.byID {
+		e.byID[i] = -1
+	}
+	e.arrays, e.stmts = e.arrays[:0], e.stmts[:0]
+	e.flops, e.in, e.out = zeroed(e.flops, e.nprocs), zeroed(e.in, e.nprocs), zeroed(e.out, e.nprocs)
+	e.remote, e.reduceW, e.pairs, e.unions = 0, 0, 0, 0
+	e.allowed, e.constrained = resize(e.allowed, loops), resize(e.constrained, loops)
+	e.memos, e.memoRects = e.memos[:0], e.memoRects[:0]
+	e.sc.win = winStats{}
+	e.sets.reset()
+	e.cells.reset()
+	e.gates.reset()
+	e.refs.reset()
+	e.cons.reset()
+	e.rects.reset()
+	e.ints.reset()
+	e.bools.reset()
+	e.umasks.reset()
+	e.masks.reset()
+}
+
+// coord is rank r's grid coordinates.
+func (e *anEngine) coord(r int) []int { return e.coords[r*e.q : (r+1)*e.q] }
+
+// sizeLocator grows the cell locator for the widest mapped dimension and
 // the largest cell layout of the engine's arrays.
-func (e *anEngine) newCellLocator() cellLocator {
+func (e *anEngine) sizeLocator() {
 	n, cells := 1, 1
-	for _, a := range e.arrays {
+	for i := range e.arrays {
+		a := &e.arrays[i]
 		c := 1
 		for k := 0; k < a.rank; k++ {
 			n = max(n, a.dims[k].n)
@@ -343,38 +495,105 @@ func (e *anEngine) newCellLocator() cellLocator {
 		}
 		cells = max(cells, c)
 	}
-	words := (n + 63) / 64
-	bits := make([]uint64, 2*words+(cells+63)/64)
-	coord := make([]int, 2*n+cells)
-	return cellLocator{
-		bits:    [2][]uint64{bits[:words], bits[words : 2*words]},
-		coord:   [2][]int{coord[:n:n], coord[n : 2*n : 2*n]},
-		seen:    bits[2*words:],
-		visited: coord[2*n:],
+	cl := &e.cl
+	if words := (n + 63) / 64; len(cl.bits[0]) < words {
+		bits := make([]uint64, 2*words)
+		cl.bits = [2][]uint64{bits[:words], bits[words:]}
+		n = 64 * words
+		coord := make([]int, 2*n)
+		cl.coord = [2][]int{coord[:n:n], coord[n:]}
 	}
+	if len(cl.seen) < (cells+63)/64 {
+		cl.seen = make([]uint64, (cells+63)/64)
+	}
+	if cap(cl.visited) < cells {
+		cl.visited = make([]int, 0, cells)
+	}
+}
+
+// arrayOf compiles lowered array id on first use — its ownership
+// structure per dimension under schemes — and returns its index in the
+// engine's arrays; false when the scheme is outside the eligible class.
+func (e *anEngine) arrayOf(lw *ir.Lowered, schemes map[string]dist.Scheme, id int, periodLCM *int) (int32, bool) {
+	if i := e.byID[id]; i >= 0 {
+		return i, true
+	}
+	name, shape := lw.Names[id], lw.Shapes[id]
+	s := schemes[name]
+	if s.Rot != dist.NoRotation {
+		return -1, false
+	}
+	a := anArray{name: name, rank: len(shape), s: s}
+	for k := 0; k < a.rank; k++ {
+		a.sizes[k] = shape[k]
+		d := s.Dims[k]
+		if d.Replicated {
+			a.dims[k] = anDim{replicated: true, gd: d.GridDim}
+			continue
+		}
+		n := e.g.Extent(d.GridDim)
+		pats := e.sets.take(n)
+		words := 0
+		if d.Cyclic {
+			words = dist.PatternWords(d, n)
+		}
+		for c := 0; c < n; c++ {
+			pats[c] = dist.OwnedPatternIn(d, n, c, shape[k], e.masks.take(words))
+			*periodLCM = dist.LCM(*periodLCM, pats[c].Period)
+			if *periodLCM > maxAnalyticPeriod {
+				return -1, false
+			}
+		}
+		a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats}
+	}
+	i := int32(len(e.arrays))
+	e.byID[id] = i
+	e.arrays = append(e.arrays, a)
+	return i, true
+}
+
+// compileRef compiles a reference: a subscript compiles to sign*var + c
+// when its lowered form has at most one loop term, of coefficient ±1, and
+// stays inside the extent.
+func (e *anEngine) compileRef(lw *ir.Lowered, schemes map[string]dist.Scheme, r *ir.LRef, periodLCM *int) (anRef, bool) {
+	ai, ok := e.arrayOf(lw, schemes, r.Array, periodLCM)
+	if !ok {
+		return anRef{}, false
+	}
+	out := anRef{arr: ai}
+	for k := range r.Subs {
+		slot, coef, n := term(r.Subs[k])
+		sp := anSub{slot: -1, c: r.Subs[k].K}
+		switch {
+		case n == 1 && (coef == 1 || coef == -1):
+			sp.slot, sp.sign = slot, coef
+		case n != 0:
+			return anRef{}, false
+		}
+		if !subInRange(sp, e.ranges, e.arrays[ai].sizes[k]) {
+			return anRef{}, false
+		}
+		out.subs[k] = sp
+	}
+	return out, true
 }
 
 // countNestAnalytic computes CountNestOptsExact's Counts for nest t in
 // closed form. ok=false means the nest or schemes are outside the eligible
 // class and the caller must fall back to enumeration. The caller has
-// already validated the nest.
+// already validated the nest. The count runs in a workspace from
+// enginePool.
 func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, bool, error) {
+	e := enginePool.Get().(*anEngine)
+	defer enginePool.Put(e)
+	ct, ok := e.count(lw, t, schemes, g, opts)
+	return ct, ok, nil
+}
+
+// count is countNestAnalytic in workspace e.
+func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, bool) {
 	nest, ln := lw.Program.Nests[t], &lw.Nests[t]
-	e := &anEngine{g: g, nprocs: g.Size(), q: g.Q()}
-	e.strides = make([]int, e.q)
-	stride := 1
-	for gd := e.q - 1; gd >= 0; gd-- {
-		e.strides[gd] = stride
-		stride *= g.Extent(gd)
-	}
-	e.rankCoords = make([][]int, e.nprocs)
-	coords := make([]int, e.nprocs*e.q)
-	for r := 0; r < e.nprocs; r++ {
-		e.rankCoords[r] = coords[r*e.q : (r+1)*e.q]
-		for gd := 0; gd < e.q; gd++ {
-			e.rankCoords[r][gd] = g.Coord(r, gd)
-		}
-	}
+	e.reset(g, len(ln.Loops), len(lw.Names))
 
 	// Loop ranges: constant bounds once parameters are bound, or one
 	// dependent bound of the form outer_var + c. The walker's range
@@ -382,10 +601,6 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 	// [hi, lo]; either may be empty. A downward loop's raw Lo is the
 	// upper end of the normalized range, so gauss's back-substitution
 	// i = j-1..1 step -1 becomes the upper-dependent window [1, j-1].
-	e.ranges = make([]dist.IndexSet, len(ln.Loops))
-	e.deps = make([]*anDep, len(ln.Loops))
-	e.depRoot = -1
-	isConst := make([]bool, len(ln.Loops))
 	for s, l := range ln.Loops {
 		lo, hi := l.Lo, l.Hi
 		if l.Step < 0 {
@@ -397,23 +612,22 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 		switch {
 		case nLo == 0 && nHi == 0:
 			e.ranges[s] = dist.Interval(lo.K, hi.K)
-			isConst[s] = true
 			continue
 		case nHi == 0 && nLo == 1 && loCoef == 1:
-			dp = anDep{root: loSlot, c: lo.K, low: true}
+			dp = anDep{root: loSlot, c: lo.K, low: true, on: true}
 		case nLo == 0 && nHi == 1 && hiCoef == 1:
-			dp = anDep{root: hiSlot, c: hi.K, low: false}
+			dp = anDep{root: hiSlot, c: hi.K, low: false, on: true}
 		default:
-			return Counts{}, false, nil // both bounds dependent, or not outer_var + c
+			return Counts{}, false // both bounds dependent, or not outer_var + c
 		}
-		if !isConst[dp.root] {
-			return Counts{}, false, nil // chained dependence
+		if e.deps[dp.root].on {
+			return Counts{}, false // chained dependence
 		}
 		if e.depRoot >= 0 && e.depRoot != dp.root {
-			return Counts{}, false, nil // two distinct roots
+			return Counts{}, false // two distinct roots
 		}
 		e.depRoot = dp.root
-		e.deps[s] = &dp
+		e.deps[s] = dp
 		rr := e.ranges[dp.root]
 		if dp.low {
 			e.ranges[s] = dist.Interval(rr.Lo+dp.c, hi.K)
@@ -422,66 +636,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 		}
 	}
 
-	byID := make([]*anArray, len(lw.Names))
 	periodLCM := 1
-	arrayOf := func(id int) (*anArray, bool) {
-		if a := byID[id]; a != nil {
-			return a, true
-		}
-		name, shape := lw.Names[id], lw.Shapes[id]
-		s := schemes[name]
-		if s.Rot != dist.NoRotation {
-			return nil, false
-		}
-		a := &anArray{name: name, idx: len(e.arrays), rank: len(shape), s: s}
-		for k := 0; k < a.rank; k++ {
-			a.sizes[k] = shape[k]
-			d := s.Dims[k]
-			if d.Replicated {
-				a.dims[k] = anDim{replicated: true, gd: d.GridDim}
-				continue
-			}
-			n := g.Extent(d.GridDim)
-			pats := make([]dist.IndexSet, n)
-			for c := 0; c < n; c++ {
-				pats[c] = dist.OwnedPatternOf(d, n, c, shape[k])
-				periodLCM = dist.LCM(periodLCM, pats[c].Period)
-				if periodLCM > maxAnalyticPeriod {
-					return nil, false
-				}
-			}
-			a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats}
-		}
-		byID[id] = a
-		e.arrays = append(e.arrays, a)
-		return a, true
-	}
-
-	// A subscript compiles to sign*var + c when its lowered form has at
-	// most one loop term, of coefficient ±1, and stays inside the extent.
-	compileRef := func(r *ir.LRef) (anRef, bool) {
-		a, ok := arrayOf(r.Array)
-		if !ok {
-			return anRef{}, false
-		}
-		out := anRef{arr: a}
-		for k := range r.Subs {
-			slot, coef, n := term(r.Subs[k])
-			sp := anSub{slot: -1, c: r.Subs[k].K}
-			switch {
-			case n == 1 && (coef == 1 || coef == -1):
-				sp.slot, sp.sign = slot, coef
-			case n != 0:
-				return anRef{}, false
-			}
-			if !subInRange(sp, e.ranges, a.sizes[k]) {
-				return anRef{}, false
-			}
-			out.subs[k] = sp
-		}
-		return out, true
-	}
-
 	for si, st := range nest.Stmts {
 		ls := &ln.Stmts[si]
 		executes := true
@@ -493,21 +648,22 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 		if !executes {
 			continue
 		}
-		as := &anStmt{depth: st.Depth, flops: int64(st.Flops), reduce: st.Reduce}
+		as := anStmt{depth: st.Depth, flops: int64(st.Flops), reduce: st.Reduce}
 		var ok bool
-		if as.lhs, ok = compileRef(&ls.LHS); !ok {
-			return Counts{}, false, nil
+		if as.lhs, ok = e.compileRef(lw, schemes, &ls.LHS, &periodLCM); !ok {
+			return Counts{}, false
 		}
 		as.owner = as.lhs
 		if st.Reduce {
 			if anchor := st.Anchor(); anchor >= 0 {
 				as.hasAnchor = true
-				if as.anchor, ok = compileRef(&ls.Reads[anchor]); !ok {
-					return Counts{}, false, nil
+				if as.anchor, ok = e.compileRef(lw, schemes, &ls.Reads[anchor], &periodLCM); !ok {
+					return Counts{}, false
 				}
 				as.owner = as.anchor
 			}
 		}
+		as.reads = e.refs.take(len(st.Reads))[:0]
 		for ri, rd := range st.Reads {
 			if st.Reduce && rd.Array == st.LHS.Array {
 				continue
@@ -515,22 +671,24 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 			if opts.IncludeRead != nil && !opts.IncludeRead(rd.Array) {
 				continue
 			}
-			ref, ok := compileRef(&ls.Reads[ri])
+			ref, ok := e.compileRef(lw, schemes, &ls.Reads[ri], &periodLCM)
 			if !ok {
-				return Counts{}, false, nil
+				return Counts{}, false
 			}
 			as.reads = append(as.reads, ref)
-			ref.arr.reads++
+			e.arrays[ref.arr].reads++
 		}
 		// Compile the executor condition: per grid dim of the owner
 		// scheme, either a pinned coordinate (gate) or a per-coordinate
 		// restriction of one loop variable (constraint).
-		oa := as.owner.arr
+		oa := &e.arrays[as.owner.arr]
+		as.gates = e.gates.take(len(oa.s.Fixed) + oa.rank)[:0]
 		for gd, c := range oa.s.Fixed {
 			if c != dist.All {
 				as.gates = append(as.gates, anGate{gd: gd, coord: c})
 			}
 		}
+		as.constraints = e.cons.take(oa.rank)[:0]
 		for k := 0; k < oa.rank; k++ {
 			d := oa.dims[k]
 			if d.replicated {
@@ -541,7 +699,7 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 				as.gates = append(as.gates, anGate{gd: d.gd, coord: oa.s.DimCoordOf(g, k, sp.c)})
 				continue
 			}
-			sets := make([]dist.IndexSet, d.n)
+			sets := e.sets.take(d.n)
 			for a := 0; a < d.n; a++ {
 				sets[a] = e.ranges[sp.slot].Intersect(d.pats[a].AffinePreimage(sp.sign, sp.c))
 			}
@@ -552,37 +710,38 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 
 	// Reduction eligibility: at most one anchored reduction per LHS array,
 	// so partial-sum sets never merge across statements.
-	reduceLHS := map[string]int{}
-	for _, as := range e.stmts {
-		if as.reduce && as.hasAnchor {
-			reduceLHS[as.lhs.arr.name]++
-			if reduceLHS[as.lhs.arr.name] > 1 {
-				return Counts{}, false, nil
+	for i := range e.stmts {
+		as := &e.stmts[i]
+		if !as.reduce || !as.hasAnchor {
+			continue
+		}
+		for _, prev := range e.stmts[:i] {
+			if prev.reduce && prev.hasAnchor && prev.lhs.arr == as.lhs.arr {
+				return Counts{}, false
 			}
 		}
 	}
 
-	e.flops = make([]int64, e.nprocs)
-	e.in = make([]int64, e.nprocs)
-	e.out = make([]int64, e.nprocs)
-	// Footprint storage is one slab, cut so that each array's list, and
-	// the last footprint counted for it, have room for each of its reads:
-	// no list outgrows its slot. A rank's footprints are billed as soon as
-	// they are built, so two lists per array serve every rank.
+	// Footprint storage is one arena cut, cut so that each array's list,
+	// and the last footprint counted for it, have room for each of its
+	// reads: no list outgrows its slot. A rank's footprints are billed as
+	// soon as they are built, so two lists per array serve every rank.
 	reads := 0
-	for _, a := range e.arrays {
-		reads += a.reads
+	for i := range e.arrays {
+		reads += e.arrays[i].reads
 	}
-	slab := make([]rect, 2*reads)
-	fps := make([][]rect, len(e.arrays))
-	bills := make([]footprintBill, len(e.arrays))
-	for i, a := range e.arrays {
-		fps[i], slab = slab[:0:a.reads], slab[a.reads:]
-		bills[i].fp, slab = slab[:0:a.reads], slab[a.reads:]
+	slab := e.rects.take(2 * reads)
+	e.bills = resize(e.bills, len(e.arrays))
+	for i := range e.arrays {
+		a, bl := &e.arrays[i], &e.bills[i]
+		a.fp, slab = slab[:0:a.reads], slab[a.reads:]
+		bl.fp, slab = slab[:0:a.reads], slab[a.reads:]
+		bl.words, bl.own = bl.words[:0], -1
 		if a.reads > 0 {
 			e.buildCells(a)
 		}
 	}
+	e.sizeLocator()
 
 	// Per-rank pass: instance counts (flops), read footprints, and the
 	// needed words they bill.
@@ -597,17 +756,18 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 	// ranks x cells. Replicas that execute the same instances have the
 	// same footprint and so the same words per cell: each array keeps the
 	// last footprint it counted with its words per cell, and a rank with
-	// an equal footprint bills them again without counting.
-	allowed := make([]dist.IndexSet, len(nest.Loops))
-	constrained := make([]bool, len(nest.Loops))
-	var sc rectScratch
-	cl := e.newCellLocator()
+	// an equal footprint bills them again without locating or counting.
+	// Replicas that are not consecutive ranks still meet a cell with the
+	// same rects clipped to it, and the cell's memo answers them
+	// (cellCount).
+	allowed, constrained := e.allowed, e.constrained
 	for pr := 0; pr < e.nprocs; pr++ {
-		q := e.rankCoords[pr]
-		for i := range fps {
-			fps[i] = fps[i][:0]
+		q := e.coord(pr)
+		for i := range e.arrays {
+			e.arrays[i].fp = e.arrays[i].fp[:0]
 		}
-		for _, as := range e.stmts {
+		for si := range e.stmts {
+			as := &e.stmts[si]
 			if !e.rankExecutes(as, q, allowed, constrained) {
 				continue
 			}
@@ -621,14 +781,14 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 			for _, rd := range as.reads {
 				r, ok, fallback := e.readRect(rd, allowed, reff, hasDep)
 				if fallback {
-					return Counts{}, false, nil
+					return Counts{}, false
 				}
 				if !ok {
 					continue
 				}
-				fp := fps[rd.arr.idx]
+				a := &e.arrays[rd.arr]
 				dup := false
-				for _, x := range fp {
+				for _, x := range a.fp {
 					if rectEq(x, r) {
 						dup = true
 						break
@@ -637,35 +797,35 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 				if dup {
 					continue
 				}
-				fp = append(fp, r)
-				if len(fp) > maxFootprintRects {
-					return Counts{}, false, nil
+				if len(a.fp) == maxFootprintRects {
+					return Counts{}, false
 				}
-				fps[rd.arr.idx] = fp
+				a.fp = append(a.fp, r)
 			}
 		}
-		for _, a := range e.arrays {
-			fp, bl := fps[a.idx], &bills[a.idx]
+		for i := range e.arrays {
+			a, bl := &e.arrays[i], &e.bills[i]
+			fp := a.fp
 			if len(fp) == 0 {
 				continue
 			}
 			own := a.ownCell(q)
-			count := func(i int) {
+			count := func(c int) {
 				e.pairs++
-				if c := sc.unionCount(fp, &a.cells[i].r); c != 0 {
-					bl.words = append(bl.words, cellWords{i, c})
+				if n := e.cellCount(a, c, fp); n != 0 {
+					bl.words = append(bl.words, cellWords{c, n})
 				}
 			}
 			switch {
 			case !slices.EqualFunc(bl.fp, fp, rectEq):
 				// The list is the rank's now; the next rank builds in the old one.
-				fps[a.idx], bl.fp = bl.fp[:0], fp
+				a.fp, bl.fp = bl.fp[:0], fp
 				bl.words, bl.own = bl.words[:0], -1
-				cl.cells(a, fp, func(i int) {
-					if i == own {
-						bl.own = i
+				e.cl.cells(a, fp, func(c int) {
+					if c == own {
+						bl.own = c
 					} else {
-						count(i)
+						count(c)
 					}
 				})
 			case bl.own >= 0 && bl.own != own:
@@ -684,18 +844,20 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 
 	// Reduction combining trees.
 	if !opts.Carried {
-		for _, as := range e.stmts {
+		for i := range e.stmts {
+			as := &e.stmts[i]
 			if !as.reduce || !as.hasAnchor {
 				continue
 			}
 			if !e.reduceStmt(as) {
-				return Counts{}, false, nil
+				return Counts{}, false
 			}
 		}
 	}
 
 	if opts.tally != nil {
-		*opts.tally = rankTally{flops: e.flops, in: e.in, out: e.out, pairs: e.pairs}
+		*opts.tally = rankTally{flops: slices.Clone(e.flops), in: slices.Clone(e.in), out: slices.Clone(e.out),
+			pairs: e.pairs, unions: e.unions, residueSteps: e.sc.win.steps, prodAts: e.sc.win.prods}
 	}
 	var ct Counts
 	ct.RemoteWords = e.remote
@@ -716,7 +878,41 @@ func countNestAnalytic(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g 
 			ct.MaxProcOut = v
 		}
 	}
-	return ct, true, nil
+	return ct, true
+}
+
+// cellCount is |fp ∩ cell c of array a|, the union count of the
+// footprint's rects clipped to the cell. The cell keeps the clipped rects
+// it counted last with their count, and a footprint that clips to the
+// same rects is answered from that memo: replicas meet a cell alike
+// whether or not they are consecutive ranks.
+func (e *anEngine) cellCount(a *anArray, c int, fp []rect) int64 {
+	cell := &a.cells[c]
+	clip := e.clip[:0]
+	for j := range fp {
+		if x := &e.clip[len(clip)]; intersectRect(x, &fp[j], &cell.r) {
+			clip = clip[:len(clip)+1]
+		}
+	}
+	if len(clip) == 0 {
+		return 0
+	}
+	if cell.memo >= 0 {
+		m := &e.memos[cell.memo]
+		if slices.EqualFunc(e.memoRects[m.off:m.off+m.n], clip, rectEq) {
+			return m.count
+		}
+	} else {
+		cell.memo = int32(len(e.memos))
+		off := len(e.memoRects)
+		e.memoRects = slices.Grow(e.memoRects, a.reads)[:off+a.reads]
+		e.memos = append(e.memos, cellMemo{off: int32(off)})
+	}
+	e.unions++
+	m := &e.memos[cell.memo]
+	m.n = int32(copy(e.memoRects[m.off:int(m.off)+a.reads], clip))
+	m.count = e.sc.unionCount(clip, nil)
+	return m.count
 }
 
 // rankExecutes fills allowed[0:depth] with the per-variable instance sets
@@ -754,7 +950,7 @@ func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []dist.IndexSet, co
 func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.IndexSet, bool) {
 	hasDep := false
 	for s := 0; s < as.depth; s++ {
-		if e.deps[s] != nil {
+		if e.deps[s].on {
 			hasDep = true
 			break
 		}
@@ -776,7 +972,7 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.I
 			continue
 		}
 		d := e.deps[s]
-		if d == nil {
+		if !d.on {
 			cons *= allowed[s].Count()
 			continue
 		}
@@ -801,7 +997,7 @@ func (e *anEngine) stmtSpace(as *anStmt, allowed []dist.IndexSet) (int64, dist.I
 	if cons == 0 {
 		return 0, reff, true
 	}
-	return cons * sumWindowed(allowed[root], terms), reff, true
+	return cons * e.sc.win.sumWindowed(allowed[root], terms), reff, true
 }
 
 // Subscript-variable kinds for footprint construction.
@@ -839,7 +1035,7 @@ func (e *anEngine) window(allowed []dist.IndexSet, slot, v int) dist.IndexSet {
 //     the root), provided every dependent side of the reference opens in
 //     the same direction.
 func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSet, hasDep bool) (rect, bool, bool) {
-	a := rd.arr
+	a := &e.arrays[rd.arr]
 	kind := func(sp anSub) int {
 		if sp.slot < 0 {
 			return kConst
@@ -850,7 +1046,7 @@ func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSe
 		if sp.slot == e.depRoot {
 			return kRoot
 		}
-		if e.deps[sp.slot] != nil {
+		if e.deps[sp.slot].on {
 			return kDep
 		}
 		return kPlain
@@ -931,7 +1127,7 @@ func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSe
 		} else {
 			r = r.halfPlane(-rsp.sign, dsp.sign, gamma, d.low)
 		}
-		if r.count() == 0 {
+		if e.sc.win.count(&r) == 0 {
 			return rect{}, false, false
 		}
 		return r, true, false
@@ -968,10 +1164,11 @@ type varCombo struct {
 	masks   []uMask
 }
 
-// uCut cuts a reduction variable's value space at per-coordinate reach
-// thresholds: coordinate a of grid dim gd holds partials of element u
-// iff u <= thr[a] (upper) or u >= thr[a] (lower).
+// uCut cuts reduction variable slot's value space at per-coordinate
+// reach thresholds: coordinate a of grid dim gd holds partials of element
+// u iff u <= thr[a] (upper) or u >= thr[a] (lower).
 type uCut struct {
+	slot  int
 	gd    int
 	upper bool
 	thr   []int
@@ -995,6 +1192,29 @@ type pairCond struct {
 	ok       []bool
 }
 
+// reduceScratch is reduceStmt's working storage in the workspace; what
+// varies in length per cell comes from the engine's arenas.
+type reduceScratch struct {
+	inU, coupled []bool   // per loop slot: reduced (an LHS subscript variable); superseded by reach thresholds
+	nFree        []int    // per loop slot: the anchor dims it drives that no LHS subscript does
+	freeK        [][2]int // ... and which
+	pinBase      []int    // per grid dim: the holders' pinned coordinate, or -1
+	coordAllowed [][]bool // per grid dim: the coordinates a free variable reaches, nil for all
+	cuts         []uCut
+	slotCuts     []uCut // the cuts of the variable being split
+	pairs        []pairCond
+	uSlots       []int
+	cs           []redC
+	bs           []int
+	combos       []varCombo
+	perVar       [][2]int // per reduced variable: its combos' range
+	pins         []int
+	pinStack     []anGate
+	varPins      []anGate
+	varMasks     []uMask
+	rootBase     int
+}
+
 func (as *anStmt) constraintSets(slot, gd int) []dist.IndexSet {
 	for _, c := range as.constraints {
 		if c.slot == slot && c.gd == gd {
@@ -1016,8 +1236,10 @@ func (as *anStmt) constraintSets(slot, gd int) []dist.IndexSet {
 // Reports false to request fallback when the cell enumeration would blow
 // up or the dependence shape is outside the supported couplings.
 func (e *anEngine) reduceStmt(as *anStmt) bool {
-	la := as.lhs.arr
-	aa := as.anchor.arr
+	la := &e.arrays[as.lhs.arr]
+	aa := &e.arrays[as.anchor.arr]
+	rs := &e.red
+	slots := len(e.deps)
 
 	// Root rank contributions that do not depend on the reduced element:
 	// the LHS scheme's Fixed coordinates (All acts as 0 in a first owner)
@@ -1029,7 +1251,8 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			rootBase += c * e.strides[gd]
 		}
 	}
-	inU := map[int]bool{}
+	rs.inU = zeroed(rs.inU, slots)
+	inU := rs.inU
 	for k := 0; k < la.rank; k++ {
 		sp := as.lhs.subs[k]
 		if sp.slot >= 0 {
@@ -1043,11 +1266,13 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			rootBase += la.s.DimCoordOf(e.g, k, sp.c) * e.strides[d.gd]
 		}
 	}
+	rs.rootBase = rootBase
 
 	// Holder-set conditions that do not depend on the reduced element:
 	// anchor Fixed pins, constant-subscript pins, and for free variables
 	// the coordinates their loop range can reach.
-	pinBase := make([]int, e.q)
+	pinBase := resize(rs.pinBase, e.q)
+	rs.pinBase = pinBase
 	for gd := range pinBase {
 		pinBase[gd] = -1
 	}
@@ -1056,9 +1281,10 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			pinBase[gd] = c
 		}
 	}
-	coordAllowed := map[int][]bool{}
-	var pairs []pairCond
-	freeDims := map[int][]int{}
+	rs.coordAllowed = zeroed(rs.coordAllowed, e.q)
+	rs.pairs = rs.pairs[:0]
+	rs.nFree, rs.freeK = zeroed(rs.nFree, slots), resize(rs.freeK, slots)
+	coordAllowed, nFree, freeK := rs.coordAllowed, rs.nFree, rs.freeK
 	for k := 0; k < aa.rank; k++ {
 		d := aa.dims[k]
 		if d.replicated {
@@ -1070,7 +1296,8 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			continue
 		}
 		if !inU[sp.slot] {
-			freeDims[sp.slot] = append(freeDims[sp.slot], k)
+			freeK[sp.slot][nFree[sp.slot]] = k
+			nFree[sp.slot]++
 		}
 	}
 
@@ -1078,11 +1305,12 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 	// variable share a dependent bound, holder membership varies with the
 	// element — a per-coordinate threshold on the reduced value.
 	root := e.depRoot
-	coupled := map[int]bool{}
-	uCuts := map[int][]uCut{}
+	rs.coupled = zeroed(rs.coupled, slots)
+	coupled := rs.coupled
+	rs.cuts = rs.cuts[:0]
 	depInU := 0
 	for s := 0; s < as.depth; s++ {
-		if e.deps[s] != nil && inU[s] {
+		if e.deps[s].on && inU[s] {
 			depInU++
 		}
 	}
@@ -1095,20 +1323,20 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 	}
 	for s := 0; s < as.depth; s++ {
 		d := e.deps[s]
-		if d == nil {
+		if !d.on {
 			continue
 		}
 		switch {
-		case inU[s] && !inU[root] && len(freeDims[root]) > 0:
+		case inU[s] && !inU[root] && nFree[root] > 0:
 			// Reduced variable bounded by the free root (gauss back
 			// substitution): coordinate a holds u iff the root's owned
 			// values reach past u.
-			if len(freeDims[root]) != 1 {
+			if nFree[root] != 1 {
 				return false
 			}
-			gd := aa.dims[freeDims[root][0]].gd
+			gd := aa.dims[freeK[root][0]].gd
 			sets := as.constraintSets(root, gd)
-			thr := make([]int, len(sets))
+			thr := e.ints.take(len(sets))
 			for a2, S := range sets {
 				if d.low {
 					// u >= v + c: holds iff min(S) + c <= u.
@@ -1126,17 +1354,17 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 					}
 				}
 			}
-			uCuts[s] = append(uCuts[s], uCut{gd: gd, upper: !d.low, thr: thr})
+			rs.cuts = append(rs.cuts, uCut{slot: s, gd: gd, upper: !d.low, thr: thr})
 			coupled[root] = true
-		case inU[root] && !inU[s] && len(freeDims[s]) > 0:
+		case inU[root] && !inU[s] && nFree[s] > 0:
 			// Free variable bounded by the reduced root: coordinate a
 			// holds u iff its owned values intersect [u+c, hi] / [lo, u+c].
-			if len(freeDims[s]) != 1 {
+			if nFree[s] != 1 {
 				return false
 			}
-			gd := aa.dims[freeDims[s][0]].gd
+			gd := aa.dims[freeK[s][0]].gd
 			sets := as.constraintSets(s, gd)
-			thr := make([]int, len(sets))
+			thr := e.ints.take(len(sets))
 			for a2, S := range sets {
 				if d.low {
 					if mx, ok := S.Max(); ok {
@@ -1152,12 +1380,12 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 					}
 				}
 			}
-			uCuts[root] = append(uCuts[root], uCut{gd: gd, upper: d.low, thr: thr})
+			rs.cuts = append(rs.cuts, uCut{slot: root, gd: gd, upper: d.low, thr: thr})
 			coupled[s] = true
-		case inU[s] && !inU[root] && len(freeDims[root]) == 0:
+		case inU[s] && !inU[root] && nFree[root] == 0:
 			// Spectator root: every hull value of u executes for some
 			// root value, and the root drives no holder coordinate.
-		case !inU[s] && len(freeDims[s]) == 0:
+		case !inU[s] && nFree[s] == 0:
 			// Spectator dependent slot: it neither shapes elements nor
 			// holders, but its window can empty out part of the root's
 			// value space — only safe when the root is also a spectator
@@ -1167,18 +1395,16 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			return false
 		}
 	}
-	if len(uCuts) > 0 && len(pairs) > 0 {
-		return false
-	}
 
-	for slot, ks := range freeDims {
-		if coupled[slot] {
-			continue // superseded by the reach thresholds
+	for slot := range nFree {
+		if nFree[slot] == 0 || coupled[slot] {
+			continue // not free, or superseded by the reach thresholds
 		}
+		ks := freeK[slot][:nFree[slot]]
 		if len(ks) == 1 {
 			d := aa.dims[ks[0]]
 			sets := as.constraintSets(slot, d.gd)
-			all := make([]bool, d.n)
+			all := e.bools.take(d.n)
 			for a := range sets {
 				all[a] = !sets[a].Empty()
 			}
@@ -1188,7 +1414,7 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 		d0, d1 := aa.dims[ks[0]], aa.dims[ks[1]]
 		s0 := as.constraintSets(slot, d0.gd)
 		s1 := as.constraintSets(slot, d1.gd)
-		ok := make([]bool, d0.n*d1.n)
+		ok := e.bools.take(d0.n * d1.n)
 		for a0 := range s0 {
 			for a1 := range s1 {
 				if !s0[a0].Intersect(s1[a1]).Empty() {
@@ -1196,28 +1422,28 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 				}
 			}
 		}
-		pairs = append(pairs, pairCond{gd0: d0.gd, gd1: d1.gd, n1: d1.n, ok: ok})
+		rs.pairs = append(rs.pairs, pairCond{gd0: d0.gd, gd1: d1.gd, n1: d1.n, ok: ok})
 	}
-	if len(uCuts) > 0 && len(pairs) > 0 {
+	if len(rs.cuts) > 0 && len(rs.pairs) > 0 {
 		return false
 	}
 
 	// Per-LHS-variable cells.
-	var uSlots []int
+	rs.uSlots = rs.uSlots[:0]
 	for s := 0; s < as.depth; s++ {
 		if inU[s] {
-			uSlots = append(uSlots, s)
+			rs.uSlots = append(rs.uSlots, s)
 		}
 	}
-	perVar := make([][]varCombo, len(uSlots))
-	totalCombos := 1
-	for vi, slot := range uSlots {
-		var cs []redC
+	rs.combos, rs.perVar = rs.combos[:0], rs.perVar[:0]
+	totalCombos, maxPins, maxMasks := 1, 0, 0
+	for _, slot := range rs.uSlots {
+		rs.cs = rs.cs[:0]
 		for k := 0; k < aa.rank; k++ {
 			d := aa.dims[k]
 			sp := as.anchor.subs[k]
 			if !d.replicated && sp.slot == slot {
-				cs = append(cs, redC{gd: d.gd, anchor: true, sets: as.constraintSets(slot, d.gd)})
+				rs.cs = append(rs.cs, redC{gd: d.gd, anchor: true, sets: as.constraintSets(slot, d.gd)})
 			}
 		}
 		for k := 0; k < la.rank; k++ {
@@ -1226,87 +1452,27 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 			if d.replicated || sp.slot != slot {
 				continue
 			}
-			sets := make([]dist.IndexSet, d.n)
+			sets := e.sets.take(d.n)
 			for a := 0; a < d.n; a++ {
 				sets[a] = e.ranges[slot].Intersect(d.pats[a].AffinePreimage(sp.sign, sp.c))
 			}
-			cs = append(cs, redC{gd: d.gd, stride: e.strides[d.gd], sets: sets})
+			rs.cs = append(rs.cs, redC{gd: d.gd, stride: e.strides[d.gd], sets: sets})
 		}
-		cuts := uCuts[slot]
-		var combos []varCombo
-		leaf := func(acc dist.IndexSet, pins []anGate, rootAdd int) {
-			if len(cuts) == 0 {
-				if c := acc.Count(); c > 0 {
-					combos = append(combos, varCombo{cnt: c, pins: append([]anGate(nil), pins...), rootAdd: rootAdd})
-				}
-				return
-			}
-			// Split the cell at every reach boundary so membership is
-			// uniform per piece.
-			var bs []int
-			for _, ct := range cuts {
-				for _, t := range ct.thr {
-					b := t
-					if ct.upper {
-						b = t + 1
-					}
-					if b > acc.Lo && b <= acc.Hi {
-						bs = append(bs, b)
-					}
-				}
-			}
-			slices.Sort(bs)
-			bs = slices.Compact(bs)
-			l := acc.Lo
-			for i := 0; i <= len(bs); i++ {
-				h := acc.Hi
-				if i < len(bs) {
-					h = bs[i] - 1
-				}
-				if h >= l {
-					if c := acc.CountIn(l, h); c > 0 {
-						masks := make([]uMask, len(cuts))
-						for ci, ct := range cuts {
-							okc := make([]bool, len(ct.thr))
-							for a2, t := range ct.thr {
-								if ct.upper {
-									okc[a2] = h <= t
-								} else {
-									okc[a2] = l >= t
-								}
-							}
-							masks[ci] = uMask{gd: ct.gd, ok: okc}
-						}
-						combos = append(combos, varCombo{cnt: c, pins: append([]anGate(nil), pins...), rootAdd: rootAdd, masks: masks})
-					}
-				}
-				if i < len(bs) {
-					l = bs[i]
-				}
+		rs.slotCuts = rs.slotCuts[:0]
+		for _, ct := range rs.cuts {
+			if ct.slot == slot {
+				rs.slotCuts = append(rs.slotCuts, ct)
 			}
 		}
-		var rec func(ci int, acc dist.IndexSet, pins []anGate, rootAdd int)
-		rec = func(ci int, acc dist.IndexSet, pins []anGate, rootAdd int) {
-			if ci == len(cs) {
-				leaf(acc, pins, rootAdd)
-				return
-			}
-			c := cs[ci]
-			for a, set := range c.sets {
-				x := acc.Intersect(set)
-				if x.Empty() {
-					continue
-				}
-				if c.anchor {
-					rec(ci+1, x, append(pins, anGate{gd: c.gd, coord: a}), rootAdd)
-				} else {
-					rec(ci+1, x, pins, rootAdd+a*c.stride)
-				}
-			}
+		start := len(rs.combos)
+		e.redCells(0, e.ranges[slot], rs.pinStack[:0], 0)
+		rs.perVar = append(rs.perVar, [2]int{start, len(rs.combos)})
+		pins, masks := 0, 0
+		for _, cb := range rs.combos[start:] {
+			pins, masks = max(pins, len(cb.pins)), max(masks, len(cb.masks))
 		}
-		rec(0, e.ranges[slot], nil, 0)
-		perVar[vi] = combos
-		totalCombos *= len(combos)
+		maxPins, maxMasks = maxPins+pins, maxMasks+masks
+		totalCombos *= len(rs.combos) - start
 		if totalCombos > maxReduceCombos {
 			return false
 		}
@@ -1314,70 +1480,166 @@ func (e *anEngine) reduceStmt(as *anStmt) bool {
 
 	// Walk the cross product of per-variable cells; each cell holds cnt
 	// reduced elements with identical holder set and root.
-	pins := make([]int, e.q)
-	var emit func(vi int, cnt int64, rootAdd int, varPins []anGate, varMasks []uMask)
-	emit = func(vi int, cnt int64, rootAdd int, varPins []anGate, varMasks []uMask) {
-		if vi < len(uSlots) {
-			for _, cb := range perVar[vi] {
-				emit(vi+1, cnt*cb.cnt, rootAdd+cb.rootAdd,
-					append(varPins, cb.pins...), append(varMasks, cb.masks...))
-			}
-			return
+	rs.pins = resize(rs.pins, e.q)
+	rs.varPins = slices.Grow(rs.varPins[:0], maxPins)
+	rs.varMasks = slices.Grow(rs.varMasks[:0], maxMasks)
+	e.redEmit(0, 1, 0, rs.varPins, rs.varMasks)
+	return true
+}
+
+// redCells splits the value space of the reduced variable whose
+// constraints are e.red.cs, from constraint ci on, into cells of equal
+// holder pins and root contribution, appending each to e.red.combos.
+// pins is a stack in e.red.pinStack, copied when a cell is kept.
+func (e *anEngine) redCells(ci int, acc dist.IndexSet, pins []anGate, rootAdd int) {
+	rs := &e.red
+	if ci == len(rs.cs) {
+		e.redLeaf(acc, pins, rootAdd)
+		return
+	}
+	c := rs.cs[ci]
+	for a, set := range c.sets {
+		x := acc.Intersect(set)
+		if x.Empty() {
+			continue
 		}
-		root := rootBase + rootAdd
-		copy(pins, pinBase)
-		for _, g := range varPins {
-			pins[g.gd] = g.coord
-		}
-		n, nonRoot := 0, int64(0)
-		for pr := 0; pr < e.nprocs; pr++ {
-			q := e.rankCoords[pr]
-			ok := true
-			for gd := 0; gd < e.q; gd++ {
-				if pins[gd] >= 0 && q[gd] != pins[gd] {
-					ok = false
-					break
-				}
-				if ca := coordAllowed[gd]; ok && ca != nil && !ca[q[gd]] {
-					ok = false
-					break
-				}
+		if c.anchor {
+			next := append(pins, anGate{gd: c.gd, coord: a})
+			if cap(rs.pinStack) < cap(next) {
+				rs.pinStack = next[:0] // keep the grown stack for the next count
 			}
-			if ok {
-				for _, mk := range varMasks {
-					if !mk.ok[q[mk.gd]] {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				for _, pc := range pairs {
-					if !pc.ok[q[pc.gd0]*pc.n1+q[pc.gd1]] {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				n++
-				if pr != root {
-					nonRoot++
-					e.out[pr] += cnt
-				}
-			}
-		}
-		// Every non-root holder sends its partial. The root receives the
-		// one word of a lone holder, or Log2Ceil(n) tree levels.
-		e.reduceW += nonRoot * cnt
-		if n == 1 {
-			e.in[root] += nonRoot * cnt
+			e.redCells(ci+1, x, next, rootAdd)
 		} else {
-			e.in[root] += int64(Log2Ceil(n)) * cnt
+			e.redCells(ci+1, x, pins, rootAdd+a*c.stride)
 		}
 	}
-	emit(0, 1, 0, []anGate{}, []uMask{})
-	return true
+}
+
+// redLeaf keeps one cell of redCells, split at every reach boundary of
+// the variable's cuts so that membership is uniform per piece.
+func (e *anEngine) redLeaf(acc dist.IndexSet, pins []anGate, rootAdd int) {
+	rs := &e.red
+	keep := func(cnt int64, masks []uMask) {
+		p := e.gates.take(len(pins))
+		copy(p, pins)
+		rs.combos = append(rs.combos, varCombo{cnt: cnt, pins: p, rootAdd: rootAdd, masks: masks})
+	}
+	if len(rs.slotCuts) == 0 {
+		if c := acc.Count(); c > 0 {
+			keep(c, nil)
+		}
+		return
+	}
+	bs := rs.bs[:0]
+	for _, ct := range rs.slotCuts {
+		for _, t := range ct.thr {
+			b := t
+			if ct.upper {
+				b = t + 1
+			}
+			if b > acc.Lo && b <= acc.Hi {
+				bs = append(bs, b)
+			}
+		}
+	}
+	slices.Sort(bs)
+	bs = slices.Compact(bs)
+	rs.bs = bs
+	l := acc.Lo
+	for i := 0; i <= len(bs); i++ {
+		h := acc.Hi
+		if i < len(bs) {
+			h = bs[i] - 1
+		}
+		if h >= l {
+			if c := acc.CountIn(l, h); c > 0 {
+				masks := e.umasks.take(len(rs.slotCuts))
+				for ci, ct := range rs.slotCuts {
+					okc := e.bools.take(len(ct.thr))
+					for a2, t := range ct.thr {
+						if ct.upper {
+							okc[a2] = h <= t
+						} else {
+							okc[a2] = l >= t
+						}
+					}
+					masks[ci] = uMask{gd: ct.gd, ok: okc}
+				}
+				keep(c, masks)
+			}
+		}
+		if i < len(bs) {
+			l = bs[i]
+		}
+	}
+}
+
+// redEmit walks the cross product of the reduced variables' cells from
+// variable vi on, and bills the combining tree of each product cell: cnt
+// elements whose holders are the ranks matching every pin and mask.
+// varPins and varMasks are stacks with room for every variable's.
+func (e *anEngine) redEmit(vi int, cnt int64, rootAdd int, varPins []anGate, varMasks []uMask) {
+	rs := &e.red
+	if vi < len(rs.perVar) {
+		span := rs.perVar[vi]
+		for _, cb := range rs.combos[span[0]:span[1]] {
+			e.redEmit(vi+1, cnt*cb.cnt, rootAdd+cb.rootAdd,
+				append(varPins, cb.pins...), append(varMasks, cb.masks...))
+		}
+		return
+	}
+	root := rs.rootBase + rootAdd
+	pins := rs.pins
+	copy(pins, rs.pinBase)
+	for _, g := range varPins {
+		pins[g.gd] = g.coord
+	}
+	n, nonRoot := 0, int64(0)
+	for pr := 0; pr < e.nprocs; pr++ {
+		q := e.coord(pr)
+		ok := true
+		for gd := 0; gd < e.q; gd++ {
+			if pins[gd] >= 0 && q[gd] != pins[gd] {
+				ok = false
+				break
+			}
+			if ca := rs.coordAllowed[gd]; ok && ca != nil && !ca[q[gd]] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			for _, mk := range varMasks {
+				if !mk.ok[q[mk.gd]] {
+					ok = false
+					break
+				}
+			}
+		}
+		if ok {
+			for _, pc := range rs.pairs {
+				if !pc.ok[q[pc.gd0]*pc.n1+q[pc.gd1]] {
+					ok = false
+					break
+				}
+			}
+		}
+		if ok {
+			n++
+			if pr != root {
+				nonRoot++
+				e.out[pr] += cnt
+			}
+		}
+	}
+	// Every non-root holder sends its partial. The root receives the
+	// one word of a lone holder, or Log2Ceil(n) tree levels.
+	e.reduceW += nonRoot * cnt
+	if n == 1 {
+		e.in[root] += nonRoot * cnt
+	} else {
+		e.in[root] += int64(Log2Ceil(n)) * cnt
+	}
 }
 
 // term classifies a lowered form by its loop terms: n counts them, and

@@ -1055,6 +1055,70 @@ func TestNeededWordsBillOnlyOverlappedCells(t *testing.T) {
 	}
 }
 
+// TestCellMemoCountsEachClippedFootprintOnce: replicas that are not
+// consecutive ranks meet an owner cell with the same rects clipped to it,
+// and the cell's memo answers them. Jacobi L2 at m = 32 on 512×2
+// replicates X and B over grid dim 0, so a rank's replicas are every
+// other rank: the needed-words pass counted a union for each of its
+// 32,704 (rank, cell) pairs while only the last footprint per array was
+// remembered, and counts 64 now, as on 1024×1, where replicas are
+// consecutive. Every grid of 1024 processors, jacobi's and sor's nests,
+// keeps its Counts.
+func TestCellMemoCountsEachClippedFootprintOnce(t *testing.T) {
+	const m, n = 32, 1024
+	unions := map[string]int64{}
+	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR()} {
+		for _, c := range gridNestCases(p, m, n, func(g *grid.Grid) map[string]dist.Scheme { return blockSchemes(m, g) }) {
+			var tl rankTally
+			if _, eng, err := CountValidatedNest(c.lw, c.nest, c.schemes, c.g, CountOptions{tally: &tl}); err != nil || eng != EngineAnalytic {
+				t.Fatalf("%s: engine %v, err %v; want the analytic engine", c.name, eng, err)
+			}
+			if tl.unions > tl.pairs {
+				t.Errorf("%s: %d union counts for %d (rank, cell) pairs", c.name, tl.unions, tl.pairs)
+			}
+			unions[c.name] = tl.unions
+		}
+	}
+	for _, name := range []string{"jacobi-L2/512x2", "jacobi-L2/1024x1", "sor-S1/512x2"} {
+		if unions[name] > 64 {
+			t.Errorf("%s: %d union counts, want at most 64", name, unions[name])
+		}
+	}
+}
+
+// TestWindowedSumWalksShortIntervals: an interval of the windowed sum
+// shorter than the combined period is walked value by value instead of
+// scanning every residue class. The gauss nests at m = 256 under cyclic
+// rows on 1024×1 — period 1024, every interval shorter — took 83,078,911
+// (G1) and 6,797,312 (G3) residue steps while every class was scanned,
+// and must take a tenth of that now with the Counts they had then.
+func TestWindowedSumWalksShortIntervals(t *testing.T) {
+	const m, n = 256, 1024
+	p, g := ir.Gauss(), grid.New(n, 1)
+	lw := lowered(t, p, map[string]int{"m": m})
+	for _, c := range []struct {
+		nest  int
+		steps int64
+		want  Counts
+	}{
+		{0, 83_078_911, Counts{TotalFlops: 11217280, MaxProcFlops: 66045, RemoteWords: 5624960, MaxProcIn: 33150, MaxProcOut: 65535}},
+		{2, 6_797_312, Counts{TotalFlops: 589568, MaxProcFlops: 1022, RemoteWords: 785664, MaxProcIn: 768, MaxProcOut: 3069}},
+	} {
+		var tl rankTally
+		ct, eng, err := CountValidatedNest(lw, c.nest, cyclicSchemes(g), g, CountOptions{tally: &tl})
+		if err != nil || eng != EngineAnalytic {
+			t.Fatalf("%s: engine %v, err %v; want the analytic engine", p.Nests[c.nest].Label, eng, err)
+		}
+		if ct != c.want {
+			t.Errorf("%s: %+v, want %+v", p.Nests[c.nest].Label, ct, c.want)
+		}
+		t.Logf("%s: %d residue steps (%d with every class scanned), %d products", p.Nests[c.nest].Label, tl.residueSteps, c.steps, tl.prodAts)
+		if tl.residueSteps > c.steps/10 {
+			t.Errorf("%s: %d residue steps, want at most a tenth of %d", p.Nests[c.nest].Label, tl.residueSteps, c.steps)
+		}
+	}
+}
+
 // TestCyclicShiftBillsOneCellPerRank reads, on 256 processors, the rows
 // one past each rank's own under cyclic rows at m = 1024: each
 // footprint's hull spans the whole period four times over, but its

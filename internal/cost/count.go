@@ -86,12 +86,15 @@ type CountOptions struct {
 
 // rankTally is the per-processor flops, words received and words sent of
 // one nest count, indexed by rank, and — from the closed forms only — the
-// number of (rank, owner cell) pairs whose footprint intersection the
-// needed-words pass counted: the work that pass scales with. A rank whose
-// footprint equals the one counted before it adds none.
+// work the count did: the (rank, owner cell) pairs whose footprint
+// intersection the needed-words pass counted (a rank whose footprint
+// equals the one counted before it adds none), the union counts among
+// them no cell memo answered, and the residue steps and products of the
+// windowed sums (winStats).
 type rankTally struct {
-	flops, in, out []int64
-	pairs          int64
+	flops, in, out        []int64
+	pairs, unions         int64
+	residueSteps, prodAts int64
 }
 
 // denseRanks spreads the oracle's per-rank map over n ranks.

@@ -90,7 +90,8 @@ func (r rect) halfPlane(sgn0, sgn1, g int, ge bool) rect {
 	return r
 }
 
-func (r *rect) count() int64 {
+// count is the number of points of r, its windowed sums tallied in ws.
+func (ws *winStats) count(r *rect) int64 {
 	a, b := r.a, r.b
 	if a.Hi < a.Lo || b.Hi < b.Lo {
 		return 0
@@ -135,7 +136,7 @@ func (r *rect) count() int64 {
 	if r.shi < bandMax {
 		t.his.add(r.shi, -1)
 	}
-	return sumWindowed(a, []winTerm{t})
+	return ws.sumWindowed(a, []winTerm{t})
 }
 
 // rectEq reports structural equality — same sets, same bands. Used to
@@ -176,20 +177,24 @@ func intersectRect(dst, x, y *rect) bool {
 
 // rectScratch is the working storage of one inclusion-exclusion walk:
 // the running intersection and the cursor into the rect list at each
-// depth. An engine invocation owns one, so counting a union allocates
-// nothing.
+// depth, and the tally of the windowed sums its counts take. An engine
+// workspace owns one, so counting a union allocates nothing.
 type rectScratch struct {
 	acc  [maxFootprintRects + 1]rect
 	next [maxFootprintRects + 1]int
+	win  winStats
 }
 
 // unionCount returns |within ∩ union of rs| by inclusion-exclusion, depth
 // first over the subsets of rs with an empty running intersection cutting
-// its whole subtree. The rect count per (array, processor) is bounded by
-// the nest's read references (at most maxFootprintRects), so the 2^k term
-// stays tiny.
+// its whole subtree; a nil within is the whole plane. The rect count per
+// (array, processor) is bounded by the nest's read references (at most
+// maxFootprintRects), so the 2^k term stays tiny.
 func (sc *rectScratch) unionCount(rs []rect, within *rect) int64 {
-	sc.acc[0], sc.next[0] = *within, 0
+	sc.next[0] = 0
+	if within != nil {
+		sc.acc[0] = *within
+	}
 	var sum int64
 	for d := 0; d >= 0; {
 		j := sc.next[d]
@@ -199,10 +204,12 @@ func (sc *rectScratch) unionCount(rs []rect, within *rect) int64 {
 		}
 		sc.next[d] = j + 1
 		cur := &sc.acc[d+1]
-		if !intersectRect(cur, &sc.acc[d], &rs[j]) {
+		if d == 0 && within == nil {
+			*cur = rs[j]
+		} else if !intersectRect(cur, &sc.acc[d], &rs[j]) {
 			continue
 		}
-		c := cur.count()
+		c := sc.win.count(cur)
 		if c == 0 {
 			continue
 		}
@@ -264,6 +271,13 @@ func (t *winTerm) eval(v int) int64 {
 // enumeration of v; the closed form takes over beyond it.
 const sumWindowedDirectCap = 64
 
+// winStats tallies the work of windowed sums: steps counts the residue
+// classes scanned and the values of v walked, prods the products
+// evaluated. Only tests read it.
+type winStats struct {
+	steps, prods int64
+}
+
 // sumWindowed returns sum over v in xs of the product over terms of
 // |term.set ∩ [max(term.los(v)), min(term.his(v))]|, in closed form.
 //
@@ -275,11 +289,12 @@ const sumWindowedDirectCap = 64
 // from len(terms)+1 samples per (interval, class) by Newton forward
 // differences and hockey-stick binomial sums — exactly the
 // "sums of arithmetic-progression counts" closed form.
-func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
+func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 	if xs.Hi < xs.Lo {
 		return 0
 	}
 	prodAt := func(v int) int64 {
+		ws.prods++
 		if !xs.InClass(v) {
 			return 0
 		}
@@ -295,6 +310,7 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 	if xs.Hi-xs.Lo < sumWindowedDirectCap {
 		var sum int64
 		for v := xs.Lo; v <= xs.Hi; v++ {
+			ws.steps++
 			sum += prodAt(v)
 		}
 		return sum
@@ -353,7 +369,17 @@ func sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 		if i+1 < len(starts) {
 			h = starts[i+1] - 1
 		}
+		if h-l+1 < period {
+			// Fewer values than residue classes: each class meets the
+			// interval at most once, so walk the values instead.
+			for v := l; v <= h; v++ {
+				ws.steps++
+				sum += prodAt(v)
+			}
+			continue
+		}
 		for rho := 0; rho < period; rho++ {
+			ws.steps++
 			if !xs.InClass(rho) {
 				continue
 			}

@@ -84,7 +84,7 @@ func TestRectCountMatchesEnumeration(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 120; trial++ {
 			r := randRect(rng, spanOnEitherSideOfCap(trial))
-			if got, want := r.count(), int64(len(rectPoints(r))); got != want {
+			if got, want := new(winStats).count(&r), int64(len(rectPoints(r))); got != want {
 				t.Fatalf("seed %d trial %d rect %+v: count = %d, enumeration %d", seed, trial, r, got, want)
 			}
 			// intersectRect against a second rect: a rejection (on hulls,
@@ -99,7 +99,7 @@ func TestRectCountMatchesEnumeration(t *testing.T) {
 			}
 			var x rect
 			if intersectRect(&x, &r, &o) {
-				got = x.count()
+				got = new(winStats).count(&x)
 			}
 			if got != common {
 				t.Fatalf("seed %d trial %d: %+v ∩ %+v counts %d, enumeration %d", seed, trial, r, o, got, common)
@@ -184,7 +184,7 @@ func TestSumWindowedMatchesEnumeration(t *testing.T) {
 				}
 				want += prod
 			}
-			if got := sumWindowed(xs, terms); got != want {
+			if got := new(winStats).sumWindowed(xs, terms); got != want {
 				t.Fatalf("seed %d trial %d xs %+v terms %+v: sumWindowed = %d, enumeration %d", seed, trial, xs, terms, got, want)
 			}
 		}

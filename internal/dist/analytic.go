@@ -29,6 +29,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"dmcc/internal/grid"
 )
@@ -104,6 +105,22 @@ func holds(g *grid.Grid, coords []int, r int) bool {
 	return true
 }
 
+// jointScratch is the working storage of one walk over joint cells: the
+// per-dimension tables and the owned intervals they are merged from, the
+// raw and per-grid-dimension coordinates of the cell being visited and
+// the rank lists handed to the visitor. A walk borrows one from
+// jointPool, so a warm walk allocates nothing.
+type jointScratch struct {
+	tables           [2][]coordPair
+	coordsF, coordsT []int
+	setsF, setsT     []IndexSet
+	rawF, rawT       [2]int
+	vecF, vecT       []int
+	dst, src         []int
+}
+
+var jointPool = sync.Pool{New: func() any { return new(jointScratch) }}
+
 // walkJointCells validates a scheme change — from on gFrom to to on gTo,
 // two grids of the same total processor count, over an array of the given
 // shape — builds the per-dimension joint count tables and visits every
@@ -111,8 +128,9 @@ func holds(g *grid.Grid, coords []int, r int) bool {
 // once, dimension 0 outermost, each table in (source, destination)
 // coordinate order. A cell is cnt elements that share their owners: the
 // destination owner ranks dst, ascending, and the source owner
-// coordinate per grid dimension, coordsF, All where replicated.
-func walkJointCells(gFrom, gTo *grid.Grid, shape []int, from, to Scheme, visit func(cnt int64, dst, coordsF []int)) error {
+// coordinate per grid dimension, coordsF, All where replicated. Both
+// lists are js's and change with the next cell.
+func (js *jointScratch) walkJointCells(gFrom, gTo *grid.Grid, shape []int, from, to Scheme, visit func(cnt int64, dst, coordsF []int)) error {
 	if gFrom.Size() != gTo.Size() {
 		return fmt.Errorf("dist: redistribution between %s and %s: processor counts differ", gFrom, gTo)
 	}
@@ -122,24 +140,25 @@ func walkJointCells(gFrom, gTo *grid.Grid, shape []int, from, to Scheme, visit f
 	if err := to.Validate(gTo, shape); err != nil {
 		return fmt.Errorf("dist: destination scheme: %v", err)
 	}
-	perDim := make([][]coordPair, len(shape))
 	for k := range shape {
 		dF, dT := from.Dims[k], to.Dims[k]
-		perDim[k] = dimJointCounts(dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
+		js.tables[k] = js.dimJointCounts(js.tables[k][:0], dF, gFrom.Extent(dF.GridDim), dT, gTo.Extent(dT.GridDim), shape[k])
 	}
-	rawF := make([]int, len(shape))
-	rawT := make([]int, len(shape))
+	rawF, rawT := js.rawF[:len(shape)], js.rawT[:len(shape)]
 	emit := func(cnt int64) {
-		visit(cnt, ranksFor(gTo, coordsFromRaw(to, gTo, rawT)), coordsFromRaw(from, gFrom, rawF))
+		js.vecT = coordsFromRaw(js.vecT[:0], to, gTo, rawT)
+		js.vecF = coordsFromRaw(js.vecF[:0], from, gFrom, rawF)
+		js.dst = appendRanks(js.dst[:0], gTo, js.vecT)
+		visit(cnt, js.dst, js.vecF)
 	}
 	// Validate admits 1-D and 2-D arrays only.
-	for _, c0 := range perDim[0] {
+	for _, c0 := range js.tables[0] {
 		rawF[0], rawT[0] = c0.aF, c0.aT
 		if len(shape) == 1 {
 			emit(c0.cnt)
 			continue
 		}
-		for _, c1 := range perDim[1] {
+		for _, c1 := range js.tables[1] {
 			rawF[1], rawT[1] = c1.aF, c1.aT
 			emit(c0.cnt * c1.cnt)
 		}
@@ -264,31 +283,41 @@ func (l ScaledLoads) MaxLoad() float64 {
 // enumeration.
 func RedistLoadsScaled(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (ScaledLoads, error) {
 	sl := NewScaledLoads()
-	err := walkJointCells(gFrom, gTo, shape, from, to, func(cnt int64, dst, coordsF []int) {
+	if err := sl.AddRedist(gFrom, gTo, shape, from, to); err != nil {
+		return ScaledLoads{}, err
+	}
+	return sl, nil
+}
+
+// AddRedist accumulates into l the loads RedistLoadsScaled computes for
+// one array's change, without building them apart: l ends as
+// l.Add(RedistLoadsScaled(...)) would leave it, to the key and the
+// numerator. An error adds nothing.
+func (l *ScaledLoads) AddRedist(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) error {
+	l.rescale(1)
+	js := jointPool.Get().(*jointScratch)
+	defer jointPool.Put(js)
+	return js.walkJointCells(gFrom, gTo, shape, from, to, func(cnt int64, dst, coordsF []int) {
 		var needy int64
 		for _, d := range dst {
 			if !holds(gFrom, coordsF, d) {
 				needy++
-				sl.In[d] += cnt * sl.Den
+				l.In[d] += cnt * l.Den
 			}
 		}
 		if needy == 0 {
 			return
 		}
-		src := ranksFor(gFrom, coordsF)
+		js.src = appendRanks(js.src[:0], gFrom, coordsF)
 		// The replica structure of one scheme is uniform over its
-		// elements, so this rescale changes Den at most once.
-		sl.rescale(int64(len(src)))
-		share := cnt * needy * (sl.Den / int64(len(src)))
-		for _, r := range src {
-			sl.Out[r] += share
+		// elements, so this rescale changes Den at most once per array.
+		l.rescale(int64(len(js.src)))
+		share := cnt * needy * (l.Den / int64(len(js.src)))
+		for _, r := range js.src {
+			l.Out[r] += share
 		}
-		sl.Words += cnt * needy
+		l.Words += cnt * needy
 	})
-	if err != nil {
-		return ScaledLoads{}, err
-	}
-	return sl, nil
 }
 
 // RedistLoadsExact is the element-enumeration reference oracle for
@@ -327,17 +356,16 @@ func RedistLoadsExact(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) Loads
 	return l
 }
 
-// coordsFromRaw turns per-array-dimension raw coordinates (mapDim
-// results before rotation, All for replicated dims) into the full
-// per-grid-dimension coordinate vector, applying Fixed entries and the
+// coordsFromRaw appends to dst the full per-grid-dimension coordinate
+// vector of per-array-dimension raw coordinates (mapDim results before
+// rotation, All for replicated dims), applying Fixed entries and the
 // scheme's rotation.
-func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
-	coords := make([]int, g.Q())
-	for gd := range coords {
-		if c, ok := s.Fixed[gd]; ok {
-			coords[gd] = c
-		}
+func coordsFromRaw(dst []int, s Scheme, g *grid.Grid, raw []int) []int {
+	base := len(dst)
+	for gd := 0; gd < g.Q(); gd++ {
+		dst = append(dst, s.Fixed[gd])
 	}
+	coords := dst[base:]
 	z0 := raw[0]
 	z1 := 0
 	if len(raw) > 1 {
@@ -359,11 +387,11 @@ func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
 	if len(raw) > 1 {
 		coords[s.Dims[1].GridDim] = z1
 	}
-	return coords
+	return dst
 }
 
-// dimJointCounts builds the sparse joint count table of one array
-// dimension: for every coordinate pair (a under dF on nF processors, b
+// dimJointCounts appends to out the sparse joint count table of one
+// array dimension, listing owned intervals in js: for every coordinate pair (a under dF on nF processors, b
 // under dT on nT processors) the number of indices i in 1..size with
 // dF(i) = a and dT(i) = b, in (a, b) order. Entries with zero count are
 // omitted. Replicated dims contribute the single coordinate All.
@@ -374,17 +402,17 @@ func coordsFromRaw(s Scheme, g *grid.Grid, raw []int) []int {
 // partner, or the overlap of two intervals — and two interval lists,
 // each disjoint and ordered along the index, overlap in at most
 // nF + nT - 1 pairs, which one merge finds.
-func dimJointCounts(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
+func (js *jointScratch) dimJointCounts(out []coordPair, dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	cycF, cycT := dF.Cyclic && !dF.Replicated, dT.Cyclic && !dT.Replicated
 	if cycF && cycT {
-		return jointCyclicCyclic(dF, nF, dT, nT, size)
+		return jointCyclicCyclic(out, dF, nF, dT, nT, size)
 	}
-	coordsF, setsF := ownedIntervals(dF, nF, size)
-	coordsT, setsT := ownedIntervals(dT, nT, size)
+	js.coordsF, js.setsF = ownedIntervals(js.coordsF[:0], js.setsF[:0], dF, nF, size)
+	js.coordsT, js.setsT = ownedIntervals(js.coordsT[:0], js.setsT[:0], dT, nT, size)
+	coordsF, setsF, coordsT, setsT := js.coordsF, js.setsF, js.coordsT, js.setsT
 	if !cycF && !cycT {
-		return jointIntervals(coordsF, setsF, descending(dF), coordsT, setsT, descending(dT))
+		return jointIntervals(out, coordsF, setsF, descending(dF), coordsT, setsT, descending(dT))
 	}
-	var out []coordPair
 	for i, a := range coordsF {
 		for j, b := range coordsT {
 			var c int64
@@ -407,9 +435,10 @@ func descending(d Dim) bool { return !d.Replicated && d.Sign == -1 }
 
 // jointIntervals merges two lists of owned intervals, given in coordinate
 // order and descending along the index when desc is set, into the table
-// of their non-empty overlaps in (aF, aT) order: one walk of both lists
-// along the index, then a sort of the at most nF + nT - 1 overlaps.
-func jointIntervals(coordsF []int, setsF []IndexSet, descF bool, coordsT []int, setsT []IndexSet, descT bool) []coordPair {
+// of their non-empty overlaps in (aF, aT) order, appended to out: one
+// walk of both lists along the index, then a sort of the at most
+// nF + nT - 1 overlaps.
+func jointIntervals(out []coordPair, coordsF []int, setsF []IndexSet, descF bool, coordsT []int, setsT []IndexSet, descT bool) []coordPair {
 	at := func(k, n int, desc bool) int {
 		if desc {
 			return n - 1 - k
@@ -417,7 +446,7 @@ func jointIntervals(coordsF []int, setsF []IndexSet, descF bool, coordsT []int, 
 		return k
 	}
 	nF, nT := len(coordsF), len(coordsT)
-	out := make([]coordPair, 0, nF+nT)
+	base := len(out)
 	for i, j := 0, 0; i < nF && j < nT; {
 		f, t := at(i, nF, descF), at(j, nT, descT)
 		if lo, hi := max(setsF[f].Lo, setsT[t].Lo), min(setsF[f].Hi, setsT[t].Hi); lo <= hi {
@@ -429,22 +458,18 @@ func jointIntervals(coordsF []int, setsF []IndexSet, descF bool, coordsT []int, 
 			j++
 		}
 	}
-	slices.SortFunc(out, byCoords)
+	slices.SortFunc(out[base:], byCoords)
 	return out
 }
 
-// ownedIntervals lists, ascending, the coordinates of dim d on n
+// ownedIntervals appends to coords, ascending, the coordinates of dim d on n
 // processors that own at least one index of 1..size — All alone for a
-// replicated dim — and the interval each owns. A cyclic dim lists every
+// replicated dim — and to sets the interval each owns. A cyclic dim lists every
 // coordinate and no sets: its owned sets have period n*Block each, and
 // cyclicCountIn counts inside them without building the masks.
-func ownedIntervals(d Dim, n, size int) (coords []int, sets []IndexSet) {
+func ownedIntervals(coords []int, sets []IndexSet, d Dim, n, size int) ([]int, []IndexSet) {
 	if d.Replicated {
-		return []int{All}, []IndexSet{Interval(1, size)}
-	}
-	coords = make([]int, 0, n)
-	if !d.Cyclic {
-		sets = make([]IndexSet, 0, n)
+		return append(coords, All), append(sets, Interval(1, size))
 	}
 	for a := 0; a < n; a++ {
 		if d.Cyclic {
@@ -483,14 +508,16 @@ func cyclicCountIn(d Dim, n, a, lo, hi int) int64 {
 	return c
 }
 
-// jointCyclicCyclic counts cyclic x cyclic pairs. The coordinate pair of
+// jointCyclicCyclic appends to all the table of cyclic x cyclic pairs. The coordinate pair of
 // index i repeats with period lcm(pF, pT), so one period window is
 // scanned and scaled; when the joint period exceeds the extent this
 // degenerates to a plain scan of the dimension — never worse than
 // enumerating the dimension once (and independent of the other
 // dimensions of the array). The window's runs of one pair are collected,
 // sorted and merged, so the table is as large as the window, not nF × nT.
-func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
+func jointCyclicCyclic(all []coordPair, dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
+	base := len(all)
+	out := all[base:]
 	pF, pT := nF*dF.Block, nT*dT.Block
 	period := LCM(pF, pT)
 	if period <= 0 || period > size {
@@ -502,7 +529,6 @@ func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 		z := d.Sign*i + d.Disp
 		return (z / d.Block) % n
 	}
-	var out []coordPair
 	for i := 1; i <= period; i++ {
 		a, b := coordOf(dF, nF, i), coordOf(dT, nT, i)
 		c := full
@@ -525,5 +551,5 @@ func jointCyclicCyclic(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 		out[k] = cp
 		k++
 	}
-	return out[:k]
+	return append(all[:base], out[:k]...)
 }

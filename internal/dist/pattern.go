@@ -403,6 +403,23 @@ func (s Scheme) DimCoordOf(g *grid.Grid, k, i int) int {
 // coordinate a of dimension d on n processors; a replicated dimension
 // owns the full range at its one coordinate.
 func OwnedPatternOf(d Dim, n, a, size int) IndexSet {
+	var mask []uint64
+	if d.Cyclic && !d.Replicated {
+		mask = newMask(n * d.Block)
+	}
+	return OwnedPatternIn(d, n, a, size, mask)
+}
+
+// PatternWords is the length of the mask OwnedPatternIn builds a cyclic
+// dimension's owned set in: one bit per residue of the period n*Block.
+func PatternWords(d Dim, n int) int { return (n*d.Block + 63) >> 6 }
+
+// OwnedPatternIn is OwnedPatternOf building a cyclic dimension's mask in
+// mask, PatternWords(d, n) words the caller has cleared and hands over:
+// the set holds it, and nothing may write it while the set is in use.
+// Other dimensions ignore mask. A caller that reuses its mask storage from
+// one pass to the next builds owned sets without allocating.
+func OwnedPatternIn(d Dim, n, a, size int, mask []uint64) IndexSet {
 	if d.Replicated {
 		return Interval(1, size)
 	}
@@ -421,12 +438,11 @@ func OwnedPatternOf(d Dim, n, a, size int) IndexSet {
 	// periodic with period n*Block, and its Block residues are the
 	// preimages r = Sign*(z - Disp) mod P of the block's z values.
 	p := n * d.Block
-	res := newMask(p)
 	for z := zlo; z <= zhi; z++ {
 		r := Mod(d.Sign*(z-d.Disp), p)
-		res[r>>6] |= 1 << (r & 63)
+		mask[r>>6] |= 1 << (r & 63)
 	}
-	return IndexSet{Lo: 1, Hi: size, Period: p, mask: res}
+	return IndexSet{Lo: 1, Hi: size, Period: p, mask: mask}
 }
 
 // MarkOwners sets, in the bitset coords (bit a in word a/64), every

@@ -379,7 +379,7 @@ func TestDimJointCountsMatchesBuckets(t *testing.T) {
 						return x.aT - y.aT
 					})
 
-					got := dimJointCounts(dF, nF, dT, nT, size)
+					got := new(jointScratch).dimJointCounts(nil, dF, nF, dT, nT, size)
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s x %s seed %d trial %d size=%d dF=%+v nF=%d dT=%+v nT=%d:\n got %v\nwant %v",
 							kF, kT, seed, trial, size, dF, nF, dT, nT, got, want)
@@ -397,10 +397,10 @@ func TestDimJointCountsMatchesBuckets(t *testing.T) {
 func jointCountsPairwise(dF Dim, nF int, dT Dim, nT int, size int) []coordPair {
 	cycF, cycT := dF.Cyclic && !dF.Replicated, dT.Cyclic && !dT.Replicated
 	if cycF && cycT {
-		return jointCyclicCyclic(dF, nF, dT, nT, size)
+		return jointCyclicCyclic(nil, dF, nF, dT, nT, size)
 	}
-	coordsF, setsF := ownedIntervals(dF, nF, size)
-	coordsT, setsT := ownedIntervals(dT, nT, size)
+	coordsF, setsF := ownedIntervals(nil, nil, dF, nF, size)
+	coordsT, setsT := ownedIntervals(nil, nil, dT, nT, size)
 	var out []coordPair
 	for i, a := range coordsF {
 		for j, b := range coordsT {
@@ -439,7 +439,7 @@ func TestDimJointCountsMatchesPairwise(t *testing.T) {
 				return d
 			}
 			dF, dT := draw(nF), draw(nT)
-			got, want := dimJointCounts(dF, nF, dT, nT, size), jointCountsPairwise(dF, nF, dT, nT, size)
+			got, want := new(jointScratch).dimJointCounts(nil, dF, nF, dT, nT, size), jointCountsPairwise(dF, nF, dT, nT, size)
 			if !slices.Equal(got, want) {
 				t.Fatalf("seed %d trial %d size=%d dF=%+v nF=%d dT=%+v nT=%d:\n got %v\nwant %v",
 					seed, trial, size, dF, nF, dT, nT, got, want)

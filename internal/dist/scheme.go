@@ -230,13 +230,11 @@ func (s Scheme) AppendOwners(dst []int, g *grid.Grid, idx ...int) []int {
 	return appendRanks(dst, g, s.appendCoords(buf[:0], g, idx))
 }
 
-// ranksFor expands a per-grid-dimension coordinate vector (entries may be
-// All) into the ascending list of matching ranks, in one allocation.
-func ranksFor(g *grid.Grid, coords []int) []int { return appendRanks(nil, g, coords) }
-
-// appendRanks appends ranksFor(g, coords) to dst: grown once to its final
-// size and filled in place in mixed-radix order, each All dimension
-// running through its extent with the later dimensions fastest.
+// appendRanks appends to dst the ascending list of ranks matching a
+// per-grid-dimension coordinate vector (entries may be All): grown once
+// to its final size and filled in place in mixed-radix order, each All
+// dimension running through its extent with the later dimensions
+// fastest.
 func appendRanks(dst []int, g *grid.Grid, coords []int) []int {
 	n := 1
 	for gd, c := range coords {

@@ -297,11 +297,11 @@ func TestRanksForMatchesExpansion(t *testing.T) {
 				}
 			}
 			g := grid.New(dims...)
-			got, want := ranksFor(g, coords), ranksForExpand(g, coords)
+			got, want := appendRanks(nil, g, coords), ranksForExpand(g, coords)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d trial %d: grid %v coords %v: ranksFor = %v, expansion %v", seed, trial, dims, coords, got, want)
+				t.Fatalf("seed %d trial %d: grid %v coords %v: appendRanks = %v, expansion %v", seed, trial, dims, coords, got, want)
 			}
-			if allocs := testing.AllocsPerRun(1, func() { ranksFor(g, coords) }); allocs != 1 {
+			if allocs := testing.AllocsPerRun(1, func() { appendRanks(nil, g, coords) }); allocs != 1 {
 				t.Fatalf("seed %d trial %d: grid %v coords %v: %v allocations, want 1", seed, trial, dims, coords, allocs)
 			}
 		}

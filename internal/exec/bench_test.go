@@ -149,8 +149,10 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 
 // TestRunAllocBudget gates what one Run allocates, each budget ~10 % above
 // the measured figure under -race, which adds ~340 allocations to Gauss
-// and ~70 to Jacobi. Gauss (dmbench's exec-gauss case) makes 2 631
-// allocations of 2.73 MB — 4 478 and 2.87 MB while the epoch plans,
+// and ~70 to Jacobi. Gauss (dmbench's exec-gauss case) makes 1 046
+// allocations of 2.71 MB — 2 631 and 2.73 MB while the assembly of Values
+// made one string per element key and grew each array's map, 4 478 and
+// 2.87 MB while the epoch plans,
 // reduction roles, owner lists, position rows, pending lists and input
 // buckets were nested slices, pointers and maps, 13 703 and 3.04 MB while
 // the machine allocated
@@ -169,7 +171,8 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 // nests were lowered, 65 944 before ranksFor filled its result in place,
 // 52 736 and 9.12 MB while the inspector also recorded every per-element
 // event for a stats replay). Jacobi on 1024 processors (exec-scale) makes
-// 1 760 allocations of 2.55 MB — 6 980 and 3.32 MB before the plan and
+// 682 allocations of 2.56 MB — 1 760 and 2.55 MB before the Values keys
+// were sliced from one buffer per array, 6 980 and 3.32 MB before the plan and
 // the executors' state were flat arrays, 20 873 and 3.64 MB before the
 // machine's
 // message path and the layouts' owner lists stopped allocating and the
@@ -189,8 +192,8 @@ func TestRunAllocBudget(t *testing.T) {
 		run           benchCase
 		allocs, bytes float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 3300, 3.04e6},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 2020, 2.83e6},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), 1530, 3.04e6},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), 830, 2.83e6},
 	} {
 		if allocs, bytes := allocsPerRun(3, func() { c.run.run(t) }); allocs > c.allocs || bytes > c.bytes {
 			t.Errorf("Run(%s) made %.0f allocations of %.0f bytes, budget %.0f and %.0f", c.name, allocs, bytes, c.allocs, c.bytes)

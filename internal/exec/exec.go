@@ -285,22 +285,35 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 	// ascending rank order, whose mark is set — an owner pruned from a
 	// reduction fan-out holds a stale or unmarked copy, so the first owner
 	// alone is not enough. Elements no owner wrote or loaded stay absent.
+	// An array's keys are formatted into one buffer and sliced from one
+	// string, and its map is made to its element count.
 	out := ir.NewStorage(p)
+	var keys []byte
+	var ends []int
+	var vals []float64
 	for a := range fin.arrays {
 		am := &fin.arrays[a]
 		if am.size == 0 {
 			continue
 		}
-		elems, off := out[am.name], 0
+		keys, ends, vals = keys[:0], ends[:0], vals[:0]
+		off := 0
 		dist.ForEachIndex(am.ext, func(idx []int) { // row-major: idx is element off
 			for _, o := range am.lay.owners(off) {
 				if i, _ := fin.slabOff(o, mkElem(a, off)); execs[last][o].marked()[i] {
-					elems[ir.Key(idx)] = execs[last][o].stores()[i]
+					keys = ir.AppendKey(keys, idx)
+					ends, vals = append(ends, len(keys)), append(vals, execs[last][o].stores()[i])
 					break
 				}
 			}
 			off++
 		})
+		text, start := string(keys), 0
+		elems := make(map[string]float64, len(vals))
+		for k, end := range ends {
+			elems[text[start:end]], start = vals[k], end
+		}
+		out[am.name] = elems
 	}
 	res := Result{Values: out, Stats: stats, Transport: stats,
 		InspectWall: simStart.Sub(start), SimWall: assembleStart.Sub(simStart),

@@ -153,14 +153,19 @@ type Storage map[string]map[string]float64
 // Key renders a subscript tuple as Storage keys an element: "3,-1,12".
 func Key(idx []int) string {
 	var buf [32]byte
-	b := buf[:0]
+	return string(AppendKey(buf[:0], idx))
+}
+
+// AppendKey appends Key(idx) to b: a caller formatting many keys writes
+// them into one buffer and slices the strings from one copy of it.
+func AppendKey(b []byte, idx []int) []byte {
 	for i, v := range idx {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return string(b)
+	return b
 }
 
 // ParseKey appends the subscripts of key to idx (a caller's stack buffer,

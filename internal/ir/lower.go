@@ -5,6 +5,10 @@
 // closed forms and both of exec's engines read what it builds; none of them
 // resolves a name itself. The reference walkers (Nest.Walk) still evaluate
 // names from their environment, so they stay independent of this lowering.
+//
+// Every lowered constant is affine in the size parameter, so a lowering
+// also records that parameter's coefficient in each form and extent:
+// Rebind moves it to another size in O(forms), reading no Affine map.
 
 package ir
 
@@ -40,6 +44,14 @@ type Lowered struct {
 	Shapes [][]int
 	// Nests[t] is Program.Nests[t] lowered.
 	Nests []LNest
+
+	// size is the value Bind gives the program's size parameter
+	// (Params[0]), 0 when it has none or Bind leaves it out; sizeC holds
+	// its coefficient in every extent and form, in the order Rebind
+	// visits them: Shapes, then per nest its loops' Lo and Hi and its
+	// statements' subscripts, LHS before reads.
+	size  int
+	sizeC []int
 }
 
 // LNest is a lowered nest: its loops outermost first, its statements in
@@ -78,7 +90,9 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 		lw.Names = append(lw.Names, name)
 	}
 	sort.Strings(lw.Names)
-	var sl slabs
+	sl := slabs{size: lw.sizeParam()}
+	lw.size = bind[sl.size]
+	sl.sizeC = make([]int, 0, p.forms())
 	lw.Shapes = make([][]int, len(lw.Names))
 	for a, name := range lw.Names {
 		lw.Shapes[a] = carve(&sl.ints, p.Arrays[name].Rank())
@@ -126,7 +140,94 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 			}
 		}
 	}
+	lw.sizeC = sl.sizeC
 	return lw, nil
+}
+
+// sizeParam is the name Rebind moves, the program's first size
+// parameter, or "" when it declares none.
+func (lw *Lowered) sizeParam() string {
+	if len(lw.Program.Params) == 0 {
+		return ""
+	}
+	return lw.Program.Params[0]
+}
+
+// forms is the number of extents, loop bounds and subscripts a lowering
+// of p holds.
+func (p *Program) forms() int {
+	n := 0
+	for _, a := range p.Arrays {
+		n += a.Rank()
+	}
+	for _, nest := range p.Nests {
+		n += 2 * len(nest.Loops)
+		for _, st := range nest.Stmts {
+			n += len(st.LHS.Subs)
+			for _, r := range st.Reads {
+				n += len(r.Subs)
+			}
+		}
+	}
+	return n
+}
+
+// Rebind re-binds lw in place to bind, which must give every variable
+// lw.Bind gives the same value except the program's size parameter
+// (Params[0]), and must not be changed while lw holds it. Every extent,
+// loop bound and subscript moves by its recorded coefficient of the
+// parameter: O(forms), no Affine map read, nothing allocated. The result
+// is what Lower(bind) returns — an extent below 1 is the same error,
+// naming the first such array in name order, and leaves lw unusable until
+// a Rebind succeeds.
+func (lw *Lowered) Rebind(bind map[string]int) error {
+	name := lw.sizeParam()
+	if len(bind) != len(lw.Bind) {
+		return fmt.Errorf("ir: Rebind binds %d variables, the lowering %d", len(bind), len(lw.Bind))
+	}
+	for v, x := range bind {
+		if y, ok := lw.Bind[v]; !ok || x != y && v != name {
+			return fmt.Errorf("ir: Rebind changes %s, not the size parameter %q", v, name)
+		}
+	}
+	delta := bind[name] - lw.size
+	lw.Bind, lw.size = bind, bind[name]
+	c := lw.sizeC
+	move := func(k *int) {
+		*k += c[0] * delta
+		c = c[1:]
+	}
+	for a := range lw.Shapes {
+		for d := range lw.Shapes[a] {
+			move(&lw.Shapes[a][d])
+		}
+	}
+	for t := range lw.Nests {
+		ln := &lw.Nests[t]
+		for d := range ln.Loops {
+			move(&ln.Loops[d].Lo.K)
+			move(&ln.Loops[d].Hi.K)
+		}
+		for si := range ln.Stmts {
+			ls := &ln.Stmts[si]
+			for d := range ls.LHS.Subs {
+				move(&ls.LHS.Subs[d].K)
+			}
+			for ri := range ls.Reads {
+				for d := range ls.Reads[ri].Subs {
+					move(&ls.Reads[ri].Subs[d].K)
+				}
+			}
+		}
+	}
+	for a, shape := range lw.Shapes {
+		for d, k := range shape {
+			if k < 1 {
+				return fmt.Errorf("ir: array %s: extent %s is %d, below 1", lw.Names[a], lw.Program.Arrays[lw.Names[a]].Extents[d], k)
+			}
+		}
+	}
+	return nil
 }
 
 // Array is the named array's index in Names, or -1.
@@ -143,6 +244,10 @@ type slabs struct {
 	ints []int
 	lins []Lin
 	refs []LRef
+	// size is the size parameter's name and sizeC its coefficient in
+	// every form lowered so far, in lowering order.
+	size  string
+	sizeC []int
 }
 
 // carve cuts n elements off the front of *slab, starting a new backing
@@ -178,6 +283,7 @@ func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
 // neither, if a has one.
 func (sl *slabs) lin(a Affine, scope []Loop, bind map[string]int) (l Lin, unbound string) {
 	l = Lin{K: a.Const, C: carve(&sl.ints, len(scope))}
+	sizeC := 0
 vars:
 	for v, c := range a.Coeff {
 		if c == 0 {
@@ -191,10 +297,14 @@ vars:
 		}
 		if val, ok := bind[v]; ok {
 			l.K += c * val
+			if v == sl.size {
+				sizeC = c
+			}
 		} else if unbound == "" || v < unbound {
 			unbound = v
 		}
 	}
+	sl.sizeC = append(sl.sizeC, sizeC)
 	for len(l.C) > 0 && l.C[len(l.C)-1] == 0 {
 		l.C = l.C[:len(l.C)-1]
 	}

@@ -2,6 +2,8 @@ package ir_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -186,5 +188,93 @@ func TestBuiltin(t *testing.T) {
 	}
 	if p, ok := ir.Builtin("stencil"); ok || p != nil {
 		t.Errorf("Builtin(stencil) = %v, %v; the tools do not name it", p, ok)
+	}
+}
+
+// TestRebindMatchesLower: a lowering re-bound to size m is the lowering
+// Lower builds at m — DeepEqual, the recorded coefficients included —
+// and at a size where an extent falls below 1 it is Lower's error, after
+// which re-binding to a good size recovers. Every builtin, every
+// testdata/*.f, Stencil and Synthetic(4..16) are re-bound from base 16
+// to every m in [1, 64], in an order that moves both ways.
+func TestRebindMatchesLower(t *testing.T) {
+	const base = 16
+	progs := []*ir.Program{ir.Stencil()}
+	for _, name := range ir.BuiltinNames() {
+		p, _ := ir.Builtin(name)
+		progs = append(progs, p)
+	}
+	for s := 4; s <= 16; s++ {
+		progs = append(progs, ir.Synthetic(s))
+	}
+	files, err := filepath.Glob("../../testdata/*.f")
+	if err != nil || len(files) < 3 {
+		t.Fatalf("testdata/*.f: %v, %v", files, err)
+	}
+	srcs := []string{
+		// Extents below 1 at m <= 3, and the size parameter in bounds,
+		// subscripts and a constant-shifted extent.
+		"PROGRAM shifted\nPARAM m\nREAL A(m), B(m-3), C(2*m+1)\nDO 9 i = 1, m-3\n7   B(i) = A(i+3) + C(2*i+1) + C(m-i+1)\n9 CONTINUE\nEND\n",
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(src))
+	}
+	for _, src := range srcs {
+		p, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		bind := map[string]int{"m": base}
+		lw, err := p.Lower(bind)
+		if err != nil {
+			t.Fatalf("%s at m=%d: %v", p.Name, base, err)
+		}
+		sizes := make([]int, 0, 4*base)
+		for m := 1; m <= 4*base; m++ {
+			sizes = append(sizes, m)
+		}
+		for i := len(sizes) - 1; i >= 0; i -= 3 {
+			sizes = append(sizes, sizes[i])
+		}
+		for _, m := range sizes {
+			bind["m"] = m
+			rerr := lw.Rebind(bind)
+			want, lerr := p.Lower(map[string]int{"m": m})
+			if errText(rerr) != errText(lerr) {
+				t.Fatalf("%s at m=%d: Rebind error %q, Lower error %q", p.Name, m, errText(rerr), errText(lerr))
+			}
+			if lerr == nil && !reflect.DeepEqual(lw, want) {
+				t.Fatalf("%s: re-bound to m=%d, the lowering differs from Lower's", p.Name, m)
+			}
+		}
+	}
+}
+
+// TestRebindMovesOnlyTheSizeParameter: a binding that differs from the
+// lowering's in any other variable, or binds another set of variables,
+// is refused rather than half applied.
+func TestRebindMovesOnlyTheSizeParameter(t *testing.T) {
+	p, err := ir.Parse("PROGRAM t\nPARAM m, n\nREAL A(m), B(n)\nDO 9 i = 1, n\n7   B(i) = A(i)\n9 CONTINUE\nEND\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := p.Lower(map[string]int{"m": 8, "n": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bind := range []map[string]int{{"m": 8, "n": 5}, {"m": 9}, {"m": 9, "n": 4, "k": 1}} {
+		if err := lw.Rebind(bind); err == nil {
+			t.Errorf("Rebind(%v) from m=8, n=4 accepted", bind)
+		}
+	}
+	if err := lw.Rebind(map[string]int{"m": 6, "n": 4}); err != nil || lw.Shapes[0][0] != 6 || lw.Shapes[1][0] != 4 {
+		t.Errorf("Rebind to m=6: %v, shapes %v", err, lw.Shapes)
 	}
 }
