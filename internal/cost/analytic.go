@@ -654,14 +654,12 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 			return Counts{}, false
 		}
 		as.owner = as.lhs
-		if st.Reduce {
-			if anchor := st.Anchor(); anchor >= 0 {
-				as.hasAnchor = true
-				if as.anchor, ok = e.compileRef(lw, schemes, &ls.Reads[anchor], &periodLCM); !ok {
-					return Counts{}, false
-				}
-				as.owner = as.anchor
+		if ls.Anchor >= 0 {
+			as.hasAnchor = true
+			if as.anchor, ok = e.compileRef(lw, schemes, &ls.Reads[ls.Anchor], &periodLCM); !ok {
+				return Counts{}, false
 			}
+			as.owner = as.anchor
 		}
 		as.reads = e.refs.take(len(st.Reads))[:0]
 		for ri, rd := range st.Reads {

@@ -57,10 +57,16 @@ func (ct Counts) Time(c Model) Breakdown {
 	}
 }
 
+// elemKey names an element by its array's index in the lowering and its
+// subscripts, unchecked: the reference counter prices what a caller past
+// CheckRanges asks, and an element outside its array is dist's assertion.
 type elemKey struct {
-	arr  string
-	i, j int
+	arr int
+	idx [2]int
 }
+
+// subs is e's subscripts.
+func (c *ownerCache) subs(e *elemKey) []int { return e.idx[:len(c.lw.Shapes[e.arr])] }
 
 type needKey struct {
 	elem elemKey
@@ -145,8 +151,7 @@ func CountValidatedNest(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g
 	} else if ok {
 		return ct, EngineAnalytic, nil
 	}
-	p := lw.Program
-	ct, err := countNestExact(p, p.Nests[t], schemes, g, lw.Bind, opts)
+	ct, err := countNestExact(lw, t, schemes, g, opts)
 	return ct, EngineExact, err
 }
 
@@ -184,27 +189,27 @@ func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, 
 	return lw, t, nil
 }
 
-// ownerCache memoizes Scheme.Owners per (array, element) so the billing
-// loop and repeated statement instances do not recompute (and reallocate)
-// the owner set for every word.
+// ownerCache memoizes Scheme.Owners per element so the billing loop and
+// repeated statement instances do not recompute (and reallocate) the
+// owner set for every word.
 type ownerCache struct {
-	p       *ir.Program
+	lw      *ir.Lowered
 	g       *grid.Grid
 	schemes map[string]dist.Scheme
 	m       map[elemKey][]int
-}
-
-func newOwnerCache(p *ir.Program, g *grid.Grid, schemes map[string]dist.Scheme) *ownerCache {
-	return &ownerCache{p: p, g: g, schemes: schemes, m: map[elemKey][]int{}}
 }
 
 func (c *ownerCache) owners(e elemKey) []int {
 	if o, ok := c.m[e]; ok {
 		return o
 	}
-	o := ownersOf(c.p, c.schemes[e.arr], c.g, e)
+	o := c.schemes[c.lw.Names[e.arr]].Owners(c.g, c.subs(&e)...)
 	c.m[e] = o
 	return o
+}
+
+func (c *ownerCache) isOwner(rank int, e elemKey) bool {
+	return c.schemes[c.lw.Names[e.arr]].IsOwner(c.g, rank, c.subs(&e)...)
 }
 
 // CountNestOptsExact is the reference counting engine: a direct walk of
@@ -212,51 +217,43 @@ func (c *ownerCache) owners(e elemKey) []int {
 // against, its fallback for the nests it declines, and the ablation
 // engine behind core.Compiler.ExactNestCount.
 func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	if _, _, err := validateNest(p, nest, schemes, g, bind); err != nil {
-		return Counts{}, err
-	}
-	return countNestExact(p, nest, schemes, g, bind, opts)
-}
-
-// countNestExact is CountNestOptsExact on an already validated nest.
-func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int, opts CountOptions) (Counts, error) {
-	includeRead := opts.IncludeRead
-
-	flops := map[int]int64{}
-	needed := map[needKey]bool{}
-	// partials[lhs element] = set of processors holding a partial sum.
-	partials := map[elemKey]map[int]bool{}
-	partialRoot := map[elemKey]int{}
-	owners := newOwnerCache(p, g, schemes)
-	err := nest.Walk(bind, func(st *ir.Stmt, env map[string]int) error {
-		return execStmt(p, st, schemes, g, owners, env, flops, needed, partials, partialRoot, includeRead, opts.Carried)
-	})
+	lw, t, err := validateNest(p, nest, schemes, g, bind)
 	if err != nil {
 		return Counts{}, err
 	}
+	return countNestExact(lw, t, schemes, g, opts)
+}
 
+// countNestExact is CountNestOptsExact on nest t of a validated lowering:
+// it walks the nest's instances (ir.LNest.Walk) and names every element
+// by its lowered subscripts.
+func countNestExact(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, error) {
+	c := &exactCount{lw: lw, t: t, opts: opts, iv: make([]int, len(lw.Nests[t].Loops)),
+		flops: map[int]int64{}, needed: map[needKey]bool{}, partials: map[elemKey]map[int]bool{}, partialRoot: map[elemKey]int{},
+		owners: &ownerCache{lw: lw, g: g, schemes: schemes, m: map[elemKey][]int{}}}
+	if err := lw.Nests[t].Walk(c.iv, c.instance); err != nil {
+		return Counts{}, err
+	}
 	var ct Counts
 	in := map[int]int64{}
 	out := map[int]int64{}
-	for p2, f := range flops {
+	for _, f := range c.flops {
 		ct.TotalFlops += f
-		if f > ct.MaxProcFlops {
-			ct.MaxProcFlops = f
-		}
-		_ = p2
+		ct.MaxProcFlops = max(ct.MaxProcFlops, f)
 	}
-	for nk := range needed {
+	for nk := range c.needed {
 		ct.RemoteWords++
 		in[nk.proc]++
 		// Each word leaves one canonical source: the element's first owner.
-		out[owners.owners(nk.elem)[0]]++
+		out[c.owners.owners(nk.elem)[0]]++
 	}
 	// Reduction combining trees.
-	if opts.Carried {
+	partials := c.partials
+	if c.opts.Carried {
 		partials = nil
 	}
 	for e, procs := range partials {
-		root := partialRoot[e]
+		root := c.partialRoot[e]
 		n := len(procs)
 		if n <= 1 {
 			if n == 1 && !procs[root] {
@@ -287,102 +284,95 @@ func countNestExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme
 			ct.MaxProcOut = w
 		}
 	}
-	if n := g.Size(); opts.tally != nil {
-		*opts.tally = rankTally{flops: denseRanks(flops, n), in: denseRanks(in, n), out: denseRanks(out, n)}
+	if n := g.Size(); c.opts.tally != nil {
+		*c.opts.tally = rankTally{flops: denseRanks(c.flops, n), in: denseRanks(in, n), out: denseRanks(out, n)}
 	}
 	return ct, nil
 }
 
-// execStmt records the computation and data needs of one dynamic
-// statement instance.
-func execStmt(p *ir.Program, st *ir.Stmt, schemes map[string]dist.Scheme, g *grid.Grid,
-	owners *ownerCache, env map[string]int, flops map[int]int64, needed map[needKey]bool,
-	partials map[elemKey]map[int]bool, partialRoot map[elemKey]int,
-	includeRead func(array string) bool, carried bool) error {
-
-	lhsElem, err := evalRef(p, st.LHS, env)
-	if err != nil {
-		return err
-	}
-	lhsOwners := owners.owners(lhsElem)
-
-	var executors []int
-	if st.Reduce {
-		// Partial sums are computed where the anchoring operand (the
-		// read touching the most loop indices — A(i,j) in line 5) lives;
-		// the partials are then combined at the LHS owner.
-		anchor := st.Anchor()
-		if anchor < 0 {
-			executors = lhsOwners
-		} else {
-			ae, err := evalRef(p, st.Reads[anchor], env)
-			if err != nil {
-				return err
-			}
-			executors = owners.owners(ae)
-			if partials[lhsElem] == nil {
-				partials[lhsElem] = map[int]bool{}
-				partialRoot[lhsElem] = lhsOwners[0]
-			}
-			for _, ex := range executors {
-				partials[lhsElem][ex] = true
-			}
-		}
-	} else {
-		executors = lhsOwners
-	}
-
-	if !carried {
-		for _, ex := range executors {
-			flops[ex] += int64(st.Flops)
-		}
-	}
-
-	for _, rd := range st.Reads {
-		if st.Reduce && rd.Array == st.LHS.Array {
-			continue // the accumulator itself is handled by the combining tree
-		}
-		if includeRead != nil && !includeRead(rd.Array) {
-			continue
-		}
-		re, err := evalRef(p, rd, env)
-		if err != nil {
-			return err
-		}
-		s := schemes[rd.Array]
-		for _, ex := range executors {
-			if !isOwnerOf(p, s, g, ex, re) {
-				needed[needKey{elem: re, proc: ex}] = true
-			}
-		}
-	}
-	return nil
+// exactCount is the reference walk's state: each rank's flops, the
+// (element, executor) pairs needing a word, and each reduced element's
+// partial holders and root.
+type exactCount struct {
+	lw          *ir.Lowered
+	t           int
+	opts        CountOptions
+	iv          []int
+	owners      *ownerCache
+	flops       map[int]int64
+	needed      map[needKey]bool
+	partials    map[elemKey]map[int]bool
+	partialRoot map[elemKey]int
 }
 
-func evalRef(p *ir.Program, r ir.Ref, env map[string]int) (elemKey, error) {
+// at is the element read ri of statement si names at the current
+// instance, its LHS when ri is -1.
+func (c *exactCount) at(si, ri int) (elemKey, error) {
+	ls := &c.lw.Nests[c.t].Stmts[si]
+	r := &ls.LHS
+	if ri >= 0 {
+		r = &ls.Reads[ri]
+	}
 	e := elemKey{arr: r.Array}
-	switch len(r.Subs) {
-	case 1:
-		e.i = r.Subs[0].Eval(env)
-	case 2:
-		e.i = r.Subs[0].Eval(env)
-		e.j = r.Subs[1].Eval(env)
-	default:
-		return e, fmt.Errorf("cost: reference %s has unsupported rank %d", r, len(r.Subs))
+	if len(r.Subs) > len(e.idx) {
+		st := c.lw.Program.Nests[c.t].Stmts[si]
+		return e, fmt.Errorf("cost: line %d: a reference of %s has unsupported rank %d", st.Line, c.lw.Names[r.Array], len(r.Subs))
+	}
+	for d := range r.Subs {
+		e.idx[d] = r.Subs[d].At(c.iv)
 	}
 	return e, nil
 }
 
-func ownersOf(p *ir.Program, s dist.Scheme, g *grid.Grid, e elemKey) []int {
-	if p.Array(e.arr).Rank() == 1 {
-		return s.Owners(g, e.i)
+// instance records the computation and data needs of one dynamic
+// statement instance.
+func (c *exactCount) instance(si int) error {
+	ls, st := &c.lw.Nests[c.t].Stmts[si], c.lw.Program.Nests[c.t].Stmts[si]
+	lhsElem, err := c.at(si, -1)
+	if err != nil {
+		return err
 	}
-	return s.Owners(g, e.i, e.j)
-}
+	executors := c.owners.owners(lhsElem)
+	if st.Reduce && ls.Anchor >= 0 {
+		// Partial sums are computed where the anchoring operand (the
+		// read touching the most loop indices — A(i,j) in line 5) lives;
+		// the partials are then combined at the LHS owner.
+		ae, err := c.at(si, ls.Anchor)
+		if err != nil {
+			return err
+		}
+		if c.partials[lhsElem] == nil {
+			c.partials[lhsElem] = map[int]bool{}
+			c.partialRoot[lhsElem] = executors[0]
+		}
+		executors = c.owners.owners(ae)
+		for _, ex := range executors {
+			c.partials[lhsElem][ex] = true
+		}
+	}
 
-func isOwnerOf(p *ir.Program, s dist.Scheme, g *grid.Grid, rank int, e elemKey) bool {
-	if p.Array(e.arr).Rank() == 1 {
-		return s.IsOwner(g, rank, e.i)
+	if !c.opts.Carried {
+		for _, ex := range executors {
+			c.flops[ex] += int64(st.Flops)
+		}
 	}
-	return s.IsOwner(g, rank, e.i, e.j)
+
+	for ri, rd := range ls.Reads {
+		if st.Reduce && rd.Array == ls.LHS.Array {
+			continue // the accumulator itself is handled by the combining tree
+		}
+		if c.opts.IncludeRead != nil && !c.opts.IncludeRead(c.lw.Names[rd.Array]) {
+			continue
+		}
+		re, err := c.at(si, ri)
+		if err != nil {
+			return err
+		}
+		for _, ex := range executors {
+			if !c.owners.isOwner(ex, re) {
+				c.needed[needKey{elem: re, proc: ex}] = true
+			}
+		}
+	}
+	return nil
 }

@@ -3,16 +3,16 @@
 // 1993 naive compiler would emit it, so its Stats are the Section 6 naive
 // figure. The batched engine must reproduce its Values and flops bit for
 // bit and never move more messages or words (TestBatchedMatchesExact).
-// It reads ir.Lower's subscripts and bounds and names elements by elemID,
-// but walks each nest itself, in ir.Nest.Walk's order, and takes owners
-// from dist.Scheme.Owners; Case.Check holds its values to ir.EvalProgram.
+// It walks ir.Lower's nests with ir.LNest.Walk, names elements by elemID
+// and evaluates the lowered right-hand sides, as Run does, but takes
+// owners from dist.Scheme.Owners and moves every value itself;
+// Case.Check holds its values to ir.EvalProgram.
 
 package exec
 
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -36,22 +36,10 @@ func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars ma
 	return runExact(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
 }
 
-// xstmt is a statement with what the walk needs of it, computed once per
-// nest: its lowering, its enclosing loops, whether it runs after the
-// deeper inner loop (ir.Nest.IsPost) and its anchor (ir.Stmt.Anchor).
-type xstmt struct {
-	*ir.Stmt
-	low    *ir.LStmt
-	loops  []ir.Loop
-	post   bool
-	anchor int
-}
-
 // shared is what every processor's engine reads and none writes.
 type shared struct {
 	lw      *ir.Lowered
-	scalars map[string]float64
-	stmts   [][]xstmt
+	scalars []float64
 	// tables[ss][a][off] is the ascending ranks owning element off of
 	// array a under ss.
 	tables map[*core.SchemeSet][][][]int
@@ -69,16 +57,14 @@ func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars m
 	if err != nil {
 		return Result{}, err
 	}
+	sv, err := lw.ScalarValues(scalars)
+	if err != nil {
+		return Result{}, err
+	}
 	if !p.Iterative {
 		iters = 1
 	}
-	sh := &shared{lw: lw, scalars: scalars, stmts: make([][]xstmt, len(p.Nests)),
-		tables: map[*core.SchemeSet][][][]int{}, keys: make([][]string, len(lw.Names))}
-	for t, nest := range p.Nests {
-		for si, st := range nest.Stmts {
-			sh.stmts[t] = append(sh.stmts[t], xstmt{st, &lw.Nests[t].Stmts[si], nest.Loops[:st.Depth], nest.IsPost(st), st.Anchor()})
-		}
-	}
+	sh := &shared{lw: lw, scalars: sv, tables: map[*core.SchemeSet][][][]int{}, keys: make([][]string, len(lw.Names))}
 	for _, seg := range segs {
 		sh.tables[seg.Schemes] = make([][][]int, len(lw.Names))
 	}
@@ -98,7 +84,7 @@ func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars m
 	}
 	st, err := mach.Run(func(proc *machine.Proc) {
 		e := &engine{shared: sh, ss: segs[0].Schemes, own: sh.tables[segs[0].Schemes], proc: proc, me: proc.Rank(),
-			store: map[elemID]float64{}, partials: map[elemID]float64{}, pending: map[elemID][]int{}, env: maps.Clone(bind)}
+			store: map[elemID]float64{}, partials: map[elemID]float64{}, pending: map[elemID][]int{}}
 		// Load owned (and replicated) elements from the input, free of
 		// charge: the run does not price the initial distribution.
 		for a, name := range lw.Names {
@@ -153,14 +139,14 @@ type engine struct {
 	// pending maps an accumulator to the sorted ranks whose partials are
 	// not combined yet, the same at every processor (the walk is lockstep).
 	pending map[elemID][]int
-	// iv is the current nest's loop vector, slot k loop k's index; env
-	// holds the binding and an evaluated statement's loop indices.
-	iv  []int
-	env map[string]int
-	// The instance executing: its reads bar a reduction's accumulator, and
-	// the operands it received or, for the accumulator, sums.
+	// t is the nest walking and iv its loop vector, slot k loop k's index.
+	t  int
+	iv []int
+	// The instance executing: its read elements, the operands it received,
+	// and its operand values in Reads order.
 	reads []elemID
 	vals  []elemVal
+	ops   []float64
 }
 
 type elemVal struct {
@@ -170,13 +156,11 @@ type elemVal struct {
 
 func (e *engine) owners(el elemID) []int { return e.own[el.arr()][el.off()] }
 
-// at is the element r names at the current loop vector.
+// at is the element r names at the current loop vector. validate checked
+// every subscript against its extent, so it lies inside them.
 func (e *engine) at(r *ir.LRef) elemID {
-	off := 0
-	for d, ext := range e.lw.Shapes[r.Array] {
-		off = off*ext + r.Subs[d].At(e.iv) - 1
-	}
-	return mkElem(r.Array, off)
+	el, _ := elemAt(r, e.iv)
+	return el
 }
 
 // change crosses a scheme change to the set to, element by element —
@@ -211,8 +195,8 @@ func (e *engine) change(to *core.SchemeSet) {
 // runNest walks nest t in lockstep with every other processor, executing
 // owned statement instances, then combines the reductions still pending.
 func (e *engine) runNest(t int) {
-	e.iv = make([]int, len(e.lw.Nests[t].Loops))
-	e.walk(t, 0)
+	e.t, e.iv = t, make([]int, len(e.lw.Nests[t].Loops))
+	e.lw.Nests[t].Walk(e.iv, e.instance)
 	pend := make([]elemID, 0, len(e.pending))
 	for el := range e.pending {
 		pend = append(pend, el)
@@ -225,48 +209,29 @@ func (e *engine) runNest(t int) {
 	}
 }
 
-// walk visits nest t's instances at loop level and below in ir.Nest.Walk's
-// order: the level's statements before the inner loop, the loop, then
-// those after it.
-func (e *engine) walk(t, level int) {
-	loops := e.lw.Nests[t].Loops
-	for _, after := range [2]bool{false, true} {
-		if after && level < len(loops) {
-			l := &loops[level]
-			for v, hi := l.Lo.At(e.iv), l.Hi.At(e.iv); (hi-v)*l.Step >= 0; v += l.Step {
-				e.iv[level] = v
-				e.walk(t, level+1)
-			}
-		}
-		for i := range e.stmts[t] {
-			if st := &e.stmts[t][i]; st.Depth == level && st.post == after {
-				e.instance(st)
-			}
-		}
-	}
-}
-
-// instance executes one dynamic statement instance.
-func (e *engine) instance(st *xstmt) {
-	// Executor set: anchor owners for reductions, LHS owners otherwise.
-	lhs := e.at(&st.low.LHS)
+// instance executes one dynamic statement instance, of statement si of
+// the current nest.
+func (e *engine) instance(si int) error {
+	st, ls := e.lw.Program.Nests[e.t].Stmts[si], &e.lw.Nests[e.t].Stmts[si]
+	// Executor set: anchor owners for reductions, LHS owners otherwise. A
+	// reduction's accumulator is no operand to ship or finalize.
+	lhs := e.at(&ls.LHS)
 	executors := e.owners(lhs)
 	e.reads = e.reads[:0]
-	for k := range st.low.Reads {
-		rd := e.at(&st.low.Reads[k])
-		if st.Reduce && k == st.anchor {
+	for k := range ls.Reads {
+		rd := e.at(&ls.Reads[k])
+		if k == ls.Anchor {
 			executors = e.owners(rd)
 		}
-		if !st.Reduce || rd != lhs {
-			e.reads = append(e.reads, rd)
-		}
+		e.reads = append(e.reads, rd)
 	}
+	acc := func(rd elemID) bool { return st.Reduce && rd == lhs }
 
 	// Any pending reduction read by this instance (other than the
 	// statement's own accumulator) must be combined first; a write to a
 	// pending element also forces combining.
 	for _, rd := range e.reads {
-		if _, pend := e.pending[rd]; pend {
+		if _, pend := e.pending[rd]; pend && !acc(rd) {
 			e.finalize(rd)
 		}
 	}
@@ -280,6 +245,9 @@ func (e *engine) instance(st *xstmt) {
 	// executor holding an operand reads it from its store.
 	e.vals = e.vals[:0]
 	for _, rd := range e.reads {
+		if acc(rd) {
+			continue
+		}
 		owners := e.owners(rd)
 		for _, ex := range executors {
 			if slices.Contains(owners, ex) {
@@ -302,17 +270,17 @@ func (e *engine) instance(st *xstmt) {
 			e.pending[lhs] = slices.Insert(e.pending[lhs], i, contrib)
 		}
 		executors = executors[:1]
-		e.vals = append(e.vals, elemVal{lhs, e.partials[lhs]})
 	}
 	if !slices.Contains(executors, e.me) {
-		return
+		return nil
 	}
-	// Evaluate the RHS under the enclosing loops' indices, each operand
-	// from vals, or else the local store.
-	for k, l := range st.loops {
-		e.env[l.Index] = e.iv[k]
+	// Evaluate the RHS over each operand from vals, or else the local
+	// store, and the accumulator's partial.
+	e.ops = e.ops[:0]
+	for _, rd := range e.reads {
+		e.ops = append(e.ops, e.load(rd, acc(rd)))
 	}
-	switch v := st.RHS.Eval(e.env, e.load, e.scalars); {
+	switch v := ls.Eval(e.ops, e.scalars); {
 	case st.Reduce:
 		e.partials[lhs] = v
 	case math.IsNaN(v):
@@ -321,15 +289,15 @@ func (e *engine) instance(st *xstmt) {
 		e.store[lhs] = v
 	}
 	e.proc.Compute(st.Flops)
+	return nil
 }
 
-// load is the RHS's: an operand's value at this processor.
-func (e *engine) load(r ir.Ref, idx []int) float64 {
-	a, off := e.lw.Array(r.Array), 0
-	for d, ext := range e.lw.Shapes[a] {
-		off = off*ext + idx[d] - 1
+// load is an operand's value at this processor: a reduction's partial for
+// its accumulator, else the value received, else the local store's.
+func (e *engine) load(el elemID, acc bool) float64 {
+	if acc {
+		return e.partials[el]
 	}
-	el := mkElem(a, off)
 	for _, ev := range e.vals {
 		if ev.elem == el {
 			return ev.val

@@ -10,8 +10,9 @@
 // incur excessive communication overhead" (Section 6) — made executable:
 // every processor walks the full iteration space in lockstep and ships
 // every remote operand as its own one-word message. It is the oracle,
-// and its Stats are the Section 6 naive figure. It names elements as Run
-// does (elemID) and reads ir.Lower's forms, but walks them itself.
+// and its Stats are the Section 6 naive figure. It walks, names elements
+// and evaluates as Run does, on ir.Lower's forms (ir.LNest.Walk, elemAt,
+// ir.LStmt.Eval), so the two differ only in what moves the values.
 //
 // Run is the engine the tools use, and its Stats are the run it
 // executed. An inspector pass (schedule.go) walks each nest once per
@@ -31,7 +32,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"dmcc/internal/core"
@@ -118,11 +118,10 @@ type NestCount struct {
 }
 
 // validate performs the shared pre-flight checks of both engines and
-// returns the program lowered under bind. Every segment of the plan — its
-// nests in order, on one number of processors — must have a scheme for
-// every array. Every input element must be a canonical key of a declared
-// array, of its rank and inside its extents: a key either engine cannot
-// place would alias another element or panic inside the run.
+// returns the program lowered under bind, its subscripts inside their
+// extents and its input placeable (ir.Lowered.CheckInput). Every segment
+// of the plan — its nests in order, on one number of processors — must
+// have a scheme for every array.
 func validate(p *ir.Program, segs []core.Segment, bind map[string]int, input ir.Storage) (*ir.Lowered, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -131,43 +130,16 @@ func validate(p *ir.Program, segs []core.Segment, bind map[string]int, input ir.
 	if err == nil {
 		err = lw.CheckRanges()
 	}
+	if err == nil {
+		err = lw.CheckInput(input)
+	}
 	if err != nil {
 		return nil, err
-	}
-	for name, elems := range input {
-		a := lw.Array(name)
-		if a < 0 {
-			if len(elems) > 0 {
-				return nil, fmt.Errorf("exec: input for undeclared array %s", name)
-			}
-			continue
-		}
-		ext := lw.Shapes[a]
-		for key := range elems {
-			var idxBuf [4]int
-			idx, ok := ir.ParseKey(idxBuf[:0], key)
-			ok = ok && len(idx) == len(ext)
-			for d := 0; ok && d < len(idx); d++ {
-				ok = idx[d] >= 1 && idx[d] <= ext[d]
-			}
-			if !ok {
-				return nil, fmt.Errorf("exec: input key %q of array %s is not %d canonical subscripts inside its extents %v",
-					key, name, len(ext), ext)
-			}
-		}
 	}
 	for _, nest := range p.Nests {
 		for _, st := range nest.Stmts {
 			if st.RHS == nil && st.Flops > 0 {
 				return nil, fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
-			}
-			// Only Reads are shipped to the executors; an operand missing
-			// from them would be loaded, unshipped, from the local store.
-			// Ref.String is canonical (variables sorted, zero terms dropped).
-			for _, r := range ir.ExprReads(st.RHS) {
-				if !slices.ContainsFunc(st.Reads, func(rd ir.Ref) bool { return rd.String() == r.String() }) {
-					return nil, fmt.Errorf("exec: statement at line %d reads %s, which is not in its Reads %v", st.Line, r, st.Reads)
-				}
 			}
 		}
 	}

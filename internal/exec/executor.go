@@ -78,8 +78,8 @@ type valExec struct {
 func (s *progSchedule) executors() []valExec {
 	reads := 0
 	for _, ns := range s.nests {
-		for i := range ns.stmts {
-			reads = max(reads, len(ns.stmts[i].reads))
+		for i := range ns.ln.Stmts {
+			reads = max(reads, len(ns.ln.Stmts[i].Reads))
 		}
 	}
 	words, flags := int32(0), int32(0)
@@ -118,10 +118,9 @@ type arrayLoad struct {
 // cell it holds into its stores. (A per-processor scan asking IsOwner per
 // element is O(nprocs * elements) with string parsing inside; at N=256 it
 // dominated whole-run profiles.) validate has checked every key, so each
-// parses, into a stack buffer, to an element.
+// names an element (ir.Lowered.Elem).
 func buildLoads(s *progSchedule, input ir.Storage) []arrayLoad {
 	loads := make([]arrayLoad, len(s.arrays))
-	var buf [4]int
 	for a := range s.arrays {
 		am, ld := &s.arrays[a], &loads[a]
 		elems := input[am.name]
@@ -135,10 +134,9 @@ func buildLoads(s *progSchedule, input ir.Storage) []arrayLoad {
 			}
 		}
 		for key, v := range elems {
-			idx, _ := ir.ParseKey(buf[:0], key)
-			e, _ := s.elemOf(a, idx)
-			c := am.lay.owners(e.off())[0]
-			i, _ := am.lay.local(c, e.off())
+			off, _ := s.lw.Elem(a, key)
+			c := am.lay.owners(off)[0]
+			i, _ := am.lay.local(c, off)
 			ld.vals[ld.at[c]+i], ld.set[ld.at[c]+i] = v, true
 		}
 	}
@@ -295,8 +293,8 @@ func (x *valExec) runRedist(op int32, origin []float64, buf []machine.Word, fill
 // one-word messages in the shared global order — and, unless this processor
 // is a receive-only replica of a reduction, evaluates the statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
-	stmt := &ns.stmts[in.stmt]
-	ops, vals := ns.operands[in.off:int(in.off)+len(stmt.reads)], x.s.fw[x.vals.lo:x.vals.hi]
+	stmt, ls := ns.stmts[in.stmt], &ns.ln.Stmts[in.stmt]
+	ops, vals := ns.operands[in.off:int(in.off)+len(ls.Reads)], x.s.fw[x.vals.lo:x.vals.hi]
 	for ; x.stage < len(ops); x.stage++ {
 		var v float64
 		switch o := ops[x.stage]; {
@@ -323,7 +321,7 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 	if in.role == roleRecvOnly {
 		return true
 	}
-	v := evalExpr(stmt.rhs, vals)
+	v := ls.Eval(vals, x.s.scalars)
 	if in.role == roleReduce {
 		x.parts()[in.arg] = v
 	} else {
@@ -334,29 +332,6 @@ func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 	}
 	x.proc.Compute(stmt.Flops)
 	return true
-}
-
-// evalExpr evaluates a lowered right-hand side over the operand values
-// vals.
-func evalExpr(e *lexpr, vals []float64) float64 {
-	switch e.op {
-	case lNum:
-		return e.val
-	case lRef:
-		return vals[e.read]
-	case lNeg:
-		return -evalExpr(e.l, vals)
-	}
-	l, r := evalExpr(e.l, vals), evalExpr(e.r, vals)
-	switch e.op {
-	case '+':
-		return l + r
-	case '-':
-		return l - r
-	case '*':
-		return l * r
-	}
-	return l / r // lowerExpr admits no fifth operator
 }
 
 // takePart returns the partial sum at position p and clears it for the

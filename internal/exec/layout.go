@@ -133,30 +133,5 @@ func (d dense[T]) at(s *progSchedule, e elemID) *T {
 	return &d[a][e.off()]
 }
 
-// elemOf maps array a's 1-based subscripts to the element id, checked
-// against the declared extents (the dense stores cannot absorb
-// out-of-range elements the way the old string maps silently did).
-func (s *progSchedule) elemOf(a int, idx []int) (elemID, bool) {
-	am := &s.arrays[a]
-	off := 0
-	for d, v := range idx {
-		if v < 1 || v > am.ext[d] {
-			return 0, false
-		}
-		off = off*am.ext[d] + (v - 1)
-	}
-	return mkElem(a, off), true
-}
-
-// decode is elemOf's inverse: the element's 1-based subscripts, used only
-// at the ir.Storage boundary and in diagnostics.
-func (s *progSchedule) decode(e elemID) []int {
-	am := &s.arrays[e.arr()]
-	idx := make([]int, len(am.ext))
-	off := e.off()
-	for d := len(am.ext) - 1; d >= 0; d-- {
-		idx[d] = off%am.ext[d] + 1
-		off /= am.ext[d]
-	}
-	return idx
-}
+// decode is the element's 1-based subscripts, used only in diagnostics.
+func (s *progSchedule) decode(e elemID) []int { return s.lw.Index(e.arr(), e.off(), nil) }

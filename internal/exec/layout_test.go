@@ -37,7 +37,7 @@ func checkLayout(t *testing.T, c layoutCase) (l layout, words []int) {
 	if err != nil {
 		t.Fatalf("%s: %v", c.label, err)
 	}
-	s := &progSchedule{arrays: []arrayMeta{am}}
+	s := &progSchedule{arrays: []arrayMeta{am}, lw: &ir.Lowered{Shapes: [][]int{c.ext}}}
 	words = make([]int, c.g.Size())
 	for r := 0; r < c.g.Size(); r++ {
 		seen := make([]bool, l.storeLen(r))
@@ -228,7 +228,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{{name: "A", ext: []int{4}, size: 4, lay: lay}},
+	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{{name: "A", ext: []int{4}, size: 4, lay: lay}}, lw: &ir.Lowered{Shapes: [][]int{{4}}},
 		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}, vecLen: make([]int32, 2)}
 	// Rank 1 is told to ship A(2), which rank 0 owns, to rank 0.
 	load := &nestSchedule{instrs: []pinstr{{op: opSendDirect, arg: 0, elem: mkElem(0, 1)}}, at: []int32{0, 0, 1}}

@@ -127,19 +127,19 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 					if !ok {
 						t.Fatalf("%s: %s: an opEval the inspector never emitted", label, where)
 					}
-					st := &ns.stmts[in.stmt]
-					if lhs, err := st.lhs.elemAt(iv); err != nil || lhs != in.elem {
-						t.Fatalf("%s: %s at %v: writes element %d, elemAt gives %d (%v)", label, where, iv, in.elem, lhs, err)
+					st, ls := ns.stmts[in.stmt], &ns.ln.Stmts[in.stmt]
+					if lhs, ok := elemAt(&ls.LHS, iv); !ok || lhs != in.elem {
+						t.Fatalf("%s: %s at %v: writes element %d, elemAt gives %d (inside the extents: %v)", label, where, iv, in.elem, lhs, ok)
 					}
 					if in.role == roleReduce {
 						decode(where+" partial sum", parts, int32(r), in.arg, in.elem)
 					}
-					for ri, o := range ns.operands[in.off : int(in.off)+len(st.reads)] {
-						want, err := st.reads[ri].elemAt(iv)
-						if err != nil {
-							t.Fatalf("%s: %s: %v", label, where, err)
+					for ri, o := range ns.operands[in.off : int(in.off)+len(ls.Reads)] {
+						want, ok := elemAt(&ls.Reads[ri], iv)
+						if !ok {
+							t.Fatalf("%s: %s: %v", label, where, s.lw.Outside(ns.t, int(in.stmt), ri, iv))
 						}
-						what := fmt.Sprintf("%s at %v, operand %d (%s)", where, iv, ri, st.reads[ri].ref)
+						what := fmt.Sprintf("%s at %v, operand %d (%s)", where, iv, ri, st.Reads[ri])
 						switch o.kind() {
 						case opdOwned:
 							decode(what, slab, int32(r), int32(o.addr()), want)

@@ -49,9 +49,10 @@ type planSchedule struct {
 // holds per rank, epoch, message or element is in flat, pointer-free
 // arrays addressed by int32 ranges, which the collector does not scan.
 type progSchedule struct {
-	g       *grid.Grid
-	lw      *ir.Lowered
-	scalars map[string]float64
+	g  *grid.Grid
+	lw *ir.Lowered
+	// scalars holds the scalar values, by slot (ir.Lowered.ScalarValues).
+	scalars []float64
 	nprocs  int
 	arrays  []arrayMeta // indexed like lw.Names
 	nests   []*nestSchedule
@@ -214,9 +215,11 @@ func (s *progSchedule) computeFanouts() {
 // every outer iteration (the binding, and hence the walk, is identical
 // across iterations).
 type nestSchedule struct {
-	// loops and stmts are the nest lowered once against the binding.
-	loops []ir.LLoop
-	stmts []lstmt
+	// t is the nest's index in the program, ln its lowering and stmts its
+	// statements, ln.Stmts[i] the lowering of stmts[i].
+	t     int
+	ln    *ir.LNest
+	stmts []*ir.Stmt
 	// instrs[at[r]:at[r+1]] is processor r's value-pass instruction
 	// stream: flat records indexing the nest's arenas — operands holds
 	// every eval's operand addresses — and the segment's plan.
@@ -522,9 +525,13 @@ func (ns *nestSchedule) ringEligible(items []finOp) bool {
 // change into each segment, which the changes' keeper reads must precede
 // the fan-out pruning of every segment.
 func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, low *lowering) (*planSchedule, error) {
+	sv, err := lw.ScalarValues(scalars)
+	if err != nil {
+		return nil, err
+	}
 	pl := &planSchedule{plan: segs, segs: make([]*progSchedule, len(segs)), changes: make([]*changeEpoch, len(segs))}
 	for k, seg := range segs {
-		s, err := buildSchedule(lw, seg, scalars, low)
+		s, err := buildSchedule(lw, seg, sv, low)
 		if err != nil {
 			return nil, err
 		}
@@ -549,7 +556,7 @@ func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, 
 // one composed collective redistribution, lowered with low's scratch. A
 // subscript outside its array is an error. The fan-outs are buildPlan's
 // to prune.
-func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars map[string]float64, low *lowering) (*progSchedule, error) {
+func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars []float64, low *lowering) (*progSchedule, error) {
 	ss := seg.Schemes
 	s := &progSchedule{
 		g: ss.Grid, lw: lw, scalars: scalars,

@@ -8,16 +8,27 @@
 // Li & Chen's communication-set generation; message vectorization in
 // the Gupta & Banerjee lineage).
 //
-// The hot path works on integers only: each nest is lowered once
-// (ir.Program.Lower, lower.go) to slot-indexed affine forms and array ids,
-// and elements are elemID integers (array id + row-major offset). Names
-// and "arr!i,j" strings survive only at the ir.Storage boundary.
+// The hot path works on integers only: the walk is ir.LNest.Walk over
+// the program's lowering (ir.Program.Lower), whose slot-indexed forms name
+// every element as an elemID (array id + row-major offset, elemAt), and
+// whose postfix right-hand sides the executor evaluates over operand
+// values. Names and "arr!i,j" strings survive only at the ir.Storage
+// boundary.
 
 package exec
 
 import (
 	"slices"
+
+	"dmcc/internal/ir"
 )
+
+// elemAt is the element r names at loop vector iv, and whether it lies
+// inside its array's extents (ir.LRef.Offset).
+func elemAt(r *ir.LRef, iv []int) (elemID, bool) {
+	off, ok := r.Offset(iv)
+	return mkElem(r.Array, off), ok
+}
 
 // nestBuilder is the inspector's per-nest state.
 type nestBuilder struct {
@@ -90,13 +101,10 @@ type shipT struct {
 
 // buildNest builds the schedule of program nest t, the segment's idx-th.
 func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, error) {
-	ns := &nestSchedule{}
-	if err := s.lowerNest(t, ns); err != nil {
-		return nil, err
-	}
+	ns := &nestSchedule{t: t, ln: &s.lw.Nests[t], stmts: s.lw.Program.Nests[t].Stmts}
 	b := &nestBuilder{
 		s: s, ns: ns, idx: int32(idx),
-		iv:      make([]int, len(ns.loops)),
+		iv:      make([]int, len(ns.ln.Loops)),
 		pending: make(dense[rowRef], len(s.arrays)),
 		written: make(dense[uint32], len(s.arrays)),
 		epoch:   1,
@@ -107,7 +115,7 @@ func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, erro
 		words:   (s.nprocs + 63) / 64,
 		flops:   make([]int64, s.nprocs),
 	}
-	if err := b.walk(0); err != nil {
+	if err := ns.ln.Walk(b.iv, b.instance); err != nil {
 		return nil, err
 	}
 	for _, f := range b.flops {
@@ -123,31 +131,6 @@ func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, erro
 	b.closeEpoch()
 	b.cut()
 	return ns, nil
-}
-
-// walk visits the iteration space below loop level in program order:
-// the level's statements before the inner loop, the loop, then the
-// statements after it.
-func (b *nestBuilder) walk(level int) error {
-	for _, post := range [2]bool{false, true} {
-		if post && level < len(b.ns.loops) {
-			l := &b.ns.loops[level]
-			for v, hi := l.Lo.At(b.iv), l.Hi.At(b.iv); (hi-v)*l.Step >= 0; v += l.Step {
-				b.iv[level] = v
-				if err := b.walk(level + 1); err != nil {
-					return err
-				}
-			}
-		}
-		for si := range b.ns.stmts {
-			if st := &b.ns.stmts[si]; st.Depth == level && st.post == post {
-				if err := b.instance(si, st); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // emit appends in to processor p's stream, reserving in front of p's
@@ -216,27 +199,27 @@ func grow[T any](s []T, n int) []T {
 // to the per-processor streams.
 // The decomposition (forced finalizes, executor set, ship list,
 // pending bookkeeping, evaluation) replicates engine.instance exactly.
-func (b *nestBuilder) instance(si int, st *lstmt) error {
-	s := b.s
+func (b *nestBuilder) instance(si int) error {
+	s, st, ls := b.s, b.ns.stmts[si], &b.ns.ln.Stmts[si]
 
 	// Resolve the written element and the read elements.
-	lhsElem, err := st.lhs.elemAt(b.iv)
-	if err != nil {
-		return err
+	lhsElem, ok := elemAt(&ls.LHS, b.iv)
+	if !ok {
+		return s.lw.Outside(b.ns.t, si, -1, b.iv)
 	}
 	b.readElem = b.readElem[:0]
-	for ri := range st.reads {
-		e, err := st.reads[ri].elemAt(b.iv)
-		if err != nil {
-			return err
+	for ri := range ls.Reads {
+		e, ok := elemAt(&ls.Reads[ri], b.iv)
+		if !ok {
+			return s.lw.Outside(b.ns.t, si, ri, b.iv)
 		}
 		b.readElem = append(b.readElem, e)
 	}
 
 	// Executor set: anchor owners for reductions, LHS owners otherwise.
 	executors := s.ownersOf(lhsElem)
-	if st.Reduce && st.anchor >= 0 {
-		executors = s.ownersOf(b.readElem[st.anchor])
+	if ls.Anchor >= 0 {
+		executors = s.ownersOf(b.readElem[ls.Anchor])
 	}
 
 	// Operands, and the ship list: one word from the element's first

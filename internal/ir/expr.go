@@ -1,7 +1,7 @@
 // Expression trees: the executable right-hand sides of statements. The
-// analyses (alignment, dependence, cost) only need the Reads list, but
-// the interpreters — the sequential reference evaluator below and the
-// parallel executor in package exec — need real semantics.
+// analyses (alignment, dependence, cost) only need the Reads list; the
+// evaluators — EvalProgram below and both of exec's engines — read the
+// postfix form Lower makes of each tree (LStmt.Eval).
 package ir
 
 import (
@@ -11,22 +11,13 @@ import (
 	"strings"
 )
 
-// Expr is an evaluable right-hand-side expression.
+// Expr is a right-hand-side expression: Num, Scalar, RefE, BinOp or NegE.
 type Expr interface {
-	// Eval computes the expression's value. env binds loop indices and
-	// parameters; load resolves array references at the current indices;
-	// scalars binds free scalar names (OMEGA and friends).
-	Eval(env map[string]int, load func(Ref, []int) float64, scalars map[string]float64) float64
 	String() string
 }
 
 // Num is a literal constant.
 type Num float64
-
-// Eval returns the literal.
-func (n Num) Eval(map[string]int, func(Ref, []int) float64, map[string]float64) float64 {
-	return float64(n)
-}
 
 func (n Num) String() string { return fmt.Sprintf("%g", float64(n)) }
 
@@ -34,29 +25,10 @@ func (n Num) String() string { return fmt.Sprintf("%g", float64(n)) }
 // Section 2).
 type Scalar string
 
-// Eval looks the scalar up, panicking on unbound names (an IR
-// construction or parse bug).
-func (s Scalar) Eval(env map[string]int, load func(Ref, []int) float64, scalars map[string]float64) float64 {
-	v, ok := scalars[string(s)]
-	if !ok {
-		panic(fmt.Sprintf("ir: unbound scalar %q", string(s)))
-	}
-	return v
-}
-
 func (s Scalar) String() string { return string(s) }
 
 // RefE is an array reference expression.
 type RefE struct{ Ref Ref }
-
-// Eval resolves the subscripts under env and loads the element.
-func (r RefE) Eval(env map[string]int, load func(Ref, []int) float64, scalars map[string]float64) float64 {
-	idx := make([]int, len(r.Ref.Subs))
-	for k, s := range r.Ref.Subs {
-		idx[k] = s.Eval(env)
-	}
-	return load(r.Ref, idx)
-}
 
 func (r RefE) String() string { return r.Ref.String() }
 
@@ -66,34 +38,12 @@ type BinOp struct {
 	L, R Expr
 }
 
-// Eval applies the operator.
-func (b BinOp) Eval(env map[string]int, load func(Ref, []int) float64, scalars map[string]float64) float64 {
-	l := b.L.Eval(env, load, scalars)
-	r := b.R.Eval(env, load, scalars)
-	switch b.Op {
-	case '+':
-		return l + r
-	case '-':
-		return l - r
-	case '*':
-		return l * r
-	case '/':
-		return l / r
-	}
-	panic(fmt.Sprintf("ir: unknown operator %q", b.Op))
-}
-
 func (b BinOp) String() string {
 	return fmt.Sprintf("(%s %c %s)", b.L, b.Op, b.R)
 }
 
 // NegE is unary negation.
 type NegE struct{ E Expr }
-
-// Eval negates.
-func (n NegE) Eval(env map[string]int, load func(Ref, []int) float64, scalars map[string]float64) float64 {
-	return -n.E.Eval(env, load, scalars)
-}
 
 func (n NegE) String() string { return fmt.Sprintf("(-%s)", n.E) }
 
@@ -210,37 +160,85 @@ func (st Storage) Store(arr string, idx []int, v float64) {
 // count of the implicit outer iterative loop (1 for non-iterative
 // programs). Statements without an RHS default to assigning 0 (the
 // "V(i) = 0.0" initializers can also carry Num(0) explicitly).
+//
+// It runs the program on one dense slice per array, loaded from st and
+// written back to it: st gains or changes exactly the elements a statement
+// writes. Every key of st must name an element (Lowered.CheckInput), every
+// scalar the program reads must be bound, and every element an instance
+// touches must lie inside its array's extents; each is an error naming the
+// culprit, and leaves st as it was.
 func EvalProgram(p *Program, bind map[string]int, st Storage, scalars map[string]float64, iters int) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	lw, err := p.Lower(bind)
+	if err != nil {
+		return err
+	}
+	if err := lw.CheckInput(st); err != nil {
+		return err
+	}
+	sv, err := lw.ScalarValues(scalars)
+	if err != nil {
+		return err
+	}
+	vals, written := make([][]float64, len(lw.Names)), make([][]bool, len(lw.Names))
+	for a, name := range lw.Names {
+		n := 1
+		for _, e := range lw.Shapes[a] {
+			n *= e
+		}
+		vals[a], written[a] = make([]float64, n), make([]bool, n)
+		for key, v := range st[name] {
+			off, _ := lw.Elem(a, key)
+			vals[a][off] = v
+		}
+	}
+	var ops []float64
 	if !p.Iterative {
 		iters = 1
 	}
 	for it := 0; it < iters; it++ {
-		for _, nest := range p.Nests {
-			if err := evalNest(nest, bind, st, scalars); err != nil {
+		for t := range lw.Nests {
+			ln, iv := &lw.Nests[t], make([]int, len(lw.Nests[t].Loops))
+			err := ln.Walk(iv, func(si int) error {
+				ls := &ln.Stmts[si]
+				off, ok := ls.LHS.Offset(iv)
+				if !ok {
+					return lw.Outside(t, si, -1, iv)
+				}
+				ops = ops[:0]
+				for ri := range ls.Reads {
+					at, ok := ls.Reads[ri].Offset(iv)
+					if !ok {
+						return lw.Outside(t, si, ri, iv)
+					}
+					ops = append(ops, vals[ls.Reads[ri].Array][at])
+				}
+				v := ls.Eval(ops, sv)
+				if math.IsNaN(v) {
+					stmt := p.Nests[t].Stmts[si]
+					return fmt.Errorf("ir: NaN at %s line %d", stmt.LHS, stmt.Line)
+				}
+				vals[ls.LHS.Array][off], written[ls.LHS.Array][off] = v, true
+				return nil
+			})
+			if err != nil {
 				return err
 			}
 		}
 	}
+	var idx []int
+	for a, name := range lw.Names {
+		for off, w := range written[a] {
+			if w {
+				if st[name] == nil {
+					st[name] = map[string]float64{}
+				}
+				idx = lw.Index(a, off, idx[:0])
+				st[name][Key(idx)] = vals[a][off]
+			}
+		}
+	}
 	return nil
-}
-
-func evalNest(nest *Nest, bind map[string]int, st Storage, scalars map[string]float64) error {
-	return nest.Walk(bind, func(stmt *Stmt, env map[string]int) error {
-		idx := make([]int, len(stmt.LHS.Subs))
-		for k, s := range stmt.LHS.Subs {
-			idx[k] = s.Eval(env)
-		}
-		v := 0.0
-		if stmt.RHS != nil {
-			v = stmt.RHS.Eval(env, st.Load, scalars)
-		}
-		if math.IsNaN(v) {
-			return fmt.Errorf("ir: NaN at %s line %d", stmt.LHS, stmt.Line)
-		}
-		st.Store(stmt.LHS.Array, idx, v)
-		return nil
-	})
 }

@@ -152,28 +152,19 @@ func TestExprStringAndScalars(t *testing.T) {
 	if e.String() != "(X(i) + (OMEGA * 2))" {
 		t.Fatalf("String = %q", e.String())
 	}
-	got := e.Eval(map[string]int{"i": 1},
+	got := evalTree(e, map[string]int{"i": 1},
 		func(r Ref, idx []int) float64 { return 10 },
 		map[string]float64{"OMEGA": 1.5})
 	if got != 13 {
 		t.Fatalf("Eval = %v", got)
 	}
 	neg := NegE{E: Num(3)}
-	if neg.Eval(nil, nil, nil) != -3 || neg.String() != "(-3)" {
+	if evalTree(neg, nil, nil, nil) != -3 || neg.String() != "(-3)" {
 		t.Fatal("NegE wrong")
 	}
 	if ExprFlops(neg) != 1 {
 		t.Fatal("neg flops")
 	}
-}
-
-func TestScalarUnboundPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Scalar("NOPE").Eval(nil, nil, nil)
 }
 
 func TestEvalStencilMatchesKernelReference(t *testing.T) {

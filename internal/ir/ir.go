@@ -17,6 +17,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -183,6 +184,31 @@ type Ref struct {
 // R builds a reference.
 func R(array string, subs ...Affine) Ref { return Ref{Array: array, Subs: subs} }
 
+// equal reports whether r and o are the same reference: one array, and
+// subscripts with equal constants and equal nonzero coefficients.
+func (r Ref) equal(o Ref) bool {
+	if r.Array != o.Array || len(r.Subs) != len(o.Subs) {
+		return false
+	}
+	for d, a := range r.Subs {
+		b := o.Subs[d]
+		if a.Const != b.Const || !a.covers(b) || !b.covers(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// covers reports whether every nonzero coefficient of b is a's too.
+func (a Affine) covers(b Affine) bool {
+	for v, c := range b.Coeff {
+		if c != 0 && a.Coeff[v] != c {
+			return false
+		}
+	}
+	return true
+}
+
 func (r Ref) String() string {
 	var b strings.Builder
 	r.writeTo(&b)
@@ -232,15 +258,16 @@ type Stmt struct {
 // accumulator's array.
 func (s *Stmt) Anchor() int {
 	best, bestVars := -1, -1
+	var buf [8]string
 	for i, rd := range s.Reads {
 		if rd.Array == s.LHS.Array {
 			continue
 		}
-		vars := map[string]bool{}
+		vars := buf[:0]
 		for _, sub := range rd.Subs {
 			for v, c := range sub.Coeff {
-				if c != 0 {
-					vars[v] = true
+				if c != 0 && !slices.Contains(vars, v) {
+					vars = append(vars, v)
 				}
 			}
 		}
@@ -283,49 +310,6 @@ func (n *Nest) IsPost(stmt *Stmt) bool {
 		}
 	}
 	return false
-}
-
-// Walk visits the nest's statement instances in program order under bind:
-// at each loop level the statements before the inner loop (IsPost), the
-// loop, then the statements after it. env holds bind and the enclosing
-// loops' indices; it is reused between calls, so visit must not keep it.
-// Names are evaluated from env with Affine.Eval — the reference
-// interpreters walk with it, independent of Lower — so the nest must be one
-// Validate accepts with every other variable bound. An error from visit
-// ends the walk and is returned.
-func (n *Nest) Walk(bind map[string]int, visit func(st *Stmt, env map[string]int) error) error {
-	env := make(map[string]int, len(bind)+len(n.Loops))
-	for k, v := range bind {
-		env[k] = v
-	}
-	post := make([]bool, len(n.Stmts))
-	for i, st := range n.Stmts {
-		post[i] = n.IsPost(st)
-	}
-	var walk func(level int) error
-	walk = func(level int) error {
-		for _, after := range [2]bool{false, true} {
-			if after && level < len(n.Loops) {
-				l := n.Loops[level]
-				for v, hi := l.Lo.Eval(env), l.Hi.Eval(env); (hi-v)*l.Step >= 0; v += l.Step {
-					env[l.Index] = v
-					if err := walk(level + 1); err != nil {
-						return err
-					}
-				}
-				delete(env, l.Index)
-			}
-			for i, st := range n.Stmts {
-				if st.Depth == level && post[i] == after {
-					if err := visit(st, env); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	return walk(0)
 }
 
 // Loop returns the loop with the given index name.

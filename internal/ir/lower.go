@@ -1,10 +1,13 @@
 // Name resolution under a binding. Lower is the one place a program's
-// names get their values: every array's shape, and every loop bound and
+// names get their values: every array's shape, every loop bound and
 // subscript as an integer form over the nest's loop slots with the bound
-// size parameters folded in. CheckRanges, core's scheme derivation, cost's
-// closed forms and both of exec's engines read what it builds; none of them
-// resolves a name itself. The reference walkers (Nest.Walk) still evaluate
-// names from their environment, so they stay independent of this lowering.
+// size parameters folded in, and every right-hand side as a postfix form
+// over the statement's Reads, its constants and scalar slots. CheckRanges,
+// core's scheme derivation, cost's counters, EvalProgram and both of exec's
+// engines read what it builds, walk a nest's instances with LNest.Walk and
+// name an element by LRef.Offset; none of them resolves a name itself. The tree
+// walk over Expr that the lowering replaced survives only as the tests'
+// oracle.
 //
 // Every lowered constant is affine in the size parameter, so a lowering
 // also records that parameter's coefficient in each form and extent:
@@ -14,7 +17,9 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Lin is an affine form under a binding: K + Σ C[k]·(index of loop k),
@@ -44,6 +49,9 @@ type Lowered struct {
 	Shapes [][]int
 	// Nests[t] is Program.Nests[t] lowered.
 	Nests []LNest
+	// scalars names the free scalars the right-hand sides read, in order of
+	// first use; a scalar's slot is its index here (ScalarValues).
+	scalars []string
 
 	// size is the value Bind gives the program's size parameter
 	// (Params[0]), 0 when it has none or Bind leaves it out; sizeC holds
@@ -67,10 +75,213 @@ type LLoop struct {
 	Step   int
 }
 
-// LStmt is a lowered statement: its written reference and its Reads.
+// LStmt is a lowered statement: its written reference, its Reads, its
+// right-hand side over them, and where the walk visits it.
 type LStmt struct {
 	LHS   LRef
 	Reads []LRef
+	// Depth is Stmt.Depth, and Post is Nest.IsPost: whether the statement
+	// runs after the deeper inner loop rather than before it.
+	Depth int
+	Post  bool
+	// Anchor is Stmt.Anchor for a reduction, -1 for any other statement.
+	Anchor int
+	// rhs is the right-hand side in postfix order, empty for a statement
+	// without one (which assigns 0), and depth the most values it stacks.
+	rhs   []lop
+	depth int
+}
+
+// lop is one step of a lowered right-hand side, run in order on a stack
+// of values: opNum pushes val, opRead operand arg (the value of Reads[arg]),
+// opScalar scalar slot arg, opNeg negates the top, and opAdd, opSub, opMul
+// and opDiv replace the top two, left below right, by their result.
+type lop struct {
+	op  byte
+	arg int32
+	val float64
+}
+
+const (
+	opNum byte = iota
+	opRead
+	opScalar
+	opNeg
+	opAdd // opAdd + k is BinOp "+-*/"[k]
+	opSub
+	opMul
+	opDiv
+)
+
+// Eval is the statement's right-hand side over its operands, vals[k] the
+// value of Reads[k], and the scalar values ScalarValues resolved.
+func (ls *LStmt) Eval(vals, scalars []float64) float64 {
+	var buf [8]float64
+	stack, sp := buf[:], -1
+	if ls.depth > len(buf) {
+		stack = make([]float64, ls.depth)
+	}
+	for i := range ls.rhs {
+		switch o := &ls.rhs[i]; o.op {
+		case opNum:
+			sp++
+			stack[sp] = o.val
+		case opRead:
+			sp++
+			stack[sp] = vals[o.arg]
+		case opScalar:
+			sp++
+			stack[sp] = scalars[o.arg]
+		case opNeg:
+			stack[sp] = -stack[sp]
+		case opAdd:
+			sp--
+			stack[sp] += stack[sp+1]
+		case opSub:
+			sp--
+			stack[sp] -= stack[sp+1]
+		case opMul:
+			sp--
+			stack[sp] *= stack[sp+1]
+		case opDiv:
+			sp--
+			stack[sp] /= stack[sp+1]
+		}
+	}
+	return stack[0] // 0 for a statement without a right-hand side
+}
+
+// ScalarValues resolves the scalars the program's right-hand sides read
+// under vals, in slot order; a scalar vals leaves unbound is an error
+// naming it.
+func (lw *Lowered) ScalarValues(vals map[string]float64) ([]float64, error) {
+	out := make([]float64, len(lw.scalars))
+	for i, name := range lw.scalars {
+		v, ok := vals[name]
+		if !ok {
+			return nil, fmt.Errorf("ir: program %s: unbound scalar %q", lw.Program.Name, name)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// Walk visits the nest's statement instances in program order, calling
+// visit with each one's index in Stmts: at each loop level the statements
+// before the inner loop, the loop, then the statements after it (Post).
+// iv is the loop vector, at least as long as Loops; while visit runs, iv[k]
+// is loop k's index for each loop enclosing the statement. An error from
+// visit ends the walk and is returned.
+func (ln *LNest) Walk(iv []int, visit func(si int) error) error {
+	return ln.walk(0, iv, visit)
+}
+
+func (ln *LNest) walk(level int, iv []int, visit func(si int) error) error {
+	for _, post := range [2]bool{false, true} {
+		if post && level < len(ln.Loops) {
+			l := &ln.Loops[level]
+			for v, hi := l.Lo.At(iv), l.Hi.At(iv); (hi-v)*l.Step >= 0; v += l.Step {
+				iv[level] = v
+				if err := ln.walk(level+1, iv, visit); err != nil {
+					return err
+				}
+			}
+		}
+		for si := range ln.Stmts {
+			if st := &ln.Stmts[si]; st.Depth == level && st.Post == post {
+				if err := visit(si); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// Offset is the row-major offset, in its array, of the element r names at
+// loop vector iv, and whether each subscript lies inside its extent; when
+// one does not, Lowered.Outside is the error.
+func (r *LRef) Offset(iv []int) (off int, ok bool) {
+	for d := range r.Subs {
+		v := r.Subs[d].At(iv) - 1
+		if uint(v) >= uint(r.ext[d]) { // v < 0 or v ≥ extent
+			return 0, false
+		}
+		off = off*r.ext[d] + v
+	}
+	return off, true
+}
+
+// Outside is the error of an element LRef.Offset refuses, named by read ri of
+// nest t's statement si at loop vector iv, or by its LHS when ri is -1:
+// the line, the reference and its subscripts.
+func (lw *Lowered) Outside(t, si, ri int, iv []int) error {
+	st := lw.Program.Nests[t].Stmts[si]
+	ref, lr := st.LHS, &lw.Nests[t].Stmts[si].LHS
+	if ri >= 0 {
+		ref, lr = st.Reads[ri], &lw.Nests[t].Stmts[si].Reads[ri]
+	}
+	idx := make([]int, len(lr.Subs))
+	for d := range lr.Subs {
+		idx[d] = lr.Subs[d].At(iv)
+	}
+	return fmt.Errorf("ir: %s line %d: %s at subscripts %v, outside the extents %v", lw.Program.Nests[t].Label, st.Line, ref, idx, lw.Shapes[lr.Array])
+}
+
+// Elem is the row-major offset of the element of array a that key names,
+// and whether key is canonical subscripts (ParseKey) of the array's rank,
+// inside its extents.
+func (lw *Lowered) Elem(a int, key string) (int, bool) {
+	var buf [4]int
+	idx, ok := ParseKey(buf[:0], key)
+	ext := lw.Shapes[a]
+	if !ok || len(idx) != len(ext) {
+		return 0, false
+	}
+	off := 0
+	for d, v := range idx {
+		if v < 1 || v > ext[d] {
+			return 0, false
+		}
+		off = off*ext[d] + v - 1
+	}
+	return off, true
+}
+
+// Index appends to idx the subscripts of the element at offset off of
+// array a: Offset's and Elem's inverse.
+func (lw *Lowered) Index(a, off int, idx []int) []int {
+	ext := lw.Shapes[a]
+	n := len(idx)
+	idx = append(idx, ext...)
+	for d := len(ext) - 1; d >= 0; d-- {
+		idx[n+d] = off%ext[d] + 1
+		off /= ext[d]
+	}
+	return idx
+}
+
+// CheckInput checks every element of input: its key must be canonical
+// subscripts of a declared array, of its rank and inside its extents. An
+// undeclared array may only be empty. A key no evaluator can place would
+// alias another element or be lost.
+func (lw *Lowered) CheckInput(input Storage) error {
+	for name, elems := range input {
+		a := lw.Array(name)
+		if a < 0 {
+			if len(elems) > 0 {
+				return fmt.Errorf("ir: input for undeclared array %s", name)
+			}
+			continue
+		}
+		for key := range elems {
+			if _, ok := lw.Elem(a, key); !ok {
+				return fmt.Errorf("ir: input key %q of array %s is not %d canonical subscripts inside its extents %v",
+					key, name, len(lw.Shapes[a]), lw.Shapes[a])
+			}
+		}
+	}
+	return nil
 }
 
 // LRef is a lowered reference: the array's index in Lowered.Names and one
@@ -78,12 +289,17 @@ type LStmt struct {
 type LRef struct {
 	Array int
 	Subs  []Lin
+	// ext is the array's extents, Shapes[Array], which Rebind moves in
+	// place.
+	ext []int
 }
 
 // Lower resolves every name of p under bind. A variable that is neither an
-// enclosing loop's index nor bound, an extent below 1, and a reference
-// Validate would refuse are errors naming where they occur; subscripts are
-// not checked against the extents here (CheckRanges does that).
+// enclosing loop's index nor bound, an extent below 1, a reference Validate
+// would refuse and a right-hand side reading a reference missing from its
+// statement's Reads are errors naming where they occur; subscripts are not
+// checked against the extents here (CheckRanges does that). Scalars are
+// named, not bound: an evaluation binds them (ScalarValues).
 func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 	lw := &Lowered{Program: p, Bind: bind, Names: make([]string, 0, len(p.Arrays))}
 	for name := range p.Arrays {
@@ -138,10 +354,68 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 					return nil, err
 				}
 			}
+			ls.Depth, ls.Post, ls.Anchor = st.Depth, nest.IsPost(st), -1
+			if st.Reduce {
+				ls.Anchor = st.Anchor()
+			}
+			if st.RHS != nil {
+				at := len(sl.ops)
+				if sl.ops, err = lw.lowerExpr(sl.ops, st.RHS, nest, st); err != nil {
+					return nil, err
+				}
+				ls.rhs = sl.ops[at:len(sl.ops):len(sl.ops)]
+				n := 0
+				for _, o := range ls.rhs {
+					if o.op < opNeg {
+						n++ // a push
+					} else if o.op > opNeg {
+						n-- // a binary operator
+					}
+					ls.depth = max(ls.depth, n)
+				}
+			}
 		}
 	}
 	lw.sizeC = sl.sizeC
 	return lw, nil
+}
+
+// lowerExpr appends e's steps to out in postfix order. A reference must be
+// one of the statement's Reads, to the same subscripts: only Reads are
+// shipped to an executor, so an operand missing from them would be read
+// from a store that does not hold it.
+func (lw *Lowered) lowerExpr(out []lop, e Expr, nest *Nest, st *Stmt) ([]lop, error) {
+	var err error
+	switch v := e.(type) {
+	case Num:
+		return append(out, lop{op: opNum, val: float64(v)}), nil
+	case Scalar:
+		slot := slices.Index(lw.scalars, string(v))
+		if slot < 0 {
+			slot = len(lw.scalars)
+			lw.scalars = append(lw.scalars, string(v))
+		}
+		return append(out, lop{op: opScalar, arg: int32(slot)}), nil
+	case RefE:
+		ri := slices.IndexFunc(st.Reads, v.Ref.equal)
+		if ri < 0 {
+			return out, fmt.Errorf("ir: %s line %d reads %s, which is not in its Reads %v", nest.Label, st.Line, v.Ref, st.Reads)
+		}
+		return append(out, lop{op: opRead, arg: int32(ri)}), nil
+	case NegE:
+		out, err = lw.lowerExpr(out, v.E, nest, st)
+		return append(out, lop{op: opNeg}), err
+	case BinOp:
+		k := strings.IndexByte("+-*/", v.Op)
+		if k < 0 {
+			return out, fmt.Errorf("ir: %s line %d: unknown operator %q", nest.Label, st.Line, v.Op)
+		}
+		if out, err = lw.lowerExpr(out, v.L, nest, st); err == nil {
+			out, err = lw.lowerExpr(out, v.R, nest, st)
+		}
+		return append(out, lop{op: opAdd + byte(k)}), err
+	}
+	return out, fmt.Errorf("ir: %s line %d: unsupported right-hand side node %T", nest.Label, st.Line, e)
 }
 
 // sizeParam is the name Rebind moves, the program's first size
@@ -244,6 +518,9 @@ type slabs struct {
 	ints []int
 	lins []Lin
 	refs []LRef
+	// ops holds every right-hand side, appended in place: a statement's
+	// steps are a capped slice of it, so a later append never writes them.
+	ops []lop
 	// size is the size parameter's name and sizeC its coefficient in
 	// every form lowered so far, in lowering order.
 	size  string
@@ -266,6 +543,7 @@ func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
 	if out.Array < 0 {
 		return out, fmt.Errorf("ir: %s line %d references undeclared array %q", nest.Label, st.Line, r.Array)
 	}
+	out.ext = lw.Shapes[out.Array]
 	if len(r.Subs) != len(lw.Shapes[out.Array]) {
 		return out, fmt.Errorf("ir: %s line %d: %s has %d subscripts, array is %d-D", nest.Label, st.Line, r, len(r.Subs), len(lw.Shapes[out.Array]))
 	}
