@@ -732,11 +732,12 @@ func BenchmarkCompileScaling(b *testing.B) {
 	compile := func(b *testing.B, p func() *ir.Program, engine string) {
 		var res *core.CompileResult
 		for i := 0; i < b.N; i++ {
-			c := core.NewCompiler(p(), cost.Unit(), map[string]int{"m": m}, n)
+			newCompiler := core.NewCompiler
 			if engine == "prechange" {
-				c.ExactNestCount = true
-				c.ExactChangeCost = true
-				c.NoCache = true
+				newCompiler = core.NewOracleCompiler
+			}
+			c := newCompiler(p(), cost.Unit(), map[string]int{"m": m}, n)
+			if engine == "prechange" {
 				c.Jobs = 1
 			}
 			r, err := c.Compile()

@@ -70,6 +70,6 @@ func (c *Compiler) CacheKey() string {
 	// ";greedy=false" and ";pipered=false" name retired options; they go
 	// at the next artifact.SchemaVersion bump.
 	fmt.Fprintf(&b, ";greedy=false;exactnest=%t;exactchange=%t;nocache=%t;pipered=false",
-		c.ExactNestCount, c.ExactChangeCost, c.NoCache)
+		c.ExactNestCount, c.ExactChangeCost, c.noCache)
 	return b.String()
 }

@@ -30,10 +30,11 @@ func TestCacheKeyStable(t *testing.T) {
 	for _, name := range ir.BuiltinNames() {
 		for _, engine := range []string{"fast", "prechange"} {
 			p, _ := ir.Builtin(name)
-			c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
+			newCompiler := core.NewCompiler
 			if engine == "prechange" {
-				c.ExactNestCount, c.ExactChangeCost, c.NoCache = true, true, true
+				newCompiler = core.NewOracleCompiler
 			}
+			c := newCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 			fmt.Fprintf(&b, "%s %s exact\n  %s\n  %s\n", name, engine, c.CacheKey(), sweep.PlanKey(c, m))
 		}
 	}

@@ -85,14 +85,13 @@ type Compiler struct {
 	// closed forms — the oracle tier, kept for byte-identical-result
 	// testing.
 	ExactNestCount bool
-	// NoCache disables cost memoization (ablation).
-	NoCache bool
 	// Engines counts which counting engine answered each nest-pricing
 	// call, so fast-path regressions (an eligible nest silently falling
 	// back to enumeration) are observable. Safe for concurrent use; the
 	// pointer is shared when an evaluator clones the compiler.
 	Engines *EngineStats
 
+	noCache   bool // no cost memoization: NewOracleCompiler, the evaluator's pricers
 	mu        sync.Mutex
 	segCache  map[[2]int]*memo[segValue]
 	setCache  map[setKey]*memo[*SchemeSet]
@@ -120,7 +119,8 @@ type EngineStats struct {
 	// closed forms declined.
 	ExactFallbacks atomic.Int64
 	// NestPricings counts engine invocations: the distinct nest-memo keys
-	// of a compile, every query under NoCache or ExactNestCount.
+	// of a compile, every query without memoization or under
+	// ExactNestCount.
 	NestPricings atomic.Int64
 	// GreedyAlignments counts segment alignments answered by the greedy
 	// heuristic because the affinity graph was past align.ExactMaxNodes.
@@ -181,11 +181,11 @@ type memo[V any] struct {
 }
 
 // cached answers fn() from (*cache)[key], computing it on the key's
-// first query; NoCache computes afresh every time. A panic in fn becomes
+// first query; noCache computes afresh every time. A panic in fn becomes
 // the entry's error (Guard), never a zero-valued success.
 func cached[K comparable, V any](c *Compiler, cache *map[K]*memo[V], key K, fn func() (V, error)) (V, error) {
 	e := &memo[V]{}
-	if !c.NoCache {
+	if !c.noCache {
 		c.mu.Lock()
 		if *cache == nil {
 			*cache = map[K]*memo[V]{}
@@ -228,6 +228,15 @@ func NewCompiler(p *ir.Program, model cost.Model, bind map[string]int, nprocs in
 	return &Compiler{Program: p, Model: model, Bind: bind, NProcs: nprocs, Weights: wp}
 }
 
+// NewOracleCompiler returns a compiler that prices by the oracles: every
+// nest by the reference walker, every scheme change by element
+// enumeration, and nothing memoized.
+func NewOracleCompiler(p *ir.Program, model cost.Model, bind map[string]int, nprocs int) *Compiler {
+	c := NewCompiler(p, model, bind, nprocs)
+	c.ExactNestCount, c.ExactChangeCost, c.noCache = true, true, true
+	return c
+}
+
 // jobs is the effective worker budget.
 func (c *Compiler) jobs() int {
 	if c.Jobs > 0 {
@@ -239,7 +248,7 @@ func (c *Compiler) jobs() int {
 // prepared is what a compiler establishes about its program once, before
 // the first cost query.
 type prepared struct {
-	err error // Program.Validate, then the lowering and its CheckRanges under the binding
+	err error // Program.Validate, then the lowering and its RangeAt under the binding
 	// refs[t] names the arrays nest t's statements reference, sorted —
 	// the arrays whose schemes its counts can depend on.
 	refs [][]string
@@ -263,7 +272,7 @@ func (c *Compiler) prepared() (*prepared, error) {
 		if pr.err == nil {
 			var lw *ir.Lowered
 			if lw, pr.err = c.lowered(); pr.err == nil {
-				pr.err = lw.CheckRanges()
+				pr.err = lw.RangeAt(lw.Size())
 			}
 		}
 		for t, nest := range c.Program.Nests {
@@ -299,7 +308,7 @@ func (c *Compiler) lowered() (*ir.Lowered, error) {
 // schemeSet is the scheme set DeriveSchemes makes of partition pt on one
 // grid shape, derived and validated once per compiler per setKey and
 // shared by pointer between every segment and worker that asks for it
-// (NoCache derives afresh). A shared set must not depend on the segment
+// (noCache derives afresh). A shared set must not depend on the segment
 // that happened to build it, so it keeps the partition's assignment and
 // method but not its segment-specific cut weight. It also carries, for
 // this compiler's program, each nest's key in the nest memo.
@@ -320,7 +329,7 @@ func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*Sc
 	}
 	return cached(c, &c.setCache, setKey{string(key), shape, cyclic}, func() (*SchemeSet, error) {
 		ss, err := deriveSchemes(lw, align.Partition{Assign: pt.Assign, Method: pt.Method}, shape, cyclic)
-		if err != nil || c.NoCache {
+		if err != nil || c.noCache {
 			return ss, err
 		}
 		pr, err := c.prepared()
@@ -410,7 +419,7 @@ func (c *Compiler) fanOut(n int, fn func(k int) error) error {
 // flops and reductions) or the loop-carried pass (carried = true: only
 // the loop-carried reads' words). Answers are memoized per nestKey, so
 // the DP's s³/6 queries cost one engine invocation per distinct (nest,
-// pass, grid, referenced schemes); NoCache and ExactNestCount — and with
+// pass, grid, referenced schemes); noCache and ExactNestCount — and with
 // them a PlanEvaluator's per-size compilers, which price every nest once
 // — go to the engine directly.
 func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, error) {
@@ -420,7 +429,7 @@ func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, e
 	}
 	price := func() (nestValue, error) { return c.priceNest(pr, t, carried, ss) }
 	var v nestValue
-	if c.NoCache || c.ExactNestCount {
+	if c.noCache || c.ExactNestCount {
 		v, err = price()
 	} else {
 		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.nestKey(pr, t)}, price)
@@ -654,7 +663,7 @@ func (c *Compiler) loopCarriedCost(final *SchemeSet) (float64, error) {
 // cache lookups, which is what keeps parallel output bit-identical to
 // the serial path.
 func (c *Compiler) precompute(s int) {
-	if c.NoCache || c.jobs() == 1 {
+	if c.noCache || c.jobs() == 1 {
 		return
 	}
 	type ij struct{ i, j int }

@@ -33,6 +33,7 @@ type PlanEvaluator struct {
 	// evaluator's Base holds no DP table and no pipelining decisions.
 	Base    *CompileResult
 	BaseM   int
+	low     *ir.Lowered            // the program lowered at BaseM: RangeAt checks every size on it
 	execSym []*cost.SymbolicCounts // per nest (0-based), after Fit
 	lcSym   []*cost.SymbolicCounts // loop-carried words per nest, after Fit
 	chgSym  []*cost.SymbolicLoads  // boundary into segment i (chgSym[0] unused), after Fit
@@ -77,7 +78,8 @@ func NewPlanEvaluator(c *Compiler) (*PlanEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PlanEvaluator{c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]]}, nil
+	lw, _ := c.lowered() // Compile succeeded, so the lowering did
+	return &PlanEvaluator{c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]], low: lw}, nil
 }
 
 // gridShape is a segment's grid shape, N1 x N2.
@@ -93,13 +95,11 @@ type sizePrice struct {
 	chg  []dist.ScaledLoads // the scheme change into segment i (chg[0] unused)
 }
 
-// sizePricer is what priceAt works in: the program lowered once and
-// re-bound to each size (ir.Lowered.Rebind), the binding it owns, a
-// compiler bound through them, and each segment's scheme set, re-derived
-// in place at every size. One pricer serves one priceAt at a time.
+// sizePricer is what priceAt works in: a compiler whose binding and
+// lowering it owns, the lowering built once and re-bound to each size
+// (ir.Lowered.Rebind), and each segment's scheme set, re-derived in place
+// at every size. One pricer serves one priceAt at a time.
 type sizePricer struct {
-	bind map[string]int
-	lw   *ir.Lowered
 	c    *Compiler
 	sets []*SchemeSet
 }
@@ -117,9 +117,6 @@ func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
 	p := pe.c.Program
 	bind := map[string]int{p.Params[0]: m}
 	lw, err := p.Lower(bind)
-	if err == nil {
-		err = lw.CheckRanges()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -132,22 +129,13 @@ func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
 	// so memo keys would be pure cost.
 	ec := &Compiler{
 		Program: p, Model: pe.c.Model, Bind: bind,
-		NProcs: pe.c.NProcs, Weights: pe.c.Weights, NoCache: true,
+		NProcs: pe.c.NProcs, Weights: pe.c.Weights, noCache: true,
 		ExactNestCount: pe.c.ExactNestCount,
 		Engines:        pe.c.Engines,
 		prep:           prep,
 		low:            lw,
 	}
-	return &sizePricer{bind: bind, lw: lw, c: ec, sets: make([]*SchemeSet, len(pe.Base.DP.Segments))}, nil
-}
-
-// at re-binds the pricer's lowering to size m and checks its ranges.
-func (sp *sizePricer) at(m int) error {
-	sp.bind[sp.lw.Program.Params[0]] = m
-	if err := sp.lw.Rebind(sp.bind); err != nil {
-		return err
-	}
-	return sp.lw.CheckRanges()
+	return &sizePricer{c: ec, sets: make([]*SchemeSet, len(pe.Base.DP.Segments))}, nil
 }
 
 // set is segment i's scheme set at the pricer's size, under the frozen
@@ -155,22 +143,25 @@ func (sp *sizePricer) at(m int) error {
 // place after.
 func (sp *sizePricer) set(i int, seg Segment) (*SchemeSet, error) {
 	if ss := sp.sets[i]; ss != nil {
-		return ss, ss.rederive(sp.lw)
+		return ss, ss.rederive(sp.c.low)
 	}
 	pt := align.Partition{Assign: seg.Schemes.Partition.Assign, Method: seg.Schemes.Partition.Method}
-	ss, err := deriveSchemes(sp.lw, pt, gridShape(seg), seg.Schemes.Cyclic)
+	ss, err := deriveSchemes(sp.c.low, pt, gridShape(seg), seg.Schemes.Cyclic)
 	sp.sets[i] = ss
 	return ss, err
 }
 
-// priceAt prices the frozen plan numerically at size m. It checks every
-// subscript against the extents at m first — a constant-extent array can
-// be in range at the base size and out of it here — then re-derives each
-// segment's schemes under the frozen alignment and grid shape and prices
-// every nest's two passes and every boundary's scheme change, in a
-// pricer re-bound to m: nothing is lowered or derived afresh, and the
-// counts themselves run in the counter's reused workspace.
+// priceAt prices the frozen plan numerically at size m. It checks the
+// program's ranges at m first (RangeAt on the base lowering) — a
+// constant-extent array can be in range at the base size and out of it
+// here — then re-binds a pricer to m, re-derives each segment's schemes
+// under the frozen alignment and grid shape, and prices every nest's two
+// passes and every boundary's scheme change: nothing is lowered or derived
+// afresh, and the counts themselves run in the counter's reused workspace.
 func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
+	if err := pe.low.RangeAt(m); err != nil {
+		return nil, err
+	}
 	sp, err := pe.pricer(m)
 	if err != nil {
 		return nil, err
@@ -180,10 +171,11 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 		pe.idle = append(pe.idle, sp)
 		pe.mu.Unlock()
 	}()
-	if err := sp.at(m); err != nil {
+	p, ec, segs := pe.c.Program, sp.c, pe.Base.DP.Segments
+	ec.Bind[p.Params[0]] = m
+	if err := ec.low.Rebind(ec.Bind); err != nil {
 		return nil, err
 	}
-	p, ec, segs := pe.c.Program, sp.c, pe.Base.DP.Segments
 	out := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(segs))}
 	var prev, ss *SchemeSet
 	for i, seg := range segs {
@@ -216,9 +208,12 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 // EvalAt prices the frozen plan at size m: from the fitted polynomials
 // when FittedAt(m) — O(degree) arithmetic, no scheme derivation, no
 // counting or redistribution calculator — otherwise numerically through
-// priceAt, the sizes Fit samples. Nothing re-runs alignment, the shape
-// search, or the DP. The fitted path evaluates only the counts a price
-// reads, and one of them past int64 is an error, not a wrapped price.
+// priceAt, the sizes Fit samples. Both paths first check the program's
+// ranges at m on the base lowering, so a size past an extent is the
+// *ir.RangeError whichever path would price it. Nothing re-runs
+// alignment, the shape search, or the DP. The fitted path evaluates only
+// the counts a price reads, and one of them past int64 is an error, not a
+// wrapped price.
 func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 	if !pe.FittedAt(m) {
 		sp, err := pe.priceAt(m)
@@ -229,6 +224,9 @@ func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 			func(t int) (cost.Counts, error) { return sp.exec[t], nil },
 			func(t int) (cost.Counts, error) { return sp.lc[t], nil },
 			func(i int) (float64, error) { return sp.chg[i].MaxLoad(), nil })
+	}
+	if err := pe.low.RangeAt(m); err != nil {
+		return PlanCost{}, err
 	}
 	return pe.sum(
 		func(t int) (cost.Counts, error) { return pe.execSym[t].PriceAt(m) },

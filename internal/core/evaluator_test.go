@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dmcc/internal/cost"
@@ -245,6 +247,56 @@ func TestFitAllocBudget(t *testing.T) {
 		t.Logf("Fit of %s (N=%d, base %d): %.0f allocations, budget %.0f", comp.Program.Name, n, baseM, got, budget)
 		if got > budget {
 			t.Errorf("Fit of %s (N=%d, base %d) made %.0f allocations, budget %.0f", comp.Program.Name, n, baseM, got, budget)
+		}
+	}
+}
+
+// fittedPastExtentSource fits from m = 16, but A(i+m) reaches 2m against
+// A's extent m+100: every size past 100 is out of range.
+const fittedPastExtentSource = `PROGRAM pastextent
+PARAM m
+REAL A(m+100), B(m+100)
+DO 9 i = 1, m
+7   B(i) = A(i+m)
+9 CONTINUE
+END
+`
+
+// TestFittedPriceOutsideRangeIsRefused: a fitted size past an extent is
+// the *ir.RangeError the numeric path returns, naming the reference and
+// the interval it ranges over — from the compiled evaluator and from one
+// thawed out of its frozen plan — and a size in range is priced.
+func TestFittedPriceOutsideRangeIsRefused(t *testing.T) {
+	p, err := ir.Parse(fittedPastExtentSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const baseM, n = 16, 4
+	pe, err := NewPlanEvaluator(NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pe.Fit(baseM, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := Thaw(NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, n), pe.Freeze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "subscript i+m of A(i+m) ranges over [201, 400], outside the declared [1, 300]"
+	for name, e := range map[string]*PlanEvaluator{"compiled": pe, "thawed": thawed} {
+		if !e.FittedAt(200) {
+			t.Fatalf("%s: m=200 is not on the fitted path", name)
+		}
+		var re *ir.RangeError
+		if _, err := e.EvalAt(200); !errors.As(err, &re) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: EvalAt(200) = %v, want the *ir.RangeError %q", name, err, want)
+		}
+		if _, err := e.EvalAt(100); err != nil {
+			t.Errorf("%s: EvalAt(100): %v", name, err)
+		}
+		if _, err := e.EvalAt(8); err != nil { // below the floor: numeric
+			t.Errorf("%s: EvalAt(8): %v", name, err)
 		}
 	}
 }

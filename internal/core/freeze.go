@@ -183,6 +183,7 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
+	pe.low = lw
 	for _, seg := range fp.Segments {
 		// A plan frozen for another processor count would price that
 		// machine's grids under this compiler's key.

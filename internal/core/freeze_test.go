@@ -164,7 +164,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		"model":       func(c *Compiler) { c.Model = cost.Model{Tf: 2, Tc: 1} },
 		"exactnest":   func(c *Compiler) { c.ExactNestCount = true },
 		"exactchange": func(c *Compiler) { c.ExactChangeCost = true },
-		"nocache":     func(c *Compiler) { c.NoCache = true },
+		"nocache":     func(c *Compiler) { c.noCache = true },
 	}
 	for name, f := range mut {
 		c := base()

@@ -13,7 +13,7 @@ import (
 )
 
 // TestNestMemoInvisible: Compile() with the nest memo and the cached
-// scheme keys must render byte for byte what NoCache = true renders —
+// scheme keys must render byte for byte what noCache = true renders —
 // which prices every nest of every segment afresh — across
 // the synthetic sequences, the paper's kernels, a nest the closed forms
 // decline, three processor counts, serial and parallel.
@@ -29,7 +29,7 @@ func TestNestMemoInvisible(t *testing.T) {
 			for _, n := range []int{4, 8, 16} {
 				render := func(noCache bool, jobs int) string {
 					c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, n)
-					c.NoCache, c.Jobs = noCache, jobs
+					c.noCache, c.Jobs = noCache, jobs
 					res, err := c.Compile()
 					if err != nil {
 						t.Fatalf("n=%d nocache=%v jobs=%d: %v", n, noCache, jobs, err)
@@ -39,7 +39,7 @@ func TestNestMemoInvisible(t *testing.T) {
 				want := render(true, 1)
 				for _, jobs := range []int{1, 8} {
 					if got := render(false, jobs); got != want {
-						t.Errorf("n=%d jobs=%d: memoized compile differs from NoCache:\n--- nocache ---\n%s--- memo ---\n%s",
+						t.Errorf("n=%d jobs=%d: memoized compile differs from noCache:\n--- nocache ---\n%s--- memo ---\n%s",
 							n, jobs, want, got)
 					}
 				}
@@ -208,7 +208,7 @@ func TestPanickingPricingIsAnError(t *testing.T) {
 	for _, jobs := range []int{1, 8} {
 		for _, noCache := range []bool{false, true} {
 			c := NewCompiler(outOfExtentProgram(), cost.Unit(), map[string]int{"m": 8}, 4)
-			c.Jobs, c.NoCache = jobs, noCache
+			c.Jobs, c.noCache = jobs, noCache
 			label := fmt.Sprintf("jobs=%d nocache=%v", jobs, noCache)
 			var outOfRange *ir.RangeError
 			if _, err := c.prepared(); !errors.As(err, &outOfRange) {

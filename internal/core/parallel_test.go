@@ -143,7 +143,7 @@ func TestAnalyticEngineMatchesExact(t *testing.T) {
 				c.Jobs = 1
 				c.ExactChangeCost = exact
 				c.ExactNestCount = exact
-				c.NoCache = exact
+				c.noCache = exact
 				res, err := c.Compile()
 				if err != nil {
 					t.Fatalf("exact=%v: %v", exact, err)

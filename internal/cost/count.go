@@ -58,8 +58,10 @@ func (ct Counts) Time(c Model) Breakdown {
 }
 
 // elemKey names an element by its array's index in the lowering and its
-// subscripts, unchecked: the reference counter prices what a caller past
-// CheckRanges asks, and an element outside its array is dist's assertion.
+// subscripts, unchecked: the reference counter trusts its caller's range
+// check. CountNestOpts and CountNestOptsExact make it (RangeAt); only a
+// caller of CountValidatedNest that skips it can reach dist's assertion
+// with an element outside its array.
 type elemKey struct {
 	arr int
 	idx [2]int
@@ -156,8 +158,8 @@ func CountValidatedNest(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g
 }
 
 // validateNest validates p, finds nest among its nests, lowers p under
-// bind, and checks that every array the nest references has a scheme valid
-// for its shape on g.
+// bind, checks its ranges (ir.Lowered.RangeAt), and checks that every
+// array the nest references has a scheme valid for its shape on g.
 func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) (*ir.Lowered, int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, 0, err
@@ -167,16 +169,16 @@ func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, 
 		return nil, 0, fmt.Errorf("cost: nest %s is not one of program %s's", nest.Label, p.Name)
 	}
 	lw, err := p.Lower(bind)
+	if err == nil {
+		err = lw.RangeAt(lw.Size())
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	ln := &lw.Nests[t]
 	for si := range ln.Stmts {
 		for ri := -1; ri < len(ln.Stmts[si].Reads); ri++ {
-			a := ln.Stmts[si].LHS.Array
-			if ri >= 0 {
-				a = ln.Stmts[si].Reads[ri].Array
-			}
+			a := ln.Stmts[si].Ref(ri).Array
 			s, ok := schemes[lw.Names[a]]
 			if !ok {
 				return nil, 0, fmt.Errorf("cost: no scheme for array %s", lw.Names[a])
@@ -308,11 +310,7 @@ type exactCount struct {
 // at is the element read ri of statement si names at the current
 // instance, its LHS when ri is -1.
 func (c *exactCount) at(si, ri int) (elemKey, error) {
-	ls := &c.lw.Nests[c.t].Stmts[si]
-	r := &ls.LHS
-	if ri >= 0 {
-		r = &ls.Reads[ri]
-	}
+	r := c.lw.Nests[c.t].Stmts[si].Ref(ri)
 	e := elemKey{arr: r.Array}
 	if len(r.Subs) > len(e.idx) {
 		st := c.lw.Program.Nests[c.t].Stmts[si]

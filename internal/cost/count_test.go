@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -234,6 +235,32 @@ func TestEntryPointsRejectInvalidSchemes(t *testing.T) {
 			if _, err := count(p, p.Nests[0], s, g, bind, CountOptions{}); err == nil || !strings.Contains(err.Error(), " A") {
 				t.Errorf("%s with A's scheme %s: got %v, want an error naming A", name, variant, err)
 			}
+		}
+	}
+}
+
+// TestEntryPointsRefuseOutOfRangeSubscripts: both public counting entry
+// points check the program's ranges before counting, so B(i+5) at m = 8,
+// which reaches B(13), is the *ir.RangeError naming it rather than dist's
+// "contiguous block index" panic from pricing an element past the last
+// processor's block.
+func TestEntryPointsRefuseOutOfRangeSubscripts(t *testing.T) {
+	p, err := ir.Parse("PROGRAM t\nPARAM m\nREAL A(m), B(m)\nDO 9 i = 1, m\n7   A(i) = B(i+5)\n9 CONTINUE\nEND\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const m, n = 8, 4
+	schemes := map[string]dist.Scheme{
+		"A": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
+		"B": dist.Scheme1D(dist.BlockContiguous(m, n, 0), map[int]int{1: 0}),
+	}
+	for name, count := range map[string]func(*ir.Program, *ir.Nest, map[string]dist.Scheme, *grid.Grid, map[string]int, CountOptions) (Counts, error){
+		"CountNestOpts": CountNestOpts, "CountNestOptsExact": CountNestOptsExact,
+	} {
+		_, err := count(p, p.Nests[0], schemes, grid.New(n, 1), map[string]int{"m": m}, CountOptions{})
+		var re *ir.RangeError
+		if !errors.As(err, &re) || !strings.Contains(err.Error(), "B(i+5) ranges over [6, 13]") {
+			t.Errorf("%s: got %v, want the *ir.RangeError naming B(i+5) over [6, 13]", name, err)
 		}
 	}
 }

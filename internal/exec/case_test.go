@@ -333,3 +333,21 @@ func TestMissingSchemeNamesFirstArray(t *testing.T) {
 		}
 	}
 }
+
+// TestTriangularRangeIsAccepted: a nest whose inner loop is empty at the
+// top of its outer range — at k = m, DO i = k+1, m runs nothing, so B(i+k)
+// reaches 2m-1, within B(2*m-1) — compiles at m = 4 and 16 (the bounding
+// box charged 2m and refused it), and both engines match EvalProgram.
+func TestTriangularRangeIsAccepted(t *testing.T) {
+	p, err := ir.Parse("PROGRAM triangular\nPARAM m\nREAL B(2*m-1), C(m)\nDO 9 k = 1, m\n  DO 9 i = k + 1, m\n7   C(k) = B(i+k)\n9 CONTINUE\nEND\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{4, 16} {
+		c := Case{Prog: p, M: m, N: 4, Seed: 7}
+		if _, err := c.Plan(); err != nil {
+			t.Fatalf("m=%d: %v", m, err)
+		}
+		checkCase(t, fmt.Sprintf("triangular m=%d", m), c, nil)
+	}
+}

@@ -128,7 +128,7 @@ func validate(p *ir.Program, segs []core.Segment, bind map[string]int, input ir.
 	}
 	lw, err := p.Lower(bind)
 	if err == nil {
-		err = lw.CheckRanges()
+		err = lw.RangeAt(lw.Size())
 	}
 	if err == nil {
 		err = lw.CheckInput(input)

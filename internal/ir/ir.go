@@ -117,7 +117,14 @@ func (a Affine) Vars() []string {
 }
 
 // IsConst reports whether the expression has no variable terms.
-func (a Affine) IsConst() bool { return len(a.Vars()) == 0 }
+func (a Affine) IsConst() bool {
+	for _, c := range a.Coeff {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // ConstDiff returns (a-b).Const and true when a-b is a constant, i.e.
 // the two expressions have identical variable parts — the paper's

@@ -2,16 +2,17 @@
 // names get their values: every array's shape, every loop bound and
 // subscript as an integer form over the nest's loop slots with the bound
 // size parameters folded in, and every right-hand side as a postfix form
-// over the statement's Reads, its constants and scalar slots. CheckRanges,
+// over the statement's Reads, its constants and scalar slots. RangeAt,
 // core's scheme derivation, cost's counters, EvalProgram and both of exec's
 // engines read what it builds, walk a nest's instances with LNest.Walk and
 // name an element by LRef.Offset; none of them resolves a name itself. The tree
 // walk over Expr that the lowering replaced survives only as the tests'
 // oracle.
 //
-// Every lowered constant is affine in the size parameter, so a lowering
-// also records that parameter's coefficient in each form and extent:
-// Rebind moves it to another size in O(forms), reading no Affine map.
+// Every lowered constant is affine in the size parameter, so each form
+// and extent also carries that parameter's coefficient: RangeAt reads any
+// size off one lowering, and Rebind moves it there in O(forms), reading no
+// Affine map.
 
 package ir
 
@@ -24,10 +25,11 @@ import (
 
 // Lin is an affine form under a binding: K + Σ C[k]·(index of loop k),
 // loops outermost first. Every bound variable is folded into K, and
-// trailing zero coefficients are dropped.
+// trailing zero coefficients are dropped. M is the size parameter's
+// coefficient, so at size m the constant is K + M·(m − Lowered.Size()).
 type Lin struct {
-	K int
-	C []int
+	K, M int
+	C    []int
 }
 
 // At is the form's value at loop vector iv.
@@ -44,22 +46,19 @@ type Lowered struct {
 	Program *Program
 	Bind    map[string]int
 	// Names lists the arrays sorted; Shapes[a] is array Names[a]'s extents,
-	// each at least 1. An LRef names its array by that index.
+	// each at least 1, and shapeM[a] their coefficients of the size
+	// parameter. An LRef names its array by that index.
 	Names  []string
 	Shapes [][]int
+	shapeM [][]int
 	// Nests[t] is Program.Nests[t] lowered.
 	Nests []LNest
 	// scalars names the free scalars the right-hand sides read, in order of
 	// first use; a scalar's slot is its index here (ScalarValues).
 	scalars []string
-
 	// size is the value Bind gives the program's size parameter
-	// (Params[0]), 0 when it has none or Bind leaves it out; sizeC holds
-	// its coefficient in every extent and form, in the order Rebind
-	// visits them: Shapes, then per nest its loops' Lo and Hi and its
-	// statements' subscripts, LHS before reads.
-	size  int
-	sizeC []int
+	// (Params[0]), 0 when it has none or Bind leaves it out.
+	size int
 }
 
 // LNest is a lowered nest: its loops outermost first, its statements in
@@ -212,15 +211,28 @@ func (r *LRef) Offset(iv []int) (off int, ok bool) {
 	return off, true
 }
 
+// Ref is read ri of the statement, or its LHS when ri is -1.
+func (ls *LStmt) Ref(ri int) *LRef {
+	if ri < 0 {
+		return &ls.LHS
+	}
+	return &ls.Reads[ri]
+}
+
+// ref is read ri of the statement, or its LHS when ri is -1.
+func (st *Stmt) ref(ri int) Ref {
+	if ri < 0 {
+		return st.LHS
+	}
+	return st.Reads[ri]
+}
+
 // Outside is the error of an element LRef.Offset refuses, named by read ri of
 // nest t's statement si at loop vector iv, or by its LHS when ri is -1:
 // the line, the reference and its subscripts.
 func (lw *Lowered) Outside(t, si, ri int, iv []int) error {
 	st := lw.Program.Nests[t].Stmts[si]
-	ref, lr := st.LHS, &lw.Nests[t].Stmts[si].LHS
-	if ri >= 0 {
-		ref, lr = st.Reads[ri], &lw.Nests[t].Stmts[si].Reads[ri]
-	}
+	ref, lr := st.ref(ri), lw.Nests[t].Stmts[si].Ref(ri)
 	idx := make([]int, len(lr.Subs))
 	for d := range lr.Subs {
 		idx[d] = lr.Subs[d].At(iv)
@@ -298,7 +310,7 @@ type LRef struct {
 // enclosing loop's index nor bound, an extent below 1, a reference Validate
 // would refuse and a right-hand side reading a reference missing from its
 // statement's Reads are errors naming where they occur; subscripts are not
-// checked against the extents here (CheckRanges does that). Scalars are
+// checked against the extents here (RangeAt does that). Scalars are
 // named, not bound: an evaluation binds them (ScalarValues).
 func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 	lw := &Lowered{Program: p, Bind: bind, Names: make([]string, 0, len(p.Arrays))}
@@ -308,20 +320,19 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 	sort.Strings(lw.Names)
 	sl := slabs{size: lw.sizeParam()}
 	lw.size = bind[sl.size]
-	sl.sizeC = make([]int, 0, p.forms())
-	lw.Shapes = make([][]int, len(lw.Names))
+	lw.Shapes, lw.shapeM = make([][]int, len(lw.Names)), make([][]int, len(lw.Names))
 	for a, name := range lw.Names {
-		lw.Shapes[a] = carve(&sl.ints, p.Arrays[name].Rank())
+		lw.Shapes[a], lw.shapeM[a] = carve(&sl.ints, p.Arrays[name].Rank()), carve(&sl.ints, p.Arrays[name].Rank())
 		for d, e := range p.Arrays[name].Extents {
 			l, v := sl.lin(e, nil, bind)
 			if v != "" {
 				return nil, fmt.Errorf("ir: array %s: unbound variable %q in extent %s", name, v, e)
 			}
-			if l.K < 1 {
-				return nil, fmt.Errorf("ir: array %s: extent %s is %d, below 1", name, e, l.K)
-			}
-			lw.Shapes[a][d] = l.K
+			lw.Shapes[a][d], lw.shapeM[a][d] = l.K, l.M
 		}
+	}
+	if err := lw.extentsAt(0); err != nil {
+		return nil, err
 	}
 	lw.Nests = make([]LNest, len(p.Nests))
 	for t, nest := range p.Nests {
@@ -376,7 +387,6 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 			}
 		}
 	}
-	lw.sizeC = sl.sizeC
 	return lw, nil
 }
 
@@ -427,33 +437,30 @@ func (lw *Lowered) sizeParam() string {
 	return lw.Program.Params[0]
 }
 
-// forms is the number of extents, loop bounds and subscripts a lowering
-// of p holds.
-func (p *Program) forms() int {
-	n := 0
-	for _, a := range p.Arrays {
-		n += a.Rank()
-	}
-	for _, nest := range p.Nests {
-		n += 2 * len(nest.Loops)
-		for _, st := range nest.Stmts {
-			n += len(st.LHS.Subs)
-			for _, r := range st.Reads {
-				n += len(r.Subs)
+// Size is the value the lowering's binding gives the size parameter.
+func (lw *Lowered) Size() int { return lw.size }
+
+// extentsAt is the error of the first extent, in name order, that is below
+// 1 at delta sizes past the lowering's own, or nil.
+func (lw *Lowered) extentsAt(delta int) error {
+	for a, shape := range lw.Shapes {
+		for d, k := range shape {
+			if k += lw.shapeM[a][d] * delta; k < 1 {
+				return fmt.Errorf("ir: array %s: extent %s is %d, below 1", lw.Names[a], lw.Program.Arrays[lw.Names[a]].Extents[d], k)
 			}
 		}
 	}
-	return n
+	return nil
 }
 
 // Rebind re-binds lw in place to bind, which must give every variable
 // lw.Bind gives the same value except the program's size parameter
 // (Params[0]), and must not be changed while lw holds it. Every extent,
-// loop bound and subscript moves by its recorded coefficient of the
-// parameter: O(forms), no Affine map read, nothing allocated. The result
-// is what Lower(bind) returns — an extent below 1 is the same error,
-// naming the first such array in name order, and leaves lw unusable until
-// a Rebind succeeds.
+// loop bound and subscript moves by its own coefficient of the parameter:
+// O(forms), no Affine map read, nothing allocated. The result is what
+// Lower(bind) returns — an extent below 1 is the same error, naming the
+// first such array in name order, and leaves lw unusable until a Rebind
+// succeeds.
 func (lw *Lowered) Rebind(bind map[string]int) error {
 	name := lw.sizeParam()
 	if len(bind) != len(lw.Bind) {
@@ -466,42 +473,28 @@ func (lw *Lowered) Rebind(bind map[string]int) error {
 	}
 	delta := bind[name] - lw.size
 	lw.Bind, lw.size = bind, bind[name]
-	c := lw.sizeC
-	move := func(k *int) {
-		*k += c[0] * delta
-		c = c[1:]
-	}
-	for a := range lw.Shapes {
-		for d := range lw.Shapes[a] {
-			move(&lw.Shapes[a][d])
+	move := func(l *Lin) { l.K += l.M * delta }
+	for a, shape := range lw.Shapes {
+		for d := range shape {
+			shape[d] += lw.shapeM[a][d] * delta
 		}
 	}
 	for t := range lw.Nests {
 		ln := &lw.Nests[t]
 		for d := range ln.Loops {
-			move(&ln.Loops[d].Lo.K)
-			move(&ln.Loops[d].Hi.K)
+			move(&ln.Loops[d].Lo)
+			move(&ln.Loops[d].Hi)
 		}
 		for si := range ln.Stmts {
-			ls := &ln.Stmts[si]
-			for d := range ls.LHS.Subs {
-				move(&ls.LHS.Subs[d].K)
-			}
-			for ri := range ls.Reads {
-				for d := range ls.Reads[ri].Subs {
-					move(&ls.Reads[ri].Subs[d].K)
+			for ri := -1; ri < len(ln.Stmts[si].Reads); ri++ {
+				subs := ln.Stmts[si].Ref(ri).Subs
+				for d := range subs {
+					move(&subs[d])
 				}
 			}
 		}
 	}
-	for a, shape := range lw.Shapes {
-		for d, k := range shape {
-			if k < 1 {
-				return fmt.Errorf("ir: array %s: extent %s is %d, below 1", lw.Names[a], lw.Program.Arrays[lw.Names[a]].Extents[d], k)
-			}
-		}
-	}
-	return nil
+	return lw.extentsAt(0)
 }
 
 // Array is the named array's index in Names, or -1.
@@ -521,10 +514,8 @@ type slabs struct {
 	// ops holds every right-hand side, appended in place: a statement's
 	// steps are a capped slice of it, so a later append never writes them.
 	ops []lop
-	// size is the size parameter's name and sizeC its coefficient in
-	// every form lowered so far, in lowering order.
-	size  string
-	sizeC []int
+	// size is the size parameter's name, whose coefficient lin records.
+	size string
 }
 
 // carve cuts n elements off the front of *slab, starting a new backing
@@ -561,7 +552,6 @@ func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
 // neither, if a has one.
 func (sl *slabs) lin(a Affine, scope []Loop, bind map[string]int) (l Lin, unbound string) {
 	l = Lin{K: a.Const, C: carve(&sl.ints, len(scope))}
-	sizeC := 0
 vars:
 	for v, c := range a.Coeff {
 		if c == 0 {
@@ -576,13 +566,12 @@ vars:
 		if val, ok := bind[v]; ok {
 			l.K += c * val
 			if v == sl.size {
-				sizeC = c
+				l.M = c
 			}
 		} else if unbound == "" || v < unbound {
 			unbound = v
 		}
 	}
-	sl.sizeC = append(sl.sizeC, sizeC)
 	for len(l.C) > 0 && l.C[len(l.C)-1] == 0 {
 		l.C = l.C[:len(l.C)-1]
 	}

@@ -16,14 +16,19 @@ func vec(loops, stmt string) string {
 	return "PROGRAM t\nPARAM m\nREAL A(m), B(m)\n" + loops + "\n7   " + stmt + "\n9 CONTINUE\nEND\n"
 }
 
-// checkRanges lowers p under bind and checks its ranges, the front door
-// every consumer of a lowering passes.
+// checkRanges lowers p under bind and checks its ranges at that size, the
+// front door every consumer of a lowering passes.
 func checkRanges(p *ir.Program, bind map[string]int) error {
 	lw, err := p.Lower(bind)
 	if err != nil {
 		return err
 	}
-	return lw.CheckRanges()
+	return lw.RangeAt(lw.Size())
+}
+
+// wide is vec with B(2*m-1).
+func wide(loops, stmt string) string {
+	return strings.Replace(vec(loops, stmt), "B(m)", "B(2*m-1)", 1)
 }
 
 func TestCheckRanges(t *testing.T) {
@@ -48,6 +53,17 @@ func TestCheckRanges(t *testing.T) {
 		{"triangular bound, inner index below the outer", vec("DO 9 k = 1, m\n  DO 9 i = 1, k - 1", "A(k) = B(k-i)"), 8, ""},
 		{"a loop that never runs", vec("DO 9 i = 5, 4", "A(i+100) = B(i)"), 8, ""},
 		{"an inner loop that never runs at m = 1", vec(tri, "A(i) = B(i)"), 1, ""},
+		// At k = m the i loop is empty: the clipped k runs to m-1, so i+k
+		// reaches 2m-1 = 15, not 16.
+		{"triangular bound, the outer loop clipped", wide(tri, "A(k) = B(i+k)"), 8, ""},
+		{"triangular bound, clipped and still outside", wide(tri, "A(k) = B(i+k+1)"), 8, "B(i+k+1) ranges over [4, 16]"},
+		{"a down loop clipped from below", wide("DO 9 k = m, 1, -1\n  DO 9 i = m, k + 1, -1", "A(k) = B(i+k)"), 8, ""},
+		// At k = 1, DO i = 1, k-1 runs nothing: k starts at 2.
+		{"the outer loop clipped from below", vec("DO 9 k = 1, m\n  DO 9 i = 1, k - 1", "A(i) = B(k-1)"), 8, ""},
+		{"clipped from below and still outside", vec("DO 9 k = 1, m\n  DO 9 i = 1, k - 1", "A(i) = B(k-2)"), 8, "B(k-2) ranges over [0, 6]"},
+		// DO i = k, j runs iff k <= j: no clip reads one outer loop alone.
+		{"an inner loop bounded by two outer loops", vec("DO 9 k = 1, m\n  DO 9 j = 1, m\n    DO 9 i = k, j", "A(i) = B(k+5)"), 8, "B(k+5) ranges over [6, 13]"},
+		{"clipped from below by a down loop", vec("DO 9 k = 1, m\n  DO 9 i = k - 1, 1, -1", "A(i) = B(k-1)"), 8, ""},
 	} {
 		p, err := ir.Parse(c.src)
 		if err != nil {

@@ -665,6 +665,27 @@ DO 2 i = 1, m
 END
 `
 
+// TestFittedPriceOutsideRangeIsRefused: a plan fitted from m = 16 whose
+// A(i+m) outgrows A(m+100) past m = 100 answers a fitted size past it with
+// a 422 naming the reference and the interval, not a price; a size in
+// range is a 200.
+func TestFittedPriceOutsideRangeIsRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	src := "PROGRAM pastextent\nPARAM m\nREAL A(m+100), B(m+100)\nDO 9 i = 1, m\n7   B(i) = A(i+m)\n9 CONTINUE\nEND\n"
+	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: src, M: 16, N: 4})
+	var cr CompileResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &cr) != nil || cr.FitErr != "" {
+		t.Fatalf("POST /compile: %s: %s", resp.Status, raw)
+	}
+	if resp, raw := getBody(t, fmt.Sprintf("%s/cost?key=%s&m=200", ts.URL, cr.ID)); resp.StatusCode != http.StatusUnprocessableEntity ||
+		!strings.Contains(string(raw), "A(i+m) ranges over [201, 400]") {
+		t.Errorf("GET /cost m=200: %s: %s", resp.Status, raw)
+	}
+	if resp, raw := getBody(t, fmt.Sprintf("%s/cost?key=%s&m=100", ts.URL, cr.ID)); resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /cost m=100: %s: %s", resp.Status, raw)
+	}
+}
+
 // TestSizeOutOfRangeIsDeclinedNotAPanic: a program in range at its base
 // size compiles (200) with the range error as its fit diagnostic, is
 // priced numerically inside its range, and a size past it is a 422 naming

@@ -285,14 +285,10 @@ var CompileEngines = []string{"analytic", "exact"}
 
 // newCompileCompiler builds the compiler for one compile-sweep point.
 func newCompileCompiler(engine string, s, m, n int) *core.Compiler {
-	p := ir.Synthetic(s)
-	c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": m}, n)
 	if engine == "exact" {
-		c.ExactNestCount = true
-		c.ExactChangeCost = true
-		c.NoCache = true
+		return core.NewOracleCompiler(ir.Synthetic(s), cost.Unit(), map[string]int{"m": m}, n)
 	}
-	return c
+	return core.NewCompiler(ir.Synthetic(s), cost.Unit(), map[string]int{"m": m}, n)
 }
 
 // Compile measures the compile pipeline on synthetic nest sequences of
