@@ -307,6 +307,29 @@ func TestExactInfeasible(t *testing.T) {
 	}
 }
 
+// TestInfeasibleErrorNamesTheFirstArray: with two arrays past the grid's
+// rank, both searches name the first one every time (they named whichever
+// a map visited first).
+func TestInfeasibleErrorNamesTheFirstArray(t *testing.T) {
+	g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
+	for _, a := range []string{"T", "U", "V"} {
+		for d := 0; d < 3; d++ {
+			id := ir.DimID{Array: a, Dim: d}
+			g.index[id] = len(g.Nodes)
+			g.ArrayDims[a] = append(g.ArrayDims[a], len(g.Nodes))
+			g.Nodes = append(g.Nodes, id)
+		}
+	}
+	const want = "align: array T has 3 dimensions but the grid has 2"
+	for range 20 {
+		for _, search := range []func(*Graph, int) (Partition, error){ExactAlign, GreedyAlign} {
+			if _, err := search(g, 2); err == nil || err.Error() != want {
+				t.Fatalf("error = %v, want %q", err, want)
+			}
+		}
+	}
+}
+
 func TestCutWeightMatchesPartitionCut(t *testing.T) {
 	p := ir.Jacobi()
 	g := mustGraph(t, p, p.Nests)

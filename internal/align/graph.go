@@ -183,14 +183,14 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) [
 	for _, st := range nest.Stmts {
 		lhsVars := map[string]bool{}
 		for _, s := range st.LHS.Subs {
-			for _, v := range s.Vars() {
-				lhsVars[v] = true
+			for _, t := range s.Terms {
+				lhsVars[t.Var] = true
 			}
 		}
 		floating := func(r ir.Ref) bool {
 			for _, s := range r.Subs {
-				for _, v := range s.Vars() {
-					if lhsVars[v] {
+				for _, t := range s.Terms {
+					if lhsVars[t.Var] {
 						return false
 					}
 				}
@@ -326,9 +326,9 @@ func moveCost(nest *ir.Nest, st *ir.Stmt, rd ir.Ref, trips []int, wp WeightParam
 	scope := nest.Loops[:st.Depth]
 	in := make([]bool, len(scope))
 	for _, s := range rd.Subs {
-		for _, v := range s.Vars() {
+		for _, t := range s.Terms {
 			for k, l := range scope {
-				in[k] = in[k] || l.Index == v
+				in[k] = in[k] || l.Index == t.Var
 			}
 		}
 	}

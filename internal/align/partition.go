@@ -81,6 +81,17 @@ func Align(g *Graph, q int) (Partition, error) {
 	return ExactAlign(g, q)
 }
 
+// fitsGrid returns an error naming the first array, in node order (name
+// order, for a built graph), that has more dimensions than the q of the grid.
+func fitsGrid(g *Graph, q int) error {
+	for _, node := range g.Nodes {
+		if dims := g.ArrayDims[node.Array]; len(dims) > q {
+			return fmt.Errorf("align: array %s has %d dimensions but the grid has %d", node.Array, len(dims), q)
+		}
+	}
+	return nil
+}
+
 // ExactAlign finds a minimum-cut feasible partition into q subsets by
 // branch and bound over node assignments. To break the subset-label
 // symmetry deterministically, the first dimension of the first
@@ -89,10 +100,8 @@ func Align(g *Graph, q int) (Partition, error) {
 // if any array has more dimensions than q, or if q is past 64 (the
 // search keeps the subsets a node's array already holds in a bitmask).
 func ExactAlign(g *Graph, q int) (Partition, error) {
-	for a, dims := range g.ArrayDims {
-		if len(dims) > q {
-			return Partition{}, fmt.Errorf("align: array %s has %d dimensions but the grid has %d", a, len(dims), q)
-		}
+	if err := fitsGrid(g, q); err != nil {
+		return Partition{}, err
 	}
 	if q > 64 {
 		return Partition{}, fmt.Errorf("align: exact search of %d subsets, at most 64", q)
@@ -214,10 +223,8 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 // finally groups are packed into q subsets largest-first. Runs in
 // O(E log E); TestGreedyVsExactRandom bounds what it gives up.
 func GreedyAlign(g *Graph, q int) (Partition, error) {
-	for a, dims := range g.ArrayDims {
-		if len(dims) > q {
-			return Partition{}, fmt.Errorf("align: array %s has %d dimensions but the grid has %d", a, len(dims), q)
-		}
+	if err := fitsGrid(g, q); err != nil {
+		return Partition{}, err
 	}
 	n := len(g.Nodes)
 	parent := make([]int, n)

@@ -19,6 +19,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmcc/internal/core"
@@ -337,7 +338,7 @@ func renderBody(pl nestPlan, rewrite func(*ir.Stmt) string) string {
 	openTo := func(cur, want int) int {
 		for cur < want {
 			l := pl.nest.Loops[cur]
-			if pl.dec.Mapping.Coeff[l.Index] != 0 {
+			if slices.ContainsFunc(pl.dec.Mapping.Terms, func(t ir.Term) bool { return t.Var == l.Index }) {
 				fmt.Fprintf(&b, "%sdo %s = 1, %s   {* local %s indices *}\n",
 					ind(cur), l.Index, localBound(pl), l.Index)
 			} else if l.Step < 0 {

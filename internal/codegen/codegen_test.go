@@ -20,7 +20,7 @@ func handPlan(p *ir.Program, cyclic bool, decs ...dep.PipelineDecision) *core.Co
 func sorPlan(t *testing.T) (*ir.Program, *core.CompileResult) {
 	t.Helper()
 	p := ir.SOR()
-	mu := dep.Mapping{Nest: "S1", Coeff: map[string]int{"j": 1}}
+	mu := dep.Mapping{Nest: "S1", Terms: ir.V("j").Terms}
 	dec := dep.DecidePipelining(p, p.Nests[0], mu)
 	if !dec.CanPipeline {
 		t.Fatal("SOR not pipelinable")
@@ -49,7 +49,7 @@ func jacobiPlan() (*ir.Program, *core.CompileResult) {
 	p := ir.Jacobi()
 	var decs []dep.PipelineDecision
 	for _, nest := range p.Nests {
-		decs = append(decs, dep.DecidePipelining(p, nest, dep.Mapping{Nest: nest.Label, Coeff: map[string]int{"i": 1}}))
+		decs = append(decs, dep.DecidePipelining(p, nest, dep.Mapping{Nest: nest.Label, Terms: ir.V("i").Terms}))
 	}
 	return p, handPlan(p, false, decs...)
 }
@@ -168,7 +168,7 @@ func TestJacobiL1ShiftCodegen(t *testing.T) {
 // one hop per step is an error naming the nest.
 func TestMultiHopRejected(t *testing.T) {
 	p := ir.SOR()
-	mu := dep.Mapping{Nest: "S1", Coeff: map[string]int{"j": 2}}
+	mu := dep.Mapping{Nest: "S1", Terms: ir.NewAffine(0, ir.Term{Var: "j", Coeff: 2}).Terms}
 	dec := dep.DecidePipelining(p, p.Nests[0], mu)
 	_, err := Program(p, handPlan(p, false, dec))
 	if err == nil || !strings.Contains(err.Error(), "nest S1 has multi-hop tokens") {

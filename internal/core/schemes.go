@@ -166,9 +166,9 @@ func schemeKey(name string, s dist.Scheme) string {
 func Triangular(nest *ir.Nest) bool {
 	for li, l := range nest.Loops {
 		for _, b := range []ir.Affine{l.Lo, l.Hi} {
-			for _, v := range b.Vars() {
+			for _, t := range b.Terms {
 				for _, outer := range nest.Loops[:li] {
-					if outer.Index == v {
+					if outer.Index == t.Var {
 						return true
 					}
 				}

@@ -41,9 +41,6 @@ type Counts struct {
 	MaxProcOut int64
 }
 
-// Words returns all words moved.
-func (ct Counts) Words() int64 { return ct.RemoteWords + ct.ReduceWords }
-
 // Time converts counts to a Breakdown: computation is the most-loaded
 // processor's flops, communication the most-loaded processor's traffic.
 func (ct Counts) Time(c Model) Breakdown {

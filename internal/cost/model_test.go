@@ -165,25 +165,51 @@ func TestBreakdownTotal(t *testing.T) {
 	}
 }
 
+// evalSymbolic evaluates a symbolic formula at concrete m, N under the
+// model: the numeric value its tests hold it to.
+func evalSymbolic(f SymbolicFormula, c Model, m, n int) float64 {
+	total := 0.0
+	logN := float64(Log2Ceil(n))
+	for _, t := range f {
+		v := t.Coef
+		for i := 0; i < t.MPow; i++ {
+			v *= float64(m)
+		}
+		for i := 0; i < t.NDiv; i++ {
+			v /= float64(n)
+		}
+		for i := 0; i < t.LogPow; i++ {
+			v *= logN
+		}
+		if t.Flop {
+			v *= c.Tf
+		} else {
+			v *= c.Tc
+		}
+		total += v
+	}
+	return total
+}
+
 func TestSymbolicFormulasMatchNumeric(t *testing.T) {
 	c := Unit()
 	for _, mn := range [][2]int{{64, 4}, {256, 16}, {1024, 64}} {
 		m, n := mn[0], mn[1]
-		if got, want := SymbolicJacobiRow1().Eval(c, m, n), c.JacobiIteration(m, 1, n).Total(); math.Abs(got-want) > 1e-9 {
+		if got, want := evalSymbolic(SymbolicJacobiRow1(), c, m, n), c.JacobiIteration(m, 1, n).Total(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("row1 m=%d n=%d: symbolic %v != numeric %v", m, n, got, want)
 		}
-		if got, want := SymbolicJacobiRow2().Eval(c, m, n), c.JacobiIteration(m, n, 1).Total(); math.Abs(got-want) > 1e-9 {
+		if got, want := evalSymbolic(SymbolicJacobiRow2(), c, m, n), c.JacobiIteration(m, n, 1).Total(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("row2 m=%d n=%d: symbolic %v != numeric %v", m, n, got, want)
 		}
-		if got, want := SymbolicJacobiDP().Eval(c, m, n), c.JacobiDPIteration(m, n).Total(); math.Abs(got-want) > 1e-9 {
+		if got, want := evalSymbolic(SymbolicJacobiDP(), c, m, n), c.JacobiDPIteration(m, n).Total(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("dp m=%d n=%d: symbolic %v != numeric %v", m, n, got, want)
 		}
-		if got, want := SymbolicSORNaive().Eval(c, m, n), c.SORNaiveIteration(m, n).Total(); math.Abs(got-want) > 1e-9 {
+		if got, want := evalSymbolic(SymbolicSORNaive(), c, m, n), c.SORNaiveIteration(m, n).Total(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("sor naive m=%d n=%d: symbolic %v != numeric %v", m, n, got, want)
 		}
 		// Pipelined: symbolic omits the 2N tc tail.
 		want := c.SORPipelinedIteration(m, n).Total() - 2*float64(n)
-		if got := SymbolicSORPipelined().Eval(c, m, n); math.Abs(got-want) > 1e-9 {
+		if got := evalSymbolic(SymbolicSORPipelined(), c, m, n); math.Abs(got-want) > 1e-9 {
 			t.Errorf("sor pipelined m=%d n=%d: symbolic %v != numeric-2N %v", m, n, got, want)
 		}
 	}

@@ -376,17 +376,6 @@ func (pp *PiecewisePoly) collapse(maxDeg int) *PiecewisePoly {
 	return &PiecewisePoly{Period: 1, MinM: pp.MinM, Pieces: []Poly{one}}
 }
 
-// Degree is the maximum degree across pieces.
-func (pp *PiecewisePoly) Degree() int {
-	d := 0
-	for _, p := range pp.Pieces {
-		if pd := p.Degree(); pd > d {
-			d = pd
-		}
-	}
-	return d
-}
-
 // String renders the piecewise polynomial; uniform pieces collapse to a
 // single formula, otherwise each residue class is listed.
 func (pp *PiecewisePoly) String() string { return string(pp.appendText(nil)) }

@@ -31,8 +31,10 @@ func TestFitPiecewiseExactPolynomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp.Degree() != 2 {
-		t.Fatalf("degree = %d, want 2", pp.Degree())
+	for _, p := range pp.Pieces {
+		if p.Degree() != 2 {
+			t.Fatalf("degree = %d, want 2", p.Degree())
+		}
 	}
 	for _, m := range []int{4, 17, 100, 4096} {
 		want, _ := f(m)

@@ -72,31 +72,6 @@ func (f SymbolicFormula) String() string {
 	return strings.Join(parts, " + ")
 }
 
-// Eval evaluates the formula at concrete m, N under the model.
-func (f SymbolicFormula) Eval(c Model, m, n int) float64 {
-	total := 0.0
-	logN := float64(Log2Ceil(n))
-	for _, t := range f {
-		v := t.Coef
-		for i := 0; i < t.MPow; i++ {
-			v *= float64(m)
-		}
-		for i := 0; i < t.NDiv; i++ {
-			v /= float64(n)
-		}
-		for i := 0; i < t.LogPow; i++ {
-			v *= logN
-		}
-		if t.Flop {
-			v *= c.Tf
-		} else {
-			v *= c.Tc
-		}
-		total += v
-	}
-	return total
-}
-
 // The Table 2 rows and the Section 4/5 formulas in symbolic form. The
 // numeric methods on Model (JacobiIteration etc.) are the ground truth;
 // tests assert the symbolic forms evaluate identically on the paper's

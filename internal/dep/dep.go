@@ -16,6 +16,7 @@ package dep
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"dmcc/internal/ir"
@@ -74,32 +75,33 @@ type Token struct {
 	UsedInPEs string
 }
 
-// Mapping assigns each loop index of a nest a coefficient; the virtual
-// processor executing iteration I is mu . I.
+// Mapping is a nest's index-to-processor mapping: the virtual processor
+// executing iteration I is mu . I, and Terms holds mu's nonzero
+// coefficients, sorted by index (the owner subscript's ir.Affine terms).
 type Mapping struct {
 	Nest  string
-	Coeff map[string]int
+	Terms []ir.Term
 }
 
 // MuVector returns the mapping as a vector over the given index order.
 func (m Mapping) MuVector(indices []string) []int {
 	v := make([]int, len(indices))
-	for i, idx := range indices {
-		v[i] = m.Coeff[idx]
+	for _, t := range m.Terms {
+		if i := slices.Index(indices, t.Var); i >= 0 {
+			v[i] = t.Coeff
+		}
 	}
 	return v
 }
 
-// String renders the mapping as a row vector over the nest's indices.
+// String renders the mapping as a sum over its indices, in index order.
 func (m Mapping) String() string {
-	var parts []string
-	for idx, c := range m.Coeff {
-		if c != 0 {
-			parts = append(parts, fmt.Sprintf("%d*%s", c, idx))
-		}
-	}
-	if len(parts) == 0 {
+	if len(m.Terms) == 0 {
 		return "0"
+	}
+	parts := make([]string, len(m.Terms))
+	for i, t := range m.Terms {
+		parts[i] = fmt.Sprintf("%d*%s", t.Coeff, t.Var)
 	}
 	return strings.Join(parts, "+")
 }
@@ -127,17 +129,15 @@ func DeriveMapping(p *ir.Program, nest *ir.Nest, distDim map[string]int) (Mappin
 		return Mapping{}, fmt.Errorf("dep: nest %s has no statement with a distributed LHS", nest.Label)
 	}
 	sub := chosen.LHS.Subs[distDim[chosen.LHS.Array]]
-	m := Mapping{Nest: nest.Label, Coeff: map[string]int{}}
-	for _, v := range sub.Vars() {
-		if _, isLoop := nest.Loop(v); !isLoop {
-			return Mapping{}, fmt.Errorf("dep: LHS subscript %s of %s uses non-loop variable %q", sub, chosen.LHS, v)
+	for _, t := range sub.Terms {
+		if _, isLoop := nest.Loop(t.Var); !isLoop {
+			return Mapping{}, fmt.Errorf("dep: LHS subscript %s of %s uses non-loop variable %q", sub, chosen.LHS, t.Var)
 		}
-		m.Coeff[v] = sub.CoeffOf(v)
 	}
-	if len(m.Coeff) == 0 {
+	if sub.IsConst() {
 		return Mapping{}, fmt.Errorf("dep: LHS subscript %s of %s is constant", sub, chosen.LHS)
 	}
-	return m, nil
+	return Mapping{Nest: nest.Label, Terms: sub.Terms}, nil
 }
 
 // Analyze computes the dependence information of every read token of the
@@ -162,8 +162,8 @@ func analyzeToken(nestLabel string, line int, ref ir.Ref, indices []string, mu M
 	t := Token{Nest: nestLabel, Line: line, Ref: ref, Indices: indices}
 	inSub := map[string]bool{}
 	for _, s := range ref.Subs {
-		for _, v := range s.Vars() {
-			inSub[v] = true
+		for _, t := range s.Terms {
+			inSub[t.Var] = true
 		}
 	}
 	t.Mu = mu.MuVector(indices)
@@ -224,13 +224,11 @@ func renderUsedInPEs(indices []string, mu []int, c Class) string {
 	}
 	// The token stays on the virtual processor mu . I; express it through
 	// the anchored indices.
-	a := ir.NewAffine(0)
+	terms := make([]ir.Term, len(mu))
 	for i, m := range mu {
-		if m != 0 {
-			a = a.Plus(ir.NewAffine(0, ir.Term{Var: indices[i], Coeff: m}))
-		}
+		terms[i] = ir.Term{Var: indices[i], Coeff: m}
 	}
-	return fmt.Sprintf("(%s-1) mod N", a)
+	return fmt.Sprintf("(%s-1) mod N", ir.NewAffine(0, terms...))
 }
 
 // PipelineDecision summarizes whether a nest's remote communication can be

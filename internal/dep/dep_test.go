@@ -30,11 +30,11 @@ func TestDeriveMappingGauss(t *testing.T) {
 	_, mu1, mu3 := gaussMappings(t)
 	// Section 6: "we want to map index (k,i)^t to be executed in the
 	// virtual processor i": mu is the coefficient vector of i.
-	if mu1.Coeff["i"] != 1 || mu1.Coeff["k"] != 0 || mu1.Coeff["j"] != 0 {
-		t.Fatalf("G1 mapping = %v", mu1.Coeff)
+	if mu1.String() != "1*i" {
+		t.Fatalf("G1 mapping = %v", mu1)
 	}
-	if mu3.Coeff["i"] != 1 || mu3.Coeff["j"] != 0 {
-		t.Fatalf("G3 mapping = %v", mu3.Coeff)
+	if mu3.String() != "1*i" {
+		t.Fatalf("G3 mapping = %v", mu3)
 	}
 	if got := mu1.MuVector([]string{"k", "i", "j"}); got[0] != 0 || got[1] != 1 || got[2] != 0 {
 		t.Fatalf("mu vector = %v", got)
@@ -146,7 +146,7 @@ func TestSORPipelinable(t *testing.T) {
 	// where A(.,j)/X(j) live, i.e. mapping mu = j. The accumulator V(i)
 	// then travels one processor per j step: pipeline.
 	p := ir.SOR()
-	mu := Mapping{Nest: "S1", Coeff: map[string]int{"j": 1}}
+	mu := Mapping{Nest: "S1", Terms: ir.V("j").Terms}
 	toks := Analyze(p, p.Nests[0], mu)
 	v := findToken(toks, "V(i)", 5)
 	if v == nil || v.Class != Pipeline {
@@ -166,7 +166,7 @@ func TestMultiHopClassification(t *testing.T) {
 	// A synthetic mapping with coefficient 2 makes the reuse jump two
 	// processors per step: MultiHop, not pipelinable.
 	p := ir.SOR()
-	mu := Mapping{Nest: "S1", Coeff: map[string]int{"j": 2}}
+	mu := Mapping{Nest: "S1", Terms: ir.NewAffine(0, ir.Term{Var: "j", Coeff: 2}).Terms}
 	dec := DecidePipelining(p, p.Nests[0], mu)
 	if dec.CanPipeline {
 		t.Fatal("coefficient-2 mapping must not be pipelinable")
@@ -179,7 +179,7 @@ func TestMultiHopClassification(t *testing.T) {
 
 func TestNegativeUnitIsPipeline(t *testing.T) {
 	p := ir.SOR()
-	mu := Mapping{Nest: "S1", Coeff: map[string]int{"j": -1}}
+	mu := Mapping{Nest: "S1", Terms: ir.NewAffine(0, ir.Term{Var: "j", Coeff: -1}).Terms}
 	toks := Analyze(p, p.Nests[0], mu)
 	v := findToken(toks, "V(i)", 5)
 	if v.Class != Pipeline {
@@ -202,7 +202,7 @@ func TestAnalyzeJacobiL1(t *testing.T) {
 	// Row distribution of Jacobi L1 (mu = i): X(j) is reused over i and
 	// travels; A(i,j) is local.
 	p := ir.Jacobi()
-	mu := Mapping{Nest: "L1", Coeff: map[string]int{"i": 1}}
+	mu := Mapping{Nest: "L1", Terms: ir.V("i").Terms}
 	toks := Analyze(p, p.Nests[0], mu)
 	x := findToken(toks, "X(j)", 5)
 	if x == nil || x.Class != Pipeline {
@@ -218,13 +218,33 @@ func TestAnalyzeJacobiL1(t *testing.T) {
 }
 
 func TestMappingString(t *testing.T) {
-	m := Mapping{Coeff: map[string]int{"i": 1}}
+	m := Mapping{Terms: ir.V("i").Terms}
 	if m.String() != "1*i" {
 		t.Fatalf("String = %q", m.String())
 	}
-	empty := Mapping{Coeff: map[string]int{}}
+	empty := Mapping{}
 	if empty.String() != "0" {
 		t.Fatalf("empty String = %q", empty.String())
+	}
+}
+
+// TestMappingStringIsDeterministic: a mapping over two indices prints its
+// terms in index order every time (it printed 1*j+1*i in some runs while
+// it followed a map's order).
+func TestMappingStringIsDeterministic(t *testing.T) {
+	const src = "PROGRAM two\nPARAM m\nREAL A(2*m), B(m,m)\nDO 2 i = 1, m\nDO 2 j = 1, m\n1 A(i+j-1) = B(i,j) * 2.0\n2 CONTINUE\nEND\n"
+	for range 100 {
+		p, err := ir.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu, err := DeriveMapping(p, p.Nests[0], map[string]int{"A": 0, "B": 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mu.String() != "1*i+1*j" {
+			t.Fatalf("mapping = %s, want 1*i+1*j", mu)
+		}
 	}
 }
 

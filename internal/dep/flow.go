@@ -62,15 +62,12 @@ func FindProducer(p *ir.Program, nest *ir.Nest, reader *ir.Stmt, token ir.Ref) (
 	for d := range token.Subs {
 		w := best.LHS.Subs[d]
 		r := token.Subs[d]
-		// Single-variable affine subscript: coeff*v + c = r  =>  v = (r-c)/coeff.
-		vars := w.Vars()
-		if len(vars) != 1 {
+		// Single-variable unit subscript (non-unit coefficients are out of
+		// the paper's class): v + c = r  =>  v = r - c.
+		if len(w.Terms) != 1 || w.Terms[0].Coeff != 1 {
 			continue
 		}
-		v := vars[0]
-		if w.CoeffOf(v) != 1 {
-			continue // non-unit coefficients are out of the paper's class
-		}
+		v := w.Terms[0].Var
 		pos := indexPos(writerScope, v)
 		if pos < 0 {
 			continue

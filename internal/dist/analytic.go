@@ -233,21 +233,6 @@ func (l *ScaledLoads) rescale(den int64) {
 	}
 }
 
-// Add accumulates other into l (multi-array redistribution), rescaling
-// both sides to the least common denominator.
-func (l *ScaledLoads) Add(other ScaledLoads) {
-	den := max(other.Den, 1)
-	l.rescale(den)
-	f := l.Den / den
-	for r, v := range other.In {
-		l.In[r] += v * f
-	}
-	for r, v := range other.Out {
-		l.Out[r] += v * f
-	}
-	l.Words += other.Words
-}
-
 // MaxNum returns the largest in/out numerator: the bottleneck load is
 // MaxNum/Den words.
 func (l ScaledLoads) MaxNum() int64 {
@@ -290,9 +275,9 @@ func RedistLoadsScaled(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) (Sca
 }
 
 // AddRedist accumulates into l the loads RedistLoadsScaled computes for
-// one array's change, without building them apart: l ends as
-// l.Add(RedistLoadsScaled(...)) would leave it, to the key and the
-// numerator. An error adds nothing.
+// one array's change, without building them apart: l ends as adding
+// RedistLoadsScaled(...)'s loads, rescaled to a common denominator, would
+// leave it, to the key and the numerator. An error adds nothing.
 func (l *ScaledLoads) AddRedist(gFrom, gTo *grid.Grid, shape []int, from, to Scheme) error {
 	l.rescale(1)
 	js := jointPool.Get().(*jointScratch)

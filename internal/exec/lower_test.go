@@ -36,7 +36,7 @@ func vecProgram(lo, hi ir.Affine, rhs ir.Expr, reads []ir.Ref) *ir.Program {
 func TestRunRejectsUnlistedRead(t *testing.T) {
 	const m, n = 8, 4
 	i, one := ir.V("i"), ir.Const(1)
-	mirrored := ir.R("B", ir.V("m").PlusConst(1).Minus(i))
+	mirrored := ir.R("B", ir.NewAffine(1, ir.Term{Var: "m", Coeff: 1}, ir.Term{Var: "i", Coeff: -1}))
 	good := vecProgram(one, ir.V("m"), ir.Rd(mirrored), []ir.Ref{mirrored})
 	bad := vecProgram(one, ir.V("m"), ir.Rd(mirrored), []ir.Ref{ir.R("B", i)})
 	ss := fuzzSchemes(t, good, m, n)

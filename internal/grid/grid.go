@@ -43,9 +43,6 @@ func New(dims ...int) *Grid {
 	return g
 }
 
-// Dims returns a copy of the per-dimension extents N1..Nq.
-func (g *Grid) Dims() []int { return append([]int(nil), g.dims...) }
-
 // Q returns the dimensionality q of the grid.
 func (g *Grid) Q() int { return len(g.dims) }
 

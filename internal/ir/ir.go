@@ -22,22 +22,15 @@ import (
 	"strings"
 )
 
-// Affine is an affine expression: Const + sum(Coeff[v] * v) where the
-// variables v are loop indices or size parameters.
+// Affine is an affine expression, Const + Σ t.Coeff·t.Var, where the
+// variables are loop indices or size parameters. It has one form: Terms
+// sorted by Var, no Var twice and no zero Coeff, so equal expressions
+// are equal values and the zero value is the constant 0. Only NewAffine,
+// V, Const, Plus and PlusConst write Terms; each clips its result, so no
+// two Affines share spare capacity and none is written after it is built.
 type Affine struct {
-	Coeff map[string]int
+	Terms []Term
 	Const int
-}
-
-// NewAffine builds an affine expression from variable/coefficient pairs.
-func NewAffine(c int, terms ...Term) Affine {
-	a := Affine{Coeff: map[string]int{}, Const: c}
-	for _, t := range terms {
-		if t.Coeff != 0 {
-			a.Coeff[t.Var] += t.Coeff
-		}
-	}
-	return a
 }
 
 // Term is one linear term of an affine expression.
@@ -46,97 +39,79 @@ type Term struct {
 	Coeff int
 }
 
+// NewAffine builds an affine expression from variable/coefficient pairs,
+// in any order, with repeats and zeros.
+func NewAffine(c int, terms ...Term) Affine { return canon(c, slices.Clone(terms)) }
+
+// canon sorts ts by variable in place, sums each variable's
+// coefficients and drops the zero sums: the canonical form of c + ts.
+func canon(c int, ts []Term) Affine {
+	slices.SortFunc(ts, func(x, y Term) int { return strings.Compare(x.Var, y.Var) })
+	out := ts[:0]
+	for _, t := range ts {
+		if n := len(out); n > 0 && out[n-1].Var == t.Var {
+			out[n-1].Coeff += t.Coeff
+		} else {
+			out = append(out, t)
+		}
+	}
+	out = slices.DeleteFunc(out, func(t Term) bool { return t.Coeff == 0 })
+	if len(out) == 0 {
+		return Affine{Const: c}
+	}
+	return Affine{Terms: slices.Clip(out), Const: c}
+}
+
 // V is shorthand for a unit term: the bare variable v.
-func V(v string) Affine { return NewAffine(0, Term{Var: v, Coeff: 1}) }
+func V(v string) Affine { return Affine{Terms: []Term{{Var: v, Coeff: 1}}} }
 
 // Const is shorthand for a constant affine expression.
-func Const(c int) Affine { return NewAffine(c) }
+func Const(c int) Affine { return Affine{Const: c} }
 
 // Plus returns a + b.
 func (a Affine) Plus(b Affine) Affine {
-	out := NewAffine(a.Const + b.Const)
-	for v, c := range a.Coeff {
-		out.Coeff[v] += c
+	if len(b.Terms) == 0 {
+		return a.PlusConst(b.Const)
 	}
-	for v, c := range b.Coeff {
-		out.Coeff[v] += c
+	if len(a.Terms) == 0 {
+		return b.PlusConst(a.Const)
 	}
-	for v, c := range out.Coeff {
-		if c == 0 {
-			delete(out.Coeff, v)
-		}
-	}
-	return out
+	return canon(a.Const+b.Const, slices.Concat(a.Terms, b.Terms))
 }
 
 // PlusConst returns a + c.
-func (a Affine) PlusConst(c int) Affine { return a.Plus(Const(c)) }
-
-// Neg returns -a.
-func (a Affine) Neg() Affine {
-	out := NewAffine(-a.Const)
-	for v, c := range a.Coeff {
-		out.Coeff[v] = -c
-	}
-	return out
-}
-
-// Minus returns a - b.
-func (a Affine) Minus(b Affine) Affine { return a.Plus(b.Neg()) }
+func (a Affine) PlusConst(c int) Affine { return Affine{Terms: a.Terms, Const: a.Const + c} }
 
 // Eval evaluates the expression under a variable binding; it panics on
-// unbound variables with nonzero coefficients (an analysis bug).
+// unbound variables (an analysis bug).
 func (a Affine) Eval(bind map[string]int) int {
 	v := a.Const
-	for name, c := range a.Coeff {
-		if c == 0 {
-			continue
-		}
-		val, ok := bind[name]
+	for _, t := range a.Terms {
+		val, ok := bind[t.Var]
 		if !ok {
-			panic(fmt.Sprintf("ir: unbound variable %q in %s", name, a))
+			panic(fmt.Sprintf("ir: unbound variable %q in %s", t.Var, a))
 		}
-		v += c * val
+		v += t.Coeff * val
 	}
 	return v
 }
 
-// CoeffOf returns the coefficient of variable v (0 if absent).
-func (a Affine) CoeffOf(v string) int { return a.Coeff[v] }
-
-// Vars returns the variables with nonzero coefficients, sorted.
-func (a Affine) Vars() []string {
-	var out []string
-	for v, c := range a.Coeff {
-		if c != 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // IsConst reports whether the expression has no variable terms.
-func (a Affine) IsConst() bool {
-	for _, c := range a.Coeff {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (a Affine) IsConst() bool { return len(a.Terms) == 0 }
 
-// ConstDiff returns (a-b).Const and true when a-b is a constant, i.e.
-// the two expressions have identical variable parts — the paper's
+// ConstDiff returns a-b and true when a-b is a constant, i.e. the two
+// expressions have identical variable parts — the paper's
 // affinity-relation condition ("the difference of the two subscripts ...
 // is a constant value", Section 3).
 func (a Affine) ConstDiff(b Affine) (int, bool) {
-	d := a.Minus(b)
-	if !d.IsConst() {
+	if !slices.Equal(a.Terms, b.Terms) {
 		return 0, false
 	}
-	return d.Const, true
+	return a.Const - b.Const, true
 }
+
+// equal reports whether a and b are the same expression.
+func (a Affine) equal(b Affine) bool { return a.Const == b.Const && slices.Equal(a.Terms, b.Terms) }
 
 // String renders the expression, e.g. "i-1" or "m-j+2".
 func (a Affine) String() string {
@@ -146,26 +121,24 @@ func (a Affine) String() string {
 }
 
 func (a Affine) writeTo(b *strings.Builder) {
-	start := b.Len()
-	for _, v := range a.Vars() {
-		c := a.Coeff[v]
+	for i, t := range a.Terms {
 		switch {
-		case c == 1:
-			if b.Len() > start {
+		case t.Coeff == 1:
+			if i > 0 {
 				b.WriteByte('+')
 			}
-		case c == -1:
+		case t.Coeff == -1:
 			b.WriteByte('-')
 		default:
-			if c > 0 && b.Len() > start {
+			if t.Coeff > 0 && i > 0 {
 				b.WriteByte('+')
 			}
-			writeInt(b, c)
+			writeInt(b, t.Coeff)
 		}
-		b.WriteString(v)
+		b.WriteString(t.Var)
 	}
-	if a.Const != 0 || b.Len() == start {
-		if a.Const >= 0 && b.Len() > start {
+	if a.Const != 0 || len(a.Terms) == 0 {
+		if a.Const >= 0 && len(a.Terms) > 0 {
 			b.WriteByte('+')
 		}
 		writeInt(b, a.Const)
@@ -192,28 +165,9 @@ type Ref struct {
 func R(array string, subs ...Affine) Ref { return Ref{Array: array, Subs: subs} }
 
 // equal reports whether r and o are the same reference: one array, and
-// subscripts with equal constants and equal nonzero coefficients.
+// equal subscripts.
 func (r Ref) equal(o Ref) bool {
-	if r.Array != o.Array || len(r.Subs) != len(o.Subs) {
-		return false
-	}
-	for d, a := range r.Subs {
-		b := o.Subs[d]
-		if a.Const != b.Const || !a.covers(b) || !b.covers(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// covers reports whether every nonzero coefficient of b is a's too.
-func (a Affine) covers(b Affine) bool {
-	for v, c := range b.Coeff {
-		if c != 0 && a.Coeff[v] != c {
-			return false
-		}
-	}
-	return true
+	return r.Array == o.Array && slices.EqualFunc(r.Subs, o.Subs, Affine.equal)
 }
 
 func (r Ref) String() string {
@@ -272,9 +226,9 @@ func (s *Stmt) Anchor() int {
 		}
 		vars := buf[:0]
 		for _, sub := range rd.Subs {
-			for v, c := range sub.Coeff {
-				if c != 0 && !slices.Contains(vars, v) {
-					vars = append(vars, v)
+			for _, t := range sub.Terms {
+				if !slices.Contains(vars, t.Var) {
+					vars = append(vars, t.Var)
 				}
 			}
 		}
@@ -396,10 +350,10 @@ func (p *Program) Validate() error {
 						nest.Label, st.Line, r, len(r.Subs), arr.Rank())
 				}
 				for _, sub := range r.Subs {
-					for _, v := range sub.Vars() {
-						if !inScope[v] && !params[v] {
+					for _, t := range sub.Terms {
+						if !inScope[t.Var] && !params[t.Var] {
 							return fmt.Errorf("ir: %s line %d: subscript %s uses out-of-scope variable %q",
-								nest.Label, st.Line, sub, v)
+								nest.Label, st.Line, sub, t.Var)
 						}
 					}
 				}

@@ -19,26 +19,26 @@ func TestAffineArithmetic(t *testing.T) {
 		t.Fatal("Eval wrong")
 	}
 	s := a.Plus(b) // 2i+j-1
-	if s.CoeffOf("i") != 2 || s.CoeffOf("j") != 1 || s.Const != -1 {
+	if coeffOf(s, "i") != 2 || coeffOf(s, "j") != 1 || s.Const != -1 {
 		t.Fatalf("Plus: %s", s)
 	}
-	d := a.Minus(V("i")) // -1
+	d := minus(a, V("i")) // -1
 	if !d.IsConst() || d.Const != -1 {
 		t.Fatalf("Minus: %s", d)
 	}
-	n := b.Neg()
-	if n.CoeffOf("i") != -1 || n.CoeffOf("j") != -1 {
+	n := neg(b)
+	if coeffOf(n, "i") != -1 || coeffOf(n, "j") != -1 {
 		t.Fatalf("Neg: %s", n)
 	}
 }
 
 func TestAffineCancellation(t *testing.T) {
-	a := V("i").Plus(V("i").Neg())
+	a := V("i").Plus(neg(V("i")))
 	if !a.IsConst() || a.Const != 0 {
 		t.Fatalf("i + (-i) = %s", a)
 	}
-	if len(a.Vars()) != 0 {
-		t.Fatalf("vars not cancelled: %v", a.Vars())
+	if a.Terms != nil {
+		t.Fatalf("terms not cancelled: %v", a.Terms)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestAffineString(t *testing.T) {
 	cases := map[string]Affine{
 		"i-1":  V("i").PlusConst(-1),
 		"i+j":  V("i").Plus(V("j")),
-		"-i+5": V("i").Neg().PlusConst(5),
+		"-i+5": neg(V("i")).PlusConst(5),
 		"0":    Const(0),
 		"2i":   NewAffine(0, Term{"i", 2}),
 		"i":    V("i"),
@@ -164,7 +164,7 @@ func TestGaussShape(t *testing.T) {
 		t.Fatalf("G1 loops = %d", len(g1.Loops))
 	}
 	// Triangular bound: i runs from k+1.
-	if g1.Loops[1].Lo.CoeffOf("k") != 1 || g1.Loops[1].Lo.Const != 1 {
+	if coeffOf(g1.Loops[1].Lo, "k") != 1 || g1.Loops[1].Lo.Const != 1 {
 		t.Fatalf("G1 i lower bound = %s", g1.Loops[1].Lo)
 	}
 	g3 := p.Nests[2]
@@ -339,8 +339,8 @@ func printFmt(p *Program) string {
 
 func affineFmt(a Affine) string {
 	var b strings.Builder
-	for _, v := range a.Vars() {
-		switch c := a.Coeff[v]; {
+	for _, t := range a.Terms {
+		switch v, c := t.Var, t.Coeff; {
 		case c == 1:
 			if b.Len() > 0 {
 				b.WriteByte('+')

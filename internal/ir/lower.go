@@ -548,28 +548,25 @@ func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
 }
 
 // lin lowers a over the loops in scope (innermost first, though Validate
-// admits no repeated index) and bind; unbound is the least variable that is
-// neither, if a has one.
+// admits no repeated index) and bind; unbound is the first (least)
+// variable that is neither, if a has one.
 func (sl *slabs) lin(a Affine, scope []Loop, bind map[string]int) (l Lin, unbound string) {
 	l = Lin{K: a.Const, C: carve(&sl.ints, len(scope))}
-vars:
-	for v, c := range a.Coeff {
-		if c == 0 {
-			continue
-		}
+terms:
+	for _, t := range a.Terms {
 		for k := len(scope) - 1; k >= 0; k-- {
-			if scope[k].Index == v {
-				l.C[k] += c
-				continue vars
+			if scope[k].Index == t.Var {
+				l.C[k] += t.Coeff
+				continue terms
 			}
 		}
-		if val, ok := bind[v]; ok {
-			l.K += c * val
-			if v == sl.size {
-				l.M = c
+		if val, ok := bind[t.Var]; ok {
+			l.K += t.Coeff * val
+			if t.Var == sl.size {
+				l.M = t.Coeff
 			}
-		} else if unbound == "" || v < unbound {
-			unbound = v
+		} else if unbound == "" {
+			unbound = t.Var
 		}
 	}
 	for len(l.C) > 0 && l.C[len(l.C)-1] == 0 {

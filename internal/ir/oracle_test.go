@@ -440,9 +440,9 @@ func randomLoweringProgram(rng *rand.Rand) *Program {
 		case 0:
 			return V(v)
 		case 1:
-			return m.PlusConst(1).Minus(V(v)) // coefficient -1
+			return minus(m.PlusConst(1), V(v)) // coefficient -1
 		case 2:
-			return Affine{Coeff: map[string]int{v: 1, w + "_": 0}} // a zero term
+			return NewAffine(0, Term{Var: v, Coeff: 1}, Term{Var: w + "_", Coeff: 0}) // a zero term
 		case 3:
 			return NewAffine(0, Term{Var: v, Coeff: 2}, Term{Var: v, Coeff: -1})
 		case 4:

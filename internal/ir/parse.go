@@ -192,7 +192,7 @@ func (p *parser) topLevel() error {
 	if err != nil {
 		return err
 	}
-	if vars := loop.Hi.Vars(); len(vars) == 1 && strings.EqualFold(vars[0], "MAX_ITERATION") {
+	if ts := loop.Hi.Terms; len(ts) == 1 && strings.EqualFold(ts[0].Var, "MAX_ITERATION") {
 		p.prog.Iterative = true
 		p.skipNewlines()
 		// Parse the wrapper's body as top-level nests until its CONTINUE.
@@ -408,7 +408,7 @@ func (p *parser) statement(nest *Nest, label int) error {
 		if r.Array != lhs.Array {
 			continue
 		}
-		if sameSubs(r, lhs) {
+		if r.equal(lhs) {
 			selfRead = true
 		} else {
 			otherRead = true
@@ -416,8 +416,8 @@ func (p *parser) statement(nest *Nest, label int) error {
 	}
 	lhsVars := map[string]bool{}
 	for _, s := range lhs.Subs {
-		for _, v := range s.Vars() {
-			lhsVars[v] = true
+		for _, t := range s.Terms {
+			lhsVars[t.Var] = true
 		}
 	}
 	redLoop := false
@@ -454,19 +454,6 @@ func stripLabel(line string) string {
 		return strings.TrimSpace(s[i:])
 	}
 	return s
-}
-
-func sameSubs(a, b Ref) bool {
-	if len(a.Subs) != len(b.Subs) {
-		return false
-	}
-	for i := range a.Subs {
-		d, ok := a.Subs[i].ConstDiff(b.Subs[i])
-		if !ok || d != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ref := ident "(" affine {"," affine} ")"
@@ -605,7 +592,8 @@ func (e *exprParser) primary() (Expr, error) {
 }
 
 // affine parses an affine expression over identifiers: term {(+|-) term},
-// term := [int "*"] ident | int | ident ["*" int].
+// term := [int ["*"]] ident | int | ident ["*" int], where "int ident"
+// (2i) is the form Print writes.
 func (p *parser) affine() (Affine, error) {
 	acc := Const(0)
 	sign := 1
@@ -643,8 +631,11 @@ func (p *parser) affineTerm(sign int) (Affine, error) {
 			return Affine{}, p.errf(t, "subscripts must be integers, got %q", t.text)
 		}
 		p.next()
-		if p.cur().kind == tokStar { // int * ident
+		star := p.cur().kind == tokStar
+		if star {
 			p.next()
+		}
+		if star || p.cur().kind == tokIdent { // int * ident, or int ident
 			id, err := p.expect(tokIdent)
 			if err != nil {
 				return Affine{}, err

@@ -28,7 +28,7 @@ func TestParseGauss(t *testing.T) {
 		t.Fatalf("G1 loops = %d", len(g1.Loops))
 	}
 	// Triangular bound i = k+1.
-	if g1.Loops[1].Lo.CoeffOf("k") != 1 || g1.Loops[1].Lo.Const != 1 {
+	if g1.Loops[1].Lo.String() != "k+1" {
 		t.Fatalf("G1 i bound: %s", g1.Loops[1].Lo)
 	}
 	if !core.Triangular(g1) {
@@ -40,7 +40,7 @@ func TestParseGauss(t *testing.T) {
 		t.Fatal("G2 must run downward")
 	}
 	g3 := got.Nests[2]
-	if g3.Loops[1].Lo.CoeffOf("j") != 1 || g3.Loops[1].Lo.Const != -1 {
+	if g3.Loops[1].Lo.String() != "j-1" {
 		t.Fatalf("G3 i bound: %s", g3.Loops[1].Lo)
 	}
 	// Statement depths: line 14 at depth 1, line 16 at depth 2.

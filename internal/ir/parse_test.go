@@ -168,14 +168,14 @@ END
 		t.Fatal(err)
 	}
 	st := p.Nests[0].Stmts[0]
-	if st.LHS.Subs[0].CoeffOf("i") != 2 {
+	if coeffOf(st.LHS.Subs[0], "i") != 2 {
 		t.Fatalf("LHS subscript: %s", st.LHS.Subs[0])
 	}
 	if d, ok := st.Reads[0].Subs[0].ConstDiff(st.Reads[1].Subs[0]); !ok || d != -2 {
 		t.Fatalf("read subscripts: %s vs %s", st.Reads[0].Subs[0], st.Reads[1].Subs[0])
 	}
 	// Loop bound n-1.
-	if p.Nests[0].Loops[0].Hi.Const != -1 || p.Nests[0].Loops[0].Hi.CoeffOf("n") != 1 {
+	if p.Nests[0].Loops[0].Hi.Const != -1 || coeffOf(p.Nests[0].Loops[0].Hi, "n") != 1 {
 		t.Fatalf("bound: %s", p.Nests[0].Loops[0].Hi)
 	}
 }

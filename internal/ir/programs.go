@@ -55,8 +55,9 @@ func Builtin(name string) (p *Program, ok bool) {
 }
 
 // clone copies p down to every slice, map and expression an edit can
-// reach. The copy shares only its Affines' Coeff maps: an Affine is a
-// value, and no code writes its map after building it.
+// reach. The copy shares only its Affines' Terms: an Affine is a value,
+// and only ir's constructors write Terms, each into a clipped slice of its
+// own, so nothing writes them after an Affine is built.
 func (p *Program) clone() *Program {
 	q := *p
 	q.Params = slices.Clone(p.Params)

@@ -208,9 +208,6 @@ type EventProc = Proc
 // Deprecated: use New.
 func NewEvent(g *grid.Grid, cfg Config) (*Machine, error) { return New(g, cfg) }
 
-// Grid returns the processor grid of the machine.
-func (m *Machine) Grid() *grid.Grid { return m.grid }
-
 // Proc is the per-processor execution context handed to the SPMD body.
 // It implements Port. A Proc must only be used from the body function it
 // was handed to.

@@ -309,7 +309,7 @@ func Fig6(m, n int) (string, error) {
 	// compiled one: the DP's plan gives A these column blocks too, but
 	// dep.DeriveMapping takes 1*i from X's left-hand side, and that
 	// prints a Shift loop instead of Fig 6's wavefront.
-	mu := dep.Mapping{Nest: "S1", Coeff: map[string]int{"j": 1}}
+	mu := dep.Mapping{Nest: "S1", Terms: ir.V("j").Terms}
 	plan := &core.CompileResult{
 		DP:         &core.DPResult{Segments: []core.Segment{{Start: 1, Len: 1, Schemes: &core.SchemeSet{}}}},
 		Pipelining: []dep.PipelineDecision{dep.DecidePipelining(p, p.Nests[0], mu)},

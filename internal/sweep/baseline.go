@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 )
 
 // Regression is one metric that got worse than the baseline allows.
@@ -29,7 +30,8 @@ func (r Regression) String() string {
 }
 
 // Compare diffs the result against the baseline file. It returns the
-// regressions (current above baseline), plus notes for baseline
+// regressions (current above baseline), in baseline row order and by
+// metric name within a row, plus notes for baseline
 // rows the sweep did not produce (grid mismatch — reported, not fatal).
 func Compare(baselinePath string, res *Result) (regs []Regression, notes []string, err error) {
 	raw, err := os.ReadFile(baselinePath)
@@ -56,13 +58,15 @@ func Compare(baselinePath string, res *Result) (regs []Regression, notes []strin
 			continue
 		}
 		matched++
-		for metric, baseVal := range b.Metrics {
+		metrics := make([]string, 0, len(b.Metrics))
+		for metric := range b.Metrics {
+			metrics = append(metrics, metric)
+		}
+		sort.Strings(metrics) // a row's regressions in name order
+		for _, metric := range metrics {
 			curVal, ok := got[metric]
-			if !ok {
-				continue
-			}
-			if curVal > baseVal+1e-9 {
-				regs = append(regs, Regression{Row: id, Metric: metric, Base: baseVal, Cur: curVal})
+			if ok && curVal > b.Metrics[metric]+1e-9 {
+				regs = append(regs, Regression{Row: id, Metric: metric, Base: b.Metrics[metric], Cur: curVal})
 			}
 		}
 	}

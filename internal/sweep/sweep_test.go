@@ -222,6 +222,28 @@ func TestCompareSweepJSONBaseline(t *testing.T) {
 	}
 }
 
+// TestCompareOrdersARowsRegressions: several regressions in one row come
+// back by metric name, the same every call (they followed map order).
+func TestCompareOrdersARowsRegressions(t *testing.T) {
+	res := &Result{Kind: "compile", Rows: []Row{{Variant: "analytic", M: 16, N: 4, S: 4,
+		Metrics: map[string]float64{"a": 2, "b": 2, "c": 2, "d": 2, "e": 2, "f": 2}}}}
+	path := writeBaseline(t, `{"sweep":"compile","rows":[{"variant":"analytic","m":16,"n":4,"s":4,
+	   "metrics":{"f":1,"e":1,"d":1,"c":1,"b":1,"a":1}}]}`)
+	for range 20 {
+		regs, _, err := Compare(path, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range regs {
+			got = append(got, r.Metric)
+		}
+		if strings.Join(got, ",") != "a,b,c,d,e,f" {
+			t.Fatalf("regressions in order %v, want a..f", got)
+		}
+	}
+}
+
 // committedBaseline loads a BENCH_*.json from the repository root as the
 // sweep it records. The committed baselines are plain dmsweep -json
 // documents: nothing but the tool's own fields decodes, no key is a
