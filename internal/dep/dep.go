@@ -67,12 +67,6 @@ type Token struct {
 	MuDotD []int
 	// Class is derived from MuDotD.
 	Class Class
-	// UsedIn renders the use-index family the way Table 5 prints it,
-	// e.g. "(k,0)+i(0,1)".
-	UsedIn string
-	// UsedInPEs renders the processor set: "(i-1) mod N" for local
-	// tokens, "all PEs" for travelling ones.
-	UsedInPEs string
 }
 
 // Mapping is a nest's index-to-processor mapping: the virtual processor
@@ -189,44 +183,39 @@ func analyzeToken(nestLabel string, line int, ref ir.Ref, indices []string, mu M
 			t.Class = MultiHop
 		}
 	}
-	t.UsedIn = renderUsedIn(indices, inSub, t.ReuseDirs)
-	t.UsedInPEs = renderUsedInPEs(indices, t.Mu, t.Class)
 	return t
 }
 
-func renderUsedIn(indices []string, inSub map[string]bool, dirs [][]int) string {
-	base := make([]string, len(indices))
-	for i, idx := range indices {
-		if inSub[idx] {
-			base[i] = idx
-		} else {
-			base[i] = "0"
-		}
+// UsedIn renders the use-index family the way Table 5 prints it, e.g.
+// "(k,0)+i(0,1)": the anchored indices, 0 along each reuse direction, then
+// one term per reuse direction.
+func (t *Token) UsedIn() string {
+	base := slices.Clone(t.Indices)
+	for _, d := range t.ReuseDirs {
+		base[slices.Index(d, 1)] = "0"
 	}
 	s := "(" + strings.Join(base, ",") + ")"
-	for _, d := range dirs {
+	for _, d := range t.ReuseDirs {
 		comp := make([]string, len(d))
-		varName := ""
 		for i, c := range d {
 			comp[i] = fmt.Sprintf("%d", c)
-			if c != 0 {
-				varName = indices[i]
-			}
 		}
-		s += fmt.Sprintf("+%s(%s)", varName, strings.Join(comp, ","))
+		s += fmt.Sprintf("+%s(%s)", t.Indices[slices.Index(d, 1)], strings.Join(comp, ","))
 	}
 	return s
 }
 
-func renderUsedInPEs(indices []string, mu []int, c Class) string {
-	if c != Local {
+// UsedInPEs renders the processor set the way Table 5 prints it: "(i-1)
+// mod N" for a local token, "all PEs" for a travelling one.
+func (t *Token) UsedInPEs() string {
+	if t.Class != Local {
 		return "all PEs"
 	}
 	// The token stays on the virtual processor mu . I; express it through
 	// the anchored indices.
-	terms := make([]ir.Term, len(mu))
-	for i, m := range mu {
-		terms[i] = ir.Term{Var: indices[i], Coeff: m}
+	terms := make([]ir.Term, len(t.Mu))
+	for i, m := range t.Mu {
+		terms[i] = ir.Term{Var: t.Indices[i], Coeff: m}
 	}
 	return fmt.Sprintf("(%s-1) mod N", ir.NewAffine(0, terms...))
 }

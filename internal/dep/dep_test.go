@@ -79,8 +79,8 @@ func TestTable5Dependence(t *testing.T) {
 			t.Errorf("token %s line %d not found", row.ref, row.line)
 			continue
 		}
-		if tok.UsedIn != row.usedIn {
-			t.Errorf("%s line %d: used-in %q, want %q", row.ref, row.line, tok.UsedIn, row.usedIn)
+		if tok.UsedIn() != row.usedIn {
+			t.Errorf("%s line %d: used-in %q, want %q", row.ref, row.line, tok.UsedIn(), row.usedIn)
 		}
 		if len(tok.MuDotD) != len(row.muDotD) {
 			t.Errorf("%s line %d: mu.d = %v, want %v", row.ref, row.line, tok.MuDotD, row.muDotD)
@@ -94,8 +94,8 @@ func TestTable5Dependence(t *testing.T) {
 		if tok.Class != row.class {
 			t.Errorf("%s line %d: class %v, want %v", row.ref, row.line, tok.Class, row.class)
 		}
-		if tok.UsedInPEs != row.usedInPEs {
-			t.Errorf("%s line %d: used-in-PEs %q, want %q", row.ref, row.line, tok.UsedInPEs, row.usedInPEs)
+		if tok.UsedInPEs() != row.usedInPEs {
+			t.Errorf("%s line %d: used-in-PEs %q, want %q", row.ref, row.line, tok.UsedInPEs(), row.usedInPEs)
 		}
 	}
 }
@@ -212,8 +212,8 @@ func TestAnalyzeJacobiL1(t *testing.T) {
 	if a == nil || a.Class != Local {
 		t.Fatalf("A(i,j) = %+v", a)
 	}
-	if a.UsedIn != "(i,j)" {
-		t.Fatalf("A(i,j) used-in = %q", a.UsedIn)
+	if a.UsedIn() != "(i,j)" {
+		t.Fatalf("A(i,j) used-in = %q", a.UsedIn())
 	}
 }
 

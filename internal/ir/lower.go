@@ -59,6 +59,11 @@ type Lowered struct {
 	// size is the value Bind gives the program's size parameter
 	// (Params[0]), 0 when it has none or Bind leaves it out.
 	size int
+	// checks are every subscript's bounds as functions of the size, and
+	// [minM, maxM] the sizes at which every extent is at least 1: what
+	// RangeAt reads (deriveRanges).
+	checks     []rangeCheck
+	minM, maxM int
 }
 
 // LNest is a lowered nest: its loops outermost first, its statements in
@@ -387,6 +392,7 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 			}
 		}
 	}
+	lw.deriveRanges()
 	return lw, nil
 }
 

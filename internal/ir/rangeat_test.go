@@ -142,16 +142,7 @@ func errText(err error) string {
 // subscript shifted off its array by up to two.
 func TestRangeAtIsSound(t *testing.T) {
 	const base = 8
-	progs := rangeCorpus(t)
-	rng := rand.New(rand.NewSource(20261019))
-	for trial := 0; trial < 200; trial++ {
-		p := randomLoweringProgram(rng)
-		if trial%2 == 1 {
-			st := p.Nests[0].Stmts[rng.Intn(len(p.Nests[0].Stmts))]
-			st.LHS.Subs[0] = st.LHS.Subs[0].PlusConst(rng.Intn(5) - 2)
-		}
-		progs = append(progs, p)
-	}
+	progs := append(rangeCorpus(t), randomRangeNests()...)
 	accepted, refused := 0, 0
 	for i, p := range progs {
 		lw, err := p.Lower(map[string]int{"m": base})
@@ -180,6 +171,164 @@ func TestRangeAtIsSound(t *testing.T) {
 	}
 	if refused == 0 || accepted == 0 {
 		t.Errorf("RangeAt accepted %d and refused %d sizes: the test decides nothing", accepted, refused)
+	}
+}
+
+// randomRangeNests is 200 random nests of every shape the lowering
+// resolves, half of them with the written subscript shifted off its array
+// by up to two.
+func randomRangeNests() []*Program {
+	var progs []*Program
+	rng := rand.New(rand.NewSource(20261019))
+	for trial := 0; trial < 200; trial++ {
+		p := randomLoweringProgram(rng)
+		if trial%2 == 1 {
+			st := p.Nests[0].Stmts[rng.Intn(len(p.Nests[0].Stmts))]
+			st.LHS.Subs[0] = st.LHS.Subs[0].PlusConst(rng.Intn(5) - 2)
+		}
+		progs = append(progs, p)
+	}
+	return progs
+}
+
+// rangeAtWalk is RangeAt before its bounds were derived once per lowering,
+// kept verbatim as its oracle: at every call, every subscript's extremes
+// by substituting the clipped loop bounds, innermost first.
+func rangeAtWalk(lw *Lowered, m int) error {
+	dm := m - lw.size
+	if err := lw.extentsAt(dm); err != nil {
+		return err
+	}
+	var buf [8]LLoop // nests are rarely deeper: the loops stay on the stack
+	for t := range lw.Nests {
+		ln := &lw.Nests[t]
+		for si := range ln.Stmts {
+			ls := &ln.Stmts[si]
+			loops := ln.clipped(buf[:0], ls.Depth, dm)
+			for ri := -1; ri < len(ls.Reads); ri++ {
+				lr := ls.Ref(ri)
+				for d := range lr.Subs {
+					lo, hi := extreme(&lr.Subs[d], loops, dm, false), extreme(&lr.Subs[d], loops, dm, true)
+					// lo > hi: a loop above the statement never runs.
+					if extent := lw.Shapes[lr.Array][d] + lw.shapeM[lr.Array][d]*dm; lo <= hi && (lo < 1 || hi > extent) {
+						st := lw.Program.Nests[t].Stmts[si]
+						return &RangeError{Nest: lw.Program.Nests[t].Label, Line: st.Line, Ref: st.ref(ri), Dim: d, Min: lo, Max: hi, Extent: extent}
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// clipped appends the nest's first depth loops to out with their bounds'
+// constants read dm sizes past the lowering's own, each loop with constant
+// bounds clipped to where every inner loop among them that is bounded by
+// it alone, with a unit coefficient, runs.
+func (ln *LNest) clipped(out []LLoop, depth, dm int) []LLoop {
+	out = append(out, ln.Loops[:depth]...)
+	for d := range out {
+		out[d].Lo.K += out[d].Lo.M * dm
+		out[d].Hi.K += out[d].Hi.M * dm
+	}
+	for d := range out {
+		if len(out[d].Lo.C)+len(out[d].Hi.C) > 0 {
+			continue
+		}
+		lo, hi := &out[d].Lo.K, &out[d].Hi.K
+		if out[d].Step < 0 {
+			lo, hi = hi, lo
+		}
+		for _, in := range out[d+1:] {
+			cHi, okHi := in.Hi.only(d)
+			cLo, okLo := in.Lo.only(d)
+			// The inner loop runs at index k iff g0 + gk·k ≥ 0 (a step is ±1).
+			g0, gk := in.Step*(in.Hi.K-in.Lo.K), in.Step*(cHi-cLo)
+			if okHi && okLo && gk == 1 {
+				*lo = max(*lo, -g0)
+			} else if okHi && okLo && gk == -1 {
+				*hi = min(*hi, g0)
+			}
+		}
+	}
+	return out
+}
+
+// extreme is the greatest (max) or least value of l, dm sizes past the
+// lowering's own, over the iterations of the loops clipped returns: each
+// index, innermost first, is replaced by the end of its range the term's
+// sign calls for.
+func extreme(l *Lin, loops []LLoop, dm int, max bool) int {
+	var buf [8]int // nests are rarely deeper: c stays on the stack
+	k, c := l.K+l.M*dm, append(buf[:0], l.C...)
+	for d := len(c) - 1; d >= 0; d-- {
+		if c[d] == 0 {
+			continue
+		}
+		// An up loop's greatest index is its Hi, a down loop's its Lo.
+		end := &loops[d].Lo
+		if (c[d] > 0) == max == (loops[d].Step > 0) {
+			end = &loops[d].Hi
+		}
+		k += c[d] * end.K
+		for e, ce := range end.C {
+			c[e] += c[d] * ce
+		}
+	}
+	return k
+}
+
+// shrinkingSource is a program whose extent falls below 1 as m grows,
+// past m = 39, and whose reads of B leave it below m = 20.
+const shrinkingSource = `PROGRAM shrinking
+PARAM m
+REAL A(40-m), B(m)
+DO 9 i = 1, 40 - m
+7   A(i) = B(i) + B(41-m-i)
+9 CONTINUE
+END
+`
+
+// TestRangeAtMatchesWalk: the bounds Lower derives answer RangeAt(m), at
+// every m in [1, 4·base], exactly what the per-call substitution walk
+// answers there, error text included: over rangeCorpus, a program whose
+// extent shrinks as m grows and TestRangeAtIsSound's random nests, on the
+// lowering at base and again after Rebind moved it off base.
+func TestRangeAtMatchesWalk(t *testing.T) {
+	const base = 16
+	shrinking, err := Parse(shrinkingSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := append(append(rangeCorpus(t), shrinking), randomRangeNests()...)
+	accepted, refused, clips := 0, 0, 0
+	for i, p := range progs {
+		lw, err := p.Lower(map[string]int{"m": base})
+		if err != nil {
+			t.Fatalf("%s at m=%d: %v", p.Name, base, err)
+		}
+		for _, c := range lw.checks {
+			clips += len(c.lo.clips) + len(c.hi.clips)
+		}
+		for _, at := range []int{base, base + 3} {
+			if err := lw.Rebind(map[string]int{"m": at}); err != nil {
+				t.Fatalf("%s: Rebind to m=%d: %v", p.Name, at, err)
+			}
+			for m := 1; m <= 4*base; m++ {
+				got, want := lw.RangeAt(m), rangeAtWalk(lw, m)
+				if errText(got) != errText(want) {
+					t.Errorf("program %d (%s) bound at m=%d, at m=%d: RangeAt says %q, the walk %q\n%s", i, p.Name, at, m, errText(got), errText(want), Print(p))
+				}
+				if got == nil {
+					accepted++
+				} else {
+					refused++
+				}
+			}
+		}
+	}
+	if accepted == 0 || refused == 0 || clips == 0 {
+		t.Errorf("RangeAt accepted %d and refused %d sizes over %d clipped ends: the test decides nothing", accepted, refused, clips)
 	}
 }
 

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // RangeError reports a subscript that leaves its array's declared extent
 // under a binding — an error in the program text or the binding, never in
@@ -21,76 +24,185 @@ func (e *RangeError) Error() string {
 
 // RangeAt checks the program at size m: an extent below 1 is the error
 // Lower(m) returns, and a subscript outside its array's declared extent a
-// *RangeError naming the first such. Every constant is read at m through
-// its form's size term, so one lowering answers for any size without
-// re-binding, and a nil answer allocates nothing.
-//
-// A subscript's least and greatest values come from substituting loop
-// bounds for indices, innermost first (affine arithmetic, no iteration),
-// so a triangular bound carries its outer index into the next
-// substitution. A loop with constant bounds is first clipped to where each
-// inner loop around the statement that is bounded by it alone, with a unit
-// coefficient, runs: at k = m, DO i = k+1, m runs nothing. The bounds are
-// never narrower than what executes, and wider only where an inner loop
-// the clip does not cover is empty for part of an outer loop's range.
+// *RangeError naming the first such. It reads the bounds Lower derived as
+// functions of the size (deriveRanges): a few multiply-adds and
+// comparisons per subscript, whatever the size and however often the
+// lowering was re-bound, and a nil answer allocates nothing.
 func (lw *Lowered) RangeAt(m int) error {
-	dm := m - lw.size
-	if err := lw.extentsAt(dm); err != nil {
-		return err
+	if m < lw.minM || m > lw.maxM {
+		return lw.extentsAt(m - lw.size)
 	}
-	var buf [8]LLoop // nests are rarely deeper: the loops stay on the stack
-	for t := range lw.Nests {
-		ln := &lw.Nests[t]
-		for si := range ln.Stmts {
-			ls := &ln.Stmts[si]
-			loops := ln.clipped(buf[:0], ls.Depth, dm)
-			for ri := -1; ri < len(ls.Reads); ri++ {
-				lr := ls.Ref(ri)
-				for d := range lr.Subs {
-					lo, hi := extreme(&lr.Subs[d], loops, dm, false), extreme(&lr.Subs[d], loops, dm, true)
-					// lo > hi: a loop above the statement never runs.
-					if extent := lw.Shapes[lr.Array][d] + lw.shapeM[lr.Array][d]*dm; lo <= hi && (lo < 1 || hi > extent) {
-						st := lw.Program.Nests[t].Stmts[si]
-						return &RangeError{Nest: lw.Program.Nests[t].Label, Line: st.Line, Ref: st.ref(ri), Dim: d, Min: lo, Max: hi, Extent: extent}
-					}
-				}
-			}
+	for i := range lw.checks {
+		c := &lw.checks[i]
+		// lo > hi: a loop above the statement never runs.
+		if lo, hi, extent := c.lo.at(m), c.hi.at(m), c.extent.at(m); lo <= hi && (lo < 1 || hi > extent) {
+			nest := lw.Program.Nests[c.t]
+			st := nest.Stmts[c.si]
+			return &RangeError{Nest: nest.Label, Line: st.Line, Ref: st.ref(c.ri), Dim: c.d, Min: lo, Max: hi, Extent: extent}
 		}
 	}
 	return nil
 }
 
-// clipped appends the nest's first depth loops to out with their bounds'
-// constants read dm sizes past the lowering's own, each loop with constant
-// bounds clipped to where every inner loop among them that is bounded by
-// it alone, with a unit coefficient, runs.
-func (ln *LNest) clipped(out []LLoop, depth, dm int) []LLoop {
-	out = append(out, ln.Loops[:depth]...)
-	for d := range out {
-		out[d].Lo.K += out[d].Lo.M * dm
-		out[d].Hi.K += out[d].Hi.M * dm
+// sizeForm is K + M·m, a constant as a function of the size m.
+type sizeForm struct{ K, M int }
+
+func (f sizeForm) at(m int) int { return f.K + f.M*m }
+
+func (f sizeForm) times(c int) sizeForm { return sizeForm{c * f.K, c * f.M} }
+
+// bound is a subscript's least or greatest value at size m: the form's
+// value plus each clip's.
+type bound struct {
+	sizeForm
+	clips []clip
+}
+
+// clip is a clipped loop end times the coefficient it enters a bound
+// with: sign × the greatest of its forms, each stored times sign, so a
+// least end is -max(-forms).
+type clip struct {
+	sign  int
+	forms []sizeForm
+}
+
+func (b *bound) at(m int) int {
+	v := b.sizeForm.at(m)
+	for _, cl := range b.clips {
+		e := math.MinInt
+		for _, f := range cl.forms {
+			e = max(e, f.at(m))
+		}
+		v += cl.sign * e
 	}
-	for d := range out {
-		if len(out[d].Lo.C)+len(out[d].Hi.C) > 0 {
-			continue
-		}
-		lo, hi := &out[d].Lo.K, &out[d].Hi.K
-		if out[d].Step < 0 {
-			lo, hi = hi, lo
-		}
-		for _, in := range out[d+1:] {
-			cHi, okHi := in.Hi.only(d)
-			cLo, okLo := in.Lo.only(d)
-			// The inner loop runs at index k iff g0 + gk·k ≥ 0 (a step is ±1).
-			g0, gk := in.Step*(in.Hi.K-in.Lo.K), in.Step*(cHi-cLo)
-			if okHi && okLo && gk == 1 {
-				*lo = max(*lo, -g0)
-			} else if okHi && okLo && gk == -1 {
-				*hi = min(*hi, g0)
+	return v
+}
+
+// rangeCheck is one subscript's least and greatest values and its
+// dimension's extent as functions of the size, and where it is written:
+// dimension d of read ri (the LHS at -1) of nest t's statement si.
+type rangeCheck struct {
+	t, si, ri, d int
+	lo, hi       bound
+	extent       sizeForm
+}
+
+// form is a constant of the lowering, k at its own size with mCoeff its
+// coefficient of the size parameter, as a function of the size.
+func (lw *Lowered) form(k, mCoeff int) sizeForm {
+	return sizeForm{k - mCoeff*lw.size, mCoeff}
+}
+
+// deriveRanges derives what RangeAt reads, once per lowering: the sizes
+// at which every extent is at least 1, and every subscript's least and
+// greatest values as functions of the size. Both are stated in m itself,
+// so Rebind leaves them as they are.
+//
+// A subscript's extremes come from substituting loop bounds for indices,
+// innermost first, so a triangular bound carries its outer index into the
+// next substitution. Which end each substitution takes depends on the
+// coefficients' signs, never on m, so each extreme is affine in m but
+// where a loop with constant bounds is clipped to where every inner loop
+// around the statement that is bounded by it alone, with a unit
+// coefficient, runs (at k = m, DO i = k+1, m runs nothing): a clipped end
+// is the greatest or least of a few affine forms. The bounds are never
+// narrower than what executes, and wider only where an inner loop the
+// clip does not cover is empty for part of an outer loop's range.
+func (lw *Lowered) deriveRanges() {
+	lw.minM, lw.maxM = math.MinInt, math.MaxInt
+	for a, shape := range lw.Shapes {
+		for d, k := range shape {
+			// K + M·m ≥ 1: m ≥ ⌈(1-K)/M⌉ for M > 0, m ≤ ⌊(K-1)/-M⌋ for M < 0.
+			if f := lw.form(k, lw.shapeM[a][d]); f.M > 0 {
+				lw.minM = max(lw.minM, -floorDiv(f.K-1, f.M))
+			} else if f.M < 0 {
+				lw.maxM = min(lw.maxM, floorDiv(f.K-1, -f.M))
 			}
 		}
 	}
-	return out
+	for t := range lw.Nests {
+		ln := &lw.Nests[t]
+		for si := range ln.Stmts {
+			ls := &ln.Stmts[si]
+			loops := ln.Loops[:ls.Depth]
+			for ri := -1; ri < len(ls.Reads); ri++ {
+				lr := ls.Ref(ri)
+				for d := range lr.Subs {
+					lw.checks = append(lw.checks, rangeCheck{
+						t: t, si: si, ri: ri, d: d,
+						lo: lw.extreme(&lr.Subs[d], loops, false), hi: lw.extreme(&lr.Subs[d], loops, true),
+						extent: lw.form(lw.Shapes[lr.Array][d], lw.shapeM[lr.Array][d]),
+					})
+				}
+			}
+		}
+	}
+}
+
+// floorDiv is ⌊a/b⌋ for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// extreme is the greatest (max) or least value of l over the iterations
+// of loops, as a function of the size: each index, innermost first, is
+// replaced by the end of its range the term's sign calls for, clipped
+// when its loop's bounds are constant.
+func (lw *Lowered) extreme(l *Lin, loops []LLoop, max bool) bound {
+	var buf [8]int // nests are rarely deeper: c stays on the stack
+	b, c := bound{sizeForm: lw.form(l.K, l.M)}, append(buf[:0], l.C...)
+	for d := len(c) - 1; d >= 0; d-- {
+		if c[d] == 0 {
+			continue
+		}
+		// An up loop's greatest index is its Hi, a down loop's its Lo.
+		loop, end := &loops[d], &loops[d].Lo
+		if (c[d] > 0) == max == (loop.Step > 0) {
+			end = &loop.Hi
+		}
+		if len(loop.Lo.C)+len(loop.Hi.C) > 0 {
+			for e, ce := range end.C {
+				c[e] += c[d] * ce
+			}
+		} else if cl := lw.clip(loops, d, end, c[d]); cl.forms != nil {
+			b.clips = append(b.clips, cl)
+			continue
+		}
+		f := lw.form(end.K, end.M).times(c[d])
+		b.K, b.M = b.K+f.K, b.M+f.M
+	}
+	return b
+}
+
+// clip is c × loop d's end e (its Lo or its Hi), clipped to where every
+// inner loop among loops that is bounded by loop d alone, with a unit
+// coefficient, runs; no forms when no inner loop is.
+func (lw *Lowered) clip(loops []LLoop, d int, e *Lin, c int) clip {
+	// Clipping raises a least end and lowers a greatest; c < 0 flips both.
+	least := (e == &loops[d].Lo) == (loops[d].Step > 0)
+	cl := clip{sign: -1}
+	if least == (c > 0) {
+		cl.sign = 1
+	}
+	for _, in := range loops[d+1:] {
+		cHi, okHi := in.Hi.only(d)
+		cLo, okLo := in.Lo.only(d)
+		// The inner loop runs at index k iff g0 + gk·k ≥ 0 (a step is ±1):
+		// a least end rises to -g0 where gk = 1, a greatest falls to g0
+		// where gk = -1.
+		if gk := in.Step * (cHi - cLo); okHi && okLo && (gk == 1 && least || gk == -1 && !least) {
+			g0 := lw.form(in.Step*(in.Hi.K-in.Lo.K), in.Step*(in.Hi.M-in.Lo.M))
+			cl.forms = append(cl.forms, g0.times(-gk*c*cl.sign))
+		}
+	}
+	if cl.forms != nil {
+		cl.forms = append(cl.forms, lw.form(e.K, e.M).times(c*cl.sign))
+	}
+	return cl
 }
 
 // only is l's coefficient of loop d, and whether it reads no other loop.
@@ -103,28 +215,4 @@ func (l *Lin) only(d int) (c int, ok bool) {
 		}
 	}
 	return c, true
-}
-
-// extreme is the greatest (max) or least value of l, dm sizes past the
-// lowering's own, over the iterations of the loops clipped returns: each
-// index, innermost first, is replaced by the end of its range the term's
-// sign calls for.
-func extreme(l *Lin, loops []LLoop, dm int, max bool) int {
-	var buf [8]int // nests are rarely deeper: c stays on the stack
-	k, c := l.K+l.M*dm, append(buf[:0], l.C...)
-	for d := len(c) - 1; d >= 0; d-- {
-		if c[d] == 0 {
-			continue
-		}
-		// An up loop's greatest index is its Hi, a down loop's its Lo.
-		end := &loops[d].Lo
-		if (c[d] > 0) == max == (loops[d].Step > 0) {
-			end = &loops[d].Hi
-		}
-		k += c[d] * end.K
-		for e, ce := range end.C {
-			c[e] += c[d] * ce
-		}
-	}
-	return k
 }

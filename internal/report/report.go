@@ -361,7 +361,7 @@ func Table5() (string, error) {
 				muds[i] = fmt.Sprintf("%d", v)
 			}
 			fmt.Fprintf(&b, "%-8s %-5d %-22s %-10s %-8s %s\n",
-				tok.Ref, tok.Line, tok.UsedIn, mu.String(), strings.Join(muds, ","), tok.UsedInPEs)
+				tok.Ref, tok.Line, tok.UsedIn(), mu.String(), strings.Join(muds, ","), tok.UsedInPEs())
 		}
 	}
 	return b.String(), nil

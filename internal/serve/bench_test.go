@@ -189,3 +189,25 @@ func BenchmarkWriteStages(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCostRoute times one fitted GET /cost through the handler, no
+// wire, at a size that changes every request as dmbench's serve-cost
+// asks them.
+func BenchmarkCostRoute(b *testing.B) {
+	for _, prog := range benchProgs {
+		b.Run(prog, func(b *testing.B) {
+			h, s, _ := warmHandler(b, prog)
+			paths := make([]string, 64)
+			for i := range paths {
+				paths[i] = costPath(b, s, 1000+i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := serveDirect(h, "GET", paths[i%len(paths)], nil); rec.Code != http.StatusOK {
+					b.Fatalf("GET %s: %d: %s", paths[i%len(paths)], rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

@@ -172,9 +172,16 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// writeJSON writes v as encoding/json's Encoder does, or, when v has no
+// JSON form (a NaN or an infinite float), answers 500 in httpError's body.
 func writeJSON(w http.ResponseWriter, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding reply: %v", err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(b, '\n'))
 }
 
 // ---------------------------------------------------------- /compile --
@@ -486,12 +493,11 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 // ------------------------------------------------------------- /cost --
 
 func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("key")
+	id, mStr := costQuery(r.URL.RawQuery)
 	if id == "" {
 		httpError(w, http.StatusBadRequest, "key is required")
 		return
 	}
-	mStr := r.URL.Query().Get("m")
 	m, err := strconv.Atoi(mStr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad m %q: %v", mStr, err)
@@ -513,7 +519,7 @@ func (s *Server) handleCost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, "pricing at m=%d: %v", m, err)
 		return
 	}
-	writeJSON(w, report)
+	writeCost(w, report)
 }
 
 // ---------------------------------------------------------- /metrics --
