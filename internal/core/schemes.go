@@ -75,7 +75,8 @@ func (ss *SchemeSet) Signature() string {
 
 // buildKeys formats the set's memoization keys, once: the signature and
 // the pieces it concatenates, so a key over a subset of the arrays
-// (restrictedKey) costs a concatenation and no formatting.
+// (restrictedKey) costs a concatenation and no formatting. The pieces are
+// formatted into one buffer and sliced from the signature's one string.
 func (ss *SchemeSet) buildKeys() {
 	var b []byte
 	if ss.Grid != nil {
@@ -84,18 +85,23 @@ func (ss *SchemeSet) buildKeys() {
 			b = strconv.AppendInt(append(b, 'x'), int64(ss.Grid.Extent(d)), 10)
 		}
 	}
-	ss.gridKey = string(b)
 	names := make([]string, 0, len(ss.Schemes))
 	for n := range ss.Schemes {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	ss.arrayKey = make(map[string]string, len(names))
-	for _, n := range names {
-		ss.arrayKey[n] = schemeKey(n, ss.Schemes[n])
-		b = append(b, ss.arrayKey[n]...)
+	ends := make([]int, len(names)+1) // the grid's piece, then each array's
+	ends[0] = len(b)
+	for i, n := range names {
+		b = appendSchemeKey(b, n, ss.Schemes[n])
+		ends[i+1] = len(b)
 	}
 	ss.sig = string(b)
+	ss.gridKey = ss.sig[:ends[0]]
+	ss.arrayKey = make(map[string]string, len(names))
+	for i, n := range names {
+		ss.arrayKey[n] = ss.sig[ends[i]:ends[i+1]]
+	}
 }
 
 // restrictedKey is the signature restricted to the named arrays (given
@@ -121,9 +127,10 @@ func (ss *SchemeSet) nestKey(pr *prepared, t int) string {
 	return ss.restrictedKey(pr.refs[t])
 }
 
-// schemeKey encodes one array's placement as Signature documents it.
-func schemeKey(name string, s dist.Scheme) string {
-	b := append(append([]byte{';'}, name...), ':')
+// appendSchemeKey appends one array's placement, encoded as Signature
+// documents it.
+func appendSchemeKey(b []byte, name string, s dist.Scheme) []byte {
+	b = append(append(append(b, ';'), name...), ':')
 	for _, d := range s.Dims {
 		if d.Replicated {
 			b = append(strconv.AppendInt(append(b, "[R g"...), int64(d.GridDim), 10), ']')
@@ -155,7 +162,7 @@ func schemeKey(name string, s dist.Scheme) string {
 			b = strconv.AppendInt(append(b, '='), int64(s.Fixed[gd]), 10)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // Triangular reports whether any loop bound of the nest depends on an

@@ -105,58 +105,64 @@ func (c *census) walk(v reflect.Value, in string) {
 }
 
 // planCensus builds the schedule of c and the executors of each of its
-// segments, and counts the pointer words they hold.
-func planCensus(t *testing.T, c benchCase) (*census, *planSchedule, [][]valExec) {
+// segments in a workspace warmed by a run of warm, and counts the pointer
+// words the workspace holds.
+func planCensus(t *testing.T, c, warm benchCase) (*census, *planSchedule, [][]valExec) {
 	t.Helper()
-	segs := wholeProgram(c.p, c.ss)
-	lw, err := validate(c.p, segs, c.bind, c.input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := buildPlan(lw, segs, nil, &lowering{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	execs := make([][]valExec, len(pl.segs))
-	for k, s := range pl.segs {
-		execs[k] = s.executors()
+	ws := &workspace{}
+	for _, c := range []benchCase{warm, c} {
+		segs := wholeProgram(c.p, c.ss)
+		lw, err := validate(c.p, segs, c.bind, c.input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := buildPlan(lw, segs, nil, ws); err != nil {
+			t.Fatal(err)
+		}
+		ws.execs = resize(ws.execs, len(ws.plan.segs))
+		for k, s := range ws.plan.segs {
+			ws.execs[k] = s.executors(ws.execs[k])
+		}
 	}
 	cen := newCensus("dmcc/internal/exec")
-	cen.walk(reflect.ValueOf(pl), "root")
-	cen.walk(reflect.ValueOf(execs), "root")
-	return cen, pl, execs
+	cen.walk(reflect.ValueOf(ws), "root")
+	return cen, &ws.plan, ws.execs
 }
 
-// TestRunTracesFewPointers: the schedule of a run and its executors hold
-// at most two pointer words per rank (an executor's schedule and Proc)
-// plus 1,000, so the collector's work during Run does not grow with the
-// ranks, epochs, rounds, messages or elements of the plan. Jacobi m = 32
-// on 1,024 processors held 39,678 such words and Gauss m = 32 on 16
-// processors 24,699 while the plan was nested slices and pointers per
-// rank, round, message, segment, reduction role and owner list. -v prints
-// the count and the types holding most of it, and the machine's own
-// per-run state at N = 1,024, measured only.
+// TestRunTracesFewPointers: a run's workspace — its schedule, executors
+// and the inspector's scratch, after an earlier run of another program —
+// holds at most two pointer words per rank (an executor's schedule and
+// Proc) plus 1,000, and so do the machine's run tables, so the
+// collector's work during Run does not grow with the ranks, epochs,
+// rounds, messages or elements of the plan. Jacobi m = 32 on 1,024
+// processors held 39,678 such words and Gauss m = 32 on 16 processors
+// 24,699 while the plan was nested slices and pointers per rank, round,
+// message, segment, reduction role and owner list, and the machine 19,473
+// at N = 1,024 while its queues, pair slots, message nodes and payloads
+// were linked by pointers. -v prints the counts and the types holding
+// most of them.
 func TestRunTracesFewPointers(t *testing.T) {
 	jacobi := newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true)
+	gauss := newBenchCase(t, ir.Gauss(), 32, 16, 1, false)
 	for _, c := range []struct {
-		name string
-		run  benchCase
-	}{{"jacobi m=32 N=1024", jacobi}, {"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false)}} {
-		cen, _, _ := planCensus(t, c.run)
+		name      string
+		run, warm benchCase
+	}{{"jacobi m=32 N=1024", jacobi, gauss}, {"gauss m=32 N=16", gauss, jacobi}} {
+		cen, _, _ := planCensus(t, c.run, c.warm)
 		budget := 2*c.run.ss.Grid.Size() + 1000
 		t.Logf("%s: %d pointer words (budget %d); by type %v", c.name, cen.words, budget, cen.byType)
 		if cen.words > budget {
-			t.Errorf("%s: the plan and its executors hold %d pointer words, budget %d; by type %v", c.name, cen.words, budget, cen.byType)
+			t.Errorf("%s: the workspace holds %d pointer words, budget %d; by type %v", c.name, cen.words, budget, cen.byType)
 		}
 	}
 
-	// The machine's per-run state, at jacobi N = 1,024's last step.
-	_, pl, execs := planCensus(t, jacobi)
+	// The machine's run tables, at jacobi N = 1,024's last step.
+	_, pl, execs := planCensus(t, jacobi, gauss)
 	mach, err := machine.New(pl.segs[0].g, machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads, nest, done := buildLoads(pl.segs[0], jacobi.input), make([]int, len(execs[0])), 0
+	loads, nest, done := buildLoads(pl.segs[0], jacobi.input, nil), make([]int, len(execs[0])), 0
 	mc := newCensus("dmcc/internal/machine")
 	if _, err := mach.RunSteps(func(proc *machine.Proc) bool { // one iteration
 		x := &execs[0][proc.Rank()]
@@ -176,5 +182,9 @@ func TestRunTracesFewPointers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("machine during jacobi m=32 N=1024: %d pointer words; by type %v", mc.words, mc.byType)
+	budget := 2*len(execs[0]) + 1000
+	t.Logf("machine during jacobi m=32 N=1024: %d pointer words (budget %d); by type %v", mc.words, budget, mc.byType)
+	if mc.words > budget {
+		t.Errorf("the machine holds %d pointer words during jacobi m=32 N=1024, budget %d; by type %v", mc.words, budget, mc.byType)
+	}
 }

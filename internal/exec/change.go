@@ -34,16 +34,17 @@ type changeEpoch struct {
 // from, kept at to in its slab under to.
 type copyRun struct{ r, from, to, n int32 }
 
-// redistEpoch schedules the change from one segment's layouts to the
-// next's, lowered into to's plan. The owners that keep an element read
-// their copy at the change, and from's liveness scan must count that read:
-// a copy pruned from a reduction's fan-out is stale, and the change would
-// carry it into the next segment as current.
-func redistEpoch(from, to *progSchedule, low *lowering) *changeEpoch {
-	c := &changeEpoch{ops: make([]int32, from.nprocs), at: make([]int32, from.nprocs+1)}
-	var traffic []epochShip
-	var keep []int
-	last := make([]int32, from.nprocs) // one past the index of rank r's latest run
+// redistEpoch schedules, into c, the change from one segment's layouts to
+// the next's, lowered into to's plan with ws's lowering and scratch. The
+// owners that keep an element read their copy at the change, and from's
+// liveness scan must count that read: a copy pruned from a reduction's
+// fan-out is stale, and the change would carry it into the next segment
+// as current.
+func redistEpoch(c *changeEpoch, from, to *progSchedule, ws *workspace) *changeEpoch {
+	c.ops, c.at, c.copies = zeroed(c.ops, from.nprocs), zeroed(c.at, from.nprocs+1), c.copies[:0]
+	traffic, keep := ws.ships[:0], ws.keep
+	ws.last = zeroed(ws.last, from.nprocs)
+	last := ws.last // one past the index of rank r's latest run
 
 	for a := range from.arrays {
 		lf, lt := &from.arrays[a].lay, &to.arrays[a].lay
@@ -75,12 +76,12 @@ func redistEpoch(from, to *progSchedule, low *lowering) *changeEpoch {
 	for r := range from.nprocs {
 		c.at[r+1] += c.at[r]
 	}
-	c.words = len(traffic)
+	c.words, ws.ships, ws.keep = len(traffic), traffic, keep
 	if len(traffic) > 0 {
 		// An origin gathers from its slab under from; a relay, itself a
 		// destination, forwards from its slab under to, where every receiver
 		// files the words. The sender's executor under to runs the change.
-		ranks, op0 := low.lower(traffic, &to.plan)
+		ranks, op0 := ws.lower(traffic, &to.plan)
 		to.plan.address(ranks, op0, to.vecLen, func(r int32, origin bool, e elemID) int32 {
 			at := to
 			if origin {

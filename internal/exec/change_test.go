@@ -67,13 +67,13 @@ func randomChangeScheme(t *testing.T, rng *rand.Rand, g *grid.Grid, shape []int)
 // statistics and every rank's stores under to, values and marks.
 func crossChange(t *testing.T, from, to *progSchedule, c *changeEpoch, input ir.Storage) (machine.Stats, [][]float64, [][]bool) {
 	t.Helper()
-	loads := buildLoads(from, input)
+	loads := buildLoads(from, input, nil)
 	slabs, marks := make([][]float64, from.nprocs), make([][]bool, from.nprocs)
 	mach, err := machine.New(from.g, machine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	froms, tos := from.executors(), to.executors()
+	froms, tos := from.executors(nil), to.executors(nil)
 	stats, err := mach.RunSteps(func(proc *machine.Proc) bool {
 		prev, x := &froms[proc.Rank()], &tos[proc.Rank()]
 		if x.proc == nil {
@@ -135,14 +135,14 @@ func TestChangeEpochMatchesRedistLoads(t *testing.T) {
 				crossGrid++
 			}
 
-			low := &lowering{}
-			var sched [2]*progSchedule
+			ws := &workspace{}
+			sched := [2]*progSchedule{{}, {}}
 			for k, ss := range sets {
-				if sched[k], err = buildSchedule(lw, core.Segment{Start: 1, Schemes: ss}, nil, low); err != nil {
+				if err := sched[k].build(lw, core.Segment{Start: 1, Schemes: ss}, nil, ws); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 			}
-			c := redistEpoch(sched[0], sched[1], low)
+			c := redistEpoch(&changeEpoch{}, sched[0], sched[1], ws)
 
 			want := dist.NewLoads()
 			for a, name := range lw.Names {
@@ -231,11 +231,11 @@ func TestPrunedReplicaNeverCrossesAChange(t *testing.T) {
 
 	// The precondition: L1 alone under its schemes prunes the fan-out to
 	// the root, and every S(i) has an owner under L2 that is not its root.
-	alone, err := wholeSchedule(mustLower(t, accumulatorProgram(), bind), l1, nil, &lowering{})
+	alone, err := wholeSchedule(mustLower(t, accumulatorProgram(), bind), l1, nil, &workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := buildPlan(lw, segs, nil, &lowering{})
+	plan, err := buildPlan(lw, segs, nil, &workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}

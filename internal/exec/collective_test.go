@@ -63,11 +63,11 @@ func TestScheduleDeterministic(t *testing.T) {
 	}{{ir.Gauss(), 32, 16}, {ir.Jacobi(), 16, 64}} {
 		ss := wholeProgramSchemes(t, c.p, c.m, c.n)
 		bind := map[string]int{"m": c.m}
-		first, err := wholeSchedule(mustLower(t, c.p, bind), ss, nil, &lowering{})
+		first, err := wholeSchedule(mustLower(t, c.p, bind), ss, nil, &workspace{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := wholeSchedule(mustLower(t, c.p, bind), ss, nil, &lowering{})
+		second, err := wholeSchedule(mustLower(t, c.p, bind), ss, nil, &workspace{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,8 @@ func (c epochCensus) String() string {
 // TestExecDifferentialFuzz and TestBatchedMatchesExactFuzz. With -v it
 // prints the kernels' epoch census.
 func TestLowerEpochMatchesReference(t *testing.T) {
-	low := &lowering{}
+	ws := &workspace{}
+	low := &ws.lowering
 	for _, seed := range fuzzSeeds {
 		rng := rand.New(rand.NewSource(seed))
 		for trial := range 200 {
@@ -269,7 +270,7 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 			}
 		}
 		defer func() { low.tap = nil }()
-		if _, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, low); err != nil {
+		if _, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, ws); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		return c

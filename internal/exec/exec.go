@@ -32,6 +32,7 @@ package exec
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"dmcc/internal/core"
@@ -176,8 +177,18 @@ func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[str
 // run executes a plan's segments in order, each under its own schedule,
 // crossing the scheme change between consecutive segments and, before
 // every iteration but the first of an iterative program, the change from
-// the last segment back to the first.
+// the last segment back to the first. It runs in a workspace from the
+// pool and puts it back once the result is assembled.
 func run(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	return ws.execute(p, segs, bind, scalars, iters, cfg, input)
+}
+
+// execute is run in ws: it validates the plan, builds its schedule in ws
+// and runs it.
+func (ws *workspace) execute(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
 	start := time.Now()
@@ -185,16 +196,85 @@ func run(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[st
 	if err != nil {
 		return Result{}, err
 	}
-	plan, err := buildPlan(lw, segs, scalars, &lowering{})
-	if err != nil {
+	if _, err := buildPlan(lw, segs, scalars, ws); err != nil {
 		return Result{}, err
 	}
-	return plan.run(p, iters, cfg, input, start)
+	return ws.run(p, iters, cfg, input, start)
 }
 
-// run executes a built plan schedule on the machine and assembles the
-// result; start is when Run began, for InspectWall.
-func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input ir.Storage, start time.Time) (Result, error) {
+// workspace is everything a run builds and then drops: the inspector's
+// scratch (lowering, builder), the plan schedule with its segments'
+// arenas, layouts and nests, the executors' state, the decoded input and
+// the result assembly's buffers. A run takes one from workspaces and
+// resets each piece in place as it builds it, so a warm run allocates
+// only what outgrows an earlier run's high-water mark and what it
+// returns; a cold run is the same code on an empty workspace. No field
+// of a Result aliases it.
+type workspace struct {
+	lowering
+	builder nestBuilder
+	plan    planSchedule
+	changes []*changeEpoch
+	// ships, keep and last are redistEpoch's scratch; order and live
+	// computeFanouts', at, idx and list buildRoles'.
+	ships       []epochShip
+	keep        []int
+	last, order []int32
+	live, at    []int32
+	idx         []int32
+	list        []peerWords
+	execs       [][]valExec
+	loads       []arrayLoad
+	pos         []position
+	keys        []byte
+	ends        []int
+	vals        []float64
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// position is where a rank's step goes on from: its iteration, segment
+// and nest, and cur, the segment whose executor holds its current stores.
+type position struct{ it, seg, nest, cur int32 }
+
+// resize returns s with length n, reusing its storage when it has room;
+// the elements keep what they held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is resize with every element zero.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// reuse returns s with length n, each element an object it held before
+// or a new one.
+func reuse[T any](s []*T, n int) []*T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]*T, n-cap(s))...)
+	}
+	s = s[:n]
+	for i := range s {
+		if s[i] == nil {
+			s[i] = new(T)
+		}
+	}
+	return s
+}
+
+// run executes the plan built in the workspace on the machine and
+// assembles the result; start is when Run began, for InspectWall.
+func (ws *workspace) run(p *ir.Program, iters int, cfg machine.Config, input ir.Storage, start time.Time) (Result, error) {
+	pl := &ws.plan
 	if !p.Iterative {
 		iters = 1
 	}
@@ -208,18 +288,17 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 		last = 0
 	}
 	fin := pl.segs[last]
-	execs := make([][]valExec, nsegs)
+	ws.execs = resize(ws.execs, nsegs)
+	execs := ws.execs
 	for k, s := range pl.segs {
-		execs[k] = s.executors()
+		execs[k] = s.executors(execs[k])
 	}
-	loads := buildLoads(first, input)
+	ws.loads = buildLoads(first, input, ws.loads)
 	for r := range execs[0] {
-		execs[0][r].installInput(loads)
+		execs[0][r].installInput(ws.loads)
 	}
-	// Each rank's step goes on from its position; cur is the segment whose
-	// executor holds its current stores.
-	type position struct{ it, seg, nest, cur int32 }
-	pos := make([]position, nprocs)
+	ws.pos = zeroed(ws.pos, nprocs)
+	pos := ws.pos
 	simStart := time.Now()
 	mach, err := machine.New(first.g, cfg)
 	if err != nil {
@@ -260,9 +339,7 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 	// An array's keys are formatted into one buffer and sliced from one
 	// string, and its map is made to its element count.
 	out := ir.NewStorage(p)
-	var keys []byte
-	var ends []int
-	var vals []float64
+	keys, ends, vals := ws.keys, ws.ends, ws.vals
 	for a := range fin.arrays {
 		am := &fin.arrays[a]
 		if am.size == 0 {
@@ -287,6 +364,7 @@ func (pl *planSchedule) run(p *ir.Program, iters int, cfg machine.Config, input 
 		}
 		out[am.name] = elems
 	}
+	ws.keys, ws.ends, ws.vals = keys, ends, vals
 	res := Result{Values: out, Stats: stats, Transport: stats,
 		InspectWall: simStart.Sub(start), SimWall: assembleStart.Sub(simStart),
 		AssembleWall: time.Since(assembleStart)}

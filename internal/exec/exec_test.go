@@ -28,8 +28,8 @@ func wholeProgramSchemes(t testing.TB, p *ir.Program, m, n int) *core.SchemeSet 
 
 // wholeSchedule is the schedule of the one-segment plan that runs every
 // nest under ss.
-func wholeSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, low *lowering) (*progSchedule, error) {
-	pl, err := buildPlan(lw, wholeProgram(lw.Program, ss), scalars, low)
+func wholeSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, ws *workspace) (*progSchedule, error) {
+	pl, err := buildPlan(lw, wholeProgram(lw.Program, ss), scalars, ws)
 	if err != nil {
 		return nil, err
 	}

@@ -47,66 +47,86 @@ type valExec struct {
 	me                    int
 	pc, stage, recv, sent int
 	start                 float64
-	// Ranges of the segment's slab fw. slab holds this processor's stores,
-	// its cells of every array in array order, array a's from base[a] (its
-	// row of progSchedule.base) and addressed inside it through the
-	// array's layout. part holds the running partial sums of reduce
-	// statements, zero between a finalize and the next contribution. cbuf
-	// holds the copies of other processors' elements that opRedist rounds
-	// delivered: a tree relay forwards from it and eval reads it. A
-	// position is overwritten in place — a copy stays valid until its
-	// element is written, and the inspector re-ships after every write, so
-	// a stale value is never visible. vals holds the current eval's
-	// operand values, in Reads order; vec is the exchange vector: a
-	// redistribution message is gathered in it, and a reduction phase lays
-	// out its sends in it and, once they are out (machine.Send copies),
-	// its receives (phase).
-	slab, part, cbuf, vals, vec span
-	// Ranges of the segment's slab bw. A mark says the processor wrote or
-	// received the stored element, for the first-marked-owner result
-	// assembly; filled marks the cbuf positions a receive wrote, and
+	// Ranges of the segment's slab fw, from w on, of these lengths: slab
+	// holds this processor's stores, its cells of every array in array
+	// order, array a's from base[a] (its row of progSchedule.base) and
+	// addressed inside it through the array's layout. part holds the
+	// running partial sums of reduce statements, zero between a finalize
+	// and the next contribution. cbuf holds the copies of other
+	// processors' elements that opRedist rounds delivered: a tree relay
+	// forwards from it and eval reads it. A position is overwritten in
+	// place — a copy stays valid until its element is written, and the
+	// inspector re-ships after every write, so a stale value is never
+	// visible. vec is the exchange vector: a redistribution message is
+	// gathered in it, and a reduction phase lays out its sends in it and,
+	// once they are out (machine.Send copies), its receives (phase).
+	w, nslab, npart, ncbuf, nvec int32
+	// vals, at fw[vals:], holds the current eval's operand values, in Reads
+	// order; the processors whose evals never park share one.
+	vals int32
+	// Ranges of the segment's slab bw, from f on: a mark says the processor
+	// wrote or received the stored element, for the first-marked-owner
+	// result assembly; filled marks the cbuf positions a receive wrote, and
 	// reading one no receive filled is an inspector bug, a panic.
-	marks, filled span
+	f int32
 }
 
 // executors cuts every rank's value-pass state for the segment out of one
 // slab per element type, fw and bw: rank r's stores (storeWords), partial
-// sums (parts.n), operand values (the segment's most Reads), copy buffer
-// (bufs.n) and exchange vector (vecLen), and its marks and filled flags.
-// Each is as long as the inspector found r needs, so the whole is the sum
-// of what the ranks own and exchange. The caller hands each its Proc.
-func (s *progSchedule) executors() []valExec {
-	reads := 0
+// sums (parts.n), copy buffer (bufs.n) and exchange vector (vecLen), and
+// its marks and filled flags, and, for a rank whose evals can park on a
+// direct operand (parks), its operand values (the segment's most Reads);
+// the other ranks share one range for those, since their evals run in one
+// call. Each is as long as the inspector found r needs, so the whole is
+// the sum of what the ranks own and exchange. The caller hands each its
+// Proc. xs and the slabs are reset in place.
+func (s *progSchedule) executors(xs []valExec) []valExec {
+	s.reads = 0
 	for _, ns := range s.nests {
 		for i := range ns.ln.Stmts {
-			reads = max(reads, len(ns.ln.Stmts[i].Reads))
+			s.reads = max(s.reads, int32(len(ns.ln.Stmts[i].Reads)))
 		}
 	}
-	words, flags := int32(0), int32(0)
-	cut := func(at *int32, n int) span { *at += int32(n); return span{*at - int32(n), *at} }
-	xs := make([]valExec, s.nprocs)
+	words, flags := s.reads, int32(0) // the shared operand values first
+	xs = resize(xs, s.nprocs)
 	for r := range xs {
-		store, bufs := s.storeWords(r), int(s.bufs.n[r])
-		xs[r] = valExec{s: s, me: r,
-			slab: cut(&words, store), part: cut(&words, int(s.parts.n[r])), vals: cut(&words, reads),
-			cbuf: cut(&words, bufs), vec: cut(&words, int(s.vecLen[r])),
-			marks: cut(&flags, store), filled: cut(&flags, bufs)}
+		x := valExec{s: s, me: r, w: words, f: flags,
+			nslab: int32(s.storeWords(r)), npart: s.parts.n[r], ncbuf: s.bufs.n[r], nvec: s.vecLen[r]}
+		words += x.nslab + x.npart + x.ncbuf + x.nvec
+		flags += x.nslab + x.ncbuf
+		if s.parks[r] {
+			x.vals, words = words, words+s.reads
+		}
+		xs[r] = x
 	}
-	s.fw, s.bw = make([]float64, words), make([]bool, flags)
+	s.fw, s.bw = zeroed(s.fw, int(words)), zeroed(s.bw, int(flags))
 	return xs
 }
 
 // The executor's views of its ranges.
-func (x *valExec) stores() []float64        { return x.s.fw[x.slab.lo:x.slab.hi] }
-func (x *valExec) marked() []bool           { return x.s.bw[x.marks.lo:x.marks.hi] }
-func (x *valExec) parts() []float64         { return x.s.fw[x.part.lo:x.part.hi] }
-func (x *valExec) buf() []machine.Word      { return x.s.fw[x.cbuf.lo:x.cbuf.hi] }
-func (x *valExec) isFilled() []bool         { return x.s.bw[x.filled.lo:x.filled.hi] }
-func (x *valExec) exchange() []machine.Word { return x.s.fw[x.vec.lo:x.vec.hi] }
+func (x *valExec) stores() []float64 { return x.s.fw[x.w : x.w+x.nslab] }
+func (x *valExec) marked() []bool    { return x.s.bw[x.f : x.f+x.nslab] }
+func (x *valExec) parts() []float64 {
+	lo := x.w + x.nslab
+	return x.s.fw[lo : lo+x.npart]
+}
+func (x *valExec) buf() []machine.Word {
+	lo := x.w + x.nslab + x.npart
+	return x.s.fw[lo : lo+x.ncbuf]
+}
+func (x *valExec) isFilled() []bool {
+	lo := x.f + x.nslab
+	return x.s.bw[lo : lo+x.ncbuf]
+}
+func (x *valExec) exchange() []machine.Word {
+	lo := x.w + x.nslab + x.npart + x.ncbuf
+	return x.s.fw[lo : lo+x.nvec]
+}
 
 // arrayLoad is one array's initial contents, cell-major: each owner
 // cell's values in its local order, cell c's (c named by its first owner)
-// from at[c], and set marks the elements the input holds.
+// from at[c], and set marks the elements the input holds. at is empty
+// where the input holds none of the array.
 type arrayLoad struct {
 	at   []int32
 	vals []float64
@@ -118,16 +138,16 @@ type arrayLoad struct {
 // cell it holds into its stores. (A per-processor scan asking IsOwner per
 // element is O(nprocs * elements) with string parsing inside; at N=256 it
 // dominated whole-run profiles.) validate has checked every key, so each
-// names an element (ir.Lowered.Elem).
-func buildLoads(s *progSchedule, input ir.Storage) []arrayLoad {
-	loads := make([]arrayLoad, len(s.arrays))
+// names an element (ir.Lowered.Elem). loads is reset in place.
+func buildLoads(s *progSchedule, input ir.Storage, loads []arrayLoad) []arrayLoad {
+	loads = resize(loads, len(s.arrays))
 	for a := range s.arrays {
 		am, ld := &s.arrays[a], &loads[a]
 		elems := input[am.name]
-		if len(elems) == 0 {
+		if ld.at = ld.at[:0]; len(elems) == 0 {
 			continue
 		}
-		ld.at, ld.vals, ld.set = make([]int32, s.nprocs), make([]float64, am.size), make([]bool, am.size)
+		ld.at, ld.vals, ld.set = zeroed(ld.at, s.nprocs), zeroed(ld.vals, am.size), zeroed(ld.set, am.size)
 		for c, n := 0, int32(0); c < s.nprocs; c++ {
 			if am.lay.held(c) == int32(c) { // c names the cell it holds
 				ld.at[c], n = n, n+int32(am.lay.storeLen(c))
@@ -148,7 +168,7 @@ func buildLoads(s *progSchedule, input ir.Storage) []arrayLoad {
 func (x *valExec) installInput(loads []arrayLoad) {
 	slab, marks, base := x.stores(), x.marked(), x.s.row(x.me)
 	for a := range loads {
-		if c, ld := x.s.arrays[a].lay.held(x.me), &loads[a]; c >= 0 && ld.at != nil {
+		if c, ld := x.s.arrays[a].lay.held(x.me), &loads[a]; c >= 0 && len(ld.at) > 0 {
 			from, to := ld.at[c], base[a]
 			n := base[a+1] - to
 			copy(slab[to:to+n], ld.vals[from:from+n])
@@ -294,7 +314,7 @@ func (x *valExec) runRedist(op int32, origin []float64, buf []machine.Word, fill
 // is a receive-only replica of a reduction, evaluates the statement.
 func (x *valExec) eval(ns *nestSchedule, in *pinstr) bool {
 	stmt, ls := ns.stmts[in.stmt], &ns.ln.Stmts[in.stmt]
-	ops, vals := ns.operands[in.off:int(in.off)+len(ls.Reads)], x.s.fw[x.vals.lo:x.vals.hi]
+	ops, vals := ns.operands[in.off:int(in.off)+len(ls.Reads)], x.s.fw[x.vals:x.vals+x.s.reads]
 	for ; x.stage < len(ops); x.stage++ {
 		var v float64
 		switch o := ops[x.stage]; {

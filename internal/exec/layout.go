@@ -51,25 +51,25 @@ type layout struct {
 	owner             []int
 }
 
-// newLayout resolves the ownership of an array of extents ext under sch on
-// g, visiting every element once, and asserts what the local stores rest
-// on: every element of a cell has the same owner list and no rank appears
-// in two cells. The caller names the array in the error.
-func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
+// build resolves, into l, the ownership of an array of extents ext under
+// sch on g, visiting every element once, and asserts what the local
+// stores rest on: every element of a cell has the same owner list and no
+// rank appears in two cells. The caller names the array in the error.
+func (l *layout) build(ext []int, sch dist.Scheme, g *grid.Grid) error {
 	size := 1
 	for _, e := range ext {
 		size *= e
 	}
 	n := g.Size()
-	l := layout{sch: sch,
-		cell: make([]int32, size), loc: make([]int32, size),
-		rankCell: make([]int32, n), cellLen: make([]int32, n),
-		cellOwners: make([]span, n)}
+	l.sch = sch
+	l.cell, l.loc = resize(l.cell, size), resize(l.loc, size)
+	l.rankCell, l.cellLen, l.cellOwners = resize(l.rankCell, n), zeroed(l.cellLen, n), zeroed(l.cellOwners, n)
+	l.owner = l.owner[:0]
 	for r := range l.rankCell {
 		l.rankCell[r] = -1
 	}
 	if size == 0 {
-		return l, nil
+		return nil
 	}
 	var err error
 	var owners []int // every element's owner list, in one reused buffer
@@ -95,7 +95,7 @@ func newLayout(ext []int, sch dist.Scheme, g *grid.Grid) (layout, error) {
 		l.cellLen[c]++
 		off++
 	})
-	return l, err
+	return err
 }
 
 // owners is the owner list of the element at off, ascending: a view of
@@ -121,16 +121,24 @@ func (l *layout) storeLen(r int) int {
 	return 0
 }
 
-// dense is a per-array element table, each array's row materialized on
-// first touch.
+// dense is a per-array element table, each array's row materialized,
+// zeroed, on first touch; a row of no elements is one not touched yet.
 type dense[T any] [][]T
 
 func (d dense[T]) at(s *progSchedule, e elemID) *T {
 	a := e.arr()
-	if d[a] == nil {
-		d[a] = make([]T, s.arrays[a].size)
+	if len(d[a]) == 0 {
+		d[a] = zeroed(d[a], s.arrays[a].size)
 	}
 	return &d[a][e.off()]
+}
+
+// reset empties the table for arrays arrays, keeping each row's storage.
+func (d *dense[T]) reset(arrays int) {
+	*d = resize(*d, arrays)
+	for a := range *d {
+		(*d)[a] = (*d)[a][:0]
+	}
 }
 
 // decode is the element's 1-based subscripts, used only in diagnostics.

@@ -21,7 +21,7 @@ type layoutCase struct {
 	ext   []int
 }
 
-// checkLayout builds the array's layout with newLayout and holds it
+// checkLayout builds the array's layout alone and holds it
 // against the scheme's own ownership test: for every rank, the elements the
 // rank holds are exactly the elements IsOwner gives it, local numbers them
 // 0..storeLen-1 without a gap or a repeat, and the store lengths add up to
@@ -33,8 +33,7 @@ func checkLayout(t *testing.T, c layoutCase) (l layout, words []int) {
 	for _, e := range c.ext {
 		am.size *= e
 	}
-	l, err := newLayout(c.ext, c.sch, c.g)
-	if err != nil {
+	if err := l.build(c.ext, c.sch, c.g); err != nil {
 		t.Fatalf("%s: %v", c.label, err)
 	}
 	s := &progSchedule{arrays: []arrayMeta{am}, lw: &ir.Lowered{Shapes: [][]int{c.ext}}}
@@ -83,7 +82,7 @@ func checkLayout(t *testing.T, c layoutCase) (l layout, words []int) {
 // layouts (Cannon's rotated pair among them), on partially replicated 2-D
 // arrays over 2x2 and 2x3 grids and on 1-D arrays with a Fixed coordinate;
 // and Run reports the store words the closed form gives. Each array's
-// layout inside a built schedule is the one newLayout builds from the
+// layout inside a built schedule is the one layout.build builds from the
 // array's extents, scheme and grid alone, whatever the other arrays and
 // their order.
 func TestLocalLayoutMatchesOwners(t *testing.T) {
@@ -117,7 +116,7 @@ func TestLocalLayoutMatchesOwners(t *testing.T) {
 			p := randomProgram(rng)
 			for _, n := range []int{1, 2, 4} {
 				ss := fuzzSchemes(t, p, m, n)
-				sched, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, nil, &lowering{})
+				sched, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, nil, &workspace{})
 				if err != nil {
 					t.Fatalf("%v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
@@ -129,7 +128,7 @@ func TestLocalLayoutMatchesOwners(t *testing.T) {
 					}
 					l, words := checkLayout(t, layoutCase{fuzzCase(seed, trial, n, p) + "array " + name, ss.Grid, ss.Schemes[name], ext})
 					if !reflect.DeepEqual(sched.arrays[sched.lw.Array(name)].lay, l) {
-						t.Fatalf("array %s: the schedule's layout differs from newLayout's on its own\n%s", name, fuzzCase(seed, trial, n, p))
+						t.Fatalf("array %s: the schedule's layout differs from one built on its own\n%s", name, fuzzCase(seed, trial, n, p))
 					}
 					for r, w := range words {
 						want += w
@@ -190,7 +189,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	bind := map[string]int{"m": m}
 	input := randomInput(p, m, rand.New(rand.NewSource(7)))
 
-	s, err := wholeSchedule(mustLower(t, p, bind), ss, nil, &lowering{})
+	s, err := wholeSchedule(mustLower(t, p, bind), ss, nil, &workspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +223,13 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 // and the rank.
 func TestUnownedAccessIsAnError(t *testing.T) {
 	g := grid.New(2)
-	lay, err := newLayout([]int{4}, dist.Scheme1D(dist.BlockContiguous(4, 2, 0), nil), g)
+	var lay layout
+	err := lay.build([]int{4}, dist.Scheme1D(dist.BlockContiguous(4, 2, 0), nil), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &progSchedule{nprocs: 2, arrays: []arrayMeta{{name: "A", ext: []int{4}, size: 4, lay: lay}}, lw: &ir.Lowered{Shapes: [][]int{{4}}},
-		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}, vecLen: make([]int32, 2)}
+		base: []int32{0, 2, 0, 2}, bufs: posTable{n: make([]int32, 2)}, parts: posTable{n: make([]int32, 2)}, vecLen: make([]int32, 2), parks: make([]bool, 2)}
 	// Rank 1 is told to ship A(2), which rank 0 owns, to rank 0.
 	load := &nestSchedule{instrs: []pinstr{{op: opSendDirect, arg: 0, elem: mkElem(0, 1)}}, at: []int32{0, 0, 1}}
 	cases := []struct {
@@ -248,7 +248,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		xs := s.executors()
+		xs := s.executors(nil)
 		_, err = mach.RunSteps(func(proc *machine.Proc) bool {
 			x := &xs[proc.Rank()]
 			x.proc = proc
@@ -260,7 +260,7 @@ func TestUnownedAccessIsAnError(t *testing.T) {
 		}
 	}
 	// What each rank does own still reads and writes through the table.
-	x := &s.executors()[0]
+	x := &s.executors(nil)[0]
 	x.storeElem(mkElem(0, 1), 2.5)
 	if got := x.loadElem(mkElem(0, 1)); got != 2.5 || !reflect.DeepEqual(x.marked(), []bool{false, true}) {
 		t.Fatalf("rank 0 reads back %v with marks %v", got, x.marked())

@@ -61,11 +61,6 @@ func nested(p *redistPlan, op0 int32, n int) []redistOp {
 	return ops
 }
 
-// reset empties the plan, keeping its arrays' capacity.
-func (p *redistPlan) reset() {
-	*p = redistPlan{p.ops[:0], p.rounds[:0], p.msgs[:0], p.segs[:0], p.elems[:0], p.addrs[:0]}
-}
-
 // lowerNested lowers traffic on low into a fresh plan and returns the
 // ranks and their parts in the nested shape.
 func lowerNested(low *lowering, traffic []epochShip) ([]int32, []redistOp) {

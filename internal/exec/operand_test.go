@@ -58,8 +58,8 @@ func checkAddresses(t *testing.T, label string, p *ir.Program, ss *core.SchemeSe
 		p, at int
 	}
 	ivs := map[evalAt][]int{}
-	low := &lowering{evalTap: func(ns *nestSchedule, p, at int, iv []int) { ivs[evalAt{ns, p, at}] = slices.Clone(iv) }}
-	s, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, low)
+	ws := &workspace{lowering: lowering{evalTap: func(ns *nestSchedule, p, at int, iv []int) { ivs[evalAt{ns, p, at}] = slices.Clone(iv) }}}
+	s, err := wholeSchedule(mustLower(t, p, map[string]int{"m": m}), ss, map[string]float64{"OMEGA": 1.2}, ws)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -228,7 +228,7 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		ss := wholeProgramSchemes(t, k.p, k.m, k.n)
 		var dropped redistSeg
 		var receiver int32 = -1
-		low := &lowering{tap: func(_ []epochShip, ranks []int32, p *redistPlan, op0 int32) {
+		ws := &workspace{lowering: lowering{tap: func(_ []epochShip, ranks []int32, p *redistPlan, op0 int32) {
 			if receiver >= 0 {
 				return
 			}
@@ -254,7 +254,7 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 					return
 				}
 			}
-		}}
+		}}}
 		bind := map[string]int{"m": k.m}
 		a, b, _ := matrix.DiagonallyDominant(k.m, 1)
 		input := loadLinearSystem(k.p, a, b, nil)
@@ -262,7 +262,7 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		pl, err := buildPlan(lw, wholeProgram(k.p, ss), map[string]float64{"OMEGA": 1.2}, low)
+		pl, err := buildPlan(lw, wholeProgram(k.p, ss), map[string]float64{"OMEGA": 1.2}, ws)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -270,7 +270,7 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 			t.Fatalf("%s: no epoch has a receive", label)
 		}
 		s := pl.segs[0]
-		res, err := pl.run(k.p, 1, machine.DefaultConfig(), input, time.Now())
+		res, err := ws.run(k.p, 1, machine.DefaultConfig(), input, time.Now())
 		if res.Values != nil {
 			t.Errorf("%s: Run returned Values beside %v", label, err)
 		}

@@ -36,6 +36,11 @@ type redistPlan struct {
 	addrs []int32
 }
 
+// reset empties the plan, keeping its arrays' storage.
+func (p *redistPlan) reset() {
+	*p = redistPlan{p.ops[:0], p.rounds[:0], p.msgs[:0], p.segs[:0], p.elems[:0], p.addrs[:0]}
+}
+
 // span is the range [lo, hi) of one of a plan's arrays.
 type span struct{ lo, hi int32 }
 
@@ -97,8 +102,8 @@ type epochShip struct {
 
 func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 
-// lowering is lower's scratch, owned by one buildPlan call and reused by
-// every epoch it closes. Per source: pos is a dense index, per
+// lowering is lower's scratch, a workspace's, reused by every epoch its
+// runs close. Per source: pos is a dense index, per
 // array, of the source's elements — pos[a][off] is one past the element's
 // index in order (the source's elements in first-ship order), zero for
 // none, cleared through order when the source is done — xs the index of
@@ -119,10 +124,6 @@ type lowering struct {
 	steps                  []treeStep
 	resid, edges           []edge
 	msgs                   []roundMsg
-	// chunks hold the arena emit appends to, reused by every nest: the
-	// instructions of the nest being walked, in emission order, with the
-	// rank each is for (nestBuilder.slot).
-	chunks [][]rankedInstr
 	// tap (tests only) sees each epoch's sorted traffic and its plan,
 	// ranks[i]'s part at p.ops[op0+i], before the plan is addressed;
 	// evalTap (tests only) sees each opEval as it is emitted — rank p's

@@ -106,7 +106,7 @@ func TestReductionPeerListsAgree(t *testing.T) {
 	exchanges, rings := 0, 0
 	check := func(label string, p *ir.Program, m int, segs []core.Segment) {
 		t.Helper()
-		pl, err := buildPlan(mustLower(t, p, map[string]int{"m": m}), segs, map[string]float64{"OMEGA": 1.2}, &lowering{})
+		pl, err := buildPlan(mustLower(t, p, map[string]int{"m": m}), segs, map[string]float64{"OMEGA": 1.2}, &workspace{})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

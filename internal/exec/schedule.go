@@ -72,13 +72,17 @@ type progSchedule struct {
 	// it sends in one redistribution message (address) or lays out in one
 	// phase of a reduction (buildRoles).
 	vecLen []int32
-	// fw and bw back every rank's executor state (executors).
-	fw []float64
-	bw []bool
-	// Liveness state for fan-out pruning, dropped once it is done:
-	// redArrs marks arrays that appear as a reduction LHS; events records,
-	// in program order, the local reads (by a range of readers) and writes
-	// of their elements, and sites every finalize's event. computeFanouts
+	// fw and bw back every rank's executor state (executors); parks[r]
+	// says one of rank r's evals waits for a direct operand, and reads is
+	// the most operands a statement of the segment has.
+	fw    []float64
+	bw    []bool
+	parks []bool
+	reads int32
+	// Liveness state for fan-out pruning: redArrs marks arrays that
+	// appear as a reduction LHS; events records, in program order, the
+	// local reads (by a range of readers) and writes of their elements,
+	// and sites every finalize's event. computeFanouts
 	// scans forward (cyclically, because the program body repeats each
 	// outer iteration) from each site to the element's next write and keeps
 	// only the owners that actually read the total in between. The change
@@ -102,6 +106,12 @@ type posTable struct {
 }
 
 type rankPos struct{ rank, pos int32 }
+
+// reset empties the table for a segment of arrays arrays on nprocs ranks.
+func (t *posTable) reset(arrays, nprocs int) {
+	t.rows.reset(arrays)
+	t.slab, t.n = t.slab[:0], zeroed(t.n, nprocs)
+}
 
 // rowRef is a sorted per-element row kept in a flat slab: slab[at:at+n],
 // with room for cap entries.
@@ -174,14 +184,16 @@ func (s *progSchedule) noteFinalize(e elemID, nest, fin int32) {
 // total, which keeps the ship source (owners[0]) and the first-owner
 // result assembly correct even when every other owner is pruned. The
 // events are put in element order by a stable sort, which keeps each
-// element's in program order; then the liveness state is dropped.
-func (s *progSchedule) computeFanouts() {
-	order := make([]int32, len(s.events))
+// element's in program order. ws lends the scratch.
+func (s *progSchedule) computeFanouts(ws *workspace) {
+	ws.order = resize(ws.order, len(s.events))
+	order := ws.order
 	for i := range order {
 		order[i] = int32(i)
 	}
 	slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(s.events[a].e, s.events[b].e) })
-	live, stamp := make([]int32, s.nprocs), int32(0)
+	ws.live = zeroed(ws.live, s.nprocs)
+	live, stamp := ws.live, int32(0)
 	for _, site := range s.sites {
 		ns := s.nests[site.nest]
 		f := &ns.fins[site.fin]
@@ -208,7 +220,6 @@ func (s *progSchedule) computeFanouts() {
 		}
 		f.fanout.hi = int32(len(ns.ints))
 	}
-	s.events, s.readers, s.sites = nil, nil, nil
 }
 
 // nestSchedule is one nest's schedule, built once and replayed for
@@ -380,11 +391,11 @@ type peerWords struct{ peer, n int32 }
 // computeFanouts, which decides the readers. A ring's wire words are the
 // two-phase ones plus the total the last hop returns to the root, less
 // the one it would deliver itself. Each exchange's lists are counted in
-// one pass over its items and filled in a second.
-func (s *progSchedule) buildRoles() {
-	at := make([]int32, s.nprocs) // rank -> index into the exchange's parts
-	var idx []int32
-	var list []peerWords
+// one pass over its items and filled in a second. ws lends the scratch.
+func (s *progSchedule) buildRoles(ws *workspace) {
+	ws.at = resize(ws.at, s.nprocs)
+	at := ws.at // rank -> index into the exchange's parts
+	idx, list := ws.idx, ws.list
 	for _, ns := range s.nests {
 		cnt := &ns.count
 		// pack rewrites a put or get list from peers to slots, base plus the
@@ -495,6 +506,7 @@ func (s *progSchedule) buildRoles() {
 			}
 		}
 	}
+	ws.idx, ws.list = idx, list
 }
 
 // lists are the role's seven lists, which buildRoles lays out in one run.
@@ -521,70 +533,70 @@ func (ns *nestSchedule) ringEligible(items []finOp) bool {
 	return true
 }
 
-// buildPlan builds the schedule of a plan: each segment's, then the
-// change into each segment, which the changes' keeper reads must precede
-// the fan-out pruning of every segment.
-func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, low *lowering) (*planSchedule, error) {
+// buildPlan builds the schedule of a plan in ws, in place of the one it
+// held: each segment's, then the change into each segment, which the
+// changes' keeper reads must precede the fan-out pruning of every
+// segment.
+func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, ws *workspace) (*planSchedule, error) {
 	sv, err := lw.ScalarValues(scalars)
 	if err != nil {
 		return nil, err
 	}
-	pl := &planSchedule{plan: segs, segs: make([]*progSchedule, len(segs)), changes: make([]*changeEpoch, len(segs))}
+	pl := &ws.plan
+	pl.plan, pl.segs = segs, reuse(pl.segs, len(segs))
+	ws.changes, pl.changes = reuse(ws.changes, len(segs)), zeroed(pl.changes, len(segs))
 	for k, seg := range segs {
-		s, err := buildSchedule(lw, seg, sv, low)
-		if err != nil {
+		if err := pl.segs[k].build(lw, seg, sv, ws); err != nil {
 			return nil, err
 		}
-		pl.segs[k] = s
 	}
 	for k := 1; k < len(segs); k++ {
-		pl.changes[k] = redistEpoch(pl.segs[k-1], pl.segs[k], low)
+		pl.changes[k] = redistEpoch(ws.changes[k], pl.segs[k-1], pl.segs[k], ws)
 	}
 	if len(segs) > 1 && lw.Program.Iterative {
-		pl.changes[0] = redistEpoch(pl.segs[len(segs)-1], pl.segs[0], low)
+		pl.changes[0] = redistEpoch(ws.changes[0], pl.segs[len(segs)-1], pl.segs[0], ws)
 	}
 	for _, s := range pl.segs {
-		s.computeFanouts()
-		s.buildRoles()
+		s.computeFanouts(ws)
+		s.buildRoles(ws)
 	}
 	return pl, nil
 }
 
-// buildSchedule runs the inspector over the nests of one plan segment,
-// which lw lowers, under the segment's schemes: finalizes lower to
-// vectored two-phase / ring exchanges, and each epoch's operand ships to
-// one composed collective redistribution, lowered with low's scratch. A
-// subscript outside its array is an error. The fan-outs are buildPlan's
-// to prune.
-func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars []float64, low *lowering) (*progSchedule, error) {
+// build runs the inspector over the nests of one plan segment, which lw
+// lowers, under the segment's schemes, into s, reset in place: finalizes
+// lower to vectored two-phase / ring exchanges, and each epoch's operand
+// ships to one composed collective redistribution, lowered with ws's
+// scratch. A subscript outside its array is an error. The fan-outs are
+// buildPlan's to prune.
+func (s *progSchedule) build(lw *ir.Lowered, seg core.Segment, scalars []float64, ws *workspace) error {
 	ss := seg.Schemes
-	s := &progSchedule{
-		g: ss.Grid, lw: lw, scalars: scalars,
-		nprocs:  ss.Grid.Size(),
-		arrays:  make([]arrayMeta, len(lw.Names)),
-		redArrs: make([]bool, len(lw.Names)),
-		vecLen:  make([]int32, ss.Grid.Size()),
-	}
+	s.g, s.lw, s.scalars, s.nprocs = ss.Grid, lw, scalars, ss.Grid.Size()
+	s.arrays = resize(s.arrays, len(lw.Names))
+	s.redArrs, s.vecLen = zeroed(s.redArrs, len(lw.Names)), zeroed(s.vecLen, s.nprocs)
+	s.parks = zeroed(s.parks, s.nprocs)
+	s.plan.reset()
+	s.events, s.readers, s.sites = s.events[:0], s.readers[:0], s.sites[:0]
 	for a, name := range lw.Names {
 		am := &s.arrays[a]
-		*am = arrayMeta{name: name, ext: lw.Shapes[a], size: 1}
+		am.name, am.ext, am.size = name, lw.Shapes[a], 1
 		for _, e := range am.ext {
 			am.size *= e
 		}
-		var err error
-		if am.lay, err = newLayout(am.ext, ss.Schemes[name], ss.Grid); err != nil {
-			return nil, fmt.Errorf("exec: array %s: %w", name, err)
+		if err := am.lay.build(am.ext, ss.Schemes[name], ss.Grid); err != nil {
+			return fmt.Errorf("exec: array %s: %w", name, err)
 		}
 	}
-	s.base = make([]int32, s.nprocs*(len(s.arrays)+1))
+	s.base = resize(s.base, s.nprocs*(len(s.arrays)+1))
 	for r := range s.nprocs {
 		row := s.row(r)
+		row[0] = 0
 		for a := range s.arrays {
 			row[a+1] = row[a] + int32(s.arrays[a].lay.storeLen(r))
 		}
 	}
-	s.bufs = posTable{rows: make(dense[rowRef], len(s.arrays)), n: make([]int32, s.nprocs)}
-	s.parts = posTable{rows: make(dense[rowRef], len(s.arrays)), n: make([]int32, s.nprocs)}
+	s.bufs.reset(len(s.arrays), s.nprocs)
+	s.parts.reset(len(s.arrays), s.nprocs)
 	nests := lw.Program.Nests[seg.Start-1 : seg.Start-1+seg.Len]
 	for _, nest := range nests {
 		for _, st := range nest.Stmts {
@@ -593,20 +605,18 @@ func buildSchedule(lw *ir.Lowered, seg core.Segment, scalars []float64, low *low
 			}
 		}
 	}
-	s.nests = make([]*nestSchedule, len(nests))
+	s.nests = reuse(s.nests, len(nests))
 	for t := range nests {
-		ns, err := s.buildNest(seg.Start-1+t, t, low)
-		if err != nil {
-			return nil, err
+		if err := s.buildNest(s.nests[t], seg.Start-1+t, t, ws); err != nil {
+			return err
 		}
-		s.nests[t] = ns
 	}
 	for r := range s.nprocs {
 		if n := max(s.storeWords(r), int(s.bufs.n[r]), int(s.parts.n[r])); n >= maxLocal {
-			return nil, fmt.Errorf("exec: rank %d needs %d local addresses of one kind, more than an operand holds", r, n)
+			return fmt.Errorf("exec: rank %d needs %d local addresses of one kind, more than an operand holds", r, n)
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // row is rank r's row of base: where each array's cell starts in the

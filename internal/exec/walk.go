@@ -30,7 +30,8 @@ func elemAt(r *ir.LRef, iv []int) (elemID, bool) {
 	return mkElem(r.Array, off), ok
 }
 
-// nestBuilder is the inspector's per-nest state.
+// nestBuilder is the inspector's per-nest state, a workspace's, reset for
+// each nest it builds.
 type nestBuilder struct {
 	s  *progSchedule
 	ns *nestSchedule
@@ -52,18 +53,18 @@ type nestBuilder struct {
 	// past).
 	written dense[uint32]
 	epoch   uint32
-	// The nest's instructions go to an arena (lowering.chunks), which
-	// holds emitted of them, n[p] for rank p, and which cut splits into
-	// the ranks' streams at nest end.
-	emitted int
-	n       []int32
-	// first[p] is one past the arena slot p reserves for the current
+	// The nest's instructions go to its instrs in emission order, rank[i]
+	// the rank instruction i is for and n[p] how many are p's, and cut
+	// puts them in the ranks' streams at nest end.
+	rank []int32
+	n    []int32
+	// first[p] is one past the instruction slot p reserves for the current
 	// epoch's opRedist, 0 until p's first instruction of the epoch;
-	// traffic lists the epoch's batched ships in ship order, and low is
-	// the scratch closeEpoch lowers them with.
+	// traffic lists the epoch's batched ships in ship order, and ws holds
+	// the lowering closeEpoch lowers them with.
 	first   []int32
 	traffic []epochShip
-	low     *lowering
+	ws      *workspace
 	// seen holds, for each element e, one past the start in bits of its
 	// three planes of one bit per rank, 0 until one is set (firstMark).
 	// The first, liveCopy, dedups batched ships: bit dst
@@ -99,24 +100,24 @@ type shipT struct {
 	e           elemID
 }
 
-// buildNest builds the schedule of program nest t, the segment's idx-th.
-func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, error) {
-	ns := &nestSchedule{t: t, ln: &s.lw.Nests[t], stmts: s.lw.Program.Nests[t].Stmts}
-	b := &nestBuilder{
-		s: s, ns: ns, idx: int32(idx),
-		iv:      make([]int, len(ns.ln.Loops)),
-		pending: make(dense[rowRef], len(s.arrays)),
-		written: make(dense[uint32], len(s.arrays)),
-		epoch:   1,
-		n:       make([]int32, s.nprocs),
-		first:   make([]int32, s.nprocs),
-		low:     low,
-		seen:    make(dense[int32], len(s.arrays)),
-		words:   (s.nprocs + 63) / 64,
-		flops:   make([]int64, s.nprocs),
-	}
+// buildNest builds the schedule of program nest t, the segment's idx-th,
+// into ns, reset in place, with ws's builder.
+func (s *progSchedule) buildNest(ns *nestSchedule, t, idx int, ws *workspace) error {
+	ns.t, ns.ln, ns.stmts = t, &s.lw.Nests[t], s.lw.Program.Nests[t].Stmts
+	ns.operands, ns.reds, ns.fins, ns.roles = ns.operands[:0], ns.reds[:0], ns.fins[:0], ns.roles[:0]
+	ns.ints, ns.peers, ns.count = ns.ints[:0], ns.peers[:0], NestCount{}
+	b := &ws.builder
+	b.s, b.ns, b.idx, b.ws = s, ns, int32(idx), ws
+	b.iv = resize(b.iv, len(ns.ln.Loops))
+	b.pending.reset(len(s.arrays))
+	b.written.reset(len(s.arrays))
+	b.seen.reset(len(s.arrays))
+	b.contribs, b.pendElems, b.traffic, b.bits = b.contribs[:0], b.pendElems[:0], b.traffic[:0], b.bits[:0]
+	ns.instrs, b.rank = ns.instrs[:0], b.rank[:0]
+	b.epoch, b.words = 1, (s.nprocs+63)/64
+	b.n, b.first, b.flops = zeroed(b.n, s.nprocs), zeroed(b.first, s.nprocs), zeroed(b.flops, s.nprocs)
 	if err := ns.ln.Walk(b.iv, b.instance); err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range b.flops {
 		ns.count.TotalFlops += f
@@ -130,7 +131,7 @@ func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, erro
 	b.emitBatch(slices.Compact(elems), false)
 	b.closeEpoch()
 	b.cut()
-	return ns, nil
+	return nil
 }
 
 // emit appends in to processor p's stream, reserving in front of p's
@@ -139,48 +140,38 @@ func (s *progSchedule) buildNest(t, idx int, low *lowering) (*nestSchedule, erro
 func (b *nestBuilder) emit(p int, in pinstr) {
 	if b.first[p] == 0 {
 		b.push(p, pinstr{})
-		b.first[p] = int32(b.emitted)
+		b.first[p] = int32(len(b.rank))
 	}
 	b.push(p, in)
 }
 
-// rankedInstr is one arena entry: an instruction and its rank.
-type rankedInstr struct {
-	in   pinstr
-	rank int32
-}
-
-const chunkBits = 10 // an arena chunk holds 1024 entries
-
-// slot is the nest's i-th arena entry.
-func (b *nestBuilder) slot(i int) *rankedInstr {
-	return &b.low.chunks[i>>chunkBits][i&(1<<chunkBits-1)]
-}
-
-// push appends in to the nest's arena, for p. The arena grows a chunk at a
-// time, so no entry is ever copied before cut.
+// push appends in to the nest's instructions, for p.
 func (b *nestBuilder) push(p int, in pinstr) {
-	if b.emitted>>chunkBits == len(b.low.chunks) {
-		b.low.chunks = append(b.low.chunks, make([]rankedInstr, 1<<chunkBits))
-	}
-	*b.slot(b.emitted) = rankedInstr{in, int32(p)}
-	b.emitted++
+	b.ns.instrs = append(grow(b.ns.instrs, 1), in)
+	b.rank = append(grow(b.rank, 1), int32(p))
 	b.n[p]++
 }
 
-// cut splits the nest's arena into the processors' streams, each in its
-// order, runs of one array.
+// cut puts the nest's instructions in the processors' streams, each in
+// its order, runs of one array: rank[i] becomes instruction i's place,
+// and the instructions move there in place, a cycle at a time.
 func (b *nestBuilder) cut() {
-	ns := b.ns
-	ns.instrs, ns.at = make([]pinstr, b.emitted), make([]int32, len(b.n)+1)
+	ns, dest := b.ns, b.rank
+	ns.at = resize(ns.at, len(b.n)+1)
+	ns.at[0] = 0
 	for p, n := range b.n {
 		ns.at[p+1] = ns.at[p] + n
 		b.n[p] = ns.at[p] // p's cursor
 	}
-	for i := range b.emitted {
-		e := b.slot(i)
-		ns.instrs[b.n[e.rank]] = e.in
-		b.n[e.rank]++
+	for i, p := range dest {
+		dest[i] = b.n[p]
+		b.n[p]++
+	}
+	for i := range dest {
+		for j := dest[i]; int(j) != i; j = dest[i] {
+			ns.instrs[i], ns.instrs[j] = ns.instrs[j], ns.instrs[i]
+			dest[i], dest[j] = dest[j], j
+		}
 	}
 }
 
@@ -367,12 +358,15 @@ func (b *nestBuilder) instance(si int) error {
 func (b *nestBuilder) emitEval(p int, in pinstr, ops []operand) {
 	in.off = int32(len(b.ns.operands))
 	b.ns.operands = append(grow(b.ns.operands, len(ops)), ops...)
+	if slices.ContainsFunc(ops, func(o operand) bool { return o.kind() == opdDirect }) {
+		b.s.parks[p] = true
+	}
 	b.emit(p, in)
 	if in.role != roleRecvOnly {
 		b.flops[p] += int64(b.ns.stmts[in.stmt].Flops)
 	}
-	if b.low.evalTap != nil {
-		b.low.evalTap(b.ns, p, int(b.n[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
+	if b.ws.evalTap != nil {
+		b.ws.evalTap(b.ns, p, int(b.n[p])-1, b.iv[:b.ns.stmts[in.stmt].Depth])
 	}
 }
 
@@ -490,7 +484,7 @@ func (b *nestBuilder) closeEpoch() {
 		// destination of the segment's elements, so their positions were
 		// numbered when the ships were listed.
 		s := b.s
-		ranks, op0 := b.low.lower(b.traffic, &s.plan)
+		ranks, op0 := b.ws.lower(b.traffic, &s.plan)
 		s.plan.address(ranks, op0, s.vecLen, func(r int32, origin bool, e elemID) int32 {
 			if origin {
 				off, _ := s.slabOff(int(r), e)
@@ -501,7 +495,7 @@ func (b *nestBuilder) closeEpoch() {
 		for i, p := range ranks {
 			in := pinstr{op: opRedist, arg: op0 + int32(i)}
 			if at := b.first[p]; at > 0 {
-				b.slot(int(at) - 1).in = in
+				b.ns.instrs[at-1] = in
 			} else {
 				b.push(int(p), in)
 			}

@@ -99,7 +99,11 @@ type LStmt struct {
 // lop is one step of a lowered right-hand side, run in order on a stack
 // of values: opNum pushes val, opRead operand arg (the value of Reads[arg]),
 // opScalar scalar slot arg, opNeg negates the top, and opAdd, opSub, opMul
-// and opDiv replace the top two, left below right, by their result.
+// and opDiv replace the top two, left below right, by their result. A
+// binary operator whose right operand is a leaf takes it in the same step,
+// with the leaf's val or arg: opAddNum + 3k + j is BinOp "+-*/"[k] on the
+// top and what push j (opNum, opRead, opScalar) would have pushed, the
+// top its left operand as before.
 type lop struct {
 	op  byte
 	arg int32
@@ -115,6 +119,18 @@ const (
 	opSub
 	opMul
 	opDiv
+	opAddNum
+	opAddRead
+	opAddScalar
+	opSubNum
+	opSubRead
+	opSubScalar
+	opMulNum
+	opMulRead
+	opMulScalar
+	opDivNum
+	opDivRead
+	opDivScalar
 )
 
 // Eval is the statement's right-hand side over its operands, vals[k] the
@@ -150,6 +166,30 @@ func (ls *LStmt) Eval(vals, scalars []float64) float64 {
 		case opDiv:
 			sp--
 			stack[sp] /= stack[sp+1]
+		case opAddNum:
+			stack[sp] += o.val
+		case opAddRead:
+			stack[sp] += vals[o.arg]
+		case opAddScalar:
+			stack[sp] += scalars[o.arg]
+		case opSubNum:
+			stack[sp] -= o.val
+		case opSubRead:
+			stack[sp] -= vals[o.arg]
+		case opSubScalar:
+			stack[sp] -= scalars[o.arg]
+		case opMulNum:
+			stack[sp] *= o.val
+		case opMulRead:
+			stack[sp] *= vals[o.arg]
+		case opMulScalar:
+			stack[sp] *= scalars[o.arg]
+		case opDivNum:
+			stack[sp] /= o.val
+		case opDivRead:
+			stack[sp] /= vals[o.arg]
+		case opDivScalar:
+			stack[sp] /= scalars[o.arg]
 		}
 	}
 	return stack[0] // 0 for a statement without a right-hand side
@@ -384,8 +424,8 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 				for _, o := range ls.rhs {
 					if o.op < opNeg {
 						n++ // a push
-					} else if o.op > opNeg {
-						n-- // a binary operator
+					} else if o.op > opNeg && o.op <= opDiv {
+						n-- // a binary operator on two stacked values
 					}
 					ls.depth = max(ls.depth, n)
 				}
@@ -428,6 +468,10 @@ func (lw *Lowered) lowerExpr(out []lop, e Expr, nest *Nest, st *Stmt) ([]lop, er
 		}
 		if out, err = lw.lowerExpr(out, v.L, nest, st); err == nil {
 			out, err = lw.lowerExpr(out, v.R, nest, st)
+		}
+		if last := &out[len(out)-1]; err == nil && last.op < opNeg { // a leaf: the operator takes it
+			last.op = opAddNum + 3*byte(k) + last.op
+			return out, nil
 		}
 		return append(out, lop{op: opAdd + byte(k)}), err
 	}

@@ -502,7 +502,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 		}
 		checkIRLowering(t, p.Name, p, bind, randomStorage(lw, rng))
 	}
-	// A right-nested sum stacks a value per term: past Eval's stack buffer.
+	// A right-nested sum stacks a value per term but the last, which its
+	// operator takes: past Eval's stack buffer.
 	deep := Expr(Rd(R("P", V("i"))))
 	for k := 0; k < 12; k++ {
 		deep = BinOp{Op: "+-*/"[k%4], L: NegE{E: Num(float64(k))}, R: deep}
@@ -516,8 +517,8 @@ func TestLoweringMatchesIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := lw.Nests[0].Stmts[0].depth; d != 13 {
-		t.Fatalf("a right-nested sum of 13 terms stacks %d values", d)
+	if d := lw.Nests[0].Stmts[0].depth; d != 12 {
+		t.Fatalf("a right-nested sum of 13 terms stacks %d values, want 12", d)
 	}
 	checkIRLowering(t, "deep", wide, bind, randomStorage(lw, rng))
 	for trial := 0; trial < 240; trial++ {

@@ -13,15 +13,20 @@
 //   - per-pair FIFO queues exist only for pairs that exchange traffic —
 //     nearest-neighbour kernels at N=4096 touch O(N) pairs, not the 16.7M
 //     of a dense link matrix — and are found through an open-addressing
-//     pair table, not a Go map. The queues are carved from chunks and
-//     never move (a parked processor holds its queue); a queue's oldest
-//     message is held inline, the steady state of an exchange, and the
-//     ones behind it are nodes of a pool the table recycles;
-//   - put copies each payload into a per-run chunked arena that is never
-//     reused within the run, so a delivered slice stays valid;
-//   - the per-peer counters (PairTally) of all processors are carved
-//     from one per-run chunk, and their final lists are handed to Stats
-//     without a copy.
+//     pair table, not a Go map. A queue's oldest message is held inline,
+//     the steady state of an exchange, and the ones behind it are nodes
+//     of a pool the table recycles;
+//   - put copies each payload into a chunked arena that is never
+//     overwritten within the run, so a delivered slice stays valid until
+//     the run returns;
+//   - the per-peer counters of all processors share one slab.
+//
+// All of that is a run's tables (runTables), which hold no pointer per
+// pair or message — queues, nodes and payloads are int32 indices into
+// their slabs — and come from a pool: a run resets them in place, and a
+// later run of the same size allocates none of them again but the tally
+// slab, which Stats keeps. The rest of Stats is copied out before the
+// tables go back.
 //
 // The priority order affects only wall-clock interleaving, never
 // results: a processor's values, clock and counters depend only on its
@@ -36,6 +41,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sync"
 )
 
 // gcYieldEvery is the step resumptions between two runtime.Gosched calls.
@@ -50,12 +56,10 @@ const gcYieldEvery = 256
 // the runnable set and the coroutine handoff.
 type scheduler struct {
 	nprocs int
-	// procs are the run's processors, indexed by rank.
-	procs []Proc
-	// pairs holds the live per-pair FIFO queues. They appear on first use
-	// and grow unboundedly, so a send never blocks.
-	pairs pairTable
-	ready readyHeap
+	// runTables are the run's processors, queues, payloads, tallies and
+	// ready heap, taken from tablePool when the run starts and put back,
+	// emptied of what Stats needs, when it ends.
+	runTables
 	// direct is the fast path for the dominant scheduling pattern —
 	// exactly one processor runnable (ping-pong pipelines, serial
 	// chains): the sole runnable processor is held here, with its resume
@@ -66,180 +70,250 @@ type scheduler struct {
 	direct         *Proc
 	directKey      float64
 	directHandoffs int64
-	// words holds the run's payloads, tallies the chunk the processors'
-	// PairTally entries are carved from.
-	words   wordArena
-	tallies []PairStat
-	// yield is the coroutine handoff: the running processor signals the
-	// scheduler here (true when its body is over) when it parks,
-	// finishes, or unwinds.
-	yield chan bool
+	// yield and resume are the coroutine handoff: the running processor
+	// signals the scheduler on yield (true when its body is over) when it
+	// parks, finishes, or unwinds, and waits on resume[rank] to run.
+	yield  chan bool
+	resume []chan struct{}
 	// step is a RunSteps run's body (nil under Run), resumes counts its
-	// calls; errs holds each rank's root-cause error.
+	// calls; err is the lowest-ranked root-cause error so far, errRank
+	// its rank.
 	step    func(p *Proc) bool
 	resumes int
-	errs    []error
+	err     error
+	errRank int
 	// abortFlag is set when a processor fails: parked processors are
 	// then resumed only to unwind with deadErr.
 	abortFlag  bool
 	deadlocked bool
 }
 
+// runTables is everything a run sizes by its processors, pairs and
+// messages. None of it holds a pointer per pair or message: queues,
+// message nodes and payloads are named by int32 indices into its slabs.
+// A run resets the tables in place (reset), so a machine run after the
+// first allocates only its tally slab and what grows past an earlier
+// run's high-water mark.
+type runTables struct {
+	// procs are the run's processors, indexed by rank.
+	procs []Proc
+	// pairs holds the live per-pair FIFO queues. They appear on first use
+	// and grow unboundedly, so a send never blocks.
+	pairs pairTable
+	ready readyHeap
+	batch []int32
+	// words holds the run's payloads. tallies holds every processor's
+	// per-peer counters (tallyRow), which Stats keeps: each run makes it
+	// anew, with each rank's row as roomy as the rank's row was in the
+	// tables' last run, peers[r], so a rerun moves no row.
+	words   wordArena
+	tallies []PairStat
+	peers   []int32
+}
+
+var tablePool = sync.Pool{New: func() any { return new(runTables) }}
+
+// reset readies the tables for a run of n processors.
+func (t *runTables) reset(n int) {
+	t.procs = resize(t.procs, n) // cleared when the tables were put back
+	t.pairs.reset(n)
+	t.ready, t.batch = t.ready[:0], t.batch[:0]
+	t.words.next, t.words.used = 0, 0
+	t.peers = resize(t.peers, n)
+	need := int32(0)
+	for r, c := range t.peers {
+		t.procs[r].peers = tallyRow{at: need, cap: c}
+		need += c
+	}
+	t.tallies = make([]PairStat, need)
+}
+
+// resize returns s with length n, reusing its storage when it has room.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 func newScheduler(nprocs int) scheduler {
 	return scheduler{nprocs: nprocs, yield: make(chan bool)}
 }
 
-// pairQueue is one ordered pair's FIFO message queue. The oldest message
-// is held inline in first; later ones wait in order in a list of nodes,
-// head to tail, from the table's pool.
-type pairQueue struct {
-	first      message
-	head, tail *msgNode
-	// waiter is the processor parked on this queue, if any.
-	waiter *Proc
-	full   bool
+// fail records rank's error if it is the lowest-ranked so far.
+func (s *scheduler) fail(rank int, err error) {
+	if err != nil && (s.err == nil || rank < s.errRank) {
+		s.err, s.errRank = err, rank
+	}
 }
 
-// msgNode is a queued message behind a queue's first.
+// queued is a message in a queue: its payload, words[chunk][off:off+n]
+// of the run's arena, and its arrival time.
+type queued struct {
+	chunk, off, n int32
+	arrival       float64
+}
+
+// pairQueue is one ordered pair's FIFO message queue. The oldest message
+// is held inline in first; later ones wait in order in a list of nodes,
+// head to tail, from the table's pool. head, tail and waiter are one past
+// an index (of a node, of the parked processor's rank), 0 for none.
+type pairQueue struct {
+	key                uint64
+	first              queued
+	head, tail, waiter int32
+	full               bool
+}
+
+// msgNode is a queued message behind a queue's first; next is one past
+// the index of the node behind it.
 type msgNode struct {
-	m    message
-	next *msgNode
+	m    queued
+	next int32
 }
 
 func (q *pairQueue) empty() bool { return !q.full }
 
-func (t *pairTable) push(q *pairQueue, m message) {
+func (t *pairTable) push(q *pairQueue, m queued) {
 	if !q.full {
 		q.first, q.full = m, true
 		return
 	}
 	nd := t.free
-	if nd == nil {
-		if len(t.nodes) == 0 {
-			t.nodes = make([]msgNode, 256)
-		}
-		nd, t.nodes = &t.nodes[0], t.nodes[1:]
+	if nd == 0 {
+		t.nodes = append(t.nodes, msgNode{})
+		nd = int32(len(t.nodes))
 	} else {
-		t.free = nd.next
+		t.free = t.nodes[nd-1].next
 	}
-	nd.m, nd.next = m, nil
-	if q.tail == nil {
+	t.nodes[nd-1] = msgNode{m: m}
+	if q.tail == 0 {
 		q.head = nd
 	} else {
-		q.tail.next = nd
+		t.nodes[q.tail-1].next = nd
 	}
 	q.tail = nd
 }
 
-func (t *pairTable) pop(q *pairQueue) message {
+func (t *pairTable) pop(q *pairQueue) queued {
 	m := q.first
 	nd := q.head
-	if nd == nil {
-		q.first, q.full = message{}, false // drop the payload reference
+	if nd == 0 {
+		q.full = false
 		return m
 	}
-	q.first, q.head = nd.m, nd.next
-	if q.head == nil {
-		q.tail = nil
+	q.first, q.head = t.nodes[nd-1].m, t.nodes[nd-1].next
+	if q.head == 0 {
+		q.tail = 0
 	}
-	nd.m, nd.next, t.free = message{}, t.free, nd
+	t.nodes[nd-1].next, t.free = t.free, nd
 	return m
 }
 
 // pairTable finds an ordered pair's queue by its key src*P + dst: open
-// addressing with linear probing over a power-of-two slot array, sized
+// addressing with linear probing over a power-of-two array of slots, each
+// a queue's index (the queue holds its key), sized
 // to four slots a rank and kept at most three quarters full, so a lookup
 // or an insert is a multiply and a probe or two whatever the number of
 // pairs, and a rank's k-th peer costs what its first did. The queues are
-// carved from chunks of up to 256, and the messages queued behind a
-// queue's first are nodes of one pool: carved from chunks of 256 and
-// kept on a free list once taken.
+// one slab in order of first use, named by index, and the messages queued
+// behind a queue's first are nodes of one pool, kept on a free list once
+// taken.
 type pairTable struct {
-	slots []pairSlot
-	shift uint // 64 - log2(len(slots))
-	n     int
-	chunk []pairQueue
-	nodes []msgNode
-	free  *msgNode
-}
-
-type pairSlot struct {
-	key uint64
-	q   *pairQueue // nil: the slot is free
+	slots  []int32 // one past the index of a queue, 0: the slot is free
+	shift  uint    // 64 - log2(len(slots))
+	queues []pairQueue
+	nodes  []msgNode
+	free   int32 // one past the first free node's index, 0 for none
 }
 
 // home is key's first probe: Fibonacci hashing, the top bits of the
 // product.
 func (t *pairTable) home(key uint64) int { return int((key * 0x9e3779b97f4a7c15) >> t.shift) }
 
-// newPairTable returns an empty table with four slots a rank.
-func newPairTable(nprocs int) pairTable {
-	var t pairTable
-	t.resize(max(64, 1<<bits.Len(uint(4*nprocs-1))))
-	return t
+// reset empties the table and sizes it to four slots a rank.
+func (t *pairTable) reset(nprocs int) {
+	t.slots = resize(t.slots, max(64, 1<<bits.Len(uint(4*nprocs-1))))
+	clear(t.slots)
+	t.shift = uint(65 - bits.Len(uint(len(t.slots))))
+	t.queues, t.nodes, t.free = t.queues[:0], t.nodes[:0], 0
 }
 
-// get returns key's queue, adding an empty one on first use.
-func (t *pairTable) get(key uint64) *pairQueue {
-	if 4*(t.n+1) > 3*len(t.slots) {
-		t.resize(2 * len(t.slots))
+// get returns the index of key's queue, adding an empty one on first use.
+func (t *pairTable) get(key uint64) int32 {
+	if 4*(len(t.queues)+1) > 3*len(t.slots) {
+		t.grow()
 	}
 	mask := len(t.slots) - 1
 	i := t.home(key)
-	for ; t.slots[i].q != nil; i = (i + 1) & mask {
-		if t.slots[i].key == key {
-			return t.slots[i].q
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if q := t.slots[i] - 1; t.queues[q].key == key {
+			return q
 		}
 	}
-	if len(t.chunk) == 0 {
-		t.chunk = make([]pairQueue, max(16, min(t.n, 256)))
-	}
-	q := &t.chunk[0]
-	t.chunk = t.chunk[1:]
-	t.slots[i] = pairSlot{key: key, q: q}
-	t.n++
-	return q
+	t.queues = append(t.queues, pairQueue{key: key})
+	t.slots[i] = int32(len(t.queues))
+	return int32(len(t.queues) - 1)
 }
 
-// resize re-files every pair in a slot array of the given power of two.
-func (t *pairTable) resize(slots int) {
+// grow re-files every pair in a slot array twice as long.
+func (t *pairTable) grow() {
 	old := t.slots
-	t.slots = make([]pairSlot, slots)
-	t.shift = uint(65 - bits.Len(uint(len(t.slots))))
+	t.slots = make([]int32, 2*len(old))
+	t.shift--
 	mask := len(t.slots) - 1
-	for _, sl := range old {
-		if sl.q != nil {
-			i := t.home(sl.key)
-			for t.slots[i].q != nil {
+	for _, q := range old {
+		if q != 0 {
+			i := t.home(t.queues[q-1].key)
+			for t.slots[i] != 0 {
 				i = (i + 1) & mask
 			}
-			t.slots[i] = sl
+			t.slots[i] = q
 		}
 	}
 }
 
 // wordArena holds a run's message payloads: each is copied into the
 // current chunk, and a full chunk is left to the messages it holds, so a
-// payload is never overwritten within the run.
-type wordArena struct{ free []Word }
+// payload is never overwritten within the run. The chunks outlive the
+// run: the next run on the tables fills them again from the first.
+type wordArena struct {
+	chunks [][]Word
+	// next is the number of chunks the run has begun, used the words
+	// taken from the last of them.
+	next, used int
+}
 
 // arenaChunk is the words of one payload chunk.
-const arenaChunk = 4096
+const arenaChunk = 1024
 
-// copy returns a copy of data in the arena (nil for no words, as append
-// gives).
-func (a *wordArena) copy(data []Word) []Word {
+// copy copies data into the arena and returns where.
+func (a *wordArena) copy(data []Word, arrival float64) queued {
 	n := len(data)
 	if n == 0 {
-		return nil
+		return queued{arrival: arrival}
 	}
-	if len(a.free) < n {
-		a.free = make([]Word, max(n, arenaChunk))
+	if a.next == 0 || a.used+n > len(a.chunks[a.next-1]) {
+		if a.next == len(a.chunks) {
+			a.chunks = append(a.chunks, nil)
+		}
+		if len(a.chunks[a.next]) < n {
+			a.chunks[a.next] = make([]Word, max(n, arenaChunk))
+		}
+		a.next, a.used = a.next+1, 0
 	}
-	buf := a.free[:n:n]
-	a.free = a.free[n:]
-	copy(buf, data)
-	return buf
+	q := queued{chunk: int32(a.next - 1), off: int32(a.used), n: int32(n), arrival: arrival}
+	copy(a.chunks[q.chunk][q.off:], data)
+	a.used += n
+	return q
+}
+
+// message is q's payload (nil for no words, as append gives) and arrival.
+func (a *wordArena) message(q queued) message {
+	if q.n == 0 {
+		return message{arrival: q.arrival}
+	}
+	return message{data: a.chunks[q.chunk][q.off : q.off+q.n : q.off+q.n], arrival: q.arrival}
 }
 
 // readyEntry is a runnable processor under its (resume clock, rank) key.
@@ -314,18 +388,19 @@ func (s *scheduler) wake(p *Proc, key float64) {
 // after an abort or a detected deadlock: a coroutine observes abortFlag
 // and panics with deadErr, a step ends uncalled (resumeOne).
 func (s *scheduler) wakeWaiters() {
-	for _, sl := range s.pairs.slots {
-		if sl.q == nil {
-			continue
-		}
-		if w := sl.q.waiter; w != nil {
-			sl.q.waiter = nil
+	for i := range s.pairs.queues {
+		q := &s.pairs.queues[i]
+		if q.waiter != 0 {
+			w := &s.procs[q.waiter-1]
+			q.waiter = 0
 			s.wake(w, w.clock)
 		}
 	}
 }
 
-func (s *scheduler) queue(src, dst int) *pairQueue {
+// queue is the index of the pair's queue in s.pairs.queues, which may
+// move when a pair is added.
+func (s *scheduler) queue(src, dst int) int32 {
 	return s.pairs.get(uint64(src)*uint64(s.nprocs) + uint64(dst))
 }
 
@@ -333,16 +408,12 @@ func (s *scheduler) queue(src, dst int) *pairQueue {
 // if the destination is parked waiting on this pair it becomes runnable
 // at the arrival time.
 func (s *scheduler) put(src *Proc, dst int, msg message) {
-	q := s.queue(src.rank, dst)
-	msg.data = s.words.copy(msg.data)
-	s.pairs.push(q, msg)
-	if w := q.waiter; w != nil {
-		q.waiter = nil
-		key := w.clock
-		if msg.arrival > key {
-			key = msg.arrival
-		}
-		s.wake(w, key)
+	q := &s.pairs.queues[s.queue(src.rank, dst)]
+	s.pairs.push(q, s.words.copy(msg.data, msg.arrival))
+	if q.waiter != 0 {
+		w := &s.procs[q.waiter-1]
+		q.waiter = 0
+		s.wake(w, max(w.clock, msg.arrival))
 	}
 }
 
@@ -353,27 +424,27 @@ func (s *scheduler) take(dst *Proc, src int) message {
 	if s.step != nil {
 		panic("machine: Recv inside a step; a step receives with TryRecv")
 	}
-	q := s.queue(src, dst.rank)
-	for q.empty() {
+	qi := s.queue(src, dst.rank)
+	for s.pairs.queues[qi].empty() {
 		if !s.abortFlag {
-			q.waiter = dst
+			s.pairs.queues[qi].waiter = int32(dst.rank + 1)
 			s.yield <- false
-			<-dst.resume
+			<-s.resume[dst.rank]
 		}
 		if s.abortFlag {
 			panic(deadErr)
 		}
 	}
-	return s.pairs.pop(q)
+	return s.words.message(s.pairs.pop(&s.pairs.queues[qi]))
 }
 
 // resumeOne lets p run — its coroutine until it yields, or a call of its
 // step unless it parked before an abort — and reports whether it ended.
 func (s *scheduler) resumeOne(p *Proc) (done bool) {
 	if s.step == nil {
-		p.resume <- struct{}{}
+		s.resume[p.rank] <- struct{}{}
 		done = <-s.yield
-	} else if done = p.parked != nil && s.abortFlag; !done {
+	} else if done = p.parked && s.abortFlag; !done {
 		done = s.callStep(p)
 	}
 	if done && s.abortFlag {
@@ -388,17 +459,17 @@ func (s *scheduler) resumeOne(p *Proc) (done bool) {
 // callStep calls p's step, which must return false exactly when TryRecv
 // parked it, with a coroutine's error discipline (runBody).
 func (s *scheduler) callStep(p *Proc) (done bool) {
-	p.parked = nil
+	p.parked = false
 	if s.resumes++; s.resumes%gcYieldEvery == 0 {
 		runtime.Gosched()
 	}
 	done = true
-	s.errs[p.rank] = runBody(p, func(p *Proc) {
-		if done = s.step(p); done == (p.parked != nil) {
+	s.fail(p.rank, runBody(p, func(p *Proc) {
+		if done = s.step(p); done == p.parked {
 			done = true
 			panic("machine: a step must return false exactly when TryRecv parked it")
 		}
-	}, s.abort)
+	}, s.abort))
 	return done
 }
 
@@ -425,11 +496,12 @@ func (m *Machine) DirectHandoffs() int64 { return m.directHandoffs }
 // no preemption and no concurrent execution, which is what makes the
 // runtime's memory profile flat and its wall-clock free of contention.
 func (m *Machine) Run(body func(p *Proc)) (Stats, error) {
+	m.resume = make([]chan struct{}, m.grid.Size())
 	return m.run(func(p *Proc) {
-		p.resume = make(chan struct{})
+		m.resume[p.rank] = make(chan struct{})
 		go func() {
-			<-p.resume
-			m.errs[p.rank] = runBody(p, body, m.abort)
+			<-m.resume[p.rank]
+			m.fail(p.rank, runBody(p, body, m.abort))
 			m.yield <- true
 		}()
 	})
@@ -448,18 +520,18 @@ func (m *Machine) RunSteps(step func(p *Proc) (done bool)) (Stats, error) {
 // run is the scheduler loop; start, if not nil, readies a coroutine.
 func (m *Machine) run(start func(p *Proc)) (Stats, error) {
 	n := m.grid.Size()
-	m.procs, m.errs, m.ready = make([]Proc, n), make([]error, n), make(readyHeap, 0, n)
-	m.pairs = newPairTable(n)
+	tables := tablePool.Get().(*runTables)
+	m.runTables = *tables
+	m.reset(n)
 	for r := range m.procs {
 		p := &m.procs[r]
-		p.rank, p.m, p.pairs.slab = r, m, &m.tallies
+		p.rank, p.m = r, m
 		if start != nil {
 			start(p)
 		}
 		m.wake(p, 0)
 	}
 	live := n
-	var batch []int32
 	for live > 0 {
 		if len(m.ready) == 0 && m.direct == nil {
 			// Every live processor is parked and no message can ever
@@ -495,22 +567,27 @@ func (m *Machine) run(start func(p *Proc)) (Stats, error) {
 		// A processor woken mid-batch at the same clock simply lands in
 		// the next batch; the scheduler order is a fidelity choice, not
 		// a correctness requirement (see the file comment).
-		batch = batch[:0]
 		front := m.ready.pop()
-		batch = append(batch, front.rank)
+		m.batch = append(m.batch[:0], front.rank)
 		for len(m.ready) > 0 && m.ready[0].key == front.key {
-			batch = append(batch, m.ready.pop().rank)
+			m.batch = append(m.batch, m.ready.pop().rank)
 		}
-		for _, r := range batch {
+		for _, r := range m.batch {
 			if m.resumeOne(&m.procs[r]) {
 				live--
 			}
 		}
 	}
-	// The queues and payload chunks go with the run; what a body kept of
-	// a payload stays valid.
-	m.pairs, m.words = pairTable{}, wordArena{}
-	st, err := outcome(m.procs, m.errs)
+	// Stats take the tallies and copies of the rest; the tables go back
+	// to the pool holding no processor, machine or tracer.
+	st, err := outcome(m.procs, m.err)
+	for r := range m.procs {
+		m.peers[r] = m.procs[r].peers.n
+	}
+	clear(m.procs)
+	m.tallies = nil
+	*tables, m.runTables = m.runTables, runTables{}
+	tablePool.Put(tables)
 	switch {
 	case err != nil:
 	case m.deadlocked:

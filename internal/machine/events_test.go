@@ -274,23 +274,33 @@ func (r *lockedTracer) Record(e Event) {
 	r.mu.Unlock()
 }
 
-// TestPairTally: sparse per-pair accounting — snapshots are sorted,
-// nil when empty, and AddProc aggregates the hot-pair maxima.
+// TestPairTally: sparse per-pair accounting — rows are sorted, empty
+// when nothing was counted, keep their entries when they move to the end
+// of the slab they share, and AddProc aggregates the hot-pair maxima.
 func TestPairTally(t *testing.T) {
-	var tl PairTally
-	if tl.Snapshot() != nil {
-		t.Fatal("empty tally should snapshot nil")
+	var slab []PairStat
+	var tl, other tallyRow
+	if len(tl.list(slab)) != 0 {
+		t.Fatal("empty tally should list nothing")
 	}
-	tl.Note(7, 3)
-	tl.Note(2, 5)
-	tl.Note(7, 1)
-	got := tl.Snapshot()
-	want := []PairStat{{Peer: 2, Messages: 1, Words: 5}, {Peer: 7, Messages: 2, Words: 4}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("snapshot = %+v, want %+v", got, want)
+	tl.note(&slab, 7, 3)
+	other.note(&slab, 1, 1)
+	tl.note(&slab, 2, 5)
+	tl.note(&slab, 7, 1)
+	tl.note(&slab, 4, 2) // a third peer moves the row past other's
+	tl.note(&slab, 9, 1)
+	tl.note(&slab, 8, 1) // a fifth grows it in place, last in the slab
+	got := tl.list(slab)
+	want := []PairStat{{Peer: 2, Messages: 1, Words: 5}, {Peer: 4, Messages: 1, Words: 2}, {Peer: 7, Messages: 2, Words: 4},
+		{Peer: 8, Messages: 1, Words: 1}, {Peer: 9, Messages: 1, Words: 1}}
+	if !reflect.DeepEqual(got, want) || len(slab) != 12 {
+		t.Fatalf("row = %+v in a slab of %d, want %+v in one of 12", got, len(slab), want)
+	}
+	if o := other.list(slab); !reflect.DeepEqual(o, []PairStat{{Peer: 1, Messages: 1, Words: 1}}) {
+		t.Fatalf("the other row = %+v, want one message to 1", o)
 	}
 	var st Stats
-	st.AddProc(ProcStats{Clock: 9, Flops: 4, Messages: 3, Words: 9, MaxMsgWords: 5, Peers: got})
+	st.AddProc(ProcStats{Clock: 9, Flops: 4, Messages: 6, Words: 13, MaxMsgWords: 5, Peers: got})
 	if st.MaxPairMessages != 2 || st.MaxPairWords != 5 || st.ParallelTime != 9 {
 		t.Fatalf("AddProc aggregate wrong: %+v", st)
 	}

@@ -215,31 +215,25 @@ type Proc struct {
 	rank  int
 	m     *Machine
 	clock float64
-	// resume is a coroutine's handoff to let it run, parked a step's
-	// TryRecv queue.
-	resume chan struct{}
-	parked *pairQueue
-	// counters
-	flops       int64
-	messages    int64
-	words       int64
-	maxMsgWords int64
-	// pairs counts outbound traffic per destination rank, sparsely keyed
-	// by live pairs. Finalize traffic and operand ships go through the
+	// counters: the flops, the largest message and, per destination rank,
+	// the messages and words sent, sparsely keyed by live pairs in the
+	// machine's tallies. Finalize traffic and operand ships go through the
 	// same Send path, so the per-pair columns are comparable across
 	// engines.
-	pairs PairTally
+	flops       int64
+	maxMsgWords int64
+	peers       tallyRow
+	// parked says a step's TryRecv waits on a queue.
+	parked bool
 }
 
 // noteSend records one counted outbound message of the given size to
 // dst on every counter.
 func (p *Proc) noteSend(dst, words int) {
-	p.messages++
-	p.words += int64(words)
 	if int64(words) > p.maxMsgWords {
 		p.maxMsgWords = int64(words)
 	}
-	p.pairs.Note(dst, words)
+	p.peers.note(&p.m.tallies, dst, words)
 }
 
 // Rank returns the linear rank of the processor ("who_am_i" in Fig 6).
@@ -302,7 +296,8 @@ func (p *Proc) Send(dst int, data []Word) {
 
 // Recv receives the next message from the processor with rank src,
 // blocking until it is available. The receiver's simulated clock advances
-// to at least the message arrival time.
+// to at least the message arrival time. The words are the run's: valid
+// until Run returns, after which a later run may reuse them.
 func (p *Proc) Recv(src int) []Word {
 	if src < 0 || src >= p.m.grid.Size() {
 		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
@@ -318,17 +313,17 @@ func (p *Proc) TryRecv(src int) ([]Word, bool) {
 		panic(fmt.Sprintf("machine: Recv from invalid rank %d", src))
 	}
 	s := &p.m.scheduler
-	if s.step == nil || p.parked != nil {
+	if s.step == nil || p.parked {
 		panic("machine: TryRecv outside a step, or after it parked")
 	}
-	q := s.queue(src, p.rank)
+	q := &s.pairs.queues[s.queue(src, p.rank)]
 	switch {
 	case !q.empty():
-		return p.arrive(src, s.pairs.pop(q)), true
+		return p.arrive(src, s.words.message(s.pairs.pop(q))), true
 	case s.abortFlag:
 		panic(deadErr)
 	}
-	q.waiter, p.parked = p, q
+	q.waiter, p.parked = int32(p.rank+1), true
 	return nil, false
 }
 
@@ -404,21 +399,23 @@ func runBody(p *Proc, body func(p *Proc), abort func()) (err error) {
 	return nil
 }
 
-// outcome folds the processors' final counters into Stats and returns
-// the lowest-ranked root-cause error, if any.
-func outcome(procs []Proc, errs []error) (Stats, error) {
+// outcome folds the processors' final counters into Stats, each one's
+// per-peer list a view of its tally row, and returns err, the
+// lowest-ranked root-cause error.
+func outcome(procs []Proc, err error) (Stats, error) {
 	var st Stats
 	st.PerProc = make([]ProcStats, len(procs))
 	for r := range procs {
 		p := &procs[r]
-		st.PerProc[r] = ProcStats{Clock: p.clock, Flops: p.flops, Messages: p.messages, Words: p.words, MaxMsgWords: p.maxMsgWords,
-			Peers: p.pairs.Snapshot()}
+		ps := &st.PerProc[r]
+		*ps = ProcStats{Clock: p.clock, Flops: p.flops, MaxMsgWords: p.maxMsgWords}
+		if row := p.peers.list(p.m.tallies); len(row) > 0 {
+			ps.Peers = row[:len(row):len(row)]
+		}
+		for _, pr := range ps.Peers {
+			ps.Messages, ps.Words = ps.Messages+pr.Messages, ps.Words+pr.Words
+		}
 		st.AddProc(st.PerProc[r])
 	}
-	for _, err := range errs {
-		if err != nil {
-			return st, err
-		}
-	}
-	return st, nil
+	return st, err
 }

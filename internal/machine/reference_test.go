@@ -53,19 +53,24 @@ func runReference(g *grid.Grid, cfg Config, capacity int, body func(p *Proc)) (S
 	for i := range c.links {
 		c.links[i] = make(chan message, capacity)
 	}
-	m := &Machine{grid: g, cfg: cfg, net: c}
 	procs := make([]Proc, n)
 	errs := make([]error, n)
 	abort := func() { c.once.Do(func() { close(c.dead) }) }
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for r := range procs {
-		procs[r] = Proc{rank: r, m: m}
+		// Each processor its own machine, for a tally slab of its own.
+		procs[r] = Proc{rank: r, m: &Machine{grid: g, cfg: cfg, net: c}}
 		go func(p *Proc) {
 			defer wg.Done()
 			errs[p.rank] = runBody(p, body, abort)
 		}(&procs[r])
 	}
 	wg.Wait()
-	return outcome(procs, errs)
+	for _, err := range errs {
+		if err != nil {
+			return outcome(procs, err)
+		}
+	}
+	return outcome(procs, nil)
 }

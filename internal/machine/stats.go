@@ -1,5 +1,5 @@
-// Run statistics. The machine tallies per-pair traffic through PairTally
-// and folds per-processor snapshots into Stats through AddProc.
+// Run statistics. The machine tallies per-pair traffic in tallyRows and
+// folds per-processor snapshots into Stats through AddProc.
 package machine
 
 import "sort"
@@ -12,62 +12,43 @@ type PairStat struct {
 	Words    int64
 }
 
-// PairTally accumulates outbound per-destination counters sparsely: a
-// processor that talks to k peers holds k entries, not one per rank.
-// At N=4096 the dense per-peer slices this replaces cost
-// O(N^2) = 16.7M int64s per run even for nearest-neighbour kernels.
-// The entries are one slice kept sorted by destination, its storage
-// doubling as peers are added; a machine run carves every processor's
-// storage from one chunk it shares (slab), so a run allocates per chunk,
-// not per peer. The zero value is ready to use and allocates its own.
-type PairTally struct {
-	pairs []PairStat
-	slab  *[]PairStat
-}
+// tallyRow is one processor's outbound per-destination counters, kept
+// sparsely — a processor that talks to k peers holds k entries, not one
+// per rank; at N=4096 dense per-peer slices cost O(N^2) = 16.7M int64s
+// per run even for nearest-neighbour kernels. The entries are
+// slab[at:at+n], sorted by destination, with room for cap: a machine run
+// keeps every processor's row in one slab it shares (runTables.tallies),
+// and a full row doubles its room, in place at the slab's end or moved
+// there.
+type tallyRow struct{ at, n, cap int32 }
 
-// Note records one counted message of the given size to dst.
-func (t *PairTally) Note(dst, words int) {
-	i := sort.Search(len(t.pairs), func(k int) bool { return t.pairs[k].Peer >= dst })
-	if i == len(t.pairs) || t.pairs[i].Peer != dst {
-		n := len(t.pairs)
-		if n == cap(t.pairs) {
-			grown := t.alloc(max(2, 2*n))
-			copy(grown, t.pairs)
-			t.pairs = grown[:n]
+// note records one counted message of the given size to dst.
+func (t *tallyRow) note(slab *[]PairStat, dst, words int) {
+	row := t.list(*slab)
+	i := sort.Search(len(row), func(k int) bool { return row[k].Peer >= dst })
+	if i == len(row) || row[i].Peer != dst {
+		if end := int(t.at + t.cap); t.n == t.cap && end == len(*slab) && t.n > 0 {
+			*slab = append(*slab, make([]PairStat, t.cap)...) // the last row grows in place
+			t.cap *= 2
+		} else if t.n == t.cap {
+			at, c := len(*slab), max(2, 2*t.cap)
+			*slab = append(*slab, make([]PairStat, c)...)
+			copy((*slab)[at:], row)
+			t.at, t.cap = int32(at), c
 		}
-		t.pairs = t.pairs[:n+1]
-		copy(t.pairs[i+1:], t.pairs[i:n])
-		t.pairs[i] = PairStat{Peer: dst}
+		row = (*slab)[t.at : t.at+t.n+1]
+		copy(row[i+1:], row[i:])
+		row[i] = PairStat{Peer: dst}
+		t.n++
 	}
-	t.pairs[i].Messages++
-	t.pairs[i].Words += int64(words)
+	row[i].Messages++
+	row[i].Words += int64(words)
 }
 
-// alloc returns storage for n entries, carved from the slab if there is
-// one.
-func (t *PairTally) alloc(n int) []PairStat {
-	if t.slab == nil {
-		return make([]PairStat, n)
-	}
-	if len(*t.slab) < n {
-		*t.slab = make([]PairStat, max(n, 1024))
-	}
-	s := (*t.slab)[:n:n]
-	*t.slab = (*t.slab)[n:]
-	return s
-}
-
-// Snapshot returns the live pairs sorted by destination rank, or nil if
-// nothing was counted. The slice is the tally's own storage, capped, so a
-// snapshot is taken when counting is over. The deterministic order makes
-// ProcStats values directly comparable with reflect.DeepEqual across
-// engines.
-func (t *PairTally) Snapshot() []PairStat {
-	if len(t.pairs) == 0 {
-		return nil
-	}
-	return t.pairs[:len(t.pairs):len(t.pairs)]
-}
+// list is the row's entries in slab, sorted by destination rank. The
+// deterministic order makes ProcStats values directly comparable with
+// reflect.DeepEqual across engines.
+func (t *tallyRow) list(slab []PairStat) []PairStat { return slab[t.at : t.at+t.n] }
 
 // Stats aggregates the outcome of a Run.
 type Stats struct {

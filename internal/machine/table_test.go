@@ -46,6 +46,48 @@ func TestAllPairsAgree(t *testing.T) {
 	}
 }
 
+// TestReusedTablesMatchFresh: runs on the run tables an earlier run of
+// another size and program put back in the pool — more or fewer ranks,
+// pairs, queued messages and payload chunks — give the Stats, trace and
+// received words of runs on empty tables. Steps and coroutines alternate,
+// on one P, so each run takes the tables the run before it put back.
+func TestReusedTablesMatchFresh(t *testing.T) {
+	type kase struct {
+		g     *grid.Grid
+		prog  exchangeProgram
+		steps bool
+	}
+	var cases []kase
+	for i, n := range []int{64, 4, 256, 16, 1, 64} {
+		g := grid.New(n)
+		if n == 16 {
+			g = grid.New(4, 4)
+		}
+		cases = append(cases, kase{g, randomProgram(n, int64(i)), i%2 == 0})
+	}
+	type outcome struct {
+		st    Stats
+		ev    []Event
+		words []Word
+	}
+	runCase := func(c kase) outcome {
+		st, ev, words := runExchange(t, c.g, DefaultConfig(), c.prog, c.steps)
+		return outcome{st, ev, words}
+	}
+	fresh := make([]outcome, len(cases))
+	for i, c := range cases {
+		runtime.GC()
+		runtime.GC() // empties the pool
+		fresh[i] = runCase(c)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i, c := range cases {
+		if got := runCase(c); !reflect.DeepEqual(got, fresh[i]) {
+			t.Fatalf("case %d (%d ranks, steps %v) on reused tables differs from its run on empty ones", i, c.g.Size(), c.steps)
+		}
+	}
+}
+
 // ringStep is a RunSteps body: hops times, every rank sends one word to
 // its successor and receives one from its predecessor. pc holds each
 // rank's position, two per hop.

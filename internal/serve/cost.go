@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // costQuery is url.ParseQuery(raw)'s Get("key") and Get("m"). A pair
@@ -84,15 +85,20 @@ func appendFloat(b []byte, f float64) []byte {
 	return b
 }
 
+// replies are writeCost's reply buffers: the bytes escape through Write,
+// so a buffer on the stack would be allocated per reply.
+var replies = sync.Pool{New: func() any { return new([160]byte) }}
+
 // writeCost writes rep as writeJSON would, the 500 of a float without a
 // JSON form included.
 func writeCost(w http.ResponseWriter, rep CostReport) {
-	var buf [160]byte
+	buf := replies.Get().(*[160]byte)
+	defer replies.Put(buf)
 	b, ok := rep.appendJSON(buf[:0])
 	if !ok {
 		writeJSON(w, rep)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Write(b)
 }

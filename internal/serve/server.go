@@ -145,11 +145,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response status for endpoint metrics.
+// statusWriter captures the response status for endpoint metrics. The
+// wrappers come from a pool, so a request allocates none.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.status = code
@@ -158,16 +161,24 @@ func (w *statusWriter) WriteHeader(code int) {
 
 func (s *Server) instrument(ep *endpoint, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		ep.observe(sw.status, time.Since(start))
+		*sw = statusWriter{}
+		statusWriters.Put(sw)
 	}
 }
 
+// jsonType is every JSON reply's Content-Type value, assigned into the
+// header map as is, never written through: Header().Set would allocate
+// its one-element slice per reply.
+var jsonType = []string{"application/json"}
+
 // httpError is the uniform JSON error body.
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
@@ -180,7 +191,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 		httpError(w, http.StatusInternalServerError, "encoding reply: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Write(append(b, '\n'))
 }
 
@@ -410,7 +421,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if payload, ok := s.cfg.Store.Get(e.key); ok {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonType
 		w.Write(payload)
 		return
 	}
@@ -422,7 +433,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "re-freezing plan: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonType
 	w.Write(payload)
 }
 
