@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -243,39 +245,46 @@ func TestGreedyRespectsConstraintAndIsFeasible(t *testing.T) {
 	}
 }
 
+// randomGraph is a random program-like graph: arrays A and B
+// two-dimensional and X one-dimensional, every pair of dimensions of
+// different arrays an edge with probability 0.7, weights 1..100.
+func randomGraph(rng *rand.Rand) *Graph {
+	g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
+	arrays := []struct {
+		name string
+		rank int
+	}{{"A", 2}, {"B", 2}, {"X", 1}}
+	for _, a := range arrays {
+		for d := 0; d < a.rank; d++ {
+			id := ir.DimID{Array: a.name, Dim: d}
+			g.index[id] = len(g.Nodes)
+			g.ArrayDims[a.name] = append(g.ArrayDims[a.name], len(g.Nodes))
+			g.Nodes = append(g.Nodes, id)
+		}
+	}
+	n := len(g.Nodes)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if g.Nodes[i].Array == g.Nodes[j].Array {
+				continue
+			}
+			if rng.Float64() < 0.7 {
+				g.Edges = append(g.Edges, Edge{
+					From: g.Nodes[i], To: g.Nodes[j],
+					Weight: float64(rng.Intn(100) + 1),
+				})
+			}
+		}
+	}
+	return g
+}
+
 // Property: on random graphs, greedy never beats exact, and both respect
 // the constraint.
 func TestGreedyVsExactRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		// Random program-like graph: 3 arrays, first two 2-D, one 1-D.
-		g := &Graph{index: map[ir.DimID]int{}, ArrayDims: map[string][]int{}}
-		arrays := []struct {
-			name string
-			rank int
-		}{{"A", 2}, {"B", 2}, {"X", 1}}
-		for _, a := range arrays {
-			for d := 0; d < a.rank; d++ {
-				id := ir.DimID{Array: a.name, Dim: d}
-				g.index[id] = len(g.Nodes)
-				g.ArrayDims[a.name] = append(g.ArrayDims[a.name], len(g.Nodes))
-				g.Nodes = append(g.Nodes, id)
-			}
-		}
-		n := len(g.Nodes)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if g.Nodes[i].Array == g.Nodes[j].Array {
-					continue
-				}
-				if rng.Float64() < 0.7 {
-					g.Edges = append(g.Edges, Edge{
-						From: g.Nodes[i], To: g.Nodes[j],
-						Weight: float64(rng.Intn(100) + 1),
-					})
-				}
-			}
-		}
+		g := randomGraph(rng)
 		ex, err := ExactAlign(g, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -640,6 +649,262 @@ func BenchmarkAlignDense(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// exactAlignOracle is ExactAlign as it was before the search moved to an
+// index-addressed form: per-call adjacency lists, a recursive closure
+// and the Partition built from the graph's own tables. The search the
+// package runs is held to it bit for bit.
+func exactAlignOracle(g *Graph, q int) (Partition, error) {
+	for _, node := range g.Nodes {
+		if dims := g.ArrayDims[node.Array]; len(dims) > q {
+			return Partition{}, fmt.Errorf("align: array %s has %d dimensions but the grid has %d", node.Array, len(dims), q)
+		}
+	}
+	if q > 64 {
+		return Partition{}, fmt.Errorf("align: exact search of %d subsets, at most 64", q)
+	}
+	n := len(g.Nodes)
+	assign := make([]int, n)
+	// sib[i] lists the positions of node i's array's dimensions.
+	sib := make([][]int, n)
+	pinned := -1
+	for i, node := range g.Nodes {
+		assign[i] = -1
+		sib[i] = g.ArrayDims[node.Array]
+		if pinned == -1 && len(sib[i]) > 1 {
+			pinned = i
+		}
+	}
+	if pinned == -1 && n > 0 {
+		pinned = 0
+	}
+
+	// Adjacency for incremental cut computation, in one backing array.
+	type adj struct {
+		other  int
+		weight float64
+	}
+	ends := g.ends()
+	deg := make([]int, n)
+	for _, ft := range ends {
+		deg[ft[0]]++
+		deg[ft[1]]++
+	}
+	nbr := make([][]adj, n)
+	backing := make([]adj, 2*len(ends))
+	for i, off := 0, 0; i < n; i++ {
+		nbr[i] = backing[off : off : off+deg[i]]
+		off += deg[i]
+	}
+	for k, ft := range ends {
+		fi, ti, w := ft[0], ft[1], g.Edges[k].Weight
+		if fi == ti {
+			continue
+		}
+		nbr[fi] = append(nbr[fi], adj{ti, w})
+		nbr[ti] = append(nbr[ti], adj{fi, w})
+	}
+
+	// Order: pinned node first, then nodes of multi-dim arrays, then rest,
+	// to trigger constraint pruning early.
+	order := make([]int, 0, n)
+	used := make([]bool, n)
+	if pinned >= 0 {
+		order = append(order, pinned)
+		used[pinned] = true
+	}
+	for i := 0; i < n; i++ {
+		if !used[i] && len(sib[i]) > 1 {
+			order = append(order, i)
+			used[i] = true
+		}
+	}
+	for i := 0; i < n; i++ {
+		if !used[i] {
+			order = append(order, i)
+		}
+	}
+
+	best := math.Inf(1)
+	bestAssign := make([]int, n)
+	var rec func(pos int, cut float64)
+	rec = func(pos int, cut float64) {
+		if cut >= best {
+			return
+		}
+		if pos == len(order) {
+			best = cut
+			copy(bestAssign, assign)
+			return
+		}
+		ni := order[pos]
+		var taken uint64
+		for _, other := range sib[ni] {
+			if other != ni && assign[other] >= 0 {
+				taken |= 1 << assign[other]
+			}
+		}
+		lo, hi := 0, q-1
+		if ni == pinned {
+			lo, hi = 0, 0
+		}
+		for s := lo; s <= hi; s++ {
+			if taken&(1<<s) != 0 {
+				continue
+			}
+			add := 0.0
+			for _, a := range nbr[ni] {
+				if assign[a.other] >= 0 && assign[a.other] != s {
+					add += a.weight
+				}
+			}
+			assign[ni] = s
+			rec(pos+1, cut+add)
+			assign[ni] = -1
+		}
+	}
+	rec(0, 0)
+	if math.IsInf(best, 1) {
+		return Partition{}, fmt.Errorf("align: no feasible partition into %d subsets", q)
+	}
+	pt := Partition{Assign: map[ir.DimID]int{}, Cut: best, Method: "exact"}
+	for i, node := range g.Nodes {
+		pt.Assign[node] = bestAssign[i]
+	}
+	return pt, nil
+}
+
+// alignedPrograms is every program the segment tests align: the
+// listings under testdata (the four builtins and manyarrays), the
+// stencil and Synthetic(4..16).
+func alignedPrograms(t *testing.T) []*ir.Program {
+	t.Helper()
+	files, err := filepath.Glob("../../testdata/*.f")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no listings: %v", err)
+	}
+	var progs []*ir.Program
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		progs = append(progs, p)
+	}
+	progs = append(progs, ir.Stencil())
+	for s := 4; s <= 16; s++ {
+		progs = append(progs, ir.Synthetic(s))
+	}
+	return progs
+}
+
+// loweredAtSize is p lowered with its one size parameter at the default
+// weights' m.
+func loweredAtSize(t *testing.T, p *ir.Program) *ir.Lowered {
+	t.Helper()
+	bind, err := p.BindSize(wp().Bind["m"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := p.Lower(bind)
+	if err != nil {
+		t.Fatalf("%s: %v", p.Name, err)
+	}
+	return lw
+}
+
+// TestSegmentAlignmentMatchesGraph: for every (lo, hi) segment of every
+// aligned program, AlignSegment in one reused Search returns, bit for
+// bit, the subsets, cut and method of Align on the segment's Graph, and
+// where the search is exact the oracle's partition; on the random graphs
+// of TestGreedyVsExactRandom, ExactAlign equals the oracle. manyarrays
+// (60 nodes) takes the greedy path on the graph.
+func TestSegmentAlignmentMatchesGraph(t *testing.T) {
+	s := new(Search)
+	for _, p := range alignedPrograms(t) {
+		a := NewAffinity(loweredAtSize(t, p), wp())
+		for lo := 0; lo < len(p.Nests); lo++ {
+			for hi := lo + 1; hi <= len(p.Nests); hi++ {
+				g := a.Graph(lo, hi)
+				want, err := Align(g, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assign, cut, method, err := a.AlignSegment(lo, hi, 2, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s nests [%d,%d)", p.Name, lo, hi)
+				if method != want.Method || math.Float64bits(cut) != math.Float64bits(want.Cut) || len(assign) != len(g.Nodes) {
+					t.Fatalf("%s: %s cut %v over %d nodes, Align %s cut %v over %d", label, method, cut, len(assign), want.Method, want.Cut, len(g.Nodes))
+				}
+				for i, node := range g.Nodes {
+					if int(assign[i]) != want.Assign[node] {
+						t.Fatalf("%s: %s in subset %d, Align puts it in %d", label, node, assign[i], want.Assign[node])
+					}
+				}
+				if p.Name == "manyarrays" {
+					if method != "greedy" {
+						t.Fatalf("%s: %d nodes aligned by %s, want greedy", label, len(g.Nodes), method)
+					}
+					continue
+				}
+				oracle, err := exactAlignOracle(g, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, oracle) || math.Float64bits(want.Cut) != math.Float64bits(oracle.Cut) {
+					t.Fatalf("%s: ExactAlign %v, oracle %v", label, want, oracle)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 60; trial++ {
+		g := randomGraph(rng)
+		got, err := ExactAlign(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := exactAlignOracle(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || math.Float64bits(got.Cut) != math.Float64bits(want.Cut) {
+			t.Fatalf("trial %d: ExactAlign %v, oracle %v", trial, got, want)
+		}
+	}
+}
+
+// TestSegmentAlignAllocatesNothing: once its Search has grown to the
+// program, aligning any segment allocates nothing — no graph, edge list,
+// adjacency or partition map.
+func TestSegmentAlignAllocatesNothing(t *testing.T) {
+	for _, p := range []*ir.Program{ir.Gauss(), ir.Synthetic(10), ir.Synthetic(16)} {
+		a := NewAffinity(loweredAtSize(t, p), wp())
+		s := new(Search)
+		n := len(p.Nests)
+		if _, _, _, err := a.AlignSegment(0, n, 2, s); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := 0, 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if hi++; hi > n {
+				lo, hi = (lo+1)%n, lo+2
+			}
+			if _, _, _, err := a.AlignSegment(lo, min(hi, n), 2, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a warm segment alignment allocates %v times", p.Name, allocs)
 		}
 	}
 }

@@ -52,6 +52,15 @@ func (g *Graph) ends() [][2]int {
 	return pos
 }
 
+// siblings lists, per node, the positions of its array's dimensions.
+func (g *Graph) siblings() [][]int {
+	sib := make([][]int, len(g.Nodes))
+	for i, node := range g.Nodes {
+		sib[i] = g.ArrayDims[node.Array]
+	}
+	return sib
+}
+
 // WeightParams control the numeric edge-weight estimation. Following the
 // two-step approach quoted in Section 2.2 (Gupta & Banerjee), weights are
 // computed assuming N1 = ... = Nq = N processors per grid dimension.
@@ -104,12 +113,11 @@ func BuildGraph(p *ir.Program, nests []*ir.Nest, wp WeightParams) (*Graph, error
 	return NewAffinity(lw, wp).Graph(0, len(nests)), nil
 }
 
-// increment is one statement's contribution to one affinity edge, with
-// the endpoints as node positions.
+// increment is one statement's contribution to one affinity edge.
 type increment struct {
-	from, to int
-	weight   float64
-	line     int
+	edge   int // index into Affinity.edges
+	weight float64
+	line   int
 }
 
 // Affinity holds the affinity-edge increments of a nest sequence, nest
@@ -120,9 +128,12 @@ type Affinity struct {
 	// base carries the nodes and node tables every graph shares,
 	// read-only; it has no edges.
 	base Graph
-	// order lists node positions in DimID.String() order, the order
-	// Graph emits edges in.
-	order []int
+	// sib[i] lists the positions of node i's array's dimensions.
+	sib [][]int
+	// edges lists the endpoints, as node positions, of every edge of the
+	// whole program's graph, in the order Graph emits edges: by endpoint
+	// names. A segment's graph has a subset of them, in the same order.
+	edges [][2]int
 	nests [][]increment
 }
 
@@ -140,20 +151,42 @@ func NewAffinity(lw *ir.Lowered, wp WeightParams) *Affinity {
 	}
 	g := &a.base
 	var names []string
+	var order []int // node positions in DimID.String() order
 	for _, d := range p.AllDims() {
 		g.index[d] = len(g.Nodes)
 		g.ArrayDims[d.Array] = append(g.ArrayDims[d.Array], len(g.Nodes))
-		a.order = append(a.order, len(g.Nodes))
+		order = append(order, len(g.Nodes))
 		g.Nodes = append(g.Nodes, d)
 		names = append(names, d.String())
 	}
-	sort.SliceStable(a.order, func(x, y int) bool { return names[a.order[x]] < names[a.order[y]] })
+	sort.SliceStable(order, func(x, y int) bool { return names[order[x]] < names[order[y]] })
+	a.sib = g.siblings()
 	m := 0
 	for _, v := range lw.Bind {
 		m = max(m, v)
 	}
+	// nestIncrements numbers an increment's edge from*n+to; number the
+	// edges that occur by endpoint names instead.
+	n := len(g.Nodes)
+	slot := make([]int, n*n)
 	for t, nest := range p.Nests {
 		a.nests[t] = a.nestIncrements(nest, tripCounts(&lw.Nests[t], m/2+1), wp)
+		for _, inc := range a.nests[t] {
+			slot[inc.edge] = 1
+		}
+	}
+	for _, from := range order {
+		for _, to := range order {
+			if s := &slot[from*n+to]; *s != 0 {
+				a.edges = append(a.edges, [2]int{from, to})
+				*s = len(a.edges)
+			}
+		}
+	}
+	for _, incs := range a.nests {
+		for k := range incs {
+			incs[k].edge = slot[incs[k].edge] - 1
+		}
 	}
 	return a
 }
@@ -177,7 +210,9 @@ func tripCounts(ln *ir.LNest, mid int) []int {
 	return trips
 }
 
-// nestIncrements lists one nest's edge increments in statement order.
+// nestIncrements lists one nest's edge increments in statement order,
+// each edge numbered from*n+to for endpoint positions from and to of n
+// nodes.
 func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) []increment {
 	var incs []increment
 	for _, st := range nest.Stmts {
@@ -246,11 +281,9 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) [
 						if ssub.IsConst() {
 							continue // constants carry no alignment signal
 						}
-						incs = append(incs, increment{
-							from:   a.base.index[ir.DimID{Array: mover.Array, Dim: k2}],
-							to:     a.base.index[ir.DimID{Array: stay.Array, Dim: k1}],
-							weight: w, line: st.Line,
-						})
+						from := a.base.index[ir.DimID{Array: mover.Array, Dim: k2}]
+						to := a.base.index[ir.DimID{Array: stay.Array, Dim: k1}]
+						incs = append(incs, increment{edge: from*len(a.base.Nodes) + to, weight: w, line: st.Line})
 					}
 				}
 			}
@@ -265,18 +298,16 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) [
 // every graph of the Affinity.
 func (a *Affinity) Graph(lo, hi int) *Graph {
 	g := a.base
-	n := len(g.Nodes)
-	// slot[from*n+to] counts the edge's increments, then holds 1 + its
-	// position in g.Edges.
-	slot := make([]int, n*n)
+	// slot[k] counts edge k's increments, then holds 1 + its position in
+	// g.Edges.
+	slot := make([]int, len(a.edges))
 	edges, incs := 0, 0
 	for t := lo; t < hi; t++ {
 		for _, inc := range a.nests[t] {
-			s := &slot[inc.from*n+inc.to]
-			if *s == 0 {
+			if slot[inc.edge] == 0 {
 				edges++
 			}
-			*s++
+			slot[inc.edge]++
 		}
 		incs += len(a.nests[t])
 	}
@@ -284,21 +315,19 @@ func (a *Affinity) Graph(lo, hi int) *Graph {
 	// backing array sized by its increment count.
 	lines := make([]int, incs)
 	g.Edges, g.pos = make([]Edge, 0, edges), make([][2]int, 0, edges)
-	for _, from := range a.order {
-		for _, to := range a.order {
-			s := &slot[from*n+to]
-			if *s == 0 {
-				continue
-			}
-			g.Edges = append(g.Edges, Edge{From: g.Nodes[from], To: g.Nodes[to], Lines: lines[:0:*s]})
-			g.pos = append(g.pos, [2]int{from, to})
-			lines = lines[*s:]
-			*s = len(g.Edges)
+	for k, ft := range a.edges {
+		s := &slot[k]
+		if *s == 0 {
+			continue
 		}
+		g.Edges = append(g.Edges, Edge{From: g.Nodes[ft[0]], To: g.Nodes[ft[1]], Lines: lines[:0:*s]})
+		g.pos = append(g.pos, ft)
+		lines = lines[*s:]
+		*s = len(g.Edges)
 	}
 	for t := lo; t < hi; t++ {
 		for _, inc := range a.nests[t] {
-			e := &g.Edges[slot[inc.from*n+inc.to]-1]
+			e := &g.Edges[slot[inc.edge]-1]
 			e.Weight += inc.weight
 			e.Lines = append(e.Lines, inc.line)
 		}

@@ -11,6 +11,7 @@ package align
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dmcc/internal/ir"
@@ -82,11 +83,12 @@ func Align(g *Graph, q int) (Partition, error) {
 }
 
 // fitsGrid returns an error naming the first array, in node order (name
-// order, for a built graph), that has more dimensions than the q of the grid.
-func fitsGrid(g *Graph, q int) error {
-	for _, node := range g.Nodes {
-		if dims := g.ArrayDims[node.Array]; len(dims) > q {
-			return fmt.Errorf("align: array %s has %d dimensions but the grid has %d", node.Array, len(dims), q)
+// order, for a built graph), that has more dimensions than the q of the
+// grid; sib[i] lists node i's array's dimensions.
+func fitsGrid(nodes []ir.DimID, sib [][]int, q int) error {
+	for i, node := range nodes {
+		if len(sib[i]) > q {
+			return fmt.Errorf("align: array %s has %d dimensions but the grid has %d", node.Array, len(sib[i]), q)
 		}
 	}
 	return nil
@@ -100,121 +102,223 @@ func fitsGrid(g *Graph, q int) error {
 // if any array has more dimensions than q, or if q is past 64 (the
 // search keeps the subsets a node's array already holds in a bitmask).
 func ExactAlign(g *Graph, q int) (Partition, error) {
-	if err := fitsGrid(g, q); err != nil {
+	// s is this call's own, so its edge endpoints may be the graph's.
+	s := &Search{nodes: g.Nodes, sib: g.siblings(), ends: g.ends(), weight: make([]float64, len(g.Edges))}
+	for k, e := range g.Edges {
+		s.weight[k] = e.Weight
+	}
+	cut, err := s.run(q)
+	if err != nil {
 		return Partition{}, err
 	}
-	if q > 64 {
-		return Partition{}, fmt.Errorf("align: exact search of %d subsets, at most 64", q)
-	}
-	n := len(g.Nodes)
-	assign := make([]int, n)
-	// sib[i] lists the positions of node i's array's dimensions.
-	sib := make([][]int, n)
-	pinned := -1
+	pt := Partition{Assign: make(map[ir.DimID]int, len(g.Nodes)), Cut: cut, Method: "exact"}
 	for i, node := range g.Nodes {
-		assign[i] = -1
-		sib[i] = g.ArrayDims[node.Array]
-		if pinned == -1 && len(sib[i]) > 1 {
-			pinned = i
+		pt.Assign[node] = int(s.best[i])
+	}
+	return pt, nil
+}
+
+// AlignSegment partitions the graph of nests lo..hi-1 into q subsets as
+// Align(a.Graph(lo, hi), q) does — the same algorithm, subsets, cut and
+// tie-breaks — and returns the subset of every node, in node
+// (ir.Program.AllDims) order, one byte each. Up to ExactMaxNodes nodes
+// the exact search runs on the segment's edges summed straight from the
+// stored increments into s, which allocates nothing once s has grown to
+// the program; the returned bytes are s's, valid until its next use.
+// Past ExactMaxNodes it runs GreedyAlign on a.Graph(lo, hi).
+func (a *Affinity) AlignSegment(lo, hi, q int, s *Search) (assign []byte, cut float64, method string, err error) {
+	nodes := a.base.Nodes
+	if len(nodes) > ExactMaxNodes {
+		pt, err := GreedyAlign(a.Graph(lo, hi), q)
+		if err != nil {
+			return nil, 0, "", err
+		}
+		s.best = s.best[:0]
+		for _, node := range nodes {
+			s.best = append(s.best, byte(pt.Assign[node]))
+		}
+		return s.best, pt.Cut, pt.Method, nil
+	}
+	// sum[k] and hit[k] accumulate edge k of a.edges; both are all zero
+	// between calls.
+	if len(s.sum) < len(a.edges) {
+		s.sum, s.hit = make([]float64, len(a.edges)), make([]bool, len(a.edges))
+	}
+	for t := lo; t < hi; t++ {
+		for _, inc := range a.nests[t] {
+			s.sum[inc.edge] += inc.weight
+			s.hit[inc.edge] = true
 		}
 	}
-	if pinned == -1 && n > 0 {
-		pinned = 0
+	s.nodes, s.sib, s.ends, s.weight = nodes, a.sib, s.ends[:0], s.weight[:0]
+	for k, ft := range a.edges {
+		if s.hit[k] {
+			s.addEdge(ft, s.sum[k])
+			s.sum[k], s.hit[k] = 0, false
+		}
+	}
+	if cut, err = s.run(q); err != nil {
+		return nil, 0, "", err
+	}
+	return s.best, cut, "exact", nil
+}
+
+// Search is the exact search's input in index-addressed form — nodes,
+// the sibling lists of the same-array constraint, the edges' endpoint
+// positions and weights — with the working storage of its branch and
+// bound. ExactAlign fills one from a Graph and Affinity.AlignSegment from
+// stored increments; either way run is the one search. The zero value is
+// empty, and one value reused for segment after segment stops
+// allocating once its buffers have grown.
+type Search struct {
+	nodes  []ir.DimID // names, for errors
+	sib    [][]int    // sib[i]: the positions of node i's array's dimensions
+	ends   [][2]int   // edge endpoints, as node positions
+	weight []float64  // edge weights, indexed like ends
+
+	sum []float64 // AlignSegment's per-edge accumulators
+	hit []bool
+
+	// Adjacency for incremental cut computation: node i's neighbours
+	// are nbr[off[i]:off[i+1]], in edge order.
+	off []int
+	nbr []neighbour
+
+	q, pinned int
+	order     []int  // the search's node order
+	assign    []int  // the partial assignment, -1 for unassigned
+	best      []byte // the best complete assignment found
+	bestCut   float64
+}
+
+type neighbour struct {
+	other  int
+	weight float64
+}
+
+func (s *Search) addEdge(ft [2]int, w float64) {
+	s.ends = append(s.ends, ft)
+	s.weight = append(s.weight, w)
+}
+
+// run searches the filled form for a minimum-cut feasible partition into
+// q subsets, leaving it in best, and returns its cut.
+func (s *Search) run(q int) (float64, error) {
+	if err := fitsGrid(s.nodes, s.sib, q); err != nil {
+		return 0, err
+	}
+	if q > 64 {
+		return 0, fmt.Errorf("align: exact search of %d subsets, at most 64", q)
+	}
+	n := len(s.nodes)
+	s.q, s.pinned = q, -1
+	for i := range n {
+		if len(s.sib[i]) > 1 {
+			s.pinned = i
+			break
+		}
+	}
+	if s.pinned == -1 && n > 0 {
+		s.pinned = 0
 	}
 
-	// Adjacency for incremental cut computation, in one backing array.
-	type adj struct {
-		other  int
-		weight float64
+	// Count each node's neighbours into off[i+1], turn the counts into
+	// start offsets, fill with off[i] as node i's cursor (leaving it at
+	// node i+1's start), then shift back.
+	s.off = slices.Grow(s.off[:0], n+1)[:n+1]
+	clear(s.off)
+	for _, ft := range s.ends {
+		if ft[0] != ft[1] {
+			s.off[ft[0]+1]++
+			s.off[ft[1]+1]++
+		}
 	}
-	ends := g.ends()
-	deg := make([]int, n)
-	for _, ft := range ends {
-		deg[ft[0]]++
-		deg[ft[1]]++
+	for i := range n {
+		s.off[i+1] += s.off[i]
 	}
-	nbr := make([][]adj, n)
-	backing := make([]adj, 2*len(ends))
-	for i, off := 0, 0; i < n; i++ {
-		nbr[i] = backing[off : off : off+deg[i]]
-		off += deg[i]
-	}
-	for k, ft := range ends {
-		fi, ti, w := ft[0], ft[1], g.Edges[k].Weight
+	s.nbr = slices.Grow(s.nbr[:0], s.off[n])[:s.off[n]]
+	for k, ft := range s.ends {
+		fi, ti, w := ft[0], ft[1], s.weight[k]
 		if fi == ti {
 			continue
 		}
-		nbr[fi] = append(nbr[fi], adj{ti, w})
-		nbr[ti] = append(nbr[ti], adj{fi, w})
+		s.nbr[s.off[fi]] = neighbour{ti, w}
+		s.off[fi]++
+		s.nbr[s.off[ti]] = neighbour{fi, w}
+		s.off[ti]++
 	}
+	copy(s.off[1:], s.off[:n])
+	s.off[0] = 0
 
 	// Order: pinned node first, then nodes of multi-dim arrays, then rest,
 	// to trigger constraint pruning early.
-	order := make([]int, 0, n)
-	used := make([]bool, n)
-	if pinned >= 0 {
-		order = append(order, pinned)
-		used[pinned] = true
+	s.order = s.order[:0]
+	if s.pinned >= 0 {
+		s.order = append(s.order, s.pinned)
 	}
-	for i := 0; i < n; i++ {
-		if !used[i] && len(sib[i]) > 1 {
-			order = append(order, i)
-			used[i] = true
+	for i := range n {
+		if i != s.pinned && len(s.sib[i]) > 1 {
+			s.order = append(s.order, i)
 		}
 	}
-	for i := 0; i < n; i++ {
-		if !used[i] {
-			order = append(order, i)
+	for i := range n {
+		if i != s.pinned && len(s.sib[i]) <= 1 {
+			s.order = append(s.order, i)
 		}
 	}
 
-	best := math.Inf(1)
-	bestAssign := make([]int, n)
-	var rec func(pos int, cut float64)
-	rec = func(pos int, cut float64) {
-		if cut >= best {
-			return
+	s.assign, s.best = slices.Grow(s.assign[:0], n)[:n], slices.Grow(s.best[:0], n)[:n]
+	for i := range s.assign {
+		s.assign[i] = -1
+	}
+	s.bestCut = math.Inf(1)
+	s.branch(0, 0)
+	if math.IsInf(s.bestCut, 1) {
+		return 0, fmt.Errorf("align: no feasible partition into %d subsets", q)
+	}
+	return s.bestCut, nil
+}
+
+// branch assigns order[pos:] in every feasible way that can still beat
+// the best cut, given the partial assignment's cut so far.
+func (s *Search) branch(pos int, cut float64) {
+	if cut >= s.bestCut {
+		return
+	}
+	assign := s.assign
+	if pos == len(s.order) {
+		s.bestCut = cut
+		for i, sub := range assign {
+			s.best[i] = byte(sub)
 		}
-		if pos == len(order) {
-			best = cut
-			copy(bestAssign, assign)
-			return
-		}
-		ni := order[pos]
-		var taken uint64
-		for _, other := range sib[ni] {
-			if other != ni && assign[other] >= 0 {
-				taken |= 1 << assign[other]
-			}
-		}
-		lo, hi := 0, q-1
-		if ni == pinned {
-			lo, hi = 0, 0
-		}
-		for s := lo; s <= hi; s++ {
-			if taken&(1<<s) != 0 {
-				continue
-			}
-			add := 0.0
-			for _, a := range nbr[ni] {
-				if assign[a.other] >= 0 && assign[a.other] != s {
-					add += a.weight
-				}
-			}
-			assign[ni] = s
-			rec(pos+1, cut+add)
-			assign[ni] = -1
+		return
+	}
+	ni := s.order[pos]
+	var taken uint64
+	for _, other := range s.sib[ni] {
+		if other != ni && assign[other] >= 0 {
+			taken |= 1 << assign[other]
 		}
 	}
-	rec(0, 0)
-	if math.IsInf(best, 1) {
-		return Partition{}, fmt.Errorf("align: no feasible partition into %d subsets", q)
+	hi := s.q - 1
+	if ni == s.pinned {
+		hi = 0
 	}
-	pt := Partition{Assign: map[ir.DimID]int{}, Cut: best, Method: "exact"}
-	for i, node := range g.Nodes {
-		pt.Assign[node] = bestAssign[i]
+	nbr := s.nbr[s.off[ni]:s.off[ni+1]]
+	for sub := 0; sub <= hi; sub++ {
+		if taken&(1<<sub) != 0 {
+			continue
+		}
+		add := 0.0
+		for _, a := range nbr {
+			if o := assign[a.other]; o >= 0 && o != sub {
+				add += a.weight
+			}
+		}
+		assign[ni] = sub
+		s.branch(pos+1, cut+add)
+		assign[ni] = -1
 	}
-	return pt, nil
 }
 
 // GreedyAlign is the Li-&-Chen-style heuristic: process edges in
@@ -223,7 +327,7 @@ func ExactAlign(g *Graph, q int) (Partition, error) {
 // finally groups are packed into q subsets largest-first. Runs in
 // O(E log E); TestGreedyVsExactRandom bounds what it gives up.
 func GreedyAlign(g *Graph, q int) (Partition, error) {
-	if err := fitsGrid(g, q); err != nil {
+	if err := fitsGrid(g.Nodes, g.siblings(), q); err != nil {
 		return Partition{}, err
 	}
 	n := len(g.Nodes)

@@ -32,7 +32,8 @@
 //   - What depends on the program alone is established once per
 //     compiler: its validation, each nest's referenced arrays and
 //     loop-carried reads (prepared), and each nest's affinity-edge
-//     increments, which alignment replays per segment (align.Affinity).
+//     increments, which alignment sums per segment in a pooled search
+//     (align.Affinity.AlignSegment).
 //     What depends on the binding too — the program lowered under it
 //     (ir.Program.Lower: array shapes, loop bounds and subscripts) — is
 //     built once per compiler as well, but not in prepared: a
@@ -154,8 +155,9 @@ type nestKey struct {
 // setKey identifies a derived scheme set within a compiler: the
 // partition's subset per (array, dimension) in ir.Program.AllDims order,
 // one byte each, the grid shape and the cyclic flag. The partition's
-// Method is the same for every segment of a program (align.Align picks it
-// by the node count, which is the program's), so it needs no place here.
+// Method is the same for every segment of a program
+// (align.Affinity.AlignSegment picks it by the node count, which is the
+// program's), so it needs no place here.
 type setKey struct {
 	assign string
 	shape  [2]int
@@ -182,21 +184,27 @@ type memo[V any] struct {
 
 // cached answers fn() from (*cache)[key], computing it on the key's
 // first query; noCache computes afresh every time. A panic in fn becomes
-// the entry's error (Guard), never a zero-valued success.
+// the entry's error (Guard), never a zero-valued success. An entry is
+// allocated only on a miss.
 func cached[K comparable, V any](c *Compiler, cache *map[K]*memo[V], key K, fn func() (V, error)) (V, error) {
-	e := &memo[V]{}
-	if !c.noCache {
-		c.mu.Lock()
+	if c.noCache {
+		return (&memo[V]{}).get(fn)
+	}
+	c.mu.Lock()
+	e, ok := (*cache)[key]
+	if !ok {
 		if *cache == nil {
 			*cache = map[K]*memo[V]{}
 		}
-		if hit, ok := (*cache)[key]; ok {
-			e = hit
-		} else {
-			(*cache)[key] = e
-		}
-		c.mu.Unlock()
+		e = &memo[V]{}
+		(*cache)[key] = e
 	}
+	c.mu.Unlock()
+	return e.get(fn)
+}
+
+// get is the entry's value, computed by fn on its first query.
+func (e *memo[V]) get(fn func() (V, error)) (V, error) {
 	e.once.Do(func() {
 		e.err = Guard(func() (err error) {
 			e.v, err = fn()
@@ -305,30 +313,24 @@ func (c *Compiler) lowered() (*ir.Lowered, error) {
 	return c.low, c.lowErr
 }
 
-// schemeSet is the scheme set DeriveSchemes makes of partition pt on one
+// schemeSet is the scheme set DeriveSchemes makes of an alignment on one
 // grid shape, derived and validated once per compiler per setKey and
 // shared by pointer between every segment and worker that asks for it
-// (noCache derives afresh). A shared set must not depend on the segment
-// that happened to build it, so it keeps the partition's assignment and
-// method but not its segment-specific cut weight. It also carries, for
-// this compiler's program, each nest's key in the nest memo.
-func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
+// (noCache derives afresh). assign is the alignment's subset per array
+// dimension in ir.Program.AllDims order, one byte each — the search's own
+// answer (align.Affinity.AlignSegment) and the key's assign — and method
+// the algorithm that found it; the Partition map is built only when the
+// set is derived. A shared set must not depend on the segment that
+// happened to build it, so it keeps the assignment and method but not
+// the segment-specific cut weight. It also carries, for this compiler's
+// program, each nest's key in the nest memo.
+func (c *Compiler) schemeSet(assign []byte, method string, shape [2]int, cyclic bool) (*SchemeSet, error) {
 	lw, err := c.lowered()
 	if err != nil {
 		return nil, err
 	}
-	key := make([]byte, 0, 32) // on the stack up to 32 array dimensions
-	for a, name := range lw.Names {
-		for k := range lw.Shapes[a] {
-			sub, ok := pt.Assign[ir.DimID{Array: name, Dim: k}]
-			if !ok {
-				sub = 0xff // deriveSchemes reports the missing dimension
-			}
-			key = append(key, byte(sub))
-		}
-	}
-	return cached(c, &c.setCache, setKey{string(key), shape, cyclic}, func() (*SchemeSet, error) {
-		ss, err := deriveSchemes(lw, align.Partition{Assign: pt.Assign, Method: pt.Method}, shape, cyclic)
+	derive := func() (*SchemeSet, error) {
+		ss, err := deriveSchemes(lw, partitionOf(lw, assign, method), shape, cyclic)
 		if err != nil || c.noCache {
 			return ss, err
 		}
@@ -342,7 +344,32 @@ func (c *Compiler) schemeSet(pt align.Partition, shape [2]int, cyclic bool) (*Sc
 		}
 		ss.keysOf = pr
 		return ss, nil
-	})
+	}
+	if !c.noCache {
+		// A hit converts assign in the index expression, which allocates
+		// nothing; cached's key is kept, so it is made only on a miss.
+		c.mu.Lock()
+		e := c.setCache[setKey{string(assign), shape, cyclic}]
+		c.mu.Unlock()
+		if e != nil {
+			return e.get(derive)
+		}
+	}
+	return cached(c, &c.setCache, setKey{string(assign), shape, cyclic}, derive)
+}
+
+// partitionOf is the Partition of subsets assign, one byte per array
+// dimension of lw in ir.Program.AllDims order.
+func partitionOf(lw *ir.Lowered, assign []byte, method string) align.Partition {
+	pt := align.Partition{Assign: make(map[ir.DimID]int, len(assign)), Method: method}
+	i := 0
+	for a, name := range lw.Names {
+		for k := range lw.Shapes[a] {
+			pt.Assign[ir.DimID{Array: name, Dim: k}] = int(assign[i])
+			i++
+		}
+	}
+	return pt
 }
 
 // checkSchemes validates a scheme set a caller handed in the way
@@ -471,23 +498,27 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 	return v, err
 }
 
-// alignNests partitions the affinity graph of nests lo..hi-1 (0-based):
-// a replay of the per-nest edge increments computed once per compiler
-// from its lowering. align.Align picks the algorithm from the graph's
-// size; a heuristic answer is counted.
-func (c *Compiler) alignNests(lo, hi int) (align.Partition, error) {
+// alignNests partitions the affinity graph of nests lo..hi-1 (0-based)
+// in s: the segment's edges summed from the per-nest increments computed
+// once per compiler from its lowering (align.Affinity.AlignSegment). It
+// returns s's subset bytes, one per array dimension in AllDims order, and
+// the algorithm the graph's size picked; a heuristic answer is counted.
+func (c *Compiler) alignNests(lo, hi int, s *align.Search) ([]byte, string, error) {
 	lw, err := c.lowered()
 	if err != nil {
-		return align.Partition{}, err
+		return nil, "", err
 	}
 	c.affOnce.Do(func() { c.aff = align.NewAffinity(lw, c.Weights) })
-	g := c.aff.Graph(lo, hi)
-	pt, err := align.Align(g, 2)
-	if err == nil && pt.Method != "exact" && c.Engines != nil {
+	assign, _, method, err := c.aff.AlignSegment(lo, hi, 2, s)
+	if err == nil && method != "exact" && c.Engines != nil {
 		c.Engines.GreedyAlignments.Add(1)
 	}
-	return pt, err
+	return assign, method, err
 }
+
+// searches holds the alignment searches' storage, one per concurrent
+// Candidates call.
+var searches = sync.Pool{New: func() any { return new(align.Search) }}
 
 // SegmentCost implements SegmentCoster: M[i][j] is the cheapest execution
 // cost of nests L_i..L_{i+j-1} under a single scheme set derived from the
@@ -531,7 +562,9 @@ func (c *Compiler) Candidates(i, j int, shapes [][2]int) ([]*SchemeSet, []float6
 	if _, err := c.prepared(); err != nil {
 		return nil, nil, err
 	}
-	pt, err := c.alignNests(i-1, i-1+j)
+	search := searches.Get().(*align.Search)
+	defer searches.Put(search)
+	assign, method, err := c.alignNests(i-1, i-1+j, search)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -547,7 +580,7 @@ func (c *Compiler) Candidates(i, j int, shapes [][2]int) ([]*SchemeSet, []float6
 		if shape[0] < 1 || shape[1] < 1 || shape[0]*shape[1] != c.NProcs {
 			return nil, nil, fmt.Errorf("core: grid shape %dx%d is not %d processors", shape[0], shape[1], c.NProcs)
 		}
-		ss, err := c.schemeSet(pt, shape, cyclic)
+		ss, err := c.schemeSet(assign, method, shape, cyclic)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -586,26 +619,25 @@ func (c *Compiler) ChangeCost(from, to *SchemeSet) (float64, error) {
 			})
 			return loads.MaxLoad() * c.Model.Tc, err
 		}
-		sl, err := c.changeLoads(from, to)
-		if err != nil {
+		var sl dist.ScaledLoads
+		if err := c.changeLoads(from, to, &sl); err != nil {
 			return 0, err
 		}
 		return sl.MaxLoad() * c.Model.Tc, nil
 	})
 }
 
-// changeLoads is a scheme change's bill in exact integer arithmetic:
-// every array's dist.RedistLoadsScaled loads merged over a common replica
-// denominator, accumulated in place (ScaledLoads.AddRedist).
-func (c *Compiler) changeLoads(from, to *SchemeSet) (dist.ScaledLoads, error) {
-	acc := dist.NewScaledLoads()
-	err := c.eachArrayChange(from, to, func(shape []int, sFrom, sTo dist.Scheme) error {
+// changeLoads sets acc to a scheme change's bill in exact integer
+// arithmetic: every array's dist.RedistLoadsScaled loads merged over a
+// common replica denominator, accumulated in place
+// (ScaledLoads.AddRedist) in acc's maps, emptied first.
+func (c *Compiler) changeLoads(from, to *SchemeSet, acc *dist.ScaledLoads) error {
+	clear(acc.In)
+	clear(acc.Out)
+	acc.Den, acc.Words = 1, 0
+	return c.eachArrayChange(from, to, func(shape []int, sFrom, sTo dist.Scheme) error {
 		return acc.AddRedist(from.Grid, to.Grid, shape, sFrom, sTo)
 	})
-	if err != nil {
-		return dist.ScaledLoads{}, err
-	}
-	return acc, nil
 }
 
 // eachArrayChange visits every array of the program, in name order, with

@@ -49,7 +49,7 @@ func TestTriangular(t *testing.T) {
 
 func TestDeriveSchemesJacobiRow(t *testing.T) {
 	c := jacobiCompiler(16, 4)
-	pt, err := c.alignNests(1, len(c.Program.Nests)) // L2: everything with A1
+	pt, err := c.partition(1, len(c.Program.Nests)) // L2: everything with A1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestChangeCostRowToColumn(t *testing.T) {
 	// blocks of A: m^2 (1 - 1/N) words spread over N processors.
 	m, n := 16, 4
 	c := jacobiCompiler(m, n)
-	pt1, err := c.alignNests(0, 1)
+	pt1, err := c.partition(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestDeriveSchemesValidatesAll(t *testing.T) {
 	// All schemes in a derived set must be valid for their arrays.
 	m, n := 10, 4
 	c := NewCompiler(ir.Gauss(), cost.Unit(), map[string]int{"m": m}, n)
-	pt, err := c.alignNests(0, len(c.Program.Nests))
+	pt, err := c.partition(0, len(c.Program.Nests))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestChangeCostMatchesOracle(t *testing.T) {
 	} {
 		prog, m, n := tc.prog, 16, tc.n
 		c := NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-		pt, err := c.alignNests(0, len(c.Program.Nests))
+		pt, err := c.partition(0, len(c.Program.Nests))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,8 +492,8 @@ func TestChangeCostMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sl, err := c.changeLoads(from, to)
-				if err != nil {
+				var sl dist.ScaledLoads
+				if err := c.changeLoads(from, to, &sl); err != nil {
 					t.Fatal(err)
 				}
 				if fast == exact {

@@ -90,18 +90,49 @@ func gridShape(seg Segment) [2]int {
 // sizePrice is the frozen plan priced numerically at one size: the
 // integers EvalAt sums below the fitted floor and Fit interpolates.
 type sizePrice struct {
-	exec []cost.Counts      // segment-pass counts per nest (0-based)
-	lc   []cost.Counts      // loop-carried counts per nest; nil unless the program is iterative
-	chg  []dist.ScaledLoads // the scheme change into segment i (chg[0] unused)
+	exec []cost.Counts // segment-pass counts per nest (0-based)
+	lc   []cost.Counts // loop-carried counts per nest; empty unless the program is iterative
+	chg  []changeBill  // the scheme change into segment i (chg[0] unused)
+}
+
+// changeBill is what a price and a fit read of a scheme change's
+// dist.ScaledLoads: its bottleneck numerator, words and denominator.
+type changeBill struct {
+	maxNum, words, den int64
+}
+
+// maxLoad is dist.ScaledLoads.MaxLoad of the loads the bill was read
+// from.
+func (b changeBill) maxLoad() float64 { return float64(b.maxNum) / float64(max(b.den, 1)) }
+
+// sizePrices carves the prices of n sizes of the plan from one array of
+// counts and one of bills.
+func (pe *PlanEvaluator) sizePrices(n int) []sizePrice {
+	nests, segs := len(pe.c.Program.Nests), len(pe.Base.DP.Segments)
+	lc := 0
+	if pe.c.Program.Iterative {
+		lc = nests
+	}
+	out := make([]sizePrice, n)
+	counts := make([]cost.Counts, n*(nests+lc))
+	bills := make([]changeBill, n*segs)
+	for k := range out {
+		out[k].exec, counts = counts[:nests:nests], counts[nests:]
+		out[k].lc, counts = counts[:lc:lc], counts[lc:]
+		out[k].chg, bills = bills[:segs:segs], bills[segs:]
+	}
+	return out
 }
 
 // sizePricer is what priceAt works in: a compiler whose binding and
 // lowering it owns, the lowering built once and re-bound to each size
-// (ir.Lowered.Rebind), and each segment's scheme set, re-derived in place
-// at every size. One pricer serves one priceAt at a time.
+// (ir.Lowered.Rebind), each segment's scheme set, re-derived in place
+// at every size, and the loads of the scheme change being priced. One
+// pricer serves one priceAt at a time.
 type sizePricer struct {
 	c    *Compiler
 	sets []*SchemeSet
+	acc  dist.ScaledLoads
 }
 
 // pricer takes an idle pricer, or builds one lowered at size m.
@@ -151,20 +182,21 @@ func (sp *sizePricer) set(i int, seg Segment) (*SchemeSet, error) {
 	return ss, err
 }
 
-// priceAt prices the frozen plan numerically at size m. It checks the
-// program's ranges at m first (RangeAt on the base lowering) — a
-// constant-extent array can be in range at the base size and out of it
-// here — then re-binds a pricer to m, re-derives each segment's schemes
-// under the frozen alignment and grid shape, and prices every nest's two
-// passes and every boundary's scheme change: nothing is lowered or derived
-// afresh, and the counts themselves run in the counter's reused workspace.
-func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
+// priceAt prices the frozen plan numerically at size m into out, which
+// sizePrices made. It checks the program's ranges at m first (RangeAt on
+// the base lowering) — a constant-extent array can be in range at the
+// base size and out of it here — then re-binds a pricer to m, re-derives
+// each segment's schemes under the frozen alignment and grid shape, and
+// prices every nest's two passes and every boundary's scheme change:
+// nothing is lowered or derived afresh, and the counts themselves run in
+// the counter's reused workspace.
+func (pe *PlanEvaluator) priceAt(m int, out *sizePrice) error {
 	if err := pe.low.RangeAt(m); err != nil {
-		return nil, err
+		return err
 	}
 	sp, err := pe.pricer(m)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer func() {
 		pe.mu.Lock()
@@ -174,35 +206,32 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 	p, ec, segs := pe.c.Program, sp.c, pe.Base.DP.Segments
 	ec.Bind[p.Params[0]] = m
 	if err := ec.low.Rebind(ec.Bind); err != nil {
-		return nil, err
+		return err
 	}
-	out := &sizePrice{exec: make([]cost.Counts, len(p.Nests)), chg: make([]dist.ScaledLoads, len(segs))}
 	var prev, ss *SchemeSet
 	for i, seg := range segs {
 		prev = ss
 		if ss, err = sp.set(i, seg); err != nil {
-			return nil, err
+			return err
 		}
 		for t := seg.Start - 1; t < seg.Start-1+seg.Len; t++ {
 			if out.exec[t], err = ec.countNest(t, false, ss); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if i > 0 {
-			if out.chg[i], err = ec.changeLoads(prev, ss); err != nil {
-				return nil, err
+			if err := ec.changeLoads(prev, ss, &sp.acc); err != nil {
+				return err
 			}
+			out.chg[i] = changeBill{sp.acc.MaxNum(), sp.acc.Words, sp.acc.Den}
 		}
 	}
-	if p.Iterative {
-		out.lc = make([]cost.Counts, len(p.Nests))
-		for t := range out.lc {
-			if out.lc[t], err = ec.countNest(t, true, ss); err != nil {
-				return nil, err
-			}
+	for t := range out.lc {
+		if out.lc[t], err = ec.countNest(t, true, ss); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // EvalAt prices the frozen plan at size m: from the fitted polynomials
@@ -216,14 +245,14 @@ func (pe *PlanEvaluator) priceAt(m int) (*sizePrice, error) {
 // wrapped price.
 func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 	if !pe.FittedAt(m) {
-		sp, err := pe.priceAt(m)
-		if err != nil {
+		sp := &pe.sizePrices(1)[0]
+		if err := pe.priceAt(m, sp); err != nil {
 			return PlanCost{}, err
 		}
 		return pe.sum(
 			func(t int) (cost.Counts, error) { return sp.exec[t], nil },
 			func(t int) (cost.Counts, error) { return sp.lc[t], nil },
-			func(i int) (float64, error) { return sp.chg[i].MaxLoad(), nil })
+			func(i int) (float64, error) { return sp.chg[i].maxLoad(), nil })
 	}
 	if err := pe.low.RangeAt(m); err != nil {
 		return PlanCost{}, err
@@ -281,13 +310,19 @@ func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 		g := seg.Schemes.Grid
 		period = dist.LCM(period, dist.LCM(g.Extent(0), g.Extent(1)))
 	}
-	priced := map[int]*sizePrice{}
-	at := func(m int) (sp *sizePrice, err error) {
-		if sp = priced[m]; sp == nil {
-			sp, err = pe.priceAt(m)
-			priced[m] = sp
+	// FitSeries samples every size of [minM, minM+span) and no other;
+	// each is priced into this arena when a fit first asks for it.
+	span := period * (maxDeg + 1 + validate)
+	prices, priced := pe.sizePrices(span), make([]bool, span)
+	at := func(m int) (*sizePrice, error) {
+		k := m - minM
+		if !priced[k] {
+			if err := pe.priceAt(m, &prices[k]); err != nil {
+				return nil, err
+			}
+			priced[k] = true
 		}
-		return sp, err
+		return &prices[k], nil
 	}
 	fitCounts := func(what string, pick func(sp *sizePrice) []cost.Counts) ([]*cost.SymbolicCounts, error) {
 		syms := make([]*cost.SymbolicCounts, len(pe.c.Program.Nests))
@@ -318,12 +353,13 @@ func (pe *PlanEvaluator) Fit(minM, maxDeg, validate int) error {
 	}
 	chgSym := make([]*cost.SymbolicLoads, len(segs))
 	for i := 1; i < len(segs); i++ {
-		chgSym[i], err = cost.RedistLoadsPoly(func(m int) (dist.ScaledLoads, error) {
+		chgSym[i], err = cost.RedistLoadsPoly(func(m int) (maxNum, words, den int64, err error) {
 			sp, err := at(m)
 			if err != nil {
-				return dist.ScaledLoads{}, err
+				return 0, 0, 0, err
 			}
-			return sp.chg[i], nil
+			b := sp.chg[i]
+			return b.maxNum, b.words, b.den, nil
 		}, minM, period, maxDeg, validate)
 		if err != nil {
 			return fmt.Errorf("core: fitting scheme change into segment %d: %w", i+1, err)

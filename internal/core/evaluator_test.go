@@ -151,7 +151,7 @@ func TestEvalAtOffBaseMatchesFreshCompiler(t *testing.T) {
 			var want PlanCost
 			var prev *SchemeSet
 			for i, seg := range pe.Base.DP.Segments {
-				ss, err := f.schemeSet(seg.Schemes.Partition, gridShape(seg), seg.Schemes.Cyclic)
+				ss, err := f.schemeSet(f.assignOf(seg.Schemes.Partition), seg.Schemes.Partition.Method, gridShape(seg), seg.Schemes.Cyclic)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,22 +211,26 @@ func TestFittedEvalAtAllocatesNothing(t *testing.T) {
 // base 128, compile-kernels' configuration, on an evaluator whose pricer
 // and counter workspaces are warm: 48 sampled sizes, each a re-bound
 // lowering, re-derived scheme sets and every nest's counts in a reused
-// workspace. Gauss makes 405 allocations, jacobi 674 and sor 376 (15,336,
-// 19,157 and 7,337 while every size lowered the program afresh, derived
-// fresh scheme sets on a throwaway compiler and every count built its
-// state from scratch); under -race, whose sync.Pool drops a quarter of
-// the workspaces put back at random, 4,940–6,195, 5,426–6,045 and
-// 1,686–1,997 over seven runs. Each budget is about 125 % of its figure,
-// the race budgets of the highest. A trip is per-size or per-count state
-// allocating again.
+// workspace, priced into one arena whose series are fitted into one
+// array of pieces and differences per FitSeries call. Gauss makes 69
+// allocations, jacobi 112 and sor 55 (405, 674 and 376 while each size
+// had its own price slices and change-load maps and each fitted piece
+// its own differences; 15,336, 19,157 and 7,337 while every size lowered
+// the program afresh, derived fresh scheme sets on a throwaway compiler
+// and every count built its state from scratch). Each budget is about
+// 110 % of its figure. Under -race, whose sync.Pool drops a quarter of
+// the workspaces put back at random, seven runs read 5,135–5,892,
+// 4,909–5,367 and 1,225–1,781 (4,940–6,195, 5,426–6,045 and 1,686–1,997
+// before); the race budgets, about 125 % of the highest, are unchanged.
+// A trip is per-size or per-count state allocating again.
 func TestFitAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		mk           func() *ir.Program
 		budget, race float64
 	}{
-		{ir.Gauss, 510, 7750},
-		{ir.Jacobi, 845, 7550},
-		{ir.SOR, 470, 2500},
+		{ir.Gauss, 76, 7750},
+		{ir.Jacobi, 124, 7550},
+		{ir.SOR, 61, 2500},
 	} {
 		const baseM, n = 128, 8
 		comp := NewCompiler(c.mk(), cost.Unit(), map[string]int{"m": baseM}, n)

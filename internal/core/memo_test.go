@@ -160,11 +160,19 @@ func TestSynthSchemeSetBudget(t *testing.T) {
 // and the single-pass affinity graphs landed, 18975 before; 4516 since a
 // segment prices its grid shapes in a plain loop (4735 through a fan-out
 // of one worker); 2568 (2850 under -race) since a scheme set's keys are
-// sliced from its signature's one string, 2622 (2991) before. The budget
-// is about 10 % over the race figure. A figure past it means some
-// per-segment or per-query work allocates again.
+// sliced from its signature's one string, 2622 (2991) before; 791
+// (1387–1502 over seven -race runs) since a segment is aligned in a
+// pooled align.Search with no graph, edge list or partition map, and a
+// memo hit allocates no entry (2566 before). Each budget is about 10 %
+// over its figure, the race budget over the highest race run: the race
+// detector's sync.Pool drops a quarter of the searches and counting
+// workspaces put back. A figure past it means some per-segment or
+// per-query work allocates again.
 func TestCompileAllocBudget(t *testing.T) {
-	const budget = 3150
+	budget := 870.0
+	if raceEnabled {
+		budget = 1650
+	}
 	p := ir.Synthetic(10)
 	got := testing.AllocsPerRun(5, func() {
 		c := NewCompiler(p, cost.Unit(), map[string]int{"m": 64}, 8)
@@ -173,9 +181,9 @@ func TestCompileAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("Compile of %s (N=8, Jobs=1): %.0f allocations, budget %d", p.Name, got, budget)
+	t.Logf("Compile of %s (N=8, Jobs=1): %.0f allocations, budget %.0f", p.Name, got, budget)
 	if got > budget {
-		t.Errorf("Compile of %s (N=8, Jobs=1) made %.0f allocations, budget %d", p.Name, got, budget)
+		t.Errorf("Compile of %s (N=8, Jobs=1) made %.0f allocations, budget %.0f", p.Name, got, budget)
 	}
 }
 

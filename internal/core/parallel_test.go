@@ -251,7 +251,7 @@ func TestSchemeSetSignature(t *testing.T) {
 	p := ir.Jacobi()
 	c := NewCompiler(p, cost.Unit(), map[string]int{"m": 16}, 4)
 	derive := func(shape [2]int) *SchemeSet {
-		pt, err := c.alignNests(0, len(p.Nests))
+		pt, err := c.partition(0, len(p.Nests))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -443,13 +443,21 @@ func FitSeries(n int, f func(m int, v []int64) error, minM, period, maxDeg, vali
 		return nil, fmt.Errorf("cost: bad fit parameters (period=%d, maxDeg=%d, validate=%d)", period, maxDeg, validate)
 	}
 	nSamples := maxDeg + 1 + validate
+	// Every series' polynomial, pieces and differences are carved from
+	// one array each; rows[s][t] is series s at the t-th size of the class
+	// being fitted, reused class after class.
 	out := make([]*PiecewisePoly, n)
-	rows := make([][]int64, n) // rows[s][t]: series s at the t-th size of the class
+	pps := make([]PiecewisePoly, n)
+	pieces := make([]Poly, n*period)
+	diffs := make([]int64, n*period*(maxDeg+1))
+	rows := make([][]int64, n)
+	samples := make([]int64, n*nSamples+n)
+	v := samples[n*nSamples:]
 	for s := range out {
-		out[s] = &PiecewisePoly{Period: period, MinM: minM, Pieces: make([]Poly, period)}
-		rows[s] = make([]int64, nSamples)
+		pps[s] = PiecewisePoly{Period: period, MinM: minM, Pieces: pieces[s*period : (s+1)*period : (s+1)*period]}
+		out[s] = &pps[s]
+		rows[s] = samples[s*nSamples : (s+1)*nSamples]
 	}
-	v := make([]int64, n)
 	for r := 0; r < period; r++ {
 		m0 := minM + ((r-minM)%period+period)%period
 		for t := 0; t < nSamples; t++ {
@@ -464,20 +472,21 @@ func FitSeries(n int, f func(m int, v []int64) error, minM, period, maxDeg, vali
 			// Forward differences in place: orders 0..maxDeg are the piece,
 			// and order maxDeg+1 must vanish on every held-out sample or
 			// the series is not a degree-<=maxDeg polynomial here.
-			diffs := make([]int64, maxDeg+1)
-			for k := range diffs {
-				diffs[k] = row[0]
+			d := diffs[: maxDeg+1 : maxDeg+1]
+			diffs = diffs[maxDeg+1:]
+			for k := range d {
+				d[k] = row[0]
 				for i := 0; i+1 < len(row); i++ {
 					row[i] = row[i+1] - row[i]
 				}
 				row = row[:len(row)-1]
 			}
-			for _, d := range row {
-				if d != 0 {
+			for _, x := range row {
+				if x != 0 {
 					return nil, fmt.Errorf("cost: counts on residue %d (mod %d) are not polynomial of degree <= %d in m", r, period, maxDeg)
 				}
 			}
-			out[s].Pieces[r] = Poly{M0: m0, Step: period, Diffs: diffs}
+			out[s].Pieces[r] = Poly{M0: m0, Step: period, Diffs: d}
 		}
 	}
 	for s, pp := range out {

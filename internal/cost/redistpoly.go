@@ -11,11 +11,7 @@
 // arithmetic — no element enumeration, no numeric calculator call.
 package cost
 
-import (
-	"fmt"
-
-	"dmcc/internal/dist"
-)
+import "fmt"
 
 // SymbolicLoads is one scheme change's redistribution bill as
 // polynomials in m: the bottleneck per-processor numerator and the
@@ -41,22 +37,23 @@ func (sl *SymbolicLoads) MaxLoadAt(m int) (float64, error) {
 // RedistLoadsPoly fits a redistribution's bottleneck numerator and
 // total words as piecewise polynomials in m. sample must price the
 // (possibly multi-array) scheme change at one size via
-// dist.RedistLoadsScaled; the replica denominator must not vary with m
-// — it cannot, for schemes re-derived from one frozen plan, so a drift
-// marks misuse and fails the fit.
-func RedistLoadsPoly(sample func(m int) (dist.ScaledLoads, error), minM, period, maxDeg, validate int) (*SymbolicLoads, error) {
+// dist.RedistLoadsScaled and return its MaxNum, Words and Den; the
+// replica denominator must not vary with m — it cannot, for schemes
+// re-derived from one frozen plan, so a drift marks misuse and fails the
+// fit.
+func RedistLoadsPoly(sample func(m int) (maxNum, words, den int64, err error), minM, period, maxDeg, validate int) (*SymbolicLoads, error) {
 	out := &SymbolicLoads{}
 	pps, err := FitSeries(2, func(m int, v []int64) error {
-		sl, err := sample(m)
+		maxNum, words, den, err := sample(m)
 		if err != nil {
 			return err
 		}
 		if out.Den == 0 {
-			out.Den = sl.Den
-		} else if sl.Den != out.Den {
-			return fmt.Errorf("cost: replica denominator varies with m (%d vs %d) — loads are not polynomial", out.Den, sl.Den)
+			out.Den = den
+		} else if den != out.Den {
+			return fmt.Errorf("cost: replica denominator varies with m (%d vs %d) — loads are not polynomial", out.Den, den)
 		}
-		v[0], v[1] = sl.MaxNum(), sl.Words
+		v[0], v[1] = maxNum, words
 		return nil
 	}, minM, period, maxDeg, validate)
 	if err != nil {
