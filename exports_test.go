@@ -33,6 +33,7 @@ var testOnly = map[string]string{
 	"cost.SymbolicSORPipelined":         "paper formula: §5's pipelined SOR time, symbolic in m and N",
 	"dep.DependenceVector":              "paper formula: Table 5's dependence vector of a token",
 	"dep.FindProducer":                  "paper formula: Table 5's generated-in index of a token",
+	"dist.IndexSet.Contains":            "reference: set membership, the definition the enumeration oracles of the rect and windowed-sum tests count by",
 	"dist.Periodic":                     "test seam: a set from a member list, for the set tests of the packages above dist",
 	"dist.Scheme.OwnedIndices":          "reference: the enumeration oracle of OwnedPatternOf",
 	"exec.RunExact":                     "reference: the per-element oracle of Run on a one-segment plan, beside Case.RunExact's plan runs",

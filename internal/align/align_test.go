@@ -908,3 +908,24 @@ func TestSegmentAlignAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAffinityAllocBudget gates the allocations of one NewAffinity —
+// built once per Compiler — on Synthetic(10) and gauss: 123 and 69, with
+// budgets about 10 % over (218 and 119 while each statement built a map
+// of its LHS variables and keyed its references by their text, each
+// pair's move cost allocated a slice and the edges were numbered through
+// an n² table). The increments themselves are held to the graphs by
+// TestSegmentAlignmentMatchesGraph and TestAffinityReplayEqualsBuildGraph.
+func TestNewAffinityAllocBudget(t *testing.T) {
+	for _, c := range []struct {
+		p      *ir.Program
+		budget float64
+	}{{ir.Synthetic(10), 135}, {ir.Gauss(), 76}} {
+		lw := loweredAtSize(t, c.p)
+		got := testing.AllocsPerRun(20, func() { NewAffinity(lw, wp()) })
+		t.Logf("NewAffinity of %s: %.0f allocations, budget %.0f", c.p.Name, got, c.budget)
+		if got > c.budget {
+			t.Errorf("NewAffinity of %s made %.0f allocations, budget %.0f", c.p.Name, got, c.budget)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package align
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dmcc/internal/ir"
@@ -165,30 +166,46 @@ func NewAffinity(lw *ir.Lowered, wp WeightParams) *Affinity {
 	for _, v := range lw.Bind {
 		m = max(m, v)
 	}
-	// nestIncrements numbers an increment's edge from*n+to; number the
-	// edges that occur by endpoint names instead.
+	// nestIncrements keys an increment's edge by its endpoints' places in
+	// name order, rank[from]*n + rank[to]; the sorted distinct keys are
+	// the edges in the order Graph emits them.
 	n := len(g.Nodes)
-	slot := make([]int, n*n)
+	rank := make([]int, n)
+	for r, node := range order {
+		rank[node] = r
+	}
+	var sc incScratch
+	keys := 0
 	for t, nest := range p.Nests {
-		a.nests[t] = a.nestIncrements(nest, tripCounts(&lw.Nests[t], m/2+1), wp)
-		for _, inc := range a.nests[t] {
-			slot[inc.edge] = 1
+		a.nests[t] = a.nestIncrements(nest, tripCounts(&lw.Nests[t], m/2+1), wp, rank, &sc)
+		keys += len(a.nests[t])
+	}
+	edges := make([]int, 0, keys)
+	for _, incs := range a.nests {
+		for _, inc := range incs {
+			edges = append(edges, inc.edge)
 		}
 	}
-	for _, from := range order {
-		for _, to := range order {
-			if s := &slot[from*n+to]; *s != 0 {
-				a.edges = append(a.edges, [2]int{from, to})
-				*s = len(a.edges)
-			}
-		}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	a.edges = make([][2]int, len(edges))
+	for k, key := range edges {
+		a.edges[k] = [2]int{order[key/n], order[key%n]}
 	}
 	for _, incs := range a.nests {
 		for k := range incs {
-			incs[k].edge = slot[incs[k].edge] - 1
+			incs[k].edge, _ = slices.BinarySearch(edges, incs[k].edge)
 		}
 	}
 	return a
+}
+
+// incScratch is nestIncrements' working storage, kept across a program's
+// statements: the LHS's subscript variables and the statement's distinct
+// references.
+type incScratch struct {
+	lhsVars []string
+	refs    []ir.Ref
 }
 
 // tripCounts is each loop's trip count with every enclosing loop index at
@@ -211,28 +228,29 @@ func tripCounts(ln *ir.LNest, mid int) []int {
 }
 
 // nestIncrements lists one nest's edge increments in statement order,
-// each edge numbered from*n+to for endpoint positions from and to of n
-// nodes.
-func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) []increment {
+// each edge keyed rank[from]*n + rank[to] for endpoint positions from and
+// to of n nodes.
+func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams, rank []int, sc *incScratch) []increment {
 	var incs []increment
+	n := len(a.base.Nodes)
 	for _, st := range nest.Stmts {
-		lhsVars := map[string]bool{}
+		sc.lhsVars = sc.lhsVars[:0]
 		for _, s := range st.LHS.Subs {
 			for _, t := range s.Terms {
-				lhsVars[t.Var] = true
+				sc.lhsVars = append(sc.lhsVars, t.Var)
 			}
 		}
 		floating := func(r ir.Ref) bool {
 			for _, s := range r.Subs {
 				for _, t := range s.Terms {
-					if lhsVars[t.Var] {
+					if slices.Contains(sc.lhsVars, t.Var) {
 						return false
 					}
 				}
 			}
 			return true
 		}
-		refs := dedupRefs(append([]ir.Ref{st.LHS}, st.Reads...))
+		refs := sc.dedupRefs(st)
 		for x := 0; x < len(refs); x++ {
 			for y := x + 1; y < len(refs); y++ {
 				ra, rb := refs[x], refs[y]
@@ -283,7 +301,7 @@ func (a *Affinity) nestIncrements(nest *ir.Nest, trips []int, wp WeightParams) [
 						}
 						from := a.base.index[ir.DimID{Array: mover.Array, Dim: k2}]
 						to := a.base.index[ir.DimID{Array: stay.Array, Dim: k1}]
-						incs = append(incs, increment{edge: from*len(a.base.Nodes) + to, weight: w, line: st.Line})
+						incs = append(incs, increment{edge: rank[from]*n + rank[to], weight: w, line: st.Line})
 					}
 				}
 			}
@@ -335,35 +353,25 @@ func (a *Affinity) Graph(lo, hi int) *Graph {
 	return &g
 }
 
-func dedupRefs(refs []ir.Ref) []ir.Ref {
-	seen := map[string]bool{}
-	var out []ir.Ref
-	for _, r := range refs {
-		k := r.String()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
+// dedupRefs lists st's references, its LHS first, each distinct one
+// once, in sc.refs.
+func (sc *incScratch) dedupRefs(st *ir.Stmt) []ir.Ref {
+	sc.refs = append(sc.refs[:0], st.LHS)
+	for _, r := range st.Reads {
+		if !slices.ContainsFunc(sc.refs, r.Equal) {
+			sc.refs = append(sc.refs, r)
 		}
 	}
-	return out
+	return sc.refs
 }
 
 // moveCost estimates the cost of shipping one reference's data to
 // misaligned consumers (documented on BuildGraph); trips are the nest's
 // loop trip counts.
 func moveCost(nest *ir.Nest, st *ir.Stmt, rd ir.Ref, trips []int, wp WeightParams) float64 {
-	scope := nest.Loops[:st.Depth]
-	in := make([]bool, len(scope))
-	for _, s := range rd.Subs {
-		for _, t := range s.Terms {
-			for k, l := range scope {
-				in[k] = in[k] || l.Index == t.Var
-			}
-		}
-	}
 	vol, reuse := 1.0, 1.0
-	for k := range scope {
-		if in[k] {
+	for k, l := range nest.Loops[:st.Depth] {
+		if refUses(rd, l.Index) {
 			vol *= float64(trips[k])
 		} else {
 			reuse *= float64(trips[k])
@@ -374,6 +382,18 @@ func moveCost(nest *ir.Nest, st *ir.Stmt, rd ir.Ref, trips []int, wp WeightParam
 		w *= 1 + math.Log2(float64(wp.N))
 	}
 	return w
+}
+
+// refUses reports whether a subscript of r has a term in variable v.
+func refUses(r ir.Ref, v string) bool {
+	for _, s := range r.Subs {
+		for _, t := range s.Terms {
+			if t.Var == v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // String renders the graph for reports (Figs 2, 4, 7).

@@ -28,14 +28,18 @@
 // Everything is exact int64 arithmetic, so the Counts returned here are
 // identical — not approximately, but word for word — to the enumeration's,
 // while the cost is independent of the loop extents. Nor does it grow with
-// the square of the processor count: each rank's footprint is counted
-// only in the owner cells it can meet, located from its rects' sides and
-// bands (cellLocator), a replica whose footprint equals the rank before
-// it reuses that rank's counts, and a cell that meets the same clipped
-// rects again answers from its memo, so a count costs at most ranks ×
-// overlapped cells, not ranks × cells, and one inclusion-exclusion per
-// distinct clipped footprint; each set operation costs Period/64 mask
-// words. A count's state lives in a workspace (anEngine) reset in place
+// the square of the processor count: a rank's footprint in an array is
+// one inclusion-exclusion over its rects, and each term's count comes back
+// split across the array's owner cells in one pass — a product as the
+// outer product of its sides' per-coordinate counts (only the coordinates
+// a side reaches), a band through the windowed sum, its residue classes
+// routed to the coordinate that owns them. A term wholly inside the
+// rank's own cell is local, and so is every deeper term under it: the
+// walk skips them. A rank whose footprint equals one counted before for
+// the array (a replica, consecutive or not) bills that footprint's words
+// again, so a count costs one inclusion-exclusion per distinct
+// (footprint, array), and each set operation costs Period/64 mask words.
+// A count's state lives in a workspace (anEngine) reset in place
 // from count to count, so a warm count allocates nothing. Nests or
 // schemes outside the eligible class (bounds depending on more than one
 // outer variable, rotation, non-unit subscript coefficients, out-of-range
@@ -43,7 +47,6 @@
 package cost
 
 import (
-	mathbits "math/bits"
 	"slices"
 	"sync"
 
@@ -89,225 +92,124 @@ type anDim struct {
 	gd         int             // mapped grid dimension
 	n          int             // its extent
 	pats       []dist.IndexSet // owned index pattern per grid coordinate (nil when replicated)
+	held       []bool          // per grid coordinate: its pattern has a member
 }
 
 // anArray is one array a nest references, at its index in the engine's
-// arrays: its scheme's ownership structure, its owner cells and the
-// footprint the current rank reads of it.
+// arrays: its scheme's ownership structure, the layout of its owner cells
+// and the footprint the current rank reads of it.
+//
+// The owner cells partition the array by first-owner rank: cell
+// c0*n1 + c1 holds the elements whose mapped dims land on owner
+// coordinates (c0, c1), a replicated or absent dim contributing its one
+// index 0, so a cell is found from its coordinates by arithmetic.
 type anArray struct {
-	name  string
-	rank  int
-	s     dist.Scheme
-	sizes [2]int
-	dims  [2]anDim
-	fixed []anGate    // the scheme's pinned grid coordinates (Fixed entries other than All)
-	cells []ownerCell // dense: cell c0*n1 + c1 for owner coordinates (c0, c1)
-	n1    int         // the cell layout's second extent
-	reads int         // read references to the array across the nest's statements
-	fp    []rect      // the current rank's footprint, room for every read
+	name   string
+	rank   int
+	s      dist.Scheme
+	sizes  [2]int
+	dims   [2]anDim
+	fixed  []anGate // the scheme's pinned grid coordinates (Fixed entries other than All)
+	n0, n1 int      // the cell layout's extents
+	base   int      // the pinned coordinates' part of every cell's first owner
+	stride [2]int   // per dim, a coordinate's weight in the first owner (0 when not mapped)
+	reads  int      // read references to the array across the nest's statements
+	fp     []rect   // the current rank's footprint, room for every read
 }
 
-// ownerCell is one cell of an array's partition by first-owner rank: the
-// elements whose mapped dims land on one pair of grid coordinates, and the
-// rank that sends them. A cell whose coordinates own nothing is not live.
-// memo indexes the cell's last union count in the engine's memos, -1
-// before the first.
-type ownerCell struct {
-	r     rect
-	first int
-	live  bool
-	memo  int32
-}
-
-// cellMemo is the union count of the footprint rects clipped to one owner
-// cell, last counted: the clipped rects are memoRects[off : off+n], and a
-// slot has room for as many as the array has reads.
-type cellMemo struct {
-	off, n int32
-	count  int64
-}
-
-// buildCells lays out array a's owner cells densely, one per combination
-// of owner coordinates of the mapped dims — index c0*n1 + c1, with a
-// replicated or absent dim contributing its one index 0 — so that a cell
-// is found from its coordinates by arithmetic. Replicated dims, Fixed=All
-// dims and All coordinates contribute the canonical coordinate 0 to the
-// sending rank, exactly as Scheme.Owners' first entry does. The cells
-// and pinned coordinates come from the workspace's arenas.
-func (e *anEngine) buildCells(a *anArray) {
-	base, pinned := 0, 0
+// layoutCells lays out array a's owner cells and pins. Replicated dims,
+// Fixed=All dims and All coordinates contribute the canonical coordinate
+// 0 to the sending rank, exactly as Scheme.Owners' first entry does. The
+// pinned coordinates come from the workspace's arenas.
+func (e *anEngine) layoutCells(a *anArray) {
+	pinned := 0
 	for _, c := range a.s.Fixed {
 		if c != dist.All {
 			pinned++
 		}
 	}
 	a.fixed = e.gates.take(pinned)[:0]
+	a.base = 0
 	for gd, c := range a.s.Fixed {
 		if c != dist.All {
 			a.fixed = append(a.fixed, anGate{gd: gd, coord: c})
-			base += c * e.strides[gd]
+			a.base += c * e.strides[gd]
 		}
 	}
-	var one, whole [2]dist.IndexSet
-	choices := func(k int) []dist.IndexSet {
-		switch {
-		case k >= a.rank:
-			one[k] = dist.Interval(1, 1)
-			return one[k : k+1]
-		case a.dims[k].replicated:
-			whole[k] = dist.Interval(1, a.sizes[k])
-			return whole[k : k+1]
-		}
-		return a.dims[k].pats
-	}
-	sets0, sets1 := choices(0), choices(1)
-	a.n1 = len(sets1)
-	a.cells = e.cells.take(len(sets0) * len(sets1))
-	for c0, s0 := range sets0 {
-		for c1, s1 := range sets1 {
-			cell := &a.cells[c0*a.n1+c1]
-			cell.memo = -1
-			if s0.Empty() || s1.Empty() {
-				continue
-			}
-			cell.r, cell.first, cell.live = prodRect(s0, s1), base, true
-			for k, c := range [2]int{c0, c1} {
-				if k < a.rank && !a.dims[k].replicated {
-					cell.first += c * e.strides[a.dims[k].gd]
-				}
-			}
+	ext := [2]int{1, 1}
+	for k := 0; k < a.rank; k++ {
+		if d := a.dims[k]; !d.replicated {
+			ext[k], a.stride[k] = d.n, e.strides[d.gd]
 		}
 	}
+	a.n0, a.n1 = ext[0], ext[1]
+}
+
+// first is the rank that sends the elements of cell c.
+func (a *anArray) first(c int) int {
+	return a.base + c/a.n1*a.stride[0] + c%a.n1*a.stride[1]
+}
+
+// ownerDim is the distribution of array dim k, an absent dim of a 1-D
+// array being replicated.
+func (a *anArray) ownerDim(k int) dist.Dim {
+	if k >= a.rank {
+		return dist.Dim{Replicated: true}
+	}
+	return a.s.Dims[k]
 }
 
 // ownCell returns the index of the one cell the rank at grid coordinates
-// q holds, or -1 when a pinned coordinate leaves it holding none.
+// q holds, or -1 when it holds no element: a pinned coordinate leaves it
+// out, or a coordinate of its owns none.
 func (a *anArray) ownCell(q []int) int {
 	for _, f := range a.fixed {
 		if q[f.gd] != f.coord {
 			return -1
 		}
 	}
-	i := 0
+	var c [2]int
 	for k := 0; k < a.rank; k++ {
 		if d := a.dims[k]; !d.replicated {
-			if k == 0 {
-				i += q[d.gd] * a.n1
-			} else {
-				i += q[d.gd]
+			if c[k] = q[d.gd]; !d.held[c[k]] {
+				return -1
 			}
 		}
 	}
-	return i
+	return c[0]*a.n1 + c[1]
 }
 
-// cellLocator is the working storage that finds the owner cells a
-// footprint can meet: per array dimension, a bitset over its grid
-// coordinates and the list the set bits are read into, and a bitset over
-// the cells with the list of those the current footprint has visited.
-// The workspace keeps one, grown to the widest array it has counted.
-type cellLocator struct {
-	bits    [2][]uint64
-	coord   [2][]int
-	seen    []uint64
-	visited []int
+// sideSplit is one rect side counted per owner coordinate of its array
+// dim: counts is dense over the coordinates, coords lists those with a
+// member. Only the entries coords names are ever nonzero.
+type sideSplit struct {
+	counts []int64
+	coords []int
 }
 
-// footprintBill is the last footprint counted for one array and the
-// words it has in each cell it meets — all but own, the cell of the rank
-// that counted it, which is counted only when a rank with the same
-// footprint and another own cell needs it (-1 when counted or not met).
-type footprintBill struct {
-	fp    []rect
-	words []cellWords
-	own   int
+// of counts set s per owner coordinate of array a's dim k, clearing the
+// previous side's entries first.
+func (sd *sideSplit) of(a *anArray, k int, s dist.IndexSet) {
+	for _, c := range sd.coords {
+		sd.counts[c] = 0
+	}
+	sd.coords = s.CountOwners(a.ownerDim(k), a.dims[k].n, sd.counts, sd.coords[:0])
+}
+
+// fpEntry is one distinct footprint counted for an array in this count:
+// its rects fpRects[r0:r1], the words it has in each cell it meets,
+// fpBills[b0:b1], and own, the one cell whose words were not counted
+// because the rank that counted it holds it (-1 when every cell was).
+type fpEntry struct {
+	arr, own int32
+	r0, r1   int32
+	b0, b1   int32
 }
 
 // cellWords is n footprint words in cell.
 type cellWords struct {
 	cell int
 	n    int64
-}
-
-// oneCoord is the coordinate list of a dim with a single cell index.
-var oneCoord = []int{0}
-
-// locate lists the coordinates of array a's dim k that can own an element
-// of the image {sign*x + c : x in s}, by dist.IndexSet.MarkOwners under
-// the dim's distribution composed with the map: z = Sign*(sign*x + c) +
-// Disp.
-func (cl *cellLocator) locate(a *anArray, k int, s dist.IndexSet, sign, c int) []int {
-	if k >= a.rank || a.dims[k].replicated {
-		return oneCoord
-	}
-	n, d := a.dims[k].n, a.s.Dims[k]
-	d.Sign, d.Disp = d.Sign*sign, d.Sign*c+d.Disp
-	bits := cl.bits[k][:(n+63)/64]
-	s.MarkOwners(d, n, bits)
-	out := cl.coord[k][:0]
-	for w, x := range bits {
-		for x != 0 {
-			out = append(out, w*64+mathbits.TrailingZeros64(x))
-			x &= x - 1
-		}
-		bits[w] = 0
-	}
-	return out
-}
-
-// cells calls bill once for every live cell of array a that some rect of
-// the footprint fp can meet. A
-// product rect meets at most the cross product of the coordinates its two
-// sides can reach, and so does any rect when one side has a single cell
-// coordinate. Otherwise a banded rect is walked row by row:
-// within the owned rows of one dim-0 coordinate the bands bound the
-// columns, and a line (a diagonal) reaches exactly the owners of the
-// row slab's image. A cell no rect meets would have counted zero.
-func (cl *cellLocator) cells(a *anArray, fp []rect, bill func(i int)) {
-	visited := cl.visited[:0]
-	visit := func(c0 int, cols []int) {
-		for _, c1 := range cols {
-			i := c0*a.n1 + c1
-			if bit := uint64(1) << (i & 63); cl.seen[i>>6]&bit == 0 {
-				cl.seen[i>>6] |= bit
-				visited = append(visited, i)
-				if a.cells[i].live {
-					bill(i)
-				}
-			}
-		}
-	}
-	for j := range fp {
-		r := &fp[j]
-		rows := cl.locate(a, 0, r.a, 1, 0)
-		open := r.dlo == bandMin && r.dhi == bandMax && r.slo == bandMin && r.shi == bandMax
-		if open || a.n1 == 1 || a.dims[0].replicated {
-			cols := cl.locate(a, 1, r.b, 1, 0)
-			for _, c0 := range rows {
-				visit(c0, cols)
-			}
-			continue
-		}
-		for _, c0 := range rows {
-			// The rect's rows owned by c0 whose band partners lie in b.
-			slab := a.dims[0].pats[c0].Clip(r.a.Lo, r.a.Hi).
-				Clip(max(r.b.Lo-r.dhi, r.slo-r.b.Hi), min(r.b.Hi-r.dlo, r.shi-r.b.Lo))
-			switch {
-			case r.dlo == r.dhi:
-				visit(c0, cl.locate(a, 1, slab, 1, r.dlo))
-			case r.slo == r.shi:
-				visit(c0, cl.locate(a, 1, slab, -1, r.slo))
-			default:
-				lo := max(slab.Lo+r.dlo, r.slo-slab.Hi)
-				hi := min(slab.Hi+r.dhi, r.shi-slab.Lo)
-				visit(c0, cl.locate(a, 1, r.b.Clip(lo, hi), 1, 0))
-			}
-		}
-	}
-	for _, i := range visited {
-		cl.seen[i>>6] = 0
-	}
-	cl.visited = visited
 }
 
 // anRef is a compiled reference: the array's index in the engine's
@@ -387,9 +289,9 @@ func zeroed[T any](s []T, n int) []T {
 
 // anEngine is the closed-form counter's workspace: everything one count
 // builds — strides, rank coordinates, loop ranges and dependences, the
-// compiled arrays and statements, footprints and their bills, owner cells
-// and their union-count memos, the cell locator, per-rank tallies and the
-// reduction cells — lives here and is reset in place by the next count.
+// compiled arrays and statements, footprints and their bills, the owner
+// splits of rect sides and terms, per-rank tallies and the reduction
+// cells — lives here and is reset in place by the next count.
 // Arrays, statements and dependences are slabs addressed by index;
 // variable-length pieces are cut from the arenas. Each count takes an
 // engine from enginePool, so concurrent counts each hold their own.
@@ -405,27 +307,37 @@ type anEngine struct {
 	byID    []int32         // per lowered array: its index in arrays, or -1
 	arrays  []anArray
 	stmts   []anStmt
-	bills   []footprintBill // per array
 
 	flops   []int64
 	in      []int64
 	out     []int64
 	remote  int64
 	reduceW int64
-	pairs   int64 // (rank, owner cell) pairs the needed-words pass counted
-	unions  int64 // of those, the ones no cell memo answered
+	pairs   int64 // (rank, owner cell) bills of the footprints counted
+	unions  int64 // inclusion-exclusions: footprints counted that bill a word
 
 	allowed     []dist.IndexSet
 	constrained []bool
-	cl          cellLocator
 	sc          rectScratch
-	clip        [maxFootprintRects]rect
-	memos       []cellMemo
-	memoRects   []rect
 	red         reduceScratch
+	space       lastSpace
+
+	// The needed-words pass: the distinct footprints counted (fps, their
+	// rects and bills, found through the open-addressed fpSlots), a rect's
+	// sides and a line's outer values per owner coordinate (side), a
+	// band's sums per outer coordinate (routed), and one union's words per
+	// cell (acc, with the cells it has touched).
+	fps     []fpEntry
+	fpRects []rect
+	fpBills []cellWords
+	fpSlots []int32
+	side    [3]sideSplit
+	routed  []int64
+	acc     []int64
+	hit     []bool
+	touched []int
 
 	sets   arena[dist.IndexSet]
-	cells  arena[ownerCell]
 	gates  arena[anGate]
 	refs   arena[anRef]
 	cons   arena[anConstraint]
@@ -465,10 +377,9 @@ func (e *anEngine) reset(g *grid.Grid, loops, arrays int) {
 	e.flops, e.in, e.out = zeroed(e.flops, e.nprocs), zeroed(e.in, e.nprocs), zeroed(e.out, e.nprocs)
 	e.remote, e.reduceW, e.pairs, e.unions = 0, 0, 0, 0
 	e.allowed, e.constrained = resize(e.allowed, loops), resize(e.constrained, loops)
-	e.memos, e.memoRects = e.memos[:0], e.memoRects[:0]
-	e.sc.win = winStats{}
+	e.fps, e.fpRects, e.fpBills = e.fps[:0], e.fpRects[:0], e.fpBills[:0]
+	e.sc.win.steps, e.sc.win.prods = 0, 0
 	e.sets.reset()
-	e.cells.reset()
 	e.gates.reset()
 	e.refs.reset()
 	e.cons.reset()
@@ -482,33 +393,26 @@ func (e *anEngine) reset(g *grid.Grid, loops, arrays int) {
 // coord is rank r's grid coordinates.
 func (e *anEngine) coord(r int) []int { return e.coords[r*e.q : (r+1)*e.q] }
 
-// sizeLocator grows the cell locator for the widest mapped dimension and
-// the largest cell layout of the engine's arrays.
-func (e *anEngine) sizeLocator() {
+// sizeSplits grows the owner-split storage for the widest mapped
+// dimension and the largest cell layout of the engine's arrays, and
+// clears the footprint table.
+func (e *anEngine) sizeSplits() {
 	n, cells := 1, 1
 	for i := range e.arrays {
 		a := &e.arrays[i]
-		c := 1
-		for k := 0; k < a.rank; k++ {
-			n = max(n, a.dims[k].n)
-			c *= max(a.dims[k].n, 1)
-		}
-		cells = max(cells, c)
+		n = max(n, a.n0, a.n1)
+		cells = max(cells, a.n0*a.n1)
 	}
-	cl := &e.cl
-	if words := (n + 63) / 64; len(cl.bits[0]) < words {
-		bits := make([]uint64, 2*words)
-		cl.bits = [2][]uint64{bits[:words], bits[words:]}
-		n = 64 * words
-		coord := make([]int, 2*n)
-		cl.coord = [2][]int{coord[:n:n], coord[n:]}
+	for k := range e.side {
+		e.side[k].counts, e.side[k].coords = zeroed(e.side[k].counts, n), e.side[k].coords[:0]
 	}
-	if len(cl.seen) < (cells+63)/64 {
-		cl.seen = make([]uint64, (cells+63)/64)
+	e.routed = zeroed(e.routed, n)
+	e.acc, e.hit = zeroed(e.acc, cells), zeroed(e.hit, cells)
+	slots := 16
+	for slots < 2*e.nprocs*len(e.arrays) {
+		slots *= 2
 	}
-	if cap(cl.visited) < cells {
-		cl.visited = make([]int, 0, cells)
-	}
+	e.fpSlots = zeroed(e.fpSlots, slots)
 }
 
 // arrayOf compiles lowered array id on first use — its ownership
@@ -518,10 +422,22 @@ func (e *anEngine) arrayOf(lw *ir.Lowered, schemes map[string]dist.Scheme, id in
 	if i := e.byID[id]; i >= 0 {
 		return i, true
 	}
-	name, shape := lw.Names[id], lw.Shapes[id]
-	s := schemes[name]
-	if s.Rot != dist.NoRotation {
+	a, ok := e.compileArray(lw.Names[id], lw.Shapes[id], schemes[lw.Names[id]], periodLCM)
+	if !ok {
 		return -1, false
+	}
+	i := int32(len(e.arrays))
+	e.byID[id] = i
+	e.arrays = append(e.arrays, a)
+	return i, true
+}
+
+// compileArray compiles an array of the given shape under scheme s: its
+// owned pattern per dim and grid coordinate, their periods folded into
+// periodLCM. false means the scheme is outside the eligible class.
+func (e *anEngine) compileArray(name string, shape []int, s dist.Scheme, periodLCM *int) (anArray, bool) {
+	if s.Rot != dist.NoRotation {
+		return anArray{}, false
 	}
 	a := anArray{name: name, rank: len(shape), s: s}
 	for k := 0; k < a.rank; k++ {
@@ -532,24 +448,22 @@ func (e *anEngine) arrayOf(lw *ir.Lowered, schemes map[string]dist.Scheme, id in
 			continue
 		}
 		n := e.g.Extent(d.GridDim)
-		pats := e.sets.take(n)
+		pats, held := e.sets.take(n), e.bools.take(n)
 		words := 0
 		if d.Cyclic {
 			words = dist.PatternWords(d, n)
 		}
 		for c := 0; c < n; c++ {
 			pats[c] = dist.OwnedPatternIn(d, n, c, shape[k], e.masks.take(words))
+			held[c] = !pats[c].Empty()
 			*periodLCM = dist.LCM(*periodLCM, pats[c].Period)
 			if *periodLCM > maxAnalyticPeriod {
-				return -1, false
+				return anArray{}, false
 			}
 		}
-		a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats}
+		a.dims[k] = anDim{gd: d.GridDim, n: n, pats: pats, held: held}
 	}
-	i := int32(len(e.arrays))
-	e.byID[id] = i
-	e.arrays = append(e.arrays, a)
-	return i, true
+	return a, true
 }
 
 // compileRef compiles a reference: a subscript compiles to sign*var + c
@@ -720,26 +634,21 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 		}
 	}
 
-	// Footprint storage is one arena cut, cut so that each array's list,
-	// and the last footprint counted for it, have room for each of its
-	// reads: no list outgrows its slot. A rank's footprints are billed as
-	// soon as they are built, so two lists per array serve every rank.
+	// Footprint storage is one arena cut, each array's list with room for
+	// each of its reads: no list outgrows its slot.
 	reads := 0
 	for i := range e.arrays {
 		reads += e.arrays[i].reads
 	}
-	slab := e.rects.take(2 * reads)
-	e.bills = resize(e.bills, len(e.arrays))
+	slab := e.rects.take(reads)
 	for i := range e.arrays {
-		a, bl := &e.arrays[i], &e.bills[i]
+		a := &e.arrays[i]
 		a.fp, slab = slab[:0:a.reads], slab[a.reads:]
-		bl.fp, slab = slab[:0:a.reads], slab[a.reads:]
-		bl.words, bl.own = bl.words[:0], -1
 		if a.reads > 0 {
-			e.buildCells(a)
+			e.layoutCells(a)
 		}
 	}
-	e.sizeLocator()
+	e.sizeSplits()
 
 	// Per-rank pass: instance counts (flops), read footprints, and the
 	// needed words they bill.
@@ -749,27 +658,26 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 	// cells partition the array and a rank's owned set is exactly one of
 	// them, so the footprint is counted inside every other cell and
 	// nowhere else: the own cell's words are local, and no owned part has
-	// to be subtracted from the rest. Only the cells the footprint can
-	// meet are visited, so the pass costs ranks x overlapped cells, not
-	// ranks x cells. Replicas that execute the same instances have the
-	// same footprint and so the same words per cell: each array keeps the
-	// last footprint it counted with its words per cell, and a rank with
-	// an equal footprint bills them again without locating or counting.
-	// Replicas that are not consecutive ranks still meet a cell with the
-	// same rects clipped to it, and the cell's memo answers them
-	// (cellCount).
+	// to be subtracted from the rest. One inclusion-exclusion over the
+	// footprint's rects yields its words in every cell (countFootprint).
+	// Replicas that execute the same instances have the same footprint and
+	// so the same words per cell: the pass keeps every distinct footprint
+	// it counted with its words per cell, and a rank with an equal one
+	// bills them again without counting, whether or not the replicas are
+	// consecutive ranks.
 	allowed, constrained := e.allowed, e.constrained
 	for pr := 0; pr < e.nprocs; pr++ {
 		q := e.coord(pr)
 		for i := range e.arrays {
 			e.arrays[i].fp = e.arrays[i].fp[:0]
 		}
+		e.space.depth = -1
 		for si := range e.stmts {
 			as := &e.stmts[si]
 			if !e.rankExecutes(as, q, allowed, constrained) {
 				continue
 			}
-			iter, reff, hasDep := e.stmtSpace(as, allowed)
+			iter, reff, hasDep := e.space.of(e, as, allowed)
 			if iter == 0 {
 				continue
 			}
@@ -786,8 +694,8 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 				}
 				a := &e.arrays[rd.arr]
 				dup := false
-				for _, x := range a.fp {
-					if rectEq(x, r) {
+				for k := range a.fp {
+					if rectEq(&a.fp[k], &r) {
 						dup = true
 						break
 					}
@@ -802,39 +710,23 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 			}
 		}
 		for i := range e.arrays {
-			a, bl := &e.arrays[i], &e.bills[i]
-			fp := a.fp
-			if len(fp) == 0 {
+			a := &e.arrays[i]
+			if len(a.fp) == 0 {
 				continue
 			}
 			own := a.ownCell(q)
-			count := func(c int) {
-				e.pairs++
-				if n := e.cellCount(a, c, fp); n != 0 {
-					bl.words = append(bl.words, cellWords{c, n})
-				}
+			fe, fresh := e.footprint(i, own)
+			if fe == nil {
+				continue
 			}
-			switch {
-			case !slices.EqualFunc(bl.fp, fp, rectEq):
-				// The list is the rank's now; the next rank builds in the old one.
-				a.fp, bl.fp = bl.fp[:0], fp
-				bl.words, bl.own = bl.words[:0], -1
-				e.cl.cells(a, fp, func(c int) {
-					if c == own {
-						bl.own = c
-					} else {
-						count(c)
-					}
-				})
-			case bl.own >= 0 && bl.own != own:
-				count(bl.own)
-				bl.own = -1
-			}
-			for _, w := range bl.words {
+			for _, w := range e.fpBills[fe.b0:fe.b1] {
 				if w.cell != own {
 					e.remote += w.n
 					e.in[pr] += w.n
-					e.out[a.cells[w.cell].first] += w.n
+					e.out[a.first(w.cell)] += w.n
+					if fresh {
+						e.pairs++
+					}
 				}
 			}
 		}
@@ -879,38 +771,264 @@ func (e *anEngine) count(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, 
 	return ct, true
 }
 
-// cellCount is |fp ∩ cell c of array a|, the union count of the
-// footprint's rects clipped to the cell. The cell keeps the clipped rects
-// it counted last with their count, and a footprint that clips to the
-// same rects is answered from that memo: replicas meet a cell alike
-// whether or not they are consecutive ranks.
-func (e *anEngine) cellCount(a *anArray, c int, fp []rect) int64 {
-	cell := &a.cells[c]
-	clip := e.clip[:0]
-	for j := range fp {
-		if x := &e.clip[len(clip)]; intersectRect(x, &fp[j], &cell.r) {
-			clip = clip[:len(clip)+1]
+// footprint returns the entry of array i's current footprint, counted
+// for a rank whose own cell is own (-1 for none), and whether it counted
+// it now; nil when the footprint is local. Its rects wholly inside the
+// own cell are dropped first: they, and their part of any intersection,
+// are local. What remains is looked up: the entry of an equal footprint
+// counted before when that has the words of every cell but own, else a
+// fresh count. An entry counted by a rank with another own cell lacks
+// that cell's words and is counted again, every cell this time.
+func (e *anEngine) footprint(i, own int) (*fpEntry, bool) {
+	a := &e.arrays[i]
+	if own >= 0 {
+		fp := a.fp[:0]
+		for k := range a.fp {
+			if !a.local(&a.fp[k], own) {
+				fp = append(fp, a.fp[k])
+			}
+		}
+		if a.fp = fp; len(fp) == 0 {
+			return nil, false
 		}
 	}
-	if len(clip) == 0 {
-		return 0
-	}
-	if cell.memo >= 0 {
-		m := &e.memos[cell.memo]
-		if slices.EqualFunc(e.memoRects[m.off:m.off+m.n], clip, rectEq) {
-			return m.count
+	mask := len(e.fpSlots) - 1
+	h := int(fpHash(i, a.fp)) & mask
+	for ; e.fpSlots[h] != 0; h = (h + 1) & mask {
+		fe := &e.fps[e.fpSlots[h]-1]
+		if int(fe.arr) != i || !slices.EqualFunc(e.fpRects[fe.r0:fe.r1], a.fp, func(x, y rect) bool { return rectEq(&x, &y) }) {
+			continue
 		}
-	} else {
-		cell.memo = int32(len(e.memos))
-		off := len(e.memoRects)
-		e.memoRects = slices.Grow(e.memoRects, a.reads)[:off+a.reads]
-		e.memos = append(e.memos, cellMemo{off: int32(off)})
+		if fe.own < 0 || int(fe.own) == own {
+			return fe, false
+		}
+		fe.own = -1
+		fe.b0, fe.b1 = e.countFootprint(a, a.fp, -1)
+		return fe, true
 	}
-	e.unions++
-	m := &e.memos[cell.memo]
-	m.n = int32(copy(e.memoRects[m.off:int(m.off)+a.reads], clip))
-	m.count = e.sc.unionCount(clip, nil)
-	return m.count
+	r0 := len(e.fpRects)
+	e.fpRects = append(e.fpRects, a.fp...)
+	fe := fpEntry{arr: int32(i), own: int32(own), r0: int32(r0), r1: int32(len(e.fpRects))}
+	fe.b0, fe.b1 = e.countFootprint(a, a.fp, own)
+	e.fps = append(e.fps, fe)
+	e.fpSlots[h] = int32(len(e.fps))
+	return &e.fps[len(e.fps)-1], true
+}
+
+// fpHash hashes an array index and a footprint's rects, masks aside
+// (equal rects have equal hashes; rectEq decides).
+func fpHash(arr int, fp []rect) uint64 {
+	h := uint64(14695981039346656037) ^ uint64(arr)
+	for i := range fp {
+		r := &fp[i]
+		for _, x := range [...]int{r.a.Lo, r.a.Hi, r.a.Period, r.b.Lo, r.b.Hi, r.b.Period, r.dlo, r.dhi, r.slo, r.shi} {
+			h = (h ^ uint64(x)) * 1099511628211
+		}
+	}
+	return h ^ h>>29
+}
+
+// countFootprint appends to fpBills the words footprint fp of array a
+// has in each cell but own (every cell when own is -1) and returns their
+// range: one inclusion-exclusion over the rects, depth first, each term
+// split across the owner cells as it is met (splitTerm). An empty term —
+// or one wholly inside the own cell, whose words are local — cuts its
+// whole subtree: every deeper term lies inside it.
+func (e *anEngine) countFootprint(a *anArray, fp []rect, own int) (int32, int32) {
+	sc := &e.sc
+	sc.next[0] = 0
+	for d := 0; d >= 0; {
+		j := sc.next[d]
+		if j == len(fp) {
+			d--
+			continue
+		}
+		sc.next[d] = j + 1
+		cur := &sc.acc[d+1]
+		if d == 0 {
+			*cur = fp[j]
+		} else if !intersectRect(cur, &sc.acc[d], &fp[j]) {
+			continue
+		}
+		sign := int64(1)
+		if d%2 == 1 {
+			sign = -1
+		}
+		if !e.splitTerm(a, cur, sign, own) {
+			continue
+		}
+		d++
+		sc.next[d] = j + 1
+	}
+	b0 := len(e.fpBills)
+	for _, c := range e.touched {
+		if n := e.acc[c]; n != 0 && c != own {
+			e.fpBills = append(e.fpBills, cellWords{c, n})
+		}
+		e.acc[c], e.hit[c] = 0, false
+	}
+	if len(e.fpBills) > b0 {
+		e.unions++
+	}
+	e.touched = e.touched[:0]
+	return int32(b0), int32(len(e.fpBills))
+}
+
+// add adds n words to cell c of the union being counted.
+func (e *anEngine) add(c int, n int64) {
+	if !e.hit[c] {
+		e.hit[c] = true
+		e.touched = append(e.touched, c)
+	}
+	e.acc[c] += n
+}
+
+// local reports whether rect r of array a lies wholly inside cell own:
+// each side within the own coordinate's pattern of its dim.
+func (a *anArray) local(r *rect, own int) bool {
+	c := [2]int{own / a.n1, own % a.n1}
+	for k, side := range [2]*dist.IndexSet{&r.a, &r.b} {
+		if k < a.rank && !a.dims[k].replicated && !side.Within(a.dims[k].pats[c[k]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// splitTerm adds sign × |r ∩ cell| to every owner cell of array a that
+// rect r meets. It reports false when r has no point, or none outside
+// cell own; then no deeper term has one either.
+//
+// A rect's sides are counted per owner coordinate first (sideSplit). A
+// product's words in cell (c0, c1) are the product of the sides' counts.
+// Otherwise the inner side is cut to each inner coordinate's members in
+// turn. On a line the outer values whose partner lies in that part are
+// counted per outer coordinate like a side. A band is a windowed sum over
+// the outer side of the count of the part's members its window admits
+// (bandTerm), routed per outer coordinate — a cyclic outer dim sends
+// each residue class's sum to the coordinate owning it
+// (winStats.sumRouted), a contiguous one is summed block by block — and
+// a box of outer and inner parts the bands hold whole is a product, one
+// they miss is skipped.
+func (e *anEngine) splitTerm(a *anArray, r *rect, sign int64, own int) bool {
+	s0, s1 := &e.side[0], &e.side[1]
+	s0.of(a, 0, r.a)
+	s1.of(a, 1, r.b)
+	if len(s0.coords) == 0 || len(s1.coords) == 0 {
+		return false
+	}
+	if own >= 0 && len(s0.coords) == 1 && len(s1.coords) == 1 && s0.coords[0]*a.n1+s1.coords[0] == own {
+		return false
+	}
+	switch r.bandsOver(r.a, r.b) {
+	case 1:
+		for _, c0 := range s0.coords {
+			n0 := sign * s0.counts[c0]
+			for _, c1 := range s1.coords {
+				e.add(c0*a.n1+c1, n0*s1.counts[c1])
+			}
+		}
+		return true
+	case -1:
+		return false
+	}
+	if r.dlo > r.dhi || r.slo > r.shi {
+		return false
+	}
+	// The outer side: a cyclic mapped dim if either is one (routing
+	// splits it in one pass), else a mapped one.
+	kind := func(k int) int {
+		switch d := a.ownerDim(k); {
+		case d.Replicated:
+			return 0
+		case d.Cyclic:
+			return 2
+		}
+		return 1
+	}
+	outer, inner := 0, 1
+	if kind(1) > kind(0) {
+		outer, inner = 1, 0
+	}
+	xs, ys, so, si := r.a, r.b, s0, s1
+	if outer == 1 {
+		xs, ys, so, si = r.b, r.a, s1, s0
+	}
+	od, id := a.dims[outer], a.dims[inner]
+	met := false
+	bill := func(co, ci int, n int64) {
+		if n != 0 {
+			var c [2]int
+			c[outer], c[inner] = co, ci
+			e.add(c[0]*a.n1+c[1], sign*n)
+			met = true
+		}
+	}
+	// over classifies the bands on the box of an outer and an inner part,
+	// whose points are then all in (a product) or all out.
+	over := func(x, y dist.IndexSet) int {
+		if outer == 1 {
+			x, y = y, x
+		}
+		return r.bandsOver(x, y)
+	}
+	// A line — one band of width zero, the other open — pairs each outer
+	// value v with the one inner value sign*v + c.
+	sign1, c := 0, 0
+	switch {
+	case r.dlo == r.dhi && r.slo <= r.a.Lo+r.b.Lo && r.shi >= r.a.Hi+r.b.Hi:
+		sign1, c = 1, r.dlo
+		if outer == 1 {
+			c = -c
+		}
+	case r.slo == r.shi && r.dlo <= r.b.Lo-r.a.Hi && r.dhi >= r.b.Hi-r.a.Lo:
+		sign1, c = -1, r.slo
+	}
+	line := &e.side[2]
+	for _, ci := range si.coords {
+		set := ys
+		if kind(inner) != 0 {
+			set = ys.Intersect(id.pats[ci])
+		}
+		if sign1 != 0 {
+			// The outer values whose partner is in set, per coordinate.
+			line.of(a, outer, xs.Intersect(set.AffinePreimage(sign1, c)))
+			for _, co := range line.coords {
+				bill(co, ci, line.counts[co])
+			}
+			continue
+		}
+		t := [1]winTerm{bandTerm(r, set, outer == 1)}
+		if kind(outer) == 1 {
+			for _, co := range so.coords {
+				p := od.pats[co]
+				switch part := xs.Clip(p.Lo, p.Hi); over(part, set) {
+				case 1:
+					bill(co, ci, so.counts[co]*si.counts[ci])
+				case 0:
+					bill(co, ci, e.sc.win.sumWindowed(part, t[:]))
+				}
+			}
+			continue
+		}
+		switch over(xs, set) {
+		case 1:
+			for _, co := range so.coords {
+				bill(co, ci, so.counts[co]*si.counts[ci])
+			}
+		case 0:
+			if kind(outer) == 0 {
+				bill(0, ci, e.sc.win.sumWindowed(xs, t[:]))
+				continue
+			}
+			e.sc.win.sumRouted(xs, t[:], &winRoute{d: a.ownerDim(outer), n: od.n, out: e.routed})
+			for _, co := range so.coords {
+				bill(co, ci, e.routed[co])
+				e.routed[co] = 0
+			}
+		}
+	}
+	return met
 }
 
 // rankExecutes fills allowed[0:depth] with the per-variable instance sets
@@ -937,6 +1055,32 @@ func (e *anEngine) rankExecutes(as *anStmt, q []int, allowed []dist.IndexSet, co
 		}
 	}
 	return true
+}
+
+// lastSpace is the instance space a rank's previous statement counted:
+// the depth (-1 for none) and instance sets it counted over and what
+// stmtSpace returned. Statements whose owners share a distribution (L and
+// B in gauss's elimination nest) execute the same instances.
+type lastSpace struct {
+	depth  int
+	sets   []dist.IndexSet
+	iter   int64
+	reff   dist.IndexSet
+	hasDep bool
+}
+
+// of is stmtSpace, answered from the previous statement's when that ran
+// over equal instance sets.
+func (ls *lastSpace) of(e *anEngine, as *anStmt, allowed []dist.IndexSet) (int64, dist.IndexSet, bool) {
+	if e.depRoot < 0 {
+		return e.stmtSpace(as, allowed) // a product of counts: no windowed sum to save
+	}
+	if ls.depth == as.depth && slices.EqualFunc(ls.sets, allowed[:as.depth], dist.IndexSet.Equal) {
+		return ls.iter, ls.reff, ls.hasDep
+	}
+	ls.iter, ls.reff, ls.hasDep = e.stmtSpace(as, allowed)
+	ls.depth, ls.sets = as.depth, append(ls.sets[:0], allowed[:as.depth]...)
+	return ls.iter, ls.reff, ls.hasDep
 }
 
 // stmtSpace computes the rank's instance count for as over allowed[],
@@ -1125,7 +1269,9 @@ func (e *anEngine) readRect(rd anRef, allowed []dist.IndexSet, reff dist.IndexSe
 		} else {
 			r = r.halfPlane(-rsp.sign, dsp.sign, gamma, d.low)
 		}
-		if e.sc.win.count(&r) == 0 {
+		// Every root value in reff carries an instance, so the band
+		// holds a point whenever both images do.
+		if dImg.Empty() || rImg.Empty() {
 			return rect{}, false, false
 		}
 		return r, true, false

@@ -1033,11 +1033,12 @@ func TestPassesPartitionTheCount(t *testing.T) {
 }
 
 // TestNeededWordsBillOnlyOverlappedCells is the deterministic scaling
-// guard of the needed-words pass: the (rank, owner cell) pairs it counts
-// a footprint in. For jacobi and sor at m = 32 on every grid of N = 1024
-// processors a scan of all cells per rank counts up to N^2 pairs per
-// array, a million; the located pass counts at most 2m·N pairs in all,
-// and no pair that carries no word.
+// guard of the needed-words pass: the (rank, owner cell) bills its
+// footprint counts write. For jacobi and sor at m = 32 on every grid of
+// N = 1024 processors a scan of all cells per rank bills up to N^2 pairs
+// per array, a million; splitting each footprint over only the owner
+// coordinates its sides reach bills at most 2m·N pairs in all, and no
+// pair that carries no word.
 func TestNeededWordsBillOnlyOverlappedCells(t *testing.T) {
 	const m, n = 32, 1024
 	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR()} {
@@ -1048,23 +1049,23 @@ func TestNeededWordsBillOnlyOverlappedCells(t *testing.T) {
 				t.Fatalf("%s: engine %v, err %v; want the analytic engine", c.name, eng, err)
 			}
 			if tl.pairs > 2*m*n || tl.pairs > ct.RemoteWords {
-				t.Errorf("%s: %d (rank, cell) pairs counted for %d remote words; want at most %d and no empty pair",
+				t.Errorf("%s: %d (rank, cell) pairs billed for %d remote words; want at most %d and no empty bill",
 					c.name, tl.pairs, ct.RemoteWords, 2*m*n)
 			}
 		}
 	}
 }
 
-// TestCellMemoCountsEachClippedFootprintOnce: replicas that are not
-// consecutive ranks meet an owner cell with the same rects clipped to it,
-// and the cell's memo answers them. Jacobi L2 at m = 32 on 512×2
-// replicates X and B over grid dim 0, so a rank's replicas are every
-// other rank: the needed-words pass counted a union for each of its
-// 32,704 (rank, cell) pairs while only the last footprint per array was
-// remembered, and counts 64 now, as on 1024×1, where replicas are
+// TestEqualFootprintsCountOnce: replicas that are not consecutive ranks
+// have equal footprints, and the count of the first answers the rest
+// through footprint equality. Jacobi L2 at m = 32 on 512×2 replicates X
+// and B over grid dim 0, so a rank's replicas are every other rank: the
+// needed-words pass counted a union for each of its 32,704 (rank, cell)
+// pairs while only the last footprint per array was remembered, and
+// counts at most 64 footprints, as on 1024×1, where replicas are
 // consecutive. Every grid of 1024 processors, jacobi's and sor's nests,
-// keeps its Counts.
-func TestCellMemoCountsEachClippedFootprintOnce(t *testing.T) {
+// keeps its Counts, and no footprint is counted that bills no word.
+func TestEqualFootprintsCountOnce(t *testing.T) {
 	const m, n = 32, 1024
 	unions := map[string]int64{}
 	for _, p := range []*ir.Program{ir.Jacobi(), ir.SOR()} {
@@ -1074,14 +1075,49 @@ func TestCellMemoCountsEachClippedFootprintOnce(t *testing.T) {
 				t.Fatalf("%s: engine %v, err %v; want the analytic engine", c.name, eng, err)
 			}
 			if tl.unions > tl.pairs {
-				t.Errorf("%s: %d union counts for %d (rank, cell) pairs", c.name, tl.unions, tl.pairs)
+				t.Errorf("%s: %d footprints counted for %d (rank, cell) bills", c.name, tl.unions, tl.pairs)
 			}
 			unions[c.name] = tl.unions
 		}
 	}
 	for _, name := range []string{"jacobi-L2/512x2", "jacobi-L2/1024x1", "sor-S1/512x2"} {
 		if unions[name] > 64 {
-			t.Errorf("%s: %d union counts, want at most 64", name, unions[name])
+			t.Errorf("%s: %d footprints counted, want at most 64", name, unions[name])
+		}
+	}
+}
+
+// TestCountIsOneUnionPerRankArray is the work guard of the needed-words
+// pass on the §6 program: the gauss elimination nest (G1) and the
+// back-substitution nest (G3) under cyclic matrices, at m = 128 on 8×1
+// and on 4×4, run at most one inclusion-exclusion per (rank, array) —
+// not one per (rank, owner cell) — and bill no more (rank, cell) pairs
+// than they have remote words. Clipping each footprint to every owner
+// cell it met ran 112 unions on G1 on 8×1, one per (rank, cell); one
+// inclusion-exclusion per footprint runs 16.
+func TestCountIsOneUnionPerRankArray(t *testing.T) {
+	const m = 128
+	p := ir.Gauss()
+	lw := lowered(t, p, map[string]int{"m": m})
+	for _, g := range []*grid.Grid{grid.New(8, 1), grid.New(4, 4)} {
+		for _, nest := range []int{0, 2} {
+			var tl rankTally
+			ct, eng, err := CountValidatedNest(lw, nest, cyclicSchemes(g), g, CountOptions{tally: &tl})
+			if err != nil || eng != EngineAnalytic {
+				t.Fatalf("%s on %s: engine %v, err %v; want the analytic engine", p.Nests[nest].Label, g, eng, err)
+			}
+			read := map[string]bool{}
+			for _, st := range p.Nests[nest].Stmts {
+				for _, rd := range st.Reads {
+					read[rd.Array] = true
+				}
+			}
+			arrays := int64(len(read))
+			t.Logf("%s on %s: %d inclusion-exclusions, %d bills, %d remote words", p.Nests[nest].Label, g, tl.unions, tl.pairs, ct.RemoteWords)
+			if limit := int64(g.Size()) * arrays; tl.unions > limit || tl.pairs > ct.RemoteWords {
+				t.Errorf("%s on %s: %d inclusion-exclusions and %d bills for %d remote words; want at most %d (ranks × arrays read) and no empty bill",
+					p.Nests[nest].Label, g, tl.unions, tl.pairs, ct.RemoteWords, limit)
+			}
 		}
 	}
 }
@@ -1122,8 +1158,9 @@ func TestWindowedSumWalksShortIntervals(t *testing.T) {
 // TestCyclicShiftBillsOneCellPerRank reads, on 256 processors, the rows
 // one past each rank's own under cyclic rows at m = 1024: each
 // footprint's hull spans the whole period four times over, but its
-// residues lie in one other rank's rows, so exactly one cell per rank is
-// counted — and the words match the enumeration rank by rank.
+// residues lie in one other rank's rows, so each rank counts its
+// footprint once and bills exactly one cell — and the words match the
+// enumeration rank by rank.
 func TestCyclicShiftBillsOneCellPerRank(t *testing.T) {
 	const m, n = 1024, 256
 	i, j := ir.V("i"), ir.V("j")
@@ -1146,7 +1183,7 @@ func TestCyclicShiftBillsOneCellPerRank(t *testing.T) {
 	if _, _, err := dispatch(p, schemes, g, bind, CountOptions{tally: &tl}); err != nil {
 		t.Fatal(err)
 	}
-	if tl.pairs != n {
-		t.Fatalf("%d (rank, cell) pairs billed on %d ranks; want one per rank", tl.pairs, n)
+	if tl.pairs != n || tl.unions != n {
+		t.Fatalf("%d (rank, cell) pairs billed by %d footprint counts on %d ranks; want one of each per rank", tl.pairs, tl.unions, n)
 	}
 }

@@ -24,7 +24,8 @@ type nestCase struct {
 // kernelNestCases lists the nests of BenchmarkCountNestKernels at size m:
 // the gauss elimination nest under cyclic rows on 8 processors and under
 // the 4x4 cyclic grid on 16 (its fit is four fifths of a kernel compile),
-// both jacobi nests under row blocks, the sor nest under column blocks.
+// gauss's triangular back-substitution nest under cyclic rows on 8, both
+// jacobi nests under row blocks, the sor nest under column blocks.
 func kernelNestCases(m int) []nestCase {
 	whole := func(gd int) dist.Dim { return dist.BlockContiguous(m, 1, gd) }
 	all := func(gd int) map[int]int { return map[int]int{gd: dist.All} }
@@ -52,6 +53,7 @@ func kernelNestCases(m int) []nestCase {
 	cases := []nestCase{
 		{"gauss-G1/N8", ir.Gauss(), 0, grid.New(8, 1), gaussSchemes(m, 8), nil},
 		{"gauss-G1/N16", ir.Gauss(), 0, grid.New(4, 4), gauss16, nil},
+		{"gauss-G3/N8", ir.Gauss(), 2, grid.New(8, 1), gaussSchemes(m, 8), nil},
 		{"jacobi-L1/N8", ir.Jacobi(), 0, grid.New(8, 1), jacobi(dist.Scheme1D(whole(1), all(0))), nil},
 		{"jacobi-L2/N8", ir.Jacobi(), 1, grid.New(8, 1), jacobi(dist.Scheme1D(rows8, all(1))), nil},
 		{"sor-S1/N8", ir.SOR(), 0, grid.New(1, 8), sor, nil},
@@ -92,8 +94,8 @@ func BenchmarkCountNestKernels(b *testing.B) {
 // TestCountNestAllocBudget: one count of each kernel nest at m = 128 in a
 // warm workspace allocates nothing. Every piece of a count's state —
 // compiled arrays and statements, owned patterns and their masks,
-// footprints and bills, owner cells and their memos, the cell locator,
-// the per-rank tallies and the reduction cells — is reset in place (the
+// footprints and their table of bills, the owner splits, the per-rank
+// tallies and the reduction cells — is reset in place (the
 // gauss elimination nest at N = 8 made 92 allocations while each count
 // built them afresh, 7 080 before the send attribution stopped allocating
 // per owner cell). The workspace is held here, not borrowed from

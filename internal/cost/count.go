@@ -91,10 +91,10 @@ type CountOptions struct {
 
 // rankTally is the per-processor flops, words received and words sent of
 // one nest count, indexed by rank, and — from the closed forms only — the
-// work the count did: the (rank, owner cell) pairs whose footprint
-// intersection the needed-words pass counted (a rank whose footprint
-// equals the one counted before it adds none), the union counts among
-// them no cell memo answered, and the residue steps and products of the
+// work the count did: the (rank, owner cell) bills of the footprints the
+// needed-words pass counted (a rank whose footprint equals one counted
+// before adds none), the footprints it counted that bill a word, one
+// inclusion-exclusion each, and the residue steps and products of the
 // windowed sums (winStats).
 type rankTally struct {
 	flops, in, out        []int64

@@ -90,59 +90,48 @@ func (r rect) halfPlane(sgn0, sgn1, g int, ge bool) rect {
 	return r
 }
 
-// count is the number of points of r, its windowed sums tallied in ws.
-func (ws *winStats) count(r *rect) int64 {
-	a, b := r.a, r.b
-	if a.Hi < a.Lo || b.Hi < b.Lo {
-		return 0
+// bandTerm is the window rect r's bands open on one side at each value v
+// of the other: over v = e0 the e1 in set with dlo+v <= e1 <= dhi+v and
+// slo-v <= e1 <= shi-v, or, transposed, over v = e1 the e0 in set with
+// v-dhi <= e0 <= v-dlo and slo-v <= e0 <= shi-v. set is that side, or
+// part of it.
+func bandTerm(r *rect, set dist.IndexSet, transposed bool) winTerm {
+	t := winTerm{set: set}
+	dlo, dhi := r.dlo, r.dhi
+	if transposed {
+		dlo, dhi = -r.dhi, -r.dlo
 	}
-	dOpen := r.dlo <= b.Lo-a.Hi && r.dhi >= b.Hi-a.Lo
-	sOpen := r.slo <= a.Lo+b.Lo && r.shi >= a.Hi+b.Hi
-	switch {
-	case dOpen && sOpen:
-		return a.Count() * b.Count()
-	case r.dlo == r.dhi && sOpen:
-		// One line e1 = e0 + d: members of a whose partner lies in b.
-		return a.Intersect(b.AffinePreimage(1, r.dlo)).Count()
-	case r.slo == r.shi && dOpen:
-		// One line e1 = s - e0.
-		return a.Intersect(b.AffinePreimage(-1, r.slo)).Count()
-	case r.dlo == r.dhi && r.slo == r.shi:
-		// Two crossing lines: at most one point.
-		if (r.slo-r.dlo)%2 != 0 {
-			return 0
-		}
-		e0 := (r.slo - r.dlo) / 2
-		e1 := e0 + r.dlo
-		if e0+e1 >= r.slo && e0+e1 <= r.shi && a.Contains(e0) && b.Contains(e1) {
-			return 1
-		}
-		return 0
-	}
-	if r.dlo > r.dhi || r.slo > r.shi {
-		return 0
-	}
-	// General band: sum the windowed count of b over the members of a.
-	t := winTerm{set: b}
-	if r.dlo > bandMin {
-		t.los.add(r.dlo, 1)
+	if dlo > bandMin {
+		t.los.add(dlo, 1)
 	}
 	if r.slo > bandMin {
 		t.los.add(r.slo, -1)
 	}
-	if r.dhi < bandMax {
-		t.his.add(r.dhi, 1)
+	if dhi < bandMax {
+		t.his.add(dhi, 1)
 	}
 	if r.shi < bandMax {
 		t.his.add(r.shi, -1)
 	}
-	return ws.sumWindowed(a, []winTerm{t})
+	return t
+}
+
+// bandsOver classifies r's bands on the box of hulls a × b: 1 when they
+// hold every pair of the box, -1 when they hold none, 0 when they cut it.
+func (r *rect) bandsOver(a, b dist.IndexSet) int {
+	switch {
+	case r.dlo > b.Hi-a.Lo || r.dhi < b.Lo-a.Hi || r.slo > a.Hi+b.Hi || r.shi < a.Lo+b.Lo:
+		return -1
+	case r.dlo <= b.Lo-a.Hi && r.dhi >= b.Hi-a.Lo && r.slo <= a.Lo+b.Lo && r.shi >= a.Hi+b.Hi:
+		return 1
+	}
+	return 0
 }
 
 // rectEq reports structural equality — same sets, same bands. Used to
 // dedup footprint rects before inclusion-exclusion, whose cost is
 // exponential in the rect count.
-func rectEq(x, y rect) bool {
+func rectEq(x, y *rect) bool {
 	if x.dlo != y.dlo || x.dhi != y.dhi || x.slo != y.slo || x.shi != y.shi {
 		return false
 	}
@@ -175,53 +164,14 @@ func intersectRect(dst, x, y *rect) bool {
 	return true
 }
 
-// rectScratch is the working storage of one inclusion-exclusion walk:
-// the running intersection and the cursor into the rect list at each
-// depth, and the tally of the windowed sums its counts take. An engine
-// workspace owns one, so counting a union allocates nothing.
+// rectScratch is the working storage of one inclusion-exclusion walk
+// (anEngine.countFootprint): the running intersection and the cursor into
+// the rect list at each depth, and the windowed sums' storage and tally.
+// An engine workspace owns one, so counting a union allocates nothing.
 type rectScratch struct {
 	acc  [maxFootprintRects + 1]rect
 	next [maxFootprintRects + 1]int
 	win  winStats
-}
-
-// unionCount returns |within ∩ union of rs| by inclusion-exclusion, depth
-// first over the subsets of rs with an empty running intersection cutting
-// its whole subtree; a nil within is the whole plane. The rect count per
-// (array, processor) is bounded by the nest's read references (at most
-// maxFootprintRects), so the 2^k term stays tiny.
-func (sc *rectScratch) unionCount(rs []rect, within *rect) int64 {
-	sc.next[0] = 0
-	if within != nil {
-		sc.acc[0] = *within
-	}
-	var sum int64
-	for d := 0; d >= 0; {
-		j := sc.next[d]
-		if j == len(rs) {
-			d--
-			continue
-		}
-		sc.next[d] = j + 1
-		cur := &sc.acc[d+1]
-		if d == 0 && within == nil {
-			*cur = rs[j]
-		} else if !intersectRect(cur, &sc.acc[d], &rs[j]) {
-			continue
-		}
-		c := sc.win.count(cur)
-		if c == 0 {
-			continue
-		}
-		if d%2 == 0 {
-			sum += c
-		} else {
-			sum -= c
-		}
-		d++
-		sc.next[d] = j + 1
-	}
-	return sum
 }
 
 // ------------------------------------------------- windowed AP sums --
@@ -271,11 +221,13 @@ func (t *winTerm) eval(v int) int64 {
 // enumeration of v; the closed form takes over beyond it.
 const sumWindowedDirectCap = 64
 
-// winStats tallies the work of windowed sums: steps counts the residue
+// winStats tallies the work of windowed sums — steps counts the residue
 // classes scanned and the values of v walked, prods the products
-// evaluated. Only tests read it.
+// evaluated; only tests read them — and keeps the interval starts' list
+// from sum to sum.
 type winStats struct {
 	steps, prods int64
+	starts       []int
 }
 
 // sumWindowed returns sum over v in xs of the product over terms of
@@ -290,8 +242,34 @@ type winStats struct {
 // differences and hockey-stick binomial sums — exactly the
 // "sums of arithmetic-progression counts" closed form.
 func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
+	return ws.sumRouted(xs, terms, nil)
+}
+
+// winRoute sends a windowed sum's products to the owner coordinates of
+// their outer values: out[a] gains the products at the v that coordinate
+// a of the cyclic dimension d on n processors owns.
+type winRoute struct {
+	d   dist.Dim
+	n   int
+	out []int64
+}
+
+// sumRouted is sumWindowed, each product also added to its route's
+// owner coordinate when rt is not nil. The residue classes are those of
+// the period's lcm with the route's n*Block, so each is owned whole by
+// one coordinate and its closed-form sum is routed at once.
+func (ws *winStats) sumRouted(xs dist.IndexSet, terms []winTerm, rt *winRoute) int64 {
 	if xs.Hi < xs.Lo {
 		return 0
+	}
+	var rp int
+	if rt != nil {
+		rp = rt.n * rt.d.Block
+	}
+	route := func(v int, x int64) {
+		if rt != nil && x != 0 {
+			rt.out[dist.Mod(rt.d.Sign*v+rt.d.Disp, rp)/rt.d.Block] += x
+		}
 	}
 	prodAt := func(v int) int64 {
 		ws.prods++
@@ -311,7 +289,9 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 		var sum int64
 		for v := xs.Lo; v <= xs.Hi; v++ {
 			ws.steps++
-			sum += prodAt(v)
+			x := prodAt(v)
+			sum += x
+			route(v, x)
 		}
 		return sum
 	}
@@ -320,13 +300,14 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 	for _, t := range terms {
 		period = dist.LCM(period, t.set.Period)
 	}
+	if rt != nil {
+		period = dist.LCM(period, rp)
+	}
 
 	// Interval starts: v values where some endpoint ordering can change.
 	// One term adds at most 42 (four bounds: two hull crossings each and
-	// six pairwise crossings, three starts apiece), so two terms fit the
-	// stack buffer.
-	var startBuf [96]int
-	starts := append(startBuf[:0], xs.Lo)
+	// six pairwise crossings, three starts apiece).
+	starts := append(ws.starts[:0], xs.Lo)
 	addCross := func(v int) {
 		for _, d := range [3]int{-1, 0, 1} {
 			if x := v + d; x > xs.Lo && x <= xs.Hi {
@@ -356,6 +337,7 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 	}
 	slices.Sort(starts)
 	starts = slices.Compact(starts)
+	ws.starts = starts
 
 	deg := len(terms)
 	var sum int64
@@ -374,7 +356,9 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 			// interval at most once, so walk the values instead.
 			for v := l; v <= h; v++ {
 				ws.steps++
-				sum += prodAt(v)
+				x := prodAt(v)
+				sum += x
+				route(v, x)
 			}
 			continue
 		}
@@ -388,10 +372,13 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 				continue
 			}
 			n := int64((h-v0)/period) + 1
+			var class int64
 			if n <= int64(deg)+1 {
 				for t := int64(0); t < n; t++ {
-					sum += prodAt(v0 + int(t)*period)
+					class += prodAt(v0 + int(t)*period)
 				}
+				sum += class
+				route(v0, class)
 				continue
 			}
 			for t := 0; t <= deg; t++ {
@@ -405,8 +392,10 @@ func (ws *winStats) sumWindowed(xs dist.IndexSet, terms []winTerm) int64 {
 				}
 			}
 			for k := 0; k <= deg; k++ {
-				sum += samples[k] * binom(n, int64(k)+1)
+				class += samples[k] * binom(n, int64(k)+1)
 			}
+			sum += class
+			route(v0, class)
 		}
 	}
 	return sum
@@ -422,10 +411,19 @@ func floorDiv(a, b int) int {
 }
 
 // binom returns C(n, k) exactly; the running product is divisible by i
-// at each step.
+// at each step. The orders a windowed sum takes (k <= 3 for two terms)
+// divide by constants.
 func binom(n, k int64) int64 {
 	if k < 0 || k > n {
 		return 0
+	}
+	switch k {
+	case 1:
+		return n
+	case 2:
+		return n * (n - 1) / 2
+	case 3:
+		return n * (n - 1) / 2 * (n - 2) / 3
 	}
 	b := int64(1)
 	for i := int64(1); i <= k; i++ {

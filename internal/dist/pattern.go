@@ -319,6 +319,51 @@ func (s IndexSet) Intersect(o IndexSet) IndexSet {
 	return IndexSet{Lo: lo, Hi: hi, Period: p, mask: res}
 }
 
+// Within reports whether every member of s is a member of o: s's hull
+// inside o's (or s empty) and, read lifted to the lcm of the periods a
+// word at a time, no residue of s's mask outside o's — or, when s spans
+// fewer indices than that lcm, each member in o.
+func (s IndexSet) Within(o IndexSet) bool {
+	if s.Hi < s.Lo {
+		return true
+	}
+	if s.Lo < o.Lo || s.Hi > o.Hi {
+		lo, okLo := s.Min()
+		hi, _ := s.Max()
+		if !okLo {
+			return true
+		}
+		if lo < o.Lo || hi > o.Hi {
+			return false
+		}
+	}
+	if o.full() {
+		return true
+	}
+	p := LCM(s.Period, o.Period)
+	if s.Hi-s.Lo < p {
+		for x := s.Lo; x <= s.Hi; x++ {
+			if s.InClass(x) && !o.InClass(x) {
+				return false
+			}
+		}
+		return true
+	}
+	liftS, liftO := s.lifted(), o.lifted()
+	n := (p + 63) >> 6
+	last := ^uint64(0) >> (63 - (p-1)&63)
+	for w := 0; w < n; w++ {
+		x := liftS.word(w) &^ liftO.word(w)
+		if w == n-1 {
+			x &= last
+		}
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // liftedMask reads a mask as if repeated forever, a word at a time: word
 // w holds residues (64w + k) mod Period for k in [0, 64). A period below
 // 64 is first repeated across one word, rep.
@@ -445,70 +490,67 @@ func OwnedPatternIn(d Dim, n, a, size int, mask []uint64) IndexSet {
 	return IndexSet{Lo: 1, Hi: size, Period: p, mask: mask}
 }
 
-// MarkOwners sets, in the bitset coords (bit a in word a/64), every
-// coordinate of dimension d on n processors whose owned pattern can share
-// a member with s — a superset, so a coordinate left clear owns no member
-// of s. A replicated dimension has the one coordinate 0. A set no longer
-// than its period has at most one member per residue, and marks the
-// owner of each. Otherwise a contiguous dimension marks the blocks s's
-// hull spans; a cyclic one marks the blocks of a hull shorter than its
-// period n*Block, and else the owners of the residues s's mask holds,
-// when one period divides the other — every coordinate when neither does.
-func (s IndexSet) MarkOwners(d Dim, n int, coords []uint64) {
+// CountOwners adds to counts[a] the members of s that coordinate a of
+// dimension d on n processors owns, for every coordinate a, and appends
+// to coords each coordinate whose count it raises from zero: exactly the
+// coordinates s reaches, so a caller that clears those entries again
+// reuses counts from one set to the next. counts has room for n
+// coordinates; a replicated dimension has the one coordinate 0. A
+// contiguous dimension counts each block s's hull spans; a cyclic one
+// walks s's members when they span no more than the lcm L of its period
+// and n*Block, and its L residue classes otherwise, each owned whole by
+// one coordinate. The members of s must be indices the dimension maps.
+func (s IndexSet) CountOwners(d Dim, n int, counts []int64, coords []int) []int {
 	if s.Hi < s.Lo {
-		return
+		return coords
 	}
-	set := func(a int) { coords[a>>6] |= 1 << (a & 63) }
+	add := func(a int, c int64) {
+		if c == 0 {
+			return
+		}
+		if counts[a] == 0 {
+			coords = append(coords, a)
+		}
+		counts[a] += c
+	}
 	if d.Replicated {
-		set(0)
-		return
+		add(0, s.Count())
+		return coords
 	}
-	if s.Period > 1 && s.Hi-s.Lo < s.Period {
-		for x, ok := s.Min(); ok; x, ok = s.Clip(x+1, s.Hi).Min() {
-			if z := d.Sign*x + d.Disp; z >= 0 {
-				if a := z / d.Block; d.Cyclic {
-					set(a % n)
-				} else if a < n {
-					set(a)
-				}
-			}
-		}
-		return
-	}
-	zl, zh := d.Sign*s.Lo+d.Disp, d.Sign*s.Hi+d.Disp
-	if d.Sign == -1 {
-		zl, zh = zh, zl
-	}
-	zl = max(zl, 0) // no index maps below z = 0
-	if zh < zl {
-		return
-	}
-	wl, wh := zl/d.Block, zh/d.Block
 	if !d.Cyclic {
-		for a := wl; a <= min(wh, n-1); a++ {
-			set(a)
+		zl, zh := d.Sign*s.Lo+d.Disp, d.Sign*s.Hi+d.Disp
+		if d.Sign == -1 {
+			zl, zh = zh, zl
 		}
-		return
+		for a := max(zl, 0) / d.Block; a <= min(zh/d.Block, n-1); a++ {
+			// Coordinate a's block of z, pulled back to indices.
+			lo, hi := a*d.Block-d.Disp, (a+1)*d.Block-1-d.Disp
+			if d.Sign == -1 {
+				lo, hi = -hi, -lo
+			}
+			add(a, s.CountIn(lo, hi))
+		}
+		return coords
 	}
 	p := n * d.Block
-	switch {
-	case wh-wl+1 < n:
-		for w := wl; w <= wh; w++ {
-			set(w % n)
-		}
-	case s.Period > 1 && (s.Period%p == 0 || p%s.Period == 0):
-		for rho := s.nextOne(0); rho >= 0; {
-			for r := rho % p; r < p; r += s.Period {
-				set(Mod(d.Sign*r+d.Disp, p) / d.Block)
+	owner := func(x int) int { return Mod(d.Sign*x+d.Disp, p) / d.Block }
+	l := LCM(s.Period, p)
+	if s.Hi-s.Lo < l {
+		for x := s.Lo; x <= s.Hi; x++ {
+			if s.InClass(x) {
+				add(owner(x), 1)
 			}
-			if rho++; rho == s.Period {
-				break
-			}
-			rho = s.nextOne(rho)
 		}
-	default:
-		for a := 0; a < n; a++ {
-			set(a)
-		}
+		return coords
 	}
+	for rho := s.nextOne(0); rho >= 0; {
+		for r := rho; r < l; r += s.Period {
+			add(owner(r), countResidue(s.Lo, s.Hi, l, r))
+		}
+		if rho++; rho == s.Period {
+			break
+		}
+		rho = s.nextOne(rho)
+	}
+	return coords
 }

@@ -171,6 +171,12 @@ func checkSetOps(t *testing.T, label string, a, b IndexSet, l, h, sign, c int) {
 	if got := members(a.Intersect(b)); !slices.Equal(got, both) {
 		fail("Intersect = %v, want %v", got, both)
 	}
+	if got := a.Within(b); got != (len(both) == len(ma)) {
+		fail("Within = %v with %d of %d members in b", got, len(both), len(ma))
+	}
+	if got := b.Within(a); got != (len(both) == len(mb)) {
+		fail("b.Within(a) = %v with %d of %d members in a", got, len(both), len(mb))
+	}
 
 	var img []int
 	for _, v := range ma {
@@ -448,15 +454,17 @@ func TestDimJointCountsMatchesPairwise(t *testing.T) {
 	}
 }
 
-// TestMarkOwnersCoversOwners checks MarkOwners against the owners of a
-// set's members, found by mapDim one member at a time: every owner must
-// be marked, and for a non-empty interval or set no longer than its
-// period — the cases it locates block by block or member by member —
-// nothing else. Sets are drawn inside the dimension, with periods equal to, a
-// multiple or divisor of, or unrelated to the dimension's n*Block.
-func TestMarkOwnersCoversOwners(t *testing.T) {
+// TestCountOwnersMatchesOwners checks CountOwners against the owners of
+// a set's members, found by mapDim one member at a time: every coordinate
+// gets its members' count, the coordinate list names each coordinate with
+// a member once and no other, and a counts slice cleared along that list
+// serves the next set. Sets are drawn inside the dimension, with periods
+// equal to, a multiple or divisor of, or unrelated to the dimension's
+// n*Block, and spans on both sides of the lcm of the two periods.
+func TestCountOwnersMatchesOwners(t *testing.T) {
 	for _, seed := range setSeeds {
 		rng := rand.New(rand.NewSource(seed))
+		counts := make([]int64, 40)
 		for trial := 0; trial < 200; trial++ {
 			size, n := 1+rng.Intn(60), 1+rng.Intn(40)
 			d := randomDim(rng, size, n, 0)
@@ -476,23 +484,31 @@ func TestMarkOwnersCoversOwners(t *testing.T) {
 			}
 			lo := 1 + rng.Intn(size)
 			s := Periodic(lo, lo+rng.Intn(size-lo+1), member)
-			want, ms := make([]bool, n), members(s)
+			want, ms := make([]int64, n), members(s)
 			for _, x := range ms {
 				if a := d.mapDim(g, x); a == All {
-					want[0] = true
+					want[0]++
 				} else {
-					want[a] = true
+					want[a]++
 				}
 			}
-			coords := make([]uint64, (n+63)/64)
-			s.MarkOwners(d, n, coords)
-			exact := len(ms) > 0 && (s.Period == 1 || s.Hi-s.Lo < s.Period)
-			for a := 0; a < n; a++ {
-				got := coords[a/64]>>(a%64)&1 == 1
-				if want[a] && !got || exact && got && !want[a] {
-					t.Fatalf("seed %d trial %d: d=%+v n=%d set %+v (members %v): coordinate %d marked %v, owns a member %v",
-						seed, trial, d, n, s, ms, a, got, want[a])
+			coords := s.CountOwners(d, n, counts, nil)
+			listed := make([]bool, n)
+			for _, a := range coords {
+				if listed[a] || want[a] == 0 {
+					t.Fatalf("seed %d trial %d: d=%+v n=%d set %+v: coordinate %d listed twice or owning no member (list %v)",
+						seed, trial, d, n, s, a, coords)
 				}
+				listed[a] = true
+			}
+			for a := 0; a < n; a++ {
+				if counts[a] != want[a] || want[a] != 0 && !listed[a] {
+					t.Fatalf("seed %d trial %d: d=%+v n=%d set %+v (members %v): coordinate %d counted %d, listed %v, owns %d",
+						seed, trial, d, n, s, ms, a, counts[a], listed[a], want[a])
+				}
+			}
+			for _, a := range coords {
+				counts[a] = 0
 			}
 		}
 	}

@@ -196,7 +196,7 @@ func evalPanics(a Affine, bind map[string]int) (panicked bool) {
 // TestCanonicalAffineMatchesReference: over seeded random term lists, with
 // repeated variables, zero and cancelling coefficients and parameter-only
 // forms, the constructors return canonical values, equal expressions are
-// equal values, and Eval, IsConst, ConstDiff, String, Ref.equal and
+// equal values, and Eval, IsConst, ConstDiff, String, Ref.Equal and
 // Print→Parse agree with the map-based reference.
 func TestCanonicalAffineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -251,8 +251,8 @@ func TestCanonicalAffineMatchesReference(t *testing.T) {
 		if d, ok := a.PlusConst(cb).ConstDiff(a); !ok || d != cb {
 			t.Fatalf("%s: ConstDiff of a shift = %d, %v", what, d, ok)
 		}
-		if got, want := R("A", a, b).equal(R("A", b, a)), ra.equal(rb); got != want {
-			t.Fatalf("%s: Ref.equal = %v, want %v", what, got, want)
+		if got, want := R("A", a, b).Equal(R("A", b, a)), ra.equal(rb); got != want {
+			t.Fatalf("%s: Ref.Equal = %v, want %v", what, got, want)
 		}
 		bind := map[string]int{}
 		for _, v := range vars {
@@ -276,7 +276,7 @@ func TestCanonicalAffineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestAffineComparisonsAllocateNothing: ConstDiff and Ref.equal compare
+// TestAffineComparisonsAllocateNothing: ConstDiff and Ref.Equal compare
 // the terms in place.
 func TestAffineComparisonsAllocateNothing(t *testing.T) {
 	a := NewAffine(3, Term{Var: "i", Coeff: 1}, Term{Var: "m", Coeff: 2})
@@ -289,10 +289,10 @@ func TestAffineComparisonsAllocateNothing(t *testing.T) {
 		if _, ok := a.ConstDiff(c); ok {
 			panic("ConstDiff(i+2m+3, 2i+2m+3)")
 		}
-		if !r.equal(r) || r.equal(s) {
-			panic("Ref.equal")
+		if !r.Equal(r) || r.Equal(s) {
+			panic("Ref.Equal")
 		}
 	}); n != 0 {
-		t.Errorf("ConstDiff and Ref.equal allocate %v times", n)
+		t.Errorf("ConstDiff and Ref.Equal allocate %v times", n)
 	}
 }

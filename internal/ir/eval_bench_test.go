@@ -27,7 +27,7 @@ func treeOf(e Expr, st *Stmt, scalars []string) *treeNode {
 	case Scalar:
 		return &treeNode{op: opScalar, arg: int32(slices.Index(scalars, string(v)))}
 	case RefE:
-		return &treeNode{op: opRead, arg: int32(slices.IndexFunc(st.Reads, v.Ref.equal))}
+		return &treeNode{op: opRead, arg: int32(slices.IndexFunc(st.Reads, v.Ref.Equal))}
 	case NegE:
 		return &treeNode{op: opNeg, l: treeOf(v.E, st, scalars)}
 	case BinOp:

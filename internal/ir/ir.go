@@ -164,9 +164,9 @@ type Ref struct {
 // R builds a reference.
 func R(array string, subs ...Affine) Ref { return Ref{Array: array, Subs: subs} }
 
-// equal reports whether r and o are the same reference: one array, and
+// Equal reports whether r and o are the same reference: one array, and
 // equal subscripts.
-func (r Ref) equal(o Ref) bool {
+func (r Ref) Equal(o Ref) bool {
 	return r.Array == o.Array && slices.EqualFunc(r.Subs, o.Subs, Affine.equal)
 }
 

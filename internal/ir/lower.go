@@ -453,7 +453,7 @@ func (lw *Lowered) lowerExpr(out []lop, e Expr, nest *Nest, st *Stmt) ([]lop, er
 		}
 		return append(out, lop{op: opScalar, arg: int32(slot)}), nil
 	case RefE:
-		ri := slices.IndexFunc(st.Reads, v.Ref.equal)
+		ri := slices.IndexFunc(st.Reads, v.Ref.Equal)
 		if ri < 0 {
 			return out, fmt.Errorf("ir: %s line %d reads %s, which is not in its Reads %v", nest.Label, st.Line, v.Ref, st.Reads)
 		}

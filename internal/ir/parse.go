@@ -408,7 +408,7 @@ func (p *parser) statement(nest *Nest, label int) error {
 		if r.Array != lhs.Array {
 			continue
 		}
-		if r.equal(lhs) {
+		if r.Equal(lhs) {
 			selfRead = true
 		} else {
 			otherRead = true
