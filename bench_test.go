@@ -569,8 +569,16 @@ func BenchmarkAblationChunkSize(b *testing.B) {
 	}
 }
 
+// runExactWhole runs prog under ss, as one segment, with exec's
+// per-element engine (Case.RunExact) on the exec harness's seeded input:
+// the naive figure, which no input value moves.
+func runExactWhole(prog *ir.Program, ss *core.SchemeSet, m, n int, scalars map[string]float64, iters int, cfg machine.Config) (exec.Result, error) {
+	c := exec.Case{Prog: prog, M: m, N: n, Iters: iters, Scalars: scalars, Seed: 401}
+	return c.RunExact([]core.Segment{{Start: 1, Len: len(prog.Nests), Schemes: ss}}, cfg)
+}
+
 // BenchmarkNaiveBackendVsPipelined measures the end-to-end payoff of the
-// paper's optimizations: the naive compiler backend (exec.RunExact,
+// paper's optimizations: the naive compiler backend (Case.RunExact,
 // per-element transfers and reductions) against the hand-pipelined Fig 6
 // kernel for SOR.
 func BenchmarkNaiveBackendVsPipelined(b *testing.B) {
@@ -594,8 +602,7 @@ func BenchmarkNaiveBackendVsPipelined(b *testing.B) {
 	b.Run("naive-backend", func(b *testing.B) {
 		var t float64
 		for i := 0; i < b.N; i++ {
-			res, err := exec.RunExact(prog, ss, map[string]int{"m": m},
-				map[string]float64{"OMEGA": 1.2}, iters, machine.DefaultConfig(), input)
+			res, err := runExactWhole(prog, ss, m, n, map[string]float64{"OMEGA": 1.2}, iters, machine.DefaultConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -619,7 +626,7 @@ func BenchmarkNaiveBackendVsPipelined(b *testing.B) {
 // BenchmarkExecBatchedVsExact measures the tentpole of the batched
 // communication schedules: the inspector/executor engine (exec.Run,
 // collective redistribution and vectored reductions) against the
-// per-element oracle (exec.RunExact, one message per remote operand) on
+// per-element oracle (Case.RunExact, one message per remote operand) on
 // Gauss elimination at the paper's m=64, N=16 scale. Each reports the
 // simulated time of the run it executed; ns/op is the real-time gap, and
 // the custom metrics show the transport difference (messages on the
@@ -659,7 +666,7 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 		cfg := machine.DefaultConfig()
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
-			res, err := exec.RunExact(prog, ss, bind, nil, 1, cfg, input)
+			res, err := runExactWhole(prog, ss, m, n, nil, 1, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -705,7 +712,7 @@ func BenchmarkExecBatchedVsExact(b *testing.B) {
 		cfg := machine.DefaultConfig()
 		var last exec.Result
 		for i := 0; i < b.N; i++ {
-			res, err := exec.RunExact(sor, sss, bind, omega, sorIters, cfg, sorInput)
+			res, err := runExactWhole(sor, sss, m, n, omega, sorIters, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

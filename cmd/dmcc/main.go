@@ -21,7 +21,6 @@ import (
 	"dmcc/internal/cli"
 	"dmcc/internal/codegen"
 	"dmcc/internal/core"
-	"dmcc/internal/cost"
 	"dmcc/internal/exec"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
@@ -54,11 +53,13 @@ func main() {
 	} else if p, _ = ir.Builtin(*prog); p == nil {
 		cli.Usage("dmcc", fmt.Errorf("unknown program %q", *prog))
 	}
-	if err := run(p, *m, *n); err != nil {
+	c := caseOf(p, *m, *n)
+	plan, err := run(c)
+	if err != nil {
 		fatal(err)
 	}
 	if *doExec {
-		if err := execute(p, *m, *n); err != nil {
+		if err := execute(c, plan); err != nil {
 			fatal(err)
 		}
 	}
@@ -68,16 +69,21 @@ func fatal(err error) {
 	cli.Fail("dmcc", err)
 }
 
-// execute runs the compiled program on the simulated machine through the
+// caseOf is the exec case dmcc compiles and, under -exec, runs.
+func caseOf(p *ir.Program, m, n int) *exec.Case {
+	return &exec.Case{Prog: p, M: m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
+}
+
+// execute runs the compiled plan on the simulated machine through the
 // exec harness (seeded diagonally dominant system) and checks the result
 // against the sequential IR interpreter. It prints the plan the run
 // executed: one line per segment, with the words of the scheme change
 // into it, under it one line per nest with what one execution of the nest
 // did (exec.NestCount), and the change an iterative program crosses at
 // the iteration boundary.
-func execute(p *ir.Program, m, n int) error {
-	c := exec.Case{Prog: p, M: m, N: n, Iters: 3, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 7}
-	res, err := c.Run(machine.DefaultConfig())
+func execute(c *exec.Case, plan *core.CompileResult) error {
+	p := c.Prog
+	res, err := c.Run(plan.DP.Segments, machine.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -112,24 +118,27 @@ func execute(p *ir.Program, m, n int) error {
 	return nil
 }
 
-func run(p *ir.Program, m, n int) error {
-	fmt.Printf("=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, n, m)
+// run compiles the case's program, the plan execute runs, and prints the
+// compile: the affinity graph, the Algorithm 1 segments, the pipelining
+// decisions and the SPMD listing.
+func run(cs *exec.Case) (*core.CompileResult, error) {
+	p := cs.Prog
+	fmt.Printf("=== compiling %s for %d processors (m=%d) ===\n\n", p.Name, cs.N, cs.M)
 
-	bind, err := p.BindSize(m)
+	c, err := cs.Compiler()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c := core.NewCompiler(p, cost.Unit(), bind, n)
 	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, c.Weights)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Println(s)
 
 	c.Engines = &core.EngineStats{}
 	res, err := c.Compile()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Telemetry goes to stderr so stdout stays a pure function of the
 	// configuration.
@@ -169,5 +178,5 @@ func run(p *ir.Program, m, n int) error {
 	} else {
 		fmt.Printf("-- generated SPMD program --\n%s", code)
 	}
-	return nil
+	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/ir"
 )
 
@@ -17,7 +18,7 @@ import (
 func TestSkipLineNamesTheNest(t *testing.T) {
 	for _, name := range []string{"jacobi", "sor", "gauss", "matmul"} {
 		p, _ := ir.Builtin(name)
-		out := captureStdout(t, func() error { return run(p, 16, 1) })
+		out := captureStdout(t, func() error { _, err := run(caseOf(p, 16, 1)); return err })
 		want := "-- SPMD program skipped: codegen: nest " + p.Nests[0].Label + " has no distributed array under the chosen plan --\n"
 		if !strings.HasSuffix(out, want) {
 			t.Errorf("%s -n 1 ends\n%s\nwant the line\n%s", name, out[max(len(out)-200, 0):], want)
@@ -34,8 +35,10 @@ func TestExecRunsTheAlgorithm1Plan(t *testing.T) {
 	executed := regexp.MustCompile(`(?m)^  loops (L\d+\.\.L\d+) on (.+ grid \(\d+ processors\))`)
 	for _, name := range []string{"jacobi", "gauss"} {
 		p, _ := ir.Builtin(name)
-		compiled := captureStdout(t, func() error { return run(p, 64, 16) })
-		ran := captureStdout(t, func() error { return execute(p, 64, 16) })
+		c := caseOf(p, 64, 16)
+		var plan *core.CompileResult
+		compiled := captureStdout(t, func() (err error) { plan, err = run(c); return err })
+		ran := captureStdout(t, func() error { return execute(c, plan) })
 		segments := func(re *regexp.Regexp, out string) (segs [][2]string) {
 			for _, m := range re.FindAllStringSubmatch(out, -1) {
 				segs = append(segs, [2]string{m[1], m[2]})
@@ -70,7 +73,12 @@ func TestExecWordsDecompose(t *testing.T) {
 	for _, name := range ir.BuiltinNames() {
 		for _, n := range []int{4, 16} {
 			p, _ := ir.Builtin(name)
-			out := captureStdout(t, func() error { return execute(p, 64, n) })
+			c := caseOf(p, 64, n)
+			plan, err := c.Plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := captureStdout(t, func() error { return execute(c, plan) })
 			h, ran := header.FindStringSubmatch(out), machine.FindStringSubmatch(out)
 			if h == nil || ran == nil {
 				t.Fatalf("%s N=%d: no header or machine line in\n%s", name, n, out)

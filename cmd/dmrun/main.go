@@ -175,7 +175,11 @@ func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) err
 		return fmt.Errorf("-exec supports jacobi, sor and gauss (got %q)", kernel)
 	}
 	c := exec.Case{Prog: p, M: m, N: n, Iters: iters, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: seed}
-	res, err := c.Run(cfg)
+	plan, err := c.Plan()
+	if err != nil {
+		return err
+	}
+	res, err := c.Run(plan.DP.Segments, cfg)
 	if err != nil {
 		return err
 	}

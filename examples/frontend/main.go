@@ -10,8 +10,6 @@ import (
 	"log"
 	"os"
 
-	"dmcc/internal/core"
-	"dmcc/internal/cost"
 	"dmcc/internal/exec"
 	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
@@ -42,20 +40,21 @@ func main() {
 	}
 	fmt.Println()
 
-	compiler := core.NewCompiler(prog, cost.Unit(), map[string]int{"m": m}, n)
-	plan, err := compiler.Compile()
+	// The exec harness's case compiles the program and, below, runs the
+	// plan on its seeded system.
+	const seed = 11
+	c := exec.Case{Prog: prog, M: m, N: n, Iters: iters, Scalars: map[string]float64{"OMEGA": omega}, Seed: seed}
+	plan, err := c.Plan()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("compiled: DP cost %.0f, pipelinable=%v\n",
 		plan.DP.MinimumCost, plan.Pipelining[0].CanPipeline)
 
-	// Execute the compiled program with the naive backend: the per-element
-	// engine, one message per remote operand, on the exec harness's seeded
-	// system, checked against the sequential interpreter.
-	const seed = 11
-	c := exec.Case{Prog: prog, M: m, N: n, Iters: iters, Scalars: map[string]float64{"OMEGA": omega}, Seed: seed}
-	res, err := c.RunExact(machine.DefaultConfig())
+	// Execute the compiled plan with the naive backend: the per-element
+	// engine, one message per remote operand, checked against the
+	// sequential interpreter.
+	res, err := c.RunExact(plan.DP.Segments, machine.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

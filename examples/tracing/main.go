@@ -50,7 +50,12 @@ func main() {
 		})
 	run("five-point stencil, compiled (neighbour-only communication)",
 		func(cfg machine.Config) (kernels.Result, error) {
-			res, err := exec.Case{Prog: ir.Stencil(), M: m, N: n, Iters: 2, Seed: 7}.Run(cfg)
+			c := exec.Case{Prog: ir.Stencil(), M: m, N: n, Iters: 2, Seed: 7}
+			plan, err := c.Plan()
+			if err != nil {
+				return kernels.Result{}, err
+			}
+			res, err := c.Run(plan.DP.Segments, cfg)
 			return kernels.Result{Stats: res.Stats}, err
 		})
 }

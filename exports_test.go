@@ -36,9 +36,9 @@ var testOnly = map[string]string{
 	"dist.IndexSet.Contains":            "reference: set membership, the definition the enumeration oracles of the rect and windowed-sum tests count by",
 	"dist.Periodic":                     "test seam: a set from a member list, for the set tests of the packages above dist",
 	"dist.Scheme.OwnedIndices":          "reference: the enumeration oracle of OwnedPatternOf",
-	"exec.RunExact":                     "reference: the per-element oracle of Run on a one-segment plan, beside Case.RunExact's plan runs",
 	"grid.Grid.Rank":                    "reference: a tuple's row-major rank, Tuple's inverse; tests name processors by coordinates with it",
 	"grid.Grid.Tuple":                   "reference: Rank's inverse, the round-trip oracle of Rank and Coord",
+	"ir.LowerCalls":                     "test seam: counts lowerings, so tests pin how many an operation makes",
 	"ir.Storage.Load":                   "test seam: reads one element of a Storage, for tests that check single values",
 	"kernels.GaussPipelinedBlockCyclic": "paper formula: §6's load-balance claim, measured on a block-cyclic Fig 8 pipeline",
 	"machine.AsyncConfig":               "test seam: DefaultConfig with asynchronous collectives",

@@ -29,16 +29,13 @@
 //     N = 16). Redistribution and loop-carried costs by SchemeSet
 //     signature (pairs). All keys are concatenations of per-array strings
 //     a SchemeSet formats once, and a memoized set keeps each nest's key.
-//   - What depends on the program alone is established once per
-//     compiler: its validation, each nest's referenced arrays and
-//     loop-carried reads (prepared), and each nest's affinity-edge
-//     increments, which alignment sums per segment in a pooled search
-//     (align.Affinity.AlignSegment).
-//     What depends on the binding too — the program lowered under it
-//     (ir.Program.Lower: array shapes, loop bounds and subscripts) — is
-//     built once per compiler as well, but not in prepared: a
-//     PlanEvaluator's per-size compilers share their parent's prepared
-//     under a different Bind.
+//   - What depends on the program and its binding alone is one Analysis,
+//     built once and shared with every other consumer (exec, the
+//     evaluator, the interpreter): the checked lowering, each nest's
+//     referenced arrays and loop-carried reads, and each nest's
+//     affinity-edge increments, which alignment sums per segment in a
+//     pooled search (align.Affinity.AlignSegment). A PlanEvaluator's
+//     per-size pricers share its tables under lowerings of their own.
 //   - The DP's M[i][j] table, the scheme changes between the sets it
 //     produced and their loop-carried costs are warmed on a worker pool
 //     of GOMAXPROCS workers (precompute); one cell prices its grid shapes
@@ -100,13 +97,9 @@ type Compiler struct {
 	chgCache  map[[2]string]*memo[float64]
 	lcCache   map[string]*memo[float64]
 
-	prepOnce sync.Once
-	prep     *prepared
-	lowOnce  sync.Once
-	low      *ir.Lowered
-	lowErr   error
-	affOnce  sync.Once
-	aff      *align.Affinity
+	anOnce sync.Once
+	an     *Analysis
+	anErr  error
 }
 
 // EngineStats are cumulative telemetry counters of the counting engines
@@ -253,64 +246,91 @@ func (c *Compiler) jobs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// prepared is what a compiler establishes about its program once, before
-// the first cost query.
-type prepared struct {
-	err error // Program.Validate, then the lowering and its RangeAt under the binding
+// Analysis is what dmcc establishes about one program under one binding
+// before anything is priced, run or interpreted, once for every consumer:
+// the program's checked lowering (ir.Program.LowerChecked), each nest's
+// referenced arrays and loop-carried reads, and the affinity increments
+// alignment sums per segment, built once per weights' (N, Tc). It is safe
+// for concurrent use.
+type Analysis struct {
+	low *ir.Lowered
 	// refs[t] names the arrays nest t's statements reference, sorted —
 	// the arrays whose schemes its counts can depend on.
 	refs [][]string
 	// lastWrite[a] is the (0-based) index of the last nest writing a;
 	// empty unless the program is iterative.
 	lastWrite map[string]int
+
+	mu  sync.Mutex
+	aff map[[2]float64]*align.Affinity // by the weights' (N, Tc)
 }
 
-// prepared validates the program and the processor count and derives the
-// per-nest tables; the throwaway compilers of a PlanEvaluator inherit
-// their parent's.
-func (c *Compiler) prepared() (*prepared, error) {
-	c.prepOnce.Do(func() {
-		if c.prep != nil {
-			return
-		}
-		pr := &prepared{err: c.Program.Validate(), lastWrite: map[string]int{}}
-		if pr.err == nil && c.NProcs < 1 {
-			pr.err = fmt.Errorf("core: %d processors, below 1", c.NProcs)
-		}
-		if pr.err == nil {
-			var lw *ir.Lowered
-			if lw, pr.err = c.lowered(); pr.err == nil {
-				pr.err = lw.RangeAt(lw.Size())
+// Analyse validates p, lowers it under bind and checks its ranges at the
+// bound size, and derives its per-nest tables.
+func Analyse(p *ir.Program, bind map[string]int) (*Analysis, error) {
+	lw, err := p.LowerChecked(bind)
+	if err != nil {
+		return nil, err
+	}
+	an := &Analysis{low: lw, refs: make([][]string, len(p.Nests)), lastWrite: map[string]int{}}
+	var names []string // every nest's references, nest after nest
+	for t, nest := range p.Nests {
+		start := len(names)
+		for _, st := range nest.Stmts {
+			if p.Iterative {
+				an.lastWrite[st.LHS.Array] = t
+			}
+			names = append(names, st.LHS.Array)
+			for _, r := range st.Reads {
+				names = append(names, r.Array)
 			}
 		}
-		for t, nest := range c.Program.Nests {
-			var names []string
-			for _, st := range nest.Stmts {
-				if c.Program.Iterative {
-					pr.lastWrite[st.LHS.Array] = t
-				}
-				names = append(names, st.LHS.Array)
-				for _, r := range st.Reads {
-					names = append(names, r.Array)
-				}
-			}
-			slices.Sort(names)
-			pr.refs = append(pr.refs, slices.Compact(names))
-		}
-		c.prep = pr
-	})
-	return c.prep, c.prep.err
+		slices.Sort(names[start:])
+		an.refs[t] = slices.Compact(names[start:])
+	}
+	return an, nil
 }
 
-// lowered is the program under the compiler's own binding, lowered once; a
-// PlanEvaluator's per-size compilers are handed theirs.
-func (c *Compiler) lowered() (*ir.Lowered, error) {
-	c.lowOnce.Do(func() {
-		if c.low == nil {
-			c.low, c.lowErr = c.Program.Lower(c.Bind)
+// Lowered is the program lowered under the analysis's binding, shared by
+// every reader: it must not be re-bound (a size pricer re-binds a
+// lowering of its own).
+func (an *Analysis) Lowered() *ir.Lowered { return an.low }
+
+// Compiler is NewCompiler's compiler of the analysed program, which reads
+// an instead of analysing the program again.
+func (an *Analysis) Compiler(model cost.Model, nprocs int) *Compiler {
+	c := NewCompiler(an.low.Program, model, an.low.Bind, nprocs)
+	c.an = an
+	return c
+}
+
+// affinity is the program's affinity increments under wp's N and Tc,
+// built on first use (align.NewAffinity reads no other weight).
+func (an *Analysis) affinity(wp align.WeightParams) *align.Affinity {
+	key := [2]float64{float64(wp.N), wp.Tc}
+	an.mu.Lock()
+	defer an.mu.Unlock()
+	if an.aff[key] == nil {
+		if an.aff == nil {
+			an.aff = map[[2]float64]*align.Affinity{}
+		}
+		an.aff[key] = align.NewAffinity(an.low, wp)
+	}
+	return an.aff[key]
+}
+
+// analysis is the compiler's Analysis — handed in (Analysis.Compiler, a
+// PlanEvaluator's pricers) or built from Program and Bind on first use —
+// once the processor count is checked.
+func (c *Compiler) analysis() (*Analysis, error) {
+	c.anOnce.Do(func() {
+		if c.NProcs < 1 {
+			c.anErr = fmt.Errorf("core: %d processors, below 1", c.NProcs)
+		} else if c.an == nil {
+			c.an, c.anErr = Analyse(c.Program, c.Bind)
 		}
 	})
-	return c.low, c.lowErr
+	return c.an, c.anErr
 }
 
 // schemeSet is the scheme set DeriveSchemes makes of an alignment on one
@@ -325,24 +345,20 @@ func (c *Compiler) lowered() (*ir.Lowered, error) {
 // the segment-specific cut weight. It also carries, for this compiler's
 // program, each nest's key in the nest memo.
 func (c *Compiler) schemeSet(assign []byte, method string, shape [2]int, cyclic bool) (*SchemeSet, error) {
-	lw, err := c.lowered()
+	an, err := c.analysis()
 	if err != nil {
 		return nil, err
 	}
 	derive := func() (*SchemeSet, error) {
-		ss, err := deriveSchemes(lw, partitionOf(lw, assign, method), shape, cyclic)
+		ss, err := deriveSchemes(an.low, partitionOf(an.low, assign, method), shape, cyclic)
 		if err != nil || c.noCache {
 			return ss, err
 		}
-		pr, err := c.prepared()
-		if err != nil {
-			return nil, err
-		}
-		ss.nestKeys = make([]string, len(pr.refs))
-		for t, refs := range pr.refs {
+		ss.nestKeys = make([]string, len(an.refs))
+		for t, refs := range an.refs {
 			ss.nestKeys[t] = ss.restrictedKey(refs)
 		}
-		ss.keysOf = pr
+		ss.keysOf = an
 		return ss, nil
 	}
 	if !c.noCache {
@@ -377,15 +393,12 @@ func partitionOf(lw *ir.Lowered, assign []byte, method string) align.Partition {
 // has a scheme dist.Scheme.Validate accepts for the array's shape on the
 // set's grid — so the nest counts behind it may skip the check.
 func (c *Compiler) checkSchemes(ss *SchemeSet) error {
-	pr, err := c.prepared()
+	an, err := c.analysis()
 	if err != nil {
 		return err
 	}
-	lw, err := c.lowered()
-	if err != nil {
-		return err
-	}
-	for _, refs := range pr.refs {
+	lw := an.low
+	for _, refs := range an.refs {
 		for _, name := range refs {
 			s, ok := ss.Schemes[name]
 			if !ok {
@@ -402,8 +415,8 @@ func (c *Compiler) checkSchemes(ss *SchemeSet) error {
 // loopCarried reports whether a read of array a in nest t (0-based) takes
 // its value from a later write of the same iteration-body pass — a write
 // by nest t or after — i.e. crosses the iterative loop's back edge.
-func (pr *prepared) loopCarried(t int, a string) bool {
-	last, written := pr.lastWrite[a]
+func (an *Analysis) loopCarried(t int, a string) bool {
+	last, written := an.lastWrite[a]
 	return written && last >= t
 }
 
@@ -450,16 +463,16 @@ func (c *Compiler) fanOut(n int, fn func(k int) error) error {
 // them a PlanEvaluator's per-size compilers, which price every nest once
 // — go to the engine directly.
 func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, error) {
-	pr, err := c.prepared()
+	an, err := c.analysis()
 	if err != nil {
 		return cost.Counts{}, err
 	}
-	price := func() (nestValue, error) { return c.priceNest(pr, t, carried, ss) }
+	price := func() (nestValue, error) { return c.priceNest(an, t, carried, ss) }
 	var v nestValue
 	if c.noCache || c.ExactNestCount {
 		v, err = price()
 	} else {
-		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.nestKey(pr, t)}, price)
+		v, err = cached(c, &c.nestCache, nestKey{t, carried, ss.nestKey(an, t)}, price)
 	}
 	if c.Engines != nil && err == nil {
 		if v.eng == cost.EngineAnalytic {
@@ -474,27 +487,22 @@ func (c *Compiler) countNest(t int, carried bool, ss *SchemeSet) (cost.Counts, e
 // priceNest is one invocation of the counting engine the configuration
 // selects: closed forms with the reference walker behind them by
 // default, the reference walker alone under ExactNestCount.
-func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (v nestValue, err error) {
+func (c *Compiler) priceNest(an *Analysis, t int, carried bool, ss *SchemeSet) (v nestValue, err error) {
 	if c.Engines != nil {
 		c.Engines.NestPricings.Add(1)
 	}
-	nest := c.Program.Nests[t]
 	opts := cost.CountOptions{
-		IncludeRead: func(a string) bool { return pr.loopCarried(t, a) == carried },
+		IncludeRead: func(a string) bool { return an.loopCarried(t, a) == carried },
 		Carried:     carried,
-	}
-	if c.ExactNestCount {
-		v.eng = cost.EngineExact
-		v.ct, err = cost.CountNestOptsExact(c.Program, nest, ss.Schemes, ss.Grid, c.Bind, opts)
-		return v, err
-	}
-	lw, err := c.lowered()
-	if err != nil {
-		return v, err
 	}
 	// ss was validated when it was derived (schemeSet) or handed in
 	// (checkSchemes), against the same shapes on the same grid.
-	v.ct, v.eng, err = cost.CountValidatedNest(lw, t, ss.Schemes, ss.Grid, opts)
+	if c.ExactNestCount {
+		v.eng = cost.EngineExact
+		v.ct, err = cost.CountValidatedNestExact(an.low, t, ss.Schemes, ss.Grid, opts)
+		return v, err
+	}
+	v.ct, v.eng, err = cost.CountValidatedNest(an.low, t, ss.Schemes, ss.Grid, opts)
 	return v, err
 }
 
@@ -504,12 +512,11 @@ func (c *Compiler) priceNest(pr *prepared, t int, carried bool, ss *SchemeSet) (
 // returns s's subset bytes, one per array dimension in AllDims order, and
 // the algorithm the graph's size picked; a heuristic answer is counted.
 func (c *Compiler) alignNests(lo, hi int, s *align.Search) ([]byte, string, error) {
-	lw, err := c.lowered()
+	an, err := c.analysis()
 	if err != nil {
 		return nil, "", err
 	}
-	c.affOnce.Do(func() { c.aff = align.NewAffinity(lw, c.Weights) })
-	assign, _, method, err := c.aff.AlignSegment(lo, hi, 2, s)
+	assign, _, method, err := an.affinity(c.Weights).AlignSegment(lo, hi, 2, s)
 	if err == nil && method != "exact" && c.Engines != nil {
 		c.Engines.GreedyAlignments.Add(1)
 	}
@@ -558,9 +565,6 @@ func (c *Compiler) segmentCost(i, j int) (segValue, error) {
 func (c *Compiler) Candidates(i, j int, shapes [][2]int) ([]*SchemeSet, []float64, error) {
 	if i < 1 || j < 1 || i+j-1 > len(c.Program.Nests) {
 		return nil, nil, fmt.Errorf("core: segment (%d,%d) out of range", i, j)
-	}
-	if _, err := c.prepared(); err != nil {
-		return nil, nil, err
 	}
 	search := searches.Get().(*align.Search)
 	defer searches.Put(search)
@@ -644,10 +648,11 @@ func (c *Compiler) changeLoads(from, to *SchemeSet, acc *dist.ScaledLoads) error
 // its shape under the compiler's binding and its scheme on either side of
 // the change.
 func (c *Compiler) eachArrayChange(from, to *SchemeSet, visit func(shape []int, sFrom, sTo dist.Scheme) error) error {
-	lw, err := c.lowered()
+	an, err := c.analysis()
 	if err != nil {
 		return err
 	}
+	lw := an.low
 	for a, name := range lw.Names {
 		sFrom, ok1 := from.Schemes[name]
 		sTo, ok2 := to.Schemes[name]
@@ -763,7 +768,7 @@ type CompileResult struct {
 // parallel first; the DP itself always runs serially over the caches, so
 // the result does not depend on Jobs.
 func (c *Compiler) Compile() (*CompileResult, error) {
-	if _, err := c.prepared(); err != nil {
+	if _, err := c.analysis(); err != nil {
 		return nil, err
 	}
 	s := len(c.Program.Nests)

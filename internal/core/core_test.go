@@ -53,7 +53,7 @@ func TestDeriveSchemesJacobiRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := DeriveSchemes(c.Program, pt, [2]int{4, 1}, c.Bind, false)
+	ss, err := DeriveSchemes(c.an, pt, [2]int{4, 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +211,11 @@ func TestChangeCostRowToColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := DeriveSchemes(c.Program, pt1, [2]int{n, 1}, c.Bind, false)
+	rows, err := DeriveSchemes(c.an, pt1, [2]int{n, 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := DeriveSchemes(c.Program, pt1, [2]int{1, n}, c.Bind, false)
+	cols, err := DeriveSchemes(c.an, pt1, [2]int{1, n}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestDeriveSchemesValidatesAll(t *testing.T) {
 	}
 	for _, shape := range GridShapes(n) {
 		for _, cyc := range []bool{false, true} {
-			ss, err := DeriveSchemes(c.Program, pt, shape, c.Bind, cyc)
+			ss, err := DeriveSchemes(c.an, pt, shape, cyc)
 			if err != nil {
 				t.Fatalf("shape %v cyclic %v: %v", shape, cyc, err)
 			}
@@ -473,7 +473,7 @@ func TestChangeCostMatchesOracle(t *testing.T) {
 		var sets []*SchemeSet
 		for _, shape := range GridShapes(n) {
 			for _, cyc := range []bool{false, true} {
-				ss, err := DeriveSchemes(c.Program, pt, shape, c.Bind, cyc)
+				ss, err := DeriveSchemes(c.an, pt, shape, cyc)
 				if err != nil {
 					t.Fatalf("%s shape %v: %v", prog.Name, shape, err)
 				}

@@ -20,7 +20,6 @@ import (
 	"dmcc/internal/align"
 	"dmcc/internal/cost"
 	"dmcc/internal/dist"
-	"dmcc/internal/ir"
 )
 
 // PlanEvaluator re-prices one frozen compilation plan across problem
@@ -33,7 +32,6 @@ type PlanEvaluator struct {
 	// evaluator's Base holds no DP table and no pipelining decisions.
 	Base    *CompileResult
 	BaseM   int
-	low     *ir.Lowered            // the program lowered at BaseM: RangeAt checks every size on it
 	execSym []*cost.SymbolicCounts // per nest (0-based), after Fit
 	lcSym   []*cost.SymbolicCounts // loop-carried words per nest, after Fit
 	chgSym  []*cost.SymbolicLoads  // boundary into segment i (chgSym[0] unused), after Fit
@@ -78,8 +76,7 @@ func NewPlanEvaluator(c *Compiler) (*PlanEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	lw, _ := c.lowered() // Compile succeeded, so the lowering did
-	return &PlanEvaluator{c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]], low: lw}, nil
+	return &PlanEvaluator{c: c, Base: res, BaseM: c.Bind[c.Program.Params[0]]}, nil
 }
 
 // gridShape is a segment's grid shape, N1 x N2.
@@ -126,9 +123,10 @@ func (pe *PlanEvaluator) sizePrices(n int) []sizePrice {
 
 // sizePricer is what priceAt works in: a compiler whose binding and
 // lowering it owns, the lowering built once and re-bound to each size
-// (ir.Lowered.Rebind), each segment's scheme set, re-derived in place
-// at every size, and the loads of the scheme change being priced. One
-// pricer serves one priceAt at a time.
+// (ir.Lowered.Rebind) under the evaluator's analysis's per-nest tables,
+// each segment's scheme set, re-derived in place at every size, and the
+// loads of the scheme change being priced. One pricer serves one priceAt
+// at a time.
 type sizePricer struct {
 	c    *Compiler
 	sets []*SchemeSet
@@ -145,27 +143,16 @@ func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
 		return sp, nil
 	}
 	pe.mu.Unlock()
-	p := pe.c.Program
-	bind := map[string]int{p.Params[0]: m}
-	lw, err := p.Lower(bind)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := pe.c.prepared()
+	lw, err := pe.c.Program.Lower(map[string]int{pe.c.Program.Params[0]: m})
 	if err != nil {
 		return nil, err
 	}
 	// The compiler shares the program's per-nest tables, the model and
 	// the engine counters, and runs uncached: it prices each query once,
 	// so memo keys would be pure cost.
-	ec := &Compiler{
-		Program: p, Model: pe.c.Model, Bind: bind,
-		NProcs: pe.c.NProcs, Weights: pe.c.Weights, noCache: true,
-		ExactNestCount: pe.c.ExactNestCount,
-		Engines:        pe.c.Engines,
-		prep:           prep,
-		low:            lw,
-	}
+	an := &Analysis{low: lw, refs: pe.c.an.refs, lastWrite: pe.c.an.lastWrite}
+	ec := an.Compiler(pe.c.Model, pe.c.NProcs)
+	ec.noCache, ec.ExactNestCount, ec.Engines = true, pe.c.ExactNestCount, pe.c.Engines
 	return &sizePricer{c: ec, sets: make([]*SchemeSet, len(pe.Base.DP.Segments))}, nil
 }
 
@@ -174,24 +161,24 @@ func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
 // place after.
 func (sp *sizePricer) set(i int, seg Segment) (*SchemeSet, error) {
 	if ss := sp.sets[i]; ss != nil {
-		return ss, ss.rederive(sp.c.low)
+		return ss, ss.rederive(sp.c.an.low)
 	}
 	pt := align.Partition{Assign: seg.Schemes.Partition.Assign, Method: seg.Schemes.Partition.Method}
-	ss, err := deriveSchemes(sp.c.low, pt, gridShape(seg), seg.Schemes.Cyclic)
+	ss, err := deriveSchemes(sp.c.an.low, pt, gridShape(seg), seg.Schemes.Cyclic)
 	sp.sets[i] = ss
 	return ss, err
 }
 
 // priceAt prices the frozen plan numerically at size m into out, which
 // sizePrices made. It checks the program's ranges at m first (RangeAt on
-// the base lowering) — a constant-extent array can be in range at the
+// the analysis's lowering) — a constant-extent array can be in range at the
 // base size and out of it here — then re-binds a pricer to m, re-derives
 // each segment's schemes under the frozen alignment and grid shape, and
 // prices every nest's two passes and every boundary's scheme change:
 // nothing is lowered or derived afresh, and the counts themselves run in
 // the counter's reused workspace.
 func (pe *PlanEvaluator) priceAt(m int, out *sizePrice) error {
-	if err := pe.low.RangeAt(m); err != nil {
+	if err := pe.c.an.low.RangeAt(m); err != nil {
 		return err
 	}
 	sp, err := pe.pricer(m)
@@ -205,7 +192,7 @@ func (pe *PlanEvaluator) priceAt(m int, out *sizePrice) error {
 	}()
 	p, ec, segs := pe.c.Program, sp.c, pe.Base.DP.Segments
 	ec.Bind[p.Params[0]] = m
-	if err := ec.low.Rebind(ec.Bind); err != nil {
+	if err := ec.an.low.Rebind(ec.Bind); err != nil {
 		return err
 	}
 	var prev, ss *SchemeSet
@@ -238,7 +225,7 @@ func (pe *PlanEvaluator) priceAt(m int, out *sizePrice) error {
 // when FittedAt(m) — O(degree) arithmetic, no scheme derivation, no
 // counting or redistribution calculator — otherwise numerically through
 // priceAt, the sizes Fit samples. Both paths first check the program's
-// ranges at m on the base lowering, so a size past an extent is the
+// ranges at m on the analysis's lowering, so a size past an extent is the
 // *ir.RangeError whichever path would price it. Nothing re-runs
 // alignment, the shape search, or the DP. The fitted path evaluates only
 // the counts a price reads, and one of them past int64 is an error, not a
@@ -254,7 +241,7 @@ func (pe *PlanEvaluator) EvalAt(m int) (PlanCost, error) {
 			func(t int) (cost.Counts, error) { return sp.lc[t], nil },
 			func(i int) (float64, error) { return sp.chg[i].maxLoad(), nil })
 	}
-	if err := pe.low.RangeAt(m); err != nil {
+	if err := pe.c.an.low.RangeAt(m); err != nil {
 		return PlanCost{}, err
 	}
 	return pe.sum(

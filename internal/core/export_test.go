@@ -21,8 +21,7 @@ func (c *Compiler) partition(lo, hi int) (align.Partition, error) {
 	if err != nil {
 		return align.Partition{}, err
 	}
-	lw, _ := c.lowered() // alignNests lowered the program
-	return partitionOf(lw, assign, method), nil
+	return partitionOf(c.an.low, assign, method), nil // alignNests analysed the program
 }
 
 // assignOf is pt's subsets as schemeSet takes them: one byte per array

@@ -159,14 +159,22 @@ func (fp *FrozenPlan) Validate(p *ir.Program) error {
 // frozen plan, without compiling: its Base is rebuilt from the recorded
 // segments (scheme sets re-derived from the alignment partitions) and
 // costs, with no DP table and no pipelining decisions, and any recorded
-// fits are reinstated. The compiler must be configured identically to the one
-// that produced the plan (same CacheKey) for the evaluator to be
+// fits are reinstated. The compiler must be bound at the plan's BaseM,
+// whose analysis the evaluator reads, and configured identically to the
+// one that produced the plan (same CacheKey) for the evaluator to be
 // meaningful — the artifact store enforces that by keying on it.
 func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 	if len(c.Program.Params) != 1 {
 		return nil, fmt.Errorf("core: PlanEvaluator sweeps exactly one size parameter, program %s has %d", c.Program.Name, len(c.Program.Params))
 	}
+	if m := c.Bind[c.Program.Params[0]]; m != fp.BaseM {
+		return nil, fmt.Errorf("core: plan baseM=%d does not match m=%d", fp.BaseM, m)
+	}
 	if err := fp.Validate(c.Program); err != nil {
+		return nil, err
+	}
+	an, err := c.analysis()
+	if err != nil {
 		return nil, err
 	}
 	dp := &DPResult{
@@ -179,11 +187,6 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 		c: c, Base: &CompileResult{DP: dp, WholeProgramCost: fp.WholeCost}, BaseM: fp.BaseM,
 		execSym: fp.ExecFits, lcSym: fp.LCFits, chgSym: fp.ChgFits, fitMinM: fp.FitMinM,
 	}
-	lw, err := c.Program.Lower(map[string]int{c.Program.Params[0]: fp.BaseM})
-	if err != nil {
-		return nil, err
-	}
-	pe.low = lw
 	for _, seg := range fp.Segments {
 		// A plan frozen for another processor count would price that
 		// machine's grids under this compiler's key.
@@ -194,7 +197,7 @@ func Thaw(c *Compiler, fp *FrozenPlan) (*PlanEvaluator, error) {
 		for _, a := range seg.Assign {
 			pt.Assign[ir.DimID{Array: a.Array, Dim: a.Dim}] = a.Subset
 		}
-		set, err := deriveSchemes(lw, pt, seg.Shape, seg.Cyclic)
+		set, err := deriveSchemes(an.low, pt, seg.Shape, seg.Cyclic)
 		if err != nil {
 			return nil, fmt.Errorf("core: thawing segment (%d,%d): %w", seg.Start, seg.Len, err)
 		}

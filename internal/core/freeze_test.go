@@ -143,6 +143,22 @@ func TestThawRefusesAnotherProcessorCount(t *testing.T) {
 	}
 }
 
+// TestThawRefusesAnotherSize: an evaluator reads its compiler's analysis
+// at the plan's base size, so a compiler bound at any other size refuses
+// the plan with an error naming both sizes.
+func TestThawRefusesAnotherSize(t *testing.T) {
+	pe, err := NewPlanEvaluator(NewCompiler(ir.Jacobi(), cost.Unit(), map[string]int{"m": 16}, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{8, 32} {
+		_, err := Thaw(NewCompiler(ir.Jacobi(), cost.Unit(), map[string]int{"m": m}, 4), pe.Freeze())
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("baseM=16 does not match m=%d", m)) {
+			t.Errorf("Thaw of an m = 16 plan into a compiler at m = %d: error %v, want one naming both sizes", m, err)
+		}
+	}
+}
+
 // CacheKey must separate everything that changes results and nothing
 // that does not (Jobs).
 func TestCacheKeyDiscriminates(t *testing.T) {

@@ -255,7 +255,7 @@ func TestSchemeSetSignature(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := DeriveSchemes(p, pt, shape, c.Bind, false)
+		ss, err := DeriveSchemes(c.an, pt, shape, false)
 		if err != nil {
 			t.Fatal(err)
 		}

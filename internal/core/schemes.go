@@ -44,7 +44,7 @@ type SchemeSet struct {
 	// behind keysOf references, formatted once when a compiler's memo
 	// derived the set.
 	nestKeys []string
-	keysOf   *prepared
+	keysOf   *Analysis
 }
 
 // String summarizes the scheme set.
@@ -120,11 +120,11 @@ func (ss *SchemeSet) restrictedKey(arrays []string) string {
 // nestKey is restrictedKey over the arrays nest t references, formatted
 // when the compiler that derived the set first shared it, and afresh for
 // any other set.
-func (ss *SchemeSet) nestKey(pr *prepared, t int) string {
-	if ss.keysOf == pr {
+func (ss *SchemeSet) nestKey(an *Analysis, t int) string {
+	if ss.keysOf == an {
 		return ss.nestKeys[t]
 	}
-	return ss.restrictedKey(pr.refs[t])
+	return ss.restrictedKey(an.refs[t])
 }
 
 // appendSchemeKey appends one array's placement, encoded as Signature
@@ -206,16 +206,12 @@ func GridShapes(n int) [][2]int {
 // (rectangular iteration spaces) or a cyclic distribution (triangular
 // ones); remaining grid dimensions of lower-rank arrays are replicated,
 // following the end of Section 2.1.
-func DeriveSchemes(p *ir.Program, pt align.Partition, shape [2]int, bind map[string]int, cyclic bool) (*SchemeSet, error) {
-	lw, err := p.Lower(bind)
-	if err != nil {
-		return nil, err
-	}
-	return deriveSchemes(lw, pt, shape, cyclic)
+func DeriveSchemes(an *Analysis, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
+	return deriveSchemes(an.low, pt, shape, cyclic)
 }
 
-// deriveSchemes is DeriveSchemes over the array shapes of a program
-// lowered beforehand, which a compiler does once for its binding.
+// deriveSchemes is DeriveSchemes over the array shapes of a lowering,
+// which a size pricer re-binds.
 func deriveSchemes(lw *ir.Lowered, pt align.Partition, shape [2]int, cyclic bool) (*SchemeSet, error) {
 	kind := "block"
 	if cyclic {

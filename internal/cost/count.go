@@ -135,42 +135,34 @@ func CountNestOpts(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme,
 	return ct, err
 }
 
-// CountValidatedNest is CountNestOpts for nest t of a program a caller
-// has validated and lowered, handing every array the nest references a
+// CountValidatedNest is CountNestOpts for nest t of a checked lowering
+// (ir.Program.LowerChecked), handing every array the nest references a
 // scheme that dist.Scheme.Validate accepts for the array's shape on g. It
 // also reports which engine produced the counts: the compiler's
-// analytic_hits / exact_fallbacks telemetry. Core does all of the
-// checking once — the program and its lowering per compiler, each scheme
-// when it derives the scheme set — not once per pricing. CountNestOpts
-// validates and then calls this, so every caller counts with the same
-// engine.
+// analytic_hits / exact_fallbacks telemetry. Core checks once — the
+// program in its analysis, each scheme when it derives the scheme set —
+// not once per pricing.
 func CountValidatedNest(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, Engine, error) {
 	if ct, ok, err := countNestAnalytic(lw, t, schemes, g, opts); err != nil {
 		return Counts{}, EngineAnalytic, err
 	} else if ok {
 		return ct, EngineAnalytic, nil
 	}
-	ct, err := countNestExact(lw, t, schemes, g, opts)
+	ct, err := CountValidatedNestExact(lw, t, schemes, g, opts)
 	return ct, EngineExact, err
 }
 
-// validateNest validates p, finds nest among its nests, lowers p under
-// bind, checks its ranges (ir.Lowered.RangeAt), and checks that every
-// array the nest references has a scheme valid for its shape on g.
+// validateNest finds nest among p's nests, takes p's checked lowering
+// under bind (ir.Program.LowerChecked), and checks that every array the
+// nest references has a scheme valid for its shape on g.
 func validateNest(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Scheme, g *grid.Grid, bind map[string]int) (*ir.Lowered, int, error) {
-	if err := p.Validate(); err != nil {
+	lw, err := p.LowerChecked(bind)
+	if err != nil {
 		return nil, 0, err
 	}
 	t := slices.Index(p.Nests, nest)
 	if t < 0 {
 		return nil, 0, fmt.Errorf("cost: nest %s is not one of program %s's", nest.Label, p.Name)
-	}
-	lw, err := p.Lower(bind)
-	if err == nil {
-		err = lw.RangeAt(lw.Size())
-	}
-	if err != nil {
-		return nil, 0, err
 	}
 	ln := &lw.Nests[t]
 	for si := range ln.Stmts {
@@ -220,13 +212,13 @@ func CountNestOptsExact(p *ir.Program, nest *ir.Nest, schemes map[string]dist.Sc
 	if err != nil {
 		return Counts{}, err
 	}
-	return countNestExact(lw, t, schemes, g, opts)
+	return CountValidatedNestExact(lw, t, schemes, g, opts)
 }
 
-// countNestExact is CountNestOptsExact on nest t of a validated lowering:
-// it walks the nest's instances (ir.LNest.Walk) and names every element
-// by its lowered subscripts.
-func countNestExact(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, error) {
+// CountValidatedNestExact is CountNestOptsExact for nest t of a lowering
+// validated as CountValidatedNest's is: it walks the nest's instances
+// (ir.LNest.Walk) and names every element by its lowered subscripts.
+func CountValidatedNestExact(lw *ir.Lowered, t int, schemes map[string]dist.Scheme, g *grid.Grid, opts CountOptions) (Counts, error) {
 	c := &exactCount{lw: lw, t: t, opts: opts, iv: make([]int, len(lw.Nests[t].Loops)),
 		flops: map[int]int64{}, needed: map[needKey]bool{}, partials: map[elemKey]map[int]bool{}, partialRoot: map[elemKey]int{},
 		owners: &ownerCache{lw: lw, g: g, schemes: schemes, m: map[elemKey][]int{}}}

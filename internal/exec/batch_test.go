@@ -184,7 +184,7 @@ func TestBatchedMatchesExactKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: batched: %v", label, err)
 			}
-			want, err := RunExact(c.p, ss, bind, c.scalars, c.iters, machine.DefaultConfig(), input)
+			want, err := runExact(mustLower(t, c.p, bind), wholeProgram(c.p, ss), c.scalars, c.iters, machine.DefaultConfig(), input)
 			if err != nil {
 				t.Fatalf("%s: exact: %v", label, err)
 			}
@@ -291,7 +291,7 @@ func TestBatchedMatchesExactFuzz(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batched: %v\n%s", err, fuzzCase(seed, trial, n, p))
 				}
-				want, err := RunExact(p, ss, bind, nil, iters, cfg, input)
+				want, err := runExact(mustLower(t, p, bind), wholeProgram(p, ss), nil, iters, cfg, input)
 				if err != nil {
 					t.Fatalf("exact: %v\n%s", err, fuzzCase(seed, trial, n, p))
 				}

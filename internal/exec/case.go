@@ -16,7 +16,10 @@ import (
 // the one place that decides what the machine runs — the compiled plan,
 // its segments joined by their scheme changes — what the arrays hold when
 // it starts, and what its result is checked against; the tools, the
-// sweeps, the report and the examples run programs through it.
+// sweeps, the report and the examples run programs through it. Its
+// methods share one analysis of the program at M (core.Analysis), built
+// on first use, after which Prog and M must not change; use a Case from
+// one goroutine.
 type Case struct {
 	Prog *ir.Program
 	// M binds the program's size parameter (Program.BindSize); N is the
@@ -28,26 +31,48 @@ type Case struct {
 	Scalars map[string]float64
 	// Seed draws the input system (Input).
 	Seed int64
+
+	an *core.Analysis
 }
 
-func (c Case) bind() (map[string]int, error) { return c.Prog.BindSize(c.M) }
+// analysis is the program analysed at M, built on the first call.
+func (c *Case) analysis() (*core.Analysis, error) {
+	if c.an != nil {
+		return c.an, nil
+	}
+	bind, err := c.Prog.BindSize(c.M)
+	if err == nil {
+		c.an, err = core.Analyse(c.Prog, bind)
+	}
+	return c.an, err
+}
 
 // Iterations is the number of times the run executes the program's nests.
-func (c Case) Iterations() int {
+func (c *Case) Iterations() int {
 	if !c.Prog.Iterative {
 		return 1
 	}
 	return c.Iters
 }
 
-// Plan is the plan the machine runs: the program compiled under the unit
-// cost model, whose Algorithm 1 segments Run and RunExact execute.
-func (c Case) Plan() (*core.CompileResult, error) {
-	bind, err := c.bind()
+// Compiler is the compiler of the case's plan: the program under the unit
+// cost model on N processors, reading the case's analysis.
+func (c *Case) Compiler() (*core.Compiler, error) {
+	an, err := c.analysis()
 	if err != nil {
 		return nil, err
 	}
-	return core.NewCompiler(c.Prog, cost.Unit(), bind, c.N).Compile()
+	return an.Compiler(cost.Unit(), c.N), nil
+}
+
+// Plan is the plan the machine runs: Compiler's compile, whose Algorithm 1
+// segments Run and RunExact are given.
+func (c *Case) Plan() (*core.CompileResult, error) {
+	comp, err := c.Compiler()
+	if err != nil {
+		return nil, err
+	}
+	return comp.Compile()
 }
 
 // Input is the seeded initial state. Every declared array, in name order,
@@ -57,15 +82,12 @@ func (c Case) Plan() (*core.CompileResult, error) {
 // 1-D array b's leading elements. Arrays of one extent therefore share
 // one system, which a hand-written kernel run beside the program can be
 // given too.
-func (c Case) Input() (ir.Storage, error) {
-	bind, err := c.bind()
+func (c *Case) Input() (ir.Storage, error) {
+	an, err := c.analysis()
 	if err != nil {
 		return nil, err
 	}
-	lw, err := c.Prog.Lower(bind)
-	if err != nil {
-		return nil, err
-	}
+	lw := an.Lowered()
 	input := ir.NewStorage(c.Prog)
 	for k, name := range lw.Names {
 		ext := lw.Shapes[k]
@@ -85,37 +107,38 @@ func (c Case) Input() (ir.Storage, error) {
 	return input, nil
 }
 
-// Run executes the case's plan with the batched engine.
-func (c Case) Run(cfg machine.Config) (Result, error) { return c.run(run, cfg) }
+// Run executes a plan of the case's program — Plan's segments, or any
+// segmentation of its nests on N processors — from Input with the
+// batched engine.
+func (c *Case) Run(plan []core.Segment, cfg machine.Config) (Result, error) {
+	return c.run(run, plan, cfg)
+}
 
-// RunExact executes the case's plan with the per-element reference engine.
-func (c Case) RunExact(cfg machine.Config) (Result, error) { return c.run(runExact, cfg) }
+// RunExact executes a plan as Run does with the per-element reference
+// engine.
+func (c *Case) RunExact(plan []core.Segment, cfg machine.Config) (Result, error) {
+	return c.run(runExact, plan, cfg)
+}
 
-func (c Case) run(engine func(*ir.Program, []core.Segment, map[string]int, map[string]float64, int, machine.Config, ir.Storage) (Result, error),
-	cfg machine.Config) (Result, error) {
+func (c *Case) run(engine func(*ir.Lowered, []core.Segment, map[string]float64, int, machine.Config, ir.Storage) (Result, error),
+	plan []core.Segment, cfg machine.Config) (Result, error) {
 
-	plan, err := c.Plan()
-	if err != nil {
-		return Result{}, err
-	}
 	input, err := c.Input()
 	if err != nil {
 		return Result{}, err
 	}
-	bind, _ := c.bind() // Plan bound it
-	return engine(c.Prog, plan.DP.Segments, bind, c.Scalars, c.Iters, cfg, input)
+	return engine(c.an.Lowered(), plan, c.Scalars, c.Iters, cfg, input) // Input analysed the program
 }
 
 // Check is the reference check of a run of the case: the largest
 // |Values − ir.EvalProgram| over the elements of every array. An element
 // only one side holds makes it +Inf; a NaN makes it NaN.
-func (c Case) Check(res Result) (float64, error) {
+func (c *Case) Check(res Result) (float64, error) {
 	ref, err := c.Input()
 	if err != nil {
 		return 0, err
 	}
-	bind, _ := c.bind() // Input bound it
-	if err := ir.EvalProgram(c.Prog, bind, ref, c.Scalars, c.Iters); err != nil {
+	if err := c.an.Lowered().Eval(ref, c.Scalars, c.Iters); err != nil { // Input analysed the program
 		return 0, err
 	}
 	diff := 0.0

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"dmcc/internal/core"
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 )
@@ -145,12 +146,12 @@ func renderRun(res Result) string {
 // match the sequential interpreter and the two to execute the same flops;
 // with goldens, Run's and RunExact's results must also hash to label's
 // lines. It returns Run's result.
-func checkCase(t *testing.T, label string, c Case, goldens *caseGoldens) Result {
+func checkCase(t *testing.T, label string, c *Case, plan []core.Segment, goldens *caseGoldens) Result {
 	t.Helper()
 	var res [2]Result
-	for i, run := range []func(machine.Config) (Result, error){c.Run, c.RunExact} {
+	for i, run := range []func([]core.Segment, machine.Config) (Result, error){c.Run, c.RunExact} {
 		var err error
-		if res[i], err = run(machine.DefaultConfig()); err != nil {
+		if res[i], err = run(plan, machine.DefaultConfig()); err != nil {
 			t.Fatalf("%s engine %d: %v", label, i, err)
 		}
 		diff, err := c.Check(res[i])
@@ -169,6 +170,16 @@ func checkCase(t *testing.T, label string, c Case, goldens *caseGoldens) Result 
 		goldens.exact.check(t, label, res[1])
 	}
 	return res[0]
+}
+
+// casePlan is c's compiled plan's segments.
+func casePlan(t *testing.T, c *Case) []core.Segment {
+	t.Helper()
+	plan, err := c.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.DP.Segments
 }
 
 // TestCaseRunsEveryProgram: both engines execute the compiled plan — its
@@ -219,13 +230,10 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 				if in2, _ := c.Input(); !reflect.DeepEqual(in1, in2) {
 					t.Fatal("two calls of Input differ")
 				}
-				plan, err := c.Plan()
-				if err != nil {
-					t.Fatal(err)
-				}
-				res := checkCase(t, label, c, goldens)
+				plan := casePlan(t, &c)
+				res := checkCase(t, label, &c, plan, goldens)
 				var want []Segment
-				for _, seg := range plan.DP.Segments {
+				for _, seg := range plan {
 					want = append(want, Segment{Start: seg.Start, Len: seg.Len, Grid: seg.Schemes.Grid})
 				}
 				got := slices.Clone(res.Segments)
@@ -242,7 +250,7 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 				// many single iterations' (a non-iterative program runs once).
 				once := c
 				once.Iters = 1
-				one, err := once.Run(machine.DefaultConfig())
+				one, err := once.Run(plan, machine.DefaultConfig())
 				if err != nil {
 					t.Fatalf("one iteration: %v", err)
 				}
@@ -269,17 +277,13 @@ func TestCaseInputFillsLoweredExtents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bind, _ := c.bind()
-		lw, err := p.Lower(bind)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lw := c.an.Lowered() // Input analysed the program
 		for k, name := range lw.Names {
 			if got, want := len(in[name]), lw.Shapes[k][0]; got != want {
 				t.Errorf("REAL %s: input holds %d elements of %s, its extent is %d", decl, got, name, want)
 			}
 		}
-		checkCase(t, "REAL "+decl, c, nil)
+		checkCase(t, "REAL "+decl, &c, casePlan(t, &c), nil)
 	}
 }
 
@@ -303,13 +307,13 @@ func TestCaseBindsTheProgramsParam(t *testing.T) {
 		if len(in["A"]) != elems {
 			t.Errorf("%s: A holds %d elements, want %d", p.Name, len(in["A"]), elems)
 		}
-		checkCase(t, p.Name, c, nil)
+		checkCase(t, p.Name, &c, casePlan(t, &c), nil)
 	}
 	p, err := ir.Parse("PROGRAM pmn\nPARAM m, n\nREAL A(m), B(n)\nDO 2 i = 1, 4\n1 A(i) = B(i) + 1.0\n2 CONTINUE\nEND\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Case{Prog: p, M: 16, N: 4}).Plan(); err == nil || !strings.Contains(err.Error(), "size parameters m, n") {
+	if _, err := (&Case{Prog: p, M: 16, N: 4}).Plan(); err == nil || !strings.Contains(err.Error(), "size parameters m, n") {
 		t.Fatalf("two size parameters: got %v, want an error naming m and n", err)
 	}
 }
@@ -345,9 +349,6 @@ func TestTriangularRangeIsAccepted(t *testing.T) {
 	}
 	for _, m := range []int{4, 16} {
 		c := Case{Prog: p, M: m, N: 4, Seed: 7}
-		if _, err := c.Plan(); err != nil {
-			t.Fatalf("m=%d: %v", m, err)
-		}
-		checkCase(t, fmt.Sprintf("triangular m=%d", m), c, nil)
+		checkCase(t, fmt.Sprintf("triangular m=%d", m), &c, casePlan(t, &c), nil)
 	}
 }

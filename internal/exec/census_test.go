@@ -112,8 +112,8 @@ func planCensus(t *testing.T, c, warm benchCase) (*census, *planSchedule, [][]va
 	ws := &workspace{}
 	for _, c := range []benchCase{warm, c} {
 		segs := wholeProgram(c.p, c.ss)
-		lw, err := validate(c.p, segs, c.bind, c.input)
-		if err != nil {
+		lw := mustLower(t, c.p, c.bind)
+		if err := validate(lw, segs, c.input); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := buildPlan(lw, segs, nil, ws); err != nil {

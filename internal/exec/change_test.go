@@ -254,11 +254,11 @@ func TestPrunedReplicaNeverCrossesAChange(t *testing.T) {
 	}
 
 	input := randomInput(p, m, rand.New(rand.NewSource(7)))
-	got, err := run(p, segs, bind, nil, 1, machine.DefaultConfig(), input)
+	got, err := run(lw, segs, nil, 1, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := runExact(p, segs, bind, nil, 1, machine.DefaultConfig(), input)
+	want, err := runExact(lw, segs, nil, 1, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestCollectiveGaussWordDrop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collective: %v", err)
 	}
-	want, err := RunExact(p, ss, bind, nil, 1, cfg, input)
+	want, err := runExact(mustLower(t, p, bind), wholeProgram(p, ss), nil, 1, cfg, input)
 	if err != nil {
 		t.Fatalf("exact: %v", err)
 	}

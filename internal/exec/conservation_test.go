@@ -91,21 +91,17 @@ func TestConservationPerNest(t *testing.T) {
 				t.Run(fmt.Sprintf("%s m=%d N=%d", name, m, n), func(t *testing.T) {
 					t.Parallel()
 					c := Case{Prog: progs[name], M: m, N: n, Iters: 2, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 1}
-					bind, err := c.bind()
+					comp, err := c.Compiler()
 					if err != nil {
 						t.Fatal(err)
 					}
-					input, err := c.Input()
-					if err != nil {
-						t.Fatal(err)
-					}
-					plan, err := c.Plan()
+					plan, err := comp.Compile()
 					if err != nil {
 						t.Fatal(err)
 					}
 					plans := map[string][]core.Segment{"dp": plan.DP.Segments}
 					shapes := factorPairs(n)
-					sets, _, err := core.NewCompiler(c.Prog, cost.Unit(), bind, n).Candidates(1, len(c.Prog.Nests), shapes)
+					sets, _, err := comp.Candidates(1, len(c.Prog.Nests), shapes)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -113,11 +109,11 @@ func TestConservationPerNest(t *testing.T) {
 						plans[fmt.Sprintf("%dx%d", shapes[k][0], shapes[k][1])] = wholeProgram(c.Prog, ss)
 					}
 					for layout, segs := range plans {
-						res, err := run(c.Prog, segs, bind, c.Scalars, c.Iters, machine.DefaultConfig(), input)
+						res, err := c.Run(segs, machine.DefaultConfig())
 						if err != nil {
 							t.Fatalf("%s: %v", layout, err)
 						}
-						checkConservation(t, layout, c.Prog, bind, segs, c.Iters, res)
+						checkConservation(t, layout, c.Prog, comp.Bind, segs, c.Iters, res)
 					}
 				})
 			}

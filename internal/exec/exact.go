@@ -22,20 +22,6 @@ import (
 	"dmcc/internal/machine"
 )
 
-// RunExact executes the program with the per-element reference engine:
-// the one-segment plan, through the same engine a compiled plan runs
-// (Case.RunExact).
-//
-// Unlike Run it performs no message batching: a processor may emit a
-// full boundary row (m one-word messages, plus reduction traffic) before
-// its peer drains any of it, and every one of them is a scheduler event.
-// Use RunExact as the differential oracle and for the naive figure, not
-// to execute programs.
-func RunExact(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
-	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
-	return runExact(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
-}
-
 // shared is what every processor's engine reads and none writes.
 type shared struct {
 	lw      *ir.Lowered
@@ -48,15 +34,22 @@ type shared struct {
 	keys [][]string
 }
 
-// runExact executes a plan's segments in order, as run does, crossing
-// each scheme change with one message per (element, owner that lacks it).
-func runExact(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+// runExact executes a plan's segments in order on a checked lowering, as
+// run does, crossing each scheme change with one message per (element,
+// owner that lacks it).
+//
+// Unlike run it performs no message batching: a processor may emit a
+// full boundary row (m one-word messages, plus reduction traffic) before
+// its peer drains any of it, and every one of them is a scheduler event.
+// Use it as the differential oracle and for the naive figure, not to
+// execute programs.
+func runExact(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
-	lw, err := validate(p, segs, bind, input)
-	if err != nil {
+	if err := validate(lw, segs, input); err != nil {
 		return Result{}, err
 	}
+	p := lw.Program
 	sv, err := lw.ScalarValues(scalars)
 	if err != nil {
 		return Result{}, err

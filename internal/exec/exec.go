@@ -63,9 +63,10 @@ type Result struct {
 	// the end-to-end wall time.
 	SimWall time.Duration
 	// InspectWall and AssembleWall time Run's other stages: everything
-	// before the machine phase (validation, lowering, the inspector walk,
+	// before the machine phase (the per-run checks, the inspector walk,
 	// cutting the executors' state, installing the input in it), and the
-	// assembly of Values.
+	// assembly of Values. The program's checked lowering precedes them:
+	// exec.Run's own, and a Case's in its analysis.
 	InspectWall, AssembleWall time.Duration
 	// StoreWords and MaxProcStoreWords say how much array data Run's
 	// simulated processors held: the sum and the maximum over ranks of the
@@ -118,51 +119,37 @@ type NestCount struct {
 	Words int64
 }
 
-// validate performs the shared pre-flight checks of both engines and
-// returns the program lowered under bind, its subscripts inside their
-// extents and its input placeable (ir.Lowered.CheckInput). Every segment
-// of the plan — its nests in order, on one number of processors — must
-// have a scheme for every array.
-func validate(p *ir.Program, segs []core.Segment, bind map[string]int, input ir.Storage) (*ir.Lowered, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// validate performs the per-run checks of both engines on a checked
+// lowering (ir.Program.LowerChecked): the input is placeable
+// (ir.Lowered.CheckInput), every statement that computes has a
+// right-hand side, and every segment of the plan — its nests in order, on
+// one number of processors — has a scheme for every array.
+func validate(lw *ir.Lowered, segs []core.Segment, input ir.Storage) error {
+	if err := lw.CheckInput(input); err != nil {
+		return err
 	}
-	lw, err := p.Lower(bind)
-	if err == nil {
-		err = lw.RangeAt(lw.Size())
-	}
-	if err == nil {
-		err = lw.CheckInput(input)
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, nest := range p.Nests {
+	for _, nest := range lw.Program.Nests {
 		for _, st := range nest.Stmts {
 			if st.RHS == nil && st.Flops > 0 {
-				return nil, fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
+				return fmt.Errorf("exec: statement at line %d has no executable RHS", st.Line)
 			}
 		}
 	}
 	for _, seg := range segs {
 		for _, name := range lw.Names {
 			if _, ok := seg.Schemes.Schemes[name]; !ok {
-				return nil, fmt.Errorf("exec: no scheme for array %s", name)
+				return fmt.Errorf("exec: no scheme for array %s", name)
 			}
 		}
 	}
-	return lw, nil
-}
-
-// wholeProgram is the one-segment plan that runs every nest under ss.
-func wholeProgram(p *ir.Program, ss *core.SchemeSet) []core.Segment {
-	return []core.Segment{{Start: 1, Len: len(p.Nests), Schemes: ss}}
+	return nil
 }
 
 // Run executes the program under the scheme set for the given number of
 // outer iterations (ignored for non-iterative programs): the one-segment
-// plan, through the same schedule a compiled plan runs (Case.Run). input
-// provides the initial array contents; scalars binds free scalar names.
+// plan, through the same schedule a compiled plan runs (Case.Run), on
+// the program's checked lowering under bind. input provides the initial
+// array contents; scalars binds free scalar names.
 //
 // Communication is batched per (processor pair, epoch) via the
 // inspector/executor schedule of schedule.go and moved by the simulated
@@ -171,35 +158,39 @@ func wholeProgram(p *ir.Program, ss *core.SchemeSet) []core.Segment {
 // reduction-phase markers), are that machine's.
 func Run(p *ir.Program, ss *core.SchemeSet, bind map[string]int, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
-	return run(p, wholeProgram(p, ss), bind, scalars, iters, cfg, input)
+	lw, err := p.LowerChecked(bind)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(lw, []core.Segment{{Start: 1, Len: len(p.Nests), Schemes: ss}}, scalars, iters, cfg, input)
 }
 
-// run executes a plan's segments in order, each under its own schedule,
-// crossing the scheme change between consecutive segments and, before
-// every iteration but the first of an iterative program, the change from
-// the last segment back to the first. It runs in a workspace from the
-// pool and puts it back once the result is assembled.
-func run(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+// run executes a plan's segments in order on a checked lowering, each
+// under its own schedule, crossing the scheme change between consecutive
+// segments and, before every iteration but the first of an iterative
+// program, the change from the last segment back to the first. It runs
+// in a workspace from the pool and puts it back once the result is
+// assembled.
+func run(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
-	return ws.execute(p, segs, bind, scalars, iters, cfg, input)
+	return ws.execute(lw, segs, scalars, iters, cfg, input)
 }
 
-// execute is run in ws: it validates the plan, builds its schedule in ws
-// and runs it.
-func (ws *workspace) execute(p *ir.Program, segs []core.Segment, bind map[string]int, scalars map[string]float64,
+// execute is run in ws: it checks the run, builds its schedule in ws and
+// runs it.
+func (ws *workspace) execute(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64,
 	iters int, cfg machine.Config, input ir.Storage) (Result, error) {
 
 	start := time.Now()
-	lw, err := validate(p, segs, bind, input)
-	if err != nil {
+	if err := validate(lw, segs, input); err != nil {
 		return Result{}, err
 	}
 	if _, err := buildPlan(lw, segs, scalars, ws); err != nil {
 		return Result{}, err
 	}
-	return ws.run(p, iters, cfg, input, start)
+	return ws.run(lw.Program, iters, cfg, input, start)
 }
 
 // workspace is everything a run builds and then drops: the inspector's

@@ -27,6 +27,11 @@ func wholeProgramSchemes(t testing.TB, p *ir.Program, m, n int) *core.SchemeSet 
 }
 
 // wholeSchedule is the schedule of the one-segment plan that runs every
+// wholeProgram is the one-segment plan that runs every nest under ss.
+func wholeProgram(p *ir.Program, ss *core.SchemeSet) []core.Segment {
+	return []core.Segment{{Start: 1, Len: len(p.Nests), Schemes: ss}}
+}
+
 // nest under ss.
 func wholeSchedule(lw *ir.Lowered, ss *core.SchemeSet, scalars map[string]float64, ws *workspace) (*progSchedule, error) {
 	pl, err := buildPlan(lw, wholeProgram(lw.Program, ss), scalars, ws)
@@ -132,7 +137,7 @@ func TestExecNaiveCostExceedsPipelinedKernel(t *testing.T) {
 	a, b, _ := matrix.DiagonallyDominant(m, 313)
 	p := ir.Gauss()
 	ss := wholeProgramSchemes(t, p, m, n)
-	res, err := RunExact(p, ss, map[string]int{"m": m}, nil, 1, machine.DefaultConfig(),
+	res, err := runExact(mustLower(t, p, map[string]int{"m": m}), wholeProgram(p, ss), nil, 1, machine.DefaultConfig(),
 		loadLinearSystem(p, a, b, nil))
 	if err != nil {
 		t.Fatal(err)

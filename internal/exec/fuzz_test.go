@@ -56,11 +56,12 @@ func checkPlanFuzz(t *testing.T, seed int64, trial, m, n int, p *ir.Program, ite
 	t.Helper()
 	segs, label := randomPlan(t, seed, trial, m, n, p)
 	bind := map[string]int{"m": m}
-	got, err := run(p, segs, bind, nil, iters, machine.DefaultConfig(), input)
+	lw := mustLower(t, p, bind)
+	got, err := run(lw, segs, nil, iters, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatalf("batched: %v\n%s", err, label)
 	}
-	want, err := runExact(p, segs, bind, nil, iters, machine.DefaultConfig(), input)
+	want, err := runExact(lw, segs, nil, iters, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatalf("exact: %v\n%s", err, label)
 	}
@@ -252,7 +253,11 @@ func fuzzSchemes(t *testing.T, p *ir.Program, m, n int) *core.SchemeSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := core.DeriveSchemes(p, pt, [2]int{n, 1}, map[string]int{"m": m}, false)
+	an, err := core.Analyse(p, map[string]int{"m": m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := core.DeriveSchemes(an, pt, [2]int{n, 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,7 +205,7 @@ func TestPrunedAccumulatorAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunExact(p, ss, bind, nil, 1, machine.DefaultConfig(), input)
+	want, err := runExact(mustLower(t, p, bind), wholeProgram(p, ss), nil, 1, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,8 @@ func vecProgram(lo, hi ir.Affine, rhs ir.Expr, reads []ir.Ref) *ir.Program {
 // TestRunRejectsUnlistedRead: an RHS operand missing from Stmt.Reads is
 // never shipped, so the executor used to load it from its local store and
 // return wrong values with a nil error (A = 0…0 where the sequential
-// interpreter gives 8…1). Both engines now refuse the program.
+// interpreter gives 8…1). Run, and the checked lowering both engines
+// take, now refuse the program.
 func TestRunRejectsUnlistedRead(t *testing.T) {
 	const m, n = 8, 4
 	i, one := ir.V("i"), ir.Const(1)
@@ -56,8 +57,8 @@ func TestRunRejectsUnlistedRead(t *testing.T) {
 		}
 	}
 	_, err = Run(bad, ss, bind, nil, 1, machine.DefaultConfig(), input)
-	_, errExact := RunExact(bad, ss, bind, nil, 1, machine.DefaultConfig(), input)
-	for engine, err := range map[string]error{"Run": err, "RunExact": errExact} {
+	_, errLower := bad.LowerChecked(bind)
+	for engine, err := range map[string]error{"Run": err, "the checked lowering both engines take": errLower} {
 		if err == nil || !strings.Contains(err.Error(), "B(-i+m+1)") || !strings.Contains(err.Error(), "line 3") {
 			t.Errorf("%s: got %v, want an error naming the unlisted read B(-i+m+1) and line 3", engine, err)
 		}
@@ -138,11 +139,12 @@ func TestRunErrorsNotPanics(t *testing.T) {
 				input[c.arr] = map[string]float64{}
 			}
 			input[c.arr][c.key] = 2
+			lw := mustLower(t, jac, map[string]int{"m": m})
 			for _, engine := range []struct {
 				name string
-				run  func(*ir.Program, *core.SchemeSet, map[string]int, map[string]float64, int, machine.Config, ir.Storage) (Result, error)
-			}{{"Run", Run}, {"RunExact", RunExact}} {
-				_, err := engine.run(jac, jss, map[string]int{"m": m}, nil, 1, machine.DefaultConfig(), input)
+				run  func(*ir.Lowered, []core.Segment, map[string]float64, int, machine.Config, ir.Storage) (Result, error)
+			}{{"Run", run}, {"RunExact", runExact}} {
+				_, err := engine.run(lw, wholeProgram(jac, jss), nil, 1, machine.DefaultConfig(), input)
 				if err == nil {
 					t.Fatalf("%s accepted the input", engine.name)
 				}
@@ -156,12 +158,12 @@ func TestRunErrorsNotPanics(t *testing.T) {
 	}
 }
 
-// mustLower is p lowered under bind, as Run's validate lowers it.
-func mustLower(t *testing.T, p *ir.Program, bind map[string]int) *ir.Lowered {
-	t.Helper()
-	lw, err := p.Lower(bind)
+// mustLower is p's checked lowering under bind, what run and runExact take.
+func mustLower(tb testing.TB, p *ir.Program, bind map[string]int) *ir.Lowered {
+	tb.Helper()
+	lw, err := p.LowerChecked(bind)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return lw
 }

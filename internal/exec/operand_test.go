@@ -258,8 +258,8 @@ func TestUnfilledBufferIsAnError(t *testing.T) {
 		bind := map[string]int{"m": k.m}
 		a, b, _ := matrix.DiagonallyDominant(k.m, 1)
 		input := loadLinearSystem(k.p, a, b, nil)
-		lw, err := validate(k.p, wholeProgram(k.p, ss), bind, input)
-		if err != nil {
+		lw := mustLower(t, k.p, bind)
+		if err := validate(lw, wholeProgram(k.p, ss), input); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		pl, err := buildPlan(lw, wholeProgram(k.p, ss), map[string]float64{"OMEGA": 1.2}, ws)

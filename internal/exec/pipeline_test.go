@@ -30,7 +30,7 @@ func phaseLines(t *testing.T, p *ir.Program, scalars map[string]float64, m, n, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err = RunExact(p, ss, bind, scalars, iters, machine.DefaultConfig(), input)
+	naive, err = runExact(mustLower(t, p, bind), wholeProgram(p, ss), scalars, iters, machine.DefaultConfig(), input)
 	if err != nil {
 		t.Fatal(err)
 	}

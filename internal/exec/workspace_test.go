@@ -17,9 +17,8 @@ import (
 // and what it runs on.
 type warmCase struct {
 	label   string
-	p       *ir.Program
+	lw      *ir.Lowered
 	segs    []core.Segment
-	bind    map[string]int
 	scalars map[string]float64
 	iters   int
 	input   ir.Storage
@@ -46,7 +45,7 @@ func (c warmCase) run(ws *workspace) (warmRun, error) {
 	if ws != nil {
 		engine = ws.execute
 	}
-	res, err := engine(c.p, c.segs, c.bind, c.scalars, c.iters, cfg, c.input)
+	res, err := engine(c.lw, c.segs, c.scalars, c.iters, cfg, c.input)
 	res.InspectWall, res.SimWall, res.AssembleWall = 0, 0, 0
 	return warmRun{res, log.events}, err
 }
@@ -70,8 +69,7 @@ func warmCases(t *testing.T) []warmCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bind, _ := c.bind()
-		cases = append(cases, warmCase{fmt.Sprintf("%s m=%d N=%d", name, m, n), p, plan.DP.Segments, bind, c.Scalars, iters, input})
+		cases = append(cases, warmCase{fmt.Sprintf("%s m=%d N=%d", name, m, n), c.an.Lowered(), plan.DP.Segments, c.Scalars, iters, input})
 	}
 	compiled("jacobi", ir.Jacobi(), 32, 1024, 2)
 	progs := casePrograms(t)
@@ -90,9 +88,9 @@ func warmCases(t *testing.T) []warmCase {
 				for _, n := range []int{2, 4} {
 					if ss := fuzzSchemes(t, p, m, n); ss != nil {
 						segs, label := randomPlan(t, seed, trial, m, n, p)
-						bind := map[string]int{"m": m}
-						cases = append(cases, warmCase{fuzzCase(seed, trial, n, p), p, wholeProgram(p, ss), bind, nil, iters, input},
-							warmCase{label, p, segs, bind, nil, iters, input})
+						lw := mustLower(t, p, map[string]int{"m": m})
+						cases = append(cases, warmCase{fuzzCase(seed, trial, n, p), lw, wholeProgram(p, ss), nil, iters, input},
+							warmCase{label, lw, segs, nil, iters, input})
 					}
 				}
 			}

@@ -175,6 +175,12 @@ func EvalProgram(p *Program, bind map[string]int, st Storage, scalars map[string
 	if err != nil {
 		return err
 	}
+	return lw.Eval(st, scalars, iters)
+}
+
+// Eval is EvalProgram on the program lw lowers, under lw's binding.
+func (lw *Lowered) Eval(st Storage, scalars map[string]float64, iters int) error {
+	p := lw.Program
 	if err := lw.CheckInput(st); err != nil {
 		return err
 	}

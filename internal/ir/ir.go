@@ -339,8 +339,8 @@ func (p *Program) Validate() error {
 			for i := 0; i < st.Depth; i++ {
 				inScope[nest.Loops[i].Index] = true
 			}
-			refs := append([]Ref{st.LHS}, st.Reads...)
-			for _, r := range refs {
+			for ri := -1; ri < len(st.Reads); ri++ {
+				r := st.ref(ri)
 				arr, ok := p.Arrays[r.Array]
 				if !ok {
 					return fmt.Errorf("ir: %s line %d references undeclared array %q", nest.Label, st.Line, r.Array)

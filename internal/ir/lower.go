@@ -21,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Lin is an affine form under a binding: K + Σ C[k]·(index of loop k),
@@ -351,6 +352,31 @@ type LRef struct {
 	ext []int
 }
 
+// lowerings counts Lower calls, so tests pin how often an operation
+// lowers a program.
+var lowerings atomic.Int64
+
+// LowerCalls returns the number of Lower calls so far.
+func LowerCalls() int64 { return lowerings.Load() }
+
+// LowerChecked is the checked lowering every consumer of a program under a
+// binding starts from: p validated (Validate), lowered under bind (Lower),
+// and its subscripts checked inside their extents at the bound size
+// (RangeAt).
+func (p *Program) LowerChecked(bind map[string]int) (*Lowered, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	lw, err := p.Lower(bind)
+	if err == nil {
+		err = lw.RangeAt(lw.Size())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return lw, nil
+}
+
 // Lower resolves every name of p under bind. A variable that is neither an
 // enclosing loop's index nor bound, an extent below 1, a reference Validate
 // would refuse and a right-hand side reading a reference missing from its
@@ -358,6 +384,7 @@ type LRef struct {
 // checked against the extents here (RangeAt does that). Scalars are
 // named, not bound: an evaluation binds them (ScalarValues).
 func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
+	lowerings.Add(1)
 	lw := &Lowered{Program: p, Bind: bind, Names: make([]string, 0, len(p.Arrays))}
 	for name := range p.Arrays {
 		lw.Names = append(lw.Names, name)

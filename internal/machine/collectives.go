@@ -88,6 +88,25 @@ func log2ceil(n int) int {
 	return k
 }
 
+// collSend sends one message of a collective: uncounted in time under
+// synchronous collectives, whose finishCollective charges the whole, and
+// a timed Send otherwise.
+func (p *Proc) collSend(sync bool, dst int, data []Word) {
+	if sync {
+		p.rawSend(dst, data, true)
+	} else {
+		p.Send(dst, data)
+	}
+}
+
+// collRecv is collSend's receive.
+func (p *Proc) collRecv(sync bool, src int) []Word {
+	if sync {
+		return p.rawRecv(src)
+	}
+	return p.Recv(src)
+}
+
 // syncStart synchronizes the peer group on entry: every peer's clock is
 // raised to the maximum entry clock, which is returned. Implemented as a
 // zero-cost max-reduce plus broadcast over the links (uncounted: a real
@@ -223,19 +242,11 @@ func (p *Proc) OneToManyMulticast(dims []int, root int, data []Word) []Word {
 		if rel < k {
 			if rel+k < n {
 				dst := peers[(rel+k+rootPos)%n]
-				if sync {
-					p.rawSend(dst, buf, true)
-				} else {
-					p.Send(dst, buf)
-				}
+				p.collSend(sync, dst, buf)
 			}
 		} else if rel < 2*k {
 			src := peers[(rel-k+rootPos)%n]
-			if sync {
-				buf = p.rawRecv(src)
-			} else {
-				buf = p.Recv(src)
-			}
+			buf = p.collRecv(sync, src)
 		}
 	}
 	if sync {
@@ -292,24 +303,14 @@ func (p *Proc) Reduction(dims []int, root int, data []Word, op ReduceOp) []Word 
 		if rel < k {
 			if rel+k < n {
 				src := peers[(rel+k+rootPos)%n]
-				var in []Word
-				if sync {
-					in = p.rawRecv(src)
-				} else {
-					in = p.Recv(src)
-				}
-				op(acc, in)
+				op(acc, p.collRecv(sync, src))
 				if !sync {
 					p.Compute(len(acc))
 				}
 			}
 		} else if rel < 2*k {
 			dst := peers[(rel-k+rootPos)%n]
-			if sync {
-				p.rawSend(dst, acc, true)
-			} else {
-				p.Send(dst, acc)
-			}
+			p.collSend(sync, dst, acc)
 			sent = true
 		}
 	}
@@ -365,19 +366,11 @@ func (p *Proc) Scatter(dims []int, root int, chunks [][]Word) []Word {
 			// Prefix the chunk with its true size so the cost formula is
 			// known at every peer in sync mode.
 			payload := append([]Word{Word(maxLen)}, chunks[i]...)
-			if sync {
-				p.rawSend(r, payload, true)
-			} else {
-				p.Send(r, payload)
-			}
+			p.collSend(sync, r, payload)
 		}
 	} else {
 		var payload []Word
-		if sync {
-			payload = p.rawRecv(root)
-		} else {
-			payload = p.Recv(root)
-		}
+		payload = p.collRecv(sync, root)
 		maxLen = int(payload[0])
 		own = payload[1:]
 	}
@@ -406,21 +399,13 @@ func (p *Proc) Gather(dims []int, root int, data []Word) [][]Word {
 				out[i] = append([]Word(nil), data...)
 				continue
 			}
-			if sync {
-				out[i] = p.rawRecv(r)
-			} else {
-				out[i] = p.Recv(r)
-			}
+			out[i] = p.collRecv(sync, r)
 			if len(out[i]) > maxLen {
 				maxLen = len(out[i])
 			}
 		}
 	} else {
-		if sync {
-			p.rawSend(root, data, true)
-		} else {
-			p.Send(root, data)
-		}
+		p.collSend(sync, root, data)
 	}
 	if sync {
 		// All peers advance by the same formula; non-roots use their own
@@ -453,13 +438,8 @@ func (p *Proc) ManyToManyMulticast(dims []int, data []Word) [][]Word {
 	for step := 1; step < n; step++ {
 		next := peers[(pos+1)%n]
 		prev := peers[(pos-1+n)%n]
-		if sync {
-			p.rawSend(next, cur, true)
-			cur = p.rawRecv(prev)
-		} else {
-			p.Send(next, cur)
-			cur = p.Recv(prev)
-		}
+		p.collSend(sync, next, cur)
+		cur = p.collRecv(sync, prev)
 		out[(pos-step+n)%n] = cur
 		if len(cur) > maxLen {
 			maxLen = len(cur)
@@ -517,12 +497,9 @@ func (p *Proc) AffineTransform(dims []int, perm []int, data []Word) []Word {
 	switch {
 	case dst == pos:
 		got = append([]Word(nil), data...)
-	case sync:
-		p.rawSend(peers[dst], data, true)
-		got = p.rawRecv(peers[src])
 	default:
-		p.Send(peers[dst], data)
-		got = p.Recv(peers[src])
+		p.collSend(sync, peers[dst], data)
+		got = p.collRecv(sync, peers[src])
 	}
 	if sync {
 		p.finishCollective(start, p.m.cfg.Tc*float64(len(got))*float64(log2ceil(n)))

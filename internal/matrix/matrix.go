@@ -192,28 +192,7 @@ func SORSeq(a *Dense, b, x0 []float64, omega float64, iters int) []float64 {
 // without pivoting followed by the paper's back-substitution with the
 // V accumulator. It returns x. A and b are not modified.
 func GaussSeq(a0 *Dense, b0 []float64) []float64 {
-	m := a0.Rows
-	a := a0.Clone()
-	b := append([]float64(nil), b0...)
-	// Matrix triangularization (lines 2-8).
-	for k := 0; k < m; k++ {
-		for i := k + 1; i < m; i++ {
-			l := a.At(i, k) / a.At(k, k)
-			b[i] -= l * b[k]
-			for j := k + 1; j < m; j++ {
-				a.Set(i, j, a.At(i, j)-l*a.At(k, j))
-			}
-		}
-	}
-	// Triangular system U x = y (lines 10-17).
-	v := make([]float64, m)
-	x := make([]float64, m)
-	for j := m - 1; j >= 0; j-- {
-		x[j] = (b[j] - v[j]) / a.At(j, j)
-		for i := j - 1; i >= 0; i-- {
-			v[i] += a.At(i, j) * x[j]
-		}
-	}
+	x, _ := gauss(a0, b0, false)
 	return x
 }
 
@@ -221,7 +200,11 @@ func GaussSeq(a0 *Dense, b0 []float64) []float64 {
 // pivoting — the numerical-stability extension of the Section 6
 // algorithm. It returns x and the pivot permutation applied (perm[k] =
 // original row index used as the k-th pivot). A and b are not modified.
-func GaussPivotSeq(a0 *Dense, b0 []float64) ([]float64, []int) {
+func GaussPivotSeq(a0 *Dense, b0 []float64) ([]float64, []int) { return gauss(a0, b0, true) }
+
+// gauss is the Section 6 elimination, with partial pivoting when pivot
+// is set, and its back-substitution; perm is the identity without it.
+func gauss(a0 *Dense, b0 []float64, pivot bool) ([]float64, []int) {
 	m := a0.Rows
 	a := a0.Clone()
 	b := append([]float64(nil), b0...)
@@ -230,10 +213,11 @@ func GaussPivotSeq(a0 *Dense, b0 []float64) ([]float64, []int) {
 	for i := range rowID {
 		rowID[i] = i
 	}
+	// Matrix triangularization (lines 2-8).
 	for k := 0; k < m; k++ {
 		// Pick the largest |A(i,k)| for i >= k.
 		piv := k
-		for i := k + 1; i < m; i++ {
+		for i := k + 1; pivot && i < m; i++ {
 			if math.Abs(a.At(i, k)) > math.Abs(a.At(piv, k)) {
 				piv = i
 			}
@@ -255,7 +239,7 @@ func GaussPivotSeq(a0 *Dense, b0 []float64) ([]float64, []int) {
 			}
 		}
 	}
-	// Back substitution (paper style, with the V accumulator).
+	// Triangular system U x = y (lines 10-17), with the V accumulator.
 	v := make([]float64, m)
 	x := make([]float64, m)
 	for j := m - 1; j >= 0; j-- {

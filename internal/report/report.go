@@ -467,7 +467,11 @@ func Idleness(m, n int) (string, error) {
 func NaiveBackend(m, n int) (string, error) {
 	const seed, omega, sweeps = 137, 1.2, 2
 	c := exec.Case{Prog: ir.SOR(), M: m, N: n, Iters: sweeps, Scalars: map[string]float64{"OMEGA": omega}, Seed: seed}
-	res, err := c.RunExact(machine.DefaultConfig())
+	plan, err := c.Plan()
+	if err != nil {
+		return "", err
+	}
+	res, err := c.RunExact(plan.DP.Segments, machine.DefaultConfig())
 	if err != nil {
 		return "", err
 	}

@@ -95,11 +95,7 @@ func BenchmarkWriteStages(b *testing.B) {
 		b.Run(prog, func(b *testing.B) {
 			_, s, bodies := warmHandler(b, prog)
 			req := CompileRequest{Prog: prog, M: benchM, N: benchN}
-			p, err := program(&req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := s.compiler(&req, p)
+			c, err := s.compiler(&req)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -116,7 +112,7 @@ func BenchmarkWriteStages(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			resp := CompileResponse{ID: PlanID(key), Key: key, Cached: true, Prog: p.Name, BaseM: benchM, N: benchN, Formulas: pe.Formulas()}
+			resp := CompileResponse{ID: PlanID(key), Key: key, Cached: true, Prog: c.Program.Name, BaseM: benchM, N: benchN, Formulas: pe.Formulas()}
 			if resp.Cost, err = s.evalEntry(newPlanEntry(key, "", pe), benchM); err != nil {
 				b.Fatal(err)
 			}

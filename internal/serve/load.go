@@ -200,7 +200,6 @@ func Load(cfg LoadConfig, dist string) (*LoadSummary, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < conc; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

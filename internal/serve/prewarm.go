@@ -95,11 +95,7 @@ func (s *Server) PrewarmPlans(keys []string) int {
 		if !ok {
 			continue
 		}
-		p, err := program(&req)
-		if err != nil {
-			continue
-		}
-		c, err := s.compiler(&req, p)
+		c, err := s.compiler(&req)
 		if err != nil {
 			continue
 		}

@@ -139,15 +139,11 @@ func TestPrewarmRoundtripAcrossDaemons(t *testing.T) {
 // real key round-trips, and near-miss mutations are rejected.
 func TestParsePlanKeyRoundtrip(t *testing.T) {
 	req := CompileRequest{Prog: "jacobi", M: 16, N: 4}
-	p, err := program(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{Store: mustOpen(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.compiler(&req, p)
+	c, err := s.compiler(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +157,7 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 		t.Fatalf("parsed %+v from %s", got, key)
 	}
 	// The parse must re-derive the byte-identical key.
-	p2, _ := program(&got)
-	c2, err := s.compiler(&got, p2)
+	c2, err := s.compiler(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +185,7 @@ func TestParsePlanKeyRoundtrip(t *testing.T) {
 	}
 	for _, mutated := range []string{key + ";extra=1", oracle, greedy} {
 		if got, ok := parsePlanKey(mutated); ok {
-			p3, _ := program(&got)
-			c3, err := s.compiler(&got, p3)
+			c3, err := s.compiler(&got)
 			if err != nil {
 				t.Fatal(err)
 			}

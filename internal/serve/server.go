@@ -249,12 +249,17 @@ func program(req *CompileRequest) (*ir.Program, error) {
 	return nil, fmt.Errorf("unknown program %q (want jacobi, sor, gauss or matmul)", req.Prog)
 }
 
-// compiler builds the compiler for a validated request — the same
-// configuration the cache key is derived from, so request and key can
-// never disagree. The daemon serves the production cost engine only: the
-// exact-everything oracle is minutes per request at sizes MaxM admits, and
-// only the tests and dmsweep -sweep compile's exact rows run it.
-func (s *Server) compiler(req *CompileRequest, p *ir.Program) (*core.Compiler, error) {
+// compiler builds the compiler of the program a validated request names
+// — the same configuration the cache key is derived from, so request and
+// key can never disagree. The daemon serves the production cost engine
+// only: the exact-everything oracle is minutes per request at sizes MaxM
+// admits, and only the tests and dmsweep -sweep compile's exact rows run
+// it.
+func (s *Server) compiler(req *CompileRequest) (*core.Compiler, error) {
+	p, err := program(req)
+	if err != nil {
+		return nil, err
+	}
 	if len(p.Params) != 1 {
 		// The evaluator sweeps exactly one size parameter; reject here so
 		// the binding below is well-defined.
@@ -286,12 +291,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !validateBinding(w, req) {
 		return
 	}
-	p, err := program(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c, err := s.compiler(req, p)
+	c, err := s.compiler(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -354,7 +354,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	resp := CompileResponse{
 		ID: PlanID(key), Key: key, Cached: b.cached,
-		Prog: p.Name, BaseM: req.M, N: req.N,
+		Prog: c.Program.Name, BaseM: req.M, N: req.N,
 		FitErr: b.fitErr, Formulas: b.pe.Formulas(),
 	}
 	entry := newPlanEntry(key, b.fitErr, b.pe)
@@ -460,12 +460,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "plan is required")
 		return
 	}
-	p, err := program(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c, err := s.compiler(req, p)
+	c, err := s.compiler(req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -473,10 +468,6 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	fp, err := body.frozenPlan()
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "malformed plan: %v", err)
-		return
-	}
-	if fp.BaseM != req.M {
-		httpError(w, http.StatusUnprocessableEntity, "plan baseM=%d does not match m=%d", fp.BaseM, req.M)
 		return
 	}
 	pe, err := core.Thaw(c, fp)
@@ -488,7 +479,7 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	key := sweep.PlanKey(c, req.M)
 	resp := CompileResponse{
 		ID: PlanID(key), Key: key, Cached: true,
-		Prog: p.Name, BaseM: req.M, N: req.N,
+		Prog: c.Program.Name, BaseM: req.M, N: req.N,
 		FitErr: fp.FitErr, Formulas: pe.Formulas(),
 	}
 	entry := newPlanEntry(key, fp.FitErr, pe)

@@ -106,7 +106,7 @@ func TestSquareStencilBeatsBothStrips(t *testing.T) {
 	for _, n := range []int{16, 64} {
 		c := exec.Case{Prog: ir.Stencil(), M: 64, N: n, Iters: 2, Seed: 1}
 		run := func(shape [2]int) exec.Result {
-			_, res, err := wholeProgramOn(c, shape, cfg)
+			_, res, err := wholeProgramOn(&c, shape, cfg)
 			if err != nil {
 				t.Fatalf("N=%d %v: %v", n, shape, err)
 			}

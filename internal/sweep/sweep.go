@@ -219,7 +219,6 @@ func Kernel(kind string, mList, nList []int, opt Options) (*Result, error) {
 	}
 	for _, m := range mList {
 		for _, n := range nList {
-			m, n := m, n
 			switch kind {
 			case "sor":
 				a, b, _ := matrix.DiagonallyDominant(m, 1)
@@ -254,7 +253,6 @@ func Kernel(kind string, mList, nList []int, opt Options) (*Result, error) {
 						if (m/n)%chunk != 0 {
 							continue
 						}
-						alpha, chunk := alpha, chunk
 						c := cfg
 						c.Alpha = alpha
 						add(fmt.Sprintf("sor-chunk%d-alpha%.0f", chunk, alpha), m, n, c, func() (machine.Stats, error) {
@@ -299,7 +297,6 @@ func Compile(mList, nList, sList []int, opt Options) (*Result, error) {
 		for _, m := range mList {
 			for _, n := range nList {
 				for _, engine := range CompileEngines {
-					s, m, n, engine := s, m, n, engine
 					pts = append(pts, point{
 						variant: engine, m: m, n: n, s: s,
 						key: artifact.KeyOf("kind=compile", "engine="+engine,
@@ -519,7 +516,6 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 	for _, pr := range execProgs {
 		for _, m := range mList {
 			for _, n := range nList {
-				pr, m, n := pr, m, n
 				for _, engine := range []string{"batched", "exact"} {
 					exact := engine == "exact"
 					cfg := machine.DefaultConfig()
@@ -528,7 +524,7 @@ func Exec(mList, nList []int, opt Options) (*Result, error) {
 						key:     execKey("exec", engine, pr, m, n, cfg),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
-							res, err := execPoint(pr, exact, m, n, cfg)
+							_, res, err := runPlan(pr.caseAt(m, n), exact, cfg)
 							return execMetrics(res), err
 						},
 					})
@@ -556,14 +552,13 @@ func Scale(mList, nList []int, opt Options) (*Result, error) {
 	for _, pr := range execProgs {
 		for _, m := range mList {
 			for _, n := range nList {
-				pr, m, n := pr, m, n
 				var simNS float64
 				pts = append(pts, point{
 					variant: pr.name, m: m, n: n,
 					key:     execKey("scale", "", pr, m, n, cfg),
 					wallCol: "wall_ns",
 					compute: func() (map[string]float64, error) {
-						res, err := execPoint(pr, false, m, n, cfg)
+						_, res, err := runPlan(pr.caseAt(m, n), false, cfg)
 						simNS = float64(res.SimWall.Nanoseconds())
 						return execMetrics(res), err
 					},
@@ -599,14 +594,26 @@ func execKey(kind, engine string, pr execProg, m, n int, cfg machine.Config) str
 		"machine="+cfg.Fingerprint(), "run=dp")...)
 }
 
-// execPoint runs one exec program through the exec harness: through the
-// batched backend, or through the per-element oracle when exact is set.
-func execPoint(pr execProg, exact bool, m, n int, cfg machine.Config) (exec.Result, error) {
-	c := exec.Case{Prog: pr.mk(), M: m, N: n, Iters: pr.iters, Scalars: pr.scalars, Seed: 1}
-	if exact {
-		return c.RunExact(cfg)
+// caseAt is the exec harness's case of the program at size m on n
+// processors.
+func (pr execProg) caseAt(m, n int) *exec.Case {
+	return &exec.Case{Prog: pr.mk(), M: m, N: n, Iters: pr.iters, Scalars: pr.scalars, Seed: 1}
+}
+
+// runPlan compiles the case and runs its plan through the batched
+// backend, or through the per-element oracle when exact is set; it
+// returns the plan's modelled cost beside the run.
+func runPlan(c *exec.Case, exact bool, cfg machine.Config) (float64, exec.Result, error) {
+	plan, err := c.Plan()
+	if err != nil {
+		return 0, exec.Result{}, err
 	}
-	return c.Run(cfg)
+	run := c.Run
+	if exact {
+		run = c.RunExact
+	}
+	res, err := run(plan.DP.Segments, cfg)
+	return plan.DP.MinimumCost, res, err
 }
 
 // execMetrics are the deterministic columns of an exec or scale row.
@@ -674,13 +681,13 @@ func Layouts(mList, nList []int, opt Options) (*Result, error) {
 		hash := core.ProgramHash(pr.mk())
 		for _, m := range mList {
 			for _, n := range nList {
-				add := func(layout string, price func(c exec.Case) (float64, exec.Result, error)) {
+				add := func(layout string, price func(c *exec.Case) (float64, exec.Result, error)) {
 					pts = append(pts, point{
 						variant: pr.name + "/" + layout, m: m, n: n,
 						key:     layoutKey(hash, pr, m, n, layout, cfg),
 						wallCol: "wall_ns",
 						compute: func() (map[string]float64, error) {
-							c := exec.Case{Prog: pr.mk(), M: m, N: n, Iters: pr.iters, Scalars: pr.scalars, Seed: 1}
+							c := pr.caseAt(m, n)
 							modelled, res, err := price(c)
 							if err != nil {
 								return nil, err
@@ -695,18 +702,11 @@ func Layouts(mList, nList []int, opt Options) (*Result, error) {
 					})
 				}
 				for _, shape := range factorPairs(n) {
-					add(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(c exec.Case) (float64, exec.Result, error) {
+					add(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(c *exec.Case) (float64, exec.Result, error) {
 						return wholeProgramOn(c, shape, cfg)
 					})
 				}
-				add("dp", func(c exec.Case) (float64, exec.Result, error) {
-					plan, err := c.Plan()
-					if err != nil {
-						return 0, exec.Result{}, err
-					}
-					res, err := c.Run(cfg)
-					return plan.DP.MinimumCost, res, err
-				})
+				add("dp", func(c *exec.Case) (float64, exec.Result, error) { return runPlan(c, false, cfg) })
 			}
 		}
 	}
@@ -729,13 +729,13 @@ func layoutKey(hash string, pr execProg, m, n int, layout string, cfg machine.Co
 
 // wholeProgramOn prices the case's whole program on one grid shape, as
 // one segment plus the loop-carried cost of its scheme set, and runs it.
-func wholeProgramOn(c exec.Case, shape [2]int, cfg machine.Config) (float64, exec.Result, error) {
-	bind, err := c.Prog.BindSize(c.M)
+func wholeProgramOn(c *exec.Case, shape [2]int, cfg machine.Config) (float64, exec.Result, error) {
+	comp, err := c.Compiler()
 	if err != nil {
 		return 0, exec.Result{}, err
 	}
-	comp := core.NewCompiler(c.Prog, cost.Unit(), bind, c.N)
-	sets, costs, err := comp.Candidates(1, len(c.Prog.Nests), [][2]int{shape})
+	s := len(c.Prog.Nests)
+	sets, costs, err := comp.Candidates(1, s, [][2]int{shape})
 	if err != nil {
 		return 0, exec.Result{}, err
 	}
@@ -743,11 +743,7 @@ func wholeProgramOn(c exec.Case, shape [2]int, cfg machine.Config) (float64, exe
 	if err != nil {
 		return 0, exec.Result{}, err
 	}
-	input, err := c.Input()
-	if err != nil {
-		return 0, exec.Result{}, err
-	}
-	res, err := exec.Run(c.Prog, sets[0], bind, c.Scalars, c.Iters, cfg, input)
+	res, err := c.Run([]core.Segment{{Start: 1, Len: s, Schemes: sets[0]}}, cfg)
 	return costs[0] + lc, res, err
 }
 
