@@ -445,37 +445,6 @@ func BenchmarkAblationAlignment(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSyncCollectives shows how much of the Section 6
-// pipelining advantage comes from the synchronous-collective execution
-// model: under async collectives the broadcast/pipeline gap narrows.
-func BenchmarkAblationSyncCollectives(b *testing.B) {
-	const m, n = 64, 8
-	a, rhs, _ := matrix.DiagonallyDominant(m, 41)
-	for _, mode := range []struct {
-		name string
-		cfg  machine.Config
-	}{
-		{"sync", machine.DefaultConfig()},
-		{"async", machine.AsyncConfig()},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var bcT, ppT float64
-			for i := 0; i < b.N; i++ {
-				bc, err := kernels.GaussBroadcast(mode.cfg, a, rhs, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pp, err := kernels.GaussPipelined(mode.cfg, a, rhs, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				bcT, ppT = bc.Stats.ParallelTime, pp.Stats.ParallelTime
-			}
-			b.ReportMetric(bcT/ppT, "pipelinegain")
-		})
-	}
-}
-
 // BenchmarkAblationOverlap measures the effect of comm/comp overlap on
 // the pipelined kernels (the closing remark of Section 5).
 func BenchmarkAblationOverlap(b *testing.B) {

@@ -10,6 +10,9 @@
 //	dmcc -prog jacobi -exec      also execute the compiled program on the
 //	                             simulated machine (seeded system, checked
 //	                             against the sequential interpreter)
+//	dmcc -prog jacobi -exec -trace
+//	                             and print the run's per-processor time
+//	                             breakdown and Gantt chart
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"dmcc/internal/cli"
 	"dmcc/internal/codegen"
@@ -25,6 +29,7 @@ import (
 	"dmcc/internal/ir"
 	"dmcc/internal/machine"
 	"dmcc/internal/report"
+	"dmcc/internal/trace"
 )
 
 func main() {
@@ -33,12 +38,16 @@ func main() {
 	m := flag.Int("m", 64, "problem size")
 	n := flag.Int("n", 8, "total processors")
 	doExec := flag.Bool("exec", false, "execute the compiled program on the simulated machine and verify")
+	doTrace := flag.Bool("trace", false, "with -exec: print the run's per-processor time breakdown and Gantt chart")
 	flag.Parse()
 
 	// Validate flag values upfront so a typo is a usage error (exit 2),
 	// not a mid-pipeline runtime failure.
 	if *m < 1 || *n < 1 {
 		cli.Usage("dmcc", fmt.Errorf("-m %d -n %d: a size or processor count below 1", *m, *n))
+	}
+	if *doTrace && !*doExec {
+		cli.Usage("dmcc", fmt.Errorf("-trace traces the run of -exec"))
 	}
 	var p *ir.Program
 	if *file != "" {
@@ -59,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 	if *doExec {
-		if err := execute(c, plan); err != nil {
+		if err := execute(c, plan, *doTrace); err != nil {
 			fatal(err)
 		}
 	}
@@ -79,11 +88,19 @@ func caseOf(p *ir.Program, m, n int) *exec.Case {
 // against the sequential IR interpreter. It prints the plan the run
 // executed: one line per segment, with the words of the scheme change
 // into it, under it one line per nest with what one execution of the nest
-// did (exec.NestCount), and the change an iterative program crosses at
-// the iteration boundary.
-func execute(c *exec.Case, plan *core.CompileResult) error {
+// did (exec.NestCount), the change an iterative program crosses at the
+// iteration boundary, and what the machine moved and held; with doTrace,
+// the run's per-processor time breakdown and Gantt chart. The host walls
+// of the run's phases go to stderr.
+func execute(c *exec.Case, plan *core.CompileResult, doTrace bool) error {
 	p := c.Prog
-	res, err := c.Run(plan.DP.Segments, machine.DefaultConfig())
+	cfg := machine.DefaultConfig()
+	var col *trace.Collector
+	if doTrace {
+		col = trace.New()
+		cfg.Tracer = col
+	}
+	res, err := c.Run(plan.DP.Segments, cfg)
 	if err != nil {
 		return err
 	}
@@ -109,9 +126,19 @@ func execute(c *exec.Case, plan *core.CompileResult) error {
 		fmt.Printf("  iteration boundary L%d -> L1: change of %d words, crossed %d time(s)\n",
 			last.Start+last.Len-1, segs[0].ChangeWords, c.Iterations()-1)
 	}
-	fmt.Printf("  simulated makespan %.0f, %d messages, %d words\n",
-		res.Stats.ParallelTime, res.Stats.Messages, res.Stats.Words)
+	st := res.Stats
+	fmt.Printf("  simulated makespan %.0f, %d messages, %d words\n", st.ParallelTime, st.Messages, st.Words)
+	fmt.Printf("  largest message %d words; stores hold %d words, at most %d on one processor\n",
+		st.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
+	fmt.Printf("  busiest pair: %d messages, %d words\n", st.MaxPairMessages, st.MaxPairWords)
+	fmt.Fprintf(os.Stderr, "dmcc: wall: inspect %v, machine %v, assemble %v\n",
+		res.InspectWall.Round(time.Microsecond), res.SimWall.Round(time.Microsecond), res.AssembleWall.Round(time.Microsecond))
 	fmt.Printf("  max |parallel - sequential interpreter| = %.3g\n", maxDiff)
+	if col != nil {
+		events := col.Events()
+		fmt.Print(trace.Summarize(events, c.N, st.ParallelTime))
+		fmt.Print(trace.Gantt(events, c.N, st.ParallelTime, 100))
+	}
 	if !(maxDiff <= 1e-9) {
 		return fmt.Errorf("execution diverged from the sequential interpreter by %g", maxDiff)
 	}
@@ -129,7 +156,11 @@ func run(cs *exec.Case) (*core.CompileResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := report.AffinityGraph("-- whole-program component affinity graph --", p, p.Nests, c.Weights)
+	g, err := c.AffinityGraph()
+	if err != nil {
+		return nil, err
+	}
+	s, err := report.AffinityGraph("-- whole-program component affinity graph --", g)
 	if err != nil {
 		return nil, err
 	}

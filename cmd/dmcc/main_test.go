@@ -38,7 +38,7 @@ func TestExecRunsTheAlgorithm1Plan(t *testing.T) {
 		c := caseOf(p, 64, 16)
 		var plan *core.CompileResult
 		compiled := captureStdout(t, func() (err error) { plan, err = run(c); return err })
-		ran := captureStdout(t, func() error { return execute(c, plan) })
+		ran := captureStdout(t, func() error { return execute(c, plan, false) })
 		segments := func(re *regexp.Regexp, out string) (segs [][2]string) {
 			for _, m := range re.FindAllStringSubmatch(out, -1) {
 				segs = append(segs, [2]string{m[1], m[2]})
@@ -78,7 +78,7 @@ func TestExecWordsDecompose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := captureStdout(t, func() error { return execute(c, plan) })
+			out := captureStdout(t, func() error { return execute(c, plan, false) })
 			h, ran := header.FindStringSubmatch(out), machine.FindStringSubmatch(out)
 			if h == nil || ran == nil {
 				t.Fatalf("%s N=%d: no header or machine line in\n%s", name, n, out)
@@ -96,6 +96,27 @@ func TestExecWordsDecompose(t *testing.T) {
 			if nests := len(nest.FindAllString(out, -1)); nests != len(p.Nests) || sum != atoi(ran[1]) {
 				t.Errorf("%s N=%d: %d nest lines account for %d words, the machine moved %s\n%s", name, n, nests, sum, ran[1], out)
 			}
+		}
+	}
+}
+
+// TestRunLowersOnce: dmcc lowers its program once, into the case's
+// analysis, which the compile, the affinity graph it prints and the -exec
+// run all read.
+func TestRunLowersOnce(t *testing.T) {
+	for _, name := range ir.BuiltinNames() {
+		p, _ := ir.Builtin(name)
+		c := caseOf(p, 16, 4)
+		before := ir.LowerCalls()
+		captureStdout(t, func() error {
+			plan, err := run(c)
+			if err != nil {
+				return err
+			}
+			return execute(c, plan, false)
+		})
+		if got := ir.LowerCalls() - before; got != 1 {
+			t.Errorf("%s: dmcc -exec lowered its program %d times, want 1", name, got)
 		}
 	}
 }

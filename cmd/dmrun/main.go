@@ -8,22 +8,18 @@
 //	dmrun -kernel sor         -m 64 -n 8 -iters 10 [-naive]
 //	dmrun -kernel gauss       -m 64 -n 8 [-broadcast]
 //	dmrun -kernel cannon      -m 64 -n 4            (n = grid side q)
-//	dmrun -kernel jacobi -exec -m 64 -n 8 -iters 10  (IR program through the
-//	                                                  exec backend with
-//	                                                  compiler-chosen schemes)
-//	flags: -overlap (comm/comp overlap), -async (asynchronous collectives),
+//	flags: -overlap (comm/comp overlap),
 //	       -trace (per-processor time breakdown + Gantt chart),
 //	       -cpuprofile / -memprofile (write pprof profiles)
+//
+// The compiled IR programs run through dmcc -exec.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"time"
 
 	"dmcc/internal/cli"
-	"dmcc/internal/exec"
-	"dmcc/internal/ir"
 	"dmcc/internal/kernels"
 	"dmcc/internal/machine"
 	"dmcc/internal/matrix"
@@ -38,9 +34,7 @@ func main() {
 	iters := flag.Int("iters", 10, "iterations (jacobi, sor)")
 	naive := flag.Bool("naive", false, "SOR: reduction-per-step instead of pipeline")
 	broadcast := flag.Bool("broadcast", false, "gauss: multicast instead of pipeline")
-	execBackend := flag.Bool("exec", false, "run the IR program through the exec backend (jacobi, sor, gauss)")
 	overlap := flag.Bool("overlap", false, "overlap communication with computation")
-	async := flag.Bool("async", false, "asynchronous collectives instead of the paper's synchronous model")
 	doTrace := flag.Bool("trace", false, "print per-processor time breakdown and Gantt chart")
 	seed := flag.Int64("seed", 1, "system generator seed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -69,21 +63,13 @@ func main() {
 
 	cfg := machine.DefaultConfig()
 	cfg.Overlap = *overlap
-	if *async {
-		cfg.SyncCollectives = false
-	}
 	var col *trace.Collector
 	if *doTrace {
 		col = trace.New()
 		cfg.Tracer = col
 	}
 
-	if *execBackend {
-		err = runExec(*kernel, cfg, *m, *n, *iters, *seed)
-	} else {
-		err = run(*kernel, cfg, *m, *n, *n2, *iters, *naive, *broadcast, *seed)
-	}
-	if err != nil {
+	if err := run(*kernel, cfg, *m, *n, *n2, *iters, *naive, *broadcast, *seed); err != nil {
 		stopProf()
 		cli.Fail("dmrun", err)
 	}
@@ -93,7 +79,7 @@ func main() {
 		if *kernel == "cannon" {
 			nprocs = *n * *n
 		}
-		if *kernel == "sor" || *kernel == "gauss" || *execBackend {
+		if *kernel == "sor" || *kernel == "gauss" {
 			nprocs = *n
 		}
 		makespan := 0.0
@@ -161,41 +147,6 @@ func run(kernel string, cfg machine.Config, m, n, n2, iters int, naive, broadcas
 	default:
 		return fmt.Errorf("unknown kernel %q", kernel)
 	}
-	return nil
-}
-
-// runExec runs the kernel's IR program through the exec harness: the
-// compiler-chosen schemes on the batched exec backend, a seeded
-// diagonally dominant system, checked against the sequential IR
-// interpreter, and reports what the vectored transport moved on the
-// simulated machine.
-func runExec(kernel string, cfg machine.Config, m, n, iters int, seed int64) error {
-	p, ok := ir.Builtin(kernel) // the cannon kernel's program is named matmul
-	if !ok {
-		return fmt.Errorf("-exec supports jacobi, sor and gauss (got %q)", kernel)
-	}
-	c := exec.Case{Prog: p, M: m, N: n, Iters: iters, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: seed}
-	plan, err := c.Plan()
-	if err != nil {
-		return err
-	}
-	res, err := c.Run(plan.DP.Segments, cfg)
-	if err != nil {
-		return err
-	}
-	diff, err := c.Check(res)
-	if err != nil {
-		return err
-	}
-	report(fmt.Sprintf("%s (exec backend) on %d processors, %d iters", kernel, n, c.Iterations()),
-		res.Stats, diff)
-	fmt.Printf("  largest message %d words; stores hold %d words, at most %d on one processor\n",
-		res.Stats.MaxMsgWords, res.StoreWords, res.MaxProcStoreWords)
-	fmt.Printf("  busiest pair: %d messages, %d words\n",
-		res.Stats.MaxPairMessages, res.Stats.MaxPairWords)
-	fmt.Printf("  wall: inspect %v, machine %v, assemble %v\n",
-		res.InspectWall.Round(time.Microsecond), res.SimWall.Round(time.Microsecond),
-		res.AssembleWall.Round(time.Microsecond))
 	return nil
 }
 

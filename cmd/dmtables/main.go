@@ -33,22 +33,30 @@ func main() {
 		gen func() (string, error)
 	}
 	wp := align.WeightParams{Bind: map[string]int{"m": *m}, N: *n, Tc: 1}
+	// graph renders the affinity graph of p's nests and its alignment.
+	graph := func(title string, p *ir.Program, nests []*ir.Nest) (string, error) {
+		g, err := align.BuildGraph(p, nests, wp)
+		if err != nil {
+			return "", err
+		}
+		return report.AffinityGraph(title, g)
+	}
 	artifacts := []artifact{
 		{"t1", func() (string, error) { return report.Table1(*m, *n), nil }},
 		{"f1", func() (string, error) { return report.Fig1(16), nil }},
 		{"f2", func() (string, error) {
 			p := ir.Jacobi()
-			return report.AffinityGraph("Fig 2: component affinity graph of Jacobi's iterative algorithm", p, p.Nests, wp)
+			return graph("Fig 2: component affinity graph of Jacobi's iterative algorithm", p, p.Nests)
 		}},
 		{"t2", func() (string, error) { return report.Table2(*m, *n), nil }},
 		{"f3", func() (string, error) { return report.Fig3(*m, *n) }},
 		{"f4", func() (string, error) {
 			p := ir.Jacobi()
-			s1, err := report.AffinityGraph("Fig 4(a): alignment of L1 (lines 2-6)", p, p.Nests[:1], wp)
+			s1, err := graph("Fig 4(a): alignment of L1 (lines 2-6)", p, p.Nests[:1])
 			if err != nil {
 				return "", err
 			}
-			s2, err := report.AffinityGraph("Fig 4(b): alignment of L2 (lines 7-9)", p, p.Nests[1:], wp)
+			s2, err := graph("Fig 4(b): alignment of L2 (lines 7-9)", p, p.Nests[1:])
 			if err != nil {
 				return "", err
 			}
@@ -61,7 +69,7 @@ func main() {
 		{"f6", func() (string, error) { return report.Fig6(*m, *n) }},
 		{"f7", func() (string, error) {
 			p := ir.Gauss()
-			return report.AffinityGraph("Fig 7: component affinity graph of the Gauss elimination algorithm", p, p.Nests, wp)
+			return graph("Fig 7: component affinity graph of the Gauss elimination algorithm", p, p.Nests)
 		}},
 		{"t5", func() (string, error) { return report.Table5() }},
 		{"f8", func() (string, error) { return report.Fig8(*m, *n) }},

@@ -41,7 +41,6 @@ var testOnly = map[string]string{
 	"ir.LowerCalls":                     "test seam: counts lowerings, so tests pin how many an operation makes",
 	"ir.Storage.Load":                   "test seam: reads one element of a Storage, for tests that check single values",
 	"kernels.GaussPipelinedBlockCyclic": "paper formula: §6's load-balance claim, measured on a block-cyclic Fig 8 pipeline",
-	"machine.AsyncConfig":               "test seam: DefaultConfig with asynchronous collectives",
 	"machine.Machine.DirectHandoffs":    "test seam: counts scheduler steps that took the single-runnable fast path",
 	"machine.MaxOp":                     "test seam: a second combine operator for the collectives' tests",
 	"machine.Port.Compute":              "test seam: the runtime-agreement tests' bodies compute through Port, which stays while the goroutine runtime does",

@@ -333,6 +333,17 @@ func (c *Compiler) analysis() (*Analysis, error) {
 	return c.an, c.anErr
 }
 
+// AffinityGraph is the whole program's component affinity graph under the
+// compiler's weights, replayed from its analysis: align.BuildGraph's
+// graph without a second lowering.
+func (c *Compiler) AffinityGraph() (*align.Graph, error) {
+	an, err := c.analysis()
+	if err != nil {
+		return nil, err
+	}
+	return an.affinity(c.Weights).Graph(0, len(c.Program.Nests)), nil
+}
+
 // schemeSet is the scheme set DeriveSchemes makes of an alignment on one
 // grid shape, derived and validated once per compiler per setKey and
 // shared by pointer between every segment and worker that asks for it

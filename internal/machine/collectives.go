@@ -16,19 +16,13 @@
 // them must call it with consistent arguments, in the same order, as in
 // any SPMD collective library.
 //
-// Two execution models (Config.SyncCollectives):
-//
-//   - synchronous (default, the paper's model): all participants are
-//     engaged for the full Table 1 duration — every peer's clock advances
-//     to max(entry clocks) + cost. Transfer and Shift remain asynchronous
-//     point-to-point operations, which is exactly why Sections 5-6 can
-//     beat multicasts by pipelining with Shifts.
-//
-//   - asynchronous: collectives are plain binomial-tree message
-//     exchanges over the same Send/Recv used by user code; a leaf can
-//     exit before the rest finish. The ablation benchmarks use this to
-//     show how much of the pipelining advantage is due to collective
-//     synchronization.
+// Collectives are synchronous, the paper's model and the way 1993
+// message-passing runtimes executed them: all participants are engaged
+// for the full Table 1 duration, every peer's clock advancing to
+// max(entry clocks) + cost. Their tree messages are counted but not
+// timed; finishCollective charges the whole. Transfer and Shift remain
+// asynchronous point-to-point operations, which is exactly why Sections
+// 5-6 can beat multicasts by pipelining with Shifts.
 package machine
 
 import (
@@ -86,25 +80,6 @@ func log2ceil(n int) int {
 		k++
 	}
 	return k
-}
-
-// collSend sends one message of a collective: uncounted in time under
-// synchronous collectives, whose finishCollective charges the whole, and
-// a timed Send otherwise.
-func (p *Proc) collSend(sync bool, dst int, data []Word) {
-	if sync {
-		p.rawSend(dst, data, true)
-	} else {
-		p.Send(dst, data)
-	}
-}
-
-// collRecv is collSend's receive.
-func (p *Proc) collRecv(sync bool, src int) []Word {
-	if sync {
-		return p.rawRecv(src)
-	}
-	return p.Recv(src)
 }
 
 // syncStart synchronizes the peer group on entry: every peer's clock is
@@ -227,11 +202,7 @@ func (p *Proc) OneToManyMulticast(dims []int, root int, data []Word) []Word {
 	if n == 1 {
 		return append([]Word(nil), data...)
 	}
-	sync := p.m.cfg.SyncCollectives
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	rootPos := indexOf(peers, root)
 	rel := (indexOf(peers, p.rank) - rootPos + n) % n
 	var buf []Word
@@ -242,16 +213,14 @@ func (p *Proc) OneToManyMulticast(dims []int, root int, data []Word) []Word {
 		if rel < k {
 			if rel+k < n {
 				dst := peers[(rel+k+rootPos)%n]
-				p.collSend(sync, dst, buf)
+				p.rawSend(dst, buf, true)
 			}
 		} else if rel < 2*k {
 			src := peers[(rel-k+rootPos)%n]
-			buf = p.collRecv(sync, src)
+			buf = p.rawRecv(src)
 		}
 	}
-	if sync {
-		p.finishCollective(start, p.m.cfg.Tc*float64(len(buf))*float64(log2ceil(n)))
-	}
+	p.finishCollective(start, p.m.cfg.Tc*float64(len(buf))*float64(log2ceil(n)))
 	return buf
 }
 
@@ -278,8 +247,6 @@ func MaxOp(acc, in []Word) {
 // Reduction reduces the per-processor data vectors over all processors on
 // the specified grid dimension(s) with a binomial-tree fold; the root
 // returns the combined vector, everyone else returns nil. O(m log num).
-// In the asynchronous model each combine also costs m flops on the
-// combining processor.
 func (p *Proc) Reduction(dims []int, root int, data []Word, op ReduceOp) []Word {
 	peers := p.PeersOver(dims...)
 	n := len(peers)
@@ -287,11 +254,7 @@ func (p *Proc) Reduction(dims []int, root int, data []Word, op ReduceOp) []Word 
 	if n == 1 {
 		return acc
 	}
-	sync := p.m.cfg.SyncCollectives
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	rootPos := indexOf(peers, root)
 	rel := (indexOf(peers, p.rank) - rootPos + n) % n
 	top := 1
@@ -303,20 +266,15 @@ func (p *Proc) Reduction(dims []int, root int, data []Word, op ReduceOp) []Word 
 		if rel < k {
 			if rel+k < n {
 				src := peers[(rel+k+rootPos)%n]
-				op(acc, p.collRecv(sync, src))
-				if !sync {
-					p.Compute(len(acc))
-				}
+				op(acc, p.rawRecv(src))
 			}
 		} else if rel < 2*k {
 			dst := peers[(rel-k+rootPos)%n]
-			p.collSend(sync, dst, acc)
+			p.rawSend(dst, acc, true)
 			sent = true
 		}
 	}
-	if sync {
-		p.finishCollective(start, p.m.cfg.Tc*float64(len(acc))*float64(log2ceil(n)))
-	}
+	p.finishCollective(start, p.m.cfg.Tc*float64(len(acc))*float64(log2ceil(n)))
 	if rel == 0 {
 		return acc
 	}
@@ -342,11 +300,7 @@ func (p *Proc) AllReduce(dims []int, data []Word, op ReduceOp) []Word {
 func (p *Proc) Scatter(dims []int, root int, chunks [][]Word) []Word {
 	peers := p.PeersOver(dims...)
 	n := len(peers)
-	sync := p.m.cfg.SyncCollectives && n > 1
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	var own []Word
 	maxLen := 0
 	if p.rank == root {
@@ -364,17 +318,16 @@ func (p *Proc) Scatter(dims []int, root int, chunks [][]Word) []Word {
 				continue
 			}
 			// Prefix the chunk with its true size so the cost formula is
-			// known at every peer in sync mode.
+			// known at every peer.
 			payload := append([]Word{Word(maxLen)}, chunks[i]...)
-			p.collSend(sync, r, payload)
+			p.rawSend(r, payload, true)
 		}
 	} else {
-		var payload []Word
-		payload = p.collRecv(sync, root)
+		payload := p.rawRecv(root)
 		maxLen = int(payload[0])
 		own = payload[1:]
 	}
-	if sync {
+	if n > 1 {
 		p.finishCollective(start, p.m.cfg.Tc*float64(maxLen)*float64(n))
 	}
 	return own
@@ -385,11 +338,7 @@ func (p *Proc) Scatter(dims []int, root int, chunks [][]Word) []Word {
 func (p *Proc) Gather(dims []int, root int, data []Word) [][]Word {
 	peers := p.PeersOver(dims...)
 	n := len(peers)
-	sync := p.m.cfg.SyncCollectives && n > 1
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	var out [][]Word
 	maxLen := len(data)
 	if p.rank == root {
@@ -399,15 +348,15 @@ func (p *Proc) Gather(dims []int, root int, data []Word) [][]Word {
 				out[i] = append([]Word(nil), data...)
 				continue
 			}
-			out[i] = p.collRecv(sync, r)
+			out[i] = p.rawRecv(r)
 			if len(out[i]) > maxLen {
 				maxLen = len(out[i])
 			}
 		}
 	} else {
-		p.collSend(sync, root, data)
+		p.rawSend(root, data, true)
 	}
-	if sync {
+	if n > 1 {
 		// All peers advance by the same formula; non-roots use their own
 		// chunk size, which matches when chunks are equal-sized (the
 		// common case for the paper's kernels).
@@ -428,26 +377,20 @@ func (p *Proc) ManyToManyMulticast(dims []int, data []Word) [][]Word {
 	if n == 1 {
 		return out
 	}
-	sync := p.m.cfg.SyncCollectives
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	cur := out[pos]
 	maxLen := len(cur)
 	for step := 1; step < n; step++ {
 		next := peers[(pos+1)%n]
 		prev := peers[(pos-1+n)%n]
-		p.collSend(sync, next, cur)
-		cur = p.collRecv(sync, prev)
+		p.rawSend(next, cur, true)
+		cur = p.rawRecv(prev)
 		out[(pos-step+n)%n] = cur
 		if len(cur) > maxLen {
 			maxLen = len(cur)
 		}
 	}
-	if sync {
-		p.finishCollective(start, p.m.cfg.Tc*float64(maxLen)*float64(n))
-	}
+	p.finishCollective(start, p.m.cfg.Tc*float64(maxLen)*float64(n))
 	return out
 }
 
@@ -481,11 +424,7 @@ func (p *Proc) AffineTransform(dims []int, perm []int, data []Word) []Word {
 	}
 	pos := indexOf(peers, p.rank)
 	dst := perm[pos]
-	sync := p.m.cfg.SyncCollectives
-	var start float64
-	if sync {
-		start = p.syncStart(peers)
-	}
+	start := p.syncStart(peers)
 	src := -1
 	for i, d := range perm {
 		if d == pos {
@@ -498,11 +437,9 @@ func (p *Proc) AffineTransform(dims []int, perm []int, data []Word) []Word {
 	case dst == pos:
 		got = append([]Word(nil), data...)
 	default:
-		p.collSend(sync, peers[dst], data)
-		got = p.collRecv(sync, peers[src])
+		p.rawSend(peers[dst], data, true)
+		got = p.rawRecv(peers[src])
 	}
-	if sync {
-		p.finishCollective(start, p.m.cfg.Tc*float64(len(got))*float64(log2ceil(n)))
-	}
+	p.finishCollective(start, p.m.cfg.Tc*float64(len(got))*float64(log2ceil(n)))
 	return got
 }

@@ -14,97 +14,93 @@ import (
 
 // TestCollectivesNonPow2PeerGroups: every collective returns correct
 // values on ragged binomial trees over both dimensions of 3x5, 5x3 and
-// 7x2 grids, for every root, in both execution models.
+// 7x2 grids, for every root.
 func TestCollectivesNonPow2PeerGroups(t *testing.T) {
 	shapes := [][2]int{{3, 5}, {5, 3}, {7, 2}}
 	for _, shape := range shapes {
 		g := grid.New(shape[0], shape[1])
 		for dim := 0; dim < 2; dim++ {
-			for _, sync := range []bool{true, false} {
-				cfg := DefaultConfig()
-				cfg.SyncCollectives = sync
-				run(t, g, cfg, func(p *Proc) {
-					peers := p.PeersOver(dim)
-					if len(peers) != shape[dim] {
-						t.Errorf("%v dim %d: peer group size %d, want %d", shape, dim, len(peers), shape[dim])
-					}
-					pos := indexOf(peers, p.Rank())
+			run(t, g, DefaultConfig(), func(p *Proc) {
+				peers := p.PeersOver(dim)
+				if len(peers) != shape[dim] {
+					t.Errorf("%v dim %d: peer group size %d, want %d", shape, dim, len(peers), shape[dim])
+				}
+				pos := indexOf(peers, p.Rank())
 
-					// Multicast from every peer position in turn.
-					for rootPos, root := range peers {
-						var data []Word
-						if p.Rank() == root {
-							data = []Word{Word(100 + rootPos), 7}
-						}
-						got := p.OneToManyMulticast([]int{dim}, root, data)
-						if len(got) != 2 || got[0] != Word(100+rootPos) || got[1] != 7 {
-							t.Errorf("%v dim %d root %d: proc %d multicast got %v", shape, dim, root, p.Rank(), got)
-						}
-					}
-
-					// Reduction to a non-zero, non-last peer position.
-					root := peers[len(peers)/2]
-					sum := p.Reduction([]int{dim}, root, []Word{Word(pos), 1}, SumOp)
-					n := len(peers)
+				// Multicast from every peer position in turn.
+				for rootPos, root := range peers {
+					var data []Word
 					if p.Rank() == root {
-						if sum == nil || sum[0] != Word(n*(n-1)/2) || sum[1] != Word(n) {
-							t.Errorf("%v dim %d: reduction at %d got %v", shape, dim, root, sum)
-						}
-					} else if sum != nil {
-						t.Errorf("%v dim %d: non-root %d got reduction value %v", shape, dim, p.Rank(), sum)
+						data = []Word{Word(100 + rootPos), 7}
 					}
+					got := p.OneToManyMulticast([]int{dim}, root, data)
+					if len(got) != 2 || got[0] != Word(100+rootPos) || got[1] != 7 {
+						t.Errorf("%v dim %d root %d: proc %d multicast got %v", shape, dim, root, p.Rank(), got)
+					}
+				}
 
-					// AllReduce max: everyone learns the group maximum.
-					mx := p.AllReduce([]int{dim}, []Word{Word(pos * pos)}, MaxOp)
-					if len(mx) != 1 || mx[0] != Word((n-1)*(n-1)) {
-						t.Errorf("%v dim %d: proc %d allreduce got %v", shape, dim, p.Rank(), mx)
+				// Reduction to a non-zero, non-last peer position.
+				root := peers[len(peers)/2]
+				sum := p.Reduction([]int{dim}, root, []Word{Word(pos), 1}, SumOp)
+				n := len(peers)
+				if p.Rank() == root {
+					if sum == nil || sum[0] != Word(n*(n-1)/2) || sum[1] != Word(n) {
+						t.Errorf("%v dim %d: reduction at %d got %v", shape, dim, root, sum)
 					}
+				} else if sum != nil {
+					t.Errorf("%v dim %d: non-root %d got reduction value %v", shape, dim, p.Rank(), sum)
+				}
 
-					// Scatter/Gather round trip through the middle peer.
-					var chunks [][]Word
-					if p.Rank() == root {
-						chunks = make([][]Word, n)
-						for i := range chunks {
-							chunks[i] = []Word{Word(10 * i), Word(10*i + 1)}
+				// AllReduce max: everyone learns the group maximum.
+				mx := p.AllReduce([]int{dim}, []Word{Word(pos * pos)}, MaxOp)
+				if len(mx) != 1 || mx[0] != Word((n-1)*(n-1)) {
+					t.Errorf("%v dim %d: proc %d allreduce got %v", shape, dim, p.Rank(), mx)
+				}
+
+				// Scatter/Gather round trip through the middle peer.
+				var chunks [][]Word
+				if p.Rank() == root {
+					chunks = make([][]Word, n)
+					for i := range chunks {
+						chunks[i] = []Word{Word(10 * i), Word(10*i + 1)}
+					}
+				}
+				own := p.Scatter([]int{dim}, root, chunks)
+				if len(own) != 2 || own[0] != Word(10*pos) || own[1] != Word(10*pos+1) {
+					t.Errorf("%v dim %d: proc %d scatter got %v", shape, dim, p.Rank(), own)
+				}
+				back := p.Gather([]int{dim}, root, own)
+				if p.Rank() == root {
+					for i, c := range back {
+						if len(c) != 2 || c[0] != Word(10*i) || c[1] != Word(10*i+1) {
+							t.Errorf("%v dim %d: gather chunk %d = %v", shape, dim, i, c)
 						}
 					}
-					own := p.Scatter([]int{dim}, root, chunks)
-					if len(own) != 2 || own[0] != Word(10*pos) || own[1] != Word(10*pos+1) {
-						t.Errorf("%v dim %d: proc %d scatter got %v", shape, dim, p.Rank(), own)
-					}
-					back := p.Gather([]int{dim}, root, own)
-					if p.Rank() == root {
-						for i, c := range back {
-							if len(c) != 2 || c[0] != Word(10*i) || c[1] != Word(10*i+1) {
-								t.Errorf("%v dim %d: gather chunk %d = %v", shape, dim, i, c)
-							}
-						}
-					} else if back != nil {
-						t.Errorf("%v dim %d: non-root %d got gather result", shape, dim, p.Rank())
-					}
+				} else if back != nil {
+					t.Errorf("%v dim %d: non-root %d got gather result", shape, dim, p.Rank())
+				}
 
-					// Many-to-many: position-indexed all-gather.
-					all := p.ManyToManyMulticast([]int{dim}, []Word{Word(pos)})
-					if len(all) != n {
-						t.Fatalf("%v dim %d: many-to-many returned %d chunks", shape, dim, len(all))
+				// Many-to-many: position-indexed all-gather.
+				all := p.ManyToManyMulticast([]int{dim}, []Word{Word(pos)})
+				if len(all) != n {
+					t.Fatalf("%v dim %d: many-to-many returned %d chunks", shape, dim, len(all))
+				}
+				for i, c := range all {
+					if len(c) != 1 || c[0] != Word(i) {
+						t.Errorf("%v dim %d: many-to-many chunk %d = %v", shape, dim, i, c)
 					}
-					for i, c := range all {
-						if len(c) != 1 || c[0] != Word(i) {
-							t.Errorf("%v dim %d: many-to-many chunk %d = %v", shape, dim, i, c)
-						}
-					}
+				}
 
-					// Affine rotate-by-one across the ragged group.
-					perm := make([]int, n)
-					for i := range perm {
-						perm[i] = (i + 1) % n
-					}
-					rot := p.AffineTransform([]int{dim}, perm, []Word{Word(pos)})
-					if len(rot) != 1 || rot[0] != Word((pos-1+n)%n) {
-						t.Errorf("%v dim %d: proc %d affine got %v", shape, dim, p.Rank(), rot)
-					}
-				})
-			}
+				// Affine rotate-by-one across the ragged group.
+				perm := make([]int, n)
+				for i := range perm {
+					perm[i] = (i + 1) % n
+				}
+				rot := p.AffineTransform([]int{dim}, perm, []Word{Word(pos)})
+				if len(rot) != 1 || rot[0] != Word((pos-1+n)%n) {
+					t.Errorf("%v dim %d: proc %d affine got %v", shape, dim, p.Rank(), rot)
+				}
+			})
 		}
 	}
 }

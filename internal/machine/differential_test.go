@@ -158,11 +158,9 @@ func runSPMD(p *Proc, prog []spmdOp) Word {
 }
 
 // spmdModel is the sequential oracle: what prog must cost on cfg, from
-// the definitions — Table 1 for synchronous collectives, SendTiming for
-// point-to-point — not from the runtime. Counter totals are modelled in
-// every mode; clocks are modelled when collectives are synchronous
-// (asynchronous collectives are binomial-tree message exchanges whose
-// clocks only a second implementation of the trees could predict).
+// the definitions — Table 1 for the collectives, SendTiming for
+// point-to-point — not from the runtime: counter totals and every
+// processor's clock.
 type spmdModel struct {
 	clock                  []float64
 	flops, messages, words int64
@@ -221,9 +219,6 @@ func modelSPMD(g *grid.Grid, cfg Config, prog []spmdOp) spmdModel {
 	// engage is the synchronous-collective clock rule: the group leaves
 	// at max(entry) + cost(position).
 	engage := func(peers []int, cost func(pos int) float64) {
-		if !cfg.SyncCollectives {
-			return
-		}
 		start := 0.0
 		for _, r := range peers {
 			if m.clock[r] > start {
@@ -290,9 +285,6 @@ func modelSPMD(g *grid.Grid, cfg Config, prog []spmdOp) spmdModel {
 						rounds = 2 // a Reduction, then a multicast of the result
 					}
 					count(rounds*(num-1), rounds*(num-1)*op.K)
-					if !cfg.SyncCollectives {
-						m.flops += int64((num - 1) * op.K) // one combine per tree edge
-					}
 					engage(peers, flat(float64(rounds)*tree))
 				case "scatter":
 					lens := chunkLens(op.Seed, num)
@@ -359,14 +351,13 @@ func TestRuntimesAgreeOnRandomSPMD(t *testing.T) {
 		g := grid.New(shape...)
 		for seed := int64(1); seed <= 6; seed++ {
 			prog := randomSPMD(rand.New(rand.NewSource(seed*7919+int64(g.Size()))), g, 10)
-			for mode := 0; mode < 8; mode++ {
+			for mode := 0; mode < 4; mode++ {
 				cfg := DefaultConfig()
-				cfg.SyncCollectives = mode&1 == 0
-				cfg.Overlap = mode&2 != 0
-				cfg.Alpha = float64(mode>>2) * 3
+				cfg.Overlap = mode&1 != 0
+				cfg.Alpha = float64(mode>>1) * 3
 				label := func() string {
-					return fmt.Sprintf("grid %v seed %d sync=%t overlap=%t alpha=%g\nprogram: %+v",
-						shape, seed, cfg.SyncCollectives, cfg.Overlap, cfg.Alpha, prog)
+					return fmt.Sprintf("grid %v seed %d overlap=%t alpha=%g\nprogram: %+v",
+						shape, seed, cfg.Overlap, cfg.Alpha, prog)
 				}
 
 				sums := [2][]Word{make([]Word, g.Size()), make([]Word, g.Size())}
@@ -399,11 +390,9 @@ func TestRuntimesAgreeOnRandomSPMD(t *testing.T) {
 					t.Fatalf("counters: ran flops=%d messages=%d words=%d, model says %d / %d / %d\n%s",
 						got.Flops, got.Messages, got.Words, model.flops, model.messages, model.words, label())
 				}
-				if cfg.SyncCollectives {
-					for r, ps := range got.PerProc {
-						if ps.Clock != model.clock[r] {
-							t.Fatalf("processor %d clock = %v, model says %v\n%s", r, ps.Clock, model.clock[r], label())
-						}
+				for r, ps := range got.PerProc {
+					if ps.Clock != model.clock[r] {
+						t.Fatalf("processor %d clock = %v, model says %v\n%s", r, ps.Clock, model.clock[r], label())
 					}
 				}
 			}

@@ -7,6 +7,8 @@ import "fmt"
 // key. The Tracer is excluded: it observes the run without changing
 // clocks or counters.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("tf=%g;tc=%g;alpha=%g;overlap=%t;synccoll=%t",
-		c.Tf, c.Tc, c.Alpha, c.Overlap, c.SyncCollectives)
+	// synccoll names a retired field: collectives are always synchronous.
+	// It stays, so every key keeps its text, until the next schema bump.
+	return fmt.Sprintf("tf=%g;tc=%g;alpha=%g;overlap=%t;synccoll=true",
+		c.Tf, c.Tc, c.Alpha, c.Overlap)
 }

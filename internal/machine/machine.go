@@ -67,30 +67,13 @@ type Config struct {
 	// Events arrive one at a time (under Run from each processor's
 	// coroutine); package trace provides a collector.
 	Tracer Tracer
-	// SyncCollectives selects the paper's execution model for the
-	// collective primitives of Section 2.2: every participant is engaged
-	// for the full Table 1 duration (all clocks advance together to
-	// max(entry) + cost). This is how 1993 message-passing runtimes
-	// executed collectives and is what makes replacing a multicast by
-	// pipelined Shifts profitable (Sections 5-6). When false, collectives
-	// run as asynchronous binomial-tree message exchanges — the ablation
-	// showing that on a fully asynchronous machine the gap narrows.
-	SyncCollectives bool
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// unit flop time, unit word-transfer time, no startup, no overlap,
-// synchronous collectives (the paper's Table 1 model).
+// unit flop time, unit word-transfer time, no startup, no overlap.
+// Collectives are always synchronous, the paper's Table 1 model.
 func DefaultConfig() Config {
-	return Config{Tf: 1, Tc: 1, Alpha: 0, Overlap: false, SyncCollectives: true}
-}
-
-// AsyncConfig is DefaultConfig with asynchronous collectives, used by the
-// ablation benchmarks.
-func AsyncConfig() Config {
-	c := DefaultConfig()
-	c.SyncCollectives = false
-	return c
+	return Config{Tf: 1, Tc: 1, Alpha: 0, Overlap: false}
 }
 
 // EventKind classifies trace events.

@@ -599,22 +599,8 @@ func TestSyncScatterGatherClock(t *testing.T) {
 	})
 }
 
-// TestAsyncCollectivesStillCorrect: results identical in both execution
-// models; only clocks differ.
-func TestAsyncVsSyncSameResults(t *testing.T) {
-	for _, cfg := range []Config{DefaultConfig(), AsyncConfig()} {
-		g := grid.New(5)
-		run(t, g, cfg, func(p *Proc) {
-			got := p.AllReduce([]int{0}, []Word{Word(p.Rank() + 1)}, SumOp)
-			if got[0] != 15 {
-				t.Errorf("sync=%v: allreduce = %v", cfg.SyncCollectives, got[0])
-			}
-		})
-	}
-}
-
 // TestAffineTransformSyncFixedPoint: a non-identity permutation with a
-// fixed point must not deadlock in sync mode (every peer still
+// fixed point must not deadlock (every peer still
 // participates in the clock synchronization).
 func TestAffineTransformSyncFixedPoint(t *testing.T) {
 	g := grid.New(3)

@@ -135,12 +135,14 @@ func ringAllocs(t *testing.T, n, hops, runs int) (allocs, bytes float64) {
 // over the same pairs, and may allocate at most one more time per 1,000
 // of them — the payload arena's chunks, nothing per message, pair or
 // peer. A 4,096-rank ring stays far below a dense pair structure's
-// 4,096² words (134 MB): 1.8 MB when this was written.
+// 4,096² words (134 MB): 1.8 MB when this was written. The count bound
+// holds only without -race: there sync.Pool drops pooled run tables at
+// random, and the difference counts their refills, not the message path.
 func TestMessagePathAllocations(t *testing.T) {
 	short, _ := ringAllocs(t, 256, 8, 5)
 	long, _ := ringAllocs(t, 256, 64, 5)
 	extra := 256 * (64 - 8)
-	if long-short > float64(extra)/1000 {
+	if !raceEnabled && long-short > float64(extra)/1000 {
 		t.Errorf("a 256-rank ring allocates %.0f times at 8 hops and %.0f at 64: %.0f more for %d more messages, want at most %d",
 			short, long, long-short, extra, extra/1000)
 	}

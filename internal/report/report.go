@@ -109,11 +109,7 @@ func Fig1(size int) string {
 
 // AffinityGraph renders a component affinity graph and its alignment
 // (Figs 2, 4 and 7).
-func AffinityGraph(title string, p *ir.Program, nests []*ir.Nest, wp align.WeightParams) (string, error) {
-	g, err := align.BuildGraph(p, nests, wp)
-	if err != nil {
-		return "", err
-	}
+func AffinityGraph(title string, g *align.Graph) (string, error) {
 	pt, err := align.Align(g, 2)
 	if err != nil {
 		return "", err

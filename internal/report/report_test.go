@@ -39,7 +39,11 @@ func TestFig1Renders(t *testing.T) {
 
 func TestAffinityGraphRenders(t *testing.T) {
 	p := ir.Jacobi()
-	s, err := AffinityGraph("Fig 2", p, p.Nests, align.DefaultWeightParams())
+	g, err := align.BuildGraph(p, p.Nests, align.DefaultWeightParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := AffinityGraph("Fig 2", g)
 	if err != nil {
 		t.Fatal(err)
 	}
