@@ -44,7 +44,7 @@ func casePrograms(t *testing.T) map[string]*ir.Program {
 	return progs
 }
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/run.golden and testdata/runexact.golden from this tree")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/run.golden, testdata/runexact.golden and testdata/trace.golden from this tree")
 
 // resultGolden is one golden file of TestCaseRunsEveryProgram: for every
 // label, the sha256 of one engine's result rendered by render.

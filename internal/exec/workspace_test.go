@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -167,6 +171,52 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestRunTraceGolden pins the schedule message by message: every run of
+// warmCases, in order, hashes to its line of testdata/trace.golden — the
+// sha256 of the machine's event list (cfg.Tracer) followed by the result
+// without its walls (renderRun), labelled by its index and the first line
+// of its label. run.golden pins what a run computes and
+// counts; this pins the order, size and timing of every send and wait
+// that produced it. -update rewrites the file, for a deliberate change to
+// the schedule only.
+func TestRunTraceGolden(t *testing.T) {
+	const path = "testdata/trace.golden"
+	cases := warmCases(t)
+	var b strings.Builder
+	for i, c := range cases {
+		r, err := c.run(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		h := sha256.New()
+		for _, e := range r.trace {
+			fmt.Fprintf(h, "%+v\n", e)
+		}
+		io.WriteString(h, renderRun(r.res))
+		label, _, _ := strings.Cut(c.label, "\n")
+		fmt.Fprintf(&b, "%x %03d %s\n", h.Sum(nil), i, label)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d runs, %s has %d", len(got)-1, path, len(wantLines)-1)
+	}
+	for i := range got {
+		if got[i] != wantLines[i] {
+			t.Errorf("run %d: got %q, %s has %q", i, got[i], path, wantLines[i])
 		}
 	}
 }
