@@ -254,41 +254,55 @@ func (c *Compiler) jobs() int {
 // for concurrent use.
 type Analysis struct {
 	low *ir.Lowered
-	// refs[t] names the arrays nest t's statements reference, sorted —
-	// the arrays whose schemes its counts can depend on.
-	refs [][]string
-	// lastWrite[a] is the (0-based) index of the last nest writing a;
-	// empty unless the program is iterative.
-	lastWrite map[string]int
+	// The per-nest tables, built on first use (tables), since Thaw on a
+	// fitted plan never reads them. refs[t] names the arrays nest t's
+	// statements reference, sorted — the arrays whose schemes its counts
+	// can depend on; lastWrite[a] is the (0-based) index of the last nest
+	// writing a, empty unless the program is iterative.
+	tablesOnce sync.Once
+	refs       [][]string
+	lastWrite  map[string]int
 
 	mu  sync.Mutex
 	aff map[[2]float64]*align.Affinity // by the weights' (N, Tc)
 }
 
 // Analyse validates p, lowers it under bind and checks its ranges at the
-// bound size, and derives its per-nest tables.
+// bound size; its per-nest tables wait for their first reader.
 func Analyse(p *ir.Program, bind map[string]int) (*Analysis, error) {
 	lw, err := p.LowerChecked(bind)
 	if err != nil {
 		return nil, err
 	}
-	an := &Analysis{low: lw, refs: make([][]string, len(p.Nests)), lastWrite: map[string]int{}}
-	var names []string // every nest's references, nest after nest
-	for t, nest := range p.Nests {
-		start := len(names)
-		for _, st := range nest.Stmts {
-			if p.Iterative {
-				an.lastWrite[st.LHS.Array] = t
-			}
-			names = append(names, st.LHS.Array)
-			for _, r := range st.Reads {
-				names = append(names, r.Array)
-			}
+	return &Analysis{low: lw}, nil
+}
+
+// tables returns an with its per-nest tables built, unless they were
+// handed in (a size pricer shares its base's).
+func (an *Analysis) tables() *Analysis {
+	an.tablesOnce.Do(func() {
+		if an.refs != nil {
+			return
 		}
-		slices.Sort(names[start:])
-		an.refs[t] = slices.Compact(names[start:])
-	}
-	return an, nil
+		p := an.low.Program
+		an.refs, an.lastWrite = make([][]string, len(p.Nests)), map[string]int{}
+		var names []string // every nest's references, nest after nest
+		for t, nest := range p.Nests {
+			start := len(names)
+			for _, st := range nest.Stmts {
+				if p.Iterative {
+					an.lastWrite[st.LHS.Array] = t
+				}
+				names = append(names, st.LHS.Array)
+				for _, r := range st.Reads {
+					names = append(names, r.Array)
+				}
+			}
+			slices.Sort(names[start:])
+			an.refs[t] = slices.Compact(names[start:])
+		}
+	})
+	return an
 }
 
 // Lowered is the program lowered under the analysis's binding, shared by
@@ -365,7 +379,7 @@ func (c *Compiler) schemeSet(assign []byte, method string, shape [2]int, cyclic 
 		if err != nil || c.noCache {
 			return ss, err
 		}
-		ss.nestKeys = make([]string, len(an.refs))
+		ss.nestKeys = make([]string, len(an.tables().refs))
 		for t, refs := range an.refs {
 			ss.nestKeys[t] = ss.restrictedKey(refs)
 		}
@@ -409,7 +423,7 @@ func (c *Compiler) checkSchemes(ss *SchemeSet) error {
 		return err
 	}
 	lw := an.low
-	for _, refs := range an.refs {
+	for _, refs := range an.tables().refs {
 		for _, name := range refs {
 			s, ok := ss.Schemes[name]
 			if !ok {
@@ -427,7 +441,7 @@ func (c *Compiler) checkSchemes(ss *SchemeSet) error {
 // its value from a later write of the same iteration-body pass — a write
 // by nest t or after — i.e. crosses the iterative loop's back edge.
 func (an *Analysis) loopCarried(t int, a string) bool {
-	last, written := an.lastWrite[a]
+	last, written := an.tables().lastWrite[a]
 	return written && last >= t
 }
 

@@ -150,7 +150,8 @@ func (pe *PlanEvaluator) pricer(m int) (*sizePricer, error) {
 	// The compiler shares the program's per-nest tables, the model and
 	// the engine counters, and runs uncached: it prices each query once,
 	// so memo keys would be pure cost.
-	an := &Analysis{low: lw, refs: pe.c.an.refs, lastWrite: pe.c.an.lastWrite}
+	base := pe.c.an.tables()
+	an := &Analysis{low: lw, refs: base.refs, lastWrite: base.lastWrite}
 	ec := an.Compiler(pe.c.Model, pe.c.NProcs)
 	ec.noCache, ec.ExactNestCount, ec.Engines = true, pe.c.ExactNestCount, pe.c.Engines
 	return &sizePricer{c: ec, sets: make([]*SchemeSet, len(pe.Base.DP.Segments))}, nil

@@ -124,7 +124,7 @@ func (ss *SchemeSet) nestKey(an *Analysis, t int) string {
 	if ss.keysOf == an {
 		return ss.nestKeys[t]
 	}
-	return ss.restrictedKey(an.refs[t])
+	return ss.restrictedKey(an.tables().refs[t])
 }
 
 // appendSchemeKey appends one array's placement, encoded as Signature

@@ -54,6 +54,22 @@ func benchRun(b *testing.B, c benchCase) {
 // workload runs: Gauss m=32 on 16 processors.
 func BenchmarkRunGauss(b *testing.B) { benchRun(b, newBenchCase(b, ir.Gauss(), 32, 16, 1, false)) }
 
+// BenchmarkScheduleGauss times the inspector alone on BenchmarkRunGauss's
+// case: buildPlan of Gauss m=32 on 16 processors under its whole-program
+// schemes, in one warm workspace, the lowering and the scheme derivation
+// outside the timer.
+func BenchmarkScheduleGauss(b *testing.B) {
+	c := newBenchCase(b, ir.Gauss(), 32, 16, 1, false)
+	lw, segs, ws := mustLower(b, c.p, c.bind), wholeProgram(c.p, c.ss), &workspace{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := buildPlan(lw, segs, nil, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRunJacobi1024 is the machine-bound case of exec-scale: Jacobi
 // m=32 on 1024 processors, two outer iterations.
 func BenchmarkRunJacobi1024(b *testing.B) {
@@ -164,10 +180,13 @@ func allocsPerRun(runs int, cold bool, f func()) (allocs, bytes float64) {
 // that often, and both arms are held to the cold race figure. A warm Run
 // allocates what it returns — Values, Stats (PerProc and the per-peer
 // lists) and Segments — and what validate makes (the program's
-// lowering): gauss m=32 N=16 makes 216 allocations of 129 kB and jacobi
-// m=32 N=1024 73 of 204 kB, against 2.71 and 2.56 MB while every run
-// built its workspace anew. Cold, they make 722 of 2.69 MB and 521 of
-// 2.85 MB; under -race 1 119 of 2.71 MB and 1 996 of 2.96 MB.
+// lowering): gauss m=32 N=16 makes 212 allocations of 122 kB and jacobi
+// m=32 N=1024 71 of 201 kB, against 2.71 and 2.56 MB while every run
+// built its workspace anew. Cold, they make 732 of 2.68 MB and 545 of
+// 2.84 MB; under -race 1 129 of 2.70 MB and 2 019 of 2.94 MB. They made
+// 749 of 2.72 MB and 556 of 2.85 MB cold while the inspector kept three
+// bit-planes over the ranks per touched element beside its position rows
+// and the lowering carved its references in chunks of 64.
 //
 // Before the workspace, Gauss (dmbench's exec-gauss case) made 1 046 allocations of
 // 2.71 MB — 2 631 and 2.73 MB while the assembly of Values
@@ -214,8 +233,8 @@ func TestRunAllocBudget(t *testing.T) {
 		// -race, where a warm run can only be held to the cold figure.
 		cold, warm, race [2]float64
 	}{
-		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), [2]float64{800, 2.96e6}, [2]float64{240, 1.45e5}, [2]float64{1230, 2.98e6}},
-		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), [2]float64{580, 3.14e6}, [2]float64{85, 2.25e5}, [2]float64{2200, 3.26e6}},
+		{"gauss m=32 N=16", newBenchCase(t, ir.Gauss(), 32, 16, 1, false), [2]float64{800, 2.95e6}, [2]float64{240, 1.34e5}, [2]float64{1230, 2.97e6}},
+		{"jacobi m=32 N=1024", newBenchCase(t, ir.Jacobi(), 32, 1024, 2, true), [2]float64{580, 3.13e6}, [2]float64{85, 2.21e5}, [2]float64{2200, 3.23e6}},
 	} {
 		for _, arm := range []struct {
 			name   string

@@ -16,14 +16,14 @@ import (
 // or the grid's, counted where they are referenced, never walked), and
 // tallies the words by the type holding them.
 type census struct {
-	home   map[string]bool
-	seen   map[[2]uintptr]bool
-	words  int
-	byType map[string]int
+	home    map[string]bool
+	visited map[[2]uintptr]bool
+	words   int
+	byType  map[string]int
 }
 
 func newCensus(pkgs ...string) *census {
-	c := &census{home: map[string]bool{}, seen: map[[2]uintptr]bool{}, byType: map[string]int{}}
+	c := &census{home: map[string]bool{}, visited: map[[2]uintptr]bool{}, byType: map[string]int{}}
 	for _, p := range pkgs {
 		c.home[p] = true
 	}
@@ -48,10 +48,10 @@ func (c *census) follows(t reflect.Type) bool {
 // once reports whether the object at p of type t is new to the census.
 func (c *census) once(p uintptr, t reflect.Type) bool {
 	k := [2]uintptr{p, reflect.ValueOf(t).Pointer()}
-	if c.seen[k] {
+	if c.visited[k] {
 		return false
 	}
-	c.seen[k] = true
+	c.visited[k] = true
 	return true
 }
 

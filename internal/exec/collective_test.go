@@ -194,7 +194,7 @@ func TestLowerEpochMatchesReference(t *testing.T) {
 	}
 
 	// Ranks spread over [0, 4096): the rank index grows past every rank
-	// seen so far, and the ranks' order is not their draw order.
+	// drawn so far, and the ranks' order is not their draw order.
 	t.Run("sparse ranks", func(t *testing.T) {
 		for _, seed := range fuzzSeeds {
 			rng := rand.New(rand.NewSource(seed))

@@ -149,6 +149,13 @@ type elemVal struct {
 
 func (e *engine) owners(el elemID) []int { return e.own[el.arr()][el.off()] }
 
+// elemAt is the element r names at loop vector iv, and whether it lies
+// inside its array's extents (ir.LRef.Offset).
+func elemAt(r *ir.LRef, iv []int) (elemID, bool) {
+	off, ok := r.Offset(iv)
+	return mkElem(r.Array, off), ok
+}
+
 // at is the element r names at the current loop vector. validate checked
 // every subscript against its extent, so it lies inside them.
 func (e *engine) at(r *ir.LRef) elemID {

@@ -155,8 +155,8 @@ func buildLoads(s *progSchedule, input ir.Storage, loads []arrayLoad) []arrayLoa
 		}
 		for key, v := range elems {
 			off, _ := s.lw.Elem(a, key)
-			c := am.lay.owners(off)[0]
-			i, _ := am.lay.local(c, off)
+			c := am.lay.first(off)
+			i, _ := am.lay.local(int(c), off)
 			ld.vals[ld.at[c]+i], ld.set[ld.at[c]+i] = v, true
 		}
 	}

@@ -2,8 +2,8 @@
 // array and row-major offset (elemID), and a layout says, for one array
 // under one scheme on one grid, which ranks own an element and where in
 // each owner's local store it sits. The layout is the one owner of that
-// cell format: everything else asks it through owners, local, storeLen
-// and held.
+// cell format: everything else asks it through first, owners, local,
+// storeLen and held.
 
 package exec
 
@@ -97,6 +97,10 @@ func (l *layout) build(ext []int, sch dist.Scheme, g *grid.Grid) error {
 	})
 	return err
 }
+
+// first is the first (lowest) owner of the element at off, which names
+// its cell.
+func (l *layout) first(off int) int32 { return l.cell[off] }
 
 // owners is the owner list of the element at off, ascending: a view of
 // its cell's.

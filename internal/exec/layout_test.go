@@ -39,7 +39,7 @@ func checkLayout(t *testing.T, c layoutCase) (l layout, words []int) {
 	s := &progSchedule{arrays: []arrayMeta{am}, lw: &ir.Lowered{Shapes: [][]int{c.ext}}}
 	words = make([]int, c.g.Size())
 	for r := 0; r < c.g.Size(); r++ {
-		seen := make([]bool, l.storeLen(r))
+		used := make([]bool, l.storeLen(r))
 		for off := 0; off < am.size; off++ {
 			idx := s.decode(mkElem(0, off))
 			loc, held := l.local(r, off)
@@ -49,15 +49,15 @@ func checkLayout(t *testing.T, c layoutCase) (l layout, words []int) {
 			if !held {
 				continue
 			}
-			if int(loc) >= len(seen) || seen[loc] {
-				t.Fatalf("%s: rank %d, element %v: local offset %d repeats or leaves the store of %d", c.label, r, idx, loc, len(seen))
+			if int(loc) >= len(used) || used[loc] {
+				t.Fatalf("%s: rank %d, element %v: local offset %d repeats or leaves the store of %d", c.label, r, idx, loc, len(used))
 			} else {
-				seen[loc] = true
+				used[loc] = true
 			}
 			words[r]++
 		}
-		if words[r] != len(seen) {
-			t.Fatalf("%s: rank %d holds %d elements in a store of %d", c.label, r, words[r], len(seen))
+		if words[r] != len(used) {
+			t.Fatalf("%s: rank %d holds %d elements in a store of %d", c.label, r, words[r], len(used))
 		}
 	}
 	total, replicas := 0, 0

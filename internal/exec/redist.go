@@ -111,8 +111,8 @@ func pairKey(src, dst int32) int64 { return int64(src)<<32 | int64(dst) }
 // dests[start[x]:start[x+1]]. The arenas members and elems hold every
 // tree step's members and every step's and residual pair's element run.
 // Per epoch: ranks are its ranks, ascending, and at[r] is r's index in
-// ranks (at grows to the largest rank seen; an entry of a rank outside
-// the epoch is stale and never read), seen is index's bitset and ints the
+// ranks (at grows to the largest rank so far; an entry of a rank outside
+// the epoch is stale and never read), inEpoch is index's bitset and ints the
 // counting passes' indices and counters.
 type lowering struct {
 	pos                    [][]int32
@@ -120,7 +120,7 @@ type lowering struct {
 	xs, start, fill, dests []int32
 	multi, members, ranks  []int32
 	at, ints               []int32
-	seen                   []uint64
+	inEpoch                []uint64
 	steps                  []treeStep
 	resid, edges           []edge
 	msgs                   []roundMsg
@@ -325,7 +325,7 @@ func (p *redistPlan) address(ranks []int32, op0 int32, vecLen []int32, addr func
 	}
 }
 
-// index numbers the epoch's ranks, the ends of its ships: marked in seen,
+// index numbers the epoch's ranks, the ends of its ships: marked in inEpoch,
 // collected in order by a scan that clears it.
 func (l *lowering) index(traffic []epochShip) {
 	top := int32(0)
@@ -334,21 +334,21 @@ func (l *lowering) index(traffic []epochShip) {
 	}
 	if n := int(top) + 1; n > len(l.at) {
 		l.at = append(l.at, make([]int32, n-len(l.at))...)
-		l.seen = append(l.seen, make([]uint64, n/64+1-len(l.seen))...)
+		l.inEpoch = append(l.inEpoch, make([]uint64, n/64+1-len(l.inEpoch))...)
 	}
 	for _, t := range traffic {
 		for _, r := range [2]int32{int32(t.k >> 32), int32(t.k)} {
-			l.seen[r/64] |= 1 << (r % 64)
+			l.inEpoch[r/64] |= 1 << (r % 64)
 		}
 	}
 	l.ranks = l.ranks[:0]
-	for w := range l.seen[:top/64+1] {
-		for b := l.seen[w]; b != 0; b &= b - 1 {
+	for w := range l.inEpoch[:top/64+1] {
+		for b := l.inEpoch[w]; b != 0; b &= b - 1 {
 			r := int32(w*64 + bits.TrailingZeros64(b))
 			l.at[r] = int32(len(l.ranks))
 			l.ranks = append(l.ranks, r)
 		}
-		l.seen[w] = 0
+		l.inEpoch[w] = 0
 	}
 }
 

@@ -95,17 +95,31 @@ type progSchedule struct {
 }
 
 // posTable hands out per-rank positions, one per (rank, element) for the
-// life of the table. An element's row, in slab, lists the ranks holding a
-// position, ascending — an element reaches few ranks, so a row stays short
-// where a per-element array over every rank would not — and n[r] is rank
-// r's count.
+// life of the table, and keeps the walk's state of each (element, rank)
+// pair beside it. An element's row, in slab, lists the ranks with an
+// entry, ascending — an element reaches few ranks, so a row stays short
+// where a per-element array over every rank would not — and n[r] is how
+// many positions rank r holds.
 type posTable struct {
 	rows dense[rowRef]
 	slab []rankPos
 	n    []int32
 }
 
-type rankPos struct{ rank, pos int32 }
+// rankPos is a rank's entry in an element's row: its position, -1 until
+// the first use that needs one (a direct send makes an entry in bufs
+// without one), and a tick of the builder's clock (nestBuilder.clock),
+// below the nest's own tick until the nest first counts the pair in its
+// NestCount. In parts that is all stamp says; in bufs it is also the
+// version of the element the rank's buffered copy holds (nestBuilder.ship).
+type rankPos struct {
+	rank, pos int32
+	stamp     uint32
+}
+
+// shortRow is the longest row entry scans in order; past it, rows (a
+// reduction's contributors on a 1×1,024 grid, say) are binary-searched.
+const shortRow = 8
 
 // reset empties the table for a segment of arrays arrays on nprocs ranks.
 func (t *posTable) reset(arrays, nprocs int) {
@@ -134,18 +148,39 @@ func insertAt[T any](slab *[]T, r *rowRef, i int) *T {
 	return &row[i]
 }
 
+// entry is rank r's entry in e's row, made on first use. It stays valid
+// until the table makes another.
+func (t *posTable) entry(s *progSchedule, e elemID, r int) *rankPos {
+	ref, rank := t.rows.at(s, e), int32(r)
+	row := t.slab[ref.at : ref.at+ref.n]
+	i := 0
+	if len(row) <= shortRow {
+		for i < len(row) && row[i].rank < rank {
+			i++
+		}
+	} else {
+		i, _ = slices.BinarySearchFunc(row, rank, func(p rankPos, r int32) int { return cmp.Compare(p.rank, r) })
+	}
+	if i < len(row) && row[i].rank == rank {
+		return &row[i]
+	}
+	p := insertAt(&t.slab, ref, i)
+	*p = rankPos{rank: rank, pos: -1}
+	return p
+}
+
+// number returns the entry's position, numbering it on first use.
+func (t *posTable) number(p *rankPos) int32 {
+	if p.pos < 0 {
+		p.pos = t.n[p.rank]
+		t.n[p.rank]++
+	}
+	return p.pos
+}
+
 // pos returns rank r's position for e, numbering it on first use.
 func (t *posTable) pos(s *progSchedule, e elemID, r int) int32 {
-	ref := t.rows.at(s, e)
-	row := t.slab[ref.at : ref.at+ref.n]
-	i, found := slices.BinarySearchFunc(row, int32(r), func(p rankPos, r int32) int { return cmp.Compare(p.rank, r) })
-	if found {
-		return row[i].pos
-	}
-	p := t.n[r]
-	*insertAt(&t.slab, ref, i) = rankPos{int32(r), p}
-	t.n[r]++
-	return p
+	return t.number(t.entry(s, e, r))
 }
 
 // accEvent is one liveness event of a reduction-accumulator element:
@@ -567,8 +602,8 @@ func buildPlan(lw *ir.Lowered, segs []core.Segment, scalars map[string]float64, 
 // lowers, under the segment's schemes, into s, reset in place: finalizes
 // lower to vectored two-phase / ring exchanges, and each epoch's operand
 // ships to one composed collective redistribution, lowered with ws's
-// scratch. A subscript outside its array is an error. The fan-outs are
-// buildPlan's to prune.
+// scratch. lw is checked (ir.Program.LowerChecked), so every subscript
+// lies inside its array. The fan-outs are buildPlan's to prune.
 func (s *progSchedule) build(lw *ir.Lowered, seg core.Segment, scalars []float64, ws *workspace) error {
 	ss := seg.Schemes
 	s.g, s.lw, s.scalars, s.nprocs = ss.Grid, lw, scalars, ss.Grid.Size()
@@ -606,10 +641,9 @@ func (s *progSchedule) build(lw *ir.Lowered, seg core.Segment, scalars []float64
 		}
 	}
 	s.nests = reuse(s.nests, len(nests))
+	ws.builder.clock = 0
 	for t := range nests {
-		if err := s.buildNest(s.nests[t], seg.Start-1+t, t, ws); err != nil {
-			return err
-		}
+		s.buildNest(s.nests[t], seg.Start-1+t, t, ws)
 	}
 	for r := range s.nprocs {
 		if n := max(s.storeWords(r), int(s.bufs.n[r]), int(s.parts.n[r])); n >= maxLocal {

@@ -8,27 +8,23 @@
 // Li & Chen's communication-set generation; message vectorization in
 // the Gupta & Banerjee lineage).
 //
-// The hot path works on integers only: the walk is ir.LNest.Walk over
-// the program's lowering (ir.Program.Lower), whose slot-indexed forms name
-// every element as an elemID (array id + row-major offset, elemAt), and
-// whose postfix right-hand sides the executor evaluates over operand
-// values. Names and "arr!i,j" strings survive only at the ir.Storage
-// boundary.
+// The hot path works on integers only, and an instance is a few table
+// reads. The walk is ir.LNest.Walk over the program's checked lowering
+// (ir.Program.LowerChecked), which visits each loop level's statement
+// lists; each reference names its element as an elemID (array id +
+// row-major offset) by one affine form of the loop vector, ir.LRef.Flat,
+// unchecked because RangeAt has proved every subscript inside its extent.
+// A ship's source and a finalize's root are the element's first owner,
+// which the layout's cell table holds (layout.first), and what the walk
+// knows of an (element, rank) pair — counted in the nest, holding a live
+// copy — sits beside the rank's position in the element's row (rankPos).
+// The lowering's postfix right-hand sides are what the executor evaluates
+// over operand values. Names and "arr!i,j" strings survive only at the
+// ir.Storage boundary.
 
 package exec
 
-import (
-	"slices"
-
-	"dmcc/internal/ir"
-)
-
-// elemAt is the element r names at loop vector iv, and whether it lies
-// inside its array's extents (ir.LRef.Offset).
-func elemAt(r *ir.LRef, iv []int) (elemID, bool) {
-	off, ok := r.Offset(iv)
-	return mkElem(r.Array, off), ok
-}
+import "slices"
 
 // nestBuilder is the inspector's per-nest state, a workspace's, reset for
 // each nest it builds.
@@ -45,14 +41,19 @@ type nestBuilder struct {
 	pending   dense[rowRef]
 	contribs  []int32
 	pendElems []elemID
-	// written stamps elements written earlier in the current epoch with
-	// its number; a batched ship of such an element would gather a
-	// stale value at the epoch boundary, so it either cuts the epoch
-	// (write from an earlier instance) or degrades to a direct send
-	// (write by this instance's own finalizes, which no cut can hoist
-	// past).
-	written dense[uint32]
+	// written stamps each element the nest writes with the epoch of its
+	// last write: a batched ship of an element written earlier in the
+	// current epoch would gather a stale value at the epoch boundary, so
+	// it either cuts the epoch (write from an earlier instance) or
+	// degrades to a direct send (write by this instance's own finalizes,
+	// which no cut can hoist past). It also holds the write's tick of
+	// clock, the element's version (version).
+	written dense[writeMark]
 	epoch   uint32
+	// clock ticks once per nest, whose tick is nest, and once per write;
+	// it restarts with every segment's build, as the position tables
+	// holding its stamps do (rankPos).
+	clock, nest uint32
 	// The nest's instructions go to its instrs in emission order, rank[i]
 	// the rank instruction i is for and n[p] how many are p's, and cut
 	// puts them in the ranks' streams at nest end.
@@ -65,23 +66,6 @@ type nestBuilder struct {
 	first   []int32
 	traffic []epochShip
 	ws      *workspace
-	// seen holds, for each element e, one past the start in bits of its
-	// three planes of one bit per rank, 0 until one is set (firstMark).
-	// The first, liveCopy, dedups batched ships: bit dst
-	// marks that dst holds a live buffered copy of e (its source is always
-	// e's first owner, so the destination alone names the pair) and a
-	// repeat ship would carry the same value and one copy suffices. A
-	// write of e clears it (the buffered copies go stale),
-	// which makes the dedup window every ship since the element's last
-	// write — spanning epoch cuts, not reset by them: the surviving
-	// ship's value is gathered at its own epoch boundary, before any
-	// write that could invalidate it. Every read of a copy, deduped or
-	// not, is the destination's one position for e (progSchedule.bufs),
-	// which each ship of e to it refills. The other two, which no write
-	// clears, are the nest's distinct pairs NestCount counts.
-	seen  dense[int32]
-	bits  []uint64
-	words int // the words of one plane
 	// flops[r] is rank r's statement flops in the nest.
 	flops []int64
 	// scratch; ops[xi*len(reads)+ri] is executor xi's operand ri
@@ -93,6 +77,10 @@ type nestBuilder struct {
 	parts    []int32
 }
 
+// writeMark is an element's last write in the nest: its epoch and its
+// tick of the builder's clock.
+type writeMark struct{ epoch, tick uint32 }
+
 // shipT is one remote operand: e from its first owner src to executor ex,
 // whose operand is ops[at].
 type shipT struct {
@@ -102,7 +90,7 @@ type shipT struct {
 
 // buildNest builds the schedule of program nest t, the segment's idx-th,
 // into ns, reset in place, with ws's builder.
-func (s *progSchedule) buildNest(ns *nestSchedule, t, idx int, ws *workspace) error {
+func (s *progSchedule) buildNest(ns *nestSchedule, t, idx int, ws *workspace) {
 	ns.t, ns.ln, ns.stmts = t, &s.lw.Nests[t], s.lw.Program.Nests[t].Stmts
 	ns.operands, ns.reds, ns.fins, ns.roles = ns.operands[:0], ns.reds[:0], ns.fins[:0], ns.roles[:0]
 	ns.ints, ns.peers, ns.count = ns.ints[:0], ns.peers[:0], NestCount{}
@@ -111,14 +99,12 @@ func (s *progSchedule) buildNest(ns *nestSchedule, t, idx int, ws *workspace) er
 	b.iv = resize(b.iv, len(ns.ln.Loops))
 	b.pending.reset(len(s.arrays))
 	b.written.reset(len(s.arrays))
-	b.seen.reset(len(s.arrays))
-	b.contribs, b.pendElems, b.traffic, b.bits = b.contribs[:0], b.pendElems[:0], b.traffic[:0], b.bits[:0]
+	b.contribs, b.pendElems, b.traffic = b.contribs[:0], b.pendElems[:0], b.traffic[:0]
 	ns.instrs, b.rank = ns.instrs[:0], b.rank[:0]
-	b.epoch, b.words = 1, (s.nprocs+63)/64
+	b.epoch, b.clock = 1, b.clock+1
+	b.nest = b.clock
 	b.n, b.first, b.flops = zeroed(b.n, s.nprocs), zeroed(b.first, s.nprocs), zeroed(b.flops, s.nprocs)
-	if err := ns.ln.Walk(b.iv, b.instance); err != nil {
-		return err
-	}
+	ns.ln.Walk(b.iv, b.instance)
 	for _, f := range b.flops {
 		ns.count.TotalFlops += f
 		ns.count.MaxProcFlops = max(ns.count.MaxProcFlops, f)
@@ -131,7 +117,6 @@ func (s *progSchedule) buildNest(ns *nestSchedule, t, idx int, ws *workspace) er
 	b.emitBatch(slices.Compact(elems), false)
 	b.closeEpoch()
 	b.cut()
-	return nil
 }
 
 // emit appends in to processor p's stream, reserving in front of p's
@@ -187,24 +172,19 @@ func grow[T any](s []T, n int) []T {
 }
 
 // instance inspects one dynamic statement instance, appending its work
-// to the per-processor streams.
+// to the per-processor streams. It never fails: the walk runs on a checked
+// lowering, so every element it names lies inside its array.
 // The decomposition (forced finalizes, executor set, ship list,
 // pending bookkeeping, evaluation) replicates engine.instance exactly.
 func (b *nestBuilder) instance(si int) error {
 	s, st, ls := b.s, b.ns.stmts[si], &b.ns.ln.Stmts[si]
 
 	// Resolve the written element and the read elements.
-	lhsElem, ok := elemAt(&ls.LHS, b.iv)
-	if !ok {
-		return s.lw.Outside(b.ns.t, si, -1, b.iv)
-	}
+	lhsElem := mkElem(ls.LHS.Array, ls.LHS.Flat.At(b.iv))
 	b.readElem = b.readElem[:0]
 	for ri := range ls.Reads {
-		e, ok := elemAt(&ls.Reads[ri], b.iv)
-		if !ok {
-			return s.lw.Outside(b.ns.t, si, ri, b.iv)
-		}
-		b.readElem = append(b.readElem, e)
+		r := &ls.Reads[ri]
+		b.readElem = append(b.readElem, mkElem(r.Array, r.Flat.At(b.iv)))
 	}
 
 	// Executor set: anchor owners for reductions, LHS owners otherwise.
@@ -233,13 +213,13 @@ func (b *nestBuilder) instance(si int) error {
 			b.ops[ri] = acc
 			continue
 		}
-		src := s.ownersOf(e)[0]
+		src := s.arrays[e.arr()].lay.first(e.off())
 		for xi, ex := range executors {
 			if off, held := s.slabOff(ex, e); held {
 				b.ops[xi*nr+ri] = opdOwned | operand(off)
 				continue
 			}
-			b.ships = append(b.ships, shipT{src: int32(src), ex: int32(ex), at: int32(xi*nr + ri), e: e})
+			b.ships = append(b.ships, shipT{src: src, ex: int32(ex), at: int32(xi*nr + ri), e: e})
 		}
 	}
 
@@ -247,7 +227,7 @@ func (b *nestBuilder) instance(si int) error {
 	// this epoch would be gathered stale at the epoch boundary, so the
 	// boundary moves here, before this whole instance.
 	for _, sh := range b.ships {
-		if *b.written.at(s, sh.e) == b.epoch {
+		if b.written.at(s, sh.e).epoch == b.epoch {
 			b.closeEpoch()
 			break
 		}
@@ -300,25 +280,9 @@ func (b *nestBuilder) instance(si int) error {
 		s.noteWrite(lhsElem)
 	}
 
-	// Emit the ships, in the global lockstep order: each is either an
-	// epoch-batched pair entry or — for elements this instance's own
-	// finalizes just wrote — a residual direct send.
-	cnt := &b.ns.count
+	// Emit the ships, in the global lockstep order.
 	for _, sh := range b.ships {
-		if b.firstMark(sh.e, shippedTo, sh.ex) {
-			cnt.RemoteWords++
-		}
-		if *b.written.at(s, sh.e) == b.epoch {
-			b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
-			b.ops[sh.at] = opdDirect | operand(sh.src)
-			cnt.Words++
-			continue
-		}
-		if b.firstMark(sh.e, liveCopy, sh.ex) {
-			b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
-			cnt.Words++
-		}
-		b.ops[sh.at] = opdBuffered | operand(s.bufs.pos(s, sh.e, int(sh.ex)))
+		b.ship(sh)
 	}
 
 	in := pinstr{op: opEval, stmt: int32(si), elem: lhsElem}
@@ -370,37 +334,60 @@ func (b *nestBuilder) emitEval(p int, in pinstr, ops []operand) {
 	}
 }
 
-// The planes of nestBuilder.seen: the live copies, the executors e was
-// shipped to, and the contributors whose partial of e was combined at a
-// root other than them.
-const (
-	liveCopy = iota
-	shippedTo
-	combinedFrom
-)
-
-// firstMark sets rank r's bit of e in a plane of seen and reports whether
-// it was clear.
-func (b *nestBuilder) firstMark(e elemID, plane int, r int32) bool {
-	at := b.seen.at(b.s, e)
-	if *at == 0 {
-		var p int32
-		b.bits, p = extend(b.bits, 3*b.words)
-		*at = p + 1
+// ship emits one ship: an epoch-batched pair entry or — for an element
+// this instance's own finalizes just wrote — a residual direct send. The
+// pair's entry in bufs says whether the nest counted it already (its stamp
+// is below the nest's tick until then) and whether the executor's buffered
+// copy is live (its stamp is the element's version): a batched ship of
+// the version the copy holds would carry the same value, and one copy
+// suffices (its source is always e's first owner, so the executor alone
+// names the pair). That makes the dedup window every ship since the
+// element's last write — spanning epoch cuts, not reset by them: the
+// surviving ship's value is gathered at its own epoch boundary, before
+// any write that could invalidate it. Every read of a copy, deduped or
+// not, is the executor's one position for e, which each ship of e to it
+// refills. A direct send stamps a pair it counts with the nest's tick,
+// which is no version of an element written in the nest.
+func (b *nestBuilder) ship(sh shipT) {
+	s, cnt := b.s, &b.ns.count
+	ent := s.bufs.entry(s, sh.e, int(sh.ex))
+	first := ent.stamp < b.nest
+	if first {
+		cnt.RemoteWords++
 	}
-	w, m := &b.bits[int(*at-1)+plane*b.words+int(r>>6)], uint64(1)<<(r&63)
-	first := *w&m == 0
-	*w |= m
-	return first
+	if b.written.at(s, sh.e).epoch == b.epoch {
+		if first {
+			ent.stamp = b.nest
+		}
+		b.emit(int(sh.src), pinstr{op: opSendDirect, arg: sh.ex, elem: sh.e})
+		b.ops[sh.at] = opdDirect | operand(sh.src)
+		cnt.Words++
+		return
+	}
+	if v := b.version(sh.e); ent.stamp != v {
+		ent.stamp = v
+		b.traffic = append(b.traffic, epochShip{pairKey(sh.src, sh.ex), sh.e})
+		cnt.Words++
+	}
+	b.ops[sh.at] = opdBuffered | operand(s.bufs.number(ent))
 }
 
-// markWritten records a write of e in the current epoch and drops its
-// ship-dedup window: the buffered copies are stale from here on.
-func (b *nestBuilder) markWritten(e elemID) {
-	*b.written.at(b.s, e) = b.epoch
-	if at := int(*b.seen.at(b.s, e)); at > 0 {
-		clear(b.bits[at-1 : at-1+b.words]) // the liveCopy plane
+// version is e's version in the nest: the clock's tick at its last
+// write, or the nest's own tick before any. A buffered copy made under
+// another version, in an earlier nest or before a write, is stale.
+func (b *nestBuilder) version(e elemID) uint32 {
+	if t := b.written.at(b.s, e).tick; t != 0 {
+		return t
 	}
+	return b.nest
+}
+
+// markWritten records a write of e in the current epoch under a new
+// version, which ends its ship-dedup window: the buffered copies are
+// stale from here on.
+func (b *nestBuilder) markWritten(e elemID) {
+	b.clock++
+	*b.written.at(b.s, e) = writeMark{b.epoch, b.clock}
 }
 
 // isPending reports whether e is a reduction accumulator with a
@@ -419,14 +406,16 @@ func (b *nestBuilder) recordFinalize(e elemID) {
 	ref := b.pending.at(s, e)
 	contribs, n := b.contribs[ref.at:ref.at+ref.n], int32(ref.n)
 	ref.n = 0
-	f := finOp{elem: e, root: int32(s.ownersOf(e)[0])}
+	f := finOp{elem: e, root: s.arrays[e.arr()].lay.first(e.off())}
 	var at int32
 	ns.ints, at = extend(ns.ints, 2*int(n))
 	f.contribs, f.parts = span{at, at + n}, span{at + n, at + 2*n}
 	copy(ns.ints[at:], contribs)
 	for k, c := range contribs {
-		ns.ints[at+n+int32(k)] = s.parts.pos(s, e, int(c))
-		if c != f.root && b.firstMark(e, combinedFrom, c) {
+		ent := s.parts.entry(s, e, int(c))
+		ns.ints[at+n+int32(k)] = s.parts.number(ent)
+		if c != f.root && ent.stamp < b.nest {
+			ent.stamp = b.nest
 			ns.count.ReduceWords++
 		}
 	}

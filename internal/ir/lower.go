@@ -72,6 +72,11 @@ type Lowered struct {
 type LNest struct {
 	Loops []LLoop
 	Stmts []LStmt
+	// order lists the statements by where the walk visits them, and
+	// order[from[2k]:from[2k+1]] are those it visits at loop level k before
+	// the inner loop, order[from[2k+1]:from[2k+2]] those after it (Post),
+	// each in source order.
+	order, from []int
 }
 
 // LLoop is a lowered loop; its bounds are forms over the enclosing loops.
@@ -222,8 +227,8 @@ func (ln *LNest) Walk(iv []int, visit func(si int) error) error {
 }
 
 func (ln *LNest) walk(level int, iv []int, visit func(si int) error) error {
-	for _, post := range [2]bool{false, true} {
-		if post && level < len(ln.Loops) {
+	for k := 2 * level; k < 2*level+2; k++ {
+		if k%2 == 1 && level < len(ln.Loops) {
 			l := &ln.Loops[level]
 			for v, hi := l.Lo.At(iv), l.Hi.At(iv); (hi-v)*l.Step >= 0; v += l.Step {
 				iv[level] = v
@@ -232,11 +237,9 @@ func (ln *LNest) walk(level int, iv []int, visit func(si int) error) error {
 				}
 			}
 		}
-		for si := range ln.Stmts {
-			if st := &ln.Stmts[si]; st.Depth == level && st.Post == post {
-				if err := visit(si); err != nil {
-					return err
-				}
+		for _, si := range ln.order[ln.from[k]:ln.from[k+1]] {
+			if err := visit(si); err != nil {
+				return err
 			}
 		}
 	}
@@ -255,6 +258,23 @@ func (r *LRef) Offset(iv []int) (off int, ok bool) {
 		off = off*r.ext[d] + v
 	}
 	return off, true
+}
+
+// flatten sets r.Flat to the row-major offset of the element r names, as
+// one form over the loop vector: Σ_d (Subs[d] − 1)·stride_d, stride_d the
+// product of the extents after d.
+func (r *LRef) flatten() {
+	f, stride := &r.Flat, 1
+	f.K = 0
+	clear(f.C)
+	for d := len(r.Subs) - 1; d >= 0; d-- {
+		sub := &r.Subs[d]
+		f.K += (sub.K - 1) * stride
+		for k, c := range sub.C {
+			f.C[k] += c * stride
+		}
+		stride *= r.ext[d]
+	}
 }
 
 // Ref is read ri of the statement, or its LHS when ri is -1.
@@ -347,6 +367,10 @@ func (lw *Lowered) CheckInput(input Storage) error {
 type LRef struct {
 	Array int
 	Subs  []Lin
+	// Flat is the element's row-major offset in its array as one form:
+	// Offset's value wherever Offset accepts the loop vector, unchecked.
+	// Its M is 0 (Rebind recomputes it) and its C may end in zeros.
+	Flat Lin
 	// ext is the array's extents, Shapes[Array], which Rebind moves in
 	// place.
 	ext []int
@@ -407,6 +431,13 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 		return nil, err
 	}
 	lw.Nests = make([]LNest, len(p.Nests))
+	nreads := 0
+	for _, nest := range p.Nests {
+		for _, st := range nest.Stmts {
+			nreads += len(st.Reads)
+		}
+	}
+	sl.refs = make([]LRef, nreads) // every Reads, one backing array
 	for t, nest := range p.Nests {
 		ln := &lw.Nests[t]
 		ln.Loops = make([]LLoop, len(nest.Loops))
@@ -459,8 +490,28 @@ func (p *Program) Lower(bind map[string]int) (*Lowered, error) {
 			}
 		}
 	}
+	for t := range lw.Nests {
+		lw.Nests[t].orderStmts(&sl.ints)
+	}
 	lw.deriveRanges()
 	return lw, nil
+}
+
+// orderStmts fills order and from, carved from slab: a statement of depth
+// d is visited at level d, after the inner loop when Post.
+func (ln *LNest) orderStmts(slab *[]int) {
+	ln.order, ln.from = carve(slab, len(ln.Stmts)), carve(slab, 2*len(ln.Loops)+3)
+	n := 0
+	for k := range len(ln.from) - 1 {
+		ln.from[k] = n
+		for si := range ln.Stmts {
+			if st := &ln.Stmts[si]; 2*st.Depth == k && !st.Post || 2*st.Depth+1 == k && st.Post {
+				ln.order[n] = si
+				n++
+			}
+		}
+	}
+	ln.from[len(ln.from)-1] = n
 }
 
 // lowerExpr appends e's steps to out in postfix order. A reference must be
@@ -564,10 +615,11 @@ func (lw *Lowered) Rebind(bind map[string]int) error {
 		}
 		for si := range ln.Stmts {
 			for ri := -1; ri < len(ln.Stmts[si].Reads); ri++ {
-				subs := ln.Stmts[si].Ref(ri).Subs
-				for d := range subs {
-					move(&subs[d])
+				r := ln.Stmts[si].Ref(ri)
+				for d := range r.Subs {
+					move(&r.Subs[d])
 				}
+				r.flatten()
 			}
 		}
 	}
@@ -615,12 +667,16 @@ func (sl *slabs) ref(lw *Lowered, nest *Nest, st *Stmt, r Ref) (LRef, error) {
 	if len(r.Subs) != len(lw.Shapes[out.Array]) {
 		return out, fmt.Errorf("ir: %s line %d: %s has %d subscripts, array is %d-D", nest.Label, st.Line, r, len(r.Subs), len(lw.Shapes[out.Array]))
 	}
+	n := 0
 	for d, sub := range r.Subs {
 		var v string
 		if out.Subs[d], v = sl.lin(sub, nest.Loops[:st.Depth], lw.Bind); v != "" {
 			return out, fmt.Errorf("ir: %s line %d: unbound variable %q in %s", nest.Label, st.Line, v, r)
 		}
+		n = max(n, len(out.Subs[d].C))
 	}
+	out.Flat.C = carve(&sl.ints, n)
+	out.flatten()
 	return out, nil
 }
 

@@ -288,6 +288,56 @@ func TestLoweredEvalMatchesTree(t *testing.T) {
 	}
 }
 
+// TestFlatMatchesOffset: every reference's one-form offset, LRef.Flat,
+// equals LRef.Offset at every instance where Offset accepts the loop
+// vector, over the corpus at m = 8 and 16, lowered there and re-bound
+// there from m = 37.
+func TestFlatMatchesOffset(t *testing.T) {
+	for _, p := range oracleCorpus(t) {
+		for _, m := range []int{8, 16} {
+			bind, err := p.BindSize(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, _ := p.BindSize(37)
+			fresh, err := p.Lower(bind)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			rebound, err := p.Lower(from)
+			if err == nil {
+				err = rebound.Rebind(bind)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			for _, lw := range []*Lowered{fresh, rebound} {
+				n := 0
+				for ti := range lw.Nests {
+					ln := &lw.Nests[ti]
+					iv := make([]int, len(ln.Loops))
+					ln.Walk(iv, func(si int) error {
+						for ri := -1; ri < len(ln.Stmts[si].Reads); ri++ {
+							r := ln.Stmts[si].Ref(ri)
+							if off, ok := r.Offset(iv); ok {
+								if got := r.Flat.At(iv); got != off {
+									t.Fatalf("%s at m=%d, %s stmt %d ref %d at %v: Flat %d, Offset %d",
+										p.Name, m, p.Nests[ti].Label, si, ri, iv[:ln.Stmts[si].Depth], got, off)
+								}
+								n++
+							}
+						}
+						return nil
+					})
+				}
+				if n == 0 {
+					t.Fatalf("%s at m=%d: no reference checked", p.Name, m)
+				}
+			}
+		}
+	}
+}
+
 // TestEvalProgramMatchesTree: on the corpus at m = 8 and 16, EvalProgram
 // leaves the storage the tree walker's EvalProgram leaves, keys and values
 // bit for bit, from an input that leaves out every third element of each
