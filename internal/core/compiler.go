@@ -379,8 +379,9 @@ func (c *Compiler) schemeSet(assign []byte, method string, shape [2]int, cyclic 
 		if err != nil || c.noCache {
 			return ss, err
 		}
-		ss.nestKeys = make([]string, len(an.tables().refs))
-		for t, refs := range an.refs {
+		nestRefs := an.tables().refs
+		ss.nestKeys = make([]string, len(nestRefs))
+		for t, refs := range nestRefs {
 			ss.nestKeys[t] = ss.restrictedKey(refs)
 		}
 		ss.keysOf = an
