@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"dmcc/internal/cli"
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	prog := flag.String("prog", "jacobi", "program to compile: jacobi, sor, gauss, matmul")
+	prog := flag.String("prog", "jacobi", "program to compile: "+strings.Join(ir.BuiltinNames(), ", "))
 	file := flag.String("file", "", "compile a Do-loop source file instead of a built-in program")
 	m := flag.Int("m", 64, "problem size")
 	n := flag.Int("n", 8, "total processors")

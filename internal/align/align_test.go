@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -777,29 +775,11 @@ func exactAlignOracle(g *Graph, q int) (Partition, error) {
 	return pt, nil
 }
 
-// alignedPrograms is every program the segment tests align: the
-// listings under testdata (the four builtins and manyarrays), the
-// stencil and Synthetic(4..16).
-func alignedPrograms(t *testing.T) []*ir.Program {
-	t.Helper()
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no listings: %v", err)
-	}
-	var progs []*ir.Program
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := ir.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		progs = append(progs, p)
-	}
-	progs = append(progs, ir.Stencil())
-	for s := 4; s <= 16; s++ {
+// alignedPrograms is every program the segment tests align: the corpus
+// and Synthetic(9..16).
+func alignedPrograms() []*ir.Program {
+	progs := ir.Corpus()
+	for s := 9; s <= 16; s++ {
 		progs = append(progs, ir.Synthetic(s))
 	}
 	return progs
@@ -828,7 +808,7 @@ func loweredAtSize(t *testing.T, p *ir.Program) *ir.Lowered {
 // (60 nodes) takes the greedy path on the graph.
 func TestSegmentAlignmentMatchesGraph(t *testing.T) {
 	s := new(Search)
-	for _, p := range alignedPrograms(t) {
+	for _, p := range alignedPrograms() {
 		a := NewAffinity(loweredAtSize(t, p), wp())
 		for lo := 0; lo < len(p.Nests); lo++ {
 			for hi := lo + 1; hi <= len(p.Nests); hi++ {

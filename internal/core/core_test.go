@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -277,11 +276,11 @@ func TestCompileSOR(t *testing.T) {
 // segment takes minutes. The compile takes the heuristic for every
 // segment, says so, counts it, and is done in well under two seconds.
 func TestManyArrayProgramAlignsGreedily(t *testing.T) {
-	src, err := os.ReadFile("../../testdata/manyarrays.f")
+	src, err := ir.Listing("manyarrays")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ir.Parse(string(src))
+	p, err := ir.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,6 @@
 package core_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dmcc/internal/core"
@@ -16,11 +14,11 @@ import (
 func kernelSources(tb testing.TB) []string {
 	var srcs []string
 	for _, name := range []string{"gauss", "jacobi", "sor"} {
-		raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", name+".f"))
+		src, err := ir.Listing(name)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		srcs = append(srcs, string(raw))
+		srcs = append(srcs, src)
 	}
 	return srcs
 }

@@ -5,8 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,37 +15,6 @@ import (
 	"dmcc/internal/ir"
 	"dmcc/internal/sweep"
 )
-
-// fitPrograms is every builtin and every testdata source that is not one
-// (the builtins are the listings of the same name), each made by a
-// function that returns a fresh copy.
-func fitPrograms(tb testing.TB) map[string]func() *ir.Program {
-	tb.Helper()
-	progs := map[string]func() *ir.Program{}
-	for _, name := range ir.BuiltinNames() {
-		name := name
-		progs[name] = func() *ir.Program { p, _ := ir.Builtin(name); return p }
-	}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) == 0 {
-		tb.Fatalf("testdata sources: %v, %v", files, err)
-	}
-	for _, f := range files {
-		name := strings.TrimSuffix(filepath.Base(f), ".f")
-		if progs[name] != nil {
-			continue
-		}
-		src, err := os.ReadFile(f)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := ir.Parse(string(src)); err != nil {
-			tb.Fatalf("%s: %v", f, err)
-		}
-		progs[name] = func() *ir.Program { p, _ := ir.Parse(string(src)); return p }
-	}
-	return progs
-}
 
 // gridPeriod is the period Fit samples a frozen plan's counts along: the
 // lcm of every segment's grid extents.
@@ -71,7 +39,7 @@ func numericTwin(tb testing.TB, c *core.Compiler, fp *core.FrozenPlan) *core.Pla
 	return pe
 }
 
-// TestFittedPricesMatchNumeric: for every builtin and testdata source at
+// TestFittedPricesMatchNumeric: for every corpus program at
 // N in {4, 6, 8, 9, 12, 16} from base size 2N², the plan PlanFor fits
 // prices every size of its first three grid periods from the floor up
 // exactly as an unfitted evaluator of the same plan does, and its
@@ -79,17 +47,14 @@ func numericTwin(tb testing.TB, c *core.Compiler, fp *core.FrozenPlan) *core.Pla
 // was written before a fitted series whose pieces are one polynomial was
 // stored as one piece, so storing it so moved no formula.
 func TestFittedPricesMatchNumeric(t *testing.T) {
-	progs := fitPrograms(t)
-	var names []string
-	for name := range progs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	progs := ir.Corpus()
+	slices.SortFunc(progs, func(a, b *ir.Program) int { return strings.Compare(a.Name, b.Name) })
 	var b strings.Builder
-	for _, name := range names {
+	for _, p := range progs {
+		name := p.Name
 		for _, n := range []int{4, 6, 8, 9, 12, 16} {
 			baseM := 2 * n * n
-			c := core.NewCompiler(progs[name](), cost.Unit(), map[string]int{"m": baseM}, n)
+			c := core.NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, n)
 			pe, fitErr, _, err := sweep.PlanFor(c, baseM, sweep.Options{})
 			if err != nil {
 				t.Fatalf("%s N=%d: %v", name, n, err)
@@ -103,7 +68,7 @@ func TestFittedPricesMatchNumeric(t *testing.T) {
 				fmt.Fprintf(&b, "  %s\n", f)
 			}
 			fp := pe.Freeze()
-			numeric := numericTwin(t, core.NewCompiler(progs[name](), cost.Unit(), map[string]int{"m": baseM}, n), fp)
+			numeric := numericTwin(t, core.NewCompiler(p, cost.Unit(), map[string]int{"m": baseM}, n), fp)
 			for m := fp.FitMinM; m <= fp.FitMinM+3*gridPeriod(fp); m++ {
 				if !pe.FittedAt(m) {
 					t.Fatalf("%s N=%d: m=%d is at or above the floor %d but not fitted", name, n, m, fp.FitMinM)

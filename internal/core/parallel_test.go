@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -106,31 +104,10 @@ func TestSharedSchemeSetsCarryNoSegment(t *testing.T) {
 
 // TestAnalyticEngineMatchesExact: the production engine (analytic
 // ChangeCost + closed-form nest counting + caches) must price every
-// program a tool can name — each builtin and each testdata source — and
-// Synthetic(5) identically, byte for byte, to the element- and
+// corpus program identically, byte for byte, to the element- and
 // iteration-enumeration reference engine end to end.
 func TestAnalyticEngineMatchesExact(t *testing.T) {
-	programs := []*ir.Program{ir.Synthetic(5)}
-	for _, name := range ir.BuiltinNames() {
-		p, _ := ir.Builtin(name)
-		programs = append(programs, p)
-	}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("testdata sources: %v, %v", files, err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := ir.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		p.Name = filepath.Base(f)
-		programs = append(programs, p)
-	}
+	programs := ir.Corpus()
 	for _, p := range programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -33,8 +32,8 @@ var (
 )
 
 // storedPlans is every payload PlanPayload writes for the builtin
-// programs at N in {4, 8, 16} and m in {16, 64, 256}, and for the
-// testdata sources at m = 16, N = 4; plus a plan whose fit was declined
+// programs at N in {4, 8, 16} and m in {16, 64, 256}, and for the rest of
+// the corpus at m = 16, N = 4; plus a plan whose fit was declined
 // (it carries a fitErr) and one that was never fitted. Built once per
 // test binary.
 func storedPlans(tb testing.TB) []storedPlan {
@@ -61,31 +60,17 @@ func buildStoredPlans() ([]storedPlan, error) {
 		out = append(out, storedPlan{name, payload, p, pe})
 		return nil
 	}
-	for _, name := range ir.BuiltinNames() {
-		for _, n := range []int{4, 8, 16} {
-			for _, m := range []int{16, 64, 256} {
-				p, _ := ir.Builtin(name)
-				if err := add(fmt.Sprintf("%s m=%d N=%d", name, m, n), p, m, n); err != nil {
+	for _, p := range ir.Corpus() {
+		ns, ms := []int{4}, []int{16}
+		if slices.Contains(ir.BuiltinNames(), p.Name) {
+			ns, ms = []int{4, 8, 16}, []int{16, 64, 256}
+		}
+		for _, n := range ns {
+			for _, m := range ms {
+				if err := add(fmt.Sprintf("%s m=%d N=%d", p.Name, m, n), p, m, n); err != nil {
 					return nil, err
 				}
 			}
-		}
-	}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) == 0 {
-		return nil, fmt.Errorf("no testdata sources (%v)", err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		p, err := ir.Parse(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f, err)
-		}
-		if err := add(filepath.Base(f)+" m=16 N=4", p, 16, 4); err != nil {
-			return nil, err
 		}
 	}
 	// sor at m = 6 on 8 processors is too small to fit from any floor

@@ -185,7 +185,7 @@ func randPiecewise(rng *rand.Rand) *cost.PiecewisePoly {
 }
 
 // TestRenderMatchesFmt: every fitted polynomial and nest fit of the
-// stored plans (builtins and testdata sources), every evaluator's
+// stored plans (the corpus), every evaluator's
 // Formulas, and seeded random polynomials and fits render the bytes the
 // fmt renderer wrote.
 func TestRenderMatchesFmt(t *testing.T) {

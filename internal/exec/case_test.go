@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -18,29 +17,30 @@ import (
 	"dmcc/internal/machine"
 )
 
-// casePrograms is every program a tool can name: the builtins and the
-// sources under testdata/.
-func casePrograms(t *testing.T) map[string]*ir.Program {
-	t.Helper()
-	progs := map[string]*ir.Program{}
-	for _, name := range ir.BuiltinNames() {
-		progs[name], _ = ir.Builtin(name)
-	}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("testdata sources: %v, %v", files, err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
+// caseProg is a corpus program under the name its cases carry in this
+// package's subtests and goldens.
+type caseProg struct {
+	name string
+	p    *ir.Program
+}
+
+// casePrograms is ir.Corpus(), sorted by case name: Synthetic(s) for a
+// Synthetic program, stencil for ir.Stencil, and the listing's file name
+// (gauss.f, manyarrays.f) for the rest, the labels run.golden and
+// runexact.golden carry.
+func casePrograms() []caseProg {
+	var progs []caseProg
+	for _, p := range ir.Corpus() {
+		name := p.Name
+		switch s, synth := strings.CutPrefix(name, "synth"); {
+		case synth:
+			name = "Synthetic(" + s + ")"
+		case name != "stencil":
+			name += ".f"
 		}
-		p, err := ir.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		progs[filepath.Base(f)] = p
+		progs = append(progs, caseProg{name, p})
 	}
+	sort.Slice(progs, func(i, j int) bool { return progs[i].name < progs[j].name })
 	return progs
 }
 
@@ -184,13 +184,16 @@ func casePlan(t *testing.T, c *Case) []core.Segment {
 
 // TestCaseRunsEveryProgram: both engines execute the compiled plan — its
 // Algorithm 1 segments in order, each on its own grid, joined by scheme
-// changes — and match the sequential interpreter, over every testdata/*.f
-// (the builtins are four of them) at m ∈ {16, 64} and Synthetic(4..16),
+// changes — and match the sequential interpreter, over the corpus's
+// listings at m ∈ {16, 64} and its Synthetic(4..8) and Synthetic(9..16),
 // whose plans have one segment per nest, at m = 16, each on 4, 8, 16 and
 // 64 processors. Input is deterministic, the run executes Iterations
 // iterations' flops, Run's result is run.golden's and RunExact's
 // runexact.golden's. The subtests run in parallel; every case runs under
-// the race detector too.
+// the race detector too. ir.Stencil is the one corpus program left out:
+// the goldens pin this case set, and the stencil's runs are held to the
+// interpreter and the counter by TestConservationPerNest and to
+// trace.golden by warmCases.
 func TestCaseRunsEveryProgram(t *testing.T) {
 	type kase struct {
 		name string
@@ -198,21 +201,16 @@ func TestCaseRunsEveryProgram(t *testing.T) {
 		m    int
 	}
 	var cases []kase
-	progs := casePrograms(t)
-	names := make([]string, 0, len(progs))
-	for name := range progs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if _, builtin := ir.Builtin(name); builtin {
-			continue // its listing is testdata/<name>.f
-		}
-		for _, m := range []int{16, 64} {
-			cases = append(cases, kase{name, progs[name], m})
+	for _, cp := range casePrograms() {
+		switch {
+		case cp.name == "stencil":
+		case strings.HasPrefix(cp.name, "Synthetic"):
+			cases = append(cases, kase{cp.name, cp.p, 16})
+		default:
+			cases = append(cases, kase{cp.name, cp.p, 16}, kase{cp.name, cp.p, 64})
 		}
 	}
-	for s := 4; s <= 16; s++ {
+	for s := 9; s <= 16; s++ {
 		cases = append(cases, kase{fmt.Sprintf("Synthetic(%d)", s), ir.Synthetic(s), 16})
 	}
 	ns := []int{4, 8, 16, 64}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"dmcc/internal/core"
@@ -65,32 +64,17 @@ func factorPairs(n int) [][2]int {
 
 // TestConservationPerNest: every nest's counts in the schedule equal the
 // counter's, and a run's machine totals decompose into them exactly
-// (checkConservation), over every builtin and testdata/*.f, ir.Stencil
-// and Synthetic(4..8) at m ∈ {16, 64} on 4, 8 and 16 processors, under
-// the DP's plan and under the whole program on every factor-pair grid
-// (jacobi on N×1 is the Section 4 row scheme). An iterative program runs
+// (checkConservation), over the corpus at m ∈ {16, 64} on 4, 8 and 16
+// processors, under the DP's plan and under the whole program on every
+// factor-pair grid (jacobi on N×1 is the Section 4 row scheme). An iterative program runs
 // two iterations, so an iteration-boundary change is crossed too.
 func TestConservationPerNest(t *testing.T) {
-	progs := map[string]*ir.Program{"stencil": ir.Stencil()}
-	for name, p := range casePrograms(t) {
-		if _, builtin := ir.Builtin(name); !builtin {
-			progs[name] = p // a builtin's listing is testdata/<name>.f
-		}
-	}
-	for s := 4; s <= 8; s++ {
-		progs[fmt.Sprintf("Synthetic(%d)", s)] = ir.Synthetic(s)
-	}
-	names := make([]string, 0, len(progs))
-	for name := range progs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, cp := range casePrograms() {
 		for _, m := range []int{16, 64} {
 			for _, n := range []int{4, 8, 16} {
-				t.Run(fmt.Sprintf("%s m=%d N=%d", name, m, n), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s m=%d N=%d", cp.name, m, n), func(t *testing.T) {
 					t.Parallel()
-					c := Case{Prog: progs[name], M: m, N: n, Iters: 2, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 1}
+					c := Case{Prog: cp.p, M: m, N: n, Iters: 2, Scalars: map[string]float64{"OMEGA": 1.2}, Seed: 1}
 					comp, err := c.Compiler()
 					if err != nil {
 						t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"dmcc/internal/core"
@@ -97,8 +96,7 @@ func checkPeerLists(t *testing.T, label string, pl *planSchedule) (exchanges, ri
 
 // TestReductionPeerListsAgree: the two ends of every reduction exchange
 // agree on what crosses the wire (checkPeerLists), over the compiled
-// plans of every testdata/*.f, ir.Stencil and Synthetic(4..8) at m = 16
-// on 4, 16 and 64 processors, and over the programs of
+// plans of the corpus at m = 16 on 4, 16 and 64 processors, and over the programs of
 // TestExecDifferentialFuzz and TestBatchedMatchesExactFuzz, drawn with
 // their generators, seeds and draw order, each whole under its schemes
 // and under a random segmentation.
@@ -114,28 +112,14 @@ func TestReductionPeerListsAgree(t *testing.T) {
 		exchanges, rings = exchanges+e, rings+r
 	}
 
-	progs := map[string]*ir.Program{"stencil": ir.Stencil()}
-	for name, p := range casePrograms(t) {
-		if _, builtin := ir.Builtin(name); !builtin {
-			progs[name] = p // a builtin's listing is testdata/<name>.f
-		}
-	}
-	for s := 4; s <= 8; s++ {
-		progs[fmt.Sprintf("Synthetic(%d)", s)] = ir.Synthetic(s)
-	}
-	names := make([]string, 0, len(progs))
-	for name := range progs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, cp := range casePrograms() {
 		for _, n := range []int{4, 16, 64} {
-			c := Case{Prog: progs[name], M: 16, N: n}
+			c := Case{Prog: cp.p, M: 16, N: n}
 			plan, err := c.Plan()
 			if err != nil {
-				t.Fatalf("%s N=%d: %v", name, n, err)
+				t.Fatalf("%s N=%d: %v", cp.name, n, err)
 			}
-			check(fmt.Sprintf("%s m=16 N=%d", name, n), c.Prog, c.M, plan.DP.Segments)
+			check(fmt.Sprintf("%s m=16 N=%d", cp.name, n), c.Prog, c.M, plan.DP.Segments)
 		}
 	}
 

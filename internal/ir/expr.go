@@ -58,9 +58,6 @@ func Sub(l, r Expr) Expr { return BinOp{Op: '-', L: l, R: r} }
 // MulE returns l * r.
 func MulE(l, r Expr) Expr { return BinOp{Op: '*', L: l, R: r} }
 
-// DivE returns l / r.
-func DivE(l, r Expr) Expr { return BinOp{Op: '/', L: l, R: r} }
-
 // Rd wraps a reference as an expression.
 func Rd(r Ref) Expr { return RefE{Ref: r} }
 

@@ -127,9 +127,9 @@ func TestExprReadsAndFlops(t *testing.T) {
 	if ExprFlops(s5.RHS) != s5.Flops {
 		t.Fatalf("ExprFlops = %d, want %d", ExprFlops(s5.RHS), s5.Flops)
 	}
-	// Every built-in statement's declared Reads/Flops must agree with its
+	// Every corpus statement's declared Reads/Flops must agree with its
 	// expression tree.
-	for _, prog := range append(builtinPrograms(), Stencil()) {
+	for _, prog := range Corpus() {
 		for _, nest := range prog.Nests {
 			for _, stmt := range nest.Stmts {
 				if stmt.RHS == nil {

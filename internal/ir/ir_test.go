@@ -102,18 +102,8 @@ func TestRefString(t *testing.T) {
 	}
 }
 
-// builtinPrograms is every program Builtin names.
-func builtinPrograms() []*Program {
-	var out []*Program
-	for _, name := range BuiltinNames() {
-		p, _ := Builtin(name)
-		out = append(out, p)
-	}
-	return out
-}
-
 func TestProgramsValidate(t *testing.T) {
-	for _, p := range builtinPrograms() {
+	for _, p := range Corpus() {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -236,7 +226,7 @@ func TestArrayLookupPanics(t *testing.T) {
 }
 
 func TestPrintRendersAllPrograms(t *testing.T) {
-	for _, p := range append(builtinPrograms(), Stencil()) {
+	for _, p := range Corpus() {
 		src := Print(p)
 		for _, want := range []string{"PROGRAM " + p.Name, "PARAM m", "REAL", "END"} {
 			if !strings.Contains(src, want) {
@@ -392,11 +382,12 @@ func exprFmt(e Expr) string {
 }
 
 // TestPrintMatchesFmt: Print, Affine.String and Ref.String write what
-// their fmt versions wrote, for every builtin program and for the number
-// and subscript forms the programs do not reach.
+// their fmt versions wrote, for the corpus, Synthetic(1..3) and
+// Synthetic(9..12) and for the number and subscript forms the programs do
+// not reach.
 func TestPrintMatchesFmt(t *testing.T) {
-	progs := append(builtinPrograms(), Stencil())
-	for s := 1; s <= 12; s++ {
+	progs := Corpus()
+	for _, s := range []int{1, 2, 3, 9, 10, 11, 12} {
 		progs = append(progs, Synthetic(s))
 	}
 	for _, p := range progs {

@@ -2,8 +2,6 @@ package ir_test
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -194,42 +192,22 @@ func TestBuiltin(t *testing.T) {
 // TestRebindMatchesLower: a lowering re-bound to size m is the lowering
 // Lower builds at m — DeepEqual, the recorded coefficients included —
 // and at a size where an extent falls below 1 it is Lower's error, after
-// which re-binding to a good size recovers. Every builtin, every
-// testdata/*.f, Stencil and Synthetic(4..16) are re-bound from base 16
-// to every m in [1, 64], in an order that moves both ways.
+// which re-binding to a good size recovers. The corpus, Synthetic(9..16)
+// and a program whose extents fall below 1 are re-bound from base 16 to
+// every m in [1, 64], in an order that moves both ways.
 func TestRebindMatchesLower(t *testing.T) {
 	const base = 16
-	progs := []*ir.Program{ir.Stencil()}
-	for _, name := range ir.BuiltinNames() {
-		p, _ := ir.Builtin(name)
-		progs = append(progs, p)
-	}
-	for s := 4; s <= 16; s++ {
+	progs := ir.Corpus()
+	for s := 9; s <= 16; s++ {
 		progs = append(progs, ir.Synthetic(s))
 	}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) < 3 {
-		t.Fatalf("testdata/*.f: %v, %v", files, err)
+	// Extents below 1 at m <= 3, and the size parameter in bounds,
+	// subscripts and a constant-shifted extent.
+	shifted, err := ir.Parse("PROGRAM shifted\nPARAM m\nREAL A(m), B(m-3), C(2*m+1)\nDO 9 i = 1, m-3\n7   B(i) = A(i+3) + C(2*i+1) + C(m-i+1)\n9 CONTINUE\nEND\n")
+	if err != nil {
+		t.Fatal(err)
 	}
-	srcs := []string{
-		// Extents below 1 at m <= 3, and the size parameter in bounds,
-		// subscripts and a constant-shifted extent.
-		"PROGRAM shifted\nPARAM m\nREAL A(m), B(m-3), C(2*m+1)\nDO 9 i = 1, m-3\n7   B(i) = A(i+3) + C(2*i+1) + C(m-i+1)\n9 CONTINUE\nEND\n",
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, string(src))
-	}
-	for _, src := range srcs {
-		p, err := ir.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		progs = append(progs, p)
-	}
+	progs = append(progs, shifted)
 	for _, p := range progs {
 		bind := map[string]int{"m": base}
 		lw, err := p.Lower(bind)

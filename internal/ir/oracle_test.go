@@ -2,15 +2,12 @@ package ir
 
 import (
 	"fmt"
-	"io/fs"
 	"maps"
 	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-
-	"dmcc"
 )
 
 // The tree walker: the evaluation semantics the lowering replaced, kept
@@ -126,34 +123,6 @@ func evalProgramTree(p *Program, bind map[string]int, st Storage, scalars map[st
 
 // oracleScalars binds every scalar the corpus reads.
 var oracleScalars = map[string]float64{"OMEGA": 1.25}
-
-// oracleCorpus is every testdata listing, the builtins, the stencil and
-// Synthetic(4..8).
-func oracleCorpus(t *testing.T) []*Program {
-	t.Helper()
-	files, err := fs.Glob(dmcc.Listings, "testdata/*.f")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("listings: %v %v", files, err)
-	}
-	var out []*Program
-	for _, f := range files {
-		src, err := dmcc.Listings.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		out = append(out, p)
-	}
-	out = append(out, builtinPrograms()...)
-	out = append(out, Stencil())
-	for s := 4; s <= 8; s++ {
-		out = append(out, Synthetic(s))
-	}
-	return out
-}
 
 // randomStorage gives every element of every array of lw a value in
 // [1, 2), so no division blows up.
@@ -273,7 +242,7 @@ func checkIRLowering(t *testing.T, label string, p *Program, bind map[string]int
 // (checkIRLowering).
 func TestLoweredEvalMatchesTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, p := range oracleCorpus(t) {
+	for _, p := range Corpus() {
 		for _, m := range []int{8, 16} {
 			bind, err := p.BindSize(m)
 			if err != nil {
@@ -293,7 +262,7 @@ func TestLoweredEvalMatchesTree(t *testing.T) {
 // vector, over the corpus at m = 8 and 16, lowered there and re-bound
 // there from m = 37.
 func TestFlatMatchesOffset(t *testing.T) {
-	for _, p := range oracleCorpus(t) {
+	for _, p := range Corpus() {
 		for _, m := range []int{8, 16} {
 			bind, err := p.BindSize(m)
 			if err != nil {
@@ -343,7 +312,7 @@ func TestFlatMatchesOffset(t *testing.T) {
 // bit for bit, from an input that leaves out every third element of each
 // array but the diagonal of a 2-D one, which dominates its row.
 func TestEvalProgramMatchesTree(t *testing.T) {
-	for _, p := range oracleCorpus(t) {
+	for _, p := range Corpus() {
 		for _, m := range []int{8, 16} {
 			bind, _ := p.BindSize(m)
 			lw, err := p.Lower(bind)
@@ -538,14 +507,14 @@ func randomLoweringProgram(rng *rand.Rand) *Program {
 }
 
 // TestLoweringMatchesIR: the lowering equals the tree walker at every
-// instance (checkIRLowering) of the builtins, of a right-hand side too deep
+// instance (checkIRLowering) of the corpus, of a right-hand side too deep
 // for Eval's stack buffer, and of random nests that exercise everything it
 // resolves.
 func TestLoweringMatchesIR(t *testing.T) {
 	const m = 6
 	bind := map[string]int{"m": m}
 	rng := rand.New(rand.NewSource(20260705))
-	for _, p := range append(builtinPrograms(), Stencil(), Synthetic(6)) {
+	for _, p := range Corpus() {
 		lw, err := p.Lower(bind)
 		if err != nil {
 			t.Fatal(err)

@@ -3,17 +3,16 @@ package ir_test
 import (
 	"testing"
 
-	"dmcc"
 	"dmcc/internal/core"
 	"dmcc/internal/ir"
 )
 
 func TestParseGauss(t *testing.T) {
-	src, err := dmcc.Listings.ReadFile("testdata/gauss.f")
+	src, err := ir.Listing("gauss")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ir.Parse(string(src))
+	got, err := ir.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,18 +5,17 @@ import (
 	"strings"
 	"testing"
 
-	"dmcc"
 	"dmcc/internal/matrix"
 )
 
-// listing reads a paper program's embedded listing, testdata/<name>.f.
+// listing reads a paper program's listing.
 func listing(t *testing.T, name string) string {
 	t.Helper()
-	src, err := dmcc.Listings.ReadFile("testdata/" + name + ".f")
+	src, err := Listing(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(src)
+	return src
 }
 
 // parsedListing parses a builtin's listing and labels its nests as the
@@ -274,13 +273,13 @@ func TestParsedProgramExecutes(t *testing.T) {
 	}
 }
 
-// TestPrintParseRoundTrip: Print output re-parses into a program that
-// executes identically, every array element equal.
+// TestPrintParseRoundTrip: Print output of every corpus program re-parses
+// into a program that executes identically, every array element equal.
 func TestPrintParseRoundTrip(t *testing.T) {
 	const m = 10
 	bind := map[string]int{"m": m}
 	a, _, _ := matrix.DiagonallyDominant(m, 501)
-	for _, orig := range builtinPrograms() {
+	for _, orig := range Corpus() {
 		src := Print(orig)
 		got, err := Parse(src)
 		if err != nil {

@@ -1,6 +1,7 @@
-// The paper's example programs. The four builtins are their listings in
-// testdata/, parsed: line numbers match Sections 2.1, 3, 5 and 6, so
-// reports can cite them. Synthetic and Stencil are built here.
+// The paper's example programs. The four builtins and Stencil are their
+// listings in testdata/, parsed: line numbers match Sections 2.1, 3, 5 and
+// 6, so reports can cite them. Synthetic is built here, and Corpus lists
+// them all.
 package ir
 
 import (
@@ -22,16 +23,28 @@ var builtins = []struct {
 	{"gauss", parseOnce("gauss", "G")}, {"matmul", parseOnce("matmul", "M")},
 }
 
+// stencil and manyArrays are the listings no tool compiles by name:
+// Stencil's, and testdata/manyarrays.f, its nests labelled L1, L2, ... as
+// Parse labels them.
+var stencil, manyArrays = parseOnce("stencil", "S"), parseOnce("manyarrays", "L")
+
+// Listing returns the text of testdata/<name>.f, one of the listings the
+// root package embeds.
+func Listing(name string) (string, error) {
+	src, err := dmcc.Listings.ReadFile("testdata/" + name + ".f")
+	return string(src), err
+}
+
 // parseOnce returns the parse of testdata/<name>.f, made on the first
 // call in the process, with its nests labelled letter1, letter2, ... as the
 // paper labels them.
 func parseOnce(name, letter string) func() *Program {
 	return sync.OnceValue(func() *Program {
-		src, err := dmcc.Listings.ReadFile("testdata/" + name + ".f")
+		src, err := Listing(name)
 		if err != nil {
 			panic(err)
 		}
-		p, err := Parse(string(src))
+		p, err := Parse(src)
 		if err != nil {
 			panic(fmt.Sprintf("ir: listing %s.f: %v", name, err))
 		}
@@ -52,6 +65,23 @@ func Builtin(name string) (p *Program, ok bool) {
 		}
 	}
 	return nil, false
+}
+
+// Corpus returns every program the tree compiles, each a fresh copy named
+// by Program.Name: the four builtins as Builtin returns them,
+// testdata/manyarrays.f, Stencil and Synthetic(4..8). It is the one list
+// the layouts sweep and the tests that check a fast path against its
+// oracle over every program run over.
+func Corpus() []*Program {
+	progs := make([]*Program, 0, len(builtins)+7)
+	for _, b := range builtins {
+		progs = append(progs, b.parsed().clone())
+	}
+	progs = append(progs, manyArrays().clone(), Stencil())
+	for s := 4; s <= 8; s++ {
+		progs = append(progs, Synthetic(s))
+	}
+	return progs
 }
 
 // clone copies p down to every slice, map and expression an edit can
@@ -209,62 +239,7 @@ func Synthetic(s int) *Program {
 	return p
 }
 
-// Stencil returns the five-point relaxation
-//
-//	DO 3 i = 2, m-1
-//	  DO 3 j = 2, m-1
-//	3   W(i,j) = (U(i-1,j) + U(i+1,j) + U(i,j-1) + U(i,j+1)) / 4
-//
-// the Section 1 case where "dependent data only influence neighboring
-// data": every affinity edge has a constant subscript offset, so
-// component alignment co-locates U and W dimension-wise and all
-// communication is nearest-neighbour.
-func Stencil() *Program {
-	m := V("m")
-	p := &Program{
-		Name:      "stencil",
-		Iterative: true,
-		Params:    []string{"m"},
-		Arrays: map[string]*Array{
-			"U": {Name: "U", Extents: []Affine{m, m}},
-			"W": {Name: "W", Extents: []Affine{m, m}},
-		},
-	}
-	nest := &Nest{
-		Label: "S1",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(2), Hi: m.PlusConst(-1), Step: 1},
-			{Index: "j", Lo: Const(2), Hi: m.PlusConst(-1), Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 3, Depth: 2, LHS: R("W", V("i"), V("j")),
-				Reads: []Ref{
-					R("U", V("i").PlusConst(-1), V("j")),
-					R("U", V("i").PlusConst(1), V("j")),
-					R("U", V("i"), V("j").PlusConst(-1)),
-					R("U", V("i"), V("j").PlusConst(1)),
-				},
-				RHS: DivE(Add(Add(Rd(R("U", V("i").PlusConst(-1), V("j"))), Rd(R("U", V("i").PlusConst(1), V("j")))),
-					Add(Rd(R("U", V("i"), V("j").PlusConst(-1))), Rd(R("U", V("i"), V("j").PlusConst(1))))),
-					Num(4)),
-				Flops: 4,
-				Text:  "W(i,j) = (U(i-1,j) + U(i+1,j) + U(i,j-1) + U(i,j+1)) / 4"},
-		},
-	}
-	copyBack := &Nest{
-		Label: "S2",
-		Loops: []Loop{
-			{Index: "i", Lo: Const(2), Hi: m.PlusConst(-1), Step: 1},
-			{Index: "j", Lo: Const(2), Hi: m.PlusConst(-1), Step: 1},
-		},
-		Stmts: []*Stmt{
-			{Line: 5, Depth: 2, LHS: R("U", V("i"), V("j")),
-				Reads: []Ref{R("W", V("i"), V("j"))},
-				RHS:   Rd(R("W", V("i"), V("j"))),
-				Flops: 0,
-				Text:  "U(i,j) = W(i,j)"},
-		},
-	}
-	p.Nests = []*Nest{nest, copyBack}
-	return p
-}
+// Stencil returns the five-point relaxation of testdata/stencil.f, the
+// Section 1 case where "dependent data only influence neighboring data":
+// nest S1 relaxes U into W, S2 copies W back.
+func Stencil() *Program { return stencil().clone() }

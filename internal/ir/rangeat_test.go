@@ -77,10 +77,10 @@ DO 9 k = 1, m
 END
 `
 
-// rangeCorpus is oracleCorpus, a program whose extents fall below 1 at
+// rangeCorpus is the corpus, a program whose extents fall below 1 at
 // small sizes, and the triangular nest.
 func rangeCorpus(t *testing.T) []*Program {
-	progs := oracleCorpus(t)
+	progs := Corpus()
 	for _, src := range []string{
 		"PROGRAM shifted\nPARAM m\nREAL A(m), B(m-3), C(2*m+1)\nDO 9 i = 1, m-3\n7   B(i) = A(i+3) + C(2*i+1) + C(m-i+1)\n9 CONTINUE\nEND\n",
 		triangularSource,
@@ -96,9 +96,9 @@ func rangeCorpus(t *testing.T) []*Program {
 
 // TestRangeAtMatchesLowering: RangeAt(m) on one lowering at base 16 is,
 // at every m in [1, 64], exactly what a fresh Lower(m) followed by the
-// unclipped walk returns, error text included, for every listing,
-// builtin, the stencil, Synthetic(4..8) and a program with extents below
-// 1 at small sizes. The programs whose inner loop is empty for part of
+// unclipped walk returns, error text included, over rangeCorpus: the
+// corpus, a program with extents below 1 at small sizes and the
+// triangular nest. The programs whose inner loop is empty for part of
 // their outer range are the exception, named here: the clip only narrows,
 // so RangeAt accepts whatever the walk accepts, and at some size it
 // accepts what the walk refused.

@@ -2,8 +2,6 @@ package ir_test
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -82,27 +80,12 @@ func TestCheckRanges(t *testing.T) {
 	}
 }
 
-// Everything the tree ships is in range at every size, degenerate ones
-// included, and a binding that leaves a parameter out is an error naming
-// where it is needed — not the panic Affine.Eval would raise.
+// Everything the tree ships — the corpus and Synthetic(32) — is in range at
+// every size, degenerate ones included, and a binding that leaves a
+// parameter out is an error naming where it is needed — not the panic
+// Affine.Eval would raise.
 func TestCheckRangesAcceptsTheTree(t *testing.T) {
-	progs := []*ir.Program{ir.Jacobi(), ir.SOR(), ir.Gauss(), ir.Stencil(), ir.Synthetic(4), ir.Synthetic(32)}
-	files, err := filepath.Glob("../../testdata/*.f")
-	if err != nil || len(files) < 3 {
-		t.Fatalf("testdata/*.f: %v, %v", files, err)
-	}
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := ir.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		progs = append(progs, p)
-	}
-	for _, p := range progs {
+	for _, p := range append(ir.Corpus(), ir.Synthetic(32)) {
 		for _, m := range []int{1, 2, 3, 8, 64, 1 << 20} {
 			if err := checkRanges(p, map[string]int{"m": m}); err != nil {
 				t.Errorf("%s at m=%d: %v", p.Name, m, err)

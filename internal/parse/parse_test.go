@@ -3,7 +3,6 @@ package parse
 import (
 	"testing"
 
-	"dmcc"
 	"dmcc/internal/align"
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
@@ -13,11 +12,11 @@ import (
 // parseJacobi parses the embedded Section 3 listing through this package.
 func parseJacobi(t *testing.T) *ir.Program {
 	t.Helper()
-	src, err := dmcc.Listings.ReadFile("testdata/jacobi.f")
+	src, err := ir.Listing("jacobi")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Parse(string(src))
+	p, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,7 +201,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 // CompileRequest is the POST /compile (and the program half of the
 // POST /plan) body.
 type CompileRequest struct {
-	// Prog names a builtin program: jacobi, sor, gauss, matmul.
+	// Prog names a builtin program, one of ir.BuiltinNames.
 	Prog string `json:"prog,omitempty"`
 	// Source is Do-loop source text; it takes precedence over Prog.
 	Source string `json:"source,omitempty"`
@@ -246,7 +247,8 @@ func program(req *CompileRequest) (*ir.Program, error) {
 	if p, ok := ir.Builtin(req.Prog); ok {
 		return p, nil
 	}
-	return nil, fmt.Errorf("unknown program %q (want jacobi, sor, gauss or matmul)", req.Prog)
+	names := ir.BuiltinNames()
+	return nil, fmt.Errorf("unknown program %q (want %s or %s)", req.Prog, strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 }
 
 // compiler builds the compiler of the program a validated request names

@@ -284,7 +284,7 @@ func malformedInstalls(tb testing.TB, planRaw []byte) []installCase {
 		{"pre-bump plan (no schema)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(stripSchema(tb, planRaw)) + `}`, http.StatusUnprocessableEntity, "schema 0"},
 		{"pre-bump plan (schema 1)", `{"prog":"jacobi","m":16,"n":4,"plan":` + string(setSchema(tb, planRaw, 1)) + `}`, http.StatusUnprocessableEntity, "schema 1"},
 		{"empty plan", `{"prog":"jacobi","m":16,"n":4}`, http.StatusBadRequest, "plan is required"},
-		{"unknown program", `{"prog":"nope","m":16,"n":4,"plan":` + string(planRaw) + `}`, http.StatusBadRequest, "unknown program"},
+		{"unknown program", `{"prog":"nope","m":16,"n":4,"plan":` + string(planRaw) + `}`, http.StatusBadRequest, `unknown program "nope" (want jacobi, sor, gauss or matmul)`},
 		{"garbage body", `{{{`, http.StatusBadRequest, "bad request body"},
 	}
 }
@@ -725,13 +725,13 @@ func TestSizeOutOfRangeIsDeclinedNotAPanic(t *testing.T) {
 // it takes minutes) compiles in under two seconds, every segment aligned
 // by the heuristic and counted.
 func TestManyArraySourceCompiles(t *testing.T) {
-	src, err := os.ReadFile("../../testdata/manyarrays.f")
+	src, err := ir.Listing("manyarrays")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s, ts, _ := newTestServer(t)
 	start := time.Now()
-	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: string(src), M: 16, N: 4})
+	resp, raw := postJSON(t, ts.URL+"/compile", CompileRequest{Source: src, M: 16, N: 4})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /compile manyarrays: %s: %s", resp.Status, raw)
 	}
@@ -915,15 +915,15 @@ func TestInstalledPlanServesItsBytes(t *testing.T) {
 // past it on any number. (At N = 1 the reply was a 200 with total
 // -8070450532247929000.)
 func TestFittedPriceOverflowIsRefused(t *testing.T) {
-	matmul, err := os.ReadFile("../../testdata/matmul.f")
+	matmul, err := ir.Listing("matmul")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const stmt = "A(i,j) + B(i,k) * C(k,j)"
-	if !bytes.Contains(matmul, []byte(stmt)) {
-		t.Fatalf("testdata/matmul.f has no %s", stmt)
+	if !strings.Contains(matmul, stmt) {
+		t.Fatalf("matmul's listing has no %s", stmt)
 	}
-	overflowSource := strings.Replace(string(matmul), stmt, "A(i,j) + B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)", 1)
+	overflowSource := strings.Replace(matmul, stmt, "A(i,j) + B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)*C(k,j)*B(i,k)", 1)
 	_, ts, _ := newTestServer(t)
 	for _, tc := range []struct {
 		n      int

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"dmcc"
 	"dmcc/internal/artifact"
 	"dmcc/internal/core"
 	"dmcc/internal/cost"
@@ -632,29 +631,23 @@ func execMetrics(res exec.Result) map[string]float64 {
 
 // ------------------------------------------------------------ layouts --
 
-// layoutProgs are the layouts sweep's programs, every compiled program
-// the tools carry: the exec programs (so their dp rows are the exec
-// sweep's batched runs), matmul, ir.Stencil, Synthetic(4..8) and
-// testdata/manyarrays.f. An iterative program runs two iterations.
+// layoutProgs are the layouts sweep's programs, ir.Corpus(): the exec
+// programs first, as the exec sweep runs them (so their dp rows are its
+// batched runs), then the rest of the corpus. An iterative program runs
+// two iterations.
 func layoutProgs() []execProg {
-	progs := append(slices.Clone(execProgs),
-		execProg{"matmul", func() *ir.Program { p, _ := ir.Builtin("matmul"); return p }, nil, 1},
-		execProg{"stencil", ir.Stencil, nil, 2})
-	for s := 4; s <= 8; s++ {
-		progs = append(progs, execProg{fmt.Sprintf("synth%d", s), func() *ir.Program { return ir.Synthetic(s) }, nil, 1})
+	progs := slices.Clone(execProgs)
+	for _, p := range ir.Corpus() {
+		if slices.ContainsFunc(execProgs, func(pr execProg) bool { return pr.name == p.Name }) {
+			continue
+		}
+		iters := 1
+		if p.Iterative {
+			iters = 2
+		}
+		progs = append(progs, execProg{p.Name, func() *ir.Program { return p }, nil, iters})
 	}
-	return append(progs, execProg{"manyarrays", manyArrays, nil, 1})
-}
-
-// manyArrays parses testdata/manyarrays.f from the listings the root
-// package embeds, so the sweep does not depend on the working directory.
-func manyArrays() *ir.Program {
-	src, _ := dmcc.Listings.ReadFile("testdata/manyarrays.f") // embedded: the build has it
-	p, err := ir.Parse(string(src))
-	if err != nil {
-		panic(fmt.Sprintf("sweep: listing manyarrays.f: %v", err))
-	}
-	return p
+	return progs
 }
 
 // factorPairs is every r x n/r grid of n processors, r ascending.
