@@ -105,9 +105,24 @@ func TestSharedSchemeSetsCarryNoSegment(t *testing.T) {
 // TestAnalyticEngineMatchesExact: the production engine (analytic
 // ChangeCost + closed-form nest counting + caches) must price every
 // corpus program identically, byte for byte, to the element- and
-// iteration-enumeration reference engine end to end.
+// iteration-enumeration reference engine end to end. Its extras are the
+// builtins' listings as a raw ir.Parse makes them (subtests <name>.f):
+// nests labelled L1… and no relabelling clone, the path a user's own
+// source takes.
 func TestAnalyticEngineMatchesExact(t *testing.T) {
 	programs := ir.Corpus()
+	for _, name := range ir.BuiltinNames() {
+		src, err := ir.Listing(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p.Name = name + ".f"
+		programs = append(programs, p)
+	}
 	for _, p := range programs {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
